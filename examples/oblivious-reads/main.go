@@ -99,14 +99,15 @@ func main() {
 	}
 	// Warm the cache (the read_stegfs randomized fetch), then replay
 	// the application pattern and observe only the cache partition.
+	block := make([]byte, vol.PayloadSize())
 	for li := 0; li < fileBlocks; li++ {
-		if _, err := ofs.ReadBlock(1, uint64(li)); err != nil {
+		if err := ofs.ReadBlock(1, uint64(li), block); err != nil {
 			log.Fatal(err)
 		}
 	}
 	cacheTap.Reset()
 	for _, li := range pattern {
-		if _, err := ofs.ReadBlock(1, li); err != nil {
+		if err := ofs.ReadBlock(1, li, block); err != nil {
 			log.Fatal(err)
 		}
 	}

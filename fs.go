@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 )
 
 // FS is the unified filesystem surface of the system model (§3.2):
@@ -173,10 +174,10 @@ func eofIfShort(n, want int) error {
 	return nil
 }
 
-// readFileChunk bounds each ReadFile allocation, so a corrupt or
-// hostile size report (a remote agent's Disclose reply) cannot make
-// the caller allocate arbitrary memory up front; only bytes actually
-// received accumulate.
+// readFileChunk bounds how far ReadFile's buffer grows ahead of the
+// bytes received, so a corrupt or hostile size report (a remote
+// agent's Disclose reply) cannot make the caller allocate arbitrary
+// memory up front; only bytes actually received accumulate.
 const readFileChunk = 1 << 20
 
 // ReadFile reads the whole of path through fsys: stat, then chunked
@@ -193,13 +194,12 @@ func ReadFile(ctx context.Context, fsys FS, path string) ([]byte, error) {
 	defer h.Close() //nolint:errcheck // read handles flush nothing
 	var out []byte
 	for remaining := info.Size; remaining > 0; {
-		n := remaining
-		if n > readFileChunk {
-			n = readFileChunk
-		}
-		buf := make([]byte, n)
-		got, err := h.ReadAt(buf, int64(len(out)))
-		out = append(out, buf[:got]...)
+		// Each chunk is read into the tail of the one growing buffer:
+		// a file under the chunk size costs a single allocation.
+		n := int(min(remaining, readFileChunk))
+		out = slices.Grow(out, n)
+		got, err := h.ReadAt(out[len(out):len(out)+n], int64(len(out)))
+		out = out[:len(out)+got]
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -242,4 +242,3 @@ func WriteFile(ctx context.Context, fsys FS, path string, data []byte) error {
 	}
 	return h.Close()
 }
-

@@ -340,12 +340,10 @@ func (o *obliviousFS) writeLocked(ctx context.Context, e *obliEntry, path string
 		if bo != 0 || n < ps {
 			// Partial block: read-modify-write through the cache, so
 			// the fetch is as oblivious as any other read.
-			old, err := o.cache.ReadBlock(e.ord, li)
-			if err != nil {
+			payload = make([]byte, ps)
+			if err := o.cache.ReadBlock(e.ord, li, payload); err != nil {
 				return pathErr("write", path, err)
 			}
-			payload = make([]byte, ps)
-			copy(payload, old)
 			copy(payload[bo:], p[written:written+n])
 		} else {
 			payload = p[written : written+n]

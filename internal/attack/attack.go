@@ -10,12 +10,18 @@
 //     request stream between agent and storage and looks for repeated
 //     addresses and frequency skew.
 //
-// Both output a verdict with the statistical evidence, so experiments
+// A third looks at content instead of addresses: CompareContent is
+// the snapshot attacker asking whether two populations of raw blocks —
+// say the blocks cover traffic refilled and the blocks holding sealed
+// data — are the same kind of bytes.
+//
+// All output a verdict with the statistical evidence, so experiments
 // can report "detected hidden activity: yes/no (p = …)".
 package attack
 
 import (
 	"bytes"
+	"compress/flate"
 	"fmt"
 
 	"steghide/internal/blockdev"
@@ -260,4 +266,85 @@ func (u *UpdateAnalyzer) SnapshotHomogeneity(bins int) (Verdict, error) {
 		return Verdict{}, fmt.Errorf("attack: need at least 2 intervals, have %d", len(u.diffs))
 	}
 	return CompareStreamsK(u.diffs, u.nBlocks, bins)
+}
+
+// CompareContent is the content-inspecting adversary: handed two
+// populations of raw blocks, it decides whether what they contain
+// tells them apart. histogram pools each population's byte values and
+// applies the chi-square homogeneity test (first-order structure);
+// complexity compares the populations' per-block deflate ratios by a
+// two-sample test on their means — the compressibility detector of "A
+// Complexity Approach for Steganalysis", which catches any redundancy
+// LZ77 + Huffman can exploit. The volume's premise is that every
+// block, sealed data or filler, looks like random bytes: a secure
+// build yields Detected == false on both for any split of its blocks.
+func CompareContent(a, b [][]byte) (histogram, complexity Verdict, err error) {
+	if len(a) == 0 || len(b) == 0 {
+		return Verdict{}, Verdict{}, fmt.Errorf("attack: populations of %d and %d blocks", len(a), len(b))
+	}
+	ha, ra, err := contentStats(a)
+	if err != nil {
+		return Verdict{}, Verdict{}, err
+	}
+	hb, rb, err := contentStats(b)
+	if err != nil {
+		return Verdict{}, Verdict{}, err
+	}
+	stat, p, err := stats.ChiSquareTwoSample(ha, hb)
+	if err != nil {
+		return Verdict{}, Verdict{}, err
+	}
+	histogram = Verdict{
+		Detected: p < Alpha,
+		PValue:   p,
+		Evidence: fmt.Sprintf("byte-histogram chi-square=%.1f (%d vs %d blocks)", stat, len(a), len(b)),
+	}
+	z, p, err := stats.MeanDifference(ra, rb)
+	if err != nil {
+		return Verdict{}, Verdict{}, err
+	}
+	complexity = Verdict{
+		Detected: p < Alpha,
+		PValue:   p,
+		Evidence: fmt.Sprintf("deflate ratio %.4f vs %.4f, z=%.2f", stats.Mean(ra), stats.Mean(rb), z),
+	}
+	return histogram, complexity, nil
+}
+
+// contentStats returns a population's pooled byte histogram and its
+// per-block deflate ratios.
+func contentStats(blocks [][]byte) (hist []uint64, ratios []float64, err error) {
+	hist = make([]uint64, 256)
+	ratios = make([]float64, 0, len(blocks))
+	var size countingWriter
+	w, err := flate.NewWriter(&size, flate.BestCompression)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, blk := range blocks {
+		if len(blk) == 0 {
+			return nil, nil, fmt.Errorf("attack: empty block")
+		}
+		for _, c := range blk {
+			hist[c]++
+		}
+		size = 0
+		w.Reset(&size)
+		if _, err := w.Write(blk); err != nil {
+			return nil, nil, err
+		}
+		if err := w.Close(); err != nil {
+			return nil, nil, err
+		}
+		ratios = append(ratios, float64(size)/float64(len(blk)))
+	}
+	return hist, ratios, nil
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }

@@ -172,34 +172,6 @@ func AllocBlocks(n, blockSize int) [][]byte {
 	return bufs
 }
 
-// BufPool recycles single-block buffers across batched operations.
-type BufPool struct {
-	size int
-	pool sync.Pool
-}
-
-// NewBufPool returns a pool of blockSize-byte buffers.
-func NewBufPool(blockSize int) *BufPool {
-	p := &BufPool{size: blockSize}
-	p.pool.New = func() any {
-		b := make([]byte, blockSize)
-		return &b
-	}
-	return p
-}
-
-// Get returns a zero-copy buffer of the pool's block size.
-func (p *BufPool) Get() []byte { return *(p.pool.Get().(*[]byte)) }
-
-// Put returns a buffer obtained from Get. Buffers of the wrong size
-// are dropped.
-func (p *BufPool) Put(b []byte) {
-	if len(b) != p.size {
-		return
-	}
-	p.pool.Put(&b)
-}
-
 // --- Mem ----------------------------------------------------------------
 
 // ReadBlocks implements BatchDevice: one lock acquisition, one slab

@@ -138,9 +138,10 @@ func runObliPoint(s Scale, bufSlots int, label string) (*ObliPoint, error) {
 	}
 
 	// Warm phase: pull every block into the cache (read_stegfs path).
+	block := make([]byte, vol.PayloadSize())
 	for ord, p := range parts {
 		for li := 0; li < p.blocks; li++ {
-			if _, err := fs.ReadBlock(uint64(ord), uint64(li)); err != nil {
+			if err := fs.ReadBlock(uint64(ord), uint64(li), block); err != nil {
 				return nil, err
 			}
 		}
@@ -161,7 +162,7 @@ func runObliPoint(s Scale, bufSlots int, label string) (*ObliPoint, error) {
 	cacheDisk.ResetStats()
 	t0 := cacheDisk.Now()
 	for _, r := range refs {
-		if _, err := fs.ReadBlock(r.ord, r.li); err != nil {
+		if err := fs.ReadBlock(r.ord, r.li, block); err != nil {
 			return nil, err
 		}
 	}

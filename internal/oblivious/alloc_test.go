@@ -16,8 +16,10 @@ import (
 // conversion. Put amortizes every buffer flush and level reshuffle the
 // write stream triggers — the ISSUE bar is <=50 allocs/op amortized;
 // steady state measures ~2 (map growth and entry churn at the
-// freelist's edge). Get pins the probe path, whose batched scattered
-// read reuses the store's slabs.
+// freelist's edge). GetInto pins the probe path, whose batched
+// scattered read reuses the store's slabs and whose value lands in the
+// caller's buffer: on a host whose RSS tracks garbage, a 4 KiB copy per
+// hit was the read path's whole footprint.
 func TestAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc ceilings don't hold under -race (the race runtime randomizes sync.Pool reuse)")
@@ -47,14 +49,14 @@ func TestAllocBudgets(t *testing.T) {
 	}
 
 	gets := testing.AllocsPerRun(256, func() {
-		if _, _, err := s.Get(BlockID{File: 1, Index: i % uint64(s.Capacity())}); err != nil {
+		if _, err := s.GetInto(BlockID{File: 1, Index: i % uint64(s.Capacity())}, val); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	t.Logf("Get (probe path): %.2f allocs/op", gets)
-	if gets > 8 {
-		t.Errorf("Get = %.2f allocs/op, budget 8", gets)
+	t.Logf("GetInto (probe path, amortized over promotions' flushes): %.2f allocs/op", gets)
+	if gets > 4 {
+		t.Errorf("GetInto = %.2f allocs/op, budget 4", gets)
 	}
 }
 

@@ -33,9 +33,11 @@ type FS struct {
 
 	// Reusable scratch (the FS is single-threaded, like the Store):
 	// padBuf widens payloads to the cache value size, readBuf absorbs
-	// decoy and dummy block reads whose contents are discarded.
-	padBuf  []byte
-	readBuf []byte
+	// decoy and dummy block reads whose contents are discarded,
+	// blockBuf stages the one payload a partial-block ReadAt cuts from.
+	padBuf   []byte
+	readBuf  []byte
+	blockBuf []byte
 
 	stats FSStats
 }
@@ -55,13 +57,14 @@ func NewFS(store *Store, vol *stegfs.Volume, rng *prng.PRNG) (*FS, error) {
 			store.ValueSize(), vol.PayloadSize())
 	}
 	return &FS{
-		store:   store,
-		vol:     vol,
-		rng:     rng.Child("obli-fs"),
-		files:   map[uint64]*stegfs.File{},
-		fetched: map[BlockID]bool{},
-		padBuf:  make([]byte, store.ValueSize()),
-		readBuf: make([]byte, vol.BlockSize()),
+		store:    store,
+		vol:      vol,
+		rng:      rng.Child("obli-fs"),
+		files:    map[uint64]*stegfs.File{},
+		fetched:  map[BlockID]bool{},
+		padBuf:   make([]byte, store.ValueSize()),
+		readBuf:  make([]byte, vol.BlockSize()),
+		blockBuf: make([]byte, vol.PayloadSize()),
 	}, nil
 }
 
@@ -122,22 +125,24 @@ func (o *FS) pad(payload []byte) []byte {
 	return o.padBuf
 }
 
-// ReadBlock obliviously reads logical block li of the registered file.
+// ReadBlock obliviously reads logical block li of the registered file
+// into dst, which must be PayloadSize bytes; a hit allocates nothing.
 // Cache hits touch one slot per cache level; misses run the
 // read_stegfs fetch — a geometrically distributed number of reads on
 // the StegFS partition, of which all but the last are decoy re-reads
 // of already-cached blocks — and then insert the block into the cache.
-func (o *FS) ReadBlock(ordinal, li uint64) ([]byte, error) {
+func (o *FS) ReadBlock(ordinal, li uint64, dst []byte) error {
+	if len(dst) != o.vol.PayloadSize() {
+		return fmt.Errorf("%w: %d != %d", ErrValueSize, len(dst), o.vol.PayloadSize())
+	}
 	id := BlockID{File: ordinal, Index: li}
-	if v, ok, err := o.store.Get(id); err != nil {
-		return nil, err
-	} else if ok {
-		return v[:o.vol.PayloadSize()], nil
+	if ok, err := o.store.GetInto(id, dst); err != nil || ok {
+		return err
 	}
 
 	f, err := o.file(ordinal)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Fig. 8(a): with probability |S|/M per draw, read a random
 	// already-fetched block from the steg partition and redraw.
@@ -146,23 +151,21 @@ func (o *FS) ReadBlock(ordinal, li uint64) ([]byte, error) {
 		x := o.rng.Uint64n(m)
 		if x < uint64(len(o.fetchedList)) {
 			if err := o.decoyRead(); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
 		payload, err := f.ReadBlockAt(li)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		o.stats.Fetches++
 		if !o.fetched[id] {
 			o.fetched[id] = true
 			o.fetchedList = append(o.fetchedList, id)
 		}
-		if err := o.store.Put(id, o.pad(payload)); err != nil {
-			return nil, err
-		}
-		return payload, nil
+		copy(dst, payload)
+		return o.store.Put(id, o.pad(payload))
 	}
 }
 
@@ -229,11 +232,18 @@ func (o *FS) ReadAt(ordinal uint64, p []byte, off uint64) (int, error) {
 	for read < len(p) {
 		li := (off + uint64(read)) / ps
 		bo := (off + uint64(read)) % ps
-		payload, err := o.ReadBlock(ordinal, li)
-		if err != nil {
+		if bo == 0 && uint64(len(p)-read) >= ps {
+			// A whole block lands straight in the caller's buffer.
+			if err := o.ReadBlock(ordinal, li, p[read:read+int(ps)]); err != nil {
+				return read, err
+			}
+			read += int(ps)
+			continue
+		}
+		if err := o.ReadBlock(ordinal, li, o.blockBuf); err != nil {
 			return read, err
 		}
-		read += copy(p[read:], payload[bo:])
+		read += copy(p[read:], o.blockBuf[bo:])
 	}
 	return read, nil
 }

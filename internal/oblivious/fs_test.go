@@ -126,8 +126,8 @@ func TestFSEachStegBlockFetchedOnce(t *testing.T) {
 	rng := prng.NewFromUint64(5)
 	for op := 0; op < 300; op++ {
 		li := uint64(rng.Intn(blocks))
-		payload, err := fs.ReadBlock(1, li)
-		if err != nil {
+		payload := make([]byte, vol.PayloadSize())
+		if err := fs.ReadBlock(1, li, payload); err != nil {
 			t.Fatal(err)
 		}
 		want := content[int(li)*vol.PayloadSize() : (int(li)+1)*vol.PayloadSize()]
@@ -162,8 +162,8 @@ func TestFSWriteThrough(t *testing.T) {
 	if err := fs.WriteBlock(7, 3, newPayload, policy); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.ReadBlock(7, 3)
-	if err != nil {
+	got := make([]byte, vol.PayloadSize())
+	if err := fs.ReadBlock(7, 3, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, newPayload) {
@@ -179,8 +179,11 @@ func TestFSWriteThrough(t *testing.T) {
 	if err := fs.WriteBlock(7, 0, []byte{1, 2}, policy); err == nil {
 		t.Fatal("short payload accepted")
 	}
-	if _, err := fs.ReadBlock(99, 0); err == nil {
+	if err := fs.ReadBlock(99, 0, got); err == nil {
 		t.Fatal("unregistered ordinal accepted")
+	}
+	if err := fs.ReadBlock(7, 3, got[:8]); err == nil {
+		t.Fatal("short destination accepted")
 	}
 }
 

@@ -82,7 +82,7 @@ func (s *Store) dump(i int) error {
 			dummies++
 		}
 		s.rng.Read(s.iv)
-		return s.codec.encode(raw, e, s.iv, func(p []byte) { s.rng.Read(p) })
+		return s.codec.encode(raw, e, s.iv, s.rng.Fill)
 	}
 
 	tagSeed := s.tagRNG.Uint64()

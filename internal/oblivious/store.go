@@ -155,9 +155,9 @@ func (s *Store) newEntry() *entry {
 }
 
 // freeEntry returns an entry to the freelist. Callers must not retain
-// the pointer (Get hands copies of values to its caller, never the
-// entry itself, so the only holders are the buffer map and flush's
-// transient survivor list).
+// the pointer (GetInto copies values out to its caller, never hands
+// over the entry itself, so the only holders are the buffer map and
+// flush's transient survivor list).
 func (s *Store) freeEntry(e *entry) {
 	if e != nil {
 		s.freeEntries = append(s.freeEntries, e)
@@ -241,7 +241,7 @@ func New(cfg Config) (*Store, error) {
 			for i := uint64(0); i < n; i++ {
 				s.rng.Read(s.iv)
 				s.dummyEnt = entry{nonce: s.rng.Uint64()}
-				if err := s.codec.encode(s.ioBufs[i], &s.dummyEnt, s.iv, func(p []byte) { s.rng.Read(p) }); err != nil {
+				if err := s.codec.encode(s.ioBufs[i], &s.dummyEnt, s.iv, s.rng.Fill); err != nil {
 					return nil, err
 				}
 			}
@@ -326,18 +326,21 @@ func (s *Store) readSlots(idx []uint64, bufs [][]byte) error {
 	return nil
 }
 
-// Get looks the block up. Buffer hits cost no I/O and are invisible
-// to the attacker. Otherwise exactly one slot per level is read —
-// the real slot at the first level holding the block, a random
-// untouched dummy everywhere else — and, if found, the block is
-// promoted into the buffer (possibly triggering a flush). A miss
-// still probes every level (the caller then fetches from the StegFS
-// partition via the read_stegfs algorithm and Puts the block).
-func (s *Store) Get(id BlockID) ([]byte, bool, error) {
+// GetInto looks the block up and, when it is cached, copies its value
+// into dst — ValueSize bytes, or a prefix if dst is shorter — so a hit
+// allocates nothing. Buffer hits cost no I/O and are invisible to the
+// attacker. Otherwise exactly one slot per level is read — the real
+// slot at the first level holding the block, a random untouched dummy
+// everywhere else — and, if found, the block is promoted into the
+// buffer (possibly triggering a flush). A miss still probes every
+// level (the caller then fetches from the StegFS partition via the
+// read_stegfs algorithm and Puts the block).
+func (s *Store) GetInto(id BlockID, dst []byte) (bool, error) {
 	s.stats.Gets++
 	if e, ok := s.buffer[id]; ok {
 		s.stats.BufferHits++
-		return append([]byte(nil), e.value...), true, nil
+		copy(dst, e.value)
+		return true, nil
 	}
 	t0 := s.now()
 	sort0 := s.stats.SortTime
@@ -353,27 +356,28 @@ func (s *Store) Get(id BlockID) ([]byte, bool, error) {
 		}
 		slot, err := lv.drawDummy(s)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		s.probeIdx[li] = slot
 	}
 	if err := s.readSlots(s.probeIdx, s.probeBufs); err != nil {
-		return nil, false, err
+		return false, err
 	}
 
-	var found *entry
 	if realLevel >= 0 {
 		lv := s.levels[realLevel]
 		e := s.newEntry()
 		if err := s.codec.decodeInto(e, s.probeBufs[realLevel]); err != nil {
 			s.freeEntry(e)
-			return nil, false, err
+			return false, err
 		}
 		if !e.real || e.id != id {
 			s.freeEntry(e)
-			return nil, false, fmt.Errorf("%w: index pointed at wrong entry", ErrCorruptSlot)
+			return false, fmt.Errorf("%w: index pointed at wrong entry", ErrCorruptSlot)
 		}
-		found = e
+		// Copy out before the entry joins the buffer: a flush may
+		// recycle it.
+		copy(dst, e.value)
 		// Consumed: the entry promotes to the buffer. The slot keeps
 		// its (now stale) ciphertext until the next merge drops it,
 		// but it no longer counts toward occupancy.
@@ -381,25 +385,27 @@ func (s *Store) Get(id BlockID) ([]byte, bool, error) {
 		if lv.realCount > 0 {
 			lv.realCount--
 		}
-	}
-
-	if found == nil {
-		s.stats.Misses++
-		if err := s.afterAccess(); err != nil {
-			return nil, false, err
+		s.stats.Hits++
+		if err := s.bufferInsert(e); err != nil {
+			return false, err
 		}
-		s.stats.RetrieveTime += (s.now() - t0) - (s.stats.SortTime - sort0)
-		return nil, false, nil
-	}
-	s.stats.Hits++
-	if err := s.bufferInsert(found); err != nil {
-		return nil, false, err
+	} else {
+		s.stats.Misses++
 	}
 	if err := s.afterAccess(); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	s.stats.RetrieveTime += (s.now() - t0) - (s.stats.SortTime - sort0)
-	return append([]byte(nil), found.value...), true, nil
+	return realLevel >= 0, nil
+}
+
+// Get is GetInto returning the value in a fresh buffer.
+func (s *Store) Get(id BlockID) ([]byte, bool, error) {
+	v := make([]byte, s.codec.valueLen)
+	if ok, err := s.GetInto(id, v); err != nil || !ok {
+		return nil, false, err
+	}
+	return v, true, nil
 }
 
 // DummyRead performs the idle-time equivalent of a Get: one random
@@ -650,7 +656,7 @@ func (s *Store) flush() error {
 				s.realSlots[slot] = true
 			}
 			s.rng.Read(s.iv)
-			if err := s.codec.encode(s.ioBufs[i], e, s.iv, func(p []byte) { s.rng.Read(p) }); err != nil {
+			if err := s.codec.encode(s.ioBufs[i], e, s.iv, s.rng.Fill); err != nil {
 				return err
 			}
 		}

@@ -11,11 +11,21 @@
 // workloads) reproducible in tests and experiments. The generator is
 // NOT safe for concurrent use; wrap it in a lock or derive independent
 // child generators with Child.
+//
+// Beside that decision stream every generator carries an independent
+// one for filler (format fill, dummy-block refills, dummy-slot
+// padding): Fill writes an AES-256-CTR keystream keyed from the same
+// seed. Filler is never read back; all it owes is being
+// indistinguishable from ciphertext, which a block-cipher keystream is
+// by the assumption that already covers the sealed blocks beside it,
+// at a fraction of SHA-256's cost. Neither stream advances the other.
 package prng
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+
+	"steghide/internal/aeskern"
 )
 
 // PRNG is a deterministic SHA-256 counter-mode generator.
@@ -24,6 +34,11 @@ type PRNG struct {
 	counter uint64
 	buf     [32]byte
 	avail   int // unread bytes remaining at the tail of buf
+
+	// The filler stream: keyed on first use, addressed by byte
+	// position so the bytes do not depend on how calls cut them.
+	fill    *aeskern.Schedule
+	fillPos uint64
 }
 
 // New returns a generator seeded by hashing the given seed material.
@@ -57,8 +72,8 @@ func (p *PRNG) refill() {
 	// One-shot Sum256 instead of sha256.New/Write/Sum: the digest of
 	// seed ‖ counter is byte-identical, but the streaming API costs two
 	// heap allocations per 32-byte refill — which made the PRNG the
-	// top allocator of the whole reshuffle path (every dummy fill and
-	// IV draws through here).
+	// top allocator of the whole reshuffle path (every nonce and IV
+	// draws through here).
 	var in [40]byte
 	copy(in[:32], p.seed[:])
 	binary.BigEndian.PutUint64(in[32:], p.counter)
@@ -81,6 +96,23 @@ func (p *PRNG) Read(b []byte) (int, error) {
 		b = b[c:]
 	}
 	return n, nil
+}
+
+// Fill overwrites b with filler: the next len(b) bytes of the
+// AES-256-CTR keystream (128-bit big-endian counter from zero) under
+// key SHA-256(seed ‖ 0xB7). Fill(a) then Fill(b) yields the bytes of
+// one Fill over a‖b. Use it only for bytes whose value means nothing;
+// decisions and IVs come from Read.
+func (p *PRNG) Fill(b []byte) {
+	if p.fill == nil {
+		var in [33]byte
+		copy(in[:32], p.seed[:])
+		in[32] = 0xB7 // domain separator (Child's is 0xC4)
+		key := sha256.Sum256(in[:])
+		p.fill = aeskern.NewSchedule(&key)
+	}
+	p.fill.Keystream(b, p.fillPos)
+	p.fillPos += uint64(len(b))
 }
 
 // Bytes returns n fresh pseudo-random bytes.

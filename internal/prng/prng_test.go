@@ -2,6 +2,10 @@ package prng
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -197,5 +201,89 @@ func BenchmarkRead4K(b *testing.B) {
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		p.Read(buf)
+	}
+}
+
+// TestReadGoldenPin holds the decision stream — every block pick,
+// shuffle and IV in the system — to the bytes it produced before the
+// filler stream existed: the first 96 bytes for a fixed seed, taken
+// from the commit that introduced Fill's parent, with Fill calls
+// interleaved to show they consume none of it.
+func TestReadGoldenPin(t *testing.T) {
+	const golden = "8e184a71340a3bbb2d85800a0c99eff2b3f234ac788b5cc7cadb0a0e5591c516" +
+		"01f422d334fb626ac2a5e098fe8b59d491bd8a8c35c215026c1fb4d90a8ee848" +
+		"a2dca9c0db4fb6cdc2a6543ebaf5e771224c4accd14fef5182724dacafd5e3f8"
+	p := New([]byte("prng-golden-pin"))
+	var got []byte
+	for _, n := range []int{5, 27, 32, 1, 31} {
+		p.Fill(make([]byte, 100))
+		got = append(got, p.Bytes(n)...)
+	}
+	if hex.EncodeToString(got) != golden {
+		t.Fatalf("decision stream moved:\n got %x\nwant %s", got, golden)
+	}
+	if c := p.Child("x").Bytes(16); hex.EncodeToString(c) != "f84151423d165ea6ebc4edb035ee5807" {
+		t.Fatalf("child stream moved: %x", c)
+	}
+}
+
+// TestFillIsPositionAddressedCTR: Fill is AES-256-CTR under
+// SHA-256(seed ‖ 0xB7) with a zero initial counter — checked against
+// crypto/cipher — and Fill(a);Fill(b) is Fill(a‖b) however the calls
+// cut the stream.
+func TestFillIsPositionAddressedCTR(t *testing.T) {
+	seed := []byte("fill-stream")
+	const total = 2*4096 + 33
+	one := make([]byte, total)
+	New(seed).Fill(one)
+
+	h := sha256.Sum256(seed)
+	key := sha256.Sum256(append(h[:], 0xB7))
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, total)
+	cipher.NewCTR(block, make([]byte, aes.BlockSize)).XORKeyStream(want, want)
+	if !bytes.Equal(one, want) {
+		t.Fatal("Fill differs from cipher.NewCTR under SHA-256(seed ‖ 0xB7)")
+	}
+
+	p := New(seed)
+	var parts []byte
+	for _, n := range []int{1, 15, 16, 17, 0, 4096, 333, 3700} {
+		b := make([]byte, n)
+		p.Fill(b)
+		parts = append(parts, b...)
+	}
+	rest := make([]byte, total-len(parts))
+	p.Fill(rest)
+	if !bytes.Equal(append(parts, rest...), one) {
+		t.Fatal("chunked Fill diverges from one Fill")
+	}
+
+	// Independent of the decision stream and of sibling generators.
+	a, b := make([]byte, 64), make([]byte, 64)
+	New(seed).Read(a)
+	if bytes.Equal(a, one[:64]) {
+		t.Fatal("Fill repeats the decision stream")
+	}
+	root := New(seed)
+	root.Child("a").Fill(a)
+	root.Child("b").Fill(b)
+	if bytes.Equal(a, b) || bytes.Equal(a, one[:64]) {
+		t.Fatal("children share a filler stream")
+	}
+}
+
+// TestFillZeroAlloc: a 4 KiB refill allocates nothing once the stream
+// is keyed — the cover-burst path runs it tens of thousands of times a
+// second.
+func TestFillZeroAlloc(t *testing.T) {
+	p := NewFromUint64(1)
+	buf := make([]byte, 4096)
+	p.Fill(buf)
+	if a := testing.AllocsPerRun(100, func() { p.Fill(buf) }); a > 0 {
+		t.Fatalf("Fill(4 KiB) allocates %.1f per op, want 0", a)
 	}
 }

@@ -9,11 +9,10 @@ import (
 
 // TestAllocBudgets pins the dummy-burst execute path's steady-state
 // heap behaviour: after the first burst grows the pooled arena to its
-// high-water mark, a 64-element burst must run in a handful of
-// allocations (lock table bookkeeping, the unlock closure), never the
-// per-block buffers it used to make. The ceiling is deliberately loose
-// against incidental churn but far below the old cost of one slab +
-// one IV + one fill per element.
+// high-water mark, a 64-element burst allocates nothing — the block
+// slab, IVs, lane lists and the lock-shard list all live in the pooled
+// burstScratch. On a host whose RSS tracks garbage the cover daemon
+// runs around the clock, so the floor is zero, not "a handful".
 func TestAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc ceilings don't hold under -race (the race runtime randomizes sync.Pool reuse)")
@@ -35,7 +34,7 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	})
 	t.Logf("DummyUpdateBurst(%d): %.1f allocs/burst (%.3f/element)", burst, allocs, allocs/burst)
-	if allocs > 16 {
-		t.Errorf("DummyUpdateBurst(%d) = %.1f allocs/burst, budget 16", burst, allocs)
+	if allocs > 0 {
+		t.Errorf("DummyUpdateBurst(%d) = %.1f allocs/burst, budget 0", burst, allocs)
 	}
 }

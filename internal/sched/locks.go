@@ -70,18 +70,29 @@ func (l *BlockLocks) LockBlocks(locs []uint64) (unlock func()) {
 	if len(locs) == 0 {
 		return func() {}
 	}
-	idx := make([]uint64, 0, len(locs))
+	held := l.LockShards(make([]uint64, 0, len(locs)), locs)
+	return func() { l.UnlockShards(held) }
+}
+
+// LockShards is LockBlocks without its allocations, for callers that
+// lock a batch per operation: the shard list is built in buf's backing
+// (grown if short) and returned, to be handed back to UnlockShards.
+func (l *BlockLocks) LockShards(buf, locs []uint64) (held []uint64) {
+	held = buf[:0]
 	for _, loc := range locs {
-		idx = append(idx, loc&l.mask)
+		held = append(held, loc&l.mask)
 	}
-	slices.Sort(idx)
-	idx = slices.Compact(idx)
-	for _, i := range idx {
+	slices.Sort(held)
+	held = slices.Compact(held)
+	for _, i := range held {
 		l.shards[i].Lock()
 	}
-	return func() {
-		for k := len(idx) - 1; k >= 0; k-- {
-			l.shards[idx[k]].Unlock()
-		}
+	return held
+}
+
+// UnlockShards releases what LockShards returned.
+func (l *BlockLocks) UnlockShards(held []uint64) {
+	for k := len(held) - 1; k >= 0; k-- {
+		l.shards[held[k]].Unlock()
 	}
 }

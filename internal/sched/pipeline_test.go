@@ -6,6 +6,7 @@ import (
 
 	"steghide/internal/blockdev"
 	"steghide/internal/prng"
+	"steghide/internal/sealer"
 	"steghide/internal/stegfs"
 )
 
@@ -71,7 +72,7 @@ func runBurstWorkload(t testing.TB, r *tracedRig) {
 		if _, err := r.s.DummyUpdateBurst(n); err != nil {
 			t.Fatal(err)
 		}
-		next, err := r.s.Update(cur, seal, payload)
+		next, err := r.s.Update(cur, seal, sealBlock(t, r.vol, seal, payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +164,14 @@ func TestBurstPipelinedConcurrent(t *testing.T) {
 	done := make(chan error, 2)
 	go func() {
 		cur := loc
+		sealed := make([]byte, vol.BlockSize())
 		for k := 0; k < 60; k++ {
-			next, err := s.Update(cur, seal, payload)
+			vol.NextIV(sealed[:sealer.IVSize])
+			if err := seal.Seal(sealed, sealed[:sealer.IVSize], payload); err != nil {
+				done <- err
+				return
+			}
+			next, err := s.Update(cur, seal, sealed)
 			if err != nil {
 				done <- err
 				return

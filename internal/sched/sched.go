@@ -40,6 +40,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -153,9 +154,8 @@ type Scheduler struct {
 	locks   *BlockLocks
 	intents IntentLog // nil when the volume is not journaled
 
-	scratch *blockdev.BufPool // single-block scratch buffers
-	pipe    *sealer.Pipeline  // nil → serial bursts (the default)
-	bursts  sync.Pool         // *burstScratch — per-burst buffers
+	pipe   *sealer.Pipeline // nil → serial bursts (the default)
+	bursts sync.Pool        // *burstScratch — per-burst buffers
 
 	// Stream counters are obs.Counter so a registry can export the
 	// same atomics Stats reads — one source of truth, no second copy.
@@ -190,17 +190,22 @@ type metricsState struct {
 }
 
 // burstScratch carries every buffer one dummy burst needs — target
-// locations, per-target sealers, the block slab, pre-drawn IVs and
-// refill staging — bump-carved from one arena that grows to the burst
-// high-water mark and is then reused. Scratch structs are pooled on
-// the Scheduler because bursts can run concurrently (daemon ticks and
-// explicit calls); each burst owns one exclusively.
+// locations, the lock shards held, per-target sealers, the block slab
+// and pre-drawn IVs — the bytes bump-carved from one arena that grows
+// to the burst high-water mark and is then reused. Scratch structs are
+// pooled on the Scheduler because bursts can run concurrently (daemon
+// ticks and explicit calls); each burst owns one exclusively.
 type burstScratch struct {
-	arena mempool.Arena
-	locs  []uint64
-	seals []*sealer.Sealer
-	raws  [][]byte
-	fills [][]byte
+	arena  mempool.Arena
+	locs   []uint64
+	shards []uint64
+	seals  []*sealer.Sealer // per eligible target; nil marks a refill
+	raws   [][]byte
+
+	// The burst's reseal targets compacted in eligible order — the
+	// lanes sealer.ResealLanes takes, each under its own file's key.
+	laneSeals []*sealer.Sealer
+	laneRaws  [][]byte
 }
 
 func (s *Scheduler) getBurst() *burstScratch {
@@ -230,11 +235,10 @@ type Stats struct {
 // and pointer saves) serialize with the scheduler's own I/O per block.
 func New(vol *stegfs.Volume, space Space) *Scheduler {
 	s := &Scheduler{
-		vol:     vol,
-		dev:     vol.Device(),
-		space:   space,
-		locks:   NewBlockLocks(0),
-		scratch: blockdev.NewBufPool(vol.BlockSize()),
+		vol:   vol,
+		dev:   vol.Device(),
+		space: space,
+		locks: NewBlockLocks(0),
 	}
 	vol.SetBlockLocker(s.locks)
 	return s
@@ -249,8 +253,8 @@ func (s *Scheduler) SetIntentLog(il IntentLog) { s.intents = il }
 
 // EnablePipeline switches dummy bursts to the staged pipeline: reads
 // and writes flow through a one-worker FIFO ring over the device while
-// the reseal/refill crypto fans out over a sealer.Pipeline of the
-// given width (<= 0 selects GOMAXPROCS). The observable stream — RNG
+// the reseal lanes fan out over a sealer.Pipeline of the given width
+// (<= 0 selects GOMAXPROCS). The observable stream — RNG
 // draws, IVs, and the order blocks hit the device — is bit-identical
 // to the serial path; see DummyUpdateBurst. Install before concurrent
 // use.
@@ -359,31 +363,22 @@ func (s *Scheduler) ResetStats() {
 // the signal the adaptive daemon watches to fill only idle gaps.
 func (s *Scheduler) DataSeq() uint64 { return s.dataUpdates.Load() }
 
-func (s *Scheduler) getBuf() []byte  { return s.scratch.Get() }
-func (s *Scheduler) putBuf(b []byte) { s.scratch.Put(b) }
-
-// writeSealed seals payload under seal with a fresh IV and writes it
-// to block loc, reusing raw as scratch. The caller holds loc's lock.
-// The IV is drawn straight into raw's IV field and sealed from there
-// (Seal's dst←iv copy degenerates to a self-copy), so the path needs
-// no IV staging buffer at all — payload never aliases raw here.
-func (s *Scheduler) writeSealed(loc uint64, seal *sealer.Sealer, payload, raw []byte) error {
-	s.vol.NextIV(raw[:sealer.IVSize])
-	if err := seal.Seal(raw, raw[:sealer.IVSize], payload); err != nil {
-		return err
-	}
-	return s.dev.WriteBlock(loc, raw)
-}
+// getBuf borrows a single-block scratch buffer from the memory plane.
+func (s *Scheduler) getBuf() []byte  { return mempool.Get(s.vol.BlockSize()) }
+func (s *Scheduler) putBuf(b []byte) { mempool.Recycle(b) }
 
 // Update runs the Figure-6 data-update algorithm for block loc: draw a
 // uniformly random block B2; if B2 is loc itself update in place; if
 // B2 is a dummy block relocate the data there; otherwise issue a
 // camouflage dummy update on B2 and redraw. It returns the block the
-// data finally landed on. Concurrent calls interleave safely: draws
-// and partition bookkeeping serialize inside the Space, while the
-// read/seal/write work of different blocks overlaps.
-func (s *Scheduler) Update(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-	return s.UpdateCtx(context.Background(), loc, seal, payload)
+// data finally landed on. sealed is the block's new content already
+// sealed under seal (the stegfs.UpdatePolicy contract): placement never
+// changes a sealed block's bytes, so sealing happens once, ahead of the
+// loop, and the loop is draws and I/O only. Concurrent calls interleave
+// safely: draws and partition bookkeeping serialize inside the Space,
+// while the read/write work of different blocks overlaps.
+func (s *Scheduler) Update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+	return s.UpdateCtx(context.Background(), loc, seal, sealed)
 }
 
 // UpdateCtx is Update with cooperative cancellation: the context is
@@ -395,7 +390,10 @@ func (s *Scheduler) Update(loc uint64, seal *sealer.Sealer, payload []byte) (uin
 // (relocation withdraw/commit) must never be abandoned half-way. No
 // I/O lands after the abort, so the block being updated keeps its
 // pre-call content.
-func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
+func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+	if len(sealed) != s.vol.BlockSize() {
+		return 0, fmt.Errorf("sched: sealed block of %d bytes, want %d", len(sealed), s.vol.BlockSize())
+	}
 	var start time.Time
 	if s.metrics != nil {
 		start = time.Now()
@@ -425,7 +423,8 @@ func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Seal
 			continue
 
 		case Self:
-			// Update in place: read in B1, re-encrypt with a new IV.
+			// Update in place: read in B1, write the block re-encrypted
+			// under its new IV.
 			// In-place rewrites commit atomically with the block write
 			// itself (the header keeps pointing at loc), so the ring
 			// element is a filler — emitted all the same, to keep one
@@ -439,7 +438,7 @@ func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Seal
 			raw := s.getBuf()
 			err := s.dev.ReadBlock(loc, raw)
 			if err == nil {
-				err = s.writeSealed(loc, seal, payload, raw)
+				err = s.dev.WriteBlock(loc, sealed)
 			}
 			s.putBuf(raw)
 			s.locks.UnlockBlock(loc)
@@ -465,7 +464,7 @@ func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Seal
 			raw := s.getBuf()
 			err := s.dev.ReadBlock(loc, raw)
 			if err == nil {
-				err = s.writeSealed(t.Loc, seal, payload, raw)
+				err = s.dev.WriteBlock(t.Loc, sealed)
 			}
 			if err != nil {
 				s.putBuf(raw)
@@ -577,8 +576,8 @@ func (s *Scheduler) DummyUpdateBurst(n int) (int, error) {
 	}
 	locs = locs[:m]
 
-	unlock := s.locks.LockBlocks(locs)
-	defer unlock()
+	b.shards = s.locks.LockShards(b.shards, locs)
+	defer s.locks.UnlockShards(b.shards)
 
 	// Classify every target under the locks, dropping stale ones.
 	elig := locs[:0]
@@ -622,26 +621,51 @@ func (s *Scheduler) DummyUpdateBurst(n int) (int, error) {
 	return len(elig), nil
 }
 
+// planReseals carves the burst's block slab and compacts its reseal
+// targets, in eligible order, into the scratch's lane lists, drawing
+// their IVs in that order. The IV of a block does not depend on its
+// content, so this runs before any I/O in both execute stages.
+func (s *Scheduler) planReseals(b *burstScratch, seals []*sealer.Sealer) (raws [][]byte, ivs []byte) {
+	b.raws = b.arena.Blocks(b.raws[:0], len(seals), s.vol.BlockSize())
+	b.laneSeals, b.laneRaws = b.laneSeals[:0], b.laneRaws[:0]
+	for i, seal := range seals {
+		if seal != nil {
+			b.laneSeals = append(b.laneSeals, seal)
+			b.laneRaws = append(b.laneRaws, b.raws[i])
+		}
+	}
+	ivs = b.arena.Bytes(len(b.laneSeals) * sealer.IVSize)
+	for i := range b.laneSeals {
+		s.vol.NextIV(ivs[i*sealer.IVSize : (i+1)*sealer.IVSize])
+	}
+	return b.raws, ivs
+}
+
+// refill overwrites the refill targets among raws, in order, with
+// fresh filler; it reports how many blocks were reseal targets instead.
+func (s *Scheduler) refill(seals []*sealer.Sealer, raws [][]byte) (reseals int) {
+	for i, seal := range seals {
+		if seal != nil {
+			reseals++
+			continue
+		}
+		s.vol.FillRandom(raws[i])
+	}
+	return reseals
+}
+
 // burstSerial is the reference execute stage of a dummy burst: one
-// scattered read of every eligible block, the reseal/refill loop, one
-// scattered write-back. The pipelined stage below is defined as
-// observably equivalent to this code.
+// scattered read of every eligible block, the refills and the reseal
+// lanes, one scattered write-back. The pipelined stage below is
+// defined as observably equivalent to this code.
 func (s *Scheduler) burstSerial(b *burstScratch, elig []uint64, seals []*sealer.Sealer) error {
-	b.raws = b.arena.Blocks(b.raws[:0], len(elig), s.vol.BlockSize())
-	raws := b.raws
+	raws, ivs := s.planReseals(b, seals)
 	if err := blockdev.ReadBlocksAt(s.dev, elig, raws); err != nil {
 		return err
 	}
-	var iv [sealer.IVSize]byte
-	for i, raw := range raws {
-		if seals[i] == nil {
-			s.vol.FillRandom(raw)
-			continue
-		}
-		s.vol.NextIV(iv[:])
-		if err := seals[i].Reseal(raw, iv[:], nil); err != nil {
-			return err
-		}
+	s.refill(seals, raws)
+	if err := sealer.ResealLanes(b.laneSeals, b.laneRaws, ivs); err != nil {
+		return err
 	}
 	return blockdev.WriteBlocksAt(s.dev, elig, raws)
 }
@@ -657,11 +681,11 @@ const burstChunk = 16
 //
 // Three facts carry the bit-identity argument:
 //
-//  1. RNG order. All volume-RNG consumption (refill bytes, fresh IVs)
-//     happens in a serial pre-draw pass in eligible order — exactly
-//     the order the serial loop drains the stream — before any I/O or
-//     worker runs. Refill bytes land in staging buffers and are copied
-//     over the read data later; the copy consumes nothing.
+//  1. RNG order. The volume's two streams are each consumed in
+//     eligible order, exactly as the serial stage consumes them: the
+//     IVs of the reseal targets in planReseals, before any I/O; the
+//     filler of the refill targets on this goroutine, chunk after
+//     chunk. Workers draw nothing.
 //  2. Device order. The ring has one worker, so ops execute strictly
 //     in submission order. Every read chunk is submitted before any
 //     write chunk, and chunks are submitted in eligible order, so the
@@ -678,24 +702,7 @@ const burstChunk = 16
 // journal's one-slot-per-element invariant is untouched.
 func (s *Scheduler) burstPipelined(b *burstScratch, elig []uint64, seals []*sealer.Sealer) error {
 	n := len(elig)
-	bs := s.vol.BlockSize()
-	b.raws = b.arena.Blocks(b.raws[:0], n, bs)
-	raws := b.raws
-
-	// Serial RNG pre-draw in eligible order (fact 1).
-	ivs := b.arena.Bytes(n * sealer.IVSize)
-	fills := b.fills[:0]
-	for i := range elig {
-		if seals[i] == nil {
-			f := b.arena.Bytes(bs)
-			s.vol.FillRandom(f)
-			fills = append(fills, f)
-			continue
-		}
-		fills = append(fills, nil)
-		s.vol.NextIV(ivs[i*sealer.IVSize : (i+1)*sealer.IVSize])
-	}
-	b.fills = fills
+	raws, ivs := s.planReseals(b, seals)
 
 	chunks := (n + burstChunk - 1) / burstChunk
 	ring := blockdev.NewAsync(s.dev, 1, 2*chunks)
@@ -713,22 +720,18 @@ func (s *Scheduler) burstPipelined(b *burstScratch, elig []uint64, seals []*seal
 		lo, hi := c*burstChunk, min((c+1)*burstChunk, n)
 		ring.Submit(blockdev.AsyncOp{Idx: elig[lo:hi], Bufs: raws[lo:hi]})
 	}
+	lane := 0 // reseal lanes of the chunks already done
 	for c := 0; c < chunks; c++ {
 		lo, hi := c*burstChunk, min((c+1)*burstChunk, n)
 		if _, err := ring.Complete(); err != nil { // read chunk c (fact 3)
 			return err
 		}
-		err := s.pipe.Each(hi-lo, func(j int) error {
-			i := lo + j
-			if seals[i] == nil {
-				copy(raws[i], fills[i])
-				return nil
-			}
-			return seals[i].Reseal(raws[i], ivs[i*sealer.IVSize:(i+1)*sealer.IVSize], nil)
-		})
+		end := lane + s.refill(seals[lo:hi], raws[lo:hi])
+		err := s.pipe.ResealLanes(b.laneSeals[lane:end], b.laneRaws[lane:end], ivs[lane*sealer.IVSize:end*sealer.IVSize])
 		if err != nil {
 			return err
 		}
+		lane = end
 		ring.Submit(blockdev.AsyncOp{Write: true, Idx: elig[lo:hi], Bufs: raws[lo:hi]})
 	}
 	return ring.Drain()

@@ -8,6 +8,7 @@ import (
 
 	"steghide/internal/blockdev"
 	"steghide/internal/prng"
+	"steghide/internal/sealer"
 	"steghide/internal/stegfs"
 )
 
@@ -37,6 +38,18 @@ func newBitmapRig(t testing.TB, nBlocks uint64, utilization float64) (*Scheduler
 	return s, vol, source
 }
 
+// sealBlock seals payload under a fresh volume IV: the block a file
+// layer hands Scheduler.Update.
+func sealBlock(t testing.TB, vol *stegfs.Volume, seal *sealer.Sealer, payload []byte) []byte {
+	t.Helper()
+	raw := make([]byte, vol.BlockSize())
+	vol.NextIV(raw[:sealer.IVSize])
+	if err := seal.Seal(raw, raw[:sealer.IVSize], payload); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 	s, vol, source := newBitmapRig(t, 512, 0.5)
 	seal, err := vol.NewSealer([32]byte{1, 2, 3})
@@ -51,7 +64,7 @@ func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 	used := source.UsedCount()
 	cur := loc
 	for i := 0; i < 50; i++ {
-		next, err := s.Update(cur, seal, payload)
+		next, err := s.Update(cur, seal, sealBlock(t, vol, seal, payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +110,7 @@ func TestSchedulerNoFreeSpace(t *testing.T) {
 			break
 		}
 	}
-	_, err = s.Update(loc, seal, make([]byte, vol.PayloadSize()))
+	_, err = s.Update(loc, seal, sealBlock(t, vol, seal, make([]byte, vol.PayloadSize())))
 	if !errors.Is(err, ErrNoFreeSpace) {
 		t.Fatalf("full space update: %v", err)
 	}
@@ -176,8 +189,14 @@ func TestSchedulerConcurrentStream(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			cur := locs[i]
+			sealed := make([]byte, vol.BlockSize())
 			for k := 0; k < updates; k++ {
-				next, err := s.Update(cur, seal, payloads[i])
+				vol.NextIV(sealed[:sealer.IVSize])
+				if err := seal.Seal(sealed, sealed[:sealer.IVSize], payloads[i]); err != nil {
+					errCh <- err
+					return
+				}
+				next, err := s.Update(cur, seal, sealed)
 				if err != nil {
 					errCh <- err
 					return
@@ -295,7 +314,7 @@ func TestIntentPerStreamElement(t *testing.T) {
 	payload := prng.NewFromUint64(2).Bytes(vol.PayloadSize())
 	cur := loc
 	for i := 0; i < 40; i++ {
-		next, err := s.Update(cur, seal, payload)
+		next, err := s.Update(cur, seal, sealBlock(t, vol, seal, payload))
 		if err != nil {
 			t.Fatal(err)
 		}

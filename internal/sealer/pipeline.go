@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"steghide/internal/aeskern"
 	"steghide/internal/obs"
 )
 
@@ -69,19 +70,35 @@ func (p *Pipeline) Workers() int { return p.workers }
 
 // Each runs fn(i) for every i in [0, n) across the pipeline's workers
 // and returns the first error. It is the primitive the batch methods
-// are built on, exported for callers whose batches mix sealers (the
-// scheduler's dummy bursts reseal each block under its own key). fn
-// must be safe to call from multiple goroutines on distinct indices;
-// after an error the remaining indices may or may not run.
+// are built on. fn must be safe to call from multiple goroutines on
+// distinct indices; after an error the remaining indices may or may
+// not run.
 func (p *Pipeline) Each(n int, fn func(i int) error) error {
+	return p.each(n, n, fn)
+}
+
+// eachGroup hands the workers whole lane groups of a blocks-long
+// batch: fn(lo, hi) gets [lo, hi) of at most MaxLanes blocks, which
+// one kernel call then moves through the cipher together. Per-block
+// fan-out would leave each worker a one-lane chain.
+func (p *Pipeline) eachGroup(blocks int, fn func(lo, hi int) error) error {
+	const g = aeskern.MaxLanes
+	return p.each((blocks+g-1)/g, blocks, func(i int) error {
+		return fn(i*g, min((i+1)*g, blocks))
+	})
+}
+
+// each is Each with the batch's block count given apart from its task
+// count, for the metrics.
+func (p *Pipeline) each(n, blocks int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
 	if p.batches != nil {
 		p.batches.Inc()
-		p.blocks.Add(uint64(n))
-		p.inflight.Add(int64(n))
-		defer p.inflight.Add(int64(-n))
+		p.blocks.Add(uint64(blocks))
+		p.inflight.Add(int64(blocks))
+		defer p.inflight.Add(int64(-blocks))
 	}
 	workers := min(p.workers, n)
 	if workers <= 1 {
@@ -120,28 +137,18 @@ func (p *Pipeline) Each(n int, fn func(i int) error) error {
 	return first
 }
 
-// drawIVs consumes n IVs from nextIV serially, in index order, into
-// one slab — the whole trick that keeps parallel sealing bit-identical
-// to the serial loops: the RNG stream is drained exactly as the serial
-// code would drain it, before any worker touches a block.
-func drawIVs(n int, nextIV func(iv []byte)) []byte {
-	ivs := make([]byte, n*IVSize)
-	for i := 0; i < n; i++ {
-		nextIV(ivs[i*IVSize : (i+1)*IVSize])
-	}
-	return ivs
-}
-
 // SealMany is Sealer.SealMany across the pool: IVs are drawn serially
-// in index order, then datas[i] seals into dsts[i] on whichever worker
-// picks i up. Output is bit-identical to the serial method.
+// in index order — the whole trick that keeps parallel sealing
+// bit-identical to the serial loops: the RNG stream is drained exactly
+// as the serial code would drain it, before any worker touches a block
+// — then each lane group seals on whichever worker picks it up.
 func (p *Pipeline) SealMany(s *Sealer, dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error {
 	if err := s.checkSealBatch(dsts, datas); err != nil {
 		return err
 	}
-	ivs := drawIVs(len(dsts), nextIV)
-	return p.Each(len(dsts), func(i int) error {
-		return s.Seal(dsts[i], ivs[i*IVSize:(i+1)*IVSize], datas[i])
+	drawIVs(dsts, nextIV)
+	return p.eachGroup(len(dsts), func(lo, hi int) error {
+		return s.sealDrawn(dsts[lo:hi], datas[lo:hi])
 	})
 }
 
@@ -150,23 +157,18 @@ func (p *Pipeline) OpenMany(s *Sealer, dsts, raws [][]byte) error {
 	if err := s.checkOpenBatch(dsts, raws); err != nil {
 		return err
 	}
-	return p.Each(len(dsts), func(i int) error {
-		return s.Open(dsts[i], raws[i])
+	return p.eachGroup(len(dsts), func(lo, hi int) error {
+		return s.OpenMany(dsts[lo:hi], raws[lo:hi])
 	})
 }
 
-// ResealMany is Sealer.ResealMany across the pool: IVs serial, the
-// decrypt/re-encrypt of each block parallel, every worker borrowing
-// scratch from the sealer's existing pool (at most `workers` buffers
-// live at once, whatever the batch size).
-func (p *Pipeline) ResealMany(s *Sealer, raws [][]byte, nextIV func(iv []byte)) error {
-	if err := s.checkResealBatch(raws); err != nil {
+// ResealLanes is the package's ResealLanes across the pool; the IVs
+// arrive already drawn, so workers reorder nothing.
+func (p *Pipeline) ResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
+	if err := checkResealLanes(seals, raws, ivs); err != nil {
 		return err
 	}
-	ivs := drawIVs(len(raws), nextIV)
-	return p.Each(len(raws), func(i int) error {
-		scratch := s.getScratch()
-		defer s.putScratch(scratch)
-		return s.Reseal(raws[i], ivs[i*IVSize:(i+1)*IVSize], scratch)
+	return p.eachGroup(len(raws), func(lo, hi int) error {
+		return resealDrawn(func(i int) *Sealer { return seals[lo+i] }, raws[lo:hi], ivs[lo*IVSize:hi*IVSize])
 	})
 }

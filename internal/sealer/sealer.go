@@ -16,15 +16,14 @@ package sealer
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
-	"sync"
 
+	"steghide/internal/aeskern"
 	"steghide/internal/mempool"
 )
 
@@ -76,52 +75,14 @@ func KeyFromPassphrase(passphrase string, salt []byte, iterations int) Key {
 
 // Sealer encrypts and decrypts fixed-size storage blocks under one key.
 // It is safe for concurrent use: all methods operate on caller-supplied
-// buffers, the cipher.Block is stateless, and the chained CBC modes are
-// borrowed from a pool per call.
+// buffers and the expanded key is immutable. The block cipher itself —
+// pipelined CBC decryption, multi-lane CBC encryption — lives in
+// internal/aeskern; this package owns the block layout and the batch
+// contracts.
 type Sealer struct {
-	block     cipher.Block
+	ks        *aeskern.Schedule
 	blockSize int // full on-disk block size, IV included
-
-	// modes recycles CBC BlockMode pairs across Seal/Open calls.
-	// cipher.NewCBCEncrypter allocates per call, which put a
-	// one-alloc-per-block floor under every bulk path (a reshuffle
-	// or scan touches hundreds of blocks); instead each mode is
-	// created once with a zero IV and its chaining state is folded
-	// into the next block's IV (see cbcScratch), so steady-state
-	// Seal and Open allocate nothing.
-	modes sync.Pool
 }
-
-// cbcScratch is one reusable encrypt/decrypt mode pair. A CBC mode's
-// only state is its chaining vector — after CryptBlocks it equals the
-// last ciphertext block processed, which we track in encPrev/decPrev.
-// To encrypt under an arbitrary IV without constructing a fresh mode,
-// XOR the first plaintext block with (prev ⊕ iv): the mode's internal
-// chain contributes prev, the XOR cancels it and substitutes iv, and
-// every later block chains off real ciphertext exactly as standard
-// CBC does. Decryption fixes up the first output block the same way.
-// The result is byte-for-byte cipher.NewCBC*(block, iv).CryptBlocks.
-type cbcScratch struct {
-	enc, dec cipher.BlockMode
-	encPrev  [IVSize]byte // enc's internal chain: last ciphertext it produced
-	decPrev  [IVSize]byte // dec's internal chain: last ciphertext it consumed
-}
-
-// getModes borrows a mode pair; returned by putModes.
-func (s *Sealer) getModes() *cbcScratch {
-	return s.modes.Get().(*cbcScratch)
-}
-
-func (s *Sealer) putModes(c *cbcScratch) { s.modes.Put(c) }
-
-// getScratch borrows a DataSize-byte buffer from the repo-wide memory
-// plane (size-class free lists shared with the wire and batch layers),
-// so every sealer's Reseal path draws on one pool instead of each
-// instance hoarding its own — the hot path stays at zero allocations
-// per operation while the plane is on.
-func (s *Sealer) getScratch() []byte { return mempool.Get(s.DataSize()) }
-
-func (s *Sealer) putScratch(b []byte) { mempool.Recycle(b) }
 
 // New returns a Sealer for devices with the given on-disk block size.
 // The data field (blockSize − IVSize) must be a positive multiple of
@@ -131,19 +92,7 @@ func New(key Key, blockSize int) (*Sealer, error) {
 	if field <= 0 || field%aes.BlockSize != 0 {
 		return nil, fmt.Errorf("%w: block size %d", ErrBadBlockSize, blockSize)
 	}
-	b, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("sealer: %w", err)
-	}
-	s := &Sealer{block: b, blockSize: blockSize}
-	s.modes.New = func() any {
-		var zero [IVSize]byte
-		return &cbcScratch{
-			enc: cipher.NewCBCEncrypter(s.block, zero[:]),
-			dec: cipher.NewCBCDecrypter(s.block, zero[:]),
-		}
-	}
-	return s, nil
+	return &Sealer{ks: aeskern.NewSchedule((*[KeySize]byte)(&key)), blockSize: blockSize}, nil
 }
 
 // BlockSize returns the full on-disk block size, IV included.
@@ -166,16 +115,14 @@ func (s *Sealer) Seal(dst, iv, data []byte) error {
 		return fmt.Errorf("sealer: data length %d, want %d", len(data), s.DataSize())
 	}
 	copy(dst[:IVSize], iv)
-	body := dst[IVSize:]
-	copy(body, data)
-	c := s.getModes()
-	for i := 0; i < IVSize; i++ {
-		body[i] ^= c.encPrev[i] ^ iv[i]
-	}
-	c.enc.CryptBlocks(body, body)
-	copy(c.encPrev[:], body[len(body)-IVSize:])
-	s.putModes(c)
-	return nil
+	lane := [1]aeskern.Lane{s.lane(dst, data)}
+	return aeskern.EncryptCBC(lane[:])
+}
+
+// lane is the CBC encryption of data into the sealed block dst, whose
+// IV field is already in place.
+func (s *Sealer) lane(dst, data []byte) aeskern.Lane {
+	return aeskern.Lane{Key: s.ks, Dst: dst[IVSize:], Src: data, IV: dst[:IVSize]}
 }
 
 // Open decrypts a sealed block into dst. dst must be DataSize bytes and
@@ -187,15 +134,7 @@ func (s *Sealer) Open(dst, raw []byte) error {
 	if len(dst) != s.DataSize() {
 		return fmt.Errorf("sealer: dst length %d, want %d", len(dst), s.DataSize())
 	}
-	c := s.getModes()
-	prev := c.decPrev
-	copy(c.decPrev[:], raw[len(raw)-IVSize:])
-	c.dec.CryptBlocks(dst, raw[IVSize:])
-	for i := 0; i < IVSize; i++ {
-		dst[i] ^= prev[i] ^ raw[i]
-	}
-	s.putModes(c)
-	return nil
+	return s.ks.DecryptCBC(dst, raw[IVSize:], raw[:IVSize])
 }
 
 // Reseal re-encrypts a sealed block in place under a fresh IV without
@@ -204,9 +143,8 @@ func (s *Sealer) Open(dst, raw []byte) error {
 // buffer is used, so no allocation happens either way after warm-up.
 func (s *Sealer) Reseal(raw, newIV, scratch []byte) error {
 	if scratch == nil {
-		p := s.getScratch()
-		defer s.putScratch(p)
-		scratch = p
+		scratch = mempool.Get(s.DataSize())
+		defer mempool.Recycle(scratch)
 	}
 	if err := s.Open(scratch, raw); err != nil {
 		return err
@@ -263,18 +201,58 @@ func (s *Sealer) checkResealBatch(raws [][]byte) error {
 	return nil
 }
 
+// checkResealLanes validates a ResealLanes request up front: raws[i]
+// is to be resealed under seals[i] with the i-th IV of ivs.
+func checkResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
+	if len(seals) != len(raws) || len(ivs) != len(raws)*IVSize {
+		return fmt.Errorf("sealer: %d sealers and %d IV bytes for %d raw blocks", len(seals), len(ivs), len(raws))
+	}
+	for i, s := range seals {
+		if s == nil {
+			return fmt.Errorf("sealer: raw block %d has no sealer", i)
+		}
+		if s.blockSize != seals[0].blockSize {
+			return fmt.Errorf("sealer: lanes of block size %d and %d in one batch", seals[0].blockSize, s.blockSize)
+		}
+		if err := s.checkResealBatch(raws[i : i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drawIVs fills the IV field of every dst through nextIV, serially and
+// in index order: the order a per-block loop would draw them, which is
+// what keeps every batched and pipelined seal bit-identical to it.
+func drawIVs(dsts [][]byte, nextIV func(iv []byte)) {
+	for _, dst := range dsts {
+		nextIV(dst[:IVSize])
+	}
+}
+
 // SealMany seals datas[i] into dsts[i] for every i, drawing each
-// block's IV through nextIV. It is the batched companion of Seal for
-// bulk writers (formats, reshuffles, flushes). The batch is validated
-// whole before any IV is drawn.
+// block's IV through nextIV in index order. It is the batched companion
+// of Seal for bulk writers (formats, reshuffles, flushes, multi-block
+// file writes): the blocks go through the cipher eight lanes at a time.
+// The batch is validated whole before any IV is drawn.
 func (s *Sealer) SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error {
 	if err := s.checkSealBatch(dsts, datas); err != nil {
 		return err
 	}
-	var iv [IVSize]byte
-	for i, dst := range dsts {
-		nextIV(iv[:])
-		if err := s.Seal(dst, iv[:], datas[i]); err != nil {
+	drawIVs(dsts, nextIV)
+	return s.sealDrawn(dsts, datas)
+}
+
+// sealDrawn seals datas[i] into dsts[i] under the IV already sitting
+// in dsts[i]'s IV field.
+func (s *Sealer) sealDrawn(dsts, datas [][]byte) error {
+	var group [aeskern.MaxLanes]aeskern.Lane
+	for lo := 0; lo < len(dsts); lo += len(group) {
+		n := min(len(group), len(dsts)-lo)
+		for i := 0; i < n; i++ {
+			group[i] = s.lane(dsts[lo+i], datas[lo+i])
+		}
+		if err := aeskern.EncryptCBC(group[:n]); err != nil {
 			return err
 		}
 	}
@@ -296,18 +274,53 @@ func (s *Sealer) OpenMany(dsts, raws [][]byte) error {
 }
 
 // ResealMany re-encrypts every raw block in place under fresh IVs
-// drawn through nextIV, sharing one pooled scratch buffer across the
-// whole batch instead of allocating per block.
+// drawn through nextIV in index order, eight lanes at a time.
 func (s *Sealer) ResealMany(raws [][]byte, nextIV func(iv []byte)) error {
 	if err := s.checkResealBatch(raws); err != nil {
 		return err
 	}
-	p := s.getScratch()
-	defer s.putScratch(p)
-	var iv [IVSize]byte
-	for _, raw := range raws {
-		nextIV(iv[:])
-		if err := s.Reseal(raw, iv[:], p); err != nil {
+	ivs := mempool.Get(len(raws) * IVSize)
+	defer mempool.Recycle(ivs)
+	for i := range raws {
+		nextIV(ivs[i*IVSize : (i+1)*IVSize])
+	}
+	return resealDrawn(func(int) *Sealer { return s }, raws, ivs)
+}
+
+// ResealLanes is ResealMany across sealers: raws[i] is re-encrypted in
+// place under seals[i] and the i-th IV of ivs (IVSize bytes each), the
+// lanes of one kernel step carrying different keys. It is what a dummy
+// burst runs, whose targets each belong to whichever file owns them.
+func ResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
+	if err := checkResealLanes(seals, raws, ivs); err != nil {
+		return err
+	}
+	return resealDrawn(func(i int) *Sealer { return seals[i] }, raws, ivs)
+}
+
+// resealDrawn is the validated core of the reseal paths: per group of
+// lanes, decrypt each block (raws[i] under sealOf(i)) into pooled
+// scratch, then encrypt the group back over the blocks under the new
+// IVs.
+func resealDrawn(sealOf func(i int) *Sealer, raws [][]byte, ivs []byte) error {
+	if len(raws) == 0 {
+		return nil
+	}
+	var group [aeskern.MaxLanes]aeskern.Lane
+	field := len(raws[0]) - IVSize
+	scratch := mempool.Get(min(len(group), len(raws)) * field)
+	defer mempool.Recycle(scratch)
+	for lo := 0; lo < len(raws); lo += len(group) {
+		n := min(len(group), len(raws)-lo)
+		for i := 0; i < n; i++ {
+			s, raw, plain := sealOf(lo+i), raws[lo+i], scratch[i*field:(i+1)*field]
+			if err := s.Open(plain, raw); err != nil {
+				return err
+			}
+			copy(raw[:IVSize], ivs[(lo+i)*IVSize:])
+			group[i] = s.lane(raw, plain)
+		}
+		if err := aeskern.EncryptCBC(group[:n]); err != nil {
 			return err
 		}
 	}

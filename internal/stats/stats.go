@@ -46,6 +46,28 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
+// MeanDifference is the two-sample z-test on means with unequal
+// variances (Welch's statistic under its large-sample normal
+// approximation): it returns z and the two-sided p-value for "a and b
+// share a mean". Unlike KolmogorovSmirnov it tolerates tied and even
+// constant samples — two constant samples are the same distribution
+// (p = 1) when the constants agree and different (p = 0) when not.
+func MeanDifference(a, b []float64) (z, p float64, err error) {
+	if len(a) < 2 || len(b) < 2 {
+		return 0, 0, fmt.Errorf("stats: samples of %d and %d values", len(a), len(b))
+	}
+	diff := Mean(a) - Mean(b)
+	se := math.Sqrt(Variance(a)/float64(len(a)) + Variance(b)/float64(len(b)))
+	if se == 0 {
+		if diff == 0 {
+			return 0, 1, nil
+		}
+		return math.Inf(int(math.Copysign(1, diff))), 0, nil
+	}
+	z = diff / se
+	return z, math.Erfc(math.Abs(z) / math.Sqrt2), nil
+}
+
 // ChiSquareUniform tests the hypothesis that counts were drawn from a
 // uniform distribution over the bins. It returns the chi-square
 // statistic and its p-value (k−1 degrees of freedom). Small p-values

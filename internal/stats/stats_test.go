@@ -265,3 +265,32 @@ func TestChiSquareSurvivalDegenerate(t *testing.T) {
 		t.Fatal("negative statistic should give p=1")
 	}
 }
+
+func TestMeanDifference(t *testing.T) {
+	rng := prng.NewFromUint64(31)
+	draw := func(n int, shift float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = rng.Float64() + shift
+		}
+		return out
+	}
+	if _, p, err := MeanDifference(draw(2000, 0), draw(2000, 0)); err != nil || p < 0.01 {
+		t.Fatalf("same distribution: p=%v err=%v", p, err)
+	}
+	if z, p, err := MeanDifference(draw(2000, 0.1), draw(2000, 0)); err != nil || p > 1e-6 || z <= 0 {
+		t.Fatalf("shifted mean: z=%v p=%v err=%v", z, p, err)
+	}
+	// Constant samples — where the KS implementation's tie handling
+	// breaks down — are decided by their constants.
+	c := func(v float64) []float64 { return []float64{v, v, v, v} }
+	if _, p, _ := MeanDifference(c(1.0024), c(1.0024)); p != 1 {
+		t.Fatalf("equal constants: p=%v", p)
+	}
+	if z, p, _ := MeanDifference(c(1), c(2)); p != 0 || !math.IsInf(z, -1) {
+		t.Fatalf("different constants: z=%v p=%v", z, p)
+	}
+	if _, _, err := MeanDifference([]float64{1}, c(1)); err == nil {
+		t.Fatal("one-value sample accepted")
+	}
+}

@@ -134,12 +134,12 @@ type relocatingPolicy struct {
 	rng *prng.PRNG
 }
 
-func (p relocatingPolicy) Update(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
+func (p relocatingPolicy) Update(loc uint64, _ *sealer.Sealer, sealed []byte) (uint64, error) {
 	newLoc, err := p.src.AcquireRandom()
 	if err != nil {
 		return 0, err
 	}
-	if err := p.vol.WriteSealed(newLoc, seal, payload); err != nil {
+	if err := p.vol.WriteRaw(newLoc, sealed); err != nil {
 		p.src.Release(newLoc)
 		return 0, err
 	}

@@ -45,9 +45,9 @@ type File struct {
 	// cannot find them reallocated out from under the old header.
 	pendingFree []uint64
 
-	// ReadAt batch scratch (a File is not concurrent-safe): the slice
-	// headers persist here while the block slabs behind them are leased
-	// from the memory plane per call.
+	// ReadAt/WriteAt batch scratch (a File is not concurrent-safe): the
+	// slice headers persist here while the block slabs behind them are
+	// leased from the memory plane per call.
 	scanLocs []uint64
 	scanRaws [][]byte
 	scanOuts [][]byte
@@ -161,10 +161,15 @@ func OpenFile(vol *Volume, fak FAK, path string, source BlockSource) (*File, err
 	}
 	want := PathHash(path)
 	first, n := source.SpaceBounds()
+	// One pooled scratch pair serves every probe: a miss walks all
+	// HeaderProbeLimit candidates, and decodeHeader copies out what it
+	// keeps.
+	raw, payload := mempool.Get(vol.BlockSize()), mempool.Get(vol.PayloadSize())
+	defer mempool.Recycle(raw)
+	defer mempool.Recycle(payload)
 	for i := 0; i < HeaderProbeLimit; i++ {
 		cand := fak.HeaderCandidate(i, first, n)
-		payload, err := vol.ReadSealed(cand, hseal)
-		if err != nil {
+		if err := vol.ReadSealedInto(cand, hseal, raw, payload); err != nil {
 			return nil, fmt.Errorf("stegfs: probe header: %w", err)
 		}
 		h, err := vol.decodeHeader(payload, fak.HeaderKey, want)
@@ -212,13 +217,9 @@ func (f *File) loadBlockMap(h *header) error {
 		if h.single == 0 {
 			return fmt.Errorf("%w: missing single-indirect block", ErrCorrupt)
 		}
-		payload, err := v.ReadSealed(h.single, f.hseal)
-		if err != nil {
-			return err
-		}
 		remaining := count - uint64(len(f.blocks))
 		n := min(remaining, uint64(v.ptrsPerBlock()))
-		ptrs, err := v.decodePtrBlock(payload, int(n), f.fak.HeaderKey)
+		ptrs, err := f.readPtrBlock(h.single, int(n))
 		if err != nil {
 			return err
 		}
@@ -230,11 +231,8 @@ func (f *File) loadBlockMap(h *header) error {
 		// when the data needs fewer inner blocks: Save over-provisions
 		// rather than release, and releasing later requires knowing
 		// every allocated pointer block.
-		payload, err := v.ReadSealed(h.double, f.hseal)
-		if err != nil {
-			return err
-		}
-		outer, err = v.decodePtrBlock(payload, int(h.outerCount), f.fak.HeaderKey)
+		var err error
+		outer, err = f.readPtrBlock(h.double, int(h.outerCount))
 		if err != nil {
 			return err
 		}
@@ -246,13 +244,9 @@ func (f *File) loadBlockMap(h *header) error {
 			if op == 0 {
 				return fmt.Errorf("%w: nil pointer in double-indirect chain", ErrCorrupt)
 			}
-			inner, err := v.ReadSealed(op, f.hseal)
-			if err != nil {
-				return err
-			}
 			remaining := count - uint64(len(f.blocks))
 			n := min(remaining, per)
-			ptrs, err := v.decodePtrBlock(inner, int(n), f.fak.HeaderKey)
+			ptrs, err := f.readPtrBlock(op, int(n))
 			if err != nil {
 				return err
 			}
@@ -266,6 +260,18 @@ func (f *File) loadBlockMap(h *header) error {
 	f.double = h.double
 	f.outerPtrs = outer
 	return nil
+}
+
+// readPtrBlock opens the pointer block at loc through pooled scratch
+// and decodes its first n addresses.
+func (f *File) readPtrBlock(loc uint64, n int) ([]uint64, error) {
+	raw, payload := mempool.Get(f.vol.BlockSize()), mempool.Get(f.vol.PayloadSize())
+	defer mempool.Recycle(raw)
+	defer mempool.Recycle(payload)
+	if err := f.vol.ReadSealedInto(loc, f.hseal, raw, payload); err != nil {
+		return nil, err
+	}
+	return f.vol.decodePtrBlock(payload, n, f.fak.HeaderKey)
 }
 
 // claimAll registers every block of the file (header, data, indirect)
@@ -450,6 +456,21 @@ func (f *File) ReadBlockAt(li uint64) ([]byte, error) {
 // WriteBlockAt updates logical block li with payload via the policy,
 // recording any relocation in the cached map.
 func (f *File) WriteBlockAt(li uint64, payload []byte, policy UpdatePolicy) error {
+	if _, err := f.BlockLoc(li); err != nil {
+		return err
+	}
+	raw := mempool.Get(f.vol.BlockSize())
+	defer mempool.Recycle(raw)
+	f.vol.NextIV(raw[:sealer.IVSize])
+	if err := f.cseal.Seal(raw, raw[:sealer.IVSize], payload); err != nil {
+		return err
+	}
+	return f.placeSealed(li, raw, policy)
+}
+
+// placeSealed hands the policy one sealed block as the new content of
+// logical block li and records where it landed.
+func (f *File) placeSealed(li uint64, sealed []byte, policy UpdatePolicy) error {
 	loc, err := f.BlockLoc(li)
 	if err != nil {
 		return err
@@ -459,7 +480,7 @@ func (f *File) WriteBlockAt(li uint64, payload []byte, policy UpdatePolicy) erro
 		// header, so recovery knows which on-disk map decides it.
 		il.NoteOwner(loc, f.headerLoc)
 	}
-	newLoc, err := policy.Update(loc, f.cseal, payload)
+	newLoc, err := policy.Update(loc, f.cseal, sealed)
 	if err != nil {
 		return err
 	}
@@ -548,7 +569,8 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 	return nil
 }
 
-// readAtBatch bounds how many blocks one ReadAt device batch gathers.
+// readAtBatch bounds how many blocks one ReadAt device batch gathers,
+// and how many whole blocks a WriteAt seals ahead of placing them.
 const readAtBatch = 64
 
 // ReadAt reads len(p) bytes at byte offset off, returning the number
@@ -604,6 +626,12 @@ func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 
 // WriteAt writes p at byte offset off via the policy, growing the
 // file as needed. Partial-block writes read-modify-write the block.
+// A run of whole blocks is sealed in one batch, eight lanes at a time,
+// before the policy places the first of them: a sealed block does not
+// depend on where it lands. A run's IVs are thus drawn ahead of the
+// IVs its placements' camouflage updates draw, not interleaved with
+// them; each is still a fresh draw of the same stream, so the update
+// stream's distribution is untouched.
 func (f *File) WriteAt(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 	if f.IsDummy() {
 		return 0, fmt.Errorf("stegfs: write to dummy file %q", f.path)
@@ -614,27 +642,43 @@ func (f *File) WriteAt(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 			return 0, err
 		}
 	}
-	ps := uint64(f.vol.PayloadSize())
+	ps := f.vol.PayloadSize()
+	bs := f.vol.BlockSize()
 	written := 0
 	for written < len(p) {
-		li := (off + uint64(written)) / ps
-		bo := (off + uint64(written)) % ps
-		n := int(ps - bo)
-		if n > len(p)-written {
-			n = len(p) - written
-		}
-		var payload []byte
-		if bo == 0 && n == int(ps) {
-			payload = p[written : written+n]
-		} else {
-			var err error
-			payload, err = f.ReadBlockAt(li)
+		li := (off + uint64(written)) / uint64(ps)
+		bo := int((off + uint64(written)) % uint64(ps))
+		if run := min((len(p)-written)/ps, readAtBatch); bo == 0 && run > 0 {
+			slab := mempool.Get(run * bs)
+			f.scanRaws = carveBlocks(f.scanRaws[:0], slab, run, bs)
+			f.scanOuts = carveBlocks(f.scanOuts[:0], p[written:], run, ps)
+			err := f.cseal.SealMany(f.scanRaws, f.vol.NextIV, f.scanOuts)
+			for i := 0; i < run && err == nil; i++ {
+				if err = f.placeSealed(li+uint64(i), f.scanRaws[i], policy); err == nil {
+					written += ps
+				}
+			}
+			mempool.Recycle(slab)
 			if err != nil {
 				return written, err
 			}
-			copy(payload[bo:], p[written:written+n])
+			continue
 		}
-		if err := f.WriteBlockAt(li, payload, policy); err != nil {
+		// A partial block: read it, patch it, write it back.
+		loc, err := f.BlockLoc(li)
+		if err != nil {
+			return written, err
+		}
+		n := min(ps-bo, len(p)-written)
+		raw, payload := mempool.Get(bs), mempool.Get(ps)
+		err = f.vol.ReadSealedInto(loc, f.cseal, raw, payload)
+		if err == nil {
+			copy(payload[bo:], p[written:written+n])
+			err = f.WriteBlockAt(li, payload, policy)
+		}
+		mempool.Recycle(raw)
+		mempool.Recycle(payload)
+		if err != nil {
 			return written, err
 		}
 		written += n

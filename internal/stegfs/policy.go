@@ -12,11 +12,16 @@ import "steghide/internal/sealer"
 //     block to a uniformly random position and emit camouflage I/O —
 //     see internal/steghide.
 type UpdatePolicy interface {
-	// Update writes payload as the new sealed content of the block
-	// currently at loc, returning the block's (possibly new) location.
+	// Update makes sealed the new content of the block currently at
+	// loc, returning the block's (possibly new) location. sealed is a
+	// whole device block already sealed under seal, IV included: a
+	// sealed block does not depend on where it lands, so the file layer
+	// seals runs of blocks in one batch and the policy only decides
+	// placement and emits I/O. seal names the key for policies that
+	// record it with the block (to reseal it later as cover traffic).
 	// Implementations that relocate must transfer allocation ownership
 	// of the old and new locations themselves.
-	Update(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error)
+	Update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error)
 }
 
 // InPlacePolicy is the conventional read-modify-write: blocks never
@@ -27,8 +32,8 @@ type InPlacePolicy struct {
 }
 
 // Update implements UpdatePolicy.
-func (p InPlacePolicy) Update(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-	if err := p.Vol.WriteSealed(loc, seal, payload); err != nil {
+func (p InPlacePolicy) Update(loc uint64, _ *sealer.Sealer, sealed []byte) (uint64, error) {
+	if err := p.Vol.WriteRaw(loc, sealed); err != nil {
 		return 0, err
 	}
 	return loc, nil

@@ -210,17 +210,19 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Volume, error) {
 	}
 	rng.Read(v.salt[:])
 
-	// Random-fill the steg space. Fresh random bytes are
-	// indistinguishable from CBC ciphertext, so after this pass every
-	// block plausibly holds hidden data. The fill goes out in batched
-	// sequential passes; the PRNG is a byte stream, so the volume's
-	// contents are bit-identical to a block-at-a-time fill.
+	// Random-fill the steg space. Filler from the block-cipher
+	// keystream is indistinguishable from CBC ciphertext under the same
+	// assumption that protects the sealed blocks, so after this pass
+	// every block plausibly holds hidden data. The fill goes out in
+	// batched sequential passes of 64 KiB (enough to amortize the
+	// device call, small enough to stay in cache); the filler is a byte
+	// stream, so the volume's contents do not depend on the batch size.
 	fill := rng.Child("fill")
-	const fillBatch = 256
+	fillBatch := max((64<<10)/bs, 1)
 	bufs := blockdev.AllocBlocks(fillBatch, bs)
 	for i := uint64(1); i < v.nBlocks; {
 		n := min(uint64(fillBatch), v.nBlocks-i)
-		fill.Read(bufs[0][: n*uint64(bs) : n*uint64(bs)])
+		fill.Fill(bufs[0][: n*uint64(bs) : n*uint64(bs)])
 		if err := blockdev.WriteBlocks(dev, i, bufs[:n]); err != nil {
 			return nil, fmt.Errorf("stegfs: format fill: %w", err)
 		}
@@ -351,9 +353,6 @@ func (v *Volume) NextIV(dst []byte) {
 	v.mu.Unlock()
 }
 
-// nextIV draws a fresh IV from the volume's generator.
-func (v *Volume) nextIV(dst []byte) { v.NextIV(dst) }
-
 // ReadSealed reads block loc and decrypts it with seal, returning the
 // payload in a fresh buffer.
 func (v *Volume) ReadSealed(loc uint64, seal *sealer.Sealer) ([]byte, error) {
@@ -388,37 +387,23 @@ func (v *Volume) ReadSealedInto(loc uint64, seal *sealer.Sealer, raw, out []byte
 // WriteSealed encrypts payload under seal with a fresh IV and writes
 // it to block loc.
 func (v *Volume) WriteSealed(loc uint64, seal *sealer.Sealer, payload []byte) error {
-	raw := make([]byte, v.blockSize)
-	var iv [sealer.IVSize]byte
-	v.nextIV(iv[:])
-	if err := seal.Seal(raw, iv[:], payload); err != nil {
+	raw := mempool.Get(v.blockSize)
+	defer mempool.Recycle(raw)
+	v.NextIV(raw[:sealer.IVSize])
+	if err := seal.Seal(raw, raw[:sealer.IVSize], payload); err != nil {
 		return err
 	}
-	l := v.blockLocker()
-	if l != nil {
-		l.LockBlock(loc)
-		defer l.UnlockBlock(loc)
-	}
-	return v.dev.WriteBlock(loc, raw)
+	return v.WriteRaw(loc, raw)
 }
 
-// Reseal performs a dummy update on block loc (§4.1.3): decrypt,
-// fresh IV, re-encrypt, write back. Every byte of the stored block
-// changes while the plaintext is preserved.
-func (v *Volume) Reseal(loc uint64, seal *sealer.Sealer) error {
+// WriteRaw writes an already sealed block to loc under the block's
+// lock — the write half of WriteSealed, for callers that sealed a run
+// of blocks in one batch.
+func (v *Volume) WriteRaw(loc uint64, raw []byte) error {
 	l := v.blockLocker()
 	if l != nil {
 		l.LockBlock(loc)
 		defer l.UnlockBlock(loc)
-	}
-	raw := make([]byte, v.blockSize)
-	if err := v.dev.ReadBlock(loc, raw); err != nil {
-		return err
-	}
-	var iv [sealer.IVSize]byte
-	v.nextIV(iv[:])
-	if err := seal.Reseal(raw, iv[:], nil); err != nil {
-		return err
 	}
 	return v.dev.WriteBlock(loc, raw)
 }
@@ -427,48 +412,24 @@ func (v *Volume) Reseal(loc uint64, seal *sealer.Sealer) error {
 // dummy update available when no key for the block is held (used on
 // dummy-file blocks, whose plaintext is meaningless by construction).
 func (v *Volume) RewriteRandom(loc uint64) error {
-	buf := make([]byte, v.blockSize)
-	v.mu.Lock()
-	v.rng.Read(buf)
-	v.mu.Unlock()
-	l := v.blockLocker()
-	if l != nil {
-		l.LockBlock(loc)
-		defer l.UnlockBlock(loc)
-	}
-	return v.dev.WriteBlock(loc, buf)
+	buf := mempool.Get(v.blockSize)
+	defer mempool.Recycle(buf)
+	v.FillRandom(buf)
+	return v.WriteRaw(loc, buf)
 }
 
-// FillRandom fills buf from the volume's random stream — the in-memory
-// half of RewriteRandom, for callers that batch the device write.
+// FillRandom fills buf from the volume's filler stream — the in-memory
+// half of RewriteRandom, for callers that batch the device write. It
+// draws nothing from the IV stream NextIV serves.
 func (v *Volume) FillRandom(buf []byte) {
 	v.mu.Lock()
-	v.rng.Read(buf)
+	v.rng.Fill(buf)
 	v.mu.Unlock()
 }
 
-// ReadSealedMany reads the blocks at locs in one scattered device
-// batch and decrypts each with seal, returning the payloads in fresh
-// buffers carved from a single allocation.
-func (v *Volume) ReadSealedMany(locs []uint64, seal *sealer.Sealer) ([][]byte, error) {
-	if len(locs) == 0 {
-		return nil, nil
-	}
-	// The ciphertext slab is transient — borrowed from the memory
-	// plane and returned before we hand the payloads (which the caller
-	// owns) back.
-	slab := mempool.Get(len(locs) * v.blockSize)
-	defer mempool.Recycle(slab)
-	raws := carveBlocks(nil, slab, len(locs), v.blockSize)
-	out := blockdev.AllocBlocks(len(locs), v.payload)
-	if err := v.ReadSealedManyInto(locs, seal, raws, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadSealedManyInto is ReadSealedMany with caller-owned buffers:
-// raws must hold len(locs) BlockSize scratch buffers, out len(locs)
+// ReadSealedManyInto reads the blocks at locs in one scattered device
+// batch and decrypts each with seal into caller-owned buffers: raws
+// must hold len(locs) BlockSize scratch buffers, out len(locs)
 // PayloadSize destination buffers. Nothing is allocated, which is what
 // turns a sequential hidden-file scan into pure device I/O + crypto.
 func (v *Volume) ReadSealedManyInto(locs []uint64, seal *sealer.Sealer, raws, out [][]byte) error {
@@ -508,7 +469,9 @@ func (v *Volume) WriteSealedMany(locs []uint64, seal *sealer.Sealer, payloads []
 	if len(locs) == 0 {
 		return nil
 	}
-	raws := blockdev.AllocBlocks(len(locs), v.blockSize)
+	slab := mempool.Get(len(locs) * v.blockSize)
+	defer mempool.Recycle(slab)
+	raws := carveBlocks(nil, slab, len(locs), v.blockSize)
 	if err := seal.SealMany(raws, v.NextIV, payloads); err != nil {
 		return err
 	}
@@ -516,39 +479,4 @@ func (v *Volume) WriteSealedMany(locs []uint64, seal *sealer.Sealer, payloads []
 		defer l.LockBlocks(locs)()
 	}
 	return blockdev.WriteBlocksAt(v.dev, locs, raws)
-}
-
-// UpdateMany is the batched read-modify-write primitive: it reads the
-// blocks at locs in one batch, lets apply rewrite each raw block in
-// memory (reseal, random refill, …), and writes them all back in one
-// batch. The observable stream is the same reads-then-writes a
-// per-block loop would emit, at a fraction of the device round trips.
-func (v *Volume) UpdateMany(locs []uint64, apply func(i int, raw []byte) error) error {
-	if len(locs) == 0 {
-		return nil
-	}
-	if l := v.blockLocker(); l != nil {
-		defer l.LockBlocks(locs)()
-	}
-	raws := blockdev.AllocBlocks(len(locs), v.blockSize)
-	if err := blockdev.ReadBlocksAt(v.dev, locs, raws); err != nil {
-		return err
-	}
-	for i, raw := range raws {
-		if err := apply(i, raw); err != nil {
-			return err
-		}
-	}
-	return blockdev.WriteBlocksAt(v.dev, locs, raws)
-}
-
-// ResealMany performs a dummy update on every block in locs (§4.1.3)
-// with two scattered device batches instead of 2·len(locs) single-block
-// calls — the bulk form the dummy-traffic daemon burns idle time with.
-func (v *Volume) ResealMany(locs []uint64, seal *sealer.Sealer) error {
-	var iv [sealer.IVSize]byte
-	return v.UpdateMany(locs, func(_ int, raw []byte) error {
-		v.NextIV(iv[:])
-		return seal.Reseal(raw, iv[:], nil)
-	})
 }

@@ -456,31 +456,31 @@ func (a *NonVolatileAgent) Policy() stegfs.UpdatePolicy { return policyFunc(a.up
 // PolicyCtx is Policy bound to a context, honored before every draw
 // of the Figure-6 loop.
 func (a *NonVolatileAgent) PolicyCtx(ctx context.Context) stegfs.UpdatePolicy {
-	return policyFunc(func(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-		return a.updateCtx(ctx, loc, seal, payload)
+	return policyFunc(func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+		return a.updateCtx(ctx, loc, seal, sealed)
 	})
 }
 
 // policyFunc adapts a function to stegfs.UpdatePolicy.
-type policyFunc func(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error)
+type policyFunc func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error)
 
 // Update implements stegfs.UpdatePolicy.
-func (p policyFunc) Update(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-	return p(loc, seal, payload)
+func (p policyFunc) Update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+	return p(loc, seal, sealed)
 }
 
 // update delegates the Figure-6 data update to the scheduler,
 // translating scheduler sentinels into the agent's error vocabulary.
-func (a *NonVolatileAgent) update(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-	return a.updateCtx(context.Background(), loc, seal, payload)
+func (a *NonVolatileAgent) update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+	return a.updateCtx(context.Background(), loc, seal, sealed)
 }
 
 // updateCtx is update with the caller's context threaded through to
 // the scheduler's draw loop.
-func (a *NonVolatileAgent) updateCtx(ctx context.Context, loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
+func (a *NonVolatileAgent) updateCtx(ctx context.Context, loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
 	a.opMu.RLock()
 	defer a.opMu.RUnlock()
-	newLoc, err := a.sched.UpdateCtx(ctx, loc, seal, payload)
+	newLoc, err := a.sched.UpdateCtx(ctx, loc, seal, sealed)
 	if errors.Is(err, sched.ErrNoFreeSpace) {
 		return 0, fmt.Errorf("%w: volume at 100%% utilization", ErrNoDummySpace)
 	}

@@ -671,8 +671,8 @@ func (s *Session) WriteCtx(ctx context.Context, path string, data []byte, off ui
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 	}
-	policy := policyFunc(func(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-		return a.sched.UpdateCtx(ctx, loc, seal, payload)
+	policy := policyFunc(func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+		return a.sched.UpdateCtx(ctx, loc, seal, sealed)
 	})
 	if _, err := f.WriteAt(data, off, policy); err != nil {
 		return err
@@ -702,8 +702,8 @@ func (s *Session) TruncateCtx(ctx context.Context, path string, size uint64) err
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 	}
-	policy := policyFunc(func(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-		return a.sched.UpdateCtx(ctx, loc, seal, payload)
+	policy := policyFunc(func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+		return a.sched.UpdateCtx(ctx, loc, seal, sealed)
 	})
 	if err := f.Resize(size, policy); err != nil {
 		return err
@@ -832,8 +832,8 @@ func (s *Session) Open(path string) (*stegfs.File, bool) {
 // agent can only update files users have disclosed, so an attacker
 // sees only part of the storage being touched, which discloses
 // nothing since updated blocks need not contain useful data).
-func (a *VolatileAgent) update(loc uint64, seal *sealer.Sealer, payload []byte) (uint64, error) {
-	return a.sched.Update(loc, seal, payload)
+func (a *VolatileAgent) update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
+	return a.sched.Update(loc, seal, sealed)
 }
 
 // DummyUpdate issues one idle-time dummy update on a uniformly random
