@@ -150,6 +150,12 @@ func (b *Bitmap) SetRange(start, length uint64) {
 	}
 }
 
+// Reset clears every bit, keeping the bitmap's storage.
+func (b *Bitmap) Reset() {
+	clear(b.words)
+	b.set = 0
+}
+
 // Clone returns an independent copy.
 func (b *Bitmap) Clone() *Bitmap {
 	out := &Bitmap{words: make([]uint64, len(b.words)), n: b.n, set: b.set}

@@ -117,6 +117,21 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+func TestReset(t *testing.T) {
+	b := New(130)
+	b.SetRange(60, 70)
+	b.Reset()
+	if b.Count() != 0 || b.Len() != 130 {
+		t.Fatalf("after Reset: count %d, len %d", b.Count(), b.Len())
+	}
+	if _, ok := b.NextSet(0); ok {
+		t.Fatal("a bit survived Reset")
+	}
+	if !b.Set(129) || b.Count() != 1 {
+		t.Fatal("bitmap unusable after Reset")
+	}
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	rng := prng.NewFromUint64(4)
 	for _, n := range []uint64{0, 1, 63, 64, 65, 1000} {

@@ -9,6 +9,12 @@
 // (Fig. 12b), so we reproduce the access pattern faithfully: run
 // formation reads and writes sequentially, and each merge pass
 // advances a bounded set of run cursors.
+//
+// The sort never interprets a block. It moves records: a Codec opens
+// every batch of raw blocks the sort reads into records and their
+// keys, and seals every batch of records the sort is about to write.
+// Between its one read and its one write in a pass a block exists only
+// as a record, and the merge compares the keys it was handed.
 package extsort
 
 import (
@@ -36,88 +42,60 @@ func (r Region) Overlaps(o Region) bool {
 	return r.Start < o.End() && o.Start < r.End()
 }
 
-// KeyFunc extracts the sort key from a raw block. It must be
-// deterministic for the duration of one Sort call. For the oblivious
-// shuffle the key is a PRF over the block's entry nonce, so sorting by
-// it realizes a uniformly random permutation.
-type KeyFunc func(block []byte) uint64
+// Codec translates between the raw blocks on the device and the
+// records the sort holds in memory. Sort calls Open once per block it
+// reads and Seal once per block it writes, always in whole batches; it
+// reads and writes nothing a codec has not seen.
+type Codec interface {
+	// Open decodes raws — the blocks just read from device positions
+	// pos, pos+1, … — into recs and stores each record's sort key in
+	// keys. input marks run formation: the one read of each block at
+	// its original position in src, where the codec may rewrite the
+	// record and so choose its key. On every later read Open must
+	// report the key it reported then.
+	Open(pos uint64, input bool, raws, recs [][]byte, keys []uint64) error
+	// Seal encodes recs into raws, which Sort then writes at device
+	// positions pos, pos+1, …. final marks the write that places
+	// records at their sorted positions in src; every record is sealed
+	// final exactly once, in position order.
+	Seal(pos uint64, final bool, recs, raws [][]byte) error
+}
 
-// Options tune a Sort call.
-type Options struct {
-	// Transform, if non-nil, is applied to every block immediately
-	// before each write. The oblivious shuffle uses it to re-encrypt
-	// under a fresh IV on every pass, so an observer cannot link a
-	// block's positions across passes by ciphertext equality. The
-	// transform must preserve the sort key.
-	Transform func(block []byte) error
-	// OnOutput, if non-nil, is invoked once per block with its final
-	// position (after Transform). The oblivious storage rebuilds its
-	// per-level hash index here, saving a dedicated scan pass.
-	OnOutput func(pos uint64, block []byte) error
-	// OnInput, if non-nil, is invoked once per block with its original
-	// position as it is first read (before any sorting). It may mutate
-	// the block — the oblivious storage folds its dedup/re-key pass in
-	// here — but must leave the sort key consistent with what KeyFunc
-	// will observe afterwards.
-	OnInput func(pos uint64, block []byte) error
-	// Window, if non-nil, supplies the in-memory block buffers (at
-	// least memBlocks of them, each a full device block) instead of
-	// Sort allocating its own. A caller that sorts repeatedly — the
-	// oblivious store reshuffles on every level dump — passes the same
-	// window every time so the sort's buffer footprint is allocated
-	// once for the life of the store. Contents are scratch; Sort
-	// overwrites them freely.
-	Window [][]byte
+// Window is the memory of a sort: len(Raws) device-block buffers and
+// as many record buffers, plus the sort's bookkeeping. The caller owns
+// it and sizes Recs for its codec's records. A caller that sorts
+// repeatedly — the oblivious store reshuffles on every level dump —
+// passes the same window every time, and from the second sort of a
+// given geometry on Sort allocates nothing. Buffer contents are scratch
+// and Sort permutes Recs freely; between sorts the caller may use both
+// for its own batches.
+type Window struct {
+	Raws [][]byte
+	Recs [][]byte
+
+	keys       []uint64 // keys[i] belongs to Recs[i]
+	sorter     keyedRecs
+	runs, next []Region
+	cursors    []cursor
+	heap       cursorHeap
+	// spare is the output chunk of a two-way merge in a two-block
+	// window, the one geometry whose cursors leave no room for it.
+	spareRaws, spareRecs [][]byte
 }
 
 // Sort orders the blocks of src ascending by key, using scratch as
-// temporary space and at most memBlocks block buffers of memory.
-// The sorted result is left in src. scratch must not overlap src and
-// must be at least as long. memBlocks must be ≥ 2: run formation
-// sorts memBlocks blocks at a time, and merging uses up to memBlocks
-// run cursors per pass.
-func Sort(dev blockdev.Device, src, scratch Region, memBlocks int, key KeyFunc, opts ...Options) error {
+// temporary space and w as its only block memory. The sorted result is
+// left in src. scratch must not overlap src and must be at least as
+// long. The window must hold at least two blocks: run formation sorts
+// a window of blocks at a time, and merging uses up to that many run
+// cursors per pass.
+func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) error {
 	if src.Len == 0 {
 		return nil
 	}
-	var opt Options
-	if len(opts) > 0 {
-		opt = opts[0]
-	}
-	// write places a batch of blocks at [start, start+len(blocks)) in
-	// one device batch, applying Transform first. All of the sort's
-	// write traffic is contiguous, so every write is one batch call.
-	write := func(start uint64, blocks [][]byte) error {
-		if opt.Transform != nil {
-			for _, b := range blocks {
-				if err := opt.Transform(b); err != nil {
-					return fmt.Errorf("extsort: transform: %w", err)
-				}
-			}
-		}
-		if err := blockdev.WriteBlocks(dev, start, blocks); err != nil {
-			return fmt.Errorf("extsort: %w", err)
-		}
-		return nil
-	}
-	// writeFinal is used for writes that place blocks at their final
-	// position, so OnOutput observes the settled layout exactly once
-	// per block.
-	writeFinal := func(start uint64, blocks [][]byte) error {
-		if err := write(start, blocks); err != nil {
-			return err
-		}
-		if opt.OnOutput != nil {
-			for i, b := range blocks {
-				if err := opt.OnOutput(start+uint64(i), b); err != nil {
-					return fmt.Errorf("extsort: on-output: %w", err)
-				}
-			}
-		}
-		return nil
-	}
-	if memBlocks < 2 {
-		return fmt.Errorf("extsort: memBlocks %d < 2", memBlocks)
+	memBlocks := len(w.Raws)
+	if memBlocks < 2 || len(w.Recs) != memBlocks {
+		return fmt.Errorf("extsort: window of %d blocks and %d records, want two or more of each", memBlocks, len(w.Recs))
 	}
 	if scratch.Len < src.Len {
 		return fmt.Errorf("extsort: scratch %d blocks < src %d blocks", scratch.Len, src.Len)
@@ -128,42 +106,28 @@ func Sort(dev blockdev.Device, src, scratch Region, memBlocks int, key KeyFunc, 
 	if src.End() > dev.NumBlocks() || scratch.End() > dev.NumBlocks() {
 		return fmt.Errorf("extsort: region beyond device (%d blocks)", dev.NumBlocks())
 	}
-
-	bs := dev.BlockSize()
-
-	// The window holds every in-memory block buffer the sort uses —
-	// run-formation loads, merge cursors and merge output all carve
-	// from it, so a caller-supplied window makes repeated sorts
-	// allocation-free apart from small bookkeeping.
-	window := opt.Window
-	if len(window) < memBlocks {
-		window = blockdev.AllocBlocks(memBlocks, bs)
+	if len(w.keys) < memBlocks {
+		w.keys = make([]uint64, memBlocks)
 	}
 
-	// readIn pulls a contiguous range in one device batch and runs
-	// OnInput over it in position order.
-	readIn := func(start uint64, bufs [][]byte) error {
-		if err := blockdev.ReadBlocks(dev, start, bufs); err != nil {
+	// formRun reads the n blocks at srcPos, sorts them in memory and
+	// writes them at dstPos: one sequential read, one sequential write.
+	formRun := func(srcPos, dstPos uint64, n uint64, final bool) error {
+		raws, recs, keys := w.Raws[:n], w.Recs[:n], w.keys[:n]
+		if err := blockdev.ReadBlocks(dev, srcPos, raws); err != nil {
 			return fmt.Errorf("extsort: %w", err)
 		}
-		if opt.OnInput != nil {
-			for i, b := range bufs {
-				if err := opt.OnInput(start+uint64(i), b); err != nil {
-					return fmt.Errorf("extsort: on-input: %w", err)
-				}
-			}
+		if err := codec.Open(srcPos, true, raws, recs, keys); err != nil {
+			return fmt.Errorf("extsort: open: %w", err)
 		}
-		return nil
+		w.sorter = keyedRecs{recs: recs, keys: keys}
+		sort.Stable(&w.sorter)
+		return writeOut(dev, codec, dstPos, final, recs, raws)
 	}
 
 	// In-memory fast path: everything fits in the window.
 	if src.Len <= uint64(memBlocks) {
-		blocks := window[:src.Len]
-		if err := readIn(src.Start, blocks); err != nil {
-			return err
-		}
-		sortBlocks(blocks, key)
-		return writeFinal(src.Start, blocks)
+		return formRun(src.Start, src.Start, src.Len, true)
 	}
 
 	// Merge geometry. The fan-in is balanced against the per-cursor
@@ -186,105 +150,71 @@ func Sort(dev blockdev.Device, src, scratch Region, memBlocks int, key KeyFunc, 
 	// `passes` ping-pong merge passes the final run lands in src with
 	// no extra copy: even pass count → form runs in src (in place),
 	// odd → form runs in scratch.
-	runBase := src
+	cur, other := src, scratch
 	if passes%2 == 1 {
-		runBase = scratch
+		cur, other = scratch, src
 	}
-	var runs []Region
+	runs, next := w.runs[:0], w.next[:0]
 	for off := uint64(0); off < src.Len; {
-		n := uint64(memBlocks)
-		if src.Len-off < n {
-			n = src.Len - off
-		}
-		if err := readIn(src.Start+off, window[:n]); err != nil {
+		n := min(uint64(memBlocks), src.Len-off)
+		if err := formRun(src.Start+off, cur.Start+off, n, false); err != nil {
 			return err
 		}
-		sortBlocks(window[:n], key)
-		if err := write(runBase.Start+off, window[:n]); err != nil {
-			return err
-		}
-		runs = append(runs, Region{Start: runBase.Start + off, Len: n})
+		runs = append(runs, Region{Start: cur.Start + off, Len: n})
 		off += n
 	}
 
-	cur, other := runBase, src
-	if runBase.Start == src.Start {
-		other = scratch
-	}
 	for len(runs) > 1 {
-		finalPass := len(runs) <= fanIn && other.Start == src.Start
-		w := write
-		if finalPass {
-			w = writeFinal
+		// The parity choice above makes the pass that leaves one run
+		// a pass that writes into src.
+		final := len(runs) <= fanIn
+		if final && other.Start != src.Start {
+			return fmt.Errorf("extsort: pass parity disagrees with geometry (%d runs, fan-in %d)", len(runs), fanIn)
 		}
-		var next []Region
+		next = next[:0]
 		off := uint64(0)
 		for lo := 0; lo < len(runs); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			chunk := memBlocks / (hi - lo + 1)
-			if chunk < 1 {
-				chunk = 1
-			}
-			merged, err := mergeRuns(dev, runs[lo:hi], other.Start+off, chunk, key, w, window)
+			hi := min(lo+fanIn, len(runs))
+			chunk := max(memBlocks/(hi-lo+1), 1)
+			merged, err := w.mergeRuns(dev, codec, runs[lo:hi], other.Start+off, chunk, final)
 			if err != nil {
 				return err
 			}
 			next = append(next, merged)
 			off += merged.Len
 		}
-		runs = next
+		runs, next = next, runs
 		cur, other = other, cur
 	}
+	w.runs, w.next = runs[:0], next[:0]
+	return nil
+}
 
-	// By the parity choice above the result is already in src; the
-	// chunked copy below is a safety net should the geometry logic
-	// ever disagree.
-	if final := runs[0]; final.Start != src.Start {
-		for off := uint64(0); off < final.Len; {
-			n := uint64(memBlocks)
-			if final.Len-off < n {
-				n = final.Len - off
-			}
-			if err := blockdev.ReadBlocks(dev, final.Start+off, window[:n]); err != nil {
-				return fmt.Errorf("extsort: %w", err)
-			}
-			if err := writeFinal(src.Start+off, window[:n]); err != nil {
-				return err
-			}
-			off += n
-		}
+// writeOut seals recs into raws and writes them at [pos, pos+len(recs))
+// in one device batch. All of the sort's write traffic is contiguous,
+// so every write is one batch call.
+func writeOut(dev blockdev.Device, codec Codec, pos uint64, final bool, recs, raws [][]byte) error {
+	if err := codec.Seal(pos, final, recs, raws); err != nil {
+		return fmt.Errorf("extsort: seal: %w", err)
+	}
+	if err := blockdev.WriteBlocks(dev, pos, raws); err != nil {
+		return fmt.Errorf("extsort: %w", err)
 	}
 	return nil
 }
 
-// keyedBlocks sorts blocks by precomputed keys. Computing each key
-// once per block instead of once per comparison matters because the
-// oblivious shuffle's key is a full decrypt-and-PRF of the block —
-// O(n log n) key calls were the dominant cost of a sort pass. A
-// stable sort over cached keys yields the identical permutation the
-// old key-per-comparison sort.SliceStable produced: stability makes
-// the output ordering unique for a fixed key assignment.
-type keyedBlocks struct {
-	blocks [][]byte
-	keys   []uint64
+// keyedRecs sorts records by the keys their codec reported. The sort
+// is stable, so the output order is unique for a fixed key assignment.
+type keyedRecs struct {
+	recs [][]byte
+	keys []uint64
 }
 
-func (k *keyedBlocks) Len() int           { return len(k.blocks) }
-func (k *keyedBlocks) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
-func (k *keyedBlocks) Swap(i, j int) {
-	k.blocks[i], k.blocks[j] = k.blocks[j], k.blocks[i]
+func (k *keyedRecs) Len() int           { return len(k.recs) }
+func (k *keyedRecs) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k *keyedRecs) Swap(i, j int) {
+	k.recs[i], k.recs[j] = k.recs[j], k.recs[i]
 	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
-}
-
-func sortBlocks(blocks [][]byte, key KeyFunc) {
-	kb := keyedBlocks{blocks: blocks, keys: make([]uint64, len(blocks))}
-	for i, b := range blocks {
-		kb.keys[i] = key(b)
-	}
-	sort.Stable(&kb)
 }
 
 func intSqrt(n int) int {
@@ -299,26 +229,26 @@ func intSqrt(n int) int {
 }
 
 // cursor tracks the head of one run during a merge. It refills a
-// multi-block buffer with sequential reads, so most of the merge's
-// input I/O continues the previous access.
+// multi-block chunk with sequential reads, so most of the merge's
+// input I/O continues the previous access, and holds the chunk opened:
+// recs[head] is the run's current record and keys[head] its key.
 type cursor struct {
-	key   uint64
-	buf   []byte // current block (points into chunk)
-	chunk [][]byte
-	have  int // blocks buffered
-	next  int // index within chunk of the current block
-	pos   uint64
-	run   Region
-	tie   int // run ordinal, makes the merge stable
-	done  bool
+	raws, recs [][]byte
+	keys       []uint64
+	have, head int    // records buffered; index of the current one
+	pos        uint64 // blocks of the run read so far
+	run        Region
+	tie        int // run ordinal, makes the merge stable
+	done       bool
 }
 
 type cursorHeap []*cursor
 
 func (h cursorHeap) Len() int { return len(h) }
 func (h cursorHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+	ki, kj := h[i].keys[h[i].head], h[j].keys[h[j].head]
+	if ki != kj {
+		return ki < kj
 	}
 	return h[i].tie < h[j].tie
 }
@@ -332,92 +262,106 @@ func (h *cursorHeap) Pop() any {
 	return c
 }
 
-func (c *cursor) advance(dev blockdev.Device, key KeyFunc) error {
-	if c.next >= c.have {
-		// Refill the chunk with one batched sequential read from the run.
-		c.have = 0
-		c.next = 0
-		if n := min(uint64(len(c.chunk)), c.run.Len-c.pos); n > 0 {
-			if err := blockdev.ReadBlocks(dev, c.run.Start+c.pos, c.chunk[:n]); err != nil {
-				return fmt.Errorf("extsort: %w", err)
-			}
-			c.pos += n
-			c.have = int(n)
-		}
-		if c.have == 0 {
-			c.done = true
-			return nil
-		}
+// fill refills the chunk with one batched sequential read from the
+// run and opens it; an exhausted run marks the cursor done.
+func (c *cursor) fill(dev blockdev.Device, codec Codec) error {
+	n := min(uint64(len(c.raws)), c.run.Len-c.pos)
+	if n == 0 {
+		c.done = true
+		return nil
 	}
-	c.buf = c.chunk[c.next]
-	c.next++
-	c.key = key(c.buf)
+	at := c.run.Start + c.pos
+	if err := blockdev.ReadBlocks(dev, at, c.raws[:n]); err != nil {
+		return fmt.Errorf("extsort: %w", err)
+	}
+	if err := codec.Open(at, false, c.raws[:n], c.recs[:n], c.keys[:n]); err != nil {
+		return fmt.Errorf("extsort: open: %w", err)
+	}
+	c.pos += n
+	c.have, c.head = int(n), 0
 	return nil
+}
+
+// advance steps to the run's next record.
+func (c *cursor) advance(dev blockdev.Device, codec Codec) error {
+	if c.head++; c.head < c.have {
+		return nil
+	}
+	return c.fill(dev, codec)
+}
+
+// carve returns the i-th chunk-sized slice of the window. Cursor i of
+// a merge takes chunk i and the output takes the one after the last
+// cursor: chunk = memBlocks/(fanIn+1), so they all fit whenever the
+// window holds three blocks or more.
+func (w *Window) carve(i, chunk int) (raws, recs [][]byte, keys []uint64) {
+	lo, hi := i*chunk, (i+1)*chunk
+	if hi <= len(w.Raws) {
+		return w.Raws[lo:hi], w.Recs[lo:hi], w.keys[lo:hi]
+	}
+	if w.spareRaws == nil {
+		w.spareRaws = blockdev.AllocBlocks(chunk, len(w.Raws[0]))
+		w.spareRecs = blockdev.AllocBlocks(chunk, len(w.Recs[0]))
+	}
+	return w.spareRaws, w.spareRecs, nil
 }
 
 // mergeRuns k-way merges the given runs into a region starting at
 // dstStart and returns it. Each cursor and the output use a buffer of
 // `chunk` blocks, refilled and flushed as single device batches, so
 // the pass's I/O stays mostly sequential and costs one batch call per
-// chunk. The output buffers are reused across flushes — the merge
-// allocates nothing per block.
-func mergeRuns(dev blockdev.Device, runs []Region, dstStart uint64, chunk int, key KeyFunc, write func(uint64, [][]byte) error, window [][]byte) (Region, error) {
-	bs := dev.BlockSize()
-	// Cursor chunks and the output chunk carve from the run-formation
-	// window: chunk = memBlocks/(fanIn+1), so (len(runs)+1)·chunk fits
-	// in the memBlocks-long window whenever the geometry honors the
-	// fan-in bound. The allocating path only runs for degenerate
-	// geometries (memBlocks barely above 2).
-	carve := func(i int) [][]byte {
-		if (i+1)*chunk <= len(window) {
-			return window[i*chunk : (i+1)*chunk]
-		}
-		return blockdev.AllocBlocks(chunk, bs)
+// chunk. A record moves from its cursor to the output by swapping
+// buffers, never by copying, and is sealed once, in its output batch.
+func (w *Window) mergeRuns(dev blockdev.Device, codec Codec, runs []Region, dstStart uint64, chunk int, final bool) (Region, error) {
+	if cap(w.cursors) < len(runs) {
+		w.cursors = make([]cursor, len(runs))
+		w.heap = make(cursorHeap, 0, len(runs))
 	}
-	cursors := make([]cursor, len(runs))
-	h := make(cursorHeap, 0, len(runs))
+	cursors := w.cursors[:len(runs)]
+	w.heap = w.heap[:0]
 	var total uint64
 	for i, r := range runs {
 		total += r.Len
 		c := &cursors[i]
-		c.run, c.tie, c.chunk = r, i, carve(i)
-		if err := c.advance(dev, key); err != nil {
+		*c = cursor{run: r, tie: i}
+		c.raws, c.recs, c.keys = w.carve(i, chunk)
+		if err := c.fill(dev, codec); err != nil {
 			return Region{}, err
 		}
 		if !c.done {
-			h = append(h, c)
+			w.heap = append(w.heap, c)
 		}
 	}
-	heap.Init(&h)
+	heap.Init(&w.heap)
 	out := dstStart
-	outChunk := carve(len(runs))
+	outRaws, outRecs, _ := w.carve(len(runs), chunk)
 	outN := 0
 	flush := func() error {
 		if outN == 0 {
 			return nil
 		}
-		if err := write(out, outChunk[:outN]); err != nil {
+		if err := writeOut(dev, codec, out, final, outRecs[:outN], outRaws[:outN]); err != nil {
 			return err
 		}
 		out += uint64(outN)
 		outN = 0
 		return nil
 	}
-	for h.Len() > 0 {
-		c := h[0]
-		copy(outChunk[outN], c.buf)
+	for len(w.heap) > 0 {
+		c := w.heap[0]
+		k := c.keys[c.head]
+		outRecs[outN], c.recs[c.head] = c.recs[c.head], outRecs[outN]
 		outN++
-		k := c.key
-		if err := c.advance(dev, key); err != nil {
+		if err := c.advance(dev, codec); err != nil {
 			return Region{}, err
 		}
 		if c.done {
-			heap.Pop(&h)
+			heap.Pop(&w.heap)
 		} else {
-			if c.key < k {
-				return Region{}, fmt.Errorf("extsort: key function unstable during merge")
+			if c.keys[c.head] < k {
+				return Region{}, fmt.Errorf("extsort: codec reported an unstable key during merge")
 			}
-			heap.Fix(&h, 0)
+			heap.Fix(&w.heap, 0)
 		}
 		if outN == chunk {
 			if err := flush(); err != nil {

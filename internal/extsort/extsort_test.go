@@ -8,10 +8,43 @@ import (
 	"steghide/internal/blockdev"
 	"steghide/internal/diskmodel"
 	"steghide/internal/prng"
+	"steghide/internal/race"
 )
 
 // keyFromPrefix reads the sort key from the first 8 bytes of a block.
 func keyFromPrefix(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
+
+// prefixCodec is the identity codec: a record is a copy of its block
+// and its key the block's first 8 bytes.
+type prefixCodec struct{}
+
+func (prefixCodec) Open(_ uint64, _ bool, raws, recs [][]byte, keys []uint64) error {
+	for i, raw := range raws {
+		copy(recs[i], raw)
+		keys[i] = keyFromPrefix(raw)
+	}
+	return nil
+}
+
+func (prefixCodec) Seal(_ uint64, _ bool, recs, raws [][]byte) error {
+	for i, rec := range recs {
+		copy(raws[i], rec)
+	}
+	return nil
+}
+
+func newWindow(dev blockdev.Device, memBlocks int) *Window {
+	return &Window{
+		Raws: blockdev.AllocBlocks(memBlocks, dev.BlockSize()),
+		Recs: blockdev.AllocBlocks(memBlocks, dev.BlockSize()),
+	}
+}
+
+// sortByPrefix sorts src by block prefix in a fresh window of
+// memBlocks blocks.
+func sortByPrefix(dev blockdev.Device, src, scratch Region, memBlocks int) error {
+	return Sort(dev, src, scratch, prefixCodec{}, newWindow(dev, memBlocks))
+}
 
 // fillRandom writes blocks with random keys into region src and
 // returns the keys in storage order.
@@ -70,7 +103,7 @@ func TestSortSizesAndMemory(t *testing.T) {
 		src := Region{Start: 0, Len: tc.n}
 		scratch := Region{Start: 1050, Len: tc.n}
 		keys := fillRandom(t, dev, src, tc.n*31+uint64(tc.mem))
-		if err := Sort(dev, src, scratch, tc.mem, keyFromPrefix); err != nil {
+		if err := sortByPrefix(dev, src, scratch, tc.mem); err != nil {
 			t.Fatalf("n=%d mem=%d: %v", tc.n, tc.mem, err)
 		}
 		verifySorted(t, dev, src, keys)
@@ -89,12 +122,12 @@ func TestSortAlreadySortedAndReverse(t *testing.T) {
 		dev.WriteBlock(src.Start+i, buf)
 		keys = append(keys, k)
 	}
-	if err := Sort(dev, src, scratch, 4, keyFromPrefix); err != nil {
+	if err := sortByPrefix(dev, src, scratch, 4); err != nil {
 		t.Fatal(err)
 	}
 	verifySorted(t, dev, src, keys)
 	// Sorting again (already sorted) must be a no-op result-wise.
-	if err := Sort(dev, src, scratch, 4, keyFromPrefix); err != nil {
+	if err := sortByPrefix(dev, src, scratch, 4); err != nil {
 		t.Fatal(err)
 	}
 	verifySorted(t, dev, src, keys)
@@ -114,7 +147,7 @@ func TestSortDuplicateKeys(t *testing.T) {
 		dev.WriteBlock(src.Start+i, buf)
 		keys = append(keys, k)
 	}
-	if err := Sort(dev, src, scratch, 3, keyFromPrefix); err != nil {
+	if err := sortByPrefix(dev, src, scratch, 3); err != nil {
 		t.Fatal(err)
 	}
 	verifySorted(t, dev, src, keys)
@@ -132,19 +165,19 @@ func TestSortDuplicateKeys(t *testing.T) {
 func TestSortErrors(t *testing.T) {
 	dev := blockdev.NewMem(64, 100)
 	src := Region{Start: 0, Len: 40}
-	if err := Sort(dev, src, Region{Start: 50, Len: 40}, 1, keyFromPrefix); err == nil {
+	if err := sortByPrefix(dev, src, Region{Start: 50, Len: 40}, 1); err == nil {
 		t.Fatal("memBlocks=1 accepted")
 	}
-	if err := Sort(dev, src, Region{Start: 50, Len: 39}, 4, keyFromPrefix); err == nil {
+	if err := sortByPrefix(dev, src, Region{Start: 50, Len: 39}, 4); err == nil {
 		t.Fatal("small scratch accepted")
 	}
-	if err := Sort(dev, src, Region{Start: 30, Len: 40}, 4, keyFromPrefix); err == nil {
+	if err := sortByPrefix(dev, src, Region{Start: 30, Len: 40}, 4); err == nil {
 		t.Fatal("overlapping scratch accepted")
 	}
-	if err := Sort(dev, Region{Start: 80, Len: 40}, Region{Start: 0, Len: 40}, 4, keyFromPrefix); err == nil {
+	if err := sortByPrefix(dev, Region{Start: 80, Len: 40}, Region{Start: 0, Len: 40}, 4); err == nil {
 		t.Fatal("src beyond device accepted")
 	}
-	if err := Sort(dev, Region{Start: 0, Len: 0}, Region{}, 4, keyFromPrefix); err != nil {
+	if err := sortByPrefix(dev, Region{Start: 0, Len: 0}, Region{}, 4); err != nil {
 		t.Fatalf("empty sort should succeed: %v", err)
 	}
 }
@@ -173,7 +206,7 @@ func TestSortIOPatternMostlySequential(t *testing.T) {
 	scratch := Region{Start: n, Len: n}
 	keys := fillRandom(t, base, src, 77)
 	disk.ResetStats()
-	if err := Sort(dev, src, scratch, 32, keyFromPrefix); err != nil {
+	if err := sortByPrefix(dev, src, scratch, 32); err != nil {
 		t.Fatal(err)
 	}
 	st := disk.Stats()
@@ -200,7 +233,7 @@ func TestQuickSortMatchesInMemory(t *testing.T) {
 			binary.BigEndian.PutUint64(buf, k)
 			dev.WriteBlock(i, buf)
 		}
-		if err := Sort(dev, src, scratch, mem, keyFromPrefix); err != nil {
+		if err := sortByPrefix(dev, src, scratch, mem); err != nil {
 			return false
 		}
 		// Compare against an in-memory sort of the key multiset.
@@ -244,8 +277,110 @@ func BenchmarkSort1024Blocks(b *testing.B) {
 			dev.WriteBlock(j, buf)
 		}
 		b.StartTimer()
-		if err := Sort(dev, src, scratch, 16, keyFromPrefix); err != nil {
+		if err := sortByPrefix(dev, src, scratch, 16); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// auditCodec checks the contract Sort promises its codec while doing
+// prefixCodec's job: every block is opened exactly once per read and
+// sealed exactly once per write, in whole batches that match the
+// device call; input opens cover src exactly once; final seals cover
+// src exactly once, in position order.
+type auditCodec struct {
+	t            *testing.T
+	inputs       map[uint64]int
+	nextFinal    uint64
+	opens, seals uint64
+}
+
+func (a *auditCodec) Open(pos uint64, input bool, raws, recs [][]byte, keys []uint64) error {
+	if len(raws) != len(recs) || len(raws) != len(keys) {
+		a.t.Fatalf("Open batch shapes %d/%d/%d", len(raws), len(recs), len(keys))
+	}
+	a.opens += uint64(len(raws))
+	if input {
+		for i := range raws {
+			a.inputs[pos+uint64(i)]++
+		}
+	}
+	return prefixCodec{}.Open(pos, input, raws, recs, keys)
+}
+
+func (a *auditCodec) Seal(pos uint64, final bool, recs, raws [][]byte) error {
+	if len(raws) != len(recs) {
+		a.t.Fatalf("Seal batch shapes %d/%d", len(recs), len(raws))
+	}
+	a.seals += uint64(len(recs))
+	if final {
+		if pos != a.nextFinal {
+			a.t.Fatalf("final seal at %d, want %d", pos, a.nextFinal)
+		}
+		a.nextFinal += uint64(len(recs))
+	}
+	return prefixCodec{}.Seal(pos, final, recs, raws)
+}
+
+func TestCodecContract(t *testing.T) {
+	for _, tc := range []struct {
+		n   uint64
+		mem int
+	}{{3, 4}, {24, 4}, {48, 4}, {100, 7}, {17, 2}, {1024, 32}} {
+		base := blockdev.NewMem(64, 2200)
+		col := &blockdev.Collector{}
+		dev := blockdev.NewTraced(base, col)
+		src := Region{Start: 5, Len: tc.n}
+		scratch := Region{Start: 1100, Len: tc.n}
+		keys := fillRandom(t, base, src, tc.n)
+		a := &auditCodec{t: t, inputs: map[uint64]int{}, nextFinal: src.Start}
+		if err := Sort(dev, src, scratch, a, newWindow(dev, tc.mem)); err != nil {
+			t.Fatalf("n=%d mem=%d: %v", tc.n, tc.mem, err)
+		}
+		verifySorted(t, base, src, keys)
+		var reads, writes uint64
+		for _, ev := range col.Events() {
+			if ev.Op == blockdev.OpWrite {
+				writes += ev.Span()
+			} else {
+				reads += ev.Span()
+			}
+		}
+		if a.opens != reads || a.seals != writes {
+			t.Fatalf("n=%d mem=%d: %d opens for %d block reads, %d seals for %d block writes", tc.n, tc.mem, a.opens, reads, a.seals, writes)
+		}
+		if a.nextFinal != src.End() {
+			t.Fatalf("n=%d mem=%d: final seals reached %d of [%d,%d)", tc.n, tc.mem, a.nextFinal, src.Start, src.End())
+		}
+		for pos := src.Start; pos < src.End(); pos++ {
+			if a.inputs[pos] != 1 {
+				t.Fatalf("n=%d mem=%d: block %d opened as input %d times", tc.n, tc.mem, pos, a.inputs[pos])
+			}
+		}
+		if uint64(len(a.inputs)) != src.Len {
+			t.Fatalf("n=%d mem=%d: input opens outside src", tc.n, tc.mem)
+		}
+	}
+}
+
+// TestSortReusesWindow pins the window contract: a second sort of the
+// same geometry through the same window allocates nothing.
+func TestSortReusesWindow(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	dev := blockdev.NewMem(64, 300)
+	src := Region{Start: 0, Len: 100}
+	scratch := Region{Start: 150, Len: 100}
+	fillRandom(t, dev, src, 9)
+	w := newWindow(dev, 8)
+	sortOnce := func() {
+		if err := Sort(dev, src, scratch, prefixCodec{}, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sortOnce()
+	if allocs := testing.AllocsPerRun(10, sortOnce); allocs != 0 {
+		t.Fatalf("steady-state Sort allocates %.0f times", allocs)
 	}
 }

@@ -14,9 +14,10 @@ import (
 
 // TestAllocBudgets pins the store's hot paths after the zero-alloc
 // conversion. Put amortizes every buffer flush and level reshuffle the
-// write stream triggers — the ISSUE bar is <=50 allocs/op amortized;
-// steady state measures ~2 (map growth and entry churn at the
-// freelist's edge). GetInto pins the probe path, whose batched
+// write stream triggers; steady state measures 0 — flush and dump run
+// entirely in the store's scratch and the sort's window — and the
+// ceiling of 1 is headroom for a map growing at the edge of the
+// warm-up. GetInto pins the probe path, whose batched
 // scattered read reuses the store's slabs and whose value lands in the
 // caller's buffer: on a host whose RSS tracks garbage, a 4 KiB copy per
 // hit was the read path's whole footprint.
@@ -44,8 +45,8 @@ func TestAllocBudgets(t *testing.T) {
 		i++
 	})
 	t.Logf("Put (amortized over flush/reshuffle): %.2f allocs/op", allocs)
-	if allocs > 50 {
-		t.Errorf("Put = %.2f allocs/op amortized, budget 50", allocs)
+	if allocs > 1 {
+		t.Errorf("Put = %.2f allocs/op amortized, budget 1", allocs)
 	}
 
 	gets := testing.AllocsPerRun(256, func() {

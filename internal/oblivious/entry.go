@@ -15,10 +15,11 @@
 // invariant, property-tested in this package.
 //
 // Shuffles are external merge sorts (internal/extsort) over a keyed
-// pseudo-random tag, re-encrypting on every pass so positions cannot
-// be linked across passes. Their I/O is mostly sequential, which is
-// why the sorting overhead costs far less wall-clock time than its
-// I/O count suggests (Fig. 12b).
+// pseudo-random tag. Every slot a pass reads is opened and its tag
+// checked, and every slot it writes is sealed under a fresh IV, so
+// positions cannot be linked across passes. Their I/O is mostly
+// sequential, which is why the sorting overhead costs far less
+// wall-clock time than its I/O count suggests (Fig. 12b).
 package oblivious
 
 import (
@@ -75,18 +76,28 @@ type entry struct {
 	value    []byte // nil for dummies
 }
 
-// codec seals and opens slots under the store's key. Like the Store
-// it serves, it is not safe for concurrent use: encode and decode
-// share per-codec scratch buffers so the hot paths (probes, flushes,
-// shuffle passes) allocate nothing per block.
+// slotSealer is what the codec needs of a sealer.Sealer. It has no
+// single-block Seal: every slot the store writes is sealed in a batch,
+// eight cipher lanes at a time.
+type slotSealer interface {
+	Open(dst, raw []byte) error
+	SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error
+}
+
+// slotSummer computes the slot tag; a *sealer.Summer in production.
+type slotSummer interface {
+	Sum(data []byte) uint64
+}
+
+// codec translates between entries, slot payloads (the plaintext data
+// field, tag included) and sealed slots under the store's key. Like
+// the Store it serves, it is not safe for concurrent use.
 type codec struct {
-	seal     *sealer.Sealer
-	key      sealer.Key
+	seal     slotSealer
+	summer   slotSummer
 	payload  int
 	valueLen int
-	encBuf   []byte // plaintext scratch for encode
-	decBuf   []byte // plaintext scratch for decode
-	summer   *sealer.Summer
+	decBuf   []byte // payload scratch for decodeInto
 }
 
 func newCodec(key sealer.Key, blockSize int) (*codec, error) {
@@ -100,35 +111,18 @@ func newCodec(key sealer.Key, blockSize int) (*codec, error) {
 	}
 	return &codec{
 		seal:     s,
-		key:      key,
+		summer:   sealer.NewSummer(key, "obli-slot"),
 		payload:  payload,
 		valueLen: payload - entryMetaSize,
-		encBuf:   make([]byte, payload),
 		decBuf:   make([]byte, payload),
-		summer:   sealer.NewSummer(key, "obli-slot"),
 	}, nil
 }
 
-// encode seals e into a full raw slot. Dummies may have short or nil
-// values; real values must be exactly valueLen bytes. fill supplies
-// padding/dummy bytes.
-func (c *codec) encode(dst []byte, e *entry, iv []byte, fill func([]byte)) error {
-	payload := c.encBuf
-	// Every field below is overwritten except the padding word; clear
-	// it so reused scratch never leaks stale bytes into the ciphertext.
-	binary.BigEndian.PutUint32(payload[12:], 0)
-	var flags uint32
-	if e.real {
-		flags |= flagReal
-	}
-	if e.lowClass {
-		flags |= flagLowClass
-	}
-	binary.BigEndian.PutUint32(payload[8:], flags)
-	binary.BigEndian.PutUint64(payload[16:], e.version)
-	binary.BigEndian.PutUint64(payload[24:], e.nonce)
-	binary.BigEndian.PutUint64(payload[32:], e.id.File)
-	binary.BigEndian.PutUint64(payload[40:], e.id.Index)
+// put lays e out in payload and tags it, ready for sealing. Dummies
+// may have short or nil values; real values must be exactly valueLen
+// bytes. fill supplies the dummy bytes.
+func (c *codec) put(payload []byte, e *entry, fill func([]byte)) error {
+	h := slotMeta{real: e.real, lowClass: e.lowClass, version: e.version, nonce: e.nonce, id: e.id}
 	if e.real {
 		if len(e.value) != c.valueLen {
 			return fmt.Errorf("%w: %d != %d", ErrValueSize, len(e.value), c.valueLen)
@@ -137,54 +131,44 @@ func (c *codec) encode(dst []byte, e *entry, iv []byte, fill func([]byte)) error
 	} else {
 		fill(payload[entryMetaSize:])
 	}
-	sum := c.summer.Sum(payload[8:])
-	binary.BigEndian.PutUint64(payload, sum)
-	return c.seal.Seal(dst, iv, payload)
+	c.putHeader(payload, h)
+	return nil
 }
 
-// decode opens a raw slot. The value slice is freshly allocated for
-// real entries.
-func (c *codec) decode(raw []byte) (*entry, error) {
-	e := new(entry)
-	if err := c.decodeInto(e, raw); err != nil {
-		return nil, err
+// putHeader writes h over payload's header and re-tags the payload.
+func (c *codec) putHeader(payload []byte, h slotMeta) {
+	var flags uint32
+	if h.real {
+		flags |= flagReal
 	}
-	return e, nil
+	if h.lowClass {
+		flags |= flagLowClass
+	}
+	binary.BigEndian.PutUint32(payload[8:], flags)
+	// The padding word is cleared so a reused buffer never leaks stale
+	// bytes into the ciphertext.
+	binary.BigEndian.PutUint32(payload[12:], 0)
+	binary.BigEndian.PutUint64(payload[16:], h.version)
+	binary.BigEndian.PutUint64(payload[24:], h.nonce)
+	binary.BigEndian.PutUint64(payload[32:], h.id.File)
+	binary.BigEndian.PutUint64(payload[40:], h.id.Index)
+	binary.BigEndian.PutUint64(payload, c.summer.Sum(payload[8:]))
 }
 
-// decodeInto opens a raw slot into a caller-owned entry, reusing its
-// value backing when capacity allows — the alloc-free decode used by
-// the probe, flush and shuffle hot paths (the per-comparison tag
-// extraction goes further; see peek). A non-real slot leaves e.value
-// truncated to zero length but keeps the backing for reuse.
-func (c *codec) decodeInto(e *entry, raw []byte) error {
-	payload := c.decBuf
+// open decrypts a raw slot into payload and checks its tag. No field
+// of a slot read from the device is trusted before this returns nil.
+func (c *codec) open(payload, raw []byte) error {
 	if err := c.seal.Open(payload, raw); err != nil {
 		return err
 	}
-	sum := binary.BigEndian.Uint64(payload)
-	if sum != c.summer.Sum(payload[8:]) {
+	if binary.BigEndian.Uint64(payload) != c.summer.Sum(payload[8:]) {
 		return ErrCorruptSlot
-	}
-	flags := binary.BigEndian.Uint32(payload[8:])
-	e.real = flags&flagReal != 0
-	e.lowClass = flags&flagLowClass != 0
-	e.version = binary.BigEndian.Uint64(payload[16:])
-	e.nonce = binary.BigEndian.Uint64(payload[24:])
-	e.id = BlockID{
-		File:  binary.BigEndian.Uint64(payload[32:]),
-		Index: binary.BigEndian.Uint64(payload[40:]),
-	}
-	if e.real {
-		e.value = append(e.value[:0], payload[entryMetaSize:]...)
-	} else {
-		e.value = e.value[:0]
 	}
 	return nil
 }
 
-// slotMeta is the header of a decoded slot without its value — what
-// the shuffle's sort key and the merge's winner scan actually need.
+// slotMeta is the header of a slot without its value — what the
+// shuffle's sort key and the index rebuild need.
 type slotMeta struct {
 	real     bool
 	lowClass bool
@@ -193,19 +177,8 @@ type slotMeta struct {
 	id       BlockID
 }
 
-// peek opens a raw slot into the shared scratch and returns only its
-// header, allocating nothing. The shuffle sorts call this once per
-// slot to build cached keys instead of decoding (and copying a value)
-// per comparison.
-func (c *codec) peek(raw []byte) (slotMeta, error) {
-	payload := c.decBuf
-	if err := c.seal.Open(payload, raw); err != nil {
-		return slotMeta{}, err
-	}
-	sum := binary.BigEndian.Uint64(payload)
-	if sum != c.summer.Sum(payload[8:]) {
-		return slotMeta{}, ErrCorruptSlot
-	}
+// header parses the header of an opened payload.
+func header(payload []byte) slotMeta {
 	flags := binary.BigEndian.Uint32(payload[8:])
 	return slotMeta{
 		real:     flags&flagReal != 0,
@@ -216,5 +189,24 @@ func (c *codec) peek(raw []byte) (slotMeta, error) {
 			File:  binary.BigEndian.Uint64(payload[32:]),
 			Index: binary.BigEndian.Uint64(payload[40:]),
 		},
-	}, nil
+	}
+}
+
+// decodeInto opens a raw slot into a caller-owned entry, reusing its
+// value backing when capacity allows — the alloc-free decode of the
+// probe and flush paths. A non-real slot leaves e.value truncated to
+// zero length but keeps the backing for reuse.
+func (c *codec) decodeInto(e *entry, raw []byte) error {
+	payload := c.decBuf
+	if err := c.open(payload, raw); err != nil {
+		return err
+	}
+	h := header(payload)
+	e.real, e.lowClass, e.version, e.nonce, e.id = h.real, h.lowClass, h.version, h.nonce, h.id
+	if e.real {
+		e.value = append(e.value[:0], payload[entryMetaSize:]...)
+	} else {
+		e.value = e.value[:0]
+	}
+	return nil
 }

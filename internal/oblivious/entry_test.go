@@ -19,6 +19,24 @@ func newTestCodec(t *testing.T, blockSize int) *codec {
 	return c
 }
 
+// encode seals e into a full raw slot under the given IV.
+func (c *codec) encode(dst []byte, e *entry, iv []byte, fill func([]byte)) error {
+	payload := make([]byte, c.payload)
+	if err := c.put(payload, e, fill); err != nil {
+		return err
+	}
+	return c.seal.SealMany([][]byte{dst}, func(b []byte) { copy(b, iv) }, [][]byte{payload})
+}
+
+// decode opens a raw slot into a fresh entry.
+func (c *codec) decode(raw []byte) (*entry, error) {
+	e := new(entry)
+	if err := c.decodeInto(e, raw); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 func TestCodecRoundTripReal(t *testing.T) {
 	c := newTestCodec(t, 128)
 	rng := prng.NewFromUint64(1)

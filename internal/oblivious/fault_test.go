@@ -12,33 +12,45 @@ import (
 	"steghide/internal/sealer"
 )
 
+// TestStoreFaultDuringShuffle fails the device at every block write of
+// one dump in turn — run formation, each merge pass, the final
+// placement — and requires the injected error back from that dump.
 func TestStoreFaultDuringShuffle(t *testing.T) {
 	const bufCap, levels = 4, 3
-	fd := blockdev.NewFault(blockdev.NewMem(128, Footprint(bufCap, levels)))
-	s, err := New(Config{
-		Dev:          fd,
-		Key:          sealer.DeriveKey([]byte("k"), "fault"),
-		BufferBlocks: bufCap,
-		Levels:       levels,
-		RNG:          prng.NewFromUint64(1),
-	})
-	if err != nil {
+	build := func() (*Store, *blockdev.FaultDevice) {
+		fd := blockdev.NewFault(blockdev.NewMem(128, Footprint(bufCap, levels)))
+		s, err := New(Config{
+			Dev:          fd,
+			Key:          sealer.DeriveKey([]byte("k"), "fault"),
+			BufferBlocks: bufCap,
+			Levels:       levels,
+			RNG:          prng.NewFromUint64(1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 7; i++ {
+			if err := s.Put(BlockID{File: 1, Index: uint64(i)}, make([]byte, s.ValueSize())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, fd
+	}
+	s, _ := build()
+	before := s.Stats().ShuffleWrites
+	if err := s.dump(0); err != nil {
 		t.Fatal(err)
 	}
-	// Arm a write fault far enough ahead that it fires mid-shuffle.
-	fd.FailWritesAfter(10)
-	var sawErr bool
-	for i := 0; i < 30; i++ {
-		if err := s.Put(BlockID{File: 1, Index: uint64(i)}, make([]byte, s.ValueSize())); err != nil {
-			if !errors.Is(err, blockdev.ErrInjected) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			sawErr = true
-			break
-		}
+	writes := int64(s.Stats().ShuffleWrites - before)
+	if writes < 2*24 {
+		t.Fatalf("dump wrote only %d blocks; expected run formation and at least one merge pass", writes)
 	}
-	if !sawErr {
-		t.Fatal("injected fault never surfaced")
+	for n := int64(0); n < writes; n++ {
+		s, fd := build()
+		fd.FailWritesAfter(n)
+		if err := s.dump(0); !errors.Is(err, blockdev.ErrInjected) {
+			t.Fatalf("write fault at block write %d of %d: %v", n, writes, err)
+		}
 	}
 }
 

@@ -10,21 +10,27 @@ import (
 )
 
 // dump merges level i (0-based) into level i+1 with O(B) memory and
-// mostly sequential I/O, over the two levels' combined (adjacent)
-// region:
+// mostly sequential I/O: one external sort of the two levels' combined
+// (adjacent) region by class ‖ PRF(nonce), run through the reshuffle
+// codec below.
 //
-//	pass A  one sequential rewrite of the combined region: entries
-//	        whose slot is not a winner (per the in-memory indices:
-//	        level i supersedes level i+1; consumed entries have no
-//	        index at all) become dummies, everything gets a fresh
-//	        nonce, and exactly |level i| dummies are tagged "low
-//	        class";
-//	pass B  external sort by class ‖ PRF(nonce), re-encrypting on
-//	        every write: the low-class dummies land exactly in level
-//	        i's region (leaving it empty) and the real entries are
-//	        uniformly shuffled among level i+1's slots. The sort's
-//	        final placement pass rebuilds level i+1's index via the
-//	        OnOutput hook, so no separate scan is needed.
+//	run formation  as each slot is first opened, an entry whose slot
+//	               is not a winner (per the in-memory indices: level i
+//	               supersedes level i+1; consumed entries have no
+//	               index at all) becomes a dummy, everything gets a
+//	               fresh nonce, and exactly |level i| dummies are
+//	               tagged "low class";
+//	merge passes   carry each slot as plaintext from its one read to
+//	               its one write; the low-class dummies land exactly in
+//	               level i's region (leaving it empty) and the real
+//	               entries are uniformly shuffled among level i+1's
+//	               slots;
+//	final pass     hands its records to the index rebuild of level i+1
+//	               as it seals them, so no separate scan is needed.
+//
+// With P merge passes a slot is opened (and its tag checked) 1+P
+// times, sealed in lanes under a fresh IV 1+P times and tagged 2+P
+// times: only run formation changes the payload, so only it re-tags.
 func (s *Store) dump(i int) error {
 	if i+1 >= len(s.levels) {
 		return fmt.Errorf("%w: cannot dump past level %d", ErrCacheFull, len(s.levels))
@@ -38,116 +44,117 @@ func (s *Store) dump(i int) error {
 		return fmt.Errorf("oblivious: levels %d/%d not adjacent", i+1, i+2)
 	}
 	combined := extsort.Region{Start: li.region.Start, Len: li.region.Len + lj.region.Len}
-	dev := &shuffleDev{Device: s.dev, s: s}
 
 	// Winner slots from the in-memory indices: every level i entry
 	// survives; a level i+1 entry survives unless level i holds the
 	// same id (the higher copy is always fresher).
-	clear(s.winnersBuf)
-	winners := s.winnersBuf
-	reals := 0
+	s.winners.Reset()
 	for _, slot := range li.index {
-		winners[slot] = true
-		reals++
+		s.winners.Set(slot - combined.Start)
 	}
 	for id, slot := range lj.index {
 		if _, shadowed := li.index[id]; !shadowed {
-			winners[slot] = true
-			reals++
+			s.winners.Set(slot - combined.Start)
 		}
 	}
+	reals := int(s.winners.Count())
 	if i+1 == len(s.levels)-1 && reals > lj.capReal {
 		return fmt.Errorf("%w: %d distinct blocks exceed capacity %d", ErrCacheFull, reals, lj.capReal)
 	}
 
-	// Single shuffle sort by class ‖ PRF(nonce). Dedup, fresh nonces
-	// and class assignment happen as run formation first reads each
-	// slot (OnInput); the index of level i+1 is rebuilt as the final
-	// pass places each block (OnOutput).
-	lowCount := li.region.Len
-	var dummies uint64
-	onInput := func(pos uint64, raw []byte) error {
-		e := &s.mergeEnt
-		if err := s.codec.decodeInto(e, raw); err != nil {
-			return err
-		}
-		if !winners[pos] {
-			e.real = false
-		}
-		e.nonce = s.rng.Uint64()
-		if e.real {
-			e.lowClass = false
-		} else {
-			e.lowClass = dummies < lowCount
-			dummies++
-		}
-		s.rng.Read(s.iv)
-		return s.codec.encode(raw, e, s.iv, s.rng.Fill)
-	}
-
-	tagSeed := s.tagRNG.Uint64()
-	tagKey := func(raw []byte) uint64 {
-		// peek, not decode: the sort evaluates this once per block per
-		// pass (cached in the run-formation key slice), and it needs
-		// only the header — no value copy, no allocation.
-		m, err := s.codec.peek(raw)
-		if err != nil {
-			return ^uint64(0)
-		}
-		tag := nonceTag(tagSeed, m.nonce) >> 1
-		if !m.lowClass {
-			tag |= uint64(1) << 63
-		}
-		return tag
-	}
 	clear(s.spareIndex)
-	newIndex := s.spareIndex
-	clear(s.realSlots)
-	realSlots := s.realSlots
-	var rebuildErr error
-	onOutput := func(pos uint64, raw []byte) error {
-		e, err := s.codec.peek(raw)
-		if err != nil {
-			return err
-		}
-		if !e.real {
-			return nil
-		}
-		if pos < lj.region.Start {
-			rebuildErr = fmt.Errorf("oblivious: real entry left in emptied level %d", i+1)
-			return rebuildErr
-		}
-		if prev, dup := newIndex[e.id]; dup {
-			rebuildErr = fmt.Errorf("oblivious: duplicate id %v at slots %d and %d after merge", e.id, prev, pos)
-			return rebuildErr
-		}
-		newIndex[e.id] = pos
-		realSlots[pos] = true
-		return nil
-	}
-	if err := extsort.Sort(dev, combined, s.scratch, s.bufCap, tagKey,
-		extsort.Options{Transform: s.reseal, OnInput: onInput, OnOutput: onOutput, Window: s.sortWin}); err != nil {
+	s.realSlots.Reset()
+	r := &s.shuffle
+	*r = reshuffle{s: s, from: li.region, to: lj.region, tagSeed: s.tagRNG.Uint64()}
+	if err := extsort.Sort(&s.shuffleDev, combined, s.scratch, r, &s.win); err != nil {
 		return err
 	}
-	if rebuildErr != nil {
-		return rebuildErr
+	if r.dummies < li.region.Len {
+		return fmt.Errorf("oblivious: only %d dummies for a low class of %d (capacity invariant broken)", r.dummies, li.region.Len)
 	}
-	if dummies < lowCount {
-		return fmt.Errorf("oblivious: only %d dummies for a low class of %d (capacity invariant broken)", dummies, lowCount)
-	}
-	if len(newIndex) != reals {
-		return fmt.Errorf("oblivious: merge placed %d reals, expected %d", len(newIndex), reals)
+	if len(s.spareIndex) != reals {
+		return fmt.Errorf("oblivious: merge placed %d reals, expected %d", len(s.spareIndex), reals)
 	}
 
 	clear(li.index)
 	li.realCount = 0
-	li.resetEpoch(s, nil)
+	li.resetEpoch(nil)
 	// Swap rather than drop: the target level adopts the freshly built
 	// index and its old map (cleared at the top of the next dump)
 	// becomes the spare.
-	lj.index, s.spareIndex = newIndex, lj.index
+	lj.index, s.spareIndex = s.spareIndex, lj.index
 	lj.realCount = reals
-	lj.resetEpoch(s, realSlots)
+	lj.resetEpoch(s.realSlots)
+	return nil
+}
+
+// reshuffle is the extsort.Codec of one dump. It works on slot
+// payloads: Open decrypts and verifies every slot the sort reads, Seal
+// encrypts every slot it writes in lanes under fresh IVs. The state of
+// the dump it serves — winners, the index and real-slot set being
+// rebuilt — lives in the Store's reusable scratch.
+type reshuffle struct {
+	s        *Store
+	from, to extsort.Region // level i, emptied, and level i+1, filled
+	tagSeed  uint64
+	dummies  uint64 // dummies seen by run formation so far
+}
+
+// Open implements extsort.Codec. Run formation folds dedup, the fresh
+// nonce and class assignment into the open, drawing per slot a nonce
+// and then, for a dummy, its filler.
+func (r *reshuffle) Open(pos uint64, input bool, raws, recs [][]byte, keys []uint64) error {
+	s := r.s
+	for i, raw := range raws {
+		p := recs[i]
+		if err := s.codec.open(p, raw); err != nil {
+			return err
+		}
+		h := header(p)
+		if input {
+			h.real = h.real && s.winners.Get(pos+uint64(i)-r.from.Start)
+			h.nonce = s.rng.Uint64()
+			h.lowClass = false
+			if !h.real {
+				h.lowClass = r.dummies < r.from.Len
+				r.dummies++
+				s.rng.Fill(p[entryMetaSize:])
+			}
+			s.codec.putHeader(p, h)
+		}
+		keys[i] = nonceTag(r.tagSeed, h.nonce) >> 1
+		if !h.lowClass {
+			keys[i] |= 1 << 63
+		}
+	}
+	return nil
+}
+
+// Seal implements extsort.Codec. The final pass's records rebuild the
+// index of level i+1 from plaintext.
+func (r *reshuffle) Seal(pos uint64, final bool, recs, raws [][]byte) error {
+	s := r.s
+	if err := s.sealSlots(raws, recs); err != nil {
+		return err
+	}
+	if !final {
+		return nil
+	}
+	for i, p := range recs {
+		h := header(p)
+		if !h.real {
+			continue
+		}
+		slot := pos + uint64(i)
+		if slot < r.to.Start {
+			return fmt.Errorf("oblivious: real entry left in emptied level at slot %d", slot)
+		}
+		if prev, dup := s.spareIndex[h.id]; dup {
+			return fmt.Errorf("oblivious: duplicate id %v at slots %d and %d after merge", h.id, prev, slot)
+		}
+		s.spareIndex[h.id] = slot
+		s.realSlots.Set(slot - r.to.Start)
+	}
 	return nil
 }
 

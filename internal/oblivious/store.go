@@ -1,10 +1,12 @@
 package oblivious
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
+	"steghide/internal/bitmap"
 	"steghide/internal/blockdev"
 	"steghide/internal/extsort"
 	"steghide/internal/prng"
@@ -111,29 +113,36 @@ type Store struct {
 
 	// Reusable scratch. The store is not safe for concurrent use (the
 	// agent serializes access), so one set of buffers serves every hot
-	// path instead of a make per call:
-	ioBufs    [][]byte // B blocks for batched level scans (flush/format)
-	probeIdx  []uint64 // one slot index per level (Get/DummyRead)
-	probeBufs [][]byte // one block per level (Get/DummyRead)
-	iv        []byte   // IV scratch for sealing
-	sortWin   [][]byte // extsort window, reused across every dump
-	reseal    func([]byte) error
+	// path instead of a make per call. win is the store's block
+	// memory: B sealed buffers and B payload twins, the window of every
+	// dump's sort and, between sorts, the batch that format and flush
+	// scan and seal through.
+	win       extsort.Window
+	probeIdx  []uint64        // one slot index per level (Get/DummyRead)
+	probeBufs [][]byte        // one block per level (Get/DummyRead)
+	drawIV    func(iv []byte) // s.rng.Read, built once for sealSlots
 
 	// Flush scratch, all sized once for level 1 (the only level flush
-	// rewrites): survivor list, permutation, slot→entry placement, the
-	// realSlots set handed to resetEpoch, and a reusable dummy entry.
+	// rewrites): survivor list, permutation, slot→entry placement and a
+	// reusable dummy entry.
 	entriesBuf []*entry
 	permBuf    []int
 	placeBuf   []*entry
-	realSlots  map[uint64]bool
 	dummyEnt   entry
 
-	// Merge scratch: the winner set, a spare index map swapped with the
-	// target level's (the old map is cleared and becomes next dump's
-	// spare), and one entry reused by the rewrite pass.
-	winnersBuf map[uint64]bool
+	// realSlots marks, by offset into the level a flush or dump has
+	// just rewritten, the slots that hold real entries; resetEpoch
+	// builds the level's unread-dummy pool from it.
+	realSlots *bitmap.Bitmap
+
+	// Merge scratch: the winner set (by offset into the combined
+	// region), a spare index map swapped with the target level's (the
+	// old map is cleared and becomes next dump's spare), and the codec
+	// and counting device handed to the sort.
+	winners    *bitmap.Bitmap
 	spareIndex map[BlockID]uint64
-	mergeEnt   entry
+	shuffle    reshuffle
+	shuffleDev shuffleDev
 
 	// freeEntries recycles entry structs (and their value backings)
 	// between the buffer and the flush path, so steady-state Puts and
@@ -196,6 +205,8 @@ func New(cfg Config) (*Store, error) {
 		buffer: make(map[BlockID]*entry, cfg.BufferBlocks),
 	}
 	s.tagRNG = s.rng.Child("tags")
+	rng := s.rng
+	s.drawIV = func(iv []byte) { rng.Read(iv) }
 	start := uint64(0)
 	b := uint64(cfg.BufferBlocks)
 	for i := 1; i <= cfg.Levels; i++ {
@@ -209,50 +220,54 @@ func New(cfg Config) (*Store, error) {
 		start += slots
 	}
 	s.scratch = extsort.Region{Start: start, Len: 3 * (uint64(1) << uint(cfg.Levels-1)) * b}
-	s.ioBufs = blockdev.AllocBlocks(cfg.BufferBlocks, s.dev.BlockSize())
+	s.win = extsort.Window{
+		Raws: blockdev.AllocBlocks(cfg.BufferBlocks, s.dev.BlockSize()),
+		Recs: blockdev.AllocBlocks(cfg.BufferBlocks, cdc.payload),
+	}
 	s.probeIdx = make([]uint64, cfg.Levels)
 	s.probeBufs = blockdev.AllocBlocks(cfg.Levels, s.dev.BlockSize())
-	s.iv = make([]byte, sealer.IVSize)
-	s.sortWin = blockdev.AllocBlocks(cfg.BufferBlocks, s.dev.BlockSize())
 	l1Slots := int(s.levels[0].region.Len)
 	s.entriesBuf = make([]*entry, 0, l1Slots)
 	s.permBuf = make([]int, l1Slots)
 	s.placeBuf = make([]*entry, l1Slots)
-	s.realSlots = make(map[uint64]bool, l1Slots)
-	s.winnersBuf = make(map[uint64]bool)
+	// The largest level and the largest combined region (which the
+	// scratch partition is sized for) bound every set a dump builds.
+	s.realSlots = bitmap.New(s.levels[cfg.Levels-1].region.Len)
+	s.winners = bitmap.New(s.scratch.Len)
 	s.spareIndex = make(map[BlockID]uint64)
-	{
-		// The reseal transform is built once: its scratch and IV live
-		// for the store, and every dump draws through the same closure
-		// in the same order the per-dump closures did.
-		scratch := make([]byte, cdc.payload)
-		iv := make([]byte, sealer.IVSize)
-		s.reseal = func(raw []byte) error {
-			s.rng.Read(iv)
-			return cdc.seal.Reseal(raw, iv, scratch)
-		}
-	}
+	s.shuffleDev = shuffleDev{Device: s.dev, s: s}
 
 	// Format: seal a dummy into every slot, written out in batched
 	// sequential passes of B blocks.
 	for _, lv := range s.levels {
 		for slot := lv.region.Start; slot < lv.region.End(); {
-			n := min(uint64(len(s.ioBufs)), lv.region.End()-slot)
-			for i := uint64(0); i < n; i++ {
-				s.rng.Read(s.iv)
+			n := min(uint64(len(s.win.Raws)), lv.region.End()-slot)
+			raws, recs := s.win.Raws[:n], s.win.Recs[:n]
+			for _, p := range recs {
 				s.dummyEnt = entry{nonce: s.rng.Uint64()}
-				if err := s.codec.encode(s.ioBufs[i], &s.dummyEnt, s.iv, s.rng.Fill); err != nil {
+				if err := s.codec.put(p, &s.dummyEnt, s.rng.Fill); err != nil {
 					return nil, err
 				}
 			}
-			if err := blockdev.WriteBlocks(s.dev, slot, s.ioBufs[:n]); err != nil {
+			if err := s.sealSlots(raws, recs); err != nil {
+				return nil, err
+			}
+			if err := blockdev.WriteBlocks(s.dev, slot, raws); err != nil {
 				return nil, err
 			}
 			slot += n
 		}
-		lv.resetEpoch(s, nil)
+		lv.resetEpoch(nil)
 	}
 	return s, nil
+}
+
+// sealSlots seals payloads[i] into raws[i] for a whole batch: IVs are
+// drawn fresh in index order, then the batch goes through the cipher
+// eight lanes at a time. Every slot the store writes passes through
+// here.
+func (s *Store) sealSlots(raws, payloads [][]byte) error {
+	return s.codec.seal.SealMany(raws, s.drawIV, payloads)
 }
 
 // ValueSize returns the exact size of cached values.
@@ -277,13 +292,14 @@ func (s *Store) ResetStats() { s.stats = Stats{} }
 // for the never-touch-twice invariant.
 func (s *Store) LevelEpoch(i int) uint64 { return s.levels[i-1].epoch }
 
-// resetEpoch rebuilds the unread-dummy pool after a shuffle. realSlots
-// marks which absolute slots hold real entries (nil = none).
-func (lv *level) resetEpoch(s *Store, realSlots map[uint64]bool) {
+// resetEpoch rebuilds the unread-dummy pool after a shuffle. real
+// marks, by offset into the level, which slots hold real entries
+// (nil = none).
+func (lv *level) resetEpoch(real *bitmap.Bitmap) {
 	lv.unreadDummies = lv.unreadDummies[:0]
-	for slot := lv.region.Start; slot < lv.region.End(); slot++ {
-		if realSlots == nil || !realSlots[slot] {
-			lv.unreadDummies = append(lv.unreadDummies, slot)
+	for off := uint64(0); off < lv.region.Len; off++ {
+		if real == nil || !real.Get(off) {
+			lv.unreadDummies = append(lv.unreadDummies, lv.region.Start+off)
 		}
 	}
 	lv.epoch++
@@ -582,16 +598,17 @@ func (s *Store) flush() error {
 	// The level is scanned in batched sequential passes of B blocks.
 	// Every entry comes off the freelist and every one goes back at the
 	// end of the flush, so a steady-state flush allocates nothing.
+	raws, recs := s.win.Raws, s.win.Recs
 	entries := s.entriesBuf[:0]
 	for slot := lv.region.Start; slot < lv.region.End(); {
-		n := min(uint64(len(s.ioBufs)), lv.region.End()-slot)
-		if err := blockdev.ReadBlocks(s.dev, slot, s.ioBufs[:n]); err != nil {
+		n := min(uint64(len(raws)), lv.region.End()-slot)
+		if err := blockdev.ReadBlocks(s.dev, slot, raws[:n]); err != nil {
 			return err
 		}
 		s.stats.ShuffleReads += n
-		for i := uint64(0); i < n; i++ {
+		for _, raw := range raws[:n] {
 			e := s.newEntry()
-			if err := s.codec.decodeInto(e, s.ioBufs[i]); err != nil {
+			if err := s.codec.decodeInto(e, raw); err != nil {
 				s.freeEntry(e)
 				return err
 			}
@@ -616,8 +633,8 @@ func (s *Store) flush() error {
 	for _, e := range s.buffer {
 		entries = append(entries, e)
 	}
-	sort.Slice(entries[bufStart:], func(i, j int) bool {
-		return entries[bufStart+i].version < entries[bufStart+j].version
+	slices.SortFunc(entries[bufStart:], func(a, b *entry) int {
+		return cmp.Compare(a.version, b.version)
 	})
 	// At even periods the level transiently packs to its full slot
 	// count; the cascade empties it before any probe. Physical
@@ -636,38 +653,41 @@ func (s *Store) flush() error {
 	}
 	s.rng.ShuffleInts(perm)
 	clear(lv.index)
-	clear(s.realSlots)
+	s.realSlots.Reset()
 	place := s.placeBuf[:slots]
 	clear(place)
 	for i, e := range entries {
 		place[perm[i]] = e
 	}
+	// Each batch draws its nonces and dummy filler slot by slot while
+	// the payloads are laid out, then its IVs as the batch is sealed.
 	for off := 0; off < slots; {
-		n := min(len(s.ioBufs), slots-off)
+		n := min(len(raws), slots-off)
 		for i := 0; i < n; i++ {
-			slot := lv.region.Start + uint64(off+i)
 			e := place[off+i]
 			if e == nil {
 				s.dummyEnt = entry{nonce: s.rng.Uint64()}
 				e = &s.dummyEnt
 			} else {
 				e.nonce = s.rng.Uint64()
-				lv.index[e.id] = slot
-				s.realSlots[slot] = true
+				lv.index[e.id] = lv.region.Start + uint64(off+i)
+				s.realSlots.Set(uint64(off + i))
 			}
-			s.rng.Read(s.iv)
-			if err := s.codec.encode(s.ioBufs[i], e, s.iv, s.rng.Fill); err != nil {
+			if err := s.codec.put(recs[i], e, s.rng.Fill); err != nil {
 				return err
 			}
 		}
-		if err := blockdev.WriteBlocks(s.dev, lv.region.Start+uint64(off), s.ioBufs[:n]); err != nil {
+		if err := s.sealSlots(raws[:n], recs[:n]); err != nil {
+			return err
+		}
+		if err := blockdev.WriteBlocks(s.dev, lv.region.Start+uint64(off), raws[:n]); err != nil {
 			return err
 		}
 		s.stats.ShuffleWrites += uint64(n)
 		off += n
 	}
 	lv.realCount = len(entries)
-	lv.resetEpoch(s, s.realSlots)
+	lv.resetEpoch(s.realSlots)
 	for _, e := range entries {
 		s.freeEntry(e)
 	}
