@@ -311,6 +311,9 @@ func (c *Cluster) Close() error {
 // on every shard — the per-disk relocation targets and deniable cover
 // a fresh fleet needs before real files land anywhere. (Routing the
 // dummy through the ring would leave the other shards with no cover.)
+// A shard that already holds a dummy of that shape under path — an
+// earlier fan-out reached it before another shard failed — counts as
+// covered, so retrying a failed CoverAll converges.
 func (c *Cluster) CoverAll(ctx context.Context, path string, blocks uint64) error {
 	c.mu.RLock()
 	names := c.ring.Shards()
@@ -325,7 +328,11 @@ func (c *Cluster) CoverAll(ctx context.Context, path string, blocks uint64) erro
 		wg.Add(1)
 		go func(fs FS) {
 			defer wg.Done()
-			errs <- fs.CreateDummy(ctx, path, blocks)
+			err := fs.CreateDummy(ctx, path, blocks)
+			if errors.Is(err, errExists) && coveredAs(ctx, fs, path, blocks) {
+				err = nil
+			}
+			errs <- err
 		}(fs)
 	}
 	wg.Wait()
@@ -336,6 +343,15 @@ func (c *Cluster) CoverAll(ctx context.Context, path string, blocks uint64) erro
 		}
 	}
 	return nil
+}
+
+// coveredAs reports whether fs holds a dummy file under path that
+// blocks blocks account for. The FS surface carries no block geometry,
+// so the test is the one a client can make: the file is a dummy and
+// its size splits into blocks equal payloads.
+func coveredAs(ctx context.Context, fs FS, path string, blocks uint64) bool {
+	info, err := fs.Stat(ctx, path)
+	return err == nil && info.Dummy && blocks > 0 && info.Size > 0 && info.Size%blocks == 0
 }
 
 // AddShard joins a new shard to the ring. Files whose owner moved keep

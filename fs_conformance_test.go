@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"steghide"
+	isteg "steghide/internal/steghide"
 )
 
 // metricsOptsFromEnv honours the STEGHIDE_METRICS knob the CI matrix
@@ -217,9 +218,10 @@ func TestFSConformance(t *testing.T) {
 			if err := fs.Create(ctx, "/doc"); err != nil {
 				t.Fatalf("create: %v", err)
 			}
-			// Double-create is an error on every surface.
-			if err := fs.Create(ctx, "/doc"); err == nil {
-				t.Fatal("double create accepted")
+			// Double-create is the same typed error on every surface —
+			// the wire included — so a retry can tell "already there".
+			if err := fs.Create(ctx, "/doc"); !errors.Is(err, isteg.ErrExists) {
+				t.Fatalf("double create: want ErrExists, got %v", err)
 			}
 			secret := bytes.Repeat([]byte("the hidden payload "), 40)
 			w, err := fs.OpenWrite(ctx, "/doc")

@@ -54,7 +54,7 @@ func (o *obliviousFS) Create(ctx context.Context, path string) error {
 	if _, dup := o.entries[path]; dup {
 		// Same contract as every other FS implementation: creating an
 		// already-open path is an error, not a silent no-op.
-		return pathErr("create", path, fmt.Errorf("steghide: %q already open", path))
+		return pathErr("create", path, fmt.Errorf("%w: %q", errExists, path))
 	}
 	f, err := o.agent.Create(o.secret, path)
 	if err != nil {

@@ -210,6 +210,34 @@ func (t *TrafficAnalyzer) FrequencySkew(events []blockdev.Event, bins int) (Verd
 	}, nil
 }
 
+// Shape is one maximal run of same-direction accesses to one region of
+// the volume — the journal ring or the steg space — in a device trace.
+type Shape struct {
+	Op     blockdev.Op
+	Ring   bool
+	Blocks uint64
+}
+
+// CallShape reduces a device trace to its skeleton: how many blocks
+// were read or written in a row in which region, every address
+// dropped. Definition 1 is about addresses; the skeleton is what is
+// left for an observer who ignores them and watches how accesses are
+// grouped, so a data-update run and the idle burst of as many stream
+// elements must reduce to the same one. firstData is the first block of
+// the steg space.
+func CallShape(events []blockdev.Event, firstData uint64) []Shape {
+	var out []Shape
+	for _, e := range events {
+		s := Shape{Op: e.Op, Ring: e.Block < firstData, Blocks: e.Span()}
+		if n := len(out); n > 0 && out[n-1].Op == s.Op && out[n-1].Ring == s.Ring {
+			out[n-1].Blocks += s.Blocks
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // CompareStreams is the operational form of Definition 1: given the
 // write-address histograms of an idle (dummy-only) period and an
 // active period, decide whether they differ. A secure construction

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"slices"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -284,5 +285,23 @@ func TestSnapshotHomogeneity(t *testing.T) {
 
 	if _, err := NewUpdateAnalyzer(bs, n).SnapshotHomogeneity(8); err == nil {
 		t.Fatal("no-interval analyzer accepted")
+	}
+}
+
+func TestCallShape(t *testing.T) {
+	// Ring slots 1..3 as one ranged write, a scattered read and write of
+	// three steg-space blocks, then a lone interleaved triple.
+	events := []blockdev.Event{
+		{Op: blockdev.OpWrite, Block: 1, Count: 3},
+		{Op: blockdev.OpRead, Block: 40}, {Op: blockdev.OpRead, Block: 12}, {Op: blockdev.OpRead, Block: 77},
+		{Op: blockdev.OpWrite, Block: 40}, {Op: blockdev.OpWrite, Block: 12}, {Op: blockdev.OpWrite, Block: 77},
+		{Op: blockdev.OpWrite, Block: 4}, {Op: blockdev.OpRead, Block: 9}, {Op: blockdev.OpWrite, Block: 9},
+	}
+	want := []Shape{
+		{blockdev.OpWrite, true, 3}, {blockdev.OpRead, false, 3}, {blockdev.OpWrite, false, 3},
+		{blockdev.OpWrite, true, 1}, {blockdev.OpRead, false, 1}, {blockdev.OpWrite, false, 1},
+	}
+	if got := CallShape(events, 8); !slices.Equal(got, want) {
+		t.Fatalf("CallShape = %+v, want %+v", got, want)
 	}
 }

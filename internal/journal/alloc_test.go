@@ -7,9 +7,10 @@ import (
 )
 
 // TestAllocBudgets pins the intent append path at zero steady-state
-// heap allocations per record: encode reuses the cached slot images
-// and tag scratch, the IV stream draws through the alloc-free PRNG,
-// and the ring write lands in the device's own storage. Any regression
+// heap allocations per record, single or batched: encode reuses the
+// cached slot images, the record-area and tag scratch, the IV stream
+// draws through the alloc-free PRNG, the lanes seal in place and the
+// ring write lands in the device's own storage. Any regression
 // here multiplies across every dummy burst the daemon emits.
 func TestAllocBudgets(t *testing.T) {
 	if race.Enabled {
@@ -47,5 +48,18 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	}); n > 0 {
 		t.Errorf("AppendDummies(16): %.1f allocs/op, budget 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		err := j.AppendBatch(16, func(i int, r *Record) {
+			r.Op = OpDummy
+			if i%2 == 1 {
+				*r = Record{Op: OpReloc, FileH: 7, OldLoc: 8, NewLoc: uint64(9 + i)}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("AppendBatch(16 mixed): %.1f allocs/op, budget 0", n)
 	}
 }

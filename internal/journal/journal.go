@@ -41,8 +41,6 @@
 package journal
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
@@ -186,17 +184,14 @@ type Journal struct {
 	mu      sync.Mutex
 	seq     uint64     // next sequence number to assign
 	images  [][]byte   // cached slot images: sealed prefix + static tail
-	scratch []byte     // record-area scratch for encode
+	rec     Record     // the record being encoded (fill's argument)
+	scratch []byte     // record-area scratch, one area per record of a slot run
+	areas   [][]byte   // the scratch's areas, and
+	dsts    [][]byte   // the sealed prefixes they go to, as SealMany takes them
 	sumbuf  []byte     // tag scratch
 	tagHash hash.Hash  // reusable SHA-256 for tags
 	ivrng   *prng.PRNG // journal IV stream
-	// enc is a persistent CBC encryptor for the append path, re-aimed
-	// per record through the cipher package's SetIV fast path; nil
-	// when the platform's BlockMode does not support it.
-	enc interface {
-		cipher.BlockMode
-		SetIV([]byte)
-	}
+	nextIV  func(iv []byte)
 }
 
 // Open attaches to the journal ring of vol, sealing records under
@@ -228,7 +223,6 @@ func Open(vol *stegfs.Volume, key sealer.Key) (*Journal, error) {
 		key:     sealer.DeriveKey(key[:], "journal-slot-tag"),
 		area:    area,
 		slots:   region.NumBlocks(),
-		scratch: make([]byte, area),
 		sumbuf:  make([]byte, 0, sha256.Size),
 		tagHash: sha256.New(),
 	}
@@ -238,15 +232,6 @@ func Open(vol *stegfs.Volume, key sealer.Key) (*Journal, error) {
 	j.tagState, err = h.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		return nil, err
-	}
-	if blk, err := aes.NewCipher(sealKey[:]); err == nil {
-		var zero [sealer.IVSize]byte
-		if m, ok := cipher.NewCBCEncrypter(blk, zero[:]).(interface {
-			cipher.BlockMode
-			SetIV([]byte)
-		}); ok {
-			j.enc = m
-		}
 	}
 	if _, err := j.scan(true); err != nil {
 		return nil, err
@@ -269,6 +254,7 @@ func Open(vol *stegfs.Volume, key sealer.Key) (*Journal, error) {
 		seedH.Write(img[:sealer.IVSize])
 	}
 	j.ivrng = prng.New(seedH.Sum(nil)).Child("journal-iv")
+	j.nextIV = func(iv []byte) { j.ivrng.Read(iv) } //nolint:errcheck // prng reads cannot fail
 	return j, nil
 }
 
@@ -320,13 +306,11 @@ func (j *Journal) Seq() uint64 {
 // maxLocs returns how many addresses one record carries.
 func (j *Journal) maxLocs() int { return (j.area - recFixed - recTagSize) / 8 }
 
-// encode seals rec into its cached slot image (the sealed prefix is
-// rewritten, the static tail is already in place). Caller holds j.mu.
-func (j *Journal) encode(rec *Record, slot uint64) error {
+// encode lays rec out as a plaintext record area. Caller holds j.mu.
+func (j *Journal) encode(rec *Record, area []byte) error {
 	if len(rec.Locs) > j.maxLocs() {
 		return ErrRecordBig
 	}
-	area := j.scratch
 	clear(area)
 	copy(area, recMagic)
 	area[4] = byte(rec.Op)
@@ -342,17 +326,7 @@ func (j *Journal) encode(rec *Record, slot uint64) error {
 	// construction and bounded by nLocs); writing it at the fixed tail
 	// keeps the slot layout size-independent.
 	be.PutUint64(area[j.area-recTagSize:], j.tag(area[:recFixed+8*len(rec.Locs)]))
-
-	dst := j.images[slot][:sealer.IVSize+j.area]
-	j.ivrng.Read(dst[:sealer.IVSize])
-	if j.enc != nil {
-		j.enc.SetIV(dst[:sealer.IVSize])
-		j.enc.CryptBlocks(dst[sealer.IVSize:], area)
-		return nil
-	}
-	var iv [sealer.IVSize]byte
-	copy(iv[:], dst[:sealer.IVSize])
-	return j.seal.Seal(dst, iv[:], area)
+	return nil
 }
 
 // tagOf recomputes the keyed tag without touching the append-path
@@ -443,21 +417,53 @@ func (j *Journal) scan(init bool) ([]Record, error) {
 // must be sized so it outlives the window between state snapshots.
 func (j *Journal) Scan() ([]Record, error) { return j.scan(false) }
 
-// append seals rec (assigning its sequence number) and overwrites its
-// ring slot.
-func (j *Journal) append(rec Record) error {
+// AppendBatch appends n records as one batch: fill(i, rec) supplies
+// record i (its sequence number is assigned here), each contiguous run
+// of ring slots is encoded, sealed through the journal sealer's lanes
+// with IVs drawn in record order, and written in one device call — so a
+// batch leaves exactly the ring bytes n single appends would, in O(1)
+// ring round trips. It is durable when it returns; on an error the
+// runs already written stay appended. fill runs under the journal's
+// append lock and must not call back into the journal.
+func (j *Journal) AppendBatch(n int, fill func(i int, rec *Record)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec.Seq = j.seq
-	slot := (rec.Seq - 1) % j.slots
-	if err := j.encode(&rec, slot); err != nil {
-		return err
+	for done := 0; done < n; {
+		slot := (j.seq - 1) % j.slots
+		run := int(min(uint64(n-done), j.slots-slot))
+		if need := run * j.area; cap(j.scratch) < need {
+			j.scratch = make([]byte, need)
+		}
+		j.areas, j.dsts = j.areas[:0], j.dsts[:0]
+		for i := 0; i < run; i++ {
+			j.rec = Record{}
+			fill(done+i, &j.rec)
+			j.rec.Seq = j.seq + uint64(i)
+			area := j.scratch[i*j.area : (i+1)*j.area : (i+1)*j.area]
+			if err := j.encode(&j.rec, area); err != nil {
+				return err
+			}
+			// The sealed prefix of the cached slot image is rewritten,
+			// the static tail is already in place.
+			j.areas = append(j.areas, area)
+			j.dsts = append(j.dsts, j.images[slot+uint64(i)][:sealer.IVSize+j.area])
+		}
+		if err := j.seal.SealMany(j.dsts, j.nextIV, j.areas); err != nil {
+			return err
+		}
+		if err := blockdev.WriteBlocks(j.dev, slot, j.images[slot:slot+uint64(run)]); err != nil {
+			return err
+		}
+		j.seq += uint64(run)
+		done += run
 	}
-	if err := j.dev.WriteBlock(slot, j.images[slot]); err != nil {
-		return err
-	}
-	j.seq++
 	return nil
+}
+
+// append seals rec (assigning its sequence number) and overwrites its
+// ring slot: the batch of one.
+func (j *Journal) append(rec Record) error {
+	return j.AppendBatch(1, func(_ int, r *Record) { *r = rec })
 }
 
 // AppendReloc durably records the intent "fileH's data at oldLoc
@@ -503,29 +509,9 @@ func (j *Journal) AppendDummy() error {
 	return j.append(Record{Op: OpDummy})
 }
 
-// AppendDummies emits n filler records, batching contiguous slot runs
-// into single device writes — the companion of the agents' burst
-// paths, so a dummy burst costs O(1) ring round trips, not n.
+// AppendDummies emits n filler records as one batch — the companion of
+// the agents' burst paths, so a dummy burst costs O(1) ring round trips,
+// not n.
 func (j *Journal) AppendDummies(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for n > 0 {
-		slot := (j.seq - 1) % j.slots
-		run := min(uint64(n), j.slots-slot)
-		for i := uint64(0); i < run; i++ {
-			rec := Record{Op: OpDummy, Seq: j.seq + i}
-			if err := j.encode(&rec, slot+i); err != nil {
-				return err
-			}
-		}
-		if err := blockdev.WriteBlocks(j.dev, slot, j.images[slot:slot+run]); err != nil {
-			return err
-		}
-		j.seq += run
-		n -= int(run)
-	}
-	return nil
+	return j.AppendBatch(n, func(_ int, r *Record) { r.Op = OpDummy })
 }

@@ -94,9 +94,6 @@ func (b *BitmapSpace) AbortRelocate(_, newLoc uint64) {
 	b.source.Release(newLoc)
 }
 
-// DrawDummy implements Space.
-func (b *BitmapSpace) DrawDummy() (uint64, error) { return b.draw(), nil }
-
 // DrawDummyBatch implements Space.
 func (b *BitmapSpace) DrawDummyBatch(locs []uint64) (int, error) {
 	b.mu.Lock()

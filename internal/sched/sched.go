@@ -18,18 +18,20 @@
 //     serializes the *decisions*: uniform draws, the data/dummy
 //     partition, and relocation bookkeeping. Space methods are atomic
 //     and memory-only, so the serialized section is tiny.
-//   - The Scheduler performs the *I/O*: reads, seals/reseals and
-//     writes run outside the Space's lock, guarded by sharded
-//     per-block locks (BlockLocks), so the expensive AES/SHA work of
-//     concurrent updates overlaps on different blocks.
+//   - The Scheduler performs the *I/O*, a batch at a time: a run of
+//     data updates is planned whole against the Space and then emitted
+//     exactly as a dummy burst is — intents, one scattered read, the
+//     reseal lanes, one scattered write — outside the Space's lock,
+//     guarded by sharded per-block locks (BlockLocks), so the AES/SHA
+//     work of concurrent batches overlaps on different blocks.
 //
 // Two rules make the concurrency safe without a global mutex:
 //
 //  1. Relocation bookkeeping commits in two phases: the target leaves
 //     the dummy pool at draw time (so no concurrent draw can pick it),
-//     but the source block only becomes a dummy after the payload
-//     write succeeds. A failed write aborts back to the pre-draw
-//     partition.
+//     but the source block only becomes a dummy after the whole batch
+//     that carries the payload write landed. A failed batch aborts
+//     every relocation in it back to the pre-draw partition.
 //  2. Dummy updates re-classify their target under the block's I/O
 //     lock (Space.Classify) immediately before acting, so a block that
 //     changed role between draw and execution is resealed under its
@@ -110,19 +112,16 @@ type Space interface {
 	// Space atomically withdraws it from the dummy pool (first phase
 	// of the relocation commit) before returning Kind Relocate.
 	DrawUpdate(loc uint64) (Target, error)
-	// CommitRelocate finishes a relocation after the payload write
-	// succeeded: oldLoc joins the dummy pool, newLoc is recorded as
-	// the data block (sealed under seal).
+	// CommitRelocate finishes a relocation after the batch carrying its
+	// payload write landed: oldLoc joins the dummy pool, newLoc is
+	// recorded as the data block (sealed under seal).
 	CommitRelocate(oldLoc, newLoc uint64, seal *sealer.Sealer)
-	// AbortRelocate reverts a relocation whose payload write failed:
-	// newLoc returns to the dummy pool, oldLoc keeps the data.
+	// AbortRelocate reverts a relocation whose batch failed or was
+	// cancelled: newLoc returns to the dummy pool, oldLoc keeps the data.
 	AbortRelocate(oldLoc, newLoc uint64)
-	// DrawDummy draws one idle-time dummy-update target, uniform over
-	// the space.
-	DrawDummy() (uint64, error)
-	// DrawDummyBatch fills locs with up to len(locs) dummy-update
-	// targets, drawn exactly as DrawDummy draws them, and returns how
-	// many it produced.
+	// DrawDummyBatch fills locs with up to len(locs) idle-time
+	// dummy-update targets, each uniform over the space, and returns
+	// how many it produced.
 	DrawDummyBatch(locs []uint64) (int, error)
 	// Classify decides what a dummy update on loc must do right now.
 	// The scheduler calls it while holding loc's I/O lock, so the
@@ -132,17 +131,17 @@ type Space interface {
 
 // IntentLog is the durability plane's hook into the update stream,
 // implemented by the journal adapters in internal/steghide. The
-// contract that keeps the stream deniable: the scheduler calls exactly
-// one of these per emitted stream element — BeginReloc before a
-// relocation's payload write, DummyIntent for everything else — so
-// ring traffic is one slot write per element whatever the element is.
+// contract that keeps the stream deniable: the scheduler hands it every
+// batch of stream elements exactly once, before any of the batch's
+// block writes is issued, and the log emits exactly one ring slot per
+// element whatever the element is — so ring traffic carries the
+// stream's cadence and nothing else.
 type IntentLog interface {
-	// BeginReloc durably records the relocation intent before the
-	// payload write lands on newLoc.
-	BeginReloc(oldLoc, newLoc uint64) error
-	// DummyIntent durably emits n filler records, one per in-place,
-	// camouflage or dummy update about to be issued.
-	DummyIntent(n int) error
+	// LogStream durably records the stream elements (from[i], to[i]), in
+	// order: a relocation intent where the two differ (the data at
+	// from[i] is about to be written to to[i]), a filler where they are
+	// equal (in-place, camouflage and idle dummy updates).
+	LogStream(from, to []uint64) error
 }
 
 // Scheduler owns a volume's update stream. It is safe for concurrent
@@ -154,8 +153,15 @@ type Scheduler struct {
 	locks   *BlockLocks
 	intents IntentLog // nil when the volume is not journaled
 
-	pipe   *sealer.Pipeline // nil → serial bursts (the default)
-	bursts sync.Pool        // *burstScratch — per-burst buffers
+	pipe *sealer.Pipeline // nil → serial bursts (the default)
+
+	// free holds idle batch scratch. A bounded list, not a sync.Pool:
+	// the collector empties pools, and the first batch after every cycle
+	// would re-grow a several-hundred-KiB arena by doubling, as garbage
+	// and fresh large spans, for scratch a busy volume needs again at
+	// once. A handful kept alive costs less than that churn.
+	freeMu sync.Mutex
+	free   []*batch
 
 	// Stream counters are obs.Counter so a registry can export the
 	// same atomics Stats reads — one source of truth, no second copy.
@@ -178,7 +184,7 @@ type Scheduler struct {
 // already sees — never which updates were real (see DESIGN.md,
 // "Observability plane").
 type metricsState struct {
-	updateSeconds  *obs.Histogram // data-update draw-loop latency
+	updateSeconds  *obs.Histogram // latency of one data-update run
 	updateIters    *obs.Histogram // Figure-6 iterations per data update
 	burstSeconds   *obs.Histogram // dummy-burst latency
 	asyncSubmits   *obs.Counter
@@ -189,35 +195,99 @@ type metricsState struct {
 	volume string
 }
 
-// burstScratch carries every buffer one dummy burst needs — target
-// locations, the lock shards held, per-target sealers, the block slab
-// and pre-drawn IVs — the bytes bump-carved from one arena that grows
-// to the burst high-water mark and is then reused. Scratch structs are
-// pooled on the Scheduler because bursts can run concurrently (daemon
-// ticks and explicit calls); each burst owns one exclusively.
-type burstScratch struct {
-	arena  mempool.Arena
-	locs   []uint64
-	shards []uint64
-	seals  []*sealer.Sealer // per eligible target; nil marks a refill
-	raws   [][]byte
+// step is what the execute stage does with the block an element read
+// in before it writes the element's block out.
+type step uint8
 
-	// The burst's reseal targets compacted in eligible order — the
-	// lanes sealer.ResealLanes takes, each under its own file's key.
+const (
+	// stepPayload writes the caller's sealed block; the block read in
+	// is Figure 6's "read in B1" and is discarded.
+	stepPayload step = iota
+	// stepReseal re-encrypts the block read in under the element's
+	// sealer and a fresh IV.
+	stepReseal
+	// stepRefill overwrites the block read in with fresh filler.
+	stepRefill
+)
+
+// batch is one ordered list of stream elements — a data-update run
+// with its camouflage, or a dummy burst — and every buffer executing
+// it needs: the bytes bump-carved from one arena that grows to the
+// high-water mark and is then reused. Batches are recycled through the
+// Scheduler's free list because they can run concurrently (sessions,
+// daemon ticks, explicit calls); each caller owns one exclusively.
+type batch struct {
+	arena mempool.Arena
+
+	// One entry per stream element, in stream order.
+	reads  []uint64         // block read in: B1 of an update, the target of a dummy update
+	writes []uint64         // block written
+	steps  []step           // dummy updates are planned as stepReseal and classified at execution
+	seals  []*sealer.Sealer // stepReseal: the key the block is sealed under
+	outs   [][]byte         // block written: the payload, or raws[i] resealed or refilled
+	raws   [][]byte         // blocks read in
+
+	// A data-update run's plan: how many draws each block took (where it
+	// lands is its payload element's write).
+	iters []int
+
+	locked []uint64 // every block read or written, as LockShards takes them
+	shards []uint64
+
+	// The reseal elements compacted in stream order — the lanes
+	// sealer.ResealLanes takes, each under its own file's key.
 	laneSeals []*sealer.Sealer
 	laneRaws  [][]byte
 }
 
-func (s *Scheduler) getBurst() *burstScratch {
-	b, _ := s.bursts.Get().(*burstScratch)
+// add appends one stream element; a nil payload marks a dummy update.
+func (b *batch) add(read, write uint64, payload []byte) {
+	st := stepReseal
+	if payload != nil {
+		st = stepPayload
+	}
+	b.reads = append(b.reads, read)
+	b.writes = append(b.writes, write)
+	b.steps = append(b.steps, st)
+	b.seals = append(b.seals, nil)
+	b.outs = append(b.outs, payload)
+}
+
+// truncate cuts the element lists to n entries.
+func (b *batch) truncate(n int) {
+	b.reads, b.writes, b.steps = b.reads[:n], b.writes[:n], b.steps[:n]
+	b.seals, b.outs = b.seals[:n], b.outs[:n]
+}
+
+// maxFreeBatches bounds the free list: sessions beyond it allocate a
+// batch per call, which only costs them the arena's warm-up.
+const maxFreeBatches = 4
+
+func (s *Scheduler) getBatch() *batch {
+	s.freeMu.Lock()
+	var b *batch
+	if n := len(s.free); n > 0 {
+		b, s.free = s.free[n-1], s.free[:n-1]
+	}
+	s.freeMu.Unlock()
 	if b == nil {
-		b = new(burstScratch)
+		b = new(batch)
 	}
 	b.arena.Reset()
+	b.truncate(0)
+	b.iters = b.iters[:0]
 	return b
 }
 
-func (s *Scheduler) putBurst(b *burstScratch) { s.bursts.Put(b) }
+func (s *Scheduler) putBatch(b *batch) {
+	// Drop the callers' payload blocks; the scratch keeps only its own.
+	clear(b.outs[:cap(b.outs)])
+	s.freeMu.Lock()
+	if len(s.free) < maxFreeBatches {
+		s.free = append(s.free, b)
+	}
+	s.freeMu.Unlock()
+}
 
 // Stats is a snapshot of the scheduler's counters; the field meanings
 // match steghide.UpdateStats.
@@ -290,7 +360,7 @@ func (s *Scheduler) EnableMetrics(reg *obs.Registry, volume string) {
 		"idle-time dummy updates emitted", &s.dummyUpdates, l...)
 	s.metrics = &metricsState{
 		updateSeconds: reg.Histogram("steghide_sched_update_seconds",
-			"data-update draw-loop latency", obs.LatencyBuckets, l...),
+			"latency of one scheduler call: a run of data updates planned and executed as a batch", obs.LatencyBuckets, l...),
 		updateIters: reg.Histogram("steghide_sched_update_iterations",
 			"Figure-6 iterations per data update", obs.IterationBuckets, l...),
 		burstSeconds: reg.Histogram("steghide_sched_burst_seconds",
@@ -324,17 +394,6 @@ func (s *Scheduler) instrumentPipe(reg *obs.Registry, volume string) {
 	)
 }
 
-// observeUpdate records one successful data update's latency and
-// iteration count; nil-safe and free when no registry is attached.
-func (s *Scheduler) observeUpdate(start time.Time, iters int) {
-	m := s.metrics
-	if m == nil {
-		return
-	}
-	m.updateSeconds.Observe(time.Since(start).Seconds())
-	m.updateIters.Observe(float64(iters))
-}
-
 // Stats returns a snapshot of the counters.
 func (s *Scheduler) Stats() Stats {
 	return Stats{
@@ -363,189 +422,269 @@ func (s *Scheduler) ResetStats() {
 // the signal the adaptive daemon watches to fill only idle gaps.
 func (s *Scheduler) DataSeq() uint64 { return s.dataUpdates.Load() }
 
-// getBuf borrows a single-block scratch buffer from the memory plane.
-func (s *Scheduler) getBuf() []byte  { return mempool.Get(s.vol.BlockSize()) }
-func (s *Scheduler) putBuf(b []byte) { mempool.Recycle(b) }
-
-// Update runs the Figure-6 data-update algorithm for block loc: draw a
-// uniformly random block B2; if B2 is loc itself update in place; if
-// B2 is a dummy block relocate the data there; otherwise issue a
-// camouflage dummy update on B2 and redraw. It returns the block the
-// data finally landed on. sealed is the block's new content already
-// sealed under seal (the stegfs.UpdatePolicy contract): placement never
-// changes a sealed block's bytes, so sealing happens once, ahead of the
-// loop, and the loop is draws and I/O only. Concurrent calls interleave
-// safely: draws and partition bookkeeping serialize inside the Space,
-// while the read/write work of different blocks overlaps.
+// Update is UpdateRun for a single block under no deadline; it returns
+// the block the data landed on.
 func (s *Scheduler) Update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
 	return s.UpdateCtx(context.Background(), loc, seal, sealed)
 }
 
-// UpdateCtx is Update with cooperative cancellation: the context is
-// consulted before every draw of the Figure-6 loop — the scheduler's
-// wait point, where an update can spin arbitrarily long hunting for a
-// dummy block on a crowded volume. A cancelled context aborts the
-// update before the next draw; the iteration in flight always runs to
-// completion, because a committed draw's two-phase bookkeeping
-// (relocation withdraw/commit) must never be abandoned half-way. No
-// I/O lands after the abort, so the block being updated keeps its
-// pre-call content.
+// UpdateCtx is the n = 1 call of UpdateRun.
 func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-	if len(sealed) != s.vol.BlockSize() {
-		return 0, fmt.Errorf("sched: sealed block of %d bytes, want %d", len(sealed), s.vol.BlockSize())
+	locs, blocks := [1]uint64{loc}, [1][]byte{sealed}
+	if err := s.UpdateRun(ctx, locs[:], seal, blocks[:]); err != nil {
+		return 0, err
+	}
+	return locs[0], nil
+}
+
+// UpdateRun runs the Figure-6 data-update algorithm for a run of
+// distinct blocks as one batch. Per block: draw a uniformly random
+// block B2; if B2 is the block itself update in place; if B2 is a dummy
+// block relocate the data there; otherwise issue a camouflage dummy
+// update on B2 and redraw. sealed[i] is the new content of the block at
+// locs[i], already sealed under seal (the stegfs.UpdatePolicy
+// contract): placement never changes a sealed block's bytes, so the
+// scheduler only draws and moves blocks. On success locs holds where
+// each block landed.
+//
+// The run is planned whole — every draw made, every relocation target
+// withdrawn — and then executed as one burst-shaped cycle: every
+// element's intent in the ring, one scattered read, the camouflage
+// reseals in lanes, one scattered write, and only then the relocations
+// committed. A run that fails or is cancelled changes nothing: no
+// block map entry, no counter, and every withdrawn target is back in
+// the dummy pool; blocks a failed write half-landed on read back as
+// their old or their new content.
+//
+// The context is consulted before every draw — the scheduler's wait
+// point, where a run can spin arbitrarily long hunting for dummy blocks
+// on a crowded volume. Concurrent calls interleave safely: draws and
+// partition bookkeeping serialize inside the Space, while the I/O of
+// batches touching different blocks overlaps.
+func (s *Scheduler) UpdateRun(ctx context.Context, locs []uint64, seal *sealer.Sealer, sealed [][]byte) error {
+	if len(locs) != len(sealed) {
+		return fmt.Errorf("sched: %d sealed blocks for %d locations", len(sealed), len(locs))
+	}
+	for _, blk := range sealed {
+		if len(blk) != s.vol.BlockSize() {
+			return fmt.Errorf("sched: sealed block of %d bytes, want %d", len(blk), s.vol.BlockSize())
+		}
 	}
 	var start time.Time
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	iters := 0
-	counted := false
-	for {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+	b := s.getBatch()
+	defer s.putBatch(b)
+	if err := s.plan(ctx, b, locs, sealed); err != nil {
+		s.settle(b, nil, err)
+		return err
+	}
+	if err := s.execute(b, seal, false); err != nil {
+		return err
+	}
+	// Counted only now: a run that failed emitted nothing it can vouch
+	// for, and counting it would advance DataSeq and wrongly tell the
+	// adaptive daemon the stream is busy while it is in fact silent.
+	// The payload elements are the run's blocks, in run order.
+	var moved uint64
+	landed := locs[:0]
+	for i, st := range b.steps {
+		if st == stepPayload {
+			if b.writes[i] != b.reads[i] {
+				moved++
+			}
+			landed = append(landed, b.writes[i])
 		}
-		t, err := s.space.DrawUpdate(loc)
-		if err != nil {
-			return 0, err
+	}
+	total := 0
+	for _, n := range b.iters {
+		total += n
+		if m := s.metrics; m != nil {
+			m.updateIters.Observe(float64(n))
 		}
-		// Count the update only once a draw succeeded: an update that
-		// fails outright (no dummy space) emits no I/O, and counting
-		// it would advance DataSeq and wrongly tell the adaptive
-		// daemon the stream is busy while it is in fact silent.
-		if !counted {
-			s.dataUpdates.Add(1)
-			counted = true
+	}
+	s.dataUpdates.Add(uint64(len(locs)))
+	s.iterations.Add(uint64(total))
+	s.relocations.Add(moved)
+	s.inPlace.Add(uint64(len(locs)) - moved)
+	s.camouflage.Add(uint64(len(b.reads) - len(locs)))
+	if m := s.metrics; m != nil {
+		m.updateSeconds.Observe(time.Since(start).Seconds())
+	}
+	return nil
+}
+
+// plan runs the Figure-6 draw loop for every block of the run, in
+// order, collecting the stream elements it will emit. Relocation
+// targets are withdrawn from the dummy pool as they are drawn and
+// committed only after the whole batch landed (execute): committing at
+// plan time would let a concurrent session relocate onto the vacated
+// block — or reseal the target under the data key — before this run's
+// payload was anywhere on disk.
+//
+// Deferring the I/O creates one hazard the one-at-a-time loop did not
+// have: a block an earlier element of this plan writes a payload to (in
+// place, or as its relocation target under a Space that classifies
+// withdrawn targets as occupied) still holds its old bytes when the
+// batch is read, so a camouflage reseal of it would be written after —
+// over — the new payload. Such a block is mid-operation for the rest of
+// the plan: a draw landing on it is a Redraw. Everything else is safe in
+// plan order because the batch reads before it writes and writes in
+// element order: duplicate camouflage targets reseal the same old bytes
+// twice and the last lands; camouflage on an earlier relocation's
+// not-yet-vacated source reseals data that is still the durable copy;
+// camouflage on a later element's block is overwritten by that
+// element's payload or left behind by its relocation.
+func (s *Scheduler) plan(ctx context.Context, b *batch, locs []uint64, sealed [][]byte) error {
+	for i, loc := range locs {
+		for iters := 1; ; iters++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			t, err := s.space.DrawUpdate(loc)
+			if err != nil {
+				return err
+			}
+			if t.Kind == Camouflage {
+				if !b.writesPayloadTo(t.Loc) {
+					b.add(t.Loc, t.Loc, nil)
+				}
+				continue
+			}
+			if t.Kind == Redraw {
+				continue
+			}
+			// Self or Relocate: the block lands, in place or on the
+			// withdrawn dummy block.
+			b.add(loc, t.Loc, sealed[i])
+			b.iters = append(b.iters, iters)
+			break
 		}
-		s.iterations.Add(1)
-		iters++
-		switch t.Kind {
-		case Redraw:
+	}
+	return nil
+}
+
+// writesPayloadTo reports whether an element already planned writes a
+// payload to loc.
+func (b *batch) writesPayloadTo(loc uint64) bool {
+	for i, st := range b.steps {
+		if st == stepPayload && b.writes[i] == loc {
+			return true
+		}
+	}
+	return false
+}
+
+// settle finishes the two-phase bookkeeping of every relocation in the
+// batch: committed (the vacated block joins the dummy pool, the target
+// is recorded under seal) when the batch landed, aborted (the target
+// returns to the pool, the data never left) when err says it did not.
+func (s *Scheduler) settle(b *batch, seal *sealer.Sealer, err error) {
+	for i, st := range b.steps {
+		if st != stepPayload || b.reads[i] == b.writes[i] {
 			continue
-
-		case Self:
-			// Update in place: read in B1, write the block re-encrypted
-			// under its new IV.
-			// In-place rewrites commit atomically with the block write
-			// itself (the header keeps pointing at loc), so the ring
-			// element is a filler — emitted all the same, to keep one
-			// slot write per stream element.
-			if s.intents != nil {
-				if err := s.intents.DummyIntent(1); err != nil {
-					return 0, err
-				}
-			}
-			s.locks.LockBlock(loc)
-			raw := s.getBuf()
-			err := s.dev.ReadBlock(loc, raw)
-			if err == nil {
-				err = s.dev.WriteBlock(loc, sealed)
-			}
-			s.putBuf(raw)
-			s.locks.UnlockBlock(loc)
-			if err != nil {
-				return 0, err
-			}
-			s.inPlace.Add(1)
-			s.observeUpdate(start, iters)
-			return loc, nil
-
-		case Relocate:
-			// B2 is a dummy block: the data moves there; the old
-			// location joins the dummy pool once the write succeeded.
-			// The intent record must be durable before the payload
-			// write, so recovery can find both endpoints.
-			if s.intents != nil {
-				if err := s.intents.BeginReloc(loc, t.Loc); err != nil {
-					s.space.AbortRelocate(loc, t.Loc)
-					return 0, err
-				}
-			}
-			unlock := s.locks.Lock2(loc, t.Loc)
-			raw := s.getBuf()
-			err := s.dev.ReadBlock(loc, raw)
-			if err == nil {
-				err = s.dev.WriteBlock(t.Loc, sealed)
-			}
-			if err != nil {
-				s.putBuf(raw)
-				unlock()
-				s.space.AbortRelocate(loc, t.Loc)
-				return 0, err
-			}
-			s.space.CommitRelocate(loc, t.Loc, seal)
-			s.putBuf(raw)
-			unlock()
-			s.relocations.Add(1)
-			s.observeUpdate(start, iters)
-			return t.Loc, nil
-
-		case Camouflage:
-			// B2 holds something else: camouflage dummy update, redraw.
-			done, err := s.dummyOn(t.Loc)
-			if err != nil {
-				return 0, err
-			}
-			if done {
-				s.camouflage.Add(1)
-			}
+		}
+		if err != nil {
+			s.space.AbortRelocate(b.reads[i], b.writes[i])
+		} else {
+			s.space.CommitRelocate(b.reads[i], b.writes[i], seal)
 		}
 	}
 }
 
-// dummyOn performs one dummy update on loc under its I/O lock. The
-// target is re-classified at execution time, so role changes between
-// draw and execution (relocations, allocations) are honoured. It
-// reports whether any I/O was issued.
-func (s *Scheduler) dummyOn(loc uint64) (bool, error) {
-	s.locks.LockBlock(loc)
-	defer s.locks.UnlockBlock(loc)
-	act, seal := s.space.Classify(loc)
-	if act == ActSkip {
-		return false, nil
+// execute emits the batch's elements as one read-modify-write cycle
+// under the I/O locks of every block they touch, and settles the
+// batch's relocations before the locks drop. Dummy updates are
+// re-classified under the locks first (Space.Classify), so a block that
+// changed role since it was drawn is resealed under its current key, or
+// dropped if it is mid-operation — never clobbered with stale
+// assumptions. It is the whole of a dummy burst and the second half of
+// a data-update run: the two differ only in whether any element carries
+// a payload.
+func (s *Scheduler) execute(b *batch, seal *sealer.Sealer, pipelined bool) error {
+	b.locked = append(b.locked[:0], b.reads...)
+	for i, w := range b.writes {
+		if w != b.reads[i] {
+			b.locked = append(b.locked, w)
+		}
 	}
+	b.shards = s.locks.LockShards(b.shards, b.locked)
+	defer s.locks.UnlockShards(b.shards)
+
+	n := 0
+	for i, st := range b.steps {
+		var key *sealer.Sealer
+		if st != stepPayload {
+			act, cur := s.space.Classify(b.reads[i])
+			if act == ActSkip {
+				continue
+			}
+			st = stepRefill
+			if act == ActReseal {
+				st, key = stepReseal, cur
+			}
+		}
+		b.reads[n], b.writes[n], b.steps[n], b.seals[n], b.outs[n] = b.reads[i], b.writes[i], st, key, b.outs[i]
+		n++
+	}
+	b.truncate(n)
+	if n == 0 {
+		return nil
+	}
+	// Every element's intent is durable before any element's block is
+	// written, so recovery finds both endpoints of every relocation
+	// whichever write a power cut interrupts.
+	var err error
 	if s.intents != nil {
-		if err := s.intents.DummyIntent(1); err != nil {
-			return false, err
+		err = s.intents.LogStream(b.reads, b.writes)
+	}
+	if err == nil {
+		if pipelined {
+			err = s.burstPipelined(b)
+		} else {
+			err = s.burstSerial(b)
 		}
 	}
-	raw := s.getBuf()
-	defer s.putBuf(raw)
-	// Read first either way, so the observable I/O of a refill matches
-	// a reseal: one read, one write.
-	if err := s.dev.ReadBlock(loc, raw); err != nil {
-		return false, err
+	s.settle(b, seal, err)
+	return err
+}
+
+// dummies draws up to n idle-time targets exactly as n single dummy
+// updates would and executes them as one batch. It returns how many
+// were issued: targets whose classification went stale between draw
+// and execution are dropped.
+func (s *Scheduler) dummies(n int, pipelined bool) (int, error) {
+	b := s.getBatch()
+	defer s.putBatch(b)
+	if cap(b.locked) < n {
+		b.locked = make([]uint64, n)
 	}
-	switch act {
-	case ActReseal:
-		var iv [sealer.IVSize]byte
-		s.vol.NextIV(iv[:])
-		if err := seal.Reseal(raw, iv[:], nil); err != nil {
-			return false, err
-		}
-	case ActRefill:
-		s.vol.FillRandom(raw)
+	locs := b.locked[:n]
+	m, err := s.space.DrawDummyBatch(locs)
+	if err != nil {
+		return 0, err
 	}
-	if err := s.dev.WriteBlock(loc, raw); err != nil {
-		return false, err
+	if m == 0 {
+		return 0, ErrNoTarget
 	}
-	return true, nil
+	for _, loc := range locs[:m] {
+		b.add(loc, loc, nil)
+	}
+	if err := s.execute(b, nil, pipelined); err != nil {
+		return 0, err
+	}
+	s.dummyUpdates.Add(uint64(len(b.reads)))
+	return len(b.reads), nil
 }
 
 // DummyUpdate issues one idle-time dummy update on a uniformly random
-// block of the space.
+// block of the space: the burst of one.
 func (s *Scheduler) DummyUpdate() error {
 	for try := 0; try < 64; try++ {
-		loc, err := s.space.DrawDummy()
-		if err != nil {
+		n, err := s.dummies(1, false)
+		if err != nil || n > 0 {
 			return err
-		}
-		done, err := s.dummyOn(loc)
-		if err != nil {
-			return err
-		}
-		if done {
-			s.dummyUpdates.Add(1)
-			return nil
 		}
 	}
 	return ErrNoTarget
@@ -561,76 +700,31 @@ func (s *Scheduler) DummyUpdateBurst(n int) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	b := s.getBurst()
-	defer s.putBurst(b)
-	if cap(b.locs) < n {
-		b.locs = make([]uint64, n)
-	}
-	locs := b.locs[:n]
-	m, err := s.space.DrawDummyBatch(locs)
-	if err != nil {
-		return 0, err
-	}
-	if m == 0 {
-		return 0, ErrNoTarget
-	}
-	locs = locs[:m]
-
-	b.shards = s.locks.LockShards(b.shards, locs)
-	defer s.locks.UnlockShards(b.shards)
-
-	// Classify every target under the locks, dropping stale ones.
-	elig := locs[:0]
-	seals := b.seals[:0]
-	for _, loc := range locs {
-		act, seal := s.space.Classify(loc)
-		if act == ActSkip {
-			continue
-		}
-		if act == ActRefill {
-			seal = nil
-		}
-		elig = append(elig, loc)
-		seals = append(seals, seal)
-	}
-	b.seals = seals // keep the grown backing for the next burst
-	if len(elig) == 0 {
-		return 0, nil
-	}
-	if s.intents != nil {
-		if err := s.intents.DummyIntent(len(elig)); err != nil {
-			return 0, err
-		}
-	}
-
 	var start time.Time
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	if s.pipe != nil {
-		if err := s.burstPipelined(b, elig, seals); err != nil {
-			return 0, err
-		}
-	} else if err := s.burstSerial(b, elig, seals); err != nil {
-		return 0, err
-	}
-	if m := s.metrics; m != nil {
+	issued, err := s.dummies(n, s.pipe != nil)
+	if m := s.metrics; m != nil && issued > 0 {
 		m.burstSeconds.Observe(time.Since(start).Seconds())
 	}
-	s.dummyUpdates.Add(uint64(len(elig)))
-	return len(elig), nil
+	return issued, err
 }
 
-// planReseals carves the burst's block slab and compacts its reseal
-// targets, in eligible order, into the scratch's lane lists, drawing
-// their IVs in that order. The IV of a block does not depend on its
-// content, so this runs before any I/O in both execute stages.
-func (s *Scheduler) planReseals(b *burstScratch, seals []*sealer.Sealer) (raws [][]byte, ivs []byte) {
-	b.raws = b.arena.Blocks(b.raws[:0], len(seals), s.vol.BlockSize())
+// planReseals carves the batch's block slab and compacts its reseal
+// elements, in stream order, into the lane lists, drawing their IVs in
+// that order. The IV of a block does not depend on its content, so this
+// runs before any I/O in both execute stages.
+func (s *Scheduler) planReseals(b *batch) (ivs []byte) {
+	b.raws = b.arena.Blocks(b.raws[:0], len(b.steps), s.vol.BlockSize())
 	b.laneSeals, b.laneRaws = b.laneSeals[:0], b.laneRaws[:0]
-	for i, seal := range seals {
-		if seal != nil {
-			b.laneSeals = append(b.laneSeals, seal)
+	for i, st := range b.steps {
+		if st == stepPayload {
+			continue
+		}
+		b.outs[i] = b.raws[i]
+		if st == stepReseal {
+			b.laneSeals = append(b.laneSeals, b.seals[i])
 			b.laneRaws = append(b.laneRaws, b.raws[i])
 		}
 	}
@@ -638,36 +732,41 @@ func (s *Scheduler) planReseals(b *burstScratch, seals []*sealer.Sealer) (raws [
 	for i := range b.laneSeals {
 		s.vol.NextIV(ivs[i*sealer.IVSize : (i+1)*sealer.IVSize])
 	}
-	return b.raws, ivs
+	return ivs
 }
 
-// refill overwrites the refill targets among raws, in order, with
-// fresh filler; it reports how many blocks were reseal targets instead.
-func (s *Scheduler) refill(seals []*sealer.Sealer, raws [][]byte) (reseals int) {
-	for i, seal := range seals {
-		if seal != nil {
+// refill overwrites the refill elements among raws, in order, with
+// fresh filler; it reports how many elements were reseals instead.
+func (s *Scheduler) refill(steps []step, raws [][]byte) (reseals int) {
+	for i, st := range steps {
+		switch st {
+		case stepReseal:
 			reseals++
-			continue
+		case stepRefill:
+			s.vol.FillRandom(raws[i])
 		}
-		s.vol.FillRandom(raws[i])
 	}
 	return reseals
 }
 
-// burstSerial is the reference execute stage of a dummy burst: one
-// scattered read of every eligible block, the refills and the reseal
-// lanes, one scattered write-back. The pipelined stage below is
-// defined as observably equivalent to this code.
-func (s *Scheduler) burstSerial(b *burstScratch, elig []uint64, seals []*sealer.Sealer) error {
-	raws, ivs := s.planReseals(b, seals)
-	if err := blockdev.ReadBlocksAt(s.dev, elig, raws); err != nil {
+// burstSerial is the reference I/O stage of a batch: one scattered read
+// of every element's block (the Figure-6 read is kept for payload
+// elements too, so a real update and the dummy it displaced cost the
+// device the same), the refills and the reseal lanes, one scattered
+// write — payloads to their drawn locations, resealed blocks back in
+// place, in element order, so the last write to a block wins. The
+// pipelined stage below is defined as observably equivalent to this
+// code for batches without payloads.
+func (s *Scheduler) burstSerial(b *batch) error {
+	ivs := s.planReseals(b)
+	if err := blockdev.ReadBlocksAt(s.dev, b.reads, b.raws); err != nil {
 		return err
 	}
-	s.refill(seals, raws)
+	s.refill(b.steps, b.raws)
 	if err := sealer.ResealLanes(b.laneSeals, b.laneRaws, ivs); err != nil {
 		return err
 	}
-	return blockdev.WriteBlocksAt(s.dev, elig, raws)
+	return blockdev.WriteBlocksAt(s.dev, b.writes, b.outs)
 }
 
 // burstChunk is how many blocks ride each async submission of a
@@ -698,11 +797,12 @@ const burstChunk = 16
 //     writes behind it.
 //
 // The caller holds every eligible block's lock and has already emitted
-// the burst's single intent record on the serial control path, so the
-// journal's one-slot-per-element invariant is untouched.
-func (s *Scheduler) burstPipelined(b *burstScratch, elig []uint64, seals []*sealer.Sealer) error {
-	n := len(elig)
-	raws, ivs := s.planReseals(b, seals)
+// the burst's intents on the serial control path, so the journal's
+// one-slot-per-element invariant is untouched. A pipelined batch
+// carries no payloads: what it reads is what it writes back.
+func (s *Scheduler) burstPipelined(b *batch) error {
+	ivs := s.planReseals(b)
+	elig, raws, n := b.reads, b.raws, len(b.reads)
 
 	chunks := (n + burstChunk - 1) / burstChunk
 	ring := blockdev.NewAsync(s.dev, 1, 2*chunks)
@@ -726,7 +826,7 @@ func (s *Scheduler) burstPipelined(b *burstScratch, elig []uint64, seals []*seal
 		if _, err := ring.Complete(); err != nil { // read chunk c (fact 3)
 			return err
 		}
-		end := lane + s.refill(seals[lo:hi], raws[lo:hi])
+		end := lane + s.refill(b.steps[lo:hi], raws[lo:hi])
 		err := s.pipe.ResealLanes(b.laneSeals[lane:end], b.laneRaws[lane:end], ivs[lane*sealer.IVSize:end*sealer.IVSize])
 		if err != nil {
 			return err

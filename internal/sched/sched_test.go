@@ -16,7 +16,14 @@ import (
 // BitmapSpace at roughly the given utilization.
 func newBitmapRig(t testing.TB, nBlocks uint64, utilization float64) (*Scheduler, *stegfs.Volume, *stegfs.BitmapSource) {
 	t.Helper()
-	vol, err := stegfs.Format(blockdev.NewMem(128, nBlocks),
+	return newBitmapRigOn(t, blockdev.NewMem(128, nBlocks), utilization)
+}
+
+// newBitmapRigOn is newBitmapRig over a caller-built device (a tracer,
+// a fault injector).
+func newBitmapRigOn(t testing.TB, dev blockdev.Device, utilization float64) (*Scheduler, *stegfs.Volume, *stegfs.BitmapSource) {
+	t.Helper()
+	vol, err := stegfs.Format(dev,
 		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("sched")})
 	if err != nil {
 		t.Fatal(err)
@@ -281,16 +288,15 @@ type countingIntents struct {
 	dummies int
 }
 
-func (c *countingIntents) BeginReloc(oldLoc, newLoc uint64) error {
+func (c *countingIntents) LogStream(from, to []uint64) error {
 	c.mu.Lock()
-	c.relocs++
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *countingIntents) DummyIntent(n int) error {
-	c.mu.Lock()
-	c.dummies += n
+	for i := range from {
+		if from[i] != to[i] {
+			c.relocs++
+		} else {
+			c.dummies++
+		}
+	}
 	c.mu.Unlock()
 	return nil
 }

@@ -134,15 +134,18 @@ type relocatingPolicy struct {
 	rng *prng.PRNG
 }
 
-func (p relocatingPolicy) Update(loc uint64, _ *sealer.Sealer, sealed []byte) (uint64, error) {
-	newLoc, err := p.src.AcquireRandom()
-	if err != nil {
-		return 0, err
+func (p relocatingPolicy) Update(locs []uint64, _ *sealer.Sealer, sealed [][]byte) error {
+	for i, loc := range locs {
+		newLoc, err := p.src.AcquireRandom()
+		if err != nil {
+			return err
+		}
+		if err := p.vol.WriteRaw(newLoc, sealed[i]); err != nil {
+			p.src.Release(newLoc)
+			return err
+		}
+		p.src.Release(loc)
+		locs[i] = newLoc
 	}
-	if err := p.vol.WriteRaw(newLoc, sealed); err != nil {
-		p.src.Release(newLoc)
-		return 0, err
-	}
-	p.src.Release(loc)
-	return newLoc, nil
+	return nil
 }

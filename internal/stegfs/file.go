@@ -454,38 +454,44 @@ func (f *File) ReadBlockAt(li uint64) ([]byte, error) {
 }
 
 // WriteBlockAt updates logical block li with payload via the policy,
-// recording any relocation in the cached map.
+// recording any relocation in the cached map: the run of one.
 func (f *File) WriteBlockAt(li uint64, payload []byte, policy UpdatePolicy) error {
-	if _, err := f.BlockLoc(li); err != nil {
-		return err
-	}
-	raw := mempool.Get(f.vol.BlockSize())
-	defer mempool.Recycle(raw)
-	f.vol.NextIV(raw[:sealer.IVSize])
-	if err := f.cseal.Seal(raw, raw[:sealer.IVSize], payload); err != nil {
-		return err
-	}
-	return f.placeSealed(li, raw, policy)
+	f.scanOuts = append(f.scanOuts[:0], payload)
+	return f.writeRun(li, f.scanOuts, policy)
 }
 
-// placeSealed hands the policy one sealed block as the new content of
-// logical block li and records where it landed.
-func (f *File) placeSealed(li uint64, sealed []byte, policy UpdatePolicy) error {
-	loc, err := f.BlockLoc(li)
-	if err != nil {
+// writeRun seals payloads — the new contents of the logical blocks from
+// li on — in one batch, eight lanes at a time, hands the policy the
+// whole run and records where each block landed. A run the policy
+// fails leaves the map as it was.
+func (f *File) writeRun(li uint64, payloads [][]byte, policy UpdatePolicy) error {
+	n, bs := len(payloads), f.vol.BlockSize()
+	if end := li + uint64(n); end > uint64(len(f.blocks)) {
+		return fmt.Errorf("stegfs: logical block %d beyond map of %d", end-1, len(f.blocks))
+	}
+	slab := mempool.Get(n * bs)
+	defer mempool.Recycle(slab)
+	f.scanRaws = carveBlocks(f.scanRaws[:0], slab, n, bs)
+	if err := f.cseal.SealMany(f.scanRaws, f.vol.NextIV, payloads); err != nil {
 		return err
 	}
+	f.scanLocs = append(f.scanLocs[:0], f.blocks[li:li+uint64(n)]...)
 	if il := f.vol.IntentHooks(); il != nil {
-		// A relocation intent for loc must be able to name this file's
-		// header, so recovery knows which on-disk map decides it.
-		il.NoteOwner(loc, f.headerLoc)
+		// A relocation intent for a block must be able to name this
+		// file's header, so recovery knows which on-disk map decides it.
+		for _, loc := range f.scanLocs {
+			il.NoteOwner(loc, f.headerLoc)
+		}
 	}
-	newLoc, err := policy.Update(loc, f.cseal, sealed)
-	if err != nil {
+	if err := policy.Update(f.scanLocs, f.cseal, f.scanRaws); err != nil {
 		return err
 	}
-	if newLoc != loc {
-		return f.RelocateBlock(li, newLoc)
+	for i, newLoc := range f.scanLocs {
+		if newLoc != f.blocks[li+uint64(i)] {
+			if err := f.RelocateBlock(li+uint64(i), newLoc); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -570,7 +576,7 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 }
 
 // readAtBatch bounds how many blocks one ReadAt device batch gathers,
-// and how many whole blocks a WriteAt seals ahead of placing them.
+// and how many whole blocks a WriteAt hands its policy as one run.
 const readAtBatch = 64
 
 // ReadAt reads len(p) bytes at byte offset off, returning the number
@@ -626,12 +632,13 @@ func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 
 // WriteAt writes p at byte offset off via the policy, growing the
 // file as needed. Partial-block writes read-modify-write the block.
-// A run of whole blocks is sealed in one batch, eight lanes at a time,
-// before the policy places the first of them: a sealed block does not
-// depend on where it lands. A run's IVs are thus drawn ahead of the
-// IVs its placements' camouflage updates draw, not interleaved with
-// them; each is still a fresh draw of the same stream, so the update
-// stream's distribution is untouched.
+// A run of up to readAtBatch whole blocks is sealed in one batch and
+// handed to the policy as one run: a sealed block does not depend on
+// where it lands. A run's IVs are thus drawn ahead of the IVs its
+// placements' camouflage updates draw, not interleaved with them; each
+// is still a fresh draw of the same stream, so the update stream's
+// distribution is untouched. A run the policy fails changes nothing and
+// ends the write; the runs before it keep their new content.
 func (f *File) WriteAt(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 	if f.IsDummy() {
 		return 0, fmt.Errorf("stegfs: write to dummy file %q", f.path)
@@ -649,19 +656,11 @@ func (f *File) WriteAt(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 		li := (off + uint64(written)) / uint64(ps)
 		bo := int((off + uint64(written)) % uint64(ps))
 		if run := min((len(p)-written)/ps, readAtBatch); bo == 0 && run > 0 {
-			slab := mempool.Get(run * bs)
-			f.scanRaws = carveBlocks(f.scanRaws[:0], slab, run, bs)
 			f.scanOuts = carveBlocks(f.scanOuts[:0], p[written:], run, ps)
-			err := f.cseal.SealMany(f.scanRaws, f.vol.NextIV, f.scanOuts)
-			for i := 0; i < run && err == nil; i++ {
-				if err = f.placeSealed(li+uint64(i), f.scanRaws[i], policy); err == nil {
-					written += ps
-				}
-			}
-			mempool.Recycle(slab)
-			if err != nil {
+			if err := f.writeRun(li, f.scanOuts, policy); err != nil {
 				return written, err
 			}
+			written += run * ps
 			continue
 		}
 		// A partial block: read it, patch it, write it back.

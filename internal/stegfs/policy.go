@@ -12,16 +12,18 @@ import "steghide/internal/sealer"
 //     block to a uniformly random position and emit camouflage I/O —
 //     see internal/steghide.
 type UpdatePolicy interface {
-	// Update makes sealed the new content of the block currently at
-	// loc, returning the block's (possibly new) location. sealed is a
-	// whole device block already sealed under seal, IV included: a
-	// sealed block does not depend on where it lands, so the file layer
-	// seals runs of blocks in one batch and the policy only decides
-	// placement and emits I/O. seal names the key for policies that
-	// record it with the block (to reseal it later as cover traffic).
-	// Implementations that relocate must transfer allocation ownership
-	// of the old and new locations themselves.
-	Update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error)
+	// Update makes sealed[i] the new content of the block currently at
+	// locs[i], for a run of distinct blocks of one file, and rewrites
+	// locs with where each block landed; on an error locs is untouched.
+	// A single block is the run of one. Every sealed[i] is a whole
+	// device block already sealed under seal, IV included: a sealed
+	// block does not depend on where it lands, so the file layer seals a
+	// run in one batch and the policy only decides placement and emits
+	// I/O. seal names the key for policies that record it with the
+	// blocks (to reseal them later as cover traffic). Implementations
+	// that relocate must transfer allocation ownership of the old and
+	// new locations themselves.
+	Update(locs []uint64, seal *sealer.Sealer, sealed [][]byte) error
 }
 
 // InPlacePolicy is the conventional read-modify-write: blocks never
@@ -32,9 +34,11 @@ type InPlacePolicy struct {
 }
 
 // Update implements UpdatePolicy.
-func (p InPlacePolicy) Update(loc uint64, _ *sealer.Sealer, sealed []byte) (uint64, error) {
-	if err := p.Vol.WriteRaw(loc, sealed); err != nil {
-		return 0, err
+func (p InPlacePolicy) Update(locs []uint64, _ *sealer.Sealer, sealed [][]byte) error {
+	for i, loc := range locs {
+		if err := p.Vol.WriteRaw(loc, sealed[i]); err != nil {
+			return err
+		}
 	}
-	return loc, nil
+	return nil
 }

@@ -121,6 +121,62 @@ func inAllowed(allowed [][]byte, got []byte) bool {
 	return false
 }
 
+// runLo and runHi bound the logical blocks of /b that phaseB rewrites
+// in one call — one scheduler batch, so the cut sweeps land on every
+// ring write and every block write inside it.
+const runLo, runHi = 4, 22
+
+// rewriteRun builds phaseB's multi-block write of /b: the run's blocks
+// are tracked first, written through write in one call, and the device
+// events of that call are kept in *events.
+func rewriteRun(tr *crashTrack, col *blockdev.Collector, events *[]blockdev.Event,
+	write func(data []byte, off uint64) error) func() error {
+	return func() error {
+		var data []byte
+		for li := uint64(runLo); li < runHi; li++ {
+			p := payloadFor(tr.ps, "/b", li, 3)
+			tr.noteWrite("/b", li, p)
+			data = append(data, p...)
+		}
+		mark := col.Len()
+		err := write(data, runLo*tr.ps)
+		*events = col.Events()[mark:]
+		return err
+	}
+}
+
+// checkIntentsPrecedePayloads asserts the batch's write-ahead order on
+// the device trace of one multi-block write: one ring slot per stream
+// element, every slot written before the first steg-space block, and
+// every block read before the first is written — so whichever write a
+// power cut interrupts, the ring already names both endpoints of every
+// relocation the batch contains.
+func checkIntentsPrecedePayloads(t *testing.T, events []blockdev.Event, vol *stegfs.Volume) {
+	t.Helper()
+	var slots, reads, writes int
+	for _, e := range events {
+		ring := e.Block < vol.FirstDataBlock()
+		switch {
+		case e.Op == blockdev.OpWrite && ring:
+			if reads+writes > 0 {
+				t.Fatalf("ring slot written after the batch's block I/O began (%d reads, %d writes in)", reads, writes)
+			}
+			slots += int(e.Span())
+		case e.Op == blockdev.OpWrite:
+			writes++
+		case !ring:
+			if writes > 0 {
+				t.Fatal("a block read after the batch's first block write")
+			}
+			reads++
+		}
+	}
+	if writes < runHi-runLo || slots != writes || reads != writes {
+		t.Fatalf("%d-block run: %d slots, %d reads, %d writes; want one of each per stream element",
+			runHi-runLo, slots, reads, writes)
+	}
+}
+
 // verifyTrackedFile checks one reopened file against its track.
 // tornLoc (when torn) is the single block the cut may have corrupted.
 func verifyTrackedFile(t *testing.T, path string, ft *fileTrack, f *stegfs.File,
@@ -172,6 +228,8 @@ var c1CrashSecret = []byte("crash-c1-secret")
 
 type c1CrashRig struct {
 	mem   *blockdev.Mem
+	col   *blockdev.Collector
+	batch []blockdev.Event // device events of phaseB's multi-block write
 	fd    *blockdev.FaultDevice
 	vol   *stegfs.Volume
 	agent *NonVolatileAgent
@@ -185,7 +243,8 @@ type c1CrashRig struct {
 func setupC1Crash(t *testing.T) *c1CrashRig {
 	t.Helper()
 	mem := blockdev.NewMem(crashBS, crashNBlocks)
-	fd := blockdev.NewFault(mem)
+	col := &blockdev.Collector{}
+	fd := blockdev.NewFault(blockdev.NewTraced(mem, col))
 	vol, err := stegfs.Format(fd, stegfs.FormatOptions{
 		KDFIterations: 2, FillSeed: []byte("crash-c1"), JournalBlocks: crashJournal,
 	})
@@ -201,7 +260,7 @@ func setupC1Crash(t *testing.T) *c1CrashRig {
 	}
 	pipelineFromEnv(agent)
 	rig := &c1CrashRig{
-		mem: mem, fd: fd, vol: vol, agent: agent,
+		mem: mem, col: col, fd: fd, vol: vol, agent: agent,
 		track: newCrashTrack(uint64(vol.PayloadSize())),
 		hdrs:  map[string]uint64{},
 	}
@@ -292,6 +351,8 @@ func (rig *c1CrashRig) phaseB() error {
 			}
 			return nil
 		},
+		sync("/b"),
+		rewriteRun(tr, rig.col, &rig.batch, func(data []byte, off uint64) error { return a.Write("/b", data, off) }),
 		sync("/b"),
 		func() error { return a.DummyUpdate() },
 		write("/a", 1, 2),
@@ -428,6 +489,7 @@ func TestC1CrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := ref.fd.Writes() - base
+	checkIntentsPrecedePayloads(t, ref.batch, ref.vol)
 	verifyC1Crash(t, ref, false)
 
 	stride := int64(1)
@@ -471,6 +533,8 @@ func TestC1CrashMatrixTornWrites(t *testing.T) {
 
 type c2CrashRig struct {
 	mem   *blockdev.Mem
+	col   *blockdev.Collector
+	batch []blockdev.Event // device events of phaseB's multi-block write
 	fd    *blockdev.FaultDevice
 	vol   *stegfs.Volume
 	agent *VolatileAgent
@@ -485,7 +549,8 @@ const c2AdminPass = "crash-c2-admin"
 func setupC2Crash(t *testing.T) *c2CrashRig {
 	t.Helper()
 	mem := blockdev.NewMem(crashBS, crashNBlocks)
-	fd := blockdev.NewFault(mem)
+	col := &blockdev.Collector{}
+	fd := blockdev.NewFault(blockdev.NewTraced(mem, col))
 	vol, err := stegfs.Format(fd, stegfs.FormatOptions{
 		KDFIterations: 2, FillSeed: []byte("crash-c2"), JournalBlocks: crashJournal,
 	})
@@ -502,7 +567,7 @@ func setupC2Crash(t *testing.T) *c2CrashRig {
 		t.Fatal(err)
 	}
 	rig := &c2CrashRig{
-		mem: mem, fd: fd, vol: vol, agent: agent, sess: sess,
+		mem: mem, col: col, fd: fd, vol: vol, agent: agent, sess: sess,
 		track: newCrashTrack(uint64(vol.PayloadSize())),
 	}
 	ps := rig.track.ps
@@ -586,6 +651,8 @@ func (rig *c2CrashRig) phaseB() error {
 			}
 			return nil
 		},
+		save("/b"),
+		rewriteRun(tr, rig.col, &rig.batch, func(data []byte, off uint64) error { return sess.Write("/b", data, off) }),
 		save("/b"),
 		// Refresh the cover's durable map mid-window.
 		func() error { return sess.Save("/cover") },
@@ -726,6 +793,7 @@ func TestC2CrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := ref.fd.Writes() - base
+	checkIntentsPrecedePayloads(t, ref.batch, ref.vol)
 	verifyC2Crash(t, ref, true)
 
 	stride := int64(1)

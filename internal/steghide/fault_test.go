@@ -3,6 +3,7 @@ package steghide
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -61,6 +62,83 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 	}
 	if err := a.Logout("u"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunFaultLeavesFileAndCoverIntact fails the device at every read
+// and every write index of one 16-block Write in turn — one scheduler
+// batch. Each failed call must leave the session as it found it: the
+// file's block map unchanged, every target the plan withdrew back in
+// the dummy file that donated it, and every block readable as its old
+// or (where an in-place write landed before the fault) its new content.
+func TestRunFaultLeavesFileAndCoverIntact(t *testing.T) {
+	const run = 16
+	for _, op := range []string{"read", "write"} {
+		for k := int64(0); ; k++ {
+			a, fd := newFaultyC2(t)
+			s, err := a.LoginWithPassphrase("u", "pw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cover, err := s.CreateDummy("/d", 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := s.Create("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := a.Vol().PayloadSize()
+			old := prng.NewFromUint64(1).Bytes(run * ps)
+			if err := s.Write("/f", old, 0); err != nil {
+				t.Fatal(err)
+			}
+			locs, dummies, coverBlocks := f.BlockLocs(), a.DummyBlocks(), cover.NumBlocks()
+			fresh := prng.NewFromUint64(2).Bytes(run * ps)
+			if op == "read" {
+				fd.FailReadsAfter(k)
+			} else {
+				fd.FailWritesAfter(k)
+			}
+			err = s.Write("/f", fresh, 0)
+			fd.Heal()
+			if err == nil {
+				if k < run {
+					t.Fatalf("%s fault %d did not reach a %d-block batch", op, k, run)
+				}
+				break // past the batch: every index covered
+			}
+			if !errors.Is(err, blockdev.ErrInjected) {
+				t.Fatalf("%s fault %d: %v", op, k, err)
+			}
+			if got := f.BlockLocs(); !slices.Equal(got, locs) {
+				t.Fatalf("%s fault %d: failed write moved the block map", op, k)
+			}
+			if a.DummyBlocks() != dummies || cover.NumBlocks() != coverBlocks {
+				t.Fatalf("%s fault %d: cover holds %d blocks (%d relocatable), had %d (%d)",
+					op, k, cover.NumBlocks(), a.DummyBlocks(), coverBlocks, dummies)
+			}
+			got := make([]byte, run*ps)
+			if _, err := s.Read("/f", got, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < run; i++ {
+				blk := got[i*ps : (i+1)*ps]
+				if !bytes.Equal(blk, old[i*ps:(i+1)*ps]) && !bytes.Equal(blk, fresh[i*ps:(i+1)*ps]) {
+					t.Fatalf("%s fault %d: block %d holds neither its old nor its new content", op, k, i)
+				}
+			}
+			// The session still works, cover traffic included.
+			if err := s.Write("/f", fresh, 0); err != nil {
+				t.Fatalf("%s fault %d: write after heal: %v", op, k, err)
+			}
+			if _, err := a.DummyUpdateBurst(32); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Read("/f", got, 0); err != nil || !bytes.Equal(got, fresh) {
+				t.Fatalf("%s fault %d: content after heal and cover traffic (%v)", op, k, err)
+			}
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // c1Intents is Construction 1's journal adapter: it implements both
 // stegfs.IntentLog (file-layer hooks: allocation, free, save) and
-// sched.IntentLog (stream hooks: relocation begin, dummy fillers),
-// and owns the limbo of vacated blocks.
+// sched.IntentLog (the stream hook: relocation intents and fillers, a
+// batch at a time), and owns the limbo of vacated blocks.
 //
 // Limbo is the runtime half of crash consistency: when a relocation
 // commits in memory, the vacated block's old ciphertext is still what
@@ -80,20 +80,19 @@ func (c *c1Intents) LogSave(headerLoc uint64) error {
 	return nil
 }
 
-// BeginReloc implements sched.IntentLog.
-func (c *c1Intents) BeginReloc(oldLoc, newLoc uint64) error {
-	c.mu.Lock()
-	h := c.owner[oldLoc]
-	c.mu.Unlock()
-	return c.j.AppendReloc(h, oldLoc, newLoc)
-}
-
-// DummyIntent implements sched.IntentLog.
-func (c *c1Intents) DummyIntent(n int) error {
-	if n == 1 {
-		return c.j.AppendDummy()
-	}
-	return c.j.AppendDummies(n)
+// LogStream implements sched.IntentLog: one ring slot per stream
+// element, the whole batch in one append.
+func (c *c1Intents) LogStream(from, to []uint64) error {
+	return c.j.AppendBatch(len(from), func(i int, rec *journal.Record) {
+		if from[i] == to[i] {
+			rec.Op = journal.OpDummy
+			return
+		}
+		c.mu.Lock()
+		h := c.owner[from[i]]
+		c.mu.Unlock()
+		*rec = journal.Record{Op: journal.OpReloc, FileH: h, OldLoc: from[i], NewLoc: to[i]}
+	})
 }
 
 // vacated is the BitmapSpace hook: a committed relocation's old block

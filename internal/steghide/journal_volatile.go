@@ -126,21 +126,20 @@ func (c *c2Intents) LogSave(headerLoc uint64) error {
 	return c.j.AppendSave(headerLoc)
 }
 
-// BeginReloc implements sched.IntentLog.
-func (c *c2Intents) BeginReloc(oldLoc, newLoc uint64) error {
+// LogStream implements sched.IntentLog: one ring slot per stream
+// element, the whole batch in one append.
+func (c *c2Intents) LogStream(from, to []uint64) error {
 	a := c.a
-	a.mu.Lock()
-	h := c.owner[oldLoc]
-	a.mu.Unlock()
-	return c.j.AppendReloc(h, oldLoc, newLoc)
-}
-
-// DummyIntent implements sched.IntentLog.
-func (c *c2Intents) DummyIntent(n int) error {
-	if n == 1 {
-		return c.j.AppendDummy()
-	}
-	return c.j.AppendDummies(n)
+	return c.j.AppendBatch(len(from), func(i int, rec *journal.Record) {
+		if from[i] == to[i] {
+			rec.Op = journal.OpDummy
+			return
+		}
+		a.mu.Lock()
+		h := c.owner[from[i]]
+		a.mu.Unlock()
+		*rec = journal.Record{Op: journal.OpReloc, FileH: h, OldLoc: from[i], NewLoc: to[i]}
+	})
 }
 
 // vacatedLocked is the CommitRelocate hook; the caller holds a.mu.

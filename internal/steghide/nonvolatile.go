@@ -2,7 +2,6 @@ package steghide
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -160,7 +159,7 @@ func (a *NonVolatileAgent) Create(locatorSecret, path string) (*stegfs.File, err
 	defer a.mu.Unlock()
 	for _, h := range a.files[path] {
 		if h.f.SameLocator(fak) {
-			return nil, fmt.Errorf("steghide: %q already open", path)
+			return nil, fmt.Errorf("%w: %q", ErrExists, path)
 		}
 	}
 	f, err := stegfs.CreateFile(a.vol, fak, path, a.source)
@@ -451,40 +450,14 @@ func (a *NonVolatileAgent) ReadHandle(path string, f *stegfs.File, p []byte, off
 
 // Policy exposes the Figure-6 update policy, for callers that manage
 // stegfs.File handles themselves (experiments, baselines harness).
-func (a *NonVolatileAgent) Policy() stegfs.UpdatePolicy { return policyFunc(a.update) }
+func (a *NonVolatileAgent) Policy() stegfs.UpdatePolicy {
+	return a.PolicyCtx(context.Background())
+}
 
 // PolicyCtx is Policy bound to a context, honored before every draw
 // of the Figure-6 loop.
 func (a *NonVolatileAgent) PolicyCtx(ctx context.Context) stegfs.UpdatePolicy {
-	return policyFunc(func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-		return a.updateCtx(ctx, loc, seal, sealed)
-	})
-}
-
-// policyFunc adapts a function to stegfs.UpdatePolicy.
-type policyFunc func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error)
-
-// Update implements stegfs.UpdatePolicy.
-func (p policyFunc) Update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-	return p(loc, seal, sealed)
-}
-
-// update delegates the Figure-6 data update to the scheduler,
-// translating scheduler sentinels into the agent's error vocabulary.
-func (a *NonVolatileAgent) update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-	return a.updateCtx(context.Background(), loc, seal, sealed)
-}
-
-// updateCtx is update with the caller's context threaded through to
-// the scheduler's draw loop.
-func (a *NonVolatileAgent) updateCtx(ctx context.Context, loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-	a.opMu.RLock()
-	defer a.opMu.RUnlock()
-	newLoc, err := a.sched.UpdateCtx(ctx, loc, seal, sealed)
-	if errors.Is(err, sched.ErrNoFreeSpace) {
-		return 0, fmt.Errorf("%w: volume at 100%% utilization", ErrNoDummySpace)
-	}
-	return newLoc, err
+	return runPolicy{ctx: ctx, sched: a.sched, fence: &a.opMu}
 }
 
 // DummyUpdate issues one idle-time dummy update on a uniformly random

@@ -38,9 +38,13 @@
 package steghide
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"sync"
 
 	"steghide/internal/sched"
+	"steghide/internal/sealer"
 )
 
 // Sentinel errors.
@@ -60,6 +64,11 @@ var (
 	// connection died and its implicit logout is still flushing, so a
 	// reconnecting client briefly retries logins that report it.
 	ErrUserBusy = errors.New("steghide: user already logged in")
+	// ErrExists reports a create of a path the caller already holds
+	// open. A retry of a create whose first attempt may have applied
+	// (a broken connection, a partial fan-out) meets it, and can tell
+	// "already there" from a real failure.
+	ErrExists = errors.New("steghide: file already open")
 )
 
 // UpdateStats aggregates the observable work of an agent. The
@@ -101,4 +110,29 @@ func statsFromSched(s sched.Stats) UpdateStats {
 		Camouflage:   s.Camouflage,
 		DummyUpdates: s.DummyUpdates,
 	}
+}
+
+// runPolicy is the stegfs.UpdatePolicy both agents hand the file
+// layer: a run of blocks goes to the volume's scheduler as one
+// Figure-6 batch, under the caller's context.
+type runPolicy struct {
+	ctx   context.Context
+	sched *sched.Scheduler
+	// fence is Construction 1's snapshot fence, held shared across the
+	// run; nil for Construction 2, which has no persistent state.
+	fence *sync.RWMutex
+}
+
+// Update implements stegfs.UpdatePolicy.
+func (p runPolicy) Update(locs []uint64, seal *sealer.Sealer, sealed [][]byte) error {
+	if p.fence != nil {
+		p.fence.RLock()
+		defer p.fence.RUnlock()
+	}
+	err := p.sched.UpdateRun(p.ctx, locs, seal, sealed)
+	if errors.Is(err, sched.ErrNoFreeSpace) {
+		// The bitmap space's sentinel, in the agents' vocabulary.
+		return fmt.Errorf("%w: volume at 100%% utilization", ErrNoDummySpace)
+	}
+	return err
 }

@@ -167,14 +167,19 @@ func (a *VolatileAgent) register(loc uint64, info *ownerInfo) {
 		if old.dummy {
 			a.dummyData--
 		}
-		a.chargeLocked(old.user, -1)
+		// A block that stays with its login — every relocation, every
+		// re-registration — moves no charge.
+		if old.user != info.user {
+			a.chargeLocked(old.user, -1)
+			a.chargeLocked(info.user, +1)
+		}
 		a.known[loc] = info
 	} else {
 		a.known[loc] = info
 		a.pos[loc] = len(a.list)
 		a.list = append(a.list, loc)
+		a.chargeLocked(info.user, +1)
 	}
-	a.chargeLocked(info.user, +1)
 	if info.dummy {
 		a.dummyData++
 	}
@@ -577,7 +582,7 @@ func (s *Session) Create(path string) (*stegfs.File, error) {
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
 	if _, dup := s.files[path]; dup {
-		return nil, fmt.Errorf("steghide: %q already open", path)
+		return nil, fmt.Errorf("%w: %q", ErrExists, path)
 	}
 	if err := a.checkBudget(s.user, 1); err != nil {
 		return nil, err
@@ -601,7 +606,7 @@ func (s *Session) CreateDummy(path string, nBlocks uint64) (*stegfs.File, error)
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
 	if _, dup := s.dummyFiles[path]; dup {
-		return nil, fmt.Errorf("steghide: dummy %q already open", path)
+		return nil, fmt.Errorf("%w: dummy %q", ErrExists, path)
 	}
 	if err := a.checkBudget(s.user, nBlocks+1); err != nil {
 		return nil, err
@@ -671,14 +676,23 @@ func (s *Session) WriteCtx(ctx context.Context, path string, data []byte, off ui
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 	}
-	policy := policyFunc(func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-		return a.sched.UpdateCtx(ctx, loc, seal, sealed)
-	})
-	if _, err := f.WriteAt(data, off, policy); err != nil {
+	before := f.NumBlocks()
+	if _, err := f.WriteAt(data, off, runPolicy{ctx: ctx, sched: a.sched}); err != nil {
 		return err
 	}
-	a.registerFile(s.user, f)
+	s.registerResized(f, before)
 	return nil
+}
+
+// registerResized re-registers f after an operation that may have
+// changed its block set, and only then: blocks that merely relocated
+// were registered by the scheduler's commit, so a write that neither
+// grew nor shrank the file leaves the registry as it is. The caller
+// holds s.mu.
+func (s *Session) registerResized(f *stegfs.File, before uint64) {
+	if f.NumBlocks() != before {
+		s.agent.registerFile(s.user, f)
+	}
 }
 
 // Truncate resizes a disclosed real file to size bytes: growth draws
@@ -702,13 +716,11 @@ func (s *Session) TruncateCtx(ctx context.Context, path string, size uint64) err
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 	}
-	policy := policyFunc(func(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-		return a.sched.UpdateCtx(ctx, loc, seal, sealed)
-	})
-	if err := f.Resize(size, policy); err != nil {
+	before := f.NumBlocks()
+	if err := f.Resize(size, runPolicy{ctx: ctx, sched: a.sched}); err != nil {
 		return err
 	}
-	a.registerFile(s.user, f)
+	s.registerResized(f, before)
 	return nil
 }
 
@@ -826,15 +838,6 @@ func (s *Session) Open(path string) (*stegfs.File, bool) {
 }
 
 // --- Figure 6 over disclosed blocks -----------------------------------
-
-// update delegates a data update to the scheduler; the draw loop runs
-// there, against this agent's disclosed-block space (§4.2.2 — the
-// agent can only update files users have disclosed, so an attacker
-// sees only part of the storage being touched, which discloses
-// nothing since updated blocks need not contain useful data).
-func (a *VolatileAgent) update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-	return a.sched.Update(loc, seal, sealed)
-}
 
 // DummyUpdate issues one idle-time dummy update on a uniformly random
 // disclosed block.
@@ -962,20 +965,9 @@ func (sp *volatileSpace) AbortRelocate(_, newLoc uint64) {
 	a.unregister(newLoc)
 }
 
-// DrawDummy implements sched.Space: a uniform draw over the disclosed
-// blocks; eligibility is decided at execution time by Classify.
-func (sp *volatileSpace) DrawDummy() (uint64, error) {
-	a := sp.a
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.list) == 0 {
-		return 0, fmt.Errorf("%w: nothing disclosed", ErrNoDummySpace)
-	}
-	return a.list[a.rng.Intn(len(a.list))], nil
-}
-
-// DrawDummyBatch implements sched.Space, drawing each target exactly
-// as DrawDummy does and pre-filtering mid-operation blocks.
+// DrawDummyBatch implements sched.Space: uniform draws over the
+// disclosed blocks, pre-filtering mid-operation ones; eligibility is
+// decided at execution time by Classify.
 func (sp *volatileSpace) DrawDummyBatch(locs []uint64) (int, error) {
 	a := sp.a
 	a.mu.Lock()

@@ -79,6 +79,7 @@ const (
 	codeUnknownVolume = 6
 	codeCanceled      = 7
 	codeUserBusy      = 8
+	codeExists        = 9
 )
 
 // errCode tags err with the sentinel code the peer should rebuild.
@@ -100,6 +101,8 @@ func errCode(err error) uint64 {
 		return codeUnknownVolume
 	case errors.Is(err, steghide.ErrUserBusy):
 		return codeUserBusy
+	case errors.Is(err, steghide.ErrExists):
+		return codeExists
 	default:
 		return codeGeneric
 	}
@@ -122,6 +125,8 @@ func codeSentinel(code uint64) error {
 		return ErrUnknownVolume
 	case codeUserBusy:
 		return steghide.ErrUserBusy
+	case codeExists:
+		return steghide.ErrExists
 	case codeCanceled:
 		// A server-side cancellation (this request's msgCancel landed
 		// mid-handler) reports as the context error the caller expects.

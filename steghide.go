@@ -481,6 +481,10 @@ var (
 	ErrUserBusy     = steghide.ErrUserBusy
 )
 
+// errExists is what a create of an already-open path wraps, on every
+// FS surface and across the wire; the fan-outs match on it.
+var errExists = steghide.ErrExists
+
 // DialAgentRetry is DialAgent with self-healing: the client rotates
 // through addrs on dial failure and goaway (a draining server),
 // re-dials broken connections under policy, and replays the session
