@@ -65,9 +65,9 @@ func main() {
 
 	// Now a burst of updates and dummy traffic — and the power fails
 	// somewhere in the middle of it. Every intent (relocation begin,
-	// allocation, save) hit the ring as a sealed slot write before the
+	// allocation, save) hit the ring as a sealed cell before the
 	// block write it protects, and dummy updates wrote
-	// indistinguishable filler slots at the same one-per-element rate.
+	// indistinguishable filler cells at the same one-per-element rate.
 	dev.PowerCutAfterWrites(25)
 	w, err := fs.OpenWrite(ctx, "/ledger")
 	if err != nil {

@@ -174,20 +174,22 @@ func AllocBlocks(n, blockSize int) [][]byte {
 
 // --- Mem ----------------------------------------------------------------
 
-// ReadBlocks implements BatchDevice: one lock acquisition, one slab
-// scan, however many blocks.
+// ReadBlocks implements BatchDevice: one slab scan, one lock
+// acquisition per stripe the run crosses.
 func (m *Mem) ReadBlocks(start uint64, bufs [][]byte) error {
 	if err := checkBatch(m, start, bufs); err != nil {
 		return err
 	}
 	bs := uint64(m.blockSize)
-	off := start * bs
-	m.mu.RLock()
-	for _, b := range bufs {
-		copy(b, m.slab[off:off+bs])
-		off += bs
+	var held *memStripe
+	for k, b := range bufs {
+		i := start + uint64(k)
+		held = m.hold(held, i)
+		copy(b, m.slab[i*bs:(i+1)*bs])
 	}
-	m.mu.RUnlock()
+	if held != nil {
+		held.Unlock()
+	}
 	return nil
 }
 
@@ -197,13 +199,15 @@ func (m *Mem) WriteBlocks(start uint64, data [][]byte) error {
 		return err
 	}
 	bs := uint64(m.blockSize)
-	off := start * bs
-	m.mu.Lock()
-	for _, b := range data {
-		copy(m.slab[off:off+bs], b)
-		off += bs
+	var held *memStripe
+	for k, b := range data {
+		i := start + uint64(k)
+		held = m.hold(held, i)
+		copy(m.slab[i*bs:(i+1)*bs], b)
 	}
-	m.mu.Unlock()
+	if held != nil {
+		held.Unlock()
+	}
 	return nil
 }
 
@@ -213,12 +217,14 @@ func (m *Mem) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 		return err
 	}
 	bs := uint64(m.blockSize)
-	m.mu.RLock()
-	for i, b := range bufs {
-		off := idx[i] * bs
-		copy(b, m.slab[off:off+bs])
+	var held *memStripe
+	for k, b := range bufs {
+		held = m.hold(held, idx[k])
+		copy(b, m.slab[idx[k]*bs:(idx[k]+1)*bs])
 	}
-	m.mu.RUnlock()
+	if held != nil {
+		held.Unlock()
+	}
 	return nil
 }
 
@@ -228,12 +234,14 @@ func (m *Mem) WriteBlocksAt(idx []uint64, data [][]byte) error {
 		return err
 	}
 	bs := uint64(m.blockSize)
-	m.mu.Lock()
-	for i, b := range data {
-		off := idx[i] * bs
-		copy(m.slab[off:off+bs], b)
+	var held *memStripe
+	for k, b := range data {
+		held = m.hold(held, idx[k])
+		copy(m.slab[idx[k]*bs:(idx[k]+1)*bs], b)
 	}
-	m.mu.Unlock()
+	if held != nil {
+		held.Unlock()
+	}
 	return nil
 }
 

@@ -55,12 +55,26 @@ func checkArgs(d Device, i uint64, buf []byte) error {
 	return nil
 }
 
-// Mem is an in-memory device backed by a single slab.
+// Mem is an in-memory device backed by a single slab. The slab is
+// guarded in memStripes contiguous block ranges, each by its own lock,
+// so sessions copying disjoint blocks neither serialize nor bounce one
+// lock word between cores. A call holds one stripe at a time; a batch
+// moves its lock only when the next block lies in another stripe, so it
+// is atomic per block, like the disk it stands for, not per call.
 type Mem struct {
-	mu        sync.RWMutex
+	stripes   [memStripes]memStripe
+	shift     uint // block i lies in stripe i >> shift
 	slab      []byte
 	blockSize int
 	numBlocks uint64
+}
+
+const memStripes = 64
+
+// memStripe is one range lock, alone on its cache line.
+type memStripe struct {
+	sync.Mutex
+	_ [56]byte
 }
 
 // NewMem allocates an in-memory device of n blocks, zero-filled.
@@ -68,11 +82,32 @@ func NewMem(blockSize int, n uint64) *Mem {
 	if blockSize <= 0 || n == 0 {
 		panic(fmt.Sprintf("blockdev: NewMem(%d, %d)", blockSize, n))
 	}
+	// The smallest power-of-two range that covers n blocks in at most
+	// memStripes stripes.
+	shift := uint(0)
+	for (n-1)>>shift >= memStripes {
+		shift++
+	}
 	return &Mem{
+		shift:     shift,
 		slab:      make([]byte, uint64(blockSize)*n),
 		blockSize: blockSize,
 		numBlocks: n,
 	}
+}
+
+// hold moves the caller's stripe lock to the stripe of block i: a no-op
+// while a batch stays inside one stripe. held is nil before the first
+// block; the caller unlocks what the last call returned.
+func (m *Mem) hold(held *memStripe, i uint64) *memStripe {
+	s := &m.stripes[i>>m.shift]
+	if s != held {
+		if held != nil {
+			held.Unlock()
+		}
+		s.Lock()
+	}
+	return s
 }
 
 // BlockSize implements Device.
@@ -87,9 +122,9 @@ func (m *Mem) ReadBlock(i uint64, buf []byte) error {
 		return err
 	}
 	off := i * uint64(m.blockSize)
-	m.mu.RLock()
+	s := m.hold(nil, i)
 	copy(buf, m.slab[off:off+uint64(m.blockSize)])
-	m.mu.RUnlock()
+	s.Unlock()
 	return nil
 }
 
@@ -99,9 +134,9 @@ func (m *Mem) WriteBlock(i uint64, data []byte) error {
 		return err
 	}
 	off := i * uint64(m.blockSize)
-	m.mu.Lock()
+	s := m.hold(nil, i)
 	copy(m.slab[off:off+uint64(m.blockSize)], data)
-	m.mu.Unlock()
+	s.Unlock()
 	return nil
 }
 
@@ -109,12 +144,18 @@ func (m *Mem) WriteBlock(i uint64, data []byte) error {
 func (m *Mem) Close() error { return nil }
 
 // Snapshot copies the entire volume; this is the update-analysis
-// attacker's primitive (§3.1: "compare consecutive snapshots").
+// attacker's primitive (§3.1: "compare consecutive snapshots"). It
+// takes every stripe, in order, so the copy is one instant of the
+// volume.
 func (m *Mem) Snapshot() []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	for i := range m.stripes {
+		m.stripes[i].Lock()
+	}
 	out := make([]byte, len(m.slab))
 	copy(out, m.slab)
+	for i := range m.stripes {
+		m.stripes[i].Unlock()
+	}
 	return out
 }
 

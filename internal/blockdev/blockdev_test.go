@@ -296,6 +296,65 @@ func TestMemConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMemStripesKeepBlocksWhole: batches that cross every stripe, in
+// both directions and scattered, against overlapping batch writers and
+// snapshots. Each writer fills whole blocks with one byte value, so a
+// block that ever reads back mixed was copied without its stripe's
+// lock; geometries smaller and larger than the stripe count, and one
+// the stripe count does not divide, all map every block to a stripe.
+func TestMemStripesKeepBlocksWhole(t *testing.T) {
+	for _, n := range []uint64{1, 5, memStripes, 3*memStripes + 7} {
+		m := NewMem(64, n)
+		whole := func(where string, blk []byte) {
+			if bytes.Count(blk, blk[:1]) != len(blk) {
+				t.Errorf("%d blocks: %s returned a torn block", n, where)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := prng.NewFromUint64(uint64(w))
+				bufs := AllocBlocks(int(n), 64)
+				idx := make([]uint64, n)
+				for round := 0; round < 50; round++ {
+					for i := range bufs {
+						idx[i] = uint64(i)
+						for j := range bufs[i] {
+							bufs[i][j] = byte(w*50 + round)
+						}
+					}
+					rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+					switch round % 4 {
+					case 0:
+						m.WriteBlocks(0, bufs) //nolint:errcheck // geometry is the test's own
+					case 1:
+						m.WriteBlocksAt(idx, bufs) //nolint:errcheck // geometry is the test's own
+					case 2:
+						m.ReadBlocks(0, bufs) //nolint:errcheck // geometry is the test's own
+						for _, b := range bufs {
+							whole("ReadBlocks", b)
+						}
+					default:
+						m.ReadBlocksAt(idx, bufs) //nolint:errcheck // geometry is the test's own
+						for _, b := range bufs {
+							whole("ReadBlocksAt", b)
+						}
+					}
+					if round%8 == 7 {
+						snap := m.Snapshot()
+						for off := 0; off < len(snap); off += 64 {
+							whole("Snapshot", snap[off:off+64])
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+}
+
 func TestQuickMemRoundTrip(t *testing.T) {
 	m := NewMem(32, 128)
 	f := func(seed uint64, idxRaw uint16) bool {

@@ -42,6 +42,14 @@ func TestAllocBudgets(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("AppendReloc: %.1f allocs/op, budget 0", n)
 	}
+	locs := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := j.AppendAlloc(7, locs); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("AppendAlloc(9 addresses): %.1f allocs/op, budget 0", n)
+	}
 	if n := testing.AllocsPerRun(50, func() {
 		if err := j.AppendDummies(16); err != nil {
 			t.Fatal(err)

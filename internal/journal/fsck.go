@@ -12,15 +12,16 @@ import (
 // "the volume mounted" into "the volume is clean" — a dirty ring
 // means a crash interrupted the update stream and Recover must run.
 type FsckReport struct {
-	// Slots is the ring capacity.
-	Slots uint64
-	// Valid is how many slots decoded as authentic records.
+	// Slots is the number of ring blocks, Capacity how many records
+	// (cells) they hold.
+	Slots, Capacity uint64
+	// Valid is how many cells decoded as authentic records.
 	Valid int
 	// SeqLo and SeqHi bound the surviving sequence numbers (zero when
 	// the ring is empty).
 	SeqLo, SeqHi uint64
 	// Missing counts sequence numbers inside [SeqLo, SeqHi] with no
-	// surviving record: slots lost to torn writes (a crash mid-append)
+	// surviving record: cells lost to torn writes (a crash mid-append)
 	// or reused by the ring's wrap.
 	Missing int
 	// LastCheckpoint is the newest OpCheckpoint's sequence number.
@@ -37,15 +38,16 @@ func (r *FsckReport) Ok() bool { return len(r.Pending) == 0 && r.Missing == 0 }
 
 // String renders a one-line summary.
 func (r *FsckReport) String() string {
-	return fmt.Sprintf("journal: %d/%d slots valid, seq [%d,%d], %d missing, %d pending intents",
-		r.Valid, r.Slots, r.SeqLo, r.SeqHi, r.Missing, len(r.Pending))
+	return fmt.Sprintf("journal: %d/%d cells valid in %d slots, seq [%d,%d], %d missing, %d pending intents",
+		r.Valid, r.Capacity, r.Slots, r.SeqLo, r.SeqHi, r.Missing, len(r.Pending))
 }
 
-// Fsck verifies the journal region of vol under the journal key: slot
+// Fsck verifies the journal region of vol under the journal key: cell
 // integrity (every record's seal and tag), sequence continuity, and
 // which intents remain unreplayed. It needs only the journal key —
 // no file keys — so it reports pending intents without being able to
-// resolve them; the agents' Recover methods do that.
+// resolve them; the agents' Recover methods do that. Like every Open
+// it converts a ring the one-record-per-slot format wrote.
 func Fsck(vol *stegfs.Volume, key sealer.Key) (*FsckReport, error) {
 	j, err := Open(vol, key)
 	if err != nil {
@@ -55,7 +57,7 @@ func Fsck(vol *stegfs.Volume, key sealer.Key) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &FsckReport{Slots: j.Slots(), Valid: len(recs)}
+	rep := &FsckReport{Slots: j.Slots(), Capacity: j.Capacity(), Valid: len(recs)}
 	if len(recs) == 0 {
 		return rep, nil
 	}

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -64,7 +65,8 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOps := []Op{OpReloc, OpAlloc, OpDummy, OpFree, OpSave, OpCheckpoint}
+	// The three-address list takes two cells.
+	wantOps := []Op{OpReloc, OpAlloc, OpAlloc, OpDummy, OpFree, OpSave, OpCheckpoint}
 	if len(recs) != len(wantOps) {
 		t.Fatalf("scan returned %d records, want %d", len(recs), len(wantOps))
 	}
@@ -79,8 +81,11 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	if recs[0].OldLoc != 41 || recs[0].NewLoc != 42 || recs[0].FileH != 40 {
 		t.Fatalf("reloc decoded as %+v", recs[0])
 	}
-	if len(recs[1].Locs) != 3 || recs[1].Locs[2] != 52 {
-		t.Fatalf("alloc decoded as %+v", recs[1])
+	if !slices.Equal(recs[1].Locs, []uint64{50, 51}) || !slices.Equal(recs[2].Locs, []uint64{52}) || recs[2].FileH != 40 {
+		t.Fatalf("alloc decoded as %+v, %+v", recs[1], recs[2])
+	}
+	if !slices.Equal(recs[4].Locs, []uint64{50}) {
+		t.Fatalf("free decoded as %+v", recs[4])
 	}
 }
 
@@ -118,7 +123,10 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < 20; i++ {
+	if j.Capacity() != 64 {
+		t.Fatalf("8 slots of 512 bytes hold %d records, want 64", j.Capacity())
+	}
+	for i := uint64(0); i < 150; i++ {
 		if err := j.AppendAlloc(100+i, []uint64{200 + i}); err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +135,20 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 8 {
-		t.Fatalf("wrapped ring holds %d records, want 8", len(recs))
+	if len(recs) != 64 {
+		t.Fatalf("wrapped ring holds %d records, want 64", len(recs))
 	}
-	if recs[0].Seq != 13 || recs[7].Seq != 20 {
-		t.Fatalf("wrapped ring seq range [%d,%d], want [13,20]", recs[0].Seq, recs[7].Seq)
+	if recs[0].Seq != 87 || recs[63].Seq != 150 {
+		t.Fatalf("wrapped ring seq range [%d,%d], want [87,150]", recs[0].Seq, recs[63].Seq)
+	}
+	// The reopened ring resumes behind the newest record, not behind
+	// the highest cell.
+	j2, err := Open(vol, testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.Seq() != 151 {
+		t.Fatalf("wrapped ring resumes at %d, want 151", j2.Seq())
 	}
 }
 
@@ -144,14 +161,14 @@ func TestAppendDummiesBatchesAndWraps(t *testing.T) {
 	if err := j.AppendSave(99); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendDummies(11); err != nil { // wraps past slot 8
+	if err := j.AppendDummies(70); err != nil { // wraps past cell 64
 		t.Fatal(err)
 	}
 	recs, err := j.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 8 {
+	if len(recs) != 64 {
 		t.Fatalf("ring holds %d records", len(recs))
 	}
 	for _, rec := range recs {
@@ -159,8 +176,8 @@ func TestAppendDummiesBatchesAndWraps(t *testing.T) {
 			t.Fatalf("unexpected %v after dummy burst", rec.Op)
 		}
 	}
-	if recs[7].Seq != 12 {
-		t.Fatalf("last seq %d, want 12", recs[7].Seq)
+	if recs[63].Seq != 71 {
+		t.Fatalf("last seq %d, want 71", recs[63].Seq)
 	}
 }
 
@@ -175,14 +192,14 @@ func TestTornSlotIsIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Tear the middle record: overwrite half its slot (ring block 1 =
-	// volume block 2) as a power cut mid-write would.
+	// Damage the middle record: the back half of cell 1 of ring slot 0
+	// (volume block 1). Its neighbours in the same block must not care.
 	raw := make([]byte, 512)
-	if err := dev.ReadBlock(2, raw); err != nil {
+	if err := dev.ReadBlock(1, raw); err != nil {
 		t.Fatal(err)
 	}
-	copy(raw[256:], bytes.Repeat([]byte{0xAB}, 256))
-	if err := dev.WriteBlock(2, raw); err != nil {
+	copy(raw[CellSize+CellSize/2:2*CellSize], bytes.Repeat([]byte{0xAB}, CellSize/2))
+	if err := dev.WriteBlock(1, raw); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := j.Scan()
@@ -190,7 +207,7 @@ func TestTornSlotIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 {
-		t.Fatalf("scan after torn slot returned %d records, want 2", len(recs))
+		t.Fatalf("scan after a torn cell returned %d records, want 2", len(recs))
 	}
 	if recs[0].Seq != 1 || recs[1].Seq != 3 {
 		t.Fatalf("surviving seqs %d,%d", recs[0].Seq, recs[1].Seq)
@@ -220,40 +237,150 @@ func TestWrongKeySeesNothing(t *testing.T) {
 	}
 }
 
-func TestSlotWritesChangeFixedPrefixOnly(t *testing.T) {
-	// Every append must touch the same prefix of its slot and leave
-	// the static tail alone, whatever the record carries — that is the
-	// "one slot overwrite looks like any other" property.
-	vol, dev := newVol(t, 4096, 64, 8)
+// changedCells returns the ring cells (slot·k + cell) that differ
+// between two snapshots of a volume whose ring has the given slots, and
+// fails the test if any ring byte outside a whole cell differs.
+func changedCells(t *testing.T, before, after []byte, bs int, slots uint64) []uint64 {
+	t.Helper()
+	k := bs / CellSize
+	var cells []uint64
+	for s := uint64(0); s < slots; s++ {
+		b, a := before[(1+s)*uint64(bs):][:bs], after[(1+s)*uint64(bs):][:bs]
+		for c := 0; c < k; c++ {
+			if !bytes.Equal(b[c*CellSize:(c+1)*CellSize], a[c*CellSize:(c+1)*CellSize]) {
+				cells = append(cells, s*uint64(k)+uint64(c))
+			}
+		}
+		if !bytes.Equal(b[k*CellSize:], a[k*CellSize:]) {
+			t.Fatalf("slot %d changed past its last cell", s)
+		}
+	}
+	if !bytes.Equal(before[:bs], after[:bs]) || !bytes.Equal(before[(1+slots)*uint64(bs):], after[(1+slots)*uint64(bs):]) {
+		t.Fatal("an append changed bytes outside the ring")
+	}
+	return cells
+}
+
+// TestAppendChangesExactlyItsCells: an append of n records changes
+// exactly the n cells their sequence numbers name and no other byte of
+// the volume, whatever the records say and however they are batched —
+// so the snapshot attacker counts stream elements, never batch sizes,
+// and a filler touches the disk exactly as a relocation intent does.
+func TestAppendChangesExactlyItsCells(t *testing.T) {
+	const bs, slots = 4096, 4
+	vol, dev := newVol(t, bs, 64, slots)
 	j, err := Open(vol, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := sealer.IVSize + maxArea
-	before := make([]byte, 4096)
-	after := make([]byte, 4096)
-	appends := []func() error{
-		func() error { return j.AppendDummy() },
-		func() error { return j.AppendReloc(9, 10, 11) },
-		func() error { return j.AppendAlloc(9, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) },
-		func() error { return j.AppendSave(9) },
+	if j.Capacity() != slots*64 {
+		t.Fatalf("%d slots of %d bytes hold %d records", slots, bs, j.Capacity())
+	}
+	mixed := func(n int) func() error {
+		return func() error {
+			return j.AppendBatch(n, func(i int, r *Record) {
+				r.Op = OpDummy
+				if i%3 == 1 {
+					*r = Record{Op: OpReloc, FileH: 9, OldLoc: uint64(i), NewLoc: uint64(i + 1)}
+				}
+			})
+		}
+	}
+	appends := []struct {
+		n  int // cells the append must change
+		do func() error
+	}{
+		{1, j.AppendDummy},
+		{1, func() error { return j.AppendReloc(9, 10, 11) }},
+		{5, func() error { return j.AppendAlloc(9, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) }},
+		{1, func() error { return j.AppendSave(9) }},
+		{1, j.AppendCheckpoint},
+		{16, func() error { return j.AppendDummies(16) }},
+		{16, mixed(16)},
+		{64, mixed(64)},   // straddles a slot edge
+		{200, mixed(200)}, // wraps the ring end
 	}
 	for i, ap := range appends {
-		slot := uint64(i) + 1 // ring slot i = volume block 1+i
-		if err := dev.ReadBlock(slot, before); err != nil {
+		first := j.Seq() - 1
+		before := dev.Snapshot()
+		if err := ap.do(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ap(); err != nil {
+		got := changedCells(t, before, dev.Snapshot(), bs, slots)
+		want := make([]uint64, ap.n)
+		for c := range want {
+			want[c] = (first + uint64(c)) % j.Capacity()
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("append %d changed cells %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestTornAppendSparesDurableCells: a power cut that tears the slot
+// rewrite of an append can damage only that append's cells. Every cell
+// the slot already held is rewritten with the bytes it had, so wherever
+// the tear falls the durable records still decode, the torn cell reads
+// as empty, and the reopened ring resumes on it with a fresh IV.
+func TestTornAppendSparesDurableCells(t *testing.T) {
+	const durable, inflight = 5, 3
+	for _, frac := range []float64{0, 0.1, 0.55, 0.6, 0.63, 0.7, 0.99} {
+		mem := blockdev.NewMem(512, 64)
+		fd := blockdev.NewFault(mem)
+		vol, err := stegfs.Format(fd, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("torn"), JournalBlocks: 4})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dev.ReadBlock(slot, after); err != nil {
+		j, err := Open(vol, testKey())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Equal(before[:prefix], after[:prefix]) {
-			t.Fatalf("append %d left the sealed prefix unchanged", i)
+		for i := uint64(0); i < durable; i++ {
+			if err := j.AppendReloc(7, 100+i, 200+i); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !bytes.Equal(before[prefix:], after[prefix:]) {
-			t.Fatalf("append %d disturbed the static tail", i)
+		fd.PowerCutTorn(0, frac)
+		err = j.AppendBatch(inflight, func(i int, r *Record) { *r = Record{Op: OpSave, FileH: uint64(i)} })
+		if !errors.Is(err, blockdev.ErrPowerCut) {
+			t.Fatalf("frac %v: torn append returned %v", frac, err)
+		}
+		fd.Heal()
+		torn := mem.Snapshot()[512 : 2*512]
+		j2, err := Open(vol, testKey())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := j2.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The tear keeps a prefix of the new slot image: the in-flight
+		// cells wholly inside it are new and valid, the one it cuts is
+		// noise, the rest hold what they held before.
+		landed := max(0, int(frac*512)/CellSize-durable)
+		if len(recs) != durable+landed {
+			t.Fatalf("frac %v: %d records survive, want %d durable + %d landed", frac, len(recs), durable, landed)
+		}
+		for i, r := range recs[:durable] {
+			if r.Seq != uint64(i+1) || r.Op != OpReloc || r.OldLoc != 100+uint64(i) || r.NewLoc != 200+uint64(i) {
+				t.Fatalf("frac %v: durable record %d reads %+v", frac, i, r)
+			}
+		}
+		if j2.Seq() != uint64(durable+landed+1) {
+			t.Fatalf("frac %v: resume at %d", frac, j2.Seq())
+		}
+		at := (durable + landed) * CellSize
+		if err := j2.AppendDummy(); err != nil {
+			t.Fatal(err)
+		}
+		now := mem.Snapshot()[512 : 2*512]
+		if bytes.Equal(now[at:at+sealer.IVSize], torn[at:at+sealer.IVSize]) {
+			t.Fatalf("frac %v: the re-append reused the IV the torn write left in its cell", frac)
+		}
+		if !bytes.Equal(now[:at], torn[:at]) {
+			t.Fatalf("frac %v: the re-append disturbed the cells before its own", frac)
 		}
 	}
 }
@@ -349,7 +476,7 @@ func TestFsckReportsPending(t *testing.T) {
 func TestReopenAfterTornAppendDoesNotReuseIV(t *testing.T) {
 	// A torn append leaves its IV on disk while the resume sequence
 	// stays put; the reopened journal must not replay that IV onto the
-	// same slot (an unchanged-IV overwrite would prove the slot holds
+	// same cell (an unchanged-IV overwrite would prove the cell holds
 	// keyed structure).
 	vol, dev := newVol(t, 512, 128, 8)
 	key := testKey()
@@ -360,7 +487,7 @@ func TestReopenAfterTornAppendDoesNotReuseIV(t *testing.T) {
 	if err := j.AppendReloc(10, 11, 12); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the slot (ring slot 0 = volume block 1): the IV survives,
+	// Tear cell 0 of ring slot 0 (volume block 1): the IV survives,
 	// the record body does not, so a rescan resumes at seq 1.
 	raw := make([]byte, 512)
 	if err := dev.ReadBlock(1, raw); err != nil {

@@ -133,7 +133,7 @@ type Space interface {
 // implemented by the journal adapters in internal/steghide. The
 // contract that keeps the stream deniable: the scheduler hands it every
 // batch of stream elements exactly once, before any of the batch's
-// block writes is issued, and the log emits exactly one ring slot per
+// block writes is issued, and the log emits exactly one ring record per
 // element whatever the element is — so ring traffic carries the
 // stream's cadence and nothing else.
 type IntentLog interface {
@@ -798,7 +798,7 @@ const burstChunk = 16
 //
 // The caller holds every eligible block's lock and has already emitted
 // the burst's intents on the serial control path, so the journal's
-// one-slot-per-element invariant is untouched. A pipelined batch
+// one-record-per-element invariant is untouched. A pipelined batch
 // carries no payloads: what it reads is what it writes back.
 func (s *Scheduler) burstPipelined(b *batch) error {
 	ivs := s.planReseals(b)

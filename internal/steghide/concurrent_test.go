@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"steghide/internal/blockdev"
 	"steghide/internal/prng"
+	"steghide/internal/stegfs"
 )
 
 // TestConcurrentSessionsC2 drives N sessions of real updates against
@@ -127,6 +129,100 @@ func TestConcurrentSessionsC2(t *testing.T) {
 	}
 	if !bytes.Equal(got, clients[0].content) {
 		t.Fatal("content lost across post-contention logout")
+	}
+}
+
+// TestSaveAndReopenOnDataPlane: closing a write handle saves the file
+// and every open discloses it again, so both sit on each login's data
+// path. They run under the shared lock: sessions that save and reopen
+// their own files between writes, against each other, the daemon and a
+// journal whose save hook hands limbo blocks to other sessions' dummy
+// files, must leave every file intact, in memory and — each save being
+// the durability point — across a logout. Run with -race.
+func TestSaveAndReopenOnDataPlane(t *testing.T) {
+	vol, err := stegfs.Format(blockdev.NewMem(256, 4096), stegfs.FormatOptions{
+		KDFIterations: 4, FillSeed: []byte("sh-save"), JournalBlocks: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewVolatile(vol, prng.NewFromUint64(23))
+	if err := a.EnableJournal(JournalKey(vol, "admin")); err != nil {
+		t.Fatal(err)
+	}
+	const nSessions, updates = 4, 48
+	ps := vol.PayloadSize()
+	contents := make([][]byte, nSessions)
+	sessions := make([]*Session, nSessions)
+	for i := range sessions {
+		s, err := a.LoginWithPassphrase(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CreateDummy("/d", 200); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Create("/f"); err != nil {
+			t.Fatal(err)
+		}
+		contents[i] = prng.NewFromUint64(uint64(70 + i)).Bytes(10 * ps)
+		if err := s.Write("/f", contents[i], 0); err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = s
+	}
+	d := NewDaemon(a, time.Millisecond).WithBurst(8).WithAdaptive(false)
+	d.Start()
+	var wg sync.WaitGroup
+	for i, s := range sessions {
+		wg.Add(1)
+		go func(i int, s *Session) {
+			defer wg.Done()
+			rng := prng.NewFromUint64(uint64(300 + i))
+			for k := 0; k < updates; k++ {
+				li := rng.Intn(10)
+				chunk := rng.Bytes(ps)
+				copy(contents[i][li*ps:], chunk)
+				if err := s.Write("/f", chunk, uint64(li*ps)); err != nil {
+					t.Error(err)
+					return
+				}
+				if k%4 == 3 {
+					if err := s.Save("/f"); err != nil {
+						t.Error(err)
+						return
+					}
+					if f, err := s.Disclose("/f"); err != nil || f.IsDummy() {
+						t.Errorf("reopening a held file: %v", err)
+						return
+					}
+				}
+			}
+		}(i, s)
+	}
+	wg.Wait()
+	d.Stop()
+	for i, s := range sessions {
+		got := make([]byte, len(contents[i]))
+		if _, err := s.Read("/f", got, 0); err != nil || !bytes.Equal(got, contents[i]) {
+			t.Fatalf("session %d content after concurrent saves: %v", i, err)
+		}
+		if err := a.Logout(s.User()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range sessions {
+		s, err := a.LoginWithPassphrase(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Disclose("/f"); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(contents[i]))
+		if _, err := s.Read("/f", got, 0); err != nil || !bytes.Equal(got, contents[i]) {
+			t.Fatalf("session %d content lost across logout: %v", i, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"steghide/internal/blockdev"
+	"steghide/internal/journal"
 	"steghide/internal/prng"
 	"steghide/internal/stegfs"
 )
@@ -146,11 +147,11 @@ func rewriteRun(tr *crashTrack, col *blockdev.Collector, events *[]blockdev.Even
 }
 
 // checkIntentsPrecedePayloads asserts the batch's write-ahead order on
-// the device trace of one multi-block write: one ring slot per stream
-// element, every slot written before the first steg-space block, and
-// every block read before the first is written — so whichever write a
-// power cut interrupts, the ring already names both endpoints of every
-// relocation the batch contains.
+// the device trace of one multi-block write: the ring slots that hold
+// one cell per stream element, every slot written before the first
+// steg-space block, and every block read before the first is written —
+// so whichever write a power cut interrupts, the ring already names
+// both endpoints of every relocation the batch contains.
 func checkIntentsPrecedePayloads(t *testing.T, events []blockdev.Event, vol *stegfs.Volume) {
 	t.Helper()
 	var slots, reads, writes int
@@ -171,8 +172,11 @@ func checkIntentsPrecedePayloads(t *testing.T, events []blockdev.Event, vol *ste
 			reads++
 		}
 	}
-	if writes < runHi-runLo || slots != writes || reads != writes {
-		t.Fatalf("%d-block run: %d slots, %d reads, %d writes; want one of each per stream element",
+	// writes cells fill ⌈writes/k⌉ slots, one more when they straddle
+	// a slot edge.
+	k := vol.BlockSize() / journal.CellSize
+	if min := (writes + k - 1) / k; writes < runHi-runLo || reads != writes || slots < min || slots > min+1 {
+		t.Fatalf("%d-block run: %d slots, %d reads, %d writes; want one read and one write per stream element and their cells' slots",
 			runHi-runLo, slots, reads, writes)
 	}
 }

@@ -80,18 +80,43 @@ func (c *c1Intents) LogSave(headerLoc uint64) error {
 	return nil
 }
 
-// LogStream implements sched.IntentLog: one ring slot per stream
-// element, the whole batch in one append.
+// LogStream implements sched.IntentLog: one ring cell per stream
+// element, the whole batch in one append. The owners are looked up
+// before the append, so the journal's lock is never held across the
+// adapter's.
 func (c *c1Intents) LogStream(from, to []uint64) error {
-	return c.j.AppendBatch(len(from), func(i int, rec *journal.Record) {
+	c.mu.Lock()
+	heads := streamHeads(c.owner, from, to)
+	c.mu.Unlock()
+	return appendStream(c.j, heads, from, to)
+}
+
+// streamHeads returns the owning file's header for every relocation of
+// a stream batch (from[i] != to[i]), indexed like the batch; nil when
+// the batch is all fillers, as every idle burst is. The caller holds
+// the lock that guards owner.
+func streamHeads(owner map[uint64]uint64, from, to []uint64) []uint64 {
+	var heads []uint64
+	for i := range from {
+		if from[i] != to[i] {
+			if heads == nil {
+				heads = make([]uint64, len(from))
+			}
+			heads[i] = owner[from[i]]
+		}
+	}
+	return heads
+}
+
+// appendStream appends one record per stream element: a relocation
+// intent where the element moves its block, a filler where it does not.
+func appendStream(j *journal.Journal, heads, from, to []uint64) error {
+	return j.AppendBatch(len(from), func(i int, rec *journal.Record) {
 		if from[i] == to[i] {
 			rec.Op = journal.OpDummy
 			return
 		}
-		c.mu.Lock()
-		h := c.owner[from[i]]
-		c.mu.Unlock()
-		*rec = journal.Record{Op: journal.OpReloc, FileH: h, OldLoc: from[i], NewLoc: to[i]}
+		*rec = journal.Record{Op: journal.OpReloc, FileH: heads[i], OldLoc: from[i], NewLoc: to[i]}
 	})
 }
 
@@ -116,7 +141,7 @@ func (c *c1Intents) reset() {
 }
 
 // EnableJournal wires the agent to the volume's journal ring: every
-// stream element gains a sealed intent slot write, vacated blocks are
+// stream element gains a sealed intent cell, vacated blocks are
 // held in limbo until their file's save, and Recover can replay the
 // ring after a crash. The journal key derives from the same agent
 // secret as the block key, so the administrator who can mount the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"steghide/internal/blockdev"
+	"steghide/internal/journal"
 	"steghide/internal/prng"
 	"steghide/internal/stats"
 	"steghide/internal/stegfs"
@@ -12,9 +13,11 @@ import (
 // The journal must not buy durability with secrecy: with journaling
 // enabled, (1) the update stream over the steg space keeps the exact
 // uniform distribution Definition 1 requires, (2) the full observable
-// stream — ring writes included — is indistinguishable between idle
-// and active periods, because every stream element carries exactly
-// one ring write whatever it is.
+// stream — ring writes included — is indistinguishable between an
+// active period and an idle one emitting batches of the same sizes,
+// because (3) every stream element carries exactly one ring cell
+// whatever it is, so the slots a batch writes are a function of how
+// many elements came before it and how many it holds, nothing else.
 
 func newJournaledC1(t *testing.T, nBlocks, ringBlocks uint64) (*NonVolatileAgent, *blockdev.Collector) {
 	t.Helper()
@@ -35,6 +38,28 @@ func newJournaledC1(t *testing.T, nBlocks, ringBlocks uint64) (*NonVolatileAgent
 	}
 	col.Reset()
 	return a, col
+}
+
+// stegWrites counts the steg-space block writes among events: one per
+// stream element.
+func stegWrites(vol *stegfs.Volume, events []blockdev.Event) (n int) {
+	steg, _ := splitWrites(vol, events)
+	return len(steg)
+}
+
+// ringSlotWrites returns how many ring-slot writes batches of the given
+// sizes cost when the first is appended at sequence number seq on a ring
+// of k cells per slot: a batch writes every slot from its first cell's
+// to its last cell's.
+func ringSlotWrites(seq uint64, sizes []int, k uint64) (slots int) {
+	cell := seq - 1
+	for _, n := range sizes {
+		if n > 0 {
+			slots += int((cell+uint64(n)-1)/k - cell/k + 1)
+			cell += uint64(n)
+		}
+	}
+	return slots
 }
 
 // splitWrites separates a traced event stream into steg-space and
@@ -66,26 +91,33 @@ func TestJournaledC1Definition1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Idle period: dummy traffic only.
-	col.Reset()
-	for i := 0; i < 4000; i++ {
-		if err := a.DummyUpdate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idleSteg, idleRing := splitWrites(vol, col.Events())
-
 	// Active period: the most regular workload imaginable. Save-free,
 	// and sized under the dummy pool — limbo parks one block per
-	// relocation until the next save.
+	// relocation until the next save. Every write is one batch of the
+	// stream; its element count is its steg-space write count.
+	k := uint64(vol.BlockSize() / journal.CellSize)
 	col.Reset()
+	activeSeq := a.intents.j.Seq()
 	chunk := make([]byte, vol.PayloadSize())
+	var sizes []int
 	for i := 0; i < 1500; i++ {
+		mark := col.Len()
 		if err := a.Write("/w", chunk, 0); err != nil {
 			t.Fatal(err)
 		}
+		sizes = append(sizes, stegWrites(vol, col.Events()[mark:]))
 	}
 	activeSteg, activeRing := splitWrites(vol, col.Events())
+
+	// Idle period: dummy traffic only, in bursts of the same sizes.
+	col.Reset()
+	idleSeq := a.intents.j.Seq()
+	for _, n := range sizes {
+		if issued, err := a.DummyUpdateBurst(n); err != nil || issued != n {
+			t.Fatalf("burst issued %d of %d: %v", issued, n, err)
+		}
+	}
+	idleSteg, idleRing := splitWrites(vol, col.Events())
 
 	// (1) Steg-space uniformity under load, journaling on.
 	span := vol.NumBlocks() - vol.FirstDataBlock()
@@ -106,13 +138,19 @@ func TestJournaledC1Definition1(t *testing.T) {
 		t.Fatalf("journaled workload distinguishable from idle: p=%v err=%v", p, err)
 	}
 
-	// (3) The ring cadence itself carries no signal: exactly one slot
-	// write per stream element in both periods.
-	if len(idleRing) != len(idleSteg) {
-		t.Fatalf("idle: %d ring writes for %d stream elements", len(idleRing), len(idleSteg))
+	// (3) The ring cadence itself carries no signal: one cell per stream
+	// element in both periods, so each period wrote exactly the slots
+	// its batch sizes and starting offset dictate.
+	if len(idleSteg) != len(activeSteg) || activeSeq+uint64(len(activeSteg)) != idleSeq ||
+		idleSeq+uint64(len(idleSteg)) != a.intents.j.Seq() {
+		t.Fatalf("ring cells broke 1:1: active %d elements from seq %d, idle %d from %d to %d",
+			len(activeSteg), activeSeq, len(idleSteg), idleSeq, a.intents.j.Seq())
 	}
-	if len(activeRing) != len(activeSteg) {
-		t.Fatalf("active: %d ring writes for %d stream elements", len(activeRing), len(activeSteg))
+	if want := ringSlotWrites(activeSeq, sizes, k); len(activeRing) != want {
+		t.Fatalf("active: %d ring writes, batch sizes dictate %d", len(activeRing), want)
+	}
+	if want := ringSlotWrites(idleSeq, sizes, k); len(idleRing) != want {
+		t.Fatalf("idle: %d ring writes, batch sizes dictate %d", len(idleRing), want)
 	}
 }
 
@@ -147,24 +185,31 @@ func TestJournaledC2Definition1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col.Reset()
-	for i := 0; i < 3000; i++ {
-		if err := a.DummyUpdate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idleSteg, idleRing := splitWrites(vol, col.Events())
-
 	// Save-free and under the disclosed dummy pool (limbo parks one
 	// block per relocation until the next save).
+	k := uint64(vol.BlockSize() / journal.CellSize)
 	col.Reset()
+	activeSeq := a.jc2.j.Seq()
 	chunk := make([]byte, vol.PayloadSize())
+	var sizes []int
 	for i := 0; i < 600; i++ {
+		mark := col.Len()
 		if err := s.Write("/w", chunk, 0); err != nil {
 			t.Fatal(err)
 		}
+		sizes = append(sizes, stegWrites(vol, col.Events()[mark:]))
 	}
 	activeSteg, activeRing := splitWrites(vol, col.Events())
+
+	// Idle bursts of the same sizes.
+	col.Reset()
+	idleSeq := a.jc2.j.Seq()
+	for _, n := range sizes {
+		if issued, err := a.DummyUpdateBurst(n); err != nil || issued != n {
+			t.Fatalf("burst issued %d of %d: %v", issued, n, err)
+		}
+	}
+	idleSteg, idleRing := splitWrites(vol, col.Events())
 
 	n := vol.NumBlocks()
 	h1 := stats.Histogram(append(append([]uint64{}, idleSteg...), idleRing...), n, 12)
@@ -172,9 +217,14 @@ func TestJournaledC2Definition1(t *testing.T) {
 	if _, p, err := stats.ChiSquareTwoSample(h1, h2); err != nil || p < 0.001 {
 		t.Fatalf("journaled C2 workload distinguishable from idle: p=%v err=%v", p, err)
 	}
-	if len(idleRing) != len(idleSteg) || len(activeRing) != len(activeSteg) {
-		t.Fatalf("ring cadence broke 1:1: idle %d/%d active %d/%d",
-			len(idleRing), len(idleSteg), len(activeRing), len(activeSteg))
+	if len(idleSteg) != len(activeSteg) || activeSeq+uint64(len(activeSteg)) != idleSeq ||
+		idleSeq+uint64(len(idleSteg)) != a.jc2.j.Seq() {
+		t.Fatalf("ring cells broke 1:1: active %d elements from seq %d, idle %d from %d to %d",
+			len(activeSteg), activeSeq, len(idleSteg), idleSeq, a.jc2.j.Seq())
+	}
+	if ia, ii := ringSlotWrites(activeSeq, sizes, k), ringSlotWrites(idleSeq, sizes, k); len(activeRing) != ia || len(idleRing) != ii {
+		t.Fatalf("ring writes are not a function of the batch sizes: active %d want %d, idle %d want %d",
+			len(activeRing), ia, len(idleRing), ii)
 	}
 }
 

@@ -126,20 +126,16 @@ func (c *c2Intents) LogSave(headerLoc uint64) error {
 	return c.j.AppendSave(headerLoc)
 }
 
-// LogStream implements sched.IntentLog: one ring slot per stream
-// element, the whole batch in one append.
+// LogStream implements sched.IntentLog: one ring cell per stream
+// element, the whole batch in one append. The owners are looked up
+// before the append, so the journal's lock is never held across the
+// registry's.
 func (c *c2Intents) LogStream(from, to []uint64) error {
 	a := c.a
-	return c.j.AppendBatch(len(from), func(i int, rec *journal.Record) {
-		if from[i] == to[i] {
-			rec.Op = journal.OpDummy
-			return
-		}
-		a.mu.Lock()
-		h := c.owner[from[i]]
-		a.mu.Unlock()
-		*rec = journal.Record{Op: journal.OpReloc, FileH: h, OldLoc: from[i], NewLoc: to[i]}
-	})
+	a.mu.Lock()
+	heads := streamHeads(c.owner, from, to)
+	a.mu.Unlock()
+	return appendStream(c.j, heads, from, to)
 }
 
 // vacatedLocked is the CommitRelocate hook; the caller holds a.mu.

@@ -35,10 +35,11 @@ import (
 //   - Each Session serializes its own file operations (stegfs.File is
 //     single-writer); different sessions run concurrently.
 //   - structMu divides operations into a data plane (Write, Read,
+//     Truncate, Save of a real file, Disclose of a path already held,
 //     dummy traffic — shared lock) and a control plane (Login, Logout,
-//     Create, CreateDummy, Disclose, Save, Delete — exclusive lock),
-//     so structural changes to disclosure never interleave with
-//     in-flight updates.
+//     Create, CreateDummy, first Disclose, Save of a dummy file,
+//     Delete — exclusive lock), so structural changes to disclosure
+//     never interleave with in-flight updates.
 type VolatileAgent struct {
 	structMu sync.RWMutex
 
@@ -468,10 +469,10 @@ func (s *volatileSource) Release(loc uint64) {
 // --- sessions ---------------------------------------------------------
 
 // Session is one user's login: the set of FAKs they disclosed and the
-// open file handles. Structural operations (Create, CreateDummy,
-// Disclose, Save, Delete) take the agent's control-plane lock; Write
-// and Read run on the shared data plane, serialized per session only,
-// so many sessions update concurrently through the scheduler.
+// open file handles. Structural operations (Create, CreateDummy, a
+// first Disclose, Delete) take the agent's control-plane lock; Write,
+// Read and Save run on the shared data plane, serialized per session
+// only, so many sessions update concurrently through the scheduler.
 type Session struct {
 	agent  *VolatileAgent
 	user   string
@@ -623,8 +624,13 @@ func (s *Session) CreateDummy(path string, nBlocks uint64) (*stegfs.File, error)
 }
 
 // Disclose opens an existing file (real or dummy — the header says
-// which) and registers its blocks with the agent.
+// which) and registers its blocks with the agent. A path the session
+// already holds is answered on the data plane: every open of a file
+// goes through here, and only the first changes what is disclosed.
 func (s *Session) Disclose(path string) (*stegfs.File, error) {
+	if f, ok := s.Open(path); ok {
+		return f, nil
+	}
 	a := s.agent
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
@@ -726,27 +732,46 @@ func (s *Session) TruncateCtx(ctx context.Context, path string, size uint64) err
 
 // Save flushes a disclosed file's cached block map (header and
 // pointer blocks) to the volume and re-registers freshly allocated
-// pointer blocks.
+// pointer blocks. A real file saves on the data plane, like the writes
+// it makes durable: its map is the session's own (s.mu), and the
+// allocation, the block I/O and the journal hooks serialize internally.
+// A dummy file's map is edited by every session's relocations under the
+// registry lock, so reading it out takes the control plane.
 func (s *Session) Save(path string) error {
 	a := s.agent
-	a.structMu.Lock()
-	defer a.structMu.Unlock()
-	f, ok := s.files[path]
-	if !ok {
-		if df, isDummy := s.dummyFiles[path]; isDummy {
-			if err := df.Save(); err != nil {
-				return err
-			}
-			a.registerFile(s.user, df)
-			return nil
-		}
-		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
-	}
-	if err := f.Save(); err != nil {
+	if saved, err := s.saveReal(path); saved {
 		return err
 	}
-	a.registerFile(s.user, f)
+	a.structMu.Lock()
+	defer a.structMu.Unlock()
+	df, ok := s.dummyFiles[path]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
+	}
+	if err := df.Save(); err != nil {
+		return err
+	}
+	a.registerFile(s.user, df)
 	return nil
+}
+
+// saveReal saves path if it names one of the session's real files, and
+// reports whether it does.
+func (s *Session) saveReal(path string) (bool, error) {
+	a := s.agent
+	a.structMu.RLock()
+	defer a.structMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.files[path]
+	if !ok {
+		return false, nil
+	}
+	if err := f.Save(); err != nil {
+		return true, err
+	}
+	a.registerFile(s.user, f)
+	return true, nil
 }
 
 // Read reads len(p) bytes at offset off of a disclosed file.

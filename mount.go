@@ -54,7 +54,8 @@ type Option func(*mountConfig) error
 
 // WithFormat makes Mount format the device as a fresh volume instead
 // of opening an existing one. Combined with WithJournal, an unsized
-// ring (JournalBlocks == 0) defaults to 256 slots.
+// ring (JournalBlocks == 0) defaults to 256 slots (blocks; at 4 KiB
+// blocks each holds 64 records).
 func WithFormat(opts FormatOptions) Option {
 	return func(c *mountConfig) error {
 		c.format = &opts

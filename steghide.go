@@ -307,7 +307,7 @@ func JournalKeyFromSecret(secret []byte, construction string) Key {
 // FormatOptions.JournalBlocks > 0.
 func OpenJournal(vol *Volume, key Key) (*Journal, error) { return journal.Open(vol, key) }
 
-// JournalFsck verifies the journal region — slot seal/tag integrity,
+// JournalFsck verifies the journal region — cell seal/tag integrity,
 // sequence continuity — and reports intents no completed save covers,
 // so a dirty volume is named instead of silently passing.
 func JournalFsck(vol *Volume, key Key) (*JournalFsckReport, error) {
