@@ -3,13 +3,16 @@ package steghide_test
 import (
 	"bytes"
 	"context"
+	"net"
 	"slices"
+	"sync"
 	"testing"
 
 	"steghide"
 	"steghide/internal/attack"
 	"steghide/internal/blockdev"
 	"steghide/internal/journal"
+	"steghide/internal/wire"
 )
 
 // ringCellsChanged counts the journal cells that differ between two
@@ -116,5 +119,160 @@ func TestRunCallShapeEqualsBurst(t *testing.T) {
 	}
 	if !slices.Equal(burst, run) {
 		t.Errorf("burst of %d has shape %+v, the run's is %+v", m, burst, run)
+	}
+}
+
+// frameTap is the observer of §3.2 who taps the storage channel and
+// sees frames instead of block events: per direction, how many bytes
+// moved before the other direction spoke. Server-side Writes are kept
+// one entry each (a frame is one Write, so each is a reply); the bytes
+// of consecutive Reads are summed, since how the kernel slices an
+// arriving request is timing, not content.
+type frameTap struct {
+	net.Listener
+	mu  sync.Mutex
+	seq []frameShape
+}
+
+type frameShape struct {
+	Out   bool // storage → agent
+	Bytes int
+}
+
+type frameTapConn struct {
+	net.Conn
+	tap *frameTap
+}
+
+func (l *frameTap) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &frameTapConn{Conn: conn, tap: l}, nil
+}
+
+func (c *frameTapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.tap.mu.Lock()
+	if s := c.tap.seq; len(s) > 0 && !s[len(s)-1].Out {
+		s[len(s)-1].Bytes += n
+	} else if n > 0 {
+		c.tap.seq = append(s, frameShape{Bytes: n})
+	}
+	c.tap.mu.Unlock()
+	return n, err
+}
+
+func (c *frameTapConn) Write(p []byte) (int, error) {
+	c.tap.mu.Lock()
+	c.tap.seq = append(c.tap.seq, frameShape{Out: true, Bytes: len(p)})
+	c.tap.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// cut returns what was observed since the last cut.
+func (l *frameTap) cut() []frameShape {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.seq
+	l.seq = nil
+	return s
+}
+
+// TestRunFrameShapeEqualsBurst is TestRunCallShapeEqualsBurst for the
+// observer on the wire between agent and storage: on a Mount over
+// DialStorage, a 64-block WriteAt that emitted m stream elements and an
+// idle DummyUpdateBurst(m), started at the same offset into a ring
+// slot, put the same sequence of (direction, bytes) on the storage
+// connection. With one Write per frame and the batch as the unit of the
+// data path, that sequence is a function of the call shape alone — three
+// round trips whose sizes follow from m — so frame sizes and their
+// order tell a real run from cover traffic no better than addresses do.
+func TestRunFrameShapeEqualsBurst(t *testing.T) {
+	ctx := context.Background()
+	const bs = 512
+	const k = bs / journal.CellSize
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &frameTap{Listener: inner}
+	srv, err := wire.NewStorageServerListener(tap, steghide.NewMemDevice(bs, 4096), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dev, err := steghide.DialStorage(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := steghide.Mount(dev,
+		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("frames"), KDFIterations: 4}),
+		steghide.WithJournal("admin-pass"),
+		steghide.WithSeed([]byte("frames-agent")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close() //nolint:errcheck // test teardown; closes dev
+	fs, err := stack.Login("u", "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.CreateDummy(ctx, "/cover", 1024); err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 64
+	data := make([]byte, blocks*stack.Volume().PayloadSize())
+	if err := steghide.WriteFile(ctx, fs, "/f", data); err != nil {
+		t.Fatal(err)
+	}
+	h, err := fs.OpenWrite(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close() //nolint:errcheck // test teardown
+
+	agent := stack.Agent2()
+	before := agent.Stats()
+	tap.cut()
+	if _, err := h.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	run := tap.cut()
+	after := agent.Stats()
+	m := (after.DataUpdates - before.DataUpdates) + (after.Camouflage - before.Camouflage)
+	if after.DataUpdates-before.DataUpdates != blocks || m < blocks {
+		t.Fatalf("a %d-block write emitted %d stream elements: %+v", blocks, m, after)
+	}
+	// Pad to the run's starting offset in its ring slot, as the
+	// call-shape test does: the offset is a count the observer has.
+	if pad := (k - int(m%k)) % k; pad > 0 {
+		if issued, err := agent.DummyUpdateBurst(pad); err != nil || issued != pad {
+			t.Fatalf("padding burst issued %d of %d: %v", issued, pad, err)
+		}
+	}
+	tap.cut()
+	if issued, err := agent.DummyUpdateBurst(int(m)); err != nil || uint64(issued) != m {
+		t.Fatalf("burst issued %d of %d: %v", issued, m, err)
+	}
+	burst := tap.cut()
+
+	// Ring write, scattered read of m blocks, scattered write of m
+	// blocks: a request and a reply each, 16-byte headers.
+	ring := run[0].Bytes - 16 - 16
+	want := []frameShape{
+		{false, run[0].Bytes}, {true, 16},
+		{false, 16 + 8 + 8*int(m)}, {true, 16 + int(m)*bs},
+		{false, 16 + 8 + int(m)*(8+bs)}, {true, 16},
+	}
+	if len(run) != len(want) || ring%bs != 0 || ring/bs < int(m+k-1)/k || ring/bs > int(m+k-1)/k+1 {
+		t.Fatalf("64-block WriteAt (%d elements) put %+v on the storage wire", m, run)
+	}
+	if !slices.Equal(run, want) {
+		t.Errorf("64-block WriteAt (%d elements) put %+v on the storage wire, want %+v", m, run, want)
+	}
+	if !slices.Equal(burst, run) {
+		t.Errorf("burst of %d put %+v on the storage wire, the run put %+v", m, burst, run)
 	}
 }

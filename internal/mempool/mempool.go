@@ -59,6 +59,18 @@ func SetEnabled(on bool) bool { return enabled.Swap(on) }
 // Enabled reports whether the memory plane is on.
 func Enabled() bool { return enabled.Load() }
 
+// poison, when non-zero, is the byte written over every buffer Put
+// takes back; see SetPoison.
+var poison atomic.Int32
+
+// SetPoison makes Put (and so Recycle and Lease.Release) overwrite each
+// buffer it takes back with b, and reports the previous setting; 0
+// turns it off. A test hook: a holder that still reads, or has handed
+// to someone else, a buffer it returned then meets poison every time,
+// so a broken ownership rule fails a test on its own, without the race
+// detector having to catch the two accesses in the act.
+func SetPoison(b byte) byte { return byte(poison.Swap(int32(b))) }
+
 // classes[i] holds buffers of exactly 1<<(minClassBits+i) capacity.
 // Boxed as *[]byte so the pool interface holds a pointer, not a
 // slice header copy (which would allocate on every Put).
@@ -119,6 +131,12 @@ func Put(b []byte) {
 	c := classFor(cap(b))
 	if c < 0 || classSize(c) != cap(b) {
 		panic(fmt.Sprintf("mempool: cross-size return (cap %d is not a size class)", cap(b)))
+	}
+	if p := poison.Load(); p != 0 {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = byte(p)
+		}
 	}
 	if !enabled.Load() {
 		return

@@ -176,14 +176,14 @@ func ConcurrentClientSuite() []bench {
 	return out
 }
 
-// Pipelined-vs-lockstep pairing: the same workload — n sessions, each
-// keeping pipeDepth single-block reads in flight on its one
-// connection — driven once through the v1 lock-step client (the
-// connection mutex serializes the depth) and once through the v2 mux
-// (all n×depth requests in flight at once). One op = one read RTT, so
-// ns/op is inverse aggregate wire throughput. Reads are served from
-// the session's open file without touching the Figure-6 scheduler,
-// keeping the comparison transport-bound rather than crypto-bound.
+// Pipelined reads: n sessions, each keeping pipeDepth single-block
+// reads in flight on its one connection, all n×depth requests in
+// flight at once. One op = one read RTT, so ns/op is inverse aggregate
+// wire throughput. Reads are served from the session's open file
+// without touching the Figure-6 scheduler, keeping the number
+// transport-bound rather than crypto-bound. (The cost of one round
+// trip at depth 1 is watched by BenchmarkWireRoundTrip in
+// internal/wire.)
 
 const (
 	pipeDepth      = 8
@@ -192,7 +192,7 @@ const (
 
 // pipelineWire builds the fixture and drives n connections × pipeDepth
 // goroutines of single-block reads.
-func pipelineWire(b *testing.B, n int, v1 bool) {
+func pipelineWire(b *testing.B, n int) {
 	blocks := uint64(n*(ccDummyBlocks/2+pipeFileBlocks+16) + 128)
 	vol, err := stegfs.Format(blockdev.NewMem(ccBlockSize, blocks),
 		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("ccp")})
@@ -206,15 +206,11 @@ func pipelineWire(b *testing.B, n int, v1 bool) {
 	}
 	defer srv.Close()
 
-	dial := wire.DialAgent
-	if v1 {
-		dial = wire.DialAgentV1
-	}
 	clients := make([]*wire.Client, n)
 	ps := vol.PayloadSize()
 	data := make([]byte, pipeFileBlocks*ps)
 	for i := range clients {
-		cli, err := dial(srv.Addr())
+		cli, err := wire.DialAgent(srv.Addr())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,22 +257,16 @@ func pipelineWire(b *testing.B, n int, v1 bool) {
 	wg.Wait()
 }
 
-// PipelineSuite returns the paired lockstep/pipelined entries at the
-// acceptance point (16 sessions × deep pipelines) plus a small size.
+// PipelineSuite returns the pipelined-read entries at the acceptance
+// point (16 sessions × deep pipelines) plus a small size.
 func PipelineSuite() []bench {
 	var out []bench
 	for _, n := range []int{4, 16} {
 		n := n
-		out = append(out,
-			bench{
-				name: fmt.Sprintf("wire-pipeline/lockstep-%d", n),
-				fn:   func(b *testing.B) { pipelineWire(b, n, true) },
-			},
-			bench{
-				name: fmt.Sprintf("wire-pipeline/pipelined-%d", n),
-				fn:   func(b *testing.B) { pipelineWire(b, n, false) },
-			},
-		)
+		out = append(out, bench{
+			name: fmt.Sprintf("wire-pipeline/pipelined-%d", n),
+			fn:   func(b *testing.B) { pipelineWire(b, n) },
+		})
 	}
 	return out
 }

@@ -24,13 +24,9 @@ func BenchmarkConcurrentClients(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		b.Run(fmt.Sprintf("fleet-16x%d", n), func(b *testing.B) { concurrentFleet(b, n) })
 	}
-	// The wire protocol's paired pipelining benchmark: the identical
-	// N-session × 8-deep read workload through the v1 lock-step client
-	// and the v2 mux. The pipelined arm's gain over lockstep is pure
-	// transport: request IDs let all N×8 reads share connections
-	// in flight instead of serializing per connection.
+	// The wire protocol's pipelining benchmark: N sessions × 8-deep
+	// reads, all N×8 sharing their connections in flight.
 	for _, n := range []int{4, 16} {
-		b.Run(fmt.Sprintf("pipeline-lockstep-%d", n), func(b *testing.B) { pipelineWire(b, n, true) })
-		b.Run(fmt.Sprintf("pipeline-pipelined-%d", n), func(b *testing.B) { pipelineWire(b, n, false) })
+		b.Run(fmt.Sprintf("pipeline-pipelined-%d", n), func(b *testing.B) { pipelineWire(b, n) })
 	}
 }

@@ -7,9 +7,9 @@
 // multi-client scaling curve of the update scheduler
 // (concurrent-clients/local-N and /wire-N: aggregate Figure-6 update
 // throughput at 1/4/16/64 concurrent sessions) — plus the wire
-// protocol's paired pipelining benchmark (wire-pipeline/lockstep-N vs
-// /pipelined-N: the same N-session × 8-deep read workload through the
-// v1 lock-step client and the v2 mux), the staged seal pipeline's
+// protocol's pipelining benchmark (wire-pipeline/pipelined-N: N
+// sessions × 8-deep reads sharing their connections), the staged seal
+// pipeline's
 // paired arms (seal-pipeline/serial-N vs /pipelined-N, and the
 // burst-level pair over a live scheduler), and the observability
 // plane's paired overhead arms (obs/update-metrics-off vs /on: the

@@ -18,19 +18,17 @@ import (
 // over TCP. One daemon fronts a fleet of volumes: each mounted volume
 // is registered under a name, and msgLogin picks the volume the
 // connection's session lives on (the empty name is the default
-// volume, which is all a v1 client can reach).
+// volume).
 //
 // Each connection is one user's channel; the login state is
 // connection-scoped, and dropping the connection logs the user out —
 // the volatility property, enforced by transport lifetime.
 //
-// Connections are served concurrently, and on protocol v2 so are the
-// requests *within* one connection: a bounded worker pool overlaps a
-// session's in-flight calls (the per-volume scheduler in
-// internal/sched merges all sessions' intents into one uniformly
-// random stream, so overlapping is safe), with backpressure once the
-// pool's queue fills. A v1 connection keeps the lock-step in-order
-// semantics it always had.
+// Connections are served concurrently, and so are the requests
+// *within* one connection: a bounded number of a session's calls
+// overlap (the per-volume scheduler in internal/sched merges all
+// sessions' intents into one uniformly random stream, so overlapping
+// is safe), with backpressure once that many are in flight.
 type AgentServer struct {
 	vmu     sync.RWMutex
 	volumes map[string]*steghide.VolatileAgent
@@ -38,7 +36,6 @@ type AgentServer struct {
 	wg      sync.WaitGroup
 
 	maxFrame uint64
-	forceV1  bool // interop knob: behave like a pre-v2 server
 
 	// Observability attachments (ServeOptions); both nil-safe.
 	log     *slog.Logger
@@ -61,18 +58,11 @@ func NewAgentServer(addr string, agent *steghide.VolatileAgent) (*AgentServer, e
 // volumes, keyed by the volume name clients pass at login. An entry
 // under the empty name is the default volume.
 func NewMultiAgentServer(addr string, volumes map[string]*steghide.VolatileAgent) (*AgentServer, error) {
-	return newAgentServer(addr, volumes, maxBodySize, false)
-}
-
-// newAgentServer is the option-carrying core; the knobs (frame limit
-// offer, pinned-v1 behavior) must be fixed before the accept loop can
-// hand a connection to them.
-func newAgentServer(addr string, volumes map[string]*steghide.VolatileAgent, maxFrame uint64, forceV1 bool) (*AgentServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen: %w", err)
 	}
-	s, err := newAgentServerListener(ln, volumes, maxFrame, forceV1)
+	s, err := newAgentServer(ln, volumes, maxBodySize, ServeOptions{})
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -86,7 +76,7 @@ func newAgentServer(addr string, volumes map[string]*steghide.VolatileAgent, max
 // control the transport the daemon serves on. The server owns ln from
 // here on.
 func NewMultiAgentServerListener(ln net.Listener, volumes map[string]*steghide.VolatileAgent) (*AgentServer, error) {
-	return newAgentServerListener(ln, volumes, maxBodySize, false)
+	return newAgentServer(ln, volumes, maxBodySize, ServeOptions{})
 }
 
 // NewMultiAgentServerListenerOpts is NewMultiAgentServerListener with
@@ -96,14 +86,12 @@ func NewMultiAgentServerListener(ln net.Listener, volumes map[string]*steghide.V
 // starts before the constructor returns, so there is no later moment
 // to install them race-free.
 func NewMultiAgentServerListenerOpts(ln net.Listener, volumes map[string]*steghide.VolatileAgent, opts ServeOptions) (*AgentServer, error) {
-	return newAgentServerListenerOpts(ln, volumes, maxBodySize, false, opts)
+	return newAgentServer(ln, volumes, maxBodySize, opts)
 }
 
-func newAgentServerListener(ln net.Listener, volumes map[string]*steghide.VolatileAgent, maxFrame uint64, forceV1 bool) (*AgentServer, error) {
-	return newAgentServerListenerOpts(ln, volumes, maxFrame, forceV1, ServeOptions{})
-}
-
-func newAgentServerListenerOpts(ln net.Listener, volumes map[string]*steghide.VolatileAgent, maxFrame uint64, forceV1 bool, opts ServeOptions) (*AgentServer, error) {
+// newAgentServer is the core; the frame limit it offers must be fixed
+// before the accept loop can hand a connection to it.
+func newAgentServer(ln net.Listener, volumes map[string]*steghide.VolatileAgent, maxFrame uint64, opts ServeOptions) (*AgentServer, error) {
 	if len(volumes) == 0 {
 		return nil, fmt.Errorf("wire: agent server needs at least one volume")
 	}
@@ -118,7 +106,6 @@ func newAgentServerListenerOpts(ln net.Listener, volumes map[string]*steghide.Vo
 		volumes:  vols,
 		ln:       ln,
 		maxFrame: maxFrame,
-		forceV1:  forceV1,
 		log:      opts.Logger,
 		metrics:  newServerMetrics(opts.Metrics),
 		conns:    map[*connServer]struct{}{},
@@ -212,12 +199,11 @@ func (s *AgentServer) Close() error {
 }
 
 // Shutdown gracefully drains the server: it stops accepting, tells
-// every v2 connection to take its next call elsewhere (msgGoaway),
-// lets in-flight requests finish and their replies land, then closes
-// the connections and returns. ctx bounds the drain — on expiry the
+// every connection to take its next call elsewhere (msgGoaway), lets
+// in-flight requests finish and their replies land, then closes the
+// connections and returns. ctx bounds the drain — on expiry the
 // remaining connections are closed abruptly, exactly the semantics a
-// plain close always had, and ctx's error is returned. v1 peers get
-// connection-close semantics unchanged (no goaway exists pre-v2).
+// plain close always had, and ctx's error is returned.
 func (s *AgentServer) Shutdown(ctx context.Context) error {
 	s.cmu.Lock()
 	s.down = true
@@ -275,8 +261,7 @@ func (s *AgentServer) acceptLoop() {
 			defer s.wg.Done()
 			defer conn.Close()
 			st := &connSession{remote: conn.RemoteAddr().String()}
-			cs := &connServer{conn: conn, maxFrame: s.maxFrame, forceV1: s.forceV1,
-				log: s.log, metrics: s.metrics}
+			cs := newConnServer(conn, s.maxFrame, s.log, s.metrics)
 			if !s.track(cs) {
 				return // raced Shutdown: the listener is already closed
 			}
@@ -297,8 +282,8 @@ func (s *AgentServer) acceptLoop() {
 	}
 }
 
-// connSession is one connection's login state. Workers serving
-// pipelined requests share it, so access is mutex-guarded; the
+// connSession is one connection's login state. The goroutines serving
+// its pipelined requests share it, so access is mutex-guarded; the
 // session object itself is safe for concurrent use (PR 2's scheduler
 // merges all its I/O into the volume's update stream).
 type connSession struct {
@@ -327,8 +312,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		pass := d.str()
 		volume := ""
 		if d.err == nil && len(d.b) > 0 {
-			// v2 logins name a volume; v1 bodies end after the
-			// passphrase and land on the default volume.
+			// A login to the default volume ends after the passphrase.
 			volume = d.str()
 		}
 		if d.err != nil {
@@ -417,8 +401,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		if f.IsDummy() {
 			dummy = 1
 		}
-		e.u64(dummy).u64(f.Size())
-		return frame{Type: msgOK, Body: e.b}
+		return e.u64(dummy).u64(f.Size()).frame(msgOK)
 	case msgRead:
 		path := d.str()
 		off := d.u64()
@@ -432,13 +415,13 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		// n is bounded by the negotiated frame limit (above) before any
 		// allocation; the reply buffer is leased from the memory plane
 		// and returned once the reply frame is written.
-		buf := mempool.Get(int(n))
-		got, err := sess.Read(path, buf, off)
+		buf := mempool.Get(headerSize + int(n))
+		got, err := sess.Read(path, buf[headerSize:], off)
 		if err != nil {
 			mempool.Recycle(buf)
 			return errFrame(err)
 		}
-		return frame{Type: msgOK, Body: buf[:got], pooled: true}
+		return framed(msgOK, buf, got)
 	case msgWrite:
 		path := d.str()
 		off := d.u64()
@@ -485,18 +468,17 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		for _, p := range paths {
 			e.str(p)
 		}
-		return frame{Type: msgOK, Body: e.b}
+		return e.frame(msgOK)
 	default:
 		return errFrame(fmt.Errorf("wire: unknown message type %#x", req.Type))
 	}
 }
 
 // Client is a user's connection to an AgentServer. It is safe for
-// concurrent use: on a v2 connection every method call is one
-// pipelined in-flight request, and cancelling one call's context
-// abandons just that request — the connection stays healthy. On a v1
-// (lock-step) connection calls serialize, and an interrupted call
-// latches the connection broken (ErrConnBroken) exactly as before.
+// concurrent use: every method call is one pipelined in-flight
+// request, and cancelling one call's context abandons just that
+// request — the connection stays healthy; a transport fault latches it
+// broken (ErrConnBroken).
 //
 // A client dialed with DialAgentRetry self-heals instead of latching:
 // a transport fault redials with backoff, replays the login and every
@@ -530,18 +512,7 @@ func DialAgent(addr string) (*Client, error) {
 // DialAgentCtx is DialAgent honoring the context while the
 // connection is established and the protocol version negotiated.
 func DialAgentCtx(ctx context.Context, addr string) (*Client, error) {
-	m, err := dialMux(ctx, addr, maxBodySize, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{m: m}, nil
-}
-
-// DialAgentV1 connects speaking the lock-step v1 protocol only — the
-// compatibility client for pre-v2 servers (and the lock-step arm of
-// the paired pipelining benchmark).
-func DialAgentV1(addr string) (*Client, error) {
-	m, err := dialMux(context.Background(), addr, maxBodySize, true)
+	m, err := dialMux(ctx, addr, maxBodySize)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +529,7 @@ func DialAgentRetry(ctx context.Context, policy RetryPolicy, addrs ...string) (*
 		return nil, fmt.Errorf("wire: no agent addresses")
 	}
 	c := &Client{disclosed: map[string]struct{}{}}
-	rd := newRedialer(policy, maxBodySize, false, addrs...)
+	rd := newRedialer(policy, maxBodySize, addrs...)
 	rd.onConnect = c.onConnect
 	c.rd = rd
 	for attempt := 0; ; attempt++ {
@@ -593,9 +564,6 @@ func (c *Client) onConnect(ctx context.Context, m *muxConn) error {
 	c.smu.Unlock()
 	if !loggedIn {
 		return nil
-	}
-	if volume != "" && m.v1 {
-		return fmt.Errorf("wire: volume login requires protocol v2 (peer speaks v1)")
 	}
 	sort.Strings(paths)
 	if err := c.replayLogin(ctx, m, volume, user, pass); err != nil {
@@ -638,23 +606,13 @@ func (c *Client) replayLogin(ctx context.Context, m *muxConn, volume, user, pass
 	return err
 }
 
-// ProtoVersion reports the negotiated protocol version (1 or 2).
-func (c *Client) ProtoVersion() int {
-	if c.rd != nil {
-		if m := c.rd.current(); m != nil {
-			return m.protoVersion()
-		}
-		return protoV2 // retry mode always negotiates
-	}
-	return c.m.protoVersion()
-}
+// ProtoVersion reports the negotiated protocol version.
+func (c *Client) ProtoVersion() int { return protoV2 }
 
-// v1Pinned reports whether the client speaks lock-step v1.
-func (c *Client) v1Pinned() bool { return c.rd == nil && c.m.v1 }
-
-// do runs one exchange on the mux. idempotent marks requests the
-// retry layer may re-send even if the server already executed them;
-// it is ignored in direct (non-retry) mode.
+// do runs one exchange on the mux and ends the request's lease.
+// idempotent marks requests the retry layer may re-send even if the
+// server already executed them; it is ignored in direct (non-retry)
+// mode.
 func (c *Client) do(ctx context.Context, req frame, idempotent bool) (frame, error) {
 	if c.rd != nil {
 		return c.rd.call(ctx, req, idempotent)
@@ -674,8 +632,7 @@ func (c *Client) Close() error {
 
 // Ping probes the server's liveness: one round trip, answered before
 // any login — a load balancer or fleet router can health-check a
-// daemon without credentials. Against a genuine pre-v2 server the
-// probe fails with ErrRemote (the frame type predates it).
+// daemon without credentials.
 func (c *Client) Ping() error { return c.PingCtx(context.Background()) }
 
 // PingCtx is Ping honoring the context at the wire wait point.
@@ -687,8 +644,8 @@ func (c *Client) PingCtx(ctx context.Context) error {
 // Every operation has a context-honoring form; the plain methods are
 // the same call under context.Background(). The context's deadline
 // bounds the whole round trip; cancellation abandons the in-flight
-// request (sending msgCancel so the server stops working on it) and,
-// on protocol v2, leaves the connection healthy for other calls.
+// request (sending msgCancel so the server stops working on it) and
+// leaves the connection healthy for other calls.
 
 // Login authenticates the connection's user on the default volume.
 func (c *Client) Login(user, passphrase string) error {
@@ -707,15 +664,8 @@ func (c *Client) LoginVolume(volume, user, passphrase string) error {
 }
 
 // LoginVolumeCtx is LoginVolume honoring the context at the wire wait
-// point. Logins to the default volume omit the volume field, so they
-// stay byte-compatible with v1 servers; a named volume requires a v2
-// server and fails with ErrRemote against a v1 peer.
+// point. Logins to the default volume omit the volume field.
 func (c *Client) LoginVolumeCtx(ctx context.Context, volume, user, passphrase string) error {
-	if volume != "" && c.v1Pinned() {
-		// A v1 server would silently ignore the trailing volume field
-		// and log the user into the default volume — refuse instead.
-		return fmt.Errorf("wire: volume login requires protocol v2 (peer speaks v1)")
-	}
 	// Safe to retry: a retried login lands on a fresh connection, whose
 	// server-side session cannot already be logged in.
 	_, err := c.do(ctx, loginFrame(volume, user, passphrase), true)
@@ -735,14 +685,13 @@ func loginFrame(volume, user, passphrase string) frame {
 	if volume != "" {
 		e.str(volume)
 	}
-	return frame{Type: msgLogin, Body: e.b}
+	return e.frame(msgLogin)
 }
 
 // discloseFrame encodes a disclosure request.
 func discloseFrame(path string) frame {
 	e := &encoder{}
-	e.str(path)
-	return frame{Type: msgDisclose, Body: e.b}
+	return e.str(path).frame(msgDisclose)
 }
 
 // remember records path into the replay set (retry mode only).
@@ -789,10 +738,9 @@ func (c *Client) Create(path string) error { return c.CreateCtx(context.Backgrou
 // CreateCtx is Create honoring the context at the wire wait point.
 func (c *Client) CreateCtx(ctx context.Context, path string) error {
 	e := &encoder{}
-	e.str(path)
 	// Mutating: retried only when provably unsent (ErrMaybeApplied
 	// otherwise — the file may exist now).
-	_, err := c.do(ctx, frame{Type: msgCreate, Body: e.b}, false)
+	_, err := c.do(ctx, e.str(path).frame(msgCreate), false)
 	if err == nil {
 		c.remember(path) // a created file is open in the session
 	}
@@ -808,9 +756,7 @@ func (c *Client) CreateDummy(path string, blocks uint64) error {
 // point.
 func (c *Client) CreateDummyCtx(ctx context.Context, path string, blocks uint64) error {
 	e := &encoder{}
-	e.str(path)
-	e.u64(blocks)
-	_, err := c.do(ctx, frame{Type: msgCreateDummy, Body: e.b}, false)
+	_, err := c.do(ctx, e.str(path).u64(blocks).frame(msgCreateDummy), false)
 	if err == nil {
 		c.remember(path)
 	}
@@ -848,10 +794,7 @@ func (c *Client) Read(path string, p []byte, off uint64) (int, error) {
 // ReadCtx is Read honoring the context at the wire wait point.
 func (c *Client) ReadCtx(ctx context.Context, path string, p []byte, off uint64) (int, error) {
 	e := &encoder{}
-	e.str(path)
-	e.u64(off)
-	e.u64(uint64(len(p)))
-	resp, err := c.do(ctx, frame{Type: msgRead, Body: e.b}, true)
+	resp, err := c.do(ctx, e.str(path).u64(off).u64(uint64(len(p))).frame(msgRead), true)
 	if err != nil {
 		return 0, err
 	}
@@ -867,11 +810,8 @@ func (c *Client) Write(path string, data []byte, off uint64) error {
 
 // WriteCtx is Write honoring the context at the wire wait point.
 func (c *Client) WriteCtx(ctx context.Context, path string, data []byte, off uint64) error {
-	e := &encoder{}
-	e.str(path)
-	e.u64(off)
-	e.bytes(data)
-	_, err := c.do(ctx, frame{Type: msgWrite, Body: e.b}, false)
+	e := newEncoder(24 + len(path) + len(data))
+	_, err := c.do(ctx, e.str(path).u64(off).bytes(data).frame(msgWrite), false)
 	return err
 }
 
@@ -881,8 +821,7 @@ func (c *Client) Save(path string) error { return c.SaveCtx(context.Background()
 // SaveCtx is Save honoring the context at the wire wait point.
 func (c *Client) SaveCtx(ctx context.Context, path string) error {
 	e := &encoder{}
-	e.str(path)
-	_, err := c.do(ctx, frame{Type: msgSave, Body: e.b}, false)
+	_, err := c.do(ctx, e.str(path).frame(msgSave), false)
 	return err
 }
 
@@ -893,8 +832,7 @@ func (c *Client) Delete(path string) error { return c.DeleteCtx(context.Backgrou
 // DeleteCtx is Delete honoring the context at the wire wait point.
 func (c *Client) DeleteCtx(ctx context.Context, path string) error {
 	e := &encoder{}
-	e.str(path)
-	_, err := c.do(ctx, frame{Type: msgDelete, Body: e.b}, false)
+	_, err := c.do(ctx, e.str(path).frame(msgDelete), false)
 	if err == nil {
 		c.forget(path)
 	}
@@ -910,9 +848,7 @@ func (c *Client) Truncate(path string, size uint64) error {
 // point.
 func (c *Client) TruncateCtx(ctx context.Context, path string, size uint64) error {
 	e := &encoder{}
-	e.str(path)
-	e.u64(size)
-	_, err := c.do(ctx, frame{Type: msgTruncate, Body: e.b}, false)
+	_, err := c.do(ctx, e.str(path).u64(size).frame(msgTruncate), false)
 	return err
 }
 

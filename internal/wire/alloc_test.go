@@ -1,10 +1,16 @@
 package wire
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"steghide/internal/blockdev"
+	"steghide/internal/mempool"
+	"steghide/internal/prng"
 	"steghide/internal/race"
+	"steghide/internal/stegfs"
+	"steghide/internal/steghide"
 )
 
 // TestAllocBudgets pins the batched remote read path, client and
@@ -37,5 +43,70 @@ func TestAllocBudgets(t *testing.T) {
 	t.Logf("ReadBlocksAt(%d scattered): %.1f allocs/batch (%.3f/block)", n, allocs, allocs/n)
 	if allocs > 48 {
 		t.Errorf("ReadBlocksAt(%d) = %.1f allocs/batch, budget 48", n, allocs)
+	}
+	bulkRoundTripBudget(t)
+}
+
+// bulkRoundTripBudget pins the agent protocol's bulk path:
+// once the pools are warm, a 256 KiB WriteCtx and the ReadCtx of the
+// same range allocate no payload-sized buffer on either end — request
+// and reply bodies are leased with their header room, written in one
+// Write and returned. The measure is bytes, both ends together (one
+// process): a single payload-sized allocation per round trip would
+// show as ≥ 256 KiB.
+func bulkRoundTripBudget(t *testing.T) {
+	if !mempool.Enabled() {
+		return // every Get is a plain make with the pools off
+	}
+	vol, err := stegfs.Format(blockdev.NewMem(4096, 1024),
+		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("bulk")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewAgentServer("127.0.0.1:0", steghide.NewVolatile(vol, prng.NewFromUint64(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := DialAgent(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Login("alice", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.CreateDummy("/cover", 512); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	const payload = 256 << 10
+	data := prng.NewFromUint64(4).Bytes(payload)
+	got := make([]byte, payload)
+	ctx := context.Background()
+	roundTrip := func() {
+		if err := cli.WriteCtx(ctx, "/f", data, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := cli.ReadCtx(ctx, "/f", got, 0); err != nil || n != payload {
+			t.Fatalf("read %d, %v", n, err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the pools and the file's scratch
+		roundTrip()
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	perTrip := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("256 KiB WriteCtx + ReadCtx: %d B allocated per round trip, both ends", perTrip)
+	if perTrip >= payload/2 {
+		t.Errorf("256 KiB round trip allocates %d B; a payload-sized buffer is being allocated per call", perTrip)
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"net"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -221,4 +222,14 @@ func BenchmarkRemoteBatch(b *testing.B) {
 	}
 	b.Run("striped-read64/loop", func(b *testing.B) { runS(b, false) })
 	b.Run("striped-read64/batched", func(b *testing.B) { runS(b, true) })
+}
+
+// listen opens a loopback listener the test's server will own.
+func listen(t testing.TB) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
 }

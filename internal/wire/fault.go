@@ -41,8 +41,8 @@ type FaultPlan struct {
 }
 
 // FaultConn wraps a net.Conn with an injected-fault plan. It is safe
-// for the one-reader/one-writer discipline every mux connection uses;
-// the byte budget is shared across both directions.
+// for the discipline every mux connection keeps — one reader, one
+// writer at a time; the byte budget is shared across both directions.
 type FaultConn struct {
 	net.Conn
 	plan FaultPlan

@@ -58,10 +58,10 @@ func FuzzFrameDecode(f *testing.F) {
 func FuzzDecoder(f *testing.F) {
 	e := &encoder{}
 	e.u64(3).str("abc").bytes([]byte{1, 2})
-	f.Add(e.b)
+	f.Add(e.body())
 	lying := &encoder{}
 	lying.u64(1 << 40) // length prefix far beyond the body
-	f.Add(lying.b)
+	f.Add(lying.body())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -10,80 +11,38 @@ import (
 	"time"
 )
 
-// ErrConnBroken reports a client connection desynced by a transport
-// fault (or, on a v1 lock-step connection, by an interrupted call);
-// every further call fails until the caller redials. Protocol v2
-// removed the cancellation case from this latch: a cancelled v2 call
-// abandons only its own request ID — the demux reader discards the
-// late reply by ID — so the connection stays healthy.
+// ErrConnBroken reports a client connection lost to a transport
+// fault; every further call fails until the caller redials. A
+// cancelled call is not one: it abandons only its own request ID — the
+// demux reader discards the late reply by ID — so the connection stays
+// healthy.
 var ErrConnBroken = errors.New("wire: connection broken; redial")
 
 // errConnClosed reports calls after a local Close.
 var errConnClosed = errors.New("wire: connection closed")
 
-// muxSendQueue bounds the writer goroutine's mailbox; callers block
-// (honoring their contexts) when it is full.
-const muxSendQueue = 64
-
-// Send states of one queued request, for the retry layer's
-// "provably never reached the server" decision. The caller and the
-// writer race on a CAS: whoever moves the state first wins, so a
-// request is either provably abandoned before any byte was written
-// (caller won) or possibly on the wire (writer won) — never both.
-const (
-	sendQueued    = int32(0) // in the mailbox, no byte written
-	sendStarted   = int32(1) // writer claimed it; bytes may be on the wire
-	sendAbandoned = int32(2) // caller reclaimed it; writer will skip it
-)
-
-// muxReq is one frame in the writer's mailbox. state is nil for
-// fire-and-forget control frames (msgCancel), which no caller tracks.
-type muxReq struct {
-	f     frame
-	state *atomic.Int32
-}
-
-// abandon tries to reclaim a queued request before the writer starts
-// it, reporting success. A true return proves no byte of the frame was
-// ever written — the request is safe to retry even when it mutates.
-func (r muxReq) abandon() bool {
-	return r.state != nil && r.state.CompareAndSwap(sendQueued, sendAbandoned)
-}
-
-// muxConn is one client connection to a wire server, in either of two
-// modes decided by the hello handshake at dial time:
-//
-//   - v2 (multiplexed): every call gets a request ID and a reply
-//     channel; a writer goroutine serializes frames onto the socket
-//     and a demux reader routes replies to their channels by ID, so
-//     any number of calls from any goroutines are concurrently in
-//     flight on one connection. Context cancellation sends msgCancel
-//     and abandons just that request.
-//   - v1 (lock-step): the peer predates the hello frame; a mutex
-//     serializes whole round trips, and an interrupted call latches
-//     the connection broken exactly as protocol v1 always did.
+// muxConn is one client connection to a wire server. Every call gets a
+// request ID and a reply channel; the calling goroutine writes its own
+// frame while it holds the socket's write side, and the demux reader
+// routes replies to their channels by ID, so any number of calls from
+// any goroutines are concurrently in flight on one connection. Context
+// cancellation abandons just that request.
 type muxConn struct {
 	conn     net.Conn
-	maxFrame uint64 // negotiated body limit (v1: maxBodySize)
-	v1       bool
-
-	// --- v1 lock-step state --------------------------------------
-	lmu     sync.Mutex
-	lbroken bool // guarded by lmu — a queued call must see the latch
-
-	// brokenHint mirrors lbroken for lock-free health checks: lmu is
-	// held across whole round trips, so a prober must not take it.
-	brokenHint atomic.Bool
+	maxFrame uint64 // negotiated body limit
 
 	// goaway is set when the server announced a drain (msgGoaway): the
 	// connection still answers its in-flight requests, but a
 	// redial-capable caller should place its next call elsewhere.
 	goaway atomic.Bool
 
-	// --- v2 mux state --------------------------------------------
-	sendq    chan muxReq
-	quit     chan struct{} // closed by Close
-	dead     chan struct{} // closed when reader/writer hit a fault
+	// wlock is the socket's write side as a one-slot token, held for
+	// exactly one writeFrame. A channel and not a mutex, so that waiting
+	// for it sits in one select with the caller's context and the
+	// connection's end.
+	wlock    chan struct{}
+	quit     chan struct{} // closed by close
+	dead     chan struct{} // closed on the first transport fault
 	deadOnce sync.Once
 	quitOnce sync.Once
 
@@ -93,18 +52,14 @@ type muxConn struct {
 	nextID  uint32
 }
 
-// dialMux connects to addr and runs the hello handshake: a v2 answer
-// starts the mux goroutines, a msgErr answer (an old server rejecting
-// the unknown frame type) falls back to lock-step v1. forceV1 skips
-// the handshake entirely and speaks v1 — the interop knob a client
-// pinned to the old protocol uses.
-func dialMux(ctx context.Context, addr string, proposeMax uint64, forceV1 bool) (*muxConn, error) {
+// dialMux connects to addr and runs the hello handshake.
+func dialMux(ctx context.Context, addr string, proposeMax uint64) (*muxConn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
-	m, err := newMux(ctx, conn, proposeMax, forceV1)
+	m, err := newMux(ctx, conn, proposeMax)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -112,25 +67,30 @@ func dialMux(ctx context.Context, addr string, proposeMax uint64, forceV1 bool) 
 	return m, nil
 }
 
-// newMux runs the handshake on an established connection.
-func newMux(ctx context.Context, conn net.Conn, proposeMax uint64, forceV1 bool) (*muxConn, error) {
+// newMux runs the handshake on an established connection: it offers
+// protocol v2 and a frame limit, and the peer must answer with both.
+// A peer that rejects the hello, or answers with an older version,
+// fails the dial with ErrProtoVersion.
+func newMux(ctx context.Context, conn net.Conn, proposeMax uint64) (*muxConn, error) {
 	if proposeMax == 0 || proposeMax > maxBodySize {
 		proposeMax = maxBodySize
 	}
-	if forceV1 {
-		return &muxConn{conn: conn, maxFrame: maxBodySize, v1: true}, nil
+	// One reader for the connection's whole life, the hello included, so
+	// no byte the peer sends behind its hello falls between two readers.
+	br := bufio.NewReaderSize(conn, connReadBuf)
+	// The hello is one round trip before any goroutine exists, bounded
+	// by the dial context: its firing expires the socket's deadlines.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) }) //nolint:errcheck // best-effort interrupt
+	hello := helloFrame(protoV2, proposeMax)
+	err := writeFrame(conn, hello)
+	hello.release()
+	var resp frame
+	if err == nil {
+		resp, err = readFrame(br, helloLimit)
 	}
-	// The handshake itself is one lock-step round trip, bounded by
-	// the dial context.
-	stop := watchCtx(ctx, conn)
-	resp, err := func() (frame, error) {
-		if err := writeFrame(conn, frame{Type: msgHello, Body: helloBody(protoV2, proposeMax)}); err != nil {
-			return frame{}, err
-		}
-		return readFrame(conn, maxBodySize)
-	}()
-	if cerr := stop(); cerr != nil {
-		return nil, fmt.Errorf("wire: %w", cerr)
+	defer resp.release() // every field below is decoded by value
+	if !stop() {
+		return nil, fmt.Errorf("wire: %w", ctx.Err())
 	}
 	if err != nil {
 		return nil, err
@@ -138,69 +98,56 @@ func newMux(ctx context.Context, conn net.Conn, proposeMax uint64, forceV1 bool)
 	switch resp.Type {
 	case msgHello:
 		version, theirMax, err := decodeHello(resp.Body)
-		resp.release()
 		if err != nil {
 			return nil, err
 		}
 		if version < protoV2 {
-			// A server that answers hello but pins v1: lock-step.
-			return &muxConn{conn: conn, maxFrame: maxBodySize, v1: true}, nil
+			return nil, fmt.Errorf("%w: peer answers version %d", ErrProtoVersion, version)
 		}
 		m := &muxConn{
 			conn:     conn,
 			maxFrame: min(proposeMax, theirMax),
-			sendq:    make(chan muxReq, muxSendQueue),
+			wlock:    make(chan struct{}, 1),
 			quit:     make(chan struct{}),
 			dead:     make(chan struct{}),
 			pending:  map[uint32]chan frame{},
 		}
-		go m.writeLoop()
-		go m.readLoop()
+		go m.readLoop(br)
 		return m, nil
 	case msgErr:
-		// A v1 server rejecting the unknown frame type — it is still
-		// in frame sync (it answered), so speak v1 on the same
-		// connection.
-		resp.release()
-		return &muxConn{conn: conn, maxFrame: maxBodySize, v1: true}, nil
+		// A peer from before the hello frame ("unknown message type"), or
+		// one that refuses version 2.
+		return nil, fmt.Errorf("%w: %w", ErrProtoVersion, decodeRemoteError(resp.Body))
 	default:
 		return nil, fmt.Errorf("wire: unexpected hello reply type %#x", resp.Type)
 	}
 }
 
-// protoVersion reports the negotiated protocol version.
-func (m *muxConn) protoVersion() int {
-	if m.v1 {
-		return protoV1
-	}
-	return protoV2
-}
-
-// call runs one request/reply exchange. On a v2 connection it
-// pipelines with every other in-flight call; ctx cancellation
-// abandons only this request (a best-effort msgCancel tells the
-// server to stop working on it) and the connection stays usable. On
-// a v1 connection it is the classic lock-step round trip with the
-// broken-connection latch.
+// call runs one request/reply exchange, pipelined with every other
+// in-flight call, and ends the request's lease: the body was this
+// goroutine's from encode until its own Write returned, which on every
+// path out of callT it has (or never began). ctx cancellation abandons
+// only this request (a best-effort msgCancel tells the server to stop
+// working on it) and the connection stays usable.
 func (m *muxConn) call(ctx context.Context, req frame) (frame, error) {
+	defer req.release()
 	resp, _, err := m.callT(ctx, req)
 	return resp, err
 }
 
-// callT is call with send tracking for the retry layer: on failure,
-// sent=false proves no byte of the request ever hit the wire, so even
-// a mutating request is safe to resend. sent=true means the request
-// may have reached (and been applied by) the server. On success sent
-// is always true.
+// callT is call with send tracking for the retry layer, and without
+// the release (a retry sends the same frame again). sent reports
+// whether this goroutine began writing the request: on failure,
+// sent=false proves no byte of it ever hit the wire, so even a
+// mutating request is safe to resend; sent=true means it may have
+// reached (and been applied by) the server. On success sent is always
+// true.
 func (m *muxConn) callT(ctx context.Context, req frame) (resp frame, sent bool, err error) {
 	if uint64(len(req.Body)) > m.maxFrame {
 		// Refuse before anything hits the wire: the peer would reject
 		// the frame unread and drop the connection, killing every
 		// other in-flight call for one oversized request.
 		return frame{}, false, fmt.Errorf("%w: request of %d bytes (limit %d)", ErrFrameTooBig, len(req.Body), m.maxFrame)
-	}
-	if m.v1 {
-		return m.callV1(ctx, req)
 	}
 	if err := ctx.Err(); err != nil {
 		return frame{}, false, fmt.Errorf("wire: %w", err)
@@ -211,69 +158,103 @@ func (m *muxConn) callT(ctx context.Context, req frame) (resp frame, sent bool, 
 		return frame{}, false, err
 	}
 	req.ID = id
-	mr := muxReq{f: req, state: new(atomic.Int32)}
-	select {
-	case m.sendq <- mr:
-	case <-ctx.Done():
+	if err := m.lockWrite(ctx); err != nil {
 		m.unregister(id)
-		return frame{}, false, fmt.Errorf("wire: %w", ctx.Err())
-	case <-m.dead:
+		return frame{}, false, err
+	}
+	err = writeFrame(m.conn, req)
+	<-m.wlock
+	if err != nil {
 		m.unregister(id)
-		return frame{}, false, m.brokenErr()
-	case <-m.quit:
-		m.unregister(id)
-		return frame{}, false, errConnClosed
+		m.fail(err)
+		return frame{}, true, m.brokenErr()
 	}
 	select {
 	case resp := <-ch:
-		if resp.Type == msgErr {
-			err := decodeRemoteError(resp.Body)
-			resp.release() // decodeRemoteError copied what it kept
-			return frame{}, true, err
-		}
-		return resp, true, nil
+		return decodeReply(resp)
 	case <-ctx.Done():
 		// Abandon this request only: drop the pending entry (the
 		// demux reader discards the late reply by ID) and tell the
-		// server, best effort, to stop working on it.
+		// server, best effort, to stop working on it. If the entry is
+		// already gone the reply raced the cancellation and won; the
+		// exchange completed intact, but the operation still reports
+		// the cancellation.
 		if m.unregister(id) {
-			select {
-			case m.sendq <- muxReq{f: frame{Type: msgCancel, ID: id}}:
-			default: // writer saturated — the reply will be discarded anyway
-			}
+			m.sendCancel(id)
 		}
-		// Else the reply raced the cancellation and won; the exchange
-		// completed intact, but the operation still reports the
-		// cancellation (matching the v1 semantics for a round trip
-		// that finished as the context fired).
-		return frame{}, !mr.abandon(), fmt.Errorf("wire: %w", ctx.Err())
+		return frame{}, true, fmt.Errorf("wire: %w", ctx.Err())
 	case <-m.dead:
 		// The reader may have delivered the reply just before dying.
-		if resp, ok := m.take(ch); ok {
-			if resp.Type == msgErr {
-				err := decodeRemoteError(resp.Body)
-				resp.release()
-				return frame{}, true, err
-			}
-			return resp, true, nil
+		select {
+		case resp := <-ch:
+			return decodeReply(resp)
+		default:
 		}
 		m.unregister(id)
-		// If the abandon CAS wins, the dying writer never claimed this
-		// frame: the request provably never left the mailbox.
-		return frame{}, !mr.abandon(), m.brokenErr()
+		return frame{}, true, m.brokenErr()
 	case <-m.quit:
 		m.unregister(id)
-		return frame{}, !mr.abandon(), errConnClosed
+		return frame{}, true, errConnClosed
 	}
 }
 
-// take drains a buffered reply if one was delivered.
-func (m *muxConn) take(ch chan frame) (frame, bool) {
+// decodeReply turns a delivered reply into callT's results; the waiting
+// caller owns its lease from here.
+func decodeReply(resp frame) (frame, bool, error) {
+	if resp.Type == msgErr {
+		err := decodeRemoteError(resp.Body)
+		resp.release() // decodeRemoteError copied what it kept
+		return frame{}, true, err
+	}
+	return resp, true, nil
+}
+
+// lockWrite takes the socket's write side, or gives up with the reason
+// the caller should stop waiting for it: its context, a transport
+// fault, a local close. An error proves the caller wrote nothing.
+func (m *muxConn) lockWrite(ctx context.Context) error {
+	held := false
 	select {
-	case resp := <-ch:
-		return resp, true
+	case m.wlock <- struct{}{}:
+		held = true
+	case <-ctx.Done():
+	case <-m.dead:
+	case <-m.quit:
+	}
+	// Several cases can be ready at once and select picks among them at
+	// random, so look again whichever fired: a connection already gone,
+	// or a context already done, is never written to.
+	var err error
+	select {
+	case <-ctx.Done():
+		err = fmt.Errorf("wire: %w", ctx.Err())
+	case <-m.dead:
+		err = m.brokenErr()
+	case <-m.quit:
+		err = errConnClosed
 	default:
-		return frame{}, false
+		return nil // none of the three un-fires, so the token it was
+	}
+	if held {
+		<-m.wlock
+	}
+	return err
+}
+
+// sendCancel tells the server to stop working on request id — only if
+// the socket's write side is free this instant. Whoever holds it may
+// be held up by the very backpressure the cancelled request is part
+// of, and nothing depends on delivery: the late reply is discarded by
+// ID whether the server heard or not.
+func (m *muxConn) sendCancel(id uint32) {
+	select {
+	case m.wlock <- struct{}{}:
+		err := writeFrame(m.conn, frame{Type: msgCancel, ID: id})
+		<-m.wlock
+		if err != nil {
+			m.fail(err)
+		}
+	default:
 	}
 }
 
@@ -286,7 +267,7 @@ func (m *muxConn) register(ch chan frame) (uint32, error) {
 	}
 	for {
 		m.nextID++
-		if m.nextID == 0 { // 0 is the v1 wildcard; never assign it
+		if m.nextID == 0 { // 0 is what a pre-hello peer sends; never assign it
 			m.nextID = 1
 		}
 		if _, busy := m.pending[m.nextID]; !busy {
@@ -308,35 +289,15 @@ func (m *muxConn) unregister(id uint32) bool {
 	return was
 }
 
-// writeLoop is the single writer: it serializes frames from every
-// caller onto the socket, so concurrent calls never interleave bytes.
-// Before writing a tracked frame it claims it (queued→started); a
-// frame the caller already abandoned is skipped, so a true abandon is
-// a proof that no byte was written.
-func (m *muxConn) writeLoop() {
+// readLoop is the demux reader, the only reader of the socket: it
+// routes every reply to the pending channel its ID names. A reply
+// whose ID is unknown belongs to a cancelled (abandoned) request and is
+// discarded — this is what keeps a cancelled call from desyncing the
+// stream. It is also what notices a drain announcement or a dead peer
+// on a connection with no call in flight.
+func (m *muxConn) readLoop(br *bufio.Reader) {
 	for {
-		select {
-		case r := <-m.sendq:
-			if r.state != nil && !r.state.CompareAndSwap(sendQueued, sendStarted) {
-				continue // caller abandoned it before any byte hit the wire
-			}
-			if err := writeFrame(m.conn, r.f); err != nil {
-				m.fail(err)
-				return
-			}
-		case <-m.quit:
-			return
-		}
-	}
-}
-
-// readLoop is the demux reader: it routes every reply to the pending
-// channel its ID names. A reply whose ID is unknown belongs to a
-// cancelled (abandoned) request and is discarded — this is what keeps
-// a cancelled call from desyncing the stream.
-func (m *muxConn) readLoop() {
-	for {
-		f, err := readFrame(m.conn, m.maxFrame)
+		f, err := readFrame(br, m.maxFrame)
 		if err != nil {
 			m.fail(err)
 			return
@@ -346,6 +307,7 @@ func (m *muxConn) readLoop() {
 			// redial-capable caller should place its next call on a
 			// fresh connection.
 			m.goaway.Store(true)
+			f.release()
 			continue
 		}
 		m.mu.Lock()
@@ -369,9 +331,8 @@ func (m *muxConn) fail(err error) {
 		m.err = err
 	}
 	m.mu.Unlock()
-	m.brokenHint.Store(true)
 	m.deadOnce.Do(func() { close(m.dead) })
-	m.conn.Close() // unblock the sibling loop
+	m.conn.Close() // unblock the reader and any caller mid-Write
 }
 
 // brokenErr reports the latched transport fault. A fault caused by
@@ -392,136 +353,28 @@ func (m *muxConn) brokenErr() error {
 // announced a drain. Lock-free — safe from any goroutine, including
 // while calls are in flight.
 func (m *muxConn) healthy() bool {
-	if m.brokenHint.Load() || m.goaway.Load() {
-		return false
-	}
-	if m.v1 {
-		return true
-	}
 	select {
 	case <-m.dead:
 		return false
 	case <-m.quit:
 		return false
 	default:
-		return true
+		return !m.goaway.Load()
 	}
 }
 
 // draining reports whether the server announced a drain (msgGoaway).
 func (m *muxConn) draining() bool { return m.goaway.Load() }
 
-// close tears the connection down; in v2 mode the loops exit via the
-// quit channel and the socket close. Idempotent and safe to call
-// concurrently with in-flight calls: every path closes the socket
-// exactly once and later calls observe the quit latch.
+// close tears the connection down; the reader exits on the socket
+// close and waiting callers on the quit channel. Idempotent and safe
+// to call concurrently with in-flight calls: the socket closes exactly
+// once and later calls observe the quit latch.
 func (m *muxConn) close() error {
 	var err error
 	m.quitOnce.Do(func() {
-		if !m.v1 {
-			close(m.quit)
-		}
+		close(m.quit)
 		err = m.conn.Close()
 	})
 	return err
-}
-
-// --- v1 lock-step ------------------------------------------------------
-
-// callV1 is the classic one-at-a-time round trip. The broken latch is
-// checked and set inside the connection's critical section: a call
-// that was queued behind an interrupted one re-checks after acquiring
-// the mutex, so it cannot run on the desynced stream.
-func (m *muxConn) callV1(ctx context.Context, req frame) (frame, bool, error) {
-	m.lmu.Lock()
-	defer m.lmu.Unlock()
-	if m.lbroken {
-		// The request never touched the wire: the latch precedes it.
-		return frame{}, false, ErrConnBroken
-	}
-	resp, desynced, err := callLocked(ctx, m.conn, req)
-	if desynced {
-		m.lbroken = true
-		m.brokenHint.Store(true)
-	}
-	// In lock-step mode the round trip runs inline: any failure after
-	// callLocked started may have put bytes on the wire, except a
-	// pre-send context check — callLocked reports that as !desynced
-	// with a ctx error, but distinguishing it is not worth the plumbing;
-	// the conservative sent=true only matters for mutating retries.
-	return resp, true, err
-}
-
-// callLocked is one lock-step round trip; the caller holds the
-// connection's mutex. The returned desynced flag reports that the
-// request may have reached the peer but its reply was not (fully)
-// consumed — the stream is out of frame sync and the connection must
-// not carry another call (a later request would pair with the stale
-// reply). Cancellation *before* the request is sent leaves the stream
-// healthy.
-func callLocked(ctx context.Context, conn net.Conn, req frame) (resp frame, desynced bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return frame{}, false, fmt.Errorf("wire: %w", err)
-	}
-	stop := watchCtx(ctx, conn)
-	resp, ioErr := func() (frame, error) {
-		if err := writeFrame(conn, req); err != nil {
-			return frame{}, err
-		}
-		return readFrame(conn, maxBodySize)
-	}()
-	cerr := stop()
-	if ioErr != nil {
-		// Any I/O failure after the request started leaves the frame
-		// stream unusable, whether the cause was the context firing or
-		// a transport fault.
-		if cerr != nil {
-			return frame{}, true, fmt.Errorf("wire: %w", cerr)
-		}
-		return frame{}, true, ioErr
-	}
-	if cerr != nil {
-		// The context fired but the round trip completed intact: the
-		// stream is still in sync; the operation still reports the
-		// cancellation.
-		return frame{}, false, fmt.Errorf("wire: %w", cerr)
-	}
-	if resp.Type == msgErr {
-		err := decodeRemoteError(resp.Body)
-		resp.release()
-		return frame{}, false, err
-	}
-	return resp, false, nil
-}
-
-// watchCtx arms conn with ctx's deadline and interrupts in-flight I/O
-// on cancellation. The returned stop undoes both and reports the
-// context's error if it fired. stop waits for the watcher goroutine
-// to exit before clearing the deadline, so a watcher that raced the
-// call's completion cannot expire the deadline afterwards and poison
-// the connection's next call.
-func watchCtx(ctx context.Context, conn net.Conn) func() error {
-	if ctx.Done() == nil {
-		return func() error { return nil }
-	}
-	if d, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(d) //nolint:errcheck // best-effort bound
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		select {
-		case <-ctx.Done():
-			// Expire the deadline to unblock the frame read/write.
-			conn.SetDeadline(time.Now()) //nolint:errcheck
-		case <-done:
-		}
-	}()
-	return func() error {
-		close(done)
-		<-exited
-		conn.SetDeadline(time.Time{}) //nolint:errcheck
-		return ctx.Err()
-	}
 }

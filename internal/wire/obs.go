@@ -29,7 +29,7 @@ type serverMetrics struct {
 	connections *obs.Counter // accepted connections
 	requests    *obs.Counter // request frames dispatched to handlers
 	faults      *obs.Counter // connections dropped by a transport fault
-	goaways     *obs.Counter // goaway frames sent to v2 peers
+	goaways     *obs.Counter // goaway frames sent to draining connections
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -45,7 +45,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		faults: reg.Counter("steghide_wire_transport_faults_total",
 			"connections dropped by a transport fault (not clean closes)"),
 		goaways: reg.Counter("steghide_wire_goaways_total",
-			"goaway frames sent to v2 peers during drain"),
+			"goaway frames sent to peers during drain"),
 	}
 }
 

@@ -77,7 +77,6 @@ type Redialer struct {
 	policy     RetryPolicy
 	addrs      []string // dial targets, rotated on failure and drain
 	proposeMax uint64
-	forceV1    bool
 
 	// onConnect replays session state (hello is already done by the
 	// dialer; this layer re-runs login and disclosures) on every fresh
@@ -97,13 +96,12 @@ type Redialer struct {
 // newRedialer builds a Redialer over one or more addresses. The first
 // address is preferred; the cursor advances past addresses that fail
 // and past servers that announce a drain.
-func newRedialer(policy RetryPolicy, proposeMax uint64, forceV1 bool, addrs ...string) *Redialer {
+func newRedialer(policy RetryPolicy, proposeMax uint64, addrs ...string) *Redialer {
 	p := policy.withDefaults()
 	return &Redialer{
 		policy:     p,
 		addrs:      addrs,
 		proposeMax: proposeMax,
-		forceV1:    forceV1,
 		rng:        prng.NewFromUint64(p.JitterSeed).Child("wire/redial-jitter"),
 	}
 }
@@ -137,8 +135,9 @@ func transient(err error) bool {
 // stats, listings, login, ping); a non-idempotent request is re-sent
 // only when the fault provably preceded its first byte on the wire,
 // and otherwise fails with ErrMaybeApplied wrapping the transport
-// fault.
+// fault. The request's lease ends with the call (see muxConn.call).
 func (r *Redialer) call(ctx context.Context, req frame, idempotent bool) (frame, error) {
+	defer req.release()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			clientRetries.Inc()
@@ -264,7 +263,7 @@ func (r *Redialer) acquire(ctx context.Context) (*muxConn, error) {
 // negotiation, then the onConnect session replay.
 func (r *Redialer) dialOne(ctx context.Context, addr string) (*muxConn, error) {
 	clientRedials.Inc()
-	m, err := dialMux(ctx, addr, r.proposeMax, r.forceV1)
+	m, err := dialMux(ctx, addr, r.proposeMax)
 	if err != nil {
 		return nil, err
 	}
@@ -287,13 +286,6 @@ func (r *Redialer) invalidate(m *muxConn) {
 	}
 	r.mu.Unlock()
 	m.close() //nolint:errcheck // already broken
-}
-
-// current returns the live connection, if any, without dialing.
-func (r *Redialer) current() *muxConn {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.conn
 }
 
 // close shuts the Redialer down: no further dials, and the live

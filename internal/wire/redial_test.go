@@ -34,9 +34,7 @@ func quickRetry() RetryPolicy {
 	return RetryPolicy{MaxRetries: 8, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond, JitterSeed: 11}
 }
 
-// TestPing probes liveness across the protocol matrix: answered
-// before login on v2 and on a modern server's v1 connections, and
-// refused (msgErr in frame sync) by a genuine pre-v2 server.
+// TestPing probes liveness: answered before any login.
 func TestPing(t *testing.T) {
 	agent := testAgent(t, 1)
 	srv, err := NewAgentServer("127.0.0.1:0", agent)
@@ -51,37 +49,10 @@ func TestPing(t *testing.T) {
 	}
 	defer cli.Close()
 	if err := cli.Ping(); err != nil {
-		t.Fatalf("v2 ping before login: %v", err)
+		t.Fatalf("ping before login: %v", err)
 	}
-
-	// A modern server answers pings on its lock-step connections too.
-	v1cli, err := DialAgentV1(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1cli.Close()
-	if err := v1cli.Ping(); err != nil {
-		t.Fatalf("v1-connection ping: %v", err)
-	}
-
-	// A genuine pre-v2 server does not know the frame type; the probe
-	// fails cleanly as a remote error, the connection stays in sync.
-	old, err := newAgentServer("127.0.0.1:0",
-		map[string]*steghide.VolatileAgent{"": testAgent(t, 2)}, maxBodySize, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	oldCli, err := DialAgent(old.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldCli.Close()
-	if err := oldCli.Ping(); !errors.Is(err, ErrRemote) {
-		t.Fatalf("pre-v2 ping: want ErrRemote, got %v", err)
-	}
-	if err := oldCli.Login("alice", "pw"); err != nil {
-		t.Fatalf("connection desynced by refused ping: %v", err)
+	if err := cli.Login("alice", "pw"); err != nil {
+		t.Fatalf("login after ping: %v", err)
 	}
 }
 
@@ -96,15 +67,13 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for _, mode := range []string{"direct", "v1", "retry"} {
+	for _, mode := range []string{"direct", "retry"} {
 		t.Run(mode, func(t *testing.T) {
 			var cli *Client
 			var err error
 			switch mode {
 			case "direct":
 				cli, err = DialAgent(srv.Addr())
-			case "v1":
-				cli, err = DialAgentV1(srv.Addr())
 			case "retry":
 				cli, err = DialAgentRetry(context.Background(), quickRetry(), srv.Addr())
 			}
@@ -176,7 +145,9 @@ func fakeV2Server(t *testing.T, ln net.Listener) {
 	if err != nil || first.Type != msgHello {
 		return
 	}
-	if err := writeFrame(conn, frame{Type: msgHello, ID: first.ID, Body: helloBody(protoV2, maxBodySize)}); err != nil {
+	hello := helloFrame(protoV2, maxBodySize)
+	hello.ID = first.ID
+	if err := writeFrame(conn, hello); err != nil {
 		return
 	}
 	for {
@@ -257,7 +228,10 @@ func TestReadRetriesTransparently(t *testing.T) {
 	}
 
 	// Kill the live connection out from under the client.
-	cli.rd.current().conn.Close()
+	cli.rd.mu.Lock()
+	live := cli.rd.conn
+	cli.rd.mu.Unlock()
+	live.conn.Close()
 
 	buf := make([]byte, len(msg))
 	n, err := cli.Read("/f", buf, 0)
@@ -333,12 +307,12 @@ func TestDrainHandsOffToNextAddress(t *testing.T) {
 }
 
 // TestDrainLetsInflightFinish pins the drain ordering for a plain
-// (non-retry) v2 client: a call in flight when Shutdown begins still
+// (non-retry) client: a call in flight when Shutdown begins still
 // gets its reply.
 func TestDrainLetsInflightFinish(t *testing.T) {
 	mem := blockdev.NewMem(256, 64)
 	slow := &slowDevice{Device: mem, delay: 50 * time.Millisecond}
-	srv, err := newStorageServer("127.0.0.1:0", slow, nil, maxBodySize, false)
+	srv, err := NewStorageServer("127.0.0.1:0", slow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -12,30 +13,28 @@ import (
 	"time"
 )
 
-// Worker-pool geometry shared by both servers: each connection gets
-// its own bounded pool, and the reader blocks once the queue fills —
-// backpressure propagates to the client through TCP flow control
-// instead of unbounded buffering.
-const (
-	connWorkers  = 8
-	connQueueLen = 16
-)
+// connWorkers bounds the requests one connection has in flight: that
+// many goroutines take turns reading it, and once each is inside a
+// handler nobody reads — backpressure reaches the client through TCP
+// flow control instead of a queue.
+const connWorkers = 8
 
-// handlerFunc serves one request frame. On v2 connections it runs on
-// a pool worker, concurrently with the connection's other in-flight
-// requests; ctx is cancelled when the client sends msgCancel for this
-// request (or the connection is torn down). On v1 connections it runs
-// inline on the read loop with an always-live ctx. limit is the
-// connection's negotiated frame bound — reply bodies must stay under
-// it, or a conforming peer will (rightly) drop the connection.
+// handlerFunc serves one request frame, on the goroutine that read it
+// and concurrently with the connection's other in-flight requests; ctx
+// is cancelled when the client sends msgCancel for this request (or a
+// reply cannot be written). limit is the connection's negotiated frame
+// bound — reply bodies must stay under it, or a conforming peer will
+// (rightly) drop the connection.
 type handlerFunc func(ctx context.Context, req frame, limit uint64) frame
 
 // connServer drives one accepted connection through version
-// negotiation and then the appropriate frame loop.
+// negotiation and then the request loop.
 type connServer struct {
-	conn     net.Conn
+	conn net.Conn
+	// br is the connection's one reader, the hello included; after the
+	// hello only the holder of the read token touches it.
+	br       *bufio.Reader
 	maxFrame uint64 // server's offer; lowered to the negotiated value
-	forceV1  bool   // interop knob: behave like a pre-v2 server
 
 	// Observability attachments, both nil-safe (see ServeOptions).
 	log     *slog.Logger
@@ -43,10 +42,17 @@ type connServer struct {
 
 	wmu sync.Mutex // one reply frame at a time on the socket
 
-	// Drain bookkeeping: requests dispatched but not yet replied, and
-	// whether the negotiated protocol understands msgGoaway.
-	inflightN atomic.Int64
-	isV2      atomic.Bool
+	// Drain bookkeeping: requests read but not yet replied, and whether
+	// the hello is done (before it the peer expects no other frame, a
+	// goaway included).
+	inflightN  atomic.Int64
+	negotiated atomic.Bool
+}
+
+// newConnServer wraps an accepted connection.
+func newConnServer(conn net.Conn, maxFrame uint64, log *slog.Logger, metrics *serverMetrics) *connServer {
+	return &connServer{conn: conn, br: bufio.NewReaderSize(conn, connReadBuf),
+		maxFrame: maxFrame, log: log, metrics: metrics}
 }
 
 // logEvent emits one lifecycle record tagged with the peer address —
@@ -89,120 +95,56 @@ func (cs *connServer) finishRead(err error) {
 	}
 }
 
-// job is one dispatched request with its cancellation handle.
-type job struct {
-	req    frame
-	ctx    context.Context
-	cancel context.CancelFunc
-}
-
 // serve negotiates and runs the connection until it drops. handle is
 // the protocol logic; it must be safe for concurrent use.
 func (cs *connServer) serve(handle handlerFunc) {
-	// The first frame decides the protocol. Pre-negotiation the v1
-	// ceiling applies — a v1 peer's first frame may legitimately be a
-	// full-size batch write.
-	first, err := readFrame(cs.conn, maxBodySize)
-	if err != nil {
+	// The first frame must be a hello offering version 2 or later. A
+	// peer that opens with a request (protocol v1 had no hello), or
+	// offers less, gets one typed error frame and the close.
+	first, err := readFrame(cs.br, helloLimit)
+	var theirMax uint64
+	switch {
+	case errors.Is(err, ErrFrameTooBig):
+		err = fmt.Errorf("%w: the first frame must be a hello", ErrProtoVersion)
+	case err != nil:
 		cs.finishRead(err)
 		return
+	case first.Type != msgHello:
+		err = fmt.Errorf("%w: the first frame must be a hello, not type %#x", ErrProtoVersion, first.Type)
+	default:
+		var version uint64
+		version, theirMax, err = decodeHello(first.Body)
+		if err == nil && version < protoV2 {
+			err = fmt.Errorf("%w: peer offers version %d", ErrProtoVersion, version)
+		}
 	}
-	if first.Type == msgHello && !cs.forceV1 {
-		version, theirMax, err := decodeHello(first.Body)
-		first.release() // decoded by value; the lease ends here
-		if err != nil {
-			cs.write(frame{Type: msgErr, ID: first.ID, Body: errFrame(err).Body})
-			return
-		}
-		if version >= protoV2 {
-			negotiated := min(cs.maxFrame, theirMax)
-			cs.maxFrame = negotiated
-			if err := cs.write(frame{Type: msgHello, ID: first.ID, Body: helloBody(protoV2, negotiated)}); err != nil {
-				return
-			}
-			cs.isV2.Store(true)
-			cs.logEvent("wire: hello negotiated", "version", 2, "max_frame", negotiated)
-			cs.serveV2(handle)
-			return
-		}
-		// A v1-pinned client that still speaks hello: acknowledge and
-		// fall through to lock-step.
-		if err := cs.write(frame{Type: msgHello, ID: first.ID, Body: helloBody(protoV1, maxBodySize)}); err != nil {
-			return
-		}
-		cs.logEvent("wire: hello negotiated", "version", 1, "max_frame", uint64(maxBodySize))
-		cs.serveV1(nil, handle)
+	first.release() // decoded by value; the lease ends here
+	if err != nil {
+		cs.answer(first.ID, errFrame(err)) //nolint:errcheck // closing either way
 		return
 	}
-	if first.Type == msgHello {
-		// forceV1: answer exactly like a pre-v2 server — an error for
-		// the unknown frame type — and keep serving lock-step. This is
-		// the downgrade signal v2 dialers key on.
-		first.release()
-		if err := cs.write(errFrameID(first.ID, fmt.Errorf("wire: unknown message type %#x", first.Type))); err != nil {
-			return
-		}
-		cs.serveV1(nil, handle)
+	cs.maxFrame = min(cs.maxFrame, theirMax)
+	if cs.answer(first.ID, helloFrame(protoV2, cs.maxFrame)) != nil {
 		return
 	}
-	// No hello: a v1 client. Serve its first frame, then loop.
-	cs.serveV1(&first, handle)
+	cs.negotiated.Store(true)
+	cs.logEvent("wire: hello negotiated", "version", protoV2, "max_frame", cs.maxFrame)
+	cs.serveV2(handle)
 }
 
-// serveV1 is the lock-step loop: one request, one reply, in order.
-func (cs *connServer) serveV1(first *frame, handle handlerFunc) {
-	ctx := context.Background()
-	if first != nil {
-		if err := cs.serveOne(ctx, *first, handle); err != nil {
-			return
-		}
-	}
-	for {
-		req, err := readFrame(cs.conn, maxBodySize)
-		if err != nil {
-			cs.finishRead(err)
-			return
-		}
-		if err := cs.serveOne(ctx, req, handle); err != nil {
-			return
-		}
-	}
-}
-
-// serveOne answers a single lock-step request. msgPing is a protocol
-// liveness probe, answered before (and without) any handler state —
-// no login, no volume, no device.
-func (cs *connServer) serveOne(ctx context.Context, req frame, handle handlerFunc) error {
-	if req.Type == msgPing && !cs.forceV1 {
-		// forceV1 keeps the pre-v2 emulation honest: a genuine old
-		// server answers the unknown type with msgErr via the handler's
-		// default arm, and so does the emulation.
-		return cs.write(frame{Type: msgOK, ID: req.ID})
-	}
-	cs.countRequest()
-	cs.inflightN.Add(1)
-	resp := handle(ctx, req, maxBodySize)
-	resp.ID = req.ID
-	err := cs.write(resp)
-	// serveOne owns both leases: the handler consumed the request body
-	// (every mutating path copies synchronously), and the reply body is
-	// on the wire once write returns.
-	req.release()
-	resp.release()
-	cs.inflightN.Add(-1)
-	return err
-}
-
-// serveV2 is the pipelined loop: the reader dispatches requests to a
-// bounded worker pool and keeps reading, so a connection's requests
-// overlap; replies carry the request ID and may complete out of
-// order. msgCancel is handled inline on the reader — it overtakes
-// work sitting in the job queue and cancels the named request's
-// context whether queued or mid-handler. (Under full backpressure —
-// queue full, reader blocked on dispatch — cancels wait in the TCP
-// buffer behind the blocked frame like everything else; the client
-// does not depend on delivery, since it discards the late reply by
-// ID either way.)
+// serveV2 is the pipelined loop, leader/follower: connWorkers
+// goroutines take turns holding the read token. The holder reads the
+// socket and serves msgCancel and msgPing in line; on a request it
+// registers the request's cancel func, passes the token on, and then
+// runs the handler and writes the reply itself — no queue and no
+// hand-off between reading a request and answering it, and yet some
+// goroutine is on the socket while a handler runs, so a msgCancel for a
+// request mid-handler is read and fires its context. Requests overlap
+// and replies carry the request ID, so they may complete out of order.
+// With every goroutine inside a handler nobody holds the token: the
+// next frame, a cancel included, waits in the TCP buffer until one
+// returns. (The client does not depend on a cancel's delivery — it
+// discards the late reply by ID either way.)
 func (cs *connServer) serveV2(handle handlerFunc) {
 	connCtx, cancelAll := context.WithCancel(context.Background())
 	defer cancelAll()
@@ -210,89 +152,112 @@ func (cs *connServer) serveV2(handle handlerFunc) {
 	var (
 		imu      sync.Mutex
 		inflight = map[uint32]context.CancelFunc{}
+		token    = make(chan struct{}, 1)
+		over     = make(chan struct{}) // closed by the last token holder
+		wg       sync.WaitGroup
 	)
-	jobs := make(chan job, connQueueLen)
-	var wg sync.WaitGroup
+	// next reads up to the next request and registers it.
+	next := func() (frame, context.Context, context.CancelFunc, bool) {
+		for {
+			req, err := readFrame(cs.br, cs.maxFrame)
+			if err != nil {
+				cs.finishRead(err)
+				return frame{}, nil, nil, false
+			}
+			switch req.Type {
+			case msgCancel:
+				imu.Lock()
+				cancel := inflight[req.ID]
+				imu.Unlock()
+				if cancel != nil {
+					cancel()
+				}
+				// Cancels get no reply; the request itself answers.
+			case msgPing:
+				// Liveness probe: answered before any handler state — no
+				// login, no slot among the in-flight requests.
+				if err := cs.write(frame{Type: msgOK, ID: req.ID}); err != nil {
+					return frame{}, nil, nil, false
+				}
+			default:
+				ctx, cancel := context.WithCancel(connCtx)
+				imu.Lock()
+				_, dup := inflight[req.ID]
+				if !dup {
+					inflight[req.ID] = cancel
+				}
+				imu.Unlock()
+				if dup {
+					// A conforming client never reuses an in-flight ID.
+					// Letting it through would leave one request
+					// uncancellable and pair two replies with one ID at
+					// the peer — and any reply we send now would carry
+					// the live ID and poison the original call. A
+					// protocol violation this deep has no in-band
+					// answer: drop the connection, now, with the
+					// original still in its handler.
+					cancel()
+					req.release()
+					cs.conn.Close()
+					return frame{}, nil, nil, false
+				}
+				return req, ctx, cancel, true
+			}
+			req.release()
+		}
+	}
+	token <- struct{}{}
 	for i := 0; i < connWorkers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				resp := handle(j.ctx, j.req, cs.maxFrame)
-				resp.ID = j.req.ID
+			for {
+				select {
+				case <-token:
+				case <-over:
+					return
+				}
+				req, ctx, cancel, ok := next()
+				if !ok {
+					// The connection is finished. The token stops here, so
+					// nobody reads again; the others go home once their
+					// handlers have answered (or failed to).
+					close(over)
+					return
+				}
+				cs.countRequest()
+				cs.inflightN.Add(1)
+				token <- struct{}{}
+				resp := handle(ctx, req, cs.maxFrame)
 				imu.Lock()
-				delete(inflight, j.req.ID)
+				delete(inflight, req.ID)
 				imu.Unlock()
-				j.cancel()
-				if err := cs.write(resp); err != nil {
-					// The socket is gone: cancel everything and close
-					// the conn so the blocked reader exits too.
+				cancel()
+				// This goroutine owns both leases: the reply body is on
+				// the wire once answer returns, and the handler consumed
+				// the request body (every mutating path copies
+				// synchronously).
+				if err := cs.answer(req.ID, resp); err != nil {
+					// The socket is gone: cancel everything and close the
+					// conn so whoever is reading it exits too.
 					cancelAll()
 					cs.conn.Close()
 				}
-				// The worker owns both leases (see serveOne).
-				j.req.release()
-				resp.release()
+				req.release()
 				cs.inflightN.Add(-1)
 			}
 		}()
 	}
-	defer wg.Wait()
-	defer close(jobs)
+	wg.Wait()
+}
 
-	for {
-		req, err := readFrame(cs.conn, cs.maxFrame)
-		if err != nil {
-			cs.finishRead(err)
-			return
-		}
-		if req.Type == msgCancel {
-			imu.Lock()
-			cancel := inflight[req.ID]
-			imu.Unlock()
-			if cancel != nil {
-				cancel()
-			}
-			continue // cancels get no reply; the request itself answers
-		}
-		if req.Type == msgPing {
-			// Liveness probe: answered inline on the reader, before any
-			// handler state — no login, no queueing, no worker slot.
-			if err := cs.write(frame{Type: msgOK, ID: req.ID}); err != nil {
-				return
-			}
-			continue
-		}
-		jctx, jcancel := context.WithCancel(connCtx)
-		imu.Lock()
-		_, dup := inflight[req.ID]
-		if !dup {
-			inflight[req.ID] = jcancel
-		}
-		imu.Unlock()
-		if dup {
-			// A conforming client never reuses an in-flight ID.
-			// Letting it through would leave one request uncancellable
-			// and pair two replies with one ID at the peer — and any
-			// reply we send now would carry the live ID and poison the
-			// original call. A protocol violation this deep has no
-			// in-band answer: drop the connection.
-			jcancel()
-			req.release()
-			return
-		}
-		cs.countRequest()
-		cs.inflightN.Add(1)
-		select {
-		case jobs <- job{req: req, ctx: jctx, cancel: jcancel}:
-			// The worker's copy of the frame owns the lease now.
-		case <-connCtx.Done():
-			cs.inflightN.Add(-1)
-			jcancel()
-			req.release()
-			return
-		}
-	}
+// answer stamps the request's ID on a reply, writes it and ends its
+// lease.
+func (cs *connServer) answer(id uint32, f frame) error {
+	f.ID = id
+	err := cs.write(f)
+	f.release()
+	return err
 }
 
 // write sends one frame under the writer lock.
@@ -302,17 +267,15 @@ func (cs *connServer) write(f frame) error {
 	return writeFrame(cs.conn, f)
 }
 
-// drain gracefully winds the connection down: a v2 peer is told to
-// take its next call elsewhere (msgGoaway), in-flight requests finish
-// and their replies are written, then the connection closes. ctx
-// bounds the wait — on expiry the connection closes with requests
-// still in flight, which is exactly the abrupt-close behavior a
-// non-draining shutdown always had. v1 peers get no announcement
-// (there is no frame for it pre-v2): their in-flight request drains
-// and the close itself is the signal, unchanged semantics.
+// drain gracefully winds the connection down: the peer is told to take
+// its next call elsewhere (msgGoaway), in-flight requests finish and
+// their replies are written, then the connection closes. ctx bounds
+// the wait — on expiry the connection closes with requests still in
+// flight, which is exactly the abrupt-close behavior a non-draining
+// shutdown always had.
 func (cs *connServer) drain(ctx context.Context) {
 	cs.logEvent("wire: draining connection", "inflight", cs.inflightN.Load())
-	if cs.isV2.Load() {
+	if cs.negotiated.Load() {
 		// Best effort: a peer that already hung up just fails the
 		// write, and the close below is a no-op on a dead socket.
 		cs.write(frame{Type: msgGoaway}) //nolint:errcheck
@@ -332,11 +295,4 @@ func (cs *connServer) drain(ctx context.Context) {
 		}
 	}
 	cs.conn.Close()
-}
-
-// errFrameID is errFrame with the reply ID stamped.
-func errFrameID(id uint32, err error) frame {
-	f := errFrame(err)
-	f.ID = id
-	return f
 }

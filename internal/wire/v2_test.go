@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -54,30 +57,26 @@ func (s *slowDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return blockdev.WriteBlocksAt(s.Device, idx, data)
 }
 
-// --- interop matrix ----------------------------------------------------
+// --- negotiation matrix ------------------------------------------------
 
-// interopStorage runs the storage protocol across one client/server
-// version pairing and asserts the negotiated version.
-func interopStorage(t *testing.T, serverV1, clientV1 bool, wantProto int) {
+// interopStorage runs the storage protocol over a negotiated
+// connection.
+func interopStorage(t *testing.T) {
 	t.Helper()
 	mem := blockdev.NewMem(256, 64)
-	srv, err := newStorageServer("127.0.0.1:0", mem, nil, maxBodySize, serverV1)
+	srv, err := NewStorageServer("127.0.0.1:0", mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	dial := DialStorage
-	if clientV1 {
-		dial = DialStorageV1
-	}
-	dev, err := dial(srv.Addr())
+	dev, err := DialStorage(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	if got := dev.ProtoVersion(); got != wantProto {
-		t.Fatalf("negotiated protocol %d, want %d", got, wantProto)
+	if got := dev.ProtoVersion(); got != protoV2 {
+		t.Fatalf("negotiated protocol %d, want %d", got, protoV2)
 	}
 	data := prng.NewFromUint64(7).Bytes(256)
 	if err := dev.WriteBlock(9, data); err != nil {
@@ -90,40 +89,30 @@ func interopStorage(t *testing.T, serverV1, clientV1 bool, wantProto int) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("roundtrip mismatch")
 	}
-	// Batches must interop too (they chunk by the negotiated limit).
+	// Batches ride the same connection (they chunk by the negotiated
+	// limit).
 	bufs := blockdev.AllocBlocks(8, 256)
 	if err := blockdev.ReadBlocks(dev, 4, bufs); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// interopAgent runs the agent protocol across one version pairing.
-func interopAgent(t *testing.T, serverV1, clientV1 bool, wantProto int) {
+// interopAgent runs the agent protocol over a negotiated connection.
+func interopAgent(t *testing.T) {
 	t.Helper()
-	vol, err := stegfs.Format(blockdev.NewMem(256, 2048),
-		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("iop")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent := steghide.NewVolatile(vol, prng.NewFromUint64(5))
-	srv, err := newAgentServer("127.0.0.1:0",
-		map[string]*steghide.VolatileAgent{"": agent}, maxBodySize, serverV1)
+	srv, err := NewAgentServer("127.0.0.1:0", testAgent(t, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	dial := DialAgent
-	if clientV1 {
-		dial = DialAgentV1
-	}
-	cli, err := dial(srv.Addr())
+	cli, err := DialAgent(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if got := cli.ProtoVersion(); got != wantProto {
-		t.Fatalf("negotiated protocol %d, want %d", got, wantProto)
+	if got := cli.ProtoVersion(); got != protoV2 {
+		t.Fatalf("negotiated protocol %d, want %d", got, protoV2)
 	}
 	if err := cli.Login("alice", "pw"); err != nil {
 		t.Fatal(err)
@@ -145,7 +134,7 @@ func interopAgent(t *testing.T, serverV1, clientV1 bool, wantProto int) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("content mismatch")
 	}
-	// Error taxonomy must survive whichever protocol carried it.
+	// Error taxonomy must survive the wire.
 	if _, _, err := cli.Disclose("/nope"); !errors.Is(err, stegfs.ErrNotFound) {
 		t.Fatalf("want ErrNotFound across the wire, got %v", err)
 	}
@@ -154,29 +143,124 @@ func interopAgent(t *testing.T, serverV1, clientV1 bool, wantProto int) {
 	}
 }
 
-// TestInteropMatrix pins both directions of v1↔v2 compatibility on
-// both protocols: a v2 client downgrades against a v1 server, a v1
-// client is served lock-step by a v2 server, and v2↔v2 negotiates the
-// mux.
+// refusedByServer plays a pre-hello (v1) client against addr in raw
+// frames: whatever it opens with — a plain request, a request too big
+// to be a hello, a hello offering version 1 — the server must answer
+// exactly one error frame that decodes to ErrProtoVersion and then
+// close.
+func refusedByServer(t *testing.T, addr string, opening frame) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test bound
+	if err := writeFrame(conn, opening); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := readFrame(conn, maxBodySize)
+	if err != nil {
+		t.Fatalf("opening %#x: no answer: %v", opening.Type, err)
+	}
+	if resp.Type != msgErr || resp.ID != opening.ID {
+		t.Fatalf("opening %#x: answered type %#x id %d", opening.Type, resp.Type, resp.ID)
+	}
+	if err := decodeRemoteError(resp.Body); !errors.Is(err, ErrProtoVersion) || !errors.Is(err, ErrRemote) {
+		t.Fatalf("opening %#x: want ErrProtoVersion from the peer, got %v", opening.Type, err)
+	}
+	if f, err := readFrame(conn, maxBodySize); !errors.Is(err, io.EOF) {
+		t.Fatalf("opening %#x: want close after the error frame, got frame %#x, %v", opening.Type, f.Type, err)
+	}
+}
+
+// v1Server plays a server from before the hello frame, in raw frames:
+// it answers the first frame of each connection the way protocol v1
+// answered any type it did not know (or, with helloV1, with a hello
+// pinning version 1) and hangs up.
+func v1Server(t *testing.T, helloV1 bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			first, err := readFrame(conn, maxBodySize)
+			if err == nil {
+				reply := errFrame(fmt.Errorf("wire: unknown message type %#x", first.Type))
+				if helloV1 {
+					reply = helloFrame(1, maxBodySize)
+				}
+				reply.ID = first.ID
+				writeFrame(conn, reply) //nolint:errcheck // the dialer's error is the assertion
+			}
+			conn.Close()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestInteropMatrix pins what each pairing of protocol generations
+// does now that lock-step v1 is gone: v2 peers negotiate the mux; a
+// v1 client (no hello, or one offering version 1) gets one typed error
+// frame and a close from either server; either dialer fails with
+// ErrProtoVersion against a v1 server. Nothing falls back.
 func TestInteropMatrix(t *testing.T) {
-	cases := []struct {
-		name               string
-		serverV1, clientV1 bool
-		want               int
-	}{
-		{"v2-client/v2-server", false, false, protoV2},
-		{"v2-client/v1-server", true, false, protoV1},
-		{"v1-client/v2-server", false, true, protoV1},
-		{"v1-client/v1-server", true, true, protoV1},
-	}
-	for _, tc := range cases {
-		t.Run("storage/"+tc.name, func(t *testing.T) {
-			interopStorage(t, tc.serverV1, tc.clientV1, tc.want)
-		})
-		t.Run("agent/"+tc.name, func(t *testing.T) {
-			interopAgent(t, tc.serverV1, tc.clientV1, tc.want)
-		})
-	}
+	t.Run("storage/v2-client/v2-server", interopStorage)
+	t.Run("agent/v2-client/v2-server", interopAgent)
+
+	oldHello := helloFrame(1, maxBodySize)
+	oldHello.ID = 3
+	e := &encoder{}
+	login := e.str("alice").str("pw").frame(msgLogin)
+	t.Run("storage/v1-client/v2-server", func(t *testing.T) {
+		srv, err := NewStorageServer("127.0.0.1:0", blockdev.NewMem(256, 64), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		refusedByServer(t, srv.Addr(), frame{Type: msgDevInfo})
+		// A v1 client's first frame could be a whole batch write.
+		refusedByServer(t, srv.Addr(), frame{Type: msgWriteBlocks, Body: make([]byte, 16+4*256)})
+		refusedByServer(t, srv.Addr(), oldHello)
+	})
+	t.Run("agent/v1-client/v2-server", func(t *testing.T) {
+		srv, err := NewAgentServer("127.0.0.1:0", testAgent(t, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		refusedByServer(t, srv.Addr(), login)
+		refusedByServer(t, srv.Addr(), oldHello)
+	})
+	// Two kinds of old server: one that never heard of hello, one that
+	// answers it pinning version 1.
+	oldServers := []string{v1Server(t, false), v1Server(t, true)}
+	t.Run("storage/v2-client/v1-server", func(t *testing.T) {
+		for _, addr := range oldServers {
+			if dev, err := DialStorage(addr); !errors.Is(err, ErrProtoVersion) {
+				t.Fatalf("want ErrProtoVersion, got %v, %v", dev, err)
+			}
+		}
+	})
+	t.Run("agent/v2-client/v1-server", func(t *testing.T) {
+		for _, addr := range oldServers {
+			if cli, err := DialAgent(addr); !errors.Is(err, ErrProtoVersion) {
+				t.Fatalf("want ErrProtoVersion, got %v, %v", cli, err)
+			}
+			// The refusal is final: the retry layer does not redial it.
+			_, err := DialAgentRetry(context.Background(), quickRetry(), addr)
+			if !errors.Is(err, ErrProtoVersion) {
+				t.Fatalf("retry dial: want ErrProtoVersion, got %v", err)
+			}
+		}
+	})
 }
 
 // TestMultiVolumeServing pins the tentpole's fleet mode: one daemon,
@@ -253,6 +337,11 @@ func TestMultiVolumeServing(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("volume %q served %q, want %q", volume, got, want)
 		}
+		// Log out in line: the drop alone logs out too, but only once
+		// the server notices it, and alice logs into red again below.
+		if err := cli.Logout(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check("red", redMsg)
 	check("blue", blueMsg)
@@ -279,7 +368,7 @@ func TestMultiVolumeServing(t *testing.T) {
 	if err := cli2.LoginVolume("green", "alice", "pw"); !errors.Is(err, ErrUnknownVolume) {
 		t.Fatalf("want ErrUnknownVolume, got %v", err)
 	}
-	// The failed login must not poison the connection (v2: no latch).
+	// The failed login must not poison the connection (no latch).
 	if err := cli2.LoginVolume("red", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +412,7 @@ func TestFrameSizeLimit(t *testing.T) {
 func TestNegotiatedLimitChunksBatches(t *testing.T) {
 	mem := blockdev.NewMem(512, 256)
 	// 8 KiB limit: a 64-block batch cannot fit one frame.
-	srv, err := newStorageServer("127.0.0.1:0", mem, nil, 8<<10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStorageServer(listen(t), mem, nil, 8<<10)
 	defer srv.Close()
 
 	dev, err := DialStorage(srv.Addr())
@@ -364,10 +450,7 @@ func TestNegotiatedLimitChunksBatches(t *testing.T) {
 // frame-bound rejection.
 func TestOversizedRequestRefusedLocally(t *testing.T) {
 	mem := blockdev.NewMem(512, 64)
-	srv, err := newStorageServer("127.0.0.1:0", mem, nil, 8<<10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStorageServer(listen(t), mem, nil, 8<<10)
 	defer srv.Close()
 	dev, err := DialStorage(srv.Addr())
 	if err != nil {
@@ -409,9 +492,6 @@ func TestCancelUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if cli.ProtoVersion() != protoV2 {
-		t.Fatal("test needs a v2 connection")
-	}
 	if err := cli.Login("alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +573,7 @@ func TestCancelUnderLoad(t *testing.T) {
 	}
 }
 
-// --- pipelined vs lock-step --------------------------------------------
+// --- pipelined vs one at a time ----------------------------------------
 
 // runReads drives total single-block reads from depth goroutines.
 func runReads(t *testing.T, dev *RemoteDevice, depth, total int) time.Duration {
@@ -522,12 +602,12 @@ func runReads(t *testing.T, dev *RemoteDevice, depth, total int) time.Duration {
 	return time.Since(start)
 }
 
-// TestPipelineSpeedup asserts the acceptance bound on an RTT-bound
+// TestPipelineSpeedup asserts the pipelining bound on an RTT-bound
 // backend: with a per-op device latency dominating the cost (the Sim
-// role — on a 1-vCPU container CPU-bound crypto would flatten a
-// Mem-only comparison), a v2 client pipelining 8-deep over one
-// connection must beat the lock-step v1 client by ≥3× on the same
-// workload. The nominal ratio is ~8 (the pool width); 3 leaves CI
+// role — on a small container CPU-bound crypto would flatten a
+// Mem-only comparison), 8 callers sharing one connection must finish
+// the same reads ≥3× sooner than one caller issuing them one at a
+// time. The nominal ratio is ~8 (the in-flight bound); 3 leaves CI
 // scheduling plenty of slack.
 func TestPipelineSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -539,32 +619,25 @@ func TestPipelineSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	dev, err := DialStorage(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
 
 	const depth, total = 8, 96
+	serial := runReads(t, dev, 1, total)
+	pipelined := runReads(t, dev, depth, total)
 
-	v1, err := DialStorageV1(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	lockstep := runReads(t, v1, depth, total)
-
-	v2, err := DialStorage(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-	pipelined := runReads(t, v2, depth, total)
-
-	ratio := float64(lockstep) / float64(pipelined)
-	t.Logf("lock-step %v, pipelined %v: %.1fx", lockstep, pipelined, ratio)
+	ratio := float64(serial) / float64(pipelined)
+	t.Logf("depth 1 %v, depth %d %v: %.1fx", serial, depth, pipelined, ratio)
 	if ratio < 3 {
-		t.Fatalf("pipelining speedup %.2fx < 3x (lock-step %v, pipelined %v)", ratio, lockstep, pipelined)
+		t.Fatalf("pipelining speedup %.2fx < 3x (depth 1 %v, depth %d %v)", ratio, serial, depth, pipelined)
 	}
 }
 
-// TestV2SingleConnOrdering: one goroutine's sequential calls on a v2
-// connection still observe their own writes (each call completes
+// TestV2SingleConnOrdering: one goroutine's sequential calls on a
+// multiplexed connection still observe their own writes (each call completes
 // before the next is issued, pipelining or not).
 func TestV2SingleConnOrdering(t *testing.T) {
 	mem := blockdev.NewMem(128, 32)
@@ -590,50 +663,5 @@ func TestV2SingleConnOrdering(t *testing.T) {
 		if !bytes.Equal(buf, data) {
 			t.Fatalf("iteration %d: read does not see own write", i)
 		}
-	}
-}
-
-// TestV1InterruptStillLatches pins the retained v1 semantics: on a
-// lock-step connection an interrupted in-flight call still latches
-// ErrConnBroken (the desync is real there — no IDs to discard by).
-func TestV1InterruptStillLatches(t *testing.T) {
-	slow := &slowDevice{Device: blockdev.NewMem(256, 4096), delay: 20 * time.Millisecond}
-	vol, err := stegfs.Format(slow, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("lch")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent := steghide.NewVolatile(vol, prng.NewFromUint64(13))
-	srv, err := NewAgentServer("127.0.0.1:0", agent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cli, err := DialAgentV1(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.CreateDummy("/d", 32); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Create("/f"); err != nil {
-		t.Fatal(err)
-	}
-	big := make([]byte, 2*vol.PayloadSize())
-	if err := cli.Write("/f", big, 0); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	buf := make([]byte, len(big))
-	if _, err := cli.ReadCtx(ctx, "/f", buf, 0); err == nil {
-		t.Fatal("interrupted call succeeded")
-	}
-	if _, err := cli.Read("/f", buf, 0); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("v1 interrupted call must latch ErrConnBroken, got %v", err)
 	}
 }

@@ -16,13 +16,14 @@
 //     constructions being reproduced.
 //
 // The framing is a fixed 16-byte header (type, request ID, length)
-// followed by a binary body, all big-endian. Protocol v2 multiplexes:
-// every frame carries a request ID, clients keep any number of calls
-// in flight on one connection, servers work them on a bounded pool
-// and reply out of order, and msgCancel abandons one request without
-// touching the rest. The first frame negotiates the version and the
-// maximum frame size; v1 peers (no hello, or rejecting it) get the
-// classic lock-step protocol on the same port.
+// followed by a binary body, all big-endian, and every frame is one
+// Write. The protocol multiplexes: every frame carries a request ID,
+// clients keep any number of calls in flight on one connection,
+// servers work a bounded number of them at once and reply out of
+// order, and msgCancel abandons one request without touching the rest.
+// The first frame in each direction is a hello that negotiates the
+// version and the maximum frame size; a peer without one (protocol v1,
+// lock-step) is refused with ErrProtoVersion.
 package wire
 
 import (
@@ -47,7 +48,6 @@ type StorageServer struct {
 	seq atomic.Uint64
 
 	maxFrame uint64
-	forceV1  bool // interop knob: behave like a pre-v2 server
 
 	// Graceful-drain state: live connections, and whether Shutdown has
 	// begun (after which new connections are refused).
@@ -59,7 +59,11 @@ type StorageServer struct {
 // NewStorageServer starts serving dev on addr (e.g. "127.0.0.1:0").
 // tap may be nil.
 func NewStorageServer(addr string, dev blockdev.Device, tap blockdev.Tracer) (*StorageServer, error) {
-	return newStorageServer(addr, dev, tap, maxBodySize, false)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("wire: listen: %w", err)
+	}
+	return newStorageServer(ln, dev, tap, maxBodySize), nil
 }
 
 // NewStorageServerListener is NewStorageServer over an already
@@ -67,24 +71,16 @@ func NewStorageServer(addr string, dev blockdev.Device, tap blockdev.Tracer) (*S
 // transports (the chaos harness) and custom routing. The server owns
 // ln from here on.
 func NewStorageServerListener(ln net.Listener, dev blockdev.Device, tap blockdev.Tracer) (*StorageServer, error) {
-	s := &StorageServer{dev: dev, tap: tap, ln: ln, maxFrame: maxBodySize, conns: map[*connServer]struct{}{}}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return newStorageServer(ln, dev, tap, maxBodySize), nil
 }
 
-// newStorageServer is the option-carrying core; the knobs (frame
-// limit offer, pinned-v1 behavior) must be fixed before the accept
-// loop can hand a connection to them.
-func newStorageServer(addr string, dev blockdev.Device, tap blockdev.Tracer, maxFrame uint64, forceV1 bool) (*StorageServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: listen: %w", err)
-	}
-	s := &StorageServer{dev: dev, tap: tap, ln: ln, maxFrame: maxFrame, forceV1: forceV1, conns: map[*connServer]struct{}{}}
+// newStorageServer is the core; the frame limit it offers must be
+// fixed before the accept loop can hand a connection to it.
+func newStorageServer(ln net.Listener, dev blockdev.Device, tap blockdev.Tracer, maxFrame uint64) *StorageServer {
+	s := &StorageServer{dev: dev, tap: tap, ln: ln, maxFrame: maxFrame, conns: map[*connServer]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the server's listen address.
@@ -98,7 +94,7 @@ func (s *StorageServer) Close() error {
 }
 
 // Shutdown gracefully drains the server: stop accepting, goaway every
-// v2 connection, let in-flight requests reply, then close. See
+// connection, let in-flight requests reply, then close. See
 // AgentServer.Shutdown for the full contract.
 func (s *StorageServer) Shutdown(ctx context.Context) error {
 	s.cmu.Lock()
@@ -150,7 +146,7 @@ func (s *StorageServer) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			defer conn.Close()
-			cs := &connServer{conn: conn, maxFrame: s.maxFrame, forceV1: s.forceV1}
+			cs := newConnServer(conn, s.maxFrame, nil, nil)
 			if !s.track(cs) {
 				return // raced Shutdown: the listener is already closed
 			}
@@ -160,10 +156,10 @@ func (s *StorageServer) acceptLoop() {
 	}
 }
 
-// handle serves one storage request; on v2 connections it runs
-// concurrently on the connection's worker pool, so it allocates its
-// own buffers and bumps the tap sequence atomically. limit is the
-// connection's negotiated frame bound; batch replies must fit it.
+// handle serves one storage request, concurrently with the
+// connection's other in-flight requests, so it leases its own buffers
+// and bumps the tap sequence atomically. limit is the connection's
+// negotiated frame bound; batch replies must fit it.
 func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) frame {
 	if err := ctx.Err(); err != nil {
 		return errFrame(fmt.Errorf("wire: %w", err))
@@ -171,21 +167,21 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 	switch req.Type {
 	case msgDevInfo:
 		e := &encoder{}
-		e.u64(uint64(s.dev.BlockSize())).u64(s.dev.NumBlocks())
-		return frame{Type: msgOK, Body: e.b}
+		return e.u64(uint64(s.dev.BlockSize())).u64(s.dev.NumBlocks()).frame(msgOK)
 	case msgReadBlock:
 		d := &decoder{b: req.Body}
 		idx := d.u64()
 		if d.err != nil {
 			return errFrame(d.err)
 		}
-		buf := mempool.Get(s.dev.BlockSize())
-		if err := s.dev.ReadBlock(idx, buf); err != nil {
+		bs := s.dev.BlockSize()
+		buf := mempool.Get(headerSize + bs)
+		if err := s.dev.ReadBlock(idx, buf[headerSize:]); err != nil {
 			mempool.Recycle(buf)
 			return errFrame(err)
 		}
 		s.record(blockdev.Event{Op: blockdev.OpRead, Block: idx})
-		return frame{Type: msgOK, Body: buf, pooled: true}
+		return framed(msgOK, buf, bs)
 	case msgWriteBlock:
 		d := &decoder{b: req.Body}
 		idx := d.u64()
@@ -204,16 +200,16 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 		if d.err != nil {
 			return errFrame(d.err)
 		}
-		bufs, err := s.batchBufs(count, limit)
+		reply, bufs, err := s.batchBufs(count, limit)
 		if err != nil {
 			return errFrame(err)
 		}
 		if err := blockdev.ReadBlocks(s.dev, start, bufs); err != nil {
-			mempool.Recycle(slabOf(bufs))
+			reply.release()
 			return errFrame(err)
 		}
 		s.record(blockdev.Event{Op: blockdev.OpRead, Block: start, Count: count})
-		return frame{Type: msgOK, Body: slabOf(bufs), pooled: true}
+		return reply
 	case msgWriteBlocks:
 		d := &decoder{b: req.Body}
 		start, count := d.u64(), d.u64()
@@ -232,18 +228,18 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 		if d.err != nil {
 			return errFrame(d.err)
 		}
-		bufs, err := s.batchBufs(uint64(len(idx)), limit)
+		reply, bufs, err := s.batchBufs(uint64(len(idx)), limit)
 		if err != nil {
 			return errFrame(err)
 		}
 		if err := blockdev.ReadBlocksAt(s.dev, idx, bufs); err != nil {
-			mempool.Recycle(slabOf(bufs))
+			reply.release()
 			return errFrame(err)
 		}
 		for _, i := range idx {
 			s.record(blockdev.Event{Op: blockdev.OpRead, Block: i})
 		}
-		return frame{Type: msgOK, Body: slabOf(bufs), pooled: true}
+		return reply
 	case msgWriteBlocksAt:
 		d := &decoder{b: req.Body}
 		idx := decodeIndices(d)
@@ -273,31 +269,21 @@ func (s *StorageServer) record(e blockdev.Event) {
 	s.tap.Record(e)
 }
 
-// batchBufs carves count block buffers out of one reply slab, leased
-// from the memory plane (the reply's consumer recycles it via the
-// frame's pooled flag). The count is bounded so the reply frame stays
-// under the connection's negotiated frame limit.
-func (s *StorageServer) batchBufs(count, limit uint64) ([][]byte, error) {
+// batchBufs leases the reply frame of a count-block read and carves
+// its body into the block buffers the device fills. The count is
+// bounded so the reply stays under the connection's negotiated frame
+// limit.
+func (s *StorageServer) batchBufs(count, limit uint64) (frame, [][]byte, error) {
 	bs := s.dev.BlockSize()
 	if count == 0 || count > limit/uint64(bs) {
-		return nil, fmt.Errorf("wire: batch of %d blocks out of bounds", count)
+		return frame{}, nil, fmt.Errorf("wire: batch of %d blocks out of bounds", count)
 	}
-	slab := mempool.Get(int(count) * bs)
+	reply := framed(msgOK, mempool.Get(headerSize+int(count)*bs), int(count)*bs)
 	bufs := make([][]byte, count)
 	for i := range bufs {
-		bufs[i] = slab[i*bs : (i+1)*bs]
+		bufs[i] = reply.Body[i*bs : (i+1)*bs]
 	}
-	return bufs, nil
-}
-
-// slabOf stitches buffers carved by batchBufs back into their
-// underlying slab without copying. bufs[0]'s capacity spans the whole
-// leased slab and is deliberately preserved (not re-capped at n), so
-// releasing the result returns the full class-sized buffer to its
-// pool.
-func slabOf(bufs [][]byte) []byte {
-	n := len(bufs) * len(bufs[0])
-	return bufs[0][:n]
+	return reply, bufs, nil
 }
 
 // splitBlocks views the decoder's remaining body as count raw blocks.
@@ -337,8 +323,8 @@ func decodeIndices(d *decoder) []uint64 {
 }
 
 // RemoteDevice is a blockdev.Device backed by a StorageServer. It is
-// safe for concurrent use; on a v2 connection concurrent requests
-// pipeline on the one connection instead of serializing. Wrapping one
+// safe for concurrent use: concurrent requests pipeline on the one
+// connection instead of serializing. Wrapping one
 // in a blockdev.Async ring turns submission depth directly into wire
 // depth: every in-flight op is an outstanding request ID on the mux,
 // so the async plane is native here, not emulated.
@@ -355,19 +341,21 @@ type RemoteDevice struct {
 	blockSize  int
 	numBlocks  uint64
 	frameLimit uint64 // negotiated at first connect; batches size to it
-	protoVer   int
 }
 
 // DialStorage connects to a storage server and fetches its geometry.
 func DialStorage(addr string) (*RemoteDevice, error) {
-	return dialStorage(context.Background(), addr, false)
-}
-
-// DialStorageV1 connects speaking the lock-step v1 protocol only —
-// the compatibility client for pre-v2 servers (and the lock-step arm
-// of the paired pipelining benchmark).
-func DialStorageV1(addr string) (*RemoteDevice, error) {
-	return dialStorage(context.Background(), addr, true)
+	ctx := context.Background()
+	m, err := dialMux(ctx, addr, maxBodySize)
+	if err != nil {
+		return nil, err
+	}
+	d := &RemoteDevice{m: m}
+	if err := d.onConnect(ctx, m); err != nil {
+		m.close()
+		return nil, err
+	}
+	return d, nil
 }
 
 // DialStorageRetry connects with self-healing: transport faults
@@ -380,7 +368,7 @@ func DialStorageRetry(ctx context.Context, policy RetryPolicy, addrs ...string) 
 		return nil, fmt.Errorf("wire: no storage addresses")
 	}
 	d := &RemoteDevice{}
-	rd := newRedialer(policy, maxBodySize, false, addrs...)
+	rd := newRedialer(policy, maxBodySize, addrs...)
 	rd.onConnect = d.onConnect
 	d.rd = rd
 	for attempt := 0; ; attempt++ {
@@ -423,7 +411,6 @@ func (d *RemoteDevice) onConnect(ctx context.Context, m *muxConn) error {
 		d.blockSize = bs
 		d.numBlocks = nb
 		d.frameLimit = m.maxFrame
-		d.protoVer = m.protoVersion()
 		return nil
 	}
 	if bs != d.blockSize || nb != d.numBlocks {
@@ -438,7 +425,8 @@ func (d *RemoteDevice) onConnect(ctx context.Context, m *muxConn) error {
 	return nil
 }
 
-// do routes one exchange through the retry layer when enabled.
+// do routes one exchange through the retry layer when enabled; either
+// way the request's lease ends with the call.
 func (d *RemoteDevice) do(ctx context.Context, req frame, idempotent bool) (frame, error) {
 	if d.rd != nil {
 		return d.rd.call(ctx, req, idempotent)
@@ -446,21 +434,8 @@ func (d *RemoteDevice) do(ctx context.Context, req frame, idempotent bool) (fram
 	return d.m.call(ctx, req)
 }
 
-func dialStorage(ctx context.Context, addr string, forceV1 bool) (*RemoteDevice, error) {
-	m, err := dialMux(ctx, addr, maxBodySize, forceV1)
-	if err != nil {
-		return nil, err
-	}
-	d := &RemoteDevice{m: m}
-	if err := d.onConnect(ctx, m); err != nil {
-		m.close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// ProtoVersion reports the negotiated protocol version (1 or 2).
-func (d *RemoteDevice) ProtoVersion() int { return d.protoVer }
+// ProtoVersion reports the negotiated protocol version.
+func (d *RemoteDevice) ProtoVersion() int { return protoV2 }
 
 // BlockSize implements blockdev.Device.
 func (d *RemoteDevice) BlockSize() int { return d.blockSize }
@@ -474,8 +449,7 @@ func (d *RemoteDevice) ReadBlock(i uint64, buf []byte) error {
 		return fmt.Errorf("%w: %d != %d", blockdev.ErrBufSize, len(buf), d.blockSize)
 	}
 	e := &encoder{}
-	e.u64(i)
-	resp, err := d.do(context.Background(), frame{Type: msgReadBlock, Body: e.b}, true)
+	resp, err := d.do(context.Background(), e.u64(i).frame(msgReadBlock), true)
 	if err != nil {
 		return err
 	}
@@ -493,10 +467,8 @@ func (d *RemoteDevice) WriteBlock(i uint64, data []byte) error {
 	if len(data) != d.blockSize {
 		return fmt.Errorf("%w: %d != %d", blockdev.ErrBufSize, len(data), d.blockSize)
 	}
-	e := &encoder{}
-	e.u64(i)
-	e.bytes(data)
-	_, err := d.do(context.Background(), frame{Type: msgWriteBlock, Body: e.b}, false)
+	e := newEncoder(16 + len(data))
+	_, err := d.do(context.Background(), e.u64(i).bytes(data).frame(msgWriteBlock), false)
 	return err
 }
 
@@ -557,7 +529,7 @@ func (d *RemoteDevice) ReadBlocks(start uint64, bufs [][]byte) error {
 		hi := min(off+chunk, len(bufs))
 		e := &encoder{}
 		e.u64(start + uint64(off)).u64(uint64(hi - off))
-		resp, err := d.do(context.Background(), frame{Type: msgReadBlocks, Body: e.b}, true)
+		resp, err := d.do(context.Background(), e.frame(msgReadBlocks), true)
 		if err != nil {
 			return err
 		}
@@ -576,17 +548,14 @@ func (d *RemoteDevice) WriteBlocks(start uint64, data [][]byte) error {
 	chunk := d.maxBatch()
 	for off := 0; off < len(data); off += chunk {
 		hi := min(off+chunk, len(data))
-		e := &encoder{b: mempool.Get(16 + (hi-off)*d.blockSize)[:0]}
+		e := newEncoder(16 + (hi-off)*d.blockSize)
 		e.u64(start + uint64(off)).u64(uint64(hi - off))
 		for _, b := range data[off:hi] {
-			e.b = append(e.b, b...)
+			e.put(b)
 		}
-		if _, err := d.do(context.Background(), frame{Type: msgWriteBlocks, Body: e.b}, false); err != nil {
-			// The frame may still sit in a v2 writer's mailbox on this
-			// path — dropping the buffer to the GC is the safe release.
+		if _, err := d.do(context.Background(), e.frame(msgWriteBlocks), false); err != nil {
 			return err
 		}
-		mempool.Recycle(e.b)
 	}
 	return nil
 }
@@ -602,12 +571,12 @@ func (d *RemoteDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	chunk := d.maxBatch()
 	for off := 0; off < len(idx); off += chunk {
 		hi := min(off+chunk, len(idx))
-		e := &encoder{}
+		e := newEncoder(8 + (hi-off)*8)
 		e.u64(uint64(hi - off))
 		for _, i := range idx[off:hi] {
 			e.u64(i)
 		}
-		resp, err := d.do(context.Background(), frame{Type: msgReadBlocksAt, Body: e.b}, true)
+		resp, err := d.do(context.Background(), e.frame(msgReadBlocksAt), true)
 		if err != nil {
 			return err
 		}
@@ -629,20 +598,17 @@ func (d *RemoteDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	chunk := d.maxBatch()
 	for off := 0; off < len(idx); off += chunk {
 		hi := min(off+chunk, len(idx))
-		e := &encoder{b: mempool.Get(16 + (hi-off)*(d.blockSize+8))[:0]}
+		e := newEncoder(8 + (hi-off)*(d.blockSize+8))
 		e.u64(uint64(hi - off))
 		for _, i := range idx[off:hi] {
 			e.u64(i)
 		}
 		for _, b := range data[off:hi] {
-			e.b = append(e.b, b...)
+			e.put(b)
 		}
-		if _, err := d.do(context.Background(), frame{Type: msgWriteBlocksAt, Body: e.b}, false); err != nil {
-			// See WriteBlocks: on failure the buffer may still be
-			// referenced by the send queue; leave it to the GC.
+		if _, err := d.do(context.Background(), e.frame(msgWriteBlocksAt), false); err != nil {
 			return err
 		}
-		mempool.Recycle(e.b)
 	}
 	return nil
 }

@@ -443,8 +443,8 @@ func CompareStreamsK(streams [][]uint64, nBlocks uint64, bins int) (Verdict, err
 // Wire layer: serve raw storage or volatile agents over TCP, per the
 // §3.2 system model. Protocol v2 multiplexes every connection —
 // concurrent calls pipeline, cancellation abandons one request, and
-// one agent daemon serves many volumes — while v1 peers negotiate
-// down to the classic lock-step protocol.
+// one agent daemon serves many volumes. Peers of the lock-step v1
+// protocol are refused at the hello.
 type (
 	StorageServer = wire.StorageServer
 	AgentServer   = wire.AgentServer
@@ -452,9 +452,8 @@ type (
 	RemoteDevice  = wire.RemoteDevice
 )
 
-// ErrConnBroken reports a remote connection desynced by a transport
-// fault (or, on a lock-step v1 connection, an interrupted call);
-// redial to recover. ErrUnknownVolume reports a login naming a
+// ErrConnBroken reports a remote connection lost to a transport
+// fault; redial to recover. ErrUnknownVolume reports a login naming a
 // volume the agent server does not serve.
 var (
 	ErrConnBroken    = wire.ErrConnBroken
