@@ -6,14 +6,10 @@
 //
 //	benchrunner [-scale quick|paper] [-run all|fig10a|fig10b|fig11a|
 //	             fig11b|fig11c|table4|fig12a|fig12b|eq1|security]
-//	             [-seed N] [-list] [-benchjson FILE]
+//	             [-seed N] [-list] [-journal]
 //
-// With -benchjson the experiments are skipped; instead a fixed
-// micro-benchmark suite (device batches local and remote, oblivious
-// reshuffle, sequential hidden-file scan) runs and its ns/op,
-// allocs/op and MB/s land in FILE as JSON — the perf trajectory
-// successive changes are compared against (conventionally
-// BENCH_results.json).
+// Performance is measured by the rig under bench/ (see BENCHMARK.json);
+// this command only reproduces the paper's figures.
 //
 // The quick scale keeps every ratio of the paper's setup (utilization,
 // N/B, fragment size, level heights) at two orders of magnitude fewer
@@ -30,7 +26,6 @@ import (
 	"time"
 
 	"steghide/internal/experiments"
-	"steghide/internal/microbench"
 )
 
 func main() {
@@ -39,23 +34,9 @@ func main() {
 		runIDs    = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 		seed      = flag.Uint64("seed", 0, "override the scale's random seed (0 = default)")
 		list      = flag.Bool("list", false, "list experiments and exit")
-		benchJSON = flag.String("benchjson", "", "run the micro-benchmark suite and write JSON results to this file (e.g. BENCH_results.json)")
 		journaled = flag.Bool("journal", false, "run the steg systems with the sealed intent journal enabled")
 	)
 	flag.Parse()
-
-	if *benchJSON != "" {
-		fmt.Printf("steghide benchrunner — micro-benchmark suite → %s\n", *benchJSON)
-		if err := microbench.WriteJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := os.ReadFile(*benchJSON)
-		if err == nil {
-			os.Stdout.Write(data)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

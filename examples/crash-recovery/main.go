@@ -68,15 +68,14 @@ func main() {
 	// allocation, save) hit the ring as a sealed cell before the
 	// block write it protects, and dummy updates wrote
 	// indistinguishable filler cells at the same one-per-element rate.
+	// The updates go through the agent's immediate Write, so each is on
+	// the device (relocated, unsaved) when it returns; a write handle
+	// would hold them in memory until its Close.
 	dev.PowerCutAfterWrites(25)
-	w, err := fs.OpenWrite(ctx, "/ledger")
-	if err != nil {
-		log.Fatal(err)
-	}
 	chunk := make([]byte, vol.PayloadSize())
 	var cutErr error
 	for i := 0; cutErr == nil && i < 1000; i++ {
-		if _, cutErr = w.WriteAt(chunk, int64(i%4)*int64(vol.PayloadSize())); cutErr == nil {
+		if cutErr = stack.Agent1().WriteCtx(ctx, "/ledger", chunk, uint64(i%4)*uint64(vol.PayloadSize())); cutErr == nil {
 			cutErr = stack.Agent1().DummyUpdate()
 		}
 	}

@@ -168,6 +168,8 @@ func runStegHide() {
 	}
 	sal, _ := table.get("Bob")
 	mustSet(table, "Bob", sal+100000)
+	// COMMIT: the handle's write reaches the volume now, as one run.
+	must(fs.Save(ctx, "/sal_table"))
 	for i := 0; i < 10; i++ {
 		must(agent.DummyUpdate())
 	}

@@ -17,7 +17,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -81,7 +80,6 @@ func demoStegFS() {
 }
 
 func demoStegHide() {
-	ctx := context.Background()
 	mem := steghide.NewMemDevice(blockSize, nBlocks)
 	stack, err := steghide.Mount(mem,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("s2")}),
@@ -92,18 +90,24 @@ func demoStegHide() {
 	defer stack.Close()
 	vol := stack.Volume()
 	agent := stack.Agent2()
-	fs, err := stack.Login("victim", "pw")
+	// The session API rather than an FS handle: its Write issues each
+	// update before it returns. A handle's writes wait in memory for
+	// Close, and an active phase that never closes would show the
+	// attacker nothing but dummy traffic — and prove nothing.
+	sess, err := agent.LoginWithPassphrase("victim", "pw")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fs.CreateDummy(ctx, "/cover", 4*fileBlks); err != nil {
+	if _, err := sess.CreateDummy("/cover", 4*fileBlks); err != nil {
 		log.Fatal(err)
 	}
-	if err := steghide.WriteFile(ctx, fs, "/ledger", make([]byte, fileBlks*vol.PayloadSize())); err != nil {
+	if _, err := sess.Create("/ledger"); err != nil {
 		log.Fatal(err)
 	}
-	w, err := fs.OpenWrite(ctx, "/ledger")
-	if err != nil {
+	if err := sess.Write("/ledger", make([]byte, fileBlks*vol.PayloadSize()), 0); err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Save("/ledger"); err != nil {
 		log.Fatal(err)
 	}
 
@@ -120,7 +124,7 @@ func demoStegHide() {
 	rng := prng.NewFromUint64(3)
 	ps := vol.PayloadSize()
 	activeDiffs := diffPhase(mem, func() {
-		if _, err := w.WriteAt(rng.Bytes(ps), 0); err != nil {
+		if err := sess.Write("/ledger", rng.Bytes(ps), 0); err != nil {
 			log.Fatal(err)
 		}
 		if err := agent.DummyUpdate(); err != nil {

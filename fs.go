@@ -39,7 +39,9 @@ type FS interface {
 	// through the handle.
 	OpenWrite(ctx context.Context, path string) (WriteHandle, error)
 	// Save flushes path's cached block map (header and pointer
-	// blocks) to the volume — the durability point (§4.1.5).
+	// blocks) to the volume — the durability point (§4.1.5). It first
+	// issues what the path's write handles have staged, as one run; a
+	// failed Save leaves that staged and can be repeated.
 	Save(ctx context.Context, path string) error
 	// Truncate resizes path to size bytes: growth materializes fresh
 	// blocks through the update-hiding policy, shrinkage releases
@@ -78,8 +80,10 @@ type ReadHandle interface {
 }
 
 // WriteHandle is an open hidden file, writable at arbitrary offsets
-// through the construction's update-hiding policy. Close saves the
-// file's block map.
+// through the construction's update-hiding policy. Writes smaller than
+// a run of 64 blocks wait in memory — every handle of the principal
+// reads them at once — and reach the volume as one run when 64 blocks
+// wait, at Save, and at Close, which then saves the file's block map.
 type WriteHandle interface {
 	io.WriterAt
 	io.Closer

@@ -109,7 +109,7 @@ func (a *agentFS) Save(ctx context.Context, path string) error {
 	if err != nil {
 		return err
 	}
-	return pathErr("save", path, a.agent.SyncHandle(path, f))
+	return pathErr("save", path, a.agent.SyncHandleCtx(ctx, path, f))
 }
 
 // Truncate implements FS.
@@ -244,21 +244,23 @@ func (h *agentHandle) ReadAt(p []byte, off int64) (int, error) {
 	return n, eofIfShort(n, len(p))
 }
 
-// WriteAt implements io.WriterAt through the Figure-6 update policy.
+// WriteAt implements io.WriterAt: the touched blocks join the file's
+// open run and go through the Figure-6 update policy with it.
 func (h *agentHandle) WriteAt(p []byte, off int64) (int, error) {
 	if err := checkWriteAt(h.path, off); err != nil {
 		return 0, err
 	}
-	if err := h.fs.agent.WriteHandleCtx(h.ctx, h.path, h.f, p, uint64(off)); err != nil {
+	if err := h.fs.agent.StageHandleCtx(h.ctx, h.path, h.f, p, uint64(off)); err != nil {
 		return 0, pathErr("write", h.path, err)
 	}
 	return len(p), nil
 }
 
-// Close implements io.Closer; write handles flush the block map.
+// Close implements io.Closer; write handles issue the open run and
+// flush the block map.
 func (h *agentHandle) Close() error {
 	if !h.save {
 		return nil
 	}
-	return pathErr("close", h.path, h.fs.agent.SyncHandle(h.path, h.f))
+	return pathErr("close", h.path, h.fs.agent.SyncHandleCtx(h.ctx, h.path, h.f))
 }

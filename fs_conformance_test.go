@@ -31,15 +31,45 @@ type fsFixture struct {
 	// deniable reports whether CreateDummy/dummy-aware Disclose are
 	// part of this construction's contract (Construction 2 surfaces).
 	deniable bool
-	// open builds the whole stack and returns a ready FS. The FS of
-	// Construction-2 surfaces has a dummy file disclosed already, so
-	// relocation targets exist; C1 surfaces have free-space dummies by
-	// construction.
-	open func(t *testing.T) steghide.FS
+	// writeThrough marks the oblivious composition, whose handle writes
+	// are issued at once (each is repeated into the cache, §5.1.2)
+	// instead of waiting in the file's open run.
+	writeThrough bool
+	// open builds the whole stack and returns a ready FS with a probe
+	// into the stacks behind it. The FS of Construction-2 surfaces has
+	// a dummy file disclosed already, so relocation targets exist; C1
+	// surfaces have free-space dummies by construction.
+	open func(t *testing.T) (steghide.FS, fsProbe)
+}
+
+// fsProbe is what a conformance row may know of the stacks behind an
+// FS without going through it.
+type fsProbe struct {
+	payload int // bytes per block
+	// updates is the Figure-6 data updates the stacks have made so far:
+	// the count that tells a staged write from an issued one.
+	updates func() uint64
+}
+
+// probeOf builds the probe of a fixture served by stacks.
+func probeOf(stacks ...*steghide.Stack) fsProbe {
+	return fsProbe{
+		payload: stacks[0].Volume().PayloadSize(),
+		updates: func() (n uint64) {
+			for _, st := range stacks {
+				if a := st.Agent2(); a != nil {
+					n += a.Stats().DataUpdates
+				} else {
+					n += st.Agent1().Stats().DataUpdates
+				}
+			}
+			return n
+		},
+	}
 }
 
 // newC2Fixture mounts a Construction-2 stack and logs one user in.
-func newC2Fixture(t *testing.T) steghide.FS {
+func newC2Fixture(t *testing.T) (steghide.FS, fsProbe) {
 	t.Helper()
 	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-c2")}),
@@ -56,11 +86,11 @@ func newC2Fixture(t *testing.T) steghide.FS {
 	if err := fs.CreateDummy(context.Background(), "/cover", 256); err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	return fs, probeOf(stack)
 }
 
 // newC1Fixture mounts a Construction-1 stack.
-func newC1Fixture(t *testing.T) steghide.FS {
+func newC1Fixture(t *testing.T) (steghide.FS, fsProbe) {
 	t.Helper()
 	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-c1")}),
@@ -74,11 +104,11 @@ func newC1Fixture(t *testing.T) steghide.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	return fs, probeOf(stack)
 }
 
 // newWireFixture serves a Construction-2 stack over TCP and dials it.
-func newWireFixture(t *testing.T) steghide.FS {
+func newWireFixture(t *testing.T) (steghide.FS, fsProbe) {
 	t.Helper()
 	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-wire")}),
@@ -102,17 +132,17 @@ func newWireFixture(t *testing.T) steghide.FS {
 	if err := fs.CreateDummy(context.Background(), "/cover", 256); err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	return fs, probeOf(stack)
 }
 
 // newObliviousFixture mounts Construction 1 with the read-hiding
 // cache in front.
-func newObliviousFixture(t *testing.T) steghide.FS {
+func newObliviousFixture(t *testing.T) (steghide.FS, fsProbe) {
 	t.Helper()
 	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-obli")}),
 		steghide.WithConstruction1([]byte("conf-obli-secret")),
-		steghide.WithObliviousCache(16, 4), // caches up to 128 distinct blocks
+		steghide.WithObliviousCache(16, 5), // caches up to 256 distinct blocks
 		steghide.WithSeed([]byte("conf-obli-agent")))...)
 	if err != nil {
 		t.Fatal(err)
@@ -122,13 +152,13 @@ func newObliviousFixture(t *testing.T) steghide.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	return fs, probeOf(stack)
 }
 
 // newWireRetryFixture is newWireFixture with the self-healing client:
 // the whole conformance contract must hold unchanged when the retry
 // layer sits between the FS and the wire.
-func newWireRetryFixture(t *testing.T) steghide.FS {
+func newWireRetryFixture(t *testing.T) (steghide.FS, fsProbe) {
 	t.Helper()
 	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-retry")}),
@@ -153,15 +183,16 @@ func newWireRetryFixture(t *testing.T) steghide.FS {
 	if err := fs.CreateDummy(context.Background(), "/cover", 256); err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	return fs, probeOf(stack)
 }
 
 // newClusterFixture serves three independent shard daemons and dials
 // them as one Cluster: a sharded fleet must satisfy the same contract
 // as any single-volume surface.
-func newClusterFixture(t *testing.T) steghide.FS {
+func newClusterFixture(t *testing.T) (steghide.FS, fsProbe) {
 	t.Helper()
 	var addrs []string
+	var stacks []*steghide.Stack
 	for i := 0; i < 3; i++ {
 		seed := []byte{byte('A' + i)}
 		stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
@@ -180,16 +211,19 @@ func newClusterFixture(t *testing.T) steghide.FS {
 			stack.Close()
 		})
 		addrs = append(addrs, srv.Addr())
+		stacks = append(stacks, stack)
 	}
 	cl, err := steghide.DialClusterFS(context.Background(), addrs, "alice", "alice-pass")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every shard needs its own relocation cover before files land.
-	if err := cl.CoverAll(context.Background(), "/cover", 128); err != nil {
+	// Every shard needs its own relocation cover before files land: a
+	// run withdraws all its relocation targets before any vacated block
+	// comes back, so the cover outsizes the largest file plus one run.
+	if err := cl.CoverAll(context.Background(), "/cover", 256); err != nil {
 		t.Fatal(err)
 	}
-	return cl
+	return cl, probeOf(stacks...)
 }
 
 func fsFixtures() []fsFixture {
@@ -198,7 +232,7 @@ func fsFixtures() []fsFixture {
 		{name: "c1-agent", deniable: false, open: newC1Fixture},
 		{name: "wire-client", deniable: true, open: newWireFixture},
 		{name: "wire-retry", deniable: true, open: newWireRetryFixture},
-		{name: "oblivious", deniable: false, open: newObliviousFixture},
+		{name: "oblivious", deniable: false, writeThrough: true, open: newObliviousFixture},
 		{name: "cluster", deniable: true, open: newClusterFixture},
 	}
 }
@@ -211,7 +245,7 @@ func TestFSConformance(t *testing.T) {
 	for _, fx := range fsFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			ctx := context.Background()
-			fs := fx.open(t)
+			fs, _ := fx.open(t)
 			defer fs.Close()
 
 			// Create, write, save, read back.
@@ -411,6 +445,160 @@ func TestFSConformance(t *testing.T) {
 	}
 }
 
+// TestFSConformanceWriteBehind is the write-behind contract, the same
+// on every surface: what a handle wrote is what every handle of the
+// principal reads, what Stat sizes and what Truncate and Delete act on,
+// before the Close that issues it; a run the scheduler refuses fails the
+// Close that triggered it with the typed error and is still there for
+// the Save that repeats it. How much reached the update stream is read
+// off the stacks: nothing while fewer than 65 distinct blocks wait, the
+// first 64 when the 65th arrives — except behind the oblivious cache,
+// which issues each write at once and must read the same regardless.
+func TestFSConformanceWriteBehind(t *testing.T) {
+	for _, fx := range fsFixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			ctx := context.Background()
+			fs, probe := fx.open(t)
+			defer fs.Close()
+			ps := probe.payload
+			const blocks = 70
+			base := bytes.Repeat([]byte("base."), blocks*ps/5+1)[:blocks*ps]
+			if err := steghide.WriteFile(ctx, fs, "/wb", base); err != nil {
+				t.Fatal(err)
+			}
+			want := bytes.Clone(base)
+			block := func(tag byte) []byte { return bytes.Repeat([]byte{tag}, ps) }
+			readBack := func(when string) {
+				t.Helper()
+				got, err := steghide.ReadFile(ctx, fs, "/wb")
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: ReadFile differs from the model (len %d want %d, err=%v)", when, len(got), len(want), err)
+				}
+			}
+			issued := func(before uint64, staged, writeThrough uint64, when string) {
+				t.Helper()
+				n := staged
+				if fx.writeThrough {
+					n = writeThrough
+				}
+				if got := probe.updates() - before; got != n {
+					t.Fatalf("%s: %d data updates, want %d", when, got, n)
+				}
+			}
+
+			// A staged block, a sub-block patch and an append are visible
+			// through a second handle, to ReadFile and to Stat before Close.
+			w, err := fs.OpenWrite(ctx, "/wb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := probe.updates()
+			copy(want[3*ps:], block('A'))
+			if _, err := w.WriteAt(block('A'), int64(3*ps)); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[9*ps+7:], "patched")
+			if _, err := w.WriteAt([]byte("patched"), int64(9*ps+7)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, "tail"...)
+			if _, err := w.WriteAt([]byte("tail"), int64(blocks*ps)); err != nil {
+				t.Fatal(err)
+			}
+			issued(before, 0, 3, "three staged writes")
+			r, err := fs.OpenRead(ctx, "/wb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, 2*ps)
+			if _, err := r.ReadAt(got, int64(3*ps-ps/2)); err != nil || !bytes.Equal(got, want[3*ps-ps/2:][:2*ps]) {
+				t.Fatalf("second handle does not read the staged block (err=%v)", err)
+			}
+			readBack("before close")
+			if info, err := fs.Stat(ctx, "/wb"); err != nil || info.Size != uint64(len(want)) {
+				t.Fatalf("stat before close: %+v err=%v, want size %d", info, err, len(want))
+			}
+			issued(before, 0, 3, "reads and stat")
+
+			// Truncate below a staged block drops it: regrown, the block
+			// reads zeros, not what was staged.
+			if _, err := w.WriteAt(block('B'), int64(60*ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Truncate(ctx, "/wb", uint64(50*ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Truncate(ctx, "/wb", uint64(blocks*ps)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want[:50*ps], make([]byte, (blocks-50)*ps)...)
+			readBack("after truncate and regrow")
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			issued(before, 2, 4, "close of two staged blocks")
+			readBack("after close")
+
+			// The 65th distinct block issues the first 64.
+			if w, err = fs.OpenWrite(ctx, "/wb"); err != nil {
+				t.Fatal(err)
+			}
+			before = probe.updates()
+			for li := 0; li < 65; li++ {
+				if li == 64 {
+					issued(before, 0, 64, "64 distinct blocks")
+				}
+				copy(want[li*ps:], block(byte('a'+li%26)))
+				if _, err := w.WriteAt(block(byte('a'+li%26)), int64(li*ps)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			issued(before, 64, 65, "the 65th block")
+			readBack("with one run issued and one block staged")
+
+			// A refused run: the handle's context dies before Close. The
+			// Close fails typed, the Save under a live context converges.
+			cctx, cancel := context.WithCancel(ctx)
+			wc, err := fs.OpenWrite(cctx, "/wb")
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(want[5*ps:], block('C'))
+			if _, err := wc.WriteAt(block('C'), int64(5*ps)); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			err = wc.Close()
+			var pe *steghide.PathError
+			if !fx.writeThrough && (!errors.Is(err, context.Canceled) || !errors.As(err, &pe)) {
+				t.Fatalf("close under a dead context: want a *PathError carrying context.Canceled, got %v", err)
+			}
+			readBack("after the refused close")
+			if err := fs.Save(ctx, "/wb"); err != nil {
+				t.Fatalf("save after the refused close: %v", err)
+			}
+			if err := fs.Save(ctx, "/wb"); err != nil {
+				t.Fatalf("repeated save: %v", err)
+			}
+			issued(before, 66, 66, "the converged save")
+			readBack("after the converged save")
+
+			// Delete discards the run: nothing more is issued, and the
+			// path is gone.
+			if _, err := w.WriteAt(block('D'), int64(7*ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Delete(ctx, "/wb"); err != nil {
+				t.Fatal(err)
+			}
+			issued(before, 66, 67, "delete over a staged block")
+			if _, err := fs.OpenRead(ctx, "/wb"); !errors.Is(err, steghide.ErrNotFound) {
+				t.Fatalf("open after delete: want ErrNotFound, got %v", err)
+			}
+		})
+	}
+}
+
 // TestFSConformanceCancelMidOp cancels a context *during* a write and
 // checks the operation aborts with the context error — the scheduler
 // honors cancellation between Figure-6 draws; the wire honors it on
@@ -419,7 +607,7 @@ func TestFSConformanceCancelMidOp(t *testing.T) {
 	for _, fx := range fsFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			ctx := context.Background()
-			fs := fx.open(t)
+			fs, _ := fx.open(t)
 			defer fs.Close()
 			if err := fs.Create(ctx, "/f"); err != nil {
 				t.Fatal(err)

@@ -132,7 +132,7 @@ func (o *obliviousFS) Save(ctx context.Context, path string) error {
 	if err != nil {
 		return err
 	}
-	return pathErr("save", path, o.agent.SyncHandle(path, e.f))
+	return pathErr("save", path, o.agent.SyncHandleCtx(ctx, path, e.f))
 }
 
 // Truncate implements FS. A shrink retires the cache ordinal: the
@@ -364,5 +364,5 @@ func (h *obliHandle) Close() error {
 	if !h.save {
 		return nil
 	}
-	return pathErr("close", h.path, h.fs.agent.SyncHandle(h.path, h.f))
+	return pathErr("close", h.path, h.fs.agent.SyncHandleCtx(h.ctx, h.path, h.f))
 }

@@ -85,7 +85,7 @@ func (s *sessionFS) Save(ctx context.Context, path string) error {
 	if err := s.ensureOpen("save", path); err != nil {
 		return err
 	}
-	return pathErr("save", path, s.sess.Save(path))
+	return pathErr("save", path, s.sess.SaveCtx(ctx, path))
 }
 
 // Truncate implements FS.
@@ -183,22 +183,23 @@ func (h *sessionHandle) ReadAt(p []byte, off int64) (int, error) {
 	return n, eofIfShort(n, len(p))
 }
 
-// WriteAt implements io.WriterAt: every touched block flows through
-// the Figure-6 relocation policy.
+// WriteAt implements io.WriterAt: every touched block joins the file's
+// open run and flows through the Figure-6 relocation policy with it.
 func (h *sessionHandle) WriteAt(p []byte, off int64) (int, error) {
 	if err := checkWriteAt(h.path, off); err != nil {
 		return 0, err
 	}
-	if err := h.fs.sess.WriteCtx(h.ctx, h.path, p, uint64(off)); err != nil {
+	if err := h.fs.sess.StageCtx(h.ctx, h.path, p, uint64(off)); err != nil {
 		return 0, pathErr("write", h.path, err)
 	}
 	return len(p), nil
 }
 
-// Close implements io.Closer; write handles save the block map.
+// Close implements io.Closer; write handles issue the open run and
+// save the block map.
 func (h *sessionHandle) Close() error {
 	if !h.save {
 		return nil
 	}
-	return pathErr("close", h.path, h.fs.sess.Save(h.path))
+	return pathErr("close", h.path, h.fs.sess.SaveCtx(h.ctx, h.path))
 }

@@ -13,8 +13,10 @@ import (
 // blocks) is cached in memory while the file is open and written out
 // on Save/Close, exactly as §4.1.5 prescribes ("the file header is
 // always placed in the cache and is written out only when the file is
-// saved"). A File is not safe for concurrent use; the agent layer
-// serializes access.
+// saved"). Small writes wait the same way: Stage merges them into one
+// open run that is issued whole (see Flush), so what a crash loses is
+// what it lost before — everything since the last Save. A File is not
+// safe for concurrent use; the agent layer serializes access.
 type File struct {
 	vol    *Volume
 	source BlockSource
@@ -51,6 +53,14 @@ type File struct {
 	scanLocs []uint64
 	scanRaws [][]byte
 	scanOuts [][]byte
+
+	// The open run: runLis[i] is a dirty logical block and runBufs[i] its
+	// whole new payload in a buffer leased from the memory plane, at
+	// most readAtBatch of them, distinct, in the order they were first
+	// written. Every entry is inside the block map; nothing on the
+	// device or in the map knows of them until Flush.
+	runLis  []uint64
+	runBufs [][]byte
 }
 
 // CreateFile creates an empty hidden file for fak at path. The header
@@ -450,32 +460,131 @@ func (f *File) ReadBlockAt(li uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if buf := f.staged(li); buf != nil {
+		return append([]byte(nil), buf...), nil
+	}
 	return f.vol.ReadSealed(loc, f.cseal)
 }
 
-// WriteBlockAt updates logical block li with payload via the policy,
-// recording any relocation in the cached map: the run of one.
-func (f *File) WriteBlockAt(li uint64, payload []byte, policy UpdatePolicy) error {
-	f.scanOuts = append(f.scanOuts[:0], payload)
-	return f.writeRun(li, f.scanOuts, policy)
+// staged returns the open run's payload for logical block li, or nil.
+func (f *File) staged(li uint64) []byte {
+	for i, l := range f.runLis {
+		if l == li {
+			return f.runBufs[i]
+		}
+	}
+	return nil
 }
 
-// writeRun seals payloads — the new contents of the logical blocks from
-// li on — in one batch, eight lanes at a time, hands the policy the
-// whole run and records where each block landed. A run the policy
-// fails leaves the map as it was.
-func (f *File) writeRun(li uint64, payloads [][]byte, policy UpdatePolicy) error {
-	n, bs := len(payloads), f.vol.BlockSize()
-	if end := li + uint64(n); end > uint64(len(f.blocks)) {
+// unstage drops the open run's entries for which gone reports true,
+// returning their buffers to the memory plane.
+func (f *File) unstage(gone func(li uint64) bool) {
+	n := 0
+	for i, li := range f.runLis {
+		if gone(li) {
+			mempool.Recycle(f.runBufs[i])
+			continue
+		}
+		f.runLis[n], f.runBufs[n] = li, f.runBufs[i]
+		n++
+	}
+	clear(f.runBufs[n:])
+	f.runLis, f.runBufs = f.runLis[:n], f.runBufs[:n]
+}
+
+// merge makes piece the bytes from offset bo of logical block li in the
+// open run. A block not yet staged takes a leased buffer — read and
+// opened from the device once if piece leaves any of it standing — and,
+// when the run is full, the run is issued first.
+func (f *File) merge(li uint64, bo int, piece []byte, policy UpdatePolicy) error {
+	buf := f.staged(li)
+	if buf == nil {
+		if len(f.runLis) == readAtBatch {
+			if err := f.Flush(policy); err != nil {
+				return err
+			}
+		}
+		loc, err := f.BlockLoc(li)
+		if err != nil {
+			return err
+		}
+		buf = mempool.Get(f.vol.PayloadSize())
+		if len(piece) < len(buf) {
+			raw := mempool.Get(f.vol.BlockSize())
+			err := f.vol.ReadSealedInto(loc, f.cseal, raw, buf)
+			mempool.Recycle(raw)
+			if err != nil {
+				mempool.Recycle(buf)
+				return err
+			}
+		}
+		f.runLis, f.runBufs = append(f.runLis, li), append(f.runBufs, buf)
+	}
+	copy(buf[bo:], piece)
+	return nil
+}
+
+// WriteBlockAt makes payload the content of logical block li, on the
+// device when it returns and without touching the file's size: the run
+// of one, sealed from payload, unless the open run held more.
+func (f *File) WriteBlockAt(li uint64, payload []byte, policy UpdatePolicy) error {
+	if len(payload) != f.vol.PayloadSize() {
+		return fmt.Errorf("stegfs: block payload of %d bytes, want %d", len(payload), f.vol.PayloadSize())
+	}
+	return f.flushWith(li, payload, policy)
+}
+
+// Flush issues the open run. The run is sealed in one batch, eight
+// lanes at a time, handed to the policy as one scattered run — a sealed
+// block does not depend on where it lands — and the map records where
+// each block landed. A run the policy fails stays staged and leaves the
+// map as it was, so the caller may retry.
+func (f *File) Flush(policy UpdatePolicy) error {
+	return f.flushWith(0, nil, policy)
+}
+
+// flushWith is Flush with a stretch of whole blocks — the logical blocks
+// from li on, their payloads still in the caller's buffer p — riding in
+// the same run. They are not staged: if the policy fails, only the open
+// run is kept. A staged block the stretch covers is superseded: it sits
+// the run out and is dropped with it.
+func (f *File) flushWith(li uint64, p []byte, policy UpdatePolicy) error {
+	ps, bs := f.vol.PayloadSize(), f.vol.BlockSize()
+	direct := len(p) / ps
+	if end := li + uint64(direct); end > uint64(len(f.blocks)) {
 		return fmt.Errorf("stegfs: logical block %d beyond map of %d", end-1, len(f.blocks))
 	}
+	staged := len(f.runLis)
+	for i := 0; direct > 0 && i < staged; {
+		if l := f.runLis[i]; l < li || l >= li+uint64(direct) {
+			i++
+			continue
+		}
+		staged--
+		f.runLis[i], f.runLis[staged] = f.runLis[staged], f.runLis[i]
+		f.runBufs[i], f.runBufs[staged] = f.runBufs[staged], f.runBufs[i]
+	}
+	n := staged + direct
+	if n == 0 {
+		return nil
+	}
+	logical := func(i int) uint64 {
+		if i < staged {
+			return f.runLis[i]
+		}
+		return li + uint64(i-staged)
+	}
+	f.scanOuts = carveBlocks(append(f.scanOuts[:0], f.runBufs[:staged]...), p, direct, ps)
 	slab := mempool.Get(n * bs)
 	defer mempool.Recycle(slab)
 	f.scanRaws = carveBlocks(f.scanRaws[:0], slab, n, bs)
-	if err := f.cseal.SealMany(f.scanRaws, f.vol.NextIV, payloads); err != nil {
+	if err := f.cseal.SealMany(f.scanRaws, f.vol.NextIV, f.scanOuts); err != nil {
 		return err
 	}
-	f.scanLocs = append(f.scanLocs[:0], f.blocks[li:li+uint64(n)]...)
+	f.scanLocs = f.scanLocs[:0]
+	for i := 0; i < n; i++ {
+		f.scanLocs = append(f.scanLocs, f.blocks[logical(i)])
+	}
 	if il := f.vol.IntentHooks(); il != nil {
 		// A relocation intent for a block must be able to name this
 		// file's header, so recovery knows which on-disk map decides it.
@@ -487,19 +596,21 @@ func (f *File) writeRun(li uint64, payloads [][]byte, policy UpdatePolicy) error
 		return err
 	}
 	for i, newLoc := range f.scanLocs {
-		if newLoc != f.blocks[li+uint64(i)] {
-			if err := f.RelocateBlock(li+uint64(i), newLoc); err != nil {
+		if l := logical(i); newLoc != f.blocks[l] {
+			if err := f.RelocateBlock(l, newLoc); err != nil {
 				return err
 			}
 		}
 	}
+	f.unstage(func(uint64) bool { return true })
 	return nil
 }
 
 // Resize grows or shrinks the file to size bytes. Growth allocates
 // fresh random blocks (zero-filled and written immediately, so the
 // blocks exist on disk); shrinkage releases blocks back to the source
-// — their ciphertext remains in place as plausible dummy content.
+// — their ciphertext remains in place as plausible dummy content — and
+// drops what the open run held for them.
 func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 	ps := uint64(f.vol.PayloadSize())
 	want := (size + ps - 1) / ps
@@ -569,6 +680,7 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 			}
 		}
 		f.blocks = f.blocks[:want]
+		f.unstage(func(li uint64) bool { return li >= want })
 	}
 	f.size = size
 	f.dirty = true
@@ -576,14 +688,16 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 }
 
 // readAtBatch bounds how many blocks one ReadAt device batch gathers,
-// and how many whole blocks a WriteAt hands its policy as one run.
+// how many blocks the open run holds, and how many whole blocks a write
+// seals from the caller's buffer as one run.
 const readAtBatch = 64
 
 // ReadAt reads len(p) bytes at byte offset off, returning the number
 // of bytes read; reads past EOF are truncated. The spanned blocks are
 // fetched in scattered device batches of up to readAtBatch blocks —
 // a sequential scan of a randomly-placed file costs one device call
-// per batch instead of one per block.
+// per batch instead of one per block. Blocks in the open run are served
+// from it; a read never issues the run.
 func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 	if off >= f.size {
 		return 0, nil
@@ -622,7 +736,11 @@ func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 		if err := f.vol.ReadSealedManyInto(f.scanLocs, f.cseal, f.scanRaws, f.scanOuts); err != nil {
 			return read, err
 		}
-		for _, payload := range f.scanOuts {
+		for i, payload := range f.scanOuts {
+			// A reader sees its principal's own staged writes.
+			if buf := f.staged(li + uint64(i)); buf != nil {
+				payload = buf
+			}
 			read += copy(p[read:], payload[bo:])
 			bo = 0
 		}
@@ -630,16 +748,35 @@ func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 	return read, nil
 }
 
-// WriteAt writes p at byte offset off via the policy, growing the
-// file as needed. Partial-block writes read-modify-write the block.
-// A run of up to readAtBatch whole blocks is sealed in one batch and
-// handed to the policy as one run: a sealed block does not depend on
-// where it lands. A run's IVs are thus drawn ahead of the IVs its
-// placements' camouflage updates draw, not interleaved with them; each
-// is still a fresh draw of the same stream, so the update stream's
-// distribution is untouched. A run the policy fails changes nothing and
-// ends the write; the runs before it keep their new content.
+// WriteAt writes p at byte offset off via the policy, growing the file
+// as needed: Stage, then Flush — the write is on the device when it
+// returns. The blocks p touches leave as one run together with whatever
+// the open run already held.
 func (f *File) WriteAt(p []byte, off uint64, policy UpdatePolicy) (int, error) {
+	n, err := f.Stage(p, off, policy)
+	if err != nil {
+		return n, err
+	}
+	return n, f.Flush(policy)
+}
+
+// Stage merges p at byte offset off into the open run, growing the file
+// as needed: a whole block is copied in, a partial block is read and
+// opened once and then patched in memory, a second write to a staged
+// block overwrites it. Nothing reaches the policy until the run is
+// issued — by Flush, or here when a block would be the run's
+// readAtBatch+1st. A stretch of readAtBatch whole blocks is not copied:
+// it is sealed straight from p and issued at once, the open run — this
+// write's partial head in it, and its partial tail — riding along, so a
+// large write costs one run per readAtBatch blocks and no more.
+//
+// A run's IVs are drawn ahead of the IVs its placements' camouflage
+// updates draw, not interleaved with them; each is still a fresh draw of
+// the same stream, so the update stream's distribution is untouched. A
+// run the policy fails changes nothing on the device or in the map and
+// ends the write; the runs issued before it keep their new content, and
+// what was staged stays staged.
+func (f *File) Stage(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 	if f.IsDummy() {
 		return 0, fmt.Errorf("stegfs: write to dummy file %q", f.path)
 	}
@@ -650,34 +787,28 @@ func (f *File) WriteAt(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 		}
 	}
 	ps := f.vol.PayloadSize()
-	bs := f.vol.BlockSize()
 	written := 0
 	for written < len(p) {
 		li := (off + uint64(written)) / uint64(ps)
 		bo := int((off + uint64(written)) % uint64(ps))
-		if run := min((len(p)-written)/ps, readAtBatch); bo == 0 && run > 0 {
-			f.scanOuts = carveBlocks(f.scanOuts[:0], p[written:], run, ps)
-			if err := f.writeRun(li, f.scanOuts, policy); err != nil {
+		rest := p[written:]
+		if bo == 0 && len(rest) >= readAtBatch*ps {
+			run, tail := rest[:readAtBatch*ps], rest[readAtBatch*ps:]
+			if len(tail) >= ps {
+				tail = nil // not the end of the write yet
+			} else if len(tail) > 0 {
+				if err := f.merge(li+readAtBatch, 0, tail, policy); err != nil {
+					return written, err
+				}
+			}
+			if err := f.flushWith(li, run, policy); err != nil {
 				return written, err
 			}
-			written += run * ps
+			written += len(run) + len(tail)
 			continue
 		}
-		// A partial block: read it, patch it, write it back.
-		loc, err := f.BlockLoc(li)
-		if err != nil {
-			return written, err
-		}
-		n := min(ps-bo, len(p)-written)
-		raw, payload := mempool.Get(bs), mempool.Get(ps)
-		err = f.vol.ReadSealedInto(loc, f.cseal, raw, payload)
-		if err == nil {
-			copy(payload[bo:], p[written:written+n])
-			err = f.WriteBlockAt(li, payload, policy)
-		}
-		mempool.Recycle(raw)
-		mempool.Recycle(payload)
-		if err != nil {
+		n := min(ps-bo, len(rest))
+		if err := f.merge(li, bo, rest[:n], policy); err != nil {
 			return written, err
 		}
 		written += n
@@ -697,6 +828,9 @@ func (f *File) WriteAt(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 // a capacity boundary would oscillate forever. Over-provisioned
 // indirect blocks are recorded in the header and reused on growth;
 // they are only released by Delete.
+//
+// Save does not issue the open run — that takes a policy, and with it
+// the caller's context: see Sync.
 func (f *File) Save() error {
 	if !f.dirty {
 		return nil
@@ -829,13 +963,23 @@ func (f *File) saveHeaderFrom(h *header) error {
 	return f.vol.WriteSealed(f.headerLoc, f.hseal, payload)
 }
 
+// Sync issues the open run and then saves the map its blocks landed in.
+// A run the policy refuses stays staged and nothing is saved, so the
+// call can be repeated.
+func (f *File) Sync(policy UpdatePolicy) error {
+	if err := f.Flush(policy); err != nil {
+		return err
+	}
+	return f.Save()
+}
+
 // Close saves the file if dirty. The File must not be used after.
 func (f *File) Close() error { return f.Save() }
 
 // Delete removes the file: all blocks (data, pointer, header) are
 // released to the source and the header block is overwritten with
 // random bytes so it can never decode again. To an observer this is
-// one more update in the stream.
+// one more update in the stream. The open run is discarded unissued.
 func (f *File) Delete() error {
 	if il := f.vol.IntentHooks(); il != nil {
 		gone := append(f.BlockLocs(), f.IndirectLocs()...)
@@ -852,6 +996,7 @@ func (f *File) Delete() error {
 		f.source.Release(loc)
 	}
 	f.pendingFree = nil
+	f.unstage(func(uint64) bool { return true })
 	f.blocks = nil
 	f.revIndex = nil
 	f.size = 0

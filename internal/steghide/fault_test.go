@@ -2,6 +2,7 @@ package steghide
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -60,8 +61,75 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 	if err := s.Write("/f", content, 0); err != nil {
 		t.Fatal(err)
 	}
+
+	// The staged case: a handle's writes wait in the file's open run, so
+	// the fault meets the Save that issues them. Whatever refuses the
+	// run — the device, a cancelled context, an empty dummy pool — the
+	// run stays staged, the block map stays put, reads keep seeing the
+	// new bytes, and repeating the Save converges.
+	f, _ := s.Open("/f")
+	ps := a.Vol().PayloadSize()
+	fresh := prng.NewFromUint64(2).Bytes(3 * ps)
+	want := bytes.Clone(content)
+	for i, li := range []int{1, 4, 8} {
+		copy(want[li*ps:], fresh[i*ps:(i+1)*ps])
+		if err := s.StageCtx(context.Background(), "/f", fresh[i*ps:(i+1)*ps], uint64(li*ps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	locs, updates := f.BlockLocs(), a.Stats().DataUpdates
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	refusals := []struct {
+		want error
+		save func() error
+	}{
+		{blockdev.ErrInjected, func() error {
+			fd.FailWritesAfter(0)
+			defer fd.Heal()
+			return s.Save("/f")
+		}},
+		{context.Canceled, func() error { return s.SaveCtx(cancelled, "/f") }},
+		{ErrNoDummySpace, func() error {
+			// Withdraw the whole dummy pool for the length of the call.
+			a.mu.Lock()
+			held := a.dummyData
+			a.dummyData = 0
+			a.mu.Unlock()
+			defer func() { a.mu.Lock(); a.dummyData = held; a.mu.Unlock() }()
+			return s.Save("/f")
+		}},
+	}
+	for _, r := range refusals {
+		if err := r.save(); !errors.Is(err, r.want) {
+			t.Fatalf("save over a refused run: got %v, want %v", err, r.want)
+		}
+		if !slices.Equal(f.BlockLocs(), locs) || a.Stats().DataUpdates != updates {
+			t.Fatalf("run refused with %v moved the block map or counted updates", r.want)
+		}
+		if _, err := s.Read("/f", got, 0); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("run refused with %v lost its staged bytes (%v)", r.want, err)
+		}
+	}
+	if err := s.Save("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Stats().DataUpdates - updates; n != 3 {
+		t.Fatalf("the retried save made %d data updates, want the 3 staged blocks once", n)
+	}
 	if err := a.Logout("u"); err != nil {
 		t.Fatal(err)
+	}
+	// What the retry wrote is what a new session finds on the device.
+	s, err = a.LoginWithPassphrase("u", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Disclose("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read("/f", got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("content after the retried save and a new login (%v)", err)
 	}
 }
 

@@ -116,7 +116,7 @@ func (c *c2Intents) LogSave(headerLoc uint64) error {
 		// (conservative: unreachable cover, never data loss).
 		if v.donor != nil && a.fileStillKnown(v.donor) {
 			if err := v.donor.AppendBlockLoc(v.loc); err == nil {
-				a.register(v.loc, &ownerInfo{file: v.donor, user: v.user, dummy: true})
+				a.register(v.loc, ownerInfo{file: v.donor, user: v.user, dummy: true})
 				continue
 			}
 		}
@@ -304,7 +304,7 @@ func (a *VolatileAgent) applyRecovery(f *stegfs.File) {
 		// Cover: reinstate the stripped donor's claim, or abandon.
 		if donor != nil && a.fileStillKnown(donor) {
 			if err := donor.AppendBlockLoc(loc); err == nil {
-				a.register(loc, &ownerInfo{file: donor, user: user, dummy: true})
+				a.register(loc, ownerInfo{file: donor, user: user, dummy: true})
 				return
 			}
 		}
@@ -356,12 +356,12 @@ func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc u
 		// committed relocation's vacated source to this dummy file in
 		// exchange.
 		_ = f.RemoveBlockLoc(loc)
-		a.register(loc, &ownerInfo{user: user, pending: true})
+		a.register(loc, ownerInfo{user: user, pending: true})
 		if old, ok := r.dataReloc[loc]; ok {
 			delete(r.dataReloc, loc)
 			if _, known := a.known[old]; !known {
 				if err := f.AppendBlockLoc(old); err == nil {
-					a.register(old, &ownerInfo{file: f, user: user, dummy: true})
+					a.register(old, ownerInfo{file: f, user: user, dummy: true})
 				}
 			}
 		}
@@ -371,7 +371,7 @@ func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc u
 		// Unresolved intent: quarantine until the file it names is
 		// disclosed; remember the donor for reinstatement.
 		_ = f.RemoveBlockLoc(loc)
-		a.register(loc, &ownerInfo{user: user, pending: true})
+		a.register(loc, ownerInfo{user: user, pending: true})
 		if r.donors[loc] == nil {
 			r.donors[loc] = f
 			r.donorUser[loc] = user

@@ -275,7 +275,7 @@ func (a *NonVolatileAgent) CloseHandle(path string, f *stegfs.File) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.closed = true
-	return h.f.Close()
+	return h.f.Sync(a.Policy())
 }
 
 // Delete removes an open file and forgets its handle (path-only
@@ -329,7 +329,7 @@ func (a *NonVolatileAgent) CloseAll() error {
 	for _, h := range all {
 		h.mu.Lock()
 		h.closed = true
-		err := h.f.Close()
+		err := h.f.Sync(a.Policy())
 		h.mu.Unlock()
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -370,11 +370,23 @@ func (a *NonVolatileAgent) Write(path string, data []byte, off uint64) error {
 // Figure-6 loop. Blocks already updated when the context fires keep
 // their new content; the cached map stays consistent.
 func (a *NonVolatileAgent) WriteCtx(ctx context.Context, path string, data []byte, off uint64) error {
-	return a.WriteHandleCtx(ctx, path, nil, data, off)
+	return a.write(ctx, path, nil, data, off, (*stegfs.File).WriteAt)
 }
 
-// WriteHandleCtx is WriteCtx for the specific open handle (path, f).
-func (a *NonVolatileAgent) WriteHandleCtx(ctx context.Context, path string, f *stegfs.File, data []byte, off uint64) error {
+// StageHandleCtx is the write of an FS handle: data joins the file's
+// open run (stegfs.File.Stage) and reaches the update stream when the
+// run is full, at SyncHandleCtx, or when the handle is closed — under
+// that call's context, not this one's. Every read of the handle sees it
+// at once.
+func (a *NonVolatileAgent) StageHandleCtx(ctx context.Context, path string, f *stegfs.File, data []byte, off uint64) error {
+	return a.write(ctx, path, f, data, off, (*stegfs.File).Stage)
+}
+
+func (a *NonVolatileAgent) write(ctx context.Context, path string, f *stegfs.File, data []byte, off uint64,
+	put func(*stegfs.File, []byte, uint64, stegfs.UpdatePolicy) (int, error)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	h, err := a.handle(path, f)
 	if err != nil {
 		return err
@@ -383,7 +395,7 @@ func (a *NonVolatileAgent) WriteHandleCtx(ctx context.Context, path string, f *s
 		return err
 	}
 	defer h.mu.Unlock()
-	_, err = h.f.WriteAt(data, off, a.PolicyCtx(ctx))
+	_, err = put(h.f, data, off, a.PolicyCtx(ctx))
 	return err
 }
 
@@ -415,10 +427,14 @@ func (a *NonVolatileAgent) TruncateHandleCtx(ctx context.Context, path string, f
 }
 
 // Sync flushes an open file's cached block map to the volume.
-func (a *NonVolatileAgent) Sync(path string) error { return a.SyncHandle(path, nil) }
+func (a *NonVolatileAgent) Sync(path string) error {
+	return a.SyncHandleCtx(context.Background(), path, nil)
+}
 
-// SyncHandle is Sync for the specific open handle (path, f).
-func (a *NonVolatileAgent) SyncHandle(path string, f *stegfs.File) error {
+// SyncHandleCtx is Sync for the specific open handle (path, f), issuing
+// the file's open run first, under ctx; a failed call changes nothing
+// and can be repeated.
+func (a *NonVolatileAgent) SyncHandleCtx(ctx context.Context, path string, f *stegfs.File) error {
 	h, err := a.handle(path, f)
 	if err != nil {
 		return err
@@ -427,7 +443,7 @@ func (a *NonVolatileAgent) SyncHandle(path string, f *stegfs.File) error {
 		return err
 	}
 	defer h.mu.Unlock()
-	return h.f.Save()
+	return h.f.Sync(a.PolicyCtx(ctx))
 }
 
 // Read reads len(p) bytes at offset off of an open file.

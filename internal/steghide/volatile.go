@@ -162,8 +162,16 @@ func (a *VolatileAgent) DummyBlocks() uint64 {
 
 // --- block registry -------------------------------------------------
 
-// register records loc's ownership; the caller holds a.mu.
-func (a *VolatileAgent) register(loc uint64, info *ownerInfo) {
+// register records loc's ownership; the caller holds a.mu. A block the
+// registry already knows keeps its entry and has it overwritten — every
+// draw that lands on a dummy block and every commit re-registers a known
+// block, and a fresh heap object for each was most of what an update
+// allocated. Overwriting is safe because no *ownerInfo outlives the
+// a.mu critical section that looked it up: nothing stores one outside
+// a.known, a caller's new entry is built from the old one before the
+// call, and CommitRelocate, which reads two entries across two
+// registrations, copies them out first.
+func (a *VolatileAgent) register(loc uint64, info ownerInfo) {
 	if old, ok := a.known[loc]; ok {
 		if old.dummy {
 			a.dummyData--
@@ -174,9 +182,11 @@ func (a *VolatileAgent) register(loc uint64, info *ownerInfo) {
 			a.chargeLocked(old.user, -1)
 			a.chargeLocked(info.user, +1)
 		}
-		a.known[loc] = info
+		*old = info
 	} else {
-		a.known[loc] = info
+		fresh := new(ownerInfo)
+		*fresh = info
+		a.known[loc] = fresh
 		a.pos[loc] = len(a.list)
 		a.list = append(a.list, loc)
 		a.chargeLocked(info.user, +1)
@@ -303,19 +313,19 @@ func (a *VolatileAgent) registerFile(user string, f *stegfs.File) {
 	cseal := f.ContentSealer()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.register(f.HeaderLoc(), &ownerInfo{file: f, user: user, seal: hseal})
+	a.register(f.HeaderLoc(), ownerInfo{file: f, user: user, seal: hseal})
 	for _, loc := range f.BlockLocs() {
 		if f.IsDummy() {
 			if a.quarantineDummyLocked(f, user, loc) {
 				continue
 			}
-			a.register(loc, &ownerInfo{file: f, user: user, dummy: true})
+			a.register(loc, ownerInfo{file: f, user: user, dummy: true})
 		} else {
-			a.register(loc, &ownerInfo{file: f, user: user, seal: cseal})
+			a.register(loc, ownerInfo{file: f, user: user, seal: cseal})
 		}
 	}
 	for _, loc := range f.IndirectLocs() {
-		a.register(loc, &ownerInfo{file: f, user: user, seal: hseal})
+		a.register(loc, ownerInfo{file: f, user: user, seal: hseal})
 	}
 }
 
@@ -381,7 +391,7 @@ func (s *volatileSource) Acquire(loc uint64) bool {
 	defer a.mu.Unlock()
 	info, ok := a.known[loc]
 	if !ok {
-		a.register(loc, &ownerInfo{user: s.user, pending: true})
+		a.register(loc, ownerInfo{user: s.user, pending: true})
 		return true
 	}
 	if !info.dummy {
@@ -390,7 +400,7 @@ func (s *volatileSource) Acquire(loc uint64) bool {
 	if err := info.file.RemoveBlockLoc(loc); err != nil {
 		return false
 	}
-	a.register(loc, &ownerInfo{user: s.user, pending: true})
+	a.register(loc, ownerInfo{user: s.user, pending: true})
 	return true
 }
 
@@ -424,7 +434,7 @@ func (s *volatileSource) AcquireRandom() (uint64, error) {
 			if a.recov.protects(loc) {
 				continue
 			}
-			a.register(loc, &ownerInfo{user: s.user, pending: true})
+			a.register(loc, ownerInfo{user: s.user, pending: true})
 			return loc, nil
 		}
 		// The volume is almost fully disclosed; fall through to the
@@ -442,7 +452,7 @@ func (s *volatileSource) AcquireRandom() (uint64, error) {
 		if err := info.file.RemoveBlockLoc(loc); err != nil {
 			return 0, err
 		}
-		a.register(loc, &ownerInfo{user: s.user, pending: true})
+		a.register(loc, ownerInfo{user: s.user, pending: true})
 		return loc, nil
 	}
 }
@@ -458,7 +468,7 @@ func (s *volatileSource) Release(loc uint64) {
 	if sess != nil {
 		for _, df := range sess.dummyFiles {
 			if err := df.AppendBlockLoc(loc); err == nil {
-				a.register(loc, &ownerInfo{file: df, user: s.user, dummy: true})
+				a.register(loc, ownerInfo{file: df, user: s.user, dummy: true})
 				return
 			}
 		}
@@ -517,6 +527,13 @@ func (a *VolatileAgent) LoginWithPassphrase(user, passphrase string) (*Session, 
 // knowledge of them — the volatility that protects the administrator
 // from coercion. It waits for the user's in-flight updates to drain.
 func (a *VolatileAgent) Logout(user string) error {
+	return a.LogoutCtx(context.Background(), user)
+}
+
+// LogoutCtx is Logout issuing the files' open runs under ctx. A run
+// that cannot be issued is lost with the session — like every write
+// since the file's last save would be after a crash — and reported.
+func (a *VolatileAgent) LogoutCtx(ctx context.Context, user string) error {
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
 	a.mu.Lock()
@@ -528,7 +545,11 @@ func (a *VolatileAgent) Logout(user string) error {
 	var firstErr error
 	closeAll := func(m map[string]*stegfs.File) {
 		for _, f := range m {
-			if err := f.Save(); err != nil && firstErr == nil {
+			err := f.Flush(a.policy(ctx))
+			if serr := f.Save(); err == nil {
+				err = serr
+			}
+			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 			// Save may have allocated pointer blocks (registered as
@@ -673,6 +694,22 @@ func (s *Session) Write(path string, data []byte, off uint64) error {
 // the context fires keep their new content (partial-write semantics,
 // like an interrupted POSIX write); the file's map stays consistent.
 func (s *Session) WriteCtx(ctx context.Context, path string, data []byte, off uint64) error {
+	return s.write(ctx, path, data, off, (*stegfs.File).WriteAt)
+}
+
+// StageCtx is the write of an FS handle: data joins the file's open run
+// (stegfs.File.Stage) and reaches the update stream when the run is
+// full, at SaveCtx, or at logout — under that call's context, not this
+// one's. Every read of the session sees it at once.
+func (s *Session) StageCtx(ctx context.Context, path string, data []byte, off uint64) error {
+	return s.write(ctx, path, data, off, (*stegfs.File).Stage)
+}
+
+func (s *Session) write(ctx context.Context, path string, data []byte, off uint64,
+	put func(*stegfs.File, []byte, uint64, stegfs.UpdatePolicy) (int, error)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	a := s.agent
 	a.structMu.RLock()
 	defer a.structMu.RUnlock()
@@ -683,11 +720,16 @@ func (s *Session) WriteCtx(ctx context.Context, path string, data []byte, off ui
 		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 	}
 	before := f.NumBlocks()
-	if _, err := f.WriteAt(data, off, runPolicy{ctx: ctx, sched: a.sched}); err != nil {
+	if _, err := put(f, data, off, a.policy(ctx)); err != nil {
 		return err
 	}
 	s.registerResized(f, before)
 	return nil
+}
+
+// policy is the Figure-6 update policy bound to one call's context.
+func (a *VolatileAgent) policy(ctx context.Context) stegfs.UpdatePolicy {
+	return runPolicy{ctx: ctx, sched: a.sched}
 }
 
 // registerResized re-registers f after an operation that may have
@@ -723,7 +765,7 @@ func (s *Session) TruncateCtx(ctx context.Context, path string, size uint64) err
 		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 	}
 	before := f.NumBlocks()
-	if err := f.Resize(size, runPolicy{ctx: ctx, sched: a.sched}); err != nil {
+	if err := f.Resize(size, a.policy(ctx)); err != nil {
 		return err
 	}
 	s.registerResized(f, before)
@@ -738,8 +780,15 @@ func (s *Session) TruncateCtx(ctx context.Context, path string, size uint64) err
 // A dummy file's map is edited by every session's relocations under the
 // registry lock, so reading it out takes the control plane.
 func (s *Session) Save(path string) error {
+	return s.SaveCtx(context.Background(), path)
+}
+
+// SaveCtx is Save issuing a real file's open run first, under ctx. A
+// run the scheduler refuses stays staged and nothing is saved, so the
+// call can simply be repeated.
+func (s *Session) SaveCtx(ctx context.Context, path string) error {
 	a := s.agent
-	if saved, err := s.saveReal(path); saved {
+	if saved, err := s.saveReal(ctx, path); saved {
 		return err
 	}
 	a.structMu.Lock()
@@ -757,7 +806,7 @@ func (s *Session) Save(path string) error {
 
 // saveReal saves path if it names one of the session's real files, and
 // reports whether it does.
-func (s *Session) saveReal(path string) (bool, error) {
+func (s *Session) saveReal(ctx context.Context, path string) (bool, error) {
 	a := s.agent
 	a.structMu.RLock()
 	defer a.structMu.RUnlock()
@@ -767,7 +816,7 @@ func (s *Session) saveReal(path string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if err := f.Save(); err != nil {
+	if err := f.Sync(a.policy(ctx)); err != nil {
 		return true, err
 	}
 	a.registerFile(s.user, f)
@@ -923,7 +972,7 @@ func (sp *volatileSpace) DrawUpdate(loc uint64) (sched.Target, error) {
 		if err := info.file.RemoveBlockLoc(b2); err != nil {
 			return sched.Target{}, err
 		}
-		a.register(b2, &ownerInfo{user: info.user, pending: true, reloc: info.file})
+		a.register(b2, ownerInfo{user: info.user, pending: true, reloc: info.file})
 		return sched.Target{Loc: b2, Kind: sched.Relocate}, nil
 	case info.pending:
 		// Mid-operation block with an unclassified role: not a safe
@@ -941,27 +990,31 @@ func (sp *volatileSpace) CommitRelocate(oldLoc, newLoc uint64, seal *sealer.Seal
 	a := sp.a
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	pend := a.known[newLoc]
-	old := a.known[oldLoc]
-	a.register(newLoc, &ownerInfo{file: ownedFile(old), user: ownedUser(old), seal: seal})
+	// Copies: register overwrites the entries in place.
+	var pend, old ownerInfo
+	if p := a.known[newLoc]; p != nil {
+		pend = *p
+	}
+	if o := a.known[oldLoc]; o != nil {
+		old = *o
+	}
+	a.register(newLoc, ownerInfo{file: old.file, user: old.user, seal: seal})
 	if a.jc2 != nil {
 		// Journaled: the vacated block stays in limbo — pending, owed
 		// to the donor — until the owning file's header save makes the
 		// move durable; until then the on-disk header still references
 		// oldLoc, so no refill or reallocation may touch it.
-		var donor *stegfs.File
-		user := ownedUser(old)
-		if pend != nil && pend.reloc != nil {
-			donor = pend.reloc
+		user := old.user
+		if pend.reloc != nil {
 			user = pend.user
 		}
-		a.jc2.vacatedLocked(oldLoc, newLoc, donor, user)
-		a.register(oldLoc, &ownerInfo{user: user, pending: true})
+		a.jc2.vacatedLocked(oldLoc, newLoc, pend.reloc, user)
+		a.register(oldLoc, ownerInfo{user: user, pending: true})
 		return
 	}
-	if pend != nil && pend.reloc != nil {
+	if pend.reloc != nil {
 		if err := pend.reloc.AppendBlockLoc(oldLoc); err == nil {
-			a.register(oldLoc, &ownerInfo{file: pend.reloc, user: pend.user, dummy: true})
+			a.register(oldLoc, ownerInfo{file: pend.reloc, user: pend.user, dummy: true})
 			return
 		}
 	}
@@ -983,7 +1036,7 @@ func (sp *volatileSpace) AbortRelocate(_, newLoc uint64) {
 	}
 	if pend.reloc != nil {
 		if err := pend.reloc.AppendBlockLoc(newLoc); err == nil {
-			a.register(newLoc, &ownerInfo{file: pend.reloc, user: pend.user, dummy: true})
+			a.register(newLoc, ownerInfo{file: pend.reloc, user: pend.user, dummy: true})
 			return
 		}
 	}
@@ -1030,18 +1083,4 @@ func (sp *volatileSpace) Classify(loc uint64) (sched.Action, *sealer.Sealer) {
 	default:
 		return sched.ActReseal, info.seal
 	}
-}
-
-func ownedFile(o *ownerInfo) *stegfs.File {
-	if o == nil {
-		return nil
-	}
-	return o.file
-}
-
-func ownedUser(o *ownerInfo) string {
-	if o == nil {
-		return ""
-	}
-	return o.user
 }

@@ -350,7 +350,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 			return errFrame(steghide.ErrUnknownUser)
 		}
 		user := st.user
-		err := st.agent.Logout(st.user)
+		err := st.agent.LogoutCtx(ctx, st.user)
 		st.sess = nil
 		st.user = ""
 		st.agent = nil
@@ -429,7 +429,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		if d.err != nil {
 			return errFrame(d.err)
 		}
-		if err := sess.WriteCtx(ctx, path, data, off); err != nil {
+		if err := sess.StageCtx(ctx, path, data, off); err != nil {
 			return errFrame(err)
 		}
 		return frame{Type: msgOK}
@@ -438,7 +438,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		if d.err != nil {
 			return errFrame(d.err)
 		}
-		if err := sess.Save(path); err != nil {
+		if err := sess.SaveCtx(ctx, path); err != nil {
 			return errFrame(err)
 		}
 		return frame{Type: msgOK}

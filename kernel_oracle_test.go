@@ -11,8 +11,12 @@ import (
 // block kernels, the filler keystream and the decision stream leave on
 // the device for fixed seeds. The oracle volume is journaled, so the
 // digest covers the ring's bytes: it was regenerated when the ring went
-// from one record per slot to cells (the steg space is byte-identical).
-const oracleImageDigest = "52929368d3e8c58dea615b86d8bb677fce802d872cdd81eaf0a5623fe51883f5"
+// from one record per slot to cells (the steg space is byte-identical),
+// and again for write-behind: the workload's three sub-block WriteAts
+// through one handle used to land as they came, one run of one or two
+// blocks each between the dummy bursts, and now land once, as one run,
+// at Close — fewer data updates, drawn later in the decision stream.
+const oracleImageDigest = "83605254ce8df93f7af5b30235d2ee1920b91b1e01d0d326a042ab442fba2afd"
 
 // TestKernelOracleImageDigest pins that image against the committed
 // digest. One process links one kernel build, so the assembly and the
