@@ -2,6 +2,9 @@ package sched
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -11,8 +14,8 @@ import (
 )
 
 // tracedRig is a bitmap rig over a traced in-memory device, so a test
-// can compare the full observable stream (every block read and write,
-// in order) and the final volume image across scheduler configs.
+// can digest the full observable stream (every block read and write,
+// in order) and the final volume image.
 type tracedRig struct {
 	s      *Scheduler
 	vol    *stegfs.Volume
@@ -22,7 +25,7 @@ type tracedRig struct {
 }
 
 // newTracedRig builds a rig whose every input — format fill, volume
-// RNG, space draws — is seeded, so two rigs are bit-identical twins.
+// RNG, space draws — is seeded, so a run is a function of the code.
 func newTracedRig(t testing.TB, nBlocks uint64, utilization float64) *tracedRig {
 	t.Helper()
 	mem := blockdev.NewMem(128, nBlocks)
@@ -51,8 +54,8 @@ func newTracedRig(t testing.TB, nBlocks uint64, utilization float64) *tracedRig 
 }
 
 // runBurstWorkload drives one deterministic mixed workload: real
-// updates interleaved with bursts of every interesting size relative
-// to burstChunk (smaller, exact, multiple, multiple-plus-remainder).
+// updates interleaved with bursts of every size from one element to a
+// full lane-grouped 64, refill and reseal targets mixed.
 func runBurstWorkload(t testing.TB, r *tracedRig) {
 	t.Helper()
 	seal, err := r.vol.NewSealer([32]byte{4, 5, 6})
@@ -68,7 +71,7 @@ func runBurstWorkload(t testing.TB, r *tracedRig) {
 		t.Fatal(err)
 	}
 	cur := loc
-	for _, n := range []int{1, 5, burstChunk, 2 * burstChunk, 40, 64} {
+	for _, n := range []int{1, 5, 16, 32, 40, 64} {
 		if _, err := r.s.DummyUpdateBurst(n); err != nil {
 			t.Fatal(err)
 		}
@@ -87,40 +90,37 @@ func runBurstWorkload(t testing.TB, r *tracedRig) {
 	}
 }
 
-// TestBurstPipelineBitIdentical is the scheduler half of the
-// determinism oracle: with the pipeline enabled, the device must see
-// the same operations in the same order on the same blocks, the final
-// volume image must match byte for byte, and every counter must agree
-// with the serial scheduler — across burst sizes below, at, and above
-// the chunk size, refill and reseal targets mixed.
-func TestBurstPipelineBitIdentical(t *testing.T) {
-	serial := newTracedRig(t, 1024, 0.4)
-	runBurstWorkload(t, serial)
+// burstDigest is the SHA-256 of everything runBurstWorkload leaves
+// observable: the device trace (op, block, count per event, in order),
+// the final volume image and the scheduler counters.
+func burstDigest(r *tracedRig) string {
+	h := sha256.New()
+	for _, e := range r.tap.Events() {
+		fmt.Fprintf(h, "%d %d %d\n", e.Op, e.Block, e.Count)
+	}
+	h.Write(r.mem.Snapshot())
+	fmt.Fprintf(h, "%+v\n", r.s.Stats())
+	return hex.EncodeToString(h.Sum(nil))
+}
 
-	for _, workers := range []int{1, 4} {
-		piped := newTracedRig(t, 1024, 0.4)
-		piped.s.EnablePipeline(workers)
-		if !piped.s.Pipelined() {
-			t.Fatal("EnablePipeline did not take")
-		}
-		runBurstWorkload(t, piped)
+// burstWorkloadDigest was recorded at the commit before the staged
+// seal pipeline was deleted, where serial and pipelined bursts (one
+// and four workers) all met it.
+const burstWorkloadDigest = "dd49e474b352fd1f988d4eecf0f6c58e975ac7337c7c44cb97f369010edb79ab"
 
-		se, pe := serial.tap.Events(), piped.tap.Events()
-		if len(se) != len(pe) {
-			t.Fatalf("workers=%d: %d traced ops serial vs %d pipelined", workers, len(se), len(pe))
+// TestBurstWorkloadDigest pins the scheduler's observable stream for a
+// fixed seed against history: the draws, the IVs, the filler and the
+// order blocks hit the device. A change that means to move them
+// regenerates the constant and says why.
+func TestBurstWorkloadDigest(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		r := newTracedRig(t, 1024, 0.4)
+		if workers > 0 {
+			r.s.EnablePipeline(workers)
 		}
-		for i := range se {
-			if se[i].Op != pe[i].Op || se[i].Block != pe[i].Block || se[i].Count != pe[i].Count {
-				t.Fatalf("workers=%d: op %d diverged: serial %+v pipelined %+v",
-					workers, i, se[i], pe[i])
-			}
-		}
-		if !bytes.Equal(serial.mem.Snapshot(), piped.mem.Snapshot()) {
-			t.Fatalf("workers=%d: final volume images differ", workers)
-		}
-		if serial.s.Stats() != piped.s.Stats() {
-			t.Fatalf("workers=%d: counters diverged: serial %+v pipelined %+v",
-				workers, serial.s.Stats(), piped.s.Stats())
+		runBurstWorkload(t, r)
+		if got := burstDigest(r); got != burstWorkloadDigest {
+			t.Errorf("workers=%d: burst workload digest %s, want %s", workers, got, burstWorkloadDigest)
 		}
 	}
 }

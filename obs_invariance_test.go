@@ -9,14 +9,14 @@ import (
 	"steghide"
 )
 
-// runMetricsOracle is the pipeline oracle workload with the metrics
+// runMetricsOracle is runOracle's workload with the metrics
 // registry as the toggled variable: a journaled Construction-2 stack
 // on a traced in-memory device, a fixed interleaving of real writes
 // and dummy bursts, and every observable collected — trace, final
 // image, scheduler counters, spatial-uniformity and Definition-1
 // verdicts. When reg is non-nil the full observability plane is live
 // (scheduler histograms, journal gauges, seal/async series).
-func runMetricsOracle(t *testing.T, reg *steghide.Metrics) pipelineRun {
+func runMetricsOracle(t *testing.T, reg *steghide.Metrics) oracleRun {
 	t.Helper()
 	tap := &steghide.Collector{}
 	mem := steghide.NewMemDevice(512, 4096)
@@ -98,7 +98,7 @@ func runMetricsOracle(t *testing.T, reg *steghide.Metrics) pipelineRun {
 	if err := stack.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return pipelineRun{
+	return oracleRun{
 		events:  tap.Events(),
 		image:   mem.Snapshot(),
 		stats:   stats,
