@@ -13,17 +13,15 @@
 //
 //	steghide agent   -storage 127.0.0.1:7070 -addr 127.0.0.1:7071
 //	                 [-dummy-interval 250ms] [-drain-timeout 10s]
-//	                 [-seal-workers -1] [-http localhost:6060] [-log]
+//	                 [-http localhost:6060] [-log]
 //	                 [-volume work=127.0.0.1:7070 -volume home=127.0.0.1:7072 ...]
 //	    Run a volatile agent against remote storage, issuing dummy
 //	    updates whenever idle. With -volume flags one daemon mounts
 //	    and serves several volumes; clients pick one at login
 //	    (protocol v2's volume field). An interrupt drains gracefully:
 //	    in-flight requests finish and v2 clients are told to redial.
-//	    -seal-workers pipelines burst sealing across cores (the
-//	    observable stream is unchanged); -http serves the ops endpoint
-//	    (/metrics, /healthz, /debug/vars and the net/http/pprof pages;
-//	    -pprof is a deprecated alias); -log prints structured
+//	    -http serves the ops endpoint (/metrics, /healthz, /debug/vars
+//	    and the net/http/pprof pages); -log prints structured
 //	    connection-lifecycle events. Every exported metric and log
 //	    field is leakage-audited in DESIGN.md — hidden pathnames,
 //	    locator secrets and real-vs-dummy classification never appear.
@@ -274,12 +272,8 @@ func cmdAgent(args []string) error {
 		"administrator journal passphrase: journal every update intent and recover the ring at boot (needs a volume formatted with -journal)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second,
 		"graceful-shutdown budget on interrupt: in-flight requests finish, v2 clients are told to redial elsewhere")
-	sealWorkers := fs.Int("seal-workers", 0,
-		"pipeline dummy-burst sealing across this many workers (-1 = GOMAXPROCS, 0 disables); the observable update stream is unchanged")
 	httpAddr := fs.String("http", "",
 		"serve the ops endpoint on this address: /metrics, /healthz, /debug/vars, /debug/pprof (e.g. localhost:6060; empty disables)")
-	pprofAddr := fs.String("pprof", "",
-		"deprecated alias for -http (kept for existing profiling scripts)")
 	logConns := fs.Bool("log", false,
 		"log structured connection-lifecycle events (accept, hello, login, drain, faults) to stderr")
 	loginQuota := fs.Uint64("login-quota", 0,
@@ -288,9 +282,6 @@ func cmdAgent(args []string) error {
 	fs.Var(&volumes, "volume",
 		"serve an extra named volume, as name=storageAddr (repeatable); clients select it at login")
 	fs.Parse(args)
-	if *httpAddr == "" {
-		*httpAddr = *pprofAddr
-	}
 
 	// The ops endpoint implies metrics; without it there is no scrape
 	// surface and the registry would just burn atomics. Every mounted
@@ -313,9 +304,6 @@ func cmdAgent(args []string) error {
 		}
 		if *dummyInterval > 0 {
 			opts = append(opts, steghide.WithDaemon(*dummyInterval))
-		}
-		if *sealWorkers != 0 {
-			opts = append(opts, steghide.WithPipeline(*sealWorkers))
 		}
 		if *loginQuota > 0 {
 			opts = append(opts, steghide.WithLoginQuota(*loginQuota))

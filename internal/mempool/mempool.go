@@ -12,18 +12,11 @@
 // wire or the device — so reuse cannot create an observable channel
 // beyond the sizes an attacker already sees on the wire. See
 // DESIGN.md, "Memory plane".
-//
-// The plane can be disabled process-wide (SetEnabled(false), the
-// facade's WithMemPool(false), or STEGHIDE_MEMPOOL=0) for debugging:
-// every Get degrades to a plain make and every Put to a no-op, which
-// is exactly the allocation behavior the code had before pooling —
-// the observable-equivalence oracles compare the two modes.
 package mempool
 
 import (
 	"fmt"
 	"math/bits"
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -40,24 +33,6 @@ const (
 	minClass = 1 << minClassBits
 	maxClass = 1 << maxClassBits
 )
-
-// enabled gates the whole plane; see SetEnabled.
-var enabled atomic.Bool
-
-func init() {
-	enabled.Store(os.Getenv("STEGHIDE_MEMPOOL") != "0")
-}
-
-// SetEnabled switches the memory plane on or off process-wide and
-// reports the previous state. Off means Get allocates fresh and Put
-// discards — byte-for-byte the pre-pooling behavior. The switch is a
-// debugging and oracle knob, not a per-request toggle: flipping it
-// concurrently with hot-path traffic is safe (buffers in flight are
-// simply dropped to the GC) but makes measurements meaningless.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether the memory plane is on.
-func Enabled() bool { return enabled.Load() }
 
 // poison, when non-zero, is the byte written over every buffer Put
 // takes back; see SetPoison.
@@ -98,14 +73,14 @@ func classFor(n int) int {
 // classSize is the capacity of class index c.
 func classSize(c int) int { return 1 << (minClassBits + c) }
 
-// Get returns a buffer of length n. When the plane is on and n fits a
-// size class, the buffer comes from (and its capacity is exactly) that
-// class; otherwise it is a fresh allocation. Contents are NOT zeroed —
-// every caller fully overwrites the buffer before reading or
-// publishing it, which is also why reuse leaks nothing.
+// Get returns a buffer of length n. When n fits a size class, the
+// buffer comes from (and its capacity is exactly) that class; otherwise
+// it is a fresh allocation. Contents are NOT zeroed — every caller
+// fully overwrites the buffer before reading or publishing it, which is
+// also why reuse leaks nothing.
 func Get(n int) []byte {
 	c := classFor(n)
-	if c < 0 || !enabled.Load() {
+	if c < 0 {
 		return make([]byte, n)
 	}
 	if v := classes[c].Get(); v != nil {
@@ -138,16 +113,13 @@ func Put(b []byte) {
 			b[i] = byte(p)
 		}
 	}
-	if !enabled.Load() {
-		return
-	}
 	box := boxes.Get().(*[]byte)
 	*box = b[:cap(b)]
 	classes[c].Put(box)
 }
 
 // pooled reports whether a buffer's capacity is a pool class — i.e.
-// whether Put will accept it. Buffers from a disabled-plane Get (plain
+// whether Put will accept it. Oversize fall-throughs from Get (plain
 // make of the requested length) intentionally fail this.
 func pooled(b []byte) bool {
 	c := classFor(cap(b))
@@ -155,8 +127,8 @@ func pooled(b []byte) bool {
 }
 
 // Recycle is the tolerant Put for release paths that may hold either a
-// pooled buffer or a plain allocation (a Get while the plane was
-// disabled, an oversize fall-through): class-capacity buffers return
+// pooled buffer or a plain allocation (an oversize fall-through from
+// Get, a caller's own buffer): class-capacity buffers return
 // to their pool, everything else is simply dropped to the GC. Use Put
 // where the buffer's provenance is known and a mismatch is a bug.
 func Recycle(b []byte) {

@@ -6,12 +6,6 @@ import (
 	"testing"
 )
 
-// restore re-enables the plane after tests that toggle it.
-func restore(t *testing.T) {
-	prev := SetEnabled(true)
-	t.Cleanup(func() { SetEnabled(prev) })
-}
-
 func TestClassGeometry(t *testing.T) {
 	cases := []struct{ n, class int }{
 		{1, 0}, {minClass, 0}, {minClass + 1, 1},
@@ -32,7 +26,6 @@ func TestClassGeometry(t *testing.T) {
 }
 
 func TestGetPutRoundTrip(t *testing.T) {
-	restore(t)
 	b := Get(1000)
 	if len(b) != 1000 || cap(b) != 1024 {
 		t.Fatalf("Get(1000): len %d cap %d", len(b), cap(b))
@@ -50,7 +43,6 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestOversizeFallsThrough(t *testing.T) {
-	restore(t)
 	b := Get(maxClass + 1)
 	if len(b) != maxClass+1 {
 		t.Fatalf("oversize Get len %d", len(b))
@@ -60,18 +52,7 @@ func TestOversizeFallsThrough(t *testing.T) {
 	}
 }
 
-func TestDisabledIsPlainMake(t *testing.T) {
-	restore(t)
-	SetEnabled(false)
-	b := Get(1000)
-	if len(b) != 1000 || cap(b) != 1000 {
-		t.Fatalf("disabled Get(1000): len %d cap %d (want plain make)", len(b), cap(b))
-	}
-	Put(Get(512)) // class-capacity buffer: Put must accept and drop it
-}
-
 func TestPutCrossSizePanics(t *testing.T) {
-	restore(t)
 	for _, bad := range [][]byte{
 		make([]byte, 1000),       // cap not a class size
 		Get(1024)[:500:500],      // sliced down past any class boundary
@@ -89,7 +70,6 @@ func TestPutCrossSizePanics(t *testing.T) {
 }
 
 func TestLeaseLifecycle(t *testing.T) {
-	restore(t)
 	l := GetLease(4096)
 	if len(l.Bytes()) != 4096 {
 		t.Fatalf("lease len %d", len(l.Bytes()))
@@ -102,7 +82,6 @@ func TestLeaseLifecycle(t *testing.T) {
 }
 
 func TestLeaseDoubleReleasePanics(t *testing.T) {
-	restore(t)
 	l := GetLease(64)
 	l.Release()
 	defer func() {
@@ -114,7 +93,6 @@ func TestLeaseDoubleReleasePanics(t *testing.T) {
 }
 
 func TestLeaseUseAfterReleasePanics(t *testing.T) {
-	restore(t)
 	l := GetLease(64)
 	l.Release()
 	defer func() {
@@ -129,7 +107,6 @@ func TestLeaseUseAfterReleasePanics(t *testing.T) {
 // one must win, the other must panic — under -race this also proves
 // the CAS discipline is data-race-free.
 func TestLeaseConcurrentRelease(t *testing.T) {
-	restore(t)
 	for i := 0; i < 100; i++ {
 		l := GetLease(256)
 		var wg sync.WaitGroup
@@ -211,7 +188,6 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 // TestGetPutSteadyStateZeroAlloc pins the free-list fast path. The
 // lease variant tolerates the occasional pool miss after a GC.
 func TestGetPutSteadyStateZeroAlloc(t *testing.T) {
-	restore(t)
 	Put(Get(4096))
 	allocs := testing.AllocsPerRun(100, func() { Put(Get(4096)) })
 	if allocs > 1 { // headroom: a GC between runs clears sync.Pool
@@ -229,8 +205,6 @@ func FuzzLeaseLifecycle(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0x81, 0x82, 3, 0x80})
 	f.Add([]byte{0x80, 0x81, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		prev := SetEnabled(true)
-		defer SetEnabled(prev)
 		const slots = 4
 		live := [slots]*Lease{}
 		stamp := [slots]byte{}

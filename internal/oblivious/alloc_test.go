@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"steghide/internal/blockdev"
-	"steghide/internal/mempool"
 	"steghide/internal/prng"
 	"steghide/internal/race"
 	"steghide/internal/sealer"
@@ -67,12 +66,8 @@ func TestAllocBudgets(t *testing.T) {
 // flush path places buffer survivors in version order (not map order),
 // so the sealed image is a deterministic function of the RNG stream —
 // which is exactly what lets a digest pin the full image.
-func runPoolOracle(t *testing.T, pooled bool) ([]byte, [][]byte) {
+func runPoolOracle(t *testing.T) ([]byte, [][]byte) {
 	t.Helper()
-	prev := mempool.Enabled()
-	mempool.SetEnabled(pooled)
-	defer mempool.SetEnabled(prev)
-
 	dev := blockdev.NewMem(512, Footprint(16, 4)+8)
 	s, err := New(Config{
 		Dev:          dev,
@@ -115,20 +110,18 @@ const poolOracleDigest = "2cfb847d9299afd387b58b22017c0ad667c32fef63073cd2e610f1
 // values for a fixed seed against history. A change that means to move
 // them regenerates the constant and says why.
 func TestPoolOracleDigest(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		img, gets := runPoolOracle(t, pooled)
-		h := sha256.New()
-		h.Write(img)
-		for _, v := range gets {
-			if v == nil {
-				h.Write([]byte{0})
-				continue
-			}
-			h.Write([]byte{1})
-			h.Write(v)
+	img, gets := runPoolOracle(t)
+	h := sha256.New()
+	h.Write(img)
+	for _, v := range gets {
+		if v == nil {
+			h.Write([]byte{0})
+			continue
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != poolOracleDigest {
-			t.Errorf("pooled=%v: pool oracle digest %s, want %s", pooled, got, poolOracleDigest)
-		}
+		h.Write([]byte{1})
+		h.Write(v)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != poolOracleDigest {
+		t.Errorf("pool oracle digest %s, want %s", got, poolOracleDigest)
 	}
 }

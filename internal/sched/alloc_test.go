@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"steghide/internal/mempool"
 	"steghide/internal/race"
 )
 
@@ -19,9 +18,6 @@ import (
 func TestAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc ceilings don't hold under -race (the race runtime randomizes sync.Pool reuse)")
-	}
-	if !mempool.Enabled() {
-		t.Skip("budgets pin the pooled configuration (STEGHIDE_MEMPOOL=0 set)")
 	}
 	s, vol, source := newBitmapRig(t, 1024, 0.5)
 	const burst = 64

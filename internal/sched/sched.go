@@ -153,8 +153,6 @@ type Scheduler struct {
 	locks   *BlockLocks
 	intents IntentLog // nil when the volume is not journaled
 
-	pipe *sealer.Pipeline // nil → serial bursts (the default)
-
 	// free holds idle batch scratch. A bounded list, not a sync.Pool:
 	// the collector empties pools, and the first batch after every cycle
 	// would re-grow a several-hundred-KiB arena by doubling, as garbage
@@ -178,21 +176,14 @@ type Scheduler struct {
 }
 
 // metricsState is the nil-gated extra instrumentation a registry
-// attaches: latency and shape histograms plus the shared counters the
-// per-burst async rings report into. Everything here describes the
+// attaches: latency and shape histograms. Everything here describes the
 // observable stream only — timings and counts of updates the attacker
 // already sees — never which updates were real (see DESIGN.md,
 // "Observability plane").
 type metricsState struct {
-	updateSeconds  *obs.Histogram // latency of one data-update run
-	updateIters    *obs.Histogram // Figure-6 iterations per data update
-	burstSeconds   *obs.Histogram // dummy-burst latency
-	asyncSubmits   *obs.Counter
-	asyncCompletes *obs.Counter
-	asyncDepth     *obs.Gauge
-
-	reg    *obs.Registry // kept so EnablePipeline can instrument late
-	volume string
+	updateSeconds *obs.Histogram // latency of one data-update run
+	updateIters   *obs.Histogram // Figure-6 iterations per data update
+	burstSeconds  *obs.Histogram // dummy-burst latency
 }
 
 // step is what the execute stage does with the block an element read
@@ -321,29 +312,11 @@ func (s *Scheduler) Locks() *BlockLocks { return s.locks }
 // use; a nil log (the default) emits no ring traffic.
 func (s *Scheduler) SetIntentLog(il IntentLog) { s.intents = il }
 
-// EnablePipeline switches dummy bursts to the staged pipeline: reads
-// and writes flow through a one-worker FIFO ring over the device while
-// the reseal lanes fan out over a sealer.Pipeline of the given width
-// (<= 0 selects GOMAXPROCS). The observable stream — RNG
-// draws, IVs, and the order blocks hit the device — is bit-identical
-// to the serial path; see DummyUpdateBurst. Install before concurrent
-// use.
-func (s *Scheduler) EnablePipeline(workers int) {
-	s.pipe = sealer.NewPipeline(workers)
-	if s.metrics != nil {
-		s.instrumentPipe(s.metrics.reg, s.metrics.volume)
-	}
-}
-
-// Pipelined reports whether bursts run the staged pipeline.
-func (s *Scheduler) Pipelined() bool { return s.pipe != nil }
-
 // EnableMetrics exports the scheduler's stream counters through reg
-// and attaches latency/shape histograms to the update paths. Like
-// EnablePipeline, install before concurrent use. Every series is
-// labeled by volume name only; block addresses, pathnames and the
-// real-vs-dummy split of individual elements never reach the
-// registry.
+// and attaches latency/shape histograms to the update paths. Install
+// before concurrent use. Every series is labeled by volume name only;
+// block addresses, pathnames and the real-vs-dummy split of individual
+// elements never reach the registry.
 func (s *Scheduler) EnableMetrics(reg *obs.Registry, volume string) {
 	l := []string{"volume", volume}
 	reg.RegisterCounter("steghide_sched_data_updates_total",
@@ -365,33 +338,7 @@ func (s *Scheduler) EnableMetrics(reg *obs.Registry, volume string) {
 			"Figure-6 iterations per data update", obs.IterationBuckets, l...),
 		burstSeconds: reg.Histogram("steghide_sched_burst_seconds",
 			"dummy-burst latency", obs.LatencyBuckets, l...),
-		asyncSubmits: reg.Counter("steghide_async_submits_total",
-			"batched ops submitted to per-burst async device rings", l...),
-		asyncCompletes: reg.Counter("steghide_async_completes_total",
-			"batched ops completed by per-burst async device rings", l...),
-		asyncDepth: reg.Gauge("steghide_async_queue_depth",
-			"ops in flight on per-burst async device rings", l...),
-		reg:    reg,
-		volume: volume,
 	}
-	if s.pipe != nil {
-		s.instrumentPipe(reg, volume)
-	}
-}
-
-// instrumentPipe wires the staged seal pipeline's throughput counters
-// into reg; split out so EnablePipeline-after-EnableMetrics still gets
-// covered.
-func (s *Scheduler) instrumentPipe(reg *obs.Registry, volume string) {
-	l := []string{"volume", volume}
-	s.pipe.Instrument(
-		reg.Counter("steghide_seal_batches_total",
-			"batches fanned out over the seal pipeline", l...),
-		reg.Counter("steghide_seal_blocks_total",
-			"blocks sealed/resealed through the pipeline", l...),
-		reg.Gauge("steghide_seal_inflight",
-			"blocks currently inside the seal pipeline", l...),
-	)
 }
 
 // Stats returns a snapshot of the counters.
@@ -480,7 +427,7 @@ func (s *Scheduler) UpdateRun(ctx context.Context, locs []uint64, seal *sealer.S
 		s.settle(b, nil, err)
 		return err
 	}
-	if err := s.execute(b, seal, false); err != nil {
+	if err := s.execute(b, seal); err != nil {
 		return err
 	}
 	// Counted only now: a run that failed emitted nothing it can vouch
@@ -602,7 +549,7 @@ func (s *Scheduler) settle(b *batch, seal *sealer.Sealer, err error) {
 // assumptions. It is the whole of a dummy burst and the second half of
 // a data-update run: the two differ only in whether any element carries
 // a payload.
-func (s *Scheduler) execute(b *batch, seal *sealer.Sealer, pipelined bool) error {
+func (s *Scheduler) execute(b *batch, seal *sealer.Sealer) error {
 	b.locked = append(b.locked[:0], b.reads...)
 	for i, w := range b.writes {
 		if w != b.reads[i] {
@@ -640,11 +587,7 @@ func (s *Scheduler) execute(b *batch, seal *sealer.Sealer, pipelined bool) error
 		err = s.intents.LogStream(b.reads, b.writes)
 	}
 	if err == nil {
-		if pipelined {
-			err = s.burstPipelined(b)
-		} else {
-			err = s.burstSerial(b)
-		}
+		err = s.burst(b)
 	}
 	s.settle(b, seal, err)
 	return err
@@ -654,7 +597,7 @@ func (s *Scheduler) execute(b *batch, seal *sealer.Sealer, pipelined bool) error
 // updates would and executes them as one batch. It returns how many
 // were issued: targets whose classification went stale between draw
 // and execution are dropped.
-func (s *Scheduler) dummies(n int, pipelined bool) (int, error) {
+func (s *Scheduler) dummies(n int) (int, error) {
 	b := s.getBatch()
 	defer s.putBatch(b)
 	if cap(b.locked) < n {
@@ -671,7 +614,7 @@ func (s *Scheduler) dummies(n int, pipelined bool) (int, error) {
 	for _, loc := range locs[:m] {
 		b.add(loc, loc, nil)
 	}
-	if err := s.execute(b, nil, pipelined); err != nil {
+	if err := s.execute(b, nil); err != nil {
 		return 0, err
 	}
 	s.dummyUpdates.Add(uint64(len(b.reads)))
@@ -682,7 +625,7 @@ func (s *Scheduler) dummies(n int, pipelined bool) (int, error) {
 // block of the space: the burst of one.
 func (s *Scheduler) DummyUpdate() error {
 	for try := 0; try < 64; try++ {
-		n, err := s.dummies(1, false)
+		n, err := s.dummies(1)
 		if err != nil || n > 0 {
 			return err
 		}
@@ -704,18 +647,27 @@ func (s *Scheduler) DummyUpdateBurst(n int) (int, error) {
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	issued, err := s.dummies(n, s.pipe != nil)
+	issued, err := s.dummies(n)
 	if m := s.metrics; m != nil && issued > 0 {
 		m.burstSeconds.Observe(time.Since(start).Seconds())
 	}
 	return issued, err
 }
 
-// planReseals carves the batch's block slab and compacts its reseal
-// elements, in stream order, into the lane lists, drawing their IVs in
-// that order. The IV of a block does not depend on its content, so this
-// runs before any I/O in both execute stages.
-func (s *Scheduler) planReseals(b *batch) (ivs []byte) {
+// burst is the I/O stage of a batch: one scattered read of every
+// element's block (the Figure-6 read is kept for payload elements too,
+// so a real update and the dummy it displaced cost the device the
+// same), the refills and the reseal lanes, one scattered write —
+// payloads to their drawn locations, resealed blocks back in place, in
+// element order, so the last write to a block wins.
+//
+// The reseal elements are compacted, in stream order, into the lane
+// lists and their IVs drawn in that order before any I/O (the IV of a
+// block does not depend on its content); the refills draw filler in
+// stream order after the read. Each of the volume's two streams is
+// thus consumed in element order, which is what the committed stream
+// digests pin.
+func (s *Scheduler) burst(b *batch) error {
 	b.raws = b.arena.Blocks(b.raws[:0], len(b.steps), s.vol.BlockSize())
 	b.laneSeals, b.laneRaws = b.laneSeals[:0], b.laneRaws[:0]
 	for i, st := range b.steps {
@@ -728,111 +680,21 @@ func (s *Scheduler) planReseals(b *batch) (ivs []byte) {
 			b.laneRaws = append(b.laneRaws, b.raws[i])
 		}
 	}
-	ivs = b.arena.Bytes(len(b.laneSeals) * sealer.IVSize)
+	ivs := b.arena.Bytes(len(b.laneSeals) * sealer.IVSize)
 	for i := range b.laneSeals {
 		s.vol.NextIV(ivs[i*sealer.IVSize : (i+1)*sealer.IVSize])
 	}
-	return ivs
-}
 
-// refill overwrites the refill elements among raws, in order, with
-// fresh filler; it reports how many elements were reseals instead.
-func (s *Scheduler) refill(steps []step, raws [][]byte) (reseals int) {
-	for i, st := range steps {
-		switch st {
-		case stepReseal:
-			reseals++
-		case stepRefill:
-			s.vol.FillRandom(raws[i])
-		}
-	}
-	return reseals
-}
-
-// burstSerial is the reference I/O stage of a batch: one scattered read
-// of every element's block (the Figure-6 read is kept for payload
-// elements too, so a real update and the dummy it displaced cost the
-// device the same), the refills and the reseal lanes, one scattered
-// write — payloads to their drawn locations, resealed blocks back in
-// place, in element order, so the last write to a block wins. The
-// pipelined stage below is defined as observably equivalent to this
-// code for batches without payloads.
-func (s *Scheduler) burstSerial(b *batch) error {
-	ivs := s.planReseals(b)
 	if err := blockdev.ReadBlocksAt(s.dev, b.reads, b.raws); err != nil {
 		return err
 	}
-	s.refill(b.steps, b.raws)
+	for i, st := range b.steps {
+		if st == stepRefill {
+			s.vol.FillRandom(b.raws[i])
+		}
+	}
 	if err := sealer.ResealLanes(b.laneSeals, b.laneRaws, ivs); err != nil {
 		return err
 	}
 	return blockdev.WriteBlocksAt(s.dev, b.writes, b.outs)
-}
-
-// burstChunk is how many blocks ride each async submission of a
-// pipelined burst: small enough that crypto on one chunk overlaps
-// device I/O on its neighbours, large enough to amortize scattered-
-// batch overhead.
-const burstChunk = 16
-
-// burstPipelined is the staged execute stage: crypto overlaps device
-// I/O without moving a single observable byte relative to burstSerial.
-//
-// Three facts carry the bit-identity argument:
-//
-//  1. RNG order. The volume's two streams are each consumed in
-//     eligible order, exactly as the serial stage consumes them: the
-//     IVs of the reseal targets in planReseals, before any I/O; the
-//     filler of the refill targets on this goroutine, chunk after
-//     chunk. Workers draw nothing.
-//  2. Device order. The ring has one worker, so ops execute strictly
-//     in submission order. Every read chunk is submitted before any
-//     write chunk, and chunks are submitted in eligible order, so the
-//     device sees R(e_0..e_k), W(e_0..e_k) — precisely the serial
-//     ReadBlocksAt/WriteBlocksAt order, and the trace records per-
-//     block events in batch order either way.
-//  3. Completion order. FIFO execution means the c-th completion IS
-//     read chunk c, so crypto for chunk c starts exactly when its data
-//     is in memory, while the ring reads ahead and retires earlier
-//     writes behind it.
-//
-// The caller holds every eligible block's lock and has already emitted
-// the burst's intents on the serial control path, so the journal's
-// one-record-per-element invariant is untouched. A pipelined batch
-// carries no payloads: what it reads is what it writes back.
-func (s *Scheduler) burstPipelined(b *batch) error {
-	ivs := s.planReseals(b)
-	elig, raws, n := b.reads, b.raws, len(b.reads)
-
-	chunks := (n + burstChunk - 1) / burstChunk
-	ring := blockdev.NewAsync(s.dev, 1, 2*chunks)
-	defer ring.Close()
-	if m := s.metrics; m != nil {
-		// Per-burst rings are ephemeral; they report into the
-		// scheduler's shared series so queue depth and throughput
-		// survive the ring.
-		ring.Instrument(m.asyncSubmits, m.asyncCompletes, m.asyncDepth)
-	}
-
-	// All reads up front, in eligible order (fact 2); the queue is
-	// sized for the whole burst so no Submit ever blocks.
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*burstChunk, min((c+1)*burstChunk, n)
-		ring.Submit(blockdev.AsyncOp{Idx: elig[lo:hi], Bufs: raws[lo:hi]})
-	}
-	lane := 0 // reseal lanes of the chunks already done
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*burstChunk, min((c+1)*burstChunk, n)
-		if _, err := ring.Complete(); err != nil { // read chunk c (fact 3)
-			return err
-		}
-		end := lane + s.refill(b.steps[lo:hi], raws[lo:hi])
-		err := s.pipe.ResealLanes(b.laneSeals[lane:end], b.laneRaws[lane:end], ivs[lane*sealer.IVSize:end*sealer.IVSize])
-		if err != nil {
-			return err
-		}
-		lane = end
-		ring.Submit(blockdev.AsyncOp{Write: true, Idx: elig[lo:hi], Bufs: raws[lo:hi]})
-	}
-	return ring.Drain()
 }

@@ -154,8 +154,7 @@ func (s *Sealer) Reseal(raw, newIV, scratch []byte) error {
 
 // checkSealBatch validates a SealMany request up front, so a malformed
 // batch fails before any buffer is touched or any IV is drawn — the
-// same whole-batch-first contract the block I/O plane gives, and what
-// lets the pipelined variant fan out with no per-block error paths.
+// same whole-batch-first contract the block I/O plane gives.
 func (s *Sealer) checkSealBatch(dsts [][]byte, datas [][]byte) error {
 	if len(dsts) != len(datas) {
 		return fmt.Errorf("sealer: %d destinations for %d payloads", len(dsts), len(datas))
@@ -221,31 +220,19 @@ func checkResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
 	return nil
 }
 
-// drawIVs fills the IV field of every dst through nextIV, serially and
-// in index order: the order a per-block loop would draw them, which is
-// what keeps every batched and pipelined seal bit-identical to it.
-func drawIVs(dsts [][]byte, nextIV func(iv []byte)) {
-	for _, dst := range dsts {
-		nextIV(dst[:IVSize])
-	}
-}
-
 // SealMany seals datas[i] into dsts[i] for every i, drawing each
-// block's IV through nextIV in index order. It is the batched companion
-// of Seal for bulk writers (formats, reshuffles, flushes, multi-block
-// file writes): the blocks go through the cipher eight lanes at a time.
-// The batch is validated whole before any IV is drawn.
+// block's IV through nextIV in index order — the order a per-block loop
+// would draw them. It is the batched companion of Seal for bulk writers
+// (formats, reshuffles, flushes, multi-block file writes): the blocks go
+// through the cipher eight lanes at a time. The batch is validated whole
+// before any IV is drawn.
 func (s *Sealer) SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error {
 	if err := s.checkSealBatch(dsts, datas); err != nil {
 		return err
 	}
-	drawIVs(dsts, nextIV)
-	return s.sealDrawn(dsts, datas)
-}
-
-// sealDrawn seals datas[i] into dsts[i] under the IV already sitting
-// in dsts[i]'s IV field.
-func (s *Sealer) sealDrawn(dsts, datas [][]byte) error {
+	for _, dst := range dsts {
+		nextIV(dst[:IVSize])
+	}
 	var group [aeskern.MaxLanes]aeskern.Lane
 	for lo := 0; lo < len(dsts); lo += len(group) {
 		n := min(len(group), len(dsts)-lo)

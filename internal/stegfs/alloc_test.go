@@ -3,7 +3,6 @@ package stegfs
 import (
 	"testing"
 
-	"steghide/internal/mempool"
 	"steghide/internal/prng"
 	"steghide/internal/race"
 )
@@ -45,9 +44,6 @@ func TestAllocBudgets(t *testing.T) {
 		t.Errorf("ReadAt(%d blocks) = %.1f allocs/scan, budget 16", blocks, allocs)
 	}
 
-	if !mempool.Enabled() {
-		return // the write budgets pin the pooled configuration (STEGHIDE_MEMPOOL=0 set)
-	}
 	policy := InPlacePolicy{Vol: vol}
 	writes := map[string]func() error{
 		"WriteAt(128 blocks)": func() error { _, err := f.WriteAt(data, 0, policy); return err },

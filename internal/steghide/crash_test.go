@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -14,23 +12,6 @@ import (
 	"steghide/internal/prng"
 	"steghide/internal/stegfs"
 )
-
-// pipelineFromEnv honours the STEGHIDE_PIPELINE knob the CI matrix
-// sets: a worker count (0 or non-numeric selects GOMAXPROCS) that
-// switches the rig's dummy bursts to the staged seal pipeline, so the
-// crash-at-every-write sweeps also prove recovery is insensitive to
-// the pipelined execute stage. Unset means the serial default.
-func pipelineFromEnv(a interface{ EnablePipeline(int) }) {
-	v := os.Getenv("STEGHIDE_PIPELINE")
-	if v == "" {
-		return
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		n = 0
-	}
-	a.EnablePipeline(n)
-}
 
 // The crash-matrix property tests: run a deterministic mixed
 // real/dummy workload, power-cut the device at every single write
@@ -263,7 +244,6 @@ func setupC1Crash(t *testing.T) *c1CrashRig {
 	if err := agent.EnableJournal(); err != nil {
 		t.Fatal(err)
 	}
-	pipelineFromEnv(agent)
 	rig := &c1CrashRig{
 		mem: mem, col: col, fd: fd, vol: vol, agent: agent,
 		track: newCrashTrack(uint64(vol.PayloadSize())),
@@ -579,7 +559,6 @@ func setupC2Crash(t *testing.T) *c2CrashRig {
 	if err := agent.EnableJournal(JournalKey(vol, c2AdminPass)); err != nil {
 		t.Fatal(err)
 	}
-	pipelineFromEnv(agent)
 	sess, err := agent.LoginWithPassphrase("alice", "pw-alice")
 	if err != nil {
 		t.Fatal(err)

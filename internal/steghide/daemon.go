@@ -82,10 +82,8 @@ func NewDaemon(src DummySource, period time.Duration) *Daemon {
 
 // WithBurst makes each tick issue n dummy updates instead of one,
 // routed through the source's batched path when it has one
-// (BurstDummySource) and a plain loop otherwise. On an agent with
-// EnablePipeline, each burst additionally runs the staged seal
-// pipeline — same observable stream, less wall-clock per tick. Must
-// be called before Start. It returns the daemon for chaining.
+// (BurstDummySource) and a plain loop otherwise. Must be called
+// before Start. It returns the daemon for chaining.
 func (d *Daemon) WithBurst(n int) *Daemon {
 	if n < 1 {
 		n = 1

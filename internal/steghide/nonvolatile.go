@@ -118,15 +118,10 @@ func (a *NonVolatileAgent) ResetStats() { a.sched.ResetStats() }
 // the activity signal the adaptive dummy-traffic daemon watches.
 func (a *NonVolatileAgent) DataSeq() uint64 { return a.sched.DataSeq() }
 
-// EnablePipeline switches the agent's dummy bursts to the staged seal
-// pipeline (workers <= 0 selects GOMAXPROCS); the observable update
-// stream is unchanged. Call before concurrent use.
-func (a *NonVolatileAgent) EnablePipeline(workers int) { a.sched.EnablePipeline(workers) }
-
 // EnableMetrics exports the agent's observability series through reg:
 // the scheduler's stream counters and histograms plus the journal
-// ring's occupancy when journaled. Call after EnableJournal /
-// EnablePipeline, before concurrent use. Deliberately absent: any
+// ring's occupancy when journaled. Call after EnableJournal, before
+// concurrent use. Deliberately absent: any
 // open-file or known-file count — for Construction 1 that number is
 // exactly what the volume hides, and no attacker position observes
 // it, so it must not surface on an ops endpoint either.

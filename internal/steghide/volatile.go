@@ -119,16 +119,11 @@ func (a *VolatileAgent) ResetStats() { a.sched.ResetStats() }
 // the activity signal the adaptive dummy-traffic daemon watches.
 func (a *VolatileAgent) DataSeq() uint64 { return a.sched.DataSeq() }
 
-// EnablePipeline switches the agent's dummy bursts to the staged seal
-// pipeline (workers <= 0 selects GOMAXPROCS); the observable update
-// stream is unchanged. Call before concurrent use.
-func (a *VolatileAgent) EnablePipeline(workers int) { a.sched.EnablePipeline(workers) }
-
 // EnableMetrics exports the agent's observability series through reg:
 // the scheduler's stream counters and histograms, the journal ring's
 // occupancy (when journaled), and a live session-count gauge. Call
-// after EnableJournal/EnablePipeline so every layer is covered, and
-// before concurrent use. Series are labeled by volume name only —
+// after EnableJournal so every layer is covered, and before concurrent
+// use. Series are labeled by volume name only —
 // usernames, pathnames and locator material never reach the registry
 // (the session gauge is a count; login frames are wire-visible
 // anyway, their number discloses nothing new).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"steghide/internal/blockdev"
-	"steghide/internal/mempool"
 	"steghide/internal/prng"
 	"steghide/internal/race"
 	"steghide/internal/stegfs"
@@ -55,9 +54,6 @@ func TestAllocBudgets(t *testing.T) {
 // process): a single payload-sized allocation per round trip would
 // show as ≥ 256 KiB.
 func bulkRoundTripBudget(t *testing.T) {
-	if !mempool.Enabled() {
-		return // every Get is a plain make with the pools off
-	}
 	vol, err := stegfs.Format(blockdev.NewMem(4096, 1024),
 		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("bulk")})
 	if err != nil {
@@ -97,16 +93,24 @@ func bulkRoundTripBudget(t *testing.T) {
 	for i := 0; i < 3; i++ { // warm the pools and the file's scratch
 		roundTrip()
 	}
+	// A sync.Pool Get misses when the buffer sits in another P's
+	// private slot (the goroutine moved) or a collection emptied the
+	// pool, and that miss allocates a whole class once. A payload-sized
+	// allocation per call shows in every window; a miss does not, so the
+	// budget holds the best of three windows.
 	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		roundTrip()
+	best := uint64(1<<63 - 1)
+	for w := 0; w < 3 && best >= payload/2; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			roundTrip()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	runtime.ReadMemStats(&after)
-	perTrip := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("256 KiB WriteCtx + ReadCtx: %d B allocated per round trip, both ends", perTrip)
-	if perTrip >= payload/2 {
-		t.Errorf("256 KiB round trip allocates %d B; a payload-sized buffer is being allocated per call", perTrip)
+	t.Logf("256 KiB WriteCtx + ReadCtx: %d B allocated per round trip, both ends", best)
+	if best >= payload/2 {
+		t.Errorf("256 KiB round trip allocates %d B; a payload-sized buffer is being allocated per call", best)
 	}
 }

@@ -324,10 +324,8 @@ func decodeIndices(d *decoder) []uint64 {
 
 // RemoteDevice is a blockdev.Device backed by a StorageServer. It is
 // safe for concurrent use: concurrent requests pipeline on the one
-// connection instead of serializing. Wrapping one
-// in a blockdev.Async ring turns submission depth directly into wire
-// depth: every in-flight op is an outstanding request ID on the mux,
-// so the async plane is native here, not emulated.
+// connection instead of serializing — every in-flight op is an
+// outstanding request ID on the mux.
 //
 // A device dialed with DialStorageRetry self-heals: block and batch
 // reads retry transparently across reconnects; block and batch writes

@@ -251,61 +251,3 @@ func TestConnectionDropLogsOut(t *testing.T) {
 		return cli2.Login("bob", "pw") == nil
 	})
 }
-
-// TestAsyncRingOverRemote drives a blockdev.Async ring over a v2
-// RemoteDevice: the ring's in-flight ops become outstanding request
-// IDs on the one mux connection, so the async plane is exercising the
-// wire protocol's native pipelining. A one-worker ring must keep the
-// server-side tap in exact submission order — the determinism
-// contract holds across the network too.
-func TestAsyncRingOverRemote(t *testing.T) {
-	const bs, n = 256, 64
-	mem := blockdev.NewMem(bs, n)
-	var tap blockdev.Collector
-	srv, err := NewStorageServer("127.0.0.1:0", mem, &tap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	dev, err := DialStorage(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-
-	// FIFO ring: writes in submission order, verified on the tap.
-	ring := blockdev.NewAsync(dev, 1, 2*n)
-	bufs := blockdev.AllocBlocks(n, bs)
-	for i := range bufs {
-		prng.NewFromUint64(uint64(i)).Read(bufs[i])
-		ring.Submit(blockdev.AsyncOp{Write: true, Block: uint64((i * 13) % n), Buf: bufs[i]})
-	}
-	if err := ring.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ev := tap.Events()
-	if len(ev) != n {
-		t.Fatalf("tap saw %d ops, want %d", len(ev), n)
-	}
-	for i := range ev {
-		if ev[i].Op != blockdev.OpWrite || ev[i].Block != uint64((i*13)%n) {
-			t.Fatalf("tap op %d out of submission order: %+v", i, ev[i])
-		}
-	}
-
-	// Wide ring: reads pipeline concurrently on the mux; order is
-	// free but every byte must come back right.
-	ring = blockdev.NewAsync(dev, 4, 16)
-	got := blockdev.AllocBlocks(n, bs)
-	for i := range got {
-		ring.Submit(blockdev.AsyncOp{Block: uint64((i * 13) % n), Buf: got[i]})
-	}
-	if err := ring.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], bufs[i]) {
-			t.Fatalf("pipelined read %d mismatch", i)
-		}
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"steghide/internal/diskmodel"
-	"steghide/internal/mempool"
 	"steghide/internal/oblivious"
 	"steghide/internal/prng"
 	"steghide/internal/wire"
@@ -37,8 +36,6 @@ type mountConfig struct {
 	daemon       bool
 	daemonPeriod time.Duration
 	daemonBurst  int
-	pipeline     bool
-	pipeWorkers  int
 	trace        Tracer
 	stripe       []Device
 	sim          bool
@@ -131,36 +128,6 @@ func WithDaemon(period time.Duration) Option {
 	}
 }
 
-// WithMemPool toggles the hot-path buffer pools (internal/mempool):
-// wire frames, reshuffle scratch, scan slabs and burst arenas. It is a
-// debug/diagnosis knob, process-wide rather than per-mount — pools are
-// package state shared by every agent in the process, exactly like the
-// STEGHIDE_MEMPOOL environment gate it mirrors. Every conversion is
-// pinned bit-identical by the pool-on/pool-off oracles, so disabling
-// the pools changes allocation behaviour only; use it to bisect a
-// suspected pooling bug or to take clean heap profiles.
-func WithMemPool(on bool) Option {
-	return func(c *mountConfig) error {
-		mempool.SetEnabled(on)
-		return nil
-	}
-}
-
-// WithPipeline switches the mounted agent's dummy bursts to the
-// staged seal pipeline: block reads and writes flow through a FIFO
-// async ring over the device while the per-block crypto fans out over
-// `workers` goroutines (<= 0 selects GOMAXPROCS). The observable
-// update stream — every draw, IV and block write, in order — is
-// bit-identical to the serial path, so Definition-1 verdicts and
-// figure metrics are unaffected; only wall-clock time moves.
-func WithPipeline(workers int) Option {
-	return func(c *mountConfig) error {
-		c.pipeline = true
-		c.pipeWorkers = workers
-		return nil
-	}
-}
-
 // WithDaemonBurst sizes the daemon's per-tick burst (batched through
 // the device's multi-block fast path). Implies WithDaemon.
 func WithDaemonBurst(period time.Duration, burst int) Option {
@@ -212,19 +179,6 @@ func WithSim(params ...DiskParams) Option {
 	}
 }
 
-// WithRNG supplies the generator driving the agent's random choices —
-// fix the seed and a Mount-built stack reproduces a manually wired
-// one bit for bit.
-func WithRNG(rng *PRNG) Option {
-	return func(c *mountConfig) error {
-		if rng == nil {
-			return errors.New("steghide: WithRNG needs a generator")
-		}
-		c.rng = rng
-		return nil
-	}
-}
-
 // WithVolumeName names the mounted volume for multi-volume serving:
 // Serve registers each stack under its name, and remote clients pick
 // one at login (wire protocol v2's msgLogin volume field). The empty
@@ -237,9 +191,8 @@ func WithVolumeName(name string) Option {
 }
 
 // WithMetrics exports the stack's observability series through m:
-// the scheduler's stream counters and latency/shape histograms, seal
-// pipeline and async ring throughput, journal ring occupancy, daemon
-// tick counters, and (Construction 2) a session-count gauge — all
+// the scheduler's stream counters and latency/shape histograms,
+// journal ring occupancy, daemon tick counters, and (Construction 2) a session-count gauge — all
 // labeled by the stack's volume name. One registry may serve many
 // stacks; series stay distinct per volume. Attaching a registry does
 // not move a single observable byte (pinned by the metrics invariance
@@ -273,7 +226,10 @@ func WithLoginQuota(blocks uint64) Option {
 	}
 }
 
-// WithSeed is WithRNG(NewPRNG(seed)).
+// WithSeed seeds the generator driving the agent's random choices —
+// fix the seed and a Mount-built stack reproduces a manually wired
+// one (NewPRNG(seed)) bit for bit. Without it the seed comes from
+// crypto/rand.
 func WithSeed(seed []byte) Option {
 	return func(c *mountConfig) error {
 		c.rng = prng.New(seed)
@@ -396,14 +352,6 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 	if cfg.loginQuota > 0 && s.agent2 == nil {
 		return nil, errors.New("steghide: WithLoginQuota requires Construction 2")
 	}
-	if cfg.pipeline {
-		if s.agent1 != nil {
-			s.agent1.EnablePipeline(cfg.pipeWorkers)
-		} else {
-			s.agent2.EnablePipeline(cfg.pipeWorkers)
-		}
-	}
-
 	// Journal: enable, and recover where no out-of-band state is
 	// needed (Construction 2 resolves incrementally at disclosure).
 	if cfg.journal {
@@ -442,8 +390,8 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		}
 	}
 
-	// Metrics: attached after pipeline and journal exist (so their
-	// series register) but before the daemon starts — the scheduler's
+	// Metrics: attached after the journal exists (so its series
+	// register) but before the daemon starts — the scheduler's
 	// instrumentation pointer must be in place before anything drives
 	// concurrent updates.
 	if cfg.metrics != nil {

@@ -15,7 +15,7 @@ import (
 // and dummy bursts, and every observable collected — trace, final
 // image, scheduler counters, spatial-uniformity and Definition-1
 // verdicts. When reg is non-nil the full observability plane is live
-// (scheduler histograms, journal gauges, seal/async series).
+// (scheduler histograms, journal gauges).
 func runMetricsOracle(t *testing.T, reg *steghide.Metrics) oracleRun {
 	t.Helper()
 	tap := &steghide.Collector{}
@@ -26,7 +26,6 @@ func runMetricsOracle(t *testing.T, reg *steghide.Metrics) oracleRun {
 		steghide.WithSeed([]byte("obs-oracle-agent")),
 		steghide.WithTrace(tap),
 		steghide.WithJournal("obs-oracle-journal"),
-		steghide.WithPipeline(4),
 	}
 	if reg != nil {
 		opts = append(opts, steghide.WithMetrics(reg), steghide.WithVolumeName("obsvault"))
@@ -155,7 +154,7 @@ func TestMetricsObservableInvariance(t *testing.T) {
 		for _, want := range []string{
 			"steghide_sched_data_updates_total",
 			"steghide_sched_dummy_updates_total",
-			"steghide_seal_batches_total",
+			"steghide_sched_burst_seconds",
 			"steghide_journal_ring_slots",
 		} {
 			if !strings.Contains(text, want) {

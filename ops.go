@@ -137,7 +137,7 @@ func (s *Server) opsMux() *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		s.cfg.Metrics.WriteJSON(w) //nolint:errcheck // client gone
 	})
-	// pprof on the same mux — the PR 7 -pprof listener, generalized.
+	// pprof on the same mux.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -41,18 +41,17 @@ func (r oracleRun) digest() string {
 // verdicts (spatial uniformity of changed blocks, and CompareStreams —
 // the operational Definition 1 — between an idle and an active
 // interval).
-func runOracle(t *testing.T, extra ...steghide.Option) oracleRun {
+func runOracle(t *testing.T) oracleRun {
 	t.Helper()
 	tap := &steghide.Collector{}
 	mem := steghide.NewMemDevice(512, 4096)
-	opts := append([]steghide.Option{
+	stack, err := steghide.Mount(mem,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("oracle-fill")}),
 		steghide.WithConstruction2(),
 		steghide.WithSeed([]byte("oracle-agent")),
 		steghide.WithTrace(tap),
 		steghide.WithJournal("oracle-journal"),
-	}, extra...)
-	stack, err := steghide.Mount(mem, opts...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,28 +156,19 @@ const oracleDigest = "94d2dc24ac2c3f3c07735607f3eed0ef94a80c380dd04182163a591622
 // that intends to move on-disk bytes or the stream for fixed seeds
 // regenerates the constants and says why.
 func TestKernelOracleImageDigest(t *testing.T) {
-	// Unpooled first, so the process-wide pool switch ends on.
-	for _, pooled := range []bool{false, true} {
-		for _, pipeline := range []bool{false, true} {
-			opts := []steghide.Option{steghide.WithMemPool(pooled)}
-			if pipeline {
-				opts = append(opts, steghide.WithPipeline(4))
-			}
-			run := runOracle(t, opts...)
-			sum := sha256.Sum256(run.image)
-			if got := hex.EncodeToString(sum[:]); got != oracleImageDigest {
-				t.Errorf("pooled=%v pipeline=%v: oracle image digest %s, want %s", pooled, pipeline, got, oracleImageDigest)
-			}
-			if got := run.digest(); got != oracleDigest {
-				t.Errorf("pooled=%v pipeline=%v: oracle digest %s, want %s", pooled, pipeline, got, oracleDigest)
-			}
-			// Sanity on the workload itself: Definition 1 must hold.
-			// (SpatialUniformity over the raw device legitimately flags
-			// the journal ring — intent slots cluster by design — so
-			// only its digest is pinned, not its verdict.)
-			if run.def1.Detected {
-				t.Fatalf("Definition-1 attacker separated idle from active: %+v", run.def1)
-			}
-		}
+	run := runOracle(t)
+	sum := sha256.Sum256(run.image)
+	if got := hex.EncodeToString(sum[:]); got != oracleImageDigest {
+		t.Errorf("oracle image digest %s, want %s", got, oracleImageDigest)
+	}
+	if got := run.digest(); got != oracleDigest {
+		t.Errorf("oracle digest %s, want %s", got, oracleDigest)
+	}
+	// Sanity on the workload itself: Definition 1 must hold.
+	// (SpatialUniformity over the raw device legitimately flags the
+	// journal ring — intent slots cluster by design — so only its
+	// digest is pinned, not its verdict.)
+	if run.def1.Detected {
+		t.Fatalf("Definition-1 attacker separated idle from active: %+v", run.def1)
 	}
 }

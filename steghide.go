@@ -58,7 +58,7 @@
 // too; contexts are honored at the scheduler draw loop and the wire
 // round trip. Options: WithFormat, WithConstruction1/2, WithJournal,
 // WithObliviousCache, WithDaemon, WithTrace, WithStripe, WithSim,
-// WithRNG/WithSeed.
+// WithSeed.
 //
 // The constructors below (NewVolatileAgent, NewNonVolatileAgent,
 // NewObliviousFS, ...) remain as the thin assembly layer Mount is
@@ -424,8 +424,8 @@ func NewTrafficAnalyzer(nBlocks uint64) *TrafficAnalyzer {
 // given the write-address sets of an idle (dummy-only) interval and
 // an active interval, decide whether an observer can tell them apart.
 // A secure deployment yields Detected == false for any workload; the
-// regression oracles use it to pin that optimizations (the seal
-// pipeline among them) move no observable byte.
+// regression oracles use it to pin that optimizations move no
+// observable byte.
 func CompareStreams(idle, active []uint64, nBlocks uint64, bins int) (Verdict, error) {
 	return attack.CompareStreams(idle, active, nBlocks, bins)
 }
