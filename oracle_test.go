@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"steghide"
+	"steghide/internal/mempool"
 )
 
 // oracleRun is everything an observer (or the repo's figure harness)
@@ -147,20 +148,27 @@ const oracleImageDigest = "83605254ce8df93f7af5b30235d2ee1920b91b1e01d0d326a042a
 // all met it.
 const oracleDigest = "94d2dc24ac2c3f3c07735607f3eed0ef94a80c380dd04182163a59162295acf2"
 
-// TestKernelOracleImageDigest pins the oracle workload against the
-// committed digests: the image alone, and everything the paper's
-// attacker can see. One process links one kernel build, so the assembly
-// and the purego (stdlib) builds cannot be compared in a single run; CI
-// runs this test under both, and both must meet the same constants —
-// which is the proof that they write byte-identical volumes. A change
-// that intends to move on-disk bytes or the stream for fixed seeds
-// regenerates the constants and says why.
+// TestKernelOracleImageDigest pins the oracle workload's final image
+// against the committed digest. One process links one kernel build, so
+// the assembly and the purego (stdlib) builds cannot be compared in a
+// single run; CI runs this test under both, and both must meet the same
+// constant — which is the proof that they write byte-identical volumes.
+// A change that intends to move on-disk bytes or the stream for fixed
+// seeds regenerates the constants and says why.
 func TestKernelOracleImageDigest(t *testing.T) {
-	run := runOracle(t)
-	sum := sha256.Sum256(run.image)
+	sum := sha256.Sum256(runOracle(t).image)
 	if got := hex.EncodeToString(sum[:]); got != oracleImageDigest {
 		t.Errorf("oracle image digest %s, want %s", got, oracleImageDigest)
 	}
+}
+
+// TestPipelineObservableOracle is the acceptance oracle of the one
+// burst path at the outermost layer: everything the paper's attacker
+// can see — trace, image, scheduler counters, both verdicts — must meet
+// oracleDigest, which the staged seal pipeline met too before it was
+// deleted, so removing it moved no figure metric and no verdict.
+func TestPipelineObservableOracle(t *testing.T) {
+	run := runOracle(t)
 	if got := run.digest(); got != oracleDigest {
 		t.Errorf("oracle digest %s, want %s", got, oracleDigest)
 	}
@@ -170,5 +178,42 @@ func TestKernelOracleImageDigest(t *testing.T) {
 	// digest is pinned, not its verdict.)
 	if run.def1.Detected {
 		t.Fatalf("Definition-1 attacker separated idle from active: %+v", run.def1)
+	}
+}
+
+// TestMemPoolObservableOracle is the acceptance oracle of the memory
+// plane at the outermost layer: pooling changes buffer provenance only,
+// never an observable byte. With every buffer the pools take back
+// overwritten by poison, a recycled buffer read before it is fully
+// rewritten would reach the trace, the image or a verdict; the run must
+// match a clean one event for event and still meet oracleDigest, which
+// the unpooled plane met too before its switch was deleted.
+func TestMemPoolObservableOracle(t *testing.T) {
+	clean := runOracle(t)
+	prev := mempool.SetPoison(0xDB)
+	poisoned := runOracle(t)
+	mempool.SetPoison(prev)
+
+	if len(clean.events) != len(poisoned.events) {
+		t.Fatalf("trace length moved: %d clean vs %d poisoned", len(clean.events), len(poisoned.events))
+	}
+	for i := range clean.events {
+		ce, pe := clean.events[i], poisoned.events[i]
+		if ce.Op != pe.Op || ce.Block != pe.Block || ce.Count != pe.Count {
+			t.Fatalf("tap diverged at op %d: clean %+v poisoned %+v", i, ce, pe)
+		}
+	}
+	if !bytes.Equal(clean.image, poisoned.image) {
+		t.Fatal("final volume images differ between clean and poisoned runs")
+	}
+	if clean.stats != poisoned.stats {
+		t.Fatalf("scheduler counters moved: clean %+v poisoned %+v", clean.stats, poisoned.stats)
+	}
+	if clean.uniform != poisoned.uniform || clean.def1 != poisoned.def1 {
+		t.Fatalf("attacker verdicts moved:\nclean    %+v / %+v\npoisoned %+v / %+v",
+			clean.uniform, clean.def1, poisoned.uniform, poisoned.def1)
+	}
+	if got := poisoned.digest(); got != oracleDigest {
+		t.Errorf("poisoned oracle digest %s, want %s", got, oracleDigest)
 	}
 }
