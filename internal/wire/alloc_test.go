@@ -93,24 +93,16 @@ func bulkRoundTripBudget(t *testing.T) {
 	for i := 0; i < 3; i++ { // warm the pools and the file's scratch
 		roundTrip()
 	}
-	// A sync.Pool Get misses when the buffer sits in another P's
-	// private slot (the goroutine moved) or a collection emptied the
-	// pool, and that miss allocates a whole class once. A payload-sized
-	// allocation per call shows in every window; a miss does not, so the
-	// budget holds the best of three windows.
 	const runs = 10
-	best := uint64(1<<63 - 1)
-	for w := 0; w < 3 && best >= payload/2; w++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			roundTrip()
-		}
-		runtime.ReadMemStats(&after)
-		best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		roundTrip()
 	}
-	t.Logf("256 KiB WriteCtx + ReadCtx: %d B allocated per round trip, both ends", best)
-	if best >= payload/2 {
-		t.Errorf("256 KiB round trip allocates %d B; a payload-sized buffer is being allocated per call", best)
+	runtime.ReadMemStats(&after)
+	perTrip := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("256 KiB WriteCtx + ReadCtx: %d B allocated per round trip, both ends", perTrip)
+	if perTrip >= payload/2 {
+		t.Errorf("256 KiB round trip allocates %d B; a payload-sized buffer is being allocated per call", perTrip)
 	}
 }

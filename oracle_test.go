@@ -185,34 +185,14 @@ func TestPipelineObservableOracle(t *testing.T) {
 // plane at the outermost layer: pooling changes buffer provenance only,
 // never an observable byte. With every buffer the pools take back
 // overwritten by poison, a recycled buffer read before it is fully
-// rewritten would reach the trace, the image or a verdict; the run must
-// match a clean one event for event and still meet oracleDigest, which
-// the unpooled plane met too before its switch was deleted.
+// rewritten would reach the trace, the image or a verdict; the poisoned
+// run must still meet oracleDigest, which the clean run meets
+// (TestPipelineObservableOracle) and the unpooled plane met too before
+// its switch was deleted.
 func TestMemPoolObservableOracle(t *testing.T) {
-	clean := runOracle(t)
 	prev := mempool.SetPoison(0xDB)
 	poisoned := runOracle(t)
 	mempool.SetPoison(prev)
-
-	if len(clean.events) != len(poisoned.events) {
-		t.Fatalf("trace length moved: %d clean vs %d poisoned", len(clean.events), len(poisoned.events))
-	}
-	for i := range clean.events {
-		ce, pe := clean.events[i], poisoned.events[i]
-		if ce.Op != pe.Op || ce.Block != pe.Block || ce.Count != pe.Count {
-			t.Fatalf("tap diverged at op %d: clean %+v poisoned %+v", i, ce, pe)
-		}
-	}
-	if !bytes.Equal(clean.image, poisoned.image) {
-		t.Fatal("final volume images differ between clean and poisoned runs")
-	}
-	if clean.stats != poisoned.stats {
-		t.Fatalf("scheduler counters moved: clean %+v poisoned %+v", clean.stats, poisoned.stats)
-	}
-	if clean.uniform != poisoned.uniform || clean.def1 != poisoned.def1 {
-		t.Fatalf("attacker verdicts moved:\nclean    %+v / %+v\npoisoned %+v / %+v",
-			clean.uniform, clean.def1, poisoned.uniform, poisoned.def1)
-	}
 	if got := poisoned.digest(); got != oracleDigest {
 		t.Errorf("poisoned oracle digest %s, want %s", got, oracleDigest)
 	}
