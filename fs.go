@@ -10,12 +10,13 @@ import (
 // FS is the unified filesystem surface of the system model (§3.2):
 // users issue file requests, the trusted agent hides the accesses,
 // and the raw storage sees one uniform stream. Every front-end of
-// this package implements it — Construction 2 sessions
-// (NewSessionFS, Stack.Login), Construction 1 agents (NewAgentFS),
-// remote agent connections (DialFS, NewRemoteFS), and the §5
-// read-hiding composition (NewObliviousReadFS) — so no caller has to
-// care which construction sits behind the interface, and no hiding
-// guarantee depends on it.
+// this package returns the same implementation over a different
+// backend — Construction 2 sessions (NewSessionFS, Stack.Login),
+// Construction 1 agents (NewAgentFS), remote agent connections
+// (DialFS, NewRemoteFS), and the §5 read-hiding composition
+// (NewObliviousReadFS) — and Cluster routes over any of them, so no
+// caller has to care which construction sits behind the interface,
+// and no hiding guarantee depends on it.
 //
 // Every operation takes a context.Context, honored at the points
 // where an operation can genuinely wait: the scheduler's Figure-6
@@ -27,7 +28,10 @@ import (
 //
 // An FS is one principal's view — a login, an agent secret, a
 // connection. Close releases it (logout, handle flush, hangup); the
-// backing stack keeps running.
+// backing stack keeps running. After Close every method, and every
+// handle the FS issued (reads, writes and a write handle's Close),
+// fails with a *PathError wrapping os.ErrClosed; so does every method
+// called under an already expired context, with the context's error.
 type FS interface {
 	// Create creates an empty hidden file at path and leaves it open.
 	Create(ctx context.Context, path string) error
@@ -143,39 +147,6 @@ func pathErr(op, path string, err error) error {
 		return err
 	}
 	return &PathError{Op: op, Path: path, Err: err}
-}
-
-// ctxErr reports a context already expired on operation entry.
-func ctxErr(ctx context.Context, op, path string) error {
-	if err := ctx.Err(); err != nil {
-		return &PathError{Op: op, Path: path, Err: err}
-	}
-	return nil
-}
-
-// checkReadAt validates an io.ReaderAt call's offset.
-func checkReadAt(path string, off int64) error {
-	if off < 0 {
-		return &PathError{Op: "read", Path: path, Err: errNegativeOffset}
-	}
-	return nil
-}
-
-// checkWriteAt validates an io.WriterAt call's offset.
-func checkWriteAt(path string, off int64) error {
-	if off < 0 {
-		return &PathError{Op: "write", Path: path, Err: errNegativeOffset}
-	}
-	return nil
-}
-
-// eofIfShort maps a truncated read to io.ReaderAt's contract: fewer
-// bytes than requested must come with an error explaining why.
-func eofIfShort(n, want int) error {
-	if n < want {
-		return io.EOF
-	}
-	return nil
 }
 
 // readFileChunk bounds how far ReadFile's buffer grows ahead of the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 
@@ -149,14 +150,31 @@ func (c *Cluster) count(counters map[string]*obs.Counter, shard string) {
 	}
 }
 
+// closedFS answers for every shard of a closed Cluster: a core closed
+// from the start fails each FS call on entry with os.ErrClosed, before
+// it would reach a backend.
+var closedFS = func() FS {
+	c := &fsCore{}
+	c.closed.Store(true)
+	return c
+}()
+
+// shardLocked returns the named shard's FS, or closedFS once the
+// cluster is closed; the caller holds c.mu.
+func (c *Cluster) shardLocked(name string) FS {
+	if c.shards == nil {
+		return closedFS
+	}
+	return c.shards[name]
+}
+
 // owner resolves path's shard under the read lock.
 func (c *Cluster) owner(path string) (string, FS) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	name := c.ring.Owner(path)
-	fs := c.shards[name]
 	c.count(c.reqs, name)
-	return name, fs
+	return name, c.shardLocked(name)
 }
 
 // ShardFor reports which shard currently owns path — operator
@@ -253,7 +271,7 @@ func (c *Cluster) List(ctx context.Context) ([]string, error) {
 	names := c.ring.Shards()
 	fss := make([]FS, len(names))
 	for i, n := range names {
-		fss[i] = c.shards[n]
+		fss[i] = c.shardLocked(n)
 		c.count(c.reqs, n)
 	}
 	c.mu.RUnlock()
@@ -280,11 +298,11 @@ func (c *Cluster) List(ctx context.Context) ([]string, error) {
 }
 
 // Close implements FS: every shard session closes concurrently; the
-// first error wins.
+// first error wins. Every later call answers os.ErrClosed.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	shards := c.shards
-	c.shards = map[string]FS{}
+	c.shards = nil
 	c.mu.Unlock()
 	errs := make(chan error, len(shards))
 	var wg sync.WaitGroup
@@ -319,7 +337,7 @@ func (c *Cluster) CoverAll(ctx context.Context, path string, blocks uint64) erro
 	names := c.ring.Shards()
 	fss := make([]FS, len(names))
 	for i, n := range names {
-		fss[i] = c.shards[n]
+		fss[i] = c.shardLocked(n)
 	}
 	c.mu.RUnlock()
 	errs := make(chan error, len(fss))
@@ -365,6 +383,9 @@ func (c *Cluster) AddShard(name string, fs FS) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.shards == nil {
+		return &PathError{Op: "addshard", Path: name, Err: os.ErrClosed}
+	}
 	next, err := c.ring.WithShard(name)
 	if err != nil {
 		return err
@@ -391,7 +412,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (int, error) {
 	names := ring.Shards()
 	fss := make(map[string]FS, len(names))
 	for _, n := range names {
-		fss[n] = c.shards[n]
+		fss[n] = c.shardLocked(n)
 	}
 	c.mu.RUnlock()
 
@@ -427,6 +448,10 @@ func (c *Cluster) Rebalance(ctx context.Context) (int, error) {
 // error. Returns the drained FS and how many files moved off it.
 func (c *Cluster) Drain(ctx context.Context, name string) (FS, int, error) {
 	c.mu.Lock()
+	if c.shards == nil {
+		c.mu.Unlock()
+		return nil, 0, &PathError{Op: "drain", Path: name, Err: os.ErrClosed}
+	}
 	next, err := c.ring.WithoutShard(name)
 	if err != nil {
 		c.mu.Unlock()

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"sort"
+	"sync"
 	"testing"
 
 	"steghide"
@@ -626,6 +628,137 @@ func TestFSConformanceCancelMidOp(t *testing.T) {
 				t.Fatalf("mid-op cancel: want context.Canceled, got %v", err)
 			}
 		})
+	}
+}
+
+// TestFSConformanceClosed pins what Close and an expired context mean,
+// the same on every surface. After Close every method — and every
+// handle opened before it: reads, writes and a write handle's Close —
+// fails with a *PathError wrapping os.ErrClosed, and the stacks see no
+// further data update. Under an already cancelled context every method
+// fails with a *PathError wrapping context.Canceled, on a path already
+// disclosed too, and the file reads back as it was.
+func TestFSConformanceClosed(t *testing.T) {
+	for _, fx := range fsFixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			ctx := context.Background()
+			fs, probe := fx.open(t)
+			defer fs.Close() // in case a check fails before the Close under test
+			want := []byte("closed means closed")
+			if err := steghide.WriteFile(ctx, fs, "/f", want); err != nil {
+				t.Fatal(err)
+			}
+
+			cctx, cancel := context.WithCancel(ctx)
+			cancel()
+			expectEvery(t, everyMethod(cctx, fs, "/f"), context.Canceled)
+			if got, err := steghide.ReadFile(ctx, fs, "/f"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("after the cancelled calls: read back %q err=%v, want %q", got, err, want)
+			}
+
+			r, err := fs.OpenRead(ctx, "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := fs.OpenWrite(ctx, "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := probe.updates()
+			expectEvery(t, everyMethod(ctx, fs, "/f"), os.ErrClosed)
+			_, rerr := r.ReadAt(make([]byte, len(want)), 0)
+			_, werr := w.WriteAt([]byte("late"), 0)
+			expectEvery(t, []fsCall{{"ReadAt", rerr}, {"WriteAt", werr}, {"write handle Close", w.Close()}}, os.ErrClosed)
+			if n := probe.updates() - before; n != 0 {
+				t.Fatalf("%d data updates after Close", n)
+			}
+		})
+	}
+}
+
+// TestFSConformanceConcurrent drives one FS from several goroutines on
+// every surface: the open-file table, the handles and (behind the
+// oblivious cache) the ordinal registry are shared state, so each
+// goroutine's file must read back as it wrote it and list beside the
+// others. Run it under -race.
+func TestFSConformanceConcurrent(t *testing.T) {
+	for _, fx := range fsFixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			ctx := context.Background()
+			fs, _ := fx.open(t)
+			defer fs.Close()
+			const workers = 4
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					path := fmt.Sprintf("/w%d", i)
+					data := bytes.Repeat([]byte{byte('a' + i)}, 5000+i)
+					for round := 0; round < 3; round++ {
+						if err := steghide.WriteFile(ctx, fs, path, data); err != nil {
+							t.Errorf("%s: write: %v", path, err)
+							return
+						}
+						got, err := steghide.ReadFile(ctx, fs, path)
+						if err != nil || !bytes.Equal(got, data) {
+							t.Errorf("%s: read back %d bytes, err=%v", path, len(got), err)
+							return
+						}
+						if _, err := fs.List(ctx); err != nil {
+							t.Errorf("%s: list: %v", path, err)
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			paths, err := fs.List(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{"/w0", "/w1", "/w2", "/w3"}; !equalStrings(paths, want) {
+				t.Fatalf("listing %v, want %v", paths, want)
+			}
+		})
+	}
+}
+
+// fsCall is what one FS call reported.
+type fsCall struct {
+	name string
+	err  error
+}
+
+// everyMethod calls each FS method once about path, a file fs holds.
+func everyMethod(ctx context.Context, fs steghide.FS, path string) []fsCall {
+	errOf := func(_ any, err error) error { return err }
+	return []fsCall{
+		{"Create", fs.Create(ctx, path+".new")},
+		{"CreateDummy", fs.CreateDummy(ctx, path+".dummy", 4)},
+		{"OpenRead", errOf(fs.OpenRead(ctx, path))},
+		{"OpenWrite", errOf(fs.OpenWrite(ctx, path))},
+		{"Save", fs.Save(ctx, path)},
+		{"Truncate", fs.Truncate(ctx, path, 0)},
+		{"Stat", errOf(fs.Stat(ctx, path))},
+		{"Disclose", errOf(fs.Disclose(ctx, path))},
+		{"List", errOf(fs.List(ctx))},
+		{"Delete", fs.Delete(ctx, path)},
+	}
+}
+
+// expectEvery fails each call that did not return a *PathError
+// wrapping want.
+func expectEvery(t *testing.T, calls []fsCall, want error) {
+	t.Helper()
+	for _, c := range calls {
+		var pe *steghide.PathError
+		if !errors.Is(c.err, want) || !errors.As(c.err, &pe) {
+			t.Errorf("%s: want a *PathError wrapping %v, got %v", c.name, want, c.err)
+		}
 	}
 }
 

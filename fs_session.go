@@ -1,13 +1,11 @@
 package steghide
 
-import (
-	"context"
-)
+import "context"
 
-// sessionFS adapts a Construction-2 login (§4.2, "StegHide") to the
-// unified FS. One sessionFS is one user's view of the volume: the
-// files they disclosed, the dummy files they can deny with.
-type sessionFS struct {
+// sessionBackend is a Construction-2 login (§4.2, "StegHide"): one
+// user's view of the volume — the files they disclosed, the dummy
+// files they can deny with. The session keeps the file list.
+type sessionBackend struct {
 	agent *VolatileAgent
 	sess  *Session
 }
@@ -16,190 +14,56 @@ type sessionFS struct {
 // logs the user out, at which point the agent forgets every key and
 // block the session disclosed — the volatility property.
 func NewSessionFS(agent *VolatileAgent, session *Session) FS {
-	return &sessionFS{agent: agent, sess: session}
+	return newFS(&sessionBackend{agent: agent, sess: session})
 }
 
-// Create implements FS.
-func (s *sessionFS) Create(ctx context.Context, path string) error {
-	if err := ctxErr(ctx, "create", path); err != nil {
-		return err
+// open discloses path unless the session already holds it; the dummy
+// flag and the size come from the session's Stat.
+func (b *sessionBackend) open(_ context.Context, path string, known *openFile, sized bool) (*openFile, uint64, error) {
+	if _, ok := b.sess.Open(path); !ok {
+		if _, err := b.sess.Disclose(path); err != nil {
+			return nil, 0, err
+		}
+	} else if known != nil && !sized {
+		return known, 0, nil
 	}
-	_, err := s.sess.Create(path)
-	return pathErr("create", path, err)
+	size, dummy, err := b.sess.Stat(path)
+	return kindRow[dummy], size, err
 }
 
-// ensureOpen discloses path unless the session already holds it.
-func (s *sessionFS) ensureOpen(op, path string) error {
-	if _, ok := s.sess.Open(path); ok {
-		return nil
+func (b *sessionBackend) create(_ context.Context, path string, dummy bool, blocks uint64) (*openFile, error) {
+	if dummy {
+		_, err := b.sess.CreateDummy(path, blocks)
+		return kindRow[true], err
 	}
-	_, err := s.sess.Disclose(path)
-	return pathErr(op, path, err)
+	_, err := b.sess.Create(path)
+	return kindRow[false], err
 }
 
-// ensureReal is ensureOpen plus a dummy-file guard: content
-// operations (read, write, truncate, delete) are defined on real
-// files only — a dummy file's bytes are meaningless cover the agent
-// rewrites at will, so handing out a handle would promise content
-// that does not exist.
-func (s *sessionFS) ensureReal(op, path string) error {
-	if err := s.ensureOpen(op, path); err != nil {
-		return err
-	}
-	if _, dummy, err := s.sess.Stat(path); err != nil {
-		return pathErr(op, path, err)
-	} else if dummy {
-		return &PathError{Op: op, Path: path, Err: ErrUnsupported}
-	}
-	return nil
+func (b *sessionBackend) read(_ context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
+	return b.sess.Read(path, p, off)
 }
 
-// OpenRead implements FS.
-func (s *sessionFS) OpenRead(ctx context.Context, path string) (ReadHandle, error) {
-	if err := ctxErr(ctx, "open", path); err != nil {
-		return nil, err
-	}
-	if err := s.ensureReal("open", path); err != nil {
-		return nil, err
-	}
-	return &sessionHandle{fs: s, ctx: ctx, path: path}, nil
+// write stages into the file's open run (see WriteHandle).
+func (b *sessionBackend) write(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
+	return 0, b.sess.StageCtx(ctx, path, p, off)
 }
 
-// OpenWrite implements FS.
-func (s *sessionFS) OpenWrite(ctx context.Context, path string) (WriteHandle, error) {
-	if err := ctxErr(ctx, "open", path); err != nil {
-		return nil, err
-	}
-	if err := s.ensureReal("open", path); err != nil {
-		return nil, err
-	}
-	return &sessionHandle{fs: s, ctx: ctx, path: path, save: true}, nil
+func (b *sessionBackend) save(ctx context.Context, _ *openFile, path string) error {
+	return b.sess.SaveCtx(ctx, path)
 }
 
-// Save implements FS (dummy files save too — their block maps are
-// real even if their content is not).
-func (s *sessionFS) Save(ctx context.Context, path string) error {
-	if err := ctxErr(ctx, "save", path); err != nil {
-		return err
-	}
-	if err := s.ensureOpen("save", path); err != nil {
-		return err
-	}
-	return pathErr("save", path, s.sess.SaveCtx(ctx, path))
+func (b *sessionBackend) truncate(ctx context.Context, _ *openFile, path string, size uint64) error {
+	return b.sess.TruncateCtx(ctx, path, size)
 }
 
-// Truncate implements FS.
-func (s *sessionFS) Truncate(ctx context.Context, path string, size uint64) error {
-	if err := ctxErr(ctx, "truncate", path); err != nil {
-		return err
-	}
-	if err := s.ensureReal("truncate", path); err != nil {
-		return err
-	}
-	return pathErr("truncate", path, s.sess.TruncateCtx(ctx, path, size))
+func (b *sessionBackend) delete(_ context.Context, _ *openFile, path string) error {
+	return b.sess.Delete(path)
 }
 
-// Delete implements FS, disclosing the file first when needed — like
-// unlink, deleting must not require a prior open.
-func (s *sessionFS) Delete(ctx context.Context, path string) error {
-	if err := ctxErr(ctx, "delete", path); err != nil {
-		return err
-	}
-	if err := s.ensureReal("delete", path); err != nil {
-		return err
-	}
-	return pathErr("delete", path, s.sess.Delete(path))
-}
+func (b *sessionBackend) list(context.Context) ([]string, error) { return b.sess.Files(), nil }
 
-// Stat implements FS.
-func (s *sessionFS) Stat(ctx context.Context, path string) (FileInfo, error) {
-	return s.statAs(ctx, "stat", path)
-}
-
-// Disclose implements FS.
-func (s *sessionFS) Disclose(ctx context.Context, path string) (FileInfo, error) {
-	return s.statAs(ctx, "disclose", path)
-}
-
-func (s *sessionFS) statAs(ctx context.Context, op, path string) (FileInfo, error) {
-	if err := ctxErr(ctx, op, path); err != nil {
-		return FileInfo{}, err
-	}
-	if err := s.ensureOpen(op, path); err != nil {
-		return FileInfo{}, err
-	}
-	size, dummy, err := s.sess.Stat(path)
-	if err != nil {
-		return FileInfo{}, pathErr(op, path, err)
-	}
-	return FileInfo{Path: path, Size: size, Dummy: dummy}, nil
-}
-
-// List implements FS.
-func (s *sessionFS) List(ctx context.Context) ([]string, error) {
-	if err := ctxErr(ctx, "list", ""); err != nil {
-		return nil, err
-	}
-	return s.sess.Files(), nil
-}
-
-// CreateDummy implements FS.
-func (s *sessionFS) CreateDummy(ctx context.Context, path string, blocks uint64) error {
-	if err := ctxErr(ctx, "createdummy", path); err != nil {
-		return err
-	}
-	_, err := s.sess.CreateDummy(path, blocks)
-	return pathErr("createdummy", path, err)
-}
-
-// Close implements FS: logout, after which the agent knows nothing of
-// this user's files.
-func (s *sessionFS) Close() error {
-	return pathErr("close", "", s.agent.Logout(s.sess.User()))
-}
-
-// sessionHandle is an open file of a sessionFS. The context captured
-// at open time governs its reads and writes (io.ReaderAt/io.WriterAt
-// carry none), honored at the scheduler's draw loop.
-type sessionHandle struct {
-	fs   *sessionFS
-	ctx  context.Context
-	path string
-	save bool // write handles flush the block map on Close
-}
-
-// ReadAt implements io.ReaderAt.
-func (h *sessionHandle) ReadAt(p []byte, off int64) (int, error) {
-	if err := checkReadAt(h.path, off); err != nil {
-		return 0, err
-	}
-	if err := ctxErr(h.ctx, "read", h.path); err != nil {
-		return 0, err
-	}
-	n, err := h.fs.sess.Read(h.path, p, uint64(off))
-	if err != nil {
-		return n, pathErr("read", h.path, err)
-	}
-	return n, eofIfShort(n, len(p))
-}
-
-// WriteAt implements io.WriterAt: every touched block joins the file's
-// open run and flows through the Figure-6 relocation policy with it.
-func (h *sessionHandle) WriteAt(p []byte, off int64) (int, error) {
-	if err := checkWriteAt(h.path, off); err != nil {
-		return 0, err
-	}
-	if err := h.fs.sess.StageCtx(h.ctx, h.path, p, uint64(off)); err != nil {
-		return 0, pathErr("write", h.path, err)
-	}
-	return len(p), nil
-}
-
-// Close implements io.Closer; write handles issue the open run and
-// save the block map.
-func (h *sessionHandle) Close() error {
-	if !h.save {
-		return nil
-	}
-	return pathErr("close", h.path, h.fs.sess.SaveCtx(h.ctx, h.path))
+// close logs out: the agent forgets this user's files.
+func (b *sessionBackend) close(map[string]*openFile) error {
+	return b.agent.Logout(b.sess.User())
 }

@@ -1,33 +1,26 @@
 package steghide
 
 import (
+	"cmp"
 	"context"
-	"sync"
 
 	"steghide/internal/wire"
 )
 
-// remoteFS adapts a logged-in agent-protocol connection to the
-// unified FS. The wire layer round-trips sentinel error codes, so
-// errors.Is against ErrNotFound, ErrVolumeFull and friends behaves
-// exactly as it does against a local session. On protocol v2 the
-// connection is multiplexed: concurrent FS calls (and handle
-// reads/writes from many goroutines) pipeline on the one connection
-// instead of lock-stepping, a context deadline bounds each exchange,
-// and cancellation abandons just that request — the connection stays
-// healthy for the rest of the session.
-type remoteFS struct {
+// remoteBackend is a logged-in agent-protocol connection. The wire
+// round-trips sentinel error codes, so errors.Is behaves as against a
+// local session. The connection is multiplexed: concurrent calls
+// pipeline on it, a context deadline bounds each exchange, and
+// cancellation abandons just that request.
+type remoteBackend struct {
 	c       *AgentClient
 	ownConn bool // DialFS owns the connection and closes it
-
-	mu        sync.Mutex
-	disclosed map[string]bool // path → isDummy; saves one RTT per op
 }
 
 // NewRemoteFS wraps a logged-in AgentClient as an FS. Close logs the
 // user out but leaves the connection to the caller.
 func NewRemoteFS(c *AgentClient) FS {
-	return &remoteFS{c: c, disclosed: map[string]bool{}}
+	return newFS(&remoteBackend{c: c})
 }
 
 // dialConfig collects DialFS options.
@@ -76,8 +69,7 @@ func DialFS(ctx context.Context, addr, user, passphrase string, opts ...DialOpti
 
 // DialVolumeFS is DialFS against one named volume of a multi-volume
 // agent server (Serve): the volume field of the v2 login frame routes
-// the session. The empty name is the default volume and works
-// against v1 servers too.
+// the session. The empty name is the default volume.
 func DialVolumeFS(ctx context.Context, addr, volume, user, passphrase string, opts ...DialOption) (FS, error) {
 	var cfg dialConfig
 	for _, o := range opts {
@@ -99,204 +91,68 @@ func DialVolumeFS(ctx context.Context, addr, volume, user, passphrase string, op
 		cli.Close() //nolint:errcheck // the login error wins
 		return nil, pathErr("login", user, err)
 	}
-	return &remoteFS{c: cli, ownConn: true, disclosed: map[string]bool{}}, nil
+	return newFS(&remoteBackend{c: cli, ownConn: true}), nil
 }
 
-// ensure discloses path on the server unless this FS already did,
-// reporting whether it is a dummy file. The server session keeps
-// disclosure sticky until logout, so one round trip per path is
-// enough.
-func (r *remoteFS) ensure(ctx context.Context, op, path string) (bool, error) {
-	r.mu.Lock()
-	dummy, ok := r.disclosed[path]
-	r.mu.Unlock()
-	if ok {
-		return dummy, nil
+// open discloses path unless this FS already did: disclosure is sticky
+// server-side until logout, so one round trip per path is enough. A
+// Disclose also reports the size, which changes, so a sized open asks.
+func (b *remoteBackend) open(ctx context.Context, path string, known *openFile, sized bool) (*openFile, uint64, error) {
+	if known != nil && !sized {
+		return known, 0, nil
 	}
-	dummy, _, err := r.c.DiscloseCtx(ctx, path)
-	if err != nil {
-		return false, pathErr(op, path, err)
-	}
-	r.mu.Lock()
-	r.disclosed[path] = dummy
-	r.mu.Unlock()
-	return dummy, nil
+	dummy, size, err := b.c.DiscloseCtx(ctx, path)
+	return kindRow[dummy], size, err
 }
 
-// ensureReal is ensure plus the dummy-file guard shared by every
-// implementation: content operations are defined on real files only.
-func (r *remoteFS) ensureReal(ctx context.Context, op, path string) error {
-	dummy, err := r.ensure(ctx, op, path)
-	if err != nil {
-		return err
-	}
+func (b *remoteBackend) create(ctx context.Context, path string, dummy bool, blocks uint64) (*openFile, error) {
 	if dummy {
-		return &PathError{Op: op, Path: path, Err: ErrUnsupported}
+		return kindRow[true], b.c.CreateDummyCtx(ctx, path, blocks)
 	}
-	return nil
+	return kindRow[false], b.c.CreateCtx(ctx, path)
 }
 
-// Create implements FS.
-func (r *remoteFS) Create(ctx context.Context, path string) error {
-	if err := r.c.CreateCtx(ctx, path); err != nil {
-		return pathErr("create", path, err)
-	}
-	r.mu.Lock()
-	r.disclosed[path] = false
-	r.mu.Unlock()
-	return nil
+func (b *remoteBackend) read(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
+	return b.c.ReadCtx(ctx, path, p, off)
 }
 
-// OpenRead implements FS; the disclose ensures the server holds the
-// file open for the handle's reads.
-func (r *remoteFS) OpenRead(ctx context.Context, path string) (ReadHandle, error) {
-	if err := r.ensureReal(ctx, "open", path); err != nil {
-		return nil, err
-	}
-	return &remoteHandle{fs: r, ctx: ctx, path: path}, nil
-}
-
-// OpenWrite implements FS.
-func (r *remoteFS) OpenWrite(ctx context.Context, path string) (WriteHandle, error) {
-	if err := r.ensureReal(ctx, "open", path); err != nil {
-		return nil, err
-	}
-	return &remoteHandle{fs: r, ctx: ctx, path: path, save: true}, nil
-}
-
-// Save implements FS (dummy files save too).
-func (r *remoteFS) Save(ctx context.Context, path string) error {
-	if _, err := r.ensure(ctx, "save", path); err != nil {
-		return err
-	}
-	return pathErr("save", path, r.c.SaveCtx(ctx, path))
-}
-
-// Truncate implements FS.
-func (r *remoteFS) Truncate(ctx context.Context, path string, size uint64) error {
-	if err := r.ensureReal(ctx, "truncate", path); err != nil {
-		return err
-	}
-	return pathErr("truncate", path, r.c.TruncateCtx(ctx, path, size))
-}
-
-// Delete implements FS, disclosing the file first so deleting — like
-// unlink — does not require a prior open in this session.
-func (r *remoteFS) Delete(ctx context.Context, path string) error {
-	if err := r.ensureReal(ctx, "delete", path); err != nil {
-		return err
-	}
-	if err := r.c.DeleteCtx(ctx, path); err != nil {
-		return pathErr("delete", path, err)
-	}
-	r.mu.Lock()
-	delete(r.disclosed, path)
-	r.mu.Unlock()
-	return nil
-}
-
-// Stat implements FS.
-func (r *remoteFS) Stat(ctx context.Context, path string) (FileInfo, error) {
-	return r.statAs(ctx, "stat", path)
-}
-
-// Disclose implements FS.
-func (r *remoteFS) Disclose(ctx context.Context, path string) (FileInfo, error) {
-	return r.statAs(ctx, "disclose", path)
-}
-
-func (r *remoteFS) statAs(ctx context.Context, op, path string) (FileInfo, error) {
-	// Disclose doubles as stat (it reports kind and size) and is
-	// idempotent server-side; sizes change, so no caching here.
-	dummy, size, err := r.c.DiscloseCtx(ctx, path)
-	if err != nil {
-		return FileInfo{}, pathErr(op, path, err)
-	}
-	r.mu.Lock()
-	r.disclosed[path] = dummy
-	r.mu.Unlock()
-	return FileInfo{Path: path, Size: size, Dummy: dummy}, nil
-}
-
-// List implements FS; the server lists the session's files sorted.
-func (r *remoteFS) List(ctx context.Context) ([]string, error) {
-	paths, err := r.c.FilesCtx(ctx)
-	if err != nil {
-		return nil, pathErr("list", "", err)
-	}
-	return paths, nil
-}
-
-// CreateDummy implements FS.
-func (r *remoteFS) CreateDummy(ctx context.Context, path string, blocks uint64) error {
-	if err := r.c.CreateDummyCtx(ctx, path, blocks); err != nil {
-		return pathErr("createdummy", path, err)
-	}
-	r.mu.Lock()
-	r.disclosed[path] = true
-	r.mu.Unlock()
-	return nil
-}
-
-// Close implements FS: logout (the server flushes and forgets the
-// session) and, for DialFS-owned connections, hangup.
-func (r *remoteFS) Close() error {
-	err := r.c.Logout()
-	if r.ownConn {
-		if cerr := r.c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return pathErr("close", "", err)
-}
-
-// remoteHandle is an open file of a remoteFS; the context captured at
-// open time governs its reads and writes.
-type remoteHandle struct {
-	fs   *remoteFS
-	ctx  context.Context
-	path string
-	save bool
-}
-
-// ReadAt implements io.ReaderAt.
-func (h *remoteHandle) ReadAt(p []byte, off int64) (int, error) {
-	if err := checkReadAt(h.path, off); err != nil {
-		return 0, err
-	}
-	n, err := h.fs.c.ReadCtx(h.ctx, h.path, p, uint64(off))
-	if err != nil {
-		return n, pathErr("read", h.path, err)
-	}
-	return n, eofIfShort(n, len(p))
-}
-
-// wireWriteChunk bounds each write frame, mirroring ReadFile's
-// bounded reads: a huge WriteAt becomes several pipelineable frames
-// instead of one frame that could exceed the negotiated limit (which
-// the mux would refuse, and a v1 peer would drop the connection
-// over).
+// wireWriteChunk bounds each write frame, mirroring ReadFile's bounded
+// reads: a huge WriteAt becomes several pipelineable frames instead of
+// one frame that could exceed the negotiated limit, which the mux
+// would refuse.
 const wireWriteChunk = 1 << 20
 
-// WriteAt implements io.WriterAt, chunked per wireWriteChunk.
-func (h *remoteHandle) WriteAt(p []byte, off int64) (int, error) {
-	if err := checkWriteAt(h.path, off); err != nil {
-		return 0, err
-	}
+func (b *remoteBackend) write(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
 	for written := 0; written < len(p); {
 		n := min(len(p)-written, wireWriteChunk)
-		if err := h.fs.c.WriteCtx(h.ctx, h.path, p[written:written+n], uint64(off)+uint64(written)); err != nil {
-			return written, pathErr("write", h.path, err)
+		if err := b.c.WriteCtx(ctx, path, p[written:written+n], off+uint64(written)); err != nil {
+			return written, err
 		}
 		written += n
 	}
 	return len(p), nil
 }
 
-// Close implements io.Closer; write handles save server-side.
-func (h *remoteHandle) Close() error {
-	if !h.save {
-		return nil
+func (b *remoteBackend) save(ctx context.Context, _ *openFile, path string) error {
+	return b.c.SaveCtx(ctx, path)
+}
+
+func (b *remoteBackend) truncate(ctx context.Context, _ *openFile, path string, size uint64) error {
+	return b.c.TruncateCtx(ctx, path, size)
+}
+
+func (b *remoteBackend) delete(ctx context.Context, _ *openFile, path string) error {
+	return b.c.DeleteCtx(ctx, path)
+}
+
+func (b *remoteBackend) list(ctx context.Context) ([]string, error) { return b.c.FilesCtx(ctx) }
+
+// close logs out (the server flushes and forgets the session) and, for
+// DialFS-owned connections, hangs up.
+func (b *remoteBackend) close(map[string]*openFile) error {
+	err := b.c.Logout()
+	if b.ownConn {
+		err = cmp.Or(err, b.c.Close())
 	}
-	return pathErr("close", h.path, h.fs.c.SaveCtx(h.ctx, h.path))
+	return err
 }

@@ -1,9 +1,8 @@
 // Package mempool is the repo-wide memory plane: size-class free
 // lists over sync.Pool for transient buffers (wire frame bodies,
-// sealed-block slabs), a bump arena for per-burst scheduler scratch,
-// and a leased-buffer discipline that turns ownership bugs
-// (double-return, use-after-return, cross-size return) into panics
-// instead of silent corruption.
+// sealed-block slabs) and a bump arena for per-burst scheduler
+// scratch. A cross-size return panics instead of silently handing a
+// short buffer to a later Get.
 //
 // Leakage note: pools are keyed by size class only. A buffer's history
 // (which request, which file, real or dummy) never influences which
@@ -38,7 +37,7 @@ const (
 // takes back; see SetPoison.
 var poison atomic.Int32
 
-// SetPoison makes Put (and so Recycle and Lease.Release) overwrite each
+// SetPoison makes Put (and so Recycle) overwrite each
 // buffer it takes back with b, and reports the previous setting; 0
 // turns it off. A test hook: a holder that still reads, or has handed
 // to someone else, a buffer it returned then meets poison every time,
@@ -135,57 +134,6 @@ func Recycle(b []byte) {
 	if pooled(b) {
 		Put(b)
 	}
-}
-
-// --- leases ------------------------------------------------------------
-
-// Lease states.
-const (
-	leaseLive     = int32(1)
-	leaseReleased = int32(2)
-)
-
-// Lease is a checked-ownership buffer: exactly one holder may use it,
-// and exactly once may return it. Bytes after Release and a second
-// Release both panic — under -race these are the bugs that would
-// otherwise surface as silent cross-request data corruption.
-//
-// The header itself is a fresh (small) allocation per lease — headers
-// are deliberately NOT recycled, because a reused header could be live
-// again as a different lease by the time a stale holder misuses it,
-// turning the panic the discipline promises into silent aliasing.
-type Lease struct {
-	buf   []byte
-	state atomic.Int32
-}
-
-// GetLease acquires a buffer of length n under the lease discipline.
-func GetLease(n int) *Lease {
-	l := &Lease{buf: Get(n)}
-	l.state.Store(leaseLive)
-	return l
-}
-
-// Bytes returns the leased buffer. It panics if the lease was already
-// released — a use-after-return.
-func (l *Lease) Bytes() []byte {
-	if l.state.Load() != leaseLive {
-		panic("mempool: use after lease release")
-	}
-	return l.buf
-}
-
-// Release returns the buffer to its pool and retires the lease. A
-// second Release panics — a double return would let two later holders
-// share one buffer.
-func (l *Lease) Release() {
-	if !l.state.CompareAndSwap(leaseLive, leaseReleased) {
-		panic("mempool: double lease release")
-	}
-	if pooled(l.buf) {
-		Put(l.buf)
-	}
-	l.buf = nil
 }
 
 // --- arena -------------------------------------------------------------

@@ -1,10 +1,6 @@
 package mempool
 
-import (
-	"bytes"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestClassGeometry(t *testing.T) {
 	cases := []struct{ n, class int }{
@@ -69,67 +65,6 @@ func TestPutCrossSizePanics(t *testing.T) {
 	}
 }
 
-func TestLeaseLifecycle(t *testing.T) {
-	l := GetLease(4096)
-	if len(l.Bytes()) != 4096 {
-		t.Fatalf("lease len %d", len(l.Bytes()))
-	}
-	copy(l.Bytes(), []byte("hello"))
-	if !bytes.Equal(l.Bytes()[:5], []byte("hello")) {
-		t.Fatalf("lease bytes lost")
-	}
-	l.Release()
-}
-
-func TestLeaseDoubleReleasePanics(t *testing.T) {
-	l := GetLease(64)
-	l.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("double release did not panic")
-		}
-	}()
-	l.Release()
-}
-
-func TestLeaseUseAfterReleasePanics(t *testing.T) {
-	l := GetLease(64)
-	l.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("use after release did not panic")
-		}
-	}()
-	_ = l.Bytes()
-}
-
-// TestLeaseConcurrentRelease races two releasers at one lease: exactly
-// one must win, the other must panic — under -race this also proves
-// the CAS discipline is data-race-free.
-func TestLeaseConcurrentRelease(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		l := GetLease(256)
-		var wg sync.WaitGroup
-		panics := make(chan struct{}, 2)
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if recover() != nil {
-						panics <- struct{}{}
-					}
-				}()
-				l.Release()
-			}()
-		}
-		wg.Wait()
-		if got := len(panics); got != 1 {
-			t.Fatalf("round %d: %d panics, want exactly 1", i, got)
-		}
-	}
-}
-
 func TestArenaReuse(t *testing.T) {
 	var a Arena
 	if got := a.Bytes(100); len(got) != 100 {
@@ -185,84 +120,12 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGetPutSteadyStateZeroAlloc pins the free-list fast path. The
-// lease variant tolerates the occasional pool miss after a GC.
+// TestGetPutSteadyStateZeroAlloc pins the free-list fast path; it
+// tolerates the occasional pool miss after a GC.
 func TestGetPutSteadyStateZeroAlloc(t *testing.T) {
 	Put(Get(4096))
 	allocs := testing.AllocsPerRun(100, func() { Put(Get(4096)) })
 	if allocs > 1 { // headroom: a GC between runs clears sync.Pool
 		t.Fatalf("steady-state Get/Put: %v allocs/op", allocs)
 	}
-}
-
-// FuzzLeaseLifecycle drives a random acquire/use/return interleaving
-// across a small set of lease slots and checks the discipline: live
-// leases always serve their full length, releases of live leases
-// succeed, and every operation on a retired lease panics (and is
-// caught here). Buffers are stamped per-slot so cross-lease aliasing
-// of two live leases is detected.
-func FuzzLeaseLifecycle(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0x81, 0x82, 3, 0x80})
-	f.Add([]byte{0x80, 0x81, 0, 0, 0x80})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		const slots = 4
-		live := [slots]*Lease{}
-		stamp := [slots]byte{}
-		expectPanic := func(fn func()) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("misuse did not panic")
-				}
-			}()
-			fn()
-		}
-		for i, op := range ops {
-			slot := int(op) % slots
-			switch {
-			case op < 0x40: // acquire (release first if held)
-				if live[slot] != nil {
-					live[slot].Release()
-				}
-				n := 64 + int(op)*37%2000
-				live[slot] = GetLease(n)
-				stamp[slot] = byte(i)
-				b := live[slot].Bytes()
-				if len(b) != n {
-					t.Fatalf("lease len %d want %d", len(b), n)
-				}
-				for j := range b {
-					b[j] = stamp[slot]
-				}
-			case op < 0x80: // use
-				if live[slot] == nil {
-					continue
-				}
-				b := live[slot].Bytes()
-				if b[0] != stamp[slot] || b[len(b)-1] != stamp[slot] {
-					t.Fatalf("lease %d contents clobbered while live", slot)
-				}
-			case op < 0xC0: // release
-				if live[slot] == nil {
-					continue
-				}
-				live[slot].Release()
-				retired := live[slot]
-				live[slot] = nil
-				expectPanic(func() { retired.Release() })
-			default: // use-after-release probe
-				if live[slot] == nil {
-					continue
-				}
-				l := live[slot]
-				l.Release()
-				live[slot] = nil
-				expectPanic(func() { _ = l.Bytes() })
-			}
-		}
-		for _, l := range live {
-			if l != nil {
-				l.Release()
-			}
-		}
-	})
 }

@@ -433,6 +433,50 @@ func TestC2SessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestC2SessionRetainedPastLogout holds a *Session past its logout:
+// it must read nothing the user disclosed and derive no key from the
+// erased master — and the device must see nothing on its behalf.
+func TestC2SessionRetainedPastLogout(t *testing.T) {
+	a, col := newC2(t, 2048)
+	s, err := a.LoginWithPassphrase("alice", "pw-alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateDummy("/cover", 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("/real"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write("/real", []byte("disclosed plaintext"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Logout("alice"); err != nil {
+		t.Fatal(err)
+	}
+	col.Reset()
+	if _, err := s.Read("/real", make([]byte, 8), 0); !errors.Is(err, ErrNotDisclosed) {
+		t.Fatalf("read after logout: want ErrNotDisclosed, got %v", err)
+	}
+	if _, err := s.Create("/new"); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("create after logout: want ErrUnknownUser, got %v", err)
+	}
+	if _, err := s.CreateDummy("/new-cover", 4); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("createdummy after logout: want ErrUnknownUser, got %v", err)
+	}
+	if _, err := s.Disclose("/real"); !errors.Is(err, ErrUnknownUser) {
+		t.Fatalf("disclose after logout: want ErrUnknownUser, got %v", err)
+	}
+	if files := s.Files(); len(files) != 0 {
+		t.Fatalf("files after logout: %v", files)
+	}
+	for _, e := range col.Events() {
+		if e.Op == blockdev.OpWrite {
+			t.Fatalf("the device saw a write of block %d after logout", e.Block)
+		}
+	}
+}
+
 func TestC2RequiresDummyDisclosure(t *testing.T) {
 	a, _ := newC2(t, 1024)
 	s, err := a.LoginWithPassphrase("bob", "pw")

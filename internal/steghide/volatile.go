@@ -487,6 +487,9 @@ type Session struct {
 	mu         sync.Mutex // serializes this session's file operations
 	files      map[string]*stegfs.File
 	dummyFiles map[string]*stegfs.File
+	// ended is set at logout (under the agent's structMu): the master
+	// key is gone, so nothing may derive a FAK from it any more.
+	ended bool
 }
 
 // Login opens a session for user; master is the stretched passphrase
@@ -559,7 +562,14 @@ func (a *VolatileAgent) LogoutCtx(ctx context.Context, user string) error {
 	a.mu.Lock()
 	delete(a.sessions, user)
 	a.mu.Unlock()
+	// A retained *Session must not outlive the logout: it reads nothing
+	// and derives no key.
+	s.mu.Lock()
+	clear(s.files)
+	clear(s.dummyFiles)
 	s.master = sealer.Key{} // best-effort erasure
+	s.ended = true
+	s.mu.Unlock()
 	return firstErr
 }
 
@@ -598,6 +608,9 @@ func (s *Session) Create(path string) (*stegfs.File, error) {
 	a := s.agent
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
+	if s.ended {
+		return nil, ErrUnknownUser
+	}
 	if _, dup := s.files[path]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrExists, path)
 	}
@@ -622,6 +635,9 @@ func (s *Session) CreateDummy(path string, nBlocks uint64) (*stegfs.File, error)
 	a := s.agent
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
+	if s.ended {
+		return nil, ErrUnknownUser
+	}
 	if _, dup := s.dummyFiles[path]; dup {
 		return nil, fmt.Errorf("%w: dummy %q", ErrExists, path)
 	}
@@ -650,6 +666,9 @@ func (s *Session) Disclose(path string) (*stegfs.File, error) {
 	a := s.agent
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
+	if s.ended {
+		return nil, ErrUnknownUser
+	}
 	if f, dup := s.files[path]; dup {
 		return f, nil
 	}
