@@ -271,13 +271,13 @@ func (h *handle) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // Close implements io.Closer; write handles issue what they staged and
-// save the file's block map.
+// save the file's block map, under the handle's context.
 func (h *handle) Close() error {
 	if !h.save {
 		return nil
 	}
-	if err := h.c.enter(context.Background(), "close", h.path); err != nil {
-		return err
+	if h.c.closed.Load() {
+		return &PathError{Op: "close", Path: h.path, Err: os.ErrClosed}
 	}
 	return pathErr("close", h.path, h.c.b.save(h.ctx, h.of, h.path))
 }

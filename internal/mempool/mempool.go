@@ -37,12 +37,12 @@ const (
 // takes back; see SetPoison.
 var poison atomic.Int32
 
-// SetPoison makes Put (and so Recycle) overwrite each
-// buffer it takes back with b, and reports the previous setting; 0
-// turns it off. A test hook: a holder that still reads, or has handed
-// to someone else, a buffer it returned then meets poison every time,
-// so a broken ownership rule fails a test on its own, without the race
-// detector having to catch the two accesses in the act.
+// SetPoison makes Put (and so Recycle) overwrite each buffer it takes
+// back with b, and reports the previous setting; 0 turns it off. A test
+// hook: a holder that still reads, or has handed to someone else, a
+// buffer it returned then meets poison every time, so a broken
+// ownership rule fails a test on its own, without the race detector
+// having to catch the two accesses in the act.
 func SetPoison(b byte) byte { return byte(poison.Swap(int32(b))) }
 
 // classes[i] holds buffers of exactly 1<<(minClassBits+i) capacity.
