@@ -10,23 +10,23 @@ import (
 // on bulk block movement — §4's relocation and dummy traffic, §5's
 // reshuffle (external merge sort) — so every device offers an optional
 // multi-block fast path: one lock acquisition on Mem, one positional
-// syscall on File, one round trip on wire.RemoteDevice, one
-// sequential-pass charge on Sim, one gate turn on Gated. Callers go
-// through the package-level helpers ReadBlocks/WriteBlocks (and the
-// scattered-index *At variants), which use the fast path when the
-// device provides one and fall back to a per-block loop otherwise.
+// syscall per run on File, one round trip on wire.RemoteDevice, one
+// sequential-pass charge on Sim. Callers go through the package-level
+// helpers ReadBlocks/WriteBlocks (and the scattered-index *At
+// variants), which use the fast path when the device provides one and
+// fall back to a per-block loop otherwise. Inside the package a batch
+// is one descriptor, and every device moves it in one method.
 //
-// Error semantics: helpers validate the whole batch up front (no I/O
-// on a malformed request). On sequential devices (Mem, File, Sub,
-// the loop fallback, FaultDevice) a device error mid-batch leaves a
-// well-defined prefix — every block before the failing one has been
-// transferred, none at or after it. Concurrent composites (Striped
-// over members with real I/O latency, and anything built on them) fan
-// sub-batches out in parallel, so a failed batch there may have
-// transferred an arbitrary subset; each member's own sub-batch is
-// still prefix-consistent. A Striped whose members are all
-// memory-speed runs its sub-batches inline (see fanOut), in member
-// order.
+// Error semantics: a batch is validated whole before any I/O. On
+// sequential devices (Mem, File, Sub, the loop fallback, and so
+// FaultDevice) a device error mid-batch leaves a well-defined prefix —
+// every block before the failing one has been transferred, none at or
+// after it. Concurrent composites (Striped over members with real I/O
+// latency, and anything built on them) fan sub-batches out in
+// parallel, so a failed batch there may have transferred an arbitrary
+// subset; each member's own sub-batch is still prefix-consistent. A
+// Striped whose members are all memory-speed moves its blocks inline,
+// in batch order.
 
 // BatchDevice is implemented by devices with a native multi-block
 // fast path. ReadBlocks/WriteBlocks move the contiguous block range
@@ -44,120 +44,108 @@ type BatchDevice interface {
 // ErrBatchShape reports index and buffer slices of different lengths.
 var ErrBatchShape = errors.New("blockdev: index count != buffer count")
 
-// checkBatch validates a contiguous batch against a device.
-func checkBatch(d Device, start uint64, bufs [][]byte) error {
-	n := uint64(len(bufs))
-	if n == 0 {
-		return nil
+// batch is one multi-block transfer: bufs[k] is block start+k of a
+// contiguous run, or block idx[k] of a scattered one (at set).
+type batch struct {
+	start uint64
+	idx   []uint64
+	at    bool
+	bufs  [][]byte
+}
+
+// block returns the address of bufs[k].
+func (b batch) block(k int) uint64 {
+	if b.at {
+		return b.idx[k]
 	}
-	if start+n > d.NumBlocks() || start+n < start {
-		return fmt.Errorf("%w: [%d,%d) beyond %d", ErrOutOfRange, start, start+n, d.NumBlocks())
+	return b.start + uint64(k)
+}
+
+func (b batch) empty() bool { return len(b.bufs) == 0 && len(b.idx) == 0 }
+
+// check validates the whole batch against d's geometry.
+func (b batch) check(d Device) error {
+	n := uint64(len(b.bufs))
+	switch {
+	case b.at && len(b.idx) != len(b.bufs):
+		return fmt.Errorf("%w: %d != %d", ErrBatchShape, len(b.idx), len(b.bufs))
+	case b.at:
+		for _, i := range b.idx {
+			if i >= d.NumBlocks() {
+				return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, d.NumBlocks())
+			}
+		}
+	case n > 0 && (b.start+n > d.NumBlocks() || b.start+n < b.start):
+		return fmt.Errorf("%w: [%d,%d) beyond %d", ErrOutOfRange, b.start, b.start+n, d.NumBlocks())
 	}
-	bs := d.BlockSize()
-	for _, b := range bufs {
-		if len(b) != bs {
-			return fmt.Errorf("%w: %d != %d", ErrBufSize, len(b), bs)
+	for _, buf := range b.bufs {
+		if len(buf) != d.BlockSize() {
+			return fmt.Errorf("%w: %d != %d", ErrBufSize, len(buf), d.BlockSize())
 		}
 	}
 	return nil
 }
 
-// checkBatchAt validates a scattered batch against a device.
-func checkBatchAt(d Device, idx []uint64, bufs [][]byte) error {
-	if len(idx) != len(bufs) {
-		return fmt.Errorf("%w: %d != %d", ErrBatchShape, len(idx), len(bufs))
+// transfer moves b through d's fast path when it has one, and through
+// a validated per-block loop otherwise.
+func transfer(d Device, b batch, write bool) error {
+	if b.empty() {
+		return nil
 	}
-	bs := d.BlockSize()
-	for i, b := range bufs {
-		if idx[i] >= d.NumBlocks() {
-			return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, idx[i], d.NumBlocks())
+	if bd, ok := d.(BatchDevice); ok {
+		switch {
+		case b.at && write:
+			return bd.WriteBlocksAt(b.idx, b.bufs)
+		case b.at:
+			return bd.ReadBlocksAt(b.idx, b.bufs)
+		case write:
+			return bd.WriteBlocks(b.start, b.bufs)
+		default:
+			return bd.ReadBlocks(b.start, b.bufs)
 		}
-		if len(b) != bs {
-			return fmt.Errorf("%w: %d != %d", ErrBufSize, len(b), bs)
+	}
+	if err := b.check(d); err != nil {
+		return err
+	}
+	for k, buf := range b.bufs {
+		if err := moveBlock(d, b.block(k), buf, write); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// moveBlock is one single-block transfer in the given direction.
+func moveBlock(d Device, i uint64, buf []byte, write bool) error {
+	if write {
+		return d.WriteBlock(i, buf)
+	}
+	return d.ReadBlock(i, buf)
 }
 
 // ReadBlocks fills bufs with the contiguous blocks [start,
 // start+len(bufs)), using the device's native fast path when it has
 // one and a per-block loop otherwise.
 func ReadBlocks(d Device, start uint64, bufs [][]byte) error {
-	if len(bufs) == 0 {
-		return nil
-	}
-	if bd, ok := d.(BatchDevice); ok {
-		return bd.ReadBlocks(start, bufs)
-	}
-	if err := checkBatch(d, start, bufs); err != nil {
-		return err
-	}
-	for i, b := range bufs {
-		if err := d.ReadBlock(start+uint64(i), b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return transfer(d, batch{start: start, bufs: bufs}, false)
 }
 
 // WriteBlocks stores data as the contiguous blocks [start,
 // start+len(data)); fast path when available, loop otherwise.
 func WriteBlocks(d Device, start uint64, data [][]byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	if bd, ok := d.(BatchDevice); ok {
-		return bd.WriteBlocks(start, data)
-	}
-	if err := checkBatch(d, start, data); err != nil {
-		return err
-	}
-	for i, b := range data {
-		if err := d.WriteBlock(start+uint64(i), b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return transfer(d, batch{start: start, bufs: data}, true)
 }
 
 // ReadBlocksAt fills bufs[i] with block idx[i] for every i; fast path
 // when available, loop otherwise.
 func ReadBlocksAt(d Device, idx []uint64, bufs [][]byte) error {
-	if len(idx) == 0 && len(bufs) == 0 {
-		return nil
-	}
-	if bd, ok := d.(BatchDevice); ok {
-		return bd.ReadBlocksAt(idx, bufs)
-	}
-	if err := checkBatchAt(d, idx, bufs); err != nil {
-		return err
-	}
-	for i, b := range bufs {
-		if err := d.ReadBlock(idx[i], b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return transfer(d, batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
 // WriteBlocksAt stores data[i] as block idx[i] for every i; fast path
 // when available, loop otherwise.
 func WriteBlocksAt(d Device, idx []uint64, data [][]byte) error {
-	if len(idx) == 0 && len(data) == 0 {
-		return nil
-	}
-	if bd, ok := d.(BatchDevice); ok {
-		return bd.WriteBlocksAt(idx, data)
-	}
-	if err := checkBatchAt(d, idx, data); err != nil {
-		return err
-	}
-	for i, b := range data {
-		if err := d.WriteBlock(idx[i], b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return transfer(d, batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // AllocBlocks returns n block buffers carved out of one allocation —
@@ -174,75 +162,47 @@ func AllocBlocks(n, blockSize int) [][]byte {
 
 // --- Mem ----------------------------------------------------------------
 
-// ReadBlocks implements BatchDevice: one slab scan, one lock
-// acquisition per stripe the run crosses.
-func (m *Mem) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := checkBatch(m, start, bufs); err != nil {
+// batch moves b in one slab scan, taking one lock per stripe it
+// crosses.
+func (m *Mem) batch(b batch, write bool) error {
+	if err := b.check(m); err != nil {
 		return err
 	}
 	bs := uint64(m.blockSize)
 	var held *memStripe
-	for k, b := range bufs {
-		i := start + uint64(k)
+	for k, buf := range b.bufs {
+		i := b.block(k)
 		held = m.hold(held, i)
-		copy(b, m.slab[i*bs:(i+1)*bs])
+		if write {
+			copy(m.slab[i*bs:(i+1)*bs], buf)
+		} else {
+			copy(buf, m.slab[i*bs:(i+1)*bs])
+		}
 	}
 	if held != nil {
 		held.Unlock()
 	}
 	return nil
+}
+
+// ReadBlocks implements BatchDevice.
+func (m *Mem) ReadBlocks(start uint64, bufs [][]byte) error {
+	return m.batch(batch{start: start, bufs: bufs}, false)
 }
 
 // WriteBlocks implements BatchDevice.
 func (m *Mem) WriteBlocks(start uint64, data [][]byte) error {
-	if err := checkBatch(m, start, data); err != nil {
-		return err
-	}
-	bs := uint64(m.blockSize)
-	var held *memStripe
-	for k, b := range data {
-		i := start + uint64(k)
-		held = m.hold(held, i)
-		copy(m.slab[i*bs:(i+1)*bs], b)
-	}
-	if held != nil {
-		held.Unlock()
-	}
-	return nil
+	return m.batch(batch{start: start, bufs: data}, true)
 }
 
 // ReadBlocksAt implements BatchDevice.
 func (m *Mem) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := checkBatchAt(m, idx, bufs); err != nil {
-		return err
-	}
-	bs := uint64(m.blockSize)
-	var held *memStripe
-	for k, b := range bufs {
-		held = m.hold(held, idx[k])
-		copy(b, m.slab[idx[k]*bs:(idx[k]+1)*bs])
-	}
-	if held != nil {
-		held.Unlock()
-	}
-	return nil
+	return m.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
 // WriteBlocksAt implements BatchDevice.
 func (m *Mem) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := checkBatchAt(m, idx, data); err != nil {
-		return err
-	}
-	bs := uint64(m.blockSize)
-	var held *memStripe
-	for k, b := range data {
-		held = m.hold(held, idx[k])
-		copy(m.slab[idx[k]*bs:(idx[k]+1)*bs], b)
-	}
-	if held != nil {
-		held.Unlock()
-	}
-	return nil
+	return m.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // --- File ---------------------------------------------------------------
@@ -264,445 +224,261 @@ func (d *File) releaseSlab(b []byte) {
 	d.scratch.Put(&b)
 }
 
-// ReadBlocks implements BatchDevice: one contiguous pread instead of
-// len(bufs) syscalls.
-func (d *File) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := checkBatch(d, start, bufs); err != nil {
+// batch coalesces b into runs of consecutive blocks and moves each run
+// with one positional syscall; a contiguous batch is one run.
+func (d *File) batch(b batch, write bool) error {
+	if err := b.check(d); err != nil {
 		return err
 	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	n := len(bufs) * d.blockSize
-	slab := d.slab(n)
-	if _, err := d.f.ReadAt(slab, int64(start)*int64(d.blockSize)); err != nil {
+	bs := d.blockSize
+	for lo := 0; lo < len(b.bufs); {
+		first, hi := b.block(lo), lo+1
+		for hi < len(b.bufs) && b.block(hi) == first+uint64(hi-lo) {
+			hi++
+		}
+		run := b.bufs[lo:hi]
+		slab := d.slab(len(run) * bs)
+		off := int64(first) * int64(bs)
+		var err error
+		if write {
+			for k, buf := range run {
+				copy(slab[k*bs:], buf)
+			}
+			_, err = d.f.WriteAt(slab, off)
+		} else if _, err = d.f.ReadAt(slab, off); err == nil {
+			for k, buf := range run {
+				copy(buf, slab[k*bs:])
+			}
+		}
 		d.releaseSlab(slab)
-		return fmt.Errorf("blockdev: read blocks [%d,%d): %w", start, start+uint64(len(bufs)), err)
+		if err != nil {
+			return fmt.Errorf("blockdev: %s blocks [%d,%d): %w", opOf(write), first, first+uint64(len(run)), err)
+		}
+		lo = hi
 	}
-	for i, b := range bufs {
-		copy(b, slab[i*d.blockSize:])
-	}
-	d.releaseSlab(slab)
 	return nil
 }
 
-// WriteBlocks implements BatchDevice: one contiguous pwrite.
+// ReadBlocks implements BatchDevice.
+func (d *File) ReadBlocks(start uint64, bufs [][]byte) error {
+	return d.batch(batch{start: start, bufs: bufs}, false)
+}
+
+// WriteBlocks implements BatchDevice.
 func (d *File) WriteBlocks(start uint64, data [][]byte) error {
-	if err := checkBatch(d, start, data); err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	slab := d.slab(len(data) * d.blockSize)
-	for i, b := range data {
-		copy(slab[i*d.blockSize:], b)
-	}
-	_, err := d.f.WriteAt(slab, int64(start)*int64(d.blockSize))
-	d.releaseSlab(slab)
-	if err != nil {
-		return fmt.Errorf("blockdev: write blocks [%d,%d): %w", start, start+uint64(len(data)), err)
-	}
-	return nil
+	return d.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice, coalescing ascending runs of
-// consecutive indices into contiguous preads.
+// ReadBlocksAt implements BatchDevice.
 func (d *File) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := checkBatchAt(d, idx, bufs); err != nil {
-		return err
-	}
-	for lo := 0; lo < len(idx); {
-		hi := lo + 1
-		for hi < len(idx) && idx[hi] == idx[hi-1]+1 {
-			hi++
-		}
-		if err := d.ReadBlocks(idx[lo], bufs[lo:hi]); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
+	return d.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
-// WriteBlocksAt implements BatchDevice, coalescing runs like
-// ReadBlocksAt.
+// WriteBlocksAt implements BatchDevice.
 func (d *File) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := checkBatchAt(d, idx, data); err != nil {
-		return err
-	}
-	for lo := 0; lo < len(idx); {
-		hi := lo + 1
-		for hi < len(idx) && idx[hi] == idx[hi-1]+1 {
-			hi++
-		}
-		if err := d.WriteBlocks(idx[lo], data[lo:hi]); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
+	return d.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // --- SubDevice ----------------------------------------------------------
 
-// ReadBlocks implements BatchDevice by translating into the parent's
-// address space; the parent's fast path (if any) does the work.
-func (s *SubDevice) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := checkBatch(s, start, bufs); err != nil {
+// batch translates b into the parent's address space; the parent's
+// fast path (if any) does the work.
+func (s *SubDevice) batch(b batch, write bool) error {
+	if err := b.check(s); err != nil {
 		return err
 	}
-	return ReadBlocks(s.parent, s.start+start, bufs)
+	if b.at {
+		abs := make([]uint64, len(b.idx))
+		for k, i := range b.idx {
+			abs[k] = s.start + i
+		}
+		b.idx = abs
+	} else {
+		b.start += s.start
+	}
+	return transfer(s.parent, b, write)
+}
+
+// ReadBlocks implements BatchDevice.
+func (s *SubDevice) ReadBlocks(start uint64, bufs [][]byte) error {
+	return s.batch(batch{start: start, bufs: bufs}, false)
 }
 
 // WriteBlocks implements BatchDevice.
 func (s *SubDevice) WriteBlocks(start uint64, data [][]byte) error {
-	if err := checkBatch(s, start, data); err != nil {
-		return err
-	}
-	return WriteBlocks(s.parent, s.start+start, data)
-}
-
-// translate maps sub-relative indices to parent indices.
-func (s *SubDevice) translate(idx []uint64) ([]uint64, error) {
-	out := make([]uint64, len(idx))
-	for i, x := range idx {
-		if x >= s.count {
-			return nil, fmt.Errorf("%w: %d >= %d", ErrOutOfRange, x, s.count)
-		}
-		out[i] = s.start + x
-	}
-	return out, nil
+	return s.batch(batch{start: start, bufs: data}, true)
 }
 
 // ReadBlocksAt implements BatchDevice.
 func (s *SubDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := checkBatchAt(s, idx, bufs); err != nil {
-		return err
-	}
-	abs, err := s.translate(idx)
-	if err != nil {
-		return err
-	}
-	return ReadBlocksAt(s.parent, abs, bufs)
+	return s.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
 // WriteBlocksAt implements BatchDevice.
 func (s *SubDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := checkBatchAt(s, idx, data); err != nil {
-		return err
-	}
-	abs, err := s.translate(idx)
-	if err != nil {
-		return err
-	}
-	return WriteBlocksAt(s.parent, abs, data)
+	return s.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // --- Striped ------------------------------------------------------------
 
-// memberBatch is one member's share of a striped batch.
-type memberBatch struct {
-	member int
-	start  uint64   // local start (contiguous batches)
-	idx    []uint64 // local indices (scattered batches)
-	bufs   [][]byte
-}
-
-// splitContiguous partitions the volume range [start, start+n) into
-// per-member sub-batches. Block start+j lives on member (start+j) mod
-// k; the local indices each member receives are themselves contiguous,
-// so every sub-batch can use the member's contiguous fast path.
-func (s *Striped) splitContiguous(start uint64, bufs [][]byte) []memberBatch {
-	k := uint64(len(s.members))
-	n := uint64(len(bufs))
-	var parts []memberBatch
-	for m := uint64(0); m < k; m++ {
-		firstJ := (m + k - start%k) % k
-		if firstJ >= n {
-			continue
+// split partitions b by owning member: parts[m] is member m's share at
+// its local indices, in batch order. Block start+j of a contiguous run
+// lives on member (start+j) mod k, so each member's share of a run is
+// itself a run and keeps the member's contiguous fast path.
+func (s *Striped) split(b batch) []batch {
+	parts := make([]batch, len(s.members))
+	for k, buf := range b.bufs {
+		m, local := s.Locate(b.block(k))
+		p := &parts[m]
+		if len(p.bufs) == 0 {
+			p.start, p.at = local, b.at
 		}
-		count := (n - firstJ + k - 1) / k
-		mb := memberBatch{
-			member: int(m),
-			start:  (start + firstJ) / k,
-			bufs:   make([][]byte, 0, count),
+		if b.at {
+			p.idx = append(p.idx, local)
 		}
-		for j := firstJ; j < n; j += k {
-			mb.bufs = append(mb.bufs, bufs[j])
-		}
-		parts = append(parts, mb)
+		p.bufs = append(p.bufs, buf)
 	}
 	return parts
 }
 
-// splitScattered groups a scattered batch by owning member.
-func (s *Striped) splitScattered(idx []uint64, bufs [][]byte) []memberBatch {
-	parts := make([]*memberBatch, len(s.members))
-	var order []*memberBatch
-	for i, x := range idx {
-		m, local := s.Locate(x)
-		if parts[m] == nil {
-			parts[m] = &memberBatch{member: m}
-			order = append(order, parts[m])
+// batch moves b across the members. All-memory stripes move blocks
+// inline, since split allocation and goroutine fan-out both cost more
+// than memcpy-speed I/O; otherwise each member's share runs
+// concurrently, inline when one member holds the whole batch.
+func (s *Striped) batch(b batch, write bool) error {
+	if err := b.check(s); err != nil {
+		return err
+	}
+	if s.allFast {
+		for k, buf := range b.bufs {
+			m, local := s.Locate(b.block(k))
+			if err := moveBlock(s.members[m], local, buf, write); err != nil {
+				return err
+			}
 		}
-		parts[m].idx = append(parts[m].idx, local)
-		parts[m].bufs = append(parts[m].bufs, bufs[i])
+		return nil
 	}
-	out := make([]memberBatch, len(order))
-	for i, p := range order {
-		out[i] = *p
-	}
-	return out
-}
-
-// fanOut runs one function per member sub-batch, concurrently when
-// several members are involved, and returns the first error. Callers
-// have already routed all-memory stripes to the direct per-block
-// path, so every batch arriving here has real I/O latency to hide.
-func (s *Striped) fanOut(parts []memberBatch, f func(memberBatch) error) error {
-	if len(parts) == 1 {
-		return f(parts[0])
-	}
-	var wg sync.WaitGroup
+	parts := s.split(b)
 	errs := make([]error, len(parts))
-	for i, p := range parts {
+	var wg sync.WaitGroup
+	for m, p := range parts {
+		switch len(p.bufs) {
+		case 0:
+			continue
+		case len(b.bufs):
+			return transfer(s.members[m], p, write)
+		}
 		wg.Add(1)
-		go func(i int, p memberBatch) {
+		go func() {
 			defer wg.Done()
-			errs[i] = f(p)
-		}(i, p)
+			errs[m] = transfer(s.members[m], p, write)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// directContiguous moves a contiguous batch block by block without
-// building the per-member split — the cheap-member fast path, where
-// split allocation and goroutine fan-out both cost more than the
-// members' memcpy-speed I/O.
-func (s *Striped) directContiguous(start uint64, bufs [][]byte, write bool) error {
-	k := uint64(len(s.members))
-	for j := range bufs {
-		i := start + uint64(j)
-		m, local := int(i%k), i/k
-		var err error
-		if write {
-			err = s.members[m].WriteBlock(local, bufs[j])
-		} else {
-			err = s.members[m].ReadBlock(local, bufs[j])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// directScattered is directContiguous for an arbitrary index set.
-func (s *Striped) directScattered(idx []uint64, bufs [][]byte, write bool) error {
-	k := uint64(len(s.members))
-	for j, i := range idx {
-		m, local := int(i%k), i/k
-		var err error
-		if write {
-			err = s.members[m].WriteBlock(local, bufs[j])
-		} else {
-			err = s.members[m].ReadBlock(local, bufs[j])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadBlocks implements BatchDevice: the batch fans out to the
-// members concurrently, each receiving one contiguous sub-batch;
-// all-memory stripes skip the split and move blocks inline.
+// ReadBlocks implements BatchDevice.
 func (s *Striped) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := checkBatch(s, start, bufs); err != nil {
-		return err
-	}
-	if s.allFast {
-		return s.directContiguous(start, bufs, false)
-	}
-	return s.fanOut(s.splitContiguous(start, bufs), func(mb memberBatch) error {
-		return ReadBlocks(s.members[mb.member], mb.start, mb.bufs)
-	})
+	return s.batch(batch{start: start, bufs: bufs}, false)
 }
 
 // WriteBlocks implements BatchDevice.
 func (s *Striped) WriteBlocks(start uint64, data [][]byte) error {
-	if err := checkBatch(s, start, data); err != nil {
-		return err
-	}
-	if s.allFast {
-		return s.directContiguous(start, data, true)
-	}
-	return s.fanOut(s.splitContiguous(start, data), func(mb memberBatch) error {
-		return WriteBlocks(s.members[mb.member], mb.start, mb.bufs)
-	})
+	return s.batch(batch{start: start, bufs: data}, true)
 }
 
 // ReadBlocksAt implements BatchDevice.
 func (s *Striped) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := checkBatchAt(s, idx, bufs); err != nil {
-		return err
-	}
-	if len(idx) == 0 {
-		return nil
-	}
-	if s.allFast {
-		return s.directScattered(idx, bufs, false)
-	}
-	return s.fanOut(s.splitScattered(idx, bufs), func(mb memberBatch) error {
-		return ReadBlocksAt(s.members[mb.member], mb.idx, mb.bufs)
-	})
+	return s.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
 // WriteBlocksAt implements BatchDevice.
 func (s *Striped) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := checkBatchAt(s, idx, data); err != nil {
-		return err
-	}
-	if len(idx) == 0 {
-		return nil
-	}
-	if s.allFast {
-		return s.directScattered(idx, data, true)
-	}
-	return s.fanOut(s.splitScattered(idx, data), func(mb memberBatch) error {
-		return WriteBlocksAt(s.members[mb.member], mb.idx, mb.bufs)
-	})
+	return s.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // --- Traced -------------------------------------------------------------
 
-// Batched trace events are recorded only when the inner batch
-// succeeds as a whole: a batch failing at block k transferred a
-// k-block prefix (on sequential devices) that the trace does not
-// show. Analyzers only consume traces from healthy runs, where the
-// recorded stream is exactly the per-block loop's.
-
-// ReadBlocks implements BatchDevice: the inner device's fast path
-// runs, then a single ranged event is recorded.
-func (t *Traced) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := ReadBlocks(t.Device, start, bufs); err != nil {
+// batch runs the inner device's fast path, then records what moved: a
+// contiguous batch as one ranged event, a scattered one as one event
+// per block in batch order — exactly the stream a looping caller would
+// have produced, since scattered accesses have no compact range form.
+// Events are recorded only when the inner batch succeeds as a whole: a
+// batch failing at block k transferred a k-block prefix (on sequential
+// devices) that the trace does not show. Analyzers only consume traces
+// from healthy runs, where the recorded stream is exactly the
+// per-block loop's.
+func (t *Traced) batch(b batch, write bool) error {
+	if err := transfer(t.Device, b, write); err != nil {
 		return err
 	}
-	if len(bufs) > 0 {
-		t.tracer.Record(Event{Seq: t.seq.Add(1), Op: OpRead, Block: start, Count: uint64(len(bufs))})
+	switch {
+	case b.at:
+		for _, i := range b.idx {
+			t.record(opOf(write), i, 0)
+		}
+	case !b.empty():
+		t.record(opOf(write), b.start, uint64(len(b.bufs)))
 	}
 	return nil
+}
+
+// ReadBlocks implements BatchDevice.
+func (t *Traced) ReadBlocks(start uint64, bufs [][]byte) error {
+	return t.batch(batch{start: start, bufs: bufs}, false)
 }
 
 // WriteBlocks implements BatchDevice.
 func (t *Traced) WriteBlocks(start uint64, data [][]byte) error {
-	if err := WriteBlocks(t.Device, start, data); err != nil {
-		return err
-	}
-	if len(data) > 0 {
-		t.tracer.Record(Event{Seq: t.seq.Add(1), Op: OpWrite, Block: start, Count: uint64(len(data))})
-	}
-	return nil
+	return t.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice. Scattered accesses have no
-// compact range form, so one event per block is recorded, in batch
-// order — exactly the stream a looping caller would have produced.
+// ReadBlocksAt implements BatchDevice.
 func (t *Traced) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := ReadBlocksAt(t.Device, idx, bufs); err != nil {
-		return err
-	}
-	for _, i := range idx {
-		t.tracer.Record(Event{Seq: t.seq.Add(1), Op: OpRead, Block: i})
-	}
-	return nil
+	return t.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
 // WriteBlocksAt implements BatchDevice.
 func (t *Traced) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := WriteBlocksAt(t.Device, idx, data); err != nil {
-		return err
-	}
-	for _, i := range idx {
-		t.tracer.Record(Event{Seq: t.seq.Add(1), Op: OpWrite, Block: i})
-	}
-	return nil
+	return t.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // --- Sim ----------------------------------------------------------------
 
-// ReadBlocks implements BatchDevice, charging the disk model a single
-// sequential pass (one seek, len(bufs) transfers).
-func (s *Sim) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := ReadBlocks(s.Device, start, bufs); err != nil {
+// batch charges the disk model one sequential pass (one seek, n
+// transfers) for a contiguous batch, and a scattered one block by
+// block in batch order: the head really must visit every index.
+func (s *Sim) batch(b batch, write bool) error {
+	if err := transfer(s.Device, b, write); err != nil {
 		return err
 	}
-	s.disk.AccessRange(start, len(bufs), false)
+	if !b.at {
+		s.disk.AccessRange(b.start, len(b.bufs), write)
+		return nil
+	}
+	for _, i := range b.idx {
+		s.disk.Access(i, write)
+	}
 	return nil
+}
+
+// ReadBlocks implements BatchDevice.
+func (s *Sim) ReadBlocks(start uint64, bufs [][]byte) error {
+	return s.batch(batch{start: start, bufs: bufs}, false)
 }
 
 // WriteBlocks implements BatchDevice.
 func (s *Sim) WriteBlocks(start uint64, data [][]byte) error {
-	if err := WriteBlocks(s.Device, start, data); err != nil {
-		return err
-	}
-	s.disk.AccessRange(start, len(data), true)
-	return nil
+	return s.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice; scattered batches are charged
-// block by block (the head really must visit every index).
+// ReadBlocksAt implements BatchDevice.
 func (s *Sim) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := ReadBlocksAt(s.Device, idx, bufs); err != nil {
-		return err
-	}
-	for _, i := range idx {
-		s.disk.Access(i, false)
-	}
-	return nil
+	return s.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
 // WriteBlocksAt implements BatchDevice.
 func (s *Sim) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := WriteBlocksAt(s.Device, idx, data); err != nil {
-		return err
-	}
-	for _, i := range idx {
-		s.disk.Access(i, true)
-	}
-	return nil
-}
-
-// --- Gated --------------------------------------------------------------
-
-// ReadBlocks implements BatchDevice: the whole batch is one turn of
-// the gate, so batches stay atomic under deterministic interleaving.
-func (g *Gated) ReadBlocks(start uint64, bufs [][]byte) error {
-	var err error
-	g.gate.Do(g.id, func() { err = ReadBlocks(g.Device, start, bufs) })
-	return err
-}
-
-// WriteBlocks implements BatchDevice.
-func (g *Gated) WriteBlocks(start uint64, data [][]byte) error {
-	var err error
-	g.gate.Do(g.id, func() { err = WriteBlocks(g.Device, start, data) })
-	return err
-}
-
-// ReadBlocksAt implements BatchDevice.
-func (g *Gated) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	var err error
-	g.gate.Do(g.id, func() { err = ReadBlocksAt(g.Device, idx, bufs) })
-	return err
-}
-
-// WriteBlocksAt implements BatchDevice.
-func (g *Gated) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	var err error
-	g.gate.Do(g.id, func() { err = WriteBlocksAt(g.Device, idx, data) })
-	return err
+	return s.batch(batch{idx: idx, at: true, bufs: data}, true)
 }

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,34 +79,147 @@ func TestBatchHelpersMatchLoop(t *testing.T) {
 	}
 }
 
-// TestBatchValidation exercises the up-front argument checks: nothing
-// may be transferred on a malformed batch.
-func TestBatchValidation(t *testing.T) {
-	m := NewMem(64, 8)
-	good := AllocBlocks(4, 64)
+// batchDevices builds one instance of every device type in the package
+// over the same geometry (nb blocks of bs bytes), plus loopOnly for the
+// helpers' per-block fallback.
+func batchDevices(t *testing.T, bs int, nb uint64) map[string]Device {
+	t.Helper()
+	dir := t.TempDir()
+	file := func(name string, n uint64) *File {
+		f, err := CreateFile(filepath.Join(dir, name), bs, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	sub, err := NewSub(NewMem(bs, nb+7), 5, nb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripedMem, err := NewStriped(NewMem(bs, nb/3), NewMem(bs, nb/3), NewMem(bs, nb/3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripedFile, err := NewStriped(file("m0", nb/3), file("m1", nb/3), file("m2", nb/3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Device{
+		"Mem":          NewMem(bs, nb),
+		"File":         file("vol", nb),
+		"SubDevice":    sub,
+		"Striped/Mem":  stripedMem,
+		"Striped/File": stripedFile,
+		"Traced":       NewTraced(NewMem(bs, nb), &Collector{}),
+		"Sim":          NewSim(NewMem(bs, nb), diskmodel.MustNew(diskmodel.Params2004(nb, bs))),
+		"FaultDevice":  NewFault(NewMem(bs, nb)),
+		"loopOnly":     loopOnly{NewMem(bs, nb)},
+	}
+}
 
-	if err := WriteBlocks(m, 6, good); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("overrun batch: %v", err)
+// readAll returns the device's contents through its per-block path.
+func readAll(t *testing.T, d Device) []byte {
+	t.Helper()
+	bs := d.BlockSize()
+	out := make([]byte, int(d.NumBlocks())*bs)
+	for i := uint64(0); i < d.NumBlocks(); i++ {
+		if err := d.ReadBlock(i, out[int(i)*bs:int(i+1)*bs]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ReadBlocks(m, 6, good); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("overrun read batch: %v", err)
-	}
-	bad := [][]byte{make([]byte, 64), make([]byte, 63)}
-	if err := WriteBlocks(m, 0, bad); !errors.Is(err, ErrBufSize) {
-		t.Fatalf("short buffer: %v", err)
-	}
-	if err := ReadBlocksAt(m, []uint64{1, 2}, good[:1]); !errors.Is(err, ErrBatchShape) {
-		t.Fatalf("shape mismatch: %v", err)
-	}
-	if err := WriteBlocksAt(m, []uint64{1, 9}, good[:2]); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("scattered overrun: %v", err)
-	}
-	// Empty batches are no-ops.
-	if err := ReadBlocks(m, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBlocksAt(m, nil, nil); err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// TestBatchValidation holds the batch contract on every device: a
+// malformed batch returns its sentinel with nothing transferred, an
+// empty batch is a no-op, and well-formed batches match a per-block
+// loop.
+func TestBatchValidation(t *testing.T) {
+	const bs, nb = 512, 24
+	for name, d := range batchDevices(t, bs, nb) {
+		t.Run(name, func(t *testing.T) {
+			data := AllocBlocks(4, bs)
+			fillPattern(data, 1)
+			if err := WriteBlocks(d, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			before := readAll(t, d)
+			short := [][]byte{make([]byte, bs), make([]byte, bs-1)}
+			for _, c := range []struct {
+				what string
+				err  error
+				want error
+			}{
+				{"contiguous overrun", WriteBlocks(d, nb-2, data), ErrOutOfRange},
+				{"contiguous overrun read", ReadBlocks(d, nb-2, data), ErrOutOfRange},
+				{"start overflow", WriteBlocks(d, math.MaxUint64, data[:2]), ErrOutOfRange},
+				{"scattered out of range", WriteBlocksAt(d, []uint64{1, nb, 2}, data[:3]), ErrOutOfRange},
+				{"scattered out of range read", ReadBlocksAt(d, []uint64{3, 2, nb + 9}, data[:3]), ErrOutOfRange},
+				{"short buffer", WriteBlocks(d, 0, short), ErrBufSize},
+				{"short buffer scattered", WriteBlocksAt(d, []uint64{6, 7}, short), ErrBufSize},
+				{"nil index set", ReadBlocksAt(d, nil, data), ErrBatchShape},
+				{"shape mismatch", WriteBlocksAt(d, []uint64{1, 2}, data[:1]), ErrBatchShape},
+				{"empty contiguous", ReadBlocks(d, 0, nil), nil},
+				{"empty contiguous write", WriteBlocks(d, nb+100, nil), nil},
+				{"empty scattered", ReadBlocksAt(d, nil, nil), nil},
+				{"empty scattered write", WriteBlocksAt(d, []uint64{}, [][]byte{}), nil},
+			} {
+				if !errors.Is(c.err, c.want) || (c.want == nil) != (c.err == nil) {
+					t.Errorf("%s: got %v, want %v", c.what, c.err, c.want)
+				}
+			}
+			if !bytes.Equal(readAll(t, d), before) {
+				t.Fatal("a refused or empty batch changed the device")
+			}
+
+			// Well-formed batches against a per-block loop on a reference.
+			ref := NewMem(bs, nb)
+			if err := WriteBlocks(ref, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			run := AllocBlocks(9, bs)
+			fillPattern(run, 40)
+			idx := []uint64{20, 3, 11, 12, 0, 23}
+			scattered := AllocBlocks(len(idx), bs)
+			fillPattern(scattered, 90)
+			if err := WriteBlocks(d, 7, run); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteBlocksAt(d, idx, scattered); err != nil {
+				t.Fatal(err)
+			}
+			for k, b := range run {
+				ref.WriteBlock(7+uint64(k), b) //nolint:errcheck // in range
+			}
+			for k, b := range scattered {
+				ref.WriteBlock(idx[k], b) //nolint:errcheck // in range
+			}
+			if !bytes.Equal(readAll(t, d), ref.Snapshot()) {
+				t.Fatal("batched writes diverge from the per-block loop")
+			}
+			got := AllocBlocks(9, bs)
+			if err := ReadBlocks(d, 7, got); err != nil {
+				t.Fatal(err)
+			}
+			gotAt := AllocBlocks(len(idx), bs)
+			if err := ReadBlocksAt(d, idx, gotAt); err != nil {
+				t.Fatal(err)
+			}
+			one := make([]byte, bs)
+			for k, b := range got {
+				ref.ReadBlock(7+uint64(k), one) //nolint:errcheck // in range
+				if !bytes.Equal(b, one) {
+					t.Fatalf("contiguous read %d diverges", k)
+				}
+			}
+			for k, b := range gotAt {
+				ref.ReadBlock(idx[k], one) //nolint:errcheck // in range
+				if !bytes.Equal(b, one) {
+					t.Fatalf("scattered read %d (block %d) diverges", k, idx[k])
+				}
+			}
+		})
 	}
 }
 
@@ -380,5 +494,20 @@ func TestSimBatchChargesOneSeek(t *testing.T) {
 	wantTransfer := 64 * disk.Params().TransferTime()
 	if st.TransferTime != wantTransfer {
 		t.Fatalf("transfer time %v, want %v", st.TransferTime, wantTransfer)
+	}
+
+	// A scattered batch is n accesses, charged in index order: the
+	// same clock and stats as single accesses in that order.
+	idx := []uint64{900, 10, 511, 512, 100}
+	ref := diskmodel.MustNew(diskmodel.Params2004(n, bs))
+	ref.AccessRange(512, 64, false)
+	for _, i := range idx {
+		ref.Access(i, true)
+	}
+	if err := WriteBlocksAt(s, idx, bufs[:len(idx)]); err != nil {
+		t.Fatal(err)
+	}
+	if disk.Now() != ref.Now() || disk.Stats() != ref.Stats() {
+		t.Fatalf("scattered batch charged %v %+v, want %v %+v", disk.Now(), disk.Stats(), ref.Now(), ref.Stats())
 	}
 }

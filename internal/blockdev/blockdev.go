@@ -6,13 +6,18 @@
 //
 //   - Mem: an in-memory volume, the workhorse for tests and simulation.
 //   - File: a file-backed volume using positional I/O.
+//   - SubDevice: a window of another device, how one volume is
+//     partitioned.
+//   - Striped: several devices as one volume, blocks round-robin.
 //   - Sim: wraps any device and charges simulated 2004-era disk time
 //     on a virtual clock (see internal/diskmodel).
 //   - Traced: wraps any device and publishes every access to a Tracer —
 //     this is the attacker's observation point for traffic analysis, and
 //     the probe used by the experiment harness for I/O accounting.
-//   - Gated: wraps any device so a TurnGate serializes concurrent
-//     workers' I/Os deterministically.
+//   - FaultDevice: wraps any device and fails or power-cuts it on
+//     demand, for failure injection.
+//
+// Multi-block transfers go through the batch plane (batch.go).
 package blockdev
 
 import (
@@ -319,31 +324,3 @@ func (s *SubDevice) WriteBlock(i uint64, data []byte) error {
 
 // Close implements Device; it does not close the parent.
 func (s *SubDevice) Close() error { return nil }
-
-// Gated wraps a device so that every I/O of worker `id` passes through
-// a TurnGate, giving deterministic round-robin interleaving across
-// concurrent workers.
-type Gated struct {
-	Device
-	gate *diskmodel.TurnGate
-	id   int
-}
-
-// NewGated binds worker id's view of base to gate.
-func NewGated(base Device, gate *diskmodel.TurnGate, id int) *Gated {
-	return &Gated{Device: base, gate: gate, id: id}
-}
-
-// ReadBlock implements Device.
-func (g *Gated) ReadBlock(i uint64, buf []byte) error {
-	var err error
-	g.gate.Do(g.id, func() { err = g.Device.ReadBlock(i, buf) })
-	return err
-}
-
-// WriteBlock implements Device.
-func (g *Gated) WriteBlock(i uint64, data []byte) error {
-	var err error
-	g.gate.Do(g.id, func() { err = g.Device.WriteBlock(i, data) })
-	return err
-}

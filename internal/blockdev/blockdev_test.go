@@ -238,41 +238,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestGatedDeterministicInterleaving(t *testing.T) {
-	// Two workers write distinct blocks through a gate; the trace must
-	// alternate exactly.
-	var col Collector
-	base := NewTraced(NewMem(64, 100), &col)
-	gate := diskmodel.NewTurnGate(2)
-	var wg sync.WaitGroup
-	for id := 0; id < 2; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			dev := NewGated(base, gate, id)
-			buf := make([]byte, 64)
-			for i := 0; i < 20; i++ {
-				if err := dev.WriteBlock(uint64(id*50+i), buf); err != nil {
-					t.Error(err)
-					break
-				}
-			}
-			gate.Leave(id)
-		}(id)
-	}
-	wg.Wait()
-	events := col.Events()
-	if len(events) != 40 {
-		t.Fatalf("got %d events", len(events))
-	}
-	for i, e := range events {
-		wantWorker := uint64(i % 2)
-		if e.Block/50 != wantWorker {
-			t.Fatalf("event %d touched block %d; interleaving not strict", i, e.Block)
-		}
-	}
-}
-
 func TestMemConcurrentAccess(t *testing.T) {
 	// Race-detector workout: concurrent disjoint writers + readers.
 	m := NewMem(64, 256)

@@ -16,7 +16,10 @@ var ErrPowerCut = errors.New("blockdev: power cut")
 // failure-injection harness used to verify that every layer above
 // propagates storage errors instead of panicking or corrupting its
 // in-memory state, and (power-cut mode) that mount-time recovery can
-// repair a volume cut off at any write whatsoever.
+// repair a volume cut off at any write whatsoever. It has no batch fast
+// path on purpose: the batch helpers drive its ReadBlock/WriteBlock one
+// block at a time, so a fault firing mid-batch leaves a strict prefix —
+// the partial-batch state the layers above must survive.
 type FaultDevice struct {
 	Device
 	mu sync.Mutex
@@ -189,64 +192,4 @@ func (f *FaultDevice) WriteBlock(i uint64, data []byte) error {
 		return err
 	}
 	return f.Device.WriteBlock(i, data)
-}
-
-// Batched operations fault per block, so an armed counter fires in
-// the middle of a batch and leaves a strict prefix: every block
-// before the failing one transferred, none after. (This holds because
-// FaultDevice transfers sequentially; see the batch-plane note about
-// concurrent composites like Striped.) That partial-batch state is
-// exactly the scenario the layers above must survive, so the fault
-// device deliberately forgoes the inner device's fast path.
-
-// ReadBlocks implements BatchDevice.
-func (f *FaultDevice) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := checkBatch(f.Device, start, bufs); err != nil {
-		return err
-	}
-	for i, b := range bufs {
-		if err := f.ReadBlock(start+uint64(i), b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBlocks implements BatchDevice.
-func (f *FaultDevice) WriteBlocks(start uint64, data [][]byte) error {
-	if err := checkBatch(f.Device, start, data); err != nil {
-		return err
-	}
-	for i, b := range data {
-		if err := f.WriteBlock(start+uint64(i), b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadBlocksAt implements BatchDevice.
-func (f *FaultDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := checkBatchAt(f.Device, idx, bufs); err != nil {
-		return err
-	}
-	for i, b := range bufs {
-		if err := f.ReadBlock(idx[i], b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBlocksAt implements BatchDevice.
-func (f *FaultDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := checkBatchAt(f.Device, idx, data); err != nil {
-		return err
-	}
-	for i, b := range data {
-		if err := f.WriteBlock(idx[i], b); err != nil {
-			return err
-		}
-	}
-	return nil
 }

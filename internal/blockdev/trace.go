@@ -14,6 +14,13 @@ const (
 	OpWrite
 )
 
+func opOf(write bool) Op {
+	if write {
+		return OpWrite
+	}
+	return OpRead
+}
+
 // String returns "read" or "write".
 func (o Op) String() string {
 	if o == OpRead {
@@ -85,7 +92,7 @@ func (t *Traced) ReadBlock(i uint64, buf []byte) error {
 	if err := t.Device.ReadBlock(i, buf); err != nil {
 		return err
 	}
-	t.tracer.Record(Event{Seq: t.seq.Add(1), Op: OpRead, Block: i})
+	t.record(OpRead, i, 0)
 	return nil
 }
 
@@ -94,8 +101,13 @@ func (t *Traced) WriteBlock(i uint64, data []byte) error {
 	if err := t.Device.WriteBlock(i, data); err != nil {
 		return err
 	}
-	t.tracer.Record(Event{Seq: t.seq.Add(1), Op: OpWrite, Block: i})
+	t.record(OpWrite, i, 0)
 	return nil
+}
+
+// record publishes one access with the next sequence number.
+func (t *Traced) record(op Op, block, count uint64) {
+	t.tracer.Record(Event{Seq: t.seq.Add(1), Op: op, Block: block, Count: count})
 }
 
 // Collector is a Tracer that retains every event in memory.

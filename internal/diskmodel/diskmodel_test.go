@@ -1,7 +1,6 @@
 package diskmodel
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -163,97 +162,5 @@ func TestInterleavingDestroysSequentiality(t *testing.T) {
 	perWorker := shared.Now() / 2
 	if perWorker < 50*soloTime {
 		t.Fatalf("interleaving should dominate: solo %v vs shared-per-worker %v", soloTime, perWorker)
-	}
-}
-
-func TestTurnGateRoundRobinOrder(t *testing.T) {
-	const n, rounds = 4, 50
-	g := NewTurnGate(n)
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				g.Do(id, func() {
-					mu.Lock()
-					order = append(order, id)
-					mu.Unlock()
-				})
-			}
-			g.Leave(id)
-		}(id)
-	}
-	wg.Wait()
-	if len(order) != n*rounds {
-		t.Fatalf("got %d events, want %d", len(order), n*rounds)
-	}
-	for i, id := range order {
-		if id != i%n {
-			t.Fatalf("event %d by worker %d, want %d (strict round-robin)", i, id, i%n)
-		}
-	}
-}
-
-func TestTurnGateLeaveEarly(t *testing.T) {
-	// Worker 1 leaves after one op; the others must keep rotating.
-	g := NewTurnGate(3)
-	var mu sync.Mutex
-	counts := make([]int, 3)
-	var wg sync.WaitGroup
-	for id := 0; id < 3; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rounds := 30
-			if id == 1 {
-				rounds = 1
-			}
-			for r := 0; r < rounds; r++ {
-				g.Do(id, func() {
-					mu.Lock()
-					counts[id]++
-					mu.Unlock()
-				})
-			}
-			g.Leave(id)
-		}(id)
-	}
-	wg.Wait()
-	if counts[0] != 30 || counts[1] != 1 || counts[2] != 30 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestTurnGateAllLeave(t *testing.T) {
-	g := NewTurnGate(2)
-	done := make(chan struct{})
-	go func() {
-		g.Do(0, func() {})
-		g.Leave(0)
-		close(done)
-	}()
-	<-done
-	g.Leave(1) // leaving last must not deadlock
-	g.Leave(1) // idempotent
-}
-
-func TestTurnGatePanicsOnBadID(t *testing.T) {
-	g := NewTurnGate(2)
-	for _, f := range []func(){
-		func() { g.Do(2, func() {}) },
-		func() { g.Do(-1, func() {}) },
-		func() { g.Leave(7) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }

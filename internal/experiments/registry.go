@@ -48,7 +48,12 @@ func (e Experiment) RunAndPrint(s Scale, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.ID, err)
 	}
+	e.print(t, w)
+	return nil
+}
+
+// print writes t under the experiment's claim line.
+func (e Experiment) print(t *Table, w io.Writer) {
 	fmt.Fprintf(w, "# claim: %s\n", e.Claim)
 	t.Print(w)
-	return nil
 }

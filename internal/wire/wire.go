@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"steghide/internal/blockdev"
 	"steghide/internal/mempool"
@@ -41,11 +40,9 @@ import (
 
 // StorageServer exposes a block device over TCP.
 type StorageServer struct {
-	dev blockdev.Device
-	tap blockdev.Tracer // optional: the wire attacker's observation
+	dev blockdev.Device // wrapped in blockdev.Traced when tapped
 	ln  net.Listener
 	wg  sync.WaitGroup
-	seq atomic.Uint64
 
 	maxFrame uint64
 
@@ -57,7 +54,8 @@ type StorageServer struct {
 }
 
 // NewStorageServer starts serving dev on addr (e.g. "127.0.0.1:0").
-// tap may be nil.
+// tap, the wire attacker's observation, may be nil; it sees exactly
+// what blockdev.Traced records of the served device's successful I/O.
 func NewStorageServer(addr string, dev blockdev.Device, tap blockdev.Tracer) (*StorageServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -77,7 +75,10 @@ func NewStorageServerListener(ln net.Listener, dev blockdev.Device, tap blockdev
 // newStorageServer is the core; the frame limit it offers must be
 // fixed before the accept loop can hand a connection to it.
 func newStorageServer(ln net.Listener, dev blockdev.Device, tap blockdev.Tracer, maxFrame uint64) *StorageServer {
-	s := &StorageServer{dev: dev, tap: tap, ln: ln, maxFrame: maxFrame, conns: map[*connServer]struct{}{}}
+	if tap != nil {
+		dev = blockdev.NewTraced(dev, tap)
+	}
+	s := &StorageServer{dev: dev, ln: ln, maxFrame: maxFrame, conns: map[*connServer]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -157,9 +158,9 @@ func (s *StorageServer) acceptLoop() {
 }
 
 // handle serves one storage request, concurrently with the
-// connection's other in-flight requests, so it leases its own buffers
-// and bumps the tap sequence atomically. limit is the connection's
-// negotiated frame bound; batch replies must fit it.
+// connection's other in-flight requests, so it leases its own buffers.
+// limit is the connection's negotiated frame bound; batch replies must
+// fit it.
 func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) frame {
 	if err := ctx.Err(); err != nil {
 		return errFrame(fmt.Errorf("wire: %w", err))
@@ -180,7 +181,6 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 			mempool.Recycle(buf)
 			return errFrame(err)
 		}
-		s.record(blockdev.Event{Op: blockdev.OpRead, Block: idx})
 		return framed(msgOK, buf, bs)
 	case msgWriteBlock:
 		d := &decoder{b: req.Body}
@@ -192,7 +192,6 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 		if err := s.dev.WriteBlock(idx, data); err != nil {
 			return errFrame(err)
 		}
-		s.record(blockdev.Event{Op: blockdev.OpWrite, Block: idx})
 		return frame{Type: msgOK}
 	case msgReadBlocks:
 		d := &decoder{b: req.Body}
@@ -208,7 +207,6 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 			reply.release()
 			return errFrame(err)
 		}
-		s.record(blockdev.Event{Op: blockdev.OpRead, Block: start, Count: count})
 		return reply
 	case msgWriteBlocks:
 		d := &decoder{b: req.Body}
@@ -220,7 +218,6 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 		if err := blockdev.WriteBlocks(s.dev, start, data); err != nil {
 			return errFrame(err)
 		}
-		s.record(blockdev.Event{Op: blockdev.OpWrite, Block: start, Count: count})
 		return frame{Type: msgOK}
 	case msgReadBlocksAt:
 		d := &decoder{b: req.Body}
@@ -236,9 +233,6 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 			reply.release()
 			return errFrame(err)
 		}
-		for _, i := range idx {
-			s.record(blockdev.Event{Op: blockdev.OpRead, Block: i})
-		}
 		return reply
 	case msgWriteBlocksAt:
 		d := &decoder{b: req.Body}
@@ -250,23 +244,10 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 		if err := blockdev.WriteBlocksAt(s.dev, idx, data); err != nil {
 			return errFrame(err)
 		}
-		for _, i := range idx {
-			s.record(blockdev.Event{Op: blockdev.OpWrite, Block: i})
-		}
 		return frame{Type: msgOK}
 	default:
 		return errFrame(fmt.Errorf("wire: unknown message type %#x", req.Type))
 	}
-}
-
-// record publishes one event to the tap with a fresh sequence number;
-// concurrent workers interleave, so the counter is atomic.
-func (s *StorageServer) record(e blockdev.Event) {
-	if s.tap == nil {
-		return
-	}
-	e.Seq = s.seq.Add(1)
-	s.tap.Record(e)
 }
 
 // batchBufs leases the reply frame of a count-block read and carves
