@@ -198,10 +198,7 @@ func TestRunFrameShapeEqualsBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	tap := &frameTap{Listener: inner}
-	srv, err := wire.NewStorageServerListener(tap, steghide.NewMemDevice(bs, 4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := wire.NewStorageServer(tap, steghide.NewMemDevice(bs, 4096), nil)
 	defer srv.Close()
 	dev, err := steghide.DialStorage(srv.Addr())
 	if err != nil {
@@ -433,10 +430,7 @@ func TestStagedCloseFrameShapeEqualsBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	tap := &frameTap{Listener: inner}
-	srv, err := wire.NewStorageServerListener(tap, steghide.NewMemDevice(bs, 4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := wire.NewStorageServer(tap, steghide.NewMemDevice(bs, 4096), nil)
 	defer srv.Close()
 	dev, err := steghide.DialStorage(srv.Addr())
 	if err != nil {

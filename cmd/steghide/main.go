@@ -476,10 +476,10 @@ func cmdClient(args []string) error {
 		}
 		defer cli.Close()
 		start := time.Now()
-		if err := cli.PingCtx(ctx); err != nil {
+		if err := cli.Ping(ctx); err != nil {
 			return fmt.Errorf("ping %s: %w", *agentAddr, err)
 		}
-		fmt.Printf("%s alive (%v, protocol v%d)\n", *agentAddr, time.Since(start).Round(time.Microsecond), cli.ProtoVersion())
+		fmt.Printf("%s alive (%v)\n", *agentAddr, time.Since(start).Round(time.Microsecond))
 		return nil
 	}
 

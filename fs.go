@@ -13,7 +13,7 @@ import (
 // this package returns the same implementation over a different
 // backend — Construction 2 sessions (NewSessionFS, Stack.Login),
 // Construction 1 agents (NewAgentFS), remote agent connections
-// (DialFS, NewRemoteFS), and the §5 read-hiding composition
+// (DialFS, DialVolumeFS), and the §5 read-hiding composition
 // (NewObliviousReadFS) — and Cluster routes over any of them, so no
 // caller has to care which construction sits behind the interface,
 // and no hiding guarantee depends on it.

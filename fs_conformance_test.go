@@ -119,7 +119,7 @@ func newWireFixture(t *testing.T) (steghide.FS, fsProbe) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := steghide.NewAgentServer("127.0.0.1:0", stack.Agent2())
+	srv, err := steghide.NewServer(steghide.ServerConfig{Addr: "127.0.0.1:0"}, stack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func newWireRetryFixture(t *testing.T) (steghide.FS, fsProbe) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := steghide.NewAgentServer("127.0.0.1:0", stack.Agent2())
+	srv, err := steghide.NewServer(steghide.ServerConfig{Addr: "127.0.0.1:0"}, stack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func newClusterFixture(t *testing.T) (steghide.FS, fsProbe) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := steghide.NewAgentServer("127.0.0.1:0", stack.Agent2())
+		srv, err := steghide.NewServer(steghide.ServerConfig{Addr: "127.0.0.1:0"}, stack)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,20 +7,13 @@ import (
 	"steghide/internal/wire"
 )
 
-// remoteBackend is a logged-in agent-protocol connection. The wire
-// round-trips sentinel error codes, so errors.Is behaves as against a
-// local session. The connection is multiplexed: concurrent calls
-// pipeline on it, a context deadline bounds each exchange, and
-// cancellation abandons just that request.
+// remoteBackend is a logged-in agent-protocol connection, which it
+// owns. The wire round-trips sentinel error codes, so errors.Is
+// behaves as against a local session. The connection is multiplexed:
+// concurrent calls pipeline on it, a context deadline bounds each
+// exchange, and cancellation abandons just that request.
 type remoteBackend struct {
-	c       *AgentClient
-	ownConn bool // DialFS owns the connection and closes it
-}
-
-// NewRemoteFS wraps a logged-in AgentClient as an FS. Close logs the
-// user out but leaves the connection to the caller.
-func NewRemoteFS(c *AgentClient) FS {
-	return newFS(&remoteBackend{c: c})
+	c *AgentClient
 }
 
 // dialConfig collects DialFS options.
@@ -68,8 +61,8 @@ func DialFS(ctx context.Context, addr, user, passphrase string, opts ...DialOpti
 }
 
 // DialVolumeFS is DialFS against one named volume of a multi-volume
-// agent server (Serve): the volume field of the v2 login frame routes
-// the session. The empty name is the default volume.
+// agent server (ServeListener, NewServer): the volume field of the v2
+// login frame routes the session. The empty name is the default volume.
 func DialVolumeFS(ctx context.Context, addr, volume, user, passphrase string, opts ...DialOption) (FS, error) {
 	var cfg dialConfig
 	for _, o := range opts {
@@ -82,16 +75,16 @@ func DialVolumeFS(ctx context.Context, addr, volume, user, passphrase string, op
 	if cfg.retry {
 		cli, err = wire.DialAgentRetry(ctx, cfg.policy, append([]string{addr}, cfg.addrs...)...)
 	} else {
-		cli, err = wire.DialAgentCtx(ctx, addr)
+		cli, err = wire.DialAgent(ctx, addr)
 	}
 	if err != nil {
 		return nil, pathErr("dial", addr, err)
 	}
-	if err := cli.LoginVolumeCtx(ctx, volume, user, passphrase); err != nil {
+	if err := cli.Login(ctx, volume, user, passphrase); err != nil {
 		cli.Close() //nolint:errcheck // the login error wins
 		return nil, pathErr("login", user, err)
 	}
-	return newFS(&remoteBackend{c: cli, ownConn: true}), nil
+	return newFS(&remoteBackend{c: cli}), nil
 }
 
 // open discloses path unless this FS already did: disclosure is sticky
@@ -101,19 +94,19 @@ func (b *remoteBackend) open(ctx context.Context, path string, known *openFile, 
 	if known != nil && !sized {
 		return known, 0, nil
 	}
-	dummy, size, err := b.c.DiscloseCtx(ctx, path)
+	dummy, size, err := b.c.Disclose(ctx, path)
 	return kindRow[dummy], size, err
 }
 
 func (b *remoteBackend) create(ctx context.Context, path string, dummy bool, blocks uint64) (*openFile, error) {
 	if dummy {
-		return kindRow[true], b.c.CreateDummyCtx(ctx, path, blocks)
+		return kindRow[true], b.c.CreateDummy(ctx, path, blocks)
 	}
-	return kindRow[false], b.c.CreateCtx(ctx, path)
+	return kindRow[false], b.c.Create(ctx, path)
 }
 
 func (b *remoteBackend) read(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
-	return b.c.ReadCtx(ctx, path, p, off)
+	return b.c.Read(ctx, path, p, off)
 }
 
 // wireWriteChunk bounds each write frame, mirroring ReadFile's bounded
@@ -125,7 +118,7 @@ const wireWriteChunk = 1 << 20
 func (b *remoteBackend) write(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
 	for written := 0; written < len(p); {
 		n := min(len(p)-written, wireWriteChunk)
-		if err := b.c.WriteCtx(ctx, path, p[written:written+n], off+uint64(written)); err != nil {
+		if err := b.c.Write(ctx, path, p[written:written+n], off+uint64(written)); err != nil {
 			return written, err
 		}
 		written += n
@@ -134,25 +127,21 @@ func (b *remoteBackend) write(ctx context.Context, _ *openFile, path string, p [
 }
 
 func (b *remoteBackend) save(ctx context.Context, _ *openFile, path string) error {
-	return b.c.SaveCtx(ctx, path)
+	return b.c.Save(ctx, path)
 }
 
 func (b *remoteBackend) truncate(ctx context.Context, _ *openFile, path string, size uint64) error {
-	return b.c.TruncateCtx(ctx, path, size)
+	return b.c.Truncate(ctx, path, size)
 }
 
 func (b *remoteBackend) delete(ctx context.Context, _ *openFile, path string) error {
-	return b.c.DeleteCtx(ctx, path)
+	return b.c.Delete(ctx, path)
 }
 
-func (b *remoteBackend) list(ctx context.Context) ([]string, error) { return b.c.FilesCtx(ctx) }
+func (b *remoteBackend) list(ctx context.Context) ([]string, error) { return b.c.Files(ctx) }
 
-// close logs out (the server flushes and forgets the session) and, for
-// DialFS-owned connections, hangs up.
+// close logs out (the server flushes and forgets the session) and
+// hangs up.
 func (b *remoteBackend) close(map[string]*openFile) error {
-	err := b.c.Logout()
-	if b.ownConn {
-		err = cmp.Or(err, b.c.Close())
-	}
-	return err
+	return cmp.Or(b.c.Logout(context.Background()), b.c.Close())
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net"
 	"sort"
 	"sync"
@@ -30,68 +29,18 @@ import (
 // sessions' intents into one uniformly random stream, so overlapping
 // is safe), with backpressure once that many are in flight.
 type AgentServer struct {
+	server
 	vmu     sync.RWMutex
 	volumes map[string]*steghide.VolatileAgent
-	ln      net.Listener
-	wg      sync.WaitGroup
-
-	maxFrame uint64
-
-	// Observability attachments (ServeOptions); both nil-safe.
-	log     *slog.Logger
-	metrics *serverMetrics
-
-	// Graceful-drain state: live connections, and whether Shutdown has
-	// begun (after which new connections are refused).
-	cmu   sync.Mutex
-	conns map[*connServer]struct{}
-	down  bool
 }
 
-// NewAgentServer starts serving a single agent on addr as the default
-// (unnamed) volume.
-func NewAgentServer(addr string, agent *steghide.VolatileAgent) (*AgentServer, error) {
-	return NewMultiAgentServer(addr, map[string]*steghide.VolatileAgent{"": agent})
-}
-
-// NewMultiAgentServer starts one daemon serving every agent in
-// volumes, keyed by the volume name clients pass at login. An entry
-// under the empty name is the default volume.
-func NewMultiAgentServer(addr string, volumes map[string]*steghide.VolatileAgent) (*AgentServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: listen: %w", err)
-	}
-	s, err := newAgentServer(ln, volumes, maxBodySize, ServeOptions{})
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// NewMultiAgentServerListener is NewMultiAgentServer over an already
-// established listener — the injection point a fleet router (or a
-// chaos harness wrapping the listener in fault injection) uses to
-// control the transport the daemon serves on. The server owns ln from
-// here on.
-func NewMultiAgentServerListener(ln net.Listener, volumes map[string]*steghide.VolatileAgent) (*AgentServer, error) {
-	return newAgentServer(ln, volumes, maxBodySize, ServeOptions{})
-}
-
-// NewMultiAgentServerListenerOpts is NewMultiAgentServerListener with
-// observability attachments: a structured lifecycle logger and/or a
-// metrics registry (see ServeOptions for the privacy contract both
-// honor). Attachments are fixed at construction — the accept loop
-// starts before the constructor returns, so there is no later moment
-// to install them race-free.
-func NewMultiAgentServerListenerOpts(ln net.Listener, volumes map[string]*steghide.VolatileAgent, opts ServeOptions) (*AgentServer, error) {
-	return newAgentServer(ln, volumes, maxBodySize, opts)
-}
-
-// newAgentServer is the core; the frame limit it offers must be fixed
-// before the accept loop can hand a connection to it.
-func newAgentServer(ln net.Listener, volumes map[string]*steghide.VolatileAgent, maxFrame uint64, opts ServeOptions) (*AgentServer, error) {
+// NewAgentServer serves every agent in volumes on ln, keyed by the
+// volume name clients pass at login; an entry under the empty name is
+// the default volume. opts attaches a structured lifecycle logger
+// and/or a metrics registry (see ServeOptions for the privacy contract
+// both honor); they are fixed here, because the accept loop starts
+// before the constructor returns. The server owns ln once it is built.
+func NewAgentServer(ln net.Listener, volumes map[string]*steghide.VolatileAgent, opts ServeOptions) (*AgentServer, error) {
 	if len(volumes) == 0 {
 		return nil, fmt.Errorf("wire: agent server needs at least one volume")
 	}
@@ -102,56 +51,22 @@ func newAgentServer(ln net.Listener, volumes map[string]*steghide.VolatileAgent,
 		}
 		vols[name] = agent
 	}
-	s := &AgentServer{
-		volumes:  vols,
-		ln:       ln,
-		maxFrame: maxFrame,
-		log:      opts.Logger,
-		metrics:  newServerMetrics(opts.Metrics),
-		conns:    map[*connServer]struct{}{},
-	}
-	if reg := opts.Metrics; reg != nil {
-		// Scrape-time gauges over the connection table. The counts are
-		// facts the network side already exposes (TCP connections and
-		// outstanding frames are visible on the path); nothing about
-		// what the requests do is sampled.
-		reg.GaugeFunc("steghide_wire_active_connections",
-			"connections currently served", func() float64 {
-				s.cmu.Lock()
-				defer s.cmu.Unlock()
-				return float64(len(s.conns))
-			})
-		reg.GaugeFunc("steghide_wire_inflight_requests",
-			"requests dispatched but not yet replied, across all connections",
-			func() float64 {
-				s.cmu.Lock()
-				defer s.cmu.Unlock()
-				var n int64
-				for cs := range s.conns {
-					n += cs.inflightN.Load()
-				}
-				return float64(n)
-			})
-		reg.GaugeFunc("steghide_wire_draining",
-			"1 while Shutdown is draining connections, else 0", func() float64 {
-				if s.Draining() {
-					return 1
-				}
-				return 0
-			})
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &AgentServer{volumes: vols}
+	s.start(ln, maxBodySize, opts, s.serveConn)
 	return s, nil
 }
 
-// Draining reports whether Shutdown has begun — the bit an ops
-// health endpoint turns into a 503 so load balancers steer away
-// while in-flight requests finish.
-func (s *AgentServer) Draining() bool {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	return s.down
+// serveConn serves one connection's requests. Transport lifetime
+// enforces volatility: the connection dropping logs its user out,
+// flushing the disclosed files.
+func (s *AgentServer) serveConn(cs *connServer) {
+	st := &connSession{remote: cs.conn.RemoteAddr().String()}
+	cs.serve(func(ctx context.Context, req frame, limit uint64) frame {
+		return s.handle(ctx, req, st, limit)
+	})
+	if sess, agent, user := st.get(); sess != nil {
+		agent.Logout(user) //nolint:errcheck // best-effort cleanup
+	}
 }
 
 // AddVolume registers another mounted volume under name while the
@@ -186,100 +101,6 @@ func (s *AgentServer) lookup(name string) *steghide.VolatileAgent {
 	s.vmu.RLock()
 	defer s.vmu.RUnlock()
 	return s.volumes[name]
-}
-
-// Addr returns the server's listen address.
-func (s *AgentServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server and waits for connections to drain.
-func (s *AgentServer) Close() error {
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-// Shutdown gracefully drains the server: it stops accepting, tells
-// every connection to take its next call elsewhere (msgGoaway), lets
-// in-flight requests finish and their replies land, then closes the
-// connections and returns. ctx bounds the drain — on expiry the
-// remaining connections are closed abruptly, exactly the semantics a
-// plain close always had, and ctx's error is returned.
-func (s *AgentServer) Shutdown(ctx context.Context) error {
-	s.cmu.Lock()
-	s.down = true
-	conns := make([]*connServer, 0, len(s.conns))
-	for cs := range s.conns {
-		conns = append(conns, cs)
-	}
-	s.cmu.Unlock()
-	if s.log != nil {
-		s.log.Info("wire: shutdown draining", "connections", len(conns))
-	}
-	s.ln.Close() //nolint:errcheck // re-Shutdown / racing Close
-	var dwg sync.WaitGroup
-	for _, cs := range conns {
-		dwg.Add(1)
-		go func(cs *connServer) {
-			defer dwg.Done()
-			cs.drain(ctx)
-		}(cs)
-	}
-	dwg.Wait()
-	s.wg.Wait()
-	if s.log != nil {
-		s.log.Info("wire: shutdown complete")
-	}
-	return ctx.Err()
-}
-
-// track registers a live connection, refusing once Shutdown began.
-func (s *AgentServer) track(cs *connServer) bool {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if s.down {
-		return false
-	}
-	s.conns[cs] = struct{}{}
-	return true
-}
-
-func (s *AgentServer) untrack(cs *connServer) {
-	s.cmu.Lock()
-	delete(s.conns, cs)
-	s.cmu.Unlock()
-}
-
-func (s *AgentServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			st := &connSession{remote: conn.RemoteAddr().String()}
-			cs := newConnServer(conn, s.maxFrame, s.log, s.metrics)
-			if !s.track(cs) {
-				return // raced Shutdown: the listener is already closed
-			}
-			defer s.untrack(cs)
-			if s.metrics != nil {
-				s.metrics.connections.Inc()
-			}
-			cs.logEvent("wire: connection accepted")
-			cs.serve(func(ctx context.Context, req frame, limit uint64) frame {
-				return s.handle(ctx, req, st, limit)
-			})
-			// Transport lifetime enforces volatility: the connection
-			// dropping logs the user out, flushing disclosed files.
-			if sess, agent, user := st.get(); sess != nil {
-				agent.Logout(user) //nolint:errcheck // best-effort cleanup
-			}
-		}()
-	}
 }
 
 // connSession is one connection's login state. The goroutines serving
@@ -488,14 +309,14 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 // the fault provably preceded its first byte on the wire; otherwise
 // it fails with ErrMaybeApplied and the caller must reconcile.
 type Client struct {
-	m  *muxConn  // direct mode; nil in retry mode
-	rd *Redialer // retry mode; nil in direct mode
+	link // fixed at dial: direct or self-healing
 
-	// Session replay state (retry mode only): the credentials and the
-	// disclosed working set, re-established on every reconnect. The
-	// server's session died with the old connection — volatility by
-	// transport lifetime — so the client rebuilds it before the retried
-	// call runs.
+	// Session replay state (retry mode only; a direct client retains no
+	// credentials): the credentials and the disclosed working set,
+	// re-established on every reconnect. The server's session died with
+	// the old connection — volatility by transport lifetime — so the
+	// client rebuilds it before the retried call runs.
+	retry     bool
 	smu       sync.Mutex
 	loggedIn  bool
 	volume    string
@@ -504,19 +325,14 @@ type Client struct {
 	disclosed map[string]struct{}
 }
 
-// DialAgent connects to an agent server.
-func DialAgent(addr string) (*Client, error) {
-	return DialAgentCtx(context.Background(), addr)
-}
-
-// DialAgentCtx is DialAgent honoring the context while the
+// DialAgent connects to an agent server, honoring ctx while the
 // connection is established and the protocol version negotiated.
-func DialAgentCtx(ctx context.Context, addr string) (*Client, error) {
+func DialAgent(ctx context.Context, addr string) (*Client, error) {
 	m, err := dialMux(ctx, addr, maxBodySize)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{m: m}, nil
+	return &Client{link: m}, nil
 }
 
 // DialAgentRetry connects with self-healing: transport faults redial
@@ -528,24 +344,13 @@ func DialAgentRetry(ctx context.Context, policy RetryPolicy, addrs ...string) (*
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("wire: no agent addresses")
 	}
-	c := &Client{disclosed: map[string]struct{}{}}
-	rd := newRedialer(policy, maxBodySize, addrs...)
-	rd.onConnect = c.onConnect
-	c.rd = rd
-	for attempt := 0; ; attempt++ {
-		_, err := rd.acquire(ctx)
-		if err == nil {
-			return c, nil
-		}
-		if !transient(err) || attempt >= rd.policy.MaxRetries {
-			rd.close() //nolint:errcheck // nothing live yet
-			return nil, err
-		}
-		if serr := rd.sleep(ctx, attempt); serr != nil {
-			rd.close() //nolint:errcheck // nothing live yet
-			return nil, serr
-		}
+	c := &Client{retry: true, disclosed: map[string]struct{}{}}
+	rd := newRedialer(policy, c.onConnect, addrs)
+	if err := rd.dial(ctx); err != nil {
+		return nil, err
 	}
+	c.link = rd
+	return c, nil
 }
 
 // onConnect replays the session onto a fresh connection: login, then
@@ -606,70 +411,32 @@ func (c *Client) replayLogin(ctx context.Context, m *muxConn, volume, user, pass
 	return err
 }
 
-// ProtoVersion reports the negotiated protocol version.
-func (c *Client) ProtoVersion() int { return protoV2 }
-
-// do runs one exchange on the mux and ends the request's lease.
-// idempotent marks requests the retry layer may re-send even if the
-// server already executed them; it is ignored in direct (non-retry)
-// mode.
-func (c *Client) do(ctx context.Context, req frame, idempotent bool) (frame, error) {
-	if c.rd != nil {
-		return c.rd.call(ctx, req, idempotent)
-	}
-	return c.m.call(ctx, req)
-}
-
 // Close drops the connection (logging the user out server-side).
 // Idempotent and safe to call concurrently with in-flight calls,
 // which fail cleanly instead of racing the teardown.
-func (c *Client) Close() error {
-	if c.rd != nil {
-		return c.rd.close()
-	}
-	return c.m.close()
-}
+func (c *Client) Close() error { return c.close() }
 
-// Ping probes the server's liveness: one round trip, answered before
-// any login — a load balancer or fleet router can health-check a
-// daemon without credentials.
-func (c *Client) Ping() error { return c.PingCtx(context.Background()) }
-
-// PingCtx is Ping honoring the context at the wire wait point.
-func (c *Client) PingCtx(ctx context.Context) error {
-	_, err := c.do(ctx, frame{Type: msgPing}, true)
-	return err
-}
-
-// Every operation has a context-honoring form; the plain methods are
-// the same call under context.Background(). The context's deadline
+// Every operation is one call taking a context. The context's deadline
 // bounds the whole round trip; cancellation abandons the in-flight
 // request (sending msgCancel so the server stops working on it) and
 // leaves the connection healthy for other calls.
 
-// Login authenticates the connection's user on the default volume.
-func (c *Client) Login(user, passphrase string) error {
-	return c.LoginCtx(context.Background(), user, passphrase)
+// Ping probes the server's liveness: one round trip, answered before
+// any login — a load balancer or fleet router can health-check a
+// daemon without credentials.
+func (c *Client) Ping(ctx context.Context) error {
+	_, err := c.do(ctx, frame{Type: msgPing}, true)
+	return err
 }
 
-// LoginCtx is Login honoring the context at the wire wait point.
-func (c *Client) LoginCtx(ctx context.Context, user, passphrase string) error {
-	return c.LoginVolumeCtx(ctx, "", user, passphrase)
-}
-
-// LoginVolume authenticates the connection's user on the named volume
-// of a multi-volume server (the empty name is the default volume).
-func (c *Client) LoginVolume(volume, user, passphrase string) error {
-	return c.LoginVolumeCtx(context.Background(), volume, user, passphrase)
-}
-
-// LoginVolumeCtx is LoginVolume honoring the context at the wire wait
-// point. Logins to the default volume omit the volume field.
-func (c *Client) LoginVolumeCtx(ctx context.Context, volume, user, passphrase string) error {
+// Login authenticates the connection's user on the named volume of the
+// server; the empty name is the default volume, and a login to it
+// omits the volume field.
+func (c *Client) Login(ctx context.Context, volume, user, passphrase string) error {
 	// Safe to retry: a retried login lands on a fresh connection, whose
 	// server-side session cannot already be logged in.
 	_, err := c.do(ctx, loginFrame(volume, user, passphrase), true)
-	if err == nil && c.rd != nil {
+	if err == nil && c.retry {
 		c.smu.Lock()
 		c.loggedIn = true
 		c.volume, c.user, c.pass = volume, user, passphrase
@@ -696,7 +463,7 @@ func discloseFrame(path string) frame {
 
 // remember records path into the replay set (retry mode only).
 func (c *Client) remember(path string) {
-	if c.rd == nil {
+	if !c.retry {
 		return
 	}
 	c.smu.Lock()
@@ -706,7 +473,7 @@ func (c *Client) remember(path string) {
 
 // forget removes path from the replay set (retry mode only).
 func (c *Client) forget(path string) {
-	if c.rd == nil {
+	if !c.retry {
 		return
 	}
 	c.smu.Lock()
@@ -715,14 +482,11 @@ func (c *Client) forget(path string) {
 }
 
 // Logout ends the session, flushing disclosed files.
-func (c *Client) Logout() error { return c.LogoutCtx(context.Background()) }
-
-// LogoutCtx is Logout honoring the context at the wire wait point.
-func (c *Client) LogoutCtx(ctx context.Context) error {
+func (c *Client) Logout(ctx context.Context) error {
 	// Safe to retry: a retried logout lands on a replayed session and
 	// ends it just the same.
 	_, err := c.do(ctx, frame{Type: msgLogout}, true)
-	if err == nil && c.rd != nil {
+	if err == nil && c.retry {
 		c.smu.Lock()
 		c.loggedIn = false
 		c.volume, c.user, c.pass = "", "", ""
@@ -733,10 +497,7 @@ func (c *Client) LogoutCtx(ctx context.Context) error {
 }
 
 // Create creates a hidden file.
-func (c *Client) Create(path string) error { return c.CreateCtx(context.Background(), path) }
-
-// CreateCtx is Create honoring the context at the wire wait point.
-func (c *Client) CreateCtx(ctx context.Context, path string) error {
+func (c *Client) Create(ctx context.Context, path string) error {
 	e := &encoder{}
 	// Mutating: retried only when provably unsent (ErrMaybeApplied
 	// otherwise — the file may exist now).
@@ -748,13 +509,7 @@ func (c *Client) CreateCtx(ctx context.Context, path string) error {
 }
 
 // CreateDummy creates and discloses a dummy file of n blocks.
-func (c *Client) CreateDummy(path string, blocks uint64) error {
-	return c.CreateDummyCtx(context.Background(), path, blocks)
-}
-
-// CreateDummyCtx is CreateDummy honoring the context at the wire wait
-// point.
-func (c *Client) CreateDummyCtx(ctx context.Context, path string, blocks uint64) error {
+func (c *Client) CreateDummy(ctx context.Context, path string, blocks uint64) error {
 	e := &encoder{}
 	_, err := c.do(ctx, e.str(path).u64(blocks).frame(msgCreateDummy), false)
 	if err == nil {
@@ -765,12 +520,7 @@ func (c *Client) CreateDummyCtx(ctx context.Context, path string, blocks uint64)
 
 // Disclose opens an existing file, reporting whether it is a dummy
 // and its size.
-func (c *Client) Disclose(path string) (isDummy bool, size uint64, err error) {
-	return c.DiscloseCtx(context.Background(), path)
-}
-
-// DiscloseCtx is Disclose honoring the context at the wire wait point.
-func (c *Client) DiscloseCtx(ctx context.Context, path string) (isDummy bool, size uint64, err error) {
+func (c *Client) Disclose(ctx context.Context, path string) (isDummy bool, size uint64, err error) {
 	resp, err := c.do(ctx, discloseFrame(path), true)
 	if err != nil {
 		return false, 0, err
@@ -787,12 +537,7 @@ func (c *Client) DiscloseCtx(ctx context.Context, path string) (isDummy bool, si
 }
 
 // Read reads up to len(p) bytes at offset off of a disclosed file.
-func (c *Client) Read(path string, p []byte, off uint64) (int, error) {
-	return c.ReadCtx(context.Background(), path, p, off)
-}
-
-// ReadCtx is Read honoring the context at the wire wait point.
-func (c *Client) ReadCtx(ctx context.Context, path string, p []byte, off uint64) (int, error) {
+func (c *Client) Read(ctx context.Context, path string, p []byte, off uint64) (int, error) {
 	e := &encoder{}
 	resp, err := c.do(ctx, e.str(path).u64(off).u64(uint64(len(p))).frame(msgRead), true)
 	if err != nil {
@@ -804,22 +549,14 @@ func (c *Client) ReadCtx(ctx context.Context, path string, p []byte, off uint64)
 }
 
 // Write writes data at offset off of a disclosed file.
-func (c *Client) Write(path string, data []byte, off uint64) error {
-	return c.WriteCtx(context.Background(), path, data, off)
-}
-
-// WriteCtx is Write honoring the context at the wire wait point.
-func (c *Client) WriteCtx(ctx context.Context, path string, data []byte, off uint64) error {
+func (c *Client) Write(ctx context.Context, path string, data []byte, off uint64) error {
 	e := newEncoder(24 + len(path) + len(data))
 	_, err := c.do(ctx, e.str(path).u64(off).bytes(data).frame(msgWrite), false)
 	return err
 }
 
 // Save flushes a disclosed file's block map.
-func (c *Client) Save(path string) error { return c.SaveCtx(context.Background(), path) }
-
-// SaveCtx is Save honoring the context at the wire wait point.
-func (c *Client) SaveCtx(ctx context.Context, path string) error {
+func (c *Client) Save(ctx context.Context, path string) error {
 	e := &encoder{}
 	_, err := c.do(ctx, e.str(path).frame(msgSave), false)
 	return err
@@ -827,10 +564,7 @@ func (c *Client) SaveCtx(ctx context.Context, path string) error {
 
 // Delete removes a disclosed file, donating its blocks to the user's
 // dummy files.
-func (c *Client) Delete(path string) error { return c.DeleteCtx(context.Background(), path) }
-
-// DeleteCtx is Delete honoring the context at the wire wait point.
-func (c *Client) DeleteCtx(ctx context.Context, path string) error {
+func (c *Client) Delete(ctx context.Context, path string) error {
 	e := &encoder{}
 	_, err := c.do(ctx, e.str(path).frame(msgDelete), false)
 	if err == nil {
@@ -840,27 +574,19 @@ func (c *Client) DeleteCtx(ctx context.Context, path string) error {
 }
 
 // Truncate resizes a disclosed file to size bytes.
-func (c *Client) Truncate(path string, size uint64) error {
-	return c.TruncateCtx(context.Background(), path, size)
-}
-
-// TruncateCtx is Truncate honoring the context at the wire wait
-// point.
-func (c *Client) TruncateCtx(ctx context.Context, path string, size uint64) error {
+func (c *Client) Truncate(ctx context.Context, path string, size uint64) error {
 	e := &encoder{}
 	_, err := c.do(ctx, e.str(path).u64(size).frame(msgTruncate), false)
 	return err
 }
 
 // Files lists the session's disclosed real-file paths, sorted.
-func (c *Client) Files() ([]string, error) { return c.FilesCtx(context.Background()) }
-
-// FilesCtx is Files honoring the context at the wire wait point.
-func (c *Client) FilesCtx(ctx context.Context) ([]string, error) {
+func (c *Client) Files(ctx context.Context) ([]string, error) {
 	resp, err := c.do(ctx, frame{Type: msgList}, true)
 	if err != nil {
 		return nil, err
 	}
+	defer resp.release() // str() copies every path out of the body
 	d := &decoder{b: resp.Body}
 	n := d.u64()
 	if d.err != nil {
@@ -873,9 +599,8 @@ func (c *Client) FilesCtx(ctx context.Context) ([]string, error) {
 	}
 	paths := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
-		paths = append(paths, d.str()) // str() copies out of the body
+		paths = append(paths, d.str())
 	}
-	resp.release()
 	if d.err != nil {
 		return nil, d.err
 	}

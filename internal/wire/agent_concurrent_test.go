@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,13 +18,14 @@ import (
 // come back intact, proving the server no longer lock-steps sessions.
 // Run with -race.
 func TestAgentServerConcurrentSessions(t *testing.T) {
+	ctx := context.Background()
 	vol, err := stegfs.Format(blockdev.NewMem(256, 4096),
 		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("wc")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	agent := steghide.NewVolatile(vol, prng.NewFromUint64(41))
-	srv, err := NewAgentServer("127.0.0.1:0", agent)
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,21 +41,21 @@ func TestAgentServerConcurrentSessions(t *testing.T) {
 	}
 	rigs := make([]*rig, nClients)
 	for i := range rigs {
-		cli, err := DialAgent(srv.Addr())
+		cli, err := DialAgent(ctx, srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Login(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i)); err != nil {
+		if err := cli.Login(ctx, "", fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.CreateDummy("/d", 100); err != nil {
+		if err := cli.CreateDummy(ctx, "/d", 100); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Create("/f"); err != nil {
+		if err := cli.Create(ctx, "/f"); err != nil {
 			t.Fatal(err)
 		}
 		content := prng.NewFromUint64(uint64(10 + i)).Bytes(6 * ps)
-		if err := cli.Write("/f", content, 0); err != nil {
+		if err := cli.Write(ctx, "/f", content, 0); err != nil {
 			t.Fatal(err)
 		}
 		rigs[i] = &rig{cli: cli, content: content}
@@ -70,7 +72,7 @@ func TestAgentServerConcurrentSessions(t *testing.T) {
 				li := rng.Intn(6)
 				chunk := rng.Bytes(ps)
 				copy(r.content[li*ps:], chunk)
-				if err := r.cli.Write("/f", chunk, uint64(li*ps)); err != nil {
+				if err := r.cli.Write(ctx, "/f", chunk, uint64(li*ps)); err != nil {
 					errCh <- err
 					return
 				}
@@ -85,13 +87,13 @@ func TestAgentServerConcurrentSessions(t *testing.T) {
 
 	for i, r := range rigs {
 		got := make([]byte, len(r.content))
-		if _, err := r.cli.Read("/f", got, 0); err != nil {
+		if _, err := r.cli.Read(ctx, "/f", got, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, r.content) {
 			t.Fatalf("client %d content corrupted by concurrent sessions", i)
 		}
-		if err := r.cli.Logout(); err != nil {
+		if err := r.cli.Logout(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.cli.Close(); err != nil {

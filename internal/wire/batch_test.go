@@ -11,10 +11,7 @@ import (
 func newPair(t testing.TB, bs int, n uint64, tap blockdev.Tracer) (*blockdev.Mem, *StorageServer, *RemoteDevice) {
 	t.Helper()
 	mem := blockdev.NewMem(bs, n)
-	srv, err := NewStorageServer("127.0.0.1:0", mem, tap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewStorageServer(listen(t), mem, tap)
 	t.Cleanup(func() { srv.Close() })
 	dev, err := DialStorage(srv.Addr())
 	if err != nil {

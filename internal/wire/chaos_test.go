@@ -81,10 +81,7 @@ func TestChaosMatrixStorage(t *testing.T) {
 			}
 			fln := NewFaultListener(ln, seed)
 			fln.Plan = chaosStoragePlan
-			srv, err := NewStorageServerListener(fln, dev, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			srv := NewStorageServer(fln, dev, nil)
 			killed, kill := context.WithCancel(context.Background())
 			kill()
 			defer srv.Shutdown(killed) //nolint:errcheck // abrupt teardown
@@ -197,6 +194,7 @@ func chaosAgentPlan(ord int, rng *prng.PRNG) FaultPlan {
 }
 
 func TestChaosMatrixAgent(t *testing.T) {
+	ctx := context.Background()
 	for _, seed := range []uint64{4, 5} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -212,7 +210,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 			}
 			fln := NewFaultListener(ln, seed)
 			fln.Plan = chaosAgentPlan
-			srv, err := NewMultiAgentServerListener(fln, map[string]*steghide.VolatileAgent{"": agent})
+			srv, err := NewAgentServer(fln, map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +228,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 			// idempotent (plain retry), create reconciles a maybe-applied
 			// by checking whether the file exists.
 			for attempt := 0; ; attempt++ {
-				if err := cli.Login("alice", "chaos-pass"); err == nil {
+				if err := cli.Login(ctx, "", "alice", "chaos-pass"); err == nil {
 					break
 				} else if attempt > 50 {
 					t.Fatalf("login never succeeded: %v", err)
@@ -241,7 +239,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 			// Writes allocate from disclosed dummy space, so a dummy file
 			// must converge first — same reconcile dance as Create.
 			for attempt := 0; ; attempt++ {
-				err := cli.CreateDummy("/vault/dummy", 64)
+				err := cli.CreateDummy(ctx, "/vault/dummy", 64)
 				if err == nil {
 					break
 				}
@@ -249,7 +247,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 					t.Fatalf("CreateDummy never converged: %v", err)
 				}
 				chaosOutcome(t, "CreateDummy", err)
-				if _, _, derr := cli.Disclose("/vault/dummy"); derr == nil {
+				if _, _, derr := cli.Disclose(ctx, "/vault/dummy"); derr == nil {
 					break
 				}
 			}
@@ -268,7 +266,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 				switch rng.Uint64n(3) {
 				case 0: // full-file rewrite
 					data := bytes.Repeat([]byte{byte(i + 1)}, fileLen)
-					err := cli.Write(path, data, 0)
+					err := cli.Write(ctx, path, data, 0)
 					switch {
 					case err == nil:
 						content, amb = data, nil
@@ -285,7 +283,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 					}
 				case 1: // read back, resolving any pending ambiguity
 					buf := make([]byte, fileLen)
-					n, err := cli.Read(path, buf, 0)
+					n, err := cli.Read(ctx, path, buf, 0)
 					if err != nil {
 						chaosOutcome(t, "Read", err)
 						failN++
@@ -311,7 +309,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 					}
 				case 2: // metadata ops: list (idempotent), save (not)
 					if rng.Uint64n(2) == 0 {
-						files, err := cli.Files()
+						files, err := cli.Files(ctx)
 						if err != nil {
 							chaosOutcome(t, "Files", err)
 							failN++
@@ -328,7 +326,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 							t.Fatalf("Files() lost %q", path)
 						}
 					} else {
-						err := cli.Save(path)
+						err := cli.Save(ctx, path)
 						// Save is non-idempotent on the wire but a no-op to
 						// repeat; content is unchanged either way.
 						if err != nil {
@@ -345,7 +343,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 			// Never latched: liveness and a consistent final read both
 			// eventually succeed.
 			for attempt := 0; ; attempt++ {
-				if err := cli.Ping(); err == nil {
+				if err := cli.Ping(ctx); err == nil {
 					break
 				} else if attempt > 50 {
 					t.Fatalf("client latched: ping still failing: %v", err)
@@ -353,7 +351,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 			}
 			for attempt := 0; ; attempt++ {
 				buf := make([]byte, fileLen)
-				n, err := cli.Read(path, buf, 0)
+				n, err := cli.Read(ctx, path, buf, 0)
 				if err != nil {
 					if attempt > 50 {
 						t.Fatalf("final read never succeeded: %v", err)
@@ -383,8 +381,9 @@ func TestChaosMatrixAgent(t *testing.T) {
 // landed; if not, try again.
 func ensureFile(t *testing.T, cli *Client, path string) {
 	t.Helper()
+	ctx := context.Background()
 	for attempt := 0; ; attempt++ {
-		err := cli.Create(path)
+		err := cli.Create(ctx, path)
 		if err == nil {
 			return
 		}
@@ -392,7 +391,7 @@ func ensureFile(t *testing.T, cli *Client, path string) {
 			t.Fatalf("Create never converged: %v", err)
 		}
 		chaosOutcome(t, "Create", err)
-		if _, _, derr := cli.Disclose(path); derr == nil {
+		if _, _, derr := cli.Disclose(ctx, path); derr == nil {
 			return // the ambiguous create had in fact applied
 		}
 	}
@@ -404,7 +403,7 @@ func ensureFile(t *testing.T, cli *Client, path string) {
 func mustWrite(t *testing.T, cli *Client, path string, data []byte) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
-		err := cli.Write(path, data, 0)
+		err := cli.Write(context.Background(), path, data, 0)
 		if err == nil {
 			return
 		}
@@ -472,11 +471,9 @@ func TestRetryTrafficIdenticalToDirect(t *testing.T) {
 	)
 	run := func(retry bool) []blockdev.Event {
 		tap := &blockdev.Collector{}
-		srv, err := NewStorageServer("127.0.0.1:0", blockdev.NewMem(blockSize, numBlocks), tap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := NewStorageServer(listen(t), blockdev.NewMem(blockSize, numBlocks), tap)
 		var dev *RemoteDevice
+		var err error
 		if retry {
 			dev, err = DialStorageRetry(context.Background(), RetryPolicy{JitterSeed: 99}, srv.Addr())
 		} else {
@@ -526,12 +523,10 @@ func BenchmarkRetryOverhead(b *testing.B) {
 	for _, mode := range []string{"direct", "retry"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
-			srv, err := NewStorageServer("127.0.0.1:0", blockdev.NewMem(blockSize, 1024), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			srv := NewStorageServer(listen(b), blockdev.NewMem(blockSize, 1024), nil)
 			defer srv.Close()
 			var dev *RemoteDevice
+			var err error
 			if mode == "retry" {
 				dev, err = DialStorageRetry(context.Background(), RetryPolicy{JitterSeed: 7}, srv.Addr())
 			} else {

@@ -152,12 +152,9 @@ func TestOneWritePerFrameStorage(t *testing.T) {
 	const bs, n = 4096, 256
 	gd := &gateDevice{Mem: blockdev.NewMem(bs, n), entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	ln := &tapListener{Listener: listen(t)}
-	srv, err := NewStorageServerListener(ln, gd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewStorageServer(ln, gd, nil)
 	m, cli := dialTapped(t, srv.Addr())
-	dev := &RemoteDevice{m: m}
+	dev := &RemoteDevice{link: m}
 	if err := dev.onConnect(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +223,7 @@ func TestOneWritePerFrameStorage(t *testing.T) {
 // message type, with a 1 MiB write chunk (the facade's WriteAt unit)
 // and its 1 MiB read back.
 func TestOneWritePerFrameAgent(t *testing.T) {
+	ctx := context.Background()
 	vol, err := stegfs.Format(blockdev.NewMem(4096, 2048),
 		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("hop")})
 	if err != nil {
@@ -233,12 +231,12 @@ func TestOneWritePerFrameAgent(t *testing.T) {
 	}
 	agent := steghide.NewVolatile(vol, prng.NewFromUint64(21))
 	ln := &tapListener{Listener: listen(t)}
-	srv, err := NewMultiAgentServerListener(ln, map[string]*steghide.VolatileAgent{"": agent})
+	srv, err := NewAgentServer(ln, map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, tc := dialTapped(t, srv.Addr())
-	cli := &Client{m: m}
+	cli := &Client{link: m}
 
 	chunk := prng.NewFromUint64(22).Bytes(1 << 20)
 	got := make([]byte, len(chunk))
@@ -246,24 +244,24 @@ func TestOneWritePerFrameAgent(t *testing.T) {
 		typ uint32
 		do  func() error
 	}{
-		{msgPing, cli.Ping},
-		{msgLogin, func() error { return cli.Login("alice", "pw") }},
-		{msgCreateDummy, func() error { return cli.CreateDummy("/cover", 1024) }},
-		{msgCreate, func() error { return cli.Create("/f") }},
-		{msgWrite, func() error { return cli.Write("/f", chunk, 0) }},
-		{msgRead, func() error { _, err := cli.Read("/f", got, 0); return err }},
-		{msgSave, func() error { return cli.Save("/f") }},
-		{msgDisclose, func() error { _, _, err := cli.Disclose("/f"); return err }},
-		{msgTruncate, func() error { return cli.Truncate("/f", 100) }},
-		{msgList, func() error { _, err := cli.Files(); return err }},
-		{msgDelete, func() error { return cli.Delete("/f") }},
+		{msgPing, func() error { return cli.Ping(ctx) }},
+		{msgLogin, func() error { return cli.Login(ctx, "", "alice", "pw") }},
+		{msgCreateDummy, func() error { return cli.CreateDummy(ctx, "/cover", 1024) }},
+		{msgCreate, func() error { return cli.Create(ctx, "/f") }},
+		{msgWrite, func() error { return cli.Write(ctx, "/f", chunk, 0) }},
+		{msgRead, func() error { _, err := cli.Read(ctx, "/f", got, 0); return err }},
+		{msgSave, func() error { return cli.Save(ctx, "/f") }},
+		{msgDisclose, func() error { _, _, err := cli.Disclose(ctx, "/f"); return err }},
+		{msgTruncate, func() error { return cli.Truncate(ctx, "/f", 100) }},
+		{msgList, func() error { _, err := cli.Files(ctx); return err }},
+		{msgDelete, func() error { return cli.Delete(ctx, "/f") }},
 		{msgDisclose, func() error { // an error reply
-			if _, _, err := cli.Disclose("/f"); !errors.Is(err, stegfs.ErrNotFound) {
+			if _, _, err := cli.Disclose(ctx, "/f"); !errors.Is(err, stegfs.ErrNotFound) {
 				return fmt.Errorf("disclose of a deleted file: %v", err)
 			}
 			return nil
 		}},
-		{msgLogout, cli.Logout},
+		{msgLogout, func() error { return cli.Logout(ctx) }},
 	}
 	want := []uint32{msgHello}
 	for _, s := range steps {
@@ -559,10 +557,7 @@ func TestRecycledRequestNeverReachesPeer(t *testing.T) {
 	)
 
 	pd := &patternDevice{Mem: blockdev.NewMem(bs, workers*16)}
-	ssrv, err := NewStorageServer("127.0.0.1:0", pd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ssrv := NewStorageServer(listen(t), pd, nil)
 	defer ssrv.Close()
 	dev, err := DialStorage(ssrv.Addr())
 	if err != nil {
@@ -575,25 +570,25 @@ func TestRecycledRequestNeverReachesPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asrv, err := NewAgentServer("127.0.0.1:0", steghide.NewVolatile(vol, prng.NewFromUint64(31)))
+	asrv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": steghide.NewVolatile(vol, prng.NewFromUint64(31))}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer asrv.Close()
-	cli, err := DialAgent(asrv.Addr())
+	cli, err := DialAgent(context.Background(), asrv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(context.Background(), "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateDummy("/cover", 1024); err != nil {
+	if err := cli.CreateDummy(context.Background(), "/cover", 1024); err != nil {
 		t.Fatal(err)
 	}
 	fileLen := 6 * vol.PayloadSize()
 	for w := 0; w < workers; w++ {
-		if err := cli.Create(fmt.Sprintf("/f%d", w)); err != nil {
+		if err := cli.Create(context.Background(), fmt.Sprintf("/f%d", w)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -637,7 +632,7 @@ func TestRecycledRequestNeverReachesPeer(t *testing.T) {
 				if r%2 == 1 {
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(20+rng.Uint64n(2000))*time.Microsecond)
 				}
-				err := cli.WriteCtx(ctx, path, data, 0)
+				err := cli.Write(ctx, path, data, 0)
 				cancel()
 				if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 					t.Errorf("agent worker %d: %v", w, err)
@@ -653,7 +648,7 @@ func TestRecycledRequestNeverReachesPeer(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		got := make([]byte, fileLen)
-		n, err := cli.Read(fmt.Sprintf("/f%d", w), got, 0)
+		n, err := cli.Read(context.Background(), fmt.Sprintf("/f%d", w), got, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

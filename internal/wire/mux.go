@@ -135,6 +135,22 @@ func (m *muxConn) call(ctx context.Context, req frame) (frame, error) {
 	return resp, err
 }
 
+// link is a client's one connection to its server, chosen at dial
+// time: a *muxConn (direct — a transport fault latches ErrConnBroken,
+// a goaway is not followed) or a *Redialer (self-healing). do runs one
+// exchange and ends the request's lease; idempotent marks a request
+// the retry layer may re-send even if the server already executed it.
+type link interface {
+	do(ctx context.Context, req frame, idempotent bool) (frame, error)
+	close() error
+}
+
+// do is call: a direct connection never re-sends, so idempotence does
+// not matter to it.
+func (m *muxConn) do(ctx context.Context, req frame, _ bool) (frame, error) {
+	return m.call(ctx, req)
+}
+
 // callT is call with send tracking for the retry layer, and without
 // the release (a retry sends the same frame again). sent reports
 // whether this goroutine began writing the request: on failure,

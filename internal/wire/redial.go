@@ -74,9 +74,8 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 // have reached the server surfaces ErrMaybeApplied instead of
 // retrying.
 type Redialer struct {
-	policy     RetryPolicy
-	addrs      []string // dial targets, rotated on failure and drain
-	proposeMax uint64
+	policy RetryPolicy
+	addrs  []string // dial targets, rotated on failure and drain
 
 	// onConnect replays session state (hello is already done by the
 	// dialer; this layer re-runs login and disclosures) on every fresh
@@ -96,13 +95,32 @@ type Redialer struct {
 // newRedialer builds a Redialer over one or more addresses. The first
 // address is preferred; the cursor advances past addresses that fail
 // and past servers that announce a drain.
-func newRedialer(policy RetryPolicy, proposeMax uint64, addrs ...string) *Redialer {
+func newRedialer(policy RetryPolicy, onConnect func(context.Context, *muxConn) error, addrs []string) *Redialer {
 	p := policy.withDefaults()
 	return &Redialer{
-		policy:     p,
-		addrs:      addrs,
-		proposeMax: proposeMax,
-		rng:        prng.NewFromUint64(p.JitterSeed).Child("wire/redial-jitter"),
+		policy:    p,
+		addrs:     addrs,
+		onConnect: onConnect,
+		rng:       prng.NewFromUint64(p.JitterSeed).Child("wire/redial-jitter"),
+	}
+}
+
+// dial makes the first connection, retrying transient failures under
+// the policy's budget, so a client can start before its server is up.
+// A failed dial closes the Redialer.
+func (r *Redialer) dial(ctx context.Context) error {
+	for attempt := 0; ; attempt++ {
+		_, err := r.acquire(ctx)
+		if err == nil {
+			return nil
+		}
+		if transient(err) && attempt < r.policy.MaxRetries {
+			err = r.sleep(ctx, attempt)
+		}
+		if err != nil {
+			r.close() //nolint:errcheck // nothing live yet
+			return err
+		}
 	}
 }
 
@@ -130,13 +148,13 @@ func transient(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// call runs one request with retry. idempotent marks requests that are
+// do runs one request with retry. idempotent marks requests that are
 // safe to re-send even if the server already executed them (reads,
 // stats, listings, login, ping); a non-idempotent request is re-sent
 // only when the fault provably preceded its first byte on the wire,
 // and otherwise fails with ErrMaybeApplied wrapping the transport
 // fault. The request's lease ends with the call (see muxConn.call).
-func (r *Redialer) call(ctx context.Context, req frame, idempotent bool) (frame, error) {
+func (r *Redialer) do(ctx context.Context, req frame, idempotent bool) (frame, error) {
 	defer req.release()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -263,15 +281,13 @@ func (r *Redialer) acquire(ctx context.Context) (*muxConn, error) {
 // negotiation, then the onConnect session replay.
 func (r *Redialer) dialOne(ctx context.Context, addr string) (*muxConn, error) {
 	clientRedials.Inc()
-	m, err := dialMux(ctx, addr, r.proposeMax)
+	m, err := dialMux(ctx, addr, maxBodySize)
 	if err != nil {
 		return nil, err
 	}
-	if r.onConnect != nil {
-		if err := r.onConnect(ctx, m); err != nil {
-			m.close() //nolint:errcheck // discarding a half-built conn
-			return nil, err
-		}
+	if err := r.onConnect(ctx, m); err != nil {
+		m.close() //nolint:errcheck // discarding a half-built conn
+		return nil, err
 	}
 	return m, nil
 }

@@ -36,22 +36,23 @@ func quickRetry() RetryPolicy {
 
 // TestPing probes liveness: answered before any login.
 func TestPing(t *testing.T) {
+	ctx := context.Background()
 	agent := testAgent(t, 1)
-	srv, err := NewAgentServer("127.0.0.1:0", agent)
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	cli, err := DialAgent(srv.Addr())
+	cli, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Ping(); err != nil {
+	if err := cli.Ping(ctx); err != nil {
 		t.Fatalf("ping before login: %v", err)
 	}
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
 		t.Fatalf("login after ping: %v", err)
 	}
 }
@@ -60,8 +61,9 @@ func TestPing(t *testing.T) {
 // Close, Close from many goroutines, and Close racing in-flight calls
 // must neither panic nor double-close (run under -race).
 func TestCloseIdempotentConcurrent(t *testing.T) {
+	ctx := context.Background()
 	agent := testAgent(t, 3)
-	srv, err := NewAgentServer("127.0.0.1:0", agent)
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 			var err error
 			switch mode {
 			case "direct":
-				cli, err = DialAgent(srv.Addr())
+				cli, err = DialAgent(ctx, srv.Addr())
 			case "retry":
 				cli, err = DialAgentRetry(context.Background(), quickRetry(), srv.Addr())
 			}
@@ -85,7 +87,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					cli.Ping() //nolint:errcheck // racing Close; any outcome is fine
+					cli.Ping(ctx) //nolint:errcheck // racing Close; any outcome is fine
 				}()
 			}
 			for i := 0; i < 4; i++ {
@@ -106,10 +108,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 
 	// RemoteDevice has the same contract.
 	mem := blockdev.NewMem(256, 64)
-	ssrv, err := NewStorageServer("127.0.0.1:0", mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ssrv := NewStorageServer(listen(t), mem, nil)
 	defer ssrv.Close()
 	dev, err := DialStorage(ssrv.Addr())
 	if err != nil {
@@ -170,6 +169,7 @@ func fakeV2Server(t *testing.T, ln net.Listener) {
 // write whose frame was fully sent before the transport died fails
 // with ErrMaybeApplied — never a silent transparent retry.
 func TestMaybeApplied(t *testing.T) {
+	ctx := context.Background()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +182,10 @@ func TestMaybeApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	err = cli.Create("/f")
+	err = cli.Create(ctx, "/f")
 	if !errors.Is(err, ErrMaybeApplied) {
 		t.Fatalf("want ErrMaybeApplied, got %v", err)
 	}
@@ -198,8 +198,9 @@ func TestMaybeApplied(t *testing.T) {
 // same mid-call connection loss on a read-class call redials and
 // retries without surfacing anything.
 func TestReadRetriesTransparently(t *testing.T) {
+	ctx := context.Background()
 	agent := testAgent(t, 4)
-	srv, err := NewAgentServer("127.0.0.1:0", agent)
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,31 +211,31 @@ func TestReadRetriesTransparently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateDummy("/cover", 32); err != nil {
+	if err := cli.CreateDummy(ctx, "/cover", 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Create("/f"); err != nil {
+	if err := cli.Create(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(7).Bytes(300)
-	if err := cli.Write("/f", msg, 0); err != nil {
+	if err := cli.Write(ctx, "/f", msg, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Save("/f"); err != nil {
+	if err := cli.Save(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill the live connection out from under the client.
-	cli.rd.mu.Lock()
-	live := cli.rd.conn
-	cli.rd.mu.Unlock()
+	cli.link.(*Redialer).mu.Lock()
+	live := cli.link.(*Redialer).conn
+	cli.link.(*Redialer).mu.Unlock()
 	live.conn.Close()
 
 	buf := make([]byte, len(msg))
-	n, err := cli.Read("/f", buf, 0)
+	n, err := cli.Read(ctx, "/f", buf, 0)
 	if err != nil {
 		t.Fatalf("read across reconnect: %v", err)
 	}
@@ -242,7 +243,7 @@ func TestReadRetriesTransparently(t *testing.T) {
 		t.Fatalf("read %d bytes across reconnect, content match=%v", n, string(buf) == string(msg))
 	}
 	// The session was replayed: listing still works and names /f.
-	files, err := cli.Files()
+	files, err := cli.Files(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +258,11 @@ func TestReadRetriesTransparently(t *testing.T) {
 // replays there.
 func TestDrainHandsOffToNextAddress(t *testing.T) {
 	agent := testAgent(t, 5)
-	srv1, err := NewAgentServer("127.0.0.1:0", agent)
+	srv1, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := NewAgentServer("127.0.0.1:0", agent)
+	srv2, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,17 +273,17 @@ func TestDrainHandsOffToNextAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(context.Background(), "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateDummy("/cover", 32); err != nil {
+	if err := cli.CreateDummy(context.Background(), "/cover", 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Create("/f"); err != nil {
+	if err := cli.Create(context.Background(), "/f"); err != nil {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(8).Bytes(200)
-	if err := cli.Write("/f", msg, 0); err != nil {
+	if err := cli.Write(context.Background(), "/f", msg, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -295,51 +296,111 @@ func TestDrainHandsOffToNextAddress(t *testing.T) {
 	// The next calls land on srv2 with the session replayed; the write
 	// above was flushed by the drain-triggered logout.
 	buf := make([]byte, len(msg))
-	if n, err := cli.Read("/f", buf, 0); err != nil || n != len(msg) {
+	if n, err := cli.Read(context.Background(), "/f", buf, 0); err != nil || n != len(msg) {
 		t.Fatalf("read after drain: %d, %v", n, err)
 	}
 	if string(buf) != string(msg) {
 		t.Fatal("content lost across drain handoff")
 	}
-	if err := cli.Write("/f", msg, uint64(len(msg))); err != nil {
+	if err := cli.Write(context.Background(), "/f", msg, uint64(len(msg))); err != nil {
 		t.Fatalf("write after drain: %v", err)
 	}
 }
 
-// TestDrainLetsInflightFinish pins the drain ordering for a plain
-// (non-retry) client: a call in flight when Shutdown begins still
-// gets its reply.
+// TestDrainLetsInflightFinish pins the drain contract on both servers
+// for a plain (non-retry) client: a call in flight when Shutdown begins
+// still gets its reply, Draining reports the drain from its start, a
+// new connection is refused, and afterwards the client's next call
+// fails with the broken-connection taxonomy, not a hang.
 func TestDrainLetsInflightFinish(t *testing.T) {
-	mem := blockdev.NewMem(256, 64)
-	slow := &slowDevice{Device: mem, delay: 50 * time.Millisecond}
-	srv, err := NewStorageServer("127.0.0.1:0", slow, nil)
-	if err != nil {
-		t.Fatal(err)
+	type drainer interface {
+		Addr() string
+		Draining() bool
+		Shutdown(context.Context) error
 	}
-	dev, err := DialStorage(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	const delay = 50 * time.Millisecond // per device op: the call stays in flight
+	cases := []struct {
+		name string
+		// start serves a slow device and dials one direct client; call is
+		// one request on that client.
+		start func(t *testing.T) (srv drainer, call func() error)
+		dial  func(addr string) error
+	}{
+		{"storage", func(t *testing.T) (drainer, func() error) {
+			srv := NewStorageServer(listen(t), &slowDevice{Device: blockdev.NewMem(256, 64), delay: delay}, nil)
+			dev, err := DialStorage(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { dev.Close() })
+			return srv, func() error { return dev.ReadBlock(1, make([]byte, 256)) }
+		}, func(addr string) error {
+			dev, err := DialStorage(addr)
+			if err == nil {
+				dev.Close()
+			}
+			return err
+		}},
+		{"agent", func(t *testing.T) (drainer, func() error) {
+			mem := blockdev.NewMem(256, 2048)
+			if _, err := stegfs.Format(mem, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("drain")}); err != nil {
+				t.Fatal(err)
+			}
+			vol, err := stegfs.Open(&slowDevice{Device: mem, delay: delay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			agent := steghide.NewVolatile(vol, prng.NewFromUint64(10))
+			srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, err := DialAgent(context.Background(), srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cli.Close() })
+			if err := cli.Login(context.Background(), "", "alice", "pw"); err != nil {
+				t.Fatal(err)
+			}
+			return srv, func() error { return cli.CreateDummy(context.Background(), "/cover", 4) }
+		}, func(addr string) error {
+			cli, err := DialAgent(context.Background(), addr)
+			if err == nil {
+				cli.Close()
+			}
+			return err
+		}},
 	}
-	defer dev.Close()
-
-	errc := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 256)
-		errc <- dev.ReadBlock(1, buf)
-	}()
-	time.Sleep(10 * time.Millisecond) // let the read reach the worker
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("in-flight read during drain: %v", err)
-	}
-	// After the drain the connection is gone: the next call fails with
-	// the broken-connection taxonomy, not a hang.
-	if err := dev.ReadBlock(2, make([]byte, 256)); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("post-drain call: want ErrConnBroken, got %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, call := tc.start(t)
+			errc := make(chan error, 1)
+			go func() { errc <- call() }()
+			time.Sleep(10 * time.Millisecond) // let the call reach its handler
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			shut := make(chan error, 1)
+			go func() { shut <- srv.Shutdown(ctx) }()
+			for !srv.Draining() {
+				if ctx.Err() != nil {
+					t.Fatal("Draining never reported the drain")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := tc.dial(srv.Addr()); err == nil {
+				t.Fatal("a new connection was served during the drain")
+			}
+			if err := <-shut; err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if err := <-errc; err != nil {
+				t.Fatalf("in-flight call during drain: %v", err)
+			}
+			if err := call(); !errors.Is(err, ErrConnBroken) {
+				t.Fatalf("post-drain call: want ErrConnBroken, got %v", err)
+			}
+		})
 	}
 }
 
@@ -349,7 +410,7 @@ func TestDrainLetsInflightFinish(t *testing.T) {
 // scenario.
 func TestRetrySurvivesServerRestart(t *testing.T) {
 	agent := testAgent(t, 6)
-	srv, err := NewAgentServer("127.0.0.1:0", agent)
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,17 +422,17 @@ func TestRetrySurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(context.Background(), "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateDummy("/cover", 32); err != nil {
+	if err := cli.CreateDummy(context.Background(), "/cover", 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Create("/f"); err != nil {
+	if err := cli.Create(context.Background(), "/f"); err != nil {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(9).Bytes(128)
-	if err := cli.Write("/f", msg, 0); err != nil {
+	if err := cli.Write(context.Background(), "/f", msg, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -387,7 +448,11 @@ func TestRetrySurvivesServerRestart(t *testing.T) {
 		// Rebind the same address a beat later, while the client is
 		// already failing and backing off against it.
 		time.Sleep(30 * time.Millisecond)
-		srv2, err := NewAgentServer(addr, agent)
+		ln, err := net.Listen("tcp", addr)
+		var srv2 *AgentServer
+		if err == nil {
+			srv2, err = NewAgentServer(ln, map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
+		}
 		if err != nil {
 			t.Errorf("rebind %s: %v", addr, err)
 			close(restarted)
@@ -398,7 +463,7 @@ func TestRetrySurvivesServerRestart(t *testing.T) {
 	}()
 
 	buf := make([]byte, len(msg))
-	n, err := cli.Read("/f", buf, 0)
+	n, err := cli.Read(context.Background(), "/f", buf, 0)
 	<-restarted
 	if err != nil {
 		t.Fatalf("read across restart: %v", err)

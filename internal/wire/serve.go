@@ -27,6 +27,161 @@ const connWorkers = 8
 // (rightly) drop the connection.
 type handlerFunc func(ctx context.Context, req frame, limit uint64) frame
 
+// server is the transport core StorageServer and AgentServer share:
+// the listener and its accept loop, the live-connection table and the
+// drain flag. The protocol is the serveConn func it starts with.
+type server struct {
+	ln       net.Listener
+	maxFrame uint64
+	wg       sync.WaitGroup
+
+	// Observability attachments (ServeOptions); both nil-safe.
+	log     *slog.Logger
+	metrics *serverMetrics
+
+	// Graceful-drain state: live connections, and whether Shutdown has
+	// begun (after which new connections are refused).
+	mu    sync.Mutex
+	conns map[*connServer]struct{}
+	down  bool
+}
+
+// start fixes the frame limit and the attachments, then accepts on ln
+// until it closes, running serveConn on each connection. Nothing is
+// set after start: the accept loop hands connections out from here on.
+func (s *server) start(ln net.Listener, maxFrame uint64, opts ServeOptions, serveConn func(*connServer)) {
+	s.ln, s.maxFrame = ln, maxFrame
+	s.log, s.metrics = opts.Logger, newServerMetrics(opts.Metrics)
+	s.conns = map[*connServer]struct{}{}
+	if reg := opts.Metrics; reg != nil {
+		// Scrape-time gauges over the connection table. The counts are
+		// facts the network side already exposes (TCP connections and
+		// outstanding frames are visible on the path); nothing about
+		// what the requests do is sampled.
+		reg.GaugeFunc("steghide_wire_active_connections",
+			"connections currently served", func() float64 {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return float64(len(s.conns))
+			})
+		reg.GaugeFunc("steghide_wire_inflight_requests",
+			"requests dispatched but not yet replied, across all connections",
+			func() float64 {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				var n int64
+				for cs := range s.conns {
+					n += cs.inflightN.Load()
+				}
+				return float64(n)
+			})
+		reg.GaugeFunc("steghide_wire_draining",
+			"1 while Shutdown is draining connections, else 0", func() float64 {
+				if s.Draining() {
+					return 1
+				}
+				return 0
+			})
+	}
+	s.wg.Add(1)
+	go s.acceptLoop(serveConn)
+}
+
+// Addr returns the server's listen address.
+func (s *server) Addr() string { return s.ln.Addr().String() }
+
+// Close stops the server and waits for connections to drain.
+func (s *server) Close() error {
+	err := s.ln.Close()
+	s.wg.Wait()
+	return err
+}
+
+// Draining reports whether Shutdown has begun — the bit an ops
+// health endpoint turns into a 503 so load balancers steer away
+// while in-flight requests finish.
+func (s *server) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.down
+}
+
+// Shutdown gracefully drains the server: it stops accepting, tells
+// every connection to take its next call elsewhere (msgGoaway), lets
+// in-flight requests finish and their replies land, then closes the
+// connections and returns. ctx bounds the drain — on expiry the
+// remaining connections are closed abruptly, exactly the semantics a
+// plain close always had, and ctx's error is returned.
+func (s *server) Shutdown(ctx context.Context) error {
+	s.mu.Lock()
+	s.down = true
+	conns := make([]*connServer, 0, len(s.conns))
+	for cs := range s.conns {
+		conns = append(conns, cs)
+	}
+	s.mu.Unlock()
+	if s.log != nil {
+		s.log.Info("wire: shutdown draining", "connections", len(conns))
+	}
+	s.ln.Close() //nolint:errcheck // re-Shutdown / racing Close
+	var dwg sync.WaitGroup
+	for _, cs := range conns {
+		dwg.Add(1)
+		go func(cs *connServer) {
+			defer dwg.Done()
+			cs.drain(ctx)
+		}(cs)
+	}
+	dwg.Wait()
+	s.wg.Wait()
+	if s.log != nil {
+		s.log.Info("wire: shutdown complete")
+	}
+	return ctx.Err()
+}
+
+// track registers a live connection, refusing once Shutdown began.
+func (s *server) track(cs *connServer) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.down {
+		return false
+	}
+	s.conns[cs] = struct{}{}
+	return true
+}
+
+func (s *server) untrack(cs *connServer) {
+	s.mu.Lock()
+	delete(s.conns, cs)
+	s.mu.Unlock()
+}
+
+func (s *server) acceptLoop(serveConn func(*connServer)) {
+	defer s.wg.Done()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			return
+		}
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			defer conn.Close()
+			cs := newConnServer(conn, s.maxFrame, s.log, s.metrics)
+			if !s.track(cs) {
+				return // raced Shutdown: the listener is already closed
+			}
+			defer s.untrack(cs)
+			if s.metrics != nil {
+				s.metrics.connections.Inc()
+			}
+			cs.logEvent("wire: connection accepted")
+			serveConn(cs)
+		}()
+	}
+}
+
 // connServer drives one accepted connection through version
 // negotiation and then the request loop.
 type connServer struct {
@@ -95,12 +250,11 @@ func (cs *connServer) finishRead(err error) {
 	}
 }
 
-// serve negotiates and runs the connection until it drops. handle is
-// the protocol logic; it must be safe for concurrent use.
-func (cs *connServer) serve(handle handlerFunc) {
-	// The first frame must be a hello offering version 2 or later. A
-	// peer that opens with a request (protocol v1 had no hello), or
-	// offers less, gets one typed error frame and the close.
+// hello negotiates the connection, reporting whether it may carry
+// requests. The first frame must be a hello offering version 2 or
+// later. A peer that opens with a request (protocol v1 had no hello),
+// or offers less, gets one typed error frame and the close.
+func (cs *connServer) hello() bool {
 	first, err := readFrame(cs.br, helloLimit)
 	var theirMax uint64
 	switch {
@@ -108,7 +262,7 @@ func (cs *connServer) serve(handle handlerFunc) {
 		err = fmt.Errorf("%w: the first frame must be a hello", ErrProtoVersion)
 	case err != nil:
 		cs.finishRead(err)
-		return
+		return false
 	case first.Type != msgHello:
 		err = fmt.Errorf("%w: the first frame must be a hello, not type %#x", ErrProtoVersion, first.Type)
 	default:
@@ -121,22 +275,25 @@ func (cs *connServer) serve(handle handlerFunc) {
 	first.release() // decoded by value; the lease ends here
 	if err != nil {
 		cs.answer(first.ID, errFrame(err)) //nolint:errcheck // closing either way
-		return
+		return false
 	}
 	cs.maxFrame = min(cs.maxFrame, theirMax)
 	if cs.answer(first.ID, helloFrame(protoV2, cs.maxFrame)) != nil {
-		return
+		return false
 	}
 	cs.negotiated.Store(true)
 	cs.logEvent("wire: hello negotiated", "version", protoV2, "max_frame", cs.maxFrame)
-	cs.serveV2(handle)
+	return true
 }
 
-// serveV2 is the pipelined loop, leader/follower: connWorkers
-// goroutines take turns holding the read token. The holder reads the
-// socket and serves msgCancel and msgPing in line; on a request it
-// registers the request's cancel func, passes the token on, and then
-// runs the handler and writes the reply itself — no queue and no
+// serve negotiates and runs the connection until it drops. handle is
+// the protocol logic; it must be safe for concurrent use.
+//
+// The loop is leader/follower: connWorkers goroutines take turns
+// holding the read token. The holder reads the socket and serves
+// msgCancel and msgPing in line; on a request it registers the
+// request's cancel func, passes the token on, and then runs the
+// handler and writes the reply itself — no queue and no
 // hand-off between reading a request and answering it, and yet some
 // goroutine is on the socket while a handler runs, so a msgCancel for a
 // request mid-handler is read and fires its context. Requests overlap
@@ -145,7 +302,10 @@ func (cs *connServer) serve(handle handlerFunc) {
 // next frame, a cancel included, waits in the TCP buffer until one
 // returns. (The client does not depend on a cancel's delivery — it
 // discards the late reply by ID either way.)
-func (cs *connServer) serveV2(handle handlerFunc) {
+func (cs *connServer) serve(handle handlerFunc) {
+	if !cs.hello() {
+		return
+	}
 	connCtx, cancelAll := context.WithCancel(context.Background())
 	defer cancelAll()
 

@@ -64,10 +64,7 @@ func (s *slowDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
 func interopStorage(t *testing.T) {
 	t.Helper()
 	mem := blockdev.NewMem(256, 64)
-	srv, err := NewStorageServer("127.0.0.1:0", mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewStorageServer(listen(t), mem, nil)
 	defer srv.Close()
 
 	dev, err := DialStorage(srv.Addr())
@@ -75,9 +72,6 @@ func interopStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	if got := dev.ProtoVersion(); got != protoV2 {
-		t.Fatalf("negotiated protocol %d, want %d", got, protoV2)
-	}
 	data := prng.NewFromUint64(7).Bytes(256)
 	if err := dev.WriteBlock(9, data); err != nil {
 		t.Fatal(err)
@@ -100,45 +94,43 @@ func interopStorage(t *testing.T) {
 // interopAgent runs the agent protocol over a negotiated connection.
 func interopAgent(t *testing.T) {
 	t.Helper()
-	srv, err := NewAgentServer("127.0.0.1:0", testAgent(t, 5))
+	ctx := context.Background()
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": testAgent(t, 5)}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	cli, err := DialAgent(srv.Addr())
+	cli, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if got := cli.ProtoVersion(); got != protoV2 {
-		t.Fatalf("negotiated protocol %d, want %d", got, protoV2)
-	}
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateDummy("/d", 32); err != nil {
+	if err := cli.CreateDummy(ctx, "/d", 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Create("/f"); err != nil {
+	if err := cli.Create(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(9).Bytes(500)
-	if err := cli.Write("/f", msg, 0); err != nil {
+	if err := cli.Write(ctx, "/f", msg, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if n, err := cli.Read("/f", got, 0); err != nil || n != len(msg) {
+	if n, err := cli.Read(ctx, "/f", got, 0); err != nil || n != len(msg) {
 		t.Fatalf("read %d, %v", n, err)
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("content mismatch")
 	}
 	// Error taxonomy must survive the wire.
-	if _, _, err := cli.Disclose("/nope"); !errors.Is(err, stegfs.ErrNotFound) {
+	if _, _, err := cli.Disclose(ctx, "/nope"); !errors.Is(err, stegfs.ErrNotFound) {
 		t.Fatalf("want ErrNotFound across the wire, got %v", err)
 	}
-	if err := cli.Logout(); err != nil {
+	if err := cli.Logout(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,10 +212,7 @@ func TestInteropMatrix(t *testing.T) {
 	e := &encoder{}
 	login := e.str("alice").str("pw").frame(msgLogin)
 	t.Run("storage/v1-client/v2-server", func(t *testing.T) {
-		srv, err := NewStorageServer("127.0.0.1:0", blockdev.NewMem(256, 64), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := NewStorageServer(listen(t), blockdev.NewMem(256, 64), nil)
 		defer srv.Close()
 		refusedByServer(t, srv.Addr(), frame{Type: msgDevInfo})
 		// A v1 client's first frame could be a whole batch write.
@@ -231,7 +220,7 @@ func TestInteropMatrix(t *testing.T) {
 		refusedByServer(t, srv.Addr(), oldHello)
 	})
 	t.Run("agent/v1-client/v2-server", func(t *testing.T) {
-		srv, err := NewAgentServer("127.0.0.1:0", testAgent(t, 6))
+		srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": testAgent(t, 6)}, ServeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +240,7 @@ func TestInteropMatrix(t *testing.T) {
 	})
 	t.Run("agent/v2-client/v1-server", func(t *testing.T) {
 		for _, addr := range oldServers {
-			if cli, err := DialAgent(addr); !errors.Is(err, ErrProtoVersion) {
+			if cli, err := DialAgent(context.Background(), addr); !errors.Is(err, ErrProtoVersion) {
 				t.Fatalf("want ErrProtoVersion, got %v, %v", cli, err)
 			}
 			// The refusal is final: the retry layer does not redial it.
@@ -266,6 +255,7 @@ func TestInteropMatrix(t *testing.T) {
 // TestMultiVolumeServing pins the tentpole's fleet mode: one daemon,
 // several independent volumes, routed by the login's volume name.
 func TestMultiVolumeServing(t *testing.T) {
+	ctx := context.Background()
 	mkAgent := func(seed string) *steghide.VolatileAgent {
 		vol, err := stegfs.Format(blockdev.NewMem(256, 2048),
 			stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte(seed)})
@@ -274,11 +264,11 @@ func TestMultiVolumeServing(t *testing.T) {
 		}
 		return steghide.NewVolatile(vol, prng.New([]byte(seed)))
 	}
-	srv, err := NewMultiAgentServer("127.0.0.1:0", map[string]*steghide.VolatileAgent{
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{
 		"":     mkAgent("default"),
 		"red":  mkAgent("red"),
 		"blue": mkAgent("blue"),
-	})
+	}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,27 +278,27 @@ func TestMultiVolumeServing(t *testing.T) {
 	}
 
 	store := func(volume, path string, msg []byte) {
-		cli, err := DialAgent(srv.Addr())
+		cli, err := DialAgent(ctx, srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cli.Close()
-		if err := cli.LoginVolume(volume, "alice", "pw"); err != nil {
+		if err := cli.Login(ctx, volume, "alice", "pw"); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.CreateDummy("/d", 16); err != nil {
+		if err := cli.CreateDummy(ctx, "/d", 16); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Create(path); err != nil {
+		if err := cli.Create(ctx, path); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Write(path, msg, 0); err != nil {
+		if err := cli.Write(ctx, path, msg, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Save(path); err != nil {
+		if err := cli.Save(ctx, path); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Logout(); err != nil {
+		if err := cli.Logout(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,19 +309,19 @@ func TestMultiVolumeServing(t *testing.T) {
 
 	// Same user, same path, different volumes: different files.
 	check := func(volume string, want []byte) {
-		cli, err := DialAgent(srv.Addr())
+		cli, err := DialAgent(ctx, srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cli.Close()
-		if err := cli.LoginVolume(volume, "alice", "pw"); err != nil {
+		if err := cli.Login(ctx, volume, "alice", "pw"); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cli.Disclose("/s"); err != nil {
+		if _, _, err := cli.Disclose(ctx, "/s"); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, len(want))
-		if _, err := cli.Read("/s", got, 0); err != nil {
+		if _, err := cli.Read(ctx, "/s", got, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -339,7 +329,7 @@ func TestMultiVolumeServing(t *testing.T) {
 		}
 		// Log out in line: the drop alone logs out too, but only once
 		// the server notices it, and alice logs into red again below.
-		if err := cli.Logout(); err != nil {
+		if err := cli.Logout(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,29 +337,29 @@ func TestMultiVolumeServing(t *testing.T) {
 	check("blue", blueMsg)
 
 	// The default volume never saw /s.
-	cli, err := DialAgent(srv.Addr())
+	cli, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cli.Disclose("/s"); !errors.Is(err, stegfs.ErrNotFound) {
+	if _, _, err := cli.Disclose(ctx, "/s"); !errors.Is(err, stegfs.ErrNotFound) {
 		t.Fatalf("default volume leaked another volume's file: %v", err)
 	}
 
 	// An unknown volume is a typed, sentinel-coded failure.
-	cli2, err := DialAgent(srv.Addr())
+	cli2, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli2.Close()
-	if err := cli2.LoginVolume("green", "alice", "pw"); !errors.Is(err, ErrUnknownVolume) {
+	if err := cli2.Login(ctx, "green", "alice", "pw"); !errors.Is(err, ErrUnknownVolume) {
 		t.Fatalf("want ErrUnknownVolume, got %v", err)
 	}
 	// The failed login must not poison the connection (no latch).
-	if err := cli2.LoginVolume("red", "alice", "pw"); err != nil {
+	if err := cli2.Login(ctx, "red", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -420,8 +410,8 @@ func TestNegotiatedLimitChunksBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	if dev.m.maxFrame != 8<<10 {
-		t.Fatalf("negotiated limit %d, want %d", dev.m.maxFrame, 8<<10)
+	if dev.frameLimit != 8<<10 {
+		t.Fatalf("negotiated limit %d, want %d", dev.frameLimit, 8<<10)
 	}
 	data := blockdev.AllocBlocks(64, 512)
 	for i, b := range data {
@@ -458,7 +448,7 @@ func TestOversizedRequestRefusedLocally(t *testing.T) {
 	}
 	defer dev.Close()
 	huge := frame{Type: msgWriteBlock, Body: make([]byte, 16<<10)}
-	if _, err := dev.m.call(context.Background(), huge); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := dev.do(context.Background(), huge, false); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("want ErrFrameTooBig, got %v", err)
 	}
 	// The connection still works.
@@ -481,29 +471,29 @@ func TestCancelUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent := steghide.NewVolatile(vol, prng.NewFromUint64(11))
-	srv, err := NewAgentServer("127.0.0.1:0", agent)
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	cli, err := DialAgent(srv.Addr())
+	cli, err := DialAgent(context.Background(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(context.Background(), "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateDummy("/d", 64); err != nil {
+	if err := cli.CreateDummy(context.Background(), "/d", 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Create("/f"); err != nil {
+	if err := cli.Create(context.Background(), "/f"); err != nil {
 		t.Fatal(err)
 	}
 	ps := vol.PayloadSize()
 	content := prng.NewFromUint64(12).Bytes(4 * ps)
-	if err := cli.Write("/f", content, 0); err != nil {
+	if err := cli.Write(context.Background(), "/f", content, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -524,7 +514,7 @@ func TestCancelUnderLoad(t *testing.T) {
 			defer wg.Done()
 			buf := make([]byte, ps)
 			off := uint64(i%4) * uint64(ps)
-			_, err := cli.ReadCtx(ctx, "/f", buf, off)
+			_, err := cli.Read(ctx, "/f", buf, off)
 			results[i] = result{canceled: i%2 == 1, err: err, got: buf}
 		}(i, ctx)
 	}
@@ -562,13 +552,13 @@ func TestCancelUnderLoad(t *testing.T) {
 
 	// The connection is still healthy: fresh calls work, no redial.
 	buf := make([]byte, ps)
-	if _, err := cli.Read("/f", buf, 0); err != nil {
+	if _, err := cli.Read(context.Background(), "/f", buf, 0); err != nil {
 		t.Fatalf("connection unhealthy after cancellations: %v", err)
 	}
 	if !bytes.Equal(buf, content[:ps]) {
 		t.Fatal("post-cancel read returned wrong content")
 	}
-	if err := cli.Logout(); err != nil {
+	if err := cli.Logout(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -614,10 +604,7 @@ func TestPipelineSpeedup(t *testing.T) {
 		t.Skip("timing test")
 	}
 	slow := &slowDevice{Device: blockdev.NewMem(256, 64), delay: 2 * time.Millisecond}
-	srv, err := NewStorageServer("127.0.0.1:0", slow, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewStorageServer(listen(t), slow, nil)
 	defer srv.Close()
 	dev, err := DialStorage(srv.Addr())
 	if err != nil {
@@ -641,10 +628,7 @@ func TestPipelineSpeedup(t *testing.T) {
 // before the next is issued, pipelining or not).
 func TestV2SingleConnOrdering(t *testing.T) {
 	mem := blockdev.NewMem(128, 32)
-	srv, err := NewStorageServer("127.0.0.1:0", mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewStorageServer(listen(t), mem, nil)
 	defer srv.Close()
 	dev, err := DialStorage(srv.Addr())
 	if err != nil {

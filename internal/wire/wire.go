@@ -15,6 +15,14 @@
 //     would be TLS; the protocol layer is orthogonal to the
 //     constructions being reproduced.
 //
+// Both are one transport core — listener, accept loop, live-connection
+// table, graceful drain — around their protocol handler, and each is
+// built over a listener it then owns. A client (RemoteDevice, Client)
+// holds one connection chosen at dial time: direct, where a transport
+// fault latches ErrConnBroken, or self-healing (Dial*Retry), which
+// redials and replays. Client has one method per agent message, each
+// taking the call's context.
+//
 // The framing is a fixed 16-byte header (type, request ID, length)
 // followed by a binary body, all big-endian, and every frame is one
 // Write. The protocol multiplexes: every frame carries a request ID,
@@ -30,7 +38,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 
 	"steghide/internal/blockdev"
 	"steghide/internal/mempool"
@@ -40,121 +47,26 @@ import (
 
 // StorageServer exposes a block device over TCP.
 type StorageServer struct {
+	server
 	dev blockdev.Device // wrapped in blockdev.Traced when tapped
-	ln  net.Listener
-	wg  sync.WaitGroup
-
-	maxFrame uint64
-
-	// Graceful-drain state: live connections, and whether Shutdown has
-	// begun (after which new connections are refused).
-	cmu   sync.Mutex
-	conns map[*connServer]struct{}
-	down  bool
 }
 
-// NewStorageServer starts serving dev on addr (e.g. "127.0.0.1:0").
-// tap, the wire attacker's observation, may be nil; it sees exactly
+// NewStorageServer serves dev on ln, which the server owns from here
+// on. tap, the wire attacker's observation, may be nil; it sees exactly
 // what blockdev.Traced records of the served device's successful I/O.
-func NewStorageServer(addr string, dev blockdev.Device, tap blockdev.Tracer) (*StorageServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: listen: %w", err)
-	}
-	return newStorageServer(ln, dev, tap, maxBodySize), nil
+func NewStorageServer(ln net.Listener, dev blockdev.Device, tap blockdev.Tracer) *StorageServer {
+	return newStorageServer(ln, dev, tap, maxBodySize)
 }
 
-// NewStorageServerListener is NewStorageServer over an already
-// established listener — the injection point for fault-injecting
-// transports (the chaos harness) and custom routing. The server owns
-// ln from here on.
-func NewStorageServerListener(ln net.Listener, dev blockdev.Device, tap blockdev.Tracer) (*StorageServer, error) {
-	return newStorageServer(ln, dev, tap, maxBodySize), nil
-}
-
-// newStorageServer is the core; the frame limit it offers must be
-// fixed before the accept loop can hand a connection to it.
+// newStorageServer is NewStorageServer offering the frame limit
+// maxFrame at the hello.
 func newStorageServer(ln net.Listener, dev blockdev.Device, tap blockdev.Tracer, maxFrame uint64) *StorageServer {
 	if tap != nil {
 		dev = blockdev.NewTraced(dev, tap)
 	}
-	s := &StorageServer{dev: dev, ln: ln, maxFrame: maxFrame, conns: map[*connServer]struct{}{}}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &StorageServer{dev: dev}
+	s.start(ln, maxFrame, ServeOptions{}, func(cs *connServer) { cs.serve(s.handle) })
 	return s
-}
-
-// Addr returns the server's listen address.
-func (s *StorageServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server and waits for connections to drain.
-func (s *StorageServer) Close() error {
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-// Shutdown gracefully drains the server: stop accepting, goaway every
-// connection, let in-flight requests reply, then close. See
-// AgentServer.Shutdown for the full contract.
-func (s *StorageServer) Shutdown(ctx context.Context) error {
-	s.cmu.Lock()
-	s.down = true
-	conns := make([]*connServer, 0, len(s.conns))
-	for cs := range s.conns {
-		conns = append(conns, cs)
-	}
-	s.cmu.Unlock()
-	s.ln.Close() //nolint:errcheck // re-Shutdown / racing Close
-	var dwg sync.WaitGroup
-	for _, cs := range conns {
-		dwg.Add(1)
-		go func(cs *connServer) {
-			defer dwg.Done()
-			cs.drain(ctx)
-		}(cs)
-	}
-	dwg.Wait()
-	s.wg.Wait()
-	return ctx.Err()
-}
-
-// track registers a live connection, refusing once Shutdown began.
-func (s *StorageServer) track(cs *connServer) bool {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if s.down {
-		return false
-	}
-	s.conns[cs] = struct{}{}
-	return true
-}
-
-func (s *StorageServer) untrack(cs *connServer) {
-	s.cmu.Lock()
-	delete(s.conns, cs)
-	s.cmu.Unlock()
-}
-
-func (s *StorageServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			cs := newConnServer(conn, s.maxFrame, nil, nil)
-			if !s.track(cs) {
-				return // raced Shutdown: the listener is already closed
-			}
-			defer s.untrack(cs)
-			cs.serve(s.handle)
-		}()
-	}
 }
 
 // handle serves one storage request, concurrently with the
@@ -193,97 +105,69 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 			return errFrame(err)
 		}
 		return frame{Type: msgOK}
-	case msgReadBlocks:
-		d := &decoder{b: req.Body}
-		start, count := d.u64(), d.u64()
-		if d.err != nil {
-			return errFrame(d.err)
-		}
-		reply, bufs, err := s.batchBufs(count, limit)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := blockdev.ReadBlocks(s.dev, start, bufs); err != nil {
-			reply.release()
-			return errFrame(err)
-		}
-		return reply
-	case msgWriteBlocks:
-		d := &decoder{b: req.Body}
-		start, count := d.u64(), d.u64()
-		data, err := s.splitBlocks(d, count, limit)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := blockdev.WriteBlocks(s.dev, start, data); err != nil {
-			return errFrame(err)
-		}
-		return frame{Type: msgOK}
-	case msgReadBlocksAt:
-		d := &decoder{b: req.Body}
-		idx := decodeIndices(d)
-		if d.err != nil {
-			return errFrame(d.err)
-		}
-		reply, bufs, err := s.batchBufs(uint64(len(idx)), limit)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := blockdev.ReadBlocksAt(s.dev, idx, bufs); err != nil {
-			reply.release()
-			return errFrame(err)
-		}
-		return reply
-	case msgWriteBlocksAt:
-		d := &decoder{b: req.Body}
-		idx := decodeIndices(d)
-		data, err := s.splitBlocks(d, uint64(len(idx)), limit)
-		if err != nil {
-			return errFrame(err)
-		}
-		if err := blockdev.WriteBlocksAt(s.dev, idx, data); err != nil {
-			return errFrame(err)
-		}
-		return frame{Type: msgOK}
+	case msgReadBlocks, msgWriteBlocks, msgReadBlocksAt, msgWriteBlocksAt:
+		return s.batch(req, limit)
 	default:
 		return errFrame(fmt.Errorf("wire: unknown message type %#x", req.Type))
 	}
 }
 
-// batchBufs leases the reply frame of a count-block read and carves
-// its body into the block buffers the device fills. The count is
-// bounded so the reply stays under the connection's negotiated frame
-// limit.
-func (s *StorageServer) batchBufs(count, limit uint64) (frame, [][]byte, error) {
+// batch serves the four batch messages. A range form carries (start,
+// count), an index form the index set; a write carries count blocks
+// behind. The count is bounded so a read reply stays under the
+// connection's negotiated frame limit, and the block buffers are views
+// of the request body (write) or of the leased reply body (read).
+func (s *StorageServer) batch(req frame, limit uint64) frame {
+	at, write := batchForm(req.Type)
+	d := &decoder{b: req.Body}
+	var start, count uint64
+	var idx []uint64
+	if at {
+		idx = decodeIndices(d)
+		count = uint64(len(idx))
+	} else {
+		start, count = d.u64(), d.u64()
+	}
+	if d.err != nil {
+		return errFrame(d.err)
+	}
 	bs := s.dev.BlockSize()
 	if count == 0 || count > limit/uint64(bs) {
-		return frame{}, nil, fmt.Errorf("wire: batch of %d blocks out of bounds", count)
+		return errFrame(fmt.Errorf("wire: batch of %d blocks out of bounds", count))
 	}
-	reply := framed(msgOK, mempool.Get(headerSize+int(count)*bs), int(count)*bs)
+	reply, body := frame{Type: msgOK}, d.b
+	if !write {
+		reply = framed(msgOK, mempool.Get(headerSize+int(count)*bs), int(count)*bs)
+		body = reply.Body
+	} else if uint64(len(body)) != count*uint64(bs) {
+		return errFrame(fmt.Errorf("wire: batch body %d bytes, want %d", len(body), count*uint64(bs)))
+	}
 	bufs := make([][]byte, count)
 	for i := range bufs {
-		bufs[i] = reply.Body[i*bs : (i+1)*bs]
+		bufs[i] = body[i*bs : (i+1)*bs]
 	}
-	return reply, bufs, nil
+	var err error
+	switch {
+	case at && write:
+		err = blockdev.WriteBlocksAt(s.dev, idx, bufs)
+	case at:
+		err = blockdev.ReadBlocksAt(s.dev, idx, bufs)
+	case write:
+		err = blockdev.WriteBlocks(s.dev, start, bufs)
+	default:
+		err = blockdev.ReadBlocks(s.dev, start, bufs)
+	}
+	if err != nil {
+		reply.release()
+		return errFrame(err)
+	}
+	return reply
 }
 
-// splitBlocks views the decoder's remaining body as count raw blocks.
-func (s *StorageServer) splitBlocks(d *decoder, count, limit uint64) ([][]byte, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	bs := s.dev.BlockSize()
-	if count == 0 || count > limit/uint64(bs) {
-		return nil, fmt.Errorf("wire: batch of %d blocks out of bounds", count)
-	}
-	if uint64(len(d.b)) != count*uint64(bs) {
-		return nil, fmt.Errorf("wire: batch body %d bytes, want %d", len(d.b), count*uint64(bs))
-	}
-	data := make([][]byte, count)
-	for i := range data {
-		data[i] = d.b[i*bs : (i+1)*bs]
-	}
-	return data, nil
+// batchForm reports which of the four batch messages typ is: an index
+// set (at) or a range, a write or a read.
+func batchForm(typ uint32) (at, write bool) {
+	return typ == msgReadBlocksAt || typ == msgWriteBlocksAt, typ == msgWriteBlocks || typ == msgWriteBlocksAt
 }
 
 // decodeIndices parses a u64 count followed by that many u64 indices.
@@ -314,8 +198,7 @@ func decodeIndices(d *decoder) []uint64 {
 // byte on the wire, and otherwise fail with ErrMaybeApplied (the
 // write may have landed — the caller must re-read to reconcile).
 type RemoteDevice struct {
-	m  *muxConn  // direct mode; nil in retry mode
-	rd *Redialer // retry mode; nil in direct mode
+	link // fixed at dial: direct or self-healing
 
 	blockSize  int
 	numBlocks  uint64
@@ -329,7 +212,7 @@ func DialStorage(addr string) (*RemoteDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &RemoteDevice{m: m}
+	d := &RemoteDevice{link: m}
 	if err := d.onConnect(ctx, m); err != nil {
 		m.close()
 		return nil, err
@@ -347,23 +230,12 @@ func DialStorageRetry(ctx context.Context, policy RetryPolicy, addrs ...string) 
 		return nil, fmt.Errorf("wire: no storage addresses")
 	}
 	d := &RemoteDevice{}
-	rd := newRedialer(policy, maxBodySize, addrs...)
-	rd.onConnect = d.onConnect
-	d.rd = rd
-	for attempt := 0; ; attempt++ {
-		_, err := rd.acquire(ctx)
-		if err == nil {
-			return d, nil
-		}
-		if !transient(err) || attempt >= rd.policy.MaxRetries {
-			rd.close() //nolint:errcheck // nothing live yet
-			return nil, err
-		}
-		if serr := rd.sleep(ctx, attempt); serr != nil {
-			rd.close() //nolint:errcheck // nothing live yet
-			return nil, serr
-		}
+	rd := newRedialer(policy, d.onConnect, addrs)
+	if err := rd.dial(ctx); err != nil {
+		return nil, err
 	}
+	d.link = rd
+	return d, nil
 }
 
 // onConnect fetches the geometry on a fresh connection. The first
@@ -404,18 +276,6 @@ func (d *RemoteDevice) onConnect(ctx context.Context, m *muxConn) error {
 	return nil
 }
 
-// do routes one exchange through the retry layer when enabled; either
-// way the request's lease ends with the call.
-func (d *RemoteDevice) do(ctx context.Context, req frame, idempotent bool) (frame, error) {
-	if d.rd != nil {
-		return d.rd.call(ctx, req, idempotent)
-	}
-	return d.m.call(ctx, req)
-}
-
-// ProtoVersion reports the negotiated protocol version.
-func (d *RemoteDevice) ProtoVersion() int { return protoV2 }
-
 // BlockSize implements blockdev.Device.
 func (d *RemoteDevice) BlockSize() int { return d.blockSize }
 
@@ -453,139 +313,90 @@ func (d *RemoteDevice) WriteBlock(i uint64, data []byte) error {
 
 // Close implements blockdev.Device. Idempotent and safe to call
 // concurrently with in-flight calls, which fail cleanly.
-func (d *RemoteDevice) Close() error {
-	if d.rd != nil {
-		return d.rd.close()
-	}
-	return d.m.close()
+func (d *RemoteDevice) Close() error { return d.close() }
+
+// ReadBlocks implements blockdev.BatchDevice: each chunk of the range
+// costs one round trip instead of one per block.
+func (d *RemoteDevice) ReadBlocks(start uint64, bufs [][]byte) error {
+	return d.batch(msgReadBlocks, start, nil, bufs)
+}
+
+// WriteBlocks implements blockdev.BatchDevice.
+func (d *RemoteDevice) WriteBlocks(start uint64, data [][]byte) error {
+	return d.batch(msgWriteBlocks, start, nil, data)
+}
+
+// ReadBlocksAt implements blockdev.BatchDevice.
+func (d *RemoteDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
+	return d.batch(msgReadBlocksAt, 0, idx, bufs)
+}
+
+// WriteBlocksAt implements blockdev.BatchDevice.
+func (d *RemoteDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
+	return d.batch(msgWriteBlocksAt, 0, idx, data)
 }
 
 // maxBatch is how many blocks fit one frame with headroom for the
 // index/count fields, under the negotiated frame limit.
 func (d *RemoteDevice) maxBatch() int {
 	limit := d.frameLimit
-	n := (limit - min(limit/2, 4096)) / uint64(d.blockSize+8)
-	if n < 1 {
-		n = 1
-	}
-	return int(n)
+	return max(1, int((limit-min(limit/2, 4096))/uint64(d.blockSize+8)))
 }
 
-// checkBufs validates a batch's buffer vector against the device
-// geometry before anything hits the wire.
-func (d *RemoteDevice) checkBufs(bufs [][]byte) error {
+// batch sends bufs as batch messages of type typ, one round trip per
+// maxBatch blocks, after checking them against the device geometry. A
+// range form starts at start; an index form names its blocks in idx.
+func (d *RemoteDevice) batch(typ uint32, start uint64, idx []uint64, bufs [][]byte) error {
+	at, write := batchForm(typ)
+	if at && len(idx) != len(bufs) {
+		return fmt.Errorf("%w: %d != %d", blockdev.ErrBatchShape, len(idx), len(bufs))
+	}
+	bs := d.blockSize
 	for _, b := range bufs {
-		if len(b) != d.blockSize {
-			return fmt.Errorf("%w: %d != %d", blockdev.ErrBufSize, len(b), d.blockSize)
+		if len(b) != bs {
+			return fmt.Errorf("%w: %d != %d", blockdev.ErrBufSize, len(b), bs)
 		}
-	}
-	return nil
-}
-
-// scatter copies a concatenated-blocks reply into the buffer vector
-// and releases the reply's lease — the copy-out is the last read of
-// the body on every path, including the size-mismatch error.
-func (d *RemoteDevice) scatter(resp *frame, bufs [][]byte) error {
-	defer resp.release()
-	body := resp.Body
-	if len(body) != len(bufs)*d.blockSize {
-		return fmt.Errorf("wire: batch reply %d bytes, want %d", len(body), len(bufs)*d.blockSize)
-	}
-	for i, b := range bufs {
-		copy(b, body[i*d.blockSize:])
-	}
-	return nil
-}
-
-// ReadBlocks implements blockdev.BatchDevice: each chunk of the range
-// costs one round trip instead of one per block.
-func (d *RemoteDevice) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := d.checkBufs(bufs); err != nil {
-		return err
 	}
 	chunk := d.maxBatch()
 	for off := 0; off < len(bufs); off += chunk {
-		hi := min(off+chunk, len(bufs))
-		e := &encoder{}
-		e.u64(start + uint64(off)).u64(uint64(hi - off))
-		resp, err := d.do(context.Background(), e.frame(msgReadBlocks), true)
+		part := bufs[off:min(off+chunk, len(bufs))]
+		n := len(part)
+		size := 16 // start, count
+		if at {
+			size = 8 + 8*n // count, indices
+		}
+		if write {
+			size += n * bs
+		}
+		e := newEncoder(size)
+		if at {
+			e.u64(uint64(n))
+			for _, i := range idx[off : off+n] {
+				e.u64(i)
+			}
+		} else {
+			e.u64(start + uint64(off)).u64(uint64(n))
+		}
+		if write {
+			for _, b := range part {
+				e.put(b)
+			}
+		}
+		resp, err := d.do(context.Background(), e.frame(typ), !write)
 		if err != nil {
 			return err
 		}
-		if err := d.scatter(&resp, bufs[off:hi]); err != nil {
-			return err
+		switch {
+		case write:
+		case len(resp.Body) != n*bs:
+			err = fmt.Errorf("wire: batch reply %d bytes, want %d", len(resp.Body), n*bs)
+		default:
+			for i, b := range part {
+				copy(b, resp.Body[i*bs:])
+			}
 		}
-	}
-	return nil
-}
-
-// WriteBlocks implements blockdev.BatchDevice.
-func (d *RemoteDevice) WriteBlocks(start uint64, data [][]byte) error {
-	if err := d.checkBufs(data); err != nil {
-		return err
-	}
-	chunk := d.maxBatch()
-	for off := 0; off < len(data); off += chunk {
-		hi := min(off+chunk, len(data))
-		e := newEncoder(16 + (hi-off)*d.blockSize)
-		e.u64(start + uint64(off)).u64(uint64(hi - off))
-		for _, b := range data[off:hi] {
-			e.put(b)
-		}
-		if _, err := d.do(context.Background(), e.frame(msgWriteBlocks), false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadBlocksAt implements blockdev.BatchDevice.
-func (d *RemoteDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if len(idx) != len(bufs) {
-		return fmt.Errorf("%w: %d != %d", blockdev.ErrBatchShape, len(idx), len(bufs))
-	}
-	if err := d.checkBufs(bufs); err != nil {
-		return err
-	}
-	chunk := d.maxBatch()
-	for off := 0; off < len(idx); off += chunk {
-		hi := min(off+chunk, len(idx))
-		e := newEncoder(8 + (hi-off)*8)
-		e.u64(uint64(hi - off))
-		for _, i := range idx[off:hi] {
-			e.u64(i)
-		}
-		resp, err := d.do(context.Background(), e.frame(msgReadBlocksAt), true)
+		resp.release() // the copy-out was the body's last read
 		if err != nil {
-			return err
-		}
-		if err := d.scatter(&resp, bufs[off:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBlocksAt implements blockdev.BatchDevice.
-func (d *RemoteDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if len(idx) != len(data) {
-		return fmt.Errorf("%w: %d != %d", blockdev.ErrBatchShape, len(idx), len(data))
-	}
-	if err := d.checkBufs(data); err != nil {
-		return err
-	}
-	chunk := d.maxBatch()
-	for off := 0; off < len(idx); off += chunk {
-		hi := min(off+chunk, len(idx))
-		e := newEncoder(8 + (hi-off)*(d.blockSize+8))
-		e.u64(uint64(hi - off))
-		for _, i := range idx[off:hi] {
-			e.u64(i)
-		}
-		for _, b := range data[off:hi] {
-			e.put(b)
-		}
-		if _, err := d.do(context.Background(), e.frame(msgWriteBlocksAt), false); err != nil {
 			return err
 		}
 	}

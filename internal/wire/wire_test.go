@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -15,10 +16,7 @@ import (
 func TestStorageServerRoundTrip(t *testing.T) {
 	mem := blockdev.NewMem(256, 64)
 	var tap blockdev.Collector
-	srv, err := NewStorageServer("127.0.0.1:0", mem, &tap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewStorageServer(listen(t), mem, &tap)
 	defer srv.Close()
 
 	dev, err := DialStorage(srv.Addr())
@@ -65,10 +63,7 @@ func TestStorageServerRoundTrip(t *testing.T) {
 
 func TestStorageServerConcurrentClients(t *testing.T) {
 	mem := blockdev.NewMem(128, 256)
-	srv, err := NewStorageServer("127.0.0.1:0", mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewStorageServer(listen(t), mem, nil)
 	defer srv.Close()
 
 	var wg sync.WaitGroup
@@ -110,10 +105,7 @@ func TestStorageServerConcurrentClients(t *testing.T) {
 func newAgentFixture(t *testing.T) (*AgentServer, func()) {
 	t.Helper()
 	mem := blockdev.NewMem(256, 2048)
-	storageSrv, err := NewStorageServer("127.0.0.1:0", mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	storageSrv := NewStorageServer(listen(t), mem, nil)
 	remote, err := DialStorage(storageSrv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +115,7 @@ func newAgentFixture(t *testing.T) (*AgentServer, func()) {
 		t.Fatal(err)
 	}
 	agent := steghide.NewVolatile(vol, prng.NewFromUint64(5))
-	agentSrv, err := NewAgentServer("127.0.0.1:0", agent)
+	agentSrv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,66 +128,67 @@ func newAgentFixture(t *testing.T) (*AgentServer, func()) {
 }
 
 func TestAgentOverWire(t *testing.T) {
+	ctx := context.Background()
 	srv, cleanup := newAgentFixture(t)
 	defer cleanup()
 
-	cli, err := DialAgent(srv.Addr())
+	cli, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 
 	// Operations before login fail.
-	if err := cli.Create("/x"); err == nil {
+	if err := cli.Create(ctx, "/x"); err == nil {
 		t.Fatal("create before login accepted")
 	}
-	if err := cli.Login("alice", "pw"); err != nil {
+	if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Login("alice", "pw"); err == nil {
+	if err := cli.Login(ctx, "", "alice", "pw"); err == nil {
 		t.Fatal("double login accepted")
 	}
-	if err := cli.CreateDummy("/cover", 64); err != nil {
+	if err := cli.CreateDummy(ctx, "/cover", 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Create("/secret"); err != nil {
+	if err := cli.Create(ctx, "/secret"); err != nil {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(9).Bytes(700)
-	if err := cli.Write("/secret", msg, 0); err != nil {
+	if err := cli.Write(ctx, "/secret", msg, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if n, err := cli.Read("/secret", got, 0); err != nil || n != len(msg) {
+	if n, err := cli.Read(ctx, "/secret", got, 0); err != nil || n != len(msg) {
 		t.Fatalf("read %d, %v", n, err)
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("content mismatch over wire")
 	}
-	if err := cli.Save("/secret"); err != nil {
+	if err := cli.Save(ctx, "/secret"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Logout(); err != nil {
+	if err := cli.Logout(ctx); err != nil {
 		t.Fatal(err)
 	}
 
 	// A second session can disclose and read the file back.
-	cli2, err := DialAgent(srv.Addr())
+	cli2, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli2.Close()
-	if err := cli2.Login("alice", "pw"); err != nil {
+	if err := cli2.Login(ctx, "", "alice", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	isDummy, size, err := cli2.Disclose("/secret")
+	isDummy, size, err := cli2.Disclose(ctx, "/secret")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if isDummy || size != uint64(len(msg)) {
 		t.Fatalf("disclose: dummy=%v size=%d", isDummy, size)
 	}
-	isDummy, _, err = cli2.Disclose("/cover")
+	isDummy, _, err = cli2.Disclose(ctx, "/cover")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,38 +196,39 @@ func TestAgentOverWire(t *testing.T) {
 		t.Fatal("cover file should disclose as dummy")
 	}
 	got2 := make([]byte, len(msg))
-	if _, err := cli2.Read("/secret", got2, 0); err != nil {
+	if _, err := cli2.Read(ctx, "/secret", got2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got2, msg) {
 		t.Fatal("content lost across remote sessions")
 	}
-	if err := cli2.Logout(); err != nil {
+	if err := cli2.Logout(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong passphrase gives not-found on disclose (deniability).
-	cli3, err := DialAgent(srv.Addr())
+	cli3, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli3.Close()
-	if err := cli3.Login("alice", "wrong"); err != nil {
+	if err := cli3.Login(ctx, "", "alice", "wrong"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cli3.Disclose("/secret"); err == nil {
+	if _, _, err := cli3.Disclose(ctx, "/secret"); err == nil {
 		t.Fatal("wrong passphrase disclosed a file")
 	}
 }
 
 func TestConnectionDropLogsOut(t *testing.T) {
+	ctx := context.Background()
 	srv, cleanup := newAgentFixture(t)
 	defer cleanup()
 
-	cli, err := DialAgent(srv.Addr())
+	cli, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Login("bob", "pw"); err != nil {
+	if err := cli.Login(ctx, "", "bob", "pw"); err != nil {
 		t.Fatal(err)
 	}
 	cli.Close() // drop without logout
@@ -242,12 +236,12 @@ func TestConnectionDropLogsOut(t *testing.T) {
 	// The server logs bob out once it notices the drop, so a fresh
 	// login works — wait for that, however fast a refused login's round
 	// trip has become.
-	cli2, err := DialAgent(srv.Addr())
+	cli2, err := DialAgent(ctx, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli2.Close()
 	waitFor(t, "the dropped connection's session to be logged out", func() bool {
-		return cli2.Login("bob", "pw") == nil
+		return cli2.Login(ctx, "", "bob", "pw") == nil
 	})
 }

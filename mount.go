@@ -180,9 +180,9 @@ func WithSim(params ...DiskParams) Option {
 }
 
 // WithVolumeName names the mounted volume for multi-volume serving:
-// Serve registers each stack under its name, and remote clients pick
-// one at login (wire protocol v2's msgLogin volume field). The empty
-// name is the default volume — the only one v1 clients can reach.
+// ServeListener and NewServer register each stack under its name, and
+// remote clients pick one at login (the msgLogin volume field). The
+// empty name is the default volume.
 func WithVolumeName(name string) Option {
 	return func(c *mountConfig) error {
 		c.volName = name
@@ -466,44 +466,34 @@ func (s *Stack) BootRecovery() *JournalReport { return s.bootRec }
 // Metrics returns the registry WithMetrics attached, or nil.
 func (s *Stack) Metrics() *Metrics { return s.metrics }
 
-// Serve exposes the stacks' agents to remote clients on one TCP
-// address: a single daemon fronting a fleet of mounted volumes, each
-// registered under its WithVolumeName (at most one may be unnamed —
-// it becomes the default volume). Clients route with
-// DialVolumeFS/AgentClient.LoginVolume; every stack must be
-// Construction 2 (the remote agent protocol is the volatile agent's).
-// Closing the server does not close the stacks.
-func Serve(addr string, stacks ...*Stack) (*AgentServer, error) {
-	vols, err := serveVolumes(stacks)
-	if err != nil {
-		return nil, err
-	}
-	return wire.NewMultiAgentServer(addr, vols)
-}
-
-// ServeListener is Serve over a caller-provided listener: systemd
-// socket activation, in-process test listeners, or a fault-injecting
-// wrapper. The server takes ownership of ln.
+// ServeListener exposes the stacks' agents to remote clients on ln: a
+// single daemon fronting a fleet of mounted volumes, each registered
+// under its WithVolumeName (at most one may be unnamed — it becomes the
+// default volume). Clients route with DialVolumeFS/AgentClient.Login;
+// every stack must be Construction 2 (the remote agent protocol is the
+// volatile agent's). The server takes ownership of ln; closing it does
+// not close the stacks. NewServer adds an address, an ops endpoint and
+// a drain bound.
 func ServeListener(ln net.Listener, stacks ...*Stack) (*AgentServer, error) {
 	vols, err := serveVolumes(stacks)
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewMultiAgentServerListener(ln, vols)
+	return wire.NewAgentServer(ln, vols, wire.ServeOptions{})
 }
 
 // serveVolumes validates and collects the stacks' volatile agents.
 func serveVolumes(stacks []*Stack) (map[string]*VolatileAgent, error) {
 	if len(stacks) == 0 {
-		return nil, errors.New("steghide: Serve needs at least one stack")
+		return nil, errors.New("steghide: serving needs at least one stack")
 	}
 	vols := make(map[string]*VolatileAgent, len(stacks))
 	for _, s := range stacks {
 		if s.agent2 == nil {
-			return nil, fmt.Errorf("steghide: Serve: volume %q is not Construction 2", s.name)
+			return nil, fmt.Errorf("steghide: serve: volume %q is not Construction 2", s.name)
 		}
 		if _, taken := vols[s.name]; taken {
-			return nil, fmt.Errorf("steghide: Serve: duplicate volume name %q", s.name)
+			return nil, fmt.Errorf("steghide: serve: duplicate volume name %q", s.name)
 		}
 		vols[s.name] = s.agent2
 	}

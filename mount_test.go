@@ -339,6 +339,7 @@ func TestFSConcurrentControlPlane(t *testing.T) {
 // the client layer: remote failures carry their sentinel across the
 // wire instead of collapsing to strings.
 func TestWireSentinelRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	stack, err := steghide.Mount(steghide.NewMemDevice(512, 2048),
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("wires")}),
 		steghide.WithSeed([]byte("wires-agent")))
@@ -346,7 +347,7 @@ func TestWireSentinelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stack.Close()
-	srv, err := steghide.NewAgentServer("127.0.0.1:0", stack.Agent2())
+	srv, err := steghide.NewServer(steghide.ServerConfig{Addr: "127.0.0.1:0"}, stack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,22 +358,22 @@ func TestWireSentinelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("u", "p"); err != nil {
+	if err := cli.Login(ctx, "", "u", "p"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cli.Disclose("/missing"); !errors.Is(err, steghide.ErrNotFound) {
+	if _, _, err := cli.Disclose(ctx, "/missing"); !errors.Is(err, steghide.ErrNotFound) {
 		t.Fatalf("disclose missing over the wire: want ErrNotFound, got %v", err)
 	}
-	if err := cli.Create("/f"); err != nil {
+	if err := cli.Create(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
 	// No dummy space disclosed yet: the update algorithm cannot hide
 	// the write, and the client must see the same sentinel a local
 	// caller would.
-	if err := cli.Write("/f", []byte("x"), 0); !errors.Is(err, steghide.ErrNoDummySpace) {
+	if err := cli.Write(ctx, "/f", []byte("x"), 0); !errors.Is(err, steghide.ErrNoDummySpace) {
 		t.Fatalf("write without dummies over the wire: want ErrNoDummySpace, got %v", err)
 	}
-	if err := cli.Logout(); err != nil {
+	if err := cli.Logout(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

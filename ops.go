@@ -78,7 +78,7 @@ func NewServerListener(cfg ServerConfig, ln net.Listener, stacks ...*Stack) (*Se
 	if err != nil {
 		return nil, err
 	}
-	agent, err := wire.NewMultiAgentServerListenerOpts(ln, vols, wire.ServeOptions{
+	agent, err := wire.NewAgentServer(ln, vols, wire.ServeOptions{
 		Logger:  cfg.Logger,
 		Metrics: cfg.Metrics,
 	})

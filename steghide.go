@@ -74,6 +74,8 @@ package steghide
 
 import (
 	"context"
+	"fmt"
+	"net"
 	"time"
 
 	"steghide/internal/attack"
@@ -501,24 +503,15 @@ func DialStorageRetry(ctx context.Context, policy RetryPolicy, addrs ...string) 
 // NewStorageServer serves dev on addr; tap (optional) observes all
 // traffic like a wire attacker would.
 func NewStorageServer(addr string, dev Device, tap Tracer) (*StorageServer, error) {
-	return wire.NewStorageServer(addr, dev, tap)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("wire: listen: %w", err)
+	}
+	return wire.NewStorageServer(ln, dev, tap), nil
 }
 
 // DialStorage connects to a remote storage server as a Device.
 func DialStorage(addr string) (*RemoteDevice, error) { return wire.DialStorage(addr) }
 
-// NewAgentServer serves a volatile agent on addr as the default
-// volume. To serve several mounted volumes from one daemon, use
-// Serve (or wire up NewMultiAgentServer directly).
-func NewAgentServer(addr string, agent *VolatileAgent) (*AgentServer, error) {
-	return wire.NewAgentServer(addr, agent)
-}
-
-// NewMultiAgentServer serves every agent in volumes, keyed by the
-// name clients pass at login ("" is the default volume).
-func NewMultiAgentServer(addr string, volumes map[string]*VolatileAgent) (*AgentServer, error) {
-	return wire.NewMultiAgentServer(addr, volumes)
-}
-
 // DialAgent connects a user to an agent server.
-func DialAgent(addr string) (*AgentClient, error) { return wire.DialAgent(addr) }
+func DialAgent(addr string) (*AgentClient, error) { return wire.DialAgent(context.Background(), addr) }

@@ -2,6 +2,7 @@ package steghide_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -131,6 +132,7 @@ func TestPublicAPIObliviousCache(t *testing.T) {
 }
 
 func TestPublicAPIAttackersAndWire(t *testing.T) {
+	ctx := context.Background()
 	tap := &steghide.Collector{}
 	raw := steghide.NewMemDevice(512, 1024)
 	if _, err := steghide.Format(raw, steghide.FormatOptions{}); err != nil {
@@ -146,12 +148,12 @@ func TestPublicAPIAttackersAndWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	vol, err := steghide.OpenVolume(remote)
+	stack, err := steghide.Mount(remote, steghide.WithSeed([]byte("w")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("w")))
-	asrv, err := steghide.NewAgentServer("127.0.0.1:0", agent)
+	defer stack.Close()
+	asrv, err := steghide.NewServer(steghide.ServerConfig{Addr: "127.0.0.1:0"}, stack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,19 +163,19 @@ func TestPublicAPIAttackersAndWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Login("u", "p"); err != nil {
+	if err := cli.Login(ctx, "", "u", "p"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.CreateDummy("/d", 32); err != nil {
+	if err := cli.CreateDummy(ctx, "/d", 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Create("/f"); err != nil {
+	if err := cli.Create(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Write("/f", []byte("wire"), 0); err != nil {
+	if err := cli.Write(ctx, "/f", []byte("wire"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Logout(); err != nil {
+	if err := cli.Logout(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if tap.Len() == 0 {
