@@ -88,6 +88,11 @@ type ReadHandle interface {
 // a run of 64 blocks wait in memory — every handle of the principal
 // reads them at once — and reach the volume as one run when 64 blocks
 // wait, at Save, and at Close, which then saves the file's block map.
+// On a remote FS they wait in the client and travel to the agent with
+// the call that sends them: Save, Close, a read, Stat or Truncate of
+// the path, or the write that fills the run. That call reports their
+// failure — ErrMaybeApplied included — and they stay staged for its
+// repeat.
 type WriteHandle interface {
 	io.WriterAt
 	io.Closer

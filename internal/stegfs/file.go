@@ -692,6 +692,10 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 // seals from the caller's buffer as one run.
 const readAtBatch = 64
 
+// RunBlocks is the open run's bound, for a client that holds writes
+// before they reach Stage and must send them where Stage would issue.
+const RunBlocks = readAtBatch
+
 // ReadAt reads len(p) bytes at byte offset off, returning the number
 // of bytes read; reads past EOF are truncated. The spanned blocks are
 // fetched in scattered device batches of up to readAtBatch blocks —

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"steghide/internal/mempool"
@@ -162,7 +163,8 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 			// logged, here or anywhere.
 			s.log.Info("wire: login", "user", u, "volume", volume, "remote", st.remote)
 		}
-		return frame{Type: msgOK}
+		e := &encoder{}
+		return e.u64(uint64(agent.Vol().PayloadSize())).frame(msgOK)
 
 	case msgLogout:
 		st.mu.Lock()
@@ -243,24 +245,22 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 			return errFrame(err)
 		}
 		return framed(msgOK, buf, got)
-	case msgWrite:
-		path := d.str()
-		off := d.u64()
-		data := d.raw()
-		if d.err != nil {
-			return errFrame(d.err)
-		}
-		if err := sess.StageCtx(ctx, path, data, off); err != nil {
+	case msgWriteV:
+		// Every segment is decoded before any is staged, so a malformed
+		// frame stages nothing; a failing segment ends the run there.
+		path, save, segs, err := decodeWriteV(req.Body)
+		if err != nil {
 			return errFrame(err)
 		}
-		return frame{Type: msgOK}
-	case msgSave:
-		path := d.str()
-		if d.err != nil {
-			return errFrame(d.err)
+		for _, s := range segs {
+			if err := sess.StageCtx(ctx, path, s.Data, s.Off); err != nil {
+				return errFrame(err)
+			}
 		}
-		if err := sess.SaveCtx(ctx, path); err != nil {
-			return errFrame(err)
+		if save {
+			if err := sess.SaveCtx(ctx, path); err != nil {
+				return errFrame(err)
+			}
 		}
 		return frame{Type: msgOK}
 	case msgDelete:
@@ -305,11 +305,13 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 // a transport fault redials with backoff, replays the login and every
 // disclosure (credentials are retained client-side for exactly this),
 // and retries the interrupted call if it is read-class. A mutating
-// call (create, write, save, delete, truncate) is retried only when
+// call (create, WriteV, delete, truncate) is retried only when
 // the fault provably preceded its first byte on the wire; otherwise
 // it fails with ErrMaybeApplied and the caller must reconcile.
 type Client struct {
 	link // fixed at dial: direct or self-healing
+
+	payload atomic.Int64 // the logged-in volume's payload size
 
 	// Session replay state (retry mode only; a direct client retains no
 	// credentials): the credentials and the disclosed working set,
@@ -396,7 +398,9 @@ func (c *Client) onConnect(ctx context.Context, m *muxConn) error {
 func (c *Client) replayLogin(ctx context.Context, m *muxConn, volume, user, pass string) error {
 	var err error
 	for i := 0; i < 200; i++ {
-		_, err = m.call(ctx, loginFrame(volume, user, pass))
+		var resp frame
+		resp, err = m.call(ctx, loginFrame(volume, user, pass))
+		resp.release() // the payload size is the volume's, known already
 		if err == nil || !errors.Is(err, steghide.ErrUserBusy) {
 			return err
 		}
@@ -431,19 +435,35 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // Login authenticates the connection's user on the named volume of the
 // server; the empty name is the default volume, and a login to it
-// omits the volume field.
+// omits the volume field. The reply carries the volume's payload size
+// (PayloadSize).
 func (c *Client) Login(ctx context.Context, volume, user, passphrase string) error {
 	// Safe to retry: a retried login lands on a fresh connection, whose
 	// server-side session cannot already be logged in.
-	_, err := c.do(ctx, loginFrame(volume, user, passphrase), true)
-	if err == nil && c.retry {
+	resp, err := c.do(ctx, loginFrame(volume, user, passphrase), true)
+	if err != nil {
+		return err
+	}
+	d := &decoder{b: resp.Body}
+	payload := d.u64()
+	resp.release()
+	if d.err != nil {
+		return d.err
+	}
+	c.payload.Store(int64(min(payload, maxBodySize)))
+	if c.retry {
 		c.smu.Lock()
 		c.loggedIn = true
 		c.volume, c.user, c.pass = volume, user, passphrase
 		c.smu.Unlock()
 	}
-	return err
+	return nil
 }
+
+// PayloadSize reports the file bytes one block of the logged-in volume
+// holds, as its login reply said (0 before a login): what a client
+// that stages writes counts blocks in, as the agent does.
+func (c *Client) PayloadSize() int { return int(c.payload.Load()) }
 
 // loginFrame encodes a login request.
 func loginFrame(volume, user, passphrase string) frame {
@@ -548,18 +568,69 @@ func (c *Client) Read(ctx context.Context, path string, p []byte, off uint64) (i
 	return n, nil
 }
 
-// Write writes data at offset off of a disclosed file.
-func (c *Client) Write(ctx context.Context, path string, data []byte, off uint64) error {
-	e := newEncoder(24 + len(path) + len(data))
-	_, err := c.do(ctx, e.str(path).u64(off).bytes(data).frame(msgWrite), false)
+// Segment is one write of a vectored write: Data at byte offset Off.
+type Segment struct {
+	Off  uint64
+	Data []byte
+}
+
+// WriteV stages segs into a disclosed file, in order, each as one write
+// into the file's open run, and then, with save set, saves the file:
+// its run is issued and its block map flushed. It is one round trip
+// however many segments ride in it; with no segments and save set it
+// is a plain save. A failing segment ends the call, the segments before
+// it staged. Not idempotent: a retry client re-sends it only when the
+// frame provably never left.
+func (c *Client) WriteV(ctx context.Context, path string, save bool, segs ...Segment) error {
+	_, err := c.do(ctx, writeVFrame(path, save, segs), false)
 	return err
 }
 
-// Save flushes a disclosed file's block map.
-func (c *Client) Save(ctx context.Context, path string) error {
-	e := &encoder{}
-	_, err := c.do(ctx, e.str(path).frame(msgSave), false)
-	return err
+// writeVFrame encodes a msgWriteV body: the path, the save flag, the
+// segment count, then each segment's offset and bytes.
+func writeVFrame(path string, save bool, segs []Segment) frame {
+	n := 24 + len(path)
+	for _, s := range segs {
+		n += 16 + len(s.Data)
+	}
+	var flag uint64
+	if save {
+		flag = 1
+	}
+	e := newEncoder(n)
+	e.str(path).u64(flag).u64(uint64(len(segs)))
+	for _, s := range segs {
+		e.u64(s.Off).bytes(s.Data)
+	}
+	return e.frame(msgWriteV)
+}
+
+// decodeWriteV parses a msgWriteV body. A segment is at least its two
+// 8-byte fields, so the count is checked against what the rest of the
+// body can hold before the segment list is allocated: a lying count
+// cannot drive the allocation. Segment data are views into body.
+func decodeWriteV(body []byte) (path string, save bool, segs []Segment, err error) {
+	d := &decoder{b: body}
+	path = d.str()
+	flag := d.u64()
+	n := d.u64()
+	switch {
+	case d.err != nil:
+		return "", false, nil, d.err
+	case flag > 1:
+		return "", false, nil, fmt.Errorf("wire: write with save flag %d", flag)
+	case n > uint64(len(d.b))/16:
+		return "", false, nil, fmt.Errorf("wire: write of %d segments out of bounds", n)
+	}
+	segs = make([]Segment, n)
+	for i := range segs {
+		segs[i].Off = d.u64()
+		segs[i].Data = d.raw()
+	}
+	if d.err != nil {
+		return "", false, nil, d.err
+	}
+	return path, flag == 1, segs, nil
 }
 
 // Delete removes a disclosed file, donating its blocks to the user's

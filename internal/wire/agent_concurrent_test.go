@@ -55,7 +55,7 @@ func TestAgentServerConcurrentSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		content := prng.NewFromUint64(uint64(10 + i)).Bytes(6 * ps)
-		if err := cli.Write(ctx, "/f", content, 0); err != nil {
+		if err := cli.WriteV(ctx, "/f", false, Segment{Off: 0, Data: content}); err != nil {
 			t.Fatal(err)
 		}
 		rigs[i] = &rig{cli: cli, content: content}
@@ -72,7 +72,7 @@ func TestAgentServerConcurrentSessions(t *testing.T) {
 				li := rng.Intn(6)
 				chunk := rng.Bytes(ps)
 				copy(r.content[li*ps:], chunk)
-				if err := r.cli.Write(ctx, "/f", chunk, uint64(li*ps)); err != nil {
+				if err := r.cli.WriteV(ctx, "/f", false, Segment{Off: uint64(li * ps), Data: chunk}); err != nil {
 					errCh <- err
 					return
 				}

@@ -48,12 +48,14 @@ func TestAllocBudgets(t *testing.T) {
 }
 
 // bulkRoundTripBudget pins the agent protocol's bulk path:
-// once the pools are warm, a 256 KiB Write and the Read of the
-// same range allocate no payload-sized buffer on either end — request
-// and reply bodies are leased with their header room, written in one
-// Write and returned. The measure is bytes, both ends together (one
-// process): a single payload-sized allocation per round trip would
-// show as ≥ 256 KiB.
+// once the pools are warm, a 256 KiB one-segment WriteV and the Read of
+// the same range, and a WriteV of sixteen 4 KiB segments with the save,
+// allocate no payload-sized buffer on either end — request and reply
+// bodies are leased with their header room, written in one Write and
+// returned, and the server's segments are views into the request. The
+// measure is bytes, both ends together (one process): a single
+// payload-sized allocation per round trip would show as ≥ the leg's
+// payload.
 func bulkRoundTripBudget(t *testing.T) {
 	ctx := context.Background()
 	vol, err := stegfs.Format(blockdev.NewMem(4096, 1024),
@@ -83,13 +85,13 @@ func bulkRoundTripBudget(t *testing.T) {
 	const payload = 256 << 10
 	data := prng.NewFromUint64(4).Bytes(payload)
 	got := make([]byte, payload)
-	roundTrip := func() {
-		if err := cli.Write(ctx, "/f", data, 0); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := cli.Read(ctx, "/f", got, 0); err != nil || n != payload {
-			t.Fatalf("read %d, %v", n, err)
-		}
+	// The sixteen-segment leg: scattered 4 KiB writes and the save, as
+	// a remote handle's Close sends them.
+	const seg = 4 << 10
+	segs := make([]Segment, 16)
+	for i := range segs {
+		off := (i * 37 % 64) * seg
+		segs[i] = Segment{Off: uint64(off), Data: data[off : off+seg]}
 	}
 	// No GC and one P from the warm-up on: a collection empties the
 	// pools, and a buffer Put into one P's private slot is invisible to a
@@ -97,19 +99,39 @@ func bulkRoundTripBudget(t *testing.T) {
 	// payload buffer this budget is about.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for i := 0; i < 3; i++ { // warm the pools and the file's scratch
-		roundTrip()
-	}
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		roundTrip()
-	}
-	runtime.ReadMemStats(&after)
-	perTrip := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("256 KiB Write + Read: %d B allocated per round trip, both ends", perTrip)
-	if perTrip >= payload/2 {
-		t.Errorf("256 KiB round trip allocates %d B; a payload-sized buffer is being allocated per call", perTrip)
+	for _, leg := range []struct {
+		name    string
+		payload int
+		trip    func()
+	}{
+		{"256 KiB one-segment WriteV + Read", payload, func() {
+			if err := cli.WriteV(ctx, "/f", false, Segment{Data: data}); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := cli.Read(ctx, "/f", got, 0); err != nil || n != payload {
+				t.Fatalf("read %d, %v", n, err)
+			}
+		}},
+		{"sixteen-segment WriteV with save", len(segs) * seg, func() {
+			if err := cli.WriteV(ctx, "/f", true, segs...); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		for i := 0; i < 3; i++ { // warm the pools and the file's scratch
+			leg.trip()
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			leg.trip()
+		}
+		runtime.ReadMemStats(&after)
+		perTrip := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d B allocated per round trip, both ends", leg.name, perTrip)
+		if perTrip >= uint64(leg.payload)/2 {
+			t.Errorf("%s allocates %d B; a payload-sized buffer is being allocated per call", leg.name, perTrip)
+		}
 	}
 }

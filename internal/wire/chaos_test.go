@@ -266,7 +266,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 				switch rng.Uint64n(3) {
 				case 0: // full-file rewrite
 					data := bytes.Repeat([]byte{byte(i + 1)}, fileLen)
-					err := cli.Write(ctx, path, data, 0)
+					err := cli.WriteV(ctx, path, false, Segment{Off: 0, Data: data})
 					switch {
 					case err == nil:
 						content, amb = data, nil
@@ -326,7 +326,7 @@ func TestChaosMatrixAgent(t *testing.T) {
 							t.Fatalf("Files() lost %q", path)
 						}
 					} else {
-						err := cli.Save(ctx, path)
+						err := cli.WriteV(ctx, path, true)
 						// Save is non-idempotent on the wire but a no-op to
 						// repeat; content is unchanged either way.
 						if err != nil {
@@ -403,7 +403,7 @@ func ensureFile(t *testing.T, cli *Client, path string) {
 func mustWrite(t *testing.T, cli *Client, path string, data []byte) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
-		err := cli.Write(context.Background(), path, data, 0)
+		err := cli.WriteV(context.Background(), path, false, Segment{Off: 0, Data: data})
 		if err == nil {
 			return
 		}
@@ -564,7 +564,7 @@ func FuzzFaultConnTear(f *testing.F) {
 		}
 		client, server := net.Pipe()
 		fc := NewFaultConn(client, FaultPlan{CutAfter: uint64(cut)})
-		sent := frame{Type: msgWrite, ID: 9, Body: body}
+		sent := frame{Type: msgWriteV, ID: 9, Body: body}
 		werr := make(chan error, 1)
 		go func() {
 			werr <- writeFrame(fc, sent)

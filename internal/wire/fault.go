@@ -74,12 +74,13 @@ func (c *FaultConn) admit(want int) (allow int, cutNow, stallNow bool) {
 	if c.plan.CutAfter == 0 {
 		return want, false, stallNow
 	}
-	left := c.plan.CutAfter - c.moved
-	if left == 0 {
+	// A read and a write admitted concurrently may each take what was
+	// left, so moved can pass the budget: that is a budget gone too.
+	if c.moved >= c.plan.CutAfter {
 		c.cut = true
 		return 0, true, stallNow
 	}
-	return int(min(uint64(want), left)), false, stallNow
+	return int(min(uint64(want), c.plan.CutAfter-c.moved)), false, stallNow
 }
 
 // consume charges n moved bytes against the budget.

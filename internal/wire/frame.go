@@ -25,18 +25,18 @@ const (
 	msgWriteBlocks   = 0x05
 	msgReadBlocksAt  = 0x06
 	msgWriteBlocksAt = 0x07
-	// Agent protocol.
+	// Agent protocol. 0x16 and 0x17 (one write, one save) are retired:
+	// msgWriteV carries a run of writes and the save in one frame.
 	msgLogin       = 0x10
 	msgLogout      = 0x11
 	msgCreate      = 0x12
 	msgCreateDummy = 0x13
 	msgDisclose    = 0x14
 	msgRead        = 0x15
-	msgWrite       = 0x16
-	msgSave        = 0x17
 	msgDelete      = 0x18
 	msgList        = 0x19
 	msgTruncate    = 0x1A
+	msgWriteV      = 0x1B
 	// Control plane. msgHello is the first frame in each direction (a
 	// peer from before it answers msgErr, "unknown message type", which
 	// the dialer reports as ErrProtoVersion); msgCancel names the

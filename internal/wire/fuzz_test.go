@@ -23,7 +23,7 @@ func FuzzFrameDecode(f *testing.F) {
 	writeFrame(&ok, frame{Type: msgOK, ID: 7}) //nolint:errcheck
 	f.Add(ok.Bytes())
 	var bodied bytes.Buffer
-	writeFrame(&bodied, frame{Type: msgWrite, ID: 1, Body: []byte("hello")}) //nolint:errcheck
+	writeFrame(&bodied, frame{Type: msgWriteV, ID: 1, Body: []byte("hello")}) //nolint:errcheck
 	f.Add(bodied.Bytes())
 	f.Add([]byte{0, 0, 0, 1})
 	f.Add(bodied.Bytes()[:headerSize+2])
@@ -64,6 +64,10 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(lying.body())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(writeVFrame("/f", true, []Segment{{Off: 3, Data: []byte("seg")}}).Body)
+	lyingV := &encoder{}
+	lyingV.str("/f").u64(1).u64(1 << 40) // a segment count no body can hold
+	f.Add(lyingV.body())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &decoder{b: data}
@@ -78,5 +82,14 @@ func FuzzDecoder(f *testing.F) {
 		decodeIndices(&decoder{b: data})
 		_, _, _ = decodeHello(data)
 		_ = decodeRemoteError(data)
+		if _, _, segs, err := decodeWriteV(data); err == nil {
+			held := 0
+			for _, s := range segs {
+				held += 16 + len(s.Data)
+			}
+			if held > len(data) {
+				t.Fatalf("msgWriteV decoded %d segments holding %d bytes from a %d-byte body", len(segs), held, len(data))
+			}
+		}
 	})
 }

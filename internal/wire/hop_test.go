@@ -248,9 +248,9 @@ func TestOneWritePerFrameAgent(t *testing.T) {
 		{msgLogin, func() error { return cli.Login(ctx, "", "alice", "pw") }},
 		{msgCreateDummy, func() error { return cli.CreateDummy(ctx, "/cover", 1024) }},
 		{msgCreate, func() error { return cli.Create(ctx, "/f") }},
-		{msgWrite, func() error { return cli.Write(ctx, "/f", chunk, 0) }},
+		{msgWriteV, func() error { return cli.WriteV(ctx, "/f", false, Segment{Off: 0, Data: chunk}) }},
 		{msgRead, func() error { _, err := cli.Read(ctx, "/f", got, 0); return err }},
-		{msgSave, func() error { return cli.Save(ctx, "/f") }},
+		{msgWriteV, func() error { return cli.WriteV(ctx, "/f", true) }},
 		{msgDisclose, func() error { _, _, err := cli.Disclose(ctx, "/f"); return err }},
 		{msgTruncate, func() error { return cli.Truncate(ctx, "/f", 100) }},
 		{msgList, func() error { _, err := cli.Files(ctx); return err }},
@@ -632,7 +632,7 @@ func TestRecycledRequestNeverReachesPeer(t *testing.T) {
 				if r%2 == 1 {
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(20+rng.Uint64n(2000))*time.Microsecond)
 				}
-				err := cli.Write(ctx, path, data, 0)
+				err := cli.WriteV(ctx, path, false, Segment{Off: 0, Data: data})
 				cancel()
 				if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 					t.Errorf("agent worker %d: %v", w, err)

@@ -155,7 +155,7 @@ func TestAgentOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(9).Bytes(700)
-	if err := cli.Write(ctx, "/secret", msg, 0); err != nil {
+	if err := cli.WriteV(ctx, "/secret", false, Segment{Off: 0, Data: msg}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
@@ -165,7 +165,7 @@ func TestAgentOverWire(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("content mismatch over wire")
 	}
-	if err := cli.Save(ctx, "/secret"); err != nil {
+	if err := cli.WriteV(ctx, "/secret", true); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.Logout(ctx); err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"steghide"
+	"steghide/internal/wire"
 )
 
 // TestMountBitIdentical proves the builder is pure convenience: a
@@ -370,7 +371,7 @@ func TestWireSentinelRoundTrip(t *testing.T) {
 	// No dummy space disclosed yet: the update algorithm cannot hide
 	// the write, and the client must see the same sentinel a local
 	// caller would.
-	if err := cli.Write(ctx, "/f", []byte("x"), 0); !errors.Is(err, steghide.ErrNoDummySpace) {
+	if err := cli.WriteV(ctx, "/f", false, wire.Segment{Data: []byte("x")}); !errors.Is(err, steghide.ErrNoDummySpace) {
 		t.Fatalf("write without dummies over the wire: want ErrNoDummySpace, got %v", err)
 	}
 	if err := cli.Logout(ctx); err != nil {

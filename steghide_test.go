@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"steghide"
+	"steghide/internal/wire"
 )
 
 // TestPublicAPIEndToEnd drives the whole stack through the facade the
@@ -172,7 +173,7 @@ func TestPublicAPIAttackersAndWire(t *testing.T) {
 	if err := cli.Create(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Write(ctx, "/f", []byte("wire"), 0); err != nil {
+	if err := cli.WriteV(ctx, "/f", false, wire.Segment{Data: []byte("wire")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.Logout(ctx); err != nil {
