@@ -15,14 +15,17 @@
 // invariant, property-tested in this package.
 //
 // Shuffles are external merge sorts (internal/extsort) over a keyed
-// pseudo-random tag. Every slot a pass reads is opened and its tag
-// checked, and every slot it writes is sealed under a fresh IV, so
-// positions cannot be linked across passes. Their I/O is mostly
-// sequential, which is why the sorting overhead costs far less
-// wall-clock time than its I/O count suggests (Fig. 12b).
+// pseudo-random sort key. Every slot a pass reads is opened and its
+// GMAC tag checked, and every slot it writes is tagged and sealed
+// under a fresh IV, so positions cannot be linked across passes.
+// Their I/O is mostly sequential, which is why the sorting overhead
+// costs far less wall-clock time than its I/O count suggests
+// (Fig. 12b).
 package oblivious
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,7 +55,7 @@ var (
 
 // Slot payload layout (inside the sealed data field):
 //
-//	off  0  checksum uint64  keyed over payload[8:]
+//	off  0  tag      uint64  GMAC over payload[8:], nonce = the slot's IV
 //	off  8  flags    uint32  bit0 = real entry, bit1 = low shuffle class
 //	off 12  _        uint32  padding
 //	off 16  version  uint64  global write counter; newest wins on merge
@@ -84,9 +87,39 @@ type slotSealer interface {
 	SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error
 }
 
-// slotSummer computes the slot tag; a *sealer.Summer in production.
-type slotSummer interface {
-	Sum(data []byte) uint64
+// slotTagger computes the slot tag over a payload under the slot's
+// IV; a *gmacTag in production.
+type slotTagger interface {
+	Sum(iv, data []byte) uint64
+}
+
+// gmacTag is the slot tag: GMAC (NIST SP 800-38D), that is AES-256-GCM
+// sealing an empty plaintext with the payload as additional data,
+// truncated to 64 bits. The nonce is the slot's 16-byte CBC IV, so the
+// tag binds the IV and every seal re-tags. DESIGN.md "Slot tag" gives
+// the nonce and truncation argument.
+type gmacTag struct {
+	aead cipher.AEAD
+	out  []byte // the 16-byte GCM tag, reused across calls
+}
+
+func newGMACTag(key sealer.Key) (*gmacTag, error) {
+	k := sealer.DeriveKey(key[:], "obli-slot-gmac")
+	block, err := aes.NewCipher(k[:])
+	if err != nil {
+		return nil, err
+	}
+	aead, err := cipher.NewGCMWithNonceSize(block, sealer.IVSize)
+	if err != nil {
+		return nil, err
+	}
+	return &gmacTag{aead: aead, out: make([]byte, 0, aead.Overhead())}, nil
+}
+
+// Sum returns the first 8 bytes of the GMAC of data under nonce iv.
+func (g *gmacTag) Sum(iv, data []byte) uint64 {
+	g.out = g.aead.Seal(g.out[:0], iv, nil, data)
+	return binary.BigEndian.Uint64(g.out)
 }
 
 // codec translates between entries, slot payloads (the plaintext data
@@ -94,7 +127,7 @@ type slotSummer interface {
 // the Store it serves, it is not safe for concurrent use.
 type codec struct {
 	seal     slotSealer
-	summer   slotSummer
+	tag      slotTagger
 	payload  int
 	valueLen int
 	decBuf   []byte // payload scratch for decodeInto
@@ -109,18 +142,23 @@ func newCodec(key sealer.Key, blockSize int) (*codec, error) {
 	if payload <= entryMetaSize {
 		return nil, fmt.Errorf("oblivious: block size %d leaves no room for values", blockSize)
 	}
+	tag, err := newGMACTag(key)
+	if err != nil {
+		return nil, err
+	}
 	return &codec{
 		seal:     s,
-		summer:   sealer.NewSummer(key, "obli-slot"),
+		tag:      tag,
 		payload:  payload,
 		valueLen: payload - entryMetaSize,
 		decBuf:   make([]byte, payload),
 	}, nil
 }
 
-// put lays e out in payload and tags it, ready for sealing. Dummies
-// may have short or nil values; real values must be exactly valueLen
-// bytes. fill supplies the dummy bytes.
+// put lays e out in payload, ready for sealing; the tag is written by
+// sealMany once the slot's IV is drawn. Dummies may have short or nil
+// values; real values must be exactly valueLen bytes. fill supplies
+// the dummy bytes.
 func (c *codec) put(payload []byte, e *entry, fill func([]byte)) error {
 	h := slotMeta{real: e.real, lowClass: e.lowClass, version: e.version, nonce: e.nonce, id: e.id}
 	if e.real {
@@ -135,7 +173,8 @@ func (c *codec) put(payload []byte, e *entry, fill func([]byte)) error {
 	return nil
 }
 
-// putHeader writes h over payload's header and re-tags the payload.
+// putHeader writes h over payload's header, leaving the tag field to
+// sealMany.
 func (c *codec) putHeader(payload []byte, h slotMeta) {
 	var flags uint32
 	if h.real {
@@ -152,16 +191,35 @@ func (c *codec) putHeader(payload []byte, h slotMeta) {
 	binary.BigEndian.PutUint64(payload[24:], h.nonce)
 	binary.BigEndian.PutUint64(payload[32:], h.id.File)
 	binary.BigEndian.PutUint64(payload[40:], h.id.Index)
-	binary.BigEndian.PutUint64(payload, c.summer.Sum(payload[8:]))
 }
 
-// open decrypts a raw slot into payload and checks its tag. No field
-// of a slot read from the device is trusted before this returns nil.
+// sealMany seals payloads[i] into raws[i] for a whole batch, the one
+// seal path of the package: each slot's IV is drawn through drawIV in
+// index order, the payload is tagged under it, and then the batch goes
+// through the cipher eight lanes at a time with the IVs left in place.
+func (c *codec) sealMany(raws, payloads [][]byte, drawIV func(iv []byte)) error {
+	if len(raws) != len(payloads) {
+		return fmt.Errorf("oblivious: %d slots for %d payloads", len(raws), len(payloads))
+	}
+	for i, raw := range raws {
+		iv := raw[:sealer.IVSize]
+		drawIV(iv)
+		binary.BigEndian.PutUint64(payloads[i], c.tag.Sum(iv, payloads[i][8:]))
+	}
+	return c.seal.SealMany(raws, keepIV, payloads)
+}
+
+// keepIV is the IV source of a SealMany whose IVs are already in place.
+func keepIV([]byte) {}
+
+// open decrypts a raw slot into payload and checks its tag under the
+// slot's IV. No field of a slot read from the device is trusted before
+// this returns nil.
 func (c *codec) open(payload, raw []byte) error {
 	if err := c.seal.Open(payload, raw); err != nil {
 		return err
 	}
-	if binary.BigEndian.Uint64(payload) != c.summer.Sum(payload[8:]) {
+	if binary.BigEndian.Uint64(payload) != c.tag.Sum(raw[:sealer.IVSize], payload[8:]) {
 		return ErrCorruptSlot
 	}
 	return nil

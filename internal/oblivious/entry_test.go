@@ -25,7 +25,7 @@ func (c *codec) encode(dst []byte, e *entry, iv []byte, fill func([]byte)) error
 	if err := c.put(payload, e, fill); err != nil {
 		return err
 	}
-	return c.seal.SealMany([][]byte{dst}, func(b []byte) { copy(b, iv) }, [][]byte{payload})
+	return c.sealMany([][]byte{dst}, [][]byte{payload}, func(b []byte) { copy(b, iv) })
 }
 
 // decode opens a raw slot into a fresh entry.
@@ -114,6 +114,34 @@ func TestCodecDetectsTamperAndWrongKey(t *testing.T) {
 	}
 	if _, err := other.decode(raw); !errors.Is(err, ErrCorruptSlot) {
 		t.Fatalf("wrong key: %v", err)
+	}
+}
+
+// TestSlotTagBindsIV reseals a valid slot's payload, old tag included,
+// under a fresh IV: the tag's nonce is the IV, so the slot no longer
+// opens. (A tag over the payload alone would accept it.)
+func TestSlotTagBindsIV(t *testing.T) {
+	c := newTestCodec(t, 128)
+	rng := prng.NewFromUint64(4)
+	e := &entry{real: true, nonce: 1, id: BlockID{1, 2}, value: rng.Bytes(c.valueLen)}
+	raw := make([]byte, 128)
+	if err := c.encode(raw, e, rng.Bytes(sealer.IVSize), func(p []byte) { rng.Read(p) }); err != nil {
+		t.Fatal(err)
+	}
+	var got entry
+	if err := c.decodeInto(&got, raw); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, c.payload)
+	if err := c.seal.Open(payload, raw); err != nil {
+		t.Fatal(err)
+	}
+	fresh := rng.Bytes(sealer.IVSize)
+	if err := c.seal.SealMany([][]byte{raw}, func(iv []byte) { copy(iv, fresh) }, [][]byte{payload}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.decodeInto(&got, raw); !errors.Is(err, ErrCorruptSlot) {
+		t.Fatalf("payload resealed under a fresh IV with its old tag: %v, want ErrCorruptSlot", err)
 	}
 }
 

@@ -29,8 +29,9 @@ import (
 //	               as it seals them, so no separate scan is needed.
 //
 // With P merge passes a slot is opened (and its tag checked) 1+P
-// times, sealed in lanes under a fresh IV 1+P times and tagged 2+P
-// times: only run formation changes the payload, so only it re-tags.
+// times and tagged and sealed in lanes under a fresh IV 1+P times:
+// 2+2P tags, because the tag binds the IV and every seal draws a new
+// one.
 func (s *Store) dump(i int) error {
 	if i+1 >= len(s.levels) {
 		return fmt.Errorf("%w: cannot dump past level %d", ErrCacheFull, len(s.levels))
@@ -90,7 +91,7 @@ func (s *Store) dump(i int) error {
 
 // reshuffle is the extsort.Codec of one dump. It works on slot
 // payloads: Open decrypts and verifies every slot the sort reads, Seal
-// encrypts every slot it writes in lanes under fresh IVs. The state of
+// tags and encrypts every slot it writes in lanes under fresh IVs. The state of
 // the dump it serves — winners, the index and real-slot set being
 // rebuilt — lives in the Store's reusable scratch.
 type reshuffle struct {

@@ -232,19 +232,70 @@ func TestDumpWritesAreUnlinkable(t *testing.T) {
 	}
 }
 
+// TestSlotNoncesNeverRepeat records every IV the store writes, from
+// format through a seeded put/get mix that rewrites the last level,
+// and checks that none repeats. The IV is the slot tag's GMAC nonce;
+// TestDumpWritesAreUnlinkable checks the same only within one dump.
+func TestSlotNoncesNeverRepeat(t *testing.T) {
+	const bufCap, levels = 4, 3
+	d := &tapDev{Device: blockdev.NewMem(128, Footprint(bufCap, levels)), recording: true}
+	s, err := New(Config{
+		Dev:          d,
+		Key:          sealer.DeriveKey([]byte("k"), "nonces"),
+		BufferBlocks: bufCap,
+		Levels:       levels,
+		RNG:          prng.NewFromUint64(31),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := prng.NewFromUint64(32)
+	for op := 0; op < 400; op++ {
+		id := BlockID{File: 1, Index: rng.Uint64n(uint64(s.Capacity()))}
+		if rng.Intn(3) == 0 {
+			err = s.Put(id, val(s, uint64(op)))
+		} else {
+			_, _, err = s.Get(id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Only dump(k−2) rewrites the last level, and the cascade runs every
+	// lower dump before it.
+	if epoch := s.LevelEpoch(levels); epoch < 2 {
+		t.Fatalf("the last level was never dumped into (epoch %d)", epoch)
+	}
+	seen := map[[sealer.IVSize]byte]bool{}
+	for n, c := range d.calls {
+		if !c.write {
+			continue
+		}
+		for i, b := range c.blocks {
+			iv := [sealer.IVSize]byte(b[:sealer.IVSize])
+			if seen[iv] {
+				t.Fatalf("write call %d (%v): block %d reuses an IV", n, c, c.start+uint64(i))
+			}
+			seen[iv] = true
+		}
+	}
+	t.Logf("%d slot writes over %d flushes and %d dumps, every IV distinct", len(seen), s.Stats().Flushes, s.Stats().Dumps)
+}
+
 // TestDumpCryptoBudget counts the cipher and tag work of a dump with P
 // merge passes: every slot read is opened and its tag checked (opens
-// equal blocks read), every slot written is sealed in a batch (seals
-// equal blocks written), and per slot that is at most 1+P opens, 1+P
-// seals and 2+P tags. A flush pays one open, one seal and two tags.
+// equal blocks read), every slot written is tagged under its fresh IV
+// and sealed in a batch (seals equal blocks written, tags equal opens
+// plus seals), and per slot that is at most 1+P opens, 1+P seals and
+// 2+2P tags. A flush pays one open, one seal and two tags.
 func TestDumpCryptoBudget(t *testing.T) {
 	for _, g := range []struct{ bufCap, levels, dump int }{
 		{4, 3, 0}, {4, 3, 1}, {16, 4, 2}, {32, 3, 1},
 	} {
 		s, _ := tappedStore(t, g.bufCap, g.levels, 5, 2*g.bufCap)
 		seal := &countingSealer{slotSealer: s.codec.seal}
-		sum := &countingSummer{slotSummer: s.codec.summer}
-		s.codec.seal, s.codec.summer = seal, sum
+		sum := &countingTagger{slotTagger: s.codec.tag}
+		s.codec.seal, s.codec.tag = seal, sum
 
 		before := s.Stats()
 		if err := s.dump(g.dump); err != nil {
@@ -261,14 +312,14 @@ func TestDumpCryptoBudget(t *testing.T) {
 		if got := int(st.ShuffleWrites - before.ShuffleWrites); seal.sealed != got {
 			t.Errorf("%d seals for %d slots written", seal.sealed, got)
 		}
-		if seal.opens > (1+p)*n || seal.sealed > (1+p)*n || sum.sums > (2+p)*n {
-			t.Errorf("over budget for P=%d: want ≤ %d opens, ≤ %d seals, ≤ %d tags", p, (1+p)*n, (1+p)*n, (2+p)*n)
+		if seal.opens > (1+p)*n || seal.sealed > (1+p)*n || sum.sums > (2+2*p)*n {
+			t.Errorf("over budget for P=%d: want ≤ %d opens, ≤ %d seals, ≤ %d tags", p, (1+p)*n, (1+p)*n, (2+2*p)*n)
 		}
-		if sum.sums < seal.opens {
-			t.Errorf("%d tags checked for %d slots opened", sum.sums, seal.opens)
+		if sum.sums != seal.opens+seal.sealed {
+			t.Errorf("%d tags for %d slots opened and %d sealed", sum.sums, seal.opens, seal.sealed)
 		}
 
-		*seal, *sum = countingSealer{slotSealer: seal.slotSealer}, countingSummer{slotSummer: sum.slotSummer}
+		*seal, *sum = countingSealer{slotSealer: seal.slotSealer}, countingTagger{slotTagger: sum.slotTagger}
 		if err := s.flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -294,14 +345,14 @@ func (c *countingSealer) SealMany(dsts [][]byte, nextIV func([]byte), datas [][]
 	return c.slotSealer.SealMany(dsts, nextIV, datas)
 }
 
-type countingSummer struct {
-	slotSummer
+type countingTagger struct {
+	slotTagger
 	sums int
 }
 
-func (c *countingSummer) Sum(data []byte) uint64 {
+func (c *countingTagger) Sum(iv, data []byte) uint64 {
 	c.sums++
-	return c.slotSummer.Sum(data)
+	return c.slotTagger.Sum(iv, data)
 }
 
 // TestCorruptionSurfacesFromItsReader flips one ciphertext byte of a

@@ -262,12 +262,11 @@ func New(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// sealSlots seals payloads[i] into raws[i] for a whole batch: IVs are
-// drawn fresh in index order, then the batch goes through the cipher
-// eight lanes at a time. Every slot the store writes passes through
-// here.
+// sealSlots tags and seals payloads[i] into raws[i] for a whole batch
+// under IVs drawn fresh from the store's RNG in index order. Every slot
+// the store writes passes through here.
 func (s *Store) sealSlots(raws, payloads [][]byte) error {
-	return s.codec.seal.SealMany(raws, s.drawIV, payloads)
+	return s.codec.sealMany(raws, payloads, s.drawIV)
 }
 
 // ValueSize returns the exact size of cached values.

@@ -221,27 +221,3 @@ func TestBatchesMatchFreshCBC(t *testing.T) {
 		}
 	}
 }
-
-// TestSummerMatchesChecksum pins Summer against the allocating
-// Checksum it replaces, including empty and large inputs, and pins its
-// steady state at zero allocations.
-func TestSummerMatchesChecksum(t *testing.T) {
-	key := DeriveKey([]byte("cbc-differential"), "summer")
-	sm := NewSummer(key, "obli-slot")
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 31, 32, 33, 448, 4096} {
-		data := make([]byte, n)
-		rng.Read(data)
-		if got, want := sm.Sum(data), Checksum(key, "obli-slot", data); got != want {
-			t.Fatalf("len %d: Summer %#x != Checksum %#x", n, got, want)
-		}
-	}
-	if race.Enabled {
-		return // the alloc floor below doesn't hold under -race
-	}
-	data := make([]byte, 448)
-	allocs := testing.AllocsPerRun(100, func() { sm.Sum(data) })
-	if allocs > 0 {
-		t.Fatalf("Summer.Sum allocated %.1f per op, want 0", allocs)
-	}
-}

@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 
 	"steghide/internal/aeskern"
 	"steghide/internal/mempool"
@@ -322,39 +321,4 @@ func Checksum(key Key, ctx string, data []byte) uint64 {
 	mac.Write([]byte(ctx))
 	mac.Write(data)
 	return binary.BigEndian.Uint64(mac.Sum(nil))
-}
-
-// Summer computes Checksum-compatible tags for one (key, ctx) pair
-// without allocating after construction: the HMAC state is reset and
-// reused and the digest lands in an owned buffer. hmac.New and the
-// string-to-bytes conversion inside Checksum cost ~6 allocations per
-// call, which dominated header decodes and oblivious-slot probes; a
-// Summer amortizes all of it to zero. Not safe for concurrent use —
-// each owner (a codec, a volume) keeps its own.
-type Summer struct {
-	mac hash.Hash
-	ctx []byte
-	sum []byte
-}
-
-// NewSummer returns a Summer whose Sum(data) equals
-// Checksum(key, ctx, data). The first Reset of an HMAC caches its
-// marshaled pads, so construction pre-warms the state with one sum.
-func NewSummer(key Key, ctx string) *Summer {
-	s := &Summer{
-		mac: hmac.New(sha256.New, key[:]),
-		ctx: []byte(ctx),
-		sum: make([]byte, 0, sha256.Size),
-	}
-	s.Sum(nil)
-	return s
-}
-
-// Sum returns the 8-byte tag over data, keyed as at construction.
-func (s *Summer) Sum(data []byte) uint64 {
-	s.mac.Reset()
-	s.mac.Write(s.ctx)
-	s.mac.Write(data)
-	s.sum = s.mac.Sum(s.sum[:0])
-	return binary.BigEndian.Uint64(s.sum)
 }
