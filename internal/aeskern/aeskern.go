@@ -4,7 +4,7 @@
 // bytes are exactly crypto/cipher's for the same key, IV and input.
 //
 //   - Schedule.DecryptCBC: CBC decryption has no chain between blocks,
-//     so eight decrypt at once.
+//     so eight (on the 512-bit tier 32) decrypt at once.
 //   - EncryptCBC: one CBC chain is serial, so up to MaxLanes unrelated
 //     buffers, each under its own key schedule if need be, advance one
 //     block per step and keep the AES unit busy between them.
@@ -12,8 +12,11 @@
 //     position and written straight into the destination.
 //
 // On amd64 with AES-NI (CPUID, read once at init) these are the loops
-// of kern_amd64.s; elsewhere, and under the purego build tag, the
-// standard library. A build has one path and no switch. Key schedules
+// of kern_amd64.s, and where the host also has AVX-512 VAES those of
+// kern_vaes512_amd64.s, four blocks per instruction; elsewhere, and
+// under the purego build tag, the standard library. The tier is a
+// property of the host, with no switch, and every tier writes the same
+// bytes. Key schedules
 // come from AESKEYGENASSIST and AESIMC and no kernel branches on or
 // indexes by secret bytes, so the assembly is constant-time in key and
 // data. The exported wrappers check every length, lane-length equality

@@ -49,13 +49,47 @@ func unaligned(r *rand.Rand, n int) []byte {
 	return buf[off : off+n : off+n]
 }
 
-var kernelLengths = []int{16, 32, 48, 112, 128, 144, 240, 256, 272, 1024, 4080, 4096}
+// tier is one kernel tier a test can select: use switches the package
+// to it and returns the switch back.
+type tier struct {
+	name  string
+	avail bool
+	use   func() (restore func())
+}
+
+// tiers runs f as one subtest (or benchmark arm) per kernel tier this
+// build has, so a host with the 512-bit tier still exercises the XMM
+// kernels; a tier the host lacks is a skipped subtest under its name.
+func tiers[T interface {
+	Run(string, func(T)) bool
+	Skipf(string, ...any)
+}](t T, f func(t T)) {
+	for _, k := range kernelTiers() {
+		t.Run(k.name, func(t T) {
+			if !k.avail {
+				t.Skipf("tier %s: not on this host", k.name)
+			}
+			defer k.use()()
+			f(t)
+		})
+	}
+}
+
+// kernelLengths: under, at and over one eight-block and one 32-block
+// group (the two tiers' group sizes), both tiers' overlaid tails, and
+// the volume's 4 080 and 4 096.
+var kernelLengths = []int{16, 32, 48, 112, 128, 144, 240, 256, 272, 496, 512, 528, 1008, 1024, 4080, 4096}
+
+// boundaryBlocks are the block counts around the 512-bit tier's groups.
+var boundaryBlocks = []int{31, 32, 33, 63, 64, 255}
 
 // TestKernelEncryptMatchesStdlib drives EncryptCBC across lane counts
-// on both sides of every group boundary (1-17), every length class
-// (under, at and over one eight-block group; the volume's 4080), with
-// a different key per lane, some lanes in place, all slices unaligned.
-func TestKernelEncryptMatchesStdlib(t *testing.T) {
+// on both sides of every group boundary (1-17), every length class of
+// kernelLengths, with a different key per lane, some lanes in place,
+// all slices unaligned, on every tier.
+func TestKernelEncryptMatchesStdlib(t *testing.T) { tiers(t, testEncryptMatchesStdlib) }
+
+func testEncryptMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for lanes := 1; lanes <= 17; lanes++ {
 		for _, n := range kernelLengths {
@@ -84,8 +118,10 @@ func TestKernelEncryptMatchesStdlib(t *testing.T) {
 }
 
 // TestKernelSharedKeyLanes is the SealMany shape: one schedule on
-// every lane.
-func TestKernelSharedKeyLanes(t *testing.T) {
+// every lane, on every tier.
+func TestKernelSharedKeyLanes(t *testing.T) { tiers(t, testSharedKeyLanes) }
+
+func testSharedKeyLanes(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	key := randKey(r)
 	ks := NewSchedule(key)
@@ -109,20 +145,31 @@ func TestKernelSharedKeyLanes(t *testing.T) {
 }
 
 // TestKernelDecryptMatchesStdlib covers every block count up to three
-// groups (each tail shape of the overlaid last group) plus the
-// volume's sizes, on 50 random keys.
-func TestKernelDecryptMatchesStdlib(t *testing.T) {
+// eight-block groups (each tail shape of the overlaid last group), the
+// 512-bit tier's boundaries and the volume's sizes, on 50 random keys
+// and every tier. One source per key starts at offset 0 of its
+// allocation: the first group's IV lane must not read before it.
+func TestKernelDecryptMatchesStdlib(t *testing.T) { tiers(t, testDecryptMatchesStdlib) }
+
+func testDecryptMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	var lengths []int
 	for b := 1; b <= 24; b++ {
 		lengths = append(lengths, b*BlockSize)
 	}
-	lengths = append(lengths, 1024, 4080, 4096)
+	for _, b := range boundaryBlocks {
+		lengths = append(lengths, b*BlockSize)
+	}
+	lengths = append(lengths, 1024, 4096)
 	for k := 0; k < 50; k++ {
 		key := randKey(r)
 		ks := NewSchedule(key)
-		for _, n := range lengths {
+		for i, n := range lengths {
 			src, iv := unaligned(r, n), unaligned(r, BlockSize)
+			if i == k%len(lengths) {
+				src = make([]byte, n)
+				r.Read(src)
+			}
 			dst := unaligned(r, n)
 			if err := ks.DecryptCBC(dst, src, iv); err != nil {
 				t.Fatal(err)
@@ -144,8 +191,10 @@ func unhex(t testing.TB, s string) []byte {
 }
 
 // TestKernelNISTVectors: SP 800-38A F.2.5 (CBC-AES256.Encrypt) and
-// F.2.6 (CBC-AES256.Decrypt).
-func TestKernelNISTVectors(t *testing.T) {
+// F.2.6 (CBC-AES256.Decrypt), on every tier.
+func TestKernelNISTVectors(t *testing.T) { tiers(t, testNISTVectors) }
+
+func testNISTVectors(t *testing.T) {
 	var key [KeySize]byte
 	copy(key[:], unhex(t, "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"))
 	iv := unhex(t, "000102030405060708090a0b0c0d0e0f")
@@ -237,8 +286,11 @@ func TestKernelWrappersRejectBadInput(t *testing.T) {
 }
 
 // TestKernelKeystreamMatchesCTR: the keystream is cipher.NewCTR's, and
-// being addressed by position it does not care how a range is cut.
-func TestKernelKeystreamMatchesCTR(t *testing.T) {
+// being addressed by position it does not care how a range is cut, on
+// every tier.
+func TestKernelKeystreamMatchesCTR(t *testing.T) { tiers(t, testKeystreamMatchesCTR) }
+
+func testKeystreamMatchesCTR(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	key := randKey(r)
 	ks := NewSchedule(key)
@@ -271,11 +323,27 @@ func TestKernelKeystreamMatchesCTR(t *testing.T) {
 			}
 		}
 	}
+	// The 512-bit tier's boundaries, whole and from offsets inside a
+	// block (whose whole-block middle is one block short).
+	for _, b := range boundaryBlocks {
+		for _, pos := range []int{0, 1, 15, 16, 100, 4095} {
+			for _, n := range []int{b * BlockSize, b*BlockSize + 1} {
+				chunk := unaligned(r, n)
+				ks.Keystream(chunk, uint64(pos))
+				if !bytes.Equal(chunk, want[pos:pos+n]) {
+					t.Fatalf("Keystream(%d bytes at %d) differs", n, pos)
+				}
+			}
+		}
+	}
 }
 
-// TestKernelZeroAlloc: the primitives allocate nothing — on a host
-// whose RSS tracks garbage, a per-call allocation is a regression.
-func TestKernelZeroAlloc(t *testing.T) {
+// TestKernelZeroAlloc: the primitives allocate nothing, on any tier —
+// on a host whose RSS tracks garbage, a per-call allocation is a
+// regression.
+func TestKernelZeroAlloc(t *testing.T) { tiers(t, testZeroAlloc) }
+
+func testZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ks := NewSchedule(randKey(r))
 	src, dst, iv := make([]byte, 4080), make([]byte, 4080), make([]byte, BlockSize)
@@ -302,66 +370,83 @@ func TestKernelZeroAlloc(t *testing.T) {
 }
 
 // FuzzKernelMatchesStdlib cuts arbitrary bytes into keys, IVs, lane
-// count and length and holds all three primitives to crypto/cipher.
+// count and length and holds all three primitives to crypto/cipher on
+// every tier.
 func FuzzKernelMatchesStdlib(f *testing.F) {
 	f.Add([]byte("seed"), uint8(3), uint16(5), uint16(9))
 	f.Add(bytes.Repeat([]byte{0xa5}, 300), uint8(8), uint16(255), uint16(4096))
 	f.Add([]byte{}, uint8(17), uint16(1), uint16(0))
+	f.Add([]byte("tier"), uint8(2), uint16(32), uint16(17))
 	f.Fuzz(func(t *testing.T, data []byte, lanes uint8, blocks uint16, pos uint16) {
-		nl := int(lanes)%17 + 1
-		n := (int(blocks)%300 + 1) * BlockSize
-		seed := int64(len(data))
-		for _, b := range data {
-			seed = seed*131 + int64(b)
-		}
-		r := rand.New(rand.NewSource(seed))
-		batch := make([]Lane, nl)
-		keys := make([]*[KeySize]byte, nl)
-		want := make([][]byte, nl)
-		for i := range batch {
-			keys[i] = randKey(r)
-			copy(keys[i][:], data) // the fuzzer steers key bytes directly
-			src, iv := unaligned(r, n), unaligned(r, BlockSize)
-			want[i] = refEncrypt(keys[i], iv, src)
-			batch[i] = Lane{Key: NewSchedule(keys[i]), Dst: unaligned(r, n), Src: src, IV: iv}
-		}
-		if err := EncryptCBC(batch); err != nil {
-			t.Fatal(err)
-		}
-		for i := range batch {
-			if !bytes.Equal(batch[i].Dst, want[i]) {
-				t.Fatalf("encrypt lane %d/%d of %d bytes differs", i, nl, n)
-			}
-			back := make([]byte, n)
-			if err := batch[i].Key.DecryptCBC(back, batch[i].Dst, batch[i].IV); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(back, batch[i].Src) || !bytes.Equal(back, refDecrypt(keys[i], batch[i].IV, batch[i].Dst)) {
-				t.Fatalf("decrypt lane %d of %d bytes differs", i, n)
-			}
-		}
-		stream := make([]byte, n-1)
-		batch[0].Key.Keystream(stream, uint64(pos))
-		if !bytes.Equal(stream, refKeystream(keys[0], int(pos)+n-1)[pos:]) {
-			t.Fatalf("keystream of %d bytes at %d differs", n-1, pos)
-		}
+		tiers(t, func(t *testing.T) { fuzzKernelMatchesStdlib(t, data, lanes, blocks, pos) })
 	})
 }
 
-// Benchmarks for iterating on the kernels, at the volume's geometry
-// (4 KiB blocks, 4 080-byte data field). Each has a stdlib arm: the
-// fresh-mode construction the kernel replaces.
+func fuzzKernelMatchesStdlib(t *testing.T, data []byte, lanes uint8, blocks uint16, pos uint16) {
+	nl := int(lanes)%17 + 1
+	n := (int(blocks)%300 + 1) * BlockSize
+	seed := int64(len(data))
+	for _, b := range data {
+		seed = seed*131 + int64(b)
+	}
+	r := rand.New(rand.NewSource(seed))
+	batch := make([]Lane, nl)
+	keys := make([]*[KeySize]byte, nl)
+	want := make([][]byte, nl)
+	for i := range batch {
+		keys[i] = randKey(r)
+		copy(keys[i][:], data) // the fuzzer steers key bytes directly
+		src, iv := unaligned(r, n), unaligned(r, BlockSize)
+		want[i] = refEncrypt(keys[i], iv, src)
+		batch[i] = Lane{Key: NewSchedule(keys[i]), Dst: unaligned(r, n), Src: src, IV: iv}
+	}
+	if err := EncryptCBC(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		if !bytes.Equal(batch[i].Dst, want[i]) {
+			t.Fatalf("encrypt lane %d/%d of %d bytes differs", i, nl, n)
+		}
+		back := make([]byte, n)
+		if err := batch[i].Key.DecryptCBC(back, batch[i].Dst, batch[i].IV); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, batch[i].Src) || !bytes.Equal(back, refDecrypt(keys[i], batch[i].IV, batch[i].Dst)) {
+			t.Fatalf("decrypt lane %d of %d bytes differs", i, n)
+		}
+	}
+	stream := make([]byte, n-1)
+	batch[0].Key.Keystream(stream, uint64(pos))
+	if !bytes.Equal(stream, refKeystream(keys[0], int(pos)+n-1)[pos:]) {
+		t.Fatalf("keystream of %d bytes at %d differs", n-1, pos)
+	}
+}
 
-func benchLanes(r *rand.Rand, n int, sameKey bool) []Lane {
-	ks := NewSchedule(randKey(r))
-	batch := make([]Lane, n)
+// Benchmarks for iterating on the kernels, at the volume's geometry
+// (4 KiB blocks, 4 080-byte data field). The multi-block primitives
+// have one arm per kernel tier (xmm, vaes512; purego or generic off
+// amd64) and a stdlib arm: the fresh-mode construction the kernels
+// replace.
+
+func benchLanes(r *rand.Rand, n int, sameKey bool) ([]Lane, []cipher.Block) {
+	batch, blks := make([]Lane, n), make([]cipher.Block, n)
+	key := randKey(r)
 	for i := range batch {
 		if !sameKey {
-			ks = NewSchedule(randKey(r))
+			key = randKey(r)
 		}
-		batch[i] = Lane{Key: ks, Dst: make([]byte, 4080), Src: make([]byte, 4080), IV: make([]byte, BlockSize)}
+		blks[i], _ = aes.NewCipher(key[:])
+		batch[i] = Lane{Key: NewSchedule(key), Dst: make([]byte, 4080), Src: make([]byte, 4080), IV: make([]byte, BlockSize)}
 	}
-	return batch
+	return batch, blks
+}
+
+// stdlibEncrypt is EncryptCBC with a fresh crypto/cipher mode per lane.
+func stdlibEncrypt(batch []Lane, blks []cipher.Block) {
+	for i := range batch {
+		l := &batch[i]
+		cipher.NewCBCEncrypter(blks[i], l.IV).CryptBlocks(l.Dst, l.Src)
+	}
 }
 
 func BenchmarkOpen(b *testing.B) {
@@ -369,7 +454,7 @@ func BenchmarkOpen(b *testing.B) {
 	key := randKey(r)
 	ks := NewSchedule(key)
 	src, dst, iv := make([]byte, 4080), make([]byte, 4080), make([]byte, BlockSize)
-	b.Run("kernel", func(b *testing.B) {
+	tiers(b, func(b *testing.B) {
 		b.SetBytes(4080)
 		for i := 0; i < b.N; i++ {
 			ks.DecryptCBC(dst, src, iv) //nolint:errcheck // fixed valid shape
@@ -384,9 +469,11 @@ func BenchmarkOpen(b *testing.B) {
 	})
 }
 
+// BenchmarkSeal is one lane, which every tier runs on the XMM
+// single-chain loop.
 func BenchmarkSeal(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
-	batch := benchLanes(r, 1, true)
+	batch, blks := benchLanes(r, 1, true)
 	b.Run("kernel", func(b *testing.B) {
 		b.SetBytes(4080)
 		for i := 0; i < b.N; i++ {
@@ -394,10 +481,9 @@ func BenchmarkSeal(b *testing.B) {
 		}
 	})
 	b.Run("stdlib", func(b *testing.B) {
-		blk, _ := aes.NewCipher(randKey(r)[:])
 		b.SetBytes(4080)
 		for i := 0; i < b.N; i++ {
-			cipher.NewCBCEncrypter(blk, batch[0].IV).CryptBlocks(batch[0].Dst, batch[0].Src)
+			stdlibEncrypt(batch, blks)
 		}
 	})
 }
@@ -408,27 +494,47 @@ func BenchmarkSealMany8(b *testing.B) {
 		name    string
 		sameKey bool
 	}{{"one-key", true}, {"mixed-keys", false}} {
-		batch := benchLanes(r, 8, arm.sameKey)
+		batch, blks := benchLanes(r, 8, arm.sameKey)
 		b.Run(arm.name, func(b *testing.B) {
-			b.SetBytes(8 * 4080)
-			for i := 0; i < b.N; i++ {
-				EncryptCBC(batch) //nolint:errcheck // fixed valid shape
-			}
+			tiers(b, func(b *testing.B) {
+				b.SetBytes(8 * 4080)
+				for i := 0; i < b.N; i++ {
+					EncryptCBC(batch) //nolint:errcheck // fixed valid shape
+				}
+			})
+			b.Run("stdlib", func(b *testing.B) {
+				b.SetBytes(8 * 4080)
+				for i := 0; i < b.N; i++ {
+					stdlibEncrypt(batch, blks)
+				}
+			})
 		})
 	}
 }
 
 func BenchmarkResealMany64(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
-	batch := benchLanes(r, 64, false)
-	b.SetBytes(64 * 4080)
-	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			l := &batch[j]
-			l.Key.DecryptCBC(l.Src, l.Dst, l.IV) //nolint:errcheck // fixed valid shape
+	batch, blks := benchLanes(r, 64, false)
+	tiers(b, func(b *testing.B) {
+		b.SetBytes(64 * 4080)
+		for i := 0; i < b.N; i++ {
+			for j := range batch {
+				l := &batch[j]
+				l.Key.DecryptCBC(l.Src, l.Dst, l.IV) //nolint:errcheck // fixed valid shape
+			}
+			EncryptCBC(batch) //nolint:errcheck // fixed valid shape
 		}
-		EncryptCBC(batch) //nolint:errcheck // fixed valid shape
-	}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.SetBytes(64 * 4080)
+		for i := 0; i < b.N; i++ {
+			for j := range batch {
+				l := &batch[j]
+				cipher.NewCBCDecrypter(blks[j], l.IV).CryptBlocks(l.Src, l.Dst)
+			}
+			stdlibEncrypt(batch, blks)
+		}
+	})
 }
 
 func BenchmarkFill4K(b *testing.B) {
@@ -436,7 +542,7 @@ func BenchmarkFill4K(b *testing.B) {
 	key := randKey(r)
 	ks := NewSchedule(key)
 	buf := make([]byte, 4096)
-	b.Run("kernel", func(b *testing.B) {
+	tiers(b, func(b *testing.B) {
 		b.SetBytes(4096)
 		for i := 0; i < b.N; i++ {
 			ks.Keystream(buf, uint64(i)*4096)

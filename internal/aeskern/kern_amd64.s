@@ -19,6 +19,17 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL DX, edx+20(FP)
 	RET
 
+// func xgetbv() (eax, edx uint32)
+//
+// XCR0, the state components the OS saves; run it only where CPUID.1
+// reports OSXSAVE.
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
 // SPREAD folds x ^= x<<32 ^ x<<64 ^ x<<96, the running XOR of the four
 // words of the previous-but-one round key (FIPS-197 5.2).
 #define SPREAD(x) \

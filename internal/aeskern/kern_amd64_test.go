@@ -7,8 +7,75 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
+
+// vaes512Detected is the tier decision made at init, which the tier
+// subtests flip and restore.
+var vaes512Detected = hasVAES512
+
+// kernelTiers: the XMM kernels, and the 512-bit tier where the host
+// has it. Without AES-NI every call takes the stdlib path.
+func kernelTiers() []tier {
+	if !hasAESNI {
+		return []tier{{name: "noaesni", avail: true, use: func() func() { return func() {} }}}
+	}
+	set := func(on bool) func() func() {
+		return func() func() {
+			hasVAES512 = on
+			return func() { hasVAES512 = vaes512Detected }
+		}
+	}
+	return []tier{
+		{name: "xmm", avail: true, use: set(false)},
+		{name: "vaes512", avail: vaes512Detected, use: set(true)},
+	}
+}
+
+// TestKernelTierDetection holds the CPUID/XGETBV decision to the
+// kernel's view of the CPU: the first flags line of /proc/cpuinfo must
+// carry avx512f, avx512bw and vaes exactly when the 512-bit tier was
+// chosen. A detection bug would otherwise drop the tier silently, or
+// run it where it raises SIGILL. It logs the tier the package runs.
+func TestKernelTierDetection(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/cpuinfo")
+	}
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo: %v", err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(val)
+			break
+		}
+	}
+	if flags == nil {
+		t.Skip("no flags line in /proc/cpuinfo")
+	}
+	has := func(f string) bool { return slices.Contains(flags, f) }
+	want := has("avx512f") && has("avx512bw") && has("vaes")
+	if got := detectVAES512(); got != want {
+		t.Fatalf("CPUID/XGETBV chose the 512-bit tier = %v; /proc/cpuinfo avx512f && avx512bw && vaes = %v", got, want)
+	}
+	if got := hasAESNI && detectVAES512(); vaes512Detected != got {
+		t.Fatalf("init decided hasVAES512 = %v, detection now says %v", vaes512Detected, got)
+	}
+	switch {
+	case vaes512Detected:
+		t.Log("kernel tier: vaes512 (ZMM; xmm under 32 blocks and for one lane)")
+	case hasAESNI:
+		t.Log("kernel tier: xmm")
+	default:
+		t.Log("kernel tier: stdlib (no AES-NI)")
+	}
+}
 
 // sbox computes the AES S-box from its definition (FIPS-197 5.1.1):
 // the multiplicative inverse in GF(2^8) followed by the affine map.
