@@ -71,11 +71,15 @@ func main() {
 	// The updates go through the agent's immediate Write, so each is on
 	// the device (relocated, unsaved) when it returns; a write handle
 	// would hold them in memory until its Close.
+	ledger, err := stack.Agent1().Open("alice", "/ledger") // the handle the FS still holds
+	if err != nil {
+		log.Fatal(err)
+	}
 	dev.PowerCutAfterWrites(25)
 	chunk := make([]byte, vol.PayloadSize())
 	var cutErr error
 	for i := 0; cutErr == nil && i < 1000; i++ {
-		if cutErr = stack.Agent1().WriteCtx(ctx, "/ledger", chunk, uint64(i%4)*uint64(vol.PayloadSize())); cutErr == nil {
+		if cutErr = stack.Agent1().Write(ctx, "/ledger", ledger, chunk, uint64(i%4)*uint64(vol.PayloadSize())); cutErr == nil {
 			cutErr = stack.Agent1().DummyUpdate()
 		}
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,6 +81,7 @@ func demoStegFS() {
 }
 
 func demoStegHide() {
+	ctx := context.Background()
 	mem := steghide.NewMemDevice(blockSize, nBlocks)
 	stack, err := steghide.Mount(mem,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("s2")}),
@@ -94,7 +96,7 @@ func demoStegHide() {
 	// update before it returns. A handle's writes wait in memory for
 	// Close, and an active phase that never closes would show the
 	// attacker nothing but dummy traffic — and prove nothing.
-	sess, err := agent.LoginWithPassphrase("victim", "pw")
+	sess, err := agent.Login("victim", "pw")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,10 +106,10 @@ func demoStegHide() {
 	if _, err := sess.Create("/ledger"); err != nil {
 		log.Fatal(err)
 	}
-	if err := sess.Write("/ledger", make([]byte, fileBlks*vol.PayloadSize()), 0); err != nil {
+	if err := sess.Write(ctx, "/ledger", make([]byte, fileBlks*vol.PayloadSize()), 0); err != nil {
 		log.Fatal(err)
 	}
-	if err := sess.Save("/ledger"); err != nil {
+	if err := sess.Save(ctx, "/ledger"); err != nil {
 		log.Fatal(err)
 	}
 
@@ -124,7 +126,7 @@ func demoStegHide() {
 	rng := prng.NewFromUint64(3)
 	ps := vol.PayloadSize()
 	activeDiffs := diffPhase(mem, func() {
-		if err := sess.Write("/ledger", rng.Bytes(ps), 0); err != nil {
+		if err := sess.Write(ctx, "/ledger", rng.Bytes(ps), 0); err != nil {
 			log.Fatal(err)
 		}
 		if err := agent.DummyUpdate(); err != nil {

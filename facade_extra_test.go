@@ -71,7 +71,7 @@ func TestDummyDaemonFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("d")))
-	s, err := agent.LoginWithPassphrase("u", "pw")
+	s, err := agent.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func (b *agentBackend) open(_ context.Context, path string, known *openFile, siz
 	if !sized {
 		return of, 0, nil
 	}
-	size, err := b.agent.StatHandle(path, of.f)
+	size, err := b.agent.Stat(path, of.f)
 	return of, size, err
 }
 
@@ -55,24 +55,24 @@ func (b *agentBackend) create(_ context.Context, path string, dummy bool, _ uint
 }
 
 func (b *agentBackend) read(_ context.Context, of *openFile, path string, p []byte, off uint64) (int, error) {
-	return b.agent.ReadHandle(path, of.f, p, off)
+	return b.agent.Read(path, of.f, p, off)
 }
 
 // write stages into the file's open run (see WriteHandle).
 func (b *agentBackend) write(ctx context.Context, of *openFile, path string, p []byte, off uint64) (int, error) {
-	return 0, b.agent.StageHandleCtx(ctx, path, of.f, p, off)
+	return 0, b.agent.Stage(ctx, path, of.f, p, off)
 }
 
 func (b *agentBackend) save(ctx context.Context, of *openFile, path string) error {
-	return b.agent.SyncHandleCtx(ctx, path, of.f)
+	return b.agent.Sync(ctx, path, of.f)
 }
 
 func (b *agentBackend) truncate(ctx context.Context, of *openFile, path string, size uint64) error {
-	return b.agent.TruncateHandleCtx(ctx, path, of.f, size)
+	return b.agent.Truncate(ctx, path, of.f, size)
 }
 
 func (b *agentBackend) delete(_ context.Context, of *openFile, path string) error {
-	return b.agent.DeleteHandle(path, of.f)
+	return b.agent.Delete(path, of.f)
 }
 
 // list defers to the open-file table: the agent lists every principal.
@@ -83,7 +83,7 @@ func (b *agentBackend) list(context.Context) ([]string, error) { return nil, nil
 func (b *agentBackend) close(files map[string]*openFile) error {
 	var firstErr error
 	for _, p := range slices.Sorted(maps.Keys(files)) {
-		if err := b.agent.CloseHandle(p, files[p].f); err != nil && firstErr == nil {
+		if err := b.agent.Close(p, files[p].f); err != nil && firstErr == nil {
 			firstErr = pathErr("close", p, err)
 		}
 	}

@@ -109,7 +109,7 @@ func (b *obliBackend) write(ctx context.Context, of *openFile, path string, p []
 		return 0, err
 	}
 	ps := uint64(b.agent.Vol().PayloadSize())
-	policy := b.agent.PolicyCtx(ctx)
+	policy := b.agent.Policy(ctx)
 	if end := off + uint64(len(p)); end > of.f.Size() {
 		if err := of.f.Resize(end, policy); err != nil {
 			return 0, err

@@ -46,15 +46,15 @@ func (b *sessionBackend) read(_ context.Context, _ *openFile, path string, p []b
 
 // write stages into the file's open run (see WriteHandle).
 func (b *sessionBackend) write(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
-	return 0, b.sess.StageCtx(ctx, path, p, off)
+	return 0, b.sess.Stage(ctx, path, p, off)
 }
 
 func (b *sessionBackend) save(ctx context.Context, _ *openFile, path string) error {
-	return b.sess.SaveCtx(ctx, path)
+	return b.sess.Save(ctx, path)
 }
 
 func (b *sessionBackend) truncate(ctx context.Context, _ *openFile, path string, size uint64) error {
-	return b.sess.TruncateCtx(ctx, path, size)
+	return b.sess.Truncate(ctx, path, size)
 }
 
 func (b *sessionBackend) delete(_ context.Context, _ *openFile, path string) error {
@@ -65,5 +65,5 @@ func (b *sessionBackend) list(context.Context) ([]string, error) { return b.sess
 
 // close logs out: the agent forgets this user's files.
 func (b *sessionBackend) close(map[string]*openFile) error {
-	return b.agent.Logout(b.sess.User())
+	return b.agent.Logout(context.Background(), b.sess.User())
 }

@@ -2,6 +2,7 @@ package steghide_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"steghide"
@@ -15,6 +16,7 @@ import (
 // interleaved dummy traffic, an oblivious read cache on top, and the
 // attackers verifying that nothing observable leaks.
 func TestFullStackScenario(t *testing.T) {
+	ctx := context.Background()
 	// --- two storage nodes, each tapped ------------------------------
 	const nodes = 2
 	taps := make([]*steghide.Collector, nodes)
@@ -45,11 +47,11 @@ func TestFullStackScenario(t *testing.T) {
 
 	// --- the agent and two users --------------------------------------
 	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("agent")))
-	alice, err := agent.LoginWithPassphrase("alice", "a-pw")
+	alice, err := agent.Login("alice", "a-pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bob, err := agent.LoginWithPassphrase("bob", "b-pw")
+	bob, err := agent.Login("bob", "b-pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +73,10 @@ func TestFullStackScenario(t *testing.T) {
 	ps := vol.PayloadSize()
 	aliceData := rng.Bytes(30 * ps)
 	bobData := rng.Bytes(20 * ps)
-	if err := alice.Write("/a-notes", aliceData, 0); err != nil {
+	if err := alice.Write(ctx, "/a-notes", aliceData, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := bob.Write("/b-notes", bobData, 0); err != nil {
+	if err := bob.Write(ctx, "/b-notes", bobData, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +85,7 @@ func TestFullStackScenario(t *testing.T) {
 		off := uint64(rng.Intn(30)) * uint64(ps)
 		chunk := rng.Bytes(ps)
 		copy(aliceData[off:], chunk)
-		if err := alice.Write("/a-notes", chunk, off); err != nil {
+		if err := alice.Write(ctx, "/a-notes", chunk, off); err != nil {
 			t.Fatal(err)
 		}
 		if err := agent.DummyUpdate(); err != nil {
@@ -120,16 +122,16 @@ func TestFullStackScenario(t *testing.T) {
 	}
 
 	// --- logout wipes the agent; fresh sessions recover everything ----
-	if err := agent.Logout("alice"); err != nil {
+	if err := agent.Logout(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Logout("bob"); err != nil {
+	if err := agent.Logout(ctx, "bob"); err != nil {
 		t.Fatal(err)
 	}
 	if agent.KnownBlocks() != 0 {
 		t.Fatalf("agent retained %d blocks after logout", agent.KnownBlocks())
 	}
-	alice2, err := agent.LoginWithPassphrase("alice", "a-pw")
+	alice2, err := agent.Login("alice", "a-pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestFullStackScenario(t *testing.T) {
 	if !bytes.Equal(got, aliceData) {
 		t.Fatal("alice's data corrupted across the full stack")
 	}
-	bob2, err := agent.LoginWithPassphrase("bob", "b-pw")
+	bob2, err := agent.Login("bob", "b-pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +173,10 @@ func TestFullStackScenario(t *testing.T) {
 		t.Fatalf("node 0 saw %.0f%% of traffic; striping skewed", share*100)
 	}
 	// Wrong-passphrase probing reveals nothing.
-	if err := agent.Logout("alice"); err != nil {
+	if err := agent.Logout(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	adv, err := agent.LoginWithPassphrase("alice", "not-the-passphrase")
+	adv, err := agent.Login("alice", "not-the-passphrase")
 	if err != nil {
 		t.Fatal(err)
 	}

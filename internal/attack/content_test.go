@@ -2,6 +2,7 @@ package attack_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 // exactly this: a block that was never written by a user must not look
 // different from one that was.
 func TestFillerIndistinguishableFromSealed(t *testing.T) {
+	ctx := context.Background()
 	const bs, blocks, coverBlocks, files, fileBlocks = 4096, 4096, 2560, 8, 136
 	dev := steghide.NewMemDevice(bs, blocks)
 	stack, err := steghide.Mount(dev,
@@ -32,7 +34,7 @@ func TestFillerIndistinguishableFromSealed(t *testing.T) {
 	}
 	defer stack.Close() //nolint:errcheck // test teardown
 	agent := stack.Agent2()
-	sess, err := agent.LoginWithPassphrase("mallory-cannot-be", "content-pass")
+	sess, err := agent.Login("mallory-cannot-be", "content-pass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +52,10 @@ func TestFillerIndistinguishableFromSealed(t *testing.T) {
 		if _, err := sess.Create(p); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Write(p, content, 0); err != nil {
+		if err := sess.Write(ctx, p, content, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Save(p); err != nil {
+		if err := sess.Save(ctx, p); err != nil {
 			t.Fatal(err)
 		}
 	}

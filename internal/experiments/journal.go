@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -60,27 +61,30 @@ func buildJournalC1(s Scale, journaled bool, seed uint64) (*journalRunner, *steg
 			return nil, nil, nil, err
 		}
 	}
-	if _, err := agent.Create("u", "/target"); err != nil {
+	f, err := agent.Create("u", "/target")
+	if err != nil {
 		return nil, nil, nil, err
 	}
+	ctx := context.Background()
 	content := make([]byte, s.UpdateFileBlocks*uint64(vol.PayloadSize()))
-	if err := agent.Write("/target", content, 0); err != nil {
+	if err := agent.Write(ctx, "/target", f, content, 0); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := agent.Sync("/target"); err != nil {
+	if err := agent.Sync(ctx, "/target", f); err != nil {
 		return nil, nil, nil, err
 	}
 	ps := uint64(vol.PayloadSize())
 	chunk := make([]byte, ps)
 	return &journalRunner{
-		update: func(off uint64) error { return agent.Write("/target", chunk, off*ps) },
-		sync:   func() error { return agent.Sync("/target") },
+		update: func(off uint64) error { return agent.Write(ctx, "/target", f, chunk, off*ps) },
+		sync:   func() error { return agent.Sync(ctx, "/target", f) },
 		dummy:  agent.DummyUpdate,
 	}, vol, col, nil
 }
 
 // buildJournalC2 builds a Construction-2 rig, journaled or not.
 func buildJournalC2(s Scale, journaled bool, seed uint64) (*journalRunner, *stegfs.Volume, *blockdev.Collector, error) {
+	ctx := context.Background()
 	col := &blockdev.Collector{}
 	var ring uint64
 	if journaled {
@@ -100,7 +104,7 @@ func buildJournalC2(s Scale, journaled bool, seed uint64) (*journalRunner, *steg
 			return nil, nil, nil, err
 		}
 	}
-	sess, err := agent.LoginWithPassphrase("u", "u-pass")
+	sess, err := agent.Login("u", "u-pass")
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -111,17 +115,17 @@ func buildJournalC2(s Scale, journaled bool, seed uint64) (*journalRunner, *steg
 		return nil, nil, nil, err
 	}
 	content := make([]byte, s.UpdateFileBlocks*uint64(vol.PayloadSize()))
-	if err := sess.Write("/target", content, 0); err != nil {
+	if err := sess.Write(ctx, "/target", content, 0); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := sess.Save("/target"); err != nil {
+	if err := sess.Save(ctx, "/target"); err != nil {
 		return nil, nil, nil, err
 	}
 	ps := uint64(vol.PayloadSize())
 	chunk := make([]byte, ps)
 	return &journalRunner{
-		update: func(off uint64) error { return sess.Write("/target", chunk, off*ps) },
-		sync:   func() error { return sess.Save("/target") },
+		update: func(off uint64) error { return sess.Write(ctx, "/target", chunk, off*ps) },
+		sync:   func() error { return sess.Save(ctx, "/target") },
 		dummy:  agent.DummyUpdate,
 	}, vol, col, nil
 }

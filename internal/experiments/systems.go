@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"steghide/internal/baseline"
@@ -78,7 +79,7 @@ func NewSystem(name string, s Scale, seed uint64) (System, *blockdev.Collector, 
 				return nil, nil, err
 			}
 		}
-		return &c1Sys{dev: dev, agent: agent}, col, nil
+		return &c1Sys{dev: dev, agent: agent, files: map[string]*stegfs.File{}}, col, nil
 	case nameStegHide:
 		vol, err := stegfs.Format(dev, stegfs.FormatOptions{
 			KDFIterations: 4, FillSeed: rng.Bytes(16), JournalBlocks: s.journalRing()})
@@ -212,6 +213,7 @@ func (s *stegfsSys) Source() *stegfs.BitmapSource { return s.src }
 type c1Sys struct {
 	dev   blockdev.Device
 	agent *steghide.NonVolatileAgent
+	files map[string]*stegfs.File // the handles Create returned, by path
 }
 
 func (c *c1Sys) Name() string            { return nameStegHideStar }
@@ -222,14 +224,17 @@ func (c *c1Sys) Agent() *steghide.NonVolatileAgent { return c.agent }
 
 func (c *c1Sys) CreateFile(user, name string, blocks uint64) error {
 	path := user + name // the agent's namespace is volume-wide
-	if _, err := c.agent.Create(user, path); err != nil {
+	f, err := c.agent.Create(user, path)
+	if err != nil {
 		return err
 	}
+	c.files[path] = f
+	ctx := context.Background()
 	data := payloadFor(name, blocks, c.agent.Vol().PayloadSize())
-	if err := c.agent.Write(path, data, 0); err != nil {
+	if err := c.agent.Write(ctx, path, f, data, 0); err != nil {
 		return err
 	}
-	return c.agent.Sync(path)
+	return c.agent.Sync(ctx, path, f)
 }
 
 func (c *c1Sys) ScanStream(user, name string) ([]uint64, error) {
@@ -241,8 +246,9 @@ func (c *c1Sys) ScanStream(user, name string) ([]uint64, error) {
 }
 
 func (c *c1Sys) Update(user, name string, off uint64, blocks int) error {
+	path := user + name
 	ps := c.agent.Vol().PayloadSize()
-	return c.agent.Write(user+name, make([]byte, blocks*ps), off*uint64(ps))
+	return c.agent.Write(context.Background(), path, c.files[path], make([]byte, blocks*ps), off*uint64(ps))
 }
 
 // --- StegHide (Construction 2) ------------------------------------------
@@ -264,7 +270,7 @@ func (c *c2Sys) session(user string) (*steghide.Session, error) {
 	if s, ok := c.sessions[user]; ok {
 		return s, nil
 	}
-	s, err := c.agent.LoginWithPassphrase(user, "pw-"+user)
+	s, err := c.agent.Login(user, "pw-"+user)
 	if err != nil {
 		return nil, err
 	}
@@ -279,6 +285,7 @@ func (c *c2Sys) session(user string) (*steghide.Session, error) {
 func (c *c2Sys) SetDummyBlocks(n uint64) { c.dummies = n }
 
 func (c *c2Sys) CreateFile(user, name string, blocks uint64) error {
+	ctx := context.Background()
 	s, err := c.session(user)
 	if err != nil {
 		return err
@@ -306,10 +313,10 @@ func (c *c2Sys) CreateFile(user, name string, blocks uint64) error {
 		return err
 	}
 	data := payloadFor(name, blocks, c.agent.Vol().PayloadSize())
-	if err := s.Write(name, data, 0); err != nil {
+	if err := s.Write(ctx, name, data, 0); err != nil {
 		return err
 	}
-	return s.Save(name)
+	return s.Save(ctx, name)
 }
 
 func (c *c2Sys) ScanStream(user, name string) ([]uint64, error) {
@@ -330,5 +337,5 @@ func (c *c2Sys) Update(user, name string, off uint64, blocks int) error {
 		return err
 	}
 	ps := c.agent.Vol().PayloadSize()
-	return s.Write(name, make([]byte, blocks*ps), off*uint64(ps))
+	return s.Write(context.Background(), name, make([]byte, blocks*ps), off*uint64(ps))
 }

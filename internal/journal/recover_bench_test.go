@@ -1,6 +1,7 @@
 package journal_test
 
 import (
+	"context"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -27,23 +28,25 @@ func BenchmarkRecover(b *testing.B) {
 	if err := agent.EnableJournal(); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := agent.Create("u", "/f"); err != nil {
+	f, err := agent.Create("u", "/f")
+	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	ps := uint64(vol.PayloadSize())
-	if err := agent.Write("/f", make([]byte, 32*ps), 0); err != nil {
+	if err := agent.Write(ctx, "/f", f, make([]byte, 32*ps), 0); err != nil {
 		b.Fatal(err)
 	}
-	if err := agent.Sync("/f"); err != nil {
+	if err := agent.Sync(ctx, "/f", f); err != nil {
 		b.Fatal(err)
 	}
 	chunk := make([]byte, ps)
 	for i := uint64(0); i < 200; i++ {
-		if err := agent.Write("/f", chunk, i%32*ps); err != nil {
+		if err := agent.Write(ctx, "/f", f, chunk, i%32*ps); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := agent.Sync("/f"); err != nil {
+	if err := agent.Sync(ctx, "/f", f); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

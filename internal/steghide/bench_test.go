@@ -1,6 +1,7 @@
 package steghide
 
 import (
+	"context"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -9,8 +10,8 @@ import (
 )
 
 // benchC1 builds a Construction 1 agent at the given utilization with
-// one 32-block file to update.
-func benchC1(b *testing.B, utilization float64) *NonVolatileAgent {
+// one 32-block file to update, returning the file's handle too.
+func benchC1(b *testing.B, utilization float64) (*NonVolatileAgent, *stegfs.File) {
 	b.Helper()
 	vol, err := stegfs.Format(blockdev.NewMem(512, 8192),
 		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("bench")})
@@ -21,10 +22,11 @@ func benchC1(b *testing.B, utilization float64) *NonVolatileAgent {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := a.Create("u", "/f"); err != nil {
+	f, err := a.Create("u", "/f")
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := a.Write("/f", make([]byte, 32*vol.PayloadSize()), 0); err != nil {
+	if err := a.Write(context.Background(), "/f", f, make([]byte, 32*vol.PayloadSize()), 0); err != nil {
 		b.Fatal(err)
 	}
 	first, n := a.Source().SpaceBounds()
@@ -34,7 +36,7 @@ func benchC1(b *testing.B, utilization float64) *NonVolatileAgent {
 			b.Fatal(err)
 		}
 	}
-	return a
+	return a, f
 }
 
 // BenchmarkFigure6Update measures the full Figure-6 data update
@@ -42,14 +44,14 @@ func benchC1(b *testing.B, utilization float64) *NonVolatileAgent {
 func BenchmarkFigure6Update(b *testing.B) {
 	for _, util := range []float64{0.1, 0.5, 0.9} {
 		b.Run(map[float64]string{0.1: "util10", 0.5: "util50", 0.9: "util90"}[util], func(b *testing.B) {
-			a := benchC1(b, util)
+			a, f := benchC1(b, util)
 			ps := a.Vol().PayloadSize()
 			chunk := make([]byte, ps)
 			rng := prng.NewFromUint64(2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				off := uint64(rng.Intn(32)) * uint64(ps)
-				if err := a.Write("/f", chunk, off); err != nil {
+				if err := a.Write(context.Background(), "/f", f, chunk, off); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,7 +62,7 @@ func BenchmarkFigure6Update(b *testing.B) {
 
 // BenchmarkDummyUpdate measures the idle-traffic primitive.
 func BenchmarkDummyUpdate(b *testing.B) {
-	a := benchC1(b, 0.25)
+	a, _ := benchC1(b, 0.25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := a.DummyUpdate(); err != nil {
@@ -72,13 +74,14 @@ func BenchmarkDummyUpdate(b *testing.B) {
 // BenchmarkVolatileSessionWrite measures Construction 2's end-to-end
 // write path (registry bookkeeping included).
 func BenchmarkVolatileSessionWrite(b *testing.B) {
+	ctx := context.Background()
 	vol, err := stegfs.Format(blockdev.NewMem(512, 8192),
 		stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("b2")})
 	if err != nil {
 		b.Fatal(err)
 	}
 	a := NewVolatile(vol, prng.NewFromUint64(3))
-	s, err := a.LoginWithPassphrase("u", "pw")
+	s, err := a.Login("u", "pw")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func BenchmarkVolatileSessionWrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	ps := vol.PayloadSize()
-	if err := s.Write("/f", make([]byte, 32*ps), 0); err != nil {
+	if err := s.Write(ctx, "/f", make([]byte, 32*ps), 0); err != nil {
 		b.Fatal(err)
 	}
 	chunk := make([]byte, ps)
@@ -97,7 +100,7 @@ func BenchmarkVolatileSessionWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := uint64(rng.Intn(32)) * uint64(ps)
-		if err := s.Write("/f", chunk, off); err != nil {
+		if err := s.Write(ctx, "/f", chunk, off); err != nil {
 			b.Fatal(err)
 		}
 	}

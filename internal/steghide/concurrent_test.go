@@ -2,6 +2,7 @@ package steghide
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 // update counters exact, and the measured overhead still ≈ N/D.
 // Run with -race: the scheduler's interleaving safety is the point.
 func TestConcurrentSessionsC2(t *testing.T) {
+	ctx := context.Background()
 	a, _ := newC2(t, 4096)
 	const nSessions = 6
 	const updates = 40
@@ -30,7 +32,7 @@ func TestConcurrentSessionsC2(t *testing.T) {
 	ps := a.Vol().PayloadSize()
 	clients := make([]*client, nSessions)
 	for i := range clients {
-		s, err := a.LoginWithPassphrase(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
+		s, err := a.Login(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +44,7 @@ func TestConcurrentSessionsC2(t *testing.T) {
 			t.Fatal(err)
 		}
 		content := prng.NewFromUint64(uint64(50 + i)).Bytes(10 * ps)
-		if err := s.Write(path, content, 0); err != nil {
+		if err := s.Write(ctx, path, content, 0); err != nil {
 			t.Fatal(err)
 		}
 		clients[i] = &client{sess: s, path: path, content: content}
@@ -68,7 +70,7 @@ func TestConcurrentSessionsC2(t *testing.T) {
 				li := rng.Intn(10)
 				chunk := rng.Bytes(ps)
 				copy(c.content[li*ps:], chunk)
-				if err := c.sess.Write(c.path, chunk, uint64(li*ps)); err != nil {
+				if err := c.sess.Write(ctx, c.path, chunk, uint64(li*ps)); err != nil {
 					errCh <- err
 					return
 				}
@@ -112,11 +114,11 @@ func TestConcurrentSessionsC2(t *testing.T) {
 	}
 	// And across a logout/login cycle (maps flushed consistently).
 	for i := range clients {
-		if err := a.Logout(fmt.Sprintf("u%d", i)); err != nil {
+		if err := a.Logout(ctx, fmt.Sprintf("u%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s2, err := a.LoginWithPassphrase("u0", "pw-0")
+	s2, err := a.Login("u0", "pw-0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +142,7 @@ func TestConcurrentSessionsC2(t *testing.T) {
 // files, must leave every file intact, in memory and — each save being
 // the durability point — across a logout. Run with -race.
 func TestSaveAndReopenOnDataPlane(t *testing.T) {
+	ctx := context.Background()
 	vol, err := stegfs.Format(blockdev.NewMem(256, 4096), stegfs.FormatOptions{
 		KDFIterations: 4, FillSeed: []byte("sh-save"), JournalBlocks: 64,
 	})
@@ -155,7 +158,7 @@ func TestSaveAndReopenOnDataPlane(t *testing.T) {
 	contents := make([][]byte, nSessions)
 	sessions := make([]*Session, nSessions)
 	for i := range sessions {
-		s, err := a.LoginWithPassphrase(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
+		s, err := a.Login(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +169,7 @@ func TestSaveAndReopenOnDataPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 		contents[i] = prng.NewFromUint64(uint64(70 + i)).Bytes(10 * ps)
-		if err := s.Write("/f", contents[i], 0); err != nil {
+		if err := s.Write(ctx, "/f", contents[i], 0); err != nil {
 			t.Fatal(err)
 		}
 		sessions[i] = s
@@ -183,12 +186,12 @@ func TestSaveAndReopenOnDataPlane(t *testing.T) {
 				li := rng.Intn(10)
 				chunk := rng.Bytes(ps)
 				copy(contents[i][li*ps:], chunk)
-				if err := s.Write("/f", chunk, uint64(li*ps)); err != nil {
+				if err := s.Write(ctx, "/f", chunk, uint64(li*ps)); err != nil {
 					t.Error(err)
 					return
 				}
 				if k%4 == 3 {
-					if err := s.Save("/f"); err != nil {
+					if err := s.Save(ctx, "/f"); err != nil {
 						t.Error(err)
 						return
 					}
@@ -207,12 +210,12 @@ func TestSaveAndReopenOnDataPlane(t *testing.T) {
 		if _, err := s.Read("/f", got, 0); err != nil || !bytes.Equal(got, contents[i]) {
 			t.Fatalf("session %d content after concurrent saves: %v", i, err)
 		}
-		if err := a.Logout(s.User()); err != nil {
+		if err := a.Logout(ctx, s.User()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := range sessions {
-		s, err := a.LoginWithPassphrase(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
+		s, err := a.Login(fmt.Sprintf("u%d", i), fmt.Sprintf("pw-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,19 +233,23 @@ func TestSaveAndReopenOnDataPlane(t *testing.T) {
 // updating distinct files against daemon bursts on one agent, with the
 // measured overhead still ≈ N/D at 50% utilization.
 func TestConcurrentWritersC1(t *testing.T) {
+	ctx := context.Background()
 	a, _ := newC1(t, 2050)
 	const workers = 6
 	const updates = 40
 	ps := a.Vol().PayloadSize()
 
 	contents := make([][]byte, workers)
+	files := make([]*stegfs.File, workers)
 	for i := range contents {
 		path := fmt.Sprintf("/w%d", i)
-		if _, err := a.Create("user", path); err != nil {
+		f, err := a.Create("user", path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		files[i] = f
 		contents[i] = prng.NewFromUint64(uint64(70 + i)).Bytes(8 * ps)
-		if err := a.Write(path, contents[i], 0); err != nil {
+		if err := a.Write(ctx, path, f, contents[i], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +278,7 @@ func TestConcurrentWritersC1(t *testing.T) {
 				li := rng.Intn(8)
 				chunk := rng.Bytes(ps)
 				copy(contents[i][li*ps:], chunk)
-				if err := a.Write(path, chunk, uint64(li*ps)); err != nil {
+				if err := a.Write(ctx, path, files[i], chunk, uint64(li*ps)); err != nil {
 					errCh <- err
 					return
 				}
@@ -302,7 +309,7 @@ func TestConcurrentWritersC1(t *testing.T) {
 	}
 	for i := 0; i < workers; i++ {
 		got := make([]byte, len(contents[i]))
-		if _, err := a.Read(fmt.Sprintf("/w%d", i), got, 0); err != nil {
+		if _, err := a.Read(fmt.Sprintf("/w%d", i), files[i], got, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, contents[i]) {

@@ -158,7 +158,7 @@ func TestDaemonAdaptiveFillsOnlyIdleGaps(t *testing.T) {
 
 func TestDaemonAgainstRealAgent(t *testing.T) {
 	a, _ := newC2(t, 1024)
-	s, err := a.LoginWithPassphrase("u", "pw")
+	s, err := a.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,9 @@ func newFaultyC2(t *testing.T) (*VolatileAgent, *blockdev.FaultDevice) {
 }
 
 func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
+	ctx := context.Background()
 	a, fd := newFaultyC2(t)
-	s, err := a.LoginWithPassphrase("u", "pw")
+	s, err := a.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +37,14 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := prng.NewFromUint64(1).Bytes(10 * a.Vol().PayloadSize())
-	if err := s.Write("/f", content, 0); err != nil {
+	if err := s.Write(ctx, "/f", content, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Every write from now on fails; the update must surface the
 	// injected error, not panic or silently succeed.
 	fd.FailWritesAfter(0)
-	err = s.Write("/f", content[:a.Vol().PayloadSize()], 0)
+	err = s.Write(ctx, "/f", content[:a.Vol().PayloadSize()], 0)
 	if !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("fault not propagated: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 	if !bytes.Equal(got, content) {
 		t.Fatal("content corrupted by failed update")
 	}
-	if err := s.Write("/f", content, 0); err != nil {
+	if err := s.Write(ctx, "/f", content, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,12 +74,12 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 	want := bytes.Clone(content)
 	for i, li := range []int{1, 4, 8} {
 		copy(want[li*ps:], fresh[i*ps:(i+1)*ps])
-		if err := s.StageCtx(context.Background(), "/f", fresh[i*ps:(i+1)*ps], uint64(li*ps)); err != nil {
+		if err := s.Stage(ctx, "/f", fresh[i*ps:(i+1)*ps], uint64(li*ps)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	locs, updates := f.BlockLocs(), a.Stats().DataUpdates
-	cancelled, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	refusals := []struct {
 		want error
@@ -87,9 +88,9 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 		{blockdev.ErrInjected, func() error {
 			fd.FailWritesAfter(0)
 			defer fd.Heal()
-			return s.Save("/f")
+			return s.Save(ctx, "/f")
 		}},
-		{context.Canceled, func() error { return s.SaveCtx(cancelled, "/f") }},
+		{context.Canceled, func() error { return s.Save(cancelled, "/f") }},
 		{ErrNoDummySpace, func() error {
 			// Withdraw the whole dummy pool for the length of the call.
 			a.mu.Lock()
@@ -97,7 +98,7 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 			a.dummyData = 0
 			a.mu.Unlock()
 			defer func() { a.mu.Lock(); a.dummyData = held; a.mu.Unlock() }()
-			return s.Save("/f")
+			return s.Save(ctx, "/f")
 		}},
 	}
 	for _, r := range refusals {
@@ -111,17 +112,17 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 			t.Fatalf("run refused with %v lost its staged bytes (%v)", r.want, err)
 		}
 	}
-	if err := s.Save("/f"); err != nil {
+	if err := s.Save(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
 	if n := a.Stats().DataUpdates - updates; n != 3 {
 		t.Fatalf("the retried save made %d data updates, want the 3 staged blocks once", n)
 	}
-	if err := a.Logout("u"); err != nil {
+	if err := a.Logout(ctx, "u"); err != nil {
 		t.Fatal(err)
 	}
 	// What the retry wrote is what a new session finds on the device.
-	s, err = a.LoginWithPassphrase("u", "pw")
+	s, err = a.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +141,12 @@ func TestWriteFaultPropagatesAndStateRecovers(t *testing.T) {
 // the dummy file that donated it, and every block readable as its old
 // or (where an in-place write landed before the fault) its new content.
 func TestRunFaultLeavesFileAndCoverIntact(t *testing.T) {
+	ctx := context.Background()
 	const run = 16
 	for _, op := range []string{"read", "write"} {
 		for k := int64(0); ; k++ {
 			a, fd := newFaultyC2(t)
-			s, err := a.LoginWithPassphrase("u", "pw")
+			s, err := a.Login("u", "pw")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +160,7 @@ func TestRunFaultLeavesFileAndCoverIntact(t *testing.T) {
 			}
 			ps := a.Vol().PayloadSize()
 			old := prng.NewFromUint64(1).Bytes(run * ps)
-			if err := s.Write("/f", old, 0); err != nil {
+			if err := s.Write(ctx, "/f", old, 0); err != nil {
 				t.Fatal(err)
 			}
 			locs, dummies, coverBlocks := f.BlockLocs(), a.DummyBlocks(), cover.NumBlocks()
@@ -168,7 +170,7 @@ func TestRunFaultLeavesFileAndCoverIntact(t *testing.T) {
 			} else {
 				fd.FailWritesAfter(k)
 			}
-			err = s.Write("/f", fresh, 0)
+			err = s.Write(ctx, "/f", fresh, 0)
 			fd.Heal()
 			if err == nil {
 				if k < run {
@@ -197,7 +199,7 @@ func TestRunFaultLeavesFileAndCoverIntact(t *testing.T) {
 				}
 			}
 			// The session still works, cover traffic included.
-			if err := s.Write("/f", fresh, 0); err != nil {
+			if err := s.Write(ctx, "/f", fresh, 0); err != nil {
 				t.Fatalf("%s fault %d: write after heal: %v", op, k, err)
 			}
 			if _, err := a.DummyUpdateBurst(32); err != nil {
@@ -211,8 +213,9 @@ func TestRunFaultLeavesFileAndCoverIntact(t *testing.T) {
 }
 
 func TestReadFaultDuringDisclose(t *testing.T) {
+	ctx := context.Background()
 	a, fd := newFaultyC2(t)
-	s, err := a.LoginWithPassphrase("u", "pw")
+	s, err := a.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +225,14 @@ func TestReadFaultDuringDisclose(t *testing.T) {
 	if _, err := s.Create("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write("/f", []byte("data"), 0); err != nil {
+	if err := s.Write(ctx, "/f", []byte("data"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Logout("u"); err != nil {
+	if err := a.Logout(ctx, "u"); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := a.LoginWithPassphrase("u", "pw")
+	s2, err := a.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestReadFaultDuringDisclose(t *testing.T) {
 
 func TestDummyUpdateFault(t *testing.T) {
 	a, fd := newFaultyC2(t)
-	s, err := a.LoginWithPassphrase("u", "pw")
+	s, err := a.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,9 +160,6 @@ func (a *NonVolatileAgent) EnableJournal() error {
 	return nil
 }
 
-// Journaled reports whether EnableJournal has run.
-func (a *NonVolatileAgent) Journaled() bool { return a.intents != nil }
-
 // Recover replays the intent ring against the disk after a crash:
 // every location the ring makes claims about is resolved by the
 // durable header of the file the intent names — the header either

@@ -1,6 +1,7 @@
 package steghide
 
 import (
+	"context"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -81,13 +82,15 @@ func splitWrites(vol *stegfs.Volume, events []blockdev.Event) (steg, ring []uint
 }
 
 func TestJournaledC1Definition1(t *testing.T) {
+	ctx := context.Background()
 	a, col := newJournaledC1(t, 2048+256, 256)
 	vol := a.Vol()
-	if _, err := a.Create("alice", "/w"); err != nil {
+	f, err := a.Create("alice", "/w")
+	if err != nil {
 		t.Fatal(err)
 	}
 	content := make([]byte, 64*vol.PayloadSize())
-	if err := a.Write("/w", content, 0); err != nil {
+	if err := a.Write(ctx, "/w", f, content, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,7 +105,7 @@ func TestJournaledC1Definition1(t *testing.T) {
 	var sizes []int
 	for i := 0; i < 1500; i++ {
 		mark := col.Len()
-		if err := a.Write("/w", chunk, 0); err != nil {
+		if err := a.Write(ctx, "/w", f, chunk, 0); err != nil {
 			t.Fatal(err)
 		}
 		sizes = append(sizes, stegWrites(vol, col.Events()[mark:]))
@@ -155,6 +158,7 @@ func TestJournaledC1Definition1(t *testing.T) {
 }
 
 func TestJournaledC2Definition1(t *testing.T) {
+	ctx := context.Background()
 	col := &blockdev.Collector{}
 	dev := blockdev.NewTraced(blockdev.NewMem(256, 2048+128), col)
 	vol, err := stegfs.Format(dev, stegfs.FormatOptions{
@@ -167,7 +171,7 @@ func TestJournaledC2Definition1(t *testing.T) {
 	if err := a.EnableJournal(JournalKey(vol, "admin")); err != nil {
 		t.Fatal(err)
 	}
-	s, err := a.LoginWithPassphrase("alice", "pw")
+	s, err := a.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +182,10 @@ func TestJournaledC2Definition1(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := make([]byte, 40*vol.PayloadSize())
-	if err := s.Write("/w", content, 0); err != nil {
+	if err := s.Write(ctx, "/w", content, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save("/w"); err != nil {
+	if err := s.Save(ctx, "/w"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,7 +198,7 @@ func TestJournaledC2Definition1(t *testing.T) {
 	var sizes []int
 	for i := 0; i < 600; i++ {
 		mark := col.Len()
-		if err := s.Write("/w", chunk, 0); err != nil {
+		if err := s.Write(ctx, "/w", chunk, 0); err != nil {
 			t.Fatal(err)
 		}
 		sizes = append(sizes, stegWrites(vol, col.Events()[mark:]))
@@ -232,16 +236,18 @@ func TestJournaledC2Definition1(t *testing.T) {
 // protocol: a relocation's vacated block stays out of the dummy pool
 // until the owning file's save commits the move.
 func TestJournaledC1LimboHoldsVacatedBlocks(t *testing.T) {
+	ctx := context.Background()
 	a, _ := newJournaledC1(t, 512+64, 64)
 	vol := a.Vol()
-	if _, err := a.Create("alice", "/f"); err != nil {
+	f, err := a.Create("alice", "/f")
+	if err != nil {
 		t.Fatal(err)
 	}
 	content := make([]byte, 8*vol.PayloadSize())
-	if err := a.Write("/f", content, 0); err != nil {
+	if err := a.Write(ctx, "/f", f, content, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Sync("/f"); err != nil {
+	if err := a.Sync(ctx, "/f", f); err != nil {
 		t.Fatal(err)
 	}
 	free0 := a.Source().FreeCount()
@@ -250,7 +256,7 @@ func TestJournaledC1LimboHoldsVacatedBlocks(t *testing.T) {
 	// Every relocation from here on must park one block in limbo.
 	chunk := make([]byte, vol.PayloadSize())
 	for i := 0; i < 16; i++ {
-		if err := a.Write("/f", chunk, 0); err != nil {
+		if err := a.Write(ctx, "/f", f, chunk, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +268,7 @@ func TestJournaledC1LimboHoldsVacatedBlocks(t *testing.T) {
 		t.Fatalf("free count %d after %d relocations, want %d (vacated blocks must sit in limbo)",
 			got, relocs, free0-relocs)
 	}
-	if err := a.Sync("/f"); err != nil {
+	if err := a.Sync(ctx, "/f", f); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Source().FreeCount(); got != free0 {

@@ -172,13 +172,6 @@ func (a *VolatileAgent) EnableJournal(key sealer.Key) error {
 	return nil
 }
 
-// Journaled reports whether EnableJournal has run.
-func (a *VolatileAgent) Journaled() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.jc2 != nil
-}
-
 // Recover scans the intent ring after a crash and arms the
 // incremental resolution machinery: intents a later save already
 // committed yield ring-proven verdicts at once (their targets are

@@ -3,7 +3,8 @@ package steghide
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"steghide/internal/obs"
@@ -43,9 +44,8 @@ type NonVolatileAgent struct {
 	// secret: two principals may legitimately own distinct hidden
 	// files under the same pathname (each locator derives its own
 	// header positions), and neither may shadow — or be served — the
-	// other's. Path-only lookups resolve only while the path is
-	// unambiguous; the FS layer disambiguates by passing the handle
-	// it was issued at open time.
+	// other's. Every operation names its file by (path, handle), the
+	// handle Create or Open returned.
 	mu    sync.Mutex
 	files map[string][]*fileHandle
 
@@ -66,17 +66,6 @@ type fileHandle struct {
 	mu     sync.Mutex
 	f      *stegfs.File
 	closed bool
-}
-
-// lock acquires the handle for path, failing if it was closed between
-// lookup and acquisition.
-func (h *fileHandle) lock(path string) error {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return fmt.Errorf("steghide: %q not open", path)
-	}
-	return nil
 }
 
 // NewNonVolatile creates the agent for a freshly formatted volume.
@@ -197,125 +186,67 @@ func (a *NonVolatileAgent) Open(locatorSecret, path string) (*stegfs.File, error
 func (a *NonVolatileAgent) HasOpen(path string, f *stegfs.File) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, h := range a.files[path] {
-		if h.f == f {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(a.files[path], func(h *fileHandle) bool { return h.f == f })
 }
 
-// handle resolves (path, f) to the open handle. f == nil selects by
-// path alone, which works only while the path is unambiguous — the
-// compatibility mode for single-principal callers; with two
-// principals holding the same pathname open, a path-only operation
-// cannot tell whose file it means and fails.
-func (a *NonVolatileAgent) handle(path string, f *stegfs.File) (*fileHandle, error) {
+// handle returns the open handle (path, f), locked; drop also removes
+// it from the table and marks it closed. A nil or unknown handle is not
+// open, and neither is one a concurrent Close dropped between this
+// lookup and the lock.
+func (a *NonVolatileAgent) handle(path string, f *stegfs.File, drop bool) (*fileHandle, error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	hs := a.files[path]
-	if f == nil {
-		switch len(hs) {
-		case 0:
-			return nil, fmt.Errorf("steghide: %q not open", path)
-		case 1:
-			return hs[0], nil
-		default:
-			return nil, fmt.Errorf("steghide: %q open under %d locators; operate through the handle", path, len(hs))
+	i := slices.IndexFunc(hs, func(h *fileHandle) bool { return h.f == f })
+	if i >= 0 && drop {
+		if rest := append(hs[:i:i], hs[i+1:]...); len(rest) == 0 {
+			delete(a.files, path)
+		} else {
+			a.files[path] = rest
 		}
 	}
-	for _, h := range hs {
-		if h.f == f {
-			return h, nil
-		}
+	a.mu.Unlock()
+	if i < 0 {
+		return nil, fmt.Errorf("steghide: %q not open", path)
 	}
-	return nil, fmt.Errorf("steghide: %q not open", path)
+	h := hs[i]
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return nil, fmt.Errorf("steghide: %q not open", path)
+	}
+	h.closed = drop
+	return h, nil
 }
 
-// drop removes (path, f)'s handle from the table, returning it; like
-// handle, f == nil selects by path only while the path is unambiguous
-// and reports the ambiguity otherwise.
-func (a *NonVolatileAgent) drop(path string, f *stegfs.File) (*fileHandle, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	hs := a.files[path]
-	if f == nil && len(hs) > 1 {
-		return nil, fmt.Errorf("steghide: %q open under %d locators; operate through the handle", path, len(hs))
-	}
-	for i, h := range hs {
-		if f == nil || h.f == f {
-			rest := append(hs[:i:i], hs[i+1:]...)
-			if len(rest) == 0 {
-				delete(a.files, path)
-			} else {
-				a.files[path] = rest
-			}
-			return h, nil
-		}
-	}
-	return nil, fmt.Errorf("steghide: %q not open", path)
-}
-
-// Close saves and forgets an open file (path-only compatibility form;
-// see CloseHandle).
-func (a *NonVolatileAgent) Close(path string) error { return a.CloseHandle(path, nil) }
-
-// CloseHandle saves and forgets the open file (path, f); f == nil
-// selects by path while the path is unambiguous.
-func (a *NonVolatileAgent) CloseHandle(path string, f *stegfs.File) error {
-	h, err := a.drop(path, f)
+// Close saves and forgets the open file (path, f).
+func (a *NonVolatileAgent) Close(path string, f *stegfs.File) error {
+	h, err := a.handle(path, f, true)
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.closed = true
-	return h.f.Sync(a.Policy())
+	return h.f.Sync(a.Policy(context.Background()))
 }
 
-// Delete removes an open file and forgets its handle (path-only
-// compatibility form; see DeleteHandle).
-func (a *NonVolatileAgent) Delete(path string) error { return a.DeleteHandle(path, nil) }
-
-// DeleteHandle removes the open file (path, f) and forgets its
-// handle; the released blocks rejoin the bitmap's dummy pool, their
-// ciphertext staying in place as plausible cover.
-func (a *NonVolatileAgent) DeleteHandle(path string, f *stegfs.File) error {
-	h, err := a.drop(path, f)
+// Delete removes the open file (path, f) and forgets its handle; the
+// released blocks rejoin the bitmap's dummy pool, their ciphertext
+// staying in place as plausible cover.
+func (a *NonVolatileAgent) Delete(path string, f *stegfs.File) error {
+	h, err := a.handle(path, f, true)
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.closed = true
 	return h.f.Delete()
 }
 
-// Files lists the agent's open paths in sorted order, so listings are
-// stable across runs. A path two principals hold open appears once.
-func (a *NonVolatileAgent) Files() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.files))
-	for p := range a.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CloseAll saves and forgets every open handle — every principal's —
-// returning the first failure. This is the teardown path: Close(path)
-// cannot name one principal's handle once a path is shared.
+// in path order, returning the first failure. This is the teardown
+// path for callers that hold no handles, such as a mounted stack.
 func (a *NonVolatileAgent) CloseAll() error {
 	a.mu.Lock()
 	var all []*fileHandle
-	paths := make([]string, 0, len(a.files))
-	for p := range a.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
+	for _, p := range slices.Sorted(maps.Keys(a.files)) {
 		all = append(all, a.files[p]...)
 	}
 	a.files = map[string][]*fileHandle{}
@@ -324,7 +255,7 @@ func (a *NonVolatileAgent) CloseAll() error {
 	for _, h := range all {
 		h.mu.Lock()
 		h.closed = true
-		err := h.f.Sync(a.Policy())
+		err := h.f.Sync(a.Policy(context.Background()))
 		h.mu.Unlock()
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -333,47 +264,33 @@ func (a *NonVolatileAgent) CloseAll() error {
 	return firstErr
 }
 
-// Stat reports the current size of an open file.
-func (a *NonVolatileAgent) Stat(path string) (uint64, error) {
-	return a.StatHandle(path, nil)
-}
-
-// StatHandle is Stat for the specific open handle (path, f).
-func (a *NonVolatileAgent) StatHandle(path string, f *stegfs.File) (uint64, error) {
-	h, err := a.handle(path, f)
+// Stat reports the current size of the open file (path, f).
+func (a *NonVolatileAgent) Stat(path string, f *stegfs.File) (uint64, error) {
+	h, err := a.handle(path, f, false)
 	if err != nil {
-		return 0, err
-	}
-	if err := h.lock(path); err != nil {
 		return 0, err
 	}
 	defer h.mu.Unlock()
 	return h.f.Size(), nil
 }
 
-// Write writes data at offset off of an open file through the
-// Figure 6 update policy. The block map stays cached; per §4.1.5 the
-// header is flushed only when the file is saved (Sync or Close), so
-// header writes do not add a fixed hot block to every update.
-// Writes to different files proceed concurrently.
-func (a *NonVolatileAgent) Write(path string, data []byte, off uint64) error {
-	return a.WriteCtx(context.Background(), path, data, off)
+// Write writes data at offset off of the open file (path, f) through
+// the Figure 6 update policy at once. The block map stays cached; per
+// §4.1.5 the header is flushed only when the file is saved (Sync or
+// Close), so header writes do not add a fixed hot block to every
+// update. Writes to different files proceed concurrently. ctx is
+// honored before every draw of the Figure-6 loop; blocks already
+// updated when it fires keep their new content, and the cached map
+// stays consistent.
+func (a *NonVolatileAgent) Write(ctx context.Context, path string, f *stegfs.File, data []byte, off uint64) error {
+	return a.write(ctx, path, f, data, off, (*stegfs.File).WriteAt)
 }
 
-// WriteCtx is Write with cooperative cancellation: the context is
-// honored at the scheduler's wait point, before every draw of the
-// Figure-6 loop. Blocks already updated when the context fires keep
-// their new content; the cached map stays consistent.
-func (a *NonVolatileAgent) WriteCtx(ctx context.Context, path string, data []byte, off uint64) error {
-	return a.write(ctx, path, nil, data, off, (*stegfs.File).WriteAt)
-}
-
-// StageHandleCtx is the write of an FS handle: data joins the file's
-// open run (stegfs.File.Stage) and reaches the update stream when the
-// run is full, at SyncHandleCtx, or when the handle is closed — under
-// that call's context, not this one's. Every read of the handle sees it
-// at once.
-func (a *NonVolatileAgent) StageHandleCtx(ctx context.Context, path string, f *stegfs.File, data []byte, off uint64) error {
+// Stage is the write of an FS handle: data joins the file's open run
+// (stegfs.File.Stage) and reaches the update stream when the run is
+// full, at Sync, or when the handle is closed — under that call's
+// context, not this one's. Every read of the handle sees it at once.
+func (a *NonVolatileAgent) Stage(ctx context.Context, path string, f *stegfs.File, data []byte, off uint64) error {
 	return a.write(ctx, path, f, data, off, (*stegfs.File).Stage)
 }
 
@@ -382,92 +299,54 @@ func (a *NonVolatileAgent) write(ctx context.Context, path string, f *stegfs.Fil
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	h, err := a.handle(path, f)
+	h, err := a.handle(path, f, false)
 	if err != nil {
 		return err
 	}
-	if err := h.lock(path); err != nil {
-		return err
-	}
 	defer h.mu.Unlock()
-	_, err = put(h.f, data, off, a.PolicyCtx(ctx))
+	_, err = put(h.f, data, off, a.Policy(ctx))
 	return err
 }
 
-// Truncate resizes an open file to size bytes through the Figure-6
-// policy: growth materializes fresh blocks, shrinkage releases them
-// back to the dummy pool (ciphertext staying in place as cover).
-func (a *NonVolatileAgent) Truncate(path string, size uint64) error {
-	return a.TruncateCtx(context.Background(), path, size)
-}
-
-// TruncateCtx is Truncate honoring the context at the scheduler's
-// wait point.
-func (a *NonVolatileAgent) TruncateCtx(ctx context.Context, path string, size uint64) error {
-	return a.TruncateHandleCtx(ctx, path, nil, size)
-}
-
-// TruncateHandleCtx is TruncateCtx for the specific open handle
-// (path, f).
-func (a *NonVolatileAgent) TruncateHandleCtx(ctx context.Context, path string, f *stegfs.File, size uint64) error {
-	h, err := a.handle(path, f)
+// Truncate resizes the open file (path, f) to size bytes through the
+// Figure-6 policy, honoring ctx at the scheduler's wait point: growth
+// materializes fresh blocks, shrinkage releases them back to the dummy
+// pool (ciphertext staying in place as cover).
+func (a *NonVolatileAgent) Truncate(ctx context.Context, path string, f *stegfs.File, size uint64) error {
+	h, err := a.handle(path, f, false)
 	if err != nil {
-		return err
-	}
-	if err := h.lock(path); err != nil {
 		return err
 	}
 	defer h.mu.Unlock()
-	return h.f.Resize(size, a.PolicyCtx(ctx))
+	return h.f.Resize(size, a.Policy(ctx))
 }
 
-// Sync flushes an open file's cached block map to the volume.
-func (a *NonVolatileAgent) Sync(path string) error {
-	return a.SyncHandleCtx(context.Background(), path, nil)
-}
-
-// SyncHandleCtx is Sync for the specific open handle (path, f), issuing
-// the file's open run first, under ctx; a failed call changes nothing
-// and can be repeated.
-func (a *NonVolatileAgent) SyncHandleCtx(ctx context.Context, path string, f *stegfs.File) error {
-	h, err := a.handle(path, f)
+// Sync flushes the open file (path, f)'s cached block map to the
+// volume, issuing the file's open run first, under ctx; a failed call
+// changes nothing and can be repeated.
+func (a *NonVolatileAgent) Sync(ctx context.Context, path string, f *stegfs.File) error {
+	h, err := a.handle(path, f, false)
 	if err != nil {
-		return err
-	}
-	if err := h.lock(path); err != nil {
 		return err
 	}
 	defer h.mu.Unlock()
-	return h.f.Sync(a.PolicyCtx(ctx))
+	return h.f.Sync(a.Policy(ctx))
 }
 
-// Read reads len(p) bytes at offset off of an open file.
-func (a *NonVolatileAgent) Read(path string, p []byte, off uint64) (int, error) {
-	return a.ReadHandle(path, nil, p, off)
-}
-
-// ReadHandle is Read for the specific open handle (path, f).
-func (a *NonVolatileAgent) ReadHandle(path string, f *stegfs.File, p []byte, off uint64) (int, error) {
-	h, err := a.handle(path, f)
+// Read reads len(p) bytes at offset off of the open file (path, f).
+func (a *NonVolatileAgent) Read(path string, f *stegfs.File, p []byte, off uint64) (int, error) {
+	h, err := a.handle(path, f, false)
 	if err != nil {
-		return 0, err
-	}
-	if err := h.lock(path); err != nil {
 		return 0, err
 	}
 	defer h.mu.Unlock()
 	return h.f.ReadAt(p, off)
 }
 
-// Policy exposes the Figure-6 update policy, for callers that manage
-// stegfs.File handles themselves (experiments, baselines harness).
-func (a *NonVolatileAgent) Policy() stegfs.UpdatePolicy {
-	return a.PolicyCtx(context.Background())
-}
-
-// PolicyCtx is Policy bound to a context, honored before every draw
-// of the Figure-6 loop.
-func (a *NonVolatileAgent) PolicyCtx(ctx context.Context) stegfs.UpdatePolicy {
+// Policy exposes the Figure-6 update policy bound to ctx, honored
+// before every draw of the Figure-6 loop, for callers that manage
+// stegfs.File handles themselves (the oblivious backend, experiments).
+func (a *NonVolatileAgent) Policy(ctx context.Context) stegfs.UpdatePolicy {
 	return runPolicy{ctx: ctx, sched: a.sched, fence: &a.opMu}
 }
 

@@ -1,6 +1,7 @@
 package steghide
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestQuotaBlocksCreateDummy(t *testing.T) {
 	a, _ := newC2(t, 2048)
 	a.SetDefaultQuota(50)
-	s, err := a.LoginWithPassphrase("alice", "pw")
+	s, err := a.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +32,10 @@ func TestQuotaBlocksCreateDummy(t *testing.T) {
 }
 
 func TestQuotaBlocksGrowth(t *testing.T) {
+	ctx := context.Background()
 	a, _ := newC2(t, 2048)
 	a.SetDefaultQuota(60)
-	s, err := a.LoginWithPassphrase("alice", "pw")
+	s, err := a.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +48,12 @@ func TestQuotaBlocksGrowth(t *testing.T) {
 	// Each payload block converts a dummy block (net-zero) but Save's
 	// pointer blocks and the growth beyond the budget must be refused.
 	big := prng.NewFromUint64(1).Bytes(30 * a.Vol().PayloadSize())
-	err = s.Write("/real", big, 0)
+	err = s.Write(ctx, "/real", big, 0)
 	if err == nil {
 		// Conversion is net-zero until pointer blocks push past the
 		// budget; force more growth until the gate fires.
 		for i := 0; i < 10 && err == nil; i++ {
-			err = s.Truncate("/real", uint64(40+i*10)*uint64(a.Vol().PayloadSize()))
+			err = s.Truncate(ctx, "/real", uint64(40+i*10)*uint64(a.Vol().PayloadSize()))
 		}
 	}
 	if err != nil && !errors.Is(err, stegfs.ErrVolumeFull) && !errors.Is(err, ErrNoDummySpace) {
@@ -69,7 +71,7 @@ func TestQuotaPerLoginOverride(t *testing.T) {
 	a, _ := newC2(t, 2048)
 	a.SetDefaultQuota(10)
 	a.SetQuota("bob", 200)
-	s, err := a.LoginWithPassphrase("bob", "pw")
+	s, err := a.Login("bob", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +88,12 @@ func TestQuotaPerLoginOverride(t *testing.T) {
 }
 
 func TestQuotaDoesNotBlockReopen(t *testing.T) {
+	ctx := context.Background()
 	// A quota below a file's existing footprint must not stop the user
 	// from disclosing it again: reopening re-claims blocks the login
 	// already owns, it does not allocate.
 	a, _ := newC2(t, 2048)
-	s, err := a.LoginWithPassphrase("alice", "pw")
+	s, err := a.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +104,15 @@ func TestQuotaDoesNotBlockReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(2).Bytes(10 * a.Vol().PayloadSize())
-	if err := s.Write("/real", msg, 0); err != nil {
+	if err := s.Write(ctx, "/real", msg, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Logout("alice"); err != nil {
+	if err := a.Logout(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
 
 	a.SetDefaultQuota(5) // far below the existing footprint
-	s2, err := a.LoginWithPassphrase("alice", "pw")
+	s2, err := a.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +133,11 @@ func TestQuotaDoesNotBlockReopen(t *testing.T) {
 }
 
 func TestQuotaRelocationNetZero(t *testing.T) {
+	ctx := context.Background()
 	// Dummy traffic and Figure-6 relocation swap block roles; they must
 	// not leak usage in either direction.
 	a, _ := newC2(t, 2048)
-	s, err := a.LoginWithPassphrase("alice", "pw")
+	s, err := a.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +148,12 @@ func TestQuotaRelocationNetZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(3).Bytes(8 * a.Vol().PayloadSize())
-	if err := s.Write("/real", msg, 0); err != nil {
+	if err := s.Write(ctx, "/real", msg, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := a.Usage("alice")
 	for i := 0; i < 5; i++ {
-		if err := s.Write("/real", msg, 0); err != nil {
+		if err := s.Write(ctx, "/real", msg, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := a.DummyUpdateBurst(20); err != nil {

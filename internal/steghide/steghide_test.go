@@ -2,6 +2,7 @@ package steghide
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -40,21 +41,22 @@ func newC1(t *testing.T, nBlocks uint64) (*NonVolatileAgent, *blockdev.Collector
 
 func TestC1WriteReadRoundTrip(t *testing.T) {
 	a, _ := newC1(t, 1024)
-	if _, err := a.Create("alice", "/doc"); err != nil {
+	f2, err := a.Create("alice", "/doc")
+	if err != nil {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(1).Bytes(500)
-	if err := a.Write("/doc", msg, 0); err != nil {
+	if err := a.Write(context.Background(), "/doc", f2, msg, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if n, err := a.Read("/doc", got, 0); err != nil || n != len(msg) {
+	if n, err := a.Read("/doc", f2, got, 0); err != nil || n != len(msg) {
 		t.Fatalf("read %d, %v", n, err)
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("content mismatch")
 	}
-	if err := a.Close("/doc"); err != nil {
+	if err := a.Close("/doc", f2); err != nil {
 		t.Fatal(err)
 	}
 	// Reopen and verify persistence.
@@ -72,6 +74,7 @@ func TestC1WriteReadRoundTrip(t *testing.T) {
 }
 
 func TestC1UpdatesRelocateAndPreserveContent(t *testing.T) {
+	ctx := context.Background()
 	a, _ := newC1(t, 1024)
 	f, err := a.Create("alice", "/data")
 	if err != nil {
@@ -79,7 +82,7 @@ func TestC1UpdatesRelocateAndPreserveContent(t *testing.T) {
 	}
 	rng := prng.NewFromUint64(2)
 	content := rng.Bytes(10 * a.Vol().PayloadSize())
-	if err := a.Write("/data", content, 0); err != nil {
+	if err := a.Write(ctx, "/data", f, content, 0); err != nil {
 		t.Fatal(err)
 	}
 	locsBefore := f.BlockLocs()
@@ -90,7 +93,7 @@ func TestC1UpdatesRelocateAndPreserveContent(t *testing.T) {
 		li := rng.Intn(10)
 		chunk := rng.Bytes(a.Vol().PayloadSize())
 		copy(content[li*a.Vol().PayloadSize():], chunk)
-		if err := a.Write("/data", chunk, uint64(li*a.Vol().PayloadSize())); err != nil {
+		if err := a.Write(ctx, "/data", f, chunk, uint64(li*a.Vol().PayloadSize())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +107,7 @@ func TestC1UpdatesRelocateAndPreserveContent(t *testing.T) {
 		t.Fatal("no block relocated across 20 updates")
 	}
 	got := make([]byte, len(content))
-	if _, err := a.Read("/data", got, 0); err != nil {
+	if _, err := a.Read("/data", f, got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, content) {
@@ -118,11 +121,12 @@ func TestC1UpdatesRelocateAndPreserveContent(t *testing.T) {
 
 func TestC1DummyUpdatesPreserveAllContent(t *testing.T) {
 	a, _ := newC1(t, 512)
-	if _, err := a.Create("alice", "/f"); err != nil {
+	f, err := a.Create("alice", "/f")
+	if err != nil {
 		t.Fatal(err)
 	}
 	content := prng.NewFromUint64(3).Bytes(8 * a.Vol().PayloadSize())
-	if err := a.Write("/f", content, 0); err != nil {
+	if err := a.Write(context.Background(), "/f", f, content, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Hammer the volume with dummy updates, including on data blocks.
@@ -132,7 +136,7 @@ func TestC1DummyUpdatesPreserveAllContent(t *testing.T) {
 		}
 	}
 	got := make([]byte, len(content))
-	if _, err := a.Read("/f", got, 0); err != nil {
+	if _, err := a.Read("/f", f, got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, content) {
@@ -144,15 +148,17 @@ func TestC1DummyUpdatesPreserveAllContent(t *testing.T) {
 }
 
 func TestC1ExpectedOverheadMatchesND(t *testing.T) {
+	ctx := context.Background()
 	// §4.1.5: E[iterations per update] = N/D. Fill to 50% → E ≈ 2.
 	// Utilization is raised the way the paper's own simulation does:
 	// marking random blocks as data in the bitmap.
 	a, _ := newC1(t, 2050)
-	if _, err := a.Create("alice", "/fill"); err != nil {
+	f, err := a.Create("alice", "/fill")
+	if err != nil {
 		t.Fatal(err)
 	}
 	data := make([]byte, 20*a.Vol().PayloadSize())
-	if err := a.Write("/fill", data, 0); err != nil {
+	if err := a.Write(ctx, "/fill", f, data, 0); err != nil {
 		t.Fatal(err)
 	}
 	target := (a.Vol().NumBlocks() - 1) / 2
@@ -171,7 +177,7 @@ func TestC1ExpectedOverheadMatchesND(t *testing.T) {
 	rng := prng.NewFromUint64(5)
 	for i := 0; i < 1500; i++ {
 		off := uint64(rng.Intn(20)) * uint64(a.Vol().PayloadSize())
-		if err := a.Write("/fill", chunk, off); err != nil {
+		if err := a.Write(ctx, "/fill", f, chunk, off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,15 +188,17 @@ func TestC1ExpectedOverheadMatchesND(t *testing.T) {
 }
 
 func TestC1UpdateStreamUniform(t *testing.T) {
+	ctx := context.Background()
 	// Security core: the set of blocks written during data updates
 	// must be uniform over the steg space (Definition 1 / the §4.1.4
 	// proof). Chi-square over 16 bins.
 	a, col := newC1(t, 2048)
-	if _, err := a.Create("alice", "/u"); err != nil {
+	f, err := a.Create("alice", "/u")
+	if err != nil {
 		t.Fatal(err)
 	}
 	content := make([]byte, 40*a.Vol().PayloadSize())
-	if err := a.Write("/u", content, 0); err != nil {
+	if err := a.Write(ctx, "/u", f, content, 0); err != nil {
 		t.Fatal(err)
 	}
 	col.Reset()
@@ -198,7 +206,7 @@ func TestC1UpdateStreamUniform(t *testing.T) {
 	chunk := make([]byte, a.Vol().PayloadSize())
 	for i := 0; i < 3000; i++ {
 		off := uint64(rng.Intn(40)) * uint64(a.Vol().PayloadSize())
-		if err := a.Write("/u", chunk, off); err != nil {
+		if err := a.Write(ctx, "/u", f, chunk, off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,15 +228,17 @@ func TestC1UpdateStreamUniform(t *testing.T) {
 }
 
 func TestC1SecurityDefinition1(t *testing.T) {
+	ctx := context.Background()
 	// P(X|Y) vs P(X|∅): the write-location distribution under a real
 	// workload must be indistinguishable from dummy-only traffic
 	// (two-sample chi-square).
 	a, col := newC1(t, 2048)
-	if _, err := a.Create("alice", "/w"); err != nil {
+	f, err := a.Create("alice", "/w")
+	if err != nil {
 		t.Fatal(err)
 	}
 	content := make([]byte, 64*a.Vol().PayloadSize())
-	if err := a.Write("/w", content, 0); err != nil {
+	if err := a.Write(ctx, "/w", f, content, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -256,7 +266,7 @@ func TestC1SecurityDefinition1(t *testing.T) {
 	col.Reset()
 	chunk := make([]byte, a.Vol().PayloadSize())
 	for i := 0; i < 2000; i++ {
-		if err := a.Write("/w", chunk, 0); err != nil {
+		if err := a.Write(ctx, "/w", f, chunk, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,14 +286,15 @@ func TestC1SecurityDefinition1(t *testing.T) {
 
 func TestC1StatePersistence(t *testing.T) {
 	a, _ := newC1(t, 512)
-	if _, err := a.Create("alice", "/persist"); err != nil {
+	f, err := a.Create("alice", "/persist")
+	if err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("remember me")
-	if err := a.Write("/persist", msg, 0); err != nil {
+	if err := a.Write(context.Background(), "/persist", f, msg, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Close("/persist"); err != nil {
+	if err := a.Close("/persist", f); err != nil {
 		t.Fatal(err)
 	}
 	state, err := a.State()
@@ -302,11 +313,12 @@ func TestC1StatePersistence(t *testing.T) {
 	if b.Source().UsedCount() != a.Source().UsedCount() {
 		t.Fatal("bitmap lost across restart")
 	}
-	if _, err := b.Open("alice", "/persist"); err != nil {
+	f2, err := b.Open("alice", "/persist")
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
-	if _, err := b.Read("/persist", got, 0); err != nil {
+	if _, err := b.Read("/persist", f2, got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {
@@ -320,7 +332,8 @@ func TestC1StatePersistence(t *testing.T) {
 
 func TestC1NoDummySpace(t *testing.T) {
 	a, _ := newC1(t, 64)
-	if _, err := a.Create("alice", "/x"); err != nil {
+	f, err := a.Create("alice", "/x")
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Exhaust the space.
@@ -329,7 +342,7 @@ func TestC1NoDummySpace(t *testing.T) {
 			break
 		}
 	}
-	err := a.Write("/x", []byte("no room"), 0)
+	err = a.Write(context.Background(), "/x", f, []byte("no room"), 0)
 	if !errors.Is(err, ErrNoDummySpace) && !errors.Is(err, stegfs.ErrVolumeFull) {
 		t.Fatalf("full volume update: %v", err)
 	}
@@ -337,7 +350,8 @@ func TestC1NoDummySpace(t *testing.T) {
 
 func TestC1QuickArbitraryWritePattern(t *testing.T) {
 	a, _ := newC1(t, 2048)
-	if _, err := a.Create("alice", "/q"); err != nil {
+	f, err := a.Create("alice", "/q")
+	if err != nil {
 		t.Fatal(err)
 	}
 	mirror := []byte{}
@@ -345,7 +359,7 @@ func TestC1QuickArbitraryWritePattern(t *testing.T) {
 		off := uint64(offRaw) % 3000
 		n := int(nRaw)%400 + 1
 		chunk := prng.NewFromUint64(seed).Bytes(n)
-		if err := a.Write("/q", chunk, off); err != nil {
+		if err := a.Write(context.Background(), "/q", f, chunk, off); err != nil {
 			return false
 		}
 		if int(off)+n > len(mirror) {
@@ -355,7 +369,7 @@ func TestC1QuickArbitraryWritePattern(t *testing.T) {
 		}
 		copy(mirror[off:], chunk)
 		got := make([]byte, len(mirror))
-		if _, err := a.Read("/q", got, 0); err != nil {
+		if _, err := a.Read("/q", f, got, 0); err != nil {
 			return false
 		}
 		return bytes.Equal(got, mirror)
@@ -374,12 +388,13 @@ func newC2(t *testing.T, nBlocks uint64) (*VolatileAgent, *blockdev.Collector) {
 }
 
 func TestC2SessionLifecycle(t *testing.T) {
+	ctx := context.Background()
 	a, _ := newC2(t, 2048)
-	s, err := a.LoginWithPassphrase("alice", "pw-alice")
+	s, err := a.Login("alice", "pw-alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.LoginWithPassphrase("alice", "pw-alice"); err == nil {
+	if _, err := a.Login("alice", "pw-alice"); err == nil {
 		t.Fatal("double login accepted")
 	}
 	if _, err := s.CreateDummy("/dummy0", 100); err != nil {
@@ -389,7 +404,7 @@ func TestC2SessionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(4).Bytes(5 * a.Vol().PayloadSize())
-	if err := s.Write("/real", msg, 0); err != nil {
+	if err := s.Write(ctx, "/real", msg, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
@@ -399,18 +414,18 @@ func TestC2SessionLifecycle(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("content mismatch")
 	}
-	if err := a.Logout("alice"); err != nil {
+	if err := a.Logout(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
 	if a.KnownBlocks() != 0 {
 		t.Fatalf("agent retains %d blocks after logout (volatility violated)", a.KnownBlocks())
 	}
-	if err := a.Logout("alice"); !errors.Is(err, ErrUnknownUser) {
+	if err := a.Logout(ctx, "alice"); !errors.Is(err, ErrUnknownUser) {
 		t.Fatalf("double logout: %v", err)
 	}
 
 	// Second session: disclose and read back.
-	s2, err := a.LoginWithPassphrase("alice", "pw-alice")
+	s2, err := a.Login("alice", "pw-alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +452,9 @@ func TestC2SessionLifecycle(t *testing.T) {
 // it must read nothing the user disclosed and derive no key from the
 // erased master — and the device must see nothing on its behalf.
 func TestC2SessionRetainedPastLogout(t *testing.T) {
+	ctx := context.Background()
 	a, col := newC2(t, 2048)
-	s, err := a.LoginWithPassphrase("alice", "pw-alice")
+	s, err := a.Login("alice", "pw-alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,10 +464,10 @@ func TestC2SessionRetainedPastLogout(t *testing.T) {
 	if _, err := s.Create("/real"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write("/real", []byte("disclosed plaintext"), 0); err != nil {
+	if err := s.Write(ctx, "/real", []byte("disclosed plaintext"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Logout("alice"); err != nil {
+	if err := a.Logout(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
 	col.Reset()
@@ -479,26 +495,27 @@ func TestC2SessionRetainedPastLogout(t *testing.T) {
 
 func TestC2RequiresDummyDisclosure(t *testing.T) {
 	a, _ := newC2(t, 1024)
-	s, err := a.LoginWithPassphrase("bob", "pw")
+	s, err := a.Login("bob", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Create("/only-real"); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Write("/only-real", make([]byte, 300), 0)
+	err = s.Write(context.Background(), "/only-real", make([]byte, 300), 0)
 	if !errors.Is(err, ErrNoDummySpace) {
 		t.Fatalf("write without dummy space: %v", err)
 	}
 }
 
 func TestC2UpdatesStayWithinDisclosedBlocks(t *testing.T) {
+	ctx := context.Background()
 	// §4.2.2: the agent can only touch blocks of files disclosed in
 	// the current session. Set up two users; after Bob logs out, only
 	// Alice's blocks may appear in the trace.
 	a, col := newC2(t, 4096)
 
-	bob, err := a.LoginWithPassphrase("bob", "pw-b")
+	bob, err := a.Login("bob", "pw-b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,14 +525,14 @@ func TestC2UpdatesStayWithinDisclosedBlocks(t *testing.T) {
 	if _, err := bob.Create("/b-file"); err != nil {
 		t.Fatal(err)
 	}
-	if err := bob.Write("/b-file", make([]byte, 10*a.Vol().PayloadSize()), 0); err != nil {
+	if err := bob.Write(ctx, "/b-file", make([]byte, 10*a.Vol().PayloadSize()), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Logout("bob"); err != nil {
+	if err := a.Logout(ctx, "bob"); err != nil {
 		t.Fatal(err)
 	}
 
-	alice, err := a.LoginWithPassphrase("alice", "pw-a")
+	alice, err := a.Login("alice", "pw-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +543,7 @@ func TestC2UpdatesStayWithinDisclosedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.Write("/a-file", make([]byte, 10*a.Vol().PayloadSize()), 0); err != nil {
+	if err := alice.Write(ctx, "/a-file", make([]byte, 10*a.Vol().PayloadSize()), 0); err != nil {
 		t.Fatal(err)
 	}
 	_ = fa
@@ -544,7 +561,7 @@ func TestC2UpdatesStayWithinDisclosedBlocks(t *testing.T) {
 	rng := prng.NewFromUint64(8)
 	for i := 0; i < 300; i++ {
 		off := uint64(rng.Intn(10)) * uint64(a.Vol().PayloadSize())
-		if err := alice.Write("/a-file", chunk, off); err != nil {
+		if err := alice.Write(ctx, "/a-file", chunk, off); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.DummyUpdate(); err != nil {
@@ -559,8 +576,9 @@ func TestC2UpdatesStayWithinDisclosedBlocks(t *testing.T) {
 }
 
 func TestC2SwapKeepsDummyFileConsistent(t *testing.T) {
+	ctx := context.Background()
 	a, _ := newC2(t, 2048)
-	s, err := a.LoginWithPassphrase("u", "pw")
+	s, err := a.Login("u", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +590,7 @@ func TestC2SwapKeepsDummyFileConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := prng.NewFromUint64(5).Bytes(20 * a.Vol().PayloadSize())
-	if err := s.Write("/f", content, 0); err != nil {
+	if err := s.Write(ctx, "/f", content, 0); err != nil {
 		t.Fatal(err)
 	}
 	nDummy := df.NumBlocks()
@@ -580,7 +598,7 @@ func TestC2SwapKeepsDummyFileConsistent(t *testing.T) {
 	rng := prng.NewFromUint64(6)
 	for i := 0; i < 500; i++ {
 		off := uint64(rng.Intn(20)) * uint64(a.Vol().PayloadSize())
-		if err := s.Write("/f", chunk, off); err != nil {
+		if err := s.Write(ctx, "/f", chunk, off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -608,11 +626,11 @@ func TestC2SwapKeepsDummyFileConsistent(t *testing.T) {
 	// logout may consume a few dummy blocks for pointer blocks, so the
 	// reference count is taken after logout from the still-visible
 	// handle.
-	if err := a.Logout("u"); err != nil {
+	if err := a.Logout(ctx, "u"); err != nil {
 		t.Fatal(err)
 	}
 	nFinal := df.NumBlocks()
-	s2, _ := a.LoginWithPassphrase("u", "pw")
+	s2, _ := a.Login("u", "pw")
 	df2, err := s2.Disclose("/d")
 	if err != nil {
 		t.Fatal(err)
@@ -636,11 +654,12 @@ func TestC2SwapKeepsDummyFileConsistent(t *testing.T) {
 }
 
 func TestC2PlausibleDeniability(t *testing.T) {
+	ctx := context.Background()
 	// A coerced user can disclose a dummy file, or a real file under a
 	// wrong content key, and the agent/attacker cannot tell it apart
 	// from a genuine dummy.
 	a, _ := newC2(t, 2048)
-	s, err := a.LoginWithPassphrase("alice", "pw")
+	s, err := a.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,16 +671,16 @@ func TestC2PlausibleDeniability(t *testing.T) {
 		t.Fatal(err)
 	}
 	secret := []byte("real secret data")
-	if err := s.Write("/secret", secret, 0); err != nil {
+	if err := s.Write(ctx, "/secret", secret, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Logout("alice"); err != nil {
+	if err := a.Logout(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
 	_ = f
 
 	// Under coercion, Alice reveals only the dummy file's FAK.
-	s2, _ := a.LoginWithPassphrase("alice", "pw")
+	s2, _ := a.Login("alice", "pw")
 	cover, err := s2.Disclose("/cover")
 	if err != nil {
 		t.Fatal(err)
@@ -682,7 +701,7 @@ func TestC2PlausibleDeniability(t *testing.T) {
 
 func TestC2GrowthConsumesDummyBlocks(t *testing.T) {
 	a, _ := newC2(t, 1024)
-	s, _ := a.LoginWithPassphrase("u", "pw")
+	s, _ := a.Login("u", "pw")
 	if _, err := s.CreateDummy("/d", 100); err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +709,7 @@ func TestC2GrowthConsumesDummyBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := a.DummyBlocks()
-	if err := s.Write("/f", make([]byte, 10*a.Vol().PayloadSize()), 0); err != nil {
+	if err := s.Write(context.Background(), "/f", make([]byte, 10*a.Vol().PayloadSize()), 0); err != nil {
 		t.Fatal(err)
 	}
 	after := a.DummyBlocks()
@@ -707,17 +726,18 @@ func TestC2GrowthConsumesDummyBlocks(t *testing.T) {
 }
 
 func TestC2SecurityDefinition1(t *testing.T) {
+	ctx := context.Background()
 	// Within the disclosed region, workload traffic must match dummy
 	// traffic (Definition 1 restricted to the visible space).
 	a, col := newC2(t, 2048)
-	s, _ := a.LoginWithPassphrase("u", "pw")
+	s, _ := a.Login("u", "pw")
 	if _, err := s.CreateDummy("/d", 150); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Create("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write("/f", make([]byte, 60*a.Vol().PayloadSize()), 0); err != nil {
+	if err := s.Write(ctx, "/f", make([]byte, 60*a.Vol().PayloadSize()), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -741,7 +761,7 @@ func TestC2SecurityDefinition1(t *testing.T) {
 	col.Reset()
 	chunk := make([]byte, a.Vol().PayloadSize())
 	for i := 0; i < 1500; i++ {
-		if err := s.Write("/f", chunk, 0); err != nil { // pathological: same block
+		if err := s.Write(ctx, "/f", chunk, 0); err != nil { // pathological: same block
 			t.Fatal(err)
 		}
 	}
@@ -760,12 +780,13 @@ func TestC2SecurityDefinition1(t *testing.T) {
 }
 
 func TestC2ReadAfterManySwapsAcrossUsers(t *testing.T) {
+	ctx := context.Background()
 	// Two concurrent sessions sharing the agent: swaps may cross user
 	// boundaries (a's data may land in b's dummy blocks). Content of
 	// both users must survive.
 	a, _ := newC2(t, 4096)
-	sa, _ := a.LoginWithPassphrase("a", "pa")
-	sb, _ := a.LoginWithPassphrase("b", "pb")
+	sa, _ := a.Login("a", "pa")
+	sb, _ := a.Login("b", "pb")
 	if _, err := sa.CreateDummy("/da", 150); err != nil {
 		t.Fatal(err)
 	}
@@ -781,10 +802,10 @@ func TestC2ReadAfterManySwapsAcrossUsers(t *testing.T) {
 	ps := a.Vol().PayloadSize()
 	ca := prng.NewFromUint64(31).Bytes(15 * ps)
 	cb := prng.NewFromUint64(32).Bytes(15 * ps)
-	if err := sa.Write("/fa", ca, 0); err != nil {
+	if err := sa.Write(ctx, "/fa", ca, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.Write("/fb", cb, 0); err != nil {
+	if err := sb.Write(ctx, "/fb", cb, 0); err != nil {
 		t.Fatal(err)
 	}
 	rng := prng.NewFromUint64(33)
@@ -793,12 +814,12 @@ func TestC2ReadAfterManySwapsAcrossUsers(t *testing.T) {
 		chunk := rng.Bytes(ps)
 		if i%2 == 0 {
 			copy(ca[li*ps:], chunk)
-			if err := sa.Write("/fa", chunk, uint64(li*ps)); err != nil {
+			if err := sa.Write(ctx, "/fa", chunk, uint64(li*ps)); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			copy(cb[li*ps:], chunk)
-			if err := sb.Write("/fb", chunk, uint64(li*ps)); err != nil {
+			if err := sb.Write(ctx, "/fb", chunk, uint64(li*ps)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -815,9 +836,9 @@ func TestC2ReadAfterManySwapsAcrossUsers(t *testing.T) {
 		t.Fatal("cross-user swaps corrupted content")
 	}
 	// Logout both; a fresh pair of sessions still reads both files.
-	a.Logout("a")
-	a.Logout("b")
-	sa2, _ := a.LoginWithPassphrase("a", "pa")
+	a.Logout(ctx, "a")
+	a.Logout(ctx, "b")
+	sa2, _ := a.Login("a", "pa")
 	if _, err := sa2.Disclose("/fa"); err != nil {
 		t.Fatal(err)
 	}
@@ -832,8 +853,8 @@ func TestC2ReadAfterManySwapsAcrossUsers(t *testing.T) {
 
 func TestC2WriteUndisclosedFails(t *testing.T) {
 	a, _ := newC2(t, 512)
-	s, _ := a.LoginWithPassphrase("u", "pw")
-	if err := s.Write("/nope", []byte("x"), 0); !errors.Is(err, ErrNotDisclosed) {
+	s, _ := a.Login("u", "pw")
+	if err := s.Write(context.Background(), "/nope", []byte("x"), 0); !errors.Is(err, ErrNotDisclosed) {
 		t.Fatalf("write undisclosed: %v", err)
 	}
 	if _, err := s.Read("/nope", make([]byte, 1), 0); !errors.Is(err, ErrNotDisclosed) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 
 	"steghide/internal/obs"
@@ -137,7 +139,7 @@ func (a *VolatileAgent) EnableMetrics(reg *obs.Registry, volume string) {
 	}
 	reg.GaugeFunc("steghide_sessions",
 		"users currently logged in", func() float64 {
-			return float64(len(a.Users()))
+			return float64(len(a.users()))
 		}, "volume", volume)
 }
 
@@ -324,7 +326,9 @@ func (a *VolatileAgent) registerFile(user string, f *stegfs.File) {
 	}
 }
 
-// forgetFile removes every registration pointing at f.
+// forgetFile removes every registration pointing at f, in address
+// order: unregister swap-removes from a.list, which every later draw
+// indexes, so map order here would reorder the stream.
 func (a *VolatileAgent) forgetFile(f *stegfs.File) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -334,6 +338,7 @@ func (a *VolatileAgent) forgetFile(f *stegfs.File) {
 			gone = append(gone, loc)
 		}
 	}
+	slices.Sort(gone)
 	for _, loc := range gone {
 		a.unregister(loc)
 	}
@@ -452,16 +457,17 @@ func (s *volatileSource) AcquireRandom() (uint64, error) {
 	}
 }
 
-// Release implements stegfs.BlockSource: the block joins one of the
-// user's disclosed dummy files; with none disclosed it becomes
-// unknown again (forgotten, unreachable until redisclosed).
+// Release implements stegfs.BlockSource: the block joins the first of
+// the user's disclosed dummy files, in path order, that takes it; with
+// none disclosed it becomes unknown again (forgotten, unreachable until
+// redisclosed).
 func (s *volatileSource) Release(loc uint64) {
 	a := s.a
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sess := a.sessions[s.user]
 	if sess != nil {
-		for _, df := range sess.dummyFiles {
+		for _, df := range sess.dummies {
 			if err := df.AppendBlockLoc(loc); err == nil {
 				a.register(loc, ownerInfo{file: df, user: s.user, dummy: true})
 				return
@@ -484,17 +490,21 @@ type Session struct {
 	master sealer.Key
 	source *volatileSource
 
-	mu         sync.Mutex // serializes this session's file operations
-	files      map[string]*stegfs.File
-	dummyFiles map[string]*stegfs.File
+	mu    sync.Mutex // serializes this session's file operations
+	files map[string]*stegfs.File
+	// dummies holds the disclosed dummy files in path order, the order
+	// Release donates in and Logout saves in.
+	dummies []*stegfs.File
 	// ended is set at logout (under the agent's structMu): the master
 	// key is gone, so nothing may derive a FAK from it any more.
 	ended bool
 }
 
-// Login opens a session for user; master is the stretched passphrase
-// key from which the user's per-file FAKs derive.
-func (a *VolatileAgent) Login(user string, master sealer.Key) (*Session, error) {
+// Login opens a session for user, stretching the passphrase against
+// the volume salt into the master key the user's per-file FAKs derive
+// from.
+func (a *VolatileAgent) Login(user, passphrase string) (*Session, error) {
+	master := sealer.KeyFromPassphrase(passphrase, a.vol.Salt(), a.vol.KDFIterations())
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
 	a.mu.Lock()
@@ -503,35 +513,24 @@ func (a *VolatileAgent) Login(user string, master sealer.Key) (*Session, error) 
 		return nil, fmt.Errorf("%w: %q", ErrUserBusy, user)
 	}
 	s := &Session{
-		agent:      a,
-		user:       user,
-		master:     master,
-		source:     &volatileSource{a: a, user: user},
-		files:      map[string]*stegfs.File{},
-		dummyFiles: map[string]*stegfs.File{},
+		agent:  a,
+		user:   user,
+		master: master,
+		source: &volatileSource{a: a, user: user},
+		files:  map[string]*stegfs.File{},
 	}
 	a.sessions[user] = s
 	return s, nil
 }
 
-// LoginWithPassphrase stretches the passphrase against the volume salt
-// and logs in.
-func (a *VolatileAgent) LoginWithPassphrase(user, passphrase string) (*Session, error) {
-	master := sealer.KeyFromPassphrase(passphrase, a.vol.Salt(), a.vol.KDFIterations())
-	return a.Login(user, master)
-}
-
 // Logout flushes all of the user's files and erases the agent's
 // knowledge of them — the volatility that protects the administrator
-// from coercion. It waits for the user's in-flight updates to drain.
-func (a *VolatileAgent) Logout(user string) error {
-	return a.LogoutCtx(context.Background(), user)
-}
-
-// LogoutCtx is Logout issuing the files' open runs under ctx. A run
-// that cannot be issued is lost with the session — like every write
-// since the file's last save would be after a crash — and reported.
-func (a *VolatileAgent) LogoutCtx(ctx context.Context, user string) error {
+// from coercion. It waits for the user's in-flight updates to drain,
+// then issues the files' open runs under ctx, real files before dummy
+// files and each in path order, so a seeded run replays. A run that
+// cannot be issued is lost with the session — like every write since
+// the file's last save would be after a crash — and reported.
+func (a *VolatileAgent) Logout(ctx context.Context, user string) error {
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
 	a.mu.Lock()
@@ -541,24 +540,24 @@ func (a *VolatileAgent) LogoutCtx(ctx context.Context, user string) error {
 		return ErrUnknownUser
 	}
 	var firstErr error
-	closeAll := func(m map[string]*stegfs.File) {
-		for _, f := range m {
-			err := f.Flush(a.policy(ctx))
-			if serr := f.Save(); err == nil {
-				err = serr
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			// Save may have allocated pointer blocks (registered as
-			// pending); classify them before forgetting the file so
-			// nothing leaks in the registry.
-			a.registerFile(s.user, f)
-			a.forgetFile(f)
-		}
+	all := make([]*stegfs.File, 0, len(s.files)+len(s.dummies))
+	for _, p := range slices.Sorted(maps.Keys(s.files)) {
+		all = append(all, s.files[p])
 	}
-	closeAll(s.files)
-	closeAll(s.dummyFiles)
+	for _, f := range append(all, s.dummies...) {
+		err := f.Flush(a.policy(ctx))
+		if serr := f.Save(); err == nil {
+			err = serr
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		// Save may have allocated pointer blocks (registered as
+		// pending); classify them before forgetting the file so
+		// nothing leaks in the registry.
+		a.registerFile(s.user, f)
+		a.forgetFile(f)
+	}
 	a.mu.Lock()
 	delete(a.sessions, user)
 	a.mu.Unlock()
@@ -566,23 +565,18 @@ func (a *VolatileAgent) LogoutCtx(ctx context.Context, user string) error {
 	// and derives no key.
 	s.mu.Lock()
 	clear(s.files)
-	clear(s.dummyFiles)
+	s.dummies = nil
 	s.master = sealer.Key{} // best-effort erasure
 	s.ended = true
 	s.mu.Unlock()
 	return firstErr
 }
 
-// Users lists the users with active sessions, sorted.
-func (a *VolatileAgent) Users() []string {
+// users lists the users with active sessions, sorted.
+func (a *VolatileAgent) users() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.sessions))
-	for u := range a.sessions {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(a.sessions))
 }
 
 // LogoutAll logs every active session out (flushing its files),
@@ -590,8 +584,8 @@ func (a *VolatileAgent) Users() []string {
 // no session outlives the stack.
 func (a *VolatileAgent) LogoutAll() error {
 	var firstErr error
-	for _, u := range a.Users() {
-		if err := a.Logout(u); err != nil && firstErr == nil {
+	for _, u := range a.users() {
+		if err := a.Logout(context.Background(), u); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -601,6 +595,14 @@ func (a *VolatileAgent) LogoutAll() error {
 // fak derives the FAK for one of the session user's paths.
 func (s *Session) fak(path string) stegfs.FAK {
 	return stegfs.DeriveFAKFromMaster(s.master, path)
+}
+
+// dummy finds a disclosed dummy file by path: its index in s.dummies,
+// or where it would be inserted.
+func (s *Session) dummy(path string) (int, bool) {
+	return slices.BinarySearchFunc(s.dummies, path, func(f *stegfs.File, p string) int {
+		return strings.Compare(f.Path(), p)
+	})
 }
 
 // Create creates and disclosed-registers a hidden file.
@@ -638,7 +640,8 @@ func (s *Session) CreateDummy(path string, nBlocks uint64) (*stegfs.File, error)
 	if s.ended {
 		return nil, ErrUnknownUser
 	}
-	if _, dup := s.dummyFiles[path]; dup {
+	i, dup := s.dummy(path)
+	if dup {
 		return nil, fmt.Errorf("%w: dummy %q", ErrExists, path)
 	}
 	if err := a.checkBudget(s.user, nBlocks+1); err != nil {
@@ -649,7 +652,7 @@ func (s *Session) CreateDummy(path string, nBlocks uint64) (*stegfs.File, error)
 	if err != nil {
 		return nil, err
 	}
-	s.dummyFiles[path] = f
+	s.dummies = slices.Insert(s.dummies, i, f)
 	a.registerFile(s.user, f)
 	a.applyRecovery(f)
 	return f, nil
@@ -672,15 +675,16 @@ func (s *Session) Disclose(path string) (*stegfs.File, error) {
 	if f, dup := s.files[path]; dup {
 		return f, nil
 	}
-	if f, dup := s.dummyFiles[path]; dup {
-		return f, nil
+	i, dup := s.dummy(path)
+	if dup {
+		return s.dummies[i], nil
 	}
 	f, err := stegfs.OpenFile(a.vol, s.fak(path), path, s.source)
 	if err != nil {
 		return nil, err
 	}
 	if f.IsDummy() {
-		s.dummyFiles[path] = f
+		s.dummies = slices.Insert(s.dummies, i, f)
 	} else {
 		s.files[path] = f
 	}
@@ -691,31 +695,24 @@ func (s *Session) Disclose(path string) (*stegfs.File, error) {
 	return f, nil
 }
 
-// Write writes data at offset off of a disclosed file via Figure 6,
-// then re-registers any blocks whose roles changed (growth). The
+// Write writes data at offset off of a disclosed file via Figure 6 at
+// once, then re-registers any blocks whose roles changed (growth). The
 // block map stays cached; per §4.1.5 the header is flushed only when
 // the file is saved (Save, or implicitly at Logout). Writes of
 // different sessions proceed concurrently; the scheduler merges their
-// update intents into one uniformly random stream.
-func (s *Session) Write(path string, data []byte, off uint64) error {
-	return s.WriteCtx(context.Background(), path, data, off)
-}
-
-// WriteCtx is Write with cooperative cancellation: the context is
-// honored at the scheduler's wait point, before every draw of the
-// Figure-6 loop, so a caller's deadline can abort an update that is
-// still hunting for a relocation target. Blocks already updated when
-// the context fires keep their new content (partial-write semantics,
-// like an interrupted POSIX write); the file's map stays consistent.
-func (s *Session) WriteCtx(ctx context.Context, path string, data []byte, off uint64) error {
+// update intents into one uniformly random stream. ctx is honored
+// before every draw of the Figure-6 loop; blocks already updated when
+// it fires keep their new content (partial-write semantics, like an
+// interrupted POSIX write), and the file's map stays consistent.
+func (s *Session) Write(ctx context.Context, path string, data []byte, off uint64) error {
 	return s.write(ctx, path, data, off, (*stegfs.File).WriteAt)
 }
 
-// StageCtx is the write of an FS handle: data joins the file's open run
+// Stage is the write of an FS handle: data joins the file's open run
 // (stegfs.File.Stage) and reaches the update stream when the run is
-// full, at SaveCtx, or at logout — under that call's context, not this
+// full, at Save, or at logout — under that call's context, not this
 // one's. Every read of the session sees it at once.
-func (s *Session) StageCtx(ctx context.Context, path string, data []byte, off uint64) error {
+func (s *Session) Stage(ctx context.Context, path string, data []byte, off uint64) error {
 	return s.write(ctx, path, data, off, (*stegfs.File).Stage)
 }
 
@@ -759,16 +756,11 @@ func (s *Session) registerResized(f *stegfs.File, before uint64) {
 
 // Truncate resizes a disclosed real file to size bytes: growth draws
 // fresh blocks from the disclosed dummy space, shrinkage donates
-// blocks back to the user's dummy files.
-func (s *Session) Truncate(path string, size uint64) error {
-	return s.TruncateCtx(context.Background(), path, size)
-}
-
-// TruncateCtx is Truncate honoring the context at the scheduler's
-// wait point. Like Write (whose growth path runs the same Resize), it
-// holds the data-plane lock only: the registry and source serialize
-// internally, so other sessions keep flowing during a large resize.
-func (s *Session) TruncateCtx(ctx context.Context, path string, size uint64) error {
+// blocks back to the user's dummy files. Like Write (whose growth path
+// runs the same Resize), it holds the data-plane lock only: the
+// registry and source serialize internally, so other sessions keep
+// flowing during a large resize.
+func (s *Session) Truncate(ctx context.Context, path string, size uint64) error {
 	a := s.agent
 	a.structMu.RLock()
 	defer a.structMu.RUnlock()
@@ -791,26 +783,22 @@ func (s *Session) TruncateCtx(ctx context.Context, path string, size uint64) err
 // pointer blocks. A real file saves on the data plane, like the writes
 // it makes durable: its map is the session's own (s.mu), and the
 // allocation, the block I/O and the journal hooks serialize internally.
-// A dummy file's map is edited by every session's relocations under the
-// registry lock, so reading it out takes the control plane.
-func (s *Session) Save(path string) error {
-	return s.SaveCtx(context.Background(), path)
-}
-
-// SaveCtx is Save issuing a real file's open run first, under ctx. A
-// run the scheduler refuses stays staged and nothing is saved, so the
-// call can simply be repeated.
-func (s *Session) SaveCtx(ctx context.Context, path string) error {
+// Its open run is issued first, under ctx; a run the scheduler refuses
+// stays staged and nothing is saved, so the call can simply be
+// repeated. A dummy file's map is edited by every session's relocations
+// under the registry lock, so reading it out takes the control plane.
+func (s *Session) Save(ctx context.Context, path string) error {
 	a := s.agent
 	if saved, err := s.saveReal(ctx, path); saved {
 		return err
 	}
 	a.structMu.Lock()
 	defer a.structMu.Unlock()
-	df, ok := s.dummyFiles[path]
+	i, ok := s.dummy(path)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 	}
+	df := s.dummies[i]
 	if err := df.Save(); err != nil {
 		return err
 	}
@@ -878,11 +866,8 @@ func (s *Session) Files() []string {
 	defer a.structMu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.files))
-	for p := range s.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
+	out := slices.AppendSeq(make([]string, 0, len(s.files)), maps.Keys(s.files))
+	slices.Sort(out)
 	return out
 }
 
@@ -900,8 +885,8 @@ func (s *Session) Stat(path string) (size uint64, dummy bool, err error) {
 	if f, ok := s.files[path]; ok {
 		return f.Size(), false, nil
 	}
-	if f, ok := s.dummyFiles[path]; ok {
-		return f.Size(), true, nil
+	if i, ok := s.dummy(path); ok {
+		return s.dummies[i].Size(), true, nil
 	}
 	return 0, false, fmt.Errorf("%w: %q", ErrNotDisclosed, path)
 }
@@ -919,8 +904,8 @@ func (s *Session) Open(path string) (*stegfs.File, bool) {
 	if f, ok := s.files[path]; ok {
 		return f, true
 	}
-	if f, ok := s.dummyFiles[path]; ok {
-		return f, true
+	if i, ok := s.dummy(path); ok {
+		return s.dummies[i], true
 	}
 	return nil, false
 }

@@ -66,7 +66,9 @@ func (s *AgentServer) serveConn(cs *connServer) {
 		return s.handle(ctx, req, st, limit)
 	})
 	if sess, agent, user := st.get(); sess != nil {
-		agent.Logout(user) //nolint:errcheck // best-effort cleanup
+		// serve's context is cancelled by now; the staged runs this
+		// logout issues need one of their own.
+		agent.Logout(context.Background(), user) //nolint:errcheck // best-effort cleanup
 	}
 }
 
@@ -149,7 +151,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		if st.sess != nil {
 			return errFrame(fmt.Errorf("wire: already logged in"))
 		}
-		sess, err := agent.LoginWithPassphrase(u, pass)
+		sess, err := agent.Login(u, pass)
 		if err != nil {
 			return errFrame(err)
 		}
@@ -173,7 +175,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 			return errFrame(steghide.ErrUnknownUser)
 		}
 		user := st.user
-		err := st.agent.LogoutCtx(ctx, st.user)
+		err := st.agent.Logout(ctx, st.user)
 		st.sess = nil
 		st.user = ""
 		st.agent = nil
@@ -253,12 +255,12 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 			return errFrame(err)
 		}
 		for _, s := range segs {
-			if err := sess.StageCtx(ctx, path, s.Data, s.Off); err != nil {
+			if err := sess.Stage(ctx, path, s.Data, s.Off); err != nil {
 				return errFrame(err)
 			}
 		}
 		if save {
-			if err := sess.SaveCtx(ctx, path); err != nil {
+			if err := sess.Save(ctx, path); err != nil {
 				return errFrame(err)
 			}
 		}
@@ -278,7 +280,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		if d.err != nil {
 			return errFrame(d.err)
 		}
-		if err := sess.TruncateCtx(ctx, path, size); err != nil {
+		if err := sess.Truncate(ctx, path, size); err != nil {
 			return errFrame(err)
 		}
 		return frame{Type: msgOK}

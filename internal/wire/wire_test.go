@@ -219,6 +219,10 @@ func TestAgentOverWire(t *testing.T) {
 	}
 }
 
+// TestConnectionDropLogsOut drops a connection whose file still holds
+// staged, unsaved segments. The server's implicit logout must issue
+// them under a context of its own — the connection's is cancelled by
+// then — so a fresh login reads them back.
 func TestConnectionDropLogsOut(t *testing.T) {
 	ctx := context.Background()
 	srv, cleanup := newAgentFixture(t)
@@ -231,7 +235,21 @@ func TestConnectionDropLogsOut(t *testing.T) {
 	if err := cli.Login(ctx, "", "bob", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	cli.Close() // drop without logout
+	ps := cli.PayloadSize()
+	if err := cli.CreateDummy(ctx, "/cover", 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Create(ctx, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 3*ps)
+	copy(want, bytes.Repeat([]byte{'a'}, ps))
+	copy(want[2*ps:], bytes.Repeat([]byte{'c'}, ps))
+	if err := cli.WriteV(ctx, "/f", false,
+		Segment{Data: want[:ps]}, Segment{Off: uint64(2 * ps), Data: want[2*ps:]}); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close() // drop without logout or save
 
 	// The server logs bob out once it notices the drop, so a fresh
 	// login works — wait for that, however fast a refused login's round
@@ -244,4 +262,11 @@ func TestConnectionDropLogsOut(t *testing.T) {
 	waitFor(t, "the dropped connection's session to be logged out", func() bool {
 		return cli2.Login(ctx, "", "bob", "pw") == nil
 	})
+	if _, size, err := cli2.Disclose(ctx, "/f"); err != nil || size != uint64(len(want)) {
+		t.Fatalf("after the drop /f discloses with size %d (%v), want %d", size, err, len(want))
+	}
+	got := make([]byte, len(want))
+	if n, err := cli2.Read(ctx, "/f", got, 0); err != nil || n != len(want) || !bytes.Equal(got, want) {
+		t.Fatalf("the staged segments did not survive the drop-time logout (n=%d err=%v)", n, err)
+	}
 }

@@ -507,7 +507,7 @@ func serveVolumes(stacks []*Stack) (map[string]*VolatileAgent, error) {
 // through it.
 func (s *Stack) Login(user, passphrase string) (FS, error) {
 	if s.agent2 != nil {
-		sess, err := s.agent2.LoginWithPassphrase(user, passphrase)
+		sess, err := s.agent2.Login(user, passphrase)
 		if err != nil {
 			return nil, pathErr("login", user, err)
 		}

@@ -29,7 +29,7 @@ func TestMountBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte(agentSeed)))
-	sess, err := agent.LoginWithPassphrase("alice", "pw")
+	sess, err := agent.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +39,13 @@ func TestMountBitIdentical(t *testing.T) {
 	if _, err := sess.Create("/doc"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Write("/doc", payload, 0); err != nil {
+	if err := sess.Write(context.Background(), "/doc", payload, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Save("/doc"); err != nil {
+	if err := sess.Save(context.Background(), "/doc"); err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Logout("alice"); err != nil {
+	if err := agent.Logout(context.Background(), "alice"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,13 +105,14 @@ func TestMountC1BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.Create("alice", "/doc"); err != nil {
+	f, err := agent.Create("alice", "/doc")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Write("/doc", payload, 0); err != nil {
+	if err := agent.Write(context.Background(), "/doc", f, payload, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Close("/doc"); err != nil {
+	if err := agent.Close("/doc", f); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,6 +14,7 @@ import (
 // way a downstream user would: format, both agents, oblivious cache,
 // attackers, and the wire layer.
 func TestPublicAPIEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	dev := steghide.NewMemDevice(512, 4096)
 	vol, err := steghide.Format(dev, steghide.FormatOptions{FillSeed: []byte("api")})
 	if err != nil {
@@ -24,7 +25,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("a")))
-	s, err := agent.LoginWithPassphrase("alice", "pw")
+	s, err := agent.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("through the facade")
-	if err := s.Write("/f", msg, 0); err != nil {
+	if err := s.Write(ctx, "/f", msg, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
@@ -48,7 +49,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := agent.DummyUpdate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Logout("alice"); err != nil {
+	if err := agent.Logout(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,13 +64,14 @@ func TestPublicAPINonVolatileAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent.Create("alice", "/doc"); err != nil {
+	f, err := agent.Create("alice", "/doc")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Write("/doc", []byte("c1"), 0); err != nil {
+	if err := agent.Write(context.Background(), "/doc", f, []byte("c1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Close("/doc"); err != nil {
+	if err := agent.Close("/doc", f); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := agent.Open("alice", "/missing"); !errors.Is(err, steghide.ErrNotFound) {
@@ -88,7 +90,7 @@ func TestPublicAPIObliviousCache(t *testing.T) {
 	_ = fak
 
 	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("v")))
-	s, err := agent.LoginWithPassphrase("alice", "pw")
+	s, err := agent.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestPublicAPIObliviousCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	content := bytes.Repeat([]byte("x"), 20*vol.PayloadSize())
-	if err := s.Write("/ws", content, 0); err != nil {
+	if err := s.Write(context.Background(), "/ws", content, 0); err != nil {
 		t.Fatal(err)
 	}
 
