@@ -10,11 +10,14 @@
 //     block per step and keep the AES unit busy between them.
 //   - Schedule.Keystream: the AES-CTR keystream, addressed by byte
 //     position and written straight into the destination.
+//   - GMAC: the oblivious store's slot tag, split into the nonce's
+//     mask and the data's hash so that a caller can keep the hash.
 //
 // On amd64 with AES-NI (CPUID, read once at init) these are the loops
 // of kern_amd64.s, and where the host also has AVX-512 VAES those of
-// kern_vaes512_amd64.s, four blocks per instruction; elsewhere, and
-// under the purego build tag, the standard library. The tier is a
+// kern_vaes512_amd64.s, four blocks per instruction, and with
+// VPCLMULQDQ the GHASH of kern_ghash512_amd64.s; elsewhere, and under
+// the purego build tag, the standard library. The tier is a
 // property of the host, with no switch, and every tier writes the same
 // bytes. Key schedules
 // come from AESKEYGENASSIST and AESIMC and no kernel branches on or

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/rand"
@@ -32,6 +33,14 @@ func refKeystream(key *[KeySize]byte, n int) []byte {
 	out := make([]byte, n)
 	cipher.NewCTR(b, make([]byte, BlockSize)).XORKeyStream(out, out)
 	return out
+}
+
+// refGMAC is the first eight bytes of crypto/cipher's GCM tag of data
+// under a 16-byte nonce, an empty plaintext.
+func refGMAC(key *[KeySize]byte, iv, data []byte) uint64 {
+	b, _ := aes.NewCipher(key[:])
+	aead, _ := cipher.NewGCMWithNonceSize(b, BlockSize)
+	return binary.BigEndian.Uint64(aead.Seal(nil, iv, nil, data))
 }
 
 func randKey(r *rand.Rand) *[KeySize]byte {
@@ -338,6 +347,42 @@ func testKeystreamMatchesCTR(t *testing.T) {
 	}
 }
 
+// TestGMACMatchesStdlib holds Mask ⊕ Hash to crypto/cipher's GCM tag,
+// and Mask alone to the tag of no data, for every length to 600 (each
+// tail shape of a 32-block group, with and without a whole group before
+// it), a few more groups, the slot's tagged field (4 072) and the data
+// field (4 080), on random keys, nonces and unaligned data, on every
+// tier.
+func TestGMACMatchesStdlib(t *testing.T) { tiers(t, testGMACMatchesStdlib) }
+
+func testGMACMatchesStdlib(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	lengths := []int{1023, 1024, 1536, 4072, 4080}
+	for n := 0; n <= 600; n++ {
+		lengths = append(lengths, n)
+	}
+	key := randKey(r)
+	g := NewGMAC(key)
+	for i, n := range lengths {
+		if i%50 == 0 {
+			key = randKey(r)
+			g = NewGMAC(key)
+		}
+		iv := (*[BlockSize]byte)(unaligned(r, BlockSize))
+		data := unaligned(r, n)
+		if got, want := g.Mask(iv)^g.Hash(data), refGMAC(key, iv[:], data); got != want {
+			t.Fatalf("n=%d: Mask ⊕ Hash = %016x, crypto/cipher tag %016x", n, got, want)
+		}
+		if got, want := g.Mask(iv), refGMAC(key, iv[:], nil); got != want {
+			t.Fatalf("Mask = %016x, crypto/cipher tag of no data %016x", got, want)
+		}
+	}
+	iv := new([BlockSize]byte)
+	if got, want := g.Mask(iv)^g.Hash(nil), refGMAC(key, iv[:], nil); got != want {
+		t.Fatalf("nil data: %016x, want %016x", got, want)
+	}
+}
+
 // TestKernelZeroAlloc: the primitives allocate nothing, on any tier —
 // on a host whose RSS tracks garbage, a per-call allocation is a
 // regression.
@@ -351,6 +396,7 @@ func testZeroAlloc(t *testing.T) {
 	for i := range batch {
 		batch[i] = Lane{Key: ks, Dst: make([]byte, 4080), Src: src, IV: iv}
 	}
+	g := NewGMAC(randKey(r))
 	run := func() {
 		if err := ks.DecryptCBC(dst, src, iv); err != nil {
 			t.Fatal(err)
@@ -362,16 +408,18 @@ func testZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		ks.Keystream(dst[:4077], 3)
+		g.Mask((*[BlockSize]byte)(iv))
+		g.Hash(src[8:])
 	}
 	run() // warm the stdlib path's pool
 	if a := testing.AllocsPerRun(50, run); a > 0 {
-		t.Errorf("%.1f allocs per decrypt + 8-lane + 1-lane + keystream, want 0", a)
+		t.Errorf("%.1f allocs per decrypt + 8-lane + 1-lane + keystream + GMAC mask and hash, want 0", a)
 	}
 }
 
 // FuzzKernelMatchesStdlib cuts arbitrary bytes into keys, IVs, lane
-// count and length and holds all three primitives to crypto/cipher on
-// every tier.
+// count and length and holds all three primitives, and GMAC over the
+// fuzzer's bytes and over a lane, to crypto/cipher on every tier.
 func FuzzKernelMatchesStdlib(f *testing.F) {
 	f.Add([]byte("seed"), uint8(3), uint16(5), uint16(9))
 	f.Add(bytes.Repeat([]byte{0xa5}, 300), uint8(8), uint16(255), uint16(4096))
@@ -419,6 +467,13 @@ func fuzzKernelMatchesStdlib(t *testing.T, data []byte, lanes uint8, blocks uint
 	batch[0].Key.Keystream(stream, uint64(pos))
 	if !bytes.Equal(stream, refKeystream(keys[0], int(pos)+n-1)[pos:]) {
 		t.Fatalf("keystream of %d bytes at %d differs", n-1, pos)
+	}
+	g := NewGMAC(keys[0])
+	iv := (*[BlockSize]byte)(batch[0].IV)
+	for _, msg := range [][]byte{data, batch[0].Dst[int(pos)%n:]} {
+		if got, want := g.Mask(iv)^g.Hash(msg), refGMAC(keys[0], iv[:], msg); got != want {
+			t.Fatalf("GMAC of %d bytes = %016x, crypto/cipher %016x", len(msg), got, want)
+		}
 	}
 }
 
@@ -553,6 +608,54 @@ func BenchmarkFill4K(b *testing.B) {
 		b.SetBytes(4096)
 		for i := 0; i < b.N; i++ {
 			cipher.NewCTR(blk, batch0IV[:]).XORKeyStream(buf, buf)
+		}
+	})
+}
+
+// BenchmarkGMAC4072 is one slot tag: Mask ⊕ Hash over the slot's
+// 4 072-byte tagged field, against crypto/cipher's GCM.
+func BenchmarkGMAC4072(b *testing.B) {
+	r := rand.New(rand.NewSource(11))
+	key := randKey(r)
+	data, iv := make([]byte, 4072), new([BlockSize]byte)
+	r.Read(data)
+	tiers(b, func(b *testing.B) {
+		g := NewGMAC(key)
+		b.SetBytes(4072)
+		for i := 0; i < b.N; i++ {
+			g.Mask(iv)
+			g.Hash(data)
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		blk, _ := aes.NewCipher(key[:])
+		aead, _ := cipher.NewGCMWithNonceSize(blk, BlockSize)
+		out := make([]byte, 0, BlockSize)
+		b.SetBytes(4072)
+		for i := 0; i < b.N; i++ {
+			aead.Seal(out[:0], iv[:], nil, data)
+		}
+	})
+}
+
+// BenchmarkGMACMask is the tag of no data: what a merge pass pays per
+// slot for the tag once the hash is carried.
+func BenchmarkGMACMask(b *testing.B) {
+	r := rand.New(rand.NewSource(12))
+	key := randKey(r)
+	iv := new([BlockSize]byte)
+	tiers(b, func(b *testing.B) {
+		g := NewGMAC(key)
+		for i := 0; i < b.N; i++ {
+			g.Mask(iv)
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		blk, _ := aes.NewCipher(key[:])
+		aead, _ := cipher.NewGCMWithNonceSize(blk, BlockSize)
+		out := make([]byte, 0, BlockSize)
+		for i := 0; i < b.N; i++ {
+			aead.Seal(out[:0], iv[:], nil, nil)
 		}
 	})
 }

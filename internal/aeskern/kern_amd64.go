@@ -2,7 +2,10 @@
 
 package aeskern
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // hasAESNI is CPUID.1:ECX bit 25, read once. Everything else the
 // kernels use (SSE2, BSWAP, CMOV) is part of the amd64 baseline.
@@ -15,6 +18,19 @@ var hasAESNI = func() bool {
 // once beside hasAESNI. Below a kernel's minimum length, for a single
 // encrypt lane and on hosts without the tier the XMM kernels run.
 var hasVAES512 = hasAESNI && detectVAES512()
+
+// hasGHASH512 selects the GMAC hash of kern_ghash512_amd64.s: the
+// 512-bit tier plus VPCLMULQDQ (CPUID.7.0:ECX bit 10), decided once
+// beside it. Without it GMAC runs on crypto/cipher.
+var hasGHASH512 = hasVAES512 && detectVPCLMULQDQ()
+
+func detectVPCLMULQDQ() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx, _ := cpuid(7, 0)
+	return ecx&(1<<10) != 0
+}
 
 // detectVAES512 reports AVX512F and AVX512BW (CPUID.7.0:EBX bits 16
 // and 30) and VAES (ECX bit 9), with the OS saving opmask and ZMM
@@ -67,6 +83,12 @@ func cbcEnc8VAES512(keys *[MaxLanes]*[roundKeyBytes]byte, dsts, srcs *[MaxLanes]
 
 //go:noescape
 func keystreamVAES512(ek *[roundKeyBytes]byte, dst *byte, blocks int, ctr uint64)
+
+//go:noescape
+func ghashInit512(h *[BlockSize]byte, tbl *[ghashTableBytes]byte)
+
+//go:noescape
+func ghash512(tbl *[ghashTableBytes]byte, data *byte, n int, last, out *[BlockSize]byte)
 
 func (s *Schedule) init(key *[KeySize]byte) {
 	if !hasAESNI {
@@ -139,4 +161,45 @@ func (s *Schedule) keystreamBlocks(dst []byte, ctr uint64) {
 		return
 	}
 	keystreamAsm(&s.enc, &dst[0], blocks, ctr)
+}
+
+// zeroBlock is the all-zero block: the IV under which one CBC block is
+// a plain AES encryption, and the plaintext whose encryption is H.
+var zeroBlock [BlockSize]byte
+
+// j0Length is the length block of J0 for a 16-byte nonce: 0^64 ‖ [128]_64.
+var j0Length = [BlockSize]byte{15: 128}
+
+func (g *GMAC) init(key *[KeySize]byte) {
+	if !hasGHASH512 {
+		g.soft = newSoftGMAC(key)
+		return
+	}
+	g.ks = NewSchedule(key)
+	var h [BlockSize]byte
+	cbcEnc1Asm(&g.ks.enc, &h[0], &zeroBlock[0], BlockSize, &zeroBlock)
+	g.tbl = new([ghashTableBytes]byte)
+	ghashInit512(&h, g.tbl)
+}
+
+// mask computes J0 = GHASH_H(iv ‖ 0^64 ‖ [128]_64) and encrypts it.
+func (g *GMAC) mask(iv *[BlockSize]byte) uint64 {
+	if g.soft != nil {
+		return g.soft.mask(iv)
+	}
+	var j0 [BlockSize]byte
+	ghash512(g.tbl, &iv[0], BlockSize, &j0Length, &j0)
+	cbcEnc1Asm(&g.ks.enc, &j0[0], &j0[0], BlockSize, &zeroBlock)
+	return binary.BigEndian.Uint64(j0[:])
+}
+
+// hash ends data with the length block [8·len(data)]_64 ‖ 0^64.
+func (g *GMAC) hash(data []byte) uint64 {
+	if g.soft != nil {
+		return g.soft.hash(data)
+	}
+	var length, sum [BlockSize]byte
+	binary.BigEndian.PutUint64(length[:], uint64(len(data))*8)
+	ghash512(g.tbl, unsafe.SliceData(data), len(data), &length, &sum)
+	return binary.BigEndian.Uint64(sum[:])
 }

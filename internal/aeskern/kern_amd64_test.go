@@ -14,20 +14,24 @@ import (
 	"testing"
 )
 
-// vaes512Detected is the tier decision made at init, which the tier
-// subtests flip and restore.
-var vaes512Detected = hasVAES512
+// vaes512Detected and ghash512Detected are the tier decisions made at
+// init, which the tier subtests flip and restore.
+var (
+	vaes512Detected  = hasVAES512
+	ghash512Detected = hasGHASH512
+)
 
-// kernelTiers: the XMM kernels, and the 512-bit tier where the host
-// has it. Without AES-NI every call takes the stdlib path.
+// kernelTiers: the XMM kernels (with GMAC on crypto/cipher), and the
+// 512-bit tier where the host has it, its GHASH loop too where the host
+// has VPCLMULQDQ. Without AES-NI every call takes the stdlib path.
 func kernelTiers() []tier {
 	if !hasAESNI {
 		return []tier{{name: "noaesni", avail: true, use: func() func() { return func() {} }}}
 	}
 	set := func(on bool) func() func() {
 		return func() func() {
-			hasVAES512 = on
-			return func() { hasVAES512 = vaes512Detected }
+			hasVAES512, hasGHASH512 = on, on && ghash512Detected
+			return func() { hasVAES512, hasGHASH512 = vaes512Detected, ghash512Detected }
 		}
 	}
 	return []tier{
@@ -39,8 +43,9 @@ func kernelTiers() []tier {
 // TestKernelTierDetection holds the CPUID/XGETBV decision to the
 // kernel's view of the CPU: the first flags line of /proc/cpuinfo must
 // carry avx512f, avx512bw and vaes exactly when the 512-bit tier was
-// chosen. A detection bug would otherwise drop the tier silently, or
-// run it where it raises SIGILL. It logs the tier the package runs.
+// chosen, and vpclmulqdq besides exactly when its GHASH loop was. A
+// detection bug would otherwise drop a tier silently, or run it where
+// it raises SIGILL. It logs the tiers the package runs.
 func TestKernelTierDetection(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("reads /proc/cpuinfo")
@@ -66,6 +71,14 @@ func TestKernelTierDetection(t *testing.T) {
 	}
 	if got := hasAESNI && detectVAES512(); vaes512Detected != got {
 		t.Fatalf("init decided hasVAES512 = %v, detection now says %v", vaes512Detected, got)
+	}
+	if wantGHASH := vaes512Detected && has("vpclmulqdq"); ghash512Detected != wantGHASH {
+		t.Fatalf("init decided hasGHASH512 = %v; 512-bit tier && /proc/cpuinfo vpclmulqdq = %v", ghash512Detected, wantGHASH)
+	}
+	if ghash512Detected {
+		t.Log("GHASH tier: vpclmulqdq (ZMM, 32 blocks per group)")
+	} else {
+		t.Log("GHASH tier: stdlib (crypto/cipher GCM)")
 	}
 	switch {
 	case vaes512Detected:

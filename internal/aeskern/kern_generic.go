@@ -11,3 +11,9 @@ func (s *Schedule) decryptCBC(dst, src, iv []byte) { s.soft.decryptCBC(dst, src,
 func encryptCBC(lanes []Lane) { encryptLanesSoft(lanes) }
 
 func (s *Schedule) keystreamBlocks(dst []byte, ctr uint64) { s.soft.keystreamBlocks(dst, ctr) }
+
+func (g *GMAC) init(key *[KeySize]byte) { g.soft = newSoftGMAC(key) }
+
+func (g *GMAC) mask(iv *[BlockSize]byte) uint64 { return g.soft.mask(iv) }
+
+func (g *GMAC) hash(data []byte) uint64 { return g.soft.hash(data) }

@@ -27,10 +27,13 @@ func guarded(t *testing.T) []byte {
 
 // TestKernelStaysInBounds puts every source flush against a guard page,
 // first at the page's start and then at its end, and every keystream
-// destination likewise. The 512-bit decrypt's IV lane and the
-// eight-lane gather read 64-byte windows that reach past a block; only
-// their masked-off bytes may lie in the guard, and those must not be
-// read. A stray read faults instead of passing on lucky bytes.
+// destination likewise, and GMAC data starts at the first guard and
+// ends at the second, at lengths around the GHASH kernel's 64-byte
+// masked loads and 512-byte groups. The 512-bit decrypt's IV lane, the
+// eight-lane gather and the GHASH tail read 64-byte windows that reach
+// past their data; only their masked-off bytes may lie in the guard,
+// and those must not be read. A stray read faults instead of passing
+// on lucky bytes.
 func TestKernelStaysInBounds(t *testing.T) { tiers(t, testStaysInBounds) }
 
 func testStaysInBounds(t *testing.T) {
@@ -68,6 +71,16 @@ func testStaysInBounds(t *testing.T) {
 		ks.Keystream(src, 0)
 		if !bytes.Equal(src, refKeystream(key, n)) {
 			t.Fatal("keystream against a guard page differs")
+		}
+	}
+	gkey := randKey(r)
+	g := NewGMAC(gkey)
+	iv := new([BlockSize]byte)
+	for _, k := range []int{1, 15, 16, 17, 63, 64, 65, 100, 511, 512, 513, 4072, len(page)} {
+		for _, data := range [][]byte{page[:k:k], page[len(page)-k:]} {
+			if got, want := g.Mask(iv)^g.Hash(data), refGMAC(gkey, iv[:], data); got != want {
+				t.Fatalf("GMAC of %d bytes against a guard page differs", k)
+			}
 		}
 	}
 }

@@ -24,12 +24,11 @@
 package oblivious
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"steghide/internal/aeskern"
 	"steghide/internal/sealer"
 )
 
@@ -56,10 +55,12 @@ var (
 // Slot payload layout (inside the sealed data field):
 //
 //	off  0  tag      uint64  GMAC over payload[8:], nonce = the slot's IV
+//	                         (in agent memory: the GHASH half, see codec)
 //	off  8  flags    uint32  bit0 = real entry, bit1 = low shuffle class
 //	off 12  _        uint32  padding
 //	off 16  version  uint64  global write counter; newest wins on merge
-//	off 24  nonce    uint64  per-epoch random identity; PRF input for tags
+//	off 24  nonce    uint64  per-epoch random identity; PRF input of the
+//	                         shuffle's sort key
 //	off 32  id.File  uint64
 //	off 40  id.Index uint64
 //	off 48  value    [payload-48]byte
@@ -87,44 +88,33 @@ type slotSealer interface {
 	SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error
 }
 
-// slotTagger computes the slot tag over a payload under the slot's
-// IV; a *gmacTag in production.
+// slotTagger is the slot tag split at GMAC's identity tag = Mask(iv) ⊕
+// Hash(payload[8:]); a *gmacTag in production.
 type slotTagger interface {
-	Sum(iv, data []byte) uint64
+	Mask(iv *[sealer.IVSize]byte) uint64
+	Hash(field []byte) uint64
 }
 
 // gmacTag is the slot tag: GMAC (NIST SP 800-38D), that is AES-256-GCM
-// sealing an empty plaintext with the payload as additional data,
+// sealing an empty plaintext with payload[8:] as additional data,
 // truncated to 64 bits. The nonce is the slot's 16-byte CBC IV, so the
-// tag binds the IV and every seal re-tags. DESIGN.md "Slot tag" gives
-// the nonce and truncation argument.
-type gmacTag struct {
-	aead cipher.AEAD
-	out  []byte // the 16-byte GCM tag, reused across calls
-}
+// tag binds the IV and every seal re-tags; but only the mask E_K(J0(iv))
+// depends on the IV, so the codec carries each payload's hash from open
+// to seal instead of recomputing it. DESIGN.md "Slot tag" gives the
+// nonce and truncation argument and the carry.
+type gmacTag struct{ *aeskern.GMAC }
 
-func newGMACTag(key sealer.Key) (*gmacTag, error) {
+func newGMACTag(key sealer.Key) *gmacTag {
 	k := sealer.DeriveKey(key[:], "obli-slot-gmac")
-	block, err := aes.NewCipher(k[:])
-	if err != nil {
-		return nil, err
-	}
-	aead, err := cipher.NewGCMWithNonceSize(block, sealer.IVSize)
-	if err != nil {
-		return nil, err
-	}
-	return &gmacTag{aead: aead, out: make([]byte, 0, aead.Overhead())}, nil
-}
-
-// Sum returns the first 8 bytes of the GMAC of data under nonce iv.
-func (g *gmacTag) Sum(iv, data []byte) uint64 {
-	g.out = g.aead.Seal(g.out[:0], iv, nil, data)
-	return binary.BigEndian.Uint64(g.out)
+	return &gmacTag{aeskern.NewGMAC((*[aeskern.KeySize]byte)(&k))}
 }
 
 // codec translates between entries, slot payloads (the plaintext data
-// field, tag included) and sealed slots under the store's key. Like
-// the Store it serves, it is not safe for concurrent use.
+// field) and sealed slots under the store's key. In agent memory a
+// payload's first eight bytes hold the hash of the rest, written by
+// putHeader or left by open; sealMany turns it into the tag, so only
+// tags reach the device. Like the Store it serves, it is not safe for
+// concurrent use.
 type codec struct {
 	seal     slotSealer
 	tag      slotTagger
@@ -142,23 +132,18 @@ func newCodec(key sealer.Key, blockSize int) (*codec, error) {
 	if payload <= entryMetaSize {
 		return nil, fmt.Errorf("oblivious: block size %d leaves no room for values", blockSize)
 	}
-	tag, err := newGMACTag(key)
-	if err != nil {
-		return nil, err
-	}
 	return &codec{
 		seal:     s,
-		tag:      tag,
+		tag:      newGMACTag(key),
 		payload:  payload,
 		valueLen: payload - entryMetaSize,
 		decBuf:   make([]byte, payload),
 	}, nil
 }
 
-// put lays e out in payload, ready for sealing; the tag is written by
-// sealMany once the slot's IV is drawn. Dummies may have short or nil
-// values; real values must be exactly valueLen bytes. fill supplies
-// the dummy bytes.
+// put lays e out in payload, hash included, ready for sealing. Dummies
+// may have short or nil values; real values must be exactly valueLen
+// bytes. fill supplies the dummy bytes.
 func (c *codec) put(payload []byte, e *entry, fill func([]byte)) error {
 	h := slotMeta{real: e.real, lowClass: e.lowClass, version: e.version, nonce: e.nonce, id: e.id}
 	if e.real {
@@ -173,8 +158,9 @@ func (c *codec) put(payload []byte, e *entry, fill func([]byte)) error {
 	return nil
 }
 
-// putHeader writes h over payload's header, leaving the tag field to
-// sealMany.
+// putHeader writes h over payload's header and the hash of payload[8:]
+// into payload[0:8]. Every payload that is new or changed since its
+// open passes through here before it is sealed.
 func (c *codec) putHeader(payload []byte, h slotMeta) {
 	var flags uint32
 	if h.real {
@@ -191,20 +177,24 @@ func (c *codec) putHeader(payload []byte, h slotMeta) {
 	binary.BigEndian.PutUint64(payload[24:], h.nonce)
 	binary.BigEndian.PutUint64(payload[32:], h.id.File)
 	binary.BigEndian.PutUint64(payload[40:], h.id.Index)
+	binary.BigEndian.PutUint64(payload, c.tag.Hash(payload[8:]))
 }
 
 // sealMany seals payloads[i] into raws[i] for a whole batch, the one
 // seal path of the package: each slot's IV is drawn through drawIV in
-// index order, the payload is tagged under it, and then the batch goes
-// through the cipher eight lanes at a time with the IVs left in place.
+// index order, the carried hash becomes the tag under it (one mask, no
+// pass over the payload), and then the batch goes through the cipher
+// eight lanes at a time with the IVs left in place. The payloads hold
+// their tags afterwards, not their hashes.
 func (c *codec) sealMany(raws, payloads [][]byte, drawIV func(iv []byte)) error {
 	if len(raws) != len(payloads) {
 		return fmt.Errorf("oblivious: %d slots for %d payloads", len(raws), len(payloads))
 	}
 	for i, raw := range raws {
-		iv := raw[:sealer.IVSize]
-		drawIV(iv)
-		binary.BigEndian.PutUint64(payloads[i], c.tag.Sum(iv, payloads[i][8:]))
+		iv := (*[sealer.IVSize]byte)(raw)
+		drawIV(iv[:])
+		p := payloads[i]
+		binary.BigEndian.PutUint64(p, binary.BigEndian.Uint64(p)^c.tag.Mask(iv))
 	}
 	return c.seal.SealMany(raws, keepIV, payloads)
 }
@@ -212,16 +202,19 @@ func (c *codec) sealMany(raws, payloads [][]byte, drawIV func(iv []byte)) error 
 // keepIV is the IV source of a SealMany whose IVs are already in place.
 func keepIV([]byte) {}
 
-// open decrypts a raw slot into payload and checks its tag under the
-// slot's IV. No field of a slot read from the device is trusted before
-// this returns nil.
+// open decrypts a raw slot into payload, checks its tag under the
+// slot's IV and leaves the hash it checked in payload[0:8], so a payload
+// sealed again unchanged costs only a mask. No field of a slot read from
+// the device is trusted before this returns nil.
 func (c *codec) open(payload, raw []byte) error {
 	if err := c.seal.Open(payload, raw); err != nil {
 		return err
 	}
-	if binary.BigEndian.Uint64(payload) != c.tag.Sum(raw[:sealer.IVSize], payload[8:]) {
+	h := c.tag.Hash(payload[8:])
+	if binary.BigEndian.Uint64(payload) != c.tag.Mask((*[sealer.IVSize]byte)(raw))^h {
 		return ErrCorruptSlot
 	}
+	binary.BigEndian.PutUint64(payload, h)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package oblivious
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -142,6 +144,70 @@ func TestSlotTagBindsIV(t *testing.T) {
 	}
 	if err := c.decodeInto(&got, raw); !errors.Is(err, ErrCorruptSlot) {
 		t.Fatalf("payload resealed under a fresh IV with its old tag: %v, want ErrCorruptSlot", err)
+	}
+}
+
+// TestSlotHashCarry: open leaves a payload's hash in payload[0:8] and
+// sealMany trusts it. A payload changed after its open without
+// putHeader is sealed under a stale hash, and its next open fails: the
+// stale hash is caught, never sealed into a slot that opens. A payload
+// sealed straight from its open under a fresh IV reopens clean, and its
+// tag is crypto/cipher's GMAC of payload[8:] under the new IV.
+func TestSlotHashCarry(t *testing.T) {
+	key := sealer.DeriveKey([]byte("k"), "codec") // newTestCodec's
+	c := newTestCodec(t, 128)
+	rng := prng.NewFromUint64(6)
+	e := &entry{real: true, version: 7, nonce: 1, id: BlockID{1, 2}, value: rng.Bytes(c.valueLen)}
+	raw := make([]byte, 128)
+	if err := c.encode(raw, e, rng.Bytes(sealer.IVSize), func(p []byte) { rng.Read(p) }); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, c.payload)
+	if err := c.open(payload, raw); err != nil {
+		t.Fatal(err)
+	}
+	sealUnder := func(dst, p, iv []byte) {
+		t.Helper()
+		if err := c.sealMany([][]byte{dst}, [][]byte{p}, func(b []byte) { copy(b, iv) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, off := range []int{8, 16, 24, 32, entryMetaSize, c.payload - 1} {
+		stale := append([]byte(nil), payload...)
+		stale[off] ^= 0x01
+		staleRaw := make([]byte, 128)
+		sealUnder(staleRaw, stale, rng.Bytes(sealer.IVSize))
+		if err := c.open(make([]byte, c.payload), staleRaw); !errors.Is(err, ErrCorruptSlot) {
+			t.Fatalf("byte %d changed after open, sealed without putHeader: %v, want ErrCorruptSlot", off, err)
+		}
+	}
+
+	iv := rng.Bytes(sealer.IVSize)
+	resealed := make([]byte, 128)
+	sealUnder(resealed, payload, iv)
+	var got entry
+	if err := c.decodeInto(&got, resealed); err != nil {
+		t.Fatalf("payload sealed straight from its open: %v", err)
+	}
+	if !got.real || got.version != e.version || got.nonce != e.nonce || got.id != e.id || !bytes.Equal(got.value, e.value) {
+		t.Fatalf("resealed slot decodes to %+v", got)
+	}
+	plain := make([]byte, c.payload)
+	if err := c.seal.Open(plain, resealed); err != nil {
+		t.Fatal(err)
+	}
+	gk := sealer.DeriveKey(key[:], "obli-slot-gmac")
+	blk, err := aes.NewCipher(gk[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCMWithNonceSize(blk, sealer.IVSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := gcm.Seal(nil, iv, nil, plain[8:])[:8]; !bytes.Equal(plain[:8], want) {
+		t.Fatalf("tag on the device %x, crypto/cipher GMAC %x", plain[:8], want)
 	}
 }
 

@@ -29,9 +29,11 @@ import (
 //	               as it seals them, so no separate scan is needed.
 //
 // With P merge passes a slot is opened (and its tag checked) 1+P
-// times and tagged and sealed in lanes under a fresh IV 1+P times:
-// 2+2P tags, because the tag binds the IV and every seal draws a new
-// one.
+// times and tagged and sealed in lanes under a fresh IV 1+P times: the
+// tag binds the IV and every seal draws a new one, so 2+2P tags. Only
+// their masks depend on the IV. A merge pass carries each slot's hash
+// from its open to its seal, so the payload is hashed 2+P times: at
+// each open and once more when run formation rewrites its header.
 func (s *Store) dump(i int) error {
 	if i+1 >= len(s.levels) {
 		return fmt.Errorf("%w: cannot dump past level %d", ErrCacheFull, len(s.levels))
@@ -91,8 +93,8 @@ func (s *Store) dump(i int) error {
 
 // reshuffle is the extsort.Codec of one dump. It works on slot
 // payloads: Open decrypts and verifies every slot the sort reads, Seal
-// tags and encrypts every slot it writes in lanes under fresh IVs. The state of
-// the dump it serves — winners, the index and real-slot set being
+// tags and encrypts every slot it writes in lanes under fresh IVs. The
+// state of the dump it serves — winners, the index and real-slot set being
 // rebuilt — lives in the Store's reusable scratch.
 type reshuffle struct {
 	s        *Store

@@ -284,18 +284,22 @@ func TestSlotNoncesNeverRepeat(t *testing.T) {
 
 // TestDumpCryptoBudget counts the cipher and tag work of a dump with P
 // merge passes: every slot read is opened and its tag checked (opens
-// equal blocks read), every slot written is tagged under its fresh IV
-// and sealed in a batch (seals equal blocks written, tags equal opens
-// plus seals), and per slot that is at most 1+P opens, 1+P seals and
-// 2+2P tags. A flush pays one open, one seal and two tags.
+// equal blocks read), every slot written is sealed in a batch under a
+// fresh IV (seals equal blocks written), and each open and each seal
+// takes one mask. A payload is hashed only where its bytes may have
+// changed: at each open, and when run formation rewrites its header;
+// a merge pass carries the hash from open to seal. Per slot that is at
+// most 1+P opens, 1+P seals and 2+2P masks, and exactly 2+P hashes. A
+// flush pays one open, one seal, two masks and two hashes (the open's
+// and the put's).
 func TestDumpCryptoBudget(t *testing.T) {
 	for _, g := range []struct{ bufCap, levels, dump int }{
 		{4, 3, 0}, {4, 3, 1}, {16, 4, 2}, {32, 3, 1},
 	} {
 		s, _ := tappedStore(t, g.bufCap, g.levels, 5, 2*g.bufCap)
 		seal := &countingSealer{slotSealer: s.codec.seal}
-		sum := &countingTagger{slotTagger: s.codec.tag}
-		s.codec.seal, s.codec.tag = seal, sum
+		tag := &countingTagger{slotTagger: s.codec.tag}
+		s.codec.seal, s.codec.tag = seal, tag
 
 		before := s.Stats()
 		if err := s.dump(g.dump); err != nil {
@@ -304,27 +308,30 @@ func TestDumpCryptoBudget(t *testing.T) {
 		st := s.Stats()
 		n := int(s.levels[g.dump].region.Len + s.levels[g.dump+1].region.Len)
 		p := mergePasses(n, g.bufCap)
-		t.Logf("(%d,%d) dump(%d): %d slots, P=%d: %d opens, %d seals in %d batches, %d tags",
-			g.bufCap, g.levels, g.dump, n, p, seal.opens, seal.sealed, seal.batches, sum.sums)
+		t.Logf("(%d,%d) dump(%d): %d slots, P=%d: %d opens, %d seals in %d batches, %d masks, %d hashes",
+			g.bufCap, g.levels, g.dump, n, p, seal.opens, seal.sealed, seal.batches, tag.masks, tag.hashes)
 		if got := int(st.ShuffleReads - before.ShuffleReads); seal.opens != got {
 			t.Errorf("%d opens for %d slots read", seal.opens, got)
 		}
 		if got := int(st.ShuffleWrites - before.ShuffleWrites); seal.sealed != got {
 			t.Errorf("%d seals for %d slots written", seal.sealed, got)
 		}
-		if seal.opens > (1+p)*n || seal.sealed > (1+p)*n || sum.sums > (2+2*p)*n {
-			t.Errorf("over budget for P=%d: want ≤ %d opens, ≤ %d seals, ≤ %d tags", p, (1+p)*n, (1+p)*n, (2+2*p)*n)
+		if seal.opens > (1+p)*n || seal.sealed > (1+p)*n || tag.masks > (2+2*p)*n {
+			t.Errorf("over budget for P=%d: want ≤ %d opens, ≤ %d seals, ≤ %d masks", p, (1+p)*n, (1+p)*n, (2+2*p)*n)
 		}
-		if sum.sums != seal.opens+seal.sealed {
-			t.Errorf("%d tags for %d slots opened and %d sealed", sum.sums, seal.opens, seal.sealed)
+		if tag.masks != seal.opens+seal.sealed {
+			t.Errorf("%d masks for %d slots opened and %d sealed", tag.masks, seal.opens, seal.sealed)
+		}
+		if tag.hashes != (2+p)*n {
+			t.Errorf("%d hashes for %d slots and P=%d, want (2+P)·n = %d", tag.hashes, n, p, (2+p)*n)
 		}
 
-		*seal, *sum = countingSealer{slotSealer: seal.slotSealer}, countingTagger{slotTagger: sum.slotTagger}
+		*seal, *tag = countingSealer{slotSealer: seal.slotSealer}, countingTagger{slotTagger: tag.slotTagger}
 		if err := s.flush(); err != nil {
 			t.Fatal(err)
 		}
-		if l1 := 2 * g.bufCap; seal.opens != l1 || seal.sealed != l1 || sum.sums != 2*l1 {
-			t.Errorf("flush of %d slots: %d opens, %d seals, %d tags", l1, seal.opens, seal.sealed, sum.sums)
+		if l1 := 2 * g.bufCap; seal.opens != l1 || seal.sealed != l1 || tag.masks != 2*l1 || tag.hashes != 2*l1 {
+			t.Errorf("flush of %d slots: %d opens, %d seals, %d masks, %d hashes", l1, seal.opens, seal.sealed, tag.masks, tag.hashes)
 		}
 	}
 }
@@ -347,12 +354,17 @@ func (c *countingSealer) SealMany(dsts [][]byte, nextIV func([]byte), datas [][]
 
 type countingTagger struct {
 	slotTagger
-	sums int
+	masks, hashes int
 }
 
-func (c *countingTagger) Sum(iv, data []byte) uint64 {
-	c.sums++
-	return c.slotTagger.Sum(iv, data)
+func (c *countingTagger) Mask(iv *[sealer.IVSize]byte) uint64 {
+	c.masks++
+	return c.slotTagger.Mask(iv)
+}
+
+func (c *countingTagger) Hash(field []byte) uint64 {
+	c.hashes++
+	return c.slotTagger.Hash(field)
 }
 
 // TestCorruptionSurfacesFromItsReader flips one ciphertext byte of a
