@@ -181,11 +181,8 @@ func cmdFormat(args []string) error {
 		return err
 	}
 	defer dev.Close()
-	entropy := make([]byte, 32)
-	if _, err := readEntropy(entropy); err != nil {
-		return err
-	}
-	if _, err := steghide.Format(dev, steghide.FormatOptions{FillSeed: entropy, JournalBlocks: *ring}); err != nil {
+	// No FillSeed: Format seeds the volume from crypto/rand.
+	if _, err := steghide.Format(dev, steghide.FormatOptions{JournalBlocks: *ring}); err != nil {
 		return err
 	}
 	if err := dev.Sync(); err != nil {
@@ -198,20 +195,6 @@ func cmdFormat(args []string) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-// readEntropy fills b from the kernel's entropy pool via the crypto
-// PRNG seeds available without cgo; for a simulation-grade tool the
-// time-seeded fallback is acceptable and documented.
-func readEntropy(b []byte) (int, error) {
-	f, err := os.Open("/dev/urandom")
-	if err != nil {
-		seed := steghide.NewPRNG([]byte(time.Now().String()))
-		seed.Read(b)
-		return len(b), nil
-	}
-	defer f.Close()
-	return io.ReadFull(f, b)
 }
 
 func cmdStorage(args []string) error {
@@ -291,14 +274,10 @@ func cmdAgent(args []string) error {
 		metrics = steghide.NewMetrics()
 	}
 
-	// Shared mount options: every served volume gets its own RNG
-	// seed, journal and dummy-traffic daemon.
-	mountOpts := func(name string) ([]steghide.Option, error) {
-		entropy := make([]byte, 32)
-		if _, err := readEntropy(entropy); err != nil {
-			return nil, err
-		}
-		opts := []steghide.Option{steghide.WithSeed(entropy), steghide.WithVolumeName(name)}
+	// Shared mount options: every served volume gets its own journal and
+	// dummy-traffic daemon, and Mount seeds each stack from crypto/rand.
+	mountOpts := func(name string) []steghide.Option {
+		opts := []steghide.Option{steghide.WithVolumeName(name)}
 		if *journalPass != "" {
 			opts = append(opts, steghide.WithJournal(*journalPass))
 		}
@@ -311,7 +290,7 @@ func cmdAgent(args []string) error {
 		if metrics != nil {
 			opts = append(opts, steghide.WithMetrics(metrics))
 		}
-		return opts, nil
+		return opts
 	}
 
 	// Mount replaces the old hand-wired assembly: open each remote
@@ -352,12 +331,7 @@ func cmdAgent(args []string) error {
 		if err != nil {
 			return err
 		}
-		opts, err := mountOpts(tg.name)
-		if err != nil {
-			dev.Close()
-			return err
-		}
-		stack, err := steghide.Mount(dev, opts...)
+		stack, err := steghide.Mount(dev, mountOpts(tg.name)...)
 		if err != nil {
 			dev.Close()
 			return err

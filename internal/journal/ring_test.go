@@ -156,7 +156,7 @@ func checkUpgradedFixture(t *testing.T, vol *stegfs.Volume) {
 // second Open finds nothing left to convert.
 func TestParentRingReadsHere(t *testing.T) {
 	dev := loadFixture(t, "testdata/parent_ring.img")
-	vol, err := stegfs.Open(dev)
+	vol, err := stegfs.Open(dev, prng.NewFromUint64(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestUpgradeSurvivesPowerCut(t *testing.T) {
 	for cut := int64(0); cut < fixtureSlots; cut++ {
 		mem := loadFixture(t, "testdata/parent_ring.img")
 		fd := blockdev.NewFault(mem)
-		vol, err := stegfs.Open(fd)
+		vol, err := stegfs.Open(fd, prng.NewFromUint64(8))
 		if err != nil {
 			t.Fatal(err)
 		}

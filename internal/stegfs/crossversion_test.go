@@ -35,7 +35,7 @@ func TestCrossVersionImage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vol, err := Open(dev)
+	vol, err := Open(dev, prng.NewFromUint64(2))
 	if err != nil {
 		t.Fatal(err)
 	}

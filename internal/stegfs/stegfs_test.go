@@ -32,7 +32,7 @@ func TestFormatAndOpen(t *testing.T) {
 	if vol.PayloadSize() != 128-16 {
 		t.Fatalf("payload %d", vol.PayloadSize())
 	}
-	re, err := Open(dev)
+	re, err := Open(dev, prng.NewFromUint64(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,21 +67,21 @@ func TestOpenRejectsCorruptSuperblock(t *testing.T) {
 
 	buf[0] ^= 0xFF // magic
 	dev.WriteBlock(0, buf)
-	if _, err := Open(dev); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dev, prng.NewFromUint64(2)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
 	copy(buf, orig)
 	buf[30] ^= 0x01 // salt byte → checksum mismatch
 	dev.WriteBlock(0, buf)
-	if _, err := Open(dev); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dev, prng.NewFromUint64(2)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad checksum: %v", err)
 	}
 
 	copy(buf, orig)
 	buf[11] = 99 // version
 	dev.WriteBlock(0, buf)
-	if _, err := Open(dev); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dev, prng.NewFromUint64(2)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad version: %v", err)
 	}
 }

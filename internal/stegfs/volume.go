@@ -26,10 +26,12 @@ package stegfs
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -66,9 +68,9 @@ var (
 type FormatOptions struct {
 	// KDFIterations for passphrase stretching; defaults to 4096.
 	KDFIterations int
-	// FillSeed seeds the random fill of the volume. A zero value uses
-	// an arbitrary fixed seed; callers wanting irreproducible volumes
-	// should pass entropy.
+	// FillSeed seeds the volume's generator: the salt, the random fill
+	// and the IV and filler streams all derive from it, so it is a
+	// secret. A zero value reads 32 bytes from crypto/rand.
 	FillSeed []byte
 	// JournalBlocks reserves a ring of blocks right after the
 	// superblock for the sealed intent journal (internal/journal).
@@ -195,7 +197,10 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Volume, error) {
 	}
 	seed := opts.FillSeed
 	if len(seed) == 0 {
-		seed = []byte("stegfs-default-fill-seed")
+		seed = make([]byte, 32)
+		if _, err := rand.Read(seed); err != nil {
+			return nil, fmt.Errorf("stegfs: format seed: %w", err)
+		}
 	}
 	rng := prng.New(seed)
 
@@ -234,8 +239,16 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Volume, error) {
 	return v, nil
 }
 
-// Open reads the superblock of an existing volume on dev.
-func Open(dev blockdev.Device) (*Volume, error) {
+// Open reads the superblock of an existing volume on dev. rng is the
+// caller's secret generator, which Open does not draw from: the volume
+// keys its IV and filler stream from a child of it mixed with every
+// block Open reads, the superblock and the journal ring. Every write to
+// a volume with a ring appends to the ring, so a reopen under the same
+// seed does not replay the IVs an earlier session drew.
+func Open(dev blockdev.Device, rng *prng.PRNG) (*Volume, error) {
+	if rng == nil {
+		return nil, errors.New("stegfs: Open needs the caller's generator")
+	}
 	bs := dev.BlockSize()
 	buf := make([]byte, bs)
 	if err := dev.ReadBlock(superBlock, buf); err != nil {
@@ -279,12 +292,33 @@ func Open(dev blockdev.Device) (*Volume, error) {
 	if !bytes.Equal(buf[saltOff+saltSize:saltOff+saltSize+8], sum[:8]) {
 		return nil, fmt.Errorf("%w: superblock checksum mismatch", ErrCorrupt)
 	}
-	// Per-volume IV stream; seeded from the salt so it differs between
-	// volumes, forked from clock-free material so reopening does not
-	// repeat IVs only if callers supply entropy — acceptable for a
-	// simulation-grade volume and deterministic for experiments.
-	v.rng = prng.New(v.salt[:]).Child("volume-iv-reopen")
+	seed := sha256.New()
+	seed.Write(rng.Child("volume-iv").Bytes(32))
+	seed.Write(buf)
+	if err := v.hashRing(seed); err != nil {
+		return nil, err
+	}
+	v.rng = prng.New(seed.Sum(nil))
 	return v, nil
+}
+
+// hashRing writes every block of the journal ring into h, in passes of
+// 64 KiB like Format's fill.
+func (v *Volume) hashRing(h hash.Hash) error {
+	pass := min(uint64(max((64<<10)/v.blockSize, 1)), v.journal)
+	if pass == 0 {
+		return nil
+	}
+	bufs := blockdev.AllocBlocks(int(pass), v.blockSize)
+	for i := uint64(0); i < v.journal; {
+		n := min(pass, v.journal-i)
+		if err := blockdev.ReadBlocks(v.dev, superBlock+1+i, bufs[:n]); err != nil {
+			return fmt.Errorf("stegfs: read journal ring: %w", err)
+		}
+		h.Write(bufs[0][:n*uint64(v.blockSize)])
+		i += n
+	}
+	return nil
 }
 
 func (v *Volume) writeSuper() error {

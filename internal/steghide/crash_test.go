@@ -392,7 +392,7 @@ func verifyC1Crash(t *testing.T, rig *c1CrashRig, torn bool) {
 	t.Helper()
 	rig.fd.Heal()
 	tornLoc, tornValid := rig.fd.CutBlock()
-	vol, err := stegfs.Open(rig.fd)
+	vol, err := stegfs.Open(rig.fd, prng.NewFromUint64(98))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +703,7 @@ func verifyC2Crash(t *testing.T, rig *c2CrashRig, coverFirst bool) {
 	ctx := context.Background()
 	t.Helper()
 	rig.fd.Heal()
-	vol, err := stegfs.Open(rig.fd)
+	vol, err := stegfs.Open(rig.fd, prng.NewFromUint64(98))
 	if err != nil {
 		t.Fatal(err)
 	}

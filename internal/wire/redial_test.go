@@ -346,7 +346,7 @@ func TestDrainLetsInflightFinish(t *testing.T) {
 			if _, err := stegfs.Format(mem, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("drain")}); err != nil {
 				t.Fatal(err)
 			}
-			vol, err := stegfs.Open(&slowDevice{Device: mem, delay: delay})
+			vol, err := stegfs.Open(&slowDevice{Device: mem, delay: delay}, prng.NewFromUint64(11))
 			if err != nil {
 				t.Fatal(err)
 			}

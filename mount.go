@@ -228,7 +228,9 @@ func WithLoginQuota(blocks uint64) Option {
 
 // WithSeed seeds the generator driving the agent's random choices —
 // fix the seed and a Mount-built stack reproduces a manually wired
-// one (NewPRNG(seed)) bit for bit. Without it the seed comes from
+// one (NewPRNG(seed)) bit for bit. The volume's generator is a child
+// of it: an opened volume's, and a formatted one's unless
+// FormatOptions.FillSeed is set. Without it the seed comes from
 // crypto/rand.
 func WithSeed(seed []byte) Option {
 	return func(c *mountConfig) error {
@@ -307,7 +309,12 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		dev = NewTracedDevice(dev, cfg.trace)
 	}
 
-	// Volume.
+	// Volume: its generator is a child of the stack's, unless the
+	// caller seeded the format.
+	rng := cfg.rng
+	if rng == nil {
+		rng = prng.New(mountEntropy())
+	}
 	var vol *Volume
 	var err error
 	if cfg.format != nil {
@@ -315,19 +322,18 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		if cfg.journal && fo.JournalBlocks == 0 {
 			fo.JournalBlocks = defaultJournalRing
 		}
+		if len(fo.FillSeed) == 0 {
+			fo.FillSeed = rng.Child("volume").Bytes(32)
+		}
 		vol, err = Format(dev, fo)
 	} else {
-		vol, err = OpenVolume(dev)
+		vol, err = OpenVolume(dev, rng.Child("volume"))
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	// Agent.
-	rng := cfg.rng
-	if rng == nil {
-		rng = prng.New(mountEntropy())
-	}
 	s := &Stack{
 		name: cfg.volName, dev: dev, base: base, vol: vol,
 		journal: cfg.journal, jpass: cfg.journalPass, secret: cfg.secret,

@@ -230,8 +230,9 @@ type (
 // a random fill that makes every block plausible ciphertext.
 func Format(dev Device, opts FormatOptions) (*Volume, error) { return stegfs.Format(dev, opts) }
 
-// OpenVolume opens an existing volume.
-func OpenVolume(dev Device) (*Volume, error) { return stegfs.Open(dev) }
+// OpenVolume opens an existing volume. rng is the caller's secret
+// generator: the volume keys its IV and filler stream from it.
+func OpenVolume(dev Device, rng *PRNG) (*Volume, error) { return stegfs.Open(dev, rng) }
 
 // DeriveFAK derives a file's access key from a passphrase and path.
 func DeriveFAK(passphrase, pathname string, vol *Volume) FAK {

@@ -20,7 +20,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := steghide.OpenVolume(dev); err != nil {
+	if _, err := steghide.OpenVolume(dev, steghide.NewPRNG([]byte("reopen"))); err != nil {
 		t.Fatal(err)
 	}
 
