@@ -597,6 +597,80 @@ func TestFSConformanceWriteBehind(t *testing.T) {
 			if _, err := fs.OpenRead(ctx, "/wb"); !errors.Is(err, steghide.ErrNotFound) {
 				t.Fatalf("open after delete: want ErrNotFound, got %v", err)
 			}
+
+			// A truncate stages like a write: the rows below hold on every
+			// surface, whether it is applied at once or rides the run.
+			readPath := func(path string, want []byte, when string) {
+				t.Helper()
+				got, err := steghide.ReadFile(ctx, fs, path)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: ReadFile differs from the model (len %d want %d, err=%v)", when, len(got), len(want), err)
+				}
+				if info, err := fs.Stat(ctx, path); err != nil || info.Size != uint64(len(want)) {
+					t.Fatalf("%s: stat %+v err=%v, want size %d", when, info, err, len(want))
+				}
+			}
+
+			// Truncate, then WriteAt past the new end, in one run: the
+			// write lands behind the cut, with zeros between.
+			if err := steghide.WriteFile(ctx, fs, "/tr", base[:20*ps]); err != nil {
+				t.Fatal(err)
+			}
+			tw, err := fs.OpenWrite(ctx, "/tr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = bytes.Clone(base[:10*ps])
+			copy(want[2*ps:], block('E'))
+			if _, err := tw.WriteAt(block('E'), int64(2*ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Truncate(ctx, "/tr", uint64(10*ps)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tw.WriteAt(block('F'), int64(12*ps)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, make([]byte, 12*ps-len(want))...), block('F')...)
+			readPath("/tr", want, "truncate then write past the new end")
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			readPath("/tr", want, "after the close")
+
+			// A shrinking WriteFile leaves no old tail.
+			if err := steghide.WriteFile(ctx, fs, "/tr", []byte("short")); err != nil {
+				t.Fatal(err)
+			}
+			readPath("/tr", []byte("short"), "shrinking WriteFile")
+
+			// The call that sends a truncate reports its error, and the
+			// truncate stays staged for the repeat: the handle's context
+			// dies before the Close that carries it, and a Save converges
+			// on the cut file.
+			if err := steghide.WriteFile(ctx, fs, "/tr", base[:20*ps]); err != nil {
+				t.Fatal(err)
+			}
+			cctx, cancel = context.WithCancel(ctx)
+			if wc, err = fs.OpenWrite(cctx, "/tr"); err != nil {
+				t.Fatal(err)
+			}
+			want = bytes.Clone(base[:3*ps])
+			copy(want[ps:], block('G'))
+			if _, err := wc.WriteAt(block('G'), int64(ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Truncate(ctx, "/tr", uint64(3*ps)); err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			if err := wc.Close(); !fx.writeThrough && (!errors.Is(err, context.Canceled) || !errors.As(err, &pe)) {
+				t.Fatalf("close under a dead context: want a *PathError carrying context.Canceled, got %v", err)
+			}
+			if err := fs.Save(ctx, "/tr"); err != nil {
+				t.Fatalf("save after the refused close: %v", err)
+			}
+			readPath("/tr", want, "after the converged save")
 		})
 	}
 }

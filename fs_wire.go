@@ -19,10 +19,10 @@ import (
 // concurrent calls pipeline on it, a context deadline bounds each
 // exchange, and cancellation abandons just that request.
 //
-// A handle's writes wait in the client, one run per path, and reach
-// the agent as one msgWriteV: the user's channel to the agent is
-// private (§3.2), so a round trip per write hides nothing the agent's
-// own open run does not already hold back.
+// A handle's writes and a truncate wait in the client, one run per
+// path, and reach the agent as one msgWriteV: the user's channel to
+// the agent is private (§3.2), so a round trip per call hides nothing
+// the agent's own open run does not already hold back.
 type remoteBackend struct {
 	c  *AgentClient
 	ps uint64 // the volume's payload size, from the login reply
@@ -32,16 +32,18 @@ type remoteBackend struct {
 }
 
 // remoteRun is one path's writes not yet sent to the agent, in call
-// order, their bytes leased from the memory plane. blocks is the
-// agent's open run as it will stand once they are staged: the distinct
-// logical blocks stegfs.File.Stage would hold, which decide where the
-// agent issues. mu is held across the round trip that sends the run,
-// so one path's writes reach the agent in call order while other
-// paths' calls go on.
+// order, their bytes leased from the memory plane, then a truncate to
+// size when cut is set. blocks is the agent's open run as it will
+// stand once they are applied: the distinct logical blocks
+// stegfs.File.Stage would hold, which decide where the agent issues.
+// mu is held across the round trip that sends the run, so one path's
+// calls reach the agent in call order while other paths' calls go on.
 type remoteRun struct {
 	mu     sync.Mutex
 	segs   []wire.Segment
 	bytes  int // staged bytes in segs
+	cut    bool
+	size   uint64
 	blocks []uint64
 }
 
@@ -72,13 +74,13 @@ func (r *remoteRun) stage(off uint64, n int, ps uint64) (issues bool) {
 	return issues
 }
 
-// sent returns the segments' leases once the agent has them.
+// sent returns the segments' leases once the agent has the run.
 func (r *remoteRun) sent() {
 	for _, s := range r.segs {
 		mempool.Recycle(s.Data)
 	}
 	clear(r.segs)
-	r.segs, r.bytes = r.segs[:0], 0
+	r.segs, r.bytes, r.cut = r.segs[:0], 0, false
 }
 
 // dialConfig collects DialFS options.
@@ -98,9 +100,8 @@ type DialOption func(*dialConfig)
 // retried only when the request provably never reached the server;
 // otherwise they fail with ErrMaybeApplied and the caller decides
 // (re-issuing a whole-content write is always safe). A handle's
-// writes wait in the client and travel with the call that sends them
-// — Save, the handle's Close, a read, Stat or Truncate of the path, or
-// the write that fills the run — so that call reports their failure,
+// writes and Truncate wait in the client and travel with the call that
+// sends them (see WriteHandle), so that call reports their failure,
 // ErrMaybeApplied included, and they stay staged for its repeat. The
 // zero policy means library defaults.
 func WithRetry(policy RetryPolicy) DialOption {
@@ -182,9 +183,10 @@ const wireWriteChunk = 1 << 20
 
 // send sends r and then p at off — the caller's buffer, not copied —
 // in frames carrying at most wireWriteChunk of p, the last one with the
-// save flag when save is set; the caller holds r.mu. r's leases return
-// once the agent has its segments; a failed frame leaves them staged for
-// the repeat. It reports how much of p the agent took.
+// save flag when save is set; the caller holds r.mu. r's truncate
+// rides the first frame, behind its segments (never before p: write
+// sends it first). A failed frame leaves r staged for the repeat. It
+// reports how much of p the agent took.
 func (b *remoteBackend) send(ctx context.Context, path string, r *remoteRun, save bool, p []byte, off uint64) (int, error) {
 	for written := 0; ; {
 		n := min(len(p)-written, wireWriteChunk)
@@ -193,7 +195,7 @@ func (b *remoteBackend) send(ctx context.Context, path string, r *remoteRun, sav
 			segs = append(segs, wire.Segment{Off: off + uint64(written), Data: p[written : written+n]})
 		}
 		last := written+n == len(p)
-		err := b.c.WriteV(ctx, path, save && last, segs...)
+		err := b.c.WriteV(ctx, path, wire.Then{Truncate: r.cut, Size: r.size, Save: save && last}, segs...)
 		if n > 0 {
 			segs[len(segs)-1].Data = nil // keep no reference to the caller's buffer
 		}
@@ -212,7 +214,7 @@ func (b *remoteBackend) send(ctx context.Context, path string, r *remoteRun, sav
 // stages: the agent issues nothing it would not have issued, and a read
 // still writes nothing to the device.
 func (b *remoteBackend) sendStaged(ctx context.Context, path string, r *remoteRun) error {
-	if len(r.segs) == 0 {
+	if len(r.segs) == 0 && !r.cut {
 		return nil
 	}
 	_, err := b.send(ctx, path, r, false, nil, 0)
@@ -261,9 +263,15 @@ func (b *remoteBackend) read(ctx context.Context, _ *openFile, path string, p []
 // The run is sent, p riding along uncopied, when the agent would issue
 // while staging p, so that it issues inside this call as a local
 // session does, or when p would take the run past wireWriteChunk bytes.
+// A staged truncate is sent first: the agent applies it after segments.
 func (b *remoteBackend) write(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
 	r := b.lock(path)
 	defer r.mu.Unlock()
+	if r.cut {
+		if err := b.sendStaged(ctx, path, r); err != nil {
+			return 0, err
+		}
+	}
 	if r.stage(off, len(p), b.ps) || r.bytes+len(p) > wireWriteChunk {
 		return b.send(ctx, path, r, false, p, off)
 	}
@@ -285,17 +293,18 @@ func (b *remoteBackend) save(ctx context.Context, _ *openFile, path string) erro
 	return nil
 }
 
-// truncate sends the run first, so that the agent decides which staged
-// blocks the new size drops.
+// truncate stages size behind path's writes, no round trip, after
+// sending a truncate already staged; the agent drops the staged blocks
+// past the new end.
 func (b *remoteBackend) truncate(ctx context.Context, _ *openFile, path string, size uint64) error {
 	r := b.lock(path)
 	defer r.mu.Unlock()
-	if err := b.sendStaged(ctx, path, r); err != nil {
-		return err
+	if r.cut {
+		if err := b.sendStaged(ctx, path, r); err != nil {
+			return err
+		}
 	}
-	if err := b.c.Truncate(ctx, path, size); err != nil {
-		return err
-	}
+	r.cut, r.size = true, size
 	end := (size + b.ps - 1) / b.ps
 	r.blocks = slices.DeleteFunc(r.blocks, func(li uint64) bool { return li >= end })
 	return nil

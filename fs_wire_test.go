@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -12,19 +13,20 @@ import (
 	"steghide"
 )
 
-// Agent-protocol message types a remote FS's writes travel in
-// (internal/wire/frame.go).
+// Agent-protocol message types a remote FS's reads and writes travel
+// in (internal/wire/frame.go).
 const (
-	wireMsgTruncate = 0x1A
-	wireMsgWriteV   = 0x1B
+	wireMsgRead   = 0x15
+	wireMsgWriteV = 0x1C
 )
 
 // sentFrame is one request a client sent an agent server: its type and,
-// for a msgWriteV, the save flag and the segment count.
+// for a msgWriteV, the truncate and save flags and the segment count.
 type sentFrame struct {
-	Type uint32
-	Save bool
-	Segs uint64
+	Type  uint32
+	Trunc bool
+	Save  bool
+	Segs  uint64
 }
 
 // agentTap is a listener that parses what the agent server reads into
@@ -62,8 +64,9 @@ func (c *agentTapConn) Read(p []byte) (int, error) {
 		if f.Type == wireMsgWriteV {
 			body := c.pending[16:end]
 			rest := body[8+binary.BigEndian.Uint64(body):] // behind the path
-			f.Save = binary.BigEndian.Uint64(rest) == 1
-			f.Segs = binary.BigEndian.Uint64(rest[8:])
+			flags := binary.BigEndian.Uint64(rest)
+			f.Save, f.Trunc = flags&1 != 0, flags&2 != 0
+			f.Segs = binary.BigEndian.Uint64(rest[16:]) // behind the target size
 		}
 		c.tap.mu.Lock()
 		c.tap.sent = append(c.tap.sent, f)
@@ -83,12 +86,13 @@ func (l *agentTap) cut() []sentFrame {
 }
 
 // TestRemoteRunIsOneFrame counts the frames a remote FS sends the agent
-// for the three write shapes of the rig's file mix. Sixteen scattered
-// single-block WriteAts send nothing, and the Close sends them with the
-// save as one msgWriteV. WriteFile of 256 KiB over an existing file is
-// three frames: its one large write, the truncate, the save. Writing a
-// 65th distinct block sends the run inside that WriteAt, so the agent
-// issues the first 64 where a local session would.
+// for the three shapes of the rig's file mix, on a disclosed path.
+// Sixteen scattered single-block WriteAts send nothing, and the Close
+// sends them with the save as one msgWriteV. WriteFile of 256 KiB over
+// an existing file is two frames: its one large write, then the
+// truncate riding the save. ReadFile is one msgRead. Writing a 65th
+// distinct block sends the run inside that WriteAt, so the agent issues
+// the first 64 where a local session would.
 func TestRemoteRunIsOneFrame(t *testing.T) {
 	ctx := context.Background()
 	stack, err := steghide.Mount(steghide.NewMemDevice(4096, 2048),
@@ -159,7 +163,11 @@ func TestRemoteRunIsOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("WriteFile(256 KiB) over an existing file",
-		sentFrame{Type: wireMsgWriteV, Segs: 1}, sentFrame{Type: wireMsgTruncate}, sentFrame{Type: wireMsgWriteV, Save: true})
+		sentFrame{Type: wireMsgWriteV, Segs: 1}, sentFrame{Type: wireMsgWriteV, Trunc: true, Save: true})
+	if got, err := steghide.ReadFile(ctx, fs, "/f"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes (err=%v), want the %d written", len(got), err, len(want))
+	}
+	expect("ReadFile(256 KiB)", sentFrame{Type: wireMsgRead})
 
 	if h, err = fs.OpenWrite(ctx, "/f"); err != nil {
 		t.Fatal(err)
@@ -185,5 +193,59 @@ func TestRemoteRunIsOneFrame(t *testing.T) {
 	expect("the Close after it", sentFrame{Type: wireMsgWriteV, Save: true})
 	if got, err := steghide.ReadFile(ctx, fs, "/f"); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("read back %d bytes (err=%v), want the %d written", len(got), err, len(want))
+	}
+}
+
+// chunkFS serves one file through chunkHandle; ReadFile calls nothing
+// else.
+type chunkFS struct {
+	steghide.FS
+	h *chunkHandle
+}
+
+func (c chunkFS) OpenRead(context.Context, string) (steghide.ReadHandle, error) { return c.h, nil }
+
+// chunkHandle is a file of full chunks and then a tail: reads past the
+// chunks return the tail and io.EOF, as every FS handle does on a short
+// read.
+type chunkHandle struct {
+	chunks int
+	tail   int
+}
+
+func (h *chunkHandle) ReadAt(p []byte, off int64) (int, error) {
+	if off < int64(h.chunks*len(p)) {
+		for i := range p {
+			p[i] = byte(off) + byte(i)
+		}
+		return len(p), nil
+	}
+	return copy(p, make([]byte, h.tail)), io.EOF
+}
+
+func (h *chunkHandle) Close() error { return nil }
+
+// TestReadFileAllocatesWhatItReceives pins ReadFile's allocation rule
+// without a Stat: ReadFile grows its result only by bytes a handle
+// actually returned, so whatever a hostile agent claims, the result's
+// capacity stays within one chunk of what it served, and a handle
+// that serves nothing costs no result at all.
+func TestReadFileAllocatesWhatItReceives(t *testing.T) {
+	ctx := context.Background()
+	for k := range 5 {
+		for _, tail := range []int{0, 100} {
+			h := &chunkHandle{chunks: k, tail: tail}
+			got, err := steghide.ReadFile(ctx, chunkFS{h: h}, "/f")
+			served := k*steghide.ReadFileChunk + tail
+			if err != nil || len(got) != served {
+				t.Fatalf("%d chunks and %d bytes: read %d bytes, err=%v", k, tail, len(got), err)
+			}
+			if slack := cap(got) - len(got); slack >= steghide.ReadFileChunk {
+				t.Fatalf("%d chunks and %d bytes: capacity %d, %d past what was served", k, tail, cap(got), slack)
+			}
+			if served == 0 && got != nil {
+				t.Fatalf("an empty file allocated a %d-byte result", cap(got))
+			}
+		}
 	}
 }

@@ -35,7 +35,7 @@ var publicLabels = []string{"", "volume-iv", "volume-iv-reopen", "fill"}
 // with 16 bytes a public stream predicts.
 func (a PublicStreamAdversary) Matches(image []byte) (int, error) {
 	bs := a.BlockSize
-	if bs < 64 || bs%16 != 0 || len(image) < bs || len(image)%bs != 0 {
+	if bs < 128 || bs%16 != 0 || len(image) < bs || len(image)%bs != 0 {
 		return 0, fmt.Errorf("attack: image of %d bytes in %d-byte blocks", len(image), bs)
 	}
 	salt, err := superblockSalt(image[:bs])

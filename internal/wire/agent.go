@@ -234,12 +234,16 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		if d.err != nil {
 			return errFrame(d.err)
 		}
+		// The reply is leased at the bytes it carries, not the n asked
+		// for (ReadFile asks for a chunk), bounded by the frame limit.
+		size, _, err := sess.Stat(path)
+		if err != nil {
+			return errFrame(err)
+		}
+		n = min(n, size-min(off, size))
 		if n > limit {
 			return errFrame(fmt.Errorf("wire: read of %d bytes exceeds limit", n))
 		}
-		// n is bounded by the negotiated frame limit (above) before any
-		// allocation; the reply buffer is leased from the memory plane
-		// and returned once the reply frame is written.
 		buf := mempool.Get(headerSize + int(n))
 		got, err := sess.Read(path, buf[headerSize:], off)
 		if err != nil {
@@ -249,8 +253,8 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 		return framed(msgOK, buf, got)
 	case msgWriteV:
 		// Every segment is decoded before any is staged, so a malformed
-		// frame stages nothing; a failing segment ends the run there.
-		path, save, segs, err := decodeWriteV(req.Body)
+		// frame stages nothing; a failing step ends the run there.
+		path, then, segs, err := decodeWriteV(req.Body)
 		if err != nil {
 			return errFrame(err)
 		}
@@ -259,7 +263,12 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 				return errFrame(err)
 			}
 		}
-		if save {
+		if then.Truncate {
+			if err := sess.Truncate(ctx, path, then.Size); err != nil {
+				return errFrame(err)
+			}
+		}
+		if then.Save {
 			if err := sess.Save(ctx, path); err != nil {
 				return errFrame(err)
 			}
@@ -271,16 +280,6 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 			return errFrame(d.err)
 		}
 		if err := sess.Delete(path); err != nil {
-			return errFrame(err)
-		}
-		return frame{Type: msgOK}
-	case msgTruncate:
-		path := d.str()
-		size := d.u64()
-		if d.err != nil {
-			return errFrame(d.err)
-		}
-		if err := sess.Truncate(ctx, path, size); err != nil {
 			return errFrame(err)
 		}
 		return frame{Type: msgOK}
@@ -307,7 +306,7 @@ func (s *AgentServer) handle(ctx context.Context, req frame, st *connSession, li
 // a transport fault redials with backoff, replays the login and every
 // disclosure (credentials are retained client-side for exactly this),
 // and retries the interrupted call if it is read-class. A mutating
-// call (create, WriteV, delete, truncate) is retried only when
+// call (create, WriteV, delete) is retried only when
 // the fault provably preceded its first byte on the wire; otherwise
 // it fails with ErrMaybeApplied and the caller must reconcile.
 type Client struct {
@@ -558,7 +557,8 @@ func (c *Client) Disclose(ctx context.Context, path string) (isDummy bool, size 
 	return dummy == 1, size, nil
 }
 
-// Read reads up to len(p) bytes at offset off of a disclosed file.
+// Read reads up to len(p) bytes at offset off of a disclosed file,
+// fewer only at its end; a longer reply is cut at len(p).
 func (c *Client) Read(ctx context.Context, path string, p []byte, off uint64) (int, error) {
 	e := &encoder{}
 	resp, err := c.do(ctx, e.str(path).u64(off).u64(uint64(len(p))).frame(msgRead), true)
@@ -576,31 +576,42 @@ type Segment struct {
 	Data []byte
 }
 
+// Then is what a WriteV does after its segments: resize the file to
+// Size when Truncate is set, then save it when Save is.
+type Then struct {
+	Truncate bool
+	Size     uint64
+	Save     bool
+}
+
 // WriteV stages segs into a disclosed file, in order, each as one write
-// into the file's open run, and then, with save set, saves the file:
-// its run is issued and its block map flushed. It is one round trip
-// however many segments ride in it; with no segments and save set it
-// is a plain save. A failing segment ends the call, the segments before
-// it staged. Not idempotent: a retry client re-sends it only when the
-// frame provably never left.
-func (c *Client) WriteV(ctx context.Context, path string, save bool, segs ...Segment) error {
-	_, err := c.do(ctx, writeVFrame(path, save, segs), false)
+// into the file's open run, then truncates and saves it as then asks
+// (a save issues the run and flushes the block map). It is one round
+// trip however many segments ride in it. A failing step ends the call,
+// the steps before it applied. Not idempotent: a retry client re-sends
+// it only when the frame provably never left.
+func (c *Client) WriteV(ctx context.Context, path string, then Then, segs ...Segment) error {
+	_, err := c.do(ctx, writeVFrame(path, then, segs), false)
 	return err
 }
 
-// writeVFrame encodes a msgWriteV body: the path, the save flag, the
-// segment count, then each segment's offset and bytes.
-func writeVFrame(path string, save bool, segs []Segment) frame {
-	n := 24 + len(path)
+// writeVFrame encodes a msgWriteV body: the path, the flags (bit 0
+// save, bit 1 truncate), the target size, the segment count, then each
+// segment's offset and bytes.
+func writeVFrame(path string, then Then, segs []Segment) frame {
+	n := 32 + len(path)
 	for _, s := range segs {
 		n += 16 + len(s.Data)
 	}
-	var flag uint64
-	if save {
-		flag = 1
+	var flags uint64
+	if then.Save {
+		flags |= 1
+	}
+	if then.Truncate {
+		flags |= 2
 	}
 	e := newEncoder(n)
-	e.str(path).u64(flag).u64(uint64(len(segs)))
+	e.str(path).u64(flags).u64(then.Size).u64(uint64(len(segs)))
 	for _, s := range segs {
 		e.u64(s.Off).bytes(s.Data)
 	}
@@ -610,19 +621,19 @@ func writeVFrame(path string, save bool, segs []Segment) frame {
 // decodeWriteV parses a msgWriteV body. A segment is at least its two
 // 8-byte fields, so the count is checked against what the rest of the
 // body can hold before the segment list is allocated: a lying count
-// cannot drive the allocation. Segment data are views into body.
-func decodeWriteV(body []byte) (path string, save bool, segs []Segment, err error) {
+// cannot drive the allocation. Unknown flags are malformed. Segment
+// data are views into body.
+func decodeWriteV(body []byte) (path string, then Then, segs []Segment, err error) {
 	d := &decoder{b: body}
 	path = d.str()
-	flag := d.u64()
-	n := d.u64()
+	flags, size, n := d.u64(), d.u64(), d.u64()
 	switch {
 	case d.err != nil:
-		return "", false, nil, d.err
-	case flag > 1:
-		return "", false, nil, fmt.Errorf("wire: write with save flag %d", flag)
+		return "", Then{}, nil, d.err
+	case flags > 3:
+		return "", Then{}, nil, fmt.Errorf("wire: write with flags %#x", flags)
 	case n > uint64(len(d.b))/16:
-		return "", false, nil, fmt.Errorf("wire: write of %d segments out of bounds", n)
+		return "", Then{}, nil, fmt.Errorf("wire: write of %d segments out of bounds", n)
 	}
 	segs = make([]Segment, n)
 	for i := range segs {
@@ -630,9 +641,9 @@ func decodeWriteV(body []byte) (path string, save bool, segs []Segment, err erro
 		segs[i].Data = d.raw()
 	}
 	if d.err != nil {
-		return "", false, nil, d.err
+		return "", Then{}, nil, d.err
 	}
-	return path, flag == 1, segs, nil
+	return path, Then{Truncate: flags&2 != 0, Size: size, Save: flags&1 != 0}, segs, nil
 }
 
 // Delete removes a disclosed file, donating its blocks to the user's
@@ -643,13 +654,6 @@ func (c *Client) Delete(ctx context.Context, path string) error {
 	if err == nil {
 		c.forget(path)
 	}
-	return err
-}
-
-// Truncate resizes a disclosed file to size bytes.
-func (c *Client) Truncate(ctx context.Context, path string, size uint64) error {
-	e := &encoder{}
-	_, err := c.do(ctx, e.str(path).u64(size).frame(msgTruncate), false)
 	return err
 }
 

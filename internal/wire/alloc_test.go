@@ -105,7 +105,7 @@ func bulkRoundTripBudget(t *testing.T) {
 		trip    func()
 	}{
 		{"256 KiB one-segment WriteV + Read", payload, func() {
-			if err := cli.WriteV(ctx, "/f", false, Segment{Data: data}); err != nil {
+			if err := cli.WriteV(ctx, "/f", Then{}, Segment{Data: data}); err != nil {
 				t.Fatal(err)
 			}
 			if n, err := cli.Read(ctx, "/f", got, 0); err != nil || n != payload {
@@ -113,7 +113,7 @@ func bulkRoundTripBudget(t *testing.T) {
 			}
 		}},
 		{"sixteen-segment WriteV with save", len(segs) * seg, func() {
-			if err := cli.WriteV(ctx, "/f", true, segs...); err != nil {
+			if err := cli.WriteV(ctx, "/f", Then{Save: true}, segs...); err != nil {
 				t.Fatal(err)
 			}
 		}},

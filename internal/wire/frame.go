@@ -25,8 +25,9 @@ const (
 	msgWriteBlocks   = 0x05
 	msgReadBlocksAt  = 0x06
 	msgWriteBlocksAt = 0x07
-	// Agent protocol. 0x16 and 0x17 (one write, one save) are retired:
-	// msgWriteV carries a run of writes and the save in one frame.
+	// Agent protocol. msgWriteV carries writes, a truncate and the save;
+	// 0x16, 0x17, 0x1A and 0x1B (its body without the truncate) are
+	// retired: an older peer meets "unknown message type".
 	msgLogin       = 0x10
 	msgLogout      = 0x11
 	msgCreate      = 0x12
@@ -35,8 +36,7 @@ const (
 	msgRead        = 0x15
 	msgDelete      = 0x18
 	msgList        = 0x19
-	msgTruncate    = 0x1A
-	msgWriteV      = 0x1B
+	msgWriteV      = 0x1C
 	// Control plane. msgHello is the first frame in each direction (a
 	// peer from before it answers msgErr, "unknown message type", which
 	// the dialer reports as ErrProtoVersion); msgCancel names the

@@ -64,9 +64,10 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(lying.body())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(writeVFrame("/f", true, []Segment{{Off: 3, Data: []byte("seg")}}).Body)
+	f.Add(writeVFrame("/f", Then{Save: true}, []Segment{{Off: 3, Data: []byte("seg")}}).Body)
+	f.Add(writeVFrame("/f", Then{Truncate: true, Size: 1 << 40, Save: true}, []Segment{{Off: 3, Data: []byte("seg")}}).Body)
 	lyingV := &encoder{}
-	lyingV.str("/f").u64(1).u64(1 << 40) // a segment count no body can hold
+	lyingV.str("/f").u64(1).u64(0).u64(1 << 40) // a segment count no body can hold
 	f.Add(lyingV.body())
 
 	f.Fuzz(func(t *testing.T, data []byte) {

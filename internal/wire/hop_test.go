@@ -248,11 +248,11 @@ func TestOneWritePerFrameAgent(t *testing.T) {
 		{msgLogin, func() error { return cli.Login(ctx, "", "alice", "pw") }},
 		{msgCreateDummy, func() error { return cli.CreateDummy(ctx, "/cover", 1024) }},
 		{msgCreate, func() error { return cli.Create(ctx, "/f") }},
-		{msgWriteV, func() error { return cli.WriteV(ctx, "/f", false, Segment{Off: 0, Data: chunk}) }},
+		{msgWriteV, func() error { return cli.WriteV(ctx, "/f", Then{}, Segment{Off: 0, Data: chunk}) }},
 		{msgRead, func() error { _, err := cli.Read(ctx, "/f", got, 0); return err }},
-		{msgWriteV, func() error { return cli.WriteV(ctx, "/f", true) }},
+		{msgWriteV, func() error { return cli.WriteV(ctx, "/f", Then{Save: true}) }},
 		{msgDisclose, func() error { _, _, err := cli.Disclose(ctx, "/f"); return err }},
-		{msgTruncate, func() error { return cli.Truncate(ctx, "/f", 100) }},
+		{msgWriteV, func() error { return cli.WriteV(ctx, "/f", Then{Truncate: true, Size: 100}) }},
 		{msgList, func() error { _, err := cli.Files(ctx); return err }},
 		{msgDelete, func() error { return cli.Delete(ctx, "/f") }},
 		{msgDisclose, func() error { // an error reply
@@ -632,7 +632,7 @@ func TestRecycledRequestNeverReachesPeer(t *testing.T) {
 				if r%2 == 1 {
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(20+rng.Uint64n(2000))*time.Microsecond)
 				}
-				err := cli.WriteV(ctx, path, false, Segment{Off: 0, Data: data})
+				err := cli.WriteV(ctx, path, Then{}, Segment{Off: 0, Data: data})
 				cancel()
 				if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 					t.Errorf("agent worker %d: %v", w, err)

@@ -221,10 +221,10 @@ func TestReadRetriesTransparently(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(7).Bytes(300)
-	if err := cli.WriteV(ctx, "/f", false, Segment{Off: 0, Data: msg}); err != nil {
+	if err := cli.WriteV(ctx, "/f", Then{}, Segment{Off: 0, Data: msg}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.WriteV(ctx, "/f", true); err != nil {
+	if err := cli.WriteV(ctx, "/f", Then{Save: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -283,7 +283,7 @@ func TestDrainHandsOffToNextAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(8).Bytes(200)
-	if err := cli.WriteV(context.Background(), "/f", false, Segment{Off: 0, Data: msg}); err != nil {
+	if err := cli.WriteV(context.Background(), "/f", Then{}, Segment{Off: 0, Data: msg}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,7 +302,7 @@ func TestDrainHandsOffToNextAddress(t *testing.T) {
 	if string(buf) != string(msg) {
 		t.Fatal("content lost across drain handoff")
 	}
-	if err := cli.WriteV(context.Background(), "/f", false, Segment{Off: uint64(len(msg)), Data: msg}); err != nil {
+	if err := cli.WriteV(context.Background(), "/f", Then{}, Segment{Off: uint64(len(msg)), Data: msg}); err != nil {
 		t.Fatalf("write after drain: %v", err)
 	}
 }
@@ -432,7 +432,7 @@ func TestRetrySurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(9).Bytes(128)
-	if err := cli.WriteV(context.Background(), "/f", false, Segment{Off: 0, Data: msg}); err != nil {
+	if err := cli.WriteV(context.Background(), "/f", Then{}, Segment{Off: 0, Data: msg}); err != nil {
 		t.Fatal(err)
 	}
 

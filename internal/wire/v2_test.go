@@ -116,7 +116,7 @@ func interopAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(9).Bytes(500)
-	if err := cli.WriteV(ctx, "/f", false, Segment{Off: 0, Data: msg}); err != nil {
+	if err := cli.WriteV(ctx, "/f", Then{}, Segment{Off: 0, Data: msg}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
@@ -292,10 +292,10 @@ func TestMultiVolumeServing(t *testing.T) {
 		if err := cli.Create(ctx, path); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.WriteV(ctx, path, false, Segment{Off: 0, Data: msg}); err != nil {
+		if err := cli.WriteV(ctx, path, Then{}, Segment{Off: 0, Data: msg}); err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.WriteV(ctx, path, true); err != nil {
+		if err := cli.WriteV(ctx, path, Then{Save: true}); err != nil {
 			t.Fatal(err)
 		}
 		if err := cli.Logout(ctx); err != nil {
@@ -493,7 +493,7 @@ func TestCancelUnderLoad(t *testing.T) {
 	}
 	ps := vol.PayloadSize()
 	content := prng.NewFromUint64(12).Bytes(4 * ps)
-	if err := cli.WriteV(context.Background(), "/f", false, Segment{Off: 0, Data: content}); err != nil {
+	if err := cli.WriteV(context.Background(), "/f", Then{}, Segment{Off: 0, Data: content}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -155,7 +155,7 @@ func TestAgentOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := prng.NewFromUint64(9).Bytes(700)
-	if err := cli.WriteV(ctx, "/secret", false, Segment{Off: 0, Data: msg}); err != nil {
+	if err := cli.WriteV(ctx, "/secret", Then{}, Segment{Off: 0, Data: msg}); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
@@ -165,7 +165,7 @@ func TestAgentOverWire(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("content mismatch over wire")
 	}
-	if err := cli.WriteV(ctx, "/secret", true); err != nil {
+	if err := cli.WriteV(ctx, "/secret", Then{Save: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.Logout(ctx); err != nil {
@@ -245,7 +245,7 @@ func TestConnectionDropLogsOut(t *testing.T) {
 	want := make([]byte, 3*ps)
 	copy(want, bytes.Repeat([]byte{'a'}, ps))
 	copy(want[2*ps:], bytes.Repeat([]byte{'c'}, ps))
-	if err := cli.WriteV(ctx, "/f", false,
+	if err := cli.WriteV(ctx, "/f", Then{},
 		Segment{Data: want[:ps]}, Segment{Off: uint64(2 * ps), Data: want[2*ps:]}); err != nil {
 		t.Fatal(err)
 	}

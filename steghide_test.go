@@ -175,7 +175,7 @@ func TestPublicAPIAttackersAndWire(t *testing.T) {
 	if err := cli.Create(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.WriteV(ctx, "/f", false, wire.Segment{Data: []byte("wire")}); err != nil {
+	if err := cli.WriteV(ctx, "/f", wire.Then{}, wire.Segment{Data: []byte("wire")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cli.Logout(ctx); err != nil {
