@@ -93,7 +93,8 @@ type ReadHandle interface {
 // the agent with the call that sends them: Save, Close, a read or Stat
 // of the path, a write or Truncate behind a staged Truncate, or the
 // write that fills the run. That call reports their failure —
-// ErrMaybeApplied included — and they stay staged for its repeat.
+// ErrMaybeApplied included — and they stay staged for its repeat, but
+// for a Truncate the agent refuses: that error is reported once.
 type WriteHandle interface {
 	io.WriterAt
 	io.Closer

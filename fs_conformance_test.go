@@ -671,6 +671,20 @@ func TestFSConformanceWriteBehind(t *testing.T) {
 				t.Fatalf("save after the refused close: %v", err)
 			}
 			readPath("/tr", want, "after the converged save")
+
+			// A refused truncate is reported once, by the call that sends
+			// it: Truncate itself where it applies at once, else the Stat
+			// it rides. The path stays usable: a valid Truncate and a
+			// ReadFile then succeed.
+			terr := fs.Truncate(ctx, "/tr", 1<<50)
+			_, serr := fs.Stat(ctx, "/tr")
+			if (terr == nil) == (serr == nil) {
+				t.Fatalf("truncate past the maximum size: want one error, from Truncate or the Stat behind it, got %v and %v", terr, serr)
+			}
+			if err := fs.Truncate(ctx, "/tr", uint64(2*ps)); err != nil {
+				t.Fatalf("truncate after a refused one: %v", err)
+			}
+			readPath("/tr", want[:2*ps], "after a refused truncate")
 		})
 	}
 }

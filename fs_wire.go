@@ -80,7 +80,7 @@ func (r *remoteRun) sent() {
 		mempool.Recycle(s.Data)
 	}
 	clear(r.segs)
-	r.segs, r.bytes, r.cut = r.segs[:0], 0, false
+	r.segs, r.bytes, r.cut, r.size = r.segs[:0], 0, false, 0
 }
 
 // dialConfig collects DialFS options.
@@ -185,8 +185,10 @@ const wireWriteChunk = 1 << 20
 // in frames carrying at most wireWriteChunk of p, the last one with the
 // save flag when save is set; the caller holds r.mu. r's truncate
 // rides the first frame, behind its segments (never before p: write
-// sends it first). A failed frame leaves r staged for the repeat. It
-// reports how much of p the agent took.
+// sends it first). A failed frame leaves r staged for the repeat, but
+// for its truncate when the agent replies with an error: that is
+// reported once and dropped, as a local Truncate reports it and leaves
+// the file usable. It reports how much of p the agent took.
 func (b *remoteBackend) send(ctx context.Context, path string, r *remoteRun, save bool, p []byte, off uint64) (int, error) {
 	for written := 0; ; {
 		n := min(len(p)-written, wireWriteChunk)
@@ -200,6 +202,9 @@ func (b *remoteBackend) send(ctx context.Context, path string, r *remoteRun, sav
 			segs[len(segs)-1].Data = nil // keep no reference to the caller's buffer
 		}
 		if err != nil {
+			if errors.Is(err, wire.ErrRemote) && !errors.Is(err, context.Canceled) {
+				r.cut, r.size = false, 0
+			}
 			return written, err
 		}
 		r.sent()
@@ -209,16 +214,26 @@ func (b *remoteBackend) send(ctx context.Context, path string, r *remoteRun, sav
 	}
 }
 
-// sendStaged sends r's writes, if any, so that the agent serves the call
-// that follows with them in place; the caller holds r.mu. Sending
-// stages: the agent issues nothing it would not have issued, and a read
-// still writes nothing to the device.
+// sendStaged sends r's writes and truncate, if any, so that the agent
+// serves the call that follows with them in place; the caller holds
+// r.mu. Sending stages writes: the agent issues nothing it would not
+// have issued. A truncate that grows the file issues its growth there,
+// so a read or Stat that carries one writes to the device.
 func (b *remoteBackend) sendStaged(ctx context.Context, path string, r *remoteRun) error {
 	if len(r.segs) == 0 && !r.cut {
 		return nil
 	}
 	_, err := b.send(ctx, path, r, false, nil, 0)
 	return err
+}
+
+// sendCut sends r if it holds a truncate, which the agent applies
+// after segments: a write or truncate behind it goes in a later frame.
+func (b *remoteBackend) sendCut(ctx context.Context, path string, r *remoteRun) error {
+	if !r.cut {
+		return nil
+	}
+	return b.sendStaged(ctx, path, r)
 }
 
 // sendPath is sendStaged for a call that does not hold path's run.
@@ -263,14 +278,11 @@ func (b *remoteBackend) read(ctx context.Context, _ *openFile, path string, p []
 // The run is sent, p riding along uncopied, when the agent would issue
 // while staging p, so that it issues inside this call as a local
 // session does, or when p would take the run past wireWriteChunk bytes.
-// A staged truncate is sent first: the agent applies it after segments.
 func (b *remoteBackend) write(ctx context.Context, _ *openFile, path string, p []byte, off uint64) (int, error) {
 	r := b.lock(path)
 	defer r.mu.Unlock()
-	if r.cut {
-		if err := b.sendStaged(ctx, path, r); err != nil {
-			return 0, err
-		}
+	if err := b.sendCut(ctx, path, r); err != nil {
+		return 0, err
 	}
 	if r.stage(off, len(p), b.ps) || r.bytes+len(p) > wireWriteChunk {
 		return b.send(ctx, path, r, false, p, off)
@@ -299,10 +311,8 @@ func (b *remoteBackend) save(ctx context.Context, _ *openFile, path string) erro
 func (b *remoteBackend) truncate(ctx context.Context, _ *openFile, path string, size uint64) error {
 	r := b.lock(path)
 	defer r.mu.Unlock()
-	if r.cut {
-		if err := b.sendStaged(ctx, path, r); err != nil {
-			return err
-		}
+	if err := b.sendCut(ctx, path, r); err != nil {
+		return err
 	}
 	r.cut, r.size = true, size
 	end := (size + b.ps - 1) / b.ps

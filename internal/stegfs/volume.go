@@ -242,9 +242,11 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Volume, error) {
 // Open reads the superblock of an existing volume on dev. rng is the
 // caller's secret generator, which Open does not draw from: the volume
 // keys its IV and filler stream from a child of it mixed with every
-// block Open reads, the superblock and the journal ring. Every write to
-// a volume with a ring appends to the ring, so a reopen under the same
-// seed does not replay the IVs an earlier session drew.
+// block Open reads, the superblock and the journal ring. With the
+// journal on, every write appends to the ring, so a reopen under the
+// same seed does not replay the IVs an earlier session drew; with it
+// off, or on a volume without a ring, a reopen under a fixed seed
+// replays them.
 func Open(dev blockdev.Device, rng *prng.PRNG) (*Volume, error) {
 	if rng == nil {
 		return nil, errors.New("stegfs: Open needs the caller's generator")

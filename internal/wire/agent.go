@@ -621,8 +621,8 @@ func writeVFrame(path string, then Then, segs []Segment) frame {
 // decodeWriteV parses a msgWriteV body. A segment is at least its two
 // 8-byte fields, so the count is checked against what the rest of the
 // body can hold before the segment list is allocated: a lying count
-// cannot drive the allocation. Unknown flags are malformed. Segment
-// data are views into body.
+// cannot drive the allocation. Unknown flags, and a size without the
+// truncate flag, are malformed. Segment data are views into body.
 func decodeWriteV(body []byte) (path string, then Then, segs []Segment, err error) {
 	d := &decoder{b: body}
 	path = d.str()
@@ -632,6 +632,8 @@ func decodeWriteV(body []byte) (path string, then Then, segs []Segment, err erro
 		return "", Then{}, nil, d.err
 	case flags > 3:
 		return "", Then{}, nil, fmt.Errorf("wire: write with flags %#x", flags)
+	case flags&2 == 0 && size != 0:
+		return "", Then{}, nil, fmt.Errorf("wire: write with size %d and no truncate", size)
 	case n > uint64(len(d.b))/16:
 		return "", Then{}, nil, fmt.Errorf("wire: write of %d segments out of bounds", n)
 	}

@@ -72,10 +72,11 @@ func TestWriteVTruncatedStagesNothing(t *testing.T) {
 // an unknown flag is malformed.
 func TestDecodeWriteVRefusesLyingCounts(t *testing.T) {
 	for name, body := range map[string][]byte{
-		"count beyond body":    (&encoder{}).str("/f").u64(0).u64(0).u64(1 << 40).body(),
-		"count one too many":   (&encoder{}).str("/f").u64(1).u64(0).u64(2).u64(0).bytes([]byte{1}).body(),
-		"unknown flag":         (&encoder{}).str("/f").u64(4).u64(0).u64(0).body(),
-		"body before the size": (&encoder{}).str("/f").u64(1).u64(0).body(),
+		"count beyond body":     (&encoder{}).str("/f").u64(0).u64(0).u64(1 << 40).body(),
+		"count one too many":    (&encoder{}).str("/f").u64(1).u64(0).u64(2).u64(0).bytes([]byte{1}).body(),
+		"unknown flag":          (&encoder{}).str("/f").u64(4).u64(0).u64(0).body(),
+		"body before the size":  (&encoder{}).str("/f").u64(1).u64(0).body(),
+		"size without truncate": (&encoder{}).str("/f").u64(1).u64(5).u64(0).body(),
 	} {
 		if _, _, segs, err := decodeWriteV(body); err == nil || segs != nil {
 			t.Errorf("%s: decoded %d segments, err=%v", name, len(segs), err)
