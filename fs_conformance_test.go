@@ -685,6 +685,20 @@ func TestFSConformanceWriteBehind(t *testing.T) {
 				t.Fatalf("truncate after a refused one: %v", err)
 			}
 			readPath("/tr", want[:2*ps], "after a refused truncate")
+
+			// A shrink inside a block, then a regrow: the bytes past the
+			// cut read zeros, not what the block held before.
+			if err := steghide.WriteFile(ctx, fs, "/rg", bytes.Repeat([]byte("x"), 4*ps)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Truncate(ctx, "/rg", uint64(ps+3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Truncate(ctx, "/rg", uint64(2*ps)); err != nil {
+				t.Fatal(err)
+			}
+			want = append(bytes.Repeat([]byte("x"), ps+3), make([]byte, ps-3)...)
+			readPath("/rg", want, "mid-block shrink then regrow")
 		})
 	}
 }

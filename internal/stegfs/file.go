@@ -610,7 +610,8 @@ func (f *File) flushWith(li uint64, p []byte, policy UpdatePolicy) error {
 // fresh random blocks (zero-filled and written immediately, so the
 // blocks exist on disk); shrinkage releases blocks back to the source
 // — their ciphertext remains in place as plausible dummy content — and
-// drops what the open run held for them.
+// drops what the open run held for them. A shrink to a size inside a
+// block stages zeros over that block's tail.
 func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 	ps := uint64(f.vol.PayloadSize())
 	want := (size + ps - 1) / ps
@@ -618,6 +619,15 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 		return fmt.Errorf("%w: %d blocks", ErrTooLarge, want)
 	}
 	cur := uint64(len(f.blocks))
+	if cut := size % ps; size < f.size && cut != 0 {
+		// A cut inside a block zeroes the block's tail, so a regrow
+		// reads zeros there. The zeroed tail is staged like a write and
+		// leaves through the policy with the run, never in place; it is
+		// staged first so a refused run leaves the file as it was.
+		if err := f.merge(want-1, int(cut), make([]byte, ps-cut), policy); err != nil {
+			return err
+		}
+	}
 	switch {
 	case want > cur:
 		// Acquire all new locations first, then materialize them with
