@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,6 +71,82 @@ func TestPublicAPIGolden(t *testing.T) {
 	t.Errorf("public API changed.\nadded:\n  %s\nremoved:\n  %s\n"+
 		"If intentional, regenerate with: go test -run PublicAPIGolden -update-api-golden .",
 		strings.Join(added, "\n  "), strings.Join(removed, "\n  "))
+}
+
+// exportsWithoutCallers lists the top-level functions that no program
+// in cmd/, examples/ or bench/ calls, each with the reason it stays.
+var exportsWithoutCallers = map[string]string{
+	"WithTrace": "every Definition-1 oracle taps a Mount-built stack through it",
+}
+
+// TestExportsHaveCallers keeps the facade to one way in: every
+// top-level function in api.golden is called as steghide.X by a
+// program in cmd/, examples/ or bench/ (found in the parsed source, so
+// a comment does not count), or sits on exportsWithoutCallers.
+func TestExportsHaveCallers(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "api.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if decl, ok := strings.CutPrefix(line, "func "); ok && !strings.HasPrefix(decl, "(") {
+			funcs[decl[:strings.Index(decl, "(")]] = true
+		}
+	}
+	called := map[string]bool{}
+	for _, root := range []string{"cmd", "examples", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // build output
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg := ""
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"steghide"` {
+					pkg = "steghide"
+					if imp.Name != nil {
+						pkg = imp.Name.Name
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && pkg != "" && id.Name == pkg {
+						called[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for fn := range funcs {
+		_, allowed := exportsWithoutCallers[fn]
+		switch {
+		case called[fn] && allowed:
+			t.Errorf("%s has a caller now: drop it from exportsWithoutCallers", fn)
+		case !called[fn] && !allowed:
+			t.Errorf("no program in cmd/, examples/ or bench/ calls steghide.%s: fold it into Mount, DialFS or NewServer, or delete it", fn)
+		}
+	}
+	for fn := range exportsWithoutCallers {
+		if !funcs[fn] {
+			t.Errorf("exportsWithoutCallers names %s, which api.golden does not list", fn)
+		}
+	}
 }
 
 // renderPublicAPI extracts every exported declaration of the package

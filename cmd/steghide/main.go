@@ -461,24 +461,28 @@ func cmdClient(args []string) error {
 		return fmt.Errorf("client needs -user, -pass and an operation (see -h)")
 	}
 
-	cfg := steghide.ClientConfig{
-		Agent:      *agentAddr,
-		Volume:     *volume,
-		User:       *user,
-		Passphrase: *pass,
-		Retry:      *retry,
-		Fallbacks:  fallbacks,
+	var opts []steghide.DialOption
+	if *retry || len(fallbacks) > 0 {
+		opts = append(opts, steghide.WithRetry(steghide.RetryPolicy{}))
 	}
-	if *cluster != "" {
-		for _, a := range strings.Split(*cluster, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				cfg.Cluster = append(cfg.Cluster, a)
-			}
-		}
+	if len(fallbacks) > 0 {
+		opts = append(opts, steghide.WithRedial(fallbacks...))
 	}
 	// The remote session is the same steghide.FS a local login gets —
 	// a fleet included; the wire round-trips the error taxonomy.
-	vault, err := cfg.Dial(ctx)
+	var vault steghide.FS
+	var err error
+	if *cluster != "" {
+		var addrs []string
+		for _, a := range strings.Split(*cluster, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				addrs = append(addrs, a)
+			}
+		}
+		vault, err = steghide.DialClusterFS(ctx, addrs, *user, *pass, opts...)
+	} else {
+		vault, err = steghide.DialFS(ctx, *agentAddr, *user, *pass, append(opts, steghide.WithVolume(*volume))...)
+	}
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -10,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"steghide"
 )
 
 // buildBinary compiles the CLI once per test run.
@@ -183,5 +187,71 @@ func TestCLIAgentOpsEndpoint(t *testing.T) {
 	}
 	if code, _ := get("/debug/pprof/cmdline"); code != 200 {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
+	}
+}
+
+// TestCLIClient drives the client subcommand against an agent daemon
+// serving a default and a named volume: -ping, put then get as two
+// logins on the named volume, -cluster over one shard, and a dead
+// -agent whose -fallback takes the session.
+func TestCLIClient(t *testing.T) {
+	bin := buildBinary(t)
+	var storage []string
+	for _, name := range []string{"default.img", "work.img"} {
+		img := filepath.Join(t.TempDir(), name)
+		if out, err := exec.Command(bin, "format", "-img", img, "-blocks", "512", "-bs", "1024").CombinedOutput(); err != nil {
+			t.Fatalf("format: %v\n%s", err, out)
+		}
+		line := startDaemon(t, bin, "storage", "-img", img, "-bs", "1024", "-addr", "127.0.0.1:0").waitLine(t, "storage: serving")
+		storage = append(storage, line[strings.LastIndex(line, " on ")+len(" on "):])
+	}
+	line := startDaemon(t, bin, "agent", "-storage", storage[0], "-volume", "work="+storage[1],
+		"-addr", "127.0.0.1:0", "-dummy-interval", "0").waitLine(t, "clients=")
+	agent := line[strings.LastIndex(line, "clients=")+len("clients="):]
+
+	client := func(stdin string, args ...string) string {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"client"}, args...)...)
+		cmd.Stdin = strings.NewReader(stdin)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("client %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+
+	if out := client("", "-agent", agent, "-ping"); !strings.Contains(out, agent+" alive") {
+		t.Fatalf("-ping printed %q", out)
+	}
+
+	// A one-shot put finds no relocation targets of its own: a session
+	// held open here discloses cover on the work volume for it.
+	ctx := context.Background()
+	cover, err := steghide.DialFS(ctx, agent, "cover", "pw", steghide.WithVolume("work"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cover.Close()
+	if err := cover.CreateDummy(ctx, "/cover", 128); err != nil {
+		t.Fatal(err)
+	}
+	const secret = "meet at the usual place"
+	client(secret, "-agent", agent, "-volume", "work", "-user", "alice", "-pass", "pw", "put", "/doc")
+	if out := client("", "-agent", agent, "-volume", "work", "-user", "alice", "-pass", "pw", "get", "/doc"); out != secret {
+		t.Fatalf("get on the work volume printed %q, want %q", out, secret)
+	}
+
+	if out := client("", "-cluster", agent, "-user", "bob", "-pass", "pw", "mkdummy", "/c", "16"); !strings.Contains(out, "dummy /c: 16 blocks") {
+		t.Fatalf("-cluster mkdummy printed %q", out)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	if out := client("", "-agent", dead, "-fallback", agent, "-volume", "work", "-user", "alice", "-pass", "pw", "get", "/doc"); out != secret {
+		t.Fatalf("get through the fallback printed %q, want %q", out, secret)
 	}
 }

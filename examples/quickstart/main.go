@@ -28,7 +28,7 @@ func main() {
 	// indistinguishable), the trusted volatile agent of the system
 	// model (Construction 2 — no persistent secrets), and whatever
 	// else the options ask for (WithJournal, WithDaemon, WithTrace,
-	// WithStripe, WithSim, WithObliviousCache...).
+	// WithStripe, WithObliviousCache...).
 	stack, err := steghide.Mount(dev,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("demo entropy")}),
 		steghide.WithConstruction2(),

@@ -84,11 +84,11 @@ func main() {
 	fmt.Printf("agent server on %s serving volumes %v\n\n", agentAddr, agentSrv.Volumes())
 
 	// --- Alice stores a secret on the personal volume ------------------
-	// DialVolumeFS returns the same steghide.FS a local login would;
-	// the volume name routes the session, and the wire protocol
+	// DialFS returns the same steghide.FS a local login would;
+	// WithVolume's name routes the session, and the wire protocol
 	// round-trips the error taxonomy, so nothing below cares that the
 	// agent is remote.
-	alice, err := steghide.DialVolumeFS(ctx, agentAddr, "personal", "alice", "alice-passphrase")
+	alice, err := steghide.DialFS(ctx, agentAddr, "alice", "alice-passphrase", steghide.WithVolume("personal"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func main() {
 	fmt.Printf("alice stored %d bytes on %q\n", len(secret), "personal")
 
 	// --- the volumes are disjoint worlds -------------------------------
-	aliceWork, err := steghide.DialVolumeFS(ctx, agentAddr, "work", "alice", "alice-passphrase")
+	aliceWork, err := steghide.DialFS(ctx, agentAddr, "alice", "alice-passphrase", steghide.WithVolume("work"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func main() {
 	must(aliceWork.Close())
 
 	// --- Bob cannot see Alice's file even on her volume ----------------
-	bob, err := steghide.DialVolumeFS(ctx, agentAddr, "personal", "bob", "bob-passphrase")
+	bob, err := steghide.DialFS(ctx, agentAddr, "bob", "bob-passphrase", steghide.WithVolume("personal"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func main() {
 
 	// --- Alice reads it back from a fresh session ----------------------
 	must(alice.Close())
-	alice2, err := steghide.DialVolumeFS(ctx, agentAddr, "personal", "alice", "alice-passphrase")
+	alice2, err := steghide.DialFS(ctx, agentAddr, "alice", "alice-passphrase", steghide.WithVolume("personal"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func main() {
 	// breaks, the client re-dials with backoff, replays the login and
 	// the session's disclosures, and retries the interrupted read. The
 	// user just sees a slow call, not a dead vault.
-	carol, err := steghide.DialVolumeFS(ctx, agentAddr, "personal", "carol", "carol-passphrase",
+	carol, err := steghide.DialFS(ctx, agentAddr, "carol", "carol-passphrase", steghide.WithVolume("personal"),
 		steghide.WithRetry(steghide.RetryPolicy{MaxRetries: 8, BaseBackoff: 20 * time.Millisecond}))
 	if err != nil {
 		log.Fatal(err)

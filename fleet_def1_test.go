@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"steghide"
+	"steghide/internal/attack"
 )
 
 // def1Shard is one fleet member with its own traced device, stack and
@@ -126,7 +127,7 @@ func TestFleetPerShardDefinition1(t *testing.T) {
 	}
 	active := observeInterval(t, shards)
 	for i, s := range shards {
-		v, err := steghide.CompareStreams(idle[i], active[i], nBlocks, bins)
+		v, err := attack.CompareStreams(idle[i], active[i], nBlocks, bins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestFleetPerShardDefinition1(t *testing.T) {
 	idle2 := observeInterval(t, shards)
 
 	for i, s := range shards[:3] {
-		v, err := steghide.CompareStreams(idle[i], rebal[i], nBlocks, bins)
+		v, err := attack.CompareStreams(idle[i], rebal[i], nBlocks, bins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func TestFleetPerShardDefinition1(t *testing.T) {
 	}
 	// The joined shard received the migrated files; its rebalance
 	// interval must match its own subsequent idle interval.
-	v, err := steghide.CompareStreams(rebal[3], idle2[3], nBlocks, bins)
+	v, err := attack.CompareStreams(rebal[3], idle2[3], nBlocks, bins)
 	if err != nil {
 		t.Fatal(err)
 	}

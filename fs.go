@@ -12,10 +12,10 @@ import (
 // users issue file requests, the trusted agent hides the accesses,
 // and the raw storage sees one uniform stream. Every front-end of
 // this package returns the same implementation over a different
-// backend — Construction 2 sessions (NewSessionFS, Stack.Login),
-// Construction 1 agents (NewAgentFS), remote agent connections
-// (DialFS, DialVolumeFS), and the §5 read-hiding composition
-// (NewObliviousReadFS) — and Cluster routes over any of them, so no
+// backend — Construction 2 sessions (Stack.Login), Construction 1
+// agents (Stack.Login, NewAgentFS), remote agent connections (DialFS),
+// and the §5 read-hiding composition (Stack.Login with
+// WithObliviousCache) — and Cluster routes over any of them, so no
 // caller has to care which construction sits behind the interface,
 // and no hiding guarantee depends on it.
 //

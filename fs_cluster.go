@@ -15,7 +15,7 @@ import (
 // Cluster is one deniable namespace over many shard volumes: an FS
 // whose files live on N independent daemons, placed by keyed
 // consistent hashing of the hidden pathname (internal/fleet). The
-// placement key derives from the login secret (ClusterKey), so the
+// placement key derives from the login secret (clusterKey), so the
 // file→shard map is as hidden as the pathnames themselves — an
 // observer holding every shard's ciphertext cannot evaluate it.
 //
@@ -53,19 +53,19 @@ type Cluster struct {
 
 var _ FS = (*Cluster)(nil)
 
-// ClusterKey derives the placement key for a login from its secret.
+// clusterKey derives the placement key for a login from its secret.
 // Both the user name and passphrase bind the key, so two logins place
 // the same pathnames independently; the volumes' salts do not enter
 // (shards have distinct salts, but one login must hold one map).
-func ClusterKey(user, passphrase string) Key {
+func clusterKey(user, passphrase string) Key {
 	return DeriveKey([]byte(passphrase), "steghide-fleet-placement/"+user)
 }
 
-// NewCluster builds a cluster over named shard FSes with the given
+// newCluster builds a cluster over named shard FSes with the given
 // placement key. Shard names are operator-level identifiers (volume
 // names, addresses); the set must be non-empty. The cluster takes
 // ownership: Close closes every shard FS.
-func NewCluster(key Key, shards map[string]FS) (*Cluster, error) {
+func newCluster(key Key, shards map[string]FS) (*Cluster, error) {
 	names := make([]string, 0, len(shards))
 	for name, fs := range shards {
 		if fs == nil {
@@ -84,12 +84,11 @@ func NewCluster(key Key, shards map[string]FS) (*Cluster, error) {
 	return &Cluster{ring: ring, shards: owned}, nil
 }
 
-// DialClusterFS dials every address as one shard of a cluster (the
-// default volume of each daemon), logs user in on each, and returns
-// the cluster with shards named by address. The placement key is
-// ClusterKey(user, passphrase). DialOptions (WithRetry, WithRedial)
-// apply to every shard connection. On any dial failure the already
-// dialed shards are closed.
+// DialClusterFS dials every address as one shard of a cluster, logs
+// user in on each, and returns the cluster with shards named by
+// address. The placement key derives from user and passphrase. The
+// DialOptions apply to every shard connection. On any dial failure the
+// already dialed shards are closed.
 func DialClusterFS(ctx context.Context, addrs []string, user, passphrase string, opts ...DialOption) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, pathErr("dial", "", errors.New("steghide: cluster needs at least one address"))
@@ -100,14 +99,14 @@ func DialClusterFS(ctx context.Context, addrs []string, user, passphrase string,
 			closeAll(shards)
 			return nil, pathErr("dial", addr, errors.New("steghide: duplicate cluster address"))
 		}
-		fs, err := DialVolumeFS(ctx, addr, "", user, passphrase, opts...)
+		fs, err := DialFS(ctx, addr, user, passphrase, opts...)
 		if err != nil {
 			closeAll(shards)
 			return nil, err
 		}
 		shards[addr] = fs
 	}
-	c, err := NewCluster(ClusterKey(user, passphrase), shards)
+	c, err := newCluster(clusterKey(user, passphrase), shards)
 	if err != nil {
 		closeAll(shards)
 		return nil, err

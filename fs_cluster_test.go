@@ -409,10 +409,11 @@ func TestQuotaOverWire(t *testing.T) {
 	}
 }
 
-// TestClientConfigDial pins the ClientConfig surface: one struct dials
-// a single agent or a whole fleet, and refuses incomplete configs with
-// a typed error.
-func TestClientConfigDial(t *testing.T) {
+// TestDialOptions pins the client's ways in: DialFS logs in on the
+// volume WithVolume names, a self-healing session included, and
+// refuses an unknown one with the typed error; DialClusterFS dials a
+// fleet and refuses an empty address list.
+func TestDialOptions(t *testing.T) {
 	ln1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -427,17 +428,15 @@ func TestClientConfigDial(t *testing.T) {
 	t.Cleanup(func() { srv2[0].Close() })
 	ctx := context.Background()
 
-	if _, err := (steghide.ClientConfig{Agent: srv1[0].Addr()}).Dial(ctx); err == nil {
-		t.Fatal("dial without credentials succeeded")
+	if _, err := steghide.DialFS(ctx, srv1[0].Addr(), "alice", "alice-pass", steghide.WithVolume("nope")); !errors.Is(err, steghide.ErrUnknownVolume) {
+		t.Fatalf("dial of an unknown volume: want ErrUnknownVolume, got %v", err)
 	}
-	if _, err := (steghide.ClientConfig{User: "alice", Passphrase: "pw"}).Dial(ctx); err == nil {
-		t.Fatal("dial without any address succeeded")
+	if _, err := steghide.DialClusterFS(ctx, nil, "alice", "alice-pass"); err == nil {
+		t.Fatal("cluster dial without any address succeeded")
 	}
 
-	single, err := steghide.ClientConfig{
-		Agent: srv1[0].Addr(), User: "alice", Passphrase: "alice-pass",
-		Timeout: 5 * time.Second, Retry: true,
-	}.Dial(ctx)
+	single, err := steghide.DialFS(ctx, srv1[0].Addr(), "alice", "alice-pass",
+		steghide.WithVolume(""), steghide.WithRetry(steghide.RetryPolicy{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,18 +451,11 @@ func TestClientConfigDial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fleet, err := steghide.ClientConfig{
-		Cluster: []string{srv1[0].Addr(), srv2[0].Addr()},
-		User:    "alice", Passphrase: "alice-pass",
-	}.Dial(ctx)
+	cl, err := steghide.DialClusterFS(ctx, []string{srv1[0].Addr(), srv2[0].Addr()}, "alice", "alice-pass")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close() //nolint:errcheck // idempotent backstop; asserted below
-	cl, ok := fleet.(*steghide.Cluster)
-	if !ok {
-		t.Fatalf("cluster config dialed a %T", fleet)
-	}
+	defer cl.Close() //nolint:errcheck // idempotent backstop; asserted below
 	if n := len(cl.ShardNames()); n != 2 {
 		t.Fatalf("cluster has %d shards, want 2", n)
 	}

@@ -8,14 +8,16 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"steghide/internal/stegfs"
 )
 
 // openFile is one path's row in an FS's open-file table: what the
 // backend pinned when it opened the path. Rows are never mutated, so
 // backends that pin only the file's kind share kindRow[dummy].
 type openFile struct {
-	f     *File // the agent-level handle (Construction 1)
-	dummy bool  // a deniable dummy file: no content operations
+	f     *stegfs.File // the agent-level handle (Construction 1)
+	dummy bool         // a deniable dummy file: no content operations
 }
 
 var kindRow = map[bool]*openFile{false: {}, true: {dummy: true}}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"steghide/internal/stegfs"
 )
 
 // obliBackend is the Construction-1 backend with the §5 oblivious
@@ -18,17 +20,17 @@ type obliBackend struct {
 	cache *ObliviousFS
 
 	mu   sync.Mutex
-	ords map[*File]uint64 // each open file's cache ordinal
+	ords map[*stegfs.File]uint64 // each open file's cache ordinal
 }
 
-// NewObliviousReadFS wraps a Construction-1 agent and an oblivious
-// cache wired to the same volume (NewObliviousFS) as an FS for the
-// user identified by locatorSecret.
-func NewObliviousReadFS(agent *NonVolatileAgent, cache *ObliviousFS, locatorSecret string) FS {
+// newObliviousReadFS wraps a Construction-1 agent and an oblivious
+// cache wired to the same volume as an FS for the user identified by
+// locatorSecret.
+func newObliviousReadFS(agent *NonVolatileAgent, cache *ObliviousFS, locatorSecret string) FS {
 	return newFS(&obliBackend{
 		agentBackend: agentBackend{agent: agent, secret: locatorSecret},
 		cache:        cache,
-		ords:         map[*File]uint64{},
+		ords:         map[*stegfs.File]uint64{},
 	})
 }
 
@@ -53,7 +55,7 @@ func (b *obliBackend) track(known, of *openFile, err error) (*openFile, error) {
 
 // retire drops f's cache registration: its cached blocks become
 // unreachable, because ordinals are never reused.
-func (b *obliBackend) retire(f *File) {
+func (b *obliBackend) retire(f *stegfs.File) {
 	if ord, ok := b.ords[f]; ok {
 		b.cache.Unregister(ord)
 		delete(b.ords, f)

@@ -1,19 +1,23 @@
 package steghide
 
-import "context"
+import (
+	"context"
+
+	"steghide/internal/steghide"
+)
 
 // sessionBackend is a Construction-2 login (§4.2, "StegHide"): one
 // user's view of the volume — the files they disclosed, the dummy
 // files they can deny with. The session keeps the file list.
 type sessionBackend struct {
 	agent *VolatileAgent
-	sess  *Session
+	sess  *steghide.Session
 }
 
-// NewSessionFS wraps an open Construction-2 session as an FS. Close
+// newSessionFS wraps an open Construction-2 session as an FS. Close
 // logs the user out, at which point the agent forgets every key and
 // block the session disclosed — the volatility property.
-func NewSessionFS(agent *VolatileAgent, session *Session) FS {
+func newSessionFS(agent *VolatileAgent, session *steghide.Session) FS {
 	return newFS(&sessionBackend{agent: agent, sess: session})
 }
 

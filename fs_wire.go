@@ -85,13 +85,21 @@ func (r *remoteRun) sent() {
 
 // dialConfig collects DialFS options.
 type dialConfig struct {
+	volume string
 	retry  bool
 	policy RetryPolicy
 	addrs  []string
 }
 
-// DialOption configures DialFS / DialVolumeFS.
+// DialOption configures DialFS and DialClusterFS.
 type DialOption func(*dialConfig)
+
+// WithVolume logs in on the named volume of a multi-volume agent
+// server (ServeListener, NewServer): the volume field of the login
+// frame routes the session. The empty name is the default volume.
+func WithVolume(name string) DialOption {
+	return func(c *dialConfig) { c.volume = name }
+}
 
 // WithRetry makes the dialed session self-healing: on a broken
 // connection the client re-dials with backoff under policy, replays
@@ -122,18 +130,11 @@ func WithRedial(addrs ...string) DialOption {
 	}
 }
 
-// DialFS dials an agent server, logs user in on the default volume,
-// and returns the remote session as an FS. Close logs out and drops
-// the connection — transport lifetime enforcing the volatility
-// property.
+// DialFS dials an agent server, logs user in on the default volume (or
+// the one WithVolume names), and returns the remote session as an FS.
+// Close logs out and drops the connection — transport lifetime
+// enforcing the volatility property.
 func DialFS(ctx context.Context, addr, user, passphrase string, opts ...DialOption) (FS, error) {
-	return DialVolumeFS(ctx, addr, "", user, passphrase, opts...)
-}
-
-// DialVolumeFS is DialFS against one named volume of a multi-volume
-// agent server (ServeListener, NewServer): the volume field of the v2
-// login frame routes the session. The empty name is the default volume.
-func DialVolumeFS(ctx context.Context, addr, volume, user, passphrase string, opts ...DialOption) (FS, error) {
 	var cfg dialConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -150,7 +151,7 @@ func DialVolumeFS(ctx context.Context, addr, volume, user, passphrase string, op
 	if err != nil {
 		return nil, pathErr("dial", addr, err)
 	}
-	err = cli.Login(ctx, volume, user, passphrase)
+	err = cli.Login(ctx, cfg.volume, user, passphrase)
 	if err == nil && cli.PayloadSize() == 0 {
 		err = errors.New("steghide: agent reports a payload size of 0")
 	}

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"steghide"
+	"steghide/internal/blockdev"
 	"steghide/internal/experiments"
 	"steghide/internal/prng"
+	isteg "steghide/internal/steghide"
 )
 
 // TestFullStackScenario wires every major component together the way
@@ -36,7 +38,7 @@ func TestFullStackScenario(t *testing.T) {
 		defer remote.Close()
 		members = append(members, remote)
 	}
-	stripe, err := steghide.NewStripedDevice(members...)
+	stripe, err := blockdev.NewStriped(members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestFullStackScenario(t *testing.T) {
 	}
 
 	// --- the agent and two users --------------------------------------
-	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("agent")))
+	agent := isteg.NewVolatile(vol, prng.New([]byte("agent")))
 	alice, err := agent.Login("alice", "a-pw")
 	if err != nil {
 		t.Fatal(err)
@@ -101,12 +103,12 @@ func TestFullStackScenario(t *testing.T) {
 		Key:          steghide.DeriveKey([]byte("sess"), "cache"),
 		BufferBlocks: bufCap,
 		Levels:       levels,
-		RNG:          steghide.NewPRNG([]byte("c")),
+		RNG:          prng.New([]byte("c")),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ofs, err := steghide.NewObliviousFS(store, vol, steghide.NewPRNG([]byte("f")))
+	ofs, err := steghide.NewObliviousFS(store, vol, prng.New([]byte("f")))
 	if err != nil {
 		t.Fatal(err)
 	}

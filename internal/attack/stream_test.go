@@ -10,6 +10,8 @@ import (
 	"steghide"
 	"steghide/internal/attack"
 	"steghide/internal/prng"
+	"steghide/internal/stegfs"
+	isteg "steghide/internal/steghide"
 )
 
 const (
@@ -103,8 +105,8 @@ func mountC2(t *testing.T, dev steghide.Device, format bool, _ []byte) *agentRig
 
 func manualC2(t *testing.T, dev steghide.Device, format bool, _ []byte) *agentRig {
 	vol := manualVolume(t, dev, format)
-	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("stream-agent")))
-	if err := agent.EnableJournal(steghide.JournalKey(vol, "admin")); err != nil {
+	agent := isteg.NewVolatile(vol, prng.New([]byte("stream-agent")))
+	if err := agent.EnableJournal(isteg.JournalKey(vol, "admin")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := agent.Recover(); err != nil {
@@ -114,10 +116,65 @@ func manualC2(t *testing.T, dev steghide.Device, format bool, _ []byte) *agentRi
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := steghide.NewSessionFS(agent, sess)
+	fs := sessionFS{agent: agent, sess: sess}
 	return &agentRig{fs: fs, close: fs.Close,
 		burst: func(n int) error { _, err := agent.DummyUpdateBurst(n); return err }}
 }
+
+// sessionFS is the FS a hand-wired Construction-2 session offers
+// session(): the calls Stack.Login's FS makes for CreateDummy, Disclose
+// and WriteFile, and logout at Close. Other FS methods are not used.
+type sessionFS struct {
+	steghide.FS
+	agent *isteg.VolatileAgent
+	sess  *isteg.Session
+}
+
+func (s sessionFS) CreateDummy(_ context.Context, path string, blocks uint64) error {
+	_, err := s.sess.CreateDummy(path, blocks)
+	return err
+}
+
+func (s sessionFS) Disclose(_ context.Context, path string) (steghide.FileInfo, error) {
+	_, err := s.sess.Disclose(path)
+	return steghide.FileInfo{Path: path}, err
+}
+
+func (s sessionFS) Create(_ context.Context, path string) error {
+	_, err := s.sess.Create(path)
+	return err
+}
+
+func (s sessionFS) OpenWrite(ctx context.Context, path string) (steghide.WriteHandle, error) {
+	if _, ok := s.sess.Open(path); !ok {
+		if _, err := s.sess.Disclose(path); err != nil {
+			return nil, err
+		}
+	}
+	return sessionWriter{ctx: ctx, sess: s.sess, path: path}, nil
+}
+
+func (s sessionFS) Truncate(ctx context.Context, path string, size uint64) error {
+	return s.sess.Truncate(ctx, path, size)
+}
+
+func (s sessionFS) Close() error { return s.agent.Logout(context.Background(), s.sess.User()) }
+
+// sessionWriter stages writes in the session and saves at Close.
+type sessionWriter struct {
+	ctx  context.Context
+	sess *isteg.Session
+	path string
+}
+
+func (w sessionWriter) WriteAt(p []byte, off int64) (int, error) {
+	if err := w.sess.Stage(w.ctx, w.path, p, uint64(off)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (w sessionWriter) Close() error { return w.sess.Save(w.ctx, w.path) }
 
 func mountC1(t *testing.T, dev steghide.Device, format bool, state []byte) *agentRig {
 	opts := []steghide.Option{steghide.WithConstruction1(c1Secret), steghide.WithJournal(""),
@@ -139,7 +196,7 @@ func mountC1(t *testing.T, dev steghide.Device, format bool, state []byte) *agen
 
 func manualC1(t *testing.T, dev steghide.Device, format bool, state []byte) *agentRig {
 	vol := manualVolume(t, dev, format)
-	agent, err := steghide.NewNonVolatileAgent(vol, c1Secret, steghide.NewPRNG([]byte("stream-agent")))
+	agent, err := isteg.NewNonVolatile(vol, c1Secret, prng.New([]byte("stream-agent")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +235,7 @@ func manualVolume(t *testing.T, dev steghide.Device, format bool) *steghide.Volu
 	if format {
 		vol, err = steghide.Format(dev, steghide.FormatOptions{KDFIterations: 4, JournalBlocks: streamRing})
 	} else {
-		vol, err = steghide.OpenVolume(dev, steghide.NewPRNG([]byte("stream-volume")))
+		vol, err = stegfs.Open(dev, prng.New([]byte("stream-volume")))
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -8,15 +8,15 @@ import (
 	"net"
 	"time"
 
-	"steghide/internal/diskmodel"
+	"steghide/internal/blockdev"
+	"steghide/internal/journal"
 	"steghide/internal/oblivious"
 	"steghide/internal/prng"
+	"steghide/internal/sealer"
+	"steghide/internal/stegfs"
+	"steghide/internal/steghide"
 	"steghide/internal/wire"
 )
-
-// DiskParams parameterizes the simulated-drive wrapper (WithSim);
-// DiskParams2004 builds the paper's testbed drive.
-type DiskParams = diskmodel.Params
 
 // defaultJournalRing is the intent-ring size Mount reserves when
 // WithJournal accompanies WithFormat and the caller did not size the
@@ -38,8 +38,6 @@ type mountConfig struct {
 	daemonBurst  int
 	trace        Tracer
 	stripe       []Device
-	sim          bool
-	simParams    *DiskParams
 	rng          *PRNG
 	volName      string
 	metrics      *Metrics
@@ -161,24 +159,6 @@ func WithStripe(members ...Device) Option {
 	}
 }
 
-// WithSim wraps the device in the simulated 2004-era drive so
-// accesses advance a virtual clock. With no argument the parameters
-// derive from the device geometry (DiskParams2004); pass explicit
-// DiskParams to override.
-func WithSim(params ...DiskParams) Option {
-	return func(c *mountConfig) error {
-		c.sim = true
-		if len(params) > 1 {
-			return errors.New("steghide: WithSim takes at most one parameter set")
-		}
-		if len(params) == 1 {
-			p := params[0]
-			c.simParams = &p
-		}
-		return nil
-	}
-}
-
 // WithVolumeName names the mounted volume for multi-volume serving:
 // ServeListener and NewServer register each stack under its name, and
 // remote clients pick one at login (the msgLogin volume field). The
@@ -226,14 +206,17 @@ func WithLoginQuota(blocks uint64) Option {
 	}
 }
 
-// WithSeed seeds the generator driving the agent's random choices —
-// fix the seed and a Mount-built stack reproduces a manually wired
-// one (NewPRNG(seed)) bit for bit. The volume's generator is a child
-// of it: an opened volume's, and a formatted one's unless
+// WithSeed seeds the generator driving the agent's random choices, so
+// a fixed seed replays a stack bit for bit. The volume's generator is
+// a child of it: an opened volume's, and a formatted one's unless
 // FormatOptions.FillSeed is set. Without it the seed comes from
-// crypto/rand.
+// crypto/rand. An empty seed is refused: it would seed every draw from
+// a public constant.
 func WithSeed(seed []byte) Option {
 	return func(c *mountConfig) error {
+		if len(seed) == 0 {
+			return errors.New("steghide: WithSeed needs a non-empty seed")
+		}
 		c.rng = prng.New(seed)
 		return nil
 	}
@@ -241,11 +224,11 @@ func WithSeed(seed []byte) Option {
 
 // Stack is a mounted steganographic stack: the (possibly wrapped)
 // device, the volume, one agent construction, and the optional
-// daemon, journal and oblivious cache — everything the 6-step manual
-// assembly used to hand-wire, with one Close in the right order.
+// daemon, journal and oblivious cache, with one Close in the right
+// order.
 type Stack struct {
 	name    string // volume name for multi-volume serving
-	dev     Device // as the volume sees it (after sim/trace wrapping)
+	dev     Device // as the volume sees it (after trace wrapping)
 	base    Device // the closable storage underneath the wrappers
 	vol     *Volume
 	agent1  *NonVolatileAgent
@@ -268,7 +251,7 @@ type Stack struct {
 //	...
 //	fs, err := stack.Login("alice", "passphrase")
 //
-// The wrap order is stripe → sim → trace (the tracer outermost, so it
+// The wrap order is stripe → trace (the tracer outermost, so it
 // observes exactly the stream the storage serves), then format/open,
 // agent, journal recovery, daemon.
 func Mount(dev Device, opts ...Option) (*Stack, error) {
@@ -284,7 +267,7 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		if dev != nil {
 			return nil, errors.New("steghide: pass a nil device with WithStripe")
 		}
-		striped, err := NewStripedDevice(cfg.stripe...)
+		striped, err := blockdev.NewStriped(cfg.stripe...)
 		if err != nil {
 			return nil, err
 		}
@@ -294,19 +277,8 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		return nil, errors.New("steghide: Mount needs a device (or WithStripe members)")
 	}
 	base := dev
-	if cfg.sim {
-		params := DiskParams2004(dev.NumBlocks(), dev.BlockSize())
-		if cfg.simParams != nil {
-			params = *cfg.simParams
-		}
-		sim, err := NewSimDevice(dev, params)
-		if err != nil {
-			return nil, err
-		}
-		dev = sim
-	}
 	if cfg.trace != nil {
-		dev = NewTracedDevice(dev, cfg.trace)
+		dev = blockdev.NewTraced(dev, cfg.trace)
 	}
 
 	// Volume: its generator is a child of the stack's, unless the
@@ -325,9 +297,9 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		if len(fo.FillSeed) == 0 {
 			fo.FillSeed = rng.Child("volume").Bytes(32)
 		}
-		vol, err = Format(dev, fo)
+		vol, err = stegfs.Format(dev, fo)
 	} else {
-		vol, err = OpenVolume(dev, rng.Child("volume"))
+		vol, err = stegfs.Open(dev, rng.Child("volume"))
 	}
 	if err != nil {
 		return nil, err
@@ -340,7 +312,7 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 	}
 	switch cfg.construction {
 	case 1:
-		s.agent1, err = NewNonVolatileAgent(vol, cfg.secret, rng)
+		s.agent1, err = steghide.NewNonVolatile(vol, cfg.secret, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +320,7 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		if cfg.oblivious {
 			return nil, errors.New("steghide: WithObliviousCache requires WithConstruction1")
 		}
-		s.agent2 = NewVolatileAgent(vol, rng)
+		s.agent2 = steghide.NewVolatile(vol, rng)
 		if cfg.loginQuota > 0 {
 			s.agent2.SetDefaultQuota(cfg.loginQuota)
 		}
@@ -366,7 +338,7 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 				return nil, err
 			}
 		} else {
-			if err := s.agent2.EnableJournal(JournalKey(vol, cfg.journalPass)); err != nil {
+			if err := s.agent2.EnableJournal(steghide.JournalKey(vol, cfg.journalPass)); err != nil {
 				return nil, err
 			}
 			rep, err := s.agent2.Recover()
@@ -379,10 +351,10 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 
 	// Oblivious read-hiding cache (Construction 1 only).
 	if cfg.oblivious {
-		cacheDev := NewMemDevice(vol.BlockSize()+64, ObliviousFootprint(cfg.obliBuffer, cfg.obliLevels))
-		store, err := NewObliviousStore(ObliviousConfig{
+		cacheDev := blockdev.NewMem(vol.BlockSize()+64, oblivious.Footprint(cfg.obliBuffer, cfg.obliLevels))
+		store, err := oblivious.New(oblivious.Config{
 			Dev:          cacheDev,
-			Key:          DeriveKey(cfg.secret, "steghide-oblivious-cache"),
+			Key:          sealer.DeriveKey(cfg.secret, "steghide-oblivious-cache"),
 			BufferBlocks: cfg.obliBuffer,
 			Levels:       cfg.obliLevels,
 			RNG:          rng.Child("oblivious-cache"),
@@ -411,11 +383,11 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 
 	// Dummy-traffic daemon.
 	if cfg.daemon {
-		var src DummySource = s.agent2
+		var src steghide.DummySource = s.agent2
 		if s.agent1 != nil {
 			src = s.agent1
 		}
-		s.daemon = NewDummyDaemon(src, cfg.daemonPeriod)
+		s.daemon = steghide.NewDaemon(src, cfg.daemonPeriod)
 		if cfg.daemonBurst > 1 {
 			s.daemon.WithBurst(cfg.daemonBurst)
 		}
@@ -446,7 +418,7 @@ func mountEntropy() []byte {
 func (s *Stack) VolumeName() string { return s.name }
 
 // Device returns the stack's device as the volume sees it (after any
-// stripe/sim/trace wrapping).
+// stripe/trace wrapping).
 func (s *Stack) Device() Device { return s.dev }
 
 // Volume returns the mounted volume.
@@ -475,17 +447,28 @@ func (s *Stack) Metrics() *Metrics { return s.metrics }
 // ServeListener exposes the stacks' agents to remote clients on ln: a
 // single daemon fronting a fleet of mounted volumes, each registered
 // under its WithVolumeName (at most one may be unnamed — it becomes the
-// default volume). Clients route with DialVolumeFS/AgentClient.Login;
-// every stack must be Construction 2 (the remote agent protocol is the
-// volatile agent's). The server takes ownership of ln; closing it does
-// not close the stacks. NewServer adds an address, an ops endpoint and
-// a drain bound.
+// default volume). Clients route with DialFS's WithVolume; every
+// stack must be Construction 2 (the remote agent protocol is the
+// volatile agent's). The server takes ownership of ln, closing it on
+// every error; closing the server does not close the stacks. NewServer
+// adds an address, an ops endpoint and a drain bound.
 func ServeListener(ln net.Listener, stacks ...*Stack) (*AgentServer, error) {
+	return serve(ln, wire.ServeOptions{}, stacks)
+}
+
+// serve starts the agent server for the stacks on ln, closing ln if it
+// cannot.
+func serve(ln net.Listener, opts wire.ServeOptions, stacks []*Stack) (*AgentServer, error) {
 	vols, err := serveVolumes(stacks)
+	var srv *AgentServer
+	if err == nil {
+		srv, err = wire.NewAgentServer(ln, vols, opts)
+	}
 	if err != nil {
+		ln.Close()
 		return nil, err
 	}
-	return wire.NewAgentServer(ln, vols, wire.ServeOptions{})
+	return srv, nil
 }
 
 // serveVolumes validates and collects the stacks' volatile agents.
@@ -517,10 +500,10 @@ func (s *Stack) Login(user, passphrase string) (FS, error) {
 		if err != nil {
 			return nil, pathErr("login", user, err)
 		}
-		return NewSessionFS(s.agent2, sess), nil
+		return newSessionFS(s.agent2, sess), nil
 	}
 	if s.cache != nil {
-		return NewObliviousReadFS(s.agent1, s.cache, passphrase), nil
+		return newObliviousReadFS(s.agent1, s.cache, passphrase), nil
 	}
 	return NewAgentFS(s.agent1, passphrase), nil
 }
@@ -533,7 +516,7 @@ func (s *Stack) Fsck(creds map[string][]string) (*CheckReport, *JournalFsckRepor
 	var report *CheckReport
 	var err error
 	if len(creds) > 0 {
-		report, err = CheckVolume(s.vol, creds)
+		report, err = stegfs.Check(s.vol, creds)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -541,7 +524,7 @@ func (s *Stack) Fsck(creds map[string][]string) (*CheckReport, *JournalFsckRepor
 	var jrep *JournalFsckReport
 	if s.journal {
 		key := s.journalKey()
-		jrep, err = JournalFsck(s.vol, key)
+		jrep, err = journal.Fsck(s.vol, key)
 		if err != nil {
 			return report, nil, err
 		}
@@ -554,9 +537,9 @@ func (s *Stack) Fsck(creds map[string][]string) (*CheckReport, *JournalFsckRepor
 // passphrase for Construction 2.
 func (s *Stack) journalKey() Key {
 	if s.agent1 != nil {
-		return JournalKeyFromSecret(s.secret, "c1")
+		return steghide.JournalKeyFromSecret(s.secret, "c1")
 	}
-	return JournalKey(s.vol, s.jpass)
+	return steghide.JournalKey(s.vol, s.jpass)
 }
 
 // Recover replays the journal ring against the disk truth: for

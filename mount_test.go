@@ -10,25 +10,30 @@ import (
 	"time"
 
 	"steghide"
+	"steghide/internal/blockdev"
+	"steghide/internal/diskmodel"
+	"steghide/internal/prng"
+	isteg "steghide/internal/steghide"
 	"steghide/internal/wire"
 )
 
 // TestMountBitIdentical proves the builder is pure convenience: a
 // Mount-built Construction-2 stack driving the unified FS produces a
-// volume byte-identical to the 6-step manual assembly driving the
-// legacy session API, given the same seeds and the same operations.
+// volume byte-identical to wiring the internal packages by hand and
+// driving the agent's session API, given the same seeds and the same
+// operations.
 func TestMountBitIdentical(t *testing.T) {
 	const fillSeed = "bitident-fill"
 	const agentSeed = "bitident-agent"
 	payload := bytes.Repeat([]byte("identical bits "), 30)
 
-	// Manual wiring, legacy API.
+	// Manual wiring through internal/, the agent's session API.
 	manual := steghide.NewMemDevice(512, 4096)
 	vol, err := steghide.Format(manual, steghide.FormatOptions{FillSeed: []byte(fillSeed)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte(agentSeed)))
+	agent := isteg.NewVolatile(vol, prng.New([]byte(agentSeed)))
 	sess, err := agent.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +106,7 @@ func TestMountC1BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := steghide.NewNonVolatileAgent(vol, secret, steghide.NewPRNG([]byte("c1-rng")))
+	agent, err := isteg.NewNonVolatile(vol, secret, prng.New([]byte("c1-rng")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +157,7 @@ func TestMountC1BitIdentical(t *testing.T) {
 }
 
 // TestMountOptionsStack exercises the option set end to end: journal,
-// daemon, trace, stripe, sim, fsck, close ordering.
+// daemon, trace, stripe (over simulated drives), fsck, close ordering.
 func TestMountOptionsStack(t *testing.T) {
 	ctx := context.Background()
 
@@ -208,15 +213,16 @@ func TestMountOptionsStack(t *testing.T) {
 	})
 
 	t.Run("stripe+sim", func(t *testing.T) {
-		members := []steghide.Device{
-			steghide.NewMemDevice(512, 1024),
-			steghide.NewMemDevice(512, 1024),
-			steghide.NewMemDevice(512, 1024),
-			steghide.NewMemDevice(512, 1024),
+		var members []steghide.Device
+		for range 4 {
+			disk, err := diskmodel.New(diskmodel.Params2004(1024, 512))
+			if err != nil {
+				t.Fatal(err)
+			}
+			members = append(members, blockdev.NewSim(steghide.NewMemDevice(512, 1024), disk))
 		}
 		stack, err := steghide.Mount(nil,
 			steghide.WithStripe(members...),
-			steghide.WithSim(),
 			steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("stripe")}),
 			steghide.WithSeed([]byte("stripe-agent")))
 		if err != nil {
@@ -270,6 +276,13 @@ func TestMountOptionsStack(t *testing.T) {
 			steghide.WithConstruction1(nil)); err == nil {
 			t.Fatal("empty C1 secret accepted")
 		}
+		for _, seed := range [][]byte{nil, {}} {
+			if _, err := steghide.Mount(steghide.NewMemDevice(512, 1024),
+				steghide.WithFormat(steghide.FormatOptions{}),
+				steghide.WithSeed(seed)); err == nil {
+				t.Fatalf("empty seed %#v accepted", seed)
+			}
+		}
 		if _, err := steghide.Mount(steghide.NewMemDevice(512, 2048),
 			steghide.WithFormat(steghide.FormatOptions{}),
 			steghide.WithObliviousCache(8, 3)); err == nil {
@@ -280,6 +293,38 @@ func TestMountOptionsStack(t *testing.T) {
 			t.Fatal("device + stripe accepted")
 		}
 	})
+}
+
+// TestDummyDaemonFacade runs the idle-traffic daemon WithDaemon starts
+// on a volatile agent: once a login discloses cover it issues dummy
+// updates without errors.
+func TestDummyDaemonFacade(t *testing.T) {
+	stack, err := steghide.Mount(steghide.NewMemDevice(512, 1024),
+		steghide.WithFormat(steghide.FormatOptions{}),
+		steghide.WithDaemon(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	fs, err := stack.Login("u", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.CreateDummy(context.Background(), "/d", 64); err != nil {
+		t.Fatal(err)
+	}
+	daemon := stack.Daemon()
+	deadline := time.Now().Add(2 * time.Second)
+	for daemon.Issued() < 5 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if daemon.Issued() < 5 {
+		t.Fatalf("daemon issued %d", daemon.Issued())
+	}
+	if n, lastErr := daemon.Errors(); n != 0 {
+		t.Fatalf("daemon errors: %d (%v)", n, lastErr)
+	}
 }
 
 // TestFSConcurrentControlPlane pins the locking of the FS lookup path

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"steghide"
+	"steghide/internal/attack"
 )
 
 // runMetricsOracle is runOracle's workload with the metrics
@@ -86,7 +87,7 @@ func runMetricsOracle(t *testing.T, reg *steghide.Metrics) oracleRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def1, err := steghide.CompareStreams(idle, active, mem.NumBlocks(), 16)
+	def1, err := attack.CompareStreams(idle, active, mem.NumBlocks(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 // value of every optional field means "off": no ops endpoint, no
 // metrics, no logging, default drain bound.
 type ServerConfig struct {
-	// Addr is the wire listen address (required unless the server is
-	// built over an existing listener).
+	// Addr is the wire listen address (required; a port of 0 picks a
+	// free one, which Server.Addr reports).
 	Addr string
 	// HTTPAddr, when non-empty, serves the ops endpoint: /metrics
 	// (Prometheus text), /healthz (200, or 503 while draining),
@@ -62,26 +62,7 @@ func NewServer(cfg ServerConfig, stacks ...*Stack) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("steghide: listen: %w", err)
 	}
-	s, err := NewServerListener(cfg, ln, stacks...)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// NewServerListener is NewServer over an established wire listener
-// (socket activation, tests, fault-injecting wrappers); cfg.Addr is
-// ignored. The server owns ln.
-func NewServerListener(cfg ServerConfig, ln net.Listener, stacks ...*Stack) (*Server, error) {
-	vols, err := serveVolumes(stacks)
-	if err != nil {
-		return nil, err
-	}
-	agent, err := wire.NewAgentServer(ln, vols, wire.ServeOptions{
-		Logger:  cfg.Logger,
-		Metrics: cfg.Metrics,
-	})
+	agent, err := serve(ln, wire.ServeOptions{Logger: cfg.Logger, Metrics: cfg.Metrics}, stacks)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -51,7 +52,7 @@ func opsGet(t *testing.T, addr, path string) (int, string) {
 
 // TestOpsEndpointEndToEnd exercises the whole observability plane
 // the way an operator meets it: a metrics-instrumented stack served
-// by NewServerListener with the ops endpoint up, real client traffic
+// by NewServer with the ops endpoint up, real client traffic
 // through the wire, then /healthz, /metrics and /debug/vars — and
 // the privacy contract checked against the actual exposition and log
 // output (hidden pathnames and passphrases must not appear).
@@ -71,17 +72,14 @@ func TestOpsEndpointEndToEnd(t *testing.T) {
 		t.Fatal("Stack.Metrics did not return the attached registry")
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	logs := &syncWriter{}
-	srv, err := steghide.NewServerListener(steghide.ServerConfig{
+	srv, err := steghide.NewServer(steghide.ServerConfig{
+		Addr:         "127.0.0.1:0",
 		HTTPAddr:     "127.0.0.1:0",
 		DrainTimeout: 2 * time.Second,
 		Metrics:      reg,
 		Logger:       slog.New(slog.NewTextHandler(logs, nil)),
-	}, ln, stack)
+	}, stack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestOpsEndpointEndToEnd(t *testing.T) {
 		hiddenPath = "/secret-plans"
 		passphrase = "alice-ops-passphrase"
 	)
-	fs, err := steghide.DialVolumeFS(ctx, srv.Addr(), "vault", "alice", passphrase)
+	fs, err := steghide.DialFS(ctx, srv.Addr(), "alice", passphrase, steghide.WithVolume("vault"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +208,7 @@ func TestOpsEndpointWithoutMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stack.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := steghide.NewServerListener(steghide.ServerConfig{HTTPAddr: "127.0.0.1:0"}, ln, stack)
+	srv, err := steghide.NewServer(steghide.ServerConfig{Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0"}, stack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,5 +221,35 @@ func TestOpsEndpointWithoutMetrics(t *testing.T) {
 	}
 	if code, _ := opsGet(t, srv.HTTPAddr(), "/debug/vars"); code != http.StatusNotFound {
 		t.Fatalf("/debug/vars without registry = %d, want 404", code)
+	}
+}
+
+// TestServeListenerClosesOnRefusal pins the listener-ownership rule:
+// ServeListener owns ln, so when it refuses the stacks (here a
+// Construction-1 stack, which the agent protocol cannot serve) it
+// closes ln instead of leaking it.
+func TestServeListenerClosesOnRefusal(t *testing.T) {
+	stack, err := steghide.Mount(steghide.NewMemDevice(512, 1024),
+		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("serve-c1")}),
+		steghide.WithConstruction1([]byte("c1-secret")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if _, err := steghide.ServeListener(ln, stack); err == nil {
+		t.Fatal("a Construction-1 stack was served")
+	}
+	// A leaked listener would block Accept; the deadline turns that
+	// into a timeout error.
+	if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(time.Second)); err != nil && !errors.Is(err, net.ErrClosed) {
+		t.Fatal(err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("accept after a refused ServeListener: want net.ErrClosed, got %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"steghide"
+	"steghide/internal/attack"
 	"steghide/internal/mempool"
 )
 
@@ -18,8 +19,8 @@ type oracleRun struct {
 	events  []steghide.Event
 	image   []byte
 	stats   steghide.UpdateStats
-	uniform steghide.Verdict
-	def1    steghide.Verdict
+	uniform attack.Verdict
+	def1    attack.Verdict
 }
 
 // digest is the SHA-256 of every observable of the run: the device
@@ -110,7 +111,7 @@ func runOracle(t *testing.T) oracleRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def1, err := steghide.CompareStreams(idle, active, mem.NumBlocks(), 16)
+	def1, err := attack.CompareStreams(idle, active, mem.NumBlocks(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

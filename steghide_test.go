@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"steghide"
+	"steghide/internal/prng"
+	"steghide/internal/stegfs"
+	isteg "steghide/internal/steghide"
 	"steghide/internal/wire"
 )
 
@@ -20,11 +23,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := steghide.OpenVolume(dev, steghide.NewPRNG([]byte("reopen"))); err != nil {
+	if _, err := stegfs.Open(dev, prng.New([]byte("reopen"))); err != nil {
 		t.Fatal(err)
 	}
 
-	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("a")))
+	agent := isteg.NewVolatile(vol, prng.New([]byte("a")))
 	s, err := agent.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +63,7 @@ func TestPublicAPINonVolatileAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := steghide.NewNonVolatileAgent(vol, []byte("agent secret"), steghide.NewPRNG([]byte("r")))
+	agent, err := isteg.NewNonVolatile(vol, []byte("agent secret"), prng.New([]byte("r")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestPublicAPIObliviousCache(t *testing.T) {
 	fak := steghide.DeriveFAK("alice", "/ws", vol)
 	_ = fak
 
-	agent := steghide.NewVolatileAgent(vol, steghide.NewPRNG([]byte("v")))
+	agent := isteg.NewVolatile(vol, prng.New([]byte("v")))
 	s, err := agent.Login("alice", "pw")
 	if err != nil {
 		t.Fatal(err)
@@ -113,12 +116,12 @@ func TestPublicAPIObliviousCache(t *testing.T) {
 		Key:          steghide.DeriveKey([]byte("session"), "cache"),
 		BufferBlocks: bufCap,
 		Levels:       levels,
-		RNG:          steghide.NewPRNG([]byte("c")),
+		RNG:          prng.New([]byte("c")),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ofs, err := steghide.NewObliviousFS(store, vol, steghide.NewPRNG([]byte("f")))
+	ofs, err := steghide.NewObliviousFS(store, vol, prng.New([]byte("f")))
 	if err != nil {
 		t.Fatal(err)
 	}
