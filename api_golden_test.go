@@ -119,9 +119,12 @@ func TestExportsHaveCallers(t *testing.T) {
 					}
 				}
 			}
+			if pkg == "" {
+				return nil
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok && pkg != "" && id.Name == pkg {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg {
 						called[sel.Sel.Name] = true
 					}
 				}

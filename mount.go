@@ -12,7 +12,6 @@ import (
 	"steghide/internal/journal"
 	"steghide/internal/oblivious"
 	"steghide/internal/prng"
-	"steghide/internal/sealer"
 	"steghide/internal/stegfs"
 	"steghide/internal/steghide"
 	"steghide/internal/wire"
@@ -278,7 +277,7 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 	}
 	base := dev
 	if cfg.trace != nil {
-		dev = blockdev.NewTraced(dev, cfg.trace)
+		dev = NewTracedDevice(dev, cfg.trace)
 	}
 
 	// Volume: its generator is a child of the stack's, unless the
@@ -297,7 +296,7 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		if len(fo.FillSeed) == 0 {
 			fo.FillSeed = rng.Child("volume").Bytes(32)
 		}
-		vol, err = stegfs.Format(dev, fo)
+		vol, err = Format(dev, fo)
 	} else {
 		vol, err = stegfs.Open(dev, rng.Child("volume"))
 	}
@@ -351,10 +350,10 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 
 	// Oblivious read-hiding cache (Construction 1 only).
 	if cfg.oblivious {
-		cacheDev := blockdev.NewMem(vol.BlockSize()+64, oblivious.Footprint(cfg.obliBuffer, cfg.obliLevels))
-		store, err := oblivious.New(oblivious.Config{
+		cacheDev := NewMemDevice(vol.BlockSize()+64, ObliviousFootprint(cfg.obliBuffer, cfg.obliLevels))
+		store, err := NewObliviousStore(ObliviousConfig{
 			Dev:          cacheDev,
-			Key:          sealer.DeriveKey(cfg.secret, "steghide-oblivious-cache"),
+			Key:          DeriveKey(cfg.secret, "steghide-oblivious-cache"),
 			BufferBlocks: cfg.obliBuffer,
 			Levels:       cfg.obliLevels,
 			RNG:          rng.Child("oblivious-cache"),
