@@ -52,16 +52,14 @@ func TestAllocBudgets(t *testing.T) {
 	ctx := context.Background()
 	update := map[string]func(){
 		"UpdateRun(64)": func() {
-			if err := s.UpdateRun(ctx, locs, seal, sealed); err != nil {
+			if err := s.UpdateRun(ctx, locs, 0, seal, sealed); err != nil {
 				t.Fatal(err)
 			}
 		},
-		"Update": func() {
-			next, err := s.Update(locs[0], seal, sealed[0])
-			if err != nil {
+		"UpdateRun(1)": func() {
+			if err := s.UpdateRun(ctx, locs[:1], 0, seal, sealed[:1]); err != nil {
 				t.Fatal(err)
 			}
-			locs[0] = next
 		},
 	}
 	for name, f := range update {

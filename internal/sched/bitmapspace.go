@@ -24,11 +24,12 @@ type BitmapSpace struct {
 
 	// vacate, when set (journaled agents), intercepts the release of a
 	// relocation's vacated block: the block stays out of the dummy pool
-	// — in "limbo", still marked used — until the owning file's header
-	// save commits the move, because until then the on-disk header
-	// still references it and a refill or reallocation would destroy
-	// committed data the moment a crash rolls the relocation back.
-	vacate func(oldLoc, newLoc uint64)
+	// — in "limbo", still marked used — until the save of the owning
+	// file's header, at head, commits the move, because until then the
+	// on-disk header still references it and a refill or reallocation
+	// would destroy committed data the moment a crash rolls the
+	// relocation back.
+	vacate func(oldLoc, head uint64)
 
 	mu    sync.Mutex // guards rng
 	rng   *prng.PRNG
@@ -75,14 +76,14 @@ func (b *BitmapSpace) DrawUpdate(loc uint64) (Target, error) {
 // SetVacateHook diverts vacated blocks into the journal adapter's
 // limbo instead of releasing them immediately. Install before
 // concurrent use.
-func (b *BitmapSpace) SetVacateHook(fn func(oldLoc, newLoc uint64)) { b.vacate = fn }
+func (b *BitmapSpace) SetVacateHook(fn func(oldLoc, head uint64)) { b.vacate = fn }
 
 // CommitRelocate implements Space: the vacated block becomes a dummy —
 // immediately in the memory-only protocol, or after the owning file's
 // next durable save when a journal holds it in limbo.
-func (b *BitmapSpace) CommitRelocate(oldLoc, newLoc uint64, _ *sealer.Sealer) {
+func (b *BitmapSpace) CommitRelocate(oldLoc, _, head uint64, _ *sealer.Sealer) {
 	if b.vacate != nil {
-		b.vacate(oldLoc, newLoc)
+		b.vacate(oldLoc, head)
 		return
 	}
 	b.source.Release(oldLoc)

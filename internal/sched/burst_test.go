@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -69,18 +70,16 @@ func runBurstWorkload(t testing.TB, r *tracedRig) {
 	if err := r.vol.WriteSealed(loc, seal, payload); err != nil {
 		t.Fatal(err)
 	}
-	cur := loc
+	cur := []uint64{loc}
 	for _, n := range []int{1, 5, 16, 32, 40, 64} {
 		if _, err := r.s.DummyUpdateBurst(n); err != nil {
 			t.Fatal(err)
 		}
-		next, err := r.s.Update(cur, seal, sealBlock(t, r.vol, seal, payload))
-		if err != nil {
+		if err := r.s.UpdateRun(context.Background(), cur, 0, seal, [][]byte{sealBlock(t, r.vol, seal, payload)}); err != nil {
 			t.Fatal(err)
 		}
-		cur = next
 	}
-	got, err := r.vol.ReadSealed(cur, seal)
+	got, err := r.vol.ReadSealed(cur[0], seal)
 	if err != nil {
 		t.Fatal(err)
 	}

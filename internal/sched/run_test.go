@@ -109,15 +109,13 @@ func TestRunMatchesSingleUpdates(t *testing.T) {
 					gen[lo+i]++
 					payloads[i] = genPayload(batch.vol, lo+i, gen[lo+i])
 				}
-				if err := batch.s.UpdateRun(context.Background(), batch.locs[lo:lo+run], batch.seal, sealRun(t, batch.vol, batch.seal, payloads)); err != nil {
+				if err := batch.s.UpdateRun(context.Background(), batch.locs[lo:lo+run], 0, batch.seal, sealRun(t, batch.vol, batch.seal, payloads)); err != nil {
 					t.Fatal(err)
 				}
 				for i, sealed := range sealRun(t, single.vol, single.seal, payloads) {
-					next, err := single.s.Update(single.locs[lo+i], single.seal, sealed)
-					if err != nil {
+					if err := single.s.UpdateRun(context.Background(), single.locs[lo+i:lo+i+1], 0, single.seal, [][]byte{sealed}); err != nil {
 						t.Fatal(err)
 					}
-					single.locs[lo+i] = next
 				}
 			}
 			const n = rounds * run
@@ -201,7 +199,7 @@ func (sp *scriptSpace) DrawUpdate(uint64) (Target, error) {
 	return sp.draws[sp.drawn-1], nil
 }
 
-func (sp *scriptSpace) CommitRelocate(oldLoc, newLoc uint64, _ *sealer.Sealer) {
+func (sp *scriptSpace) CommitRelocate(oldLoc, newLoc, _ uint64, _ *sealer.Sealer) {
 	sp.committed = append(sp.committed, [2]uint64{oldLoc, newLoc})
 }
 
@@ -350,7 +348,7 @@ func TestPlanOrderings(t *testing.T) {
 
 			locs := []uint64{blkA, blkB}
 			sealed := sealRun(t, vol, sp.seal, [][]byte{genPayload(vol, blkA, 1), genPayload(vol, blkB, 1)})
-			if err := s.UpdateRun(context.Background(), locs, sp.seal, sealed); err != nil {
+			if err := s.UpdateRun(context.Background(), locs, 0, sp.seal, sealed); err != nil {
 				t.Fatal(err)
 			}
 			events := col.Events()
@@ -423,7 +421,7 @@ func TestRunCancelledMidPlan(t *testing.T) {
 	}
 	locs := []uint64{blkA, blkB}
 	sealed := sealRun(t, vol, sp.seal, [][]byte{genPayload(vol, blkA, 1), genPayload(vol, blkB, 1)})
-	err := s.UpdateRun(ctx, locs, sp.seal, sealed)
+	err := s.UpdateRun(ctx, locs, 0, sp.seal, sealed)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: %v", err)
 	}
@@ -472,7 +470,7 @@ func TestRunFaultAtEveryIO(t *testing.T) {
 			} else {
 				fd.FailWritesAfter(k)
 			}
-			err = s.UpdateRun(context.Background(), locs, seal, sealed)
+			err = s.UpdateRun(context.Background(), locs, 0, seal, sealed)
 			fd.Heal()
 			if err == nil {
 				if k < run {
@@ -536,7 +534,7 @@ func TestRunsSessionsAndBurstsOverlap(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for r := 1; r <= rounds; r++ {
-			if err := s.UpdateRun(context.Background(), runLocs, seal, sealedRuns[2*(r-1)]); err != nil {
+			if err := s.UpdateRun(context.Background(), runLocs, 0, seal, sealedRuns[2*(r-1)]); err != nil {
 				errCh <- err
 				return
 			}
@@ -546,12 +544,10 @@ func TestRunsSessionsAndBurstsOverlap(t *testing.T) {
 		defer wg.Done()
 		for r := 1; r <= rounds; r++ {
 			for i := range oneLocs {
-				next, err := s.Update(oneLocs[i], seal, sealedRuns[2*(r-1)+1][i])
-				if err != nil {
+				if err := s.UpdateRun(context.Background(), oneLocs[i:i+1], 0, seal, sealedRuns[2*(r-1)+1][i:i+1]); err != nil {
 					errCh <- err
 					return
 				}
-				oneLocs[i] = next
 			}
 		}
 	}()
@@ -606,10 +602,10 @@ func TestUpdateHistogramSemantics(t *testing.T) {
 		payloads[i] = genPayload(vol, i, 1)
 	}
 	sealed := sealRun(t, vol, seal, payloads)
-	if err := s.UpdateRun(context.Background(), locs, seal, sealed); err != nil {
+	if err := s.UpdateRun(context.Background(), locs, 0, seal, sealed); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Update(locs[0], seal, sealed[0]); err != nil {
+	if err := s.UpdateRun(context.Background(), locs[:1], 0, seal, sealed[:1]); err != nil {
 		t.Fatal(err)
 	}
 	m := s.metrics

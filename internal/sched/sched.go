@@ -114,8 +114,9 @@ type Space interface {
 	DrawUpdate(loc uint64) (Target, error)
 	// CommitRelocate finishes a relocation after the batch carrying its
 	// payload write landed: oldLoc joins the dummy pool, newLoc is
-	// recorded as the data block (sealed under seal).
-	CommitRelocate(oldLoc, newLoc uint64, seal *sealer.Sealer)
+	// recorded as the data block (sealed under seal) of the file whose
+	// header is at head.
+	CommitRelocate(oldLoc, newLoc, head uint64, seal *sealer.Sealer)
 	// AbortRelocate reverts a relocation whose batch failed or was
 	// cancelled: newLoc returns to the dummy pool, oldLoc keeps the data.
 	AbortRelocate(oldLoc, newLoc uint64)
@@ -140,8 +141,11 @@ type IntentLog interface {
 	// LogStream durably records the stream elements (from[i], to[i]), in
 	// order: a relocation intent where the two differ (the data at
 	// from[i] is about to be written to to[i]), a filler where they are
-	// equal (in-place, camouflage and idle dummy updates).
-	LogStream(from, to []uint64) error
+	// equal (in-place, camouflage and idle dummy updates). A batch
+	// carries at most one file's run, so every relocation in it names
+	// head, the header of the file UpdateRun was given; an idle burst
+	// relocates nothing and passes 0.
+	LogStream(head uint64, from, to []uint64) error
 }
 
 // Scheduler owns a volume's update stream. It is safe for concurrent
@@ -369,21 +373,6 @@ func (s *Scheduler) ResetStats() {
 // the signal the adaptive daemon watches to fill only idle gaps.
 func (s *Scheduler) DataSeq() uint64 { return s.dataUpdates.Load() }
 
-// Update is UpdateRun for a single block under no deadline; it returns
-// the block the data landed on.
-func (s *Scheduler) Update(loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-	return s.UpdateCtx(context.Background(), loc, seal, sealed)
-}
-
-// UpdateCtx is the n = 1 call of UpdateRun.
-func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Sealer, sealed []byte) (uint64, error) {
-	locs, blocks := [1]uint64{loc}, [1][]byte{sealed}
-	if err := s.UpdateRun(ctx, locs[:], seal, blocks[:]); err != nil {
-		return 0, err
-	}
-	return locs[0], nil
-}
-
 // UpdateRun runs the Figure-6 data-update algorithm for a run of
 // distinct blocks as one batch. Per block: draw a uniformly random
 // block B2; if B2 is the block itself update in place; if B2 is a dummy
@@ -391,8 +380,10 @@ func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Seal
 // update on B2 and redraw. sealed[i] is the new content of the block at
 // locs[i], already sealed under seal (the stegfs.UpdatePolicy
 // contract): placement never changes a sealed block's bytes, so the
-// scheduler only draws and moves blocks. On success locs holds where
-// each block landed.
+// scheduler only draws and moves blocks. head is the header location
+// of the file the run belongs to; the scheduler only hands it on, to
+// the intent log and to the Space's commits. On success locs holds
+// where each block landed.
 //
 // The run is planned whole — every draw made, every relocation target
 // withdrawn — and then executed as one burst-shaped cycle: every
@@ -408,7 +399,7 @@ func (s *Scheduler) UpdateCtx(ctx context.Context, loc uint64, seal *sealer.Seal
 // on a crowded volume. Concurrent calls interleave safely: draws and
 // partition bookkeeping serialize inside the Space, while the I/O of
 // batches touching different blocks overlaps.
-func (s *Scheduler) UpdateRun(ctx context.Context, locs []uint64, seal *sealer.Sealer, sealed [][]byte) error {
+func (s *Scheduler) UpdateRun(ctx context.Context, locs []uint64, head uint64, seal *sealer.Sealer, sealed [][]byte) error {
 	if len(locs) != len(sealed) {
 		return fmt.Errorf("sched: %d sealed blocks for %d locations", len(sealed), len(locs))
 	}
@@ -424,10 +415,10 @@ func (s *Scheduler) UpdateRun(ctx context.Context, locs []uint64, seal *sealer.S
 	b := s.getBatch()
 	defer s.putBatch(b)
 	if err := s.plan(ctx, b, locs, sealed); err != nil {
-		s.settle(b, nil, err)
+		s.settle(b, head, nil, err)
 		return err
 	}
-	if err := s.execute(b, seal); err != nil {
+	if err := s.execute(b, head, seal); err != nil {
 		return err
 	}
 	// Counted only now: a run that failed emitted nothing it can vouch
@@ -525,9 +516,10 @@ func (b *batch) writesPayloadTo(loc uint64) bool {
 
 // settle finishes the two-phase bookkeeping of every relocation in the
 // batch: committed (the vacated block joins the dummy pool, the target
-// is recorded under seal) when the batch landed, aborted (the target
-// returns to the pool, the data never left) when err says it did not.
-func (s *Scheduler) settle(b *batch, seal *sealer.Sealer, err error) {
+// is recorded under head and seal) when the batch landed, aborted (the
+// target returns to the pool, the data never left) when err says it did
+// not.
+func (s *Scheduler) settle(b *batch, head uint64, seal *sealer.Sealer, err error) {
 	for i, st := range b.steps {
 		if st != stepPayload || b.reads[i] == b.writes[i] {
 			continue
@@ -535,7 +527,7 @@ func (s *Scheduler) settle(b *batch, seal *sealer.Sealer, err error) {
 		if err != nil {
 			s.space.AbortRelocate(b.reads[i], b.writes[i])
 		} else {
-			s.space.CommitRelocate(b.reads[i], b.writes[i], seal)
+			s.space.CommitRelocate(b.reads[i], b.writes[i], head, seal)
 		}
 	}
 }
@@ -549,7 +541,7 @@ func (s *Scheduler) settle(b *batch, seal *sealer.Sealer, err error) {
 // assumptions. It is the whole of a dummy burst and the second half of
 // a data-update run: the two differ only in whether any element carries
 // a payload.
-func (s *Scheduler) execute(b *batch, seal *sealer.Sealer) error {
+func (s *Scheduler) execute(b *batch, head uint64, seal *sealer.Sealer) error {
 	b.locked = append(b.locked[:0], b.reads...)
 	for i, w := range b.writes {
 		if w != b.reads[i] {
@@ -584,12 +576,12 @@ func (s *Scheduler) execute(b *batch, seal *sealer.Sealer) error {
 	// whichever write a power cut interrupts.
 	var err error
 	if s.intents != nil {
-		err = s.intents.LogStream(b.reads, b.writes)
+		err = s.intents.LogStream(head, b.reads, b.writes)
 	}
 	if err == nil {
 		err = s.burst(b)
 	}
-	s.settle(b, seal, err)
+	s.settle(b, head, seal, err)
 	return err
 }
 
@@ -614,7 +606,7 @@ func (s *Scheduler) dummies(n int) (int, error) {
 	for _, loc := range locs[:m] {
 		b.add(loc, loc, nil)
 	}
-	if err := s.execute(b, nil); err != nil {
+	if err := s.execute(b, 0, nil); err != nil {
 		return 0, err
 	}
 	s.dummyUpdates.Add(uint64(len(b.reads)))

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -71,10 +72,11 @@ func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 	used := source.UsedCount()
 	cur := loc
 	for i := 0; i < 50; i++ {
-		next, err := s.Update(cur, seal, sealBlock(t, vol, seal, payload))
-		if err != nil {
+		run := []uint64{cur}
+		if err := s.UpdateRun(context.Background(), run, 0, seal, [][]byte{sealBlock(t, vol, seal, payload)}); err != nil {
 			t.Fatal(err)
 		}
+		next := run[0]
 		if source.IsFree(next) {
 			t.Fatalf("data landed on a block still marked free: %d", next)
 		}
@@ -117,7 +119,7 @@ func TestSchedulerNoFreeSpace(t *testing.T) {
 			break
 		}
 	}
-	_, err = s.Update(loc, seal, sealBlock(t, vol, seal, make([]byte, vol.PayloadSize())))
+	err = s.UpdateRun(context.Background(), []uint64{loc}, 0, seal, [][]byte{sealBlock(t, vol, seal, make([]byte, vol.PayloadSize()))})
 	if !errors.Is(err, ErrNoFreeSpace) {
 		t.Fatalf("full space update: %v", err)
 	}
@@ -195,7 +197,6 @@ func TestSchedulerConcurrentStream(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cur := locs[i]
 			sealed := make([]byte, vol.BlockSize())
 			for k := 0; k < updates; k++ {
 				vol.NextIV(sealed[:sealer.IVSize])
@@ -203,14 +204,11 @@ func TestSchedulerConcurrentStream(t *testing.T) {
 					errCh <- err
 					return
 				}
-				next, err := s.Update(cur, seal, sealed)
-				if err != nil {
+				if err := s.UpdateRun(context.Background(), locs[i:i+1], 0, seal, [][]byte{sealed}); err != nil {
 					errCh <- err
 					return
 				}
-				cur = next
 			}
-			locs[i] = cur
 		}(i)
 	}
 	wg.Add(1)
@@ -288,7 +286,7 @@ type countingIntents struct {
 	dummies int
 }
 
-func (c *countingIntents) LogStream(from, to []uint64) error {
+func (c *countingIntents) LogStream(_ uint64, from, to []uint64) error {
 	c.mu.Lock()
 	for i := range from {
 		if from[i] != to[i] {
@@ -318,13 +316,11 @@ func TestIntentPerStreamElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := prng.NewFromUint64(2).Bytes(vol.PayloadSize())
-	cur := loc
+	cur := []uint64{loc}
 	for i := 0; i < 40; i++ {
-		next, err := s.Update(cur, seal, sealBlock(t, vol, seal, payload))
-		if err != nil {
+		if err := s.UpdateRun(context.Background(), cur, 0, seal, [][]byte{sealBlock(t, vol, seal, payload)}); err != nil {
 			t.Fatal(err)
 		}
-		cur = next
 	}
 	for i := 0; i < 25; i++ {
 		if err := s.DummyUpdate(); err != nil {

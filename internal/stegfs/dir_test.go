@@ -134,7 +134,7 @@ type relocatingPolicy struct {
 	rng *prng.PRNG
 }
 
-func (p relocatingPolicy) Update(locs []uint64, _ *sealer.Sealer, sealed [][]byte) error {
+func (p relocatingPolicy) Update(locs []uint64, _ uint64, _ *sealer.Sealer, sealed [][]byte) error {
 	for i, loc := range locs {
 		newLoc, err := p.src.AcquireRandom()
 		if err != nil {

@@ -585,14 +585,7 @@ func (f *File) flushWith(li uint64, p []byte, policy UpdatePolicy) error {
 	for i := 0; i < n; i++ {
 		f.scanLocs = append(f.scanLocs, f.blocks[logical(i)])
 	}
-	if il := f.vol.IntentHooks(); il != nil {
-		// A relocation intent for a block must be able to name this
-		// file's header, so recovery knows which on-disk map decides it.
-		for _, loc := range f.scanLocs {
-			il.NoteOwner(loc, f.headerLoc)
-		}
-	}
-	if err := policy.Update(f.scanLocs, f.cseal, f.scanRaws); err != nil {
+	if err := policy.Update(f.scanLocs, f.headerLoc, f.cseal, f.scanRaws); err != nil {
 		return err
 	}
 	for i, newLoc := range f.scanLocs {

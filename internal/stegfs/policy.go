@@ -19,11 +19,13 @@ type UpdatePolicy interface {
 	// device block already sealed under seal, IV included: a sealed
 	// block does not depend on where it lands, so the file layer seals a
 	// run in one batch and the policy only decides placement and emits
-	// I/O. seal names the key for policies that record it with the
-	// blocks (to reseal them later as cover traffic). Implementations
-	// that relocate must transfer allocation ownership of the old and
-	// new locations themselves.
-	Update(locs []uint64, seal *sealer.Sealer, sealed [][]byte) error
+	// I/O. head is the location of the file's header and seal its
+	// content key, for policies that record them with the blocks: a
+	// journaled relocation names head, so recovery knows which on-disk
+	// map decides it, and a camouflage update reseals under seal.
+	// Implementations that relocate must transfer allocation ownership
+	// of the old and new locations themselves.
+	Update(locs []uint64, head uint64, seal *sealer.Sealer, sealed [][]byte) error
 }
 
 // InPlacePolicy is the conventional read-modify-write: blocks never
@@ -34,7 +36,7 @@ type InPlacePolicy struct {
 }
 
 // Update implements UpdatePolicy.
-func (p InPlacePolicy) Update(locs []uint64, _ *sealer.Sealer, sealed [][]byte) error {
+func (p InPlacePolicy) Update(locs []uint64, _ uint64, _ *sealer.Sealer, sealed [][]byte) error {
 	for i, loc := range locs {
 		if err := p.Vol.WriteRaw(loc, sealed[i]); err != nil {
 			return err

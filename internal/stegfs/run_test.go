@@ -22,12 +22,12 @@ type countingPolicy struct {
 
 var errRefused = errors.New("run refused")
 
-func (p countingPolicy) Update(locs []uint64, seal *sealer.Sealer, sealed [][]byte) error {
+func (p countingPolicy) Update(locs []uint64, head uint64, seal *sealer.Sealer, sealed [][]byte) error {
 	if *p.refuse {
 		return errRefused
 	}
 	*p.runs = append(*p.runs, len(locs))
-	return p.relocatingPolicy.Update(locs, seal, sealed)
+	return p.relocatingPolicy.Update(locs, head, seal, sealed)
 }
 
 // runRig is a traced volume holding one file of blocks whole blocks

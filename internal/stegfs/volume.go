@@ -137,12 +137,10 @@ func (v *Volume) blockLocker() BlockLocker {
 // before the blocks it concerns are referenced by a durable header.
 // All methods must be safe for concurrent use. A volume with no
 // intent log installed behaves exactly as before — the file layer
-// only consults the hooks, it never requires them.
+// only consults the hooks, it never requires them. Relocations are
+// not logged here: a run hands its file's header to the UpdatePolicy
+// with the blocks, and the update stream logs the moves under it.
 type IntentLog interface {
-	// NoteOwner records that data block loc currently belongs to the
-	// file whose header sits at headerLoc, so a subsequent relocation
-	// intent for loc can name the header recovery must inspect.
-	NoteOwner(loc, headerLoc uint64)
 	// LogAlloc durably records that the file at headerLoc acquired
 	// locs (growth, indirect blocks, creation), before any of them is
 	// written or referenced.

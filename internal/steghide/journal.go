@@ -20,48 +20,46 @@ import (
 // owning file's header save makes the move durable. LogSave drains
 // the file's limbo back to the bitmap.
 type c1Intents struct {
-	j      *journal.Journal
+	intentRing
 	source *stegfs.BitmapSource
 
 	mu    sync.Mutex
-	owner map[uint64]uint64   // data block → header of the owning file
 	limbo map[uint64][]uint64 // header → vacated blocks awaiting its save
 }
 
 func newC1Intents(j *journal.Journal, source *stegfs.BitmapSource) *c1Intents {
-	return &c1Intents{
-		j:      j,
-		source: source,
-		owner:  map[uint64]uint64{},
-		limbo:  map[uint64][]uint64{},
-	}
+	return &c1Intents{intentRing: intentRing{j}, source: source, limbo: map[uint64][]uint64{}}
 }
 
-// NoteOwner implements stegfs.IntentLog.
-func (c *c1Intents) NoteOwner(loc, headerLoc uint64) {
-	c.mu.Lock()
-	c.owner[loc] = headerLoc
-	c.mu.Unlock()
+// intentRing is what both journal adapters share: the ring, and the
+// hooks that only append to it. Allocations, frees and the update
+// stream need no adapter state; a relocation names the header its run
+// carried.
+type intentRing struct {
+	j *journal.Journal
 }
 
 // LogAlloc implements stegfs.IntentLog.
-func (c *c1Intents) LogAlloc(headerLoc uint64, locs []uint64) error {
-	c.mu.Lock()
-	for _, loc := range locs {
-		c.owner[loc] = headerLoc
-	}
-	c.mu.Unlock()
-	return c.j.AppendAlloc(headerLoc, locs)
+func (r intentRing) LogAlloc(headerLoc uint64, locs []uint64) error {
+	return r.j.AppendAlloc(headerLoc, locs)
 }
 
 // LogFree implements stegfs.IntentLog.
-func (c *c1Intents) LogFree(headerLoc uint64, locs []uint64) error {
-	c.mu.Lock()
-	for _, loc := range locs {
-		delete(c.owner, loc)
-	}
-	c.mu.Unlock()
-	return c.j.AppendFree(headerLoc, locs)
+func (r intentRing) LogFree(headerLoc uint64, locs []uint64) error {
+	return r.j.AppendFree(headerLoc, locs)
+}
+
+// LogStream implements sched.IntentLog: one ring cell per stream
+// element, the whole batch in one append — a relocation intent naming
+// head where the element moves its block, a filler where it does not.
+func (r intentRing) LogStream(head uint64, from, to []uint64) error {
+	return r.j.AppendBatch(len(from), func(i int, rec *journal.Record) {
+		if from[i] == to[i] {
+			rec.Op = journal.OpDummy
+			return
+		}
+		*rec = journal.Record{Op: journal.OpReloc, FileH: head, OldLoc: from[i], NewLoc: to[i]}
+	})
 }
 
 // LogSave implements stegfs.IntentLog: the header write is durable,
@@ -80,62 +78,18 @@ func (c *c1Intents) LogSave(headerLoc uint64) error {
 	return nil
 }
 
-// LogStream implements sched.IntentLog: one ring cell per stream
-// element, the whole batch in one append. The owners are looked up
-// before the append, so the journal's lock is never held across the
-// adapter's.
-func (c *c1Intents) LogStream(from, to []uint64) error {
-	c.mu.Lock()
-	heads := streamHeads(c.owner, from, to)
-	c.mu.Unlock()
-	return appendStream(c.j, heads, from, to)
-}
-
-// streamHeads returns the owning file's header for every relocation of
-// a stream batch (from[i] != to[i]), indexed like the batch; nil when
-// the batch is all fillers, as every idle burst is. The caller holds
-// the lock that guards owner.
-func streamHeads(owner map[uint64]uint64, from, to []uint64) []uint64 {
-	var heads []uint64
-	for i := range from {
-		if from[i] != to[i] {
-			if heads == nil {
-				heads = make([]uint64, len(from))
-			}
-			heads[i] = owner[from[i]]
-		}
-	}
-	return heads
-}
-
-// appendStream appends one record per stream element: a relocation
-// intent where the element moves its block, a filler where it does not.
-func appendStream(j *journal.Journal, heads, from, to []uint64) error {
-	return j.AppendBatch(len(from), func(i int, rec *journal.Record) {
-		if from[i] == to[i] {
-			rec.Op = journal.OpDummy
-			return
-		}
-		*rec = journal.Record{Op: journal.OpReloc, FileH: heads[i], OldLoc: from[i], NewLoc: to[i]}
-	})
-}
-
 // vacated is the BitmapSpace hook: a committed relocation's old block
-// enters the owner's limbo instead of the dummy pool, and the
-// ownership note follows the data.
-func (c *c1Intents) vacated(oldLoc, newLoc uint64) {
+// enters the limbo of the file whose header is at head instead of the
+// dummy pool.
+func (c *c1Intents) vacated(oldLoc, head uint64) {
 	c.mu.Lock()
-	h := c.owner[oldLoc]
-	delete(c.owner, oldLoc)
-	c.owner[newLoc] = h
-	c.limbo[h] = append(c.limbo[h], oldLoc)
+	c.limbo[head] = append(c.limbo[head], oldLoc)
 	c.mu.Unlock()
 }
 
 // reset drops all adapter state (after recovery rebuilt the bitmap).
 func (c *c1Intents) reset() {
 	c.mu.Lock()
-	c.owner = map[uint64]uint64{}
 	c.limbo = map[uint64][]uint64{}
 	c.mu.Unlock()
 }

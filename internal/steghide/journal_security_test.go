@@ -2,6 +2,7 @@ package steghide
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -273,5 +274,52 @@ func TestJournaledC1LimboHoldsVacatedBlocks(t *testing.T) {
 	}
 	if got := a.Source().FreeCount(); got != free0 {
 		t.Fatalf("free count %d after save, want %d (limbo must drain)", got, free0)
+	}
+}
+
+// TestLogoutForgetsBlockOwnership holds Construction 2 to its volatility
+// (§4.2): once the last login logs out, the agent and its journal
+// adapter hold no block, file or login of that session. Every map field
+// of both is walked by reflection, so a map added later is held to the
+// same rule; quota is the operator's setting, not session state.
+func TestLogoutForgetsBlockOwnership(t *testing.T) {
+	ctx := context.Background()
+	vol, err := stegfs.Format(blockdev.NewMem(256, 4096), stegfs.FormatOptions{
+		KDFIterations: 4, FillSeed: []byte("sh-forget"), JournalBlocks: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewVolatile(vol, prng.NewFromUint64(29))
+	if err := a.EnableJournal(JournalKey(vol, "admin")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := a.Login("u", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateDummy("/d", 200); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(ctx, "/f", prng.NewFromUint64(3).Bytes(10*vol.PayloadSize()), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Logout(ctx, "u"); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []any{a, a.jc2} {
+		v := reflect.ValueOf(st).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			name, f := v.Type().Field(i).Name, v.Field(i)
+			if f.Kind() != reflect.Map || name == "quota" {
+				continue
+			}
+			if f.Len() != 0 {
+				t.Errorf("%s.%s keeps %d entries after logout: %v", v.Type().Name(), name, f.Len(), f)
+			}
+		}
 	}
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // c2Intents is Construction 2's journal adapter. Unlike C1 it keeps
-// its maps under the agent's registry mutex (a.mu) — the vacate hook
-// runs inside CommitRelocate, which already holds it — and its limbo
-// entries remember the dummy file that donated each relocation
-// target, because the vacated block is promised to that file once the
-// move commits.
+// its one map, the limbo, under the agent's registry mutex (a.mu) —
+// the vacate hook runs inside CommitRelocate, which already holds it —
+// and its limbo entries remember the dummy file that donated each
+// relocation target, because the vacated block is promised to that
+// file once the move commits. A relocation names the header its run
+// carried, and that header's save drains its limbo.
 //
 // The volatile construction's recovery is necessarily incremental:
 // the agent boots with no file keys, so intents resolve when users
@@ -20,12 +21,10 @@ import (
 // from any disclosed dummy file's stale map — so no refill,
 // allocation, or donation can destroy what might be live data.
 type c2Intents struct {
+	intentRing
 	a *VolatileAgent
-	j *journal.Journal
 
-	// owner and limbo are guarded by a.mu.
-	owner map[uint64]uint64
-	limbo map[uint64][]c2Vacated
+	limbo map[uint64][]c2Vacated // guarded by a.mu
 }
 
 // c2Vacated is one relocation's vacated block awaiting the owning
@@ -72,36 +71,6 @@ func (r *c2Recovery) protects(loc uint64) bool {
 	return r.touch[loc] > 0 || r.data[loc]
 }
 
-// NoteOwner implements stegfs.IntentLog.
-func (c *c2Intents) NoteOwner(loc, headerLoc uint64) {
-	a := c.a
-	a.mu.Lock()
-	c.owner[loc] = headerLoc
-	a.mu.Unlock()
-}
-
-// LogAlloc implements stegfs.IntentLog.
-func (c *c2Intents) LogAlloc(headerLoc uint64, locs []uint64) error {
-	a := c.a
-	a.mu.Lock()
-	for _, loc := range locs {
-		c.owner[loc] = headerLoc
-	}
-	a.mu.Unlock()
-	return c.j.AppendAlloc(headerLoc, locs)
-}
-
-// LogFree implements stegfs.IntentLog.
-func (c *c2Intents) LogFree(headerLoc uint64, locs []uint64) error {
-	a := c.a
-	a.mu.Lock()
-	for _, loc := range locs {
-		delete(c.owner, loc)
-	}
-	a.mu.Unlock()
-	return c.j.AppendFree(headerLoc, locs)
-}
-
 // LogSave implements stegfs.IntentLog: the header write is durable,
 // so the file's vacated blocks finally join the dummy files they were
 // promised to.
@@ -126,24 +95,10 @@ func (c *c2Intents) LogSave(headerLoc uint64) error {
 	return c.j.AppendSave(headerLoc)
 }
 
-// LogStream implements sched.IntentLog: one ring cell per stream
-// element, the whole batch in one append. The owners are looked up
-// before the append, so the journal's lock is never held across the
-// registry's.
-func (c *c2Intents) LogStream(from, to []uint64) error {
-	a := c.a
-	a.mu.Lock()
-	heads := streamHeads(c.owner, from, to)
-	a.mu.Unlock()
-	return appendStream(c.j, heads, from, to)
-}
-
-// vacatedLocked is the CommitRelocate hook; the caller holds a.mu.
-func (c *c2Intents) vacatedLocked(oldLoc, newLoc uint64, donor *stegfs.File, user string) {
-	h := c.owner[oldLoc]
-	delete(c.owner, oldLoc)
-	c.owner[newLoc] = h
-	c.limbo[h] = append(c.limbo[h], c2Vacated{loc: oldLoc, donor: donor, user: user})
+// vacatedLocked is the CommitRelocate hook: oldLoc waits in the limbo
+// of the file whose header is at head. The caller holds a.mu.
+func (c *c2Intents) vacatedLocked(oldLoc, head uint64, donor *stegfs.File, user string) {
+	c.limbo[head] = append(c.limbo[head], c2Vacated{loc: oldLoc, donor: donor, user: user})
 }
 
 // fileStillKnown reports whether f is still a disclosed file (its
@@ -165,7 +120,7 @@ func (a *VolatileAgent) EnableJournal(key sealer.Key) error {
 		return err
 	}
 	a.mu.Lock()
-	a.jc2 = &c2Intents{a: a, j: j, owner: map[uint64]uint64{}, limbo: map[uint64][]c2Vacated{}}
+	a.jc2 = &c2Intents{intentRing: intentRing{j}, a: a, limbo: map[uint64][]c2Vacated{}}
 	a.mu.Unlock()
 	a.vol.SetIntentLog(a.jc2)
 	a.sched.SetIntentLog(a.jc2)

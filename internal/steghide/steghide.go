@@ -114,7 +114,8 @@ func statsFromSched(s sched.Stats) UpdateStats {
 
 // runPolicy is the stegfs.UpdatePolicy both agents hand the file
 // layer: a run of blocks goes to the volume's scheduler as one
-// Figure-6 batch, under the caller's context.
+// Figure-6 batch, under the caller's context, with the header of the
+// file it belongs to for the journal's relocation intents.
 type runPolicy struct {
 	ctx   context.Context
 	sched *sched.Scheduler
@@ -124,12 +125,12 @@ type runPolicy struct {
 }
 
 // Update implements stegfs.UpdatePolicy.
-func (p runPolicy) Update(locs []uint64, seal *sealer.Sealer, sealed [][]byte) error {
+func (p runPolicy) Update(locs []uint64, head uint64, seal *sealer.Sealer, sealed [][]byte) error {
 	if p.fence != nil {
 		p.fence.RLock()
 		defer p.fence.RUnlock()
 	}
-	err := p.sched.UpdateRun(p.ctx, locs, seal, sealed)
+	err := p.sched.UpdateRun(p.ctx, locs, head, seal, sealed)
 	if errors.Is(err, sched.ErrNoFreeSpace) {
 		// The bitmap space's sentinel, in the agents' vocabulary.
 		return fmt.Errorf("%w: volume at 100%% utilization", ErrNoDummySpace)

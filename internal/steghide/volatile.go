@@ -219,6 +219,8 @@ func (a *VolatileAgent) unregister(loc uint64) {
 
 // chargeLocked adjusts a login's block-usage counter; the caller holds
 // a.mu. Blocks with no recorded login (crash limbo) are not charged.
+// A login whose count reaches zero leaves the map, so the agent keeps
+// no name it no longer serves; a missing entry reads as zero.
 func (a *VolatileAgent) chargeLocked(user string, delta int) {
 	if user == "" {
 		return
@@ -227,10 +229,10 @@ func (a *VolatileAgent) chargeLocked(user string, delta int) {
 		a.usage[user] += uint64(delta)
 		return
 	}
-	if a.usage[user] >= uint64(-delta) {
+	if a.usage[user] > uint64(-delta) {
 		a.usage[user] -= uint64(-delta)
 	} else {
-		a.usage[user] = 0
+		delete(a.usage, user)
 	}
 }
 
@@ -984,8 +986,9 @@ func (sp *volatileSpace) DrawUpdate(loc uint64) (sched.Target, error) {
 
 // CommitRelocate implements sched.Space: the payload landed on newLoc,
 // so it takes over oldLoc's ownership, and oldLoc joins the dummy
-// file that donated newLoc.
-func (sp *volatileSpace) CommitRelocate(oldLoc, newLoc uint64, seal *sealer.Sealer) {
+// file that donated newLoc — journaled, once the file whose header is
+// at head saves.
+func (sp *volatileSpace) CommitRelocate(oldLoc, newLoc, head uint64, seal *sealer.Sealer) {
 	a := sp.a
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -1007,7 +1010,7 @@ func (sp *volatileSpace) CommitRelocate(oldLoc, newLoc uint64, seal *sealer.Seal
 		if pend.reloc != nil {
 			user = pend.user
 		}
-		a.jc2.vacatedLocked(oldLoc, newLoc, pend.reloc, user)
+		a.jc2.vacatedLocked(oldLoc, head, pend.reloc, user)
 		a.register(oldLoc, ownerInfo{user: user, pending: true})
 		return
 	}
