@@ -103,7 +103,7 @@ func (c *CleanDisk) Read(name string) ([]byte, error) {
 	out := make([]byte, ext.size)
 	buf := make([]byte, c.dev.BlockSize())
 	for i := uint64(0); i < ext.blocks; i++ {
-		if err := c.dev.ReadBlock(ext.start+i, buf); err != nil {
+		if err := blockdev.ReadBlock(c.dev, ext.start+i, buf); err != nil {
 			return nil, err
 		}
 		copy(out[i*uint64(c.dev.BlockSize()):], buf)
@@ -127,11 +127,11 @@ func (c *CleanDisk) UpdateBlocks(name string, blockIdx uint64, data []byte) erro
 	buf := make([]byte, c.dev.BlockSize())
 	for i := uint64(0); i < n; i++ {
 		loc := ext.start + blockIdx + i
-		if err := c.dev.ReadBlock(loc, buf); err != nil { // read-modify-write
+		if err := blockdev.ReadBlock(c.dev, loc, buf); err != nil { // read-modify-write
 			return err
 		}
 		copy(buf, data[i*uint64(c.dev.BlockSize()):])
-		if err := c.dev.WriteBlock(loc, buf); err != nil {
+		if err := blockdev.WriteBlock(c.dev, loc, buf); err != nil {
 			return err
 		}
 	}
@@ -201,7 +201,7 @@ func (f *FragDisk) Write(name string, data []byte) error {
 			buf[j] = 0
 		}
 		copy(buf, data[i*bs:])
-		if err := f.dev.WriteBlock(ff.block(i), buf); err != nil {
+		if err := blockdev.WriteBlock(f.dev, ff.block(i), buf); err != nil {
 			return err
 		}
 	}
@@ -227,7 +227,7 @@ func (f *FragDisk) Read(name string) ([]byte, error) {
 	out := make([]byte, ff.size)
 	buf := make([]byte, bs)
 	for i := uint64(0); i < ff.blocks(bs); i++ {
-		if err := f.dev.ReadBlock(ff.block(i), buf); err != nil {
+		if err := blockdev.ReadBlock(f.dev, ff.block(i), buf); err != nil {
 			return nil, err
 		}
 		copy(out[i*bs:], buf)
@@ -252,11 +252,11 @@ func (f *FragDisk) UpdateBlocks(name string, blockIdx uint64, data []byte) error
 	buf := make([]byte, bs)
 	for i := uint64(0); i < n; i++ {
 		loc := ff.block(blockIdx + i)
-		if err := f.dev.ReadBlock(loc, buf); err != nil {
+		if err := blockdev.ReadBlock(f.dev, loc, buf); err != nil {
 			return err
 		}
 		copy(buf, data[i*bs:])
-		if err := f.dev.WriteBlock(loc, buf); err != nil {
+		if err := blockdev.WriteBlock(f.dev, loc, buf); err != nil {
 			return err
 		}
 	}
@@ -286,7 +286,7 @@ func writeRange(dev blockdev.Device, start uint64, data []byte) error {
 			buf[j] = 0
 		}
 		copy(buf, data[i*bs:])
-		if err := dev.WriteBlock(start+uint64(i), buf); err != nil {
+		if err := blockdev.WriteBlock(dev, start+uint64(i), buf); err != nil {
 			return err
 		}
 	}

@@ -4,42 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"steghide/internal/mempool"
 )
 
 // Batch I/O plane. The constructions of the paper are throughput-bound
 // on bulk block movement — §4's relocation and dummy traffic, §5's
-// reshuffle (external merge sort) — so every device offers an optional
-// multi-block fast path: one lock acquisition on Mem, one positional
+// reshuffle (external merge sort) — so a batch is the one transfer
+// every device offers: one lock acquisition on Mem, one positional
 // syscall per run on File, one round trip on wire.RemoteDevice, one
-// sequential-pass charge on Sim. Callers go through the package-level
-// helpers ReadBlocks/WriteBlocks (and the scattered-index *At
-// variants), which use the fast path when the device provides one and
-// fall back to a per-block loop otherwise. Inside the package a batch
-// is one descriptor, and every device moves it in one method.
+// sequential-pass charge on Sim. Inside the package a batch is one
+// descriptor, and every device moves it in one method.
 //
 // Error semantics: a batch is validated whole before any I/O. On
-// sequential devices (Mem, File, Sub, the loop fallback, and so
-// FaultDevice) a device error mid-batch leaves a well-defined prefix —
-// every block before the failing one has been transferred, none at or
-// after it. Concurrent composites (Striped over members with real I/O
-// latency, and anything built on them) fan sub-batches out in
-// parallel, so a failed batch there may have transferred an arbitrary
-// subset; each member's own sub-batch is still prefix-consistent. A
-// Striped whose members are all memory-speed moves its blocks inline,
-// in batch order.
-
-// BatchDevice is implemented by devices with a native multi-block
-// fast path. ReadBlocks/WriteBlocks move the contiguous block range
-// [start, start+len(bufs)); the *At variants move an arbitrary index
-// set (idx[i] pairs with bufs[i]). Like Device's single-block methods,
-// all four must be safe for concurrent use.
-type BatchDevice interface {
-	Device
-	ReadBlocks(start uint64, bufs [][]byte) error
-	WriteBlocks(start uint64, data [][]byte) error
-	ReadBlocksAt(idx []uint64, bufs [][]byte) error
-	WriteBlocksAt(idx []uint64, data [][]byte) error
-}
+// sequential devices (Mem, File, Sub, FaultDevice) a device error
+// mid-batch leaves a well-defined prefix — every block before the
+// failing one has been transferred, none at or after it. Striped
+// splits a batch into one share per member, and each member's share is
+// prefix-consistent; over members with real I/O latency the shares run
+// concurrently, so a failed batch there may have transferred an
+// arbitrary subset of the other shares. A Striped whose members are
+// all memory-speed moves the shares inline, in member order.
 
 // ErrBatchShape reports index and buffer slices of different lengths.
 var ErrBatchShape = errors.New("blockdev: index count != buffer count")
@@ -60,8 +45,6 @@ func (b batch) block(k int) uint64 {
 	}
 	return b.start + uint64(k)
 }
-
-func (b batch) empty() bool { return len(b.bufs) == 0 && len(b.idx) == 0 }
 
 // check validates the whole batch against d's geometry.
 func (b batch) check(d Device) error {
@@ -86,66 +69,18 @@ func (b batch) check(d Device) error {
 	return nil
 }
 
-// transfer moves b through d's fast path when it has one, and through
-// a validated per-block loop otherwise.
+// transfer hands b to the one of d's four batch methods that moves it.
 func transfer(d Device, b batch, write bool) error {
-	if b.empty() {
-		return nil
+	switch {
+	case b.at && write:
+		return d.WriteBlocksAt(b.idx, b.bufs)
+	case b.at:
+		return d.ReadBlocksAt(b.idx, b.bufs)
+	case write:
+		return d.WriteBlocks(b.start, b.bufs)
+	default:
+		return d.ReadBlocks(b.start, b.bufs)
 	}
-	if bd, ok := d.(BatchDevice); ok {
-		switch {
-		case b.at && write:
-			return bd.WriteBlocksAt(b.idx, b.bufs)
-		case b.at:
-			return bd.ReadBlocksAt(b.idx, b.bufs)
-		case write:
-			return bd.WriteBlocks(b.start, b.bufs)
-		default:
-			return bd.ReadBlocks(b.start, b.bufs)
-		}
-	}
-	if err := b.check(d); err != nil {
-		return err
-	}
-	for k, buf := range b.bufs {
-		if err := moveBlock(d, b.block(k), buf, write); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// moveBlock is one single-block transfer in the given direction.
-func moveBlock(d Device, i uint64, buf []byte, write bool) error {
-	if write {
-		return d.WriteBlock(i, buf)
-	}
-	return d.ReadBlock(i, buf)
-}
-
-// ReadBlocks fills bufs with the contiguous blocks [start,
-// start+len(bufs)), using the device's native fast path when it has
-// one and a per-block loop otherwise.
-func ReadBlocks(d Device, start uint64, bufs [][]byte) error {
-	return transfer(d, batch{start: start, bufs: bufs}, false)
-}
-
-// WriteBlocks stores data as the contiguous blocks [start,
-// start+len(data)); fast path when available, loop otherwise.
-func WriteBlocks(d Device, start uint64, data [][]byte) error {
-	return transfer(d, batch{start: start, bufs: data}, true)
-}
-
-// ReadBlocksAt fills bufs[i] with block idx[i] for every i; fast path
-// when available, loop otherwise.
-func ReadBlocksAt(d Device, idx []uint64, bufs [][]byte) error {
-	return transfer(d, batch{idx: idx, at: true, bufs: bufs}, false)
-}
-
-// WriteBlocksAt stores data[i] as block idx[i] for every i; fast path
-// when available, loop otherwise.
-func WriteBlocksAt(d Device, idx []uint64, data [][]byte) error {
-	return transfer(d, batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // AllocBlocks returns n block buffers carved out of one allocation —
@@ -185,47 +120,32 @@ func (m *Mem) batch(b batch, write bool) error {
 	return nil
 }
 
-// ReadBlocks implements BatchDevice.
+// ReadBlocks implements Device.
 func (m *Mem) ReadBlocks(start uint64, bufs [][]byte) error {
 	return m.batch(batch{start: start, bufs: bufs}, false)
 }
 
-// WriteBlocks implements BatchDevice.
+// WriteBlocks implements Device.
 func (m *Mem) WriteBlocks(start uint64, data [][]byte) error {
 	return m.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice.
+// ReadBlocksAt implements Device.
 func (m *Mem) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	return m.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
-// WriteBlocksAt implements BatchDevice.
+// WriteBlocksAt implements Device.
 func (m *Mem) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return m.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // --- File ---------------------------------------------------------------
 
-// slab borrows a contiguous scratch buffer of at least n bytes from
-// the file's pool.
-func (d *File) slab(n int) []byte {
-	if v := d.scratch.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func (d *File) releaseSlab(b []byte) {
-	b = b[:cap(b)]
-	d.scratch.Put(&b)
-}
-
 // batch coalesces b into runs of consecutive blocks and moves each run
-// with one positional syscall; a contiguous batch is one run.
+// with one positional syscall; a contiguous batch is one run. The
+// run's slab is leased from mempool and fully overwritten before use:
+// by the copies in on a write, by the read on a read.
 func (d *File) batch(b batch, write bool) error {
 	if err := b.check(d); err != nil {
 		return err
@@ -237,7 +157,7 @@ func (d *File) batch(b batch, write bool) error {
 			hi++
 		}
 		run := b.bufs[lo:hi]
-		slab := d.slab(len(run) * bs)
+		slab := mempool.Get(len(run) * bs)
 		off := int64(first) * int64(bs)
 		var err error
 		if write {
@@ -250,7 +170,7 @@ func (d *File) batch(b batch, write bool) error {
 				copy(buf, slab[k*bs:])
 			}
 		}
-		d.releaseSlab(slab)
+		mempool.Recycle(slab)
 		if err != nil {
 			return fmt.Errorf("blockdev: %s blocks [%d,%d): %w", opOf(write), first, first+uint64(len(run)), err)
 		}
@@ -259,22 +179,22 @@ func (d *File) batch(b batch, write bool) error {
 	return nil
 }
 
-// ReadBlocks implements BatchDevice.
+// ReadBlocks implements Device.
 func (d *File) ReadBlocks(start uint64, bufs [][]byte) error {
 	return d.batch(batch{start: start, bufs: bufs}, false)
 }
 
-// WriteBlocks implements BatchDevice.
+// WriteBlocks implements Device.
 func (d *File) WriteBlocks(start uint64, data [][]byte) error {
 	return d.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice.
+// ReadBlocksAt implements Device.
 func (d *File) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	return d.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
-// WriteBlocksAt implements BatchDevice.
+// WriteBlocksAt implements Device.
 func (d *File) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return d.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
@@ -282,7 +202,7 @@ func (d *File) WriteBlocksAt(idx []uint64, data [][]byte) error {
 // --- SubDevice ----------------------------------------------------------
 
 // batch translates b into the parent's address space; the parent's
-// fast path (if any) does the work.
+// batch method does the work.
 func (s *SubDevice) batch(b batch, write bool) error {
 	if err := b.check(s); err != nil {
 		return err
@@ -299,22 +219,22 @@ func (s *SubDevice) batch(b batch, write bool) error {
 	return transfer(s.parent, b, write)
 }
 
-// ReadBlocks implements BatchDevice.
+// ReadBlocks implements Device.
 func (s *SubDevice) ReadBlocks(start uint64, bufs [][]byte) error {
 	return s.batch(batch{start: start, bufs: bufs}, false)
 }
 
-// WriteBlocks implements BatchDevice.
+// WriteBlocks implements Device.
 func (s *SubDevice) WriteBlocks(start uint64, data [][]byte) error {
 	return s.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice.
+// ReadBlocksAt implements Device.
 func (s *SubDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	return s.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
-// WriteBlocksAt implements BatchDevice.
+// WriteBlocksAt implements Device.
 func (s *SubDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return s.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
@@ -324,14 +244,35 @@ func (s *SubDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
 // split partitions b by owning member: parts[m] is member m's share at
 // its local indices, in batch order. Block start+j of a contiguous run
 // lives on member (start+j) mod k, so each member's share of a run is
-// itself a run and keeps the member's contiguous fast path.
+// itself a run and keeps the member's contiguous path. The shares are
+// carved out of one buffer vector (and one index vector), sized by a
+// counting pass, so a split costs the same few allocations at any
+// batch size.
 func (s *Striped) split(b batch) []batch {
 	parts := make([]batch, len(s.members))
+	for k := range b.bufs {
+		m, _ := s.Locate(b.block(k))
+		parts[m].start++ // the share's size until it is carved below
+	}
+	bufs := make([][]byte, len(b.bufs))
+	var idx []uint64
+	if b.at {
+		idx = make([]uint64, len(b.idx))
+	}
+	off := 0
+	for m := range parts {
+		n := int(parts[m].start)
+		parts[m] = batch{at: b.at, bufs: bufs[off : off : off+n]}
+		if b.at {
+			parts[m].idx = idx[off : off : off+n]
+		}
+		off += n
+	}
 	for k, buf := range b.bufs {
 		m, local := s.Locate(b.block(k))
 		p := &parts[m]
 		if len(p.bufs) == 0 {
-			p.start, p.at = local, b.at
+			p.start = local
 		}
 		if b.at {
 			p.idx = append(p.idx, local)
@@ -341,31 +282,37 @@ func (s *Striped) split(b batch) []batch {
 	return parts
 }
 
-// batch moves b across the members. All-memory stripes move blocks
-// inline, since split allocation and goroutine fan-out both cost more
-// than memcpy-speed I/O; otherwise each member's share runs
-// concurrently, inline when one member holds the whole batch.
+// batch moves b across the members, one call per member's share.
+// All-memory stripes move the shares inline, in member order, since
+// goroutine fan-out costs more than memcpy-speed I/O.
 func (s *Striped) batch(b batch, write bool) error {
 	if err := b.check(s); err != nil {
 		return err
 	}
-	if s.allFast {
-		for k, buf := range b.bufs {
-			m, local := s.Locate(b.block(k))
-			if err := moveBlock(s.members[m], local, buf, write); err != nil {
+	parts := s.split(b)
+	if !s.allFast {
+		return s.fanOut(parts, len(b.bufs), write)
+	}
+	for m, p := range parts {
+		if len(p.bufs) > 0 {
+			if err := transfer(s.members[m], p, write); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	parts := s.split(b)
+	return nil
+}
+
+// fanOut moves the members' shares of an n-block batch concurrently,
+// inline when one member holds the whole batch.
+func (s *Striped) fanOut(parts []batch, n int, write bool) error {
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for m, p := range parts {
 		switch len(p.bufs) {
 		case 0:
 			continue
-		case len(b.bufs):
+		case n:
 			return transfer(s.members[m], p, write)
 		}
 		wg.Add(1)
@@ -378,37 +325,36 @@ func (s *Striped) batch(b batch, write bool) error {
 	return errors.Join(errs...)
 }
 
-// ReadBlocks implements BatchDevice.
+// ReadBlocks implements Device.
 func (s *Striped) ReadBlocks(start uint64, bufs [][]byte) error {
 	return s.batch(batch{start: start, bufs: bufs}, false)
 }
 
-// WriteBlocks implements BatchDevice.
+// WriteBlocks implements Device.
 func (s *Striped) WriteBlocks(start uint64, data [][]byte) error {
 	return s.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice.
+// ReadBlocksAt implements Device.
 func (s *Striped) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	return s.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
-// WriteBlocksAt implements BatchDevice.
+// WriteBlocksAt implements Device.
 func (s *Striped) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return s.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
 
 // --- Traced -------------------------------------------------------------
 
-// batch runs the inner device's fast path, then records what moved: a
+// batch runs the inner device's batch, then records what moved: a
 // contiguous batch as one ranged event, a scattered one as one event
-// per block in batch order — exactly the stream a looping caller would
-// have produced, since scattered accesses have no compact range form.
-// Events are recorded only when the inner batch succeeds as a whole: a
-// batch failing at block k transferred a k-block prefix (on sequential
-// devices) that the trace does not show. Analyzers only consume traces
-// from healthy runs, where the recorded stream is exactly the
-// per-block loop's.
+// per block in batch order, since scattered accesses have no compact
+// range form — so a single block (ReadBlock, WriteBlock) is one
+// {Block: i, Count: 0} event. Events are recorded only when the inner
+// batch succeeds as a whole: a batch failing at block k transferred a
+// k-block prefix (on sequential devices) that the trace does not show.
+// Analyzers only consume traces from healthy runs.
 func (t *Traced) batch(b batch, write bool) error {
 	if err := transfer(t.Device, b, write); err != nil {
 		return err
@@ -418,28 +364,28 @@ func (t *Traced) batch(b batch, write bool) error {
 		for _, i := range b.idx {
 			t.record(opOf(write), i, 0)
 		}
-	case !b.empty():
+	case len(b.bufs) > 0:
 		t.record(opOf(write), b.start, uint64(len(b.bufs)))
 	}
 	return nil
 }
 
-// ReadBlocks implements BatchDevice.
+// ReadBlocks implements Device.
 func (t *Traced) ReadBlocks(start uint64, bufs [][]byte) error {
 	return t.batch(batch{start: start, bufs: bufs}, false)
 }
 
-// WriteBlocks implements BatchDevice.
+// WriteBlocks implements Device.
 func (t *Traced) WriteBlocks(start uint64, data [][]byte) error {
 	return t.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice.
+// ReadBlocksAt implements Device.
 func (t *Traced) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	return t.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
-// WriteBlocksAt implements BatchDevice.
+// WriteBlocksAt implements Device.
 func (t *Traced) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return t.batch(batch{idx: idx, at: true, bufs: data}, true)
 }
@@ -463,22 +409,22 @@ func (s *Sim) batch(b batch, write bool) error {
 	return nil
 }
 
-// ReadBlocks implements BatchDevice.
+// ReadBlocks implements Device.
 func (s *Sim) ReadBlocks(start uint64, bufs [][]byte) error {
 	return s.batch(batch{start: start, bufs: bufs}, false)
 }
 
-// WriteBlocks implements BatchDevice.
+// WriteBlocks implements Device.
 func (s *Sim) WriteBlocks(start uint64, data [][]byte) error {
 	return s.batch(batch{start: start, bufs: data}, true)
 }
 
-// ReadBlocksAt implements BatchDevice.
+// ReadBlocksAt implements Device.
 func (s *Sim) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	return s.batch(batch{idx: idx, at: true, bufs: bufs}, false)
 }
 
-// WriteBlocksAt implements BatchDevice.
+// WriteBlocksAt implements Device.
 func (s *Sim) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return s.batch(batch{idx: idx, at: true, bufs: data}, true)
 }

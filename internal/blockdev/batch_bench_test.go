@@ -18,20 +18,20 @@ func benchDeviceRead(b *testing.B, d Device, batched bool) {
 	bufs := AllocBlocks(benchBatch, d.BlockSize())
 	seed := AllocBlocks(benchBatch, d.BlockSize())
 	fillPattern(seed, 5)
-	if err := WriteBlocks(d, 0, seed); err != nil {
+	if err := d.WriteBlocks(0, seed); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(benchBatch * d.BlockSize()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batched {
-			if err := ReadBlocks(d, 0, bufs); err != nil {
+			if err := d.ReadBlocks(0, bufs); err != nil {
 				b.Fatal(err)
 			}
 			continue
 		}
 		for j := range bufs {
-			if err := d.ReadBlock(uint64(j), bufs[j]); err != nil {
+			if err := ReadBlock(d, uint64(j), bufs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -46,13 +46,13 @@ func benchDeviceWrite(b *testing.B, d Device, batched bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batched {
-			if err := WriteBlocks(d, 0, data); err != nil {
+			if err := d.WriteBlocks(0, data); err != nil {
 				b.Fatal(err)
 			}
 			continue
 		}
 		for j := range data {
-			if err := d.WriteBlock(uint64(j), data[j]); err != nil {
+			if err := WriteBlock(d, uint64(j), data[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -107,13 +107,13 @@ func benchDeviceReadAt(b *testing.B, d Device, batched bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batched {
-			if err := ReadBlocksAt(d, idx, bufs); err != nil {
+			if err := d.ReadBlocksAt(idx, bufs); err != nil {
 				b.Fatal(err)
 			}
 			continue
 		}
 		for j, x := range idx {
-			if err := d.ReadBlock(x, bufs[j]); err != nil {
+			if err := ReadBlock(d, x, bufs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,10 +11,6 @@ import (
 	"steghide/internal/diskmodel"
 )
 
-// loopOnly hides a device's batch fast path, forcing the helpers onto
-// their per-block fallback.
-type loopOnly struct{ Device }
-
 func fillPattern(bufs [][]byte, seed byte) {
 	for i, b := range bufs {
 		for j := range b {
@@ -23,65 +19,8 @@ func fillPattern(bufs [][]byte, seed byte) {
 	}
 }
 
-// TestBatchHelpersMatchLoop verifies the fast paths and the loop
-// fallback produce identical device contents and identical reads.
-func TestBatchHelpersMatchLoop(t *testing.T) {
-	const bs, n = 64, 32
-	fast := NewMem(bs, n)
-	slow := NewMem(bs, n)
-
-	data := AllocBlocks(8, bs)
-	fillPattern(data, 7)
-	if err := WriteBlocks(fast, 5, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBlocks(loopOnly{slow}, 5, data); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fast.Snapshot(), slow.Snapshot()) {
-		t.Fatal("batched and looped writes diverge")
-	}
-
-	idx := []uint64{30, 2, 17, 25, 9}
-	scattered := AllocBlocks(len(idx), bs)
-	fillPattern(scattered, 101)
-	if err := WriteBlocksAt(fast, idx, scattered); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBlocksAt(loopOnly{slow}, idx, scattered); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fast.Snapshot(), slow.Snapshot()) {
-		t.Fatal("batched and looped scattered writes diverge")
-	}
-
-	got1 := AllocBlocks(8, bs)
-	got2 := AllocBlocks(8, bs)
-	if err := ReadBlocks(fast, 5, got1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadBlocks(loopOnly{fast}, 5, got2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got1 {
-		if !bytes.Equal(got1[i], got2[i]) {
-			t.Fatalf("read %d diverges", i)
-		}
-	}
-	sg1 := AllocBlocks(len(idx), bs)
-	if err := ReadBlocksAt(fast, idx, sg1); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sg1 {
-		if !bytes.Equal(sg1[i], scattered[i]) {
-			t.Fatalf("scattered read %d diverges", i)
-		}
-	}
-}
-
 // batchDevices builds one instance of every device type in the package
-// over the same geometry (nb blocks of bs bytes), plus loopOnly for the
-// helpers' per-block fallback.
+// over the same geometry (nb blocks of bs bytes).
 func batchDevices(t *testing.T, bs int, nb uint64) map[string]Device {
 	t.Helper()
 	dir := t.TempDir()
@@ -114,17 +53,17 @@ func batchDevices(t *testing.T, bs int, nb uint64) map[string]Device {
 		"Traced":       NewTraced(NewMem(bs, nb), &Collector{}),
 		"Sim":          NewSim(NewMem(bs, nb), diskmodel.MustNew(diskmodel.Params2004(nb, bs))),
 		"FaultDevice":  NewFault(NewMem(bs, nb)),
-		"loopOnly":     loopOnly{NewMem(bs, nb)},
 	}
 }
 
-// readAll returns the device's contents through its per-block path.
+// readAll returns the device's contents block by block, each a
+// scattered batch of one.
 func readAll(t *testing.T, d Device) []byte {
 	t.Helper()
 	bs := d.BlockSize()
 	out := make([]byte, int(d.NumBlocks())*bs)
 	for i := uint64(0); i < d.NumBlocks(); i++ {
-		if err := d.ReadBlock(i, out[int(i)*bs:int(i+1)*bs]); err != nil {
+		if err := ReadBlock(d, i, out[int(i)*bs:int(i+1)*bs]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,16 +71,15 @@ func readAll(t *testing.T, d Device) []byte {
 }
 
 // TestBatchValidation holds the batch contract on every device: a
-// malformed batch returns its sentinel with nothing transferred, an
-// empty batch is a no-op, and well-formed batches match a per-block
-// loop.
+// malformed batch returns its sentinel with nothing transferred, and an
+// empty batch is a no-op.
 func TestBatchValidation(t *testing.T) {
 	const bs, nb = 512, 24
 	for name, d := range batchDevices(t, bs, nb) {
 		t.Run(name, func(t *testing.T) {
 			data := AllocBlocks(4, bs)
 			fillPattern(data, 1)
-			if err := WriteBlocks(d, 0, data); err != nil {
+			if err := d.WriteBlocks(0, data); err != nil {
 				t.Fatal(err)
 			}
 			before := readAll(t, d)
@@ -151,19 +89,22 @@ func TestBatchValidation(t *testing.T) {
 				err  error
 				want error
 			}{
-				{"contiguous overrun", WriteBlocks(d, nb-2, data), ErrOutOfRange},
-				{"contiguous overrun read", ReadBlocks(d, nb-2, data), ErrOutOfRange},
-				{"start overflow", WriteBlocks(d, math.MaxUint64, data[:2]), ErrOutOfRange},
-				{"scattered out of range", WriteBlocksAt(d, []uint64{1, nb, 2}, data[:3]), ErrOutOfRange},
-				{"scattered out of range read", ReadBlocksAt(d, []uint64{3, 2, nb + 9}, data[:3]), ErrOutOfRange},
-				{"short buffer", WriteBlocks(d, 0, short), ErrBufSize},
-				{"short buffer scattered", WriteBlocksAt(d, []uint64{6, 7}, short), ErrBufSize},
-				{"nil index set", ReadBlocksAt(d, nil, data), ErrBatchShape},
-				{"shape mismatch", WriteBlocksAt(d, []uint64{1, 2}, data[:1]), ErrBatchShape},
-				{"empty contiguous", ReadBlocks(d, 0, nil), nil},
-				{"empty contiguous write", WriteBlocks(d, nb+100, nil), nil},
-				{"empty scattered", ReadBlocksAt(d, nil, nil), nil},
-				{"empty scattered write", WriteBlocksAt(d, []uint64{}, [][]byte{}), nil},
+				{"contiguous overrun", d.WriteBlocks(nb-2, data), ErrOutOfRange},
+				{"contiguous overrun read", d.ReadBlocks(nb-2, data), ErrOutOfRange},
+				{"start overflow", d.WriteBlocks(math.MaxUint64, data[:2]), ErrOutOfRange},
+				{"scattered out of range", d.WriteBlocksAt([]uint64{1, nb, 2}, data[:3]), ErrOutOfRange},
+				{"scattered out of range read", d.ReadBlocksAt([]uint64{3, 2, nb + 9}, data[:3]), ErrOutOfRange},
+				{"single out of range", ReadBlock(d, nb, data[0]), ErrOutOfRange},
+				{"single out of range write", WriteBlock(d, nb, data[0]), ErrOutOfRange},
+				{"short buffer", d.WriteBlocks(0, short), ErrBufSize},
+				{"short buffer scattered", d.WriteBlocksAt([]uint64{6, 7}, short), ErrBufSize},
+				{"short buffer single", WriteBlock(d, 6, short[1]), ErrBufSize},
+				{"nil index set", d.ReadBlocksAt(nil, data), ErrBatchShape},
+				{"shape mismatch", d.WriteBlocksAt([]uint64{1, 2}, data[:1]), ErrBatchShape},
+				{"empty contiguous", d.ReadBlocks(0, nil), nil},
+				{"empty contiguous write", d.WriteBlocks(nb+100, nil), nil},
+				{"empty scattered", d.ReadBlocksAt(nil, nil), nil},
+				{"empty scattered write", d.WriteBlocksAt([]uint64{}, [][]byte{}), nil},
 			} {
 				if !errors.Is(c.err, c.want) || (c.want == nil) != (c.err == nil) {
 					t.Errorf("%s: got %v, want %v", c.what, c.err, c.want)
@@ -172,49 +113,65 @@ func TestBatchValidation(t *testing.T) {
 			if !bytes.Equal(readAll(t, d), before) {
 				t.Fatal("a refused or empty batch changed the device")
 			}
+		})
+	}
+}
 
-			// Well-formed batches against a per-block loop on a reference.
+// TestBatchHelpersMatchLoop checks every device's four batch methods
+// against a per-block reference built with the ReadBlock/WriteBlock
+// helpers on a Mem: the same device contents after contiguous and
+// scattered writes, and the same bytes from contiguous and scattered
+// reads.
+func TestBatchHelpersMatchLoop(t *testing.T) {
+	const bs, nb = 512, 24
+	for name, d := range batchDevices(t, bs, nb) {
+		t.Run(name, func(t *testing.T) {
 			ref := NewMem(bs, nb)
-			if err := WriteBlocks(ref, 0, data); err != nil {
-				t.Fatal(err)
-			}
 			run := AllocBlocks(9, bs)
 			fillPattern(run, 40)
-			idx := []uint64{20, 3, 11, 12, 0, 23}
+			idx := []uint64{20, 3, 11, 12, 0, 23, 11}
 			scattered := AllocBlocks(len(idx), bs)
 			fillPattern(scattered, 90)
-			if err := WriteBlocks(d, 7, run); err != nil {
+			if err := d.WriteBlocks(7, run); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteBlocksAt(d, idx, scattered); err != nil {
+			if err := d.WriteBlocksAt(idx, scattered); err != nil {
 				t.Fatal(err)
 			}
 			for k, b := range run {
-				ref.WriteBlock(7+uint64(k), b) //nolint:errcheck // in range
+				if err := WriteBlock(ref, 7+uint64(k), b); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for k, b := range scattered {
-				ref.WriteBlock(idx[k], b) //nolint:errcheck // in range
+				if err := WriteBlock(ref, idx[k], b); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if !bytes.Equal(readAll(t, d), ref.Snapshot()) {
 				t.Fatal("batched writes diverge from the per-block loop")
 			}
 			got := AllocBlocks(9, bs)
-			if err := ReadBlocks(d, 7, got); err != nil {
+			if err := d.ReadBlocks(7, got); err != nil {
 				t.Fatal(err)
 			}
 			gotAt := AllocBlocks(len(idx), bs)
-			if err := ReadBlocksAt(d, idx, gotAt); err != nil {
+			if err := d.ReadBlocksAt(idx, gotAt); err != nil {
 				t.Fatal(err)
 			}
 			one := make([]byte, bs)
 			for k, b := range got {
-				ref.ReadBlock(7+uint64(k), one) //nolint:errcheck // in range
+				if err := ReadBlock(ref, 7+uint64(k), one); err != nil {
+					t.Fatal(err)
+				}
 				if !bytes.Equal(b, one) {
 					t.Fatalf("contiguous read %d diverges", k)
 				}
 			}
 			for k, b := range gotAt {
-				ref.ReadBlock(idx[k], one) //nolint:errcheck // in range
+				if err := ReadBlock(ref, idx[k], one); err != nil {
+					t.Fatal(err)
+				}
 				if !bytes.Equal(b, one) {
 					t.Fatalf("scattered read %d (block %d) diverges", k, idx[k])
 				}
@@ -238,15 +195,15 @@ func TestSubDeviceBatchBounds(t *testing.T) {
 	data := AllocBlocks(4, bs)
 	fillPattern(data, 1)
 	// Contiguous: [6, 10) exceeds the 8-block window.
-	if err := WriteBlocks(sub, 6, data); !errors.Is(err, ErrOutOfRange) {
+	if err := sub.WriteBlocks(6, data); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
 	// Scattered: index 8 is one past the window even though parent
 	// block 13 exists.
-	if err := WriteBlocksAt(sub, []uint64{0, 8, 2, 3}, data); !errors.Is(err, ErrOutOfRange) {
+	if err := sub.WriteBlocksAt([]uint64{0, 8, 2, 3}, data); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
-	if err := ReadBlocksAt(sub, []uint64{7, 8}, data[:2]); !errors.Is(err, ErrOutOfRange) {
+	if err := sub.ReadBlocksAt([]uint64{7, 8}, data[:2]); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
 	if !bytes.Equal(parent.Snapshot(), before) {
@@ -254,7 +211,7 @@ func TestSubDeviceBatchBounds(t *testing.T) {
 	}
 
 	// An in-range batch lands at the right parent offset.
-	if err := WriteBlocks(sub, 4, data); err != nil {
+	if err := sub.WriteBlocks(4, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, bs)
@@ -281,14 +238,14 @@ func TestStripedBatchSpansBoundaries(t *testing.T) {
 	const start, count = 4, 13
 	data := AllocBlocks(count, bs)
 	fillPattern(data, 9)
-	if err := WriteBlocks(s, start, data); err != nil {
+	if err := s.WriteBlocks(start, data); err != nil {
 		t.Fatal(err)
 	}
 
 	// Per-block readback through the striped view.
 	one := make([]byte, bs)
 	for i := 0; i < count; i++ {
-		if err := s.ReadBlock(start+uint64(i), one); err != nil {
+		if err := ReadBlock(s, start+uint64(i), one); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(one, data[i]) {
@@ -319,11 +276,11 @@ func TestStripedBatchSpansBoundaries(t *testing.T) {
 	idx := []uint64{22, 1, 14, 9, 2}
 	sd := AllocBlocks(len(idx), bs)
 	fillPattern(sd, 77)
-	if err := WriteBlocksAt(s, idx, sd); err != nil {
+	if err := s.WriteBlocksAt(idx, sd); err != nil {
 		t.Fatal(err)
 	}
 	got := AllocBlocks(len(idx), bs)
-	if err := ReadBlocksAt(s, idx, got); err != nil {
+	if err := s.ReadBlocksAt(idx, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range idx {
@@ -344,7 +301,7 @@ func TestFaultMidBatchPrefix(t *testing.T) {
 	data := AllocBlocks(6, bs)
 	fillPattern(data, 3)
 	f.FailWritesAfter(4)
-	err := WriteBlocks(f, 2, data)
+	err := f.WriteBlocks(2, data)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
@@ -369,7 +326,7 @@ func TestFaultMidBatchPrefix(t *testing.T) {
 	bufs := AllocBlocks(4, bs)
 	fillPattern(bufs, 200) // sentinel
 	sentinel := append([]byte(nil), bufs[2]...)
-	err = ReadBlocksAt(f, []uint64{2, 3, 4, 5}, bufs)
+	err = f.ReadBlocksAt([]uint64{2, 3, 4, 5}, bufs)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
@@ -390,10 +347,10 @@ func TestTracedBatchEvents(t *testing.T) {
 	d := NewTraced(NewMem(64, 32), MultiTracer{&col, &cnt})
 
 	data := AllocBlocks(5, 64)
-	if err := WriteBlocks(d, 10, data); err != nil {
+	if err := d.WriteBlocks(10, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadBlocksAt(d, []uint64{3, 8, 1}, data[:3]); err != nil {
+	if err := d.ReadBlocksAt([]uint64{3, 8, 1}, data[:3]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -417,11 +374,31 @@ func TestTracedBatchEvents(t *testing.T) {
 		t.Fatalf("counter saw %d writes / %d reads", cnt.Writes(), cnt.Reads())
 	}
 	// A failed batch must not be traced.
-	if err := ReadBlocks(d, 30, data); err == nil {
+	if err := d.ReadBlocks(30, data); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	if col.Len() != 4 {
 		t.Fatal("failed batch was traced")
+	}
+
+	// A single block is the scattered batch of one: exactly one
+	// unranged event, the event the oracle digests hash.
+	for _, c := range []struct {
+		op    Op
+		block uint64
+		do    func() error
+	}{
+		{OpRead, 17, func() error { return ReadBlock(d, 17, data[0]) }},
+		{OpWrite, 29, func() error { return WriteBlock(d, 29, data[0]) }},
+	} {
+		n := col.Len()
+		if err := c.do(); err != nil {
+			t.Fatal(err)
+		}
+		want := Event{Seq: uint64(n + 1), Op: c.op, Block: c.block, Count: 0}
+		if events := col.Events()[n:]; len(events) != 1 || events[0] != want {
+			t.Fatalf("single-block %v traced as %+v, want [%+v]", c.op, events, want)
+		}
 	}
 }
 
@@ -437,18 +414,18 @@ func TestFileBatchRoundTrip(t *testing.T) {
 
 	data := AllocBlocks(10, 128)
 	fillPattern(data, 13)
-	if err := WriteBlocks(d, 20, data); err != nil {
+	if err := d.WriteBlocks(20, data); err != nil {
 		t.Fatal(err)
 	}
 	// Mixed runs: [20,21,22], [40], [25,26].
 	idx := []uint64{20, 21, 22, 40, 25, 26}
 	bufs := AllocBlocks(len(idx), 128)
-	if err := ReadBlocksAt(d, idx, bufs); err != nil {
+	if err := d.ReadBlocksAt(idx, bufs); err != nil {
 		t.Fatal(err)
 	}
 	one := make([]byte, 128)
 	for i, x := range idx {
-		if err := d.ReadBlock(x, one); err != nil {
+		if err := ReadBlock(d, x, one); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(one, bufs[i]) {
@@ -457,11 +434,11 @@ func TestFileBatchRoundTrip(t *testing.T) {
 	}
 	// Scattered write through run coalescing, re-read per block.
 	fillPattern(bufs, 91)
-	if err := WriteBlocksAt(d, idx, bufs); err != nil {
+	if err := d.WriteBlocksAt(idx, bufs); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range idx {
-		if err := d.ReadBlock(x, one); err != nil {
+		if err := ReadBlock(d, x, one); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(one, bufs[i]) {
@@ -481,7 +458,7 @@ func TestSimBatchChargesOneSeek(t *testing.T) {
 	s := NewSim(NewMem(bs, n), disk)
 
 	bufs := AllocBlocks(64, bs)
-	if err := ReadBlocks(s, 512, bufs); err != nil {
+	if err := s.ReadBlocks(512, bufs); err != nil {
 		t.Fatal(err)
 	}
 	st := disk.Stats()
@@ -504,7 +481,7 @@ func TestSimBatchChargesOneSeek(t *testing.T) {
 	for _, i := range idx {
 		ref.Access(i, true)
 	}
-	if err := WriteBlocksAt(s, idx, bufs[:len(idx)]); err != nil {
+	if err := s.WriteBlocksAt(idx, bufs[:len(idx)]); err != nil {
 		t.Fatal(err)
 	}
 	if disk.Now() != ref.Now() || disk.Stats() != ref.Stats() {

@@ -17,7 +17,9 @@
 //   - FaultDevice: wraps any device and fails or power-cuts it on
 //     demand, for failure injection.
 //
-// Multi-block transfers go through the batch plane (batch.go).
+// There is one contract: every Device moves blocks in batches, through
+// its four batch methods (batch.go), and a single block is the
+// scattered batch of one (ReadBlock, WriteBlock).
 package blockdev
 
 import (
@@ -29,19 +31,35 @@ import (
 	"steghide/internal/diskmodel"
 )
 
-// Device is a fixed-geometry block store. ReadBlock and WriteBlock
-// must be safe for concurrent use by multiple goroutines.
+// Device is a fixed-geometry block store that moves blocks in
+// batches. ReadBlocks/WriteBlocks move the contiguous block range
+// [start, start+len(bufs)); the *At variants move an arbitrary index
+// set (idx[k] pairs with bufs[k]). A single block is the scattered
+// batch of one (ReadBlock, WriteBlock). All methods must be safe for
+// concurrent use by multiple goroutines.
 type Device interface {
 	// BlockSize returns the size of every block in bytes.
 	BlockSize() int
 	// NumBlocks returns the number of addressable blocks.
 	NumBlocks() uint64
-	// ReadBlock fills buf (len == BlockSize) with block i.
-	ReadBlock(i uint64, buf []byte) error
-	// WriteBlock stores data (len == BlockSize) as block i.
-	WriteBlock(i uint64, data []byte) error
+	ReadBlocks(start uint64, bufs [][]byte) error
+	WriteBlocks(start uint64, data [][]byte) error
+	ReadBlocksAt(idx []uint64, bufs [][]byte) error
+	WriteBlocksAt(idx []uint64, data [][]byte) error
 	// Close releases underlying resources.
 	Close() error
+}
+
+// ReadBlock fills buf (len == BlockSize) with block i of d: the
+// scattered batch of one.
+func ReadBlock(d Device, i uint64, buf []byte) error {
+	return d.ReadBlocksAt([]uint64{i}, [][]byte{buf})
+}
+
+// WriteBlock stores data (len == BlockSize) as block i of d: the
+// scattered batch of one.
+func WriteBlock(d Device, i uint64, data []byte) error {
+	return d.WriteBlocksAt([]uint64{i}, [][]byte{data})
 }
 
 // ErrOutOfRange reports a block index beyond the device.
@@ -49,16 +67,6 @@ var ErrOutOfRange = errors.New("blockdev: block index out of range")
 
 // ErrBufSize reports a buffer whose length is not exactly one block.
 var ErrBufSize = errors.New("blockdev: buffer length != block size")
-
-func checkArgs(d Device, i uint64, buf []byte) error {
-	if i >= d.NumBlocks() {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, d.NumBlocks())
-	}
-	if len(buf) != d.BlockSize() {
-		return fmt.Errorf("%w: %d != %d", ErrBufSize, len(buf), d.BlockSize())
-	}
-	return nil
-}
 
 // Mem is an in-memory device backed by a single slab. The slab is
 // guarded in memStripes contiguous block ranges, each by its own lock,
@@ -121,28 +129,15 @@ func (m *Mem) BlockSize() int { return m.blockSize }
 // NumBlocks implements Device.
 func (m *Mem) NumBlocks() uint64 { return m.numBlocks }
 
-// ReadBlock implements Device.
+// ReadBlock fills buf with block i. Mem keeps these two single-block
+// methods so it satisfies the facade's BatchDevice (see steghide.go).
 func (m *Mem) ReadBlock(i uint64, buf []byte) error {
-	if err := checkArgs(m, i, buf); err != nil {
-		return err
-	}
-	off := i * uint64(m.blockSize)
-	s := m.hold(nil, i)
-	copy(buf, m.slab[off:off+uint64(m.blockSize)])
-	s.Unlock()
-	return nil
+	return m.batch(batch{idx: []uint64{i}, at: true, bufs: [][]byte{buf}}, false)
 }
 
-// WriteBlock implements Device.
+// WriteBlock stores data as block i.
 func (m *Mem) WriteBlock(i uint64, data []byte) error {
-	if err := checkArgs(m, i, data); err != nil {
-		return err
-	}
-	off := i * uint64(m.blockSize)
-	s := m.hold(nil, i)
-	copy(m.slab[off:off+uint64(m.blockSize)], data)
-	s.Unlock()
-	return nil
+	return m.batch(batch{idx: []uint64{i}, at: true, bufs: [][]byte{data}}, true)
 }
 
 // Close implements Device. It is a no-op for Mem.
@@ -171,7 +166,6 @@ type File struct {
 	f         *os.File
 	blockSize int
 	numBlocks uint64
-	scratch   sync.Pool // *[]byte slabs for batched transfers
 }
 
 // CreateFile creates (or truncates) a file-backed device of n blocks.
@@ -218,28 +212,6 @@ func (d *File) BlockSize() int { return d.blockSize }
 // NumBlocks implements Device.
 func (d *File) NumBlocks() uint64 { return d.numBlocks }
 
-// ReadBlock implements Device.
-func (d *File) ReadBlock(i uint64, buf []byte) error {
-	if err := checkArgs(d, i, buf); err != nil {
-		return err
-	}
-	if _, err := d.f.ReadAt(buf, int64(i)*int64(d.blockSize)); err != nil {
-		return fmt.Errorf("blockdev: read block %d: %w", i, err)
-	}
-	return nil
-}
-
-// WriteBlock implements Device.
-func (d *File) WriteBlock(i uint64, data []byte) error {
-	if err := checkArgs(d, i, data); err != nil {
-		return err
-	}
-	if _, err := d.f.WriteAt(data, int64(i)*int64(d.blockSize)); err != nil {
-		return fmt.Errorf("blockdev: write block %d: %w", i, err)
-	}
-	return nil
-}
-
 // Sync flushes the file to stable storage.
 func (d *File) Sync() error { return d.f.Sync() }
 
@@ -262,24 +234,6 @@ func NewSim(base Device, disk *diskmodel.Disk) *Sim {
 
 // Disk exposes the underlying disk model (clock, stats).
 func (s *Sim) Disk() *diskmodel.Disk { return s.disk }
-
-// ReadBlock implements Device, charging simulated time.
-func (s *Sim) ReadBlock(i uint64, buf []byte) error {
-	if err := s.Device.ReadBlock(i, buf); err != nil {
-		return err
-	}
-	s.disk.Access(i, false)
-	return nil
-}
-
-// WriteBlock implements Device, charging simulated time.
-func (s *Sim) WriteBlock(i uint64, data []byte) error {
-	if err := s.Device.WriteBlock(i, data); err != nil {
-		return err
-	}
-	s.disk.Access(i, true)
-	return nil
-}
 
 // SubDevice exposes a contiguous window [start, start+count) of a
 // parent device as a device of its own. It is how one raw volume is
@@ -305,22 +259,6 @@ func (s *SubDevice) BlockSize() int { return s.parent.BlockSize() }
 
 // NumBlocks implements Device.
 func (s *SubDevice) NumBlocks() uint64 { return s.count }
-
-// ReadBlock implements Device.
-func (s *SubDevice) ReadBlock(i uint64, buf []byte) error {
-	if i >= s.count {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, s.count)
-	}
-	return s.parent.ReadBlock(s.start+i, buf)
-}
-
-// WriteBlock implements Device.
-func (s *SubDevice) WriteBlock(i uint64, data []byte) error {
-	if i >= s.count {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, s.count)
-	}
-	return s.parent.WriteBlock(s.start+i, data)
-}
 
 // Close implements Device; it does not close the parent.
 func (s *SubDevice) Close() error { return nil }

@@ -25,14 +25,14 @@ func deviceContract(t *testing.T, d Device) {
 	written := map[uint64][]byte{}
 	for _, i := range idxs {
 		data := rng.Bytes(bs)
-		if err := d.WriteBlock(i, data); err != nil {
+		if err := WriteBlock(d, i, data); err != nil {
 			t.Fatalf("WriteBlock(%d): %v", i, err)
 		}
 		written[i] = data
 	}
 	buf := make([]byte, bs)
 	for _, i := range idxs {
-		if err := d.ReadBlock(i, buf); err != nil {
+		if err := ReadBlock(d, i, buf); err != nil {
 			t.Fatalf("ReadBlock(%d): %v", i, err)
 		}
 		if !bytes.Equal(buf, written[i]) {
@@ -41,16 +41,16 @@ func deviceContract(t *testing.T, d Device) {
 	}
 
 	// Out-of-range and wrong-size arguments must fail cleanly.
-	if err := d.ReadBlock(n, buf); !errors.Is(err, ErrOutOfRange) {
+	if err := ReadBlock(d, n, buf); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("read out of range: %v", err)
 	}
-	if err := d.WriteBlock(n, buf); !errors.Is(err, ErrOutOfRange) {
+	if err := WriteBlock(d, n, buf); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("write out of range: %v", err)
 	}
-	if err := d.ReadBlock(0, buf[:bs-1]); !errors.Is(err, ErrBufSize) {
+	if err := ReadBlock(d, 0, buf[:bs-1]); !errors.Is(err, ErrBufSize) {
 		t.Fatalf("short read buf: %v", err)
 	}
-	if err := d.WriteBlock(0, append(buf, 0)); !errors.Is(err, ErrBufSize) {
+	if err := WriteBlock(d, 0, append(buf, 0)); !errors.Is(err, ErrBufSize) {
 		t.Fatalf("long write buf: %v", err)
 	}
 }
@@ -80,7 +80,7 @@ func TestFileReopen(t *testing.T) {
 	}
 	rng := prng.NewFromUint64(2)
 	want := rng.Bytes(256)
-	if err := d.WriteBlock(7, want); err != nil {
+	if err := WriteBlock(d, 7, want); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -95,7 +95,7 @@ func TestFileReopen(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want 16", re.NumBlocks())
 	}
 	got := make([]byte, 256)
-	if err := re.ReadBlock(7, got); err != nil {
+	if err := ReadBlock(re, 7, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -145,14 +145,14 @@ func TestSimChargesTime(t *testing.T) {
 	disk := diskmodel.MustNew(diskmodel.Params2004(1024, 4096))
 	sim := NewSim(base, disk)
 	buf := make([]byte, 4096)
-	if err := sim.ReadBlock(500, buf); err != nil {
+	if err := ReadBlock(sim, 500, buf); err != nil {
 		t.Fatal(err)
 	}
 	if sim.Disk().Now() == 0 {
 		t.Fatal("read charged no time")
 	}
 	before := sim.Disk().Now()
-	if err := sim.WriteBlock(501, buf); err != nil {
+	if err := WriteBlock(sim, 501, buf); err != nil {
 		t.Fatal(err)
 	}
 	if sim.Disk().Now() <= before {
@@ -164,7 +164,7 @@ func TestSimChargesTime(t *testing.T) {
 	}
 	// Failed accesses must not advance the clock.
 	begin := sim.Disk().Now()
-	if err := sim.ReadBlock(99999, buf); err == nil {
+	if err := ReadBlock(sim, 99999, buf); err == nil {
 		t.Fatal("expected error")
 	}
 	if sim.Disk().Now() != begin {
@@ -185,9 +185,9 @@ func TestTracedPublishesEvents(t *testing.T) {
 	var col Collector
 	d := NewTraced(NewMem(128, 8), &col)
 	buf := make([]byte, 128)
-	d.WriteBlock(3, buf)
-	d.ReadBlock(3, buf)
-	d.ReadBlock(5, buf)
+	WriteBlock(d, 3, buf)
+	ReadBlock(d, 3, buf)
+	ReadBlock(d, 5, buf)
 	events := col.Events()
 	if len(events) != 3 {
 		t.Fatalf("got %d events", len(events))
@@ -199,7 +199,7 @@ func TestTracedPublishesEvents(t *testing.T) {
 		}
 	}
 	// Failed accesses are not observable I/O and must not be traced.
-	if err := d.ReadBlock(100, buf); err == nil {
+	if err := ReadBlock(d, 100, buf); err == nil {
 		t.Fatal("expected error")
 	}
 	if col.Len() != 3 {
@@ -217,9 +217,9 @@ func TestCounterAndMultiTracer(t *testing.T) {
 	d := NewTraced(NewMem(128, 8), MultiTracer{&cnt, &col})
 	buf := make([]byte, 128)
 	for i := 0; i < 5; i++ {
-		d.ReadBlock(uint64(i), buf)
+		ReadBlock(d, uint64(i), buf)
 	}
-	d.WriteBlock(0, buf)
+	WriteBlock(d, 0, buf)
 	if cnt.Reads() != 5 || cnt.Writes() != 1 || cnt.Total() != 6 {
 		t.Fatalf("counter %d/%d", cnt.Reads(), cnt.Writes())
 	}

@@ -16,10 +16,12 @@ var ErrPowerCut = errors.New("blockdev: power cut")
 // failure-injection harness used to verify that every layer above
 // propagates storage errors instead of panicking or corrupting its
 // in-memory state, and (power-cut mode) that mount-time recovery can
-// repair a volume cut off at any write whatsoever. It has no batch fast
-// path on purpose: the batch helpers drive its ReadBlock/WriteBlock one
-// block at a time, so a fault firing mid-batch leaves a strict prefix —
-// the partial-batch state the layers above must survive.
+// repair a volume cut off at any write whatsoever. It moves every batch
+// one block at a time on purpose, each block a scattered batch of one
+// on the inner device, so a fault firing mid-batch leaves a strict
+// prefix — the partial-batch state the layers above must survive. It
+// must define all four batch methods: one it left to the embedded
+// device would bypass injection.
 type FaultDevice struct {
 	Device
 	mu sync.Mutex
@@ -165,31 +167,69 @@ func (f *FaultDevice) tick(counter *int64) bool {
 	return false
 }
 
-// ReadBlock implements Device.
-func (f *FaultDevice) ReadBlock(i uint64, buf []byte) error {
+// batch validates b whole, then moves it block by block through
+// readBlock/writeBlock, stopping at the first failure.
+func (f *FaultDevice) batch(b batch, write bool) error {
+	if err := b.check(f); err != nil {
+		return err
+	}
+	for k, buf := range b.bufs {
+		var err error
+		if write {
+			err = f.writeBlock(b.block(k), buf)
+		} else {
+			err = f.readBlock(b.block(k), buf)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (f *FaultDevice) readBlock(i uint64, buf []byte) error {
 	if !f.alive() {
 		return ErrPowerCut
 	}
 	if f.tick(&f.readsLeft) {
 		return ErrInjected
 	}
-	return f.Device.ReadBlock(i, buf)
+	return ReadBlock(f.Device, i, buf)
 }
 
-// WriteBlock implements Device.
-func (f *FaultDevice) WriteBlock(i uint64, data []byte) error {
+func (f *FaultDevice) writeBlock(i uint64, data []byte) error {
 	proceed, torn, err := f.tickWrite(i)
 	if !proceed {
 		if torn > 0 {
 			// The fatal write tears: a prefix of the new block lands
 			// over the old content before the host dies.
 			old := make([]byte, f.BlockSize())
-			if e := f.Device.ReadBlock(i, old); e == nil {
+			if e := ReadBlock(f.Device, i, old); e == nil {
 				copy(old[:torn], data[:torn])
-				_ = f.Device.WriteBlock(i, old)
+				_ = WriteBlock(f.Device, i, old)
 			}
 		}
 		return err
 	}
-	return f.Device.WriteBlock(i, data)
+	return WriteBlock(f.Device, i, data)
+}
+
+// ReadBlocks implements Device.
+func (f *FaultDevice) ReadBlocks(start uint64, bufs [][]byte) error {
+	return f.batch(batch{start: start, bufs: bufs}, false)
+}
+
+// WriteBlocks implements Device.
+func (f *FaultDevice) WriteBlocks(start uint64, data [][]byte) error {
+	return f.batch(batch{start: start, bufs: data}, true)
+}
+
+// ReadBlocksAt implements Device.
+func (f *FaultDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
+	return f.batch(batch{idx: idx, at: true, bufs: bufs}, false)
+}
+
+// WriteBlocksAt implements Device.
+func (f *FaultDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
+	return f.batch(batch{idx: idx, at: true, bufs: data}, true)
 }

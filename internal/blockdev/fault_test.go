@@ -11,41 +11,41 @@ func TestFaultDeviceCountdown(t *testing.T) {
 
 	// Unarmed: everything works.
 	for i := 0; i < 5; i++ {
-		if err := fd.WriteBlock(0, buf); err != nil {
+		if err := WriteBlock(fd, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := fd.ReadBlock(0, buf); err != nil {
+		if err := ReadBlock(fd, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Two reads succeed, the third and later fail.
 	fd.FailReadsAfter(2)
-	if err := fd.ReadBlock(0, buf); err != nil {
+	if err := ReadBlock(fd, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := fd.ReadBlock(0, buf); err != nil {
+	if err := ReadBlock(fd, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := fd.ReadBlock(0, buf); !errors.Is(err, ErrInjected) {
+		if err := ReadBlock(fd, 0, buf); !errors.Is(err, ErrInjected) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
 	// Writes unaffected.
-	if err := fd.WriteBlock(0, buf); err != nil {
+	if err := WriteBlock(fd, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 
 	fd.FailWritesAfter(0)
-	if err := fd.WriteBlock(0, buf); !errors.Is(err, ErrInjected) {
+	if err := WriteBlock(fd, 0, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("armed write: %v", err)
 	}
 	fd.Heal()
-	if err := fd.WriteBlock(0, buf); err != nil {
+	if err := WriteBlock(fd, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := fd.ReadBlock(0, buf); err != nil {
+	if err := ReadBlock(fd, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,37 +59,37 @@ func TestPowerCutAfterWrites(t *testing.T) {
 	}
 
 	fd.PowerCutAfterWrites(2)
-	if err := fd.WriteBlock(0, buf); err != nil {
+	if err := WriteBlock(fd, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := fd.WriteBlock(1, buf); err != nil {
+	if err := WriteBlock(fd, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := fd.Writes(); got != 2 {
 		t.Fatalf("Writes() = %d, want 2", got)
 	}
 	// The third write dies, and nothing lands.
-	if err := fd.WriteBlock(2, buf); !errors.Is(err, ErrPowerCut) {
+	if err := WriteBlock(fd, 2, buf); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("fatal write: %v", err)
 	}
 	// The host is down: reads fail too, and so do later writes.
-	if err := fd.ReadBlock(0, buf); !errors.Is(err, ErrPowerCut) {
+	if err := ReadBlock(fd, 0, buf); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("read after cut: %v", err)
 	}
-	if err := fd.WriteBlock(3, buf); !errors.Is(err, ErrPowerCut) {
+	if err := WriteBlock(fd, 3, buf); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("write after cut: %v", err)
 	}
 
 	// Reboot: the medium holds exactly the pre-cut prefix.
 	fd.Heal()
 	got := make([]byte, 64)
-	if err := fd.ReadBlock(1, got); err != nil {
+	if err := ReadBlock(fd, 1, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0x11 {
 		t.Fatal("write before the cut did not survive")
 	}
-	if err := fd.ReadBlock(2, got); err != nil {
+	if err := ReadBlock(fd, 2, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0 {
@@ -107,13 +107,13 @@ func TestPowerCutMidBatchPrefix(t *testing.T) {
 		}
 	}
 	fd.PowerCutAfterWrites(3)
-	if err := WriteBlocks(fd, 0, data); !errors.Is(err, ErrPowerCut) {
+	if err := fd.WriteBlocks(0, data); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("batched write across the cut: %v", err)
 	}
 	fd.Heal()
 	buf := make([]byte, 64)
 	for i := uint64(0); i < 6; i++ {
-		if err := fd.ReadBlock(i, buf); err != nil {
+		if err := ReadBlock(fd, i, buf); err != nil {
 			t.Fatal(err)
 		}
 		want := byte(0)
@@ -133,7 +133,7 @@ func TestPowerCutTornFinalWrite(t *testing.T) {
 	for i := range old {
 		old[i] = 0xAA
 	}
-	if err := fd.WriteBlock(0, old); err != nil {
+	if err := WriteBlock(fd, 0, old); err != nil {
 		t.Fatal(err)
 	}
 	fresh := make([]byte, 64)
@@ -141,12 +141,12 @@ func TestPowerCutTornFinalWrite(t *testing.T) {
 		fresh[i] = 0xBB
 	}
 	fd.PowerCutTorn(0, 0.5)
-	if err := fd.WriteBlock(0, fresh); !errors.Is(err, ErrPowerCut) {
+	if err := WriteBlock(fd, 0, fresh); !errors.Is(err, ErrPowerCut) {
 		t.Fatalf("torn write: %v", err)
 	}
 	fd.Heal()
 	got := make([]byte, 64)
-	if err := fd.ReadBlock(0, got); err != nil {
+	if err := ReadBlock(fd, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {

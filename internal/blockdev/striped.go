@@ -15,7 +15,7 @@ type Striped struct {
 	blockSize int
 	perMember uint64
 	// allFast records that every member completes I/O at memory speed,
-	// so batch fan-out runs the sub-batches inline instead of paying
+	// so a batch moves the members' shares inline instead of paying
 	// goroutine scheduling that costs more than the memcpys it hides.
 	allFast bool
 }
@@ -72,24 +72,6 @@ func (s *Striped) NumBlocks() uint64 { return s.perMember * uint64(len(s.members
 func (s *Striped) Locate(i uint64) (member int, local uint64) {
 	n := uint64(len(s.members))
 	return int(i % n), i / n
-}
-
-// ReadBlock implements Device.
-func (s *Striped) ReadBlock(i uint64, buf []byte) error {
-	if i >= s.NumBlocks() {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, s.NumBlocks())
-	}
-	m, local := s.Locate(i)
-	return s.members[m].ReadBlock(local, buf)
-}
-
-// WriteBlock implements Device.
-func (s *Striped) WriteBlock(i uint64, data []byte) error {
-	if i >= s.NumBlocks() {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, s.NumBlocks())
-	}
-	m, local := s.Locate(i)
-	return s.members[m].WriteBlock(local, data)
 }
 
 // Close implements Device, closing every member (first error wins).

@@ -42,7 +42,7 @@ func TestStripedDistribution(t *testing.T) {
 	buf := make([]byte, 64)
 	const ops = 3000
 	for i := 0; i < ops; i++ {
-		if err := s.ReadBlock(rng.Uint64n(s.NumBlocks()), buf); err != nil {
+		if err := ReadBlock(s, rng.Uint64n(s.NumBlocks()), buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,14 +83,14 @@ func TestStripedWithVolumeStack(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		idx := rng.Uint64n(s.NumBlocks())
 		data := rng.Bytes(128)
-		if err := s.WriteBlock(idx, data); err != nil {
+		if err := WriteBlock(s, idx, data); err != nil {
 			t.Fatal(err)
 		}
 		want[idx] = data
 	}
 	buf := make([]byte, 128)
 	for idx, data := range want {
-		if err := s.ReadBlock(idx, buf); err != nil {
+		if err := ReadBlock(s, idx, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, data) {
@@ -98,7 +98,7 @@ func TestStripedWithVolumeStack(t *testing.T) {
 		}
 	}
 	// Out-of-range still errors.
-	if err := s.ReadBlock(s.NumBlocks(), buf); !errors.Is(err, ErrOutOfRange) {
+	if err := ReadBlock(s, s.NumBlocks(), buf); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("out of range: %v", err)
 	}
 	if err := s.Close(); err != nil {

@@ -87,24 +87,6 @@ func NewTraced(base Device, tracer Tracer) *Traced {
 	return &Traced{Device: base, tracer: tracer}
 }
 
-// ReadBlock implements Device.
-func (t *Traced) ReadBlock(i uint64, buf []byte) error {
-	if err := t.Device.ReadBlock(i, buf); err != nil {
-		return err
-	}
-	t.record(OpRead, i, 0)
-	return nil
-}
-
-// WriteBlock implements Device.
-func (t *Traced) WriteBlock(i uint64, data []byte) error {
-	if err := t.Device.WriteBlock(i, data); err != nil {
-		return err
-	}
-	t.record(OpWrite, i, 0)
-	return nil
-}
-
 // record publishes one access with the next sequence number.
 func (t *Traced) record(op Op, block, count uint64) {
 	t.tracer.Record(Event{Seq: t.seq.Add(1), Op: op, Block: block, Count: count})

@@ -114,7 +114,7 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 	// writes them at dstPos: one sequential read, one sequential write.
 	formRun := func(srcPos, dstPos uint64, n uint64, final bool) error {
 		raws, recs, keys := w.Raws[:n], w.Recs[:n], w.keys[:n]
-		if err := blockdev.ReadBlocks(dev, srcPos, raws); err != nil {
+		if err := dev.ReadBlocks(srcPos, raws); err != nil {
 			return fmt.Errorf("extsort: %w", err)
 		}
 		if err := codec.Open(srcPos, true, raws, recs, keys); err != nil {
@@ -197,7 +197,7 @@ func writeOut(dev blockdev.Device, codec Codec, pos uint64, final bool, recs, ra
 	if err := codec.Seal(pos, final, recs, raws); err != nil {
 		return fmt.Errorf("extsort: seal: %w", err)
 	}
-	if err := blockdev.WriteBlocks(dev, pos, raws); err != nil {
+	if err := dev.WriteBlocks(pos, raws); err != nil {
 		return fmt.Errorf("extsort: %w", err)
 	}
 	return nil
@@ -271,7 +271,7 @@ func (c *cursor) fill(dev blockdev.Device, codec Codec) error {
 		return nil
 	}
 	at := c.run.Start + c.pos
-	if err := blockdev.ReadBlocks(dev, at, c.raws[:n]); err != nil {
+	if err := dev.ReadBlocks(at, c.raws[:n]); err != nil {
 		return fmt.Errorf("extsort: %w", err)
 	}
 	if err := codec.Open(at, false, c.raws[:n], c.recs[:n], c.keys[:n]); err != nil {

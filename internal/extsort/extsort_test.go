@@ -58,7 +58,7 @@ func fillRandom(t *testing.T, dev blockdev.Device, src Region, seed uint64) []ui
 		keys[i] = k
 		rng.Read(buf)
 		binary.BigEndian.PutUint64(buf, k)
-		if err := dev.WriteBlock(src.Start+i, buf); err != nil {
+		if err := blockdev.WriteBlock(dev, src.Start+i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func verifySorted(t *testing.T, dev blockdev.Device, src Region, wantKeys []uint
 	var last uint64
 	seen := make(map[uint64]int)
 	for i := uint64(0); i < src.Len; i++ {
-		if err := dev.ReadBlock(src.Start+i, buf); err != nil {
+		if err := blockdev.ReadBlock(dev, src.Start+i, buf); err != nil {
 			t.Fatal(err)
 		}
 		k := keyFromPrefix(buf)

@@ -380,7 +380,7 @@ func (j *Journal) decode(raw []byte, t *tagger, area []byte) (rec Record, ok boo
 // readRing reads every slot of the ring.
 func (j *Journal) readRing() ([][]byte, error) {
 	raws := blockdev.AllocBlocks(int(j.slots), j.vol.BlockSize())
-	if err := blockdev.ReadBlocks(j.dev, 0, raws); err != nil {
+	if err := j.dev.ReadBlocks(0, raws); err != nil {
 		return nil, err
 	}
 	return raws, nil
@@ -456,7 +456,7 @@ func (j *Journal) AppendBatch(n int, fill func(i int, rec *Record)) error {
 			return err
 		}
 		lo, hi := first/j.k, (first+uint64(run)-1)/j.k
-		if err := blockdev.WriteBlocks(j.dev, lo, j.images[lo:hi+1]); err != nil {
+		if err := j.dev.WriteBlocks(lo, j.images[lo:hi+1]); err != nil {
 			return err
 		}
 		j.seq += uint64(run)

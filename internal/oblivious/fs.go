@@ -3,6 +3,7 @@ package oblivious
 import (
 	"fmt"
 
+	"steghide/internal/blockdev"
 	"steghide/internal/prng"
 	"steghide/internal/stegfs"
 )
@@ -179,12 +180,12 @@ func (o *FS) decoyRead() error {
 	buf := o.readBuf
 	if f, ok := o.files[id.File]; ok {
 		if loc, err := f.BlockLoc(id.Index); err == nil {
-			return o.vol.Device().ReadBlock(loc, buf)
+			return blockdev.ReadBlock(o.vol.Device(), loc, buf)
 		}
 	}
 	first := o.vol.FirstDataBlock()
 	loc := first + o.rng.Uint64n(o.vol.NumBlocks()-first)
-	return o.vol.Device().ReadBlock(loc, buf)
+	return blockdev.ReadBlock(o.vol.Device(), loc, buf)
 }
 
 // DummyRead is the idle-time camouflage on the StegFS partition
@@ -193,7 +194,7 @@ func (o *FS) DummyRead() error {
 	o.stats.DummyReads++
 	first := o.vol.FirstDataBlock()
 	loc := first + o.rng.Uint64n(o.vol.NumBlocks()-first)
-	return o.vol.Device().ReadBlock(loc, o.readBuf)
+	return blockdev.ReadBlock(o.vol.Device(), loc, o.readBuf)
 }
 
 // WriteBlock updates logical block li of the registered file: the

@@ -161,60 +161,44 @@ func (r *reshuffle) Seal(pos uint64, final bool, recs, raws [][]byte) error {
 	return nil
 }
 
-// shuffleDev counts shuffle I/O. It forwards batches to the inner
-// device's fast path (via the package helpers) so the merge sort's
-// batched passes stay batched all the way down.
+// shuffleDev counts shuffle I/O. It forwards every batch to the inner
+// device whole, so the merge sort's batched passes stay batched all the
+// way down.
 type shuffleDev struct {
 	blockdev.Device
 	s *Store
 }
 
-func (d *shuffleDev) ReadBlock(i uint64, buf []byte) error {
-	if err := d.Device.ReadBlock(i, buf); err != nil {
-		return err
-	}
-	d.s.stats.ShuffleReads++
-	return nil
-}
-
-func (d *shuffleDev) WriteBlock(i uint64, data []byte) error {
-	if err := d.Device.WriteBlock(i, data); err != nil {
-		return err
-	}
-	d.s.stats.ShuffleWrites++
-	return nil
-}
-
-// ReadBlocks implements blockdev.BatchDevice.
+// ReadBlocks implements blockdev.Device.
 func (d *shuffleDev) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := blockdev.ReadBlocks(d.Device, start, bufs); err != nil {
+	if err := d.Device.ReadBlocks(start, bufs); err != nil {
 		return err
 	}
 	d.s.stats.ShuffleReads += uint64(len(bufs))
 	return nil
 }
 
-// WriteBlocks implements blockdev.BatchDevice.
+// WriteBlocks implements blockdev.Device.
 func (d *shuffleDev) WriteBlocks(start uint64, data [][]byte) error {
-	if err := blockdev.WriteBlocks(d.Device, start, data); err != nil {
+	if err := d.Device.WriteBlocks(start, data); err != nil {
 		return err
 	}
 	d.s.stats.ShuffleWrites += uint64(len(data))
 	return nil
 }
 
-// ReadBlocksAt implements blockdev.BatchDevice.
+// ReadBlocksAt implements blockdev.Device.
 func (d *shuffleDev) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	if err := blockdev.ReadBlocksAt(d.Device, idx, bufs); err != nil {
+	if err := d.Device.ReadBlocksAt(idx, bufs); err != nil {
 		return err
 	}
 	d.s.stats.ShuffleReads += uint64(len(idx))
 	return nil
 }
 
-// WriteBlocksAt implements blockdev.BatchDevice.
+// WriteBlocksAt implements blockdev.Device.
 func (d *shuffleDev) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	if err := blockdev.WriteBlocksAt(d.Device, idx, data); err != nil {
+	if err := d.Device.WriteBlocksAt(idx, data); err != nil {
 		return err
 	}
 	d.s.stats.ShuffleWrites += uint64(len(idx))

@@ -60,16 +60,8 @@ func (d *tapDev) record(write bool, start uint64, bufs [][]byte) {
 	}
 }
 
-func (d *tapDev) ReadBlock(i uint64, buf []byte) error {
-	return d.ReadBlocks(i, [][]byte{buf})
-}
-
-func (d *tapDev) WriteBlock(i uint64, data []byte) error {
-	return d.WriteBlocks(i, [][]byte{data})
-}
-
 func (d *tapDev) ReadBlocks(start uint64, bufs [][]byte) error {
-	if err := blockdev.ReadBlocks(d.Device, start, bufs); err != nil {
+	if err := d.Device.ReadBlocks(start, bufs); err != nil {
 		return err
 	}
 	d.record(false, start, bufs)
@@ -77,7 +69,7 @@ func (d *tapDev) ReadBlocks(start uint64, bufs [][]byte) error {
 }
 
 func (d *tapDev) WriteBlocks(start uint64, data [][]byte) error {
-	if err := blockdev.WriteBlocks(d.Device, start, data); err != nil {
+	if err := d.Device.WriteBlocks(start, data); err != nil {
 		return err
 	}
 	d.record(true, start, data)
@@ -87,22 +79,22 @@ func (d *tapDev) WriteBlocks(start uint64, data [][]byte) error {
 // The scattered calls belong to probes; no shuffle issues them, so
 // they pass through unrecorded.
 func (d *tapDev) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
-	return blockdev.ReadBlocksAt(d.Device, idx, bufs)
+	return d.Device.ReadBlocksAt(idx, bufs)
 }
 
 func (d *tapDev) WriteBlocksAt(idx []uint64, data [][]byte) error {
-	return blockdev.WriteBlocksAt(d.Device, idx, data)
+	return d.Device.WriteBlocksAt(idx, data)
 }
 
 // flipByte corrupts one ciphertext byte of block i on the medium.
 func (d *tapDev) flipByte(t *testing.T, i uint64) {
 	t.Helper()
 	buf := make([]byte, d.BlockSize())
-	if err := d.Device.ReadBlock(i, buf); err != nil {
+	if err := blockdev.ReadBlock(d.Device, i, buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[len(buf)/2] ^= 0x40
-	if err := d.Device.WriteBlock(i, buf); err != nil {
+	if err := blockdev.WriteBlock(d.Device, i, buf); err != nil {
 		t.Fatal(err)
 	}
 }

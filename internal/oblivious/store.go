@@ -252,7 +252,7 @@ func New(cfg Config) (*Store, error) {
 			if err := s.sealSlots(raws, recs); err != nil {
 				return nil, err
 			}
-			if err := blockdev.WriteBlocks(s.dev, slot, raws); err != nil {
+			if err := s.dev.WriteBlocks(slot, raws); err != nil {
 				return nil, err
 			}
 			slot += n
@@ -334,7 +334,7 @@ func (s *Store) now() time.Duration {
 // readSlots performs the observable probe reads of one access as a
 // single scattered batch — one slot per level, one device call.
 func (s *Store) readSlots(idx []uint64, bufs [][]byte) error {
-	if err := blockdev.ReadBlocksAt(s.dev, idx, bufs); err != nil {
+	if err := s.dev.ReadBlocksAt(idx, bufs); err != nil {
 		return err
 	}
 	s.stats.LevelReads += uint64(len(idx))
@@ -601,7 +601,7 @@ func (s *Store) flush() error {
 	entries := s.entriesBuf[:0]
 	for slot := lv.region.Start; slot < lv.region.End(); {
 		n := min(uint64(len(raws)), lv.region.End()-slot)
-		if err := blockdev.ReadBlocks(s.dev, slot, raws[:n]); err != nil {
+		if err := s.dev.ReadBlocks(slot, raws[:n]); err != nil {
 			return err
 		}
 		s.stats.ShuffleReads += n
@@ -679,7 +679,7 @@ func (s *Store) flush() error {
 		if err := s.sealSlots(raws[:n], recs[:n]); err != nil {
 			return err
 		}
-		if err := blockdev.WriteBlocks(s.dev, lv.region.Start+uint64(off), raws[:n]); err != nil {
+		if err := s.dev.WriteBlocks(lv.region.Start+uint64(off), raws[:n]); err != nil {
 			return err
 		}
 		s.stats.ShuffleWrites += uint64(n)

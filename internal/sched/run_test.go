@@ -340,7 +340,7 @@ func TestPlanOrderings(t *testing.T) {
 			before := map[uint64][]byte{}
 			for _, loc := range tc.resealed {
 				before[loc] = make([]byte, vol.BlockSize())
-				if err := vol.Device().ReadBlock(loc, before[loc]); err != nil {
+				if err := blockdev.ReadBlock(vol.Device(), loc, before[loc]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -366,7 +366,7 @@ func TestPlanOrderings(t *testing.T) {
 			}
 			for loc, old := range before {
 				now := make([]byte, vol.BlockSize())
-				if err := vol.Device().ReadBlock(loc, now); err != nil {
+				if err := blockdev.ReadBlock(vol.Device(), loc, now); err != nil {
 					t.Fatal(err)
 				}
 				if bytes.Equal(now, old) {

@@ -677,7 +677,7 @@ func (s *Scheduler) burst(b *batch) error {
 		s.vol.NextIV(ivs[i*sealer.IVSize : (i+1)*sealer.IVSize])
 	}
 
-	if err := blockdev.ReadBlocksAt(s.dev, b.reads, b.raws); err != nil {
+	if err := s.dev.ReadBlocksAt(b.reads, b.raws); err != nil {
 		return err
 	}
 	for i, st := range b.steps {
@@ -688,5 +688,5 @@ func (s *Scheduler) burst(b *batch) error {
 	if err := sealer.ResealLanes(b.laneSeals, b.laneRaws, ivs); err != nil {
 		return err
 	}
-	return blockdev.WriteBlocksAt(s.dev, b.writes, b.outs)
+	return s.dev.WriteBlocksAt(b.writes, b.outs)
 }

@@ -140,7 +140,7 @@ func (p relocatingPolicy) Update(locs []uint64, _ uint64, _ *sealer.Sealer, seal
 		if err != nil {
 			return err
 		}
-		if err := p.vol.WriteRaw(newLoc, sealed[i]); err != nil {
+		if err := p.vol.WriteRaw([]uint64{newLoc}, sealed[i:i+1]); err != nil {
 			p.src.Release(newLoc)
 			return err
 		}

@@ -179,14 +179,14 @@ func TestCorruptIndirectChainFailsClosed(t *testing.T) {
 func TestRewriteRandomChangesBlock(t *testing.T) {
 	vol, _ := testVolume(t, 64)
 	before := make([]byte, vol.BlockSize())
-	if err := vol.Device().ReadBlock(5, before); err != nil {
+	if err := blockdev.ReadBlock(vol.Device(), 5, before); err != nil {
 		t.Fatal(err)
 	}
 	if err := vol.RewriteRandom(5); err != nil {
 		t.Fatal(err)
 	}
 	after := make([]byte, vol.BlockSize())
-	if err := vol.Device().ReadBlock(5, after); err != nil {
+	if err := blockdev.ReadBlock(vol.Device(), 5, after); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(before, after) {

@@ -37,10 +37,5 @@ type InPlacePolicy struct {
 
 // Update implements UpdatePolicy.
 func (p InPlacePolicy) Update(locs []uint64, _ uint64, _ *sealer.Sealer, sealed [][]byte) error {
-	for i, loc := range locs {
-		if err := p.Vol.WriteRaw(loc, sealed[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Vol.WriteRaw(locs, sealed)
 }

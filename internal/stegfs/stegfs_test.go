@@ -94,15 +94,15 @@ func TestFormatFillLooksRandom(t *testing.T) {
 	buf2 := make([]byte, 128)
 	zero := make([]byte, 128)
 	for i := uint64(1); i < 64; i++ {
-		if err := vol.Device().ReadBlock(i, buf1); err != nil {
+		if err := blockdev.ReadBlock(vol.Device(), i, buf1); err != nil {
 			t.Fatal(err)
 		}
 		if bytes.Equal(buf1, zero) {
 			t.Fatalf("block %d left zeroed by format", i)
 		}
 	}
-	vol.Device().ReadBlock(1, buf1)
-	vol.Device().ReadBlock(2, buf2)
+	blockdev.ReadBlock(vol.Device(), 1, buf1)
+	blockdev.ReadBlock(vol.Device(), 2, buf2)
 	if bytes.Equal(buf1, buf2) {
 		t.Fatal("fill repeats across blocks")
 	}

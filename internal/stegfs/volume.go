@@ -226,7 +226,7 @@ func Format(dev blockdev.Device, opts FormatOptions) (*Volume, error) {
 	for i := uint64(1); i < v.nBlocks; {
 		n := min(uint64(fillBatch), v.nBlocks-i)
 		fill.Fill(bufs[0][: n*uint64(bs) : n*uint64(bs)])
-		if err := blockdev.WriteBlocks(dev, i, bufs[:n]); err != nil {
+		if err := dev.WriteBlocks(i, bufs[:n]); err != nil {
 			return nil, fmt.Errorf("stegfs: format fill: %w", err)
 		}
 		i += n
@@ -251,7 +251,7 @@ func Open(dev blockdev.Device, rng *prng.PRNG) (*Volume, error) {
 	}
 	bs := dev.BlockSize()
 	buf := make([]byte, bs)
-	if err := dev.ReadBlock(superBlock, buf); err != nil {
+	if err := blockdev.ReadBlock(dev, superBlock, buf); err != nil {
 		return nil, fmt.Errorf("stegfs: read superblock: %w", err)
 	}
 	if string(buf[:8]) != superMagic {
@@ -312,7 +312,7 @@ func (v *Volume) hashRing(h hash.Hash) error {
 	bufs := blockdev.AllocBlocks(int(pass), v.blockSize)
 	for i := uint64(0); i < v.journal; {
 		n := min(pass, v.journal-i)
-		if err := blockdev.ReadBlocks(v.dev, superBlock+1+i, bufs[:n]); err != nil {
+		if err := v.dev.ReadBlocks(superBlock+1+i, bufs[:n]); err != nil {
 			return fmt.Errorf("stegfs: read journal ring: %w", err)
 		}
 		h.Write(bufs[0][:n*uint64(v.blockSize)])
@@ -332,7 +332,7 @@ func (v *Volume) writeSuper() error {
 	copy(buf[36:], v.salt[:])
 	sum := sha256.Sum256(buf[:36+saltSize])
 	copy(buf[36+saltSize:], sum[:8])
-	if err := v.dev.WriteBlock(superBlock, buf); err != nil {
+	if err := blockdev.WriteBlock(v.dev, superBlock, buf); err != nil {
 		return fmt.Errorf("stegfs: write superblock: %w", err)
 	}
 	return nil
@@ -408,7 +408,7 @@ func (v *Volume) ReadSealedInto(loc uint64, seal *sealer.Sealer, raw, out []byte
 	if l != nil {
 		l.LockBlock(loc)
 	}
-	err := v.dev.ReadBlock(loc, raw)
+	err := blockdev.ReadBlock(v.dev, loc, raw)
 	if l != nil {
 		l.UnlockBlock(loc)
 	}
@@ -427,19 +427,28 @@ func (v *Volume) WriteSealed(loc uint64, seal *sealer.Sealer, payload []byte) er
 	if err := seal.Seal(raw, raw[:sealer.IVSize], payload); err != nil {
 		return err
 	}
-	return v.WriteRaw(loc, raw)
+	return v.writeBlock(loc, raw)
 }
 
-// WriteRaw writes an already sealed block to loc under the block's
-// lock — the write half of WriteSealed, for callers that sealed a run
-// of blocks in one batch.
-func (v *Volume) WriteRaw(loc uint64, raw []byte) error {
-	l := v.blockLocker()
-	if l != nil {
+// writeBlock writes one already sealed block to loc under the block's
+// lock, without the allocations of LockBlocks.
+func (v *Volume) writeBlock(loc uint64, raw []byte) error {
+	if l := v.blockLocker(); l != nil {
 		l.LockBlock(loc)
 		defer l.UnlockBlock(loc)
 	}
-	return v.dev.WriteBlock(loc, raw)
+	return blockdev.WriteBlock(v.dev, loc, raw)
+}
+
+// WriteRaw writes the already sealed blocks raws[i] to locs[i] in one
+// scattered device batch, under the blocks' locks — the write half of
+// WriteSealedMany, for callers (update policies) that sealed a run of
+// blocks in one batch themselves.
+func (v *Volume) WriteRaw(locs []uint64, raws [][]byte) error {
+	if l := v.blockLocker(); l != nil {
+		defer l.LockBlocks(locs)()
+	}
+	return v.dev.WriteBlocksAt(locs, raws)
 }
 
 // RewriteRandom overwrites block loc with fresh random bytes — the
@@ -449,7 +458,7 @@ func (v *Volume) RewriteRandom(loc uint64) error {
 	buf := mempool.Get(v.blockSize)
 	defer mempool.Recycle(buf)
 	v.FillRandom(buf)
-	return v.WriteRaw(loc, buf)
+	return v.writeBlock(loc, buf)
 }
 
 // FillRandom fills buf from the volume's filler stream — the in-memory
@@ -473,10 +482,10 @@ func (v *Volume) ReadSealedManyInto(locs []uint64, seal *sealer.Sealer, raws, ou
 	var err error
 	if l := v.blockLocker(); l != nil {
 		unlock := l.LockBlocks(locs)
-		err = blockdev.ReadBlocksAt(v.dev, locs, raws)
+		err = v.dev.ReadBlocksAt(locs, raws)
 		unlock()
 	} else {
-		err = blockdev.ReadBlocksAt(v.dev, locs, raws)
+		err = v.dev.ReadBlocksAt(locs, raws)
 	}
 	if err != nil {
 		return err
@@ -509,8 +518,5 @@ func (v *Volume) WriteSealedMany(locs []uint64, seal *sealer.Sealer, payloads []
 	if err := seal.SealMany(raws, v.NextIV, payloads); err != nil {
 		return err
 	}
-	if l := v.blockLocker(); l != nil {
-		defer l.LockBlocks(locs)()
-	}
-	return blockdev.WriteBlocksAt(v.dev, locs, raws)
+	return v.WriteRaw(locs, raws)
 }

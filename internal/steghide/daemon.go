@@ -8,23 +8,14 @@ import (
 	"steghide/internal/obs"
 )
 
-// DummySource is anything that can emit one dummy update — both agent
-// constructions implement it.
+// DummySource is what the daemon drives — both agent constructions
+// implement it. DummyUpdate emits one dummy update; DummyUpdateBurst
+// emits up to n through the batched I/O plane and reports how many it
+// actually issued; DataSeq is a monotonically increasing count of real
+// (data) updates on the stream, the scheduler's data-update counter.
 type DummySource interface {
 	DummyUpdate() error
-}
-
-// BurstDummySource is a DummySource that can emit a whole burst of
-// dummy updates through the batched I/O plane, reporting how many it
-// actually issued — both agent constructions implement it.
-type BurstDummySource interface {
 	DummyUpdateBurst(n int) (int, error)
-}
-
-// ActivitySource reports a monotonically increasing count of real
-// (data) updates on the stream — both agent constructions implement
-// it by exposing the scheduler's data-update counter.
-type ActivitySource interface {
 	DataSeq() uint64
 }
 
@@ -35,8 +26,7 @@ type ActivitySource interface {
 // one — the stream must simply never be silent while the system is
 // up.
 //
-// When the source also reports activity (ActivitySource — both agents
-// do), the daemon is adaptive: a tick that finds real updates have
+// By default the daemon is adaptive: a tick that finds real updates have
 // flowed since the previous tick emits nothing, because the stream
 // was demonstrably not silent; only genuinely idle gaps are filled.
 // Skipping is invisible to the attacker — every stream element is
@@ -50,7 +40,6 @@ type Daemon struct {
 	src      DummySource
 	period   time.Duration
 	burst    int
-	activity ActivitySource
 	adaptive bool
 
 	mu      sync.Mutex
@@ -66,24 +55,18 @@ type Daemon struct {
 	errs    obs.Counter
 }
 
-// NewDaemon prepares (but does not start) a dummy-traffic daemon.
-// Sources that report activity get the adaptive behaviour by default.
+// NewDaemon prepares (but does not start) an adaptive dummy-traffic
+// daemon.
 func NewDaemon(src DummySource, period time.Duration) *Daemon {
 	if period <= 0 {
 		period = 250 * time.Millisecond
 	}
-	d := &Daemon{src: src, period: period, burst: 1}
-	if as, ok := src.(ActivitySource); ok {
-		d.activity = as
-		d.adaptive = true
-	}
-	return d
+	return &Daemon{src: src, period: period, burst: 1, adaptive: true}
 }
 
-// WithBurst makes each tick issue n dummy updates instead of one,
-// routed through the source's batched path when it has one
-// (BurstDummySource) and a plain loop otherwise. Must be called
-// before Start. It returns the daemon for chaining.
+// WithBurst makes each tick issue n dummy updates instead of one, as
+// one DummyUpdateBurst. Must be called before Start. It returns the
+// daemon for chaining.
 func (d *Daemon) WithBurst(n int) *Daemon {
 	if n < 1 {
 		n = 1
@@ -95,7 +78,7 @@ func (d *Daemon) WithBurst(n int) *Daemon {
 // WithAdaptive enables or disables idle-gap detection. Must be called
 // before Start. It returns the daemon for chaining.
 func (d *Daemon) WithAdaptive(on bool) *Daemon {
-	d.adaptive = on && d.activity != nil
+	d.adaptive = on
 	return d
 }
 
@@ -110,9 +93,7 @@ func (d *Daemon) Start() {
 	// Re-baseline the activity watermark so updates that flowed while
 	// the daemon was stopped do not suppress the first tick of a
 	// restarted run.
-	if d.activity != nil {
-		d.lastSeq = d.activity.DataSeq()
-	}
+	d.lastSeq = d.src.DataSeq()
 	d.stop = make(chan struct{})
 	d.done = make(chan struct{})
 	go d.loop(d.stop, d.done)
@@ -152,7 +133,7 @@ func (d *Daemon) loop(stop, done chan struct{}) {
 // traffic already kept the stream busy.
 func (d *Daemon) tick() (uint64, bool, error) {
 	if d.adaptive {
-		seq := d.activity.DataSeq()
+		seq := d.src.DataSeq()
 		d.mu.Lock()
 		busy := seq != d.lastSeq
 		d.lastSeq = seq
@@ -162,16 +143,8 @@ func (d *Daemon) tick() (uint64, bool, error) {
 		}
 	}
 	if d.burst > 1 {
-		if bs, ok := d.src.(BurstDummySource); ok {
-			n, err := bs.DummyUpdateBurst(d.burst)
-			return uint64(n), false, err
-		}
-		for i := 0; i < d.burst; i++ {
-			if err := d.src.DummyUpdate(); err != nil {
-				return uint64(i), false, err
-			}
-		}
-		return uint64(d.burst), false, nil
+		n, err := d.src.DummyUpdateBurst(d.burst)
+		return uint64(n), false, err
 	}
 	if err := d.src.DummyUpdate(); err != nil {
 		return 0, false, err

@@ -8,7 +8,8 @@ import (
 	"time"
 )
 
-// countingSource counts calls and can be switched to failing.
+// countingSource counts updates and can be switched to failing. Its
+// activity counter never moves, so the daemon never skips a tick.
 type countingSource struct {
 	mu    sync.Mutex
 	calls int
@@ -21,6 +22,18 @@ func (c *countingSource) DummyUpdate() error {
 	c.calls++
 	return c.err
 }
+
+func (c *countingSource) DummyUpdateBurst(n int) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return 0, c.err
+	}
+	c.calls += n
+	return n, nil
+}
+
+func (c *countingSource) DataSeq() uint64 { return 0 }
 
 func (c *countingSource) count() int {
 	c.mu.Lock()

@@ -29,14 +29,14 @@ func TestAllocBudgets(t *testing.T) {
 		idx[i] = uint64((i * 37) % 256)
 	}
 	bufs := blockdev.AllocBlocks(n, 512)
-	if err := blockdev.WriteBlocksAt(dev, idx, bufs); err != nil {
+	if err := dev.WriteBlocksAt(idx, bufs); err != nil {
 		t.Fatal(err)
 	}
-	if err := blockdev.ReadBlocksAt(dev, idx, bufs); err != nil { // warm pools
+	if err := dev.ReadBlocksAt(idx, bufs); err != nil { // warm pools
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := blockdev.ReadBlocksAt(dev, idx, bufs); err != nil {
+		if err := dev.ReadBlocksAt(idx, bufs); err != nil {
 			t.Fatal(err)
 		}
 	})

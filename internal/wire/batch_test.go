@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -33,11 +36,11 @@ func TestRemoteBatchRoundTrip(t *testing.T) {
 			b[j] = byte(i*7 + j)
 		}
 	}
-	if err := blockdev.WriteBlocks(dev, 3, data); err != nil {
+	if err := dev.WriteBlocks(3, data); err != nil {
 		t.Fatal(err)
 	}
 	got := blockdev.AllocBlocks(10, 256)
-	if err := blockdev.ReadBlocks(dev, 3, got); err != nil {
+	if err := dev.ReadBlocks(3, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -61,11 +64,11 @@ func TestRemoteBatchRoundTrip(t *testing.T) {
 			b[j] = byte(100 + i + j)
 		}
 	}
-	if err := blockdev.WriteBlocksAt(dev, idx, sd); err != nil {
+	if err := dev.WriteBlocksAt(idx, sd); err != nil {
 		t.Fatal(err)
 	}
 	sg := blockdev.AllocBlocks(len(idx), 256)
-	if err := blockdev.ReadBlocksAt(dev, idx, sg); err != nil {
+	if err := dev.ReadBlocksAt(idx, sg); err != nil {
 		t.Fatal(err)
 	}
 	for i := range idx {
@@ -95,17 +98,17 @@ func TestRemoteBatchErrors(t *testing.T) {
 	_, _, dev := newPair(t, 256, 16, nil)
 
 	bufs := blockdev.AllocBlocks(4, 256)
-	if err := blockdev.ReadBlocks(dev, 14, bufs); err == nil {
+	if err := dev.ReadBlocks(14, bufs); err == nil {
 		t.Fatal("out-of-range remote batch succeeded")
 	}
-	if err := blockdev.ReadBlocksAt(dev, []uint64{1, 99}, bufs[:2]); err == nil {
+	if err := dev.ReadBlocksAt([]uint64{1, 99}, bufs[:2]); err == nil {
 		t.Fatal("out-of-range remote scattered batch succeeded")
 	}
-	if err := blockdev.WriteBlocks(dev, 0, [][]byte{make([]byte, 17)}); err == nil {
+	if err := dev.WriteBlocks(0, [][]byte{make([]byte, 17)}); err == nil {
 		t.Fatal("short buffer accepted")
 	}
 	// The connection still works.
-	if err := blockdev.ReadBlocks(dev, 0, bufs); err != nil {
+	if err := dev.ReadBlocks(0, bufs); err != nil {
 		t.Fatalf("connection broken after rejected batch: %v", err)
 	}
 }
@@ -125,11 +128,11 @@ func TestRemoteBatchChunking(t *testing.T) {
 	for i, b := range data {
 		b[0] = byte(i)
 	}
-	if err := blockdev.WriteBlocks(dev, 0, data); err != nil {
+	if err := dev.WriteBlocks(0, data); err != nil {
 		t.Fatal(err)
 	}
 	got := blockdev.AllocBlocks(64, 256)
-	if err := blockdev.ReadBlocks(dev, 0, got); err != nil {
+	if err := dev.ReadBlocks(0, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -156,7 +159,7 @@ func BenchmarkRemoteBatch(b *testing.B) {
 				continue
 			}
 			for j := range bufs {
-				if err := dev.ReadBlock(uint64(j), bufs[j]); err != nil {
+				if err := blockdev.ReadBlock(dev, uint64(j), bufs[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -178,7 +181,7 @@ func BenchmarkRemoteBatch(b *testing.B) {
 				continue
 			}
 			for j := range data {
-				if err := dev.WriteBlock(uint64(j), data[j]); err != nil {
+				if err := blockdev.WriteBlock(dev, uint64(j), data[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -211,7 +214,7 @@ func BenchmarkRemoteBatch(b *testing.B) {
 				continue
 			}
 			for j := range bufs {
-				if err := s.ReadBlock(uint64(j), bufs[j]); err != nil {
+				if err := blockdev.ReadBlock(s, uint64(j), bufs[j]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -229,4 +232,35 @@ func listen(t testing.TB) net.Listener {
 		t.Fatal(err)
 	}
 	return ln
+}
+
+// TestSingleBlockMessagesRetired sends the retired one-block storage
+// messages, 0x01 (read) and 0x02 (write), as raw frames on a live
+// connection: the server answers each with "unknown message type",
+// moves nothing, and the connection keeps serving, since a single block
+// now travels as an index set of one.
+func TestSingleBlockMessagesRetired(t *testing.T) {
+	mem, _, dev := newPair(t, 256, 16, nil)
+	before := mem.Snapshot()
+	data := bytes.Repeat([]byte{0xA5}, 256)
+	for _, req := range []frame{
+		(&encoder{}).u64(3).frame(0x01),
+		newEncoder(16 + len(data)).u64(3).bytes(data).frame(0x02),
+	} {
+		typ := req.Type
+		_, err := dev.do(context.Background(), req, false)
+		if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "unknown message type") {
+			t.Fatalf("message %#x: got %v, want an unknown-message-type error", typ, err)
+		}
+	}
+	if !bytes.Equal(mem.Snapshot(), before) {
+		t.Fatal("a retired message changed the device")
+	}
+	got := make([]byte, 256)
+	if err := blockdev.WriteBlock(dev, 3, data); err != nil {
+		t.Fatalf("connection unusable after the retired messages: %v", err)
+	}
+	if err := blockdev.ReadBlock(dev, 3, got); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("single-block round trip after the retired messages: %v", err)
+	}
 }

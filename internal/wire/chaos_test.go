@@ -112,7 +112,7 @@ func TestChaosMatrixStorage(t *testing.T) {
 				block := rng.Uint64n(hotRange)
 				if rng.Uint64n(2) == 0 {
 					data := bytes.Repeat([]byte{byte(i + 1)}, blockSize)
-					err := cli.WriteBlock(block, data)
+					err := blockdev.WriteBlock(cli, block, data)
 					switch {
 					case err == nil:
 						definite[block] = data
@@ -132,7 +132,7 @@ func TestChaosMatrixStorage(t *testing.T) {
 					continue
 				}
 				buf := make([]byte, blockSize)
-				err := cli.ReadBlock(block, buf)
+				err := blockdev.ReadBlock(cli, block, buf)
 				if err != nil {
 					chaosOutcome(t, "ReadBlock", err)
 					if errors.Is(err, ErrMaybeApplied) {
@@ -170,7 +170,7 @@ func TestChaosMatrixStorage(t *testing.T) {
 			// a connection with budget and succeeds.
 			buf := make([]byte, blockSize)
 			for attempt := 0; ; attempt++ {
-				if err := cli.ReadBlock(0, buf); err == nil {
+				if err := blockdev.ReadBlock(cli, 0, buf); err == nil {
 					break
 				} else if attempt > 50 {
 					t.Fatalf("client latched: 50 post-chaos reads all failed, last: %v", err)
@@ -429,11 +429,11 @@ func driveStorageWorkload(t *testing.T, dev *RemoteDevice, seed uint64, ops int)
 		switch rng.Uint64n(4) {
 		case 0:
 			buf := make([]byte, blockSize)
-			if err := dev.ReadBlock(block, buf); err != nil {
+			if err := blockdev.ReadBlock(dev, block, buf); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
-			if err := dev.WriteBlock(block, bytes.Repeat([]byte{byte(i)}, blockSize)); err != nil {
+			if err := blockdev.WriteBlock(dev, block, bytes.Repeat([]byte{byte(i)}, blockSize)); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -539,7 +539,7 @@ func BenchmarkRetryOverhead(b *testing.B) {
 			buf := make([]byte, blockSize)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := dev.ReadBlock(uint64(i)%1024, buf); err != nil {
+				if err := blockdev.ReadBlock(dev, uint64(i)%1024, buf); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,13 +14,12 @@ import (
 
 // Message types.
 const (
-	// Storage protocol.
-	msgReadBlock  = 0x01
-	msgWriteBlock = 0x02
-	msgDevInfo    = 0x03
-	// Batched storage protocol: a whole block range (or index set) per
-	// round trip, so remote batch cost is one network latency instead
-	// of one per block.
+	// Storage protocol: the geometry, then a whole block range (or
+	// index set) per round trip, so a remote batch costs one network
+	// latency; a single block is an index set of one. 0x01 and 0x02
+	// (one block each) are retired: an older peer meets "unknown
+	// message type".
+	msgDevInfo       = 0x03
 	msgReadBlocks    = 0x04
 	msgWriteBlocks   = 0x05
 	msgReadBlocksAt  = 0x06

@@ -109,18 +109,21 @@ func dialTapped(t *testing.T, addr string) (*muxConn, *tapConn) {
 	return m, tc
 }
 
-// gateDevice parks every single-block read on a gate after announcing
-// it — a handler the test can hold mid-flight.
+// gateDevice parks every single-block read (a scattered batch of one)
+// on a gate after announcing it — a handler the test can hold
+// mid-flight.
 type gateDevice struct {
 	*blockdev.Mem
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gateDevice) ReadBlock(i uint64, buf []byte) error {
-	g.entered <- struct{}{}
-	<-g.gate
-	return g.Mem.ReadBlock(i, buf)
+func (g *gateDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
+	if len(idx) == 1 {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.Mem.ReadBlocksAt(idx, bufs)
 }
 
 // checkOneWritePerFrame asserts both ends' Writes were whole frames:
@@ -165,7 +168,7 @@ func TestOneWritePerFrameStorage(t *testing.T) {
 	for i := range idx {
 		idx[i] = uint64((i * 37) % n)
 	}
-	if err := dev.WriteBlock(1, blocks[0]); err != nil {
+	if err := blockdev.WriteBlock(dev, 1, blocks[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.WriteBlocks(0, blocks); err != nil {
@@ -186,7 +189,7 @@ func TestOneWritePerFrameStorage(t *testing.T) {
 	if _, err := m.call(context.Background(), frame{Type: msgPing}); err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, msgWriteBlock, msgWriteBlocks, msgReadBlocks, msgWriteBlocksAt, msgReadBlocksAt, msgReadBlocks, msgPing)
+	want = append(want, msgWriteBlocksAt, msgWriteBlocks, msgReadBlocks, msgWriteBlocksAt, msgReadBlocksAt, msgReadBlocks, msgPing)
 
 	// A single-block read parked in its handler, cancelled there: the
 	// cancel is one more client Write, and the request still answers.
@@ -194,7 +197,7 @@ func TestOneWritePerFrameStorage(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		e := &encoder{}
-		_, err := m.call(ctx, e.u64(3).frame(msgReadBlock))
+		_, err := m.call(ctx, e.u64(1).u64(3).frame(msgReadBlocksAt))
 		errc <- err
 	}()
 	<-gd.entered
@@ -203,12 +206,12 @@ func TestOneWritePerFrameStorage(t *testing.T) {
 		t.Fatalf("cancelled read: %v", err)
 	}
 	close(gd.gate)
-	want = append(want, msgReadBlock, msgCancel)
-	if err := dev.ReadBlock(2, blocks[0]); err != nil { // and one that completes
+	want = append(want, msgReadBlocksAt, msgCancel)
+	if err := blockdev.ReadBlock(dev, 2, blocks[0]); err != nil { // and one that completes
 		t.Fatal(err)
 	}
 	<-gd.entered
-	want = append(want, msgReadBlock)
+	want = append(want, msgReadBlocksAt)
 
 	shut, done := context.WithTimeout(context.Background(), 5*time.Second)
 	defer done()
@@ -318,7 +321,7 @@ func TestCancelReachesHandlerAtDepthOne(t *testing.T) {
 	addr, _ := serveWith(t, func(ctx context.Context, req frame, limit uint64) frame {
 		close(started)
 		buf := make([]byte, 256)
-		err := slow.ReadBlock(0, buf)
+		err := blockdev.ReadBlock(slow, 0, buf)
 		fired <- ctx.Err() != nil
 		if err != nil {
 			return errFrame(err)
@@ -334,7 +337,7 @@ func TestCancelReachesHandlerAtDepthOne(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := m.call(ctx, frame{Type: msgReadBlock})
+		_, err := m.call(ctx, frame{Type: msgReadBlocks})
 		errc <- err
 	}()
 	<-started
@@ -521,11 +524,6 @@ func (p *patternDevice) check(data [][]byte) {
 	}
 }
 
-func (p *patternDevice) WriteBlock(i uint64, data []byte) error {
-	p.check([][]byte{data})
-	return p.Mem.WriteBlock(i, data)
-}
-
 func (p *patternDevice) WriteBlocks(start uint64, data [][]byte) error {
 	p.check(data)
 	return p.Mem.WriteBlocks(start, data)
@@ -614,7 +612,7 @@ func TestRecycledRequestNeverReachesPeer(t *testing.T) {
 				case 1:
 					err = dev.WriteBlocksAt(idx, data)
 				default:
-					err = dev.WriteBlock(idx[0], data[0])
+					err = blockdev.WriteBlock(dev, idx[0], data[0])
 				}
 				if err != nil {
 					t.Errorf("storage worker %d: %v", w, err)

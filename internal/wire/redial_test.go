@@ -333,7 +333,7 @@ func TestDrainLetsInflightFinish(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { dev.Close() })
-			return srv, func() error { return dev.ReadBlock(1, make([]byte, 256)) }
+			return srv, func() error { return blockdev.ReadBlock(dev, 1, make([]byte, 256)) }
 		}, func(addr string) error {
 			dev, err := DialStorage(addr)
 			if err == nil {

@@ -17,44 +17,32 @@ import (
 	"steghide/internal/steghide"
 )
 
-// slowDevice wraps a device so every single-block op costs a fixed
-// latency — an RTT-bound backend that makes pipelining visible even
-// on a single CPU.
+// slowDevice wraps a device so every batch, a single block included,
+// costs a fixed latency (like one seek) — an RTT-bound backend that
+// makes pipelining visible even on a single CPU.
 type slowDevice struct {
 	blockdev.Device
 	delay time.Duration
 }
 
-func (s *slowDevice) ReadBlock(i uint64, buf []byte) error {
-	time.Sleep(s.delay)
-	return s.Device.ReadBlock(i, buf)
-}
-
-func (s *slowDevice) WriteBlock(i uint64, data []byte) error {
-	time.Sleep(s.delay)
-	return s.Device.WriteBlock(i, data)
-}
-
-// Batched ops charge one latency per batch (like one seek), keeping
-// fixture setup (volume format fill) out of the per-op cost.
 func (s *slowDevice) ReadBlocks(start uint64, bufs [][]byte) error {
 	time.Sleep(s.delay)
-	return blockdev.ReadBlocks(s.Device, start, bufs)
+	return s.Device.ReadBlocks(start, bufs)
 }
 
 func (s *slowDevice) WriteBlocks(start uint64, data [][]byte) error {
 	time.Sleep(s.delay)
-	return blockdev.WriteBlocks(s.Device, start, data)
+	return s.Device.WriteBlocks(start, data)
 }
 
 func (s *slowDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	time.Sleep(s.delay)
-	return blockdev.ReadBlocksAt(s.Device, idx, bufs)
+	return s.Device.ReadBlocksAt(idx, bufs)
 }
 
 func (s *slowDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	time.Sleep(s.delay)
-	return blockdev.WriteBlocksAt(s.Device, idx, data)
+	return s.Device.WriteBlocksAt(idx, data)
 }
 
 // --- negotiation matrix ------------------------------------------------
@@ -73,11 +61,11 @@ func interopStorage(t *testing.T) {
 	}
 	defer dev.Close()
 	data := prng.NewFromUint64(7).Bytes(256)
-	if err := dev.WriteBlock(9, data); err != nil {
+	if err := blockdev.WriteBlock(dev, 9, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 256)
-	if err := dev.ReadBlock(9, got); err != nil {
+	if err := blockdev.ReadBlock(dev, 9, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -86,7 +74,7 @@ func interopStorage(t *testing.T) {
 	// Batches ride the same connection (they chunk by the negotiated
 	// limit).
 	bufs := blockdev.AllocBlocks(8, 256)
-	if err := blockdev.ReadBlocks(dev, 4, bufs); err != nil {
+	if err := dev.ReadBlocks(4, bufs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -419,11 +407,11 @@ func TestNegotiatedLimitChunksBatches(t *testing.T) {
 			b[j] = byte(i ^ j)
 		}
 	}
-	if err := blockdev.WriteBlocks(dev, 0, data); err != nil {
+	if err := dev.WriteBlocks(0, data); err != nil {
 		t.Fatal(err)
 	}
 	got := blockdev.AllocBlocks(64, 512)
-	if err := blockdev.ReadBlocks(dev, 0, got); err != nil {
+	if err := dev.ReadBlocks(0, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -447,13 +435,13 @@ func TestOversizedRequestRefusedLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dev.Close()
-	huge := frame{Type: msgWriteBlock, Body: make([]byte, 16<<10)}
+	huge := frame{Type: msgWriteBlocksAt, Body: make([]byte, 16<<10)}
 	if _, err := dev.do(context.Background(), huge, false); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("want ErrFrameTooBig, got %v", err)
 	}
 	// The connection still works.
 	buf := make([]byte, 512)
-	if err := dev.ReadBlock(1, buf); err != nil {
+	if err := blockdev.ReadBlock(dev, 1, buf); err != nil {
 		t.Fatalf("connection unhealthy after refused request: %v", err)
 	}
 }
@@ -577,7 +565,7 @@ func runReads(t *testing.T, dev *RemoteDevice, depth, total int) time.Duration {
 			defer wg.Done()
 			buf := make([]byte, dev.BlockSize())
 			for i := w; i < total; i += depth {
-				if err := dev.ReadBlock(uint64(i%64), buf); err != nil {
+				if err := blockdev.ReadBlock(dev, uint64(i%64), buf); err != nil {
 					errCh <- err
 					return
 				}
@@ -638,10 +626,10 @@ func TestV2SingleConnOrdering(t *testing.T) {
 	buf := make([]byte, 128)
 	for i := 0; i < 20; i++ {
 		data := prng.NewFromUint64(uint64(i)).Bytes(128)
-		if err := dev.WriteBlock(3, data); err != nil {
+		if err := blockdev.WriteBlock(dev, 3, data); err != nil {
 			t.Fatal(err)
 		}
-		if err := dev.ReadBlock(3, buf); err != nil {
+		if err := blockdev.ReadBlock(dev, 3, buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, data) {

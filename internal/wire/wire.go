@@ -6,9 +6,10 @@
 // Two servers are provided:
 //
 //   - StorageServer exposes a block device (the raw storage). Its
-//     protocol carries only block indices and ciphertext, and an
-//     optional tap publishes every request to a Tracer — the
-//     wire-level traffic-analysis attacker's view.
+//     protocol carries only block indices and ciphertext, a batch per
+//     message (a block range or an index set; a single block is an
+//     index set of one), and an optional tap publishes every request
+//     to a Tracer — the wire-level traffic-analysis attacker's view.
 //   - AgentServer exposes volatile agents (Construction 2) to
 //     clients: login (naming one of the served volumes), disclose,
 //     create, read, write, logout. In a real deployment this channel
@@ -81,30 +82,6 @@ func (s *StorageServer) handle(ctx context.Context, req frame, limit uint64) fra
 	case msgDevInfo:
 		e := &encoder{}
 		return e.u64(uint64(s.dev.BlockSize())).u64(s.dev.NumBlocks()).frame(msgOK)
-	case msgReadBlock:
-		d := &decoder{b: req.Body}
-		idx := d.u64()
-		if d.err != nil {
-			return errFrame(d.err)
-		}
-		bs := s.dev.BlockSize()
-		buf := mempool.Get(headerSize + bs)
-		if err := s.dev.ReadBlock(idx, buf[headerSize:]); err != nil {
-			mempool.Recycle(buf)
-			return errFrame(err)
-		}
-		return framed(msgOK, buf, bs)
-	case msgWriteBlock:
-		d := &decoder{b: req.Body}
-		idx := d.u64()
-		data := d.raw()
-		if d.err != nil {
-			return errFrame(d.err)
-		}
-		if err := s.dev.WriteBlock(idx, data); err != nil {
-			return errFrame(err)
-		}
-		return frame{Type: msgOK}
 	case msgReadBlocks, msgWriteBlocks, msgReadBlocksAt, msgWriteBlocksAt:
 		return s.batch(req, limit)
 	default:
@@ -149,13 +126,13 @@ func (s *StorageServer) batch(req frame, limit uint64) frame {
 	var err error
 	switch {
 	case at && write:
-		err = blockdev.WriteBlocksAt(s.dev, idx, bufs)
+		err = s.dev.WriteBlocksAt(idx, bufs)
 	case at:
-		err = blockdev.ReadBlocksAt(s.dev, idx, bufs)
+		err = s.dev.ReadBlocksAt(idx, bufs)
 	case write:
-		err = blockdev.WriteBlocks(s.dev, start, bufs)
+		err = s.dev.WriteBlocks(start, bufs)
 	default:
-		err = blockdev.ReadBlocks(s.dev, start, bufs)
+		err = s.dev.ReadBlocks(start, bufs)
 	}
 	if err != nil {
 		reply.release()
@@ -192,11 +169,11 @@ func decodeIndices(d *decoder) []uint64 {
 // connection instead of serializing — every in-flight op is an
 // outstanding request ID on the mux.
 //
-// A device dialed with DialStorageRetry self-heals: block and batch
-// reads retry transparently across reconnects; block and batch writes
-// retry only when the fault provably preceded the request's first
-// byte on the wire, and otherwise fail with ErrMaybeApplied (the
-// write may have landed — the caller must re-read to reconcile).
+// A device dialed with DialStorageRetry self-heals: batch reads retry
+// transparently across reconnects; batch writes retry only when the
+// fault provably preceded the request's first byte on the wire, and
+// otherwise fail with ErrMaybeApplied (the write may have landed — the
+// caller must re-read to reconcile).
 type RemoteDevice struct {
 	link // fixed at dial: direct or self-healing
 
@@ -282,56 +259,27 @@ func (d *RemoteDevice) BlockSize() int { return d.blockSize }
 // NumBlocks implements blockdev.Device.
 func (d *RemoteDevice) NumBlocks() uint64 { return d.numBlocks }
 
-// ReadBlock implements blockdev.Device.
-func (d *RemoteDevice) ReadBlock(i uint64, buf []byte) error {
-	if len(buf) != d.blockSize {
-		return fmt.Errorf("%w: %d != %d", blockdev.ErrBufSize, len(buf), d.blockSize)
-	}
-	e := &encoder{}
-	resp, err := d.do(context.Background(), e.u64(i).frame(msgReadBlock), true)
-	if err != nil {
-		return err
-	}
-	if len(resp.Body) != d.blockSize {
-		resp.release()
-		return fmt.Errorf("wire: short block read (%d bytes)", len(resp.Body))
-	}
-	copy(buf, resp.Body)
-	resp.release()
-	return nil
-}
-
-// WriteBlock implements blockdev.Device.
-func (d *RemoteDevice) WriteBlock(i uint64, data []byte) error {
-	if len(data) != d.blockSize {
-		return fmt.Errorf("%w: %d != %d", blockdev.ErrBufSize, len(data), d.blockSize)
-	}
-	e := newEncoder(16 + len(data))
-	_, err := d.do(context.Background(), e.u64(i).bytes(data).frame(msgWriteBlock), false)
-	return err
-}
-
 // Close implements blockdev.Device. Idempotent and safe to call
 // concurrently with in-flight calls, which fail cleanly.
 func (d *RemoteDevice) Close() error { return d.close() }
 
-// ReadBlocks implements blockdev.BatchDevice: each chunk of the range
-// costs one round trip instead of one per block.
+// ReadBlocks implements blockdev.Device: each chunk of the range costs
+// one round trip.
 func (d *RemoteDevice) ReadBlocks(start uint64, bufs [][]byte) error {
 	return d.batch(msgReadBlocks, start, nil, bufs)
 }
 
-// WriteBlocks implements blockdev.BatchDevice.
+// WriteBlocks implements blockdev.Device.
 func (d *RemoteDevice) WriteBlocks(start uint64, data [][]byte) error {
 	return d.batch(msgWriteBlocks, start, nil, data)
 }
 
-// ReadBlocksAt implements blockdev.BatchDevice.
+// ReadBlocksAt implements blockdev.Device.
 func (d *RemoteDevice) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	return d.batch(msgReadBlocksAt, 0, idx, bufs)
 }
 
-// WriteBlocksAt implements blockdev.BatchDevice.
+// WriteBlocksAt implements blockdev.Device.
 func (d *RemoteDevice) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	return d.batch(msgWriteBlocksAt, 0, idx, data)
 }

@@ -29,11 +29,11 @@ func TestStorageServerRoundTrip(t *testing.T) {
 	}
 
 	data := prng.NewFromUint64(1).Bytes(256)
-	if err := dev.WriteBlock(7, data); err != nil {
+	if err := blockdev.WriteBlock(dev, 7, data); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 256)
-	if err := dev.ReadBlock(7, got); err != nil {
+	if err := blockdev.ReadBlock(dev, 7, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -49,10 +49,10 @@ func TestStorageServerRoundTrip(t *testing.T) {
 	}
 
 	// Errors cross the wire as errors.
-	if err := dev.ReadBlock(999, got); !errors.Is(err, ErrRemote) {
+	if err := blockdev.ReadBlock(dev, 999, got); !errors.Is(err, ErrRemote) {
 		t.Fatalf("out of range over wire: %v", err)
 	}
-	if err := dev.ReadBlock(1, got[:10]); err == nil {
+	if err := blockdev.ReadBlock(dev, 1, got[:10]); err == nil {
 		t.Fatal("short buffer accepted")
 	}
 	// Failed operations must not be visible on the tap.
@@ -81,12 +81,12 @@ func TestStorageServerConcurrentClients(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				idx := uint64(w*64 + i%64)
 				data := rng.Bytes(128)
-				if err := dev.WriteBlock(idx, data); err != nil {
+				if err := blockdev.WriteBlock(dev, idx, data); err != nil {
 					t.Error(err)
 					return
 				}
 				got := make([]byte, 128)
-				if err := dev.ReadBlock(idx, got); err != nil {
+				if err := blockdev.ReadBlock(dev, idx, got); err != nil {
 					t.Error(err)
 					return
 				}

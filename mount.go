@@ -125,8 +125,8 @@ func WithDaemon(period time.Duration) Option {
 	}
 }
 
-// WithDaemonBurst sizes the daemon's per-tick burst (batched through
-// the device's multi-block fast path). Implies WithDaemon.
+// WithDaemonBurst sizes the daemon's per-tick burst (one batched
+// DummyUpdateBurst). Implies WithDaemon.
 func WithDaemonBurst(period time.Duration, burst int) Option {
 	return func(c *mountConfig) error {
 		c.daemon = true

@@ -93,9 +93,15 @@ import (
 // CreateFileDevice/OpenFileDevice, DialStorage.
 type Device = blockdev.Device
 
-// BatchDevice is a Device with a native multi-block fast path. All
-// devices in this package implement it.
-type BatchDevice = blockdev.BatchDevice
+// BatchDevice is a Device that also moves one block per call. Every
+// Device moves batches and a single block is a batch of one, so no
+// part of this package uses it; it remains because the benchmark
+// module's counting device wraps one. MemDevice implements it.
+type BatchDevice interface {
+	Device
+	ReadBlock(i uint64, buf []byte) error
+	WriteBlock(i uint64, data []byte) error
+}
 
 // AllocBlocks carves n block buffers out of one allocation — the
 // cheap way to build batch buffer vectors.

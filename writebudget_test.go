@@ -11,7 +11,7 @@ import (
 // callCounter is a device that counts what the write path asks of it, as
 // calls and as blocks, the journal ring apart.
 type callCounter struct {
-	steghide.BatchDevice
+	steghide.Device
 	ringEnd uint64 // ring is [1, ringEnd)
 
 	readCalls, writeCalls, blocksRead, ringBlocks atomic.Uint64
@@ -24,37 +24,26 @@ func (d *callCounter) wrote(first uint64, n int) {
 	}
 }
 
-func (d *callCounter) ReadBlock(i uint64, buf []byte) error {
-	d.readCalls.Add(1)
-	d.blocksRead.Add(1)
-	return d.BatchDevice.ReadBlock(i, buf)
-}
-
-func (d *callCounter) WriteBlock(i uint64, data []byte) error {
-	d.wrote(i, 1)
-	return d.BatchDevice.WriteBlock(i, data)
-}
-
 func (d *callCounter) ReadBlocks(start uint64, bufs [][]byte) error {
 	d.readCalls.Add(1)
 	d.blocksRead.Add(uint64(len(bufs)))
-	return d.BatchDevice.ReadBlocks(start, bufs)
+	return d.Device.ReadBlocks(start, bufs)
 }
 
 func (d *callCounter) WriteBlocks(start uint64, data [][]byte) error {
 	d.wrote(start, len(data))
-	return d.BatchDevice.WriteBlocks(start, data)
+	return d.Device.WriteBlocks(start, data)
 }
 
 func (d *callCounter) ReadBlocksAt(idx []uint64, bufs [][]byte) error {
 	d.readCalls.Add(1)
 	d.blocksRead.Add(uint64(len(idx)))
-	return d.BatchDevice.ReadBlocksAt(idx, bufs)
+	return d.Device.ReadBlocksAt(idx, bufs)
 }
 
 func (d *callCounter) WriteBlocksAt(idx []uint64, data [][]byte) error {
 	d.wrote(idx[0], len(idx)) // a scattered batch is all ring or all steg space
-	return d.BatchDevice.WriteBlocksAt(idx, data)
+	return d.Device.WriteBlocksAt(idx, data)
 }
 
 // writeCost is what one stretch of file operations cost, layer by layer.
@@ -91,7 +80,7 @@ func TestWriteBudget(t *testing.T) {
 	ctx := context.Background()
 	const bs = 4096
 	reg := steghide.NewMetrics()
-	dev := &callCounter{BatchDevice: steghide.NewMemDevice(bs, 4096)}
+	dev := &callCounter{Device: steghide.NewMemDevice(bs, 4096)}
 	stack, err := steghide.Mount(dev,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("budget"), KDFIterations: 4}),
 		steghide.WithJournal("admin-pass"),
