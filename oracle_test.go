@@ -36,6 +36,19 @@ func (r oracleRun) digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// traceDigest is the SHA-256 of what the run shows an observer but
+// the final image: the device trace, the scheduler counters and both
+// attacker verdicts. Work that moves only the bytes a cell or block
+// holds, never where or when it is written, must leave it fixed.
+func (r oracleRun) traceDigest() string {
+	h := sha256.New()
+	for _, e := range r.events {
+		fmt.Fprintf(h, "%d %d %d\n", e.Op, e.Block, e.Count)
+	}
+	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", r.stats, r.uniform, r.def1)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // runOracle mounts a journaled Construction-2 stack on a traced
 // in-memory device, runs a fixed workload of real writes interleaved
 // with dummy bursts, and collects every observable: the full trace, the
@@ -148,6 +161,19 @@ const oracleImageDigest = "83605254ce8df93f7af5b30235d2ee1920b91b1e01d0d326a042a
 // were deleted, where serial and pipelined bursts, pooled and unpooled,
 // all met it.
 const oracleDigest = "94d2dc24ac2c3f3c07735607f3eed0ef94a80c380dd04182163a59162295acf2"
+
+// oracleTraceDigest is runOracle's traceDigest: every observable but
+// the image.
+const oracleTraceDigest = "7609f9c7c6fdebd6893c93f8f06496eccdd162db653265fd91a0311bb38eff99"
+
+// TestOracleTraceDigest pins the oracle workload's trace, counters and
+// verdicts apart from its image, so a change that is meant to move
+// only on-disk bytes shows that it moved nothing else.
+func TestOracleTraceDigest(t *testing.T) {
+	if got := runOracle(t).traceDigest(); got != oracleTraceDigest {
+		t.Errorf("oracle trace digest %s, want %s", got, oracleTraceDigest)
+	}
+}
 
 // TestKernelOracleImageDigest pins the oracle workload's final image
 // against the committed digest. One process links one kernel build, so
