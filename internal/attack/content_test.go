@@ -8,7 +8,11 @@ import (
 
 	"steghide"
 	"steghide/internal/attack"
+	"steghide/internal/blockdev"
+	"steghide/internal/journal"
 	"steghide/internal/prng"
+	"steghide/internal/sealer"
+	"steghide/internal/stegfs"
 )
 
 // TestFillerIndistinguishableFromSealed is the content adversary's
@@ -20,7 +24,9 @@ import (
 // at least 1 024 of each. Neither the byte histogram nor the deflate
 // ratio may separate them at α. The volume's deniability rests on
 // exactly this: a block that was never written by a user must not look
-// different from one that was.
+// different from one that was. The ring rows hold the intent journal to
+// the same bar, one cell at a time: the filler cells of dummy bursts
+// (the journal's keystream) against its sealed record cells.
 func TestFillerIndistinguishableFromSealed(t *testing.T) {
 	ctx := context.Background()
 	const bs, blocks, coverBlocks, files, fileBlocks = 4096, 4096, 2560, 8, 136
@@ -105,6 +111,68 @@ func TestFillerIndistinguishableFromSealed(t *testing.T) {
 	if cx.Detected {
 		t.Errorf("compressibility separates filler from sealed blocks: %+v", cx)
 	}
+
+	fillers, records := ringCells(t)
+	if hist, cx, err = attack.CompareContent(fillers, records); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d filler vs %d sealed ring cells: %s (p=%.3f); %s (p=%.3f)",
+		len(fillers), len(records), hist.Evidence, hist.PValue, cx.Evidence, cx.PValue)
+	if hist.Detected || cx.Detected {
+		t.Errorf("ring filler cells are distinguishable from sealed record cells: %+v / %+v", hist, cx)
+	}
+}
+
+// ringCells runs a journal ring through batches of the update stream's
+// two kinds of element — relocation intents and dummy fillers, mixed
+// at random — until every cell has been written, and splits the cells
+// the way only the journal key can: the sealed records (every intent,
+// and the cell that opens each slot write) against the filler cells.
+func ringCells(t *testing.T) (fillers, records [][]byte) {
+	t.Helper()
+	const bs, slots = 4096, 64
+	dev := blockdev.NewMem(bs, 2*slots)
+	vol, err := stegfs.Format(dev, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("content-ring"), JournalBlocks: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(vol, sealer.DeriveKey([]byte("content-ring"), "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := prng.NewFromUint64(5)
+	for done := uint64(0); done < j.Capacity(); done += 64 {
+		err := j.AppendBatch(64, func(_ int, r *journal.Record) {
+			r.Op = journal.OpDummy
+			if rng.Uint64n(2) == 0 {
+				*r = journal.Record{Op: journal.OpReloc, FileH: 300 + rng.Uint64n(8), OldLoc: 400 + rng.Uint64n(4096), NewLoc: 400 + rng.Uint64n(4096)}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := j.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := map[uint64]bool{}
+	for _, r := range recs {
+		sealed[(r.Seq-1)%j.Capacity()] = true
+	}
+	ring := dev.Snapshot()[bs : (1+slots)*bs]
+	for c := uint64(0); c < j.Capacity(); c++ {
+		cell := ring[c*journal.CellSize : (c+1)*journal.CellSize]
+		if sealed[c] {
+			records = append(records, cell)
+		} else {
+			fillers = append(fillers, cell)
+		}
+	}
+	if len(fillers) < 1024 || len(records) < 1024 {
+		t.Fatalf("ring populations too small: %d filler, %d sealed cells", len(fillers), len(records))
+	}
+	return fillers, records
 }
 
 // TestCompareContentHasPower: the detector is no rubber stamp. Against

@@ -97,26 +97,27 @@ func AllocBlocks(n, blockSize int) [][]byte {
 
 // --- Mem ----------------------------------------------------------------
 
-// batch moves b in one slab scan, taking one lock per stripe it
-// crosses.
+// batch moves b in one slab scan under every stripe it touches, each
+// taken once.
 func (m *Mem) batch(b batch, write bool) error {
 	if err := b.check(m); err != nil {
 		return err
 	}
+	var stripes uint64
+	for k := range b.bufs {
+		stripes |= 1 << (b.block(k) >> m.shift)
+	}
+	m.lock(stripes)
 	bs := uint64(m.blockSize)
-	var held *memStripe
 	for k, buf := range b.bufs {
 		i := b.block(k)
-		held = m.hold(held, i)
 		if write {
 			copy(m.slab[i*bs:(i+1)*bs], buf)
 		} else {
 			copy(buf, m.slab[i*bs:(i+1)*bs])
 		}
 	}
-	if held != nil {
-		held.Unlock()
-	}
+	m.unlock(stripes)
 	return nil
 }
 

@@ -25,6 +25,7 @@ package blockdev
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"sync"
 
@@ -71,9 +72,10 @@ var ErrBufSize = errors.New("blockdev: buffer length != block size")
 // Mem is an in-memory device backed by a single slab. The slab is
 // guarded in memStripes contiguous block ranges, each by its own lock,
 // so sessions copying disjoint blocks neither serialize nor bounce one
-// lock word between cores. A call holds one stripe at a time; a batch
-// moves its lock only when the next block lies in another stripe, so it
-// is atomic per block, like the disk it stands for, not per call.
+// lock word between cores. A call takes every stripe its batch touches
+// once, in ascending order (as Snapshot does, so no two callers wait on
+// each other in a cycle), copies, and lets them go: each block is
+// atomic, like the disk it stands for, and on Mem so is each call.
 type Mem struct {
 	stripes   [memStripes]memStripe
 	shift     uint // block i lies in stripe i >> shift
@@ -82,6 +84,7 @@ type Mem struct {
 	numBlocks uint64
 }
 
+// memStripes is at most 64, so a batch's stripes fit one uint64 mask.
 const memStripes = 64
 
 // memStripe is one range lock, alone on its cache line.
@@ -109,18 +112,18 @@ func NewMem(blockSize int, n uint64) *Mem {
 	}
 }
 
-// hold moves the caller's stripe lock to the stripe of block i: a no-op
-// while a batch stays inside one stripe. held is nil before the first
-// block; the caller unlocks what the last call returned.
-func (m *Mem) hold(held *memStripe, i uint64) *memStripe {
-	s := &m.stripes[i>>m.shift]
-	if s != held {
-		if held != nil {
-			held.Unlock()
-		}
-		s.Lock()
+// lock takes the stripes of mask (bit s: stripe s) in ascending order.
+func (m *Mem) lock(mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		m.stripes[bits.TrailingZeros64(mask)].Lock()
 	}
-	return s
+}
+
+// unlock lets the stripes of mask go.
+func (m *Mem) unlock(mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		m.stripes[bits.TrailingZeros64(mask)].Unlock()
+	}
 }
 
 // BlockSize implements Device.
@@ -148,14 +151,10 @@ func (m *Mem) Close() error { return nil }
 // takes every stripe, in order, so the copy is one instant of the
 // volume.
 func (m *Mem) Snapshot() []byte {
-	for i := range m.stripes {
-		m.stripes[i].Lock()
-	}
+	m.lock(^uint64(0))
 	out := make([]byte, len(m.slab))
 	copy(out, m.slab)
-	for i := range m.stripes {
-		m.stripes[i].Unlock()
-	}
+	m.unlock(^uint64(0))
 	return out
 }
 

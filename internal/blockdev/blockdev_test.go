@@ -263,16 +263,22 @@ func TestMemConcurrentAccess(t *testing.T) {
 
 // TestMemStripesKeepBlocksWhole: batches that cross every stripe, in
 // both directions and scattered, against overlapping batch writers and
-// snapshots. Each writer fills whole blocks with one byte value, so a
-// block that ever reads back mixed was copied without its stripe's
-// lock; geometries smaller and larger than the stripe count, and one
-// the stripe count does not divide, all map every block to a stripe.
+// snapshots. Each writer fills every block of a round with one byte
+// value, so a block that ever reads back mixed was copied without its
+// stripe's lock, and a read or snapshot whose blocks disagree saw a
+// write batch in part: a call takes every stripe its batch touches
+// before it copies. Geometries smaller and larger than the stripe
+// count, and one the stripe count does not divide, all map every block
+// to a stripe.
 func TestMemStripesKeepBlocksWhole(t *testing.T) {
 	for _, n := range []uint64{1, 5, memStripes, 3*memStripes + 7} {
 		m := NewMem(64, n)
-		whole := func(where string, blk []byte) {
-			if bytes.Count(blk, blk[:1]) != len(blk) {
-				t.Errorf("%d blocks: %s returned a torn block", n, where)
+		whole := func(where string, blks [][]byte) {
+			for _, blk := range blks {
+				if bytes.Count(blk, blks[0][:1]) != len(blk) {
+					t.Errorf("%d blocks: %s returned a torn block or part of a batch", n, where)
+					return
+				}
 			}
 		}
 		var wg sync.WaitGroup
@@ -298,20 +304,13 @@ func TestMemStripesKeepBlocksWhole(t *testing.T) {
 						m.WriteBlocksAt(idx, bufs) //nolint:errcheck // geometry is the test's own
 					case 2:
 						m.ReadBlocks(0, bufs) //nolint:errcheck // geometry is the test's own
-						for _, b := range bufs {
-							whole("ReadBlocks", b)
-						}
+						whole("ReadBlocks", bufs)
 					default:
 						m.ReadBlocksAt(idx, bufs) //nolint:errcheck // geometry is the test's own
-						for _, b := range bufs {
-							whole("ReadBlocksAt", b)
-						}
+						whole("ReadBlocksAt", bufs)
 					}
 					if round%8 == 7 {
-						snap := m.Snapshot()
-						for off := 0; off < len(snap); off += 64 {
-							whole("Snapshot", snap[off:off+64])
-						}
+						whole("Snapshot", [][]byte{m.Snapshot()})
 					}
 				}
 			}(w)

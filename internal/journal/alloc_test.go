@@ -9,8 +9,9 @@ import (
 // TestAllocBudgets pins the intent append path at zero steady-state
 // heap allocations per record, single or batched: encode reuses the
 // cached slot images, the record-area and tag scratch, the IV stream
-// draws through the alloc-free PRNG, the lanes seal in place and the
-// ring write lands in the device's own storage. Any regression
+// draws and the filler keystream come from the alloc-free PRNG, the
+// lanes seal in place and the ring write lands in the device's own
+// storage. Any regression
 // here multiplies across every dummy burst the daemon emits.
 func TestAllocBudgets(t *testing.T) {
 	if race.Enabled {
@@ -51,11 +52,11 @@ func TestAllocBudgets(t *testing.T) {
 		t.Errorf("AppendAlloc(9 addresses): %.1f allocs/op, budget 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		if err := j.AppendDummies(16); err != nil {
+		if err := appendFillers(j, 16); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
-		t.Errorf("AppendDummies(16): %.1f allocs/op, budget 0", n)
+		t.Errorf("AppendBatch(16 fillers): %.1f allocs/op, budget 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		err := j.AppendBatch(16, func(i int, r *Record) {

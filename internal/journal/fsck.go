@@ -20,9 +20,11 @@ type FsckReport struct {
 	// SeqLo and SeqHi bound the surviving sequence numbers (zero when
 	// the ring is empty).
 	SeqLo, SeqHi uint64
-	// Missing counts sequence numbers inside [SeqLo, SeqHi] with no
-	// surviving record: cells lost to torn writes (a crash mid-append)
-	// or reused by the ring's wrap.
+	// Missing counts the ring blocks inside [SeqLo, SeqHi] whose
+	// opening record is gone: torn writes (a crash mid-append) or
+	// damage. Every slot an append writes opens with a sealed record,
+	// and the cells after it may be filler, which reads as noise; so
+	// a block's opening cell is the one gap that means a lost cell.
 	Missing int
 	// LastCheckpoint is the newest OpCheckpoint's sequence number.
 	LastCheckpoint uint64
@@ -43,11 +45,12 @@ func (r *FsckReport) String() string {
 }
 
 // Fsck verifies the journal region of vol under the journal key: cell
-// integrity (every record's seal and tag), sequence continuity, and
-// which intents remain unreplayed. It needs only the journal key —
-// no file keys — so it reports pending intents without being able to
-// resolve them; the agents' Recover methods do that. Like every Open
-// it converts a ring the one-record-per-slot format wrote.
+// integrity (every record's seal and tag), an opening record in every
+// slot the surviving window spans, and which intents remain
+// unreplayed. It needs only the journal key — no file keys — so it
+// reports pending intents without being able to resolve them; the
+// agents' Recover methods do that. Like every Open it converts a ring
+// the one-record-per-slot format wrote.
 func Fsck(vol *stegfs.Volume, key sealer.Key) (*FsckReport, error) {
 	j, err := Open(vol, key)
 	if err != nil {
@@ -63,7 +66,15 @@ func Fsck(vol *stegfs.Volume, key sealer.Key) (*FsckReport, error) {
 	}
 	rep.SeqLo = recs[0].Seq
 	rep.SeqHi = recs[len(recs)-1].Seq
-	rep.Missing = int(rep.SeqHi-rep.SeqLo+1) - len(recs)
+	i := 0
+	for s := (rep.SeqLo+j.k-2)/j.k*j.k + 1; s <= rep.SeqHi; s += j.k {
+		for i < len(recs) && recs[i].Seq < s {
+			i++
+		}
+		if recs[i].Seq != s {
+			rep.Missing++
+		}
+	}
 
 	// An intent is pending until a later save of its file commits it.
 	lastSave := map[uint64]uint64{}

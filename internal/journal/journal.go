@@ -10,13 +10,18 @@
 //   - Slots live in a fixed ring region of the volume (right after the
 //     superblock, carved out via blockdev.SubDevice) that format fills
 //     with random bytes, so an empty ring and a full ring look alike.
-//   - A slot is a row of fixed-size cells, one record each. Every
-//     record is sealed under a journal key the agent derives from its
-//     secret: a fixed-size CBC-encrypted record area with a fresh IV
-//     and a keyed integrity tag. Ciphertext is indistinguishable from
-//     the random fill; the tag is what separates "record" from "noise"
-//     for the key holder, so cell occupancy itself is invisible
-//     without the key.
+//   - A slot is a row of fixed-size cells. A cell holds either a
+//     record sealed under a journal key the agent derives from its
+//     secret — a fixed-size CBC-encrypted record area with a fresh IV
+//     and a keyed integrity tag — or filler: the journal's keyed
+//     keystream, which nothing reads back and whose one duty is to
+//     look like the ciphertext beside it. Every intent is sealed; a
+//     dummy element's OpDummy is filler, except in the first cell an
+//     append writes in each ring block, which is always sealed so that
+//     Open can find where the ring stops (see AppendBatch). Ciphertext
+//     and keystream are indistinguishable from the random fill; the
+//     tag is what separates "record" from "noise" for the key holder,
+//     so cell occupancy itself is invisible without the key.
 //   - An append of n records changes exactly n cells, whatever the
 //     records say; every other byte of the slots it rewrites goes back
 //     to the disk as it was. A dummy filler and a relocation intent are
@@ -64,6 +69,8 @@ type Op uint8
 const (
 	// OpDummy is the filler record emitted for dummy and camouflage
 	// updates, keeping ring traffic one-to-one with the stream.
+	// AppendBatch writes it as keystream unless its cell opens a slot
+	// write.
 	OpDummy Op = iota + 1
 	// OpReloc is the intent "the data at OldLoc moves to NewLoc",
 	// durable before the payload write.
@@ -190,7 +197,7 @@ type Journal struct {
 	areas   [][]byte   // the scratch's areas, and
 	dsts    [][]byte   // the cells they are sealed into, as SealMany takes them
 	tagger  *tagger    // the append path's tag state
-	ivrng   *prng.PRNG // journal IV stream
+	ivrng   *prng.PRNG // journal IV stream (Read) and filler keystream (Fill)
 	nextIV  func(iv []byte)
 }
 
@@ -224,18 +231,25 @@ func Open(vol *stegfs.Volume, key sealer.Key) (*Journal, error) {
 	if j.images, err = j.readRing(); err != nil {
 		return nil, err
 	}
+	// Appends resume at the first cell of the slot after the one that
+	// holds the newest record. Every slot an append writes opens with a
+	// sealed record, so after a power cut the newest record lies in the
+	// last slot whose opening cell landed, wherever in it the cut fell
+	// and whatever the cells were: the resume point never depends on
+	// which cells were filler, and no cell that landed is rewritten.
 	j.seq = 1
 	if recs := j.decodeRing(j.images); len(recs) > 0 {
-		j.seq = recs[len(recs)-1].Seq + 1
+		j.seq = (recs[len(recs)-1].Seq-1)/j.k*j.k + j.k + 1
 	}
-	// The IV stream is seeded from the key, the volume salt, the
-	// resume point, and a digest of the IV of every cell in the ring.
-	// The last ingredient matters: a torn append leaves its IVs on disk
-	// while the resume sequence number stays put, and a reopen seeded
-	// from (key, salt, seq) alone would replay those exact IVs onto the
-	// same cells — an unchanged-IV/changed-ciphertext overwrite that
-	// random fill cannot produce. Hashing what the cells actually hold
-	// makes every reopen's stream diverge from what is already there.
+	// The IV and filler streams are seeded from the key, the volume
+	// salt, the resume point, and a digest of the head of every cell in
+	// the ring. The last ingredient matters: a torn append can leave
+	// its IVs on disk in the cell the ring resumes on, and a reopen
+	// seeded from (key, salt, seq) alone would replay those exact IVs
+	// onto the same cells — an unchanged-IV/changed-ciphertext
+	// overwrite that random fill cannot produce. Hashing what the cells
+	// actually hold makes every reopen's streams diverge from what is
+	// already there.
 	seedH := sha256.New()
 	seedH.Write(key[:])
 	seedH.Write(vol.Salt())
@@ -303,7 +317,7 @@ func (j *Journal) EnableMetrics(reg *obs.Registry, volume string) {
 			return float64(j.Capacity())
 		}, l...)
 	reg.GaugeFunc("steghide_journal_ring_occupancy",
-		"ring cells written at least once (saturates at capacity)",
+		"ring cells the append stream has passed, the slot tail a reopen skips included (saturates at capacity)",
 		func() float64 {
 			return float64(min(j.Seq()-1, j.Capacity()))
 		}, l...)
@@ -420,17 +434,22 @@ func (j *Journal) Scan() ([]Record, error) {
 }
 
 // AppendBatch appends n records as one batch: fill(i, rec) supplies
-// record i (its sequence number is assigned here), the records are
-// encoded and sealed through the journal sealer's lanes into their
-// cells of the cached slot images, IVs drawn in record order, and the
-// ⌈n/k⌉ slots they touch (one more when the batch straddles a slot
-// edge) go to the device in one call, two where the batch wraps the
-// ring end. Every other cell of those slots is rewritten with the
-// bytes it already holds, so a batch changes exactly the n cells n
-// single appends would, and a torn write can damage only them. The
-// batch is durable when the call returns; on an error the runs already
-// written stay appended. fill runs under the journal's append lock and
-// must not call back into the journal.
+// record i (its sequence number is assigned here). The records that
+// must be sealed are encoded; every cell of the batch then takes the
+// journal's filler keystream, one call per slot, and the encoded
+// records are sealed over their cells through the journal sealer's
+// lanes, IVs drawn in record order. A
+// record is sealed unless it is an OpDummy, and the first cell the
+// batch writes in each slot is sealed whatever its kind: the rest of
+// the OpDummy records stay filler, which recovery, Fsck and the
+// upgrade never read. The ⌈n/k⌉ slots the batch touches (one more
+// when it straddles a slot edge) go to the device in one call, two
+// where it wraps the ring end. Every other cell of those slots is
+// rewritten with the bytes it already holds, so a batch changes
+// exactly the n cells n single appends would, and a torn write can
+// damage only them. The batch is durable when the call returns; on an
+// error the runs already written stay appended. fill runs under the
+// journal's append lock and must not call back into the journal.
 func (j *Journal) AppendBatch(n int, fill func(i int, rec *Record)) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -444,18 +463,28 @@ func (j *Journal) AppendBatch(n int, fill func(i int, rec *Record)) error {
 		for i := 0; i < run; i++ {
 			j.rec = Record{}
 			fill(done+i, &j.rec)
+			c := first + uint64(i)
+			if j.rec.Op == OpDummy && i > 0 && c%j.k != 0 {
+				continue
+			}
 			j.rec.Seq = j.seq + uint64(i)
-			area := j.scratch[i*cellArea : (i+1)*cellArea : (i+1)*cellArea]
+			off := len(j.areas) * cellArea
+			area := j.scratch[off : off+cellArea : off+cellArea]
 			if err := j.encode(&j.rec, area); err != nil {
 				return err
 			}
 			j.areas = append(j.areas, area)
-			j.dsts = append(j.dsts, j.cell(first+uint64(i)))
+			j.dsts = append(j.dsts, j.cell(c))
+		}
+		end := first + uint64(run)
+		lo, hi := first/j.k, (end-1)/j.k
+		for s := lo; s <= hi; s++ {
+			from, to := max(first, s*j.k)-s*j.k, min(end, (s+1)*j.k)-s*j.k
+			j.ivrng.Fill(j.images[s][from*CellSize : to*CellSize])
 		}
 		if err := j.seal.SealMany(j.dsts, j.nextIV, j.areas); err != nil {
 			return err
 		}
-		lo, hi := first/j.k, (first+uint64(run)-1)/j.k
 		if err := j.dev.WriteBlocks(lo, j.images[lo:hi+1]); err != nil {
 			return err
 		}
@@ -512,14 +541,8 @@ func (j *Journal) AppendCheckpoint() error {
 	return j.append(Record{Op: OpCheckpoint})
 }
 
-// AppendDummy emits one filler record.
+// AppendDummy emits one filler record: the batch of one, so its cell
+// opens its slot's write and is sealed.
 func (j *Journal) AppendDummy() error {
 	return j.append(Record{Op: OpDummy})
-}
-
-// AppendDummies emits n filler records as one batch — the companion of
-// the agents' burst paths, so a dummy burst costs O(1) ring round trips,
-// not n.
-func (j *Journal) AppendDummies(n int) error {
-	return j.AppendBatch(n, func(_ int, r *Record) { r.Op = OpDummy })
 }

@@ -27,6 +27,12 @@ func newVol(t *testing.T, blockSize int, nBlocks, journal uint64) (*stegfs.Volum
 
 func testKey() sealer.Key { return sealer.DeriveKey([]byte("secret"), "journal-test-key") }
 
+// appendFillers appends n OpDummy records as one batch, as a dummy
+// burst's LogStream does.
+func appendFillers(j *Journal, n int) error {
+	return j.AppendBatch(n, func(_ int, r *Record) { r.Op = OpDummy })
+}
+
 func TestOpenRequiresRegion(t *testing.T) {
 	vol, _ := newVol(t, 512, 64, 0)
 	if _, err := Open(vol, testKey()); !errors.Is(err, ErrNoJournal) {
@@ -101,18 +107,20 @@ func TestReopenContinuesSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The newest record is in slot 0 (8 cells of 512 bytes), so the
+	// reopened ring resumes at the first cell of slot 1.
 	j2, err := Open(vol, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j2.Seq(); got != 6 {
-		t.Fatalf("reopened journal resumes at seq %d, want 6", got)
+	if got := j2.Seq(); got != 9 {
+		t.Fatalf("reopened journal resumes at seq %d, want 9", got)
 	}
 	if err := j2.AppendSave(7); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := j2.Scan()
-	if len(recs) != 6 || recs[5].Op != OpSave || recs[5].Seq != 6 {
+	if len(recs) != 6 || recs[5].Op != OpSave || recs[5].Seq != 9 {
 		t.Fatalf("append after reopen: %+v", recs)
 	}
 }
@@ -141,14 +149,15 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	if recs[0].Seq != 87 || recs[63].Seq != 150 {
 		t.Fatalf("wrapped ring seq range [%d,%d], want [87,150]", recs[0].Seq, recs[63].Seq)
 	}
-	// The reopened ring resumes behind the newest record, not behind
-	// the highest cell.
+	// The reopened ring resumes at the slot after the newest record's,
+	// not behind the highest cell: record 150 sits in cell 21 of slot
+	// 2, so the resume is cell 24, sequence number 153.
 	j2, err := Open(vol, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Seq() != 151 {
-		t.Fatalf("wrapped ring resumes at %d, want 151", j2.Seq())
+	if j2.Seq() != 153 {
+		t.Fatalf("wrapped ring resumes at %d, want 153", j2.Seq())
 	}
 }
 
@@ -161,23 +170,37 @@ func TestAppendDummiesBatchesAndWraps(t *testing.T) {
 	if err := j.AppendSave(99); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendDummies(70); err != nil { // wraps past cell 64
+	if err := appendFillers(j, 70); err != nil { // wraps past cell 64
 		t.Fatal(err)
+	}
+	if j.Seq() != 72 {
+		t.Fatalf("next seq %d after 71 records, want 72", j.Seq())
 	}
 	recs, err := j.Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 64 {
-		t.Fatalf("ring holds %d records", len(recs))
+	// Only the cell that opens each slot write is sealed: cell 1 of
+	// slot 0 (the save holds cell 0), cell 0 of slots 1–7, and cell 0
+	// again after the wrap, whose write over cells 0–6 turned the save
+	// and cell 1 into filler. The other 56 cells hold filler.
+	want := []uint64{9, 17, 25, 33, 41, 49, 57, 65}
+	if len(recs) != len(want) {
+		t.Fatalf("ring holds %d records, want %d", len(recs), len(want))
 	}
-	for _, rec := range recs {
-		if rec.Op != OpDummy {
-			t.Fatalf("unexpected %v after dummy burst", rec.Op)
+	for i, rec := range recs {
+		if rec.Op != OpDummy || rec.Seq != want[i] {
+			t.Fatalf("record %d is %v at seq %d, want dummy at %d", i, rec.Op, rec.Seq, want[i])
 		}
 	}
-	if recs[63].Seq != 71 {
-		t.Fatalf("last seq %d, want 71", recs[63].Seq)
+	// A reopen cannot tell where the fillers after seq 65 ended, and
+	// resumes at the next slot.
+	j2, err := Open(vol, testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.Seq() != 73 {
+		t.Fatalf("reopened ring resumes at %d, want 73", j2.Seq())
 	}
 }
 
@@ -295,7 +318,7 @@ func TestAppendChangesExactlyItsCells(t *testing.T) {
 		{5, func() error { return j.AppendAlloc(9, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) }},
 		{1, func() error { return j.AppendSave(9) }},
 		{1, j.AppendCheckpoint},
-		{16, func() error { return j.AppendDummies(16) }},
+		{16, func() error { return appendFillers(j, 16) }},
 		{16, mixed(16)},
 		{64, mixed(64)},   // straddles a slot edge
 		{200, mixed(200)}, // wraps the ring end
@@ -319,68 +342,103 @@ func TestAppendChangesExactlyItsCells(t *testing.T) {
 }
 
 // TestTornAppendSparesDurableCells: a power cut that tears the slot
-// rewrite of an append can damage only that append's cells. Every cell
-// the slot already held is rewritten with the bytes it had, so wherever
-// the tear falls the durable records still decode, the torn cell reads
-// as empty, and the reopened ring resumes on it with a fresh IV.
+// writes of an append can damage only that append's cells, and the
+// reopened ring resumes at the first cell of the slot after the last
+// one whose opening cell landed — a function of where the cut fell,
+// never of which cells were filler. A filler batch and a data run of
+// the same geometry, both straddling two slots, are cut at each whole
+// block and at byte fractions of it: both resume at the same sequence
+// number, the durable records and every landed record still decode,
+// and the next append rewrites no cell that landed before the cut.
 func TestTornAppendSparesDurableCells(t *testing.T) {
-	const durable, inflight = 5, 3
-	for _, frac := range []float64{0, 0.1, 0.55, 0.6, 0.63, 0.7, 0.99} {
-		mem := blockdev.NewMem(512, 64)
-		fd := blockdev.NewFault(mem)
-		vol, err := stegfs.Format(fd, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("torn"), JournalBlocks: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := Open(vol, testKey())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < durable; i++ {
-			if err := j.AppendReloc(7, 100+i, 200+i); err != nil {
-				t.Fatal(err)
+	const bs, durable, inflight = 512, 5, 8 // cells 5–7 of slot 0 and 0–4 of slot 1
+	const k = bs / CellSize
+	kinds := []struct {
+		name string
+		fill func(i int, r *Record)
+	}{
+		{"filler", func(_ int, r *Record) { r.Op = OpDummy }},
+		{"data", func(i int, r *Record) {
+			*r = Record{Op: OpReloc, FileH: 9, OldLoc: 300 + uint64(i), NewLoc: 400 + uint64(i)}
+		}},
+	}
+	for whole := int64(0); whole < 2; whole++ {
+		for _, frac := range []float64{0, 0.1, 0.12, 0.55, 0.6, 0.63, 0.7, 0.99} {
+			// The tear keeps a prefix of frac of slot `whole`'s new
+			// image; the slots before it landed whole.
+			landed := map[uint64]bool{}
+			for c := uint64(durable); c < durable+inflight; c++ {
+				if s := int64(c / k); s < whole || (s == whole && int(c%k+1)*CellSize <= int(frac*bs)) {
+					landed[c] = true
+				}
 			}
-		}
-		fd.PowerCutTorn(0, frac)
-		err = j.AppendBatch(inflight, func(i int, r *Record) { *r = Record{Op: OpSave, FileH: uint64(i)} })
-		if !errors.Is(err, blockdev.ErrPowerCut) {
-			t.Fatalf("frac %v: torn append returned %v", frac, err)
-		}
-		fd.Heal()
-		torn := mem.Snapshot()[512 : 2*512]
-		j2, err := Open(vol, testKey())
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := j2.Scan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The tear keeps a prefix of the new slot image: the in-flight
-		// cells wholly inside it are new and valid, the one it cuts is
-		// noise, the rest hold what they held before.
-		landed := max(0, int(frac*512)/CellSize-durable)
-		if len(recs) != durable+landed {
-			t.Fatalf("frac %v: %d records survive, want %d durable + %d landed", frac, len(recs), durable, landed)
-		}
-		for i, r := range recs[:durable] {
-			if r.Seq != uint64(i+1) || r.Op != OpReloc || r.OldLoc != 100+uint64(i) || r.NewLoc != 200+uint64(i) {
-				t.Fatalf("frac %v: durable record %d reads %+v", frac, i, r)
+			wantResume := uint64(k + 1)
+			if landed[k] {
+				wantResume = 2*k + 1
 			}
-		}
-		if j2.Seq() != uint64(durable+landed+1) {
-			t.Fatalf("frac %v: resume at %d", frac, j2.Seq())
-		}
-		at := (durable + landed) * CellSize
-		if err := j2.AppendDummy(); err != nil {
-			t.Fatal(err)
-		}
-		now := mem.Snapshot()[512 : 2*512]
-		if bytes.Equal(now[at:at+sealer.IVSize], torn[at:at+sealer.IVSize]) {
-			t.Fatalf("frac %v: the re-append reused the IV the torn write left in its cell", frac)
-		}
-		if !bytes.Equal(now[:at], torn[:at]) {
-			t.Fatalf("frac %v: the re-append disturbed the cells before its own", frac)
+			for _, kind := range kinds {
+				mem := blockdev.NewMem(bs, 64)
+				fd := blockdev.NewFault(mem)
+				vol, err := stegfs.Format(fd, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("torn"), JournalBlocks: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				j, err := Open(vol, testKey())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < durable; i++ {
+					if err := j.AppendReloc(7, 100+i, 200+i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fd.PowerCutTorn(whole, frac)
+				if err := j.AppendBatch(inflight, kind.fill); !errors.Is(err, blockdev.ErrPowerCut) {
+					t.Fatalf("%s, %d whole + %v: torn append returned %v", kind.name, whole, frac, err)
+				}
+				fd.Heal()
+				torn := mem.Snapshot()
+				j2, err := Open(vol, testKey())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if j2.Seq() != wantResume {
+					t.Fatalf("%s, %d whole + %v: resume at %d, want %d", kind.name, whole, frac, j2.Seq(), wantResume)
+				}
+				recs, err := j2.Scan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A filler batch seals only the cells that open its two
+				// slot writes, cells 5 and 8; a data run seals them all.
+				want := durable
+				for c := range landed {
+					if kind.name == "data" || c == durable || c == k {
+						want++
+					}
+				}
+				if len(recs) != want {
+					t.Fatalf("%s, %d whole + %v: %d records survive, want %d", kind.name, whole, frac, len(recs), want)
+				}
+				for i, r := range recs[:durable] {
+					if r.Seq != uint64(i+1) || r.Op != OpReloc || r.OldLoc != 100+uint64(i) || r.NewLoc != 200+uint64(i) {
+						t.Fatalf("%s, %d whole + %v: durable record %d reads %+v", kind.name, whole, frac, i, r)
+					}
+				}
+				if err := j2.AppendBatch(inflight, kind.fill); err != nil {
+					t.Fatal(err)
+				}
+				now := mem.Snapshot()
+				for _, c := range changedCells(t, torn, now, bs, 4) {
+					if c < durable || landed[c] {
+						t.Fatalf("%s, %d whole + %v: the next append rewrote cell %d, which landed before the cut", kind.name, whole, frac, c)
+					}
+				}
+				at := (1 + (wantResume-1)/k) * bs // the resume cell opens this block of the volume
+				if bytes.Equal(now[at:at+sealer.IVSize], torn[at:at+sealer.IVSize]) {
+					t.Fatalf("%s, %d whole + %v: the next append kept the IV its first cell held", kind.name, whole, frac)
+				}
+			}
 		}
 	}
 }

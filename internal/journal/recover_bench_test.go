@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"steghide/internal/blockdev"
+	"steghide/internal/journal"
 	"steghide/internal/prng"
+	"steghide/internal/sealer"
 	"steghide/internal/stegfs"
 	"steghide/internal/steghide"
 )
@@ -55,5 +57,42 @@ func BenchmarkRecover(b *testing.B) {
 		if _, err := agent.Recover(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpenFullRing measures Open's scan of a full ring — 256 slots
+// of 4 KiB, 16 384 cells — written in batches of 64 by the idle cover
+// stream (fillers) and by intents alone (every cell a sealed record).
+func BenchmarkOpenFullRing(b *testing.B) {
+	for _, kind := range []struct {
+		name string
+		op   journal.Op
+	}{{"fillers", journal.OpDummy}, {"intents", journal.OpReloc}} {
+		b.Run(kind.name, func(b *testing.B) {
+			vol, err := stegfs.Format(blockdev.NewMem(4096, 512),
+				stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("jo"), JournalBlocks: 256})
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := sealer.DeriveKey([]byte("bench"), "journal")
+			j, err := journal.Open(vol, key)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for done := uint64(0); done < j.Capacity(); done += 64 {
+				err := j.AppendBatch(64, func(i int, r *journal.Record) {
+					*r = journal.Record{Op: kind.op, FileH: 9, OldLoc: done + uint64(i), NewLoc: done + uint64(i) + 1}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := journal.Open(vol, key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

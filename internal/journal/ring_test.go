@@ -22,8 +22,9 @@ import (
 //
 //	Format(NewMem(512, 32), {KDFIterations: 4, FillSeed: "ring-fixture", JournalBlocks: 16})
 //	Open(vol, fixtureKey()), then fixtureRecords in order, through
-//	AppendAlloc/AppendReloc/AppendDummy/AppendDummies(5)/AppendSave/
-//	AppendFree/AppendCheckpoint — 22 records, so the ring has wrapped.
+//	AppendAlloc/AppendReloc/AppendDummy, five OpDummy records as one
+//	batch, AppendSave/AppendFree/AppendCheckpoint — 22 records, so the
+//	ring has wrapped.
 //
 // testdata/cell_ring.img is a 16-block volume whose 4-slot ring (32
 // cells) was written by the commit that introduced cells, one append
@@ -106,8 +107,9 @@ func sameIntent(a, b Record) bool {
 
 // checkUpgradedFixture asserts that the ring of vol, once the parent
 // fixture, now holds the parent's surviving records as cells: parent
-// record s at sequence number (s−1)·k+1, fillers up to s·k, nothing
-// else.
+// record s at sequence number (s−1)·k+1, where it opens its slot's
+// write and is sealed whatever its kind, and filler up to s·k, which
+// reads as noise; nothing else.
 func checkUpgradedFixture(t *testing.T, vol *stegfs.Volume) {
 	t.Helper()
 	const k = fixtureBS / CellSize
@@ -121,19 +123,15 @@ func checkUpgradedFixture(t *testing.T, vol *stegfs.Volume) {
 	}
 	all := fixtureRecords()
 	lo := len(all) - fixtureSlots // parent records lo+1 … len(all) survived the wrap
-	if len(got) != fixtureSlots*k {
-		t.Fatalf("%d records in the upgraded ring, want %d", len(got), fixtureSlots*k)
+	if len(got) != fixtureSlots {
+		t.Fatalf("%d records in the upgraded ring, want %d", len(got), fixtureSlots)
 	}
 	for i, g := range got {
-		if g.Seq != uint64(lo*k+i+1) {
-			t.Fatalf("record %d has seq %d, want %d", i, g.Seq, lo*k+i+1)
+		if g.Seq != uint64((lo+i)*k+1) {
+			t.Fatalf("record %d has seq %d, want %d", i, g.Seq, (lo+i)*k+1)
 		}
-		want := Record{Op: OpDummy}
-		if i%k == 0 {
-			want = all[lo+i/k]
-		}
-		if !sameIntent(g, want) {
-			t.Fatalf("seq %d: got %+v, want %+v", g.Seq, g, want)
+		if !sameIntent(g, all[lo+i]) {
+			t.Fatalf("seq %d: got %+v, want %+v", g.Seq, g, all[lo+i])
 		}
 	}
 	if j.Seq() != uint64(len(all)*k)+1 {
@@ -144,7 +142,7 @@ func checkUpgradedFixture(t *testing.T, vol *stegfs.Volume) {
 		t.Fatal(err)
 	}
 	// Two intents follow the last save: the free and the last reloc.
-	if rep.Valid != fixtureSlots*k || rep.Missing != 0 || len(rep.Pending) != 2 || rep.LastCheckpoint != 20*k+1 {
+	if rep.Valid != fixtureSlots || rep.Missing != 0 || len(rep.Pending) != 2 || rep.LastCheckpoint != 20*k+1 {
 		t.Fatalf("fsck of the upgraded ring: %+v", rep)
 	}
 }
@@ -273,14 +271,21 @@ func freshCellFixtureVolume(t *testing.T) (*stegfs.Volume, *blockdev.Mem) {
 
 // TestBatchRingBytesMatchSingleAppends: for one journal key, starting
 // sequence and IV stream, the same records leave the same ring bytes
-// whether they are appended one call at a time, as one batch that
-// straddles slot edges and wraps the ring end, or — the committed
-// fixture — by the single-append path of the commit that introduced
-// cells: the lanes and the run-sized device writes change how a cell is
-// produced, never what the ring holds.
+// whether they are appended one call at a time, through the public
+// list appends, or — the committed fixture — by the single-append path
+// of the commit that introduced cells: each single append's one cell
+// opens its slot write and is sealed, so the lanes and the run-sized
+// device writes change how a cell is produced, never what the ring
+// holds. One batch that straddles slot edges and wraps the ring end
+// seals only its intents and the cell that opens each slot write: its
+// sealed cells hold the committed ring's records, cell for cell, and
+// every filler cell is keystream that decodes to nothing. Their bytes
+// differ from the fixture's, because a filler draws no IV and the
+// sealed cells behind it take the IVs it would have drawn.
 func TestBatchRingBytesMatchSingleAppends(t *testing.T) {
+	const k = fixtureBS / CellSize
 	recs := cellFixtureRecords()
-	ring := func(fill func(j *Journal) error) []byte {
+	ring := func(fill func(j *Journal) error) ([]byte, []Record) {
 		t.Helper()
 		vol, dev := freshCellFixtureVolume(t)
 		j, err := Open(vol, fixtureKey())
@@ -290,13 +295,17 @@ func TestBatchRingBytesMatchSingleAppends(t *testing.T) {
 		if err := fill(j); err != nil {
 			t.Fatal(err)
 		}
-		return dev.Snapshot()[fixtureBS : (1+cellFixtureSlots)*fixtureBS]
+		got, err := j.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev.Snapshot()[fixtureBS : (1+cellFixtureSlots)*fixtureBS], got
 	}
-	single := ring(func(j *Journal) error { return appendSingly(j, recs) })
-	batch := ring(func(j *Journal) error {
+	single, _ := ring(func(j *Journal) error { return appendSingly(j, recs) })
+	batch, batchRecs := ring(func(j *Journal) error {
 		return j.AppendBatch(len(recs), func(i int, r *Record) { *r = recs[i] })
 	})
-	lists := ring(func(j *Journal) error {
+	lists, _ := ring(func(j *Journal) error {
 		// The public list appends split exactly as the fixture's records do.
 		for _, r := range append(fixtureRecords(), fixtureRecords()...) {
 			var err error
@@ -322,18 +331,56 @@ func TestBatchRingBytesMatchSingleAppends(t *testing.T) {
 	if !bytes.Equal(single, committed) {
 		t.Error("single appends leave a ring different from the committed one")
 	}
-	if !bytes.Equal(batch, committed) {
-		t.Error("one wrapping batch leaves a ring different from the committed one")
-	}
 	if !bytes.Equal(lists, committed) {
 		t.Error("AppendAlloc/AppendFree leave a ring different from the committed one")
+	}
+
+	vol, err := stegfs.Open(loadFixture(t, "testdata/cell_ring.img"), prng.NewFromUint64(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(vol, fixtureKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := j.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both runs of the batch start at a slot edge (cell 0, then cell 0
+	// after the wrap), so the cells that open its slot writes are the
+	// first of each slot.
+	var want []Record
+	for _, r := range all {
+		if r.Op != OpDummy || (r.Seq-1)%k == 0 {
+			want = append(want, r)
+		}
+	}
+	if len(batchRecs) != len(want) {
+		t.Fatalf("one wrapping batch leaves %d records, want %d", len(batchRecs), len(want))
+	}
+	for i := range want {
+		if batchRecs[i].Seq != want[i].Seq || !sameIntent(batchRecs[i], want[i]) {
+			t.Fatalf("one wrapping batch: record %d is %+v, want %+v", i, batchRecs[i], want[i])
+		}
+	}
+	sealed := map[uint64]bool{}
+	for _, r := range want {
+		sealed[(r.Seq-1)%(cellFixtureSlots*k)] = true
+	}
+	for c := uint64(0); c < cellFixtureSlots*k; c++ {
+		cell := func(ring []byte) []byte { return ring[c*CellSize : (c+1)*CellSize] }
+		if !sealed[c] && bytes.Equal(cell(batch), cell(committed)) {
+			t.Fatalf("filler cell %d of the batch holds the committed sealed record", c)
+		}
 	}
 }
 
 // TestRingContentLooksLikeFill is the content-inspecting adversary on
-// the ring: slots whose every cell holds a sealed record — fillers,
-// relocation intents and address lists, with their fixed magic, zero
-// padding and small integers under the seal — against slots still
+// the ring: slots whose every cell has been written — relocation
+// intents and address lists, with their fixed magic, zero padding and
+// small integers under the seal, the sealed dummy that opens each slot
+// write, and half the cells filler keystream — against slots still
 // holding the format's random fill. Neither the pooled byte histogram
 // nor the per-block deflate ratio may tell the populations apart.
 func TestRingContentLooksLikeFill(t *testing.T) {

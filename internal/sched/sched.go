@@ -274,9 +274,19 @@ func (s *Scheduler) getBatch() *batch {
 	return b
 }
 
+// putBatch returns b to the free list holding no address, sealer or
+// caller's block: an idle batch must not remember the last session's
+// stream. The arena's bytes stay; DESIGN.md says why.
 func (s *Scheduler) putBatch(b *batch) {
-	// Drop the callers' payload blocks; the scratch keeps only its own.
+	clear(b.reads[:cap(b.reads)])
+	clear(b.writes[:cap(b.writes)])
+	clear(b.steps[:cap(b.steps)])
+	clear(b.seals[:cap(b.seals)])
 	clear(b.outs[:cap(b.outs)])
+	clear(b.locked[:cap(b.locked)])
+	clear(b.shards[:cap(b.shards)])
+	clear(b.laneSeals[:cap(b.laneSeals)])
+	clear(b.laneRaws[:cap(b.laneRaws)])
 	s.freeMu.Lock()
 	if len(s.free) < maxFreeBatches {
 		s.free = append(s.free, b)

@@ -8,6 +8,7 @@ import (
 	"steghide/internal/blockdev"
 	"steghide/internal/journal"
 	"steghide/internal/prng"
+	"steghide/internal/sealer"
 	"steghide/internal/stats"
 	"steghide/internal/stegfs"
 )
@@ -319,6 +320,70 @@ func TestLogoutForgetsBlockOwnership(t *testing.T) {
 			}
 			if f.Len() != 0 {
 				t.Errorf("%s.%s keeps %d entries after logout: %v", v.Type().Name(), name, f.Len(), f)
+			}
+		}
+	}
+}
+
+// TestLogoutLeavesNoBatchState: the scheduler's idle batches keep no
+// block address and no sealer once the session that used them has
+// logged out. A batch goes back to the free list with its address
+// arrays (reads, writes, locked, shards) zeroed up to their capacity
+// and its sealer pointers (seals, laneSeals) dropped, so a memory image
+// of the agent after logout does not hold the last session's stream.
+func TestLogoutLeavesNoBatchState(t *testing.T) {
+	ctx := context.Background()
+	vol, err := stegfs.Format(blockdev.NewMem(256, 4096), stegfs.FormatOptions{
+		KDFIterations: 4, FillSeed: []byte("sh-batches"), JournalBlocks: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewVolatile(vol, prng.NewFromUint64(31))
+	if err := a.EnableJournal(JournalKey(vol, "admin")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := a.Login("u", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateDummy("/d", 200); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.DummyUpdateBurst(32); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(ctx, "/f", prng.NewFromUint64(3).Bytes(10*vol.PayloadSize()), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Logout(ctx, "u"); err != nil {
+		t.Fatal(err)
+	}
+	free := reflect.ValueOf(a.sched).Elem().FieldByName("free")
+	if free.Len() == 0 {
+		t.Fatal("the scheduler has no idle batch to inspect")
+	}
+	sealerPtr := reflect.TypeOf((*sealer.Sealer)(nil))
+	for i := 0; i < free.Len(); i++ {
+		b := free.Index(i).Elem()
+		for f := 0; f < b.NumField(); f++ {
+			name, v := b.Type().Field(f).Name, b.Field(f)
+			if v.Kind() != reflect.Slice {
+				continue
+			}
+			elem := v.Type().Elem()
+			if elem.Kind() != reflect.Uint64 && elem != sealerPtr {
+				continue
+			}
+			all := v.Slice(0, v.Cap())
+			for e := 0; e < all.Len(); e++ {
+				if x := all.Index(e); (elem == sealerPtr && !x.IsNil()) || (elem != sealerPtr && x.Uint() != 0) {
+					t.Errorf("idle batch %d: %s[%d] still holds %v after logout", i, name, e, x)
+					break
+				}
 			}
 		}
 	}

@@ -153,14 +153,18 @@ func runOracle(t *testing.T) oracleRun {
 // write-behind: the workload's three sub-block WriteAts through one
 // handle used to land as they came, one run of one or two blocks each
 // between the dummy bursts, and now land once, as one run, at Close —
-// fewer data updates, drawn later in the decision stream.
-const oracleImageDigest = "83605254ce8df93f7af5b30235d2ee1920b91b1e01d0d326a042ab442fba2afd"
+// fewer data updates, drawn later in the decision stream. It moved
+// again when a filler cell became keystream and only the cell that
+// opens each ring-block write stayed sealed: the image changed in 32
+// ring blocks and nowhere else, and oracleTraceDigest held.
+const oracleImageDigest = "88ed2748c11cfab918a19e77ab2a28356b61bbb8b04a51aae790958d387271d3"
 
-// oracleDigest is runOracle's digest over every observable, recorded
-// at the commit before the staged seal pipeline and the pool switch
-// were deleted, where serial and pipelined bursts, pooled and unpooled,
-// all met it.
-const oracleDigest = "94d2dc24ac2c3f3c07735607f3eed0ef94a80c380dd04182163a59162295acf2"
+// oracleDigest is runOracle's digest over every observable. Serial and
+// pipelined bursts, pooled and unpooled, all met its value at the
+// commit before the staged seal pipeline and the pool switch were
+// deleted; it was re-pinned with oracleImageDigest when filler cells
+// became keystream, which moved the image and nothing else.
+const oracleDigest = "f597a195b5cab00343d4328be4d3129e9a84cb9f82b1dbe5bbac81b839302555"
 
 // oracleTraceDigest is runOracle's traceDigest: every observable but
 // the image.
@@ -192,8 +196,9 @@ func TestKernelOracleImageDigest(t *testing.T) {
 // TestPipelineObservableOracle is the acceptance oracle of the one
 // burst path at the outermost layer: everything the paper's attacker
 // can see — trace, image, scheduler counters, both verdicts — must meet
-// oracleDigest, which the staged seal pipeline met too before it was
-// deleted, so removing it moved no figure metric and no verdict.
+// oracleDigest, whose earlier value the staged seal pipeline met too
+// before it was deleted, so removing it moved no figure metric and no
+// verdict.
 func TestPipelineObservableOracle(t *testing.T) {
 	run := runOracle(t)
 	if got := run.digest(); got != oracleDigest {
@@ -214,8 +219,8 @@ func TestPipelineObservableOracle(t *testing.T) {
 // overwritten by poison, a recycled buffer read before it is fully
 // rewritten would reach the trace, the image or a verdict; the poisoned
 // run must still meet oracleDigest, which the clean run meets
-// (TestPipelineObservableOracle) and the unpooled plane met too before
-// its switch was deleted.
+// (TestPipelineObservableOracle); the unpooled plane met its earlier
+// value too before its switch was deleted.
 func TestMemPoolObservableOracle(t *testing.T) {
 	prev := mempool.SetPoison(0xDB)
 	poisoned := runOracle(t)
