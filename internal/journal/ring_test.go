@@ -369,8 +369,8 @@ func TestBatchRingBytesMatchSingleAppends(t *testing.T) {
 		sealed[(r.Seq-1)%(cellFixtureSlots*k)] = true
 	}
 	for c := uint64(0); c < cellFixtureSlots*k; c++ {
-		cell := func(ring []byte) []byte { return ring[c*CellSize : (c+1)*CellSize] }
-		if !sealed[c] && bytes.Equal(cell(batch), cell(committed)) {
+		lo, hi := c*CellSize, (c+1)*CellSize
+		if !sealed[c] && bytes.Equal(batch[lo:hi], committed[lo:hi]) {
 			t.Fatalf("filler cell %d of the batch holds the committed sealed record", c)
 		}
 	}

@@ -26,24 +26,21 @@ type oracleRun struct {
 // digest is the SHA-256 of every observable of the run: the device
 // trace (op, block, count per event, in order), the final image, the
 // scheduler counters and both attacker verdicts.
-func (r oracleRun) digest() string {
-	h := sha256.New()
-	for _, e := range r.events {
-		fmt.Fprintf(h, "%d %d %d\n", e.Op, e.Block, e.Count)
-	}
-	h.Write(r.image)
-	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", r.stats, r.uniform, r.def1)
-	return hex.EncodeToString(h.Sum(nil))
-}
+func (r oracleRun) digest() string { return r.hash(true) }
 
 // traceDigest is the SHA-256 of what the run shows an observer but
 // the final image: the device trace, the scheduler counters and both
 // attacker verdicts. Work that moves only the bytes a cell or block
 // holds, never where or when it is written, must leave it fixed.
-func (r oracleRun) traceDigest() string {
+func (r oracleRun) traceDigest() string { return r.hash(false) }
+
+func (r oracleRun) hash(image bool) string {
 	h := sha256.New()
 	for _, e := range r.events {
 		fmt.Fprintf(h, "%d %d %d\n", e.Op, e.Block, e.Count)
+	}
+	if image {
+		h.Write(r.image)
 	}
 	fmt.Fprintf(h, "%+v\n%+v\n%+v\n", r.stats, r.uniform, r.def1)
 	return hex.EncodeToString(h.Sum(nil))
