@@ -7,7 +7,8 @@
 //     so eight (on the 512-bit tier 32) decrypt at once.
 //   - EncryptCBC: one CBC chain is serial, so up to MaxLanes unrelated
 //     buffers, each under its own key schedule if need be, advance one
-//     block per step and keep the AES unit busy between them.
+//     block per step and keep the AES unit busy between them; on the
+//     512-bit tier up to WideLanes under one schedule.
 //   - Schedule.Keystream: the AES-CTR keystream, addressed by byte
 //     position and written straight into the destination.
 //   - GMAC: the oblivious store's slot tag, split into the nonce's
@@ -41,9 +42,14 @@ const (
 	BlockSize = aes.BlockSize
 	// KeySize is the AES-256 key size in bytes.
 	KeySize = 32
-	// MaxLanes is how many independent CBC chains one kernel step
-	// advances; EncryptCBC takes any number and runs them in groups.
+	// MaxLanes is how many independent CBC chains the eight-lane
+	// kernels advance per step, whatever their keys.
 	MaxLanes = 8
+	// WideLanes is the widest group EncryptCBC hands the kernels: on
+	// the 512-bit tier sixteen lanes under one schedule advance
+	// together. EncryptCBC takes any number of lanes and runs them in
+	// groups of this many.
+	WideLanes = 16
 
 	roundKeyBytes = 15 * BlockSize // 14 rounds + the initial whitening key
 )
@@ -107,11 +113,11 @@ func (s *Schedule) DecryptCBC(dst, src, iv []byte) error {
 }
 
 // EncryptCBC encrypts every lane. All lanes must carry the same
-// positive multiple of BlockSize bytes. Lanes run MaxLanes at a time
+// positive multiple of BlockSize bytes. Lanes run WideLanes at a time
 // in slice order; the result does not depend on the grouping.
 func EncryptCBC(lanes []Lane) error {
-	for lo := 0; lo < len(lanes); lo += MaxLanes {
-		group := lanes[lo:min(lo+MaxLanes, len(lanes))]
+	for lo := 0; lo < len(lanes); lo += WideLanes {
+		group := lanes[lo:min(lo+WideLanes, len(lanes))]
 		if err := checkLanes(group, len(lanes[0].Src)); err != nil {
 			return err
 		}

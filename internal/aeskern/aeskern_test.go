@@ -7,7 +7,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -89,6 +91,10 @@ func tiers[T interface {
 // the volume's 4 080 and 4 096.
 var kernelLengths = []int{16, 32, 48, 112, 128, 144, 240, 256, 272, 496, 512, 528, 1008, 1024, 4080, 4096}
 
+// wideLengths are just below and at the sixteen-lane kernel's minimum
+// (twice the 512-byte skew between its halves), and the data field.
+var wideLengths = []int{1008, 1024, 4080}
+
 // boundaryBlocks are the block counts around the 512-bit tier's groups.
 var boundaryBlocks = []int{31, 32, 33, 63, 64, 255}
 
@@ -103,52 +109,62 @@ func testEncryptMatchesStdlib(t *testing.T) {
 	for lanes := 1; lanes <= 17; lanes++ {
 		for _, n := range kernelLengths {
 			batch := make([]Lane, lanes)
-			want := make([][]byte, lanes)
+			keys := make([]*[KeySize]byte, lanes)
 			for i := range batch {
-				key := randKey(r)
+				keys[i] = randKey(r)
 				src, iv := unaligned(r, n), unaligned(r, BlockSize)
-				want[i] = refEncrypt(key, iv, src)
 				dst := unaligned(r, n)
 				if i%3 == 2 {
 					dst = src // in place
 				}
-				batch[i] = Lane{Key: NewSchedule(key), Dst: dst, Src: src, IV: iv}
+				batch[i] = Lane{Key: NewSchedule(keys[i]), Dst: dst, Src: src, IV: iv}
 			}
-			if err := EncryptCBC(batch); err != nil {
-				t.Fatalf("lanes=%d n=%d: %v", lanes, n, err)
-			}
-			for i := range batch {
-				if !bytes.Equal(batch[i].Dst, want[i]) {
-					t.Fatalf("lanes=%d n=%d: lane %d differs from cipher.NewCBCEncrypter", lanes, n, i)
-				}
-			}
+			checkEncrypt(t, batch, keys, fmt.Sprintf("lanes=%d n=%d", lanes, n))
 		}
 	}
 }
 
 // TestKernelSharedKeyLanes is the SealMany shape: one schedule on
-// every lane, on every tier.
+// every lane, on every tier — unaligned, and in the sealed-block slabs
+// the sixteen-lane kernel runs on, for one to two wide groups and one
+// lane more.
 func TestKernelSharedKeyLanes(t *testing.T) { tiers(t, testSharedKeyLanes) }
 
 func testSharedKeyLanes(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	key := randKey(r)
 	ks := NewSchedule(key)
-	for lanes := 1; lanes <= 9; lanes++ {
+	keys := slices.Repeat([]*[KeySize]byte{key}, 2*WideLanes+1)
+	for lanes := 1; lanes <= 2*WideLanes+1; lanes++ {
 		batch := make([]Lane, lanes)
-		want := make([][]byte, lanes)
 		for i := range batch {
-			src, iv := unaligned(r, 4080), unaligned(r, BlockSize)
-			want[i] = refEncrypt(key, iv, src)
-			batch[i] = Lane{Key: ks, Dst: unaligned(r, 4080), Src: src, IV: iv}
+			batch[i] = Lane{Key: ks, Dst: unaligned(r, 4080), Src: unaligned(r, 4080), IV: unaligned(r, BlockSize)}
 		}
-		if err := EncryptCBC(batch); err != nil {
-			t.Fatal(err)
-		}
-		for i := range batch {
-			if !bytes.Equal(batch[i].Dst, want[i]) {
-				t.Fatalf("lanes=%d: lane %d differs", lanes, i)
+		checkEncrypt(t, batch, keys, fmt.Sprintf("lanes=%d unaligned", lanes))
+		for _, n := range wideLengths {
+			for _, inPlace := range []bool{false, true} {
+				batch := slabLanes(r, ks, lanes, n, inPlace)
+				checkEncrypt(t, batch, keys, fmt.Sprintf("lanes=%d n=%d in place=%v", lanes, n, inPlace))
 			}
+		}
+	}
+}
+
+// checkEncrypt runs EncryptCBC on batch and holds every lane to
+// crypto/cipher under keys[i], the key of lane i's schedule; sources
+// are copied first, as an in-place lane overwrites its own.
+func checkEncrypt(t *testing.T, batch []Lane, keys []*[KeySize]byte, what string) {
+	t.Helper()
+	want := make([][]byte, len(batch))
+	for i := range batch {
+		want[i] = refEncrypt(keys[i], batch[i].IV, batch[i].Src)
+	}
+	if err := EncryptCBC(batch); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for i := range batch {
+		if !bytes.Equal(batch[i].Dst, want[i]) {
+			t.Fatalf("%s: lane %d differs from cipher.NewCBCEncrypter", what, i)
 		}
 	}
 }
@@ -396,9 +412,13 @@ func testZeroAlloc(t *testing.T) {
 	for i := range batch {
 		batch[i] = Lane{Key: ks, Dst: make([]byte, 4080), Src: src, IV: iv}
 	}
+	wide := slabLanes(r, ks, WideLanes, 4080, false)
 	g := NewGMAC(randKey(r))
 	run := func() {
 		if err := ks.DecryptCBC(dst, src, iv); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncryptCBC(wide); err != nil {
 			t.Fatal(err)
 		}
 		if err := EncryptCBC(batch[:]); err != nil {
@@ -413,18 +433,23 @@ func testZeroAlloc(t *testing.T) {
 	}
 	run() // warm the stdlib path's pool
 	if a := testing.AllocsPerRun(50, run); a > 0 {
-		t.Errorf("%.1f allocs per decrypt + 8-lane + 1-lane + keystream + GMAC mask and hash, want 0", a)
+		t.Errorf("%.1f allocs per decrypt + 16-lane + 8-lane + 1-lane + keystream + GMAC mask and hash, want 0", a)
 	}
 }
 
 // FuzzKernelMatchesStdlib cuts arbitrary bytes into keys, IVs, lane
 // count and length and holds all three primitives, and GMAC over the
-// fuzzer's bytes and over a lane, to crypto/cipher on every tier.
+// fuzzer's bytes and over a lane, to crypto/cipher on every tier. The
+// wide path gets 9-16 lanes under one key in sealed-block slabs, in
+// place and apart, at the fuzzer's length and at and just below the
+// sixteen-lane kernel's minimum, and the same group with its last lane
+// under another key.
 func FuzzKernelMatchesStdlib(f *testing.F) {
 	f.Add([]byte("seed"), uint8(3), uint16(5), uint16(9))
 	f.Add(bytes.Repeat([]byte{0xa5}, 300), uint8(8), uint16(255), uint16(4096))
 	f.Add([]byte{}, uint8(17), uint16(1), uint16(0))
 	f.Add([]byte("tier"), uint8(2), uint16(32), uint16(17))
+	f.Add([]byte("wide"), uint8(7), uint16(63), uint16(3))
 	f.Fuzz(func(t *testing.T, data []byte, lanes uint8, blocks uint16, pos uint16) {
 		tiers(t, func(t *testing.T) { fuzzKernelMatchesStdlib(t, data, lanes, blocks, pos) })
 	})
@@ -463,6 +488,20 @@ func fuzzKernelMatchesStdlib(t *testing.T, data []byte, lanes uint8, blocks uint
 			t.Fatalf("decrypt lane %d of %d bytes differs", i, n)
 		}
 	}
+	nw := 9 + int(lanes)%8
+	wideKeys := slices.Repeat([]*[KeySize]byte{keys[0]}, nw)
+	other := randKey(r)
+	mixedKeys := append(wideKeys[:nw-1:nw-1], other)
+	for _, wn := range []int{n, wideLengths[0], wideLengths[1]} {
+		for _, inPlace := range []bool{false, true} {
+			what := fmt.Sprintf("%d lanes of %d bytes, in place %v", nw, wn, inPlace)
+			checkEncrypt(t, slabLanes(r, batch[0].Key, nw, wn, inPlace), wideKeys, "one key, "+what)
+			mixed := slabLanes(r, batch[0].Key, nw, wn, inPlace)
+			mixed[nw-1].Key = NewSchedule(other)
+			checkEncrypt(t, mixed, mixedKeys, "two keys, "+what)
+		}
+	}
+
 	stream := make([]byte, n-1)
 	batch[0].Key.Keystream(stream, uint64(pos))
 	if !bytes.Equal(stream, refKeystream(keys[0], int(pos)+n-1)[pos:]) {
@@ -494,6 +533,30 @@ func benchLanes(r *rand.Rand, n int, sameKey bool) ([]Lane, []cipher.Block) {
 		batch[i] = Lane{Key: NewSchedule(key), Dst: make([]byte, 4080), Src: make([]byte, 4080), IV: make([]byte, BlockSize)}
 	}
 	return batch, blks
+}
+
+// slabLanes returns lanes of n bytes under ks laid out as the
+// oblivious store's window lays out a seal batch, both slabs carved as
+// blockdev.AllocBlocks carves them: each lane's IV opens a block of a
+// slab of 4 KiB blocks (more for a longer lane) and its destination
+// follows the IV; its source is the lane's n-byte record in a second
+// slab, or the destination itself when inPlace. Sources and IVs are
+// random.
+func slabLanes(r *rand.Rand, ks *Schedule, lanes, n int, inPlace bool) []Lane {
+	stride := (n + BlockSize + 4095) &^ 4095
+	blocks, recs := make([]byte, lanes*stride), make([]byte, lanes*n)
+	r.Read(blocks)
+	r.Read(recs)
+	batch := make([]Lane, lanes)
+	for i := range batch {
+		block := blocks[i*stride:]
+		dst, src := block[BlockSize:BlockSize+n:BlockSize+n], recs[i*n:(i+1)*n:(i+1)*n]
+		if inPlace {
+			src = dst
+		}
+		batch[i] = Lane{Key: ks, Dst: dst, Src: src, IV: block[:BlockSize:BlockSize]}
+	}
+	return batch
 }
 
 // stdlibEncrypt is EncryptCBC with a fresh crypto/cipher mode per lane.
@@ -565,6 +628,27 @@ func BenchmarkSealMany8(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkSealMany16 is a full wide group in the reshuffle's layout
+// (slabLanes). The eights arm runs the same lanes as two groups of
+// eight.
+func BenchmarkSealMany16(b *testing.B) {
+	r := rand.New(rand.NewSource(13))
+	batch := slabLanes(r, NewSchedule(randKey(r)), WideLanes, 4080, false)
+	tiers(b, func(b *testing.B) {
+		b.SetBytes(WideLanes * 4080)
+		for i := 0; i < b.N; i++ {
+			EncryptCBC(batch) //nolint:errcheck // fixed valid shape
+		}
+	})
+	b.Run("eights", func(b *testing.B) {
+		b.SetBytes(WideLanes * 4080)
+		for i := 0; i < b.N; i++ {
+			EncryptCBC(batch[:MaxLanes]) //nolint:errcheck // fixed valid shape
+			EncryptCBC(batch[MaxLanes:]) //nolint:errcheck // fixed valid shape
+		}
+	})
 }
 
 func BenchmarkResealMany64(b *testing.B) {

@@ -50,10 +50,13 @@ func detectVAES512() bool {
 	return xcr0&0xe6 == 0xe6
 }
 
-// The 512-bit kernels' minimum lengths: one 32-block group.
+// The 512-bit kernels' minimum lengths: one 32-block group; for the
+// sixteen-lane encrypt, twice the skew between its two halves.
 const (
 	vaesDecMin       = 32 * BlockSize
 	vaesKeystreamMin = 32
+	vaesEnc16Skew    = 32 * BlockSize // as in kern_vaes512_amd64.s
+	vaesEnc16Min     = 2 * vaesEnc16Skew
 )
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -80,6 +83,9 @@ func cbcDecVAES512(dk *[roundKeyBytes]byte, dst, src *byte, n int, iv *[BlockSiz
 
 //go:noescape
 func cbcEnc8VAES512(keys *[MaxLanes]*[roundKeyBytes]byte, dsts, srcs *[MaxLanes]*byte, ivs *[MaxLanes][BlockSize]byte, n int)
+
+//go:noescape
+func cbcEnc16VAES512(ek *[roundKeyBytes]byte, dsts, srcs *[WideLanes]*byte, ivs *[WideLanes][BlockSize]byte, n int)
 
 //go:noescape
 func keystreamVAES512(ek *[roundKeyBytes]byte, dst *byte, blocks int, ctr uint64)
@@ -110,18 +116,64 @@ func (s *Schedule) decryptCBC(dst, src, iv []byte) {
 	cbcDecAsm(&s.dec, &dst[0], &src[0], len(src), (*[BlockSize]byte)(iv))
 }
 
-// encryptCBC runs one validated group of at most MaxLanes lanes. One
-// lane takes the single-chain loop; more take the eight-lane loop with
-// the spare lanes repeating lane 0 (the same bytes to the same place).
-// Eight chains are not free: on a Sapphire Rapids Xeon core one
-// 4 080-byte lane takes 4.2-5.2 µs, eight take about twice that on XMM
-// and 1.1-1.4 times it on the 512-bit tier, so a group of two to seven
-// pays for eight.
+// encryptCBC runs one validated group of at most WideLanes lanes. On
+// the 512-bit tier nine or more lanes under one schedule, at least
+// vaesEnc16Min bytes long, take the sixteen-lane kernel; every other
+// group runs MaxLanes at a time. One lane takes the single-chain loop;
+// two to eight take the eight-lane loop with the spare lanes repeating
+// lane 0 (the same bytes to the same place). A chain is bound by the
+// rounds' latency, so lanes are nearly free: on a Sapphire Rapids Xeon
+// core one 4 080-byte lane on the single-chain loop and eight on the
+// 512-bit tier each take about 3.1 µs (eight 5.0 µs on XMM), and
+// sixteen 4.3-4.6 µs against 6.0 µs for two calls of eight. A group of
+// two to seven pays for eight.
 func encryptCBC(lanes []Lane) {
 	if lanes[0].Key.soft != nil {
 		encryptLanesSoft(lanes)
 		return
 	}
+	if hasVAES512 && len(lanes) > MaxLanes && len(lanes[0].Src) >= vaesEnc16Min && oneKey(lanes) {
+		encryptCBC16(lanes)
+		return
+	}
+	for lo := 0; lo < len(lanes); lo += MaxLanes {
+		encryptCBC8(lanes[lo:min(lo+MaxLanes, len(lanes))])
+	}
+}
+
+// oneKey reports whether every lane runs under lanes[0]'s schedule.
+func oneKey(lanes []Lane) bool {
+	for i := range lanes {
+		if lanes[i].Key != lanes[0].Key {
+			return false
+		}
+	}
+	return true
+}
+
+// encryptCBC16 runs nine to sixteen one-key lanes on the sixteen-lane
+// kernel. The spare lanes repeat lane 8, which runs in step with them
+// in the trailing half; a copy of a lane in the other half would run
+// 512 bytes apart from it and, in place, read its own ciphertext.
+func encryptCBC16(lanes []Lane) {
+	var (
+		dsts, srcs [WideLanes]*byte
+		ivs        [WideLanes][BlockSize]byte
+	)
+	for i := range dsts {
+		l := &lanes[MaxLanes]
+		if i < len(lanes) {
+			l = &lanes[i]
+		}
+		dsts[i] = unsafe.SliceData(l.Dst)
+		srcs[i] = unsafe.SliceData(l.Src)
+		copy(ivs[i][:], l.IV)
+	}
+	cbcEnc16VAES512(&lanes[0].Key.enc, &dsts, &srcs, &ivs, len(lanes[0].Src))
+}
+
+// encryptCBC8 runs one to eight lanes.
+func encryptCBC8(lanes []Lane) {
 	n := len(lanes[0].Src)
 	if len(lanes) == 1 {
 		l := &lanes[0]

@@ -2,27 +2,33 @@ package aeskern
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"syscall"
 	"testing"
 )
 
-// guarded maps one read-write page between two inaccessible ones, so a
-// kernel that touches a byte before or after it faults.
-func guarded(t *testing.T) []byte {
+// guarded maps n read-write pages, each between two inaccessible ones,
+// so a kernel that touches a byte before or after one faults.
+func guarded(t *testing.T, n int) [][]byte {
 	page := os.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 3*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	mem, err := syscall.Mmap(-1, 0, (2*n+1)*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	t.Cleanup(func() { syscall.Munmap(mem) }) //nolint:errcheck // test teardown
-	for _, g := range [][]byte{mem[:page], mem[2*page:]} {
-		if err := syscall.Mprotect(g, syscall.PROT_NONE); err != nil {
+	pages := make([][]byte, n)
+	for i := 0; i <= n; i++ {
+		if err := syscall.Mprotect(mem[2*i*page:(2*i+1)*page], syscall.PROT_NONE); err != nil {
 			t.Skipf("mprotect: %v", err)
 		}
+		if i < n {
+			pages[i] = mem[(2*i+1)*page : (2*i+2)*page : (2*i+2)*page]
+		}
 	}
-	return mem[page : 2*page : 2*page]
+	return pages
 }
 
 // TestKernelStaysInBounds puts every source flush against a guard page,
@@ -32,13 +38,17 @@ func guarded(t *testing.T) []byte {
 // masked loads and 512-byte groups. The 512-bit decrypt's IV lane, the
 // eight-lane gather and the GHASH tail read 64-byte windows that reach
 // past their data; only their masked-off bytes may lie in the guard,
-// and those must not be read. A stray read faults instead of passing
-// on lucky bytes.
+// and those must not be read. The sixteen-lane kernel addresses its
+// trailing half 512 bytes low: nine to sixteen lanes under one key,
+// each lane's source and destination on a page of its own, flush
+// against its start and then its end, in place and apart, at and
+// just below the kernel's minimum length. A stray read faults instead
+// of passing on lucky bytes.
 func TestKernelStaysInBounds(t *testing.T) { tiers(t, testStaysInBounds) }
 
 func testStaysInBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
-	page := guarded(t)
+	page := guarded(t, 1)[0]
 	r.Read(page)
 	const n = 4080
 	for _, src := range [][]byte{page[:n:n], page[len(page)-n:]} {
@@ -73,6 +83,32 @@ func testStaysInBounds(t *testing.T) {
 			t.Fatal("keystream against a guard page differs")
 		}
 	}
+	wide := guarded(t, 2*WideLanes)
+	key := randKey(r)
+	ks := NewSchedule(key)
+	keys := slices.Repeat([]*[KeySize]byte{key}, WideLanes)
+	for _, n := range wideLengths {
+		for _, atEnd := range []bool{false, true} {
+			for _, inPlace := range []bool{false, true} {
+				for _, lanes := range []int{9, WideLanes} {
+					batch := make([]Lane, lanes)
+					for i := range batch {
+						src, dst := wide[i][:n:n], wide[WideLanes+i][:n:n]
+						if atEnd {
+							src, dst = wide[i][len(page)-n:], wide[WideLanes+i][len(page)-n:]
+						}
+						r.Read(src)
+						if inPlace {
+							dst = src
+						}
+						batch[i] = Lane{Key: ks, Dst: dst, Src: src, IV: unaligned(r, BlockSize)}
+					}
+					checkEncrypt(t, batch, keys, fmt.Sprintf("%d lanes of %d bytes against guard pages, at end %v, in place %v", lanes, n, atEnd, inPlace))
+				}
+			}
+		}
+	}
+
 	gkey := randKey(r)
 	g := NewGMAC(gkey)
 	iv := new([BlockSize]byte)

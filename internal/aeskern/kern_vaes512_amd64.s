@@ -313,3 +313,133 @@ enc8:
 enc8done:
 	VZEROUPPER
 	RET
+
+// GATHER4SP is GATHER4 for the four sources whose pointers are at
+// off(SP) to off+24(SP).
+#define GATHER4SP(off, z, x) \
+	MOVQ         off(SP), R8; \
+	MOVQ         (off+8)(SP), R9; \
+	MOVQ         (off+16)(SP), R10; \
+	MOVQ         (off+24)(SP), R11; \
+	VMOVDQU64    (R8)(CX*1), x; \
+	VINSERTI32X4 $1, (R9)(CX*1), z, z; \
+	VINSERTI32X4 $2, (R10)(CX*1), z, z; \
+	VINSERTI32X4 $3, (R11)(CX*1), z, z
+
+#define ROUND2(op, k, a, b) \
+	op k, a, a; op k, b, b
+
+// CHAIN2 runs one CBC step on the chains a and b: the gathered sources
+// in sa and sb, already whitened, are folded in and the 13 middle
+// rounds and the last one run under the broadcast schedule. CHAIN4 is
+// the same on Z0-Z3 with the sources in Z4-Z7.
+#define CHAIN2(a, b, sa, sb) \
+	VPXORQ sa, a, a; VPXORQ sb, b, b; \
+	ROUND2(VAESENC, Z18, a, b); ROUND2(VAESENC, Z19, a, b); \
+	ROUND2(VAESENC, Z20, a, b); ROUND2(VAESENC, Z21, a, b); \
+	ROUND2(VAESENC, Z22, a, b); ROUND2(VAESENC, Z23, a, b); \
+	ROUND2(VAESENC, Z24, a, b); ROUND2(VAESENC, Z25, a, b); \
+	ROUND2(VAESENC, Z26, a, b); ROUND2(VAESENC, Z27, a, b); \
+	ROUND2(VAESENC, Z28, a, b); ROUND2(VAESENC, Z29, a, b); \
+	ROUND2(VAESENC, Z30, a, b); ROUND2(VAESENCLAST, Z31, a, b)
+
+#define ROUND4(op, k) \
+	op k, Z0, Z0; op k, Z1, Z1; op k, Z2, Z2; op k, Z3, Z3
+
+#define CHAIN4 \
+	VPXORQ Z4, Z0, Z0; VPXORQ Z5, Z1, Z1; VPXORQ Z6, Z2, Z2; VPXORQ Z7, Z3, Z3; \
+	ROUND4(VAESENC, Z18); ROUND4(VAESENC, Z19); ROUND4(VAESENC, Z20); \
+	ROUND4(VAESENC, Z21); ROUND4(VAESENC, Z22); ROUND4(VAESENC, Z23); \
+	ROUND4(VAESENC, Z24); ROUND4(VAESENC, Z25); ROUND4(VAESENC, Z26); \
+	ROUND4(VAESENC, Z27); ROUND4(VAESENC, Z28); ROUND4(VAESENC, Z29); \
+	ROUND4(VAESENC, Z30); ROUND4(VAESENCLAST, Z31)
+
+// func cbcEnc16VAES512(ek *[240]byte, dsts, srcs *[16]*byte, ivs *[16][16]byte, n int)
+//
+// Sixteen lanes under one schedule, broadcast into Z17-Z31, on four ZMM
+// chains: lanes 0-3 in Z0, 4-7 in Z1, 8-11 in Z2 and 12-15 in Z3. The
+// chains are bound by the rounds' latency, so a step of four costs
+// little more than a step of two. Lanes 8-15 run 512 bytes (32 steps) behind lanes
+// 0-7: buffers 4 KiB apart share their low 12 address bits, and sixteen
+// destinations at one offset would fall in one L1 set. Their pointers
+// are kept 512 bytes low, so one offset CX addresses both halves: for
+// the first 512 bytes only lanes 0-7 step, then all sixteen until CX
+// reaches n, then lanes 8-15 alone for their last 512 bytes. n is at
+// least 512. The frame holds the destination pointers at 0-120(SP) and
+// the source pointers at 128-248(SP). A lane's dst may equal its src.
+TEXT ·cbcEnc16VAES512(SB), NOSPLIT, $256-40
+	MOVQ ek+0(FP), AX
+	BCAST15(AX)
+	MOVQ dsts+8(FP), DI
+	MOVQ srcs+16(FP), SI
+	XORQ BX, BX
+
+lanes16:
+	MOVQ  (DI)(BX*8), R8
+	MOVQ  (SI)(BX*8), R9
+	CMPQ  BX, $8
+	JB    lead16ptr
+	SUBQ  $512, R8
+	SUBQ  $512, R9
+
+lead16ptr:
+	MOVQ  R8, 0(SP)(BX*8)
+	MOVQ  R9, 128(SP)(BX*8)
+	INCQ  BX
+	CMPQ  BX, $16
+	JB    lanes16
+
+	MOVQ      ivs+24(FP), DI
+	VMOVDQU64 (DI), Z0
+	VMOVDQU64 64(DI), Z1
+	VMOVDQU64 128(DI), Z2
+	VMOVDQU64 192(DI), Z3
+	MOVQ      n+32(FP), DX
+	LEAQ      512(DX), BX
+	XORQ      CX, CX
+
+lead16:
+	GATHER4SP(128, Z4, X4)
+	GATHER4SP(160, Z5, X5)
+	VPXORQ    Z17, Z4, Z4
+	VPXORQ    Z17, Z5, Z5
+	CHAIN2(Z0, Z1, Z4, Z5)
+	SCATTER4(0, X0, Z0)
+	SCATTER4(32, X1, Z1)
+	ADDQ      $16, CX
+	CMPQ      CX, $512
+	JB        lead16
+
+both16:
+	CMPQ      CX, DX
+	JAE       trail16
+	GATHER4SP(128, Z4, X4)
+	GATHER4SP(160, Z5, X5)
+	GATHER4SP(192, Z6, X6)
+	GATHER4SP(224, Z7, X7)
+	VPXORQ    Z17, Z4, Z4
+	VPXORQ    Z17, Z5, Z5
+	VPXORQ    Z17, Z6, Z6
+	VPXORQ    Z17, Z7, Z7
+	CHAIN4
+	SCATTER4(0, X0, Z0)
+	SCATTER4(32, X1, Z1)
+	SCATTER4(64, X2, Z2)
+	SCATTER4(96, X3, Z3)
+	ADDQ      $16, CX
+	JMP       both16
+
+trail16:
+	GATHER4SP(192, Z6, X6)
+	GATHER4SP(224, Z7, X7)
+	VPXORQ    Z17, Z6, Z6
+	VPXORQ    Z17, Z7, Z7
+	CHAIN2(Z2, Z3, Z6, Z7)
+	SCATTER4(64, X2, Z2)
+	SCATTER4(96, X3, Z3)
+	ADDQ      $16, CX
+	CMPQ      CX, BX
+	JB        trail16
+
+	VZEROUPPER
+	RET

@@ -134,7 +134,7 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 	// buffer size (√memBlocks each): chunked refills and flushes keep
 	// the I/O mostly sequential, which is what makes the sorting
 	// overhead cheap in wall-clock terms (Fig. 12b) despite its I/O
-	// count.
+	// count. mergeChunks splits the window within each merge.
 	fanIn := intSqrt(memBlocks)
 	if fanIn < 2 {
 		fanIn = 2
@@ -175,8 +175,8 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 		off := uint64(0)
 		for lo := 0; lo < len(runs); lo += fanIn {
 			hi := min(lo+fanIn, len(runs))
-			chunk := max(memBlocks/(hi-lo+1), 1)
-			merged, err := w.mergeRuns(dev, codec, runs[lo:hi], other.Start+off, chunk, final)
+			in, out := mergeChunks(memBlocks, hi-lo)
+			merged, err := w.mergeRuns(dev, codec, runs[lo:hi], other.Start+off, in, out, final)
 			if err != nil {
 				return err
 			}
@@ -290,29 +290,51 @@ func (c *cursor) advance(dev blockdev.Device, codec Codec) error {
 	return c.fill(dev, codec)
 }
 
-// carve returns the i-th chunk-sized slice of the window. Cursor i of
-// a merge takes chunk i and the output takes the one after the last
-// cursor: chunk = memBlocks/(fanIn+1), so they all fit whenever the
-// window holds three blocks or more.
-func (w *Window) carve(i, chunk int) (raws, recs [][]byte, keys []uint64) {
-	lo, hi := i*chunk, (i+1)*chunk
-	if hi <= len(w.Raws) {
+// sealBatch is the output batch a merge fills where the window has room
+// for it: the width of the widest cipher group (aeskern.WideLanes), so
+// every full batch is sealed in whole kernel calls. It is a constant of
+// the sort, not of the host's kernel tier, so every build issues the
+// same device calls.
+const sealBatch = 16
+
+// mergeChunks splits a window of m blocks between the k cursors of one
+// merge and its output, returning each cursor's chunk and the output
+// batch. All k+1 take an even share, except where that share is below
+// sealBatch and the window holds a seal batch beside one record per
+// cursor: then the output takes sealBatch and the cursors share the
+// rest. Either way the merge holds at most m blocks, bar the two-block
+// window's spare.
+func mergeChunks(m, k int) (in, out int) {
+	even := max(m/(k+1), 1)
+	if even >= sealBatch || m-sealBatch < k {
+		return even, even
+	}
+	return (m - sealBatch) / k, sealBatch
+}
+
+// carve returns the n-block slice of the window that starts at block
+// lo. Cursor i of a merge takes [i·in, (i+1)·in) and the output the
+// out blocks after the last cursor; mergeChunks keeps them inside the
+// window whenever it holds three blocks or more.
+func (w *Window) carve(lo, n int) (raws, recs [][]byte, keys []uint64) {
+	if hi := lo + n; hi <= len(w.Raws) {
 		return w.Raws[lo:hi], w.Recs[lo:hi], w.keys[lo:hi]
 	}
 	if w.spareRaws == nil {
-		w.spareRaws = blockdev.AllocBlocks(chunk, len(w.Raws[0]))
-		w.spareRecs = blockdev.AllocBlocks(chunk, len(w.Recs[0]))
+		w.spareRaws = blockdev.AllocBlocks(n, len(w.Raws[0]))
+		w.spareRecs = blockdev.AllocBlocks(n, len(w.Recs[0]))
 	}
 	return w.spareRaws, w.spareRecs, nil
 }
 
 // mergeRuns k-way merges the given runs into a region starting at
-// dstStart and returns it. Each cursor and the output use a buffer of
-// `chunk` blocks, refilled and flushed as single device batches, so
-// the pass's I/O stays mostly sequential and costs one batch call per
-// chunk. A record moves from its cursor to the output by swapping
-// buffers, never by copying, and is sealed once, in its output batch.
-func (w *Window) mergeRuns(dev blockdev.Device, codec Codec, runs []Region, dstStart uint64, chunk int, final bool) (Region, error) {
+// dstStart and returns it. Each cursor reads through a buffer of `in`
+// blocks and the output fills one of `out`, each refilled or flushed
+// as a single device batch, so the pass's I/O stays mostly sequential
+// and costs one batch call per chunk. A record moves from its cursor to
+// the output by swapping buffers, never by copying, and is sealed
+// once, in its output batch.
+func (w *Window) mergeRuns(dev blockdev.Device, codec Codec, runs []Region, dstStart uint64, in, out int, final bool) (Region, error) {
 	if cap(w.cursors) < len(runs) {
 		w.cursors = make([]cursor, len(runs))
 		w.heap = make(cursorHeap, 0, len(runs))
@@ -324,7 +346,7 @@ func (w *Window) mergeRuns(dev blockdev.Device, codec Codec, runs []Region, dstS
 		total += r.Len
 		c := &cursors[i]
 		*c = cursor{run: r, tie: i}
-		c.raws, c.recs, c.keys = w.carve(i, chunk)
+		c.raws, c.recs, c.keys = w.carve(i*in, in)
 		if err := c.fill(dev, codec); err != nil {
 			return Region{}, err
 		}
@@ -333,17 +355,17 @@ func (w *Window) mergeRuns(dev blockdev.Device, codec Codec, runs []Region, dstS
 		}
 	}
 	heap.Init(&w.heap)
-	out := dstStart
-	outRaws, outRecs, _ := w.carve(len(runs), chunk)
+	at := dstStart
+	outRaws, outRecs, _ := w.carve(len(runs)*in, out)
 	outN := 0
 	flush := func() error {
 		if outN == 0 {
 			return nil
 		}
-		if err := writeOut(dev, codec, out, final, outRecs[:outN], outRaws[:outN]); err != nil {
+		if err := writeOut(dev, codec, at, final, outRecs[:outN], outRaws[:outN]); err != nil {
 			return err
 		}
-		out += uint64(outN)
+		at += uint64(outN)
 		outN = 0
 		return nil
 	}
@@ -363,7 +385,7 @@ func (w *Window) mergeRuns(dev blockdev.Device, codec Codec, runs []Region, dstS
 			}
 			heap.Fix(&w.heap, 0)
 		}
-		if outN == chunk {
+		if outN == out {
 			if err := flush(); err != nil {
 				return Region{}, err
 			}

@@ -365,6 +365,27 @@ func TestCodecContract(t *testing.T) {
 
 // TestSortReusesWindow pins the window contract: a second sort of the
 // same geometry through the same window allocates nothing.
+// TestMergeChunksFitWindow: a merge's cursors and output fit the
+// window (the two-block window's output aside), and where the even
+// share is below a seal batch and the window holds one beside a record
+// per cursor, the output takes exactly one batch.
+func TestMergeChunksFitWindow(t *testing.T) {
+	for m := 2; m <= 300; m++ {
+		for k := 1; k <= max(intSqrt(m), 2); k++ {
+			in, out := mergeChunks(m, k)
+			if in < 1 || out < 1 {
+				t.Fatalf("m=%d k=%d: chunks %d and %d", m, k, in, out)
+			}
+			if m >= 3 && k*in+out > m {
+				t.Fatalf("m=%d k=%d: %d cursors of %d and an output of %d overrun the window", m, k, k, in, out)
+			}
+			if even := m / (k + 1); even < sealBatch && m-sealBatch >= k && out != sealBatch {
+				t.Fatalf("m=%d k=%d: output of %d, want %d", m, k, out, sealBatch)
+			}
+		}
+	}
+}
+
 func TestSortReusesWindow(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -448,7 +448,9 @@ func (j *Journal) Scan() ([]Record, error) {
 // rewritten with the bytes it already holds, so a batch changes
 // exactly the n cells n single appends would, and a torn write can
 // damage only them. The batch is durable when the call returns; on an
-// error the runs already written stay appended. fill runs under the
+// error the runs already written stay appended, and the failed run's
+// cells are filler again in the cached slots, so the next append that
+// rewrites those slots lands none of its records. fill runs under the
 // journal's append lock and must not call back into the journal.
 func (j *Journal) AppendBatch(n int, fill func(i int, rec *Record)) error {
 	j.mu.Lock()
@@ -478,20 +480,28 @@ func (j *Journal) AppendBatch(n int, fill func(i int, rec *Record)) error {
 		}
 		end := first + uint64(run)
 		lo, hi := first/j.k, (end-1)/j.k
-		for s := lo; s <= hi; s++ {
-			from, to := max(first, s*j.k)-s*j.k, min(end, (s+1)*j.k)-s*j.k
-			j.ivrng.Fill(j.images[s][from*CellSize : to*CellSize])
-		}
+		j.fillCells(first, end)
 		if err := j.seal.SealMany(j.dsts, j.nextIV, j.areas); err != nil {
+			j.fillCells(first, end)
 			return err
 		}
 		if err := j.dev.WriteBlocks(lo, j.images[lo:hi+1]); err != nil {
+			j.fillCells(first, end)
 			return err
 		}
 		j.seq += uint64(run)
 		done += run
 	}
 	return nil
+}
+
+// fillCells covers cells [first, end) of the cached slot images with
+// fresh filler keystream, one call per slot.
+func (j *Journal) fillCells(first, end uint64) {
+	for s := first / j.k; s <= (end-1)/j.k; s++ {
+		from, to := max(first, s*j.k)-s*j.k, min(end, (s+1)*j.k)-s*j.k
+		j.ivrng.Fill(j.images[s][from*CellSize : to*CellSize])
+	}
 }
 
 // append seals rec (assigning its sequence number) into its ring cell:

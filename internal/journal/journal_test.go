@@ -443,6 +443,45 @@ func TestTornAppendSparesDurableCells(t *testing.T) {
 	}
 }
 
+// TestFailedAppendLeavesNoIntent: a batch whose ring write fails (an
+// I/O error, not a power cut) leaves none of its sealed records in the
+// cached slot, so the next append, which rewrites that slot whole,
+// lands only its own record.
+func TestFailedAppendLeavesNoIntent(t *testing.T) {
+	mem := blockdev.NewMem(512, 64)
+	fd := blockdev.NewFault(mem)
+	vol, err := stegfs.Format(fd, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("failed"), JournalBlocks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(vol, testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd.FailWritesAfter(0)
+	err = j.AppendBatch(6, func(i int, r *Record) {
+		*r = Record{Op: OpReloc, FileH: 9, OldLoc: 300 + uint64(i), NewLoc: 400 + uint64(i)}
+	})
+	if !errors.Is(err, blockdev.ErrInjected) {
+		t.Fatalf("failed append returned %v", err)
+	}
+	fd.Heal()
+	if err := j.AppendReloc(7, 100, 200); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := Open(vol, testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := j2.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Seq != 1 || recs[0].FileH != 7 || recs[0].OldLoc != 100 || recs[0].NewLoc != 200 {
+		t.Fatalf("the slot holds %+v, want only the record appended after the failure", recs)
+	}
+}
+
 func TestResolveNewestFirstWins(t *testing.T) {
 	// Location 70 appears in two files' intents; the newer file's
 	// header decides it.

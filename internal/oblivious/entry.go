@@ -184,7 +184,7 @@ func (c *codec) putHeader(payload []byte, h slotMeta) {
 // seal path of the package: each slot's IV is drawn through drawIV in
 // index order, the carried hash becomes the tag under it (one mask, no
 // pass over the payload), and then the batch goes through the cipher
-// eight lanes at a time with the IVs left in place. The payloads hold
+// sixteen lanes at a time with the IVs left in place. The payloads hold
 // their tags afterwards, not their hashes.
 func (c *codec) sealMany(raws, payloads [][]byte, drawIV func(iv []byte)) error {
 	if len(raws) != len(payloads) {

@@ -151,6 +151,38 @@ func mergePasses(n, b int) int {
 	return p
 }
 
+// dumpSealWidths is the slots per seal batch, in order, of a dump over
+// n slots with a window of b blocks, where b leaves room for a batch
+// of 16 beside one record per run cursor: one batch per run formed,
+// then for each merge of each pass batches of 16 and a last one of
+// what is left.
+func dumpSealWidths(n, b int) []int {
+	fanIn := 2
+	for (fanIn+1)*(fanIn+1) <= b {
+		fanIn++
+	}
+	var runs, widths []int
+	for off := 0; off < n; off += b {
+		runs = append(runs, min(b, n-off))
+	}
+	widths = append(widths, runs...)
+	for len(runs) > 1 {
+		var next []int
+		for lo := 0; lo < len(runs); lo += fanIn {
+			total := 0
+			for _, r := range runs[lo:min(lo+fanIn, len(runs))] {
+				total += r
+			}
+			for left := total; left > 0; left -= 16 {
+				widths = append(widths, min(16, left))
+			}
+			next = append(next, total)
+		}
+		runs = next
+	}
+	return widths
+}
+
 // canonicalCalls is the part of a dump's call sequence that geometry
 // alone fixes: every write in order, then the reads as a sorted list.
 // The order in which a merge pulls the next chunk of its runs follows
@@ -283,10 +315,12 @@ func TestSlotNoncesNeverRepeat(t *testing.T) {
 // a merge pass carries the hash from open to seal. Per slot that is at
 // most 1+P opens, 1+P seals and 2+2P masks, and exactly 2+P hashes. A
 // flush pays one open, one seal, two masks and two hashes (the open's
-// and the put's).
+// and the put's). With a window of 32 blocks every merge seals its
+// output 16 slots per batch, the sixteen-lane cipher group, bar each
+// merge's last batch.
 func TestDumpCryptoBudget(t *testing.T) {
 	for _, g := range []struct{ bufCap, levels, dump int }{
-		{4, 3, 0}, {4, 3, 1}, {16, 4, 2}, {32, 3, 1},
+		{4, 3, 0}, {4, 3, 1}, {16, 4, 2}, {32, 3, 1}, {32, 4, 2},
 	} {
 		s, _ := tappedStore(t, g.bufCap, g.levels, 5, 2*g.bufCap)
 		seal := &countingSealer{slotSealer: s.codec.seal}
@@ -301,7 +335,10 @@ func TestDumpCryptoBudget(t *testing.T) {
 		n := int(s.levels[g.dump].region.Len + s.levels[g.dump+1].region.Len)
 		p := mergePasses(n, g.bufCap)
 		t.Logf("(%d,%d) dump(%d): %d slots, P=%d: %d opens, %d seals in %d batches, %d masks, %d hashes",
-			g.bufCap, g.levels, g.dump, n, p, seal.opens, seal.sealed, seal.batches, tag.masks, tag.hashes)
+			g.bufCap, g.levels, g.dump, n, p, seal.opens, seal.sealed, len(seal.batches), tag.masks, tag.hashes)
+		if want := dumpSealWidths(n, g.bufCap); g.bufCap == 32 && !slices.Equal(seal.batches, want) {
+			t.Errorf("seal batches of %v slots, want %v", seal.batches, want)
+		}
 		if got := int(st.ShuffleReads - before.ShuffleReads); seal.opens != got {
 			t.Errorf("%d opens for %d slots read", seal.opens, got)
 		}
@@ -330,7 +367,8 @@ func TestDumpCryptoBudget(t *testing.T) {
 
 type countingSealer struct {
 	slotSealer
-	opens, sealed, batches int
+	opens, sealed int
+	batches       []int // slots per SealMany call, in order
 }
 
 func (c *countingSealer) Open(dst, raw []byte) error {
@@ -340,7 +378,7 @@ func (c *countingSealer) Open(dst, raw []byte) error {
 
 func (c *countingSealer) SealMany(dsts [][]byte, nextIV func([]byte), datas [][]byte) error {
 	c.sealed += len(dsts)
-	c.batches++
+	c.batches = append(c.batches, len(dsts))
 	return c.slotSealer.SealMany(dsts, nextIV, datas)
 }
 

@@ -91,7 +91,7 @@ func TestSealOpenInterleaved(t *testing.T) {
 }
 
 // TestSealOpenZeroAlloc pins the allocation floors of the block
-// cipher's entry points: a warm Seal/Open cycle, an eight-lane
+// cipher's entry points: a warm Seal/Open cycle, a sixteen-lane
 // SealMany and a cross-sealer ResealLanes allocate nothing. On a host
 // whose RSS tracks garbage, one allocation per block is a regression
 // of peak memory however fast the call got.
@@ -123,7 +123,7 @@ func TestSealOpenZeroAlloc(t *testing.T) {
 		t.Fatalf("Seal+Open allocated %.1f per op, want 0", allocs)
 	}
 
-	const lanes = 8
+	const lanes = 16
 	other, err := New(DeriveKey([]byte("cbc-differential"), "allocs-2"), 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -145,16 +145,23 @@ func TestSealOpenZeroAlloc(t *testing.T) {
 	}
 	batch() // warm the scratch pool
 	if allocs := testing.AllocsPerRun(50, batch); allocs > 0 {
-		t.Fatalf("SealMany(8)+ResealLanes(8) allocated %.1f per op, want 0", allocs)
+		t.Fatalf("SealMany(16)+ResealLanes(16) allocated %.1f per op, want 0", allocs)
 	}
 }
 
 // TestBatchesMatchFreshCBC holds every batched entry point, across lane
-// counts on both sides of each eight-lane group boundary, to the
-// fresh-mode construction block by block — including ResealLanes with
-// a different key on every lane, the shape of a dummy burst.
+// counts on both sides of each eight- and sixteen-lane group boundary,
+// to the fresh-mode construction block by block — including
+// ResealLanes with a different key on every lane, the shape of a dummy
+// burst. Volume blocks are long enough for the sixteen-lane kernel,
+// 512-byte blocks are not.
 func TestBatchesMatchFreshCBC(t *testing.T) {
-	const bs = 512
+	for _, bs := range []int{512, 4096} {
+		testBatchesMatchFreshCBC(t, bs)
+	}
+}
+
+func testBatchesMatchFreshCBC(t *testing.T, bs int) {
 	rng := rand.New(rand.NewSource(13))
 	for n := 1; n <= 17; n++ {
 		keys := make([]Key, n)
@@ -190,7 +197,7 @@ func TestBatchesMatchFreshCBC(t *testing.T) {
 		}
 		for i := range raws {
 			if !bytes.Equal(raws[i], fresh(keys[0], ivs[i*IVSize:(i+1)*IVSize], datas[i])) {
-				t.Fatalf("n=%d: SealMany block %d diverges from fresh CBC", n, i)
+				t.Fatalf("bs=%d n=%d: SealMany block %d diverges from fresh CBC", bs, n, i)
 			}
 		}
 		opened := blockdev.AllocBlocks(n, field)
@@ -199,7 +206,7 @@ func TestBatchesMatchFreshCBC(t *testing.T) {
 		}
 		for i := range opened {
 			if !bytes.Equal(opened[i], datas[i]) {
-				t.Fatalf("n=%d: OpenMany block %d does not invert SealMany", n, i)
+				t.Fatalf("bs=%d n=%d: OpenMany block %d does not invert SealMany", bs, n, i)
 			}
 		}
 
@@ -216,7 +223,7 @@ func TestBatchesMatchFreshCBC(t *testing.T) {
 		}
 		for i := range raws {
 			if !bytes.Equal(raws[i], fresh(keys[i], fresher[i*IVSize:(i+1)*IVSize], datas[i])) {
-				t.Fatalf("n=%d: ResealLanes block %d diverges from fresh CBC under its own key", n, i)
+				t.Fatalf("bs=%d n=%d: ResealLanes block %d diverges from fresh CBC under its own key", bs, n, i)
 			}
 		}
 	}

@@ -223,8 +223,9 @@ func checkResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
 // block's IV through nextIV in index order — the order a per-block loop
 // would draw them. It is the batched companion of Seal for bulk writers
 // (formats, reshuffles, flushes, multi-block file writes): the blocks go
-// through the cipher eight lanes at a time. The batch is validated whole
-// before any IV is drawn.
+// through the cipher aeskern.WideLanes lanes at a time, all under the
+// sealer's one key. The batch is validated whole before any IV is
+// drawn.
 func (s *Sealer) SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error {
 	if err := s.checkSealBatch(dsts, datas); err != nil {
 		return err
@@ -232,7 +233,7 @@ func (s *Sealer) SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte)
 	for _, dst := range dsts {
 		nextIV(dst[:IVSize])
 	}
-	var group [aeskern.MaxLanes]aeskern.Lane
+	var group [aeskern.WideLanes]aeskern.Lane
 	for lo := 0; lo < len(dsts); lo += len(group) {
 		n := min(len(group), len(dsts)-lo)
 		for i := 0; i < n; i++ {
