@@ -51,16 +51,50 @@ type Device interface {
 	Close() error
 }
 
-// ReadBlock fills buf (len == BlockSize) with block i of d: the
-// scattered batch of one.
-func ReadBlock(d Device, i uint64, buf []byte) error {
-	return d.ReadBlocksAt([]uint64{i}, [][]byte{buf})
+// One is the scattered batch of one: the index and buffer vectors a
+// single-block transfer hands the device. A caller that moves single
+// blocks on a hot path keeps a One in the scratch it already holds, so
+// the vectors are not built on the heap per call. A One serves one
+// transfer at a time and keeps nothing between them.
+type One struct {
+	idx  [1]uint64
+	bufs [1][]byte
 }
 
-// WriteBlock stores data (len == BlockSize) as block i of d: the
-// scattered batch of one.
+// Read fills buf (len == BlockSize) with block i of d. A nil One
+// builds its vectors for the call.
+func (o *One) Read(d Device, i uint64, buf []byte) error {
+	if o == nil {
+		o = new(One)
+	}
+	o.idx[0], o.bufs[0] = i, buf
+	err := d.ReadBlocksAt(o.idx[:], o.bufs[:])
+	*o = One{}
+	return err
+}
+
+// Write stores data (len == BlockSize) as block i of d. A nil One
+// builds its vectors for the call.
+func (o *One) Write(d Device, i uint64, data []byte) error {
+	if o == nil {
+		o = new(One)
+	}
+	o.idx[0], o.bufs[0] = i, data
+	err := d.WriteBlocksAt(o.idx[:], o.bufs[:])
+	*o = One{}
+	return err
+}
+
+// ReadBlock fills buf (len == BlockSize) with block i of d, building
+// the batch of one for the call.
+func ReadBlock(d Device, i uint64, buf []byte) error {
+	return (*One)(nil).Read(d, i, buf)
+}
+
+// WriteBlock stores data (len == BlockSize) as block i of d, building
+// the batch of one for the call.
 func WriteBlock(d Device, i uint64, data []byte) error {
-	return d.WriteBlocksAt([]uint64{i}, [][]byte{data})
+	return (*One)(nil).Write(d, i, data)
 }
 
 // ErrOutOfRange reports a block index beyond the device.

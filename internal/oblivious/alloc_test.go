@@ -10,6 +10,7 @@ import (
 	"steghide/internal/prng"
 	"steghide/internal/race"
 	"steghide/internal/sealer"
+	"steghide/internal/stegfs"
 )
 
 // TestAllocBudgets pins the store's hot paths after the zero-alloc
@@ -58,6 +59,35 @@ func TestAllocBudgets(t *testing.T) {
 	t.Logf("GetInto (probe path, amortized over promotions' flushes): %.2f allocs/op", gets)
 	if gets > 4 {
 		t.Errorf("GetInto = %.2f allocs/op, budget 4", gets)
+	}
+
+	// The FS's single-block reads on the StegFS partition — a decoy
+	// re-read of a fetched block and the idle dummy read — carry their
+	// device batch in the FS's scratch.
+	fs, vol, src, _ := newFS(t)
+	f, err := stegfs.CreateFile(vol, stegfs.DeriveFAK("u", "/a", vol), "/a", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 4*vol.PayloadSize()), 0, stegfs.InPlacePolicy{Vol: vol}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Register(1, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ReadBlock(1, 0, make([]byte, vol.PayloadSize())); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() error{"decoy read": fs.decoyRead, "DummyRead": fs.DummyRead} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := read(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs/op", name, allocs)
+		if allocs != 0 {
+			t.Errorf("%s = %.1f allocs/op, budget 0", name, allocs)
+		}
 	}
 }
 

@@ -35,10 +35,12 @@ type FS struct {
 	// Reusable scratch (the FS is single-threaded, like the Store):
 	// padBuf widens payloads to the cache value size, readBuf absorbs
 	// decoy and dummy block reads whose contents are discarded,
-	// blockBuf stages the one payload a partial-block ReadAt cuts from.
+	// blockBuf stages the one payload a partial-block ReadAt cuts from,
+	// one carries the device batch of those reads.
 	padBuf   []byte
 	readBuf  []byte
 	blockBuf []byte
+	one      blockdev.One
 
 	stats FSStats
 }
@@ -180,12 +182,12 @@ func (o *FS) decoyRead() error {
 	buf := o.readBuf
 	if f, ok := o.files[id.File]; ok {
 		if loc, err := f.BlockLoc(id.Index); err == nil {
-			return blockdev.ReadBlock(o.vol.Device(), loc, buf)
+			return o.one.Read(o.vol.Device(), loc, buf)
 		}
 	}
 	first := o.vol.FirstDataBlock()
 	loc := first + o.rng.Uint64n(o.vol.NumBlocks()-first)
-	return blockdev.ReadBlock(o.vol.Device(), loc, buf)
+	return o.one.Read(o.vol.Device(), loc, buf)
 }
 
 // DummyRead is the idle-time camouflage on the StegFS partition
@@ -194,7 +196,7 @@ func (o *FS) DummyRead() error {
 	o.stats.DummyReads++
 	first := o.vol.FirstDataBlock()
 	loc := first + o.rng.Uint64n(o.vol.NumBlocks()-first)
-	return blockdev.ReadBlock(o.vol.Device(), loc, o.readBuf)
+	return o.one.Read(o.vol.Device(), loc, o.readBuf)
 }
 
 // WriteBlock updates logical block li of the registered file: the

@@ -78,21 +78,22 @@ func (b *BitmapSpace) DrawUpdate(loc uint64) (Target, error) {
 // concurrent use.
 func (b *BitmapSpace) SetVacateHook(fn func(oldLoc, head uint64)) { b.vacate = fn }
 
-// CommitRelocate implements Space: the vacated block becomes a dummy —
-// immediately in the memory-only protocol, or after the owning file's
-// next durable save when a journal holds it in limbo.
-func (b *BitmapSpace) CommitRelocate(oldLoc, _, head uint64, _ *sealer.Sealer) {
-	if b.vacate != nil {
-		b.vacate(oldLoc, head)
-		return
+// Settle implements Space. A committed relocation's vacated block
+// becomes a dummy — immediately in the memory-only protocol, or after
+// the owning file's next durable save when a journal holds it in limbo.
+// An aborted one's claimed target returns to the dummy pool; the data
+// never left its old block.
+func (b *BitmapSpace) Settle(oldLocs, newLocs []uint64, head uint64, _ *sealer.Sealer, committed bool) {
+	for i, oldLoc := range oldLocs {
+		switch {
+		case !committed:
+			b.source.Release(newLocs[i])
+		case b.vacate != nil:
+			b.vacate(oldLoc, head)
+		default:
+			b.source.Release(oldLoc)
+		}
 	}
-	b.source.Release(oldLoc)
-}
-
-// AbortRelocate implements Space: the claimed target returns to the
-// dummy pool; the data never left oldLoc.
-func (b *BitmapSpace) AbortRelocate(_, newLoc uint64) {
-	b.source.Release(newLoc)
 }
 
 // DrawDummyBatch implements Space.
@@ -107,6 +108,8 @@ func (b *BitmapSpace) DrawDummyBatch(locs []uint64) (int, error) {
 
 // Classify implements Space: under one global key a dummy update is
 // always a reseal, whatever the block currently holds.
-func (b *BitmapSpace) Classify(uint64) (Action, *sealer.Sealer) {
-	return ActReseal, b.seal
+func (b *BitmapSpace) Classify(_ []uint64, acts []Action, seals []*sealer.Sealer) {
+	for i := range acts {
+		acts[i], seals[i] = ActReseal, b.seal
+	}
 }

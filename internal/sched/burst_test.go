@@ -67,7 +67,7 @@ func runBurstWorkload(t testing.TB, r *tracedRig) {
 		t.Fatal(err)
 	}
 	payload := prng.NewFromUint64(3).Bytes(r.vol.PayloadSize())
-	if err := r.vol.WriteSealed(loc, seal, payload); err != nil {
+	if err := r.vol.WriteSealed(nil, loc, seal, payload); err != nil {
 		t.Fatal(err)
 	}
 	cur := []uint64{loc}
@@ -79,7 +79,7 @@ func runBurstWorkload(t testing.TB, r *tracedRig) {
 			t.Fatal(err)
 		}
 	}
-	got, err := r.vol.ReadSealed(cur[0], seal)
+	got, err := r.vol.ReadSealed(nil, cur[0], seal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,98 +1,73 @@
 package sched
 
 import (
-	"slices"
+	"math/bits"
 	"sync"
 )
 
-// defaultShards is the number of lock shards when the caller does not
-// choose one. Sharding keyed by block number lets updates on different
-// blocks proceed concurrently while read-modify-write cycles on the
-// same block serialize; 1024 shards cost 8 KB and make false sharing
-// of hot blocks unlikely at realistic session counts.
-const defaultShards = 1024
+// lockShards is the number of lock shards. Sharding keyed by block
+// number lets updates on different blocks proceed concurrently while
+// read-modify-write cycles on the same block serialize; 1024 shards
+// cost 8 KB and make false sharing of hot blocks unlikely at realistic
+// session counts.
+const lockShards = 1024
 
 // BlockLocks is a sharded per-block lock map: block loc is guarded by
-// shard loc mod n. It implements stegfs.BlockLocker, so one instance
+// shard loc mod 1024. It implements stegfs.BlockLocker, so one instance
 // can serialize both the scheduler's own I/O and the Volume-level
 // writes the file layer issues (growth, header/pointer saves).
 //
-// Deadlock discipline: every multi-block acquisition (Lock2,
-// LockBlocks) takes shards in ascending index order, and no caller
+// Deadlock discipline: every multi-block acquisition (LockBlocks,
+// LockShards) takes shards in ascending index order, and no caller
 // acquires a second shard while holding one outside those helpers.
 type BlockLocks struct {
-	shards []sync.Mutex
-	mask   uint64
+	shards [lockShards]sync.Mutex
 }
 
-// NewBlockLocks builds a lock map of at least n shards (rounded up to
-// a power of two); n <= 0 selects the default.
-func NewBlockLocks(n int) *BlockLocks {
-	if n <= 0 {
-		n = defaultShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	return &BlockLocks{shards: make([]sync.Mutex, size), mask: uint64(size - 1)}
-}
+// ShardSet is the set of shards a batch holds: one bit per shard, in
+// the order LockShards takes them.
+type ShardSet [lockShards / 64]uint64
 
 // LockBlock locks the shard guarding block loc.
-func (l *BlockLocks) LockBlock(loc uint64) { l.shards[loc&l.mask].Lock() }
+func (l *BlockLocks) LockBlock(loc uint64) { l.shards[loc%lockShards].Lock() }
 
 // UnlockBlock unlocks the shard guarding block loc.
-func (l *BlockLocks) UnlockBlock(loc uint64) { l.shards[loc&l.mask].Unlock() }
-
-// Lock2 locks the shards guarding blocks a and b (one acquisition if
-// they share a shard) and returns the matching unlock.
-func (l *BlockLocks) Lock2(a, b uint64) (unlock func()) {
-	i, j := a&l.mask, b&l.mask
-	if i == j {
-		l.shards[i].Lock()
-		return func() { l.shards[i].Unlock() }
-	}
-	if i > j {
-		i, j = j, i
-	}
-	l.shards[i].Lock()
-	l.shards[j].Lock()
-	return func() {
-		l.shards[j].Unlock()
-		l.shards[i].Unlock()
-	}
-}
+func (l *BlockLocks) UnlockBlock(loc uint64) { l.shards[loc%lockShards].Unlock() }
 
 // LockBlocks locks every shard guarding a block in locs and returns
 // the matching unlock. Duplicate blocks and shard collisions are
 // deduplicated.
 func (l *BlockLocks) LockBlocks(locs []uint64) (unlock func()) {
-	if len(locs) == 0 {
-		return func() {}
-	}
-	held := l.LockShards(make([]uint64, 0, len(locs)), locs)
+	held := new(ShardSet)
+	l.LockShards(held, locs)
 	return func() { l.UnlockShards(held) }
 }
 
 // LockShards is LockBlocks without its allocations, for callers that
-// lock a batch per operation: the shard list is built in buf's backing
-// (grown if short) and returned, to be handed back to UnlockShards.
-func (l *BlockLocks) LockShards(buf, locs []uint64) (held []uint64) {
-	held = buf[:0]
+// lock a batch per operation: the shards guarding locs are collected in
+// held and locked in ascending order, to be handed back to
+// UnlockShards.
+func (l *BlockLocks) LockShards(held *ShardSet, locs []uint64) {
+	*held = ShardSet{}
 	for _, loc := range locs {
-		held = append(held, loc&l.mask)
+		s := loc % lockShards
+		held[s/64] |= 1 << (s % 64)
 	}
-	slices.Sort(held)
-	held = slices.Compact(held)
-	for _, i := range held {
-		l.shards[i].Lock()
+	for w, word := range held {
+		for word != 0 {
+			l.shards[w*64+bits.TrailingZeros64(word)].Lock()
+			word &= word - 1
+		}
 	}
-	return held
 }
 
-// UnlockShards releases what LockShards returned.
-func (l *BlockLocks) UnlockShards(held []uint64) {
-	for k := len(held) - 1; k >= 0; k-- {
-		l.shards[held[k]].Unlock()
+// UnlockShards releases what LockShards took and empties held.
+func (l *BlockLocks) UnlockShards(held *ShardSet) {
+	for w, word := range held {
+		for word != 0 {
+			l.shards[w*64+bits.TrailingZeros64(word)].Unlock()
+			word &= word - 1
+		}
 	}
+	*held = ShardSet{}
 }

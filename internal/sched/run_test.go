@@ -45,7 +45,7 @@ func writeFile(t testing.TB, vol *stegfs.Volume, source *stegfs.BitmapSource, se
 			t.Fatal(err)
 		}
 		locs[i] = loc
-		if err := vol.WriteSealed(loc, seal, genPayload(vol, i, 0)); err != nil {
+		if err := vol.WriteSealed(nil, loc, seal, genPayload(vol, i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestRunMatchesSingleUpdates(t *testing.T) {
 					t.Fatalf("%s: %d blocks share a location", name, dup)
 				}
 				for i, loc := range a.locs {
-					got, err := a.vol.ReadSealed(loc, a.seal)
+					got, err := a.vol.ReadSealed(nil, loc, a.seal)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -199,21 +199,25 @@ func (sp *scriptSpace) DrawUpdate(uint64) (Target, error) {
 	return sp.draws[sp.drawn-1], nil
 }
 
-func (sp *scriptSpace) CommitRelocate(oldLoc, newLoc, _ uint64, _ *sealer.Sealer) {
-	sp.committed = append(sp.committed, [2]uint64{oldLoc, newLoc})
-}
-
-func (sp *scriptSpace) AbortRelocate(oldLoc, newLoc uint64) {
-	sp.aborted = append(sp.aborted, [2]uint64{oldLoc, newLoc})
+func (sp *scriptSpace) Settle(oldLocs, newLocs []uint64, _ uint64, _ *sealer.Sealer, committed bool) {
+	for i := range oldLocs {
+		if committed {
+			sp.committed = append(sp.committed, [2]uint64{oldLocs[i], newLocs[i]})
+		} else {
+			sp.aborted = append(sp.aborted, [2]uint64{oldLocs[i], newLocs[i]})
+		}
+	}
 }
 
 func (sp *scriptSpace) DrawDummyBatch([]uint64) (int, error) { return 0, nil }
 
-func (sp *scriptSpace) Classify(loc uint64) (Action, *sealer.Sealer) {
-	if sp.skip[loc] {
-		return ActSkip, nil
+func (sp *scriptSpace) Classify(locs []uint64, acts []Action, seals []*sealer.Sealer) {
+	for i, loc := range locs {
+		acts[i], seals[i] = ActReseal, sp.seal
+		if sp.skip[loc] {
+			acts[i], seals[i] = ActSkip, nil
+		}
 	}
-	return ActReseal, sp.seal
 }
 
 // Blocks of the scripted plans: a two-block run (A, B), a bystander Z
@@ -237,7 +241,7 @@ func newScriptRig(t *testing.T, draws ...Target) (*Scheduler, *stegfs.Volume, *s
 		t.Fatal(err)
 	}
 	for _, loc := range []uint64{blkA, blkB, blkZ} {
-		if err := vol.WriteSealed(loc, seal, genPayload(vol, int(loc), 0)); err != nil {
+		if err := vol.WriteSealed(nil, loc, seal, genPayload(vol, int(loc), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +360,7 @@ func TestPlanOrderings(t *testing.T) {
 				t.Fatalf("landed on %v, want %v", locs, tc.landed)
 			}
 			for _, w := range tc.want {
-				got, err := vol.ReadSealed(w.loc, sp.seal)
+				got, err := vol.ReadSealed(nil, w.loc, sp.seal)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -491,7 +495,7 @@ func TestRunFaultAtEveryIO(t *testing.T) {
 				t.Fatalf("%s fault %d: failed run moved counters: %+v", op, k, st)
 			}
 			for i, loc := range locs {
-				got, err := vol.ReadSealed(loc, seal)
+				got, err := vol.ReadSealed(nil, loc, seal)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -570,7 +574,7 @@ func TestRunsSessionsAndBurstsOverlap(t *testing.T) {
 			loc uint64
 			blk int
 		}{{runLocs[i], i}, {oneLocs[i], run + i}} {
-			got, err := vol.ReadSealed(f.loc, seal)
+			got, err := vol.ReadSealed(nil, f.loc, seal)
 			if err != nil {
 				t.Fatal(err)
 			}

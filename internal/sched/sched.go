@@ -17,7 +17,9 @@
 //     Construction 1, the disclosed-block registry of Construction 2)
 //     serializes the *decisions*: uniform draws, the data/dummy
 //     partition, and relocation bookkeeping. Space methods are atomic
-//     and memory-only, so the serialized section is tiny.
+//     and memory-only, so the serialized section is tiny; a draw is
+//     one call, and classifying or settling a batch is one call for
+//     the whole batch.
 //   - The Scheduler performs the *I/O*, a batch at a time: a run of
 //     data updates is planned whole against the Space and then emitted
 //     exactly as a dummy burst is — intents, one scattered read, the
@@ -30,19 +32,22 @@
 //  1. Relocation bookkeeping commits in two phases: the target leaves
 //     the dummy pool at draw time (so no concurrent draw can pick it),
 //     but the source block only becomes a dummy after the whole batch
-//     that carries the payload write landed. A failed batch aborts
-//     every relocation in it back to the pre-draw partition.
-//  2. Dummy updates re-classify their target under the block's I/O
-//     lock (Space.Classify) immediately before acting, so a block that
-//     changed role between draw and execution is resealed under its
-//     current key — or skipped if it is mid-operation — never
-//     clobbered with stale assumptions.
+//     that carries the payload write landed (Space.Settle). A failed
+//     batch aborts every relocation in it back to the pre-draw
+//     partition.
+//  2. A batch's dummy updates are re-classified, all in one
+//     Space.Classify call, under the I/O locks of every block the batch
+//     touches and immediately before its I/O, so a block that changed
+//     role between draw and execution is resealed under its current
+//     key — or skipped if it is mid-operation — never clobbered with
+//     stale assumptions.
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,8 +74,7 @@ const (
 	Self
 	// Relocate marks a draw that hit a relocatable dummy block: the
 	// data moves there. The Space has already withdrawn the target
-	// from the dummy pool; CommitRelocate/AbortRelocate finish or
-	// revert the swap.
+	// from the dummy pool; Space.Settle finishes or reverts the swap.
 	Relocate
 	// Camouflage marks a draw that hit another occupied block: issue a
 	// dummy update on it and draw again.
@@ -105,29 +109,32 @@ type Target struct {
 // Space is the construction-specific state the scheduler draws from:
 // the data/dummy partition and, for Construction 2, the ownership
 // registry. All methods must be atomic (implementations serialize
-// internally) and must not perform device I/O.
+// internally) and must not perform device I/O. The methods that settle
+// and classify take a whole batch, so an implementation that serializes
+// on one lock takes it once per batch, not once per element.
 type Space interface {
 	// DrawUpdate draws the next Figure-6 target for a data update of
 	// block loc. When the draw lands on a relocatable dummy block the
 	// Space atomically withdraws it from the dummy pool (first phase
 	// of the relocation commit) before returning Kind Relocate.
 	DrawUpdate(loc uint64) (Target, error)
-	// CommitRelocate finishes a relocation after the batch carrying its
-	// payload write landed: oldLoc joins the dummy pool, newLoc is
-	// recorded as the data block (sealed under seal) of the file whose
-	// header is at head.
-	CommitRelocate(oldLoc, newLoc, head uint64, seal *sealer.Sealer)
-	// AbortRelocate reverts a relocation whose batch failed or was
-	// cancelled: newLoc returns to the dummy pool, oldLoc keeps the data.
-	AbortRelocate(oldLoc, newLoc uint64)
+	// Settle finishes a batch's relocations, the data of oldLocs[i]
+	// having been drawn to newLocs[i], in that order. Committed (the
+	// batch carrying the payload writes landed): each oldLoc joins the
+	// dummy pool, each newLoc is recorded as a data block (sealed under
+	// seal) of the file whose header is at head. Not committed (the
+	// batch failed or was cancelled): each newLoc returns to the dummy
+	// pool and oldLoc keeps the data.
+	Settle(oldLocs, newLocs []uint64, head uint64, seal *sealer.Sealer, committed bool)
 	// DrawDummyBatch fills locs with up to len(locs) idle-time
 	// dummy-update targets, each uniform over the space, and returns
 	// how many it produced.
 	DrawDummyBatch(locs []uint64) (int, error)
-	// Classify decides what a dummy update on loc must do right now.
-	// The scheduler calls it while holding loc's I/O lock, so the
-	// answer cannot go stale before the I/O lands.
-	Classify(loc uint64) (Action, *sealer.Sealer)
+	// Classify decides what a dummy update on each of locs must do
+	// right now: acts[i] and, for ActReseal, seals[i]. The scheduler
+	// calls it while holding the I/O locks of every block in locs, so
+	// no answer can go stale before the I/O lands.
+	Classify(locs []uint64, acts []Action, seals []*sealer.Sealer)
 }
 
 // IntentLog is the durability plane's hook into the update stream,
@@ -227,7 +234,11 @@ type batch struct {
 	iters []int
 
 	locked []uint64 // every block read or written, as LockShards takes them
-	shards []uint64
+	shards ShardSet
+	acts   []Action // Classify's answer for each element's read block
+
+	// The run's relocations, in stream order, as Space.Settle takes them.
+	relocFrom, relocTo []uint64
 
 	// The reseal elements compacted in stream order — the lanes
 	// sealer.ResealLanes takes, each under its own file's key.
@@ -284,7 +295,8 @@ func (s *Scheduler) putBatch(b *batch) {
 	clear(b.seals[:cap(b.seals)])
 	clear(b.outs[:cap(b.outs)])
 	clear(b.locked[:cap(b.locked)])
-	clear(b.shards[:cap(b.shards)])
+	clear(b.relocFrom[:cap(b.relocFrom)])
+	clear(b.relocTo[:cap(b.relocTo)])
 	clear(b.laneSeals[:cap(b.laneSeals)])
 	clear(b.laneRaws[:cap(b.laneRaws)])
 	s.freeMu.Lock()
@@ -313,14 +325,11 @@ func New(vol *stegfs.Volume, space Space) *Scheduler {
 		vol:   vol,
 		dev:   vol.Device(),
 		space: space,
-		locks: NewBlockLocks(0),
+		locks: new(BlockLocks),
 	}
 	vol.SetBlockLocker(s.locks)
 	return s
 }
-
-// Locks exposes the scheduler's per-block lock map.
-func (s *Scheduler) Locks() *BlockLocks { return s.locks }
 
 // SetIntentLog installs the journal hooks. Install before concurrent
 // use; a nil log (the default) emits no ring traffic.
@@ -525,20 +534,20 @@ func (b *batch) writesPayloadTo(loc uint64) bool {
 }
 
 // settle finishes the two-phase bookkeeping of every relocation in the
-// batch: committed (the vacated block joins the dummy pool, the target
-// is recorded under head and seal) when the batch landed, aborted (the
-// target returns to the pool, the data never left) when err says it did
-// not.
+// batch in one Space call: committed (the vacated block joins the dummy
+// pool, the target is recorded under head and seal) when the batch
+// landed, aborted (the target returns to the pool, the data never left)
+// when err says it did not.
 func (s *Scheduler) settle(b *batch, head uint64, seal *sealer.Sealer, err error) {
+	b.relocFrom, b.relocTo = b.relocFrom[:0], b.relocTo[:0]
 	for i, st := range b.steps {
-		if st != stepPayload || b.reads[i] == b.writes[i] {
-			continue
+		if st == stepPayload && b.reads[i] != b.writes[i] {
+			b.relocFrom = append(b.relocFrom, b.reads[i])
+			b.relocTo = append(b.relocTo, b.writes[i])
 		}
-		if err != nil {
-			s.space.AbortRelocate(b.reads[i], b.writes[i])
-		} else {
-			s.space.CommitRelocate(b.reads[i], b.writes[i], head, seal)
-		}
+	}
+	if len(b.relocFrom) > 0 {
+		s.space.Settle(b.relocFrom, b.relocTo, head, seal, err == nil)
 	}
 }
 
@@ -558,20 +567,24 @@ func (s *Scheduler) execute(b *batch, head uint64, seal *sealer.Sealer) error {
 			b.locked = append(b.locked, w)
 		}
 	}
-	b.shards = s.locks.LockShards(b.shards, b.locked)
-	defer s.locks.UnlockShards(b.shards)
+	s.locks.LockShards(&b.shards, b.locked)
+	defer s.locks.UnlockShards(&b.shards)
 
+	// One call classifies every element's read block; the answers for
+	// payload elements are not needed and are ignored.
+	b.acts = slices.Grow(b.acts[:0], len(b.reads))[:len(b.reads)]
+	s.space.Classify(b.reads, b.acts, b.seals)
 	n := 0
 	for i, st := range b.steps {
 		var key *sealer.Sealer
 		if st != stepPayload {
-			act, cur := s.space.Classify(b.reads[i])
-			if act == ActSkip {
+			switch b.acts[i] {
+			case ActSkip:
 				continue
-			}
-			st = stepRefill
-			if act == ActReseal {
-				st, key = stepReseal, cur
+			case ActReseal:
+				st, key = stepReseal, b.seals[i]
+			default:
+				st = stepRefill
 			}
 		}
 		b.reads[n], b.writes[n], b.steps[n], b.seals[n], b.outs[n] = b.reads[i], b.writes[i], st, key, b.outs[i]

@@ -88,7 +88,7 @@ func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 	if got := source.UsedCount(); got != used {
 		t.Fatalf("utilization drifted across relocations: %d -> %d", used, got)
 	}
-	got, err := vol.ReadSealed(cur, seal)
+	got, err := vol.ReadSealed(nil, cur, seal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSchedulerDummyBurstCountsAndPreserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := prng.NewFromUint64(2).Bytes(vol.PayloadSize())
-	if err := vol.WriteSealed(loc, seal, payload); err != nil {
+	if err := vol.WriteSealed(nil, loc, seal, payload); err != nil {
 		t.Fatal(err)
 	}
 	n, err := s.DummyUpdateBurst(64)
@@ -158,7 +158,7 @@ func TestSchedulerDummyBurstCountsAndPreserves(t *testing.T) {
 	if got := s.Stats().DummyUpdates; got != 64 {
 		t.Fatalf("dummy counter %d", got)
 	}
-	got, err := vol.ReadSealed(loc, seal)
+	got, err := vol.ReadSealed(nil, loc, seal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSchedulerConcurrentStream(t *testing.T) {
 		}
 		locs[i] = loc
 		payloads[i] = prng.NewFromUint64(uint64(100 + i)).Bytes(vol.PayloadSize())
-		if err := vol.WriteSealed(loc, seal, payloads[i]); err != nil {
+		if err := vol.WriteSealed(nil, loc, seal, payloads[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestSchedulerConcurrentStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range locs {
-		got, err := vol.ReadSealed(locs[i], seal)
+		got, err := vol.ReadSealed(nil, locs[i], seal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,26 +252,27 @@ func TestSchedulerConcurrentStream(t *testing.T) {
 }
 
 func TestBlockLocksOrdering(t *testing.T) {
-	l := NewBlockLocks(8)
-	// Same shard twice must not self-deadlock.
-	unlock := l.Lock2(1, 9) // 1 and 9 share shard 1 of 8
+	l := new(BlockLocks)
+	// Two blocks of one shard, and a block twice, must not
+	// self-deadlock: 1 and 1025 share shard 1 of 1024.
+	unlock := l.LockBlocks([]uint64{1, 1025, 1})
 	unlock()
-	unlock = l.LockBlocks([]uint64{3, 11, 3, 19, 5})
+	unlock = l.LockBlocks([]uint64{3, 1027, 3, 2051, 5})
 	unlock()
-	// Reverse-order pairs must not deadlock against each other.
+	// Overlapping batches in opposite element order, sharing blocks and
+	// a shard, must not deadlock against each other.
+	fwd, rev := []uint64{1, 1025, 7, 700}, []uint64{700, 7, 1025, 1}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for k := 0; k < 200; k++ {
-				var u func()
-				if i%2 == 0 {
-					u = l.Lock2(2, 7)
-				} else {
-					u = l.Lock2(7, 2)
+				batch := fwd
+				if i%2 == 1 {
+					batch = rev
 				}
-				u()
+				l.LockBlocks(batch)()
 			}
 		}(i)
 	}

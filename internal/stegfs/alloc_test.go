@@ -3,6 +3,7 @@ package stegfs
 import (
 	"testing"
 
+	"steghide/internal/blockdev"
 	"steghide/internal/prng"
 	"steghide/internal/race"
 )
@@ -14,7 +15,9 @@ import (
 // one-raw-one-payload-per-block it used to cost. A WriteAt of whole
 // blocks seals each run of 64 into one pooled slab and hands the policy
 // the run through the same cached tables, so it — and the single-block
-// write that is the run of one — allocates nothing.
+// write that is the run of one — allocates nothing. So do the volume's
+// single-block read and write, whose device batch of one lives in the
+// caller's blockdev.One.
 func TestAllocBudgets(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc ceilings don't hold under -race (the race runtime randomizes sync.Pool reuse)")
@@ -45,16 +48,23 @@ func TestAllocBudgets(t *testing.T) {
 	}
 
 	policy := InPlacePolicy{Vol: vol}
-	writes := map[string]func() error{
+	var one blockdev.One
+	raw, payload := make([]byte, vol.BlockSize()), make([]byte, vol.PayloadSize())
+	loc, _ := f.BlockLoc(5)
+	calls := map[string]func() error{
 		"WriteAt(128 blocks)": func() error { _, err := f.WriteAt(data, 0, policy); return err },
 		"WriteBlockAt":        func() error { return f.WriteBlockAt(5, data[:vol.PayloadSize()], policy) },
+		"Volume.WriteSealed":  func() error { return vol.WriteSealed(&one, loc, f.ContentSealer(), payload) },
+		"Volume.ReadSealedInto": func() error {
+			return vol.ReadSealedInto(&one, loc, f.ContentSealer(), raw, payload)
+		},
 	}
-	for name, write := range writes {
-		if err := write(); err != nil { // warm the slab's size class
+	for name, call := range calls {
+		if err := call(); err != nil { // warm the slab's size class
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := write(); err != nil {
+			if err := call(); err != nil {
 				t.Fatal(err)
 			}
 		})

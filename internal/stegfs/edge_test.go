@@ -22,7 +22,7 @@ func (s *selfSource) AcquireRandom() (uint64, error) {
 	if s.f != nil && s.f.NumBlocks() > 0 {
 		locs := s.f.BlockLocs()
 		loc := locs[len(locs)-1]
-		if err := s.f.RemoveBlockLoc(loc); err == nil {
+		if _, err := s.f.RemoveBlockAt(len(locs)-1, loc); err == nil {
 			return loc, nil
 		}
 	}
@@ -45,12 +45,8 @@ func TestDummyFileSelfSourcingSave(t *testing.T) {
 	// own tail blocks for pointer blocks.
 	for round := 0; round < 5; round++ {
 		locs := f.BlockLocs()
-		if err := f.ReplaceBlockLoc(locs[0], locs[0]+0); err == nil {
-			// same-loc replace is a no-op error path; ignore result
-			_ = err
-		}
 		// Force dirtiness through a legitimate mutation.
-		if err := f.RemoveBlockLoc(locs[len(locs)-1]); err != nil {
+		if _, err := f.RemoveBlockAt(len(locs)-1, locs[len(locs)-1]); err != nil {
 			t.Fatal(err)
 		}
 		src.Release(locs[len(locs)-1])
@@ -162,7 +158,7 @@ func TestCorruptIndirectChainFailsClosed(t *testing.T) {
 	}
 	// Smash the single-indirect block with random bytes: the open
 	// must fail with a structural error, never return wrong data.
-	if err := vol.RewriteRandom(f.IndirectLocs()[0]); err != nil {
+	if err := vol.RewriteRandom(nil, f.IndirectLocs()[0]); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenFile(vol, fak, "/chain", src)
@@ -182,7 +178,7 @@ func TestRewriteRandomChangesBlock(t *testing.T) {
 	if err := blockdev.ReadBlock(vol.Device(), 5, before); err != nil {
 		t.Fatal(err)
 	}
-	if err := vol.RewriteRandom(5); err != nil {
+	if err := vol.RewriteRandom(nil, 5); err != nil {
 		t.Fatal(err)
 	}
 	after := make([]byte, vol.BlockSize())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"steghide/internal/blockdev"
 	"steghide/internal/mempool"
 	"steghide/internal/sealer"
 )
@@ -38,8 +39,7 @@ type File struct {
 	hseal *sealer.Sealer // header + pointer blocks
 	cseal *sealer.Sealer // data blocks
 
-	revIndex map[uint64]int // lazy physical→logical index
-	dirty    bool
+	dirty bool
 
 	// pendingFree holds blocks a shrink gave up while the volume has
 	// an intent log: their release is deferred until the save that no
@@ -53,6 +53,7 @@ type File struct {
 	scanLocs []uint64
 	scanRaws [][]byte
 	scanOuts [][]byte
+	one      blockdev.One // single-block transfers
 
 	// The open run: runLis[i] is a dirty logical block and runBufs[i] its
 	// whole new payload in a buffer leased from the memory plane, at
@@ -177,9 +178,10 @@ func OpenFile(vol *Volume, fak FAK, path string, source BlockSource) (*File, err
 	raw, payload := mempool.Get(vol.BlockSize()), mempool.Get(vol.PayloadSize())
 	defer mempool.Recycle(raw)
 	defer mempool.Recycle(payload)
+	one := new(blockdev.One)
 	for i := 0; i < HeaderProbeLimit; i++ {
 		cand := fak.HeaderCandidate(i, first, n)
-		if err := vol.ReadSealedInto(cand, hseal, raw, payload); err != nil {
+		if err := vol.ReadSealedInto(one, cand, hseal, raw, payload); err != nil {
 			return nil, fmt.Errorf("stegfs: probe header: %w", err)
 		}
 		h, err := vol.decodeHeader(payload, fak.HeaderKey, want)
@@ -278,7 +280,7 @@ func (f *File) readPtrBlock(loc uint64, n int) ([]uint64, error) {
 	raw, payload := mempool.Get(f.vol.BlockSize()), mempool.Get(f.vol.PayloadSize())
 	defer mempool.Recycle(raw)
 	defer mempool.Recycle(payload)
-	if err := f.vol.ReadSealedInto(loc, f.hseal, raw, payload); err != nil {
+	if err := f.vol.ReadSealedInto(&f.one, loc, f.hseal, raw, payload); err != nil {
 		return nil, err
 	}
 	return f.vol.decodePtrBlock(payload, n, f.fak.HeaderKey)
@@ -300,16 +302,6 @@ func (f *File) claimAll() {
 	}
 	if f.double != 0 {
 		f.source.Acquire(f.double)
-	}
-}
-
-func (f *File) ensureRevIndex() {
-	if f.revIndex != nil {
-		return
-	}
-	f.revIndex = make(map[uint64]int, len(f.blocks))
-	for i, loc := range f.blocks {
-		f.revIndex[loc] = i
 	}
 }
 
@@ -378,80 +370,49 @@ func (f *File) RelocateBlock(li uint64, newLoc uint64) error {
 	if li >= uint64(len(f.blocks)) {
 		return fmt.Errorf("stegfs: relocate logical block %d beyond map of %d", li, len(f.blocks))
 	}
-	if f.revIndex != nil {
-		delete(f.revIndex, f.blocks[li])
-		f.revIndex[newLoc] = int(li)
-	}
 	f.blocks[li] = newLoc
 	f.dirty = true
 	return nil
 }
 
-// ReplaceBlockLoc rewires the map entry holding oldLoc to newLoc —
-// the bookkeeping for the swap in Figure 6, where a displaced data
-// block's location joins the dummy file that donated its target.
-func (f *File) ReplaceBlockLoc(oldLoc, newLoc uint64) error {
-	f.ensureRevIndex()
-	li, ok := f.revIndex[oldLoc]
-	if !ok {
-		return fmt.Errorf("stegfs: block %d not in file %q", oldLoc, f.path)
-	}
-	delete(f.revIndex, oldLoc)
-	f.revIndex[newLoc] = li
-	f.blocks[li] = newLoc
-	f.dirty = true
-	return nil
-}
-
-// RemoveBlockLoc withdraws the block at loc from a dummy file's map —
-// the donation half of allocation under the volatile construction,
-// where every free block belongs to some disclosed dummy file. The
-// map is compacted by moving the last entry into the hole (order of a
-// dummy file's blocks is meaningless).
-func (f *File) RemoveBlockLoc(loc uint64) error {
+// RemoveBlockAt withdraws loc, logical block li, from a dummy file's
+// map — the donation half of allocation under the volatile
+// construction, where every free block belongs to some disclosed dummy
+// file. The map is compacted by moving the last entry into the hole
+// (order of a dummy file's blocks is meaningless); moved is the block
+// that now sits at li, or 0 when li was the last entry. The caller
+// keeps each block's index (the agent's registry does), so neither
+// half of the swap searches the map.
+func (f *File) RemoveBlockAt(li int, loc uint64) (moved uint64, err error) {
 	if !f.IsDummy() {
-		return fmt.Errorf("stegfs: RemoveBlockLoc on non-dummy file %q", f.path)
+		return 0, fmt.Errorf("stegfs: RemoveBlockAt on non-dummy file %q", f.path)
 	}
-	f.ensureRevIndex()
-	li, ok := f.revIndex[loc]
-	if !ok {
-		return fmt.Errorf("stegfs: block %d not in dummy file %q", loc, f.path)
+	if li < 0 || li >= len(f.blocks) || f.blocks[li] != loc {
+		return 0, fmt.Errorf("stegfs: block %d not at index %d of dummy file %q", loc, li, f.path)
 	}
 	last := len(f.blocks) - 1
-	delete(f.revIndex, loc)
 	if li != last {
-		moved := f.blocks[last]
+		moved = f.blocks[last]
 		f.blocks[li] = moved
-		f.revIndex[moved] = li
 	}
 	f.blocks = f.blocks[:last]
 	f.size = uint64(last) * uint64(f.vol.PayloadSize())
 	f.dirty = true
-	return nil
+	return moved, nil
 }
 
 // AppendBlockLoc adds a freed block to a dummy file's map — the
-// receiving half of release under the volatile construction.
-func (f *File) AppendBlockLoc(loc uint64) error {
+// receiving half of release under the volatile construction — and
+// returns its index. The caller vouches that loc is not in the map
+// already.
+func (f *File) AppendBlockLoc(loc uint64) (int, error) {
 	if !f.IsDummy() {
-		return fmt.Errorf("stegfs: AppendBlockLoc on non-dummy file %q", f.path)
+		return 0, fmt.Errorf("stegfs: AppendBlockLoc on non-dummy file %q", f.path)
 	}
-	f.ensureRevIndex()
-	if _, dup := f.revIndex[loc]; dup {
-		return fmt.Errorf("stegfs: block %d already in dummy file %q", loc, f.path)
-	}
-	f.revIndex[loc] = len(f.blocks)
 	f.blocks = append(f.blocks, loc)
 	f.size = uint64(len(f.blocks)) * uint64(f.vol.PayloadSize())
 	f.dirty = true
-	return nil
-}
-
-// OwnsBlock reports whether loc is one of the file's data blocks.
-func (f *File) OwnsBlock(loc uint64) bool {
-	f.ensureRevIndex()
-	_, ok := f.revIndex[loc]
-	return ok
+	return len(f.blocks) - 1, nil
 }
 
 // ReadBlockAt returns the plaintext payload of logical block li.
@@ -463,7 +424,7 @@ func (f *File) ReadBlockAt(li uint64) ([]byte, error) {
 	if buf := f.staged(li); buf != nil {
 		return append([]byte(nil), buf...), nil
 	}
-	return f.vol.ReadSealed(loc, f.cseal)
+	return f.vol.ReadSealed(&f.one, loc, f.cseal)
 }
 
 // staged returns the open run's payload for logical block li, or nil.
@@ -511,7 +472,7 @@ func (f *File) merge(li uint64, bo int, piece []byte, policy UpdatePolicy) error
 		buf = mempool.Get(f.vol.PayloadSize())
 		if len(piece) < len(buf) {
 			raw := mempool.Get(f.vol.BlockSize())
-			err := f.vol.ReadSealedInto(loc, f.cseal, raw, buf)
+			err := f.vol.ReadSealedInto(&f.one, loc, f.cseal, raw, buf)
 			mempool.Recycle(raw)
 			if err != nil {
 				mempool.Recycle(buf)
@@ -655,12 +616,7 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 			rollback()
 			return err
 		}
-		for _, loc := range newLocs {
-			if f.revIndex != nil {
-				f.revIndex[loc] = len(f.blocks)
-			}
-			f.blocks = append(f.blocks, loc)
-		}
+		f.blocks = append(f.blocks, newLocs...)
 	case want < cur:
 		cut := f.blocks[want:]
 		il := f.vol.IntentHooks()
@@ -670,9 +626,6 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 			}
 		}
 		for _, loc := range cut {
-			if f.revIndex != nil {
-				delete(f.revIndex, loc)
-			}
 			if il != nil {
 				// Defer the release: the on-disk header still references
 				// loc until the next save lands, so it must not be
@@ -912,20 +865,20 @@ stable:
 
 		if len(rest) > 0 {
 			n := min(len(rest), per)
-			if err := v.WriteSealed(f.single, f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
+			if err := v.WriteSealed(&f.one, f.single, f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
 				return err
 			}
 			rest = rest[n:]
 		}
 		for i := 0; len(rest) > 0; i++ {
 			n := min(len(rest), per)
-			if err := v.WriteSealed(f.outerPtrs[i], f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
+			if err := v.WriteSealed(&f.one, f.outerPtrs[i], f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
 				return err
 			}
 			rest = rest[n:]
 		}
 		if f.double != 0 {
-			if err := v.WriteSealed(f.double, f.hseal, v.encodePtrBlock(f.outerPtrs, f.fak.HeaderKey)); err != nil {
+			if err := v.WriteSealed(&f.one, f.double, f.hseal, v.encodePtrBlock(f.outerPtrs, f.fak.HeaderKey)); err != nil {
 				return err
 			}
 		}
@@ -967,7 +920,7 @@ func (f *File) saveHeader() error {
 
 func (f *File) saveHeaderFrom(h *header) error {
 	payload := f.vol.encodeHeader(h, f.fak.HeaderKey)
-	return f.vol.WriteSealed(f.headerLoc, f.hseal, payload)
+	return f.vol.WriteSealed(&f.one, f.headerLoc, f.hseal, payload)
 }
 
 // Sync issues the open run and then saves the map its blocks landed in.
@@ -995,7 +948,7 @@ func (f *File) Delete() error {
 			return err
 		}
 	}
-	if err := f.vol.RewriteRandom(f.headerLoc); err != nil {
+	if err := f.vol.RewriteRandom(&f.one, f.headerLoc); err != nil {
 		return err
 	}
 	f.releaseAll()
@@ -1005,7 +958,6 @@ func (f *File) Delete() error {
 	f.pendingFree = nil
 	f.unstage(func(uint64) bool { return true })
 	f.blocks = nil
-	f.revIndex = nil
 	f.size = 0
 	f.dirty = false
 	return nil

@@ -61,7 +61,7 @@ func TestCheckFlagsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Smash the single-indirect pointer block.
-	if err := vol.RewriteRandom(f.IndirectLocs()[0]); err != nil {
+	if err := vol.RewriteRandom(nil, f.IndirectLocs()[0]); err != nil {
 		t.Fatal(err)
 	}
 	report, err := Check(vol, map[string][]string{"pw": {"/x"}})

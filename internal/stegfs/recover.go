@@ -3,6 +3,7 @@ package stegfs
 import (
 	"errors"
 
+	"steghide/internal/blockdev"
 	"steghide/internal/mempool"
 	"steghide/internal/sealer"
 )
@@ -34,7 +35,8 @@ func ReferencedAt(vol *Volume, headerLoc uint64, key sealer.Key) (map[uint64]boo
 	defer mempool.Recycle(raw)
 	payload := mempool.Get(vol.PayloadSize())
 	defer mempool.Recycle(payload)
-	if err := vol.ReadSealedInto(headerLoc, hseal, raw, payload); err != nil {
+	one := new(blockdev.One)
+	if err := vol.ReadSealedInto(one, headerLoc, hseal, raw, payload); err != nil {
 		return nil, err
 	}
 	h, err := vol.decodeHeaderAny(payload, key)
@@ -61,7 +63,7 @@ func ReferencedAt(vol *Volume, headerLoc uint64, key sealer.Key) (map[uint64]boo
 			return nil, errors.Join(ErrCorrupt, errors.New("stegfs: missing single-indirect block"))
 		}
 		refs[h.single] = true
-		if err := vol.ReadSealedInto(h.single, hseal, raw, payload); err != nil {
+		if err := vol.ReadSealedInto(one, h.single, hseal, raw, payload); err != nil {
 			return nil, err
 		}
 		n := min(count-taken, per)
@@ -75,7 +77,7 @@ func ReferencedAt(vol *Volume, headerLoc uint64, key sealer.Key) (map[uint64]boo
 	}
 	if h.double != 0 {
 		refs[h.double] = true
-		if err := vol.ReadSealedInto(h.double, hseal, raw, payload); err != nil {
+		if err := vol.ReadSealedInto(one, h.double, hseal, raw, payload); err != nil {
 			return nil, err
 		}
 		outer, err := vol.decodePtrBlock(payload, int(h.outerCount), key)
@@ -90,7 +92,7 @@ func ReferencedAt(vol *Volume, headerLoc uint64, key sealer.Key) (map[uint64]boo
 			if taken == count {
 				continue // over-provisioned inner block, still owned
 			}
-			if err := vol.ReadSealedInto(op, hseal, raw, payload); err != nil {
+			if err := vol.ReadSealedInto(one, op, hseal, raw, payload); err != nil {
 				return nil, err
 			}
 			n := min(count-taken, per)

@@ -337,33 +337,6 @@ func TestDummyFile(t *testing.T) {
 	}
 }
 
-func TestReplaceBlockLocAndOwnsBlock(t *testing.T) {
-	vol, src := testVolume(t, 512)
-	fak := DeriveFAK("p", "/swap", vol)
-	f, err := CreateFile(vol, fak, "/swap", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy := InPlacePolicy{Vol: vol}
-	f.WriteAt(prng.NewFromUint64(1).Bytes(3*vol.PayloadSize()), 0, policy)
-	locs := f.BlockLocs()
-	if !f.OwnsBlock(locs[1]) || f.OwnsBlock(99999) {
-		t.Fatal("OwnsBlock broken")
-	}
-	if err := f.ReplaceBlockLoc(locs[1], 77); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := f.BlockLoc(1); got != 77 {
-		t.Fatalf("map entry = %d", got)
-	}
-	if f.OwnsBlock(locs[1]) || !f.OwnsBlock(77) {
-		t.Fatal("reverse index stale after replace")
-	}
-	if err := f.ReplaceBlockLoc(12345, 1); err == nil {
-		t.Fatal("replacing unknown loc accepted")
-	}
-}
-
 func TestRelocateBlockUpdatesMap(t *testing.T) {
 	vol, src := testVolume(t, 512)
 	fak := DeriveFAK("p", "/rel", vol)

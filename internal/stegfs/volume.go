@@ -388,12 +388,13 @@ func (v *Volume) NextIV(dst []byte) {
 }
 
 // ReadSealed reads block loc and decrypts it with seal, returning the
-// payload in a fresh buffer.
-func (v *Volume) ReadSealed(loc uint64, seal *sealer.Sealer) ([]byte, error) {
+// payload in a fresh buffer; one carries the device batch (nil builds
+// one for the call).
+func (v *Volume) ReadSealed(one *blockdev.One, loc uint64, seal *sealer.Sealer) ([]byte, error) {
 	raw := mempool.Get(v.blockSize)
 	defer mempool.Recycle(raw)
 	out := make([]byte, v.payload)
-	if err := v.ReadSealedInto(loc, seal, raw, out); err != nil {
+	if err := v.ReadSealedInto(one, loc, seal, raw, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -401,14 +402,15 @@ func (v *Volume) ReadSealed(loc uint64, seal *sealer.Sealer) ([]byte, error) {
 
 // ReadSealedInto is ReadSealed with caller-owned buffers — the
 // alloc-free form the scan paths (File.ReadAt batches, recovery's
-// header walk) loop over. raw must be BlockSize bytes of scratch; the
+// header walk) loop over. one carries the device batch (nil builds
+// one for the call); raw must be BlockSize bytes of scratch; the
 // payload decrypts into out, which must be PayloadSize bytes.
-func (v *Volume) ReadSealedInto(loc uint64, seal *sealer.Sealer, raw, out []byte) error {
+func (v *Volume) ReadSealedInto(one *blockdev.One, loc uint64, seal *sealer.Sealer, raw, out []byte) error {
 	l := v.blockLocker()
 	if l != nil {
 		l.LockBlock(loc)
 	}
-	err := blockdev.ReadBlock(v.dev, loc, raw)
+	err := one.Read(v.dev, loc, raw)
 	if l != nil {
 		l.UnlockBlock(loc)
 	}
@@ -419,25 +421,26 @@ func (v *Volume) ReadSealedInto(loc uint64, seal *sealer.Sealer, raw, out []byte
 }
 
 // WriteSealed encrypts payload under seal with a fresh IV and writes
-// it to block loc.
-func (v *Volume) WriteSealed(loc uint64, seal *sealer.Sealer, payload []byte) error {
+// it to block loc; one carries the device batch (nil builds one for
+// the call).
+func (v *Volume) WriteSealed(one *blockdev.One, loc uint64, seal *sealer.Sealer, payload []byte) error {
 	raw := mempool.Get(v.blockSize)
 	defer mempool.Recycle(raw)
 	v.NextIV(raw[:sealer.IVSize])
 	if err := seal.Seal(raw, raw[:sealer.IVSize], payload); err != nil {
 		return err
 	}
-	return v.writeBlock(loc, raw)
+	return v.writeBlock(one, loc, raw)
 }
 
 // writeBlock writes one already sealed block to loc under the block's
 // lock, without the allocations of LockBlocks.
-func (v *Volume) writeBlock(loc uint64, raw []byte) error {
+func (v *Volume) writeBlock(one *blockdev.One, loc uint64, raw []byte) error {
 	if l := v.blockLocker(); l != nil {
 		l.LockBlock(loc)
 		defer l.UnlockBlock(loc)
 	}
-	return blockdev.WriteBlock(v.dev, loc, raw)
+	return one.Write(v.dev, loc, raw)
 }
 
 // WriteRaw writes the already sealed blocks raws[i] to locs[i] in one
@@ -453,12 +456,13 @@ func (v *Volume) WriteRaw(locs []uint64, raws [][]byte) error {
 
 // RewriteRandom overwrites block loc with fresh random bytes — the
 // dummy update available when no key for the block is held (used on
-// dummy-file blocks, whose plaintext is meaningless by construction).
-func (v *Volume) RewriteRandom(loc uint64) error {
+// dummy-file blocks, whose plaintext is meaningless by construction);
+// one carries the device batch (nil builds one for the call).
+func (v *Volume) RewriteRandom(one *blockdev.One, loc uint64) error {
 	buf := mempool.Get(v.blockSize)
 	defer mempool.Recycle(buf)
 	v.FillRandom(buf)
-	return v.writeBlock(loc, buf)
+	return v.writeBlock(one, loc, buf)
 }
 
 // FillRandom fills buf from the volume's filler stream — the in-memory

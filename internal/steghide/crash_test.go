@@ -884,3 +884,87 @@ func TestStagedRunDiesWithThePower(t *testing.T) {
 		verifyC2Crash(t, rig, true)
 	})
 }
+
+// TestC2RecoveryRefusesBlocksOffTheDevice: a ring record that names a
+// block beyond the device — a committed relocation whose vacated source
+// is off the end — must not reach the registry's address-indexed table
+// (where it would index out of range) or a dummy file's map when the
+// dummy that held the target is disclosed; the agent keeps serving.
+func TestC2RecoveryRefusesBlocksOffTheDevice(t *testing.T) {
+	ctx := context.Background()
+	vol, err := stegfs.Format(blockdev.NewMem(256, 1024), stegfs.FormatOptions{
+		KDFIterations: 4, FillSeed: []byte("sh-offdev"), JournalBlocks: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := JournalKey(vol, "admin")
+	first := NewVolatile(vol, prng.NewFromUint64(41))
+	if err := first.EnableJournal(key); err != nil {
+		t.Fatal(err)
+	}
+	s, err := first.Login("u", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.CreateDummy("/d", 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := d.BlockLocs()[0]
+	if err := first.Logout(ctx, "u"); err != nil {
+		t.Fatal(err)
+	}
+	// The ring says some file relocated the block at vol.NumBlocks()+7
+	// onto the dummy's first block and then saved.
+	const head = 5
+	if err := first.jc2.j.AppendReloc(head, vol.NumBlocks()+7, target); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.jc2.j.AppendSave(head); err != nil {
+		t.Fatal(err)
+	}
+
+	a := NewVolatile(vol, prng.NewFromUint64(43))
+	if err := a.EnableJournal(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = a.Login("u", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err = s.Disclose("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loc := range d.BlockLocs() {
+		if loc >= vol.NumBlocks() {
+			t.Fatalf("dummy map took block %d of a %d-block device", loc, vol.NumBlocks())
+		}
+	}
+	for _, e := range a.list {
+		if e.loc >= vol.NumBlocks() {
+			t.Fatalf("registry holds block %d of a %d-block device", e.loc, vol.NumBlocks())
+		}
+	}
+	// Fresh cover, so the session can write whatever recovery left of
+	// the disclosed dummy.
+	if _, err := s.CreateDummy("/d2", 40); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(ctx, "/f", make([]byte, 4*vol.PayloadSize()), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.DummyUpdateBurst(16); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Logout(ctx, "u"); err != nil {
+		t.Fatal(err)
+	}
+}

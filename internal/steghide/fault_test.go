@@ -311,14 +311,14 @@ func TestAblationNoCamouflage(t *testing.T) {
 		for {
 			b2 := first + rng.Uint64n(n-first)
 			if b2 == loc {
-				vol.WriteSealed(loc, seal, make([]byte, vol.PayloadSize()))
+				vol.WriteSealed(nil, loc, seal, make([]byte, vol.PayloadSize()))
 				return loc
 			}
 			if !src.IsFree(b2) {
 				continue // ablation: skip instead of camouflage
 			}
 			src.Acquire(b2)
-			vol.WriteSealed(b2, seal, make([]byte, vol.PayloadSize()))
+			vol.WriteSealed(nil, b2, seal, make([]byte, vol.PayloadSize()))
 			src.Release(loc)
 			return b2
 		}

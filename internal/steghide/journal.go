@@ -68,14 +68,21 @@ func (c *c1Intents) LogSave(headerLoc uint64) error {
 	if err := c.j.AppendSave(headerLoc); err != nil {
 		return err
 	}
+	c.release(headerLoc)
+	return nil
+}
+
+// release returns the limbo of the file whose header is at head to
+// the bitmap: at its durable save, or once a delete destroyed the
+// header the limbo waited on.
+func (c *c1Intents) release(head uint64) {
 	c.mu.Lock()
-	freed := c.limbo[headerLoc]
-	delete(c.limbo, headerLoc)
+	freed := c.limbo[head]
+	delete(c.limbo, head)
 	c.mu.Unlock()
 	for _, loc := range freed {
 		c.source.Release(loc)
 	}
-	return nil
 }
 
 // vacated is the BitmapSpace hook: a committed relocation's old block

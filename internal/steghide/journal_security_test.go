@@ -281,47 +281,99 @@ func TestJournaledC1LimboHoldsVacatedBlocks(t *testing.T) {
 // TestLogoutForgetsBlockOwnership holds Construction 2 to its volatility
 // (§4.2): once the last login logs out, the agent and its journal
 // adapter hold no block, file or login of that session. Every map field
-// of both is walked by reflection, so a map added later is held to the
-// same rule; quota is the operator's setting, not session state.
+// of both must be empty and every slice field must hold only zero
+// elements up to its capacity (a registry table that keeps a stale
+// address or file pointer in its spare room keeps the session), walked
+// by reflection, so a field added later is held to the same rule; quota
+// is the operator's setting, not session state. The delete row deletes
+// a file before its first save, which leaves relocations in limbo that
+// no save will drain.
 func TestLogoutForgetsBlockOwnership(t *testing.T) {
-	ctx := context.Background()
-	vol, err := stegfs.Format(blockdev.NewMem(256, 4096), stegfs.FormatOptions{
-		KDFIterations: 4, FillSeed: []byte("sh-forget"), JournalBlocks: 64,
-	})
+	for _, row := range []struct {
+		name   string
+		delete bool
+	}{{"write", false}, {"delete-before-save", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := context.Background()
+			vol, err := stegfs.Format(blockdev.NewMem(256, 4096), stegfs.FormatOptions{
+				KDFIterations: 4, FillSeed: []byte("sh-forget"), JournalBlocks: 64,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := NewVolatile(vol, prng.NewFromUint64(29))
+			if err := a.EnableJournal(JournalKey(vol, "admin")); err != nil {
+				t.Fatal(err)
+			}
+			s, err := a.Login("u", "pw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CreateDummy("/d", 200); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Create("/f"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(ctx, "/f", prng.NewFromUint64(3).Bytes(10*vol.PayloadSize()), 0); err != nil {
+				t.Fatal(err)
+			}
+			if row.delete {
+				if err := s.Delete("/f"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Logout(ctx, "u"); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []any{a, a.jc2} {
+				v := reflect.ValueOf(st).Elem()
+				for i := 0; i < v.NumField(); i++ {
+					name, f := v.Type().Field(i).Name, v.Field(i)
+					switch {
+					case name == "quota":
+					case f.Kind() == reflect.Map && f.Len() != 0:
+						t.Errorf("%s.%s keeps %d entries after logout: %v", v.Type().Name(), name, f.Len(), f)
+					case f.Kind() == reflect.Slice:
+						all := f.Slice(0, f.Cap())
+						for e := 0; e < all.Len(); e++ {
+							if !all.Index(e).IsZero() {
+								t.Errorf("%s.%s[%d] (len %d) still holds %+v after logout",
+									v.Type().Name(), name, e, f.Len(), all.Index(e))
+								break
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestC1DeleteReleasesLimbo: a journaled Construction 1 file deleted
+// before its first save leaves no vacated block in limbo, where no save
+// would ever release it; the blocks rejoin the bitmap's dummy pool.
+func TestC1DeleteReleasesLimbo(t *testing.T) {
+	a, _ := newJournaledC1(t, 1024, 32)
+	free := a.source.FreeCount()
+	f, err := a.Create("alice", "/doc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewVolatile(vol, prng.NewFromUint64(29))
-	if err := a.EnableJournal(JournalKey(vol, "admin")); err != nil {
+	if err := a.Write(context.Background(), "/doc", f, prng.NewFromUint64(3).Bytes(10*a.vol.PayloadSize()), 0); err != nil {
 		t.Fatal(err)
 	}
-	s, err := a.Login("u", "pw")
-	if err != nil {
+	if len(a.intents.limbo) == 0 {
+		t.Fatal("the writes vacated no block: nothing to check")
+	}
+	if err := a.Delete("/doc", f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CreateDummy("/d", 200); err != nil {
-		t.Fatal(err)
+	if len(a.intents.limbo) != 0 {
+		t.Errorf("limbo keeps %v after the delete", a.intents.limbo)
 	}
-	if _, err := s.Create("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Write(ctx, "/f", prng.NewFromUint64(3).Bytes(10*vol.PayloadSize()), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Logout(ctx, "u"); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range []any{a, a.jc2} {
-		v := reflect.ValueOf(st).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			name, f := v.Type().Field(i).Name, v.Field(i)
-			if f.Kind() != reflect.Map || name == "quota" {
-				continue
-			}
-			if f.Len() != 0 {
-				t.Errorf("%s.%s keeps %d entries after logout: %v", v.Type().Name(), name, f.Len(), f)
-			}
-		}
+	if got := a.source.FreeCount(); got != free {
+		t.Errorf("free blocks %d after create, write and delete; %d before", got, free)
 	}
 }
 

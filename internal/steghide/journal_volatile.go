@@ -7,12 +7,12 @@ import (
 )
 
 // c2Intents is Construction 2's journal adapter. Unlike C1 it keeps
-// its one map, the limbo, under the agent's registry mutex (a.mu) —
-// the vacate hook runs inside CommitRelocate, which already holds it —
-// and its limbo entries remember the dummy file that donated each
-// relocation target, because the vacated block is promised to that
-// file once the move commits. A relocation names the header its run
-// carried, and that header's save drains its limbo.
+// its limbo under the agent's registry mutex (a.mu) — the vacate hook
+// runs inside the scheduler's Settle, which already holds it — and its
+// limbo entries remember the dummy file that donated each relocation
+// target, because the vacated block is promised to that file once the
+// move commits. A relocation names the header its run carried, and
+// that header's save drains its limbo.
 //
 // The volatile construction's recovery is necessarily incremental:
 // the agent boots with no file keys, so intents resolve when users
@@ -24,12 +24,17 @@ type c2Intents struct {
 	intentRing
 	a *VolatileAgent
 
-	limbo map[uint64][]c2Vacated // guarded by a.mu
+	// limbo holds every vacated block awaiting its file's save, in the
+	// order the relocations committed; guarded by a.mu. It holds the
+	// unsaved relocations of the files being written, so a save walks
+	// a short list.
+	limbo []c2Vacated
 }
 
-// c2Vacated is one relocation's vacated block awaiting the owning
-// file's durable save.
+// c2Vacated is one relocation's vacated block awaiting the durable
+// save of the file whose header is at head.
 type c2Vacated struct {
+	head  uint64
 	loc   uint64
 	donor *stegfs.File // dummy file owed the block
 	user  string
@@ -75,37 +80,46 @@ func (r *c2Recovery) protects(loc uint64) bool {
 // so the file's vacated blocks finally join the dummy files they were
 // promised to.
 func (c *c2Intents) LogSave(headerLoc uint64) error {
-	a := c.a
-	a.mu.Lock()
-	freed := c.limbo[headerLoc]
-	delete(c.limbo, headerLoc)
-	for _, v := range freed {
-		// The donor must still be disclosed; a dummy file forgotten at
-		// logout cannot durably claim the block, so it is abandoned
-		// (conservative: unreachable cover, never data loss).
-		if v.donor != nil && a.fileStillKnown(v.donor) {
-			if err := v.donor.AppendBlockLoc(v.loc); err == nil {
-				a.register(v.loc, ownerInfo{file: v.donor, user: v.user, dummy: true})
-				continue
-			}
-		}
-		a.unregister(v.loc)
-	}
-	a.mu.Unlock()
+	c.a.mu.Lock()
+	c.drainLocked(headerLoc)
+	c.a.mu.Unlock()
 	return c.j.AppendSave(headerLoc)
 }
 
-// vacatedLocked is the CommitRelocate hook: oldLoc waits in the limbo
-// of the file whose header is at head. The caller holds a.mu.
+// drainLocked gives the vacated blocks in the limbo of the file whose
+// header is at head to the dummy files they were promised to, in the
+// order they were vacated. The caller holds a.mu.
+func (c *c2Intents) drainLocked(head uint64) {
+	a := c.a
+	n := 0
+	for _, v := range c.limbo {
+		if v.head != head {
+			c.limbo[n] = v
+			n++
+			continue
+		}
+		// The donor must still be disclosed; a dummy file forgotten at
+		// logout cannot durably claim the block, so it is abandoned
+		// (conservative: unreachable cover, never data loss).
+		if v.donor == nil || !a.fileStillKnown(v.donor) || a.donate(v.donor, v.loc, v.user) != nil {
+			a.unregister(v.loc)
+		}
+	}
+	clear(c.limbo[n:])
+	c.limbo = c.limbo[:n]
+}
+
+// vacatedLocked is the relocation commit's hook: oldLoc waits in the
+// limbo of the file whose header is at head. The caller holds a.mu.
 func (c *c2Intents) vacatedLocked(oldLoc, head uint64, donor *stegfs.File, user string) {
-	c.limbo[head] = append(c.limbo[head], c2Vacated{loc: oldLoc, donor: donor, user: user})
+	c.limbo = append(c.limbo, c2Vacated{head: head, loc: oldLoc, donor: donor, user: user})
 }
 
 // fileStillKnown reports whether f is still a disclosed file (its
 // header registration points at it); the caller holds a.mu.
 func (a *VolatileAgent) fileStillKnown(f *stegfs.File) bool {
-	info, ok := a.known[f.HeaderLoc()]
-	return ok && info.file == f
+	e := a.lookup(f.HeaderLoc())
+	return e != nil && e.file == f
 }
 
 // EnableJournal wires the volatile agent to the volume's journal
@@ -120,7 +134,7 @@ func (a *VolatileAgent) EnableJournal(key sealer.Key) error {
 		return err
 	}
 	a.mu.Lock()
-	a.jc2 = &c2Intents{intentRing: intentRing{j}, a: a, limbo: map[uint64][]c2Vacated{}}
+	a.jc2 = &c2Intents{intentRing: intentRing{j}, a: a}
 	a.mu.Unlock()
 	a.vol.SetIntentLog(a.jc2)
 	a.sched.SetIntentLog(a.jc2)
@@ -250,13 +264,10 @@ func (a *VolatileAgent) applyRecovery(f *stegfs.File) {
 			return
 		}
 		// Cover: reinstate the stripped donor's claim, or abandon.
-		if donor != nil && a.fileStillKnown(donor) {
-			if err := donor.AppendBlockLoc(loc); err == nil {
-				a.register(loc, ownerInfo{file: donor, user: user, dummy: true})
-				return
-			}
+		if donor != nil && a.fileStillKnown(donor) && a.donate(donor, loc, user) == nil {
+			return
 		}
-		if info, ok := a.known[loc]; ok && info.pending && info.file == nil {
+		if e := a.lookup(loc); e != nil && e.pending && e.file == nil {
 			a.unregister(loc)
 		}
 	}
@@ -290,8 +301,8 @@ func (a *VolatileAgent) applyRecovery(f *stegfs.File) {
 func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc uint64) bool {
 	// A real file's live claim always beats a dummy file's stale disk
 	// map (the real file's cached map is the freshest truth).
-	if old, ok := a.known[loc]; ok && old.file != nil && !old.file.IsDummy() {
-		_ = f.RemoveBlockLoc(loc)
+	if old := a.lookup(loc); old != nil && old.file != nil && !old.file.IsDummy() {
+		strip(f, loc)
 		return true
 	}
 	r := a.recov
@@ -303,14 +314,12 @@ func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc u
 		// claim for good, park the block as pending, and donate the
 		// committed relocation's vacated source to this dummy file in
 		// exchange.
-		_ = f.RemoveBlockLoc(loc)
+		strip(f, loc)
 		a.register(loc, ownerInfo{user: user, pending: true})
 		if old, ok := r.dataReloc[loc]; ok {
 			delete(r.dataReloc, loc)
-			if _, known := a.known[old]; !known {
-				if err := f.AppendBlockLoc(old); err == nil {
-					a.register(old, ownerInfo{file: f, user: user, dummy: true})
-				}
+			if a.lookup(old) == nil && blockIndex(f, old) < 0 {
+				_ = a.donate(f, old, user)
 			}
 		}
 		return true
@@ -318,7 +327,7 @@ func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc u
 	if r.touch[loc] > 0 {
 		// Unresolved intent: quarantine until the file it names is
 		// disclosed; remember the donor for reinstatement.
-		_ = f.RemoveBlockLoc(loc)
+		strip(f, loc)
 		a.register(loc, ownerInfo{user: user, pending: true})
 		if r.donors[loc] == nil {
 			r.donors[loc] = f
@@ -327,6 +336,26 @@ func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc u
 		return true
 	}
 	return false
+}
+
+// blockIndex finds loc in f's block map by a scan, or returns -1: the
+// quarantine path's search, run only while a crash is being resolved
+// and never on a draw.
+func blockIndex(f *stegfs.File, loc uint64) int {
+	for i := range f.NumBlocks() {
+		if l, _ := f.BlockLoc(i); l == loc {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// strip takes loc out of a freshly disclosed dummy file's map, wherever
+// it sits; registerFile indexes the map again afterwards.
+func strip(f *stegfs.File, loc uint64) {
+	if i := blockIndex(f, loc); i >= 0 {
+		_, _ = f.RemoveBlockAt(i, loc)
+	}
 }
 
 // JournalKey derives a Construction 2 journal key from an

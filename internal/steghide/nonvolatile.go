@@ -237,7 +237,15 @@ func (a *NonVolatileAgent) Delete(path string, f *stegfs.File) error {
 		return err
 	}
 	defer h.mu.Unlock()
-	return h.f.Delete()
+	if err := h.f.Delete(); err != nil {
+		return err
+	}
+	// The file's unsaved relocations left their vacated blocks in limbo,
+	// owed to a save that will not come.
+	if a.intents != nil {
+		a.intents.release(h.f.HeaderLoc())
+	}
+	return nil
 }
 
 // CloseAll saves and forgets every open handle — every principal's —

@@ -551,8 +551,8 @@ func TestC2UpdatesStayWithinDisclosedBlocks(t *testing.T) {
 	// Steady state: capture the disclosed set, then update + dummy.
 	disclosed := map[uint64]bool{}
 	a.mu.Lock()
-	for loc := range a.known {
-		disclosed[loc] = true
+	for _, e := range a.list {
+		disclosed[e.loc] = true
 	}
 	a.mu.Unlock()
 

@@ -30,10 +30,11 @@ import (
 //   - The Figure-6 draw loop and all update I/O live in the per-volume
 //     scheduler; its sharded block locks let sessions and the dummy
 //     daemon overlap their crypto and device work on different blocks.
-//   - mu guards the disclosed-block registry (known/list/pos,
-//     dummyData), the session table, and the in-memory block maps of
-//     dummy files — the state every relocation and allocation touches.
-//     Critical sections are memory-only and tiny.
+//   - mu guards the disclosed-block registry (list/slot, dummyData),
+//     the session table, and the in-memory block maps of dummy files —
+//     the state every relocation and allocation touches. Critical
+//     sections are memory-only and tiny, and the scheduler's batch
+//     calls take mu once per batch.
 //   - Each Session serializes its own file operations (stegfs.File is
 //     single-writer); different sessions run concurrently.
 //   - structMu divides operations into a data plane (Write, Read,
@@ -45,12 +46,16 @@ import (
 type VolatileAgent struct {
 	structMu sync.RWMutex
 
-	mu        sync.Mutex
-	vol       *stegfs.Volume
-	rng       *prng.PRNG // guarded by mu
-	known     map[uint64]*ownerInfo
-	list      []uint64
-	pos       map[uint64]int
+	mu  sync.Mutex
+	vol *stegfs.Volume
+	rng *prng.PRNG // guarded by mu
+	// The disclosed-block registry (DESIGN.md, "Disclosed-block
+	// registry"). list holds one entry per disclosed block in
+	// registration order, and a uniform draw is an index into it, so
+	// that order is the draw stream's. slot is indexed by device
+	// address: 1 + the block's list index, 0 for an unknown block.
+	list      []entry
+	slot      []int32
 	dummyData uint64 // count of relocatable dummy-data blocks
 	sessions  map[string]*Session
 
@@ -73,6 +78,12 @@ type VolatileAgent struct {
 	recov *c2Recovery
 }
 
+// entry is one disclosed block of the registry.
+type entry struct {
+	loc uint64
+	ownerInfo
+}
+
 // ownerInfo records what the agent may do with a disclosed block.
 type ownerInfo struct {
 	file *stegfs.File
@@ -91,6 +102,9 @@ type ownerInfo struct {
 	// withdrawn from, so the swap can complete (the vacated block
 	// joins that file) or abort (the target returns to it).
 	reloc *stegfs.File
+	// at is a dummy block's index in its file's block map, so the
+	// block leaves the map without a search.
+	at int
 }
 
 // NewVolatile creates an empty volatile agent over a volume.
@@ -98,8 +112,7 @@ func NewVolatile(vol *stegfs.Volume, rng *prng.PRNG) *VolatileAgent {
 	a := &VolatileAgent{
 		vol:      vol,
 		rng:      rng.Child("figure6-volatile"),
-		known:    map[uint64]*ownerInfo{},
-		pos:      map[uint64]int{},
+		slot:     make([]int32, vol.NumBlocks()),
 		sessions: map[string]*Session{},
 		usage:    map[string]uint64{},
 		quota:    map[string]uint64{},
@@ -159,60 +172,101 @@ func (a *VolatileAgent) DummyBlocks() uint64 {
 
 // --- block registry -------------------------------------------------
 
-// register records loc's ownership; the caller holds a.mu. A block the
-// registry already knows keeps its entry and has it overwritten — every
-// draw that lands on a dummy block and every commit re-registers a known
-// block, and a fresh heap object for each was most of what an update
-// allocated. Overwriting is safe because no *ownerInfo outlives the
-// a.mu critical section that looked it up: nothing stores one outside
-// a.known, a caller's new entry is built from the old one before the
-// call, and CommitRelocate, which reads two entries across two
-// registrations, copies them out first.
-func (a *VolatileAgent) register(loc uint64, info ownerInfo) {
-	if old, ok := a.known[loc]; ok {
-		if old.dummy {
-			a.dummyData--
-		}
-		// A block that stays with its login — every relocation, every
-		// re-registration — moves no charge.
-		if old.user != info.user {
-			a.chargeLocked(old.user, -1)
-			a.chargeLocked(info.user, +1)
-		}
-		*old = info
-	} else {
-		fresh := new(ownerInfo)
-		*fresh = info
-		a.known[loc] = fresh
-		a.pos[loc] = len(a.list)
-		a.list = append(a.list, loc)
-		a.chargeLocked(info.user, +1)
+// lookup returns loc's registry entry, or nil for an unknown block;
+// the caller holds a.mu. The pointer is good until the registry
+// next gains or loses a block.
+func (a *VolatileAgent) lookup(loc uint64) *entry {
+	if loc >= uint64(len(a.slot)) || a.slot[loc] == 0 {
+		return nil
 	}
+	return &a.list[a.slot[loc]-1]
+}
+
+// register records loc's ownership; the caller holds a.mu. A block the
+// registry already knows keeps its entry, and its place in the draw
+// order, and has it overwritten; a new block is appended. An address
+// off the device (a corrupt map or ring record) is no block to own.
+func (a *VolatileAgent) register(loc uint64, info ownerInfo) {
+	if e := a.lookup(loc); e != nil {
+		a.set(e, info)
+		return
+	}
+	if loc >= uint64(len(a.slot)) {
+		return
+	}
+	a.list = append(a.list, entry{loc: loc, ownerInfo: info})
+	a.slot[loc] = int32(len(a.list))
+	a.chargeLocked(info.user, +1)
 	if info.dummy {
 		a.dummyData++
 	}
 }
 
-// unregister forgets loc; the caller holds a.mu.
-func (a *VolatileAgent) unregister(loc uint64) {
-	info, ok := a.known[loc]
-	if !ok {
-		return
-	}
-	if info.dummy {
+// set overwrites a known block's entry; the caller holds a.mu.
+func (a *VolatileAgent) set(e *entry, info ownerInfo) {
+	if e.dummy {
 		a.dummyData--
 	}
-	a.chargeLocked(info.user, -1)
-	delete(a.known, loc)
-	i := a.pos[loc]
-	last := len(a.list) - 1
-	if i != last {
-		moved := a.list[last]
-		a.list[i] = moved
-		a.pos[moved] = i
+	// A block that stays with its login — every relocation, every
+	// re-registration — moves no charge.
+	if e.user != info.user {
+		a.chargeLocked(e.user, -1)
+		a.chargeLocked(info.user, +1)
 	}
+	e.ownerInfo = info
+	if info.dummy {
+		a.dummyData++
+	}
+}
+
+// unregister forgets loc; the caller holds a.mu. The last entry moves
+// into the hole, and the vacated tail is cleared so that no file or
+// sealer outlives its entry.
+func (a *VolatileAgent) unregister(loc uint64) {
+	e := a.lookup(loc)
+	if e == nil {
+		return
+	}
+	if e.dummy {
+		a.dummyData--
+	}
+	a.chargeLocked(e.user, -1)
+	i, last := a.slot[loc]-1, len(a.list)-1
+	if int(i) != last {
+		a.list[i] = a.list[last]
+		a.slot[a.list[i].loc] = i + 1
+	}
+	a.list[last] = entry{}
 	a.list = a.list[:last]
-	delete(a.pos, loc)
+	a.slot[loc] = 0
+}
+
+// withdraw takes a dummy block out of its file's map, by the index its
+// entry keeps, and gives the block swapped into the hole its new
+// index; the caller holds a.mu and registers e's block anew.
+func (a *VolatileAgent) withdraw(e *entry) error {
+	moved, err := e.file.RemoveBlockAt(e.at, e.loc)
+	if err != nil {
+		return err
+	}
+	if m := a.lookup(moved); m != nil && m.dummy && m.file == e.file {
+		m.at = e.at
+	}
+	return nil
+}
+
+// donate appends loc to dummy file df's map and registers it as df's
+// dummy block; the caller holds a.mu.
+func (a *VolatileAgent) donate(df *stegfs.File, loc uint64, user string) error {
+	if loc >= uint64(len(a.slot)) {
+		return fmt.Errorf("steghide: block %d is beyond the device", loc)
+	}
+	at, err := df.AppendBlockLoc(loc)
+	if err != nil {
+		return err
+	}
+	a.register(loc, ownerInfo{file: df, user: user, dummy: true, at: at})
+	return nil
 }
 
 // --- per-login quotas -------------------------------------------------
@@ -248,6 +302,9 @@ func (a *VolatileAgent) quotaLocked(user string) uint64 {
 // overBudgetLocked reports whether charging need more blocks to the
 // login would exceed its budget; the caller holds a.mu.
 func (a *VolatileAgent) overBudgetLocked(user string, need uint64) bool {
+	if a.defaultQuota == 0 && len(a.quota) == 0 {
+		return false // no budget set: nothing to look up
+	}
 	q := a.quotaLocked(user)
 	return q != 0 && a.usage[user]+need > q
 }
@@ -306,7 +363,8 @@ func (a *VolatileAgent) checkBudget(user string, need uint64) error {
 // registerFile (re)classifies every block of a disclosed file. A
 // dummy file's blocks pass the quarantine gate first: its on-disk map
 // may be stale after a crash, claiming blocks that now hold (or may
-// hold) another file's live data.
+// hold) another file's live data. A block that another disclosed dummy
+// file still claims leaves that file's map, so no block is in two.
 func (a *VolatileAgent) registerFile(user string, f *stegfs.File) {
 	hseal := f.HeaderSealer()
 	cseal := f.ContentSealer()
@@ -314,13 +372,21 @@ func (a *VolatileAgent) registerFile(user string, f *stegfs.File) {
 	defer a.mu.Unlock()
 	a.register(f.HeaderLoc(), ownerInfo{file: f, user: user, seal: hseal})
 	for _, loc := range f.BlockLocs() {
-		if f.IsDummy() {
-			if a.quarantineDummyLocked(f, user, loc) {
-				continue
-			}
-			a.register(loc, ownerInfo{file: f, user: user, dummy: true})
-		} else {
+		if e := a.lookup(loc); e != nil && e.dummy && e.file != f {
+			_ = a.withdraw(e)
+		}
+		if !f.IsDummy() {
 			a.register(loc, ownerInfo{file: f, user: user, seal: cseal})
+		} else if !a.quarantineDummyLocked(f, user, loc) {
+			a.register(loc, ownerInfo{file: f, user: user, dummy: true})
+		}
+	}
+	if f.IsDummy() {
+		// Quarantine may have compacted the map: index it as it stands.
+		for i, loc := range f.BlockLocs() {
+			if e := a.lookup(loc); e != nil && e.dummy && e.file == f {
+				e.at = i
+			}
 		}
 	}
 	for _, loc := range f.IndirectLocs() {
@@ -330,19 +396,14 @@ func (a *VolatileAgent) registerFile(user string, f *stegfs.File) {
 
 // forgetFile removes every registration pointing at f, in address
 // order: unregister swap-removes from a.list, which every later draw
-// indexes, so map order here would reorder the stream.
+// indexes, so any other order would reorder the stream.
 func (a *VolatileAgent) forgetFile(f *stegfs.File) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var gone []uint64
-	for loc, info := range a.known {
-		if info.file == f {
-			gone = append(gone, loc)
+	for loc, i := range a.slot {
+		if i != 0 && a.list[i-1].file == f {
+			a.unregister(uint64(loc))
 		}
-	}
-	slices.Sort(gone)
-	for _, loc := range gone {
-		a.unregister(loc)
 	}
 }
 
@@ -375,8 +436,8 @@ func (s *volatileSource) IsFree(loc uint64) bool {
 	a := s.a
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	info, ok := a.known[loc]
-	return ok && info.dummy
+	e := a.lookup(loc)
+	return e != nil && e.dummy
 }
 
 // Acquire implements stegfs.BlockSource. Dummy blocks are withdrawn
@@ -391,18 +452,15 @@ func (s *volatileSource) Acquire(loc uint64) bool {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	info, ok := a.known[loc]
-	if !ok {
+	e := a.lookup(loc)
+	if e == nil {
 		a.register(loc, ownerInfo{user: s.user, pending: true})
 		return true
 	}
-	if !info.dummy {
+	if !e.dummy || a.withdraw(e) != nil {
 		return false
 	}
-	if err := info.file.RemoveBlockLoc(loc); err != nil {
-		return false
-	}
-	a.register(loc, ownerInfo{user: s.user, pending: true})
+	a.set(e, ownerInfo{user: s.user, pending: true})
 	return true
 }
 
@@ -428,7 +486,7 @@ func (s *volatileSource) AcquireRandom() (uint64, error) {
 		first, n := a.vol.FirstDataBlock(), a.vol.NumBlocks()
 		for try := 0; try < 4096; try++ {
 			loc := first + a.rng.Uint64n(n-first)
-			if _, ok := a.known[loc]; ok {
+			if a.lookup(loc) != nil {
 				continue
 			}
 			// After a crash the ring may prove (or leave open) that an
@@ -446,16 +504,15 @@ func (s *volatileSource) AcquireRandom() (uint64, error) {
 		return 0, fmt.Errorf("%w: disclose a dummy file first", ErrNoDummySpace)
 	}
 	for {
-		loc := a.list[a.rng.Intn(len(a.list))]
-		info := a.known[loc]
-		if !info.dummy {
+		e := &a.list[a.rng.Intn(len(a.list))]
+		if !e.dummy {
 			continue
 		}
-		if err := info.file.RemoveBlockLoc(loc); err != nil {
+		if err := a.withdraw(e); err != nil {
 			return 0, err
 		}
-		a.register(loc, ownerInfo{user: s.user, pending: true})
-		return loc, nil
+		a.set(e, ownerInfo{user: s.user, pending: true})
+		return e.loc, nil
 	}
 }
 
@@ -470,8 +527,7 @@ func (s *volatileSource) Release(loc uint64) {
 	sess := a.sessions[s.user]
 	if sess != nil {
 		for _, df := range sess.dummies {
-			if err := df.AppendBlockLoc(loc); err == nil {
-				a.register(loc, ownerInfo{file: df, user: s.user, dummy: true})
+			if a.donate(df, loc, s.user) == nil {
 				return
 			}
 		}
@@ -842,7 +898,10 @@ func (s *Session) Read(path string, p []byte, off uint64) (int, error) {
 }
 
 // Delete removes a disclosed file, donating its blocks to the user's
-// dummy files.
+// dummy files. The blocks its unsaved relocations vacated wait in the
+// journal's limbo for a save that will not come now: once the header
+// is destroyed they go to the dummy files that donated their targets,
+// as the save would have sent them.
 func (s *Session) Delete(path string) error {
 	a := s.agent
 	a.structMu.Lock()
@@ -856,6 +915,11 @@ func (s *Session) Delete(path string) error {
 		return err
 	}
 	delete(s.files, path)
+	a.mu.Lock()
+	if a.jc2 != nil {
+		a.jc2.drainLocked(f.HeaderLoc())
+	}
+	a.mu.Unlock()
 	return nil
 }
 
@@ -964,41 +1028,51 @@ func (sp *volatileSpace) DrawUpdate(loc uint64) (sched.Target, error) {
 	if a.dummyData == 0 {
 		return sched.Target{}, fmt.Errorf("%w: disclose a dummy file first", ErrNoDummySpace)
 	}
-	b2 := a.list[a.rng.Intn(len(a.list))]
-	info := a.known[b2]
+	e := &a.list[a.rng.Intn(len(a.list))]
 	switch {
-	case b2 == loc:
+	case e.loc == loc:
 		return sched.Target{Loc: loc, Kind: sched.Self}, nil
-	case info.dummy:
-		if err := info.file.RemoveBlockLoc(b2); err != nil {
+	case e.dummy:
+		if err := a.withdraw(e); err != nil {
 			return sched.Target{}, err
 		}
-		a.register(b2, ownerInfo{user: info.user, pending: true, reloc: info.file})
-		return sched.Target{Loc: b2, Kind: sched.Relocate}, nil
-	case info.pending:
+		a.set(e, ownerInfo{user: e.user, pending: true, reloc: e.file})
+		return sched.Target{Loc: e.loc, Kind: sched.Relocate}, nil
+	case e.pending:
 		// Mid-operation block with an unclassified role: not a safe
 		// camouflage target; redraw.
 		return sched.Target{Kind: sched.Redraw}, nil
 	default:
-		return sched.Target{Loc: b2, Kind: sched.Camouflage}, nil
+		return sched.Target{Loc: e.loc, Kind: sched.Camouflage}, nil
 	}
 }
 
-// CommitRelocate implements sched.Space: the payload landed on newLoc,
-// so it takes over oldLoc's ownership, and oldLoc joins the dummy
-// file that donated newLoc — journaled, once the file whose header is
-// at head saves.
-func (sp *volatileSpace) CommitRelocate(oldLoc, newLoc, head uint64, seal *sealer.Sealer) {
+// Settle implements sched.Space under one hold of the registry lock.
+func (sp *volatileSpace) Settle(oldLocs, newLocs []uint64, head uint64, seal *sealer.Sealer, committed bool) {
 	a := sp.a
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	for i, oldLoc := range oldLocs {
+		if committed {
+			a.commitRelocate(oldLoc, newLocs[i], head, seal)
+		} else {
+			a.abortRelocate(newLocs[i])
+		}
+	}
+}
+
+// commitRelocate settles one landed relocation; the caller holds a.mu.
+// The payload is on newLoc, so it takes over oldLoc's ownership, and
+// oldLoc joins the dummy file that donated newLoc — journaled, once
+// the file whose header is at head saves.
+func (a *VolatileAgent) commitRelocate(oldLoc, newLoc, head uint64, seal *sealer.Sealer) {
 	// Copies: register overwrites the entries in place.
 	var pend, old ownerInfo
-	if p := a.known[newLoc]; p != nil {
-		pend = *p
+	if p := a.lookup(newLoc); p != nil {
+		pend = p.ownerInfo
 	}
-	if o := a.known[oldLoc]; o != nil {
-		old = *o
+	if o := a.lookup(oldLoc); o != nil {
+		old = o.ownerInfo
 	}
 	a.register(newLoc, ownerInfo{file: old.file, user: old.user, seal: seal})
 	if a.jc2 != nil {
@@ -1014,33 +1088,24 @@ func (sp *volatileSpace) CommitRelocate(oldLoc, newLoc, head uint64, seal *seale
 		a.register(oldLoc, ownerInfo{user: user, pending: true})
 		return
 	}
-	if pend.reloc != nil {
-		if err := pend.reloc.AppendBlockLoc(oldLoc); err == nil {
-			a.register(oldLoc, ownerInfo{file: pend.reloc, user: pend.user, dummy: true})
-			return
-		}
+	if pend.reloc != nil && a.donate(pend.reloc, oldLoc, pend.user) == nil {
+		return
 	}
 	// No donor to give the vacated block to (should not happen for a
 	// committed relocation): forget it rather than corrupt a map.
 	a.unregister(oldLoc)
 }
 
-// AbortRelocate implements sched.Space: the payload write failed, so
-// the withdrawn target returns to its dummy file and the data stays
-// where it was.
-func (sp *volatileSpace) AbortRelocate(_, newLoc uint64) {
-	a := sp.a
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	pend := a.known[newLoc]
+// abortRelocate settles one relocation whose batch failed; the caller
+// holds a.mu. The withdrawn target returns to its dummy file and the
+// data stays where it was.
+func (a *VolatileAgent) abortRelocate(newLoc uint64) {
+	pend := a.lookup(newLoc)
 	if pend == nil {
 		return
 	}
-	if pend.reloc != nil {
-		if err := pend.reloc.AppendBlockLoc(newLoc); err == nil {
-			a.register(newLoc, ownerInfo{file: pend.reloc, user: pend.user, dummy: true})
-			return
-		}
+	if pend.reloc != nil && a.donate(pend.reloc, newLoc, pend.user) == nil {
+		return
 	}
 	a.unregister(newLoc)
 }
@@ -1057,32 +1122,34 @@ func (sp *volatileSpace) DrawDummyBatch(locs []uint64) (int, error) {
 	}
 	n := 0
 	for try := 0; try < 64*len(locs) && n < len(locs); try++ {
-		b3 := a.list[a.rng.Intn(len(a.list))]
-		if a.known[b3].pending {
+		e := &a.list[a.rng.Intn(len(a.list))]
+		if e.pending {
 			continue
 		}
-		locs[n] = b3
+		locs[n] = e.loc
 		n++
 	}
 	return n, nil
 }
 
-// Classify implements sched.Space: decided under the block's I/O lock,
+// Classify implements sched.Space: decided under the blocks' I/O locks,
 // so a role change between draw and execution reseals under the
 // current key — or skips a mid-operation block — never acts on stale
 // state.
-func (sp *volatileSpace) Classify(loc uint64) (sched.Action, *sealer.Sealer) {
+func (sp *volatileSpace) Classify(locs []uint64, acts []sched.Action, seals []*sealer.Sealer) {
 	a := sp.a
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	info, ok := a.known[loc]
-	switch {
-	case !ok || info.pending:
-		return sched.ActSkip, nil
-	case info.dummy:
-		// Meaningless content: fresh random bytes are its reseal.
-		return sched.ActRefill, nil
-	default:
-		return sched.ActReseal, info.seal
+	for i, loc := range locs {
+		e := a.lookup(loc)
+		switch {
+		case e == nil || e.pending:
+			acts[i], seals[i] = sched.ActSkip, nil
+		case e.dummy:
+			// Meaningless content: fresh random bytes are its reseal.
+			acts[i], seals[i] = sched.ActRefill, nil
+		default:
+			acts[i], seals[i] = sched.ActReseal, e.seal
+		}
 	}
 }
