@@ -38,8 +38,6 @@ var (
 type Store interface {
 	// Write creates a file with the given content.
 	Write(name string, data []byte) error
-	// Read returns the file's full content.
-	Read(name string) ([]byte, error)
 	// UpdateBlocks overwrites data starting at block blockIdx; len(data)
 	// must be a multiple of BlockPayload.
 	UpdateBlocks(name string, blockIdx uint64, data []byte) error
@@ -60,7 +58,6 @@ type CleanDisk struct {
 type extent struct {
 	start  uint64
 	blocks uint64
-	size   uint64
 }
 
 // NewCleanDisk builds a fresh contiguous-allocation store on dev.
@@ -85,30 +82,13 @@ func (c *CleanDisk) Write(name string, data []byte) error {
 	if c.next+blocks > c.dev.NumBlocks() {
 		return fmt.Errorf("%w: need %d blocks", ErrNoSpace, blocks)
 	}
-	ext := extent{start: c.next, blocks: blocks, size: uint64(len(data))}
+	ext := extent{start: c.next, blocks: blocks}
 	if err := writeRange(c.dev, ext.start, data); err != nil {
 		return err
 	}
 	c.next += blocks
 	c.files[name] = ext
 	return nil
-}
-
-// Read implements Store.
-func (c *CleanDisk) Read(name string) ([]byte, error) {
-	ext, ok := c.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	out := make([]byte, ext.size)
-	buf := make([]byte, c.dev.BlockSize())
-	for i := uint64(0); i < ext.blocks; i++ {
-		if err := blockdev.ReadBlock(c.dev, ext.start+i, buf); err != nil {
-			return nil, err
-		}
-		copy(out[i*uint64(c.dev.BlockSize()):], buf)
-	}
-	return out, nil
 }
 
 // UpdateBlocks implements Store: read-modify-write in place.
@@ -215,24 +195,6 @@ func (ff *fragFile) block(i uint64) uint64 {
 
 func (ff *fragFile) blocks(bs uint64) uint64 {
 	return (ff.size + bs - 1) / bs
-}
-
-// Read implements Store.
-func (f *FragDisk) Read(name string) ([]byte, error) {
-	ff, ok := f.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	bs := uint64(f.dev.BlockSize())
-	out := make([]byte, ff.size)
-	buf := make([]byte, bs)
-	for i := uint64(0); i < ff.blocks(bs); i++ {
-		if err := blockdev.ReadBlock(f.dev, ff.block(i), buf); err != nil {
-			return nil, err
-		}
-		copy(out[i*bs:], buf)
-	}
-	return out, nil
 }
 
 // UpdateBlocks implements Store.

@@ -10,7 +10,25 @@ import (
 	"steghide/internal/prng"
 )
 
-func storeContract(t *testing.T, s Store) {
+// readBack reads a file's blocks through dev in logical order, as a
+// whole-file scan does: its content, padded to whole blocks.
+func readBack(s Store, dev blockdev.Device, name string) ([]byte, error) {
+	locs, err := s.FileBlocks(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(locs)*dev.BlockSize())
+	buf := make([]byte, dev.BlockSize())
+	for _, loc := range locs {
+		if err := blockdev.ReadBlock(dev, loc, buf); err != nil {
+			return nil, err
+		}
+		out = append(out, buf...)
+	}
+	return out, nil
+}
+
+func storeContract(t *testing.T, s Store, dev blockdev.Device) {
 	t.Helper()
 	rng := prng.NewFromUint64(1)
 	data := rng.Bytes(20*s.BlockPayload() + 37) // unaligned tail
@@ -20,15 +38,12 @@ func storeContract(t *testing.T, s Store) {
 	if err := s.Write("/a", data); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate write: %v", err)
 	}
-	got, err := s.Read("/a")
+	got, err := readBack(s, dev, "/a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
+	if !bytes.Equal(got[:len(data)], data) {
 		t.Fatal("roundtrip mismatch")
-	}
-	if _, err := s.Read("/missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing read: %v", err)
 	}
 
 	// Block-aligned update in the middle.
@@ -37,7 +52,7 @@ func storeContract(t *testing.T, s Store) {
 		t.Fatal(err)
 	}
 	copy(data[5*s.BlockPayload():], upd)
-	got, err = s.Read("/a")
+	got, err = readBack(s, dev, "/a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +82,13 @@ func storeContract(t *testing.T, s Store) {
 }
 
 func TestCleanDiskContract(t *testing.T) {
-	storeContract(t, NewCleanDisk(blockdev.NewMem(256, 512)))
+	dev := blockdev.NewMem(256, 512)
+	storeContract(t, NewCleanDisk(dev), dev)
 }
 
 func TestFragDiskContract(t *testing.T) {
-	storeContract(t, NewFragDisk(blockdev.NewMem(256, 512), prng.NewFromUint64(7)))
+	dev := blockdev.NewMem(256, 512)
+	storeContract(t, NewFragDisk(dev, prng.NewFromUint64(7)), dev)
 }
 
 func TestCleanDiskContiguous(t *testing.T) {
@@ -131,14 +148,14 @@ func TestSequentialAdvantage(t *testing.T) {
 	clean.Write("/f", data)
 	cleanDisk.ResetStats()
 	t0 := cleanDisk.Now()
-	clean.Read("/f")
+	readBack(clean, cleanDev, "/f")
 	cleanTime := cleanDisk.Now() - t0
 
 	fragDev, fragDisk := mkDisk()
 	frag := NewFragDisk(fragDev, prng.NewFromUint64(5))
 	frag.Write("/f", data)
 	t0 = fragDisk.Now()
-	frag.Read("/f")
+	readBack(frag, fragDev, "/f")
 	fragTime := fragDisk.Now() - t0
 
 	if cleanTime*2 > fragTime {

@@ -92,57 +92,6 @@ func (b *Bitmap) NextClear(from uint64) (idx uint64, ok bool) {
 	}
 }
 
-// NextSet returns the smallest set bit index ≥ from, or ok=false.
-func (b *Bitmap) NextSet(from uint64) (idx uint64, ok bool) {
-	if from >= b.n {
-		return 0, false
-	}
-	w := from / 64
-	cur := b.words[w] &^ ((1 << (from % 64)) - 1)
-	for {
-		if cur != 0 {
-			bit := uint64(bits.TrailingZeros64(cur))
-			idx = w*64 + bit
-			if idx >= b.n {
-				return 0, false
-			}
-			return idx, true
-		}
-		w++
-		if w*64 >= b.n {
-			return 0, false
-		}
-		cur = b.words[w]
-	}
-}
-
-// FindRun returns the start of the first run of `length` consecutive
-// clear bits at or after from, or ok=false if none exists.
-func (b *Bitmap) FindRun(from, length uint64) (start uint64, ok bool) {
-	if length == 0 {
-		return from, from <= b.n
-	}
-	i := from
-	for {
-		s, found := b.NextClear(i)
-		if !found {
-			return 0, false
-		}
-		// Extend the run from s.
-		end := s + 1
-		for end < b.n && end-s < length && !b.Get(end) {
-			end++
-		}
-		if end-s >= length {
-			return s, true
-		}
-		if end >= b.n {
-			return 0, false
-		}
-		i = end
-	}
-}
-
 // SetRange sets bits [start, start+length).
 func (b *Bitmap) SetRange(start, length uint64) {
 	for i := start; i < start+length; i++ {
@@ -154,13 +103,6 @@ func (b *Bitmap) SetRange(start, length uint64) {
 func (b *Bitmap) Reset() {
 	clear(b.words)
 	b.set = 0
-}
-
-// Clone returns an independent copy.
-func (b *Bitmap) Clone() *Bitmap {
-	out := &Bitmap{words: make([]uint64, len(b.words)), n: b.n, set: b.set}
-	copy(out.words, b.words)
-	return out
 }
 
 // MarshalBinary serializes the bitmap (length-prefixed words).

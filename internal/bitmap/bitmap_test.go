@@ -67,12 +67,6 @@ func TestNextClearNextSet(t *testing.T) {
 	if idx, ok := b.NextClear(70); !ok || idx != 71 {
 		t.Fatalf("NextClear(70) = %d,%v want 71", idx, ok)
 	}
-	if idx, ok := b.NextSet(64); !ok || idx != 70 {
-		t.Fatalf("NextSet(64) = %d,%v want 70", idx, ok)
-	}
-	if _, ok := b.NextSet(71); ok {
-		t.Fatal("NextSet past last set bit should fail")
-	}
 	if _, ok := b.NextClear(200); ok {
 		t.Fatal("NextClear(len) should fail")
 	}
@@ -83,40 +77,6 @@ func TestNextClearNextSet(t *testing.T) {
 	}
 }
 
-func TestFindRun(t *testing.T) {
-	b := New(100)
-	b.SetRange(0, 10)
-	b.SetRange(15, 10) // clear gap [10,15) of 5, then [25,100) clear
-	if s, ok := b.FindRun(0, 5); !ok || s != 10 {
-		t.Fatalf("FindRun(0,5) = %d,%v want 10", s, ok)
-	}
-	if s, ok := b.FindRun(0, 6); !ok || s != 25 {
-		t.Fatalf("FindRun(0,6) = %d,%v want 25", s, ok)
-	}
-	if s, ok := b.FindRun(0, 75); !ok || s != 25 {
-		t.Fatalf("FindRun(0,75) = %d,%v want 25", s, ok)
-	}
-	if _, ok := b.FindRun(0, 76); ok {
-		t.Fatal("FindRun longer than any gap should fail")
-	}
-	if s, ok := b.FindRun(30, 5); !ok || s != 30 {
-		t.Fatalf("FindRun(30,5) = %d,%v want 30", s, ok)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	b := New(64)
-	b.Set(3)
-	c := b.Clone()
-	c.Set(5)
-	if b.Get(5) {
-		t.Fatal("clone shares storage")
-	}
-	if !c.Get(3) {
-		t.Fatal("clone lost bits")
-	}
-}
-
 func TestReset(t *testing.T) {
 	b := New(130)
 	b.SetRange(60, 70)
@@ -124,8 +84,10 @@ func TestReset(t *testing.T) {
 	if b.Count() != 0 || b.Len() != 130 {
 		t.Fatalf("after Reset: count %d, len %d", b.Count(), b.Len())
 	}
-	if _, ok := b.NextSet(0); ok {
-		t.Fatal("a bit survived Reset")
+	for i := uint64(0); i < b.Len(); i++ {
+		if b.Get(i) {
+			t.Fatalf("bit %d survived Reset", i)
+		}
 	}
 	if !b.Set(129) || b.Count() != 1 {
 		t.Fatal("bitmap unusable after Reset")

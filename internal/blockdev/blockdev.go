@@ -265,9 +265,6 @@ func NewSim(base Device, disk *diskmodel.Disk) *Sim {
 	return &Sim{Device: base, disk: disk}
 }
 
-// Disk exposes the underlying disk model (clock, stats).
-func (s *Sim) Disk() *diskmodel.Disk { return s.disk }
-
 // SubDevice exposes a contiguous window [start, start+count) of a
 // parent device as a device of its own. It is how one raw volume is
 // split into a StegFS partition and an oblivious-storage partition

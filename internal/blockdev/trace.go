@@ -150,15 +150,6 @@ func (c *Counter) Reads() uint64 { return c.reads.Load() }
 // Writes returns the number of write events seen.
 func (c *Counter) Writes() uint64 { return c.writes.Load() }
 
-// Total returns reads + writes.
-func (c *Counter) Total() uint64 { return c.Reads() + c.Writes() }
-
-// Reset zeroes the counters.
-func (c *Counter) Reset() {
-	c.reads.Store(0)
-	c.writes.Store(0)
-}
-
 // MultiTracer fans one event stream out to several tracers.
 type MultiTracer []Tracer
 

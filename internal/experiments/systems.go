@@ -15,8 +15,6 @@ import (
 // System is the uniform surface the figure runners drive. The five
 // implementations are the five rows of Table 3.
 type System interface {
-	// Name returns the Table 3 indicator.
-	Name() string
 	// CreateFile materializes a file of the given block count for the
 	// named user.
 	CreateFile(user, name string, blocks uint64) error
@@ -26,8 +24,6 @@ type System interface {
 	// Update rewrites `blocks` consecutive logical blocks at block
 	// offset off. The I/O lands on the system's device.
 	Update(user, name string, off uint64, blocks int) error
-	// Device returns the device the system runs on, for tracing.
-	Device() blockdev.Device
 }
 
 const (
@@ -53,9 +49,9 @@ func NewSystem(name string, s Scale, seed uint64) (System, *blockdev.Collector, 
 	rng := prng.NewFromUint64(seed)
 	switch name {
 	case nameCleanDisk:
-		return &cleanSys{dev: dev, store: baseline.NewCleanDisk(dev)}, col, nil
+		return &cleanSys{store: baseline.NewCleanDisk(dev)}, col, nil
 	case nameFragDisk:
-		return &fragSys{dev: dev, store: baseline.NewFragDisk(dev, rng.Child("frag"))}, col, nil
+		return &fragSys{store: baseline.NewFragDisk(dev, rng.Child("frag"))}, col, nil
 	case nameStegFS, nameStegHideStar:
 		vol, err := stegfs.Format(dev, stegfs.FormatOptions{
 			KDFIterations: 4, FillSeed: rng.Bytes(16), JournalBlocks: s.journalRing()})
@@ -64,7 +60,6 @@ func NewSystem(name string, s Scale, seed uint64) (System, *blockdev.Collector, 
 		}
 		if name == nameStegFS {
 			return &stegfsSys{
-				dev:   dev,
 				vol:   vol,
 				src:   stegfs.NewBitmapSource(vol.FirstDataBlock(), vol.NumBlocks(), rng.Child("alloc")),
 				files: map[string]*stegfs.File{},
@@ -79,7 +74,7 @@ func NewSystem(name string, s Scale, seed uint64) (System, *blockdev.Collector, 
 				return nil, nil, err
 			}
 		}
-		return &c1Sys{dev: dev, agent: agent, files: map[string]*stegfs.File{}}, col, nil
+		return &c1Sys{agent: agent, files: map[string]*stegfs.File{}}, col, nil
 	case nameStegHide:
 		vol, err := stegfs.Format(dev, stegfs.FormatOptions{
 			KDFIterations: 4, FillSeed: rng.Bytes(16), JournalBlocks: s.journalRing()})
@@ -93,7 +88,6 @@ func NewSystem(name string, s Scale, seed uint64) (System, *blockdev.Collector, 
 			}
 		}
 		return &c2Sys{
-			dev:      dev,
 			agent:    agent,
 			sessions: map[string]*steghide.Session{},
 		}, col, nil
@@ -110,12 +104,8 @@ func payloadFor(name string, blocks uint64, payload int) []byte {
 // --- CleanDisk --------------------------------------------------------
 
 type cleanSys struct {
-	dev   blockdev.Device
 	store *baseline.CleanDisk
 }
-
-func (c *cleanSys) Name() string            { return nameCleanDisk }
-func (c *cleanSys) Device() blockdev.Device { return c.dev }
 
 func (c *cleanSys) CreateFile(user, name string, blocks uint64) error {
 	return c.store.Write(user+name, payloadFor(name, blocks, c.store.BlockPayload()))
@@ -132,12 +122,8 @@ func (c *cleanSys) Update(user, name string, off uint64, blocks int) error {
 // --- FragDisk ---------------------------------------------------------
 
 type fragSys struct {
-	dev   blockdev.Device
 	store *baseline.FragDisk
 }
-
-func (f *fragSys) Name() string            { return nameFragDisk }
-func (f *fragSys) Device() blockdev.Device { return f.dev }
 
 func (f *fragSys) CreateFile(user, name string, blocks uint64) error {
 	return f.store.Write(user+name, payloadFor(name, blocks, f.store.BlockPayload()))
@@ -154,14 +140,10 @@ func (f *fragSys) Update(user, name string, off uint64, blocks int) error {
 // --- StegFS (2003 baseline: hidden, but in-place updates) -------------
 
 type stegfsSys struct {
-	dev   blockdev.Device
 	vol   *stegfs.Volume
 	src   *stegfs.BitmapSource
 	files map[string]*stegfs.File
 }
-
-func (s *stegfsSys) Name() string            { return nameStegFS }
-func (s *stegfsSys) Device() blockdev.Device { return s.dev }
 
 func (s *stegfsSys) CreateFile(user, name string, blocks uint64) error {
 	fak := stegfs.DeriveFAK(user, name, s.vol)
@@ -211,13 +193,9 @@ func (s *stegfsSys) Source() *stegfs.BitmapSource { return s.src }
 // --- StegHide* (Construction 1) ----------------------------------------
 
 type c1Sys struct {
-	dev   blockdev.Device
 	agent *steghide.NonVolatileAgent
 	files map[string]*stegfs.File // the handles Create returned, by path
 }
-
-func (c *c1Sys) Name() string            { return nameStegHideStar }
-func (c *c1Sys) Device() blockdev.Device { return c.dev }
 
 // Agent exposes the agent for utilization sweeps and dummy updates.
 func (c *c1Sys) Agent() *steghide.NonVolatileAgent { return c.agent }
@@ -254,14 +232,10 @@ func (c *c1Sys) Update(user, name string, off uint64, blocks int) error {
 // --- StegHide (Construction 2) ------------------------------------------
 
 type c2Sys struct {
-	dev      blockdev.Device
 	agent    *steghide.VolatileAgent
 	sessions map[string]*steghide.Session
 	dummies  uint64 // dummy blocks created per user at first login
 }
-
-func (c *c2Sys) Name() string            { return nameStegHide }
-func (c *c2Sys) Device() blockdev.Device { return c.dev }
 
 // Agent exposes the agent for dummy-update traffic.
 func (c *c2Sys) Agent() *steghide.VolatileAgent { return c.agent }

@@ -34,9 +34,6 @@ type Region struct {
 // End returns the first block after the region.
 func (r Region) End() uint64 { return r.Start + r.Len }
 
-// Contains reports whether block i lies in the region.
-func (r Region) Contains(i uint64) bool { return i >= r.Start && i < r.End() }
-
 // Overlaps reports whether two regions share any block.
 func (r Region) Overlaps(o Region) bool {
 	return r.Start < o.End() && o.Start < r.End()

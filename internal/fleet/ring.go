@@ -37,7 +37,6 @@ const DefaultVirtualNodes = 128
 // Ring (WithShard / WithoutShard), so lookups never lock.
 type Ring struct {
 	key    []byte
-	vnodes int
 	shards []string // sorted, for deterministic iteration
 	points []point  // sorted by hash
 }
@@ -52,16 +51,8 @@ type point struct {
 // secret; never a public value). Duplicate or empty shard names and an
 // empty key are rejected.
 func New(key []byte, shards ...string) (*Ring, error) {
-	return NewWithVnodes(key, DefaultVirtualNodes, shards...)
-}
-
-// NewWithVnodes is New with an explicit virtual-node count.
-func NewWithVnodes(key []byte, vnodes int, shards ...string) (*Ring, error) {
 	if len(key) == 0 {
 		return nil, fmt.Errorf("fleet: empty placement key")
-	}
-	if vnodes < 1 {
-		return nil, fmt.Errorf("fleet: vnodes %d < 1", vnodes)
 	}
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("fleet: no shards")
@@ -81,12 +72,11 @@ func NewWithVnodes(key []byte, vnodes int, shards ...string) (*Ring, error) {
 	sort.Strings(sorted)
 	r := &Ring{
 		key:    append([]byte(nil), key...),
-		vnodes: vnodes,
 		shards: sorted,
 	}
-	r.points = make([]point, 0, len(sorted)*vnodes)
+	r.points = make([]point, 0, len(sorted)*DefaultVirtualNodes)
 	for _, s := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, point{hash: r.hashPoint(s, v), shard: s})
 		}
 	}
@@ -133,9 +123,6 @@ func (r *Ring) Shards() []string {
 	return append([]string(nil), r.shards...)
 }
 
-// Len returns the number of shards.
-func (r *Ring) Len() int { return len(r.shards) }
-
 // Has reports whether the ring contains the named shard.
 func (r *Ring) Has(shard string) bool {
 	i := sort.SearchStrings(r.shards, shard)
@@ -147,7 +134,7 @@ func (r *Ring) WithShard(shard string) (*Ring, error) {
 	if r.Has(shard) {
 		return nil, fmt.Errorf("fleet: duplicate shard %q", shard)
 	}
-	return NewWithVnodes(r.key, r.vnodes, append(r.Shards(), shard)...)
+	return New(r.key, append(r.Shards(), shard)...)
 }
 
 // WithoutShard returns a new ring with the shard removed. Removing the
@@ -165,17 +152,5 @@ func (r *Ring) WithoutShard(shard string) (*Ring, error) {
 	if len(rest) == 0 {
 		return nil, fmt.Errorf("fleet: cannot remove last shard %q", shard)
 	}
-	return NewWithVnodes(r.key, r.vnodes, rest...)
-}
-
-// Moves returns the names from the given list whose owner differs
-// between r and next — the exact set a rebalance must relocate.
-func (r *Ring) Moves(next *Ring, names []string) []string {
-	var moved []string
-	for _, n := range names {
-		if r.Owner(n) != next.Owner(n) {
-			moved = append(moved, n)
-		}
-	}
-	return moved
+	return New(r.key, rest...)
 }

@@ -33,8 +33,8 @@ func TestRingDeterministic(t *testing.T) {
 	if len(got) != 3 || got[0] != "s0" || got[1] != "s1" || got[2] != "s2" {
 		t.Fatalf("shards = %v", got)
 	}
-	if a.Len() != 3 || !a.Has("s1") || a.Has("nope") {
-		t.Fatal("Len/Has wrong")
+	if !a.Has("s1") || a.Has("nope") {
+		t.Fatal("Has wrong")
 	}
 }
 
@@ -67,7 +67,7 @@ func TestRingBalance(t *testing.T) {
 	for _, n := range all {
 		counts[r.Owner(n)]++
 	}
-	want := len(all) / r.Len()
+	want := len(all) / len(r.Shards())
 	for s, c := range counts {
 		if c < want/2 || c > want*2 {
 			t.Fatalf("shard %s owns %d of %d names (expected ~%d)", s, c, len(all), want)
@@ -82,7 +82,12 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := names(4000)
-	moved := r.Moves(next, all)
+	var moved []string
+	for _, n := range all {
+		if r.Owner(n) != next.Owner(n) {
+			moved = append(moved, n)
+		}
+	}
 	// Consistent hashing moves ~1/(n+1) of keys to the new shard and
 	// nothing between old shards.
 	if len(moved) > len(all)/3 {
@@ -130,9 +135,6 @@ func TestRingErrors(t *testing.T) {
 	}
 	if _, err := New(testKey, ""); err == nil {
 		t.Fatal("empty shard name accepted")
-	}
-	if _, err := NewWithVnodes(testKey, 0, "s0"); err == nil {
-		t.Fatal("zero vnodes accepted")
 	}
 	r, _ := New(testKey, "s0")
 	if _, err := r.WithShard("s0"); err == nil {

@@ -30,9 +30,12 @@
 //   - The scheduler emits exactly one cell per element of the update
 //     stream — real intents before relocations, dummy fillers for
 //     dummy and camouflage updates — a batch at a time, so ring
-//     traffic is a function of the stream's cadence and nothing else:
-//     journaling changes throughput, never the observable address
-//     distribution.
+//     traffic is a function of the stream's cadence and of each
+//     batch's element count: journaling changes throughput, never the
+//     observable address distribution. The element count itself is
+//     visible, though: a data run's batch and a cover burst's differ in
+//     size, and so do the ring writes each one dictates (ROADMAP item
+//     2).
 //
 // Recovery (the agents' Recover methods in internal/steghide) scans
 // the ring under the key and resolves every intent against the disk

@@ -72,7 +72,7 @@ func TestStoreFaultOnGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := drainBuffer(s); err != nil {
 		t.Fatal(err)
 	}
 	fd.FailReadsAfter(0)

@@ -120,7 +120,7 @@ func tappedStore(t testing.TB, bufCap, levels int, seed uint64, nput int) (*Stor
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := drainBuffer(s); err != nil {
 		t.Fatal(err)
 	}
 	return s, d
@@ -287,7 +287,7 @@ func TestSlotNoncesNeverRepeat(t *testing.T) {
 	}
 	// Only dump(k−2) rewrites the last level, and the cascade runs every
 	// lower dump before it.
-	if epoch := s.LevelEpoch(levels); epoch < 2 {
+	if epoch := s.levels[levels-1].epoch; epoch < 2 {
 		t.Fatalf("the last level was never dumped into (epoch %d)", epoch)
 	}
 	seen := map[[sealer.IVSize]byte]bool{}

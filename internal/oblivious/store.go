@@ -272,12 +272,6 @@ func (s *Store) sealSlots(raws, payloads [][]byte) error {
 // ValueSize returns the exact size of cached values.
 func (s *Store) ValueSize() int { return s.codec.valueLen }
 
-// BufferCap returns B, the buffer capacity in blocks.
-func (s *Store) BufferCap() int { return s.bufCap }
-
-// NumLevels returns k.
-func (s *Store) NumLevels() int { return len(s.levels) }
-
 // Capacity returns the number of distinct blocks the store can hold.
 func (s *Store) Capacity() int { return s.levels[len(s.levels)-1].capReal }
 
@@ -286,10 +280,6 @@ func (s *Store) Stats() Stats { return s.stats }
 
 // ResetStats zeroes the counters.
 func (s *Store) ResetStats() { s.stats = Stats{} }
-
-// LevelEpoch returns the shuffle epoch of level i (1-based); test hook
-// for the never-touch-twice invariant.
-func (s *Store) LevelEpoch(i int) uint64 { return s.levels[i-1].epoch }
 
 // resetEpoch rebuilds the unread-dummy pool after a shuffle. real
 // marks, by offset into the level, which slots hold real entries
@@ -570,14 +560,6 @@ func (s *Store) bufferInsert(e *entry) error {
 	}
 	s.buffer[e.id] = e
 	return nil
-}
-
-// Flush forces the buffer into level 1 (exposed for shutdown).
-func (s *Store) Flush() error {
-	if len(s.buffer) == 0 {
-		return nil
-	}
-	return s.flush()
 }
 
 // flush empties the buffer into level 1: the level is rewritten

@@ -25,8 +25,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			bw.WriteString(m.family + m.labels + " " + fmtFloat(float64(m.counter.Load())) + "\n")
-		case kindGauge:
-			bw.WriteString(m.family + m.labels + " " + fmtFloat(float64(m.gauge.Load())) + "\n")
 		case kindGaugeFunc:
 			bw.WriteString(m.family + m.labels + " " + fmtFloat(m.gaugeFn()) + "\n")
 		case kindHistogram:

@@ -1,7 +1,7 @@
 // Package obs is the leakage-audited observability plane: a
-// zero-dependency metrics registry (atomic counters, gauges,
-// fixed-bucket histograms) with a snapshot API and Prometheus-text /
-// expvar-JSON exposition.
+// zero-dependency metrics registry (atomic counters, gauges sampled at
+// scrape time, fixed-bucket histograms) with a snapshot API and
+// Prometheus-text / expvar-JSON exposition.
 //
 // The steg-specific constraint that shapes this package: a metrics
 // endpoint is an operator-facing side channel, and the paper's §3
@@ -17,7 +17,7 @@
 // observable byte.
 //
 // Concurrency: all metric write paths are single atomic operations
-// (counters, gauges) or a bounded CAS loop (histogram sum), safe for
+// (counters) or a bounded CAS loop (histogram sum), safe for
 // any number of writers; snapshots and exposition take a read lock on
 // the registration table only, never on the hot counters, so a
 // scrape cannot stall the update path.
@@ -50,24 +50,6 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 // Reset zeroes the counter (ResetStats semantics; exposition scrapers
 // see the reset like any process restart).
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket histogram in the Prometheus style:
 // cumulative buckets with inclusive upper bounds, plus a sum and a
@@ -146,7 +128,6 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -155,7 +136,7 @@ func (k kind) String() string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
@@ -170,7 +151,6 @@ type metric struct {
 	help    string
 	kind    kind
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -309,23 +289,6 @@ func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...stri
 	r.add(&metric{family: name, labels: ls, help: help, kind: kindCounter, counter: c})
 }
 
-// Gauge returns the gauge registered under name (+labels), creating
-// it on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if m := r.lookup(name, labels, kindGauge); m != nil {
-		return m.gauge
-	}
-	ls := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.get(name, ls, kindGauge); m != nil {
-		return m.gauge
-	}
-	g := &Gauge{}
-	r.add(&metric{family: name, labels: ls, help: help, kind: kindGauge, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge sampled at scrape time. fn must be safe
 // to call from any goroutine; it runs only during Snapshot/exposition,
 // so it may take locks the hot path also takes. Re-registering the
@@ -386,8 +349,6 @@ func (r *Registry) Snapshot() []Value {
 		switch m.kind {
 		case kindCounter:
 			v.Value = float64(m.counter.Load())
-		case kindGauge:
-			v.Value = float64(m.gauge.Load())
 		case kindGaugeFunc:
 			v.Value = m.gaugeFn()
 		case kindHistogram:

@@ -28,13 +28,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("after Reset counter = %d, want 0", got)
 	}
 
-	g := r.Gauge("steghide_test_gauge", "test gauge")
-	g.Set(10)
-	g.Add(-3)
-	g.Inc()
-	g.Dec()
-	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	r.GaugeFunc("steghide_test_gauge", "test gauge", func() float64 { return float64(c.Load()) - 3 })
+	c.Add(10)
+	for _, v := range r.Snapshot() {
+		if v.Name == "steghide_test_gauge" && (v.Kind != "gauge" || v.Value != 7) {
+			t.Fatalf("gauge = %+v, want a gauge at 7", v)
+		}
 	}
 }
 
@@ -145,7 +144,7 @@ func TestLabelsRenderAndEscape(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("steghide_c_total", "a counter").Add(7)
-	r.Gauge("steghide_g", "a gauge").Set(-2)
+	r.GaugeFunc("steghide_g", "a gauge", func() float64 { return -2 })
 	h := r.Histogram("steghide_h_seconds", "a histogram", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -200,7 +199,6 @@ func TestJSONExposition(t *testing.T) {
 func TestRegistryContention(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("steghide_stress_total", "stress")
-	g := r.Gauge("steghide_stress_gauge", "stress")
 	h := r.Histogram("steghide_stress_seconds", "stress", LatencyBuckets)
 	r.GaugeFunc("steghide_stress_fn", "stress", func() float64 { return float64(c.Load()) })
 
@@ -215,8 +213,6 @@ func TestRegistryContention(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(float64(i%100) * 1e-5)
 				// Concurrent get-or-create on shared and per-writer keys.
 				r.Counter("steghide_stress_total", "stress").Load()
@@ -241,9 +237,6 @@ func TestRegistryContention(t *testing.T) {
 
 	if got := c.Load(); got != writers*perG {
 		t.Fatalf("counter = %d, want %d", got, writers*perG)
-	}
-	if got := g.Load(); got != 0 {
-		t.Fatalf("gauge = %d, want 0", got)
 	}
 	if got := h.Count(); got != writers*perG {
 		t.Fatalf("histogram count = %d, want %d", got, writers*perG)

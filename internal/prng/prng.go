@@ -163,17 +163,6 @@ func (p *PRNG) Float64() float64 {
 	return float64(p.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n) as a slice,
-// produced by a Fisher–Yates shuffle.
-func (p *PRNG) Perm(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	p.ShuffleInts(out)
-	return out
-}
-
 // ShuffleInts permutes s in place.
 func (p *PRNG) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {

@@ -148,10 +148,15 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestPermIsPermutation: ShuffleInts over [0, n) leaves a permutation
+// of it.
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
-		p := NewFromUint64(seed)
-		perm := p.Perm(int(n))
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		NewFromUint64(seed).ShuffleInts(perm)
 		seen := make([]bool, n)
 		for _, v := range perm {
 			if v < 0 || v >= int(n) || seen[v] {

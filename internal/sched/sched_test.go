@@ -69,7 +69,7 @@ func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := prng.NewFromUint64(1).Bytes(vol.PayloadSize())
-	used := source.UsedCount()
+	free := source.FreeCount()
 	cur := loc
 	for i := 0; i < 50; i++ {
 		run := []uint64{cur}
@@ -85,8 +85,8 @@ func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 		}
 		cur = next
 	}
-	if got := source.UsedCount(); got != used {
-		t.Fatalf("utilization drifted across relocations: %d -> %d", used, got)
+	if got := source.FreeCount(); got != free {
+		t.Fatalf("utilization drifted across relocations: %d free -> %d free", free, got)
 	}
 	got, err := vol.ReadSealed(nil, cur, seal)
 	if err != nil {

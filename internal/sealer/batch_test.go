@@ -43,7 +43,6 @@ func TestBatchRejectsMismatchedLengths(t *testing.T) {
 		{"SealMany/data", func() error { return s.SealMany(good, countIV, badPayloads) }},
 		{"OpenMany/count", func() error { return s.OpenMany(payloads[:1], good) }},
 		{"OpenMany/raw", func() error { return s.OpenMany(payloads, short) }},
-		{"ResealMany/raw", func() error { return s.ResealMany(short, countIV) }},
 		{"ResealLanes/raw", func() error { return ResealLanes([]*Sealer{s, s, s}, short, make([]byte, 3*IVSize)) }},
 		{"ResealLanes/ivs", func() error { return ResealLanes([]*Sealer{s, s, s}, good, make([]byte, 2*IVSize)) }},
 		{"ResealLanes/nil", func() error { return ResealLanes([]*Sealer{s, nil, s}, good, make([]byte, 3*IVSize)) }},
@@ -67,7 +66,6 @@ func TestBatchZeroLength(t *testing.T) {
 	for name, fn := range map[string]func() error{
 		"SealMany":    func() error { return s.SealMany(nil, iv, nil) },
 		"OpenMany":    func() error { return s.OpenMany(nil, nil) },
-		"ResealMany":  func() error { return s.ResealMany(nil, iv) },
 		"ResealLanes": func() error { return ResealLanes(nil, nil, nil) },
 	} {
 		if err := fn(); err != nil {
@@ -81,8 +79,8 @@ func TestBatchZeroLength(t *testing.T) {
 
 // TestSealerConcurrentBatches pins that one Sealer is safe to drive
 // from many goroutines at once — sessions and the cover daemon share a
-// file's sealer — with Seal/Open/Reseal singletons and batches all
-// sharing the scratch pool, under the race detector.
+// file's sealer — with Open singletons and batches all sharing the
+// scratch pool, under the race detector.
 func TestSealerConcurrentBatches(t *testing.T) {
 	const bs = 256
 	s := mustSealer(t, bs)
@@ -93,12 +91,20 @@ func TestSealerConcurrentBatches(t *testing.T) {
 			defer wg.Done()
 			payloads, nextIV := sealFixtures(s, 16, uint64(g))
 			raws := blockdev.AllocBlocks(16, bs)
+			seals := make([]*Sealer, len(raws))
+			for i := range seals {
+				seals[i] = s
+			}
+			ivs := make([]byte, len(raws)*IVSize)
 			for round := 0; round < 20; round++ {
 				var err error
 				if round%2 == 0 {
 					err = s.SealMany(raws, nextIV, payloads)
 				} else {
-					err = s.ResealMany(raws, nextIV)
+					for i := range raws {
+						nextIV(ivs[i*IVSize : (i+1)*IVSize])
+					}
+					err = ResealLanes(seals, raws, ivs)
 				}
 				if err != nil {
 					t.Errorf("goroutine %d round %d: %v", g, round, err)
@@ -115,24 +121,24 @@ func TestSealerConcurrentBatches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestResealAllocsFloor pins steady-state Reseal with pooled scratch
-// at zero allocations.
+// TestResealAllocsFloor pins a steady-state one-lane ResealLanes, its
+// scratch pooled, at zero allocations.
 func TestResealAllocsFloor(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc floors don't hold under -race (the race runtime randomizes sync.Pool reuse)")
 	}
 	s := mustSealer(t, 4096)
-	raw := make([]byte, 4096)
+	seals, raws := []*Sealer{s}, [][]byte{make([]byte, 4096)}
 	iv := make([]byte, IVSize)
-	if err := s.Reseal(raw, iv, nil); err != nil { // warm the pool
+	if err := ResealLanes(seals, raws, iv); err != nil { // warm the pool
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := s.Reseal(raw, iv, nil); err != nil {
+		if err := ResealLanes(seals, raws, iv); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("Reseal allocates %.1f times per op, want 0", allocs)
+		t.Errorf("ResealLanes allocates %.1f times per op, want 0", allocs)
 	}
 }

@@ -136,21 +136,6 @@ func (s *Sealer) Open(dst, raw []byte) error {
 	return s.ks.DecryptCBC(dst, raw[IVSize:], raw[:IVSize])
 }
 
-// Reseal re-encrypts a sealed block in place under a fresh IV without
-// changing the plaintext data field — the dummy-update primitive from
-// §4.1.3. scratch, if non-nil, must be DataSize bytes; if nil a pooled
-// buffer is used, so no allocation happens either way after warm-up.
-func (s *Sealer) Reseal(raw, newIV, scratch []byte) error {
-	if scratch == nil {
-		scratch = mempool.Get(s.DataSize())
-		defer mempool.Recycle(scratch)
-	}
-	if err := s.Open(scratch, raw); err != nil {
-		return err
-	}
-	return s.Seal(raw, newIV, scratch)
-}
-
 // checkSealBatch validates a SealMany request up front, so a malformed
 // batch fails before any buffer is touched or any IV is drawn — the
 // same whole-batch-first contract the block I/O plane gives.
@@ -189,16 +174,6 @@ func (s *Sealer) checkOpenBatch(dsts, raws [][]byte) error {
 	return nil
 }
 
-// checkResealBatch validates a ResealMany request up front.
-func (s *Sealer) checkResealBatch(raws [][]byte) error {
-	for _, raw := range raws {
-		if len(raw) != s.blockSize {
-			return fmt.Errorf("sealer: raw length %d, want %d", len(raw), s.blockSize)
-		}
-	}
-	return nil
-}
-
 // checkResealLanes validates a ResealLanes request up front: raws[i]
 // is to be resealed under seals[i] with the i-th IV of ivs.
 func checkResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
@@ -212,8 +187,8 @@ func checkResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
 		if s.blockSize != seals[0].blockSize {
 			return fmt.Errorf("sealer: lanes of block size %d and %d in one batch", seals[0].blockSize, s.blockSize)
 		}
-		if err := s.checkResealBatch(raws[i : i+1]); err != nil {
-			return err
+		if len(raws[i]) != s.blockSize {
+			return fmt.Errorf("sealer: raw length %d, want %d", len(raws[i]), s.blockSize)
 		}
 	}
 	return nil
@@ -260,36 +235,17 @@ func (s *Sealer) OpenMany(dsts, raws [][]byte) error {
 	return nil
 }
 
-// ResealMany re-encrypts every raw block in place under fresh IVs
-// drawn through nextIV in index order, eight lanes at a time.
-func (s *Sealer) ResealMany(raws [][]byte, nextIV func(iv []byte)) error {
-	if err := s.checkResealBatch(raws); err != nil {
-		return err
-	}
-	ivs := mempool.Get(len(raws) * IVSize)
-	defer mempool.Recycle(ivs)
-	for i := range raws {
-		nextIV(ivs[i*IVSize : (i+1)*IVSize])
-	}
-	return resealDrawn(func(int) *Sealer { return s }, raws, ivs)
-}
-
-// ResealLanes is ResealMany across sealers: raws[i] is re-encrypted in
-// place under seals[i] and the i-th IV of ivs (IVSize bytes each), the
-// lanes of one kernel step carrying different keys. It is what a dummy
-// burst runs, whose targets each belong to whichever file owns them.
+// ResealLanes re-encrypts raws[i] in place under seals[i] and the i-th
+// IV of ivs (IVSize bytes each) without changing its plaintext data
+// field — the dummy-update primitive of §4.1.3. The lanes of one kernel
+// step carry different keys: it is what a dummy burst runs, whose
+// targets each belong to whichever file owns them. Per group of lanes,
+// each block is decrypted into pooled scratch, then the group is
+// encrypted back over the blocks under the new IVs.
 func ResealLanes(seals []*Sealer, raws [][]byte, ivs []byte) error {
 	if err := checkResealLanes(seals, raws, ivs); err != nil {
 		return err
 	}
-	return resealDrawn(func(i int) *Sealer { return seals[i] }, raws, ivs)
-}
-
-// resealDrawn is the validated core of the reseal paths: per group of
-// lanes, decrypt each block (raws[i] under sealOf(i)) into pooled
-// scratch, then encrypt the group back over the blocks under the new
-// IVs.
-func resealDrawn(sealOf func(i int) *Sealer, raws [][]byte, ivs []byte) error {
 	if len(raws) == 0 {
 		return nil
 	}
@@ -300,7 +256,7 @@ func resealDrawn(sealOf func(i int) *Sealer, raws [][]byte, ivs []byte) error {
 	for lo := 0; lo < len(raws); lo += len(group) {
 		n := min(len(group), len(raws)-lo)
 		for i := 0; i < n; i++ {
-			s, raw, plain := sealOf(lo+i), raws[lo+i], scratch[i*field:(i+1)*field]
+			s, raw, plain := seals[lo+i], raws[lo+i], scratch[i*field:(i+1)*field]
 			if err := s.Open(plain, raw); err != nil {
 				return err
 			}

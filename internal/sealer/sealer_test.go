@@ -77,7 +77,7 @@ func TestResealChangesEveryByteButNotPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := append([]byte(nil), raw...)
-	if err := s.Reseal(raw, rng.Bytes(IVSize), nil); err != nil {
+	if err := ResealLanes([]*Sealer{s}, [][]byte{raw}, rng.Bytes(IVSize)); err != nil {
 		t.Fatal(err)
 	}
 	// Plaintext must be preserved.
@@ -210,9 +210,9 @@ func BenchmarkReseal4K(b *testing.B) {
 	rng := prng.NewFromUint64(1)
 	raw := make([]byte, 4096)
 	s.Seal(raw, rng.Bytes(IVSize), rng.Bytes(s.DataSize()))
-	scratch := make([]byte, s.DataSize())
+	seals, raws, iv := []*Sealer{s}, [][]byte{raw}, rng.Bytes(IVSize)
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
-		s.Reseal(raw, raw[:IVSize], scratch)
+		ResealLanes(seals, raws, iv)
 	}
 }

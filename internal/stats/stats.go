@@ -13,7 +13,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -43,13 +42,10 @@ func Variance(xs []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MeanDifference is the two-sample z-test on means with unequal
 // variances (Welch's statistic under its large-sample normal
 // approximation): it returns z and the two-sided p-value for "a and b
-// share a mean". Unlike KolmogorovSmirnov it tolerates tied and even
+// share a mean". Unlike a rank test it tolerates tied and even
 // constant samples — two constant samples are the same distribution
 // (p = 1) when the constants agree and different (p = 0) when not.
 func MeanDifference(a, b []float64) (z, p float64, err error) {
@@ -226,61 +222,6 @@ func gcf(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// KolmogorovSmirnov performs the two-sample KS test on real-valued
-// samples a and b, returning the D statistic and its asymptotic
-// p-value. Small p-values reject "same distribution".
-func KolmogorovSmirnov(a, b []float64) (d, p float64, err error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, 0, fmt.Errorf("stats: empty sample")
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	na, nb := float64(len(as)), float64(len(bs))
-	var i, j int
-	for i < len(as) && j < len(bs) {
-		if as[i] <= bs[j] {
-			i++
-		} else {
-			j++
-		}
-		diff := math.Abs(float64(i)/na - float64(j)/nb)
-		if diff > d {
-			d = diff
-		}
-	}
-	ne := na * nb / (na + nb)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return d, ksProb(lambda), nil
-}
-
-// ksProb is the Kolmogorov distribution tail Q_KS(λ).
-func ksProb(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	sum := 0.0
-	sign := 1.0
-	for j := 1; j <= 100; j++ {
-		term := sign * math.Exp(-2*float64(j)*float64(j)*lambda*lambda)
-		sum += term
-		if math.Abs(term) < 1e-12 {
-			break
-		}
-		sign = -sign
-	}
-	p := 2 * sum
-	switch {
-	case p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
 }
 
 // Histogram bins the values [0, n) from xs into `bins` equal-width

@@ -15,9 +15,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if v := Variance(xs); math.Abs(v-32.0/7.0) > 1e-12 {
 		t.Fatalf("variance %v", v)
 	}
-	if s := StdDev(xs); math.Abs(s-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Fatalf("stddev %v", s)
-	}
 	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Fatal("degenerate inputs")
 	}
@@ -197,43 +194,6 @@ func TestChiSquareKSampleErrors(t *testing.T) {
 		t.Fatal("mismatched bins accepted")
 	}
 	if _, _, err := ChiSquareKSample([]uint64{1, 1}, []uint64{0, 0}, []uint64{1, 1}); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-}
-
-func TestKolmogorovSmirnovSame(t *testing.T) {
-	rng := prng.NewFromUint64(9)
-	a := make([]float64, 2000)
-	b := make([]float64, 2000)
-	for i := range a {
-		a[i] = rng.Float64()
-		b[i] = rng.Float64()
-	}
-	d, p, err := KolmogorovSmirnov(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.001 {
-		t.Fatalf("identical distributions rejected: D=%v p=%v", d, p)
-	}
-}
-
-func TestKolmogorovSmirnovDifferent(t *testing.T) {
-	rng := prng.NewFromUint64(10)
-	a := make([]float64, 2000)
-	b := make([]float64, 2000)
-	for i := range a {
-		a[i] = rng.Float64()
-		b[i] = rng.Float64()*0.5 + 0.5 // shifted
-	}
-	_, p, err := KolmogorovSmirnov(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p > 1e-9 {
-		t.Fatalf("shifted distribution accepted: p=%v", p)
-	}
-	if _, _, err := KolmogorovSmirnov(nil, a); err == nil {
 		t.Fatal("empty sample accepted")
 	}
 }

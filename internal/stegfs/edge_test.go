@@ -113,14 +113,14 @@ func TestOverProvisionedIndirectsSurviveReload(t *testing.T) {
 		t.Fatalf("reload lost indirects: %v vs %v", g.IndirectLocs(), indirects)
 	}
 	// Growing again reuses them rather than acquiring new ones.
-	used := src.UsedCount()
+	used := usedCount(src)
 	if _, err := g.WriteAt(big, 0, policy); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Save(); err != nil {
 		t.Fatal(err)
 	}
-	grewBy := src.UsedCount() - used
+	grewBy := usedCount(src) - used
 	if grewBy > 60 {
 		t.Fatalf("regrow acquired %d blocks; indirects not reused", grewBy)
 	}
@@ -132,11 +132,11 @@ func TestOverProvisionedIndirectsSurviveReload(t *testing.T) {
 		t.Fatal("content mismatch after shrink/regrow cycle")
 	}
 	// Delete releases everything including the spares.
-	before := src.UsedCount()
+	before := usedCount(src)
 	if err := g.Delete(); err != nil {
 		t.Fatal(err)
 	}
-	released := before - src.UsedCount()
+	released := before - usedCount(src)
 	if released < 60+uint64(len(indirects)) {
 		t.Fatalf("delete released only %d blocks", released)
 	}

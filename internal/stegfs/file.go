@@ -361,12 +361,9 @@ func (f *File) ContentSealer() *sealer.Sealer { return f.cseal }
 // HeaderSealer exposes the header/pointer-block sealer.
 func (f *File) HeaderSealer() *sealer.Sealer { return f.hseal }
 
-// Dirty reports whether the cached block map differs from disk.
-func (f *File) Dirty() bool { return f.dirty }
-
-// RelocateBlock records that logical block li moved to newLoc. Called
+// relocateBlock records that logical block li moved to newLoc. Called
 // by relocating update policies; allocation bookkeeping is theirs.
-func (f *File) RelocateBlock(li uint64, newLoc uint64) error {
+func (f *File) relocateBlock(li uint64, newLoc uint64) error {
 	if li >= uint64(len(f.blocks)) {
 		return fmt.Errorf("stegfs: relocate logical block %d beyond map of %d", li, len(f.blocks))
 	}
@@ -551,7 +548,7 @@ func (f *File) flushWith(li uint64, p []byte, policy UpdatePolicy) error {
 	}
 	for i, newLoc := range f.scanLocs {
 		if l := logical(i); newLoc != f.blocks[l] {
-			if err := f.RelocateBlock(l, newLoc); err != nil {
+			if err := f.relocateBlock(l, newLoc); err != nil {
 				return err
 			}
 		}

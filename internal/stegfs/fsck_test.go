@@ -94,7 +94,7 @@ func TestCheckFlagsDuplicateOwnership(t *testing.T) {
 	}
 	fb.WriteAt(make([]byte, 3*vol.PayloadSize()), 0, policy)
 	// Sabotage: rewire /b's map so it claims one of /a's blocks.
-	if err := fb.RelocateBlock(0, fa.BlockLocs()[0]); err != nil {
+	if err := fb.relocateBlock(0, fa.BlockLocs()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := fb.Save(); err != nil {

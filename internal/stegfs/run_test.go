@@ -11,6 +11,64 @@ import (
 	"steghide/internal/sealer"
 )
 
+// relocatingPolicy is a minimal Figure-6-style policy for tests:
+// always move the block to a fresh random location.
+type relocatingPolicy struct {
+	vol *Volume
+	src *BitmapSource
+	rng *prng.PRNG
+}
+
+func (p relocatingPolicy) Update(locs []uint64, _ uint64, _ *sealer.Sealer, sealed [][]byte) error {
+	for i, loc := range locs {
+		newLoc, err := p.src.AcquireRandom()
+		if err != nil {
+			return err
+		}
+		if err := p.vol.WriteRaw([]uint64{newLoc}, sealed[i:i+1]); err != nil {
+			p.src.Release(newLoc)
+			return err
+		}
+		p.src.Release(loc)
+		locs[i] = newLoc
+	}
+	return nil
+}
+
+// TestFileUnderRelocatingPolicy: a file rewritten and grown through a
+// relocating policy and saved after each round reopens with every byte
+// of the last round (its blocks move like anyone else's).
+func TestFileUnderRelocatingPolicy(t *testing.T) {
+	vol, src := testVolume(t, 1024)
+	fak := DeriveFAK("u", "/mv", vol)
+	f, err := CreateFile(vol, fak, "/mv", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloc := relocatingPolicy{vol: vol, src: src, rng: prng.NewFromUint64(3)}
+	var want []byte
+	for round := 0; round < 10; round++ {
+		want = append(want, prng.NewFromUint64(uint64(round)).Bytes(vol.PayloadSize()/3)...)
+		if _, err := f.WriteAt(want, 0, reloc); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Save(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := OpenFile(vol, fak, "/mv", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, re.Size())
+	if _, err := re.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("lost bytes across relocations: %d bytes back, want %d", len(got), len(want))
+	}
+}
+
 // countingPolicy relocates every block of a run and records the size of
 // each run it was handed; while refuse is set it fails before touching
 // anything, like a scheduler whose context was cancelled.

@@ -21,8 +21,6 @@ type BlockSource interface {
 	Acquire(loc uint64) bool
 	// Release marks a block free (a dummy, in steg terms).
 	Release(loc uint64)
-	// IsFree reports whether loc currently holds no live data.
-	IsFree(loc uint64) bool
 	// FreeCount returns the number of free blocks.
 	FreeCount() uint64
 	// SpaceBounds returns the steg space [first, n) the source manages.
@@ -59,14 +57,7 @@ func (s *BitmapSource) FreeCount() uint64 {
 	return s.used.Len() - s.used.Count()
 }
 
-// UsedCount returns the number of live blocks in the steg space.
-func (s *BitmapSource) UsedCount() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used.Count() - s.first
-}
-
-// IsFree implements BlockSource.
+// IsFree reports whether loc currently holds no live data.
 func (s *BitmapSource) IsFree(loc uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

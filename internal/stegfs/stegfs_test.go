@@ -229,14 +229,14 @@ func TestResizeShrinkReleasesBlocks(t *testing.T) {
 	if err := f.Save(); err != nil {
 		t.Fatal(err)
 	}
-	usedBefore := src.UsedCount()
+	usedBefore := usedCount(src)
 	if err := f.Resize(uint64(2*vol.PayloadSize()), policy); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Save(); err != nil {
 		t.Fatal(err)
 	}
-	usedAfter := src.UsedCount()
+	usedAfter := usedCount(src)
 	if usedAfter >= usedBefore {
 		t.Fatalf("shrink did not release blocks: %d -> %d", usedBefore, usedAfter)
 	}
@@ -302,11 +302,11 @@ func TestDeleteMakesFileUnopenable(t *testing.T) {
 	}
 	f.WriteAt([]byte("short-lived"), 0, InPlacePolicy{Vol: vol})
 	f.Save()
-	used := src.UsedCount()
+	used := usedCount(src)
 	if err := f.Delete(); err != nil {
 		t.Fatal(err)
 	}
-	if src.UsedCount() >= used {
+	if usedCount(src) >= used {
 		t.Fatal("delete did not release blocks")
 	}
 	if _, err := OpenFile(vol, fak, "/gone", src); !errors.Is(err, ErrNotFound) {
@@ -337,23 +337,30 @@ func TestDummyFile(t *testing.T) {
 	}
 }
 
+// usedCount returns the number of live blocks in src's steg space.
+func usedCount(src *BitmapSource) uint64 {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	return src.used.Count() - src.first
+}
+
 func TestRelocateBlockUpdatesMap(t *testing.T) {
 	vol, src := testVolume(t, 512)
 	fak := DeriveFAK("p", "/rel", vol)
 	f, _ := CreateFile(vol, fak, "/rel", src)
 	f.WriteAt(make([]byte, 2*vol.PayloadSize()), 0, InPlacePolicy{Vol: vol})
-	if err := f.RelocateBlock(5, 1); err == nil {
+	if err := f.relocateBlock(5, 1); err == nil {
 		t.Fatal("out-of-range relocate accepted")
 	}
 	old, _ := f.BlockLoc(0)
 	_ = old
-	if err := f.RelocateBlock(0, 42); err != nil {
+	if err := f.relocateBlock(0, 42); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := f.BlockLoc(0); got != 42 {
 		t.Fatal("relocate ignored")
 	}
-	if !f.Dirty() {
+	if !f.dirty {
 		t.Fatal("relocate did not mark dirty")
 	}
 }

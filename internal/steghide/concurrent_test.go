@@ -254,13 +254,13 @@ func TestConcurrentWritersC1(t *testing.T) {
 		}
 	}
 	target := (a.Vol().NumBlocks() - 1) / 2
-	for a.Source().UsedCount() < target {
+	for usedBlocks(a) < target {
 		if _, err := a.Source().AcquireRandom(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	n := a.Vol().NumBlocks() - 1
-	d := n - a.Source().UsedCount()
+	d := n - usedBlocks(a)
 	wantE := float64(n) / float64(d)
 	a.ResetStats()
 

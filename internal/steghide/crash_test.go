@@ -753,11 +753,19 @@ func verifyC2Crash(t *testing.T, rig *c2CrashRig, coverFirst bool) {
 	}
 
 	// Hygiene: the disclosed dummy map must never claim a live block —
-	// that claim is exactly what a post-crash refill would act on.
+	// that claim is exactly what a post-crash refill would act on — nor
+	// one block twice, which a save torn by the cut can leave on disk:
+	// the registry indexes one of the two, so a draw that withdraws it
+	// leaves the other behind.
+	claimed := map[uint64]bool{}
 	for _, loc := range cover.BlockLocs() {
 		if referenced[loc] {
 			t.Fatalf("cover claims live data block %d (coverFirst=%v)", loc, coverFirst)
 		}
+		if claimed[loc] {
+			t.Fatalf("cover claims block %d twice (coverFirst=%v)", loc, coverFirst)
+		}
+		claimed[loc] = true
 	}
 
 	// Refill-safety: hammer dummy traffic at the recovered volume,
@@ -966,5 +974,89 @@ func TestC2RecoveryRefusesBlocksOffTheDevice(t *testing.T) {
 	}
 	if err := a.Logout(ctx, "u"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestC2RecoverKeepsADummysOwnBlocks: the ring's record of a dummy
+// file's own creation proves its blocks live, but they are the dummy's
+// own, so disclosing it after Recover keeps every one. Only a block
+// another file's committed relocation took is stripped, and the move's
+// vacated source is donated in its place.
+func TestC2RecoverKeepsADummysOwnBlocks(t *testing.T) {
+	for _, moved := range []bool{false, true} {
+		t.Run(fmt.Sprintf("moved=%v", moved), func(t *testing.T) {
+			ctx := context.Background()
+			vol, err := stegfs.Format(blockdev.NewMem(256, 1024), stegfs.FormatOptions{
+				KDFIterations: 4, FillSeed: []byte("sh-own"), JournalBlocks: 32,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := JournalKey(vol, "admin")
+			first := NewVolatile(vol, prng.NewFromUint64(41))
+			if err := first.EnableJournal(key); err != nil {
+				t.Fatal(err)
+			}
+			s, err := first.Login("u", "pw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := s.CreateDummy("/d", 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[uint64]bool{}
+			for _, loc := range d.BlockLocs() {
+				want[loc] = true
+			}
+			if err := first.Logout(ctx, "u"); err != nil {
+				t.Fatal(err)
+			}
+			if moved {
+				// Some other file moved a free block onto the dummy's
+				// first block and saved.
+				target, src := d.BlockLocs()[0], vol.FirstDataBlock()
+				for want[src] || src == d.HeaderLoc() {
+					src++
+				}
+				const head = 5
+				if err := first.jc2.j.AppendReloc(head, src, target); err != nil {
+					t.Fatal(err)
+				}
+				if err := first.jc2.j.AppendSave(head); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, target)
+				want[src] = true
+			}
+
+			a := NewVolatile(vol, prng.NewFromUint64(43))
+			if err := a.EnableJournal(key); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			s, err = a.Login("u", "pw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err = s.Disclose("/d"); err != nil {
+				t.Fatal(err)
+			}
+			got := d.BlockLocs()
+			if len(got) != len(want) || a.DummyBlocks() != uint64(len(want)) {
+				t.Fatalf("after Recover the dummy map holds %d blocks and the agent %d dummy blocks, want %d",
+					len(got), a.DummyBlocks(), len(want))
+			}
+			for _, loc := range got {
+				if !want[loc] {
+					t.Fatalf("the dummy map holds block %d, which it did not own", loc)
+				}
+			}
+			if err := a.Logout(ctx, "u"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -48,10 +48,12 @@ type c2Recovery struct {
 	// touch counts unresolved intents per block location; a non-zero
 	// count quarantines the location.
 	touch map[uint64]int
-	// data marks locations the ring alone proves hold live data: an
-	// intent covered by a later save of its file is committed even if
-	// that file is never disclosed this session.
-	data map[uint64]bool
+	// data maps each location the ring alone proves holds live data to
+	// the header of the file that owns it: an intent covered by a later
+	// save of its file is committed even if that file is never
+	// disclosed this session. A later committed relocation or free of
+	// the location, in ring order, overrides the owner.
+	data map[uint64]uint64
 	// dataReloc maps a committed relocation's target to its vacated
 	// source, so the source can be donated to whichever dummy file
 	// turns out to hold the stale claim on the target.
@@ -73,7 +75,8 @@ func (r *c2Recovery) protects(loc uint64) bool {
 	if r == nil {
 		return false
 	}
-	return r.touch[loc] > 0 || r.data[loc]
+	_, live := r.data[loc]
+	return r.touch[loc] > 0 || live
 }
 
 // LogSave implements stegfs.IntentLog: the header write is durable,
@@ -164,7 +167,7 @@ func (a *VolatileAgent) Recover() (*journal.Report, error) {
 	rec := &c2Recovery{
 		pending:   map[uint64][]journal.Record{},
 		touch:     map[uint64]int{},
-		data:      map[uint64]bool{},
+		data:      map[uint64]uint64{},
 		dataReloc: map[uint64]uint64{},
 		donors:    map[uint64]*stegfs.File{},
 		donorUser: map[uint64]string{},
@@ -180,7 +183,7 @@ func (a *VolatileAgent) Recover() (*journal.Report, error) {
 		switch r.Op {
 		case journal.OpReloc:
 			if lastSave[r.FileH] > r.Seq {
-				rec.data[r.NewLoc] = true
+				rec.data[r.NewLoc] = r.FileH
 				delete(rec.data, r.OldLoc)
 				rec.dataReloc[r.NewLoc] = r.OldLoc
 				rep.RelocsCommitted++
@@ -193,7 +196,7 @@ func (a *VolatileAgent) Recover() (*journal.Report, error) {
 		case journal.OpAlloc:
 			if lastSave[r.FileH] > r.Seq {
 				for _, loc := range r.Locs {
-					rec.data[loc] = true
+					rec.data[loc] = r.FileH
 				}
 			} else {
 				rec.pending[r.FileH] = append(rec.pending[r.FileH], r)
@@ -309,11 +312,12 @@ func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc u
 	if r == nil {
 		return false
 	}
-	if r.data[loc] {
-		// Ring-proven live data of an undisclosed file: strip the stale
-		// claim for good, park the block as pending, and donate the
-		// committed relocation's vacated source to this dummy file in
-		// exchange.
+	if owner, live := r.data[loc]; live && owner != f.HeaderLoc() {
+		// Ring-proven live data of another, undisclosed file: strip the
+		// stale claim for good, park the block as pending, and donate
+		// the committed relocation's vacated source to this dummy file
+		// in exchange. The dummy's own allocation, which the ring
+		// proves too, stays its own.
 		strip(f, loc)
 		a.register(loc, ownerInfo{user: user, pending: true})
 		if old, ok := r.dataReloc[loc]; ok {

@@ -22,8 +22,8 @@ func TestAgentMethodSets(t *testing.T) {
 		reflect.TypeFor[*VolatileAgent](): {
 			"DataSeq", "DummyBlocks", "DummyUpdate", "DummyUpdateBurst",
 			"EnableJournal", "EnableMetrics", "KnownBlocks", "Login", "Logout",
-			"LogoutAll", "Quota", "Recover", "ResetStats", "SetDefaultQuota",
-			"SetQuota", "Stats", "Usage", "Vol",
+			"LogoutAll", "Recover", "ResetStats", "SetDefaultQuota",
+			"SetQuota", "Stats", "Vol",
 		},
 		reflect.TypeFor[*NonVolatileAgent](): {
 			"Close", "CloseAll", "Create", "DataSeq", "Delete", "DummyUpdate",
@@ -55,7 +55,7 @@ func TestAgentMethodSets(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 56 {
-		t.Errorf("the agent types export %d methods, want 56", total)
+	if total != 54 {
+		t.Errorf("the agent types export %d methods, want 54", total)
 	}
 }

@@ -9,6 +9,20 @@ import (
 	"steghide/internal/stegfs"
 )
 
+// usage returns how many blocks are registered to the login.
+func usage(a *VolatileAgent, user string) uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.usage[user]
+}
+
+// quota returns the login's effective block budget (0 = unlimited).
+func quota(a *VolatileAgent, user string) uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.quotaLocked(user)
+}
+
 func TestQuotaBlocksCreateDummy(t *testing.T) {
 	a, _ := newC2(t, 2048)
 	a.SetDefaultQuota(50)
@@ -20,13 +34,13 @@ func TestQuotaBlocksCreateDummy(t *testing.T) {
 	if _, err := s.CreateDummy("/dummy0", 100); !errors.Is(err, stegfs.ErrVolumeFull) {
 		t.Fatalf("over-budget dummy: %v", err)
 	}
-	if a.Usage("alice") != 0 {
-		t.Fatalf("failed create charged %d blocks", a.Usage("alice"))
+	if usage(a, "alice") != 0 {
+		t.Fatalf("failed create charged %d blocks", usage(a, "alice"))
 	}
 	if _, err := s.CreateDummy("/dummy0", 40); err != nil {
 		t.Fatal(err)
 	}
-	if u := a.Usage("alice"); u < 41 {
+	if u := usage(a, "alice"); u < 41 {
 		t.Fatalf("usage %d after 40-block dummy + header", u)
 	}
 }
@@ -59,10 +73,10 @@ func TestQuotaBlocksGrowth(t *testing.T) {
 	if err != nil && !errors.Is(err, stegfs.ErrVolumeFull) && !errors.Is(err, ErrNoDummySpace) {
 		t.Fatalf("growth failure has wrong type: %v", err)
 	}
-	if q := a.Quota("alice"); q != 60 {
+	if q := quota(a, "alice"); q != 60 {
 		t.Fatalf("quota = %d", q)
 	}
-	if u := a.Usage("alice"); u > 70 {
+	if u := usage(a, "alice"); u > 70 {
 		t.Fatalf("usage %d blew far past the 60-block budget", u)
 	}
 }
@@ -79,7 +93,7 @@ func TestQuotaPerLoginOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetQuota("bob", 0) // back to the 10-block default
-	if q := a.Quota("bob"); q != 10 {
+	if q := quota(a, "bob"); q != 10 {
 		t.Fatalf("override not cleared: %d", q)
 	}
 	if _, err := s.Create("/real"); !errors.Is(err, stegfs.ErrVolumeFull) {
@@ -151,7 +165,7 @@ func TestQuotaRelocationNetZero(t *testing.T) {
 	if err := s.Write(ctx, "/real", msg, 0); err != nil {
 		t.Fatal(err)
 	}
-	before := a.Usage("alice")
+	before := usage(a, "alice")
 	for i := 0; i < 5; i++ {
 		if err := s.Write(ctx, "/real", msg, 0); err != nil {
 			t.Fatal(err)
@@ -160,7 +174,7 @@ func TestQuotaRelocationNetZero(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if after := a.Usage("alice"); after != before {
+	if after := usage(a, "alice"); after != before {
 		t.Fatalf("usage drifted %d -> %d across rewrites and dummy traffic", before, after)
 	}
 }

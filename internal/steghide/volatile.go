@@ -334,20 +334,6 @@ func (a *VolatileAgent) SetQuota(user string, blocks uint64) {
 	a.quota[user] = blocks
 }
 
-// Quota returns the login's effective block budget (0 = unlimited).
-func (a *VolatileAgent) Quota(user string) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.quotaLocked(user)
-}
-
-// Usage returns how many blocks are currently registered to the login.
-func (a *VolatileAgent) Usage(user string) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.usage[user]
-}
-
 // checkBudget pre-checks that the login can take on need more blocks,
 // so Create/CreateDummy fail before touching the device (the header
 // hunt acquires candidates directly, bypassing AcquireRandom's gate).
@@ -364,14 +350,26 @@ func (a *VolatileAgent) checkBudget(user string, need uint64) error {
 // dummy file's blocks pass the quarantine gate first: its on-disk map
 // may be stale after a crash, claiming blocks that now hold (or may
 // hold) another file's live data. A block that another disclosed dummy
-// file still claims leaves that file's map, so no block is in two.
+// file still claims leaves that file's map, so no block is in two; a
+// block a dummy map torn by a crash names twice stays in it once.
 func (a *VolatileAgent) registerFile(user string, f *stegfs.File) {
 	hseal := f.HeaderSealer()
 	cseal := f.ContentSealer()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.register(f.HeaderLoc(), ownerInfo{file: f, user: user, seal: hseal})
+	var seen map[uint64]bool
+	if f.IsDummy() {
+		seen = make(map[uint64]bool, f.NumBlocks())
+	}
 	for _, loc := range f.BlockLocs() {
+		if seen != nil {
+			if seen[loc] {
+				strip(f, loc)
+				continue
+			}
+			seen[loc] = true
+		}
 		if e := a.lookup(loc); e != nil && e.dummy && e.file != f {
 			_ = a.withdraw(e)
 		}
@@ -430,15 +428,6 @@ func (s *volatileSource) SpaceBounds() (uint64, uint64) {
 
 // FreeCount implements stegfs.BlockSource.
 func (s *volatileSource) FreeCount() uint64 { return s.a.DummyBlocks() }
-
-// IsFree implements stegfs.BlockSource.
-func (s *volatileSource) IsFree(loc uint64) bool {
-	a := s.a
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	e := a.lookup(loc)
-	return e != nil && e.dummy
-}
 
 // Acquire implements stegfs.BlockSource. Dummy blocks are withdrawn
 // from their dummy file; unknown blocks are claimed optimistically —

@@ -31,8 +31,7 @@ import (
 // is safe), with backpressure once that many are in flight.
 type AgentServer struct {
 	server
-	vmu     sync.RWMutex
-	volumes map[string]*steghide.VolatileAgent
+	volumes map[string]*steghide.VolatileAgent // fixed at construction
 }
 
 // NewAgentServer serves every agent in volumes on ln, keyed by the
@@ -72,25 +71,8 @@ func (s *AgentServer) serveConn(cs *connServer) {
 	}
 }
 
-// AddVolume registers another mounted volume under name while the
-// server runs; it fails if the name is taken.
-func (s *AgentServer) AddVolume(name string, agent *steghide.VolatileAgent) error {
-	if agent == nil {
-		return fmt.Errorf("wire: volume %q has no agent", name)
-	}
-	s.vmu.Lock()
-	defer s.vmu.Unlock()
-	if _, taken := s.volumes[name]; taken {
-		return fmt.Errorf("wire: volume %q already served", name)
-	}
-	s.volumes[name] = agent
-	return nil
-}
-
 // Volumes lists the served volume names, sorted.
 func (s *AgentServer) Volumes() []string {
-	s.vmu.RLock()
-	defer s.vmu.RUnlock()
 	out := make([]string, 0, len(s.volumes))
 	for name := range s.volumes {
 		out = append(out, name)
@@ -101,8 +83,6 @@ func (s *AgentServer) Volumes() []string {
 
 // lookup resolves a volume name to its agent.
 func (s *AgentServer) lookup(name string) *steghide.VolatileAgent {
-	s.vmu.RLock()
-	defer s.vmu.RUnlock()
 	return s.volumes[name]
 }
 

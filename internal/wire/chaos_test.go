@@ -14,17 +14,20 @@ import (
 	"steghide/internal/attack"
 	"steghide/internal/blockdev"
 	"steghide/internal/prng"
+	"steghide/internal/stegfs"
 	"steghide/internal/steghide"
 )
 
 // This file is the chaos matrix: the conformance workloads driven
-// through FaultListener fault schedules, asserting the self-healing
-// contract — every operation either succeeds, fails with a taxonomy
-// error, or (non-idempotent ops only) reports ErrMaybeApplied; the
-// client never hangs and never latches broken. A model of the
-// server's state rides along, with explicit two-valued ambiguity for
-// maybe-applied writes, so the test also proves the retry layer never
-// silently corrupts: every successful read matches the model.
+// through FaultListener fault schedules. The self-healing agent client
+// must keep its contract — every operation either succeeds, fails with
+// a taxonomy error, or (non-idempotent ops only) reports
+// ErrMaybeApplied; the client never hangs and never latches broken.
+// The direct storage client must fail only with transport errors and
+// resume on a fresh dial. A model of the server's state rides along,
+// with explicit ambiguity for writes that may have landed, so the
+// tests also prove no fault silently corrupts: every successful read
+// matches the model.
 
 // chaosPolicy is the retry budget the chaos clients run under: fast
 // backoff (the faults are local), enough attempts to ride out a run
@@ -64,6 +67,10 @@ func chaosStoragePlan(ord int, rng *prng.PRNG) FaultPlan {
 	return p
 }
 
+// TestChaosMatrixStorage drives the storage client the agent dials
+// (DialStorage: one connection, no redial) through the fault schedule.
+// A failed call latches the device broken; the test redials, as the
+// device's owner would. A failed write may or may not have landed.
 func TestChaosMatrixStorage(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		seed := seed
@@ -86,14 +93,32 @@ func TestChaosMatrixStorage(t *testing.T) {
 			kill()
 			defer srv.Shutdown(killed) //nolint:errcheck // abrupt teardown
 
-			cli, err := DialStorageRetry(context.Background(), chaosPolicy(seed), srv.Addr())
-			if err != nil {
-				t.Fatalf("initial dial never survived the fault schedule: %v", err)
+			dial := func() *RemoteDevice {
+				for attempt := 0; ; attempt++ {
+					dev, err := DialStorage(srv.Addr())
+					if err == nil {
+						return dev
+					}
+					if attempt > 50 {
+						t.Fatalf("dial never survived the fault schedule: %v", err)
+					}
+					chaosOutcome(t, "DialStorage", err)
+				}
 			}
-			defer cli.Close()
+			cli := dial()
+			defer func() { cli.Close() }()
+			// fault checks a failed call and replaces the broken device.
+			fault := func(op string, err error) {
+				chaosOutcome(t, op, err)
+				if errors.Is(err, ErrMaybeApplied) {
+					t.Fatalf("%s: a direct device never retries, so never reports ErrMaybeApplied (got %v)", op, err)
+				}
+				cli.Close()
+				cli = dial()
+			}
 
 			// The model: definite contents per block, or a candidate set
-			// after maybe-applied writes. (Stacked maybe-applied writes
+			// after failed writes. (Stacked failed writes
 			// accumulate candidates: each one may or may not have landed,
 			// so the block can hold the original value or any of them.)
 			// Unwritten blocks are zero (Mem's initial state).
@@ -113,37 +138,31 @@ func TestChaosMatrixStorage(t *testing.T) {
 				if rng.Uint64n(2) == 0 {
 					data := bytes.Repeat([]byte{byte(i + 1)}, blockSize)
 					err := blockdev.WriteBlock(cli, block, data)
-					switch {
-					case err == nil:
+					if err == nil {
 						definite[block] = data
 						delete(ambiguous, block)
 						okN++
-					case errors.Is(err, ErrMaybeApplied):
-						if _, ok := ambiguous[block]; !ok {
-							ambiguous[block] = [][]byte{known(block)}
-						}
-						ambiguous[block] = append(ambiguous[block], data)
-						delete(definite, block)
-						maybeN++
-					default:
-						chaosOutcome(t, "WriteBlock", err)
-						failN++
+						continue
 					}
+					fault("WriteBlock", err)
+					if _, ok := ambiguous[block]; !ok {
+						ambiguous[block] = [][]byte{known(block)}
+					}
+					ambiguous[block] = append(ambiguous[block], data)
+					delete(definite, block)
+					maybeN++
 					continue
 				}
 				buf := make([]byte, blockSize)
 				err := blockdev.ReadBlock(cli, block, buf)
 				if err != nil {
-					chaosOutcome(t, "ReadBlock", err)
-					if errors.Is(err, ErrMaybeApplied) {
-						t.Fatalf("ReadBlock is idempotent; it must never report ErrMaybeApplied (got %v)", err)
-					}
+					fault("ReadBlock", err)
 					failN++
 					continue
 				}
 				okN++
 				if cands, ok := ambiguous[block]; ok {
-					// Maybe-applied writes resolve at the next read: the
+					// Failed writes resolve at the next read: the
 					// block must hold one of the candidates, and reading
 					// pins which.
 					resolved := false
@@ -155,7 +174,7 @@ func TestChaosMatrixStorage(t *testing.T) {
 						}
 					}
 					if !resolved {
-						t.Fatalf("block %d holds none of the %d maybe-applied candidates", block, len(cands))
+						t.Fatalf("block %d holds none of the %d candidates of its failed writes", block, len(cands))
 					}
 					delete(ambiguous, block)
 					continue
@@ -164,17 +183,19 @@ func TestChaosMatrixStorage(t *testing.T) {
 					t.Fatalf("block %d: read diverged from model", block)
 				}
 			}
-			t.Logf("chaos storage seed=%d: %d ok, %d maybe-applied, %d failed", seed, okN, maybeN, failN)
+			t.Logf("chaos storage seed=%d: %d ok, %d failed writes, %d failed reads", seed, okN, maybeN, failN)
 
-			// The client must never latch: a fresh call eventually lands on
-			// a connection with budget and succeeds.
+			// A fresh dial eventually lands on a connection with budget
+			// and reads.
 			buf := make([]byte, blockSize)
 			for attempt := 0; ; attempt++ {
-				if err := blockdev.ReadBlock(cli, 0, buf); err == nil {
+				err := blockdev.ReadBlock(cli, 0, buf)
+				if err == nil {
 					break
 				} else if attempt > 50 {
-					t.Fatalf("client latched: 50 post-chaos reads all failed, last: %v", err)
+					t.Fatalf("50 post-chaos dials could not read, last: %v", err)
 				}
+				fault("ReadBlock", err)
 			}
 		})
 	}
@@ -286,6 +307,9 @@ func TestChaosMatrixAgent(t *testing.T) {
 					n, err := cli.Read(ctx, path, buf, 0)
 					if err != nil {
 						chaosOutcome(t, "Read", err)
+						if errors.Is(err, ErrMaybeApplied) {
+							t.Fatalf("Read is idempotent; it must never report ErrMaybeApplied (got %v)", err)
+						}
 						failN++
 						continue
 					}
@@ -312,6 +336,9 @@ func TestChaosMatrixAgent(t *testing.T) {
 						files, err := cli.Files(ctx)
 						if err != nil {
 							chaosOutcome(t, "Files", err)
+							if errors.Is(err, ErrMaybeApplied) {
+								t.Fatalf("Files is idempotent; it must never report ErrMaybeApplied (got %v)", err)
+							}
 							failN++
 							continue
 						}
@@ -414,82 +441,94 @@ func mustWrite(t *testing.T, cli *Client, path string, data []byte) {
 	}
 }
 
-// driveStorageWorkload runs the deterministic Definition-1 reference
-// workload — single-block and batched reads and writes over a seeded
-// address stream — against dev. Identical seeds produce identical
-// call sequences, so two servers driven this way must record
-// identical traces.
-func driveStorageWorkload(t *testing.T, dev *RemoteDevice, seed uint64, ops int) {
+// driveAgentWorkload runs a deterministic session against cli: log in,
+// disclose cover, then a seeded mix of reads, writes and saves of one
+// file. Identical seeds produce identical call sequences, so two agents
+// driven this way over the same volume must record identical traces.
+func driveAgentWorkload(t *testing.T, cli *Client, seed uint64, ops int) {
 	t.Helper()
+	ctx := context.Background()
+	const path, fileLen = "/vault/def1.dat", 2048
+	if err := cli.Login(ctx, "", "alice", "def1-pass"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.CreateDummy(ctx, "/vault/cover", 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Create(ctx, path); err != nil {
+		t.Fatal(err)
+	}
 	rng := prng.NewFromUint64(seed).Child("def1-workload")
-	blockSize := dev.BlockSize()
-	n := dev.NumBlocks()
+	buf := make([]byte, fileLen)
 	for i := 0; i < ops; i++ {
-		block := rng.Uint64n(n - 8)
-		switch rng.Uint64n(4) {
+		off := rng.Uint64n(fileLen / 2)
+		switch rng.Uint64n(3) {
 		case 0:
-			buf := make([]byte, blockSize)
-			if err := blockdev.ReadBlock(dev, block, buf); err != nil {
+			if _, err := cli.Read(ctx, path, buf[:rng.Uint64n(fileLen/2)+1], off); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
-			if err := blockdev.WriteBlock(dev, block, bytes.Repeat([]byte{byte(i)}, blockSize)); err != nil {
+			data := bytes.Repeat([]byte{byte(i)}, int(rng.Uint64n(fileLen/2)+1))
+			if err := cli.WriteV(ctx, path, Then{}, Segment{Off: off, Data: data}); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
-			bufs := make([][]byte, 4)
-			for j := range bufs {
-				bufs[j] = make([]byte, blockSize)
-			}
-			if err := dev.ReadBlocks(block, bufs); err != nil {
-				t.Fatal(err)
-			}
-		case 3:
-			data := make([][]byte, 4)
-			for j := range data {
-				data[j] = bytes.Repeat([]byte{byte(i + j)}, blockSize)
-			}
-			if err := dev.WriteBlocks(block, data); err != nil {
+			if err := cli.WriteV(ctx, path, Then{Save: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	if err := cli.Logout(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestRetryTrafficIdenticalToDirect is the Definition-1 regression
 // for the self-healing layer: with retries enabled on a fault-free
-// link, the server-observed I/O stream — the adversary's view in the
+// link, the agent's device stream — the adversary's view in the
 // paper's model — is bit-identical to a plain client's, and every
 // figure metric computed from it is unchanged. (The retry layer adds
 // no probe traffic, reorders nothing, and duplicates nothing unless a
 // fault actually fires.)
 func TestRetryTrafficIdenticalToDirect(t *testing.T) {
 	const (
-		blockSize = 128
-		numBlocks = 512
-		ops       = 120
+		blockSize = 256
+		numBlocks = 2048
+		ops       = 60
 	)
 	run := func(retry bool) []blockdev.Event {
 		tap := &blockdev.Collector{}
-		srv := NewStorageServer(listen(t), blockdev.NewMem(blockSize, numBlocks), tap)
-		var dev *RemoteDevice
-		var err error
+		vol, err := stegfs.Format(blockdev.NewTraced(blockdev.NewMem(blockSize, numBlocks), tap),
+			stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("def1")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent := steghide.NewVolatile(vol, prng.NewFromUint64(7))
+		srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		tap.Reset()
+		var cli *Client
 		if retry {
-			dev, err = DialStorageRetry(context.Background(), RetryPolicy{JitterSeed: 99}, srv.Addr())
+			cli, err = DialAgentRetry(context.Background(), RetryPolicy{JitterSeed: 99}, srv.Addr())
 		} else {
-			dev, err = DialStorage(srv.Addr())
+			cli, err = DialAgent(context.Background(), srv.Addr())
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		driveStorageWorkload(t, dev, 1234, ops)
-		dev.Close()
-		srv.Close()
+		defer cli.Close()
+		driveAgentWorkload(t, cli, 1234, ops)
 		return tap.Events()
 	}
 
 	direct := run(false)
 	retried := run(true)
+	if len(direct) == 0 {
+		t.Fatal("the workload reached the device not at all")
+	}
 	if !reflect.DeepEqual(direct, retried) {
 		t.Fatalf("retry layer perturbed the observed stream: %d direct vs %d retried events", len(direct), len(retried))
 	}
@@ -519,27 +558,39 @@ func TestRetryTrafficIdenticalToDirect(t *testing.T) {
 // tracking and the healthy-connection fast path. The acceptance bar
 // is ≤2% on reads.
 func BenchmarkRetryOverhead(b *testing.B) {
-	const blockSize = 4096
+	ctx := context.Background()
 	for _, mode := range []string{"direct", "retry"} {
-		mode := mode
 		b.Run(mode, func(b *testing.B) {
-			srv := NewStorageServer(listen(b), blockdev.NewMem(blockSize, 1024), nil)
+			vol, err := stegfs.Format(blockdev.NewMem(4096, 1024), stegfs.FormatOptions{KDFIterations: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			agent := steghide.NewVolatile(vol, prng.NewFromUint64(7))
+			srv, err := NewAgentServer(listen(b), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			defer srv.Close()
-			var dev *RemoteDevice
-			var err error
+			var cli *Client
 			if mode == "retry" {
-				dev, err = DialStorageRetry(context.Background(), RetryPolicy{JitterSeed: 7}, srv.Addr())
+				cli, err = DialAgentRetry(ctx, RetryPolicy{JitterSeed: 7}, srv.Addr())
 			} else {
-				dev, err = DialStorage(srv.Addr())
+				cli, err = DialAgent(ctx, srv.Addr())
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer dev.Close()
-			buf := make([]byte, blockSize)
+			defer cli.Close()
+			if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
+				b.Fatal(err)
+			}
+			if err := cli.Create(ctx, "/f"); err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, 4096)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := blockdev.ReadBlock(dev, uint64(i)%1024, buf); err != nil {
+				if _, err := cli.Read(ctx, "/f", buf, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -157,8 +157,8 @@ func TestOneWritePerFrameStorage(t *testing.T) {
 	ln := &tapListener{Listener: listen(t)}
 	srv := NewStorageServer(ln, gd, nil)
 	m, cli := dialTapped(t, srv.Addr())
-	dev := &RemoteDevice{link: m}
-	if err := dev.onConnect(context.Background(), m); err != nil {
+	dev, err := newRemoteDevice(context.Background(), m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := []uint32{msgHello, msgDevInfo}

@@ -60,27 +60,3 @@ func (m *serverMetrics) login(volume string) {
 	m.reg.Counter("steghide_wire_logins_total",
 		"successful logins", "volume", volume).Inc()
 }
-
-// Client-side counters are package-level: Redialers are created per
-// dial site, often transiently, so they share one set of series
-// rather than each registering its own. They count whether or not a
-// registry is attached (same atomic either way) and surface once
-// RegisterClientMetrics exports them.
-var (
-	clientRedials      obs.Counter // fresh connections dialed by Redialers
-	clientRetries      obs.Counter // call re-attempts after a transport fault
-	clientMaybeApplied obs.Counter // calls surfaced as ErrMaybeApplied
-)
-
-// RegisterClientMetrics exports the self-healing client's counters
-// through reg. Call once per registry; process-wide totals (a client
-// process, unlike a server, rarely wants per-target split — and
-// target addresses stay out of labels by design).
-func RegisterClientMetrics(reg *obs.Registry) {
-	reg.RegisterCounter("steghide_wire_redials_total",
-		"connections dialed by self-healing clients", &clientRedials)
-	reg.RegisterCounter("steghide_wire_retries_total",
-		"client call re-attempts after transport faults", &clientRetries)
-	reg.RegisterCounter("steghide_wire_maybe_applied_total",
-		"client calls abandoned as possibly applied (ErrMaybeApplied)", &clientMaybeApplied)
-}

@@ -157,9 +157,6 @@ func transient(err error) bool {
 func (r *Redialer) do(ctx context.Context, req frame, idempotent bool) (frame, error) {
 	defer req.release()
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			clientRetries.Inc()
-		}
 		m, err := r.acquire(ctx)
 		if err == nil {
 			var resp frame
@@ -173,7 +170,6 @@ func (r *Redialer) do(ctx context.Context, req frame, idempotent bool) (frame, e
 			}
 			r.invalidate(m)
 			if sent && !idempotent {
-				clientMaybeApplied.Inc()
 				return frame{}, fmt.Errorf("%w: %w", ErrMaybeApplied, err)
 			}
 		} else if !transient(err) {
@@ -280,7 +276,6 @@ func (r *Redialer) acquire(ctx context.Context) (*muxConn, error) {
 // dialOne establishes and initializes one connection: dial, hello
 // negotiation, then the onConnect session replay.
 func (r *Redialer) dialOne(ctx context.Context, addr string) (*muxConn, error) {
-	clientRedials.Inc()
 	m, err := dialMux(ctx, addr, maxBodySize)
 	if err != nil {
 		return nil, err

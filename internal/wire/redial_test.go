@@ -252,6 +252,48 @@ func TestReadRetriesTransparently(t *testing.T) {
 	}
 }
 
+// TestUnsentWriteRetries is the mutating counterpart: a connection
+// that died before the request's first byte left proves the write
+// unsent, so a non-idempotent call redials and runs instead of
+// reporting ErrMaybeApplied.
+func TestUnsentWriteRetries(t *testing.T) {
+	ctx := context.Background()
+	agent := testAgent(t, 6)
+	srv, err := NewAgentServer(listen(t), map[string]*steghide.VolatileAgent{"": agent}, ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	cli, err := DialAgentRetry(ctx, quickRetry(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Login(ctx, "", "alice", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	rd := cli.link.(*Redialer)
+	rd.mu.Lock()
+	live := rd.conn
+	rd.mu.Unlock()
+	live.conn.Close()
+	<-live.dead // the reader has latched the fault before any write
+
+	if err := cli.Create(ctx, "/f"); err != nil {
+		t.Fatalf("create after an idle fault: %v", err)
+	}
+	rd.mu.Lock()
+	fresh := rd.conn
+	rd.mu.Unlock()
+	if fresh == live {
+		t.Fatal("the create ran without a redial")
+	}
+	if files, err := cli.Files(ctx); err != nil || len(files) != 1 || files[0] != "/f" {
+		t.Fatalf("files after the retried create = %v, %v", files, err)
+	}
+}
+
 // TestDrainHandsOffToNextAddress runs the drain choreography end to
 // end: a server Shutdown lets the in-flight call finish, the goaway
 // sends the client's next call to the next address, and the session

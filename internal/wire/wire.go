@@ -18,11 +18,11 @@
 //
 // Both are one transport core — listener, accept loop, live-connection
 // table, graceful drain — around their protocol handler, and each is
-// built over a listener it then owns. A client (RemoteDevice, Client)
-// holds one connection chosen at dial time: direct, where a transport
-// fault latches ErrConnBroken, or self-healing (Dial*Retry), which
-// redials and replays. Client has one method per agent message, each
-// taking the call's context.
+// built over a listener it then owns. RemoteDevice holds one direct
+// connection, where a transport fault latches ErrConnBroken. Client
+// holds one connection chosen at dial time: direct, or self-healing
+// (DialAgentRetry), which redials and replays. Client has one method
+// per agent message, each taking the call's context.
 //
 // The framing is a fixed 16-byte header (type, request ID, length)
 // followed by a binary body, all big-endian, and every frame is one
@@ -167,19 +167,14 @@ func decodeIndices(d *decoder) []uint64 {
 // RemoteDevice is a blockdev.Device backed by a StorageServer. It is
 // safe for concurrent use: concurrent requests pipeline on the one
 // connection instead of serializing — every in-flight op is an
-// outstanding request ID on the mux.
-//
-// A device dialed with DialStorageRetry self-heals: batch reads retry
-// transparently across reconnects; batch writes retry only when the
-// fault provably preceded the request's first byte on the wire, and
-// otherwise fail with ErrMaybeApplied (the write may have landed — the
-// caller must re-read to reconcile).
+// outstanding request ID on the mux. A transport fault latches the
+// device broken (ErrConnBroken); it does not redial.
 type RemoteDevice struct {
-	link // fixed at dial: direct or self-healing
+	link // the one connection, fixed at dial
 
 	blockSize  int
 	numBlocks  uint64
-	frameLimit uint64 // negotiated at first connect; batches size to it
+	frameLimit uint64 // negotiated at connect; batches size to it
 }
 
 // DialStorage connects to a storage server and fetches its geometry.
@@ -189,68 +184,31 @@ func DialStorage(addr string) (*RemoteDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &RemoteDevice{link: m}
-	if err := d.onConnect(ctx, m); err != nil {
+	d, err := newRemoteDevice(ctx, m)
+	if err != nil {
 		m.close()
 		return nil, err
 	}
 	return d, nil
 }
 
-// DialStorageRetry connects with self-healing: transport faults
-// redial (rotating through addrs) with backoff under policy's budget,
-// and the geometry handshake replays on every reconnect. The initial
-// dial itself retries too, so a device can be dialed while its server
-// is still coming up.
-func DialStorageRetry(ctx context.Context, policy RetryPolicy, addrs ...string) (*RemoteDevice, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("wire: no storage addresses")
-	}
-	d := &RemoteDevice{}
-	rd := newRedialer(policy, d.onConnect, addrs)
-	if err := rd.dial(ctx); err != nil {
-		return nil, err
-	}
-	d.link = rd
-	return d, nil
-}
-
-// onConnect fetches the geometry on a fresh connection. The first
-// connect fixes it (before the device escapes to any caller); every
-// reconnect must present the same device — a changed geometry means
-// we reached a different (or reformatted) store, where resuming block
-// I/O would corrupt silently.
-func (d *RemoteDevice) onConnect(ctx context.Context, m *muxConn) error {
+// newRemoteDevice fetches the device geometry over m.
+func newRemoteDevice(ctx context.Context, m *muxConn) (*RemoteDevice, error) {
 	resp, err := m.call(ctx, frame{Type: msgDevInfo})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dec := &decoder{b: resp.Body}
 	bs := int(dec.u64())
 	nb := dec.u64()
 	resp.release()
 	if dec.err != nil {
-		return dec.err
+		return nil, dec.err
 	}
 	if bs <= 0 {
-		return fmt.Errorf("wire: bad device geometry (block size %d)", bs)
+		return nil, fmt.Errorf("wire: bad device geometry (block size %d)", bs)
 	}
-	if d.blockSize == 0 {
-		d.blockSize = bs
-		d.numBlocks = nb
-		d.frameLimit = m.maxFrame
-		return nil
-	}
-	if bs != d.blockSize || nb != d.numBlocks {
-		return fmt.Errorf("wire: device geometry changed across reconnect (%d×%d -> %d×%d)",
-			d.blockSize, d.numBlocks, bs, nb)
-	}
-	if m.maxFrame < d.frameLimit {
-		// In-flight batch sizing assumed the original limit; a smaller
-		// renegotiated frame would make those batches oversized.
-		return fmt.Errorf("wire: frame limit shrank across reconnect (%d -> %d)", d.frameLimit, m.maxFrame)
-	}
-	return nil
+	return &RemoteDevice{link: m, blockSize: bs, numBlocks: nb, frameLimit: m.maxFrame}, nil
 }
 
 // BlockSize implements blockdev.Device.

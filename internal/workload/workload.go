@@ -1,8 +1,6 @@
-// Package workload generates the file populations and operation
-// streams of the paper's evaluation (Table 2): files of 4–8 MB on a
-// 1 GB volume kept at or below 50% utilization, single-block and
-// ranged updates at random positions, and per-user request streams
-// for the concurrency experiments.
+// Package workload generates the file content and update streams of
+// the paper's evaluation (Table 2): single-block and ranged updates at
+// random positions of a file, over content any copy can re-derive.
 //
 // Everything is driven by the deterministic PRNG so experiments are
 // reproducible; scale factors shrink the absolute sizes without
@@ -19,32 +17,6 @@ import (
 type FileSpec struct {
 	Name   string
 	Blocks uint64
-}
-
-// Population plans a set of files totalling roughly targetBlocks,
-// with sizes uniform in [minBlocks, maxBlocks] (the paper's "(4, 8]
-// MBytes" becomes a block range at any scale).
-func Population(rng *prng.PRNG, prefix string, targetBlocks, minBlocks, maxBlocks uint64) ([]FileSpec, error) {
-	if minBlocks == 0 || maxBlocks < minBlocks {
-		return nil, fmt.Errorf("workload: size range [%d,%d]", minBlocks, maxBlocks)
-	}
-	var specs []FileSpec
-	var total uint64
-	for i := 0; total < targetBlocks; i++ {
-		n := minBlocks + rng.Uint64n(maxBlocks-minBlocks+1)
-		if total+n > targetBlocks {
-			n = targetBlocks - total
-			if n == 0 {
-				break
-			}
-		}
-		specs = append(specs, FileSpec{
-			Name:   fmt.Sprintf("%s/file-%04d", prefix, i),
-			Blocks: n,
-		})
-		total += n
-	}
-	return specs, nil
 }
 
 // Content produces deterministic pseudo-random file content of n
@@ -81,13 +53,4 @@ func Updates(rng *prng.PRNG, files []FileSpec, count, rangeBlocks int) ([]Update
 		ops = append(ops, UpdateOp{Name: f.Name, Off: off, Blocks: rangeBlocks})
 	}
 	return ops, nil
-}
-
-// ReadStream lists the logical blocks of a whole-file scan.
-func ReadStream(f FileSpec) []uint64 {
-	out := make([]uint64, f.Blocks)
-	for i := range out {
-		out[i] = uint64(i)
-	}
-	return out
 }

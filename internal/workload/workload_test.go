@@ -3,46 +3,9 @@ package workload
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 
 	"steghide/internal/prng"
 )
-
-func TestPopulationCoversTarget(t *testing.T) {
-	rng := prng.NewFromUint64(1)
-	specs, err := Population(rng, "u1", 1000, 32, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	names := map[string]bool{}
-	for _, s := range specs {
-		if s.Blocks == 0 {
-			t.Fatal("zero-block file")
-		}
-		if s.Blocks > 64 {
-			t.Fatalf("file of %d blocks exceeds max", s.Blocks)
-		}
-		if names[s.Name] {
-			t.Fatalf("duplicate name %s", s.Name)
-		}
-		names[s.Name] = true
-		total += s.Blocks
-	}
-	if total != 1000 {
-		t.Fatalf("population covers %d blocks, want 1000", total)
-	}
-}
-
-func TestPopulationValidation(t *testing.T) {
-	rng := prng.NewFromUint64(1)
-	if _, err := Population(rng, "u", 100, 0, 10); err == nil {
-		t.Fatal("zero min accepted")
-	}
-	if _, err := Population(rng, "u", 100, 20, 10); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-}
 
 func TestContentDeterministic(t *testing.T) {
 	a := Content("/x", 100)
@@ -77,39 +40,5 @@ func TestUpdatesInBounds(t *testing.T) {
 	}
 	if _, err := Updates(rng, []FileSpec{{Name: "/tiny", Blocks: 2}}, 1, 5); err == nil {
 		t.Fatal("range larger than file accepted")
-	}
-}
-
-func TestReadStream(t *testing.T) {
-	s := ReadStream(FileSpec{Name: "/f", Blocks: 4})
-	want := []uint64{0, 1, 2, 3}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("stream %v", s)
-		}
-	}
-}
-
-func TestQuickPopulationInvariants(t *testing.T) {
-	f := func(seed uint64, target uint16, minRaw, spanRaw uint8) bool {
-		minB := uint64(minRaw)%32 + 1
-		maxB := minB + uint64(spanRaw)%32
-		specs, err := Population(prng.NewFromUint64(seed), "q", uint64(target), minB, maxB)
-		if err != nil {
-			return false
-		}
-		var total uint64
-		for _, s := range specs {
-			// The final file may be truncated below min to hit the
-			// target exactly; everything else must respect the range.
-			if s.Blocks > maxB || s.Blocks == 0 {
-				return false
-			}
-			total += s.Blocks
-		}
-		return total == uint64(target)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
