@@ -28,9 +28,9 @@ type FsckReport struct {
 	Missing int
 	// LastCheckpoint is the newest OpCheckpoint's sequence number.
 	LastCheckpoint uint64
-	// Pending lists intents (reloc/alloc/free) not covered by a later
-	// save record of the same file — the "unreplayed intents" a clean
-	// shutdown never leaves behind.
+	// Pending lists the intents (reloc/alloc/free) no save covers (see
+	// Covered) — the "unreplayed intents" a clean shutdown never leaves
+	// behind.
 	Pending []Record
 }
 
@@ -76,20 +76,13 @@ func Fsck(vol *stegfs.Volume, key sealer.Key) (*FsckReport, error) {
 		}
 	}
 
-	// An intent is pending until a later save of its file commits it.
-	lastSave := map[uint64]uint64{}
+	covered := Covered(recs)
 	for _, rec := range recs {
 		switch rec.Op {
-		case OpSave:
-			lastSave[rec.FileH] = rec.Seq
 		case OpCheckpoint:
 			rep.LastCheckpoint = rec.Seq
-		}
-	}
-	for _, rec := range recs {
-		switch rec.Op {
 		case OpReloc, OpAlloc, OpFree:
-			if lastSave[rec.FileH] < rec.Seq {
+			if !covered(rec) {
 				rep.Pending = append(rep.Pending, rec)
 			}
 		}

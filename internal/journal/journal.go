@@ -38,9 +38,15 @@
 //     2).
 //
 // Recovery (the agents' Recover methods in internal/steghide) scans
-// the ring under the key and resolves every intent against the disk
-// truth: a file's durable header is its commit point, so an intent is
-// committed exactly when the saved block map references its target.
+// the ring under the key. A file's durable header is its commit point,
+// and Covered states the one rule for when the ring alone settles an
+// intent: a later save record of its file covers it. Construction 1
+// holds every header key and resolves each intent against the saved
+// map (Resolve over stegfs.ReferencedAt, which reads the map by the
+// same walk OpenFile does and fails closed on an address outside the
+// steg space). Construction 2 boots with no file key and reads no
+// header: it takes covered intents as ring-proven and quarantines what
+// the others touch until their file's disclosure loads its map.
 //
 // Ordering assumption: the device persists writes in issue order (the
 // in-memory and fault devices do by construction; a file-backed
@@ -130,9 +136,9 @@ type Record struct {
 	Locs []uint64
 }
 
-// touches returns every steg-space location the record makes a claim
+// Touches returns every steg-space location the record makes a claim
 // about.
-func (r *Record) touches() []uint64 {
+func (r *Record) Touches() []uint64 {
 	switch r.Op {
 	case OpReloc:
 		return []uint64{r.OldLoc, r.NewLoc}

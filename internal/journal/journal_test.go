@@ -501,14 +501,8 @@ func TestResolveNewestFirstWins(t *testing.T) {
 		{Seq: 1, Op: OpAlloc, FileH: 10, Locs: []uint64{70}},
 		{Seq: 2, Op: OpAlloc, FileH: 20, Locs: []uint64{70}},
 		{Seq: 3, Op: OpReloc, FileH: 30, OldLoc: 31, NewLoc: 32},
-		{Seq: 4, Op: OpAlloc, FileH: 99, Locs: []uint64{80}},
 	}
-	res, err := Resolve(recs, func(fileH uint64) (map[uint64]bool, error) {
-		if fileH == 99 {
-			return nil, ErrNoKey
-		}
-		return resolve(fileH)
-	})
+	res, err := Resolve(recs, resolve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,9 +521,6 @@ func TestResolveNewestFirstWins(t *testing.T) {
 	}
 	if res.Committed[3] {
 		t.Fatal("reloc 3 reported committed; header references oldLoc")
-	}
-	if len(res.Unresolved) != 1 || res.Unresolved[0].FileH != 99 {
-		t.Fatalf("unresolved %+v", res.Unresolved)
 	}
 }
 
@@ -610,5 +601,21 @@ func TestReopenAfterTornAppendDoesNotReuseIV(t *testing.T) {
 	}
 	if bytes.Equal(raw[:sealer.IVSize], tornIV) {
 		t.Fatal("re-append after a torn write reused the on-disk IV")
+	}
+}
+
+func TestCoveredNeedsALaterSaveOfTheSameFile(t *testing.T) {
+	recs := []Record{
+		{Seq: 1, Op: OpAlloc, FileH: 10, Locs: []uint64{50}},
+		{Seq: 2, Op: OpSave, FileH: 10},
+		{Seq: 3, Op: OpReloc, FileH: 10, OldLoc: 50, NewLoc: 60},
+		{Seq: 4, Op: OpFree, FileH: 20, Locs: []uint64{70}},
+		{Seq: 5, Op: OpSave, FileH: 30},
+	}
+	covered := Covered(recs)
+	for i, want := range map[int]bool{0: true, 2: false, 3: false} {
+		if got := covered(recs[i]); got != want {
+			t.Errorf("seq %d %s of file %d: covered %v, want %v", recs[i].Seq, recs[i].Op, recs[i].FileH, got, want)
+		}
 	}
 }

@@ -11,13 +11,25 @@ import (
 // locations the durable header rooted at fileH references (see
 // stegfs.ReferencedAt). It returns stegfs.ErrNotFound when no header
 // decodes there — every location the intents attributed to that file
-// is then free — and ErrNoKey when the caller cannot decode the
-// header at all (Construction 2 before the file is disclosed).
+// is then free.
 type Resolver func(fileH uint64) (map[uint64]bool, error)
 
-// ErrNoKey is the Resolver's "cannot decide yet": the record stays
-// unresolved instead of producing a verdict.
-var ErrNoKey = errors.New("journal: no key for this file's header")
+// Covered is the ring's one rule for when an intent is settled without
+// reading a header: a relocation, allocation or free is covered when a
+// later OpSave of its file is in recs, because that save wrote the
+// header that decides it. A clean shutdown leaves every intent
+// covered; fsck reports the rest as pending, and Construction 2's
+// recovery takes covered intents as ring-proven and quarantines what
+// the others touch.
+func Covered(recs []Record) func(Record) bool {
+	lastSave := map[uint64]uint64{}
+	for _, r := range recs {
+		if r.Op == OpSave {
+			lastSave[r.FileH] = r.Seq
+		}
+	}
+	return func(r Record) bool { return lastSave[r.FileH] > r.Seq }
+}
 
 // Verdict is the recovered truth for one block location.
 type Verdict struct {
@@ -40,10 +52,6 @@ type Resolution struct {
 	// lives at NewLoc; false: the save never landed and the data is
 	// still at OldLoc).
 	Committed map[uint64]bool
-	// Unresolved lists intents whose file the resolver had no key for,
-	// newest first. Their locations received no verdict and must stay
-	// quarantined until the key appears.
-	Unresolved []Record
 	// Broken lists file headers whose chain failed structurally
 	// (stegfs.ErrCorrupt): their intents resolve to "free", but the
 	// condition is worth surfacing.
@@ -59,47 +67,36 @@ type Resolution struct {
 func Resolve(recs []Record, resolve Resolver) (*Resolution, error) {
 	res := &Resolution{Committed: map[uint64]bool{}}
 	refsOf := map[uint64]map[uint64]bool{} // fileH → referenced set (nil: no file)
-	noKey := map[uint64]bool{}
-	lookup := func(fileH uint64) (map[uint64]bool, bool, error) {
-		if noKey[fileH] {
-			return nil, false, nil
-		}
+	lookup := func(fileH uint64) (map[uint64]bool, error) {
 		refs, seen := refsOf[fileH]
 		if seen {
-			return refs, true, nil
+			return refs, nil
 		}
 		refs, err := resolve(fileH)
 		switch {
 		case err == nil:
-		case errors.Is(err, ErrNoKey):
-			noKey[fileH] = true
-			return nil, false, nil
 		case errors.Is(err, stegfs.ErrNotFound):
 			refs = nil // no such file: nothing referenced
 		case errors.Is(err, stegfs.ErrCorrupt):
 			refs = nil
 			res.Broken = append(res.Broken, fileH)
 		default:
-			return nil, false, err
+			return nil, err
 		}
 		refsOf[fileH] = refs
-		return refs, true, nil
+		return refs, nil
 	}
 
 	claimed := map[uint64]bool{}
 	for i := len(recs) - 1; i >= 0; i-- {
 		rec := &recs[i]
-		locs := rec.touches()
+		locs := rec.Touches()
 		if len(locs) == 0 {
 			continue
 		}
-		refs, ok, err := lookup(rec.FileH)
+		refs, err := lookup(rec.FileH)
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			res.Unresolved = append(res.Unresolved, *rec)
-			continue
 		}
 		if rec.Op == OpReloc {
 			res.Committed[rec.Seq] = refs[rec.NewLoc]
@@ -125,7 +122,8 @@ type Report struct {
 	// MarkedUsed and MarkedFree count the partition corrections
 	// applied.
 	MarkedUsed, MarkedFree int
-	// Unresolved counts intents awaiting a key (Construction 2).
+	// Unresolved counts the intents no save covered, which wait for
+	// the disclosure of their file (Construction 2).
 	Unresolved int
 	// BrokenFiles counts headers whose pointer chain failed.
 	BrokenFiles int

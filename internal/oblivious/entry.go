@@ -82,7 +82,7 @@ type entry struct {
 
 // slotSealer is what the codec needs of a sealer.Sealer. It has no
 // single-block Seal: every slot the store writes is sealed in a batch,
-// eight cipher lanes at a time.
+// aeskern.WideLanes cipher lanes at a time.
 type slotSealer interface {
 	Open(dst, raw []byte) error
 	SealMany(dsts [][]byte, nextIV func(iv []byte), datas [][]byte) error

@@ -143,7 +143,7 @@ type Space interface {
 // batch of stream elements exactly once, before any of the batch's
 // block writes is issued, and the log emits exactly one ring record per
 // element whatever the element is — so ring traffic carries the
-// stream's cadence and nothing else.
+// stream's cadence and each batch's element count, and nothing else.
 type IntentLog interface {
 	// LogStream durably records the stream elements (from[i], to[i]), in
 	// order: a relocation intent where the two differ (the data at

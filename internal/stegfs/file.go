@@ -24,17 +24,9 @@ type File struct {
 	fak    FAK
 	path   string
 
-	headerLoc uint64
-	flags     uint32
-	size      uint64
-	blocks    []uint64 // physical location of each data block
-
-	// Cached indirect-block locations (0 = not allocated). outerPtrs
-	// holds the inner pointer-block locations of the double-indirect
-	// chain between save cycles.
-	single    uint64
-	double    uint64
-	outerPtrs []uint64
+	blockMap
+	flags uint32
+	size  uint64
 
 	hseal *sealer.Sealer // header + pointer blocks
 	cseal *sealer.Sealer // data blocks
@@ -145,15 +137,15 @@ func newFile(vol *Volume, fak FAK, path string, source BlockSource, flags uint32
 		}
 	}
 	return &File{
-		vol:       vol,
-		source:    source,
-		fak:       fak,
-		path:      path,
-		headerLoc: headerLoc,
-		flags:     flags,
-		hseal:     hseal,
-		cseal:     cseal,
-		dirty:     true,
+		vol:      vol,
+		source:   source,
+		fak:      fak,
+		path:     path,
+		blockMap: blockMap{headerLoc: headerLoc},
+		flags:    flags,
+		hseal:    hseal,
+		cseal:    cseal,
+		dirty:    true,
 	}, nil
 }
 
@@ -162,147 +154,62 @@ func newFile(vol *Volume, fak FAK, path string, source BlockSource, flags uint32
 // under the FAK — whether because the file does not exist or because
 // the key is wrong is deliberately undecidable.
 func OpenFile(vol *Volume, fak FAK, path string, source BlockSource) (*File, error) {
-	hseal, err := vol.NewSealer(fak.HeaderKey)
+	// One reader serves every probe — a miss walks all HeaderProbeLimit
+	// candidates — and the map walk after the hit.
+	r, err := vol.newMapReader(fak.HeaderKey)
 	if err != nil {
 		return nil, err
 	}
+	defer r.close()
 	cseal, err := vol.NewSealer(fak.ContentKey)
 	if err != nil {
 		return nil, err
 	}
 	want := PathHash(path)
 	first, n := source.SpaceBounds()
-	// One pooled scratch pair serves every probe: a miss walks all
-	// HeaderProbeLimit candidates, and decodeHeader copies out what it
-	// keeps.
-	raw, payload := mempool.Get(vol.BlockSize()), mempool.Get(vol.PayloadSize())
-	defer mempool.Recycle(raw)
-	defer mempool.Recycle(payload)
-	one := new(blockdev.One)
 	for i := 0; i < HeaderProbeLimit; i++ {
 		cand := fak.HeaderCandidate(i, first, n)
-		if err := vol.ReadSealedInto(one, cand, hseal, raw, payload); err != nil {
+		if err := r.read(cand); err != nil {
 			return nil, fmt.Errorf("stegfs: probe header: %w", err)
 		}
-		h, err := vol.decodeHeader(payload, fak.HeaderKey, want)
+		h, err := vol.decodeHeader(r.payload, fak.HeaderKey)
+		if err == nil && h.pathHash != want {
+			err = ErrNotFound
+		}
 		if errors.Is(err, ErrNotFound) {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		f := &File{
-			vol:       vol,
-			source:    source,
-			fak:       fak,
-			path:      path,
-			headerLoc: cand,
-			flags:     h.flags,
-			size:      h.fileSize,
-			hseal:     hseal,
-			cseal:     cseal,
-		}
-		if err := f.loadBlockMap(h); err != nil {
+		m, err := r.walk(cand, &h)
+		if err != nil {
 			return nil, err
 		}
-		f.claimAll()
+		f := &File{
+			vol:      vol,
+			source:   source,
+			fak:      fak,
+			path:     path,
+			blockMap: m,
+			flags:    h.flags,
+			size:     h.fileSize,
+			hseal:    r.hseal,
+			cseal:    cseal,
+		}
+		if f.IsDummy() {
+			f.size = uint64(len(f.blocks)) * uint64(vol.PayloadSize()) // walk may drop entries
+		}
+		// Claim every block with the source, the header first, so an
+		// agent that learns a file at login does not allocate over it.
+		f.source.Acquire(f.headerLoc)
+		owned := f.Owned()
+		for _, loc := range owned[:len(owned)-1] {
+			f.source.Acquire(loc)
+		}
 		return f, nil
 	}
 	return nil, ErrNotFound
-}
-
-// loadBlockMap walks header → indirect blocks to populate f.blocks.
-func (f *File) loadBlockMap(h *header) error {
-	v := f.vol
-	count := h.blockCount
-	f.blocks = make([]uint64, 0, count)
-	take := func(ptrs []uint64) {
-		for _, p := range ptrs {
-			if uint64(len(f.blocks)) == count {
-				return
-			}
-			f.blocks = append(f.blocks, p)
-		}
-	}
-	take(h.direct)
-	if uint64(len(f.blocks)) < count {
-		if h.single == 0 {
-			return fmt.Errorf("%w: missing single-indirect block", ErrCorrupt)
-		}
-		remaining := count - uint64(len(f.blocks))
-		n := min(remaining, uint64(v.ptrsPerBlock()))
-		ptrs, err := f.readPtrBlock(h.single, int(n))
-		if err != nil {
-			return err
-		}
-		take(ptrs)
-	}
-	var outer []uint64
-	if h.double != 0 {
-		// The outer list is loaded in full (outerCount entries) even
-		// when the data needs fewer inner blocks: Save over-provisions
-		// rather than release, and releasing later requires knowing
-		// every allocated pointer block.
-		var err error
-		outer, err = f.readPtrBlock(h.double, int(h.outerCount))
-		if err != nil {
-			return err
-		}
-		per := uint64(v.ptrsPerBlock())
-		for _, op := range outer {
-			if uint64(len(f.blocks)) == count {
-				break
-			}
-			if op == 0 {
-				return fmt.Errorf("%w: nil pointer in double-indirect chain", ErrCorrupt)
-			}
-			remaining := count - uint64(len(f.blocks))
-			n := min(remaining, per)
-			ptrs, err := f.readPtrBlock(op, int(n))
-			if err != nil {
-				return err
-			}
-			take(ptrs)
-		}
-	}
-	if uint64(len(f.blocks)) != count {
-		return fmt.Errorf("%w: block map incomplete (%d/%d)", ErrCorrupt, len(f.blocks), count)
-	}
-	f.single = h.single
-	f.double = h.double
-	f.outerPtrs = outer
-	return nil
-}
-
-// readPtrBlock opens the pointer block at loc through pooled scratch
-// and decodes its first n addresses.
-func (f *File) readPtrBlock(loc uint64, n int) ([]uint64, error) {
-	raw, payload := mempool.Get(f.vol.BlockSize()), mempool.Get(f.vol.PayloadSize())
-	defer mempool.Recycle(raw)
-	defer mempool.Recycle(payload)
-	if err := f.vol.ReadSealedInto(&f.one, loc, f.hseal, raw, payload); err != nil {
-		return nil, err
-	}
-	return f.vol.decodePtrBlock(payload, n, f.fak.HeaderKey)
-}
-
-// claimAll registers every block of the file (header, data, indirect)
-// with the source, so an agent that learns a file at login does not
-// allocate over it.
-func (f *File) claimAll() {
-	f.source.Acquire(f.headerLoc)
-	for _, loc := range f.blocks {
-		f.source.Acquire(loc)
-	}
-	if f.single != 0 {
-		f.source.Acquire(f.single)
-	}
-	for _, loc := range f.outerPtrs {
-		f.source.Acquire(loc)
-	}
-	if f.double != 0 {
-		f.source.Acquire(f.double)
-	}
 }
 
 // Path returns the path name the file was created/opened under.
@@ -335,15 +242,8 @@ func (f *File) BlockLocs() []uint64 { return append([]uint64(nil), f.blocks...) 
 // IndirectLocs returns the locations of the file's pointer blocks
 // (single, inner-double, double roots) currently allocated.
 func (f *File) IndirectLocs() []uint64 {
-	var out []uint64
-	if f.single != 0 {
-		out = append(out, f.single)
-	}
-	out = append(out, f.outerPtrs...)
-	if f.double != 0 {
-		out = append(out, f.double)
-	}
-	return out
+	owned := f.Owned()
+	return owned[len(f.blocks) : len(owned)-1 : len(owned)-1]
 }
 
 // BlockLoc returns the physical location of logical block li.
@@ -492,11 +392,11 @@ func (f *File) WriteBlockAt(li uint64, payload []byte, policy UpdatePolicy) erro
 	return f.flushWith(li, payload, policy)
 }
 
-// Flush issues the open run. The run is sealed in one batch, eight
-// lanes at a time, handed to the policy as one scattered run — a sealed
-// block does not depend on where it lands — and the map records where
-// each block landed. A run the policy fails stays staged and leaves the
-// map as it was, so the caller may retry.
+// Flush issues the open run. The run is sealed in one batch,
+// aeskern.WideLanes lanes at a time, handed to the policy as one
+// scattered run — a sealed block does not depend on where it lands —
+// and the map records where each block landed. A run the policy fails
+// stays staged and leaves the map as it was, so the caller may retry.
 func (f *File) Flush(policy UpdatePolicy) error {
 	return f.flushWith(0, nil, policy)
 }
@@ -847,41 +747,28 @@ stable:
 
 	// Phase 2: the map is now stable; write pointer blocks and header
 	// from it.
-	{
-		h := &header{
-			flags:      f.flags,
-			outerCount: uint32(len(f.outerPtrs)),
-			fileSize:   f.size,
-			blockCount: uint64(len(f.blocks)),
-			pathHash:   PathHash(f.path),
-			single:     f.single,
-			double:     f.double,
-		}
-		h.direct = make([]uint64, d)
-		rest := f.blocks[copy(h.direct, f.blocks):]
-
-		if len(rest) > 0 {
-			n := min(len(rest), per)
-			if err := v.WriteSealed(&f.one, f.single, f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
-				return err
-			}
-			rest = rest[n:]
-		}
-		for i := 0; len(rest) > 0; i++ {
-			n := min(len(rest), per)
-			if err := v.WriteSealed(&f.one, f.outerPtrs[i], f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
-				return err
-			}
-			rest = rest[n:]
-		}
-		if f.double != 0 {
-			if err := v.WriteSealed(&f.one, f.double, f.hseal, v.encodePtrBlock(f.outerPtrs, f.fak.HeaderKey)); err != nil {
-				return err
-			}
-		}
-		if err := f.saveHeaderFrom(h); err != nil {
+	rest := f.blocks[min(len(f.blocks), d):]
+	if len(rest) > 0 {
+		n := min(len(rest), per)
+		if err := v.WriteSealed(&f.one, f.single, f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
 			return err
 		}
+		rest = rest[n:]
+	}
+	for i := 0; len(rest) > 0; i++ {
+		n := min(len(rest), per)
+		if err := v.WriteSealed(&f.one, f.outerPtrs[i], f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
+			return err
+		}
+		rest = rest[n:]
+	}
+	if f.double != 0 {
+		if err := v.WriteSealed(&f.one, f.double, f.hseal, v.encodePtrBlock(f.outerPtrs, f.fak.HeaderKey)); err != nil {
+			return err
+		}
+	}
+	if err := f.saveHeader(); err != nil {
+		return err
 	}
 	if il != nil {
 		// The header write above is this file's commit point: record it
@@ -899,25 +786,23 @@ stable:
 	return nil
 }
 
+// saveHeader seals the header describing the file as it stands into
+// its fixed location — the write that is Save's commit point, and the
+// one by which CreateFile brings a file into existence. It appends no
+// OpSave: only Save, whose pointer blocks are written first, commits.
 func (f *File) saveHeader() error {
-	d := f.vol.directSlots()
 	h := &header{
 		flags:      f.flags,
 		outerCount: uint32(len(f.outerPtrs)),
 		fileSize:   f.size,
 		blockCount: uint64(len(f.blocks)),
 		pathHash:   PathHash(f.path),
-		direct:     make([]uint64, d),
 		single:     f.single,
 		double:     f.double,
+		direct:     make([]uint64, f.vol.directSlots()),
 	}
 	copy(h.direct, f.blocks)
-	return f.saveHeaderFrom(h)
-}
-
-func (f *File) saveHeaderFrom(h *header) error {
-	payload := f.vol.encodeHeader(h, f.fak.HeaderKey)
-	return f.vol.WriteSealed(&f.one, f.headerLoc, f.hseal, payload)
+	return f.vol.WriteSealed(&f.one, f.headerLoc, f.hseal, f.vol.encodeHeader(h, f.fak.HeaderKey))
 }
 
 // Sync issues the open run and then saves the map its blocks landed in.
@@ -939,9 +824,7 @@ func (f *File) Close() error { return f.Save() }
 // one more update in the stream. The open run is discarded unissued.
 func (f *File) Delete() error {
 	if il := f.vol.IntentHooks(); il != nil {
-		gone := append(f.BlockLocs(), f.IndirectLocs()...)
-		gone = append(gone, f.headerLoc)
-		if err := il.LogFree(f.headerLoc, gone); err != nil {
+		if err := il.LogFree(f.headerLoc, f.Owned()); err != nil {
 			return err
 		}
 	}
@@ -960,21 +843,11 @@ func (f *File) Delete() error {
 	return nil
 }
 
+// releaseAll gives every block the file owns back to the source and
+// forgets its pointer blocks.
 func (f *File) releaseAll() {
-	for _, loc := range f.blocks {
+	for _, loc := range f.Owned() {
 		f.source.Release(loc)
 	}
-	if f.single != 0 {
-		f.source.Release(f.single)
-		f.single = 0
-	}
-	for _, loc := range f.outerPtrs {
-		f.source.Release(loc)
-	}
-	f.outerPtrs = nil
-	if f.double != 0 {
-		f.source.Release(f.double)
-		f.double = 0
-	}
-	f.source.Release(f.headerLoc)
+	f.single, f.double, f.outerPtrs = 0, 0, nil
 }

@@ -70,24 +70,19 @@ func Check(vol *Volume, creds map[string][]string) (*CheckReport, error) {
 				continue
 			}
 			report.FilesChecked++
-			claim(path, f.HeaderLoc())
-			for _, loc := range f.IndirectLocs() {
+			for _, loc := range f.Owned() {
 				claim(path, loc)
 			}
-			healthy := true
-			for li, loc := range f.BlockLocs() {
-				claim(path, loc)
-				if f.IsDummy() {
-					continue // dummy content is random by construction
-				}
-				if _, err := f.ReadBlockAt(uint64(li)); err != nil {
+			if f.IsDummy() {
+				continue // dummy content is random by construction
+			}
+			for li := range f.NumBlocks() {
+				if _, err := f.ReadBlockAt(li); err != nil {
 					report.Corrupt[path] = fmt.Errorf("block %d: %w", li, err)
-					healthy = false
 					break
 				}
 				report.BlocksVerified++
 			}
-			_ = healthy
 		}
 	}
 	return report, nil

@@ -80,36 +80,24 @@ func (v *Volume) encodeHeader(h *header, key sealer.Key) []byte {
 	return buf
 }
 
-// decodeHeader parses a decrypted payload. It returns ErrNotFound when
-// the payload is not a header under this key (the common case while
-// probing candidates) and only returns other errors for structural
-// impossibilities.
-func (v *Volume) decodeHeader(payload []byte, key sealer.Key, wantPath [32]byte) (*header, error) {
-	h, err := v.decodeHeaderAny(payload, key)
-	if err != nil {
-		return nil, err
-	}
-	if h.pathHash != wantPath {
-		return nil, ErrNotFound
-	}
-	return h, nil
-}
-
-// decodeHeaderAny parses a decrypted payload without binding it to a
-// path name — the keyed checksum alone authenticates it. Journal
-// recovery uses it: intent records name header locations, not paths.
-func (v *Volume) decodeHeaderAny(payload []byte, key sealer.Key) (*header, error) {
+// decodeHeader parses a decrypted payload; the keyed checksum alone
+// authenticates it. It returns ErrNotFound when the payload is not a
+// header under this key (the common case while probing candidates) and
+// only returns other errors for structural impossibilities. Binding the
+// header to a path name is the caller's: OpenFile checks it, journal
+// recovery cannot (intent records name header locations, not paths).
+func (v *Volume) decodeHeader(payload []byte, key sealer.Key) (header, error) {
 	if len(payload) != v.payload {
-		return nil, fmt.Errorf("%w: header payload %d bytes", ErrCorrupt, len(payload))
+		return header{}, fmt.Errorf("%w: header payload %d bytes", ErrCorrupt, len(payload))
 	}
 	if string(payload[:8]) != headerMagic {
-		return nil, ErrNotFound
+		return header{}, ErrNotFound
 	}
 	sum := binary.BigEndian.Uint64(payload[8:])
 	if sum != sealer.Checksum(key, "stegfs-header", payload[16:]) {
-		return nil, ErrNotFound
+		return header{}, ErrNotFound
 	}
-	h := &header{
+	h := header{
 		flags:      binary.BigEndian.Uint32(payload[16:]),
 		outerCount: binary.BigEndian.Uint32(payload[20:]),
 		fileSize:   binary.BigEndian.Uint64(payload[24:]),
@@ -123,10 +111,10 @@ func (v *Volume) decodeHeaderAny(payload []byte, key sealer.Key) (*header, error
 		h.direct[i] = binary.BigEndian.Uint64(payload[headerFixedSize+8*i:])
 	}
 	if h.blockCount > v.MaxFileBlocks() {
-		return nil, fmt.Errorf("%w: block count %d exceeds map capacity", ErrCorrupt, h.blockCount)
+		return header{}, fmt.Errorf("%w: block count %d exceeds map capacity", ErrCorrupt, h.blockCount)
 	}
 	if int(h.outerCount) > v.ptrsPerBlock() {
-		return nil, fmt.Errorf("%w: outer count %d exceeds pointer block capacity", ErrCorrupt, h.outerCount)
+		return header{}, fmt.Errorf("%w: outer count %d exceeds pointer block capacity", ErrCorrupt, h.outerCount)
 	}
 	return h, nil
 }
@@ -143,18 +131,17 @@ func (v *Volume) encodePtrBlock(ptrs []uint64, key sealer.Key) []byte {
 	return buf
 }
 
-// decodePtrBlock verifies and parses n addresses from a pointer block
-// payload.
-func (v *Volume) decodePtrBlock(payload []byte, n int, key sealer.Key) ([]uint64, error) {
+// decodePtrBlock verifies a pointer block payload and appends its
+// first n addresses to dst.
+func (v *Volume) decodePtrBlock(dst []uint64, payload []byte, n int, key sealer.Key) ([]uint64, error) {
 	if n > v.ptrsPerBlock() {
 		return nil, fmt.Errorf("%w: %d pointers requested from a %d-pointer block", ErrCorrupt, n, v.ptrsPerBlock())
 	}
 	if binary.BigEndian.Uint64(payload) != sealer.Checksum(key, "stegfs-ptr", payload[8:]) {
 		return nil, fmt.Errorf("%w: pointer block checksum mismatch", ErrCorrupt)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64(payload[8+8*i:])
+	for i := range n {
+		dst = append(dst, binary.BigEndian.Uint64(payload[8+8*i:]))
 	}
-	return out, nil
+	return dst, nil
 }

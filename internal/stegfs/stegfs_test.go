@@ -500,17 +500,17 @@ func TestHeaderEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	h.direct[0], h.direct[1], h.direct[2] = 5, 9, 13
 	payload := vol.encodeHeader(h, fak.HeaderKey)
-	got, err := vol.decodeHeader(payload, fak.HeaderKey, PathHash("/h"))
+	got, err := vol.decodeHeader(payload, fak.HeaderKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.flags != h.flags || got.fileSize != h.fileSize || got.blockCount != h.blockCount ||
-		got.single != h.single || got.double != h.double || got.direct[2] != 13 {
+		got.single != h.single || got.double != h.double || got.direct[2] != 13 || got.pathHash != h.pathHash {
 		t.Fatalf("roundtrip mismatch: %+v", got)
 	}
 	// Tampered payload fails closed.
 	payload[20] ^= 1
-	if _, err := vol.decodeHeader(payload, fak.HeaderKey, PathHash("/h")); !errors.Is(err, ErrNotFound) {
+	if _, err := vol.decodeHeader(payload, fak.HeaderKey); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("tampered header: %v", err)
 	}
 }

@@ -848,6 +848,56 @@ func TestC2CrashMatrix(t *testing.T) {
 	t.Logf("C2 crash matrix: %d write indices", total)
 }
 
+// TestC2TornCoverClaimsNothingOffTheSpace: a power cut inside a dummy
+// file's save can leave its old header reading the new, shorter pointer
+// blocks, whose zero-padded tails name block 0 — the superblock. At
+// every cut of the C2 crash workload, the redisclosed cover's map and
+// the agent's registry hold no block outside the steg space, so no
+// dummy update can rewrite the superblock or a journal-ring slot.
+func TestC2TornCoverClaimsNothingOffTheSpace(t *testing.T) {
+	ref := setupC2Crash(t)
+	base := ref.fd.Writes()
+	if err := ref.phaseB(); err != nil {
+		t.Fatal(err)
+	}
+	total := ref.fd.Writes() - base
+	for k := int64(0); k < total; k++ {
+		rig := setupC2Crash(t)
+		rig.fd.PowerCutAfterWrites(k)
+		_ = rig.phaseB()
+		rig.fd.Heal()
+		vol, err := stegfs.Open(rig.fd, prng.NewFromUint64(98))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewVolatile(vol, prng.NewFromUint64(99))
+		if err := a.EnableJournal(JournalKey(vol, c2AdminPass)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := a.Login("alice", "pw-alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cover, err := sess.Disclose("/cover")
+		if err != nil {
+			t.Fatalf("cut %d: disclose the cover: %v", k, err)
+		}
+		for _, loc := range cover.BlockLocs() {
+			if loc < vol.FirstDataBlock() {
+				t.Fatalf("cut %d: the cover's map names block %d, below the steg space at %d", k, loc, vol.FirstDataBlock())
+			}
+		}
+		for _, e := range a.list {
+			if e.loc < vol.FirstDataBlock() {
+				t.Fatalf("cut %d: the registry holds block %d, below the steg space at %d", k, e.loc, vol.FirstDataBlock())
+			}
+		}
+	}
+}
+
 // TestStagedRunDiesWithThePower is the row the matrices cannot hold,
 // since staging writes nothing for a cut to land on: handle writes that
 // were never issued are gone after a power cut, and what recovery finds

@@ -162,7 +162,6 @@ func (a *NonVolatileAgent) Recover() (*journal.Report, error) {
 			rep.RelocsRolledBack++
 		}
 	}
-	rep.Unresolved = len(res.Unresolved)
 	rep.BrokenFiles = len(res.Broken)
 	a.intents.reset()
 	return rep, nil

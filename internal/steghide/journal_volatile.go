@@ -172,50 +172,30 @@ func (a *VolatileAgent) Recover() (*journal.Report, error) {
 		donors:    map[uint64]*stegfs.File{},
 		donorUser: map[uint64]string{},
 	}
-	lastSave := map[uint64]uint64{}
-	for _, r := range recs {
-		if r.Op == journal.OpSave {
-			lastSave[r.FileH] = r.Seq
-		}
-	}
+	covered := journal.Covered(recs)
 	rep := &journal.Report{Records: len(recs)}
 	for _, r := range recs {
-		switch r.Op {
-		case journal.OpReloc:
-			if lastSave[r.FileH] > r.Seq {
-				rec.data[r.NewLoc] = r.FileH
-				delete(rec.data, r.OldLoc)
-				rec.dataReloc[r.NewLoc] = r.OldLoc
-				rep.RelocsCommitted++
-			} else {
-				rec.pending[r.FileH] = append(rec.pending[r.FileH], r)
-				rec.touch[r.OldLoc]++
-				rec.touch[r.NewLoc]++
-				rep.Unresolved++
+		switch {
+		case r.Op != journal.OpReloc && r.Op != journal.OpAlloc && r.Op != journal.OpFree:
+			// Fillers, saves and checkpoints claim no block.
+		case !covered(r):
+			rec.pending[r.FileH] = append(rec.pending[r.FileH], r)
+			for _, loc := range r.Touches() {
+				rec.touch[loc]++
 			}
-		case journal.OpAlloc:
-			if lastSave[r.FileH] > r.Seq {
-				for _, loc := range r.Locs {
-					rec.data[loc] = r.FileH
-				}
-			} else {
-				rec.pending[r.FileH] = append(rec.pending[r.FileH], r)
-				for _, loc := range r.Locs {
-					rec.touch[loc]++
-				}
-				rep.Unresolved++
+			rep.Unresolved++
+		case r.Op == journal.OpReloc:
+			rec.data[r.NewLoc] = r.FileH
+			delete(rec.data, r.OldLoc)
+			rec.dataReloc[r.NewLoc] = r.OldLoc
+			rep.RelocsCommitted++
+		case r.Op == journal.OpAlloc:
+			for _, loc := range r.Locs {
+				rec.data[loc] = r.FileH
 			}
-		case journal.OpFree:
-			if lastSave[r.FileH] > r.Seq {
-				for _, loc := range r.Locs {
-					delete(rec.data, loc)
-				}
-			} else {
-				rec.pending[r.FileH] = append(rec.pending[r.FileH], r)
-				for _, loc := range r.Locs {
-					rec.touch[loc]++
-				}
-				rep.Unresolved++
+		default: // OpFree
+			for _, loc := range r.Locs {
+				delete(rec.data, loc)
 			}
 		}
 	}
@@ -242,11 +222,8 @@ func (a *VolatileAgent) applyRecovery(f *stegfs.File) {
 	}
 	delete(r.pending, h)
 
-	refs := map[uint64]bool{h: true}
-	for _, loc := range f.BlockLocs() {
-		refs[loc] = true
-	}
-	for _, loc := range f.IndirectLocs() {
+	refs := map[uint64]bool{}
+	for _, loc := range f.Owned() {
 		refs[loc] = true
 	}
 
