@@ -28,16 +28,21 @@ type blockMap struct {
 // its pointer blocks (single, inner, double), then its header — the
 // order a delete logs and releases them in.
 func (m *blockMap) Owned() []uint64 {
-	out := make([]uint64, 0, len(m.blocks)+len(m.outerPtrs)+3)
-	out = append(out, m.blocks...)
+	out := append(make([]uint64, 0, len(m.blocks)+len(m.outerPtrs)+3), m.blocks...)
+	return append(m.appendPointers(out), m.headerLoc)
+}
+
+// appendPointers appends the map's pointer blocks — single, inner,
+// double — to dst.
+func (m *blockMap) appendPointers(dst []uint64) []uint64 {
 	if m.single != 0 {
-		out = append(out, m.single)
+		dst = append(dst, m.single)
 	}
-	out = append(out, m.outerPtrs...)
+	dst = append(dst, m.outerPtrs...)
 	if m.double != 0 {
-		out = append(out, m.double)
+		dst = append(dst, m.double)
 	}
-	return append(out, m.headerLoc)
+	return dst
 }
 
 // mapReader reads a file's header and pointer blocks under its header

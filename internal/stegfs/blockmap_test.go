@@ -27,70 +27,50 @@ func TestReferencedAtMatchesOpenFile(t *testing.T) {
 	vol, src := testVolume(t, 2048)
 	d, per := uint64(vol.directSlots()), uint64(vol.ptrsPerBlock())
 	policy := InPlacePolicy{Vol: vol}
-	write := func(t *testing.T, f *File, blocks uint64) {
+	// create makes a file of blocks blocks, shrunk to shrinkTo when that
+	// is non-zero, or a dummy file of blocks blocks, and saves it.
+	create := func(t *testing.T, fak FAK, path string, blocks, shrinkTo uint64, dummy bool) *File {
 		t.Helper()
+		if dummy {
+			f, err := CreateDummyFile(vol, fak, path, src, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		f, err := CreateFile(vol, fak, path, src)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := f.WriteAt(make([]byte, blocks*uint64(vol.PayloadSize())), 0, policy); err != nil {
 			t.Fatal(err)
+		}
+		if shrinkTo > 0 {
+			if err := f.Resize(shrinkTo*uint64(vol.PayloadSize()), policy); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := f.Save(); err != nil {
 			t.Fatal(err)
 		}
+		return f
 	}
 	rows := []struct {
-		name  string
-		build func(t *testing.T, fak FAK, path string) *File
+		name             string
+		blocks, shrinkTo uint64
+		dummy            bool
 	}{
-		{"direct-only", func(t *testing.T, fak FAK, path string) *File {
-			f, err := CreateFile(vol, fak, path, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			write(t, f, d)
-			return f
-		}},
-		{"single-indirect", func(t *testing.T, fak FAK, path string) *File {
-			f, err := CreateFile(vol, fak, path, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			write(t, f, d+per/2)
-			return f
-		}},
-		{"double-indirect", func(t *testing.T, fak FAK, path string) *File {
-			f, err := CreateFile(vol, fak, path, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			write(t, f, d+per+per+3)
-			return f
-		}},
-		{"over-provisioned-after-shrink", func(t *testing.T, fak FAK, path string) *File {
-			f, err := CreateFile(vol, fak, path, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			write(t, f, 60)
-			if err := f.Resize(uint64(2*vol.PayloadSize()), policy); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Save(); err != nil {
-				t.Fatal(err)
-			}
-			return f
-		}},
-		{"dummy", func(t *testing.T, fak FAK, path string) *File {
-			f, err := CreateDummyFile(vol, fak, path, src, d+per+5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
-		}},
+		{"direct-only", d, 0, false},
+		{"single-indirect", d + per/2, 0, false},
+		{"double-indirect", d + 2*per + 3, 0, false},
+		{"over-provisioned-after-shrink", 60, 2, false},
+		{"dummy", d + per + 5, 0, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			path := "/ref/" + row.name
 			fak := DeriveFAK("u", path, vol)
-			row.build(t, fak, path)
+			create(t, fak, path, row.blocks, row.shrinkTo, row.dummy)
 			g, err := OpenFile(vol, fak, path, NewBitmapSource(vol.FirstDataBlock(), vol.NumBlocks(), prng.NewFromUint64(5)))
 			if err != nil {
 				t.Fatal(err)
@@ -107,11 +87,7 @@ func TestReferencedAtMatchesOpenFile(t *testing.T) {
 
 	path := "/ref/keys"
 	fak := DeriveFAK("u", path, vol)
-	f, err := CreateFile(vol, fak, path, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write(t, f, d+per+2)
+	f := create(t, fak, path, d+per+2, 0, false)
 	if _, err := ReferencedAt(vol, f.HeaderLoc(), DeriveFAK("v", path, vol).HeaderKey); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("wrong key: %v, want ErrNotFound", err)
 	}
@@ -140,8 +116,7 @@ func TestReferencedAtMatchesOpenFile(t *testing.T) {
 // for its data entries only: the zero-padded tail a crash-torn save
 // leaves is dropped, and what stays is what both report.
 func TestBlockMapFailsClosedOffTheSpace(t *testing.T) {
-	const journalBlocks = 8
-	vol, err := Format(blockdev.NewMem(128, 1024), FormatOptions{KDFIterations: 4, FillSeed: []byte("t"), JournalBlocks: journalBlocks})
+	vol, err := Format(blockdev.NewMem(128, 1024), FormatOptions{KDFIterations: 4, FillSeed: []byte("t"), JournalBlocks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,10 +241,7 @@ func (f *File) BlockLocs() []uint64 { return append([]uint64(nil), f.blocks...) 
 
 // IndirectLocs returns the locations of the file's pointer blocks
 // (single, inner-double, double roots) currently allocated.
-func (f *File) IndirectLocs() []uint64 {
-	owned := f.Owned()
-	return owned[len(f.blocks) : len(owned)-1 : len(owned)-1]
-}
+func (f *File) IndirectLocs() []uint64 { return f.appendPointers(nil) }
 
 // BlockLoc returns the physical location of logical block li.
 func (f *File) BlockLoc(li uint64) (uint64, error) {
