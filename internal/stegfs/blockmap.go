@@ -92,7 +92,7 @@ func (r *mapReader) walk(headerLoc uint64, h *header) (blockMap, error) {
 	m := blockMap{headerLoc: headerLoc, single: h.single, double: h.double}
 	m.blocks = append(make([]uint64, 0, count), h.direct[:min(count, uint64(len(h.direct)))]...)
 	outside := func(loc uint64) bool { return !v.inSpace(loc) }
-	inSpace := func(locs ...uint64) error {
+	checkSpace := func(locs ...uint64) error {
 		if i := slices.IndexFunc(locs, outside); i >= 0 {
 			return fmt.Errorf("%w: block map names block %d, outside the steg space", ErrCorrupt, locs[i])
 		}
@@ -101,7 +101,7 @@ func (r *mapReader) walk(headerLoc uint64, h *header) (blockMap, error) {
 	// ptrs reads the pointer block at loc and appends its first n
 	// addresses to dst.
 	ptrs := func(dst []uint64, loc, n uint64) ([]uint64, error) {
-		if err := inSpace(loc); err != nil {
+		if err := checkSpace(loc); err != nil {
 			return nil, err
 		}
 		if err := r.read(loc); err != nil {
@@ -116,7 +116,7 @@ func (r *mapReader) walk(headerLoc uint64, h *header) (blockMap, error) {
 		}
 		m.blocks, err = ptrs(m.blocks, h.single, min(missing, per))
 	} else if h.single != 0 {
-		err = inSpace(h.single) // over-provisioned, still owned
+		err = checkSpace(h.single) // over-provisioned, still owned
 	}
 	if err != nil {
 		return m, err
@@ -129,7 +129,7 @@ func (r *mapReader) walk(headerLoc uint64, h *header) (blockMap, error) {
 			if missing := count - uint64(len(m.blocks)); missing > 0 {
 				m.blocks, err = ptrs(m.blocks, op, min(missing, per))
 			} else {
-				err = inSpace(op) // over-provisioned, still owned
+				err = checkSpace(op) // over-provisioned, still owned
 			}
 			if err != nil {
 				return m, err
@@ -146,7 +146,7 @@ func (r *mapReader) walk(headerLoc uint64, h *header) (blockMap, error) {
 		// dropped — one block of cover left unreachable — not claimed.
 		m.blocks = slices.DeleteFunc(m.blocks, outside)
 	}
-	return m, inSpace(m.blocks...)
+	return m, checkSpace(m.blocks...)
 }
 
 // inSpace reports whether loc lies in the steg space: past the
