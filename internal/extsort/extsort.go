@@ -127,20 +127,17 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 		return formRun(src.Start, src.Start, src.Len, true)
 	}
 
-	// Merge geometry. The fan-in is balanced against the per-cursor
-	// buffer size (√memBlocks each): chunked refills and flushes keep
+	// Merge geometry. Every pass reads and writes every block, so the
+	// fan-in is the one that merges the runs in the fewest passes the
+	// window admits (mergeFanIn), and of those the smallest, whose
+	// cursors get the longest chunks: chunked refills and flushes keep
 	// the I/O mostly sequential, which is what makes the sorting
 	// overhead cheap in wall-clock terms (Fig. 12b) despite its I/O
-	// count. mergeChunks splits the window within each merge.
-	fanIn := intSqrt(memBlocks)
-	if fanIn < 2 {
-		fanIn = 2
-	}
+	// count. mergeChunks splits the window within each merge. Both read
+	// only the run count and the window, so the device calls of a sort
+	// are a function of its geometry.
 	numRuns := int((src.Len + uint64(memBlocks) - 1) / uint64(memBlocks))
-	passes := 0
-	for r := numRuns; r > 1; r = (r + fanIn - 1) / fanIn {
-		passes++
-	}
+	fanIn, passes := mergeFanIn(numRuns, memBlocks)
 
 	// Pass 0 — run formation: read windows of memBlocks, sort in
 	// memory, write back sequentially. Runs are placed so that after
@@ -212,6 +209,32 @@ func (k *keyedRecs) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
 func (k *keyedRecs) Swap(i, j int) {
 	k.recs[i], k.recs[j] = k.recs[j], k.recs[i]
 	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
+}
+
+// mergeFanIn returns the fan-in that merges runs runs in an m-block
+// window in the fewest passes, the smallest such, and that pass count.
+// The widest merge the window admits is ⌊√m⌋ runs or, where it holds a
+// seal batch beside one block per cursor, up to sealBatch runs
+// (mergeChunks then gives the output its batch and each cursor at
+// least one block). The cap keeps windows of 256 blocks and more at
+// ⌊√m⌋ ≥ 16, so their cursor chunks stay long.
+func mergeFanIn(runs, m int) (fanIn, passes int) {
+	passes = mergePasses(runs, max(2, intSqrt(m), min(m-sealBatch, sealBatch)))
+	fanIn = 2
+	for mergePasses(runs, fanIn) > passes {
+		fanIn++
+	}
+	return fanIn, passes
+}
+
+// mergePasses is the number of passes that merge runs runs into one,
+// fanIn at a time.
+func mergePasses(runs, fanIn int) int {
+	passes := 0
+	for r := runs; r > 1; r = (r + fanIn - 1) / fanIn {
+		passes++
+	}
+	return passes
 }
 
 func intSqrt(n int) int {

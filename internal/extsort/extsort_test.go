@@ -363,15 +363,74 @@ func TestCodecContract(t *testing.T) {
 	}
 }
 
-// TestSortReusesWindow pins the window contract: a second sort of the
-// same geometry through the same window allocates nothing.
+// admissibleFanIn is the widest merge an m-block window may run, K(m):
+// ⌊√m⌋ (at least 2), or up to a seal batch of runs where the window
+// holds the seal batch beside one block per cursor.
+func admissibleFanIn(m int) int {
+	r := 1
+	for (r+1)*(r+1) <= m {
+		r++
+	}
+	return max(2, r, min(m-sealBatch, sealBatch))
+}
+
+// passesAt counts the merge passes that bring runs runs to one, k at a
+// time.
+func passesAt(runs, k int) int {
+	p := 0
+	for ; runs > 1; runs = (runs + k - 1) / k {
+		p++
+	}
+	return p
+}
+
+// TestMergeFanInTakesFewestPasses: the fan-in a sort picks is
+// admissible, merges in the fewest passes any admissible fan-in
+// reaches, and is the smallest that does; windows too small for a seal
+// batch beside two cursors keep ⌊√m⌋.
+func TestMergeFanInTakesFewestPasses(t *testing.T) {
+	for m := 2; m <= 300; m++ {
+		kmax := admissibleFanIn(m)
+		for runs := 1; runs <= 600; runs++ {
+			k, p := mergeFanIn(runs, m)
+			if k < 2 || k > kmax {
+				t.Fatalf("m=%d runs=%d: fan-in %d outside [2, %d]", m, runs, k, kmax)
+			}
+			if got := passesAt(runs, k); got != p {
+				t.Fatalf("m=%d runs=%d: fan-in %d takes %d passes, reported %d", m, runs, k, got, p)
+			}
+			best := p
+			for j := 2; j <= kmax; j++ {
+				best = min(best, passesAt(runs, j))
+			}
+			if p != best {
+				t.Fatalf("m=%d runs=%d: fan-in %d takes %d passes, fan-ins up to %d reach %d", m, runs, k, p, kmax, best)
+			}
+			for j := 2; j < k; j++ {
+				if passesAt(runs, j) == p {
+					t.Fatalf("m=%d runs=%d: fan-in %d, but %d also takes %d passes", m, runs, k, j, p)
+				}
+			}
+			if m < sealBatch+2 && k > max(intSqrt(m), 2) {
+				t.Fatalf("m=%d runs=%d: fan-in %d above ⌊√m⌋ in a window without room for a seal batch", m, runs, k)
+			}
+		}
+	}
+	for runs := 2; runs <= 600; runs++ {
+		if k, _ := mergeFanIn(runs, 4); k != 2 {
+			t.Fatalf("m=4 runs=%d: fan-in %d, want 2", runs, k)
+		}
+	}
+}
+
 // TestMergeChunksFitWindow: a merge's cursors and output fit the
-// window (the two-block window's output aside), and where the even
-// share is below a seal batch and the window holds one beside a record
-// per cursor, the output takes exactly one batch.
+// window (the two-block window's output aside) at every fan-in the
+// window admits, and where the even share is below a seal batch and the
+// window holds one beside a record per cursor, the output takes exactly
+// one batch.
 func TestMergeChunksFitWindow(t *testing.T) {
 	for m := 2; m <= 300; m++ {
-		for k := 1; k <= max(intSqrt(m), 2); k++ {
+		for k := 1; k <= admissibleFanIn(m); k++ {
 			in, out := mergeChunks(m, k)
 			if in < 1 || out < 1 {
 				t.Fatalf("m=%d k=%d: chunks %d and %d", m, k, in, out)
@@ -386,6 +445,8 @@ func TestMergeChunksFitWindow(t *testing.T) {
 	}
 }
 
+// TestSortReusesWindow pins the window contract: a second sort of the
+// same geometry through the same window allocates nothing.
 func TestSortReusesWindow(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")

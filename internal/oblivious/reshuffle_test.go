@@ -137,17 +137,32 @@ func recordDump(t *testing.T, s *Store, d *tapDev, i int) []tapCall {
 	return d.calls
 }
 
-// mergePasses is P for a dump over n slots with a window of b blocks:
-// the number of merge passes extsort runs after run formation.
+// dumpMerge is the merge geometry of a dump over n slots with a window
+// of b blocks: the fan-in extsort merges its runs with and the number
+// P of merge passes after run formation. Of the fan-ins from 2 to
+// max(⌊√b⌋, min(b−16, 16)), the sort takes the smallest that merges
+// the runs in the fewest passes.
+func dumpMerge(n, b int) (fanIn, passes int) {
+	passesAt := func(k int) int {
+		p := 0
+		for runs := (n + b - 1) / b; runs > 1; runs = (runs + k - 1) / k {
+			p++
+		}
+		return p
+	}
+	sqrt := 1
+	for (sqrt+1)*(sqrt+1) <= b {
+		sqrt++
+	}
+	widest := max(2, sqrt, min(b-16, 16))
+	for fanIn = 2; passesAt(fanIn) > passesAt(widest); fanIn++ {
+	}
+	return fanIn, passesAt(fanIn)
+}
+
+// mergePasses is P for a dump over n slots with a window of b blocks.
 func mergePasses(n, b int) int {
-	fanIn := 2
-	for (fanIn+1)*(fanIn+1) <= b {
-		fanIn++
-	}
-	p := 0
-	for runs := (n + b - 1) / b; runs > 1; runs = (runs + fanIn - 1) / fanIn {
-		p++
-	}
+	_, p := dumpMerge(n, b)
 	return p
 }
 
@@ -157,10 +172,7 @@ func mergePasses(n, b int) int {
 // then for each merge of each pass batches of 16 and a last one of
 // what is left.
 func dumpSealWidths(n, b int) []int {
-	fanIn := 2
-	for (fanIn+1)*(fanIn+1) <= b {
-		fanIn++
-	}
+	fanIn, _ := dumpMerge(n, b)
 	var runs, widths []int
 	for off := 0; off < n; off += b {
 		runs = append(runs, min(b, n-off))
@@ -212,23 +224,30 @@ func canonicalCalls(calls []tapCall) []string {
 // TestDumpCallSequenceIsGeometry pins the attacker's view of a dump —
 // the (op, start, count) of every device call — as a function of
 // geometry: two stores that differ in seed, contents and occupancy
-// issue the same canonical sequence, and it equals the one recorded
-// from the commit before the record-form sort (testdata, B = 4, k = 3).
+// make the same canonical sequence, and at B = 4, k = 3 it equals the
+// one recorded from the commit before the record-form sort (testdata).
+// The (32, 3) dumps merge 6 and 12 runs in one pass, with cursors that
+// refill 2 and 1 blocks at a time: the fan-ins above ⌊√B⌋ that only a
+// window with room for a seal batch takes.
 func TestDumpCallSequenceIsGeometry(t *testing.T) {
 	golden, err := os.ReadFile("testdata/dump_calls_b4k3.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got strings.Builder
-	for lvl := 0; lvl < 2; lvl++ {
-		sa, da := tappedStore(t, 4, 3, 1, 3)
-		sb, db := tappedStore(t, 4, 3, 2, 11)
-		a := canonicalCalls(recordDump(t, sa, da, lvl))
-		b := canonicalCalls(recordDump(t, sb, db, lvl))
-		if !slices.Equal(a, b) {
-			t.Fatalf("dump(%d): call sequence depends on seed or contents", lvl)
+	for _, g := range []struct{ bufCap, putA, putB int }{{4, 3, 11}, {32, 24, 88}} {
+		for lvl := 0; lvl < 2; lvl++ {
+			sa, da := tappedStore(t, g.bufCap, 3, 1, g.putA)
+			sb, db := tappedStore(t, g.bufCap, 3, 2, g.putB)
+			a := canonicalCalls(recordDump(t, sa, da, lvl))
+			b := canonicalCalls(recordDump(t, sb, db, lvl))
+			if !slices.Equal(a, b) {
+				t.Fatalf("(%d,3) dump(%d): call sequence depends on seed or contents", g.bufCap, lvl)
+			}
+			if g.bufCap == 4 {
+				fmt.Fprintf(&got, "dump %d\n%s\n", lvl, strings.Join(a, "\n"))
+			}
 		}
-		fmt.Fprintf(&got, "dump %d\n%s\n", lvl, strings.Join(a, "\n"))
 	}
 	if got.String() != string(golden) {
 		t.Fatalf("call sequence differs from the recorded one; got:\n%s", got.String())
