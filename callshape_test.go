@@ -323,9 +323,10 @@ func stagedCloseVsBurst[T any](t *testing.T, stack *steghide.Stack, k int, cut f
 	if after.DataUpdates-before.DataUpdates != writes || m < writes {
 		t.Fatalf("closing over %d staged blocks emitted %d stream elements: %+v", writes, m, after)
 	}
-	// The Close put m cells and the save's one in the ring; pad to the
-	// offset its run started at.
-	if pad := (k - int((m+1)%uint64(k))) % k; pad > 0 {
+	// The Close put m cells in the ring and its save three — the fresh
+	// pointer block's allocation, the superseded one's free, the save;
+	// pad to the offset its run started at.
+	if pad := (k - int((m+3)%uint64(k))) % k; pad > 0 {
 		if issued, err := agent.DummyUpdateBurst(pad); err != nil || issued != pad {
 			t.Fatalf("padding burst issued %d of %d: %v", issued, pad, err)
 		}
@@ -372,7 +373,10 @@ func TestStagedCloseCallShapeEqualsBurst(t *testing.T) {
 	}
 	first := stack.Volume().FirstDataBlock()
 	run, idle := attack.CallShape(closed, first), attack.CallShape(burstAndSave, first)
-	if len(run) < 4 || !run[0].Ring || run[1] != (attack.Shape{Op: blockdev.OpRead, Blocks: m}) || run[2].Blocks <= m {
+	// The run's m reads and m writes, then the save: its intents in the
+	// ring before the pointer block and header it writes.
+	if len(run) < 5 || !run[0].Ring || run[1] != (attack.Shape{Op: blockdev.OpRead, Blocks: m}) ||
+		run[2] != (attack.Shape{Op: blockdev.OpWrite, Blocks: m}) || !run[3].Ring || run[4] != (attack.Shape{Op: blockdev.OpWrite, Blocks: 2}) {
 		t.Fatalf("close over 16 staged blocks (%d elements) has shape %+v", m, run)
 	}
 	if !slices.Equal(run, idle) {

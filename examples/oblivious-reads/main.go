@@ -60,8 +60,9 @@ func main() {
 
 	// --- Scenario 1: direct reads from the StegFS partition -----------
 	tap.Reset()
+	payload := make([]byte, vol.PayloadSize())
 	for _, li := range pattern {
-		if _, err := f.ReadBlockAt(li); err != nil {
+		if err := f.ReadBlockAt(li, payload); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -177,7 +177,7 @@ func runObliPoint(s Scale, bufSlots int, label string) (*ObliPoint, error) {
 	stegDisk.ResetStats()
 	d0 := stegDisk.Now()
 	for _, r := range refs {
-		if _, err := parts[r.ord].f.ReadBlockAt(r.li); err != nil {
+		if err := parts[r.ord].f.ReadBlockAt(r.li, block); err != nil {
 			return nil, err
 		}
 	}

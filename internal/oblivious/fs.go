@@ -158,8 +158,7 @@ func (o *FS) ReadBlock(ordinal, li uint64, dst []byte) error {
 			}
 			continue
 		}
-		payload, err := f.ReadBlockAt(li)
-		if err != nil {
+		if err := f.ReadBlockAt(li, dst); err != nil {
 			return err
 		}
 		o.stats.Fetches++
@@ -167,8 +166,7 @@ func (o *FS) ReadBlock(ordinal, li uint64, dst []byte) error {
 			o.fetched[id] = true
 			o.fetchedList = append(o.fetchedList, id)
 		}
-		copy(dst, payload)
-		return o.store.Put(id, o.pad(payload))
+		return o.store.Put(id, o.pad(dst))
 	}
 }
 

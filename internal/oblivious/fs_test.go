@@ -169,8 +169,8 @@ func TestFSWriteThrough(t *testing.T) {
 	if !bytes.Equal(got, newPayload) {
 		t.Fatal("cache did not see the write")
 	}
-	persisted, err := f.ReadBlockAt(3)
-	if err != nil {
+	persisted := make([]byte, vol.PayloadSize())
+	if err := f.ReadBlockAt(3, persisted); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(persisted, newPayload) {

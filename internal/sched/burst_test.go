@@ -79,7 +79,7 @@ func runBurstWorkload(t testing.TB, r *tracedRig) {
 			t.Fatal(err)
 		}
 	}
-	got, err := r.vol.ReadSealed(nil, cur[0], seal)
+	got, err := openBlock(r.vol, cur[0], seal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestRunMatchesSingleUpdates(t *testing.T) {
 					t.Fatalf("%s: %d blocks share a location", name, dup)
 				}
 				for i, loc := range a.locs {
-					got, err := a.vol.ReadSealed(nil, loc, a.seal)
+					got, err := openBlock(a.vol, loc, a.seal)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -360,7 +360,7 @@ func TestPlanOrderings(t *testing.T) {
 				t.Fatalf("landed on %v, want %v", locs, tc.landed)
 			}
 			for _, w := range tc.want {
-				got, err := vol.ReadSealed(nil, w.loc, sp.seal)
+				got, err := openBlock(vol, w.loc, sp.seal)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -495,7 +495,7 @@ func TestRunFaultAtEveryIO(t *testing.T) {
 				t.Fatalf("%s fault %d: failed run moved counters: %+v", op, k, st)
 			}
 			for i, loc := range locs {
-				got, err := vol.ReadSealed(nil, loc, seal)
+				got, err := openBlock(vol, loc, seal)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -574,7 +574,7 @@ func TestRunsSessionsAndBurstsOverlap(t *testing.T) {
 			loc uint64
 			blk int
 		}{{runLocs[i], i}, {oneLocs[i], run + i}} {
-			got, err := vol.ReadSealed(nil, f.loc, seal)
+			got, err := openBlock(vol, f.loc, seal)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,6 +58,13 @@ func sealBlock(t testing.TB, vol *stegfs.Volume, seal *sealer.Sealer, payload []
 	return raw
 }
 
+// openBlock reads block loc and opens it under seal into a fresh
+// payload.
+func openBlock(vol *stegfs.Volume, loc uint64, seal *sealer.Sealer) ([]byte, error) {
+	out := make([]byte, vol.PayloadSize())
+	return out, vol.ReadSealedInto(nil, loc, seal, make([]byte, vol.BlockSize()), out)
+}
+
 func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 	s, vol, source := newBitmapRig(t, 512, 0.5)
 	seal, err := vol.NewSealer([32]byte{1, 2, 3})
@@ -88,7 +95,7 @@ func TestSchedulerUpdatePreservesPayloadAndPartition(t *testing.T) {
 	if got := source.FreeCount(); got != free {
 		t.Fatalf("utilization drifted across relocations: %d free -> %d free", free, got)
 	}
-	got, err := vol.ReadSealed(nil, cur, seal)
+	got, err := openBlock(vol, cur, seal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +165,7 @@ func TestSchedulerDummyBurstCountsAndPreserves(t *testing.T) {
 	if got := s.Stats().DummyUpdates; got != 64 {
 		t.Fatalf("dummy counter %d", got)
 	}
-	got, err := vol.ReadSealed(nil, loc, seal)
+	got, err := openBlock(vol, loc, seal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +234,7 @@ func TestSchedulerConcurrentStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range locs {
-		got, err := vol.ReadSealed(nil, locs[i], seal)
+		got, err := openBlock(vol, locs[i], seal)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,8 +17,8 @@ type blockMap struct {
 
 	// Indirect-block locations (0 = not allocated). outerPtrs holds the
 	// inner pointer-block locations of the double-indirect chain, all
-	// outerCount of them: Save over-provisions rather than release, and
-	// releasing later requires knowing every allocated pointer block.
+	// outerCount of them — a loaded map may hold more than its blocks
+	// need, and a save supersedes every one.
 	single    uint64
 	double    uint64
 	outerPtrs []uint64
@@ -83,8 +83,9 @@ func (r *mapReader) read(loc uint64) error {
 // that ends short of h.blockCount, and on any address outside the steg
 // space [FirstDataBlock, NumBlocks) — 0, the nil pointer, included: a
 // loaded map is claimed block by block, and a later camouflage update
-// may rewrite any block it names. The one exception is a dummy file's
-// data address outside the space, which is dropped from the map.
+// may rewrite any block it names. It fails the same way on a map that
+// names one block twice, which only damage writes: a saved map is the
+// file's, block for block.
 func (r *mapReader) walk(headerLoc uint64, h *header) (blockMap, error) {
 	v := r.vol
 	count := h.blockCount
@@ -139,14 +140,17 @@ func (r *mapReader) walk(headerLoc uint64, h *header) (blockMap, error) {
 	if uint64(len(m.blocks)) != count {
 		return m, fmt.Errorf("%w: block map incomplete (%d/%d)", ErrCorrupt, len(m.blocks), count)
 	}
-	if h.flags&flagDummy != 0 {
-		// A dummy map is cover, and a crash can tear its save: the old
-		// header then reads the new pointer blocks, whose zero-padded
-		// tails name block 0 when the map shrank. Such an entry is
-		// dropped — one block of cover left unreachable — not claimed.
-		m.blocks = slices.DeleteFunc(m.blocks, outside)
+	if err := checkSpace(m.blocks...); err != nil {
+		return m, err
 	}
-	return m, checkSpace(m.blocks...)
+	owned := m.Owned()
+	slices.Sort(owned)
+	for i := 1; i < len(owned); i++ {
+		if owned[i] == owned[i-1] {
+			return m, fmt.Errorf("%w: block map names block %d twice", ErrCorrupt, owned[i])
+		}
+	}
+	return m, nil
 }
 
 // inSpace reports whether loc lies in the steg space: past the

@@ -22,7 +22,8 @@ func ownedSet(f *File) map[uint64]bool {
 // TestReferencedAtMatchesOpenFile pins recovery's source of truth to
 // the file layer's: what ReferencedAt reports a saved header references
 // is exactly what OpenFile of the same file owns — header, data blocks
-// and pointer blocks, over-provisioned ones included.
+// and pointer blocks (TestOverProvisionedIndirectsSurviveReload has the
+// spare ones).
 func TestReferencedAtMatchesOpenFile(t *testing.T) {
 	vol, src := testVolume(t, 2048)
 	d, per := uint64(vol.directSlots()), uint64(vol.ptrsPerBlock())
@@ -63,7 +64,7 @@ func TestReferencedAtMatchesOpenFile(t *testing.T) {
 		{"direct-only", d, 0, false},
 		{"single-indirect", d + per/2, 0, false},
 		{"double-indirect", d + 2*per + 3, 0, false},
-		{"over-provisioned-after-shrink", 60, 2, false},
+		{"shrunk", 60, 2, false},
 		{"dummy", d + per + 5, 0, true},
 	}
 	for _, row := range rows {
@@ -112,9 +113,10 @@ func TestReferencedAtMatchesOpenFile(t *testing.T) {
 // superblock (address 0, the nil pointer) or a journal-ring block.
 // Such a map must not load — a reopened file would claim the block,
 // and a camouflage update could later rewrite it — so OpenFile and
-// ReferencedAt both read it as corrupt. A dummy map is the exception
-// for its data entries only: the zero-padded tail a crash-torn save
-// leaves is dropped, and what stays is what both report.
+// ReferencedAt both read it as corrupt, as they read a map that names
+// one block twice. A dummy map is no exception: saves are copy-on-write,
+// so no crash leaves a header reading a newer pointer block, and a zero
+// or a repeat in a dummy map is damage too.
 func TestBlockMapFailsClosedOffTheSpace(t *testing.T) {
 	vol, err := Format(blockdev.NewMem(128, 1024), FormatOptions{KDFIterations: 4, FillSeed: []byte("t"), JournalBlocks: 8})
 	if err != nil {
@@ -142,15 +144,14 @@ func TestBlockMapFailsClosedOffTheSpace(t *testing.T) {
 		// craft fills h (block count and pointers) and returns the
 		// pointer blocks to seal, by location.
 		craft func(h *header, take func() uint64) map[uint64][]uint64
-		loads bool // the map loads, without what lies off the space
 	}{
-		{"zero outer pointer past the needed inner blocks", 0, zeroOuter, false},
+		{"zero outer pointer past the needed inner blocks", 0, zeroOuter},
 		{"direct slot of zero", 0, func(h *header, take func() uint64) map[uint64][]uint64 {
 			h.blockCount = d
 			fillDirect(h, take)
 			h.direct[d-1] = 0
 			return nil
-		}, false},
+		}},
 		{"inner pointer into the ring", 0, func(h *header, take func() uint64) map[uint64][]uint64 {
 			h.blockCount = d + per + 1
 			fillDirect(h, take)
@@ -162,14 +163,26 @@ func TestBlockMapFailsClosedOffTheSpace(t *testing.T) {
 				h.double: {inner},
 				inner:    {ring},
 			}
-		}, false},
-		{"dummy: zero outer pointer", flagDummy, zeroOuter, false},
+		}},
+		{"dummy: zero outer pointer", flagDummy, zeroOuter},
+		{"dummy: block named twice", flagDummy, func(h *header, take func() uint64) map[uint64][]uint64 {
+			h.blockCount = d + 3
+			fillDirect(h, take)
+			h.single = take()
+			return map[uint64][]uint64{h.single: {take(), h.direct[1], take()}}
+		}},
+		{"pointer block named as data", 0, func(h *header, take func() uint64) map[uint64][]uint64 {
+			h.blockCount = d + 1
+			fillDirect(h, take)
+			h.single = take()
+			return map[uint64][]uint64{h.single: {h.single}}
+		}},
 		{"dummy: torn save's zero tail", flagDummy, func(h *header, take func() uint64) map[uint64][]uint64 {
 			h.blockCount = d + 3
 			fillDirect(h, take)
 			h.single = take()
 			return map[uint64][]uint64{h.single: {take()}}
-		}, true},
+		}},
 	}
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -201,24 +214,6 @@ func TestBlockMapFailsClosedOffTheSpace(t *testing.T) {
 				t.Fatal(err)
 			}
 			g, err := OpenFile(vol, fak, path, NewBitmapSource(vol.FirstDataBlock(), vol.NumBlocks(), prng.NewFromUint64(2)))
-			if row.loads {
-				if err != nil {
-					t.Fatal(err)
-				}
-				refs, err := ReferencedAt(vol, f.HeaderLoc(), fak.HeaderKey)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := ownedSet(g)
-				if g.NumBlocks() != d+1 || want[0] || !maps.Equal(refs, want) {
-					t.Fatalf("map of %d blocks owns %v, ReferencedAt %v; want the %d in the space",
-						g.NumBlocks(), slices.Sorted(maps.Keys(want)), slices.Sorted(maps.Keys(refs)), d+1)
-				}
-				if g.Size() != g.NumBlocks()*uint64(vol.PayloadSize()) {
-					t.Fatalf("dummy size %d for %d blocks", g.Size(), g.NumBlocks())
-				}
-				return
-			}
 			if !errors.Is(err, ErrCorrupt) {
 				var owned []uint64
 				if g != nil {

@@ -3,6 +3,8 @@ package stegfs
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -71,10 +73,12 @@ func TestDummyFileSelfSourcingSave(t *testing.T) {
 	}
 }
 
+// TestOverProvisionedIndirectsSurviveReload: a map that lists more
+// pointer blocks than its blocks need — what a shrink's save wrote
+// before saves became copy-on-write — opens with every spare owned, and
+// ReferencedAt reports the same set. The next save writes the exact
+// shape and releases the spares once its header is written.
 func TestOverProvisionedIndirectsSurviveReload(t *testing.T) {
-	// Grow a file into the double-indirect range, shrink it back below
-	// the direct range, save, reload: the over-provisioned indirect
-	// blocks must be recorded and reusable, not leaked.
 	vol, src := testVolume(t, 2048)
 	fak := DeriveFAK("u", "/shrink", vol)
 	f, err := CreateFile(vol, fak, "/shrink", src)
@@ -82,63 +86,70 @@ func TestOverProvisionedIndirectsSurviveReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := InPlacePolicy{Vol: vol}
-	big := prng.NewFromUint64(4).Bytes(60 * vol.PayloadSize())
+	ps := vol.PayloadSize()
+	big := prng.NewFromUint64(4).Bytes(60 * ps)
 	if _, err := f.WriteAt(big, 0, policy); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Save(); err != nil {
 		t.Fatal(err)
 	}
-	indirects := f.IndirectLocs()
-	if len(indirects) < 3 {
-		t.Fatalf("expected single+outer+double, have %v", indirects)
+	spares := f.IndirectLocs()
+	if len(spares) < 3 {
+		t.Fatalf("expected single+outer+double, have %v", spares)
 	}
-
-	if err := f.Resize(uint64(2*vol.PayloadSize()), policy); err != nil {
+	// The header such a shrink to two blocks left: every pointer block
+	// still listed.
+	h := &header{
+		outerCount: uint32(len(f.outerPtrs)), fileSize: uint64(2 * ps), blockCount: 2,
+		pathHash: PathHash("/shrink"), single: f.single, double: f.double,
+		direct: make([]uint64, vol.directSlots()),
+	}
+	copy(h.direct, f.blocks[:2])
+	if err := vol.WriteSealed(nil, f.HeaderLoc(), f.HeaderSealer(), vol.encodeHeader(h, fak.HeaderKey)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Save(); err != nil {
-		t.Fatal(err)
-	}
-	// Indirects are kept (never released by Save), still recorded.
-	if got := f.IndirectLocs(); len(got) != len(indirects) {
-		t.Fatalf("indirects changed on shrink: %v -> %v", indirects, got)
-	}
 
-	g, err := OpenFile(vol, fak, "/shrink", src)
+	claims := NewBitmapSource(vol.FirstDataBlock(), vol.NumBlocks(), prng.NewFromUint64(9))
+	g, err := OpenFile(vol, fak, "/shrink", claims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.IndirectLocs()) != len(indirects) {
-		t.Fatalf("reload lost indirects: %v vs %v", g.IndirectLocs(), indirects)
+	if got := g.IndirectLocs(); !slices.Equal(got, spares) {
+		t.Fatalf("reload owns pointer blocks %v, the header lists %v", got, spares)
 	}
-	// Growing again reuses them rather than acquiring new ones.
-	used := usedCount(src)
-	if _, err := g.WriteAt(big, 0, policy); err != nil {
+	refs, err := ReferencedAt(vol, g.HeaderLoc(), fak.HeaderKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ownedSet(g); !maps.Equal(refs, want) {
+		t.Fatalf("ReferencedAt = %v, reopened file owns %v", slices.Sorted(maps.Keys(refs)), slices.Sorted(maps.Keys(want)))
+	}
+	got := make([]byte, 2*ps)
+	if _, err := g.ReadAt(got, 0); err != nil || !bytes.Equal(got, big[:2*ps]) {
+		t.Fatalf("over-provisioned map reads back wrong (err=%v)", err)
+	}
+
+	if err := g.Resize(g.Size(), policy); err != nil { // dirties the map
 		t.Fatal(err)
 	}
 	if err := g.Save(); err != nil {
 		t.Fatal(err)
 	}
-	grewBy := usedCount(src) - used
-	if grewBy > 60 {
-		t.Fatalf("regrow acquired %d blocks; indirects not reused", grewBy)
+	if got := g.IndirectLocs(); len(got) != 0 {
+		t.Fatalf("a save of two blocks kept pointer blocks %v", got)
 	}
-	got := make([]byte, len(big))
-	if _, err := g.ReadAt(got, 0); err != nil {
+	for _, loc := range spares {
+		if !claims.IsFree(loc) {
+			t.Fatalf("spare pointer block %d still held after the save", loc)
+		}
+	}
+	re, err := OpenFile(vol, fak, "/shrink", src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, big) {
-		t.Fatal("content mismatch after shrink/regrow cycle")
-	}
-	// Delete releases everything including the spares.
-	before := usedCount(src)
-	if err := g.Delete(); err != nil {
-		t.Fatal(err)
-	}
-	released := before - usedCount(src)
-	if released < 60+uint64(len(indirects)) {
-		t.Fatalf("delete released only %d blocks", released)
+	if re.NumBlocks() != 2 || len(re.IndirectLocs()) != 0 {
+		t.Fatalf("saved map reopens with %d blocks and pointer blocks %v", re.NumBlocks(), re.IndirectLocs())
 	}
 }
 

@@ -33,10 +33,11 @@ type File struct {
 
 	dirty bool
 
-	// pendingFree holds blocks a shrink gave up while the volume has
-	// an intent log: their release is deferred until the save that no
-	// longer references them is durable, so a crash before that save
-	// cannot find them reallocated out from under the old header.
+	// pendingFree holds the blocks the durable header may still
+	// reference but the map no longer does — a shrink's cut, a save's
+	// superseded pointer blocks. Save releases them once the header
+	// that drops them is written, so a crash before that write cannot
+	// find them reallocated out from under the old header.
 	pendingFree []uint64
 
 	// ReadAt/WriteAt batch scratch (a File is not concurrent-safe): the
@@ -197,9 +198,6 @@ func OpenFile(vol *Volume, fak FAK, path string, source BlockSource) (*File, err
 			hseal:    r.hseal,
 			cseal:    cseal,
 		}
-		if f.IsDummy() {
-			f.size = uint64(len(f.blocks)) * uint64(vol.PayloadSize()) // walk may drop entries
-		}
 		// Claim every block with the source, the header first, so an
 		// agent that learns a file at login does not allocate over it.
 		f.source.Acquire(f.headerLoc)
@@ -309,16 +307,24 @@ func (f *File) AppendBlockLoc(loc uint64) (int, error) {
 	return len(f.blocks) - 1, nil
 }
 
-// ReadBlockAt returns the plaintext payload of logical block li.
-func (f *File) ReadBlockAt(li uint64) ([]byte, error) {
+// ReadBlockAt opens logical block li into dst, which must be
+// PayloadSize bytes: the open run's payload when the block is staged,
+// the device's otherwise.
+func (f *File) ReadBlockAt(li uint64, dst []byte) error {
 	loc, err := f.BlockLoc(li)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if len(dst) != f.vol.PayloadSize() {
+		return fmt.Errorf("stegfs: block payload of %d bytes, want %d", len(dst), f.vol.PayloadSize())
 	}
 	if buf := f.staged(li); buf != nil {
-		return append([]byte(nil), buf...), nil
+		copy(dst, buf)
+		return nil
 	}
-	return f.vol.ReadSealed(&f.one, loc, f.cseal)
+	raw := mempool.Get(f.vol.BlockSize())
+	defer mempool.Recycle(raw)
+	return f.vol.ReadSealedInto(&f.one, loc, f.cseal, raw, dst)
 }
 
 // staged returns the open run's payload for logical block li, or nil.
@@ -359,16 +365,12 @@ func (f *File) merge(li uint64, bo int, piece []byte, policy UpdatePolicy) error
 				return err
 			}
 		}
-		loc, err := f.BlockLoc(li)
-		if err != nil {
+		if _, err := f.BlockLoc(li); err != nil {
 			return err
 		}
 		buf = mempool.Get(f.vol.PayloadSize())
 		if len(piece) < len(buf) {
-			raw := mempool.Get(f.vol.BlockSize())
-			err := f.vol.ReadSealedInto(&f.one, loc, f.cseal, raw, buf)
-			mempool.Recycle(raw)
-			if err != nil {
+			if err := f.ReadBlockAt(li, buf); err != nil {
 				mempool.Recycle(buf)
 				return err
 			}
@@ -456,10 +458,11 @@ func (f *File) flushWith(li uint64, p []byte, policy UpdatePolicy) error {
 
 // Resize grows or shrinks the file to size bytes. Growth allocates
 // fresh random blocks (zero-filled and written immediately, so the
-// blocks exist on disk); shrinkage releases blocks back to the source
-// — their ciphertext remains in place as plausible dummy content — and
-// drops what the open run held for them. A shrink to a size inside a
-// block stages zeros over that block's tail.
+// blocks exist on disk); shrinkage gives blocks up — the next Save
+// releases them to the source, their ciphertext left in place as
+// plausible dummy content — and drops what the open run held for them.
+// A shrink to a size inside a block stages zeros over that block's
+// tail.
 func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 	ps := uint64(f.vol.PayloadSize())
 	want := (size + ps - 1) / ps
@@ -513,22 +516,12 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 		f.blocks = append(f.blocks, newLocs...)
 	case want < cur:
 		cut := f.blocks[want:]
-		il := f.vol.IntentHooks()
-		if il != nil {
+		if il := f.vol.IntentHooks(); il != nil {
 			if err := il.LogFree(f.headerLoc, cut); err != nil {
 				return err
 			}
 		}
-		for _, loc := range cut {
-			if il != nil {
-				// Defer the release: the on-disk header still references
-				// loc until the next save lands, so it must not be
-				// reallocated or refilled before then.
-				f.pendingFree = append(f.pendingFree, loc)
-			} else {
-				f.source.Release(loc)
-			}
-		}
+		f.pendingFree = append(f.pendingFree, cut...)
 		f.blocks = f.blocks[:want]
 		f.unstage(func(li uint64) bool { return li >= want })
 	}
@@ -670,116 +663,110 @@ func (f *File) Stage(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 	return written, nil
 }
 
-// Save persists the block map: pointer blocks first, then the header.
-// The header's location is fixed (it must stay derivable from the
-// FAK), so it is rewritten in place; pointer blocks are rewritten in
-// place under the header key. All of these writes are ordinary block
-// updates in the observable stream.
-//
-// Indirect blocks are allocated on demand but never released here:
-// allocation can itself mutate the block map (a dummy file's source
-// may donate the file's own blocks), and an allocate/release pair at
-// a capacity boundary would oscillate forever. Over-provisioned
-// indirect blocks are recorded in the header and reused on growth;
-// they are only released by Delete.
-//
-// Save does not issue the open run — that takes a policy, and with it
-// the caller's context: see Sync.
+// Save persists the block map copy-on-write: it draws a fresh block
+// for each pointer block the map's shape needs (single, inner, double),
+// writes the pointer blocks there and the header last, in place. The
+// header write is the save's one commit point — until it lands the old
+// header reads the old map, whose blocks are all still in place — and
+// only after it are the blocks the new map supersedes released: the
+// old pointer blocks and a shrink's cut. A dummy file's old pointer
+// blocks join its data map instead, so its save releases nothing and
+// leaves it clean; a draw that takes one of its own blocks can leave a
+// spare pointer block, written empty. See DESIGN.md "Copy-on-write
+// saves". Save does not issue the open run — that takes a policy, and
+// with it the caller's context: see Sync.
 func (f *File) Save() error {
 	if !f.dirty {
 		return nil
 	}
 	v := f.vol
-	d := v.directSlots()
-	per := v.ptrsPerBlock()
-
-	// Phase 1: allocate indirect blocks until the requirement is
-	// stable. Each acquisition may shrink f.blocks (self-donating
-	// dummy files), which can only reduce the requirement, so the
-	// loop terminates.
-	var acquired []uint64
-	for {
-		n := len(f.blocks)
-		needSingle := n > d
-		nInner := 0
-		if n > d+per {
-			nInner = (n - d - per + per - 1) / per
+	old := f.appendPointers(nil)
+	n := len(f.blocks)
+	if f.IsDummy() {
+		n += len(old)
+	}
+	k, err := v.pointerBlocks(n)
+	if err != nil {
+		return err
+	}
+	fresh := make([]uint64, 0, k)
+	undraw := func(err error) error {
+		for _, loc := range fresh {
+			f.source.Release(loc)
 		}
-		if nInner > per {
-			return fmt.Errorf("%w: %d inner pointer blocks", ErrTooLarge, nInner)
+		return err
+	}
+	for range k {
+		loc, err := f.source.AcquireRandom()
+		if err != nil {
+			return undraw(err)
 		}
-		switch {
-		case needSingle && f.single == 0:
-			loc, err := f.source.AcquireRandom()
-			if err != nil {
-				return err
-			}
-			f.single = loc
-			acquired = append(acquired, loc)
-		case nInner > len(f.outerPtrs):
-			loc, err := f.source.AcquireRandom()
-			if err != nil {
-				return err
-			}
-			f.outerPtrs = append(f.outerPtrs, loc)
-			acquired = append(acquired, loc)
-		case (nInner > 0 || len(f.outerPtrs) > 0) && f.double == 0:
-			loc, err := f.source.AcquireRandom()
-			if err != nil {
-				return err
-			}
-			f.double = loc
-			acquired = append(acquired, loc)
-		default:
-			goto stable
+		fresh = append(fresh, loc)
+	}
+	il := v.IntentHooks()
+	if il != nil && len(fresh) > 0 {
+		if err := il.LogAlloc(f.headerLoc, fresh); err != nil {
+			return undraw(err)
 		}
 	}
-stable:
-	il := f.vol.IntentHooks()
-	if il != nil && len(acquired) > 0 {
-		if err := il.LogAlloc(f.headerLoc, acquired); err != nil {
-			return err
+	if il != nil && len(old) > 0 && !f.IsDummy() {
+		if err := il.LogFree(f.headerLoc, old); err != nil {
+			return undraw(err)
 		}
 	}
-
-	// Phase 2: the map is now stable; write pointer blocks and header
-	// from it.
-	rest := f.blocks[min(len(f.blocks), d):]
-	if len(rest) > 0 {
-		n := min(len(rest), per)
-		if err := v.WriteSealed(&f.one, f.single, f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
-			return err
-		}
-		rest = rest[n:]
+	// The new map is the file's from here on, whether or not a write
+	// below fails: a header write that fails may still have landed, so
+	// the fresh blocks stay held and the superseded ones wait for the
+	// next header write.
+	if f.IsDummy() {
+		f.blocks = append(f.blocks, old...)
+		f.size = uint64(len(f.blocks)) * uint64(v.PayloadSize())
+	} else {
+		f.pendingFree = append(f.pendingFree, old...)
 	}
-	for i := 0; len(rest) > 0; i++ {
-		n := min(len(rest), per)
-		if err := v.WriteSealed(&f.one, f.outerPtrs[i], f.hseal, v.encodePtrBlock(rest[:n], f.fak.HeaderKey)); err != nil {
-			return err
-		}
-		rest = rest[n:]
+	f.single, f.outerPtrs, f.double = 0, nil, 0
+	if k > 0 {
+		f.single = fresh[0]
 	}
-	if f.double != 0 {
-		if err := v.WriteSealed(&f.one, f.double, f.hseal, v.encodePtrBlock(f.outerPtrs, f.fak.HeaderKey)); err != nil {
-			return err
-		}
+	if k > 1 {
+		f.outerPtrs, f.double = fresh[1:k-1:k-1], fresh[k-1]
+	}
+	if err := f.writePointers(); err != nil {
+		return err
 	}
 	if err := f.saveHeader(); err != nil {
 		return err
 	}
 	if il != nil {
-		// The header write above is this file's commit point: record it
-		// and only then let go of blocks the saved map no longer
-		// references.
 		if err := il.LogSave(f.headerLoc); err != nil {
 			return err
 		}
-		for _, loc := range f.pendingFree {
-			f.source.Release(loc)
-		}
-		f.pendingFree = nil
 	}
 	f.dirty = false
+	for _, loc := range f.pendingFree {
+		f.source.Release(loc)
+	}
+	f.pendingFree = nil
+	return nil
+}
+
+// writePointers seals the map's pointer blocks under the header key,
+// in the order appendPointers lists them: the single-indirect block and
+// each inner block with the addresses it holds, then the
+// double-indirect block that lists the inner ones.
+func (f *File) writePointers() error {
+	v := f.vol
+	rest := f.blocks[min(len(f.blocks), v.directSlots()):]
+	for _, loc := range f.appendPointers(nil) {
+		ptrs := f.outerPtrs
+		if loc != f.double {
+			n := min(len(rest), v.ptrsPerBlock())
+			ptrs, rest = rest[:n], rest[n:]
+		}
+		if err := v.WriteSealed(&f.one, loc, f.hseal, v.encodePtrBlock(ptrs, f.fak.HeaderKey)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -76,8 +76,9 @@ func Check(vol *Volume, creds map[string][]string) (*CheckReport, error) {
 			if f.IsDummy() {
 				continue // dummy content is random by construction
 			}
+			payload := make([]byte, vol.PayloadSize())
 			for li := range f.NumBlocks() {
-				if _, err := f.ReadBlockAt(li); err != nil {
+				if err := f.ReadBlockAt(li, payload); err != nil {
 					report.Corrupt[path] = fmt.Errorf("block %d: %w", li, err)
 					break
 				}

@@ -22,9 +22,11 @@ import (
 //
 // Pointer blocks are sealed under the HeaderKey and hold payload/8
 // block addresses each. Address 0 (the superblock) doubles as the nil
-// pointer; it is never a legal data location. Indirect blocks may be
-// over-provisioned relative to blockCount (Save never releases them;
-// see File.Save), which is why outerCount is stored explicitly.
+// pointer; it is never a legal data location. outerCount is stored
+// explicitly because a map may hold more pointer blocks than
+// blockCount needs: saves made before File.Save became copy-on-write
+// kept them rather than release them, and a dummy file's save can keep
+// a spare one (see File.Save). The walk reads such a map as it is.
 const (
 	headerMagic     = "SGFSHDR1"
 	headerFixedSize = 88
@@ -51,6 +53,25 @@ func (v *Volume) directSlots() int { return (v.payload - headerFixedSize) / 8 }
 // first 8 payload bytes hold a keyed checksum so a corrupted or
 // mis-keyed chain fails closed instead of yielding garbage locations.
 func (v *Volume) ptrsPerBlock() int { return (v.payload - 8) / 8 }
+
+// pointerBlocks returns how many pointer blocks a map of n data blocks
+// needs: none within the direct slots, the single-indirect block past
+// them, and past that the double-indirect block and one inner block per
+// ptrsPerBlock addresses.
+func (v *Volume) pointerBlocks(n int) (int, error) {
+	d, per := v.directSlots(), v.ptrsPerBlock()
+	switch {
+	case n <= d:
+		return 0, nil
+	case n <= d+per:
+		return 1, nil
+	}
+	inner := (n - d - 1) / per // ⌈(n − d − per)/per⌉
+	if inner > per {
+		return 0, fmt.Errorf("%w: %d inner pointer blocks", ErrTooLarge, inner)
+	}
+	return 2 + inner, nil
+}
 
 // MaxFileBlocks returns the largest block map representable on this
 // volume: direct + single-indirect + double-indirect.

@@ -186,7 +186,8 @@ func TestStageIsSilentAndReadsSeeIt(t *testing.T) {
 	if got := r.read(t); !bytes.Equal(got, want) {
 		t.Fatal("ReadAt does not see the staged writes")
 	}
-	if blk, err := r.f.ReadBlockAt(31); err != nil || !bytes.Equal(blk, want[31*r.ps:32*r.ps]) {
+	blk := make([]byte, r.ps)
+	if err := r.f.ReadBlockAt(31, blk); err != nil || !bytes.Equal(blk, want[31*r.ps:32*r.ps]) {
 		t.Fatalf("ReadBlockAt does not see the staged block (err=%v)", err)
 	}
 	if _, writes := r.ops(); writes != 0 || len(r.runs) != 0 {
@@ -258,7 +259,8 @@ func TestLargeWriteIsOneRun(t *testing.T) {
 	if _, err := r.f.WriteAt(data, uint64(off), r.policy); !errors.Is(err, errRefused) {
 		t.Fatalf("refused large write: %v", err)
 	}
-	if blk, err := r.f.ReadBlockAt(10); err != nil || !bytes.Equal(blk, stale) {
+	blk := make([]byte, r.ps)
+	if err := r.f.ReadBlockAt(10, blk); err != nil || !bytes.Equal(blk, stale) {
 		t.Fatalf("refused large write dropped the staged block it covers (err=%v)", err)
 	}
 	r.refuse = false

@@ -387,23 +387,10 @@ func (v *Volume) NextIV(dst []byte) {
 	v.mu.Unlock()
 }
 
-// ReadSealed reads block loc and decrypts it with seal, returning the
-// payload in a fresh buffer; one carries the device batch (nil builds
-// one for the call).
-func (v *Volume) ReadSealed(one *blockdev.One, loc uint64, seal *sealer.Sealer) ([]byte, error) {
-	raw := mempool.Get(v.blockSize)
-	defer mempool.Recycle(raw)
-	out := make([]byte, v.payload)
-	if err := v.ReadSealedInto(one, loc, seal, raw, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadSealedInto is ReadSealed with caller-owned buffers — the
-// alloc-free form the scan paths (File.ReadAt batches, recovery's
-// header walk) loop over. one carries the device batch (nil builds
-// one for the call); raw must be BlockSize bytes of scratch; the
+// ReadSealedInto reads block loc and decrypts it with seal into
+// caller-owned buffers, so the scan paths (File.ReadBlockAt, recovery's
+// header walk) allocate nothing. one carries the device batch (nil
+// builds one for the call); raw must be BlockSize bytes of scratch; the
 // payload decrypts into out, which must be PayloadSize bytes.
 func (v *Volume) ReadSealedInto(one *blockdev.One, loc uint64, seal *sealer.Sealer, raw, out []byte) error {
 	l := v.blockLocker()

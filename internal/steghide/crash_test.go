@@ -109,6 +109,37 @@ func inAllowed(allowed [][]byte, got []byte) bool {
 // ring write and every block write inside it.
 const runLo, runHi = 4, 22
 
+// eBlocks is the size of /e, the real file whose map has a
+// double-indirect block: past the 19 direct slots and the 29 addresses
+// of the single-indirect block of a 256-byte block.
+const eBlocks = 52
+
+// trackedBlocks tracks blocks [from, to) of path as written with tag
+// and returns their payloads, for one write at from.
+func trackedBlocks(tr *crashTrack, path string, from, to uint64, tag int) []byte {
+	var data []byte
+	for li := from; li < to; li++ {
+		p := payloadFor(tr.ps, path, li, tag)
+		tr.noteWrite(path, li, p)
+		data = append(data, p...)
+	}
+	return data
+}
+
+// shrinkThenGrow is phaseB's life of /e: a shrink out of the double-
+// indirect map and its save, then a growth back into one and its save —
+// each save drawing fresh pointer blocks and superseding the old ones.
+func shrinkThenGrow(tr *crashTrack, truncate func(size uint64) error,
+	write func(data []byte, off uint64) error, save func() error) []func() error {
+	const shrunk = 30
+	return []func() error{
+		func() error { tr.file("/e").curSize = shrunk * tr.ps; return truncate(shrunk * tr.ps) },
+		save,
+		func() error { return write(trackedBlocks(tr, "/e", shrunk, eBlocks+4, 6), shrunk*tr.ps) },
+		save,
+	}
+}
+
 // rewriteRun builds phaseB's multi-block write of /b: the run's blocks
 // are tracked first, written through write in one call, and the device
 // events of that call are kept in *events.
@@ -183,8 +214,8 @@ func verifyTrackedFile(t *testing.T, path string, ft *fileTrack, f *stegfs.File,
 		if torn && loc == tornLoc {
 			continue // the torn block: damage is confined and located
 		}
-		got, err := f.ReadBlockAt(li)
-		if err != nil {
+		got := make([]byte, ps)
+		if err := f.ReadBlockAt(li, got); err != nil {
 			t.Fatalf("%q block %d: %v", path, li, err)
 		}
 		if !inAllowed(ft.allowed[li], got) {
@@ -204,7 +235,7 @@ const (
 	crashBS = 256
 	// The ring must cover every intent since the oldest stale dummy-map
 	// save (see DESIGN.md "Sizing the ring"); the test workloads append
-	// ~230 records end to end.
+	// 280 (C1) and 380 (C2) records end to end.
 	crashJournal = 384
 	crashSteg    = 256
 	crashNBlocks = 1 + crashJournal + crashSteg
@@ -251,24 +282,19 @@ func setupC1Crash(t *testing.T) *c1CrashRig {
 		hdrs:  map[string]uint64{},
 		files: map[string]*stegfs.File{},
 	}
-	ps := rig.track.ps
 	ctx := context.Background()
 	for _, init := range []struct {
 		path   string
 		blocks uint64
-	}{{"/a", 3}, {"/b", 4}, {"/c", 2}} {
+	}{{"/a", 3}, {"/b", 4}, {"/c", 2}, {"/e", eBlocks}} {
 		f, err := agent.Create("alice", init.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rig.hdrs[init.path] = f.HeaderLoc()
 		rig.files[init.path] = f
-		for li := uint64(0); li < init.blocks; li++ {
-			p := payloadFor(ps, init.path, li, 0)
-			if err := agent.Write(ctx, init.path, f, p, li*ps); err != nil {
-				t.Fatal(err)
-			}
-			rig.track.noteWrite(init.path, li, p)
+		if err := agent.Write(ctx, init.path, f, trackedBlocks(rig.track, init.path, 0, init.blocks, 0), 0); err != nil {
+			t.Fatal(err)
 		}
 		rig.track.noteSyncAttempt(init.path)
 		if err := agent.Sync(ctx, init.path, f); err != nil {
@@ -360,6 +386,12 @@ func (rig *c1CrashRig) phaseB() error {
 			return a.Write(ctx, "/b", rig.files["/b"], data, off)
 		}),
 		sync("/b"),
+	}
+	ops = append(ops, shrinkThenGrow(tr,
+		func(size uint64) error { return a.Truncate(ctx, "/e", rig.files["/e"], size) },
+		func(data []byte, off uint64) error { return a.Write(ctx, "/e", rig.files["/e"], data, off) },
+		sync("/e"))...)
+	ops = append(ops,
 		func() error { return a.DummyUpdate() },
 		write("/a", 1, 2),
 		// Delete /c inside the window.
@@ -378,7 +410,7 @@ func (rig *c1CrashRig) phaseB() error {
 		func() error { _, err := a.DummyUpdateBurst(8); return err },
 		write("/a", 0, 3),
 		sync("/a"),
-	}
+	)
 	for _, op := range ops {
 		if err := step(op); err != nil {
 			return err
@@ -575,25 +607,21 @@ func setupC2Crash(t *testing.T) *c2CrashRig {
 		mem: mem, col: col, fd: fd, vol: vol, agent: agent, sess: sess,
 		track: newCrashTrack(uint64(vol.PayloadSize())),
 	}
-	ps := rig.track.ps
 	// Limbo parks every vacated block until its file's next save, so
-	// the cover must outsize the longest save-free run of updates.
-	if _, err := sess.CreateDummy("/cover", 96); err != nil {
+	// the cover must outsize the real files and the longest save-free
+	// run of updates.
+	if _, err := sess.CreateDummy("/cover", 192); err != nil {
 		t.Fatal(err)
 	}
 	for _, init := range []struct {
 		path   string
 		blocks uint64
-	}{{"/a", 3}, {"/b", 4}} {
+	}{{"/a", 3}, {"/b", 4}, {"/e", eBlocks}} {
 		if _, err := sess.Create(init.path); err != nil {
 			t.Fatal(err)
 		}
-		for li := uint64(0); li < init.blocks; li++ {
-			p := payloadFor(ps, init.path, li, 0)
-			if err := sess.Write(ctx, init.path, p, li*ps); err != nil {
-				t.Fatal(err)
-			}
-			rig.track.noteWrite(init.path, li, p)
+		if err := sess.Write(ctx, init.path, trackedBlocks(rig.track, init.path, 0, init.blocks, 0), 0); err != nil {
+			t.Fatal(err)
 		}
 		rig.track.noteSyncAttempt(init.path)
 		if err := sess.Save(ctx, init.path); err != nil {
@@ -671,6 +699,12 @@ func (rig *c2CrashRig) phaseB() error {
 		save("/b"), save("/a"),
 		rewriteRun(tr, rig.col, &rig.batch, func(data []byte, off uint64) error { return sess.Write(ctx, "/b", data, off) }),
 		save("/b"),
+	}
+	ops = append(ops, shrinkThenGrow(tr,
+		func(size uint64) error { return sess.Truncate(ctx, "/e", size) },
+		func(data []byte, off uint64) error { return sess.Write(ctx, "/e", data, off) },
+		save("/e"))...)
+	ops = append(ops,
 		// Refresh the cover's durable map mid-window.
 		func() error { return sess.Save(ctx, "/cover") },
 		func() error { return a.DummyUpdate() },
@@ -687,7 +721,7 @@ func (rig *c2CrashRig) phaseB() error {
 		func() error { _, err := a.DummyUpdateBurst(8); return err },
 		write("/a", 0, 3),
 		save("/a"),
-	}
+	)
 	for _, op := range ops {
 		if err := op(); err != nil {
 			return err
@@ -719,9 +753,9 @@ func verifyC2Crash(t *testing.T, rig *c2CrashRig, coverFirst bool) {
 		t.Fatal(err)
 	}
 
-	order := []string{"/cover", "/a", "/b", "/c"}
+	order := []string{"/cover", "/a", "/b", "/c", "/e"}
 	if !coverFirst {
-		order = []string{"/a", "/b", "/c", "/cover"}
+		order = []string{"/a", "/b", "/c", "/e", "/cover"}
 	}
 	files := map[string]*stegfs.File{}
 	var cover *stegfs.File
@@ -754,9 +788,8 @@ func verifyC2Crash(t *testing.T, rig *c2CrashRig, coverFirst bool) {
 
 	// Hygiene: the disclosed dummy map must never claim a live block —
 	// that claim is exactly what a post-crash refill would act on — nor
-	// one block twice, which a save torn by the cut can leave on disk:
-	// the registry indexes one of the two, so a draw that withdraws it
-	// leaves the other behind.
+	// one block twice: the registry indexes one of the two, so a draw
+	// that withdraws it leaves the other behind.
 	claimed := map[uint64]bool{}
 	for _, loc := range cover.BlockLocs() {
 		if referenced[loc] {
@@ -781,8 +814,8 @@ func verifyC2Crash(t *testing.T, rig *c2CrashRig, coverFirst bool) {
 	for path, f := range files {
 		ft := rig.track.files[path]
 		for li := uint64(0); li*rig.track.ps < f.Size(); li++ {
-			got, err := f.ReadBlockAt(li)
-			if err != nil {
+			got := make([]byte, rig.track.ps)
+			if err := f.ReadBlockAt(li, got); err != nil {
 				t.Fatalf("%q block %d after dummy traffic: %v", path, li, err)
 			}
 			if !inAllowed(ft.allowed[li], got) {
@@ -848,12 +881,15 @@ func TestC2CrashMatrix(t *testing.T) {
 	t.Logf("C2 crash matrix: %d write indices", total)
 }
 
-// TestC2TornCoverClaimsNothingOffTheSpace: a power cut inside a dummy
-// file's save can leave its old header reading the new, shorter pointer
-// blocks, whose zero-padded tails name block 0 — the superblock. At
-// every cut of the C2 crash workload, the redisclosed cover's map and
-// the agent's registry hold no block outside the steg space, so no
-// dummy update can rewrite the superblock or a journal-ring slot.
+// TestC2TornCoverClaimsNothingOffTheSpace: at every cut of the C2
+// crash workload — the cover's saves and the saves of /e, whose maps
+// shrink, included — the redisclosed cover opens, and its map and the
+// agent's registry hold no block outside the steg space, so no dummy
+// update can rewrite the superblock or a journal-ring slot. Saves are
+// copy-on-write, so a torn save leaves the old header reading its own
+// pointer blocks; when saves rewrote them in place, a cut between the
+// two could leave it reading newer, shorter ones whose zero-padded
+// tails name block 0.
 func TestC2TornCoverClaimsNothingOffTheSpace(t *testing.T) {
 	ref := setupC2Crash(t)
 	base := ref.fd.Writes()

@@ -299,7 +299,7 @@ func (a *VolatileAgent) quarantineDummyLocked(f *stegfs.File, user string, loc u
 		a.register(loc, ownerInfo{user: user, pending: true})
 		if old, ok := r.dataReloc[loc]; ok {
 			delete(r.dataReloc, loc)
-			if a.lookup(old) == nil && blockIndex(f, old) < 0 {
+			if a.lookup(old) == nil && !r.protects(old) && blockIndex(f, old) < 0 {
 				_ = a.donate(f, old, user)
 			}
 		}

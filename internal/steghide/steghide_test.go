@@ -695,8 +695,8 @@ func TestC2PlausibleDeniability(t *testing.T) {
 	}
 	// The header decodes, the content is noise — exactly like a real
 	// file whose content key is withheld. Nothing distinguishes them.
-	payload, err := cover.ReadBlockAt(0)
-	if err != nil {
+	payload := make([]byte, a.Vol().PayloadSize())
+	if err := cover.ReadBlockAt(0, payload); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(payload, secret) {
@@ -870,5 +870,106 @@ func TestC2WriteUndisclosedFails(t *testing.T) {
 	}
 	if err := a.DummyUpdate(); !errors.Is(err, ErrNoDummySpace) {
 		t.Fatalf("dummy update with empty registry: %v", err)
+	}
+}
+
+// TestC2DummySaveConservesItsBlocks saves a cover whose map has pointer
+// blocks, with the journal off and on, twice: once in the session that
+// created it, once after a fresh disclosure. The save leaves the cover
+// clean — saving it again writes nothing — and loses no block: after a
+// logout, a login and a fresh disclosure, every block that was in the
+// cover's map or pointer set before the save is in a saved map, no block
+// is in two, and fsck is clean. The cover is the only dummy file, so
+// its fresh pointer blocks come out of its own map and it owns exactly
+// what it owned before.
+func TestC2DummySaveConservesItsBlocks(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		t.Run(map[bool]string{false: "no-journal", true: "journal"}[journaled], func(t *testing.T) {
+			ctx := context.Background()
+			fd := blockdev.NewFault(blockdev.NewMem(256, 1024))
+			vol, err := stegfs.Format(fd, stegfs.FormatOptions{KDFIterations: 4, FillSeed: []byte("dummy-save"), JournalBlocks: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := uint64(vol.PayloadSize())
+			a := NewVolatile(vol, prng.NewFromUint64(7))
+			if journaled {
+				if err := a.EnableJournal(JournalKey(vol, "admin")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := a.Login("u", "pw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cover, err := s.CreateDummy("/cover", 120)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Create("/f"); err != nil {
+				t.Fatal(err)
+			}
+			for round, blocks := range []uint64{20, 36} {
+				// The file's growth and relocations draw from the cover and
+				// dirty it.
+				if err := s.Write(ctx, "/f", bytes.Repeat([]byte{byte(round + 1)}, int(blocks*ps)), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Save(ctx, "/f"); err != nil {
+					t.Fatal(err)
+				}
+				if len(cover.IndirectLocs()) == 0 {
+					t.Fatal("the cover has no pointer blocks")
+				}
+				before := cover.Owned()
+				if err := s.Save(ctx, "/cover"); err != nil {
+					t.Fatal(err)
+				}
+				writes := fd.Writes()
+				if err := s.Save(ctx, "/cover"); err != nil || fd.Writes() != writes {
+					t.Fatalf("round %d: a second save of the cover wrote %d blocks (%v): its save left it dirty", round, fd.Writes()-writes, err)
+				}
+				if err := a.Logout(ctx, "u"); err != nil {
+					t.Fatal(err)
+				}
+				if s, err = a.Login("u", "pw"); err != nil {
+					t.Fatal(err)
+				}
+				if cover, err = s.Disclose("/cover"); err != nil {
+					t.Fatal(err)
+				}
+				if cover.Size() != cover.NumBlocks()*ps {
+					t.Fatalf("round %d: the saved cover reads %d bytes for %d blocks", round, cover.Size(), cover.NumBlocks())
+				}
+				f, err := s.Disclose("/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				saved := map[uint64]int{}
+				for _, loc := range append(cover.Owned(), f.Owned()...) {
+					saved[loc]++
+				}
+				for loc, n := range saved {
+					if n > 1 {
+						t.Fatalf("round %d: block %d is in %d saved maps", round, loc, n)
+					}
+				}
+				for _, loc := range before {
+					if saved[loc] == 0 {
+						t.Fatalf("round %d: block %d of the cover is in no saved map after its save", round, loc)
+					}
+				}
+				if len(cover.Owned()) != len(before) {
+					t.Fatalf("round %d: the cover owned %d blocks before its save and %d after", round, len(before), len(cover.Owned()))
+				}
+				report, err := stegfs.Check(vol, map[string][]string{"pw": {"/cover", "/f"}})
+				if err != nil || !report.Ok() {
+					t.Fatalf("round %d: fsck: %v, err=%v", round, report, err)
+				}
+			}
+			if err := a.Logout(ctx, "u"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

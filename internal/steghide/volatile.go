@@ -350,26 +350,14 @@ func (a *VolatileAgent) checkBudget(user string, need uint64) error {
 // dummy file's blocks pass the quarantine gate first: its on-disk map
 // may be stale after a crash, claiming blocks that now hold (or may
 // hold) another file's live data. A block that another disclosed dummy
-// file still claims leaves that file's map, so no block is in two; a
-// block a dummy map torn by a crash names twice stays in it once.
+// file still claims leaves that file's map, so no block is in two.
 func (a *VolatileAgent) registerFile(user string, f *stegfs.File) {
 	hseal := f.HeaderSealer()
 	cseal := f.ContentSealer()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.register(f.HeaderLoc(), ownerInfo{file: f, user: user, seal: hseal})
-	var seen map[uint64]bool
-	if f.IsDummy() {
-		seen = make(map[uint64]bool, f.NumBlocks())
-	}
 	for _, loc := range f.BlockLocs() {
-		if seen != nil {
-			if seen[loc] {
-				strip(f, loc)
-				continue
-			}
-			seen[loc] = true
-		}
 		if e := a.lookup(loc); e != nil && e.dummy && e.file != f {
 			_ = a.withdraw(e)
 		}
@@ -416,7 +404,8 @@ type volatileSource struct {
 	a    *VolatileAgent
 	user string
 	// allowUnknown lets AcquireRandom claim abandoned (undisclosed)
-	// blocks; set only on the source used to materialize dummy files.
+	// blocks; set only on the source a dummy file is materialized with,
+	// while CreateDummy materializes it.
 	allowUnknown bool
 }
 
@@ -699,6 +688,10 @@ func (s *Session) CreateDummy(path string, nBlocks uint64) (*stegfs.File, error)
 	if err != nil {
 		return nil, err
 	}
+	// The file keeps its source. Its later saves draw their pointer
+	// blocks from the disclosed dummy blocks, never from undisclosed
+	// space, where another login's files may live.
+	boot.allowUnknown = false
 	s.dummies = slices.Insert(s.dummies, i, f)
 	a.registerFile(s.user, f)
 	a.applyRecovery(f)

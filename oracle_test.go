@@ -153,19 +153,25 @@ func runOracle(t *testing.T) oracleRun {
 // fewer data updates, drawn later in the decision stream. It moved
 // again when a filler cell became keystream and only the cell that
 // opens each ring-block write stayed sealed: the image changed in 32
-// ring blocks and nowhere else, and oracleTraceDigest held.
-const oracleImageDigest = "88ed2748c11cfab918a19e77ab2a28356b61bbb8b04a51aae790958d387271d3"
+// ring blocks and nowhere else, and oracleTraceDigest held. It moved
+// with the trace when saves became copy-on-write: the 96-block cover
+// has a single-indirect block, and its save at logout now writes it to
+// a block drawn from the dummy blocks, logs that draw, and keeps the
+// superseded one in its data map.
+const oracleImageDigest = "e4413508b83ffb3244754bb42984e884a297fa2f856db570895be8a04b2a58e8"
 
 // oracleDigest is runOracle's digest over every observable. Serial and
 // pipelined bursts, pooled and unpooled, all met its value at the
 // commit before the staged seal pipeline and the pool switch were
 // deleted; it was re-pinned with oracleImageDigest when filler cells
-// became keystream, which moved the image and nothing else.
-const oracleDigest = "f597a195b5cab00343d4328be4d3129e9a84cb9f82b1dbe5bbac81b839302555"
+// became keystream, which moved the image and nothing else, and again
+// when the cover's save at logout became copy-on-write.
+const oracleDigest = "121acc7d89c79ff056acba5d1bbf29cd91b5d052b1c430b9c93b497616c8364b"
 
 // oracleTraceDigest is runOracle's traceDigest: every observable but
-// the image.
-const oracleTraceDigest = "7609f9c7c6fdebd6893c93f8f06496eccdd162db653265fd91a0311bb38eff99"
+// the image. It moved when the cover's save at logout became
+// copy-on-write (a fresh pointer block, its allocation record).
+const oracleTraceDigest = "b8b9c7b4992aad58f398674030cf4627b4fc90bcce3b389e7e0401c9f0d97f50"
 
 // TestOracleTraceDigest pins the oracle workload's trace, counters and
 // verdicts apart from its image, so a change that is meant to move
