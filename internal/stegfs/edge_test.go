@@ -122,12 +122,34 @@ func TestOverProvisionedIndirectsSurviveReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ownedSet(g); !maps.Equal(refs, want) {
+	want := ownedSet(g)
+	if !maps.Equal(refs, want) {
 		t.Fatalf("ReferencedAt = %v, reopened file owns %v", slices.Sorted(maps.Keys(refs)), slices.Sorted(maps.Keys(want)))
 	}
 	got := make([]byte, 2*ps)
 	if _, err := g.ReadAt(got, 0); err != nil || !bytes.Equal(got, big[:2*ps]) {
 		t.Fatalf("over-provisioned map reads back wrong (err=%v)", err)
+	}
+
+	// Delete releases every block of such a map, its spare pointer
+	// blocks included.
+	held := NewBitmapSource(vol.FirstDataBlock(), vol.NumBlocks(), prng.NewFromUint64(10))
+	d, err := OpenFile(vol, fak, "/shrink", held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for loc := range want {
+		if held.IsFree(loc) {
+			t.Fatalf("open left block %d of the map unclaimed", loc)
+		}
+	}
+	if err := d.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	for loc := range want {
+		if !held.IsFree(loc) {
+			t.Fatalf("delete kept block %d of an over-provisioned map", loc)
+		}
 	}
 
 	if err := g.Resize(g.Size(), policy); err != nil { // dirties the map

@@ -86,21 +86,11 @@ func CreateDummyFile(vol *Volume, fak FAK, path string, source BlockSource, nBlo
 		f.releaseAll()
 		return nil, fmt.Errorf("%w: %d blocks", ErrTooLarge, nBlocks)
 	}
-	for i := uint64(0); i < nBlocks; i++ {
-		loc, err := source.AcquireRandom()
-		if err != nil {
-			f.releaseAll()
-			return nil, err
-		}
-		f.blocks = append(f.blocks, loc)
+	if f.blocks, err = f.draw(nBlocks); err != nil {
+		f.releaseAll()
+		return nil, err
 	}
 	f.size = nBlocks * uint64(vol.PayloadSize())
-	if il := vol.IntentHooks(); il != nil && nBlocks > 0 {
-		if err := il.LogAlloc(f.headerLoc, f.blocks); err != nil {
-			f.releaseAll()
-			return nil, err
-		}
-	}
 	if err := f.Save(); err != nil {
 		f.releaseAll()
 		return nil, err
@@ -484,25 +474,9 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 		// Acquire all new locations first, then materialize them with
 		// one batched sealed write; on any failure the growth is rolled
 		// back whole, so the map never records unwritten blocks.
-		newLocs := make([]uint64, 0, want-cur)
-		rollback := func() {
-			for _, loc := range newLocs {
-				f.source.Release(loc)
-			}
-		}
-		for i := cur; i < want; i++ {
-			loc, err := f.source.AcquireRandom()
-			if err != nil {
-				rollback()
-				return err
-			}
-			newLocs = append(newLocs, loc)
-		}
-		if il := f.vol.IntentHooks(); il != nil {
-			if err := il.LogAlloc(f.headerLoc, newLocs); err != nil {
-				rollback()
-				return err
-			}
+		newLocs, err := f.draw(want - cur)
+		if err != nil {
+			return err
 		}
 		zero := make([]byte, ps)
 		payloads := make([][]byte, len(newLocs))
@@ -510,7 +484,7 @@ func (f *File) Resize(size uint64, policy UpdatePolicy) error {
 			payloads[i] = zero
 		}
 		if err := f.vol.WriteSealedMany(newLocs, f.cseal, payloads); err != nil {
-			rollback()
+			f.release(newLocs)
 			return err
 		}
 		f.blocks = append(f.blocks, newLocs...)
@@ -672,8 +646,10 @@ func (f *File) Stage(p []byte, off uint64, policy UpdatePolicy) (int, error) {
 // old pointer blocks and a shrink's cut. A dummy file's old pointer
 // blocks join its data map instead, so its save releases nothing and
 // leaves it clean; a draw that takes one of its own blocks can leave a
-// spare pointer block, written empty. See DESIGN.md "Copy-on-write
-// saves". Save does not issue the open run — that takes a policy, and
+// spare pointer block, written empty. The draws come before any
+// release, so a source with fewer free blocks than the map's pointer
+// blocks fails the save and the file stays as last saved. See DESIGN.md
+// "Copy-on-write saves". Save does not issue the open run — that takes a policy, and
 // with it the caller's context: see Sync.
 func (f *File) Save() error {
 	if !f.dirty {
@@ -689,29 +665,15 @@ func (f *File) Save() error {
 	if err != nil {
 		return err
 	}
-	fresh := make([]uint64, 0, k)
-	undraw := func(err error) error {
-		for _, loc := range fresh {
-			f.source.Release(loc)
-		}
+	fresh, err := f.draw(uint64(k))
+	if err != nil {
 		return err
 	}
-	for range k {
-		loc, err := f.source.AcquireRandom()
-		if err != nil {
-			return undraw(err)
-		}
-		fresh = append(fresh, loc)
-	}
 	il := v.IntentHooks()
-	if il != nil && len(fresh) > 0 {
-		if err := il.LogAlloc(f.headerLoc, fresh); err != nil {
-			return undraw(err)
-		}
-	}
 	if il != nil && len(old) > 0 && !f.IsDummy() {
 		if err := il.LogFree(f.headerLoc, old); err != nil {
-			return undraw(err)
+			f.release(fresh)
+			return err
 		}
 	}
 	// The new map is the file's from here on, whether or not a write
@@ -743,9 +705,7 @@ func (f *File) Save() error {
 		}
 	}
 	f.dirty = false
-	for _, loc := range f.pendingFree {
-		f.source.Release(loc)
-	}
+	f.release(f.pendingFree)
 	f.pendingFree = nil
 	return nil
 }
@@ -816,9 +776,7 @@ func (f *File) Delete() error {
 		return err
 	}
 	f.releaseAll()
-	for _, loc := range f.pendingFree {
-		f.source.Release(loc)
-	}
+	f.release(f.pendingFree)
 	f.pendingFree = nil
 	f.unstage(func(uint64) bool { return true })
 	f.blocks = nil
@@ -830,8 +788,34 @@ func (f *File) Delete() error {
 // releaseAll gives every block the file owns back to the source and
 // forgets its pointer blocks.
 func (f *File) releaseAll() {
-	for _, loc := range f.Owned() {
+	f.release(f.Owned())
+	f.single, f.double, f.outerPtrs = 0, 0, nil
+}
+
+// release gives locs back to the source.
+func (f *File) release(locs []uint64) {
+	for _, loc := range locs {
 		f.source.Release(loc)
 	}
-	f.single, f.double, f.outerPtrs = 0, 0, nil
+}
+
+// draw acquires n random blocks from the source and logs them as the
+// file's allocation; on any failure it gives back what it drew.
+func (f *File) draw(n uint64) ([]uint64, error) {
+	locs := make([]uint64, 0, n)
+	for uint64(len(locs)) < n {
+		loc, err := f.source.AcquireRandom()
+		if err != nil {
+			f.release(locs)
+			return nil, err
+		}
+		locs = append(locs, loc)
+	}
+	if il := f.vol.IntentHooks(); il != nil && n > 0 {
+		if err := il.LogAlloc(f.headerLoc, locs); err != nil {
+			f.release(locs)
+			return nil, err
+		}
+	}
+	return locs, nil
 }

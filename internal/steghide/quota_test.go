@@ -1,6 +1,7 @@
 package steghide
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -176,5 +177,83 @@ func TestQuotaRelocationNetZero(t *testing.T) {
 	}
 	if after := usage(a, "alice"); after != before {
 		t.Fatalf("usage drifted %d -> %d across rewrites and dummy traffic", before, after)
+	}
+}
+
+func TestQuotaAllowsSaveAndLogoutAtBudget(t *testing.T) {
+	ctx := context.Background()
+	// A save draws a fresh block for each pointer block it writes and
+	// releases the old ones after its header: at its budget a login must
+	// still save a file with pointer blocks and log out, its cover's
+	// save included, while another login's cover is in the draw pool.
+	a, _ := newC2(t, 2048)
+	bob, err := a.Login("bob", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bob.CreateDummy("/cover", 100); err != nil {
+		t.Fatal(err)
+	}
+	s, err := a.Login("alice", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover, err := s.CreateDummy("/cover", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Create("/real")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := prng.NewFromUint64(5).Bytes(30 * a.Vol().PayloadSize())
+	if err := s.Write(ctx, "/real", msg, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(ctx, "/real"); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.IndirectLocs()) == 0 || len(cover.IndirectLocs()) == 0 {
+		t.Fatal("the file and the cover need pointer blocks")
+	}
+	budget := usage(a, "alice")
+	a.SetQuota("alice", budget)
+	for round := range 3 {
+		if err := s.Write(ctx, "/real", msg[:a.Vol().PayloadSize()], 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(ctx, "/real"); err != nil {
+			t.Fatalf("round %d: save at the budget: %v", round, err)
+		}
+		if u := usage(a, "alice"); u > budget {
+			t.Fatalf("round %d: usage %d past the %d-block budget", round, u, budget)
+		}
+	}
+	if err := a.Logout(ctx, "alice"); err != nil {
+		t.Fatalf("logout at the budget: %v", err)
+	}
+	if err := a.Logout(ctx, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	s, err = a.Login("alice", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Disclose("/cover"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Disclose("/real"); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(msg))
+	if _, err := s.Read("/real", got, 0); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("the file reads back wrong after saves at the budget (err=%v)", err)
+	}
+	report, err := stegfs.Check(a.Vol(), map[string][]string{"pw": {"/cover", "/real"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Ok() {
+		t.Fatalf("fsck after saves at the budget: %v", report)
 	}
 }

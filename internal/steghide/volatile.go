@@ -456,9 +456,11 @@ func (s *volatileSource) AcquireRandom() (uint64, error) {
 	// The quota gate lives here — the only path that grows a login's
 	// footprint. Acquire (above) stays ungated because opening or
 	// disclosing an existing file re-claims blocks the login already
-	// owns through it.
+	// owns through it. A login at its budget still draws from its own
+	// cover, which moves no charge: a save's fresh pointer blocks
+	// replace as many it releases, like a relocation.
 	if a.overBudgetLocked(s.user, 1) {
-		return 0, fmt.Errorf("steghide: login block budget exhausted: %w", stegfs.ErrVolumeFull)
+		return a.drawOwnLocked(s.user)
 	}
 	if s.allowUnknown {
 		first, n := a.vol.FirstDataBlock(), a.vol.NumBlocks()
@@ -492,6 +494,25 @@ func (s *volatileSource) AcquireRandom() (uint64, error) {
 		a.set(e, ownerInfo{user: s.user, pending: true})
 		return e.loc, nil
 	}
+}
+
+// drawOwnLocked withdraws a uniformly random block of the login's own
+// disclosed cover and marks it pending; the caller holds a.mu. A login
+// with no cover left fails as over its budget.
+func (a *VolatileAgent) drawOwnLocked(user string) (uint64, error) {
+	var own []uint64
+	if sess := a.sessions[user]; sess != nil {
+		for _, df := range sess.dummies {
+			own = append(own, df.BlockLocs()...)
+		}
+	}
+	if len(own) > 0 {
+		if e := a.lookup(own[a.rng.Intn(len(own))]); e != nil && e.dummy && a.withdraw(e) == nil {
+			a.set(e, ownerInfo{user: user, pending: true})
+			return e.loc, nil
+		}
+	}
+	return 0, fmt.Errorf("steghide: login block budget exhausted: %w", stegfs.ErrVolumeFull)
 }
 
 // Release implements stegfs.BlockSource: the block joins the first of
