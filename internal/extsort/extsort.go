@@ -53,7 +53,7 @@ type Codec interface {
 	Open(pos uint64, input bool, raws, recs [][]byte, keys []uint64) error
 	// Seal encodes recs into raws, which Sort then writes at device
 	// positions pos, pos+1, …. final marks the write that places
-	// records at their sorted positions in src; every record is sealed
+	// records at their sorted positions in dst; every record is sealed
 	// final exactly once, in position order.
 	Seal(pos uint64, final bool, recs, raws [][]byte) error
 }
@@ -80,15 +80,20 @@ type Window struct {
 	spareRaws, spareRecs [][]byte
 }
 
-// Sort orders the blocks of src ascending by key, using scratch as
-// temporary space and w as its only block memory. The sorted result is
-// left in src. scratch must not overlap src and must be at least as
-// long. The window must hold at least two blocks: run formation sorts
-// a window of blocks at a time, and merging uses up to that many run
+// Sort orders the blocks of src ascending by key into dst, using
+// scratch as temporary space and w as its only block memory. dst is as
+// long as src and may overlap it (a caller that sorts in place passes
+// src): the final pass, the only one that writes dst, always reads
+// from scratch. scratch must overlap neither and be at least as long.
+// The window must hold at least two blocks: run formation sorts a
+// window of blocks at a time, and merging uses up to that many run
 // cursors per pass.
-func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) error {
+func Sort(dev blockdev.Device, src, dst, scratch Region, codec Codec, w *Window) error {
 	if src.Len == 0 {
 		return nil
+	}
+	if dst.Len != src.Len {
+		return fmt.Errorf("extsort: dst %d blocks != src %d blocks", dst.Len, src.Len)
 	}
 	memBlocks := len(w.Raws)
 	if memBlocks < 2 || len(w.Recs) != memBlocks {
@@ -97,10 +102,10 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 	if scratch.Len < src.Len {
 		return fmt.Errorf("extsort: scratch %d blocks < src %d blocks", scratch.Len, src.Len)
 	}
-	if src.Overlaps(scratch) {
-		return fmt.Errorf("extsort: src and scratch overlap")
+	if src.Overlaps(scratch) || dst.Overlaps(scratch) {
+		return fmt.Errorf("extsort: scratch overlaps src or dst")
 	}
-	if src.End() > dev.NumBlocks() || scratch.End() > dev.NumBlocks() {
+	if max(src.End(), dst.End(), scratch.End()) > dev.NumBlocks() {
 		return fmt.Errorf("extsort: region beyond device (%d blocks)", dev.NumBlocks())
 	}
 	if len(w.keys) < memBlocks {
@@ -122,9 +127,10 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 		return writeOut(dev, codec, dstPos, final, recs, raws)
 	}
 
-	// In-memory fast path: everything fits in the window.
+	// In-memory fast path: everything fits in the window, and the one
+	// read of src ends before the one write of dst.
 	if src.Len <= uint64(memBlocks) {
-		return formRun(src.Start, src.Start, src.Len, true)
+		return formRun(src.Start, dst.Start, src.Len, true)
 	}
 
 	// Merge geometry. Every pass reads and writes every block, so the
@@ -140,10 +146,11 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 	fanIn, passes := mergeFanIn(numRuns, memBlocks)
 
 	// Pass 0 — run formation: read windows of memBlocks, sort in
-	// memory, write back sequentially. Runs are placed so that after
-	// `passes` ping-pong merge passes the final run lands in src with
-	// no extra copy: even pass count → form runs in src (in place),
-	// odd → form runs in scratch.
+	// memory, write back sequentially. The passes ping-pong between src
+	// and scratch, and runs are placed so that the last pass reads
+	// scratch: even pass count → form runs in src (in place), odd →
+	// form runs in scratch. The last pass writes dst in place of src,
+	// so the final run lands there with no extra copy.
 	cur, other := src, scratch
 	if passes%2 == 1 {
 		cur, other = scratch, src
@@ -160,17 +167,21 @@ func Sort(dev blockdev.Device, src, scratch Region, codec Codec, w *Window) erro
 
 	for len(runs) > 1 {
 		// The parity choice above makes the pass that leaves one run
-		// a pass that writes into src.
+		// a pass that reads scratch.
 		final := len(runs) <= fanIn
-		if final && other.Start != src.Start {
-			return fmt.Errorf("extsort: pass parity disagrees with geometry (%d runs, fan-in %d)", len(runs), fanIn)
+		to := other
+		if final {
+			if cur != scratch {
+				return fmt.Errorf("extsort: pass parity disagrees with geometry (%d runs, fan-in %d)", len(runs), fanIn)
+			}
+			to = dst
 		}
 		next = next[:0]
 		off := uint64(0)
 		for lo := 0; lo < len(runs); lo += fanIn {
 			hi := min(lo+fanIn, len(runs))
 			in, out := mergeChunks(memBlocks, hi-lo)
-			merged, err := w.mergeRuns(dev, codec, runs[lo:hi], other.Start+off, in, out, final)
+			merged, err := w.mergeRuns(dev, codec, runs[lo:hi], to.Start+off, in, out, final)
 			if err != nil {
 				return err
 			}

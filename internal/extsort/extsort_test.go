@@ -43,7 +43,7 @@ func newWindow(dev blockdev.Device, memBlocks int) *Window {
 // sortByPrefix sorts src by block prefix in a fresh window of
 // memBlocks blocks.
 func sortByPrefix(dev blockdev.Device, src, scratch Region, memBlocks int) error {
-	return Sort(dev, src, scratch, prefixCodec{}, newWindow(dev, memBlocks))
+	return Sort(dev, src, src, scratch, prefixCodec{}, newWindow(dev, memBlocks))
 }
 
 // fillRandom writes blocks with random keys into region src and
@@ -287,7 +287,7 @@ func BenchmarkSort1024Blocks(b *testing.B) {
 // prefixCodec's job: every block is opened exactly once per read and
 // sealed exactly once per write, in whole batches that match the
 // device call; input opens cover src exactly once; final seals cover
-// src exactly once, in position order.
+// dst exactly once, in position order.
 type auditCodec struct {
 	t            *testing.T
 	inputs       map[uint64]int
@@ -322,43 +322,66 @@ func (a *auditCodec) Seal(pos uint64, final bool, recs, raws [][]byte) error {
 	return prefixCodec{}.Seal(pos, final, recs, raws)
 }
 
+// TestCodecContract audits every sort against the device trace: opens
+// equal blocks read, seals equal blocks written, each block of src is
+// opened as input once, and the final seals cover dst once, in order.
+// Each geometry sorts in place and into a dst that overlaps the tail of
+// src, as a cascade into an empty level does; the sorts take 0 to 3
+// merge passes, so the final pass reads scratch at either parity.
 func TestCodecContract(t *testing.T) {
 	for _, tc := range []struct {
 		n   uint64
 		mem int
 	}{{3, 4}, {24, 4}, {48, 4}, {100, 7}, {17, 2}, {1024, 32}} {
-		base := blockdev.NewMem(64, 2200)
-		col := &blockdev.Collector{}
-		dev := blockdev.NewTraced(base, col)
-		src := Region{Start: 5, Len: tc.n}
-		scratch := Region{Start: 1100, Len: tc.n}
-		keys := fillRandom(t, base, src, tc.n)
-		a := &auditCodec{t: t, inputs: map[uint64]int{}, nextFinal: src.Start}
-		if err := Sort(dev, src, scratch, a, newWindow(dev, tc.mem)); err != nil {
-			t.Fatalf("n=%d mem=%d: %v", tc.n, tc.mem, err)
-		}
-		verifySorted(t, base, src, keys)
-		var reads, writes uint64
-		for _, ev := range col.Events() {
-			if ev.Op == blockdev.OpWrite {
-				writes += ev.Span()
-			} else {
-				reads += ev.Span()
+		for _, shift := range []uint64{0, tc.n - tc.n/4} {
+			base := blockdev.NewMem(64, 3300)
+			col := &blockdev.Collector{}
+			dev := blockdev.NewTraced(base, col)
+			src := Region{Start: 5, Len: tc.n}
+			dst := Region{Start: src.Start + shift, Len: tc.n}
+			scratch := Region{Start: 2200, Len: tc.n}
+			keys := fillRandom(t, base, src, tc.n)
+			a := &auditCodec{t: t, inputs: map[uint64]int{}, nextFinal: dst.Start}
+			if err := Sort(dev, src, dst, scratch, a, newWindow(dev, tc.mem)); err != nil {
+				t.Fatalf("n=%d mem=%d dst@%d: %v", tc.n, tc.mem, dst.Start, err)
+			}
+			verifySorted(t, base, dst, keys)
+			var reads, writes uint64
+			for _, ev := range col.Events() {
+				if ev.Op == blockdev.OpWrite {
+					writes += ev.Span()
+				} else {
+					reads += ev.Span()
+				}
+			}
+			if a.opens != reads || a.seals != writes {
+				t.Fatalf("n=%d mem=%d dst@%d: %d opens for %d block reads, %d seals for %d block writes", tc.n, tc.mem, dst.Start, a.opens, reads, a.seals, writes)
+			}
+			if a.nextFinal != dst.End() {
+				t.Fatalf("n=%d mem=%d: final seals reached %d of [%d,%d)", tc.n, tc.mem, a.nextFinal, dst.Start, dst.End())
+			}
+			for pos := src.Start; pos < src.End(); pos++ {
+				if a.inputs[pos] != 1 {
+					t.Fatalf("n=%d mem=%d dst@%d: block %d opened as input %d times", tc.n, tc.mem, dst.Start, pos, a.inputs[pos])
+				}
+			}
+			if uint64(len(a.inputs)) != src.Len {
+				t.Fatalf("n=%d mem=%d dst@%d: input opens outside src", tc.n, tc.mem, dst.Start)
 			}
 		}
-		if a.opens != reads || a.seals != writes {
-			t.Fatalf("n=%d mem=%d: %d opens for %d block reads, %d seals for %d block writes", tc.n, tc.mem, a.opens, reads, a.seals, writes)
-		}
-		if a.nextFinal != src.End() {
-			t.Fatalf("n=%d mem=%d: final seals reached %d of [%d,%d)", tc.n, tc.mem, a.nextFinal, src.Start, src.End())
-		}
-		for pos := src.Start; pos < src.End(); pos++ {
-			if a.inputs[pos] != 1 {
-				t.Fatalf("n=%d mem=%d: block %d opened as input %d times", tc.n, tc.mem, pos, a.inputs[pos])
-			}
-		}
-		if uint64(len(a.inputs)) != src.Len {
-			t.Fatalf("n=%d mem=%d: input opens outside src", tc.n, tc.mem)
+	}
+}
+
+// TestSortRejectsBadDst: dst must be as long as src and clear of
+// scratch.
+func TestSortRejectsBadDst(t *testing.T) {
+	dev := blockdev.NewMem(64, 300)
+	src := Region{Start: 0, Len: 40}
+	scratch := Region{Start: 200, Len: 40}
+	w := newWindow(dev, 4)
+	for _, dst := range []Region{{Start: 50, Len: 39}, {Start: 170, Len: 40}, {Start: 280, Len: 40}} {
+		if err := Sort(dev, src, dst, scratch, prefixCodec{}, w); err == nil {
+			t.Fatalf("dst %+v accepted", dst)
 		}
 	}
 }
@@ -457,7 +480,7 @@ func TestSortReusesWindow(t *testing.T) {
 	fillRandom(t, dev, src, 9)
 	w := newWindow(dev, 8)
 	sortOnce := func() {
-		if err := Sort(dev, src, scratch, prefixCodec{}, w); err != nil {
+		if err := Sort(dev, src, src, scratch, prefixCodec{}, w); err != nil {
 			t.Fatal(err)
 		}
 	}

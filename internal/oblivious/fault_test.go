@@ -3,6 +3,9 @@ package oblivious
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,44 +15,105 @@ import (
 	"steghide/internal/sealer"
 )
 
-// TestStoreFaultDuringShuffle fails the device at every block write of
-// one dump in turn — run formation, each merge pass, the final
-// placement — and requires the injected error back from that dump.
+// TestStoreFaultDuringShuffle fails the device, in turn, at each block
+// write of one dump (run formation, each merge pass, the final
+// placement) and at the first block of each write call of a cascade
+// into an empty level (each pass of its sort, the final placement into
+// level m+1, the refill of levels 1..m), and requires the injected
+// error back from the dump, or from the Put that ran the cascade. Then
+// the device heals and every block ever put is read back: a Get may
+// fail or miss (the caller then fetches the block from the
+// steganographic partition), but a hit must return the value last put.
+// The cascade is caught at period 3·2^m, so deeper levels hold older
+// copies of the blocks it moves.
 func TestStoreFaultDuringShuffle(t *testing.T) {
-	const bufCap, levels = 4, 3
-	build := func() (*Store, *blockdev.FaultDevice) {
-		fd := blockdev.NewFault(blockdev.NewMem(128, Footprint(bufCap, levels)))
-		s, err := New(Config{
-			Dev:          fd,
-			Key:          sealer.DeriveKey([]byte("k"), "fault"),
-			BufferBlocks: bufCap,
-			Levels:       levels,
-			RNG:          prng.NewFromUint64(1),
-		})
-		if err != nil {
-			t.Fatal(err)
+	type row struct {
+		bufCap, levels int
+		cascade        int // 0: dump(0) after 7 puts
+	}
+	// Cascades of m ≤ 2: at (8, 5) the cascade of m = 3 runs the same
+	// kinds of pass as m = 2 over twice the runs, at three times the
+	// cost of all the other rows together.
+	rows := []row{{4, 3, 0}}
+	for _, g := range cascadeGeoms {
+		for m := 1; m <= min(g.levels-2, 2); m++ {
+			rows = append(rows, row{g.bufCap, g.levels, m})
 		}
-		for i := 0; i < 7; i++ {
-			if err := s.Put(BlockID{File: 1, Index: uint64(i)}, make([]byte, s.ValueSize())); err != nil {
+	}
+	for _, r := range rows {
+		end := uint64(7)
+		if r.cascade > 0 {
+			end = cascadePeriod(r.cascade)*uint64(r.bufCap) - 1
+		}
+		distinct := 3 * r.bufCap
+		build := func() (*Store, *tapDev, *blockdev.FaultDevice, map[uint64][]byte) {
+			fd := blockdev.NewFault(blockdev.NewMem(128, Footprint(r.bufCap, r.levels)))
+			d := &tapDev{Device: fd}
+			s, err := New(Config{
+				Dev:          d,
+				Key:          sealer.DeriveKey([]byte("k"), "fault"),
+				BufferBlocks: r.bufCap,
+				Levels:       r.levels,
+				RNG:          prng.NewFromUint64(1),
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
+			model := map[uint64][]byte{}
+			putUntil(t, s, end, 1, distinct, model)
+			return s, d, fd, model
 		}
-		return s, fd
-	}
-	s, _ := build()
-	before := s.Stats().ShuffleWrites
-	if err := s.dump(0); err != nil {
-		t.Fatal(err)
-	}
-	writes := int64(s.Stats().ShuffleWrites - before)
-	if writes < 2*24 {
-		t.Fatalf("dump wrote only %d blocks; expected run formation and at least one merge pass", writes)
-	}
-	for n := int64(0); n < writes; n++ {
-		s, fd := build()
-		fd.FailWritesAfter(n)
-		if err := s.dump(0); !errors.Is(err, blockdev.ErrInjected) {
-			t.Fatalf("write fault at block write %d of %d: %v", n, writes, err)
+		// shuffle runs the dump, or the Put that ends the period and
+		// runs the cascade.
+		shuffle := func(s *Store, model map[uint64][]byte) error {
+			if r.cascade == 0 {
+				return s.dump(0)
+			}
+			idx := end % uint64(distinct)
+			model[idx] = val(s, 1<<16+end)
+			return s.Put(BlockID{File: 1, Index: idx}, model[idx])
+		}
+		what := fmt.Sprintf("(%d,%d) dump(0)", r.bufCap, r.levels)
+		if r.cascade > 0 {
+			what = fmt.Sprintf("(%d,%d) cascade(%d)", r.bufCap, r.levels, r.cascade)
+		}
+
+		s, d, _, model := build()
+		d.recording = true
+		if err := shuffle(s, model); err != nil {
+			t.Fatal(err)
+		}
+		// The block writes to fail at: every one of a dump; the first of
+		// each write call of a cascade, after the flush into level 1.
+		var at []int64
+		written := int64(0)
+		for _, c := range d.calls {
+			if !c.write {
+				continue
+			}
+			for i := range c.blocks {
+				if r.cascade == 0 || (i == 0 && written >= 2*int64(r.bufCap)) {
+					at = append(at, written+int64(i))
+				}
+			}
+			written += int64(len(c.blocks))
+		}
+		if r.cascade == 0 && written < 2*24 {
+			t.Fatalf("%s wrote only %d blocks; expected run formation and at least one merge pass", what, written)
+		}
+		for _, n := range at {
+			s, _, fd, model := build()
+			fd.FailWritesAfter(n)
+			if err := shuffle(s, model); !errors.Is(err, blockdev.ErrInjected) {
+				t.Fatalf("%s: write fault at block write %d of %d: %v", what, n, written, err)
+			}
+			fd.Heal()
+			for _, idx := range slices.Sorted(maps.Keys(model)) {
+				got, ok, err := s.Get(BlockID{File: 1, Index: idx})
+				if err == nil && ok && !bytes.Equal(got, model[idx]) {
+					t.Fatalf("%s, fault at block write %d: Get(%d) returned a stale value", what, n, idx)
+				}
+			}
 		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 
 // dump merges level i (0-based) into level i+1 with O(B) memory and
 // mostly sequential I/O: one external sort of the two levels' combined
-// (adjacent) region by class ‖ PRF(nonce), run through the reshuffle
-// codec below.
+// (adjacent) region, in place, by class ‖ PRF(nonce), run through the
+// reshuffle codec below. Level i+1 may hold reals, so the last-level
+// cascade and the relaxed schedule merge this way; a cascade into an
+// empty level is cascade's.
 //
 //	run formation  as each slot is first opened, an entry whose slot
 //	               is not a winner (per the in-memory indices: level i
@@ -34,73 +36,124 @@ import (
 // their masks depend on the IV. A merge pass carries each slot's hash
 // from its open to its seal, so the payload is hashed 2+P times: at
 // each open and once more when run formation rewrites its header.
-func (s *Store) dump(i int) error {
+func (s *Store) dump(i int) (err error) {
 	if i+1 >= len(s.levels) {
 		return fmt.Errorf("%w: cannot dump past level %d", ErrCacheFull, len(s.levels))
 	}
 	t0 := s.now()
-	defer func() { s.stats.SortTime += s.now() - t0 }()
+	defer func() { s.shuffled(t0, err) }()
 	s.stats.Dumps++
 
-	li, lj := s.levels[i], s.levels[i+1]
-	if lj.region.Start != li.region.End() {
-		return fmt.Errorf("oblivious: levels %d/%d not adjacent", i+1, i+2)
-	}
-	combined := extsort.Region{Start: li.region.Start, Len: li.region.Len + lj.region.Len}
+	combined := s.dumpSort(i)
+	return s.merge(s.levels[i:i+2], combined, combined, s.levels[i].region.Len)
+}
 
-	// Winner slots from the in-memory indices: every level i entry
-	// survives; a level i+1 entry survives unless level i holds the
-	// same id (the higher copy is always fresher).
-	s.winners.Reset()
-	for _, slot := range li.index {
-		s.winners.Set(slot - combined.Start)
+// dumpSort is the region dump(i) sorts in place: levels i+1 and i+2,
+// which layout places side by side.
+func (s *Store) dumpSort(i int) extsort.Region {
+	li, lj := s.levels[i], s.levels[i+1]
+	return extsort.Region{Start: li.region.Start, Len: li.region.Len + lj.region.Len}
+}
+
+// cascadeSort is the region the cascade into level m+1 (0 < m < k−1)
+// sorts: the first 2^(m+1)·B slots of the hierarchy, that is levels
+// 1..m and the first 2B slots of level m+1, as many as level m+1 has.
+func (s *Store) cascadeSort(m int) extsort.Region {
+	return extsort.Region{Start: s.levels[0].region.Start, Len: s.levels[m].region.Len}
+}
+
+// cascade moves levels 1..m (0 < m < k−1) into level m+1 at a period
+// of the strict schedule with exactly m trailing zeros, where level
+// m+1 holds no real block (DESIGN.md, "Cascades into an empty level"):
+// one sort of cascadeSort(m), whose final pass writes level m+1 and
+// whose winners are the shallowest copy of each id, then fresh dummies
+// sealed into levels 1..m by the format loop of New. Every sorted slot
+// lands in level m+1, so there is no low class. It counts as one dump.
+func (s *Store) cascade(m int) (err error) {
+	t0 := s.now()
+	defer func() { s.shuffled(t0, err) }()
+	s.stats.Dumps++
+
+	to := s.levels[m]
+	if n := len(to.index); n != 0 {
+		return fmt.Errorf("oblivious: cascade into level %d, which holds %d reals (schedule bug)", m+1, n)
 	}
-	for id, slot := range lj.index {
-		if _, shadowed := li.index[id]; !shadowed {
-			s.winners.Set(slot - combined.Start)
+	if err = s.merge(s.levels[:m+1], s.cascadeSort(m), to.region, 0); err != nil {
+		return err
+	}
+	return s.format(&s.shuffleDev, s.levels[:m])
+}
+
+// merge sorts src into dst, the region of the last of lvs, through the
+// reshuffle codec and empties the other levels' indices. The winners
+// are the shallowest copy of each id in lvs, the first low dummies of
+// src take the low class (and so the slots of dst before the last
+// level), and the last level adopts the index the final pass builds.
+func (s *Store) merge(lvs []*level, src, dst extsort.Region, low uint64) error {
+	to := lvs[len(lvs)-1]
+	s.winners.Reset()
+	for j, lv := range lvs {
+		for id, slot := range lv.index {
+			if !held(lvs[:j], id) {
+				s.winners.Set(slot - src.Start)
+			}
 		}
 	}
 	reals := int(s.winners.Count())
-	if i+1 == len(s.levels)-1 && reals > lj.capReal {
-		return fmt.Errorf("%w: %d distinct blocks exceed capacity %d", ErrCacheFull, reals, lj.capReal)
+	if to == s.levels[len(s.levels)-1] && reals > to.capReal {
+		return fmt.Errorf("%w: %d distinct blocks exceed capacity %d", ErrCacheFull, reals, to.capReal)
 	}
 
 	clear(s.spareIndex)
 	s.realSlots.Reset()
 	r := &s.shuffle
-	*r = reshuffle{s: s, from: li.region, to: lj.region, tagSeed: s.tagRNG.Uint64()}
-	if err := extsort.Sort(&s.shuffleDev, combined, s.scratch, r, &s.win); err != nil {
+	*r = reshuffle{s: s, src: src.Start, low: low, to: to.region, tagSeed: s.tagRNG.Uint64()}
+	if err := extsort.Sort(&s.shuffleDev, src, dst, s.scratch, r, &s.win); err != nil {
 		return err
 	}
-	if r.dummies < li.region.Len {
-		return fmt.Errorf("oblivious: only %d dummies for a low class of %d (capacity invariant broken)", r.dummies, li.region.Len)
+	if r.dummies < low {
+		return fmt.Errorf("oblivious: only %d dummies for a low class of %d (capacity invariant broken)", r.dummies, low)
 	}
 	if len(s.spareIndex) != reals {
 		return fmt.Errorf("oblivious: merge placed %d reals, expected %d", len(s.spareIndex), reals)
 	}
 
-	clear(li.index)
-	li.realCount = 0
-	li.resetEpoch(nil)
+	for _, lv := range lvs[:len(lvs)-1] {
+		clear(lv.index)
+		lv.realCount = 0
+		lv.resetEpoch(nil)
+	}
 	// Swap rather than drop: the target level adopts the freshly built
-	// index and its old map (cleared at the top of the next dump)
+	// index and its old map (cleared at the top of the next merge)
 	// becomes the spare.
-	lj.index, s.spareIndex = s.spareIndex, lj.index
-	lj.realCount = reals
-	lj.resetEpoch(s.realSlots)
+	to.index, s.spareIndex = s.spareIndex, to.index
+	to.realCount = reals
+	to.resetEpoch(s.realSlots)
 	return nil
 }
 
-// reshuffle is the extsort.Codec of one dump. It works on slot
+// held reports whether any of lvs indexes id.
+func held(lvs []*level, id BlockID) bool {
+	for _, lv := range lvs {
+		if _, ok := lv.index[id]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// reshuffle is the extsort.Codec of one merge. It works on slot
 // payloads: Open decrypts and verifies every slot the sort reads, Seal
 // tags and encrypts every slot it writes in lanes under fresh IVs. The
-// state of the dump it serves — winners, the index and real-slot set being
-// rebuilt — lives in the Store's reusable scratch.
+// state of the merge it serves — winners, the index and real-slot set
+// being rebuilt — lives in the Store's reusable scratch.
 type reshuffle struct {
-	s        *Store
-	from, to extsort.Region // level i, emptied, and level i+1, filled
-	tagSeed  uint64
-	dummies  uint64 // dummies seen by run formation so far
+	s       *Store
+	src     uint64         // first slot of the sorted region, winners' origin
+	low     uint64         // dummies that take the low class
+	to      extsort.Region // the level filled
+	tagSeed uint64
+	dummies uint64 // dummies seen by run formation so far
 }
 
 // Open implements extsort.Codec. Run formation folds dedup, the fresh
@@ -115,11 +168,11 @@ func (r *reshuffle) Open(pos uint64, input bool, raws, recs [][]byte, keys []uin
 		}
 		h := header(p)
 		if input {
-			h.real = h.real && s.winners.Get(pos+uint64(i)-r.from.Start)
+			h.real = h.real && s.winners.Get(pos+uint64(i)-r.src)
 			h.nonce = s.rng.Uint64()
 			h.lowClass = false
 			if !h.real {
-				h.lowClass = r.dummies < r.from.Len
+				h.lowClass = r.dummies < r.low
 				r.dummies++
 				s.rng.Fill(p[entryMetaSize:])
 			}
@@ -134,7 +187,7 @@ func (r *reshuffle) Open(pos uint64, input bool, raws, recs [][]byte, keys []uin
 }
 
 // Seal implements extsort.Codec. The final pass's records rebuild the
-// index of level i+1 from plaintext.
+// index of the level filled from plaintext.
 func (r *reshuffle) Seal(pos uint64, final bool, recs, raws [][]byte) error {
 	s := r.s
 	if err := s.sealSlots(raws, recs); err != nil {

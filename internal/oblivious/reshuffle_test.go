@@ -137,6 +137,25 @@ func recordDump(t *testing.T, s *Store, d *tapDev, i int) []tapCall {
 	return d.calls
 }
 
+// recordCascade builds a (B, k) store over a tap, puts blocks i %
+// distinct until one access before the end of period 3·2^m, and
+// records the Put that ends it: the flush into level 1, then the
+// cascade into level m+1, its sort and its refill.
+func recordCascade(t *testing.T, bufCap, levels, m int, seed uint64, distinct int) []tapCall {
+	t.Helper()
+	s, d := tappedStore(t, bufCap, levels, seed, 0)
+	end := cascadePeriod(m) * uint64(bufCap)
+	putUntil(t, s, end-1, seed, distinct, nil)
+	d.recording = true
+	before := s.Stats().Dumps
+	putUntil(t, s, end, seed, distinct, nil)
+	d.recording = false
+	if got := s.Stats().Dumps - before; got != 1 {
+		t.Fatalf("(%d,%d) period %d: %d sorts, want the one cascade", bufCap, levels, cascadePeriod(m), got)
+	}
+	return d.calls
+}
+
 // dumpMerge is the merge geometry of a dump over n slots with a window
 // of b blocks: the fan-in extsort merges its runs with and the number
 // P of merge passes after run formation. Of the fan-ins from 2 to
@@ -228,7 +247,10 @@ func canonicalCalls(calls []tapCall) []string {
 // one recorded from the commit before the record-form sort (testdata).
 // The (32, 3) dumps merge 6 and 12 runs in one pass, with cursors that
 // refill 2 and 1 blocks at a time: the fan-ins above ⌊√B⌋ that only a
-// window with room for a seal batch takes.
+// window with room for a seal batch takes. The cascade rows hold a
+// cascade into an empty level to the same rule at (4, 4) and (8, 5):
+// its sort, which skips most of level m+1, and its refill of levels
+// 1..m.
 func TestDumpCallSequenceIsGeometry(t *testing.T) {
 	golden, err := os.ReadFile("testdata/dump_calls_b4k3.golden")
 	if err != nil {
@@ -252,6 +274,19 @@ func TestDumpCallSequenceIsGeometry(t *testing.T) {
 	if got.String() != string(golden) {
 		t.Fatalf("call sequence differs from the recorded one; got:\n%s", got.String())
 	}
+	// Cascade rows: the Put that ends a period with m trailing zeros,
+	// on two seeds and two contents — every block distinct, or three
+	// blocks rewritten over and over.
+	for _, g := range cascadeGeoms {
+		for m := 1; m <= g.levels-2; m++ {
+			capacity := g.bufCap << uint(g.levels-1)
+			a := canonicalCalls(recordCascade(t, g.bufCap, g.levels, m, 1, capacity))
+			b := canonicalCalls(recordCascade(t, g.bufCap, g.levels, m, 2, 3))
+			if !slices.Equal(a, b) {
+				t.Fatalf("(%d,%d) cascade(%d): call sequence depends on seed or contents:\n%v\n%v", g.bufCap, g.levels, m, a, b)
+			}
+		}
+	}
 }
 
 // TestDumpWritesAreUnlinkable checks what re-encrypting on every pass
@@ -259,18 +294,27 @@ func TestDumpCallSequenceIsGeometry(t *testing.T) {
 // ciphertext block, with any block the dump read or wrote before it —
 // so a slot cannot be followed from pass to pass by ciphertext.
 func TestDumpWritesAreUnlinkable(t *testing.T) {
-	for lvl := 0; lvl < 2; lvl++ {
-		s, d := tappedStore(t, 4, 3, 7, 9)
+	unlinkable := func(what string, calls []tapCall) {
 		type half [sealer.IVSize]byte
 		seen := map[half]bool{}
-		for n, c := range recordDump(t, s, d, lvl) {
+		for n, c := range calls {
 			for i, b := range c.blocks {
 				iv, first := half(b[:sealer.IVSize]), half(b[sealer.IVSize:2*sealer.IVSize])
 				if c.write && (seen[iv] || seen[first]) {
-					t.Fatalf("dump(%d) call %d (%v): block %d repeats an IV or ciphertext block seen earlier", lvl, n, c, c.start+uint64(i))
+					t.Fatalf("%s call %d (%v): block %d repeats an IV or ciphertext block seen earlier", what, n, c, c.start+uint64(i))
 				}
 				seen[iv], seen[first] = true, true
 			}
+		}
+	}
+	for lvl := 0; lvl < 2; lvl++ {
+		s, d := tappedStore(t, 4, 3, 7, 9)
+		unlinkable(fmt.Sprintf("dump(%d)", lvl), recordDump(t, s, d, lvl))
+	}
+	// A cascade's sort and refill, with the flush before them.
+	for _, g := range cascadeGeoms {
+		for m := 1; m <= g.levels-2; m++ {
+			unlinkable(fmt.Sprintf("(%d,%d) cascade(%d)", g.bufCap, g.levels, m), recordCascade(t, g.bufCap, g.levels, m, 7, 5))
 		}
 	}
 }
@@ -337,41 +381,78 @@ func TestSlotNoncesNeverRepeat(t *testing.T) {
 // and the put's). With a window of 32 blocks every merge seals its
 // output 16 slots per batch, the sixteen-lane cipher group, bar each
 // merge's last batch.
+//
+// A cascade into level m+1 sorts n = 2^(m+1)·B slots and refills the
+// r = n − 2B slots of levels 1..m: exactly (1+P)·n opens, (1+P)·n + r
+// seals, as many masks as both, and (2+P)·n + r hashes. A refill slot
+// is built and sealed once (one hash, one mask) and never opened; the
+// refill seals B slots per batch.
 func TestDumpCryptoBudget(t *testing.T) {
-	for _, g := range []struct{ bufCap, levels, dump int }{
-		{4, 3, 0}, {4, 3, 1}, {16, 4, 2}, {32, 3, 1}, {32, 4, 2},
+	for _, g := range []struct{ bufCap, levels, dump, cascade int }{
+		{4, 3, 0, 0}, {4, 3, 1, 0}, {16, 4, 2, 0}, {32, 3, 1, 0}, {32, 4, 2, 0},
+		{4, 4, 0, 1}, {4, 4, 0, 2}, {8, 5, 0, 3}, {32, 4, 0, 2},
 	} {
-		s, _ := tappedStore(t, g.bufCap, g.levels, 5, 2*g.bufCap)
+		var s *Store
+		if g.cascade == 0 {
+			s, _ = tappedStore(t, g.bufCap, g.levels, 5, 2*g.bufCap)
+		} else {
+			// One access before the end of a period with m trailing
+			// zeros, and that period's flush.
+			s, _ = tappedStore(t, g.bufCap, g.levels, 5, 0)
+			putUntil(t, s, cascadePeriod(g.cascade)*uint64(g.bufCap)-1, 5, 3*g.bufCap, nil)
+			if err := s.flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		seal := &countingSealer{slotSealer: s.codec.seal}
 		tag := &countingTagger{slotTagger: s.codec.tag}
 		s.codec.seal, s.codec.tag = seal, tag
 
 		before := s.Stats()
-		if err := s.dump(g.dump); err != nil {
+		what := fmt.Sprintf("(%d,%d) dump(%d)", g.bufCap, g.levels, g.dump)
+		n, r := int(s.levels[g.dump].region.Len+s.levels[g.dump+1].region.Len), 0
+		var err error
+		if g.cascade == 0 {
+			err = s.dump(g.dump)
+		} else {
+			what = fmt.Sprintf("(%d,%d) cascade(%d)", g.bufCap, g.levels, g.cascade)
+			n = int(s.cascadeSort(g.cascade).Len)
+			r = n - 2*g.bufCap
+			err = s.cascade(g.cascade)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		st := s.Stats()
-		n := int(s.levels[g.dump].region.Len + s.levels[g.dump+1].region.Len)
 		p := mergePasses(n, g.bufCap)
-		t.Logf("(%d,%d) dump(%d): %d slots, P=%d: %d opens, %d seals in %d batches, %d masks, %d hashes",
-			g.bufCap, g.levels, g.dump, n, p, seal.opens, seal.sealed, len(seal.batches), tag.masks, tag.hashes)
-		if want := dumpSealWidths(n, g.bufCap); g.bufCap == 32 && !slices.Equal(seal.batches, want) {
-			t.Errorf("seal batches of %v slots, want %v", seal.batches, want)
+		t.Logf("%s: %d slots, P=%d, %d refilled: %d opens, %d seals in %d batches, %d masks, %d hashes",
+			what, n, p, r, seal.opens, seal.sealed, len(seal.batches), tag.masks, tag.hashes)
+		if g.bufCap == 32 {
+			want := dumpSealWidths(n, g.bufCap)
+			for range r / g.bufCap {
+				want = append(want, g.bufCap)
+			}
+			if !slices.Equal(seal.batches, want) {
+				t.Errorf("%s: seal batches of %v slots, want %v", what, seal.batches, want)
+			}
 		}
 		if got := int(st.ShuffleReads - before.ShuffleReads); seal.opens != got {
-			t.Errorf("%d opens for %d slots read", seal.opens, got)
+			t.Errorf("%s: %d opens for %d slots read", what, seal.opens, got)
 		}
 		if got := int(st.ShuffleWrites - before.ShuffleWrites); seal.sealed != got {
-			t.Errorf("%d seals for %d slots written", seal.sealed, got)
+			t.Errorf("%s: %d seals for %d slots written", what, seal.sealed, got)
 		}
-		if seal.opens > (1+p)*n || seal.sealed > (1+p)*n || tag.masks > (2+2*p)*n {
-			t.Errorf("over budget for P=%d: want ≤ %d opens, ≤ %d seals, ≤ %d masks", p, (1+p)*n, (1+p)*n, (2+2*p)*n)
+		if seal.opens > (1+p)*n || seal.sealed > (1+p)*n+r || tag.masks > (2+2*p)*n+r {
+			t.Errorf("%s: over budget for P=%d: want ≤ %d opens, ≤ %d seals, ≤ %d masks", what, p, (1+p)*n, (1+p)*n+r, (2+2*p)*n+r)
+		}
+		if g.cascade > 0 && (seal.opens != (1+p)*n || seal.sealed != (1+p)*n+r) {
+			t.Errorf("%s: %d opens and %d seals, want (1+P)·n = %d and (1+P)·n + r = %d", what, seal.opens, seal.sealed, (1+p)*n, (1+p)*n+r)
 		}
 		if tag.masks != seal.opens+seal.sealed {
-			t.Errorf("%d masks for %d slots opened and %d sealed", tag.masks, seal.opens, seal.sealed)
+			t.Errorf("%s: %d masks for %d slots opened and %d sealed", what, tag.masks, seal.opens, seal.sealed)
 		}
-		if tag.hashes != (2+p)*n {
-			t.Errorf("%d hashes for %d slots and P=%d, want (2+P)·n = %d", tag.hashes, n, p, (2+p)*n)
+		if tag.hashes != (2+p)*n+r {
+			t.Errorf("%s: %d hashes for %d slots, P=%d and %d refilled, want (2+P)·n + r = %d", what, tag.hashes, n, p, r, (2+p)*n+r)
 		}
 
 		*seal, *tag = countingSealer{slotSealer: seal.slotSealer}, countingTagger{slotTagger: tag.slotTagger}
@@ -379,7 +460,7 @@ func TestDumpCryptoBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		if l1 := 2 * g.bufCap; seal.opens != l1 || seal.sealed != l1 || tag.masks != 2*l1 || tag.hashes != 2*l1 {
-			t.Errorf("flush of %d slots: %d opens, %d seals, %d masks, %d hashes", l1, seal.opens, seal.sealed, tag.masks, tag.hashes)
+			t.Errorf("%s: flush of %d slots: %d opens, %d seals, %d masks, %d hashes", what, l1, seal.opens, seal.sealed, tag.masks, tag.hashes)
 		}
 	}
 }
@@ -477,37 +558,79 @@ func TestFlushRejectsCorruptLevelSlot(t *testing.T) {
 }
 
 // TestCountersMatchParentCommit drives a seeded put/get mix and pins
-// the counters that are the store's observable work. The constants
-// were recorded from the commit before the record-form sort: that
-// change moved the order of RNG draws (and so the sealed image) but
-// may not move one flush, dump, shuffle I/O or probe, nor a value
-// read back.
+// the counters that are the store's observable work: {Flushes, Dumps,
+// ShuffleReads, ShuffleWrites, LevelReads}. The record-form sort moved
+// the order of RNG draws (and so the sealed image) but not one flush,
+// dump, shuffle I/O or probe, nor a value read back. A cascade into an
+// empty level changed the shuffle counts and nothing else: each row
+// also runs with every cascade as pairwise dumps, and that twin meets
+// the parent commit's counts.
+//
+// The counts follow from the schedule. At B = 4 each period flushes
+// level 1 (8 reads, 8 writes). A period with m trailing zeros,
+// m < k−1, runs one cascade: it sorts n = 2^(m+1)·4 slots (n/4 runs
+// merged two at a time in P passes, (1+P)·n reads and as many writes)
+// and refills the n − 8 slots of levels 1..m. A period with k−1 or
+// more runs dump(0) … dump(k−2), each sorting its 3·2^(i+1)·4 slots in
+// place: 24, 48 and 96 slots in P = 3, 4 and 5, so 96, 240 and 576
+// reads and as many writes. The pairwise dumps ran that loop for every
+// m ≥ 1.
+//
+//	(4, 3): 140 periods, 35 of m = 1 (16 slots, P = 2: 48 reads,
+//	        48 + 8 writes) and 35 of m = 2 (96 + 240): reads
+//	        140·8 + 35·48 + 35·336 = 14 560, writes 1 120 + 35·56 +
+//	        35·336 = 14 840, dumps 35 + 70 = 105. Pairwise: 16 240
+//	        reads and writes, 105 dumps.
+//	(4, 4): 144 periods, 36 of m = 1, 18 of m = 2 (32 slots, P = 3:
+//	        128 reads, 128 + 24 writes) and 18 of m = 3 (96 + 240 +
+//	        576 = 912): reads 1 152 + 36·48 + 18·128 + 18·912 = 21 600,
+//	        writes 1 152 + 36·56 + 18·152 + 18·912 = 22 320, dumps
+//	        36 + 18 + 54 = 108. Pairwise: 1 152 + 36·96 + 18·336 +
+//	        18·912 = 27 072 reads and writes, 36 + 36 + 54 = 126 dumps.
+//
+// The probes read one slot per level per access that misses the
+// buffer; hits and misses do not depend on how a cascade runs, so
+// LevelReads is the same on both sides.
 func TestCountersMatchParentCommit(t *testing.T) {
-	s, _ := tappedStore(t, 4, 3, 6, 0)
-	rng := prng.NewFromUint64(2004)
-	model := map[uint64][]byte{}
-	for op := 0; op < 600; op++ {
-		idx := rng.Uint64n(uint64(s.Capacity()))
-		id := BlockID{File: 1, Index: idx}
-		if rng.Intn(3) == 0 {
-			model[idx] = val(s, uint64(op))
-			if err := s.Put(id, model[idx]); err != nil {
-				t.Fatal(err)
+	for _, g := range []struct {
+		levels       int
+		want, parent [5]uint64
+	}{
+		{3, [5]uint64{140, 105, 14560, 14840, 1044}, [5]uint64{140, 105, 16240, 16240, 1044}},
+		{4, [5]uint64{144, 108, 21600, 22320, 1456}, [5]uint64{144, 126, 27072, 27072, 1456}},
+	} {
+		for _, pairwise := range []bool{false, true} {
+			s, _ := tappedStore(t, 4, g.levels, 6, 0)
+			s.pairwise = pairwise
+			rng := prng.NewFromUint64(2004)
+			model := map[uint64][]byte{}
+			for op := 0; op < 600; op++ {
+				idx := rng.Uint64n(uint64(s.Capacity()))
+				id := BlockID{File: 1, Index: idx}
+				if rng.Intn(3) == 0 {
+					model[idx] = val(s, uint64(op))
+					if err := s.Put(id, model[idx]); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				got, ok, err := s.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, cached := model[idx]; ok != cached || !bytes.Equal(got, want) {
+					t.Fatalf("(4,%d) op %d: Get(%d) = %v, %x; model has %v, %x", g.levels, op, idx, ok, got, cached, want)
+				}
 			}
-			continue
+			st := s.Stats()
+			got := [5]uint64{st.Flushes, st.Dumps, st.ShuffleReads, st.ShuffleWrites, st.LevelReads}
+			want := g.want
+			if pairwise {
+				want = g.parent
+			}
+			if got != want {
+				t.Errorf("(4,%d) pairwise %v: {Flushes, Dumps, ShuffleReads, ShuffleWrites, LevelReads} = %v, want %v", g.levels, pairwise, got, want)
+			}
 		}
-		got, ok, err := s.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, cached := model[idx]; ok != cached || !bytes.Equal(got, want) {
-			t.Fatalf("op %d: Get(%d) = %v, %x; model has %v, %x", op, idx, ok, got, cached, want)
-		}
-	}
-	st := s.Stats()
-	got := [5]uint64{st.Flushes, st.Dumps, st.ShuffleReads, st.ShuffleWrites, st.LevelReads}
-	want := [5]uint64{140, 105, 16240, 16240, 1044}
-	if got != want {
-		t.Fatalf("{Flushes, Dumps, ShuffleReads, ShuffleWrites, LevelReads} = %v, parent commit had %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package oblivious
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -65,7 +66,7 @@ type Stats struct {
 	LevelReads    uint64 // slot reads during retrieval
 	Puts          uint64
 	Flushes       uint64 // buffer → level 1
-	Dumps         uint64 // level i → level i+1 merges
+	Dumps         uint64 // sorts into a deeper level: a dump or a whole cascade
 	ShuffleReads  uint64 // slot reads during shuffles/merges
 	ShuffleWrites uint64 // slot writes during shuffles/merges
 	// ReTouches counts dummy probes that had to re-touch an
@@ -103,6 +104,9 @@ type Store struct {
 	levels  []*level // levels[0] is level 1
 	scratch extsort.Region
 	relax   int // schedule stretch factor (1 = strict)
+	// pairwise runs every cascade as dump(0) … dump(m−1), the way the
+	// last level's runs; tests set it to hold cascade against them.
+	pairwise bool
 
 	version  uint64 // global write counter
 	accesses uint64 // drives the deterministic shuffle schedule
@@ -207,19 +211,7 @@ func New(cfg Config) (*Store, error) {
 	s.tagRNG = s.rng.Child("tags")
 	rng := s.rng
 	s.drawIV = func(iv []byte) { rng.Read(iv) }
-	start := uint64(0)
-	b := uint64(cfg.BufferBlocks)
-	for i := 1; i <= cfg.Levels; i++ {
-		slots := (uint64(1) << uint(i)) * b
-		lv := &level{
-			region:  extsort.Region{Start: start, Len: slots},
-			capReal: int(slots / 2),
-			index:   map[BlockID]uint64{},
-		}
-		s.levels = append(s.levels, lv)
-		start += slots
-	}
-	s.scratch = extsort.Region{Start: start, Len: 3 * (uint64(1) << uint(cfg.Levels-1)) * b}
+	s.levels, s.scratch = layout(cfg.BufferBlocks, cfg.Levels)
 	s.win = extsort.Window{
 		Raws: blockdev.AllocBlocks(cfg.BufferBlocks, s.dev.BlockSize()),
 		Recs: blockdev.AllocBlocks(cfg.BufferBlocks, cdc.payload),
@@ -237,29 +229,58 @@ func New(cfg Config) (*Store, error) {
 	s.spareIndex = make(map[BlockID]uint64)
 	s.shuffleDev = shuffleDev{Device: s.dev, s: s}
 
-	// Format: seal a dummy into every slot, written out in batched
-	// sequential passes of B blocks.
+	if err := s.format(s.dev, s.levels); err != nil {
+		return nil, err
+	}
 	for _, lv := range s.levels {
+		lv.resetEpoch(nil)
+	}
+	return s, nil
+}
+
+// format seals a fresh dummy into every slot of lvs, written to dev in
+// batched sequential passes of B blocks: New's format of the whole
+// hierarchy, and a cascade's refill of the levels it emptied.
+func (s *Store) format(dev blockdev.Device, lvs []*level) error {
+	for _, lv := range lvs {
 		for slot := lv.region.Start; slot < lv.region.End(); {
 			n := min(uint64(len(s.win.Raws)), lv.region.End()-slot)
 			raws, recs := s.win.Raws[:n], s.win.Recs[:n]
 			for _, p := range recs {
 				s.dummyEnt = entry{nonce: s.rng.Uint64()}
 				if err := s.codec.put(p, &s.dummyEnt, s.rng.Fill); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			if err := s.sealSlots(raws, recs); err != nil {
-				return nil, err
+				return err
 			}
-			if err := s.dev.WriteBlocks(slot, raws); err != nil {
-				return nil, err
+			if err := dev.WriteBlocks(slot, raws); err != nil {
+				return err
 			}
 			slot += n
 		}
-		lv.resetEpoch(nil)
 	}
-	return s, nil
+	return nil
+}
+
+// layout places the levels of a store with the given geometry one after
+// another from block 0, level i holding 2^i·B slots, and the sort
+// scratch after them.
+func layout(bufferBlocks, levels int) ([]*level, extsort.Region) {
+	b := uint64(bufferBlocks)
+	lvs := make([]*level, 0, levels)
+	start := uint64(0)
+	for i := 1; i <= levels; i++ {
+		slots := (uint64(1) << uint(i)) * b
+		lvs = append(lvs, &level{
+			region:  extsort.Region{Start: start, Len: slots},
+			capReal: int(slots / 2),
+			index:   map[BlockID]uint64{},
+		})
+		start += slots
+	}
+	return lvs, extsort.Region{Start: start, Len: 3 * (uint64(1) << uint(levels-1)) * b}
 }
 
 // sealSlots tags and seals payloads[i] into raws[i] for a whole batch
@@ -461,18 +482,20 @@ func (s *Store) Put(id BlockID, value []byte) error {
 // Goldreich–Ostrovsky cadence: every B accesses the buffer flushes
 // into level 1; at period p (p-th flush), with m the number of
 // trailing zero bits of p (capped at k−1), the contents cascade
-// onward — level 1 into 2, 2 into 3, …, m into m+1 — leaving levels
-// 1..m empty. The net effect is that everything gathered since the
-// last multiple of 2^m lands in level m+1, which was emptied at the
-// last multiple of 2^(m+1), so level m+1 ends holding at most
+// onward so that everything gathered since the last multiple of 2^m
+// lands in level m+1 and levels 1..m are left empty. Level m+1 was
+// emptied at the last multiple of 2^(m+1), so it ends holding at most
 // 2^m·B reals: exactly half its slots, leaving one untouched dummy
-// slot per access until its next shuffle. The schedule is
+// slot per access until its next shuffle. For m < k−1 that emptiness
+// is what cascade exploits: one sort of levels 1..m straight into
+// level m+1, then a refill of levels 1..m. The last level is never
+// emptied, so m = k−1 merges pairwise, dump(0) … dump(k−2); those
+// intermediate steps transiently pack a level full, the merge's
+// dummy-count invariant still holds at every step, and the level is
+// emptied before any probe can observe the transient. The schedule is
 // occupancy-independent — it runs even for pure dummy traffic —
-// because each access consumes one untouched dummy slot per level
-// and only shuffles replenish the pools. Intermediate cascade steps
-// transiently pack a level full; the merge's dummy-count invariant
-// (pass B) still holds at every step and the level is emptied before
-// any probe can observe the transient.
+// because each access consumes one untouched dummy slot per level and
+// only shuffles replenish the pools.
 func (s *Store) afterAccess() error {
 	s.accesses++
 	if s.accesses%uint64(s.bufCap) != 0 {
@@ -493,10 +516,12 @@ func (s *Store) afterAccess() error {
 	if err := s.flush(); err != nil {
 		return err
 	}
-	period := s.accesses / uint64(s.bufCap)
-	m := 0
-	for m < len(s.levels)-1 && period%(1<<uint(m+1)) == 0 {
-		m++
+	m := cascadeDepth(s.accesses/uint64(s.bufCap), len(s.levels))
+	if m == 0 {
+		return nil
+	}
+	if m < len(s.levels)-1 && !s.pairwise {
+		return s.cascade(m)
 	}
 	for i := 0; i < m; i++ {
 		if err := s.dump(i); err != nil {
@@ -504,6 +529,12 @@ func (s *Store) afterAccess() error {
 		}
 	}
 	return nil
+}
+
+// cascadeDepth is m for period p of the strict schedule of a k-level
+// store: the number of trailing zero bits of p, capped at k−1.
+func cascadeDepth(p uint64, levels int) int {
+	return min(bits.TrailingZeros64(p), levels-1)
 }
 
 // occupancyCap is the real-entry threshold that triggers a dump of
@@ -562,23 +593,43 @@ func (s *Store) bufferInsert(e *entry) error {
 	return nil
 }
 
+// shuffled ends a flush, dump or cascade begun at t0: it charges the
+// sort time, and if the shuffle failed it forgets every cached block
+// but the buffer's. A failed shuffle may have overwritten the fresher
+// copy of a block while an older copy survives in a deeper level, so
+// no level's index can be trusted; a miss is always safe, because the
+// caller holds every block on the steganographic partition.
+func (s *Store) shuffled(t0 time.Duration, err error) {
+	s.stats.SortTime += s.now() - t0
+	if err == nil {
+		return
+	}
+	for _, lv := range s.levels {
+		clear(lv.index)
+		lv.realCount = 0
+	}
+}
+
 // flush empties the buffer into level 1: the level is rewritten
 // whole — existing entries merged with the buffer, deduplicated by
 // version, re-encrypted and placed at a fresh random permutation —
 // and its epoch restarts. Cost: one sequential read + write pass over
 // 2B slots. The shuffle schedule (afterAccess) guarantees capacity;
 // overflow here means a scheduling bug.
-func (s *Store) flush() error {
+func (s *Store) flush() (err error) {
 	t0 := s.now()
-	defer func() { s.stats.SortTime += s.now() - t0 }()
+	defer func() { s.shuffled(t0, err) }()
 	s.stats.Flushes++
 
 	lv := s.levels[0]
 
-	// Collect survivors: level-1 entries not superseded by the buffer.
-	// The level is scanned in batched sequential passes of B blocks.
-	// Every entry comes off the freelist and every one goes back at the
-	// end of the flush, so a steady-state flush allocates nothing.
+	// Collect survivors: the level-1 entries its index still points at
+	// and the buffer does not supersede. A real slot the index does not
+	// point at is either promoted (its entry waits in the buffer) or
+	// left over from a failed shuffle. The level is scanned in batched
+	// sequential passes of B blocks. Every entry comes off the freelist
+	// and every one goes back at the end of the flush, so a steady-state
+	// flush allocates nothing.
 	raws, recs := s.win.Raws, s.win.Recs
 	entries := s.entriesBuf[:0]
 	for slot := lv.region.Start; slot < lv.region.End(); {
@@ -587,13 +638,13 @@ func (s *Store) flush() error {
 			return err
 		}
 		s.stats.ShuffleReads += n
-		for _, raw := range raws[:n] {
+		for i, raw := range raws[:n] {
 			e := s.newEntry()
 			if err := s.codec.decodeInto(e, raw); err != nil {
 				s.freeEntry(e)
 				return err
 			}
-			if !e.real {
+			if at, ok := lv.index[e.id]; !e.real || !ok || at != slot+uint64(i) {
 				s.freeEntry(e)
 				continue
 			}

@@ -14,7 +14,7 @@ import (
 func usage(a *VolatileAgent, user string) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.usage[user]
+	return a.usedLocked(user)
 }
 
 // quota returns the login's effective block budget (0 = unlimited).
@@ -255,5 +255,44 @@ func TestQuotaAllowsSaveAndLogoutAtBudget(t *testing.T) {
 	}
 	if !report.Ok() {
 		t.Fatalf("fsck after saves at the budget: %v", report)
+	}
+}
+
+// TestQuotaForgetsALoginAtZero: a login whose block count reaches zero
+// leaves the agent's books, and its number goes to the next login.
+func TestQuotaForgetsALoginAtZero(t *testing.T) {
+	ctx := context.Background()
+	a, _ := newC2(t, 2048)
+	s, err := a.Login("alice", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateDummy("/dummy0", 20); err != nil {
+		t.Fatal(err)
+	}
+	if u := usage(a, "alice"); u < 21 {
+		t.Fatalf("usage %d after a 20-block dummy + header", u)
+	}
+	if err := a.Logout(ctx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	n, known := len(a.logins), a.logins["alice"] != 0
+	a.mu.Unlock()
+	if known || n != 0 || usage(a, "alice") != 0 {
+		t.Fatalf("after logout the agent still books %d logins (alice %v, %d blocks)", n, known, usage(a, "alice"))
+	}
+	s, err = a.Login("bob", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateDummy("/dummy0", 10); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	num, books := a.logins["bob"], len(a.usage)
+	a.mu.Unlock()
+	if num != 1 || books != 1 {
+		t.Fatalf("bob has login number %d of %d, want alice's freed number 1 of 1", num, books)
 	}
 }

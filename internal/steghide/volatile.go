@@ -59,13 +59,19 @@ type VolatileAgent struct {
 	dummyData uint64 // count of relocatable dummy-data blocks
 	sessions  map[string]*Session
 
-	// Per-login capacity quotas (guarded by mu). usage counts every
-	// block registered to a login — real, dummy and pending alike, so
-	// the budget bounds a user's total disclosed footprint and deleting
-	// a file (whose blocks stay as the user's cover) frees nothing.
-	// quota holds per-login overrides; defaultQuota applies to the
-	// rest; zero means unlimited.
-	usage        map[string]uint64
+	// Per-login capacity quotas (guarded by mu). A login charged for a
+	// block has a number n: logins maps its name to n, and usage[n−1]
+	// counts every block registered to it — real, dummy and pending
+	// alike, so the budget bounds a user's total disclosed footprint
+	// and deleting a file (whose blocks stay as the user's cover) frees
+	// nothing. An entry keeps its login's number, so a block that
+	// changes hands or leaves costs no hash. A forgotten login's slot
+	// is zero until the next new login takes it; lastLogin is the
+	// number last looked up. quota holds per-login overrides;
+	// defaultQuota applies to the rest; zero means unlimited.
+	logins       map[string]int32
+	usage        []loginUsage
+	lastLogin    int32
 	quota        map[string]uint64
 	defaultQuota uint64
 
@@ -80,8 +86,16 @@ type VolatileAgent struct {
 
 // entry is one disclosed block of the registry.
 type entry struct {
-	loc uint64
+	loc   uint64
+	login int32 // the number of the login charged for it, 0 for none
 	ownerInfo
+}
+
+// loginUsage is one charged login: its name and how many registered
+// blocks it holds.
+type loginUsage struct {
+	name   string
+	blocks uint64
 }
 
 // ownerInfo records what the agent may do with a disclosed block.
@@ -114,7 +128,7 @@ func NewVolatile(vol *stegfs.Volume, rng *prng.PRNG) *VolatileAgent {
 		rng:      rng.Child("figure6-volatile"),
 		slot:     make([]int32, vol.NumBlocks()),
 		sessions: map[string]*Session{},
-		usage:    map[string]uint64{},
+		logins:   map[string]int32{},
 		quota:    map[string]uint64{},
 	}
 	a.sched = sched.New(vol, &volatileSpace{a: a})
@@ -194,9 +208,8 @@ func (a *VolatileAgent) register(loc uint64, info ownerInfo) {
 	if loc >= uint64(len(a.slot)) {
 		return
 	}
-	a.list = append(a.list, entry{loc: loc, ownerInfo: info})
+	a.list = append(a.list, entry{loc: loc, login: a.chargeLocked(info.user), ownerInfo: info})
 	a.slot[loc] = int32(len(a.list))
-	a.chargeLocked(info.user, +1)
 	if info.dummy {
 		a.dummyData++
 	}
@@ -210,8 +223,8 @@ func (a *VolatileAgent) set(e *entry, info ownerInfo) {
 	// A block that stays with its login — every relocation, every
 	// re-registration — moves no charge.
 	if e.user != info.user {
-		a.chargeLocked(e.user, -1)
-		a.chargeLocked(info.user, +1)
+		a.unchargeLocked(e.login)
+		e.login = a.chargeLocked(info.user)
 	}
 	e.ownerInfo = info
 	if info.dummy {
@@ -230,7 +243,7 @@ func (a *VolatileAgent) unregister(loc uint64) {
 	if e.dummy {
 		a.dummyData--
 	}
-	a.chargeLocked(e.user, -1)
+	a.unchargeLocked(e.login)
 	i, last := a.slot[loc]-1, len(a.list)-1
 	if int(i) != last {
 		a.list[i] = a.list[last]
@@ -271,23 +284,64 @@ func (a *VolatileAgent) donate(df *stegfs.File, loc uint64, user string) error {
 
 // --- per-login quotas -------------------------------------------------
 
-// chargeLocked adjusts a login's block-usage counter; the caller holds
-// a.mu. Blocks with no recorded login (crash limbo) are not charged.
-// A login whose count reaches zero leaves the map, so the agent keeps
-// no name it no longer serves; a missing entry reads as zero.
-func (a *VolatileAgent) chargeLocked(user string, delta int) {
+// chargeLocked charges one block to a login and returns the login's
+// number, for the block's entry to keep; the caller holds a.mu. A block
+// with no recorded login (crash limbo) is not charged: number 0. A
+// login charged for the first time takes the first free number. The
+// number last looked up is tried before the map, so a run of charges to
+// one login hashes its name once.
+func (a *VolatileAgent) chargeLocked(user string) int32 {
 	if user == "" {
+		return 0
+	}
+	n := a.lastLogin
+	if n == 0 || a.usage[n-1].name != user {
+		var ok bool
+		if n, ok = a.logins[user]; !ok {
+			n = int32(slices.IndexFunc(a.usage, func(u loginUsage) bool { return u.name == "" })) + 1
+			if n == 0 {
+				a.usage = append(a.usage, loginUsage{})
+				n = int32(len(a.usage))
+			}
+			a.usage[n-1].name = user
+			a.logins[user] = n
+		}
+		a.lastLogin = n
+	}
+	a.usage[n-1].blocks++
+	return n
+}
+
+// unchargeLocked takes one block off login n (0: none); the caller
+// holds a.mu. A login whose count reaches zero is forgotten — its name
+// leaves the map, its slot is zeroed and free slots at the end of usage
+// are cut off — so the agent keeps no name it no longer serves.
+func (a *VolatileAgent) unchargeLocked(n int32) {
+	if n == 0 {
 		return
 	}
-	if delta > 0 {
-		a.usage[user] += uint64(delta)
+	u := &a.usage[n-1]
+	if u.blocks > 1 {
+		u.blocks--
 		return
 	}
-	if a.usage[user] > uint64(-delta) {
-		a.usage[user] -= uint64(-delta)
-	} else {
-		delete(a.usage, user)
+	delete(a.logins, u.name)
+	*u = loginUsage{}
+	if a.lastLogin == n {
+		a.lastLogin = 0
 	}
+	for k := len(a.usage); k > 0 && a.usage[k-1].name == ""; k-- {
+		a.usage = a.usage[:k-1]
+	}
+}
+
+// usedLocked returns how many blocks are registered to a login; the
+// caller holds a.mu.
+func (a *VolatileAgent) usedLocked(user string) uint64 {
+	if n, ok := a.logins[user]; ok {
+		return a.usage[n-1].blocks
+	}
+	return 0
 }
 
 // quotaLocked returns the effective block budget for a login (0 =
@@ -306,7 +360,7 @@ func (a *VolatileAgent) overBudgetLocked(user string, need uint64) bool {
 		return false // no budget set: nothing to look up
 	}
 	q := a.quotaLocked(user)
-	return q != 0 && a.usage[user]+need > q
+	return q != 0 && a.usedLocked(user)+need > q
 }
 
 // SetDefaultQuota sets the block budget applied to logins without a
