@@ -13,8 +13,7 @@ import (
 // mostly sequential I/O: one external sort of the two levels' combined
 // (adjacent) region, in place, by class ‖ PRF(nonce), run through the
 // reshuffle codec below. Level i+1 may hold reals, so the last-level
-// cascade and the relaxed schedule merge this way; a cascade into an
-// empty level is cascade's.
+// cascade merges this way; a cascade into an empty level is cascade's.
 //
 //	run formation  as each slot is first opened, an entry whose slot
 //	               is not a winner (per the in-memory indices: level i
@@ -120,14 +119,12 @@ func (s *Store) merge(lvs []*level, src, dst extsort.Region, low uint64) error {
 
 	for _, lv := range lvs[:len(lvs)-1] {
 		clear(lv.index)
-		lv.realCount = 0
 		lv.resetEpoch(nil)
 	}
 	// Swap rather than drop: the target level adopts the freshly built
 	// index and its old map (cleared at the top of the next merge)
 	// becomes the spare.
 	to.index, s.spareIndex = s.spareIndex, to.index
-	to.realCount = reals
 	to.resetEpoch(s.realSlots)
 	return nil
 }

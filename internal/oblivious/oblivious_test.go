@@ -3,6 +3,7 @@ package oblivious
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"steghide/internal/blockdev"
@@ -220,6 +221,63 @@ func TestNeverTouchASlotTwice(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("invariant never exercised")
+	}
+}
+
+func TestExhaustedDummyPoolIsAnError(t *testing.T) {
+	// The schedule refills every pool before it runs dry; should one
+	// run dry anyway, the access fails with the cadence error instead
+	// of re-touching a slot probed earlier in the epoch.
+	s, col := newStore(t, 4, 3)
+	for i := 0; i < 3; i++ {
+		if err := s.Put(BlockID{File: 1, Index: uint64(i)}, val(s, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two misses probe level 2 twice in its first epoch; the first
+	// ends a period and flushes, which rewrites level 1 only.
+	const li = 1
+	lv := s.levels[li]
+	epoch := lv.epoch
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.Get(BlockID{File: 7, Index: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	touched := map[uint64]bool{}
+	for _, e := range col.Events() {
+		if e.Op == blockdev.OpRead && e.Block >= lv.region.Start && e.Block < lv.region.End() {
+			touched[e.Block] = true
+		}
+	}
+	if len(touched) != 2 || lv.epoch != epoch {
+		t.Fatalf("setup: %d level-2 probes in epoch %d→%d, want 2 in one epoch", len(touched), epoch, lv.epoch)
+	}
+
+	lv.unreadDummies = lv.unreadDummies[:0]
+	col.Reset()
+	before := s.Stats()
+	for _, access := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Get", func() error {
+			_, _, err := s.Get(BlockID{File: 7, Index: 2})
+			return err
+		}},
+		{"DummyRead", s.DummyRead},
+	} {
+		if err := access.run(); err == nil || !strings.Contains(err.Error(), "exhausted its dummy slots") {
+			t.Fatalf("%s on an exhausted level: err = %v, want the exhausted-dummy-slots error", access.name, err)
+		}
+	}
+	for _, e := range col.Events() {
+		if e.Op == blockdev.OpRead && touched[e.Block] {
+			t.Fatalf("slot %d of level %d re-touched in epoch %d", e.Block, li+1, lv.epoch)
+		}
+	}
+	if after := s.Stats(); after.LevelReads != before.LevelReads || after.ReTouches != 0 {
+		t.Fatalf("failed accesses probed: level reads %d→%d, re-touches %d", before.LevelReads, after.LevelReads, after.ReTouches)
 	}
 }
 

@@ -33,15 +33,6 @@ type Config struct {
 	// split access time into sorting vs retrieving overhead (Fig. 12b).
 	// Experiments pass the simulated disk's virtual clock.
 	Clock func() time.Duration
-	// RelaxFactor implements the optimization sketched in §5.2/§7:
-	// "relax the security requirement and reduce … the frequency that
-	// the blocks are re-sorted". A factor of F ≥ 2 stretches the
-	// shuffle schedule by F, cutting the amortized sorting cost ~F×;
-	// the price is that a level's untouched-dummy pool can run dry
-	// between shuffles, after which dummy probes re-touch random
-	// slots — a bounded, measurable leak counted in Stats.ReTouches.
-	// 0 or 1 means the strict schedule (no leak).
-	RelaxFactor int
 }
 
 // Footprint returns the number of device blocks a store with the
@@ -69,9 +60,10 @@ type Stats struct {
 	Dumps         uint64 // sorts into a deeper level: a dump or a whole cascade
 	ShuffleReads  uint64 // slot reads during shuffles/merges
 	ShuffleWrites uint64 // slot writes during shuffles/merges
-	// ReTouches counts dummy probes that had to re-touch an
-	// already-touched slot because the relaxed schedule drained a
-	// level's pool — the measurable security cost of RelaxFactor.
+	// ReTouches is always zero: the store's one schedule never probes
+	// a slot twice between shuffles, and an exhausted dummy pool is an
+	// error. It stays only for the benchmark's oblivious.retouches
+	// figure, until that figure is dropped.
 	ReTouches    uint64
 	SortTime     time.Duration
 	RetrieveTime time.Duration
@@ -79,10 +71,9 @@ type Stats struct {
 
 // level is one tier of the hierarchy.
 type level struct {
-	region    extsort.Region
-	capReal   int                // 2^(i-1)·B — at most half the slots are real
-	realCount int                //
-	index     map[BlockID]uint64 // id → absolute slot, rebuilt per epoch
+	region  extsort.Region
+	capReal int                // 2^(i-1)·B — at most half the slots are real
+	index   map[BlockID]uint64 // id → absolute slot, rebuilt per epoch
 	// unreadDummies are the dummy slots not yet touched this epoch;
 	// dummy probes draw from here so they can never collide with a
 	// future real probe (real slots are each touched at most once by
@@ -103,7 +94,6 @@ type Store struct {
 	buffer  map[BlockID]*entry
 	levels  []*level // levels[0] is level 1
 	scratch extsort.Region
-	relax   int // schedule stretch factor (1 = strict)
 	// pairwise runs every cascade as dump(0) … dump(m−1), the way the
 	// last level's runs; tests set it to hold cascade against them.
 	pairwise bool
@@ -195,17 +185,12 @@ func New(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	relax := cfg.RelaxFactor
-	if relax < 1 {
-		relax = 1
-	}
 	s := &Store{
 		dev:    cfg.Dev,
 		codec:  cdc,
 		rng:    cfg.RNG.Child("obli"),
 		clock:  cfg.Clock,
 		bufCap: cfg.BufferBlocks,
-		relax:  relax,
 		buffer: make(map[BlockID]*entry, cfg.BufferBlocks),
 	}
 	s.tagRNG = s.rng.Child("tags")
@@ -315,20 +300,16 @@ func (lv *level) resetEpoch(real *bitmap.Bitmap) {
 	lv.epoch++
 }
 
-// drawDummy consumes a uniformly random untouched dummy slot. Under
-// a relaxed schedule an exhausted pool falls back to re-touching a
-// uniformly random slot — the bounded leak RelaxFactor buys its
-// speedup with.
-func (lv *level) drawDummy(s *Store) (uint64, error) {
+// drawDummy consumes a uniformly random untouched dummy slot, drawn
+// with rng. The shuffle schedule refills every pool before it can run
+// dry, so an exhausted pool is a scheduling bug, reported as an error:
+// a probe never re-touches a slot.
+func (lv *level) drawDummy(rng *prng.PRNG) (uint64, error) {
 	n := len(lv.unreadDummies)
 	if n == 0 {
-		if s.relax > 1 {
-			s.stats.ReTouches++
-			return lv.region.Start + s.rng.Uint64n(lv.region.Len), nil
-		}
 		return 0, fmt.Errorf("oblivious: level %v exhausted its dummy slots (shuffle cadence bug)", lv.region)
 	}
-	i := s.rng.Intn(n)
+	i := rng.Intn(n)
 	slot := lv.unreadDummies[i]
 	lv.unreadDummies[i] = lv.unreadDummies[n-1]
 	lv.unreadDummies = lv.unreadDummies[:n-1]
@@ -380,7 +361,7 @@ func (s *Store) GetInto(id BlockID, dst []byte) (bool, error) {
 			s.probeIdx[li] = slot
 			continue
 		}
-		slot, err := lv.drawDummy(s)
+		slot, err := lv.drawDummy(s.rng)
 		if err != nil {
 			return false, err
 		}
@@ -408,9 +389,6 @@ func (s *Store) GetInto(id BlockID, dst []byte) (bool, error) {
 		// its (now stale) ciphertext until the next merge drops it,
 		// but it no longer counts toward occupancy.
 		delete(lv.index, id)
-		if lv.realCount > 0 {
-			lv.realCount--
-		}
 		s.stats.Hits++
 		if err := s.bufferInsert(e); err != nil {
 			return false, err
@@ -442,7 +420,7 @@ func (s *Store) DummyRead() error {
 	t0 := s.now()
 	sort0 := s.stats.SortTime
 	for li, lv := range s.levels {
-		slot, err := lv.drawDummy(s)
+		slot, err := lv.drawDummy(s.rng)
 		if err != nil {
 			return err
 		}
@@ -495,23 +473,13 @@ func (s *Store) Put(id BlockID, value []byte) error {
 // emptied before any probe can observe the transient. The schedule is
 // occupancy-independent — it runs even for pure dummy traffic —
 // because each access consumes one untouched dummy slot per level and
-// only shuffles replenish the pools.
+// only shuffles replenish the pools. It is the store's only schedule,
+// and it keeps §5's invariant: between two shuffles of a level, no
+// slot of it is probed twice.
 func (s *Store) afterAccess() error {
 	s.accesses++
 	if s.accesses%uint64(s.bufCap) != 0 {
 		return nil
-	}
-	if s.relax > 1 {
-		// Relaxed mode (§7 optimization): flushes still happen every B
-		// accesses (the buffer is a fixed memory budget), but the
-		// expensive dumps run only when a level's real occupancy
-		// demands it — dummy-heavy traffic then never pays for a sort.
-		// Levels can outlive their untouched-dummy pools; drawDummy's
-		// re-touch fallback absorbs that, counted as the leak it is.
-		if err := s.ensureRoom(0, len(s.buffer)); err != nil {
-			return err
-		}
-		return s.flush()
 	}
 	if err := s.flush(); err != nil {
 		return err
@@ -535,46 +503,6 @@ func (s *Store) afterAccess() error {
 // store: the number of trailing zero bits of p, capped at k−1.
 func cascadeDepth(p uint64, levels int) int {
 	return min(bits.TrailingZeros64(p), levels-1)
-}
-
-// occupancyCap is the real-entry threshold that triggers a dump of
-// level i under the relaxed schedule. Strict mode keeps levels at
-// most half full so untouched-dummy pools always cover an epoch;
-// relaxed mode lets levels fill to within slots/(2·relax) of their
-// physical size — that slack times fewer dumps is exactly where the
-// sort savings come from, paid for in re-touches once pools drain.
-// The slack also keeps the merge invariant intact: ensureRoom bounds
-// the combined reals below the target's slot count.
-func (s *Store) occupancyCap(i int) int {
-	lv := s.levels[i]
-	if s.relax <= 1 {
-		return lv.capReal
-	}
-	slack := int(lv.region.Len) / (2 * s.relax)
-	if slack < 1 {
-		slack = 1
-	}
-	c := int(lv.region.Len) - slack
-	if c < lv.capReal {
-		c = lv.capReal
-	}
-	return c
-}
-
-// ensureRoom guarantees level i can absorb `incoming` more real
-// entries, cascading occupancy-driven dumps downward as needed. The
-// last level never dumps: merging into it deduplicates, and dump()
-// itself raises ErrCacheFull if the distinct working set genuinely
-// exceeds its capacity.
-func (s *Store) ensureRoom(i, incoming int) error {
-	lv := s.levels[i]
-	if i == len(s.levels)-1 || lv.realCount+incoming <= s.occupancyCap(i) {
-		return nil
-	}
-	if err := s.ensureRoom(i+1, lv.realCount); err != nil {
-		return err
-	}
-	return s.dump(i)
 }
 
 // bufferInsert adds an entry to the buffer, flushing first if full.
@@ -606,7 +534,6 @@ func (s *Store) shuffled(t0 time.Duration, err error) {
 	}
 	for _, lv := range s.levels {
 		clear(lv.index)
-		lv.realCount = 0
 	}
 }
 
@@ -718,7 +645,6 @@ func (s *Store) flush() (err error) {
 		s.stats.ShuffleWrites += uint64(n)
 		off += n
 	}
-	lv.realCount = len(entries)
 	lv.resetEpoch(s.realSlots)
 	for _, e := range entries {
 		s.freeEntry(e)

@@ -65,10 +65,6 @@ type c2Recovery struct {
 	donorUser map[uint64]string
 }
 
-func (r *c2Recovery) empty() bool {
-	return r == nil || (len(r.pending) == 0 && len(r.data) == 0)
-}
-
 // protects reports whether recovery still constrains loc: quarantined
 // by an unresolved intent, or proven live by the ring.
 func (r *c2Recovery) protects(loc uint64) bool {

@@ -1,6 +1,7 @@
 package steghide_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -13,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -69,29 +71,124 @@ var lintBuilds = []struct {
 // method the code calls (the blockdev.Device and sched.Space methods),
 // a standard-library interface the code names (sort, heap,
 // net.Listener, error), fmt.Stringer, or the Unwrap that errors calls.
-// A name match alone does not count. The scan type-checks the tree with
-// go/types and the standard library's source importer: every package
-// under the first build, and under each later build only the packages
-// whose build-constrained file set differs from the first build's.
+// A name match alone does not count. The scan reads lintTree.
 func TestInternalExportsHaveCallers(t *testing.T) {
+	scans := lintTree(t)
+	decls := map[string]token.Pos{} // key -> declaration
+	used := map[string]bool{}
+	for _, s := range scans {
+		if err := s.collect(decls, used); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkLint(t, scans[0].fset, decls, used, internalWithoutCallers, "internalWithoutCallers",
+		"has a caller now", "has no non-test caller: delete it, unexport it")
+}
+
+// internalFieldsNeverSet lists the exported fields of exported structs
+// under internal/ that no non-test code sets, each with the reason it
+// stays. Keys are "pkg.Type.Field".
+var internalFieldsNeverSet = map[string]string{
+	"attack.PublicStreamAdversary.BlockSize": "instrument: the public-stream adversary's block size, set by the public-stream tests",
+	"attack.PublicStreamAdversary.Horizon":   "instrument: the public-stream adversary's IV and filler horizon, set by the public-stream tests",
+	"oblivious.Stats.ReTouches":              "benchmark read-out: always zero since the store has one schedule; bench/ reports it as oblivious.retouches until ROADMAP item 19 drops that figure",
+	"wire.FaultListener.Plan":                "instrument: the chaos and retry tests' own fault schedules; nil runs the default one",
+	"wire.RetryPolicy.JitterSeed":            "test-determinism seam: tests fix the jitter stream so redial runs replay bit-identically; the facade alias steghide.RetryPolicy exposes it",
+}
+
+// TestInternalFieldsAreSet holds the exported fields of internal/ to
+// the rule TestInternalExportsHaveCallers holds its functions to: every
+// exported field of an exported struct type declared in a non-test file
+// under internal/ is set somewhere in non-test code of the module or of
+// bench/, under one of the builds CI compiles — or it sits on
+// internalFieldsNeverSet. A field is set when it is the target of an
+// assignment, an increment or decrement, a range clause's assignment
+// or a copy, when its address is taken, or when a composite literal
+// names it, by key or by position; an index or slice of the field, as
+// in f.F[i] = v, counts as setting it. A field only read is a knob
+// nothing turns: delete it, or make the one value in use a constant.
+func TestInternalFieldsAreSet(t *testing.T) {
+	scans := lintTree(t)
+	decls := map[string]token.Pos{} // key -> declaration
+	set := map[string]bool{}
+	for _, s := range scans {
+		s.collectFields(decls, set)
+	}
+	checkLint(t, scans[0].fset, decls, set, internalFieldsNeverSet, "internalFieldsNeverSet",
+		"is set now", "is never set outside tests: delete it")
+}
+
+// checkLint fails an export lint on every declared key that is neither
+// used nor on the allow-list allow, named allowName, and on every entry
+// of the list that is used now or names nothing declared. usedMsg and
+// unusedMsg complete the two messages about a key.
+func checkLint(t *testing.T, fset *token.FileSet, decls map[string]token.Pos, used map[string]bool,
+	allow map[string]string, allowName, usedMsg, unusedMsg string) {
+	t.Helper()
+	var missing []string
+	for key, pos := range decls {
+		reason, allowed := allow[key]
+		switch {
+		case used[key] && allowed:
+			t.Errorf("%s %s: drop it from %s (%s)", key, usedMsg, allowName, reason)
+		case !used[key] && !allowed:
+			missing = append(missing, fset.Position(pos).String()+": "+key)
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s %s, or say on %s why it stays", m, unusedMsg, allowName)
+	}
+	for key := range allow {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("%s names %s, which internal/ does not declare", allowName, key)
+		}
+	}
+	if len(decls) < 100 {
+		t.Fatalf("found only %d declarations under internal/: the scan is not seeing the tree", len(decls))
+	}
+}
+
+// lintTreeOnce type-checks the tree once per test binary for the
+// export lints.
+var lintTreeOnce = sync.OnceValues(checkLintTree)
+
+// lintTree returns the type-checked tree: one lintScan per build of
+// lintBuilds, all sharing one file set.
+func lintTree(t *testing.T) []*lintScan {
+	t.Helper()
+	scans, err := lintTreeOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scans
+}
+
+// checkLintTree type-checks the tree with go/types and the standard
+// library's source importer: every package under the first build, and
+// under each later build only the packages whose build-constrained file
+// set differs from the first build's.
+func checkLintTree() ([]*lintScan, error) {
 	fset := token.NewFileSet()
-	dirs := lintPackageDirs(t)
+	dirs, err := lintPackageDirs()
+	if err != nil {
+		return nil, err
+	}
 	parsed := map[string]*ast.File{}
-	parse := func(path string) *ast.File {
+	parse := func(path string) (*ast.File, error) {
 		if f, ok := parsed[path]; ok {
-			return f
+			return f, nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		parsed[path] = f
-		return f
+		return f, nil
 	}
 	std := importer.ForCompiler(fset, "source", nil)
 
-	decls := map[string]*ast.FuncDecl{} // key -> declaration
-	used := map[string]bool{}
+	var scans []*lintScan
 	var base map[string][]string // the first build's file names per package
 	for i, b := range lintBuilds {
 		ctxt := build.Default
@@ -101,7 +198,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		for path, dir := range dirs {
 			ents, err := os.ReadDir(dir)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			for _, e := range ents {
 				name := e.Name()
@@ -109,9 +206,13 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 					continue
 				}
 				if ok, err := ctxt.MatchFile(dir, name); err != nil {
-					t.Fatal(err)
+					return nil, err
 				} else if ok {
-					files[path] = append(files[path], parse(filepath.Join(dir, name)))
+					f, err := parse(filepath.Join(dir, name))
+					if err != nil {
+						return nil, err
+					}
+					files[path] = append(files[path], f)
 					names[path] = append(names[path], name)
 				}
 			}
@@ -130,42 +231,17 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				continue
 			}
 			if _, err := s.Import(path); err != nil {
-				t.Fatalf("%s/%s: %v", b.goarch, strings.Join(b.tags, ","), err)
+				return nil, fmt.Errorf("%s/%s: %v", b.goarch, strings.Join(b.tags, ","), err)
 			}
 		}
-		if err := s.collect(decls, used); err != nil {
-			t.Fatal(err)
-		}
+		scans = append(scans, s)
 	}
-
-	var missing []string
-	for key, d := range decls {
-		reason, allowed := internalWithoutCallers[key]
-		switch {
-		case used[key] && allowed:
-			t.Errorf("%s has a caller now: drop it from internalWithoutCallers (%s)", key, reason)
-		case !used[key] && !allowed:
-			missing = append(missing, fset.Position(d.Pos()).String()+": "+key)
-		}
-	}
-	sort.Strings(missing)
-	for _, m := range missing {
-		t.Errorf("%s has no non-test caller: delete it, unexport it, or say on internalWithoutCallers why it stays", m)
-	}
-	for key := range internalWithoutCallers {
-		if decls[key] == nil {
-			t.Errorf("internalWithoutCallers names %s, which internal/ does not declare", key)
-		}
-	}
-	if len(decls) < 100 {
-		t.Fatalf("found only %d exported functions under internal/: the scan is not seeing the tree", len(decls))
-	}
+	return scans, nil
 }
 
 // lintPackageDirs maps the import path of every package directory in
 // the module and in bench/ to its directory.
-func lintPackageDirs(t *testing.T) map[string]string {
-	t.Helper()
+func lintPackageDirs() (map[string]string, error) {
 	dirs := map[string]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -183,10 +259,7 @@ func lintPackageDirs(t *testing.T) map[string]string {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dirs
+	return dirs, err
 }
 
 // lintScan type-checks one build of the tree: module packages from the
@@ -224,7 +297,7 @@ func (s *lintScan) Import(path string) (*types.Package, error) {
 // collect adds the exported internal/ functions of the packages this
 // build checked to decls, and the keys of the ones they reference to
 // used.
-func (s *lintScan) collect(decls map[string]*ast.FuncDecl, used map[string]bool) error {
+func (s *lintScan) collect(decls map[string]token.Pos, used map[string]bool) error {
 	keys := map[*types.Func]string{}
 	own := map[*types.Func]*ast.FuncDecl{}
 	for path := range s.info {
@@ -239,7 +312,7 @@ func (s *lintScan) collect(decls map[string]*ast.FuncDecl, used map[string]bool)
 				}
 				fn := s.info[path].Defs[fd.Name].(*types.Func)
 				key := funcKey(fn)
-				keys[fn], own[fn], decls[key] = key, fd, fd
+				keys[fn], own[fn], decls[key] = key, fd, fd.Pos()
 			}
 		}
 	}
@@ -317,6 +390,108 @@ func (s *lintScan) collect(decls map[string]*ast.FuncDecl, used map[string]bool)
 		}
 	}
 	return nil
+}
+
+// collectFields adds the exported fields of the exported internal/
+// struct types of the packages this build checked to decls, and the
+// keys of the ones this build's code sets to set.
+func (s *lintScan) collectFields(decls map[string]token.Pos, set map[string]bool) {
+	keys := map[*types.Var]string{}
+	for path, p := range s.pkgs {
+		if !strings.HasPrefix(path, "steghide/internal/") {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					key := p.Name() + "." + name + "." + f.Name()
+					keys[f], decls[key] = key, f.Pos()
+				}
+			}
+		}
+	}
+	mark := func(v types.Object) {
+		if f, ok := v.(*types.Var); ok && f.IsField() {
+			if key, ok := keys[f.Origin()]; ok {
+				set[key] = true
+			}
+		}
+	}
+	for path, info := range s.info {
+		// target marks the field an lvalue expression writes, if any.
+		target := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.IndexExpr:
+					e = x.X
+					continue
+				case *ast.SliceExpr:
+					e = x.X
+					continue
+				case *ast.SelectorExpr:
+					mark(info.Uses[x.Sel])
+				}
+				return
+			}
+		}
+		for _, f := range s.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						target(l)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						target(n.Key)
+						target(n.Value)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				case *ast.CallExpr:
+					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
+						if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" {
+							target(n.Args[0])
+						}
+					}
+				case *ast.CompositeLit:
+					t := info.Types[n].Type
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(info.Uses[id])
+							}
+						} else {
+							mark(st.Field(i))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // funcKey names fn as "pkg.Func" or "pkg.Type.Method".
