@@ -20,8 +20,8 @@
 //	    and serves several volumes; clients pick one at login
 //	    (protocol v2's volume field). An interrupt drains gracefully:
 //	    in-flight requests finish and v2 clients are told to redial.
-//	    -http serves the ops endpoint (/metrics, /healthz, /debug/vars
-//	    and the net/http/pprof pages); -log prints structured
+//	    -http serves the ops endpoint (/metrics, /healthz and the
+//	    net/http/pprof pages); -log prints structured
 //	    connection-lifecycle events. Every exported metric and log
 //	    field is leakage-audited in DESIGN.md — hidden pathnames,
 //	    locator secrets and real-vs-dummy classification never appear.
@@ -256,7 +256,7 @@ func cmdAgent(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second,
 		"graceful-shutdown budget on interrupt: in-flight requests finish, v2 clients are told to redial elsewhere")
 	httpAddr := fs.String("http", "",
-		"serve the ops endpoint on this address: /metrics, /healthz, /debug/vars, /debug/pprof (e.g. localhost:6060; empty disables)")
+		"serve the ops endpoint on this address: /metrics, /healthz, /debug/pprof (e.g. localhost:6060; empty disables)")
 	logConns := fs.Bool("log", false,
 		"log structured connection-lifecycle events (accept, hello, login, drain, faults) to stderr")
 	loginQuota := fs.Uint64("login-quota", 0,
@@ -282,7 +282,7 @@ func cmdAgent(args []string) error {
 			opts = append(opts, steghide.WithJournal(*journalPass))
 		}
 		if *dummyInterval > 0 {
-			opts = append(opts, steghide.WithDaemon(*dummyInterval))
+			opts = append(opts, steghide.WithDaemonBurst(*dummyInterval, 1))
 		}
 		if *loginQuota > 0 {
 			opts = append(opts, steghide.WithLoginQuota(*loginQuota))
@@ -357,7 +357,7 @@ func cmdAgent(args []string) error {
 	}
 	fmt.Printf("agent: %d volume(s) %v, clients=%s\n", len(stacks), srv.Volumes(), srv.Addr())
 	if ops := srv.HTTPAddr(); ops != "" {
-		fmt.Printf("agent: ops on http://%s (/metrics /healthz /debug/vars /debug/pprof)\n", ops)
+		fmt.Printf("agent: ops on http://%s (/metrics /healthz /debug/pprof)\n", ops)
 	}
 
 	// Surface daemon failures as they happen, not only at exit: the

@@ -80,7 +80,7 @@ func main() {
 	var cutErr error
 	for i := 0; cutErr == nil && i < 1000; i++ {
 		if cutErr = stack.Agent1().Write(ctx, "/ledger", ledger, chunk, uint64(i%4)*uint64(vol.PayloadSize())); cutErr == nil {
-			cutErr = stack.Agent1().DummyUpdate()
+			_, cutErr = stack.Agent1().DummyUpdateBurst(1)
 		}
 	}
 	if !errors.Is(cutErr, steghide.ErrPowerCut) {
@@ -136,7 +136,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := stack2.Agent1().DummyUpdate(); err != nil {
+		if _, err := stack2.Agent1().DummyUpdateBurst(1); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -73,7 +73,8 @@ func main() {
 	msg := []byte("the stripe hides with the same math as a single disk")
 	must(steghide.WriteFile(ctx, fs, "/secret", msg))
 	for i := 0; i < 200; i++ {
-		must(stack.Agent2().DummyUpdate())
+		_, err := stack.Agent2().DummyUpdateBurst(1)
+		must(err)
 	}
 	got, err := steghide.ReadFile(ctx, fs, "/secret")
 	if err != nil {

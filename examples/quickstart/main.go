@@ -27,7 +27,7 @@ func main() {
 	// random bytes, so free space and hidden ciphertext are
 	// indistinguishable), the trusted volatile agent of the system
 	// model (Construction 2 — no persistent secrets), and whatever
-	// else the options ask for (WithJournal, WithDaemon, WithTrace,
+	// else the options ask for (WithJournal, WithDaemonBurst, WithTrace,
 	// WithStripe, WithObliviousCache...).
 	stack, err := steghide.Mount(dev,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("demo entropy")}),
@@ -68,10 +68,10 @@ func main() {
 		stats.DataUpdates, stats.Relocations, stats.Camouflage)
 
 	// Idle-time dummy traffic — indistinguishable from the writes
-	// above without the keys. (WithDaemon automates this; here it is
+	// above without the keys. (WithDaemonBurst automates this; here it is
 	// explicit so the run is deterministic.)
 	for i := 0; i < 100; i++ {
-		if err := stack.Agent2().DummyUpdate(); err != nil {
+		if _, err := stack.Agent2().DummyUpdateBurst(1); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -164,14 +164,16 @@ func runStegHide() {
 	// prescribes: "the system has been conducting dummy updates on
 	// the storage periodically").
 	for i := 0; i < 10; i++ {
-		must(agent.DummyUpdate())
+		_, err := agent.DummyUpdateBurst(1)
+		must(err)
 	}
 	sal, _ := table.get("Bob")
 	mustSet(table, "Bob", sal+100000)
 	// COMMIT: the handle's write reaches the volume now, as one run.
 	must(fs.Save(ctx, "/sal_table"))
 	for i := 0; i < 10; i++ {
-		must(agent.DummyUpdate())
+		_, err := agent.DummyUpdateBurst(1)
+		must(err)
 	}
 	must(analyzer.Observe(mem.Snapshot()))
 

@@ -115,7 +115,7 @@ func demoStegHide() {
 
 	// Phase 1 — idle: the agent emits dummy updates on its own.
 	idleDiffs := diffPhase(mem, func() {
-		if err := agent.DummyUpdate(); err != nil {
+		if _, err := agent.DummyUpdateBurst(1); err != nil {
 			log.Fatal(err)
 		}
 	})
@@ -129,7 +129,7 @@ func demoStegHide() {
 		if err := sess.Write(ctx, "/ledger", rng.Bytes(ps), 0); err != nil {
 			log.Fatal(err)
 		}
-		if err := agent.DummyUpdate(); err != nil {
+		if _, err := agent.DummyUpdateBurst(1); err != nil {
 			log.Fatal(err)
 		}
 	})

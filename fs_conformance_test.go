@@ -15,16 +15,13 @@ import (
 	isteg "steghide/internal/steghide"
 )
 
-// metricsOptsFromEnv honours the STEGHIDE_METRICS knob the CI matrix
-// sets: with STEGHIDE_METRICS=1 every conformance fixture mounts with
-// a live metric registry attached, so the whole contract suite
-// doubles as an instrumentation soak — identical behavior required
-// with the observability plane on.
-func metricsOptsFromEnv(base ...steghide.Option) []steghide.Option {
-	if os.Getenv("STEGHIDE_METRICS") != "1" {
-		return base
+// mountOpts appends a fresh metric registry to opts when metrics is
+// set, so a fixture mounts each of its stacks instrumented or bare.
+func mountOpts(metrics bool, opts ...steghide.Option) []steghide.Option {
+	if !metrics {
+		return opts
 	}
-	return append(base, steghide.WithMetrics(steghide.NewMetrics()))
+	return append(opts, steghide.WithMetrics(steghide.NewMetrics()))
 }
 
 // fsFixture builds one FS implementation and hands back a cleanup.
@@ -37,11 +34,20 @@ type fsFixture struct {
 	// are issued at once (each is repeated into the cache, §5.1.2)
 	// instead of waiting in the file's open run.
 	writeThrough bool
-	// open builds the whole stack and returns a ready FS with a probe
+	// metrics attaches a live metric registry to every stack the
+	// fixture mounts.
+	metrics bool
+	// mount builds the whole stack and returns a ready FS with a probe
 	// into the stacks behind it. The FS of Construction-2 surfaces has
 	// a dummy file disclosed already, so relocation targets exist; C1
 	// surfaces have free-space dummies by construction.
-	open func(t *testing.T) (steghide.FS, fsProbe)
+	mount func(t *testing.T, metrics bool) (steghide.FS, fsProbe)
+}
+
+// open mounts the fixture's stacks.
+func (fx fsFixture) open(t *testing.T) (steghide.FS, fsProbe) {
+	t.Helper()
+	return fx.mount(t, fx.metrics)
 }
 
 // fsProbe is what a conformance row may know of the stacks behind an
@@ -71,9 +77,9 @@ func probeOf(stacks ...*steghide.Stack) fsProbe {
 }
 
 // newC2Fixture mounts a Construction-2 stack and logs one user in.
-func newC2Fixture(t *testing.T) (steghide.FS, fsProbe) {
+func newC2Fixture(t *testing.T, metrics bool) (steghide.FS, fsProbe) {
 	t.Helper()
-	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
+	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), mountOpts(metrics,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-c2")}),
 		steghide.WithConstruction2(),
 		steghide.WithSeed([]byte("conf-c2-agent")))...)
@@ -92,9 +98,9 @@ func newC2Fixture(t *testing.T) (steghide.FS, fsProbe) {
 }
 
 // newC1Fixture mounts a Construction-1 stack.
-func newC1Fixture(t *testing.T) (steghide.FS, fsProbe) {
+func newC1Fixture(t *testing.T, metrics bool) (steghide.FS, fsProbe) {
 	t.Helper()
-	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
+	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), mountOpts(metrics,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-c1")}),
 		steghide.WithConstruction1([]byte("conf-c1-secret")),
 		steghide.WithSeed([]byte("conf-c1-agent")))...)
@@ -110,9 +116,9 @@ func newC1Fixture(t *testing.T) (steghide.FS, fsProbe) {
 }
 
 // newWireFixture serves a Construction-2 stack over TCP and dials it.
-func newWireFixture(t *testing.T) (steghide.FS, fsProbe) {
+func newWireFixture(t *testing.T, metrics bool) (steghide.FS, fsProbe) {
 	t.Helper()
-	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
+	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), mountOpts(metrics,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-wire")}),
 		steghide.WithConstruction2(),
 		steghide.WithSeed([]byte("conf-wire-agent")))...)
@@ -139,9 +145,9 @@ func newWireFixture(t *testing.T) (steghide.FS, fsProbe) {
 
 // newObliviousFixture mounts Construction 1 with the read-hiding
 // cache in front.
-func newObliviousFixture(t *testing.T) (steghide.FS, fsProbe) {
+func newObliviousFixture(t *testing.T, metrics bool) (steghide.FS, fsProbe) {
 	t.Helper()
-	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
+	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), mountOpts(metrics,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-obli")}),
 		steghide.WithConstruction1([]byte("conf-obli-secret")),
 		steghide.WithObliviousCache(16, 5), // caches up to 256 distinct blocks
@@ -160,9 +166,9 @@ func newObliviousFixture(t *testing.T) (steghide.FS, fsProbe) {
 // newWireRetryFixture is newWireFixture with the self-healing client:
 // the whole conformance contract must hold unchanged when the retry
 // layer sits between the FS and the wire.
-func newWireRetryFixture(t *testing.T) (steghide.FS, fsProbe) {
+func newWireRetryFixture(t *testing.T, metrics bool) (steghide.FS, fsProbe) {
 	t.Helper()
-	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
+	stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), mountOpts(metrics,
 		steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("conf-retry")}),
 		steghide.WithConstruction2(),
 		steghide.WithSeed([]byte("conf-retry-agent")))...)
@@ -191,13 +197,13 @@ func newWireRetryFixture(t *testing.T) (steghide.FS, fsProbe) {
 // newClusterFixture serves three independent shard daemons and dials
 // them as one Cluster: a sharded fleet must satisfy the same contract
 // as any single-volume surface.
-func newClusterFixture(t *testing.T) (steghide.FS, fsProbe) {
+func newClusterFixture(t *testing.T, metrics bool) (steghide.FS, fsProbe) {
 	t.Helper()
 	var addrs []string
 	var stacks []*steghide.Stack
 	for i := 0; i < 3; i++ {
 		seed := []byte{byte('A' + i)}
-		stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), metricsOptsFromEnv(
+		stack, err := steghide.Mount(steghide.NewMemDevice(512, 4096), mountOpts(metrics,
 			steghide.WithFormat(steghide.FormatOptions{FillSeed: append([]byte("conf-shard"), seed...)}),
 			steghide.WithConstruction2(),
 			steghide.WithSeed(append([]byte("conf-shard-agent"), seed...)))...)
@@ -228,15 +234,26 @@ func newClusterFixture(t *testing.T) (steghide.FS, fsProbe) {
 	return cl, probeOf(stacks...)
 }
 
+// fsFixtures lists every FS surface twice: bare, and with a live
+// metric registry on each stack it mounts, so the contract suite
+// doubles as an instrumentation soak — the observability plane must
+// change no behaviour.
 func fsFixtures() []fsFixture {
-	return []fsFixture{
-		{name: "c2-session", deniable: true, open: newC2Fixture},
-		{name: "c1-agent", deniable: false, open: newC1Fixture},
-		{name: "wire-client", deniable: true, open: newWireFixture},
-		{name: "wire-retry", deniable: true, open: newWireRetryFixture},
-		{name: "oblivious", deniable: false, writeThrough: true, open: newObliviousFixture},
-		{name: "cluster", deniable: true, open: newClusterFixture},
+	bare := []fsFixture{
+		{name: "c2-session", deniable: true, mount: newC2Fixture},
+		{name: "c1-agent", deniable: false, mount: newC1Fixture},
+		{name: "wire-client", deniable: true, mount: newWireFixture},
+		{name: "wire-retry", deniable: true, mount: newWireRetryFixture},
+		{name: "oblivious", deniable: false, writeThrough: true, mount: newObliviousFixture},
+		{name: "cluster", deniable: true, mount: newClusterFixture},
 	}
+	all := append([]fsFixture(nil), bare...)
+	for _, fx := range bare {
+		fx.name += "+metrics"
+		fx.metrics = true
+		all = append(all, fx)
+	}
+	return all
 }
 
 // TestFSConformance runs the same contract against all four

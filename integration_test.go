@@ -90,7 +90,7 @@ func TestFullStackScenario(t *testing.T) {
 		if err := alice.Write(ctx, "/a-notes", chunk, off); err != nil {
 			t.Fatal(err)
 		}
-		if err := agent.DummyUpdate(); err != nil {
+		if _, err := agent.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}

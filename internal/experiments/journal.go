@@ -34,7 +34,7 @@ func journalVolBlocks(s Scale) uint64 {
 type journalRunner struct {
 	update func(off uint64) error
 	sync   func() error
-	dummy  func() error
+	dummy  func(n int) (int, error)
 }
 
 // buildJournalC1 builds a Construction-1 rig, journaled or not.
@@ -78,7 +78,7 @@ func buildJournalC1(s Scale, journaled bool, seed uint64) (*journalRunner, *steg
 	return &journalRunner{
 		update: func(off uint64) error { return agent.Write(ctx, "/target", f, chunk, off*ps) },
 		sync:   func() error { return agent.Sync(ctx, "/target", f) },
-		dummy:  agent.DummyUpdate,
+		dummy:  agent.DummyUpdateBurst,
 	}, vol, col, nil
 }
 
@@ -126,7 +126,7 @@ func buildJournalC2(s Scale, journaled bool, seed uint64) (*journalRunner, *steg
 	return &journalRunner{
 		update: func(off uint64) error { return sess.Write(ctx, "/target", chunk, off*ps) },
 		sync:   func() error { return sess.Save(ctx, "/target") },
-		dummy:  agent.DummyUpdate,
+		dummy:  agent.DummyUpdateBurst,
 	}, vol, col, nil
 }
 
@@ -220,7 +220,7 @@ func JournalOverhead(s Scale) (*Table, error) {
 		}
 		colJ.Reset()
 		for i := 0; i < updates; i++ {
-			if err := journaled.dummy(); err != nil {
+			if _, err := journaled.dummy(1); err != nil {
 				return nil, err
 			}
 		}

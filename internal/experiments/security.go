@@ -49,14 +49,14 @@ func SecurityDef1(s Scale) (*Table, error) {
 		switch v := sys.(type) {
 		case *c1Sys:
 			for i := 0; i < s.SecurityOps*2; i++ {
-				if err := v.Agent().DummyUpdate(); err != nil {
+				if _, err := v.Agent().DummyUpdateBurst(1); err != nil {
 					return nil, err
 				}
 			}
 			idle = writesOf(col.Events())
 		case *c2Sys:
 			for i := 0; i < s.SecurityOps*2; i++ {
-				if err := v.Agent().DummyUpdate(); err != nil {
+				if _, err := v.Agent().DummyUpdateBurst(1); err != nil {
 					return nil, err
 				}
 			}

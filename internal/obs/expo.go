@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 )
 
@@ -53,30 +52,6 @@ func withLabel(labels, k, v string) string {
 		return "{" + pair + "}"
 	}
 	return labels[:len(labels)-1] + "," + pair + "}"
-}
-
-// WriteJSON renders the registry as a single JSON object in the
-// expvar style: scalar series map to numbers, histograms to
-// {buckets, counts, sum, count} objects. Series keys include the
-// label fragment, so two labeled series stay distinct.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	out := map[string]any{}
-	for _, v := range r.Snapshot() {
-		key := v.Name + v.Labels
-		if v.Hist != nil {
-			out[key] = map[string]any{
-				"buckets": v.Hist.Bounds,
-				"counts":  v.Hist.Counts,
-				"sum":     v.Hist.Sum,
-				"count":   v.Hist.Count,
-			}
-			continue
-		}
-		out[key] = v.Value
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // snapshotMetrics copies the registration table under the read lock

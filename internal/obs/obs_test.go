@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -172,26 +171,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-func TestJSONExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("steghide_c_total", "a counter").Add(7)
-	r.Histogram("steghide_h", "a histogram", []float64{1}).Observe(0.5)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, buf.String())
-	}
-	if got := m["steghide_c_total"]; got != 7.0 {
-		t.Fatalf("json counter = %v, want 7", got)
-	}
-	if _, ok := m["steghide_h"].(map[string]any); !ok {
-		t.Fatalf("json histogram = %T, want object", m["steghide_h"])
-	}
-}
-
 // TestRegistryContention is the -race stress: concurrent writers on
 // every metric type racing with snapshot and exposition readers and
 // with get-or-create registration. Correctness assertion: counts add
@@ -228,8 +207,6 @@ func TestRegistryContention(t *testing.T) {
 			r.Snapshot()
 			var buf bytes.Buffer
 			_ = r.WritePrometheus(&buf)
-			buf.Reset()
-			_ = r.WriteJSON(&buf)
 		}
 	}()
 	wg.Wait()

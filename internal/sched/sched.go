@@ -306,15 +306,33 @@ func (s *Scheduler) putBatch(b *batch) {
 	s.freeMu.Unlock()
 }
 
-// Stats is a snapshot of the scheduler's counters; the field meanings
-// match steghide.UpdateStats.
+// Stats is a snapshot of the scheduler's counters: the observable work
+// of the agent above it. The relationship Iterations/DataUpdates ≈ N/D
+// is the paper's expected overhead E (§4.1.5); each iteration costs one
+// read and one write.
 type Stats struct {
-	DataUpdates  uint64
-	Iterations   uint64
-	Relocations  uint64
-	InPlace      uint64
-	Camouflage   uint64
+	// DataUpdates is the number of Figure-6 data updates performed.
+	DataUpdates uint64
+	// Iterations is the total number of block draws across updates.
+	Iterations uint64
+	// Relocations counts updates whose block moved to a dummy slot.
+	Relocations uint64
+	// InPlace counts updates where the draw hit the block itself.
+	InPlace uint64
+	// Camouflage counts dummy updates issued on other data blocks
+	// while searching for a target.
+	Camouflage uint64
+	// DummyUpdates counts idle-time dummy updates.
 	DummyUpdates uint64
+}
+
+// ExpectedOverhead returns measured Iterations per data update — the
+// empirical counterpart of E = N/D. Returns 0 before any update.
+func (s Stats) ExpectedOverhead() float64 {
+	if s.DataUpdates == 0 {
+		return 0
+	}
+	return float64(s.Iterations) / float64(s.DataUpdates)
 }
 
 // New builds a scheduler for vol over space and installs its lock map
@@ -608,52 +626,12 @@ func (s *Scheduler) execute(b *batch, head uint64, seal *sealer.Sealer) error {
 	return err
 }
 
-// dummies draws up to n idle-time targets exactly as n single dummy
-// updates would and executes them as one batch. It returns how many
-// were issued: targets whose classification went stale between draw
-// and execution are dropped.
-func (s *Scheduler) dummies(n int) (int, error) {
-	b := s.getBatch()
-	defer s.putBatch(b)
-	if cap(b.locked) < n {
-		b.locked = make([]uint64, n)
-	}
-	locs := b.locked[:n]
-	m, err := s.space.DrawDummyBatch(locs)
-	if err != nil {
-		return 0, err
-	}
-	if m == 0 {
-		return 0, ErrNoTarget
-	}
-	for _, loc := range locs[:m] {
-		b.add(loc, loc, nil)
-	}
-	if err := s.execute(b, 0, nil); err != nil {
-		return 0, err
-	}
-	s.dummyUpdates.Add(uint64(len(b.reads)))
-	return len(b.reads), nil
-}
-
-// DummyUpdate issues one idle-time dummy update on a uniformly random
-// block of the space: the burst of one.
-func (s *Scheduler) DummyUpdate() error {
-	for try := 0; try < 64; try++ {
-		n, err := s.dummies(1)
-		if err != nil || n > 0 {
-			return err
-		}
-	}
-	return ErrNoTarget
-}
-
-// DummyUpdateBurst issues up to n dummy updates in one batched
-// read-modify-write cycle: two scattered device batches instead of 2n
-// single-block calls. Targets are drawn exactly as DummyUpdate draws
-// them, so the observable stream keeps the same distribution; blocks
-// whose classification went stale between draw and execution are
-// skipped. It returns how many updates were issued.
+// DummyUpdateBurst issues up to n idle-time dummy updates on
+// uniformly random blocks of the space (Figure 6, else-branch) in one
+// batched read-modify-write cycle: two scattered device batches
+// instead of 2n single-block calls. Targets whose classification went
+// stale between draw and execution are dropped. It returns how many
+// updates were issued; ErrNoTarget means the space offered none.
 func (s *Scheduler) DummyUpdateBurst(n int) (int, error) {
 	if n <= 0 {
 		return 0, nil
@@ -662,11 +640,31 @@ func (s *Scheduler) DummyUpdateBurst(n int) (int, error) {
 	if s.metrics != nil {
 		start = time.Now()
 	}
-	issued, err := s.dummies(n)
+	b := s.getBatch()
+	defer s.putBatch(b)
+	if cap(b.locked) < n {
+		b.locked = make([]uint64, n)
+	}
+	locs := b.locked[:n]
+	drawn, err := s.space.DrawDummyBatch(locs)
+	if err != nil {
+		return 0, err
+	}
+	if drawn == 0 {
+		return 0, ErrNoTarget
+	}
+	for _, loc := range locs[:drawn] {
+		b.add(loc, loc, nil)
+	}
+	if err := s.execute(b, 0, nil); err != nil {
+		return 0, err
+	}
+	issued := len(b.reads)
+	s.dummyUpdates.Add(uint64(issued))
 	if m := s.metrics; m != nil && issued > 0 {
 		m.burstSeconds.Observe(time.Since(start).Seconds())
 	}
-	return issued, err
+	return issued, nil
 }
 
 // burst is the I/O stage of a batch: one scattered read of every

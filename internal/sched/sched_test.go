@@ -331,7 +331,7 @@ func TestIntentPerStreamElement(t *testing.T) {
 		}
 	}
 	for i := 0; i < 25; i++ {
-		if err := s.DummyUpdate(); err != nil {
+		if _, err := s.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}

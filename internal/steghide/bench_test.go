@@ -65,7 +65,7 @@ func BenchmarkDummyUpdate(b *testing.B) {
 	a, _ := benchC1(b, 0.25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.DummyUpdate(); err != nil {
+		if _, err := a.DummyUpdateBurst(1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,10 +14,49 @@ import (
 	"steghide/internal/stegfs"
 )
 
+// bursts issues a burst of dummy updates every millisecond, whether or
+// not real traffic flowed, until Stop: unlike the adaptive daemon it
+// keeps dummy bursts interleaved with the writers it runs beside.
+type bursts struct {
+	issued     atomic.Uint64
+	stop, done chan struct{}
+}
+
+// startBursts starts issuing src.DummyUpdateBurst(n) every
+// millisecond. Errors are not fatal: a burst that finds only
+// mid-operation blocks is normal under contention.
+func startBursts(src DummySource, n int) *bursts {
+	b := &bursts{stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(b.done)
+		ticker := time.NewTicker(time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-b.stop:
+				return
+			case <-ticker.C:
+				k, _ := src.DummyUpdateBurst(n)
+				b.issued.Add(uint64(k))
+			}
+		}
+	}()
+	return b
+}
+
+// Issued returns how many dummy updates went out so far.
+func (b *bursts) Issued() uint64 { return b.issued.Load() }
+
+// Stop halts the bursts and waits for the last one to finish.
+func (b *bursts) Stop() {
+	close(b.stop)
+	<-b.done
+}
+
 // TestConcurrentSessionsC2 drives N sessions of real updates against
-// the daemon's dummy traffic on Construction 2 and checks the paper's
-// invariants under contention: every session's content intact, the
-// update counters exact, and the measured overhead still ≈ N/D.
+// dummy bursts on Construction 2 and checks the paper's invariants
+// under contention: every session's content intact, the update
+// counters exact, and the measured overhead still ≈ N/D.
 // Run with -race: the scheduler's interleaving safety is the point.
 func TestConcurrentSessionsC2(t *testing.T) {
 	ctx := context.Background()
@@ -57,8 +97,7 @@ func TestConcurrentSessionsC2(t *testing.T) {
 	wantE := nKnown / nDummy
 	a.ResetStats()
 
-	d := NewDaemon(a, time.Millisecond).WithBurst(8).WithAdaptive(false)
-	d.Start()
+	d := startBursts(a, 8)
 	var wg sync.WaitGroup
 	errCh := make(chan error, nSessions)
 	for i, c := range clients {
@@ -78,8 +117,8 @@ func TestConcurrentSessionsC2(t *testing.T) {
 		}(i, c)
 	}
 	wg.Wait()
-	// The writers may outrun the first tick; keep the daemon running
-	// until it has demonstrably shared the stream with them.
+	// The writers may outrun the first burst; keep the bursts running
+	// until they have demonstrably shared the stream with the writers.
 	deadline := time.Now().Add(2 * time.Second)
 	for d.Issued() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -95,7 +134,7 @@ func TestConcurrentSessionsC2(t *testing.T) {
 		t.Fatalf("data updates %d != %d", st.DataUpdates, nSessions*updates)
 	}
 	if st.DummyUpdates == 0 {
-		t.Fatal("daemon never issued against the shared scheduler")
+		t.Fatal("dummy bursts never issued against the shared scheduler")
 	}
 	gotE := st.ExpectedOverhead()
 	if gotE < wantE*0.6 || gotE > wantE*1.4 {
@@ -137,7 +176,7 @@ func TestConcurrentSessionsC2(t *testing.T) {
 // TestSaveAndReopenOnDataPlane: closing a write handle saves the file
 // and every open discloses it again, so both sit on each login's data
 // path. They run under the shared lock: sessions that save and reopen
-// their own files between writes, against each other, the daemon and a
+// their own files between writes, against each other, dummy bursts and a
 // journal whose save hook hands limbo blocks to other sessions' dummy
 // files, must leave every file intact, in memory and — each save being
 // the durability point — across a logout. Run with -race.
@@ -174,8 +213,7 @@ func TestSaveAndReopenOnDataPlane(t *testing.T) {
 		}
 		sessions[i] = s
 	}
-	d := NewDaemon(a, time.Millisecond).WithBurst(8).WithAdaptive(false)
-	d.Start()
+	d := startBursts(a, 8)
 	var wg sync.WaitGroup
 	for i, s := range sessions {
 		wg.Add(1)
@@ -230,7 +268,7 @@ func TestSaveAndReopenOnDataPlane(t *testing.T) {
 }
 
 // TestConcurrentWritersC1 is the Construction 1 version: N goroutines
-// updating distinct files against daemon bursts on one agent, with the
+// updating distinct files against dummy bursts on one agent, with the
 // measured overhead still ≈ N/D at 50% utilization.
 func TestConcurrentWritersC1(t *testing.T) {
 	ctx := context.Background()
@@ -264,8 +302,7 @@ func TestConcurrentWritersC1(t *testing.T) {
 	wantE := float64(n) / float64(d)
 	a.ResetStats()
 
-	daemon := NewDaemon(a, time.Millisecond).WithBurst(8).WithAdaptive(false)
-	daemon.Start()
+	cover := startBursts(a, 8)
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	for i := 0; i < workers; i++ {
@@ -287,10 +324,10 @@ func TestConcurrentWritersC1(t *testing.T) {
 	}
 	wg.Wait()
 	deadline := time.Now().Add(2 * time.Second)
-	for daemon.Issued() == 0 && time.Now().Before(deadline) {
+	for cover.Issued() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	daemon.Stop()
+	cover.Stop()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
@@ -301,7 +338,7 @@ func TestConcurrentWritersC1(t *testing.T) {
 		t.Fatalf("data updates %d != %d", st.DataUpdates, workers*updates)
 	}
 	if st.DummyUpdates == 0 {
-		t.Fatal("daemon never issued against the shared scheduler")
+		t.Fatal("dummy bursts never issued against the shared scheduler")
 	}
 	gotE := st.ExpectedOverhead()
 	if gotE < wantE*0.7 || gotE > wantE*1.3 {

@@ -346,7 +346,7 @@ func (rig *c1CrashRig) phaseB() error {
 		// Rewrite committed blocks (relocations + in-place).
 		write("/a", 0, 1), write("/a", 1, 1), write("/a", 2, 1),
 		sync("/a"),
-		func() error { return a.DummyUpdate() },
+		func() error { _, err := a.DummyUpdateBurst(1); return err },
 		write("/b", 1, 1), write("/b", 3, 1),
 		func() error { _, err := a.DummyUpdateBurst(8); return err },
 		sync("/b"),
@@ -392,7 +392,7 @@ func (rig *c1CrashRig) phaseB() error {
 		func(data []byte, off uint64) error { return a.Write(ctx, "/e", rig.files["/e"], data, off) },
 		sync("/e"))...)
 	ops = append(ops,
-		func() error { return a.DummyUpdate() },
+		func() error { _, err := a.DummyUpdateBurst(1); return err },
 		write("/a", 1, 2),
 		// Delete /c inside the window.
 		func() error {
@@ -485,7 +485,7 @@ func verifyC1Crash(t *testing.T, rig *c1CrashRig, torn bool) {
 	// file the crash left reachable (a torn header can legitimately
 	// have taken one file with it — a located, detected loss).
 	for i := 0; i < 8; i++ {
-		if err := agent.DummyUpdate(); err != nil {
+		if _, err := agent.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -669,7 +669,7 @@ func (rig *c2CrashRig) phaseB() error {
 	ops := []func() error{
 		write("/a", 0, 1), write("/a", 2, 1),
 		save("/a"),
-		func() error { return a.DummyUpdate() },
+		func() error { _, err := a.DummyUpdateBurst(1); return err },
 		write("/b", 1, 1),
 		func() error { _, err := a.DummyUpdateBurst(8); return err },
 		save("/b"),
@@ -707,7 +707,7 @@ func (rig *c2CrashRig) phaseB() error {
 	ops = append(ops,
 		// Refresh the cover's durable map mid-window.
 		func() error { return sess.Save(ctx, "/cover") },
-		func() error { return a.DummyUpdate() },
+		func() error { _, err := a.DummyUpdateBurst(1); return err },
 		write("/a", 1, 2),
 		// Delete /c: its blocks are donated back to the cover.
 		func() error {
@@ -804,7 +804,7 @@ func verifyC2Crash(t *testing.T, rig *c2CrashRig, coverFirst bool) {
 	// Refill-safety: hammer dummy traffic at the recovered volume,
 	// then re-read everything. A wrong registry destroys data here.
 	for i := 0; i < 40; i++ {
-		if err := agent.DummyUpdate(); err != nil {
+		if _, err := agent.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,12 +9,11 @@ import (
 )
 
 // DummySource is what the daemon drives — both agent constructions
-// implement it. DummyUpdate emits one dummy update; DummyUpdateBurst
-// emits up to n through the batched I/O plane and reports how many it
-// actually issued; DataSeq is a monotonically increasing count of real
-// (data) updates on the stream, the scheduler's data-update counter.
+// implement it. DummyUpdateBurst emits up to n dummy updates through
+// the batched I/O plane and reports how many it actually issued;
+// DataSeq is a monotonically increasing count of real (data) updates
+// on the stream, the scheduler's data-update counter.
 type DummySource interface {
-	DummyUpdate() error
 	DummyUpdateBurst(n int) (int, error)
 	DataSeq() uint64
 }
@@ -26,21 +25,20 @@ type DummySource interface {
 // one — the stream must simply never be silent while the system is
 // up.
 //
-// By default the daemon is adaptive: a tick that finds real updates have
-// flowed since the previous tick emits nothing, because the stream
-// was demonstrably not silent; only genuinely idle gaps are filled.
-// Skipping is invisible to the attacker — every stream element is
-// identically distributed whether a session or the daemon produced it
-// — and stops the daemon from competing with real traffic for
-// bandwidth. WithAdaptive(false) restores unconditional ticking.
+// The daemon is adaptive: a tick that finds real updates have flowed
+// since the previous tick emits nothing, because the stream was
+// demonstrably not silent; only genuinely idle gaps are filled, each
+// idle tick with one burst. Skipping is invisible to the attacker —
+// every stream element is identically distributed whether a session
+// or the daemon produced it — and stops the daemon from competing
+// with real traffic for bandwidth.
 //
 // A Daemon is restartable: Stop followed by Start begins a fresh run
 // (counters accumulate across runs).
 type Daemon struct {
-	src      DummySource
-	period   time.Duration
-	burst    int
-	adaptive bool
+	src    DummySource
+	period time.Duration
+	burst  int
 
 	mu      sync.Mutex
 	stop    chan struct{}
@@ -55,31 +53,14 @@ type Daemon struct {
 	errs    obs.Counter
 }
 
-// NewDaemon prepares (but does not start) an adaptive dummy-traffic
-// daemon.
-func NewDaemon(src DummySource, period time.Duration) *Daemon {
+// NewDaemon prepares (but does not start) a daemon whose idle ticks
+// each issue one DummyUpdateBurst of burst updates. period <= 0
+// selects 250ms; burst < 1 selects 1.
+func NewDaemon(src DummySource, period time.Duration, burst int) *Daemon {
 	if period <= 0 {
 		period = 250 * time.Millisecond
 	}
-	return &Daemon{src: src, period: period, burst: 1, adaptive: true}
-}
-
-// WithBurst makes each tick issue n dummy updates instead of one, as
-// one DummyUpdateBurst. Must be called before Start. It returns the
-// daemon for chaining.
-func (d *Daemon) WithBurst(n int) *Daemon {
-	if n < 1 {
-		n = 1
-	}
-	d.burst = n
-	return d
-}
-
-// WithAdaptive enables or disables idle-gap detection. Must be called
-// before Start. It returns the daemon for chaining.
-func (d *Daemon) WithAdaptive(on bool) *Daemon {
-	d.adaptive = on
-	return d
+	return &Daemon{src: src, period: period, burst: max(burst, 1)}
 }
 
 // Start launches the background loop. Starting a running daemon is a
@@ -132,24 +113,16 @@ func (d *Daemon) loop(stop, done chan struct{}) {
 // targets are eligible) and whether the tick was skipped because real
 // traffic already kept the stream busy.
 func (d *Daemon) tick() (uint64, bool, error) {
-	if d.adaptive {
-		seq := d.src.DataSeq()
-		d.mu.Lock()
-		busy := seq != d.lastSeq
-		d.lastSeq = seq
-		d.mu.Unlock()
-		if busy {
-			return 0, true, nil
-		}
+	seq := d.src.DataSeq()
+	d.mu.Lock()
+	busy := seq != d.lastSeq
+	d.lastSeq = seq
+	d.mu.Unlock()
+	if busy {
+		return 0, true, nil
 	}
-	if d.burst > 1 {
-		n, err := d.src.DummyUpdateBurst(d.burst)
-		return uint64(n), false, err
-	}
-	if err := d.src.DummyUpdate(); err != nil {
-		return 0, false, err
-	}
-	return 1, false, nil
+	n, err := d.src.DummyUpdateBurst(d.burst)
+	return uint64(n), false, err
 }
 
 // Stop halts the loop and waits for it to exit. Stopping a stopped
@@ -169,7 +142,7 @@ func (d *Daemon) Stop() {
 // Issued returns how many dummy updates the daemon has emitted.
 func (d *Daemon) Issued() uint64 { return d.issued.Load() }
 
-// Skipped returns how many ticks the adaptive daemon suppressed
+// Skipped returns how many ticks the daemon suppressed
 // because real updates already kept the stream busy.
 func (d *Daemon) Skipped() uint64 { return d.skipped.Load() }
 

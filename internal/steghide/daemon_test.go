@@ -8,28 +8,22 @@ import (
 	"time"
 )
 
-// countingSource counts updates and can be switched to failing. Its
-// activity counter never moves, so the daemon never skips a tick.
+// countingSource counts requested updates and can be switched to
+// failing. Its activity counter never moves, so the daemon never skips
+// a tick.
 type countingSource struct {
 	mu    sync.Mutex
 	calls int
 	err   error
 }
 
-func (c *countingSource) DummyUpdate() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.calls++
-	return c.err
-}
-
 func (c *countingSource) DummyUpdateBurst(n int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.calls += n
 	if c.err != nil {
 		return 0, c.err
 	}
-	c.calls += n
 	return n, nil
 }
 
@@ -43,7 +37,7 @@ func (c *countingSource) count() int {
 
 func TestDaemonEmitsAndStops(t *testing.T) {
 	src := &countingSource{}
-	d := NewDaemon(src, time.Millisecond)
+	d := NewDaemon(src, time.Millisecond, 1)
 	d.Start()
 	d.Start() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
@@ -62,9 +56,28 @@ func TestDaemonEmitsAndStops(t *testing.T) {
 	}
 }
 
+// TestDaemonIssuesWholeBursts: every idle tick is one burst of the
+// daemon's size, and a size below one means a burst of one.
+func TestDaemonIssuesWholeBursts(t *testing.T) {
+	if d := NewDaemon(&countingSource{}, time.Millisecond, 0); d.burst != 1 {
+		t.Fatalf("burst 0 clamped to %d, want 1", d.burst)
+	}
+	src := &countingSource{}
+	d := NewDaemon(src, time.Millisecond, 4)
+	d.Start()
+	deadline := time.Now().Add(2 * time.Second)
+	for d.Issued() < 8 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	d.Stop()
+	if got := d.Issued(); got < 8 || got%4 != 0 || got != uint64(src.count()) {
+		t.Fatalf("daemon issued %d updates over %d requested, want whole bursts of 4", got, src.count())
+	}
+}
+
 func TestDaemonTolleratesNoDummySpace(t *testing.T) {
 	src := &countingSource{err: ErrNoDummySpace}
-	d := NewDaemon(src, time.Millisecond)
+	d := NewDaemon(src, time.Millisecond, 1)
 	d.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for src.count() < 5 && time.Now().Before(deadline) {
@@ -82,7 +95,7 @@ func TestDaemonTolleratesNoDummySpace(t *testing.T) {
 func TestDaemonRecordsRealErrors(t *testing.T) {
 	boom := errors.New("disk on fire")
 	src := &countingSource{err: boom}
-	d := NewDaemon(src, time.Millisecond)
+	d := NewDaemon(src, time.Millisecond, 1)
 	d.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -100,7 +113,7 @@ func TestDaemonRecordsRealErrors(t *testing.T) {
 
 func TestDaemonRestart(t *testing.T) {
 	src := &countingSource{}
-	d := NewDaemon(src, time.Millisecond)
+	d := NewDaemon(src, time.Millisecond, 1)
 	for round := 0; round < 3; round++ {
 		before := d.Issued()
 		d.Start()
@@ -130,7 +143,7 @@ func (s *seqSource) DataSeq() uint64 { return s.seq.Load() }
 
 func TestDaemonAdaptiveFillsOnlyIdleGaps(t *testing.T) {
 	src := &seqSource{}
-	d := NewDaemon(src, time.Millisecond)
+	d := NewDaemon(src, time.Millisecond, 1)
 	d.Start()
 
 	// Busy phase: real updates flow between ticks, so the daemon must
@@ -178,7 +191,7 @@ func TestDaemonAgainstRealAgent(t *testing.T) {
 	if _, err := s.CreateDummy("/d", 64); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDaemon(a, time.Millisecond)
+	d := NewDaemon(a, time.Millisecond, 1)
 	d.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for d.Issued() < 10 && time.Now().Before(deadline) {

@@ -256,11 +256,11 @@ func TestDummyUpdateFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd.FailWritesAfter(0)
-	if err := a.DummyUpdate(); !errors.Is(err, blockdev.ErrInjected) {
+	if _, err := a.DummyUpdateBurst(1); !errors.Is(err, blockdev.ErrInjected) {
 		t.Fatalf("dummy-update fault not propagated: %v", err)
 	}
 	fd.Heal()
-	if err := a.DummyUpdate(); err != nil {
+	if _, err := a.DummyUpdateBurst(1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -284,10 +284,9 @@ func TestJournaledC1LimboHoldsVacatedBlocks(t *testing.T) {
 // of both must be empty and every slice field must hold only zero
 // elements up to its capacity (a registry table that keeps a stale
 // address or file pointer in its spare room keeps the session), walked
-// by reflection, so a field added later is held to the same rule; quota
-// is the operator's setting, not session state. The delete row deletes
-// a file before its first save, which leaves relocations in limbo that
-// no save will drain.
+// by reflection, so a field added later is held to the same rule. The
+// delete row deletes a file before its first save, which leaves
+// relocations in limbo that no save will drain.
 func TestLogoutForgetsBlockOwnership(t *testing.T) {
 	for _, row := range []struct {
 		name   string
@@ -331,7 +330,6 @@ func TestLogoutForgetsBlockOwnership(t *testing.T) {
 				for i := 0; i < v.NumField(); i++ {
 					name, f := v.Type().Field(i).Name, v.Field(i)
 					switch {
-					case name == "quota":
 					case f.Kind() == reflect.Map && f.Len() != 0:
 						t.Errorf("%s.%s keeps %d entries after logout: %v", v.Type().Name(), name, f.Len(), f)
 					case f.Kind() == reflect.Slice:

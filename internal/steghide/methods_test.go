@@ -20,13 +20,12 @@ func TestAgentMethodSets(t *testing.T) {
 			"Read", "Save", "Stage", "Stat", "Truncate", "User", "Write",
 		},
 		reflect.TypeFor[*VolatileAgent](): {
-			"DataSeq", "DummyBlocks", "DummyUpdate", "DummyUpdateBurst",
-			"EnableJournal", "EnableMetrics", "KnownBlocks", "Login", "Logout",
-			"LogoutAll", "Recover", "ResetStats", "SetDefaultQuota",
-			"SetQuota", "Stats", "Vol",
+			"DataSeq", "DummyBlocks", "DummyUpdateBurst", "EnableJournal",
+			"EnableMetrics", "KnownBlocks", "Login", "Logout", "LogoutAll",
+			"Recover", "ResetStats", "SetDefaultQuota", "Stats", "Vol",
 		},
 		reflect.TypeFor[*NonVolatileAgent](): {
-			"Close", "CloseAll", "Create", "DataSeq", "Delete", "DummyUpdate",
+			"Close", "CloseAll", "Create", "DataSeq", "Delete",
 			"DummyUpdateBurst", "EnableJournal", "EnableMetrics", "HasOpen",
 			"LoadState", "Open", "Policy", "Read", "Recover", "ResetStats",
 			"Source", "Stage", "Stat", "State", "Stats", "Sync", "Truncate",
@@ -55,7 +54,7 @@ func TestAgentMethodSets(t *testing.T) {
 		}
 		total += len(got)
 	}
-	if total != 54 {
-		t.Errorf("the agent types export %d methods, want 54", total)
+	if total != 51 {
+		t.Errorf("the agent types export %d methods, want 51", total)
 	}
 }

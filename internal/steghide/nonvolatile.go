@@ -98,7 +98,7 @@ func (a *NonVolatileAgent) Vol() *stegfs.Volume { return a.vol }
 func (a *NonVolatileAgent) Source() *stegfs.BitmapSource { return a.source }
 
 // Stats returns a snapshot of the agent's counters.
-func (a *NonVolatileAgent) Stats() UpdateStats { return statsFromSched(a.sched.Stats()) }
+func (a *NonVolatileAgent) Stats() UpdateStats { return a.sched.Stats() }
 
 // ResetStats zeroes the counters.
 func (a *NonVolatileAgent) ResetStats() { a.sched.ResetStats() }
@@ -358,20 +358,12 @@ func (a *NonVolatileAgent) Policy(ctx context.Context) stegfs.UpdatePolicy {
 	return runPolicy{ctx: ctx, sched: a.sched, fence: &a.opMu}
 }
 
-// DummyUpdate issues one idle-time dummy update on a uniformly random
-// block of the steg space (Figure 6, else-branch).
-func (a *NonVolatileAgent) DummyUpdate() error {
-	a.opMu.RLock()
-	defer a.opMu.RUnlock()
-	return a.sched.DummyUpdate()
-}
-
-// DummyUpdateBurst issues n idle-time dummy updates in one batched
-// read-reseal-write cycle: two scattered device batches instead of 2n
-// single-block calls. The observable stream — n reads then n writes
-// of uniformly random blocks — carries exactly the same distribution
-// as n sequential DummyUpdate calls. It returns how many updates were
-// issued (always n on success for this construction).
+// DummyUpdateBurst issues n idle-time dummy updates on uniformly
+// random blocks of the steg space (Figure 6, else-branch) in one
+// batched read-reseal-write cycle: two scattered device batches
+// instead of 2n single-block calls. The observable stream is n reads
+// then n writes of uniformly random blocks. It returns how many
+// updates were issued (always n on success for this construction).
 func (a *NonVolatileAgent) DummyUpdateBurst(n int) (int, error) {
 	a.opMu.RLock()
 	defer a.opMu.RUnlock()

@@ -17,11 +17,11 @@ func usage(a *VolatileAgent, user string) uint64 {
 	return a.usedLocked(user)
 }
 
-// quota returns the login's effective block budget (0 = unlimited).
-func quota(a *VolatileAgent, user string) uint64 {
+// quota returns the logins' block budget (0 = unlimited).
+func quota(a *VolatileAgent) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.quotaLocked(user)
+	return a.defaultQuota
 }
 
 func TestQuotaBlocksCreateDummy(t *testing.T) {
@@ -74,31 +74,11 @@ func TestQuotaBlocksGrowth(t *testing.T) {
 	if err != nil && !errors.Is(err, stegfs.ErrVolumeFull) && !errors.Is(err, ErrNoDummySpace) {
 		t.Fatalf("growth failure has wrong type: %v", err)
 	}
-	if q := quota(a, "alice"); q != 60 {
+	if q := quota(a); q != 60 {
 		t.Fatalf("quota = %d", q)
 	}
 	if u := usage(a, "alice"); u > 70 {
 		t.Fatalf("usage %d blew far past the 60-block budget", u)
-	}
-}
-
-func TestQuotaPerLoginOverride(t *testing.T) {
-	a, _ := newC2(t, 2048)
-	a.SetDefaultQuota(10)
-	a.SetQuota("bob", 200)
-	s, err := a.Login("bob", "pw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CreateDummy("/dummy0", 100); err != nil {
-		t.Fatal(err)
-	}
-	a.SetQuota("bob", 0) // back to the 10-block default
-	if q := quota(a, "bob"); q != 10 {
-		t.Fatalf("override not cleared: %d", q)
-	}
-	if _, err := s.Create("/real"); !errors.Is(err, stegfs.ErrVolumeFull) {
-		t.Fatalf("create over reverted budget: %v", err)
 	}
 }
 
@@ -217,7 +197,7 @@ func TestQuotaAllowsSaveAndLogoutAtBudget(t *testing.T) {
 		t.Fatal("the file and the cover need pointer blocks")
 	}
 	budget := usage(a, "alice")
-	a.SetQuota("alice", budget)
+	a.SetDefaultQuota(budget)
 	for round := range 3 {
 		if err := s.Write(ctx, "/real", msg[:a.Vol().PayloadSize()], 0); err != nil {
 			t.Fatal(err)

@@ -71,46 +71,9 @@ var (
 	ErrExists = errors.New("steghide: file already open")
 )
 
-// UpdateStats aggregates the observable work of an agent. The
-// relationship Iterations/DataUpdates ≈ N/D is the paper's expected
-// overhead E (§4.1.5); each iteration costs one read and one write.
-type UpdateStats struct {
-	// DataUpdates is the number of Figure-6 data updates performed.
-	DataUpdates uint64
-	// Iterations is the total number of block draws across updates.
-	Iterations uint64
-	// Relocations counts updates whose block moved to a dummy slot.
-	Relocations uint64
-	// InPlace counts updates where the draw hit the block itself.
-	InPlace uint64
-	// Camouflage counts dummy updates issued on other data blocks
-	// while searching for a target.
-	Camouflage uint64
-	// DummyUpdates counts idle-time dummy updates.
-	DummyUpdates uint64
-}
-
-// ExpectedOverhead returns measured Iterations per data update — the
-// empirical counterpart of E = N/D. Returns 0 before any update.
-func (s UpdateStats) ExpectedOverhead() float64 {
-	if s.DataUpdates == 0 {
-		return 0
-	}
-	return float64(s.Iterations) / float64(s.DataUpdates)
-}
-
-// statsFromSched converts the scheduler's counter snapshot into the
-// agent-facing UpdateStats.
-func statsFromSched(s sched.Stats) UpdateStats {
-	return UpdateStats{
-		DataUpdates:  s.DataUpdates,
-		Iterations:   s.Iterations,
-		Relocations:  s.Relocations,
-		InPlace:      s.InPlace,
-		Camouflage:   s.Camouflage,
-		DummyUpdates: s.DummyUpdates,
-	}
-}
+// UpdateStats aggregates the observable work of an agent: the
+// scheduler's counter snapshot.
+type UpdateStats = sched.Stats
 
 // runPolicy is the stegfs.UpdatePolicy both agents hand the file
 // layer: a run of blocks goes to the volume's scheduler as one

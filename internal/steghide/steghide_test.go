@@ -136,7 +136,7 @@ func TestC1DummyUpdatesPreserveAllContent(t *testing.T) {
 	}
 	// Hammer the volume with dummy updates, including on data blocks.
 	for i := 0; i < 2000; i++ {
-		if err := a.DummyUpdate(); err != nil {
+		if _, err := a.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestC1SecurityDefinition1(t *testing.T) {
 	// Sample 1: pure dummy traffic.
 	col.Reset()
 	for i := 0; i < 4000; i++ {
-		if err := a.DummyUpdate(); err != nil {
+		if _, err := a.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -569,7 +569,7 @@ func TestC2UpdatesStayWithinDisclosedBlocks(t *testing.T) {
 		if err := alice.Write(ctx, "/a-file", chunk, off); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.DummyUpdate(); err != nil {
+		if _, err := a.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -757,7 +757,7 @@ func TestC2SecurityDefinition1(t *testing.T) {
 	}
 	col.Reset()
 	for i := 0; i < 4000; i++ {
-		if err := a.DummyUpdate(); err != nil {
+		if _, err := a.DummyUpdateBurst(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -868,7 +868,7 @@ func TestC2WriteUndisclosedFails(t *testing.T) {
 	if err := s.Delete("/nope"); !errors.Is(err, ErrNotDisclosed) {
 		t.Fatalf("delete undisclosed: %v", err)
 	}
-	if err := a.DummyUpdate(); !errors.Is(err, ErrNoDummySpace) {
+	if _, err := a.DummyUpdateBurst(1); !errors.Is(err, ErrNoDummySpace) {
 		t.Fatalf("dummy update with empty registry: %v", err)
 	}
 }

@@ -67,12 +67,11 @@ type VolatileAgent struct {
 	// nothing. An entry keeps its login's number, so a block that
 	// changes hands or leaves costs no hash. A forgotten login's slot
 	// is zero until the next new login takes it; lastLogin is the
-	// number last looked up. quota holds per-login overrides;
-	// defaultQuota applies to the rest; zero means unlimited.
+	// number last looked up. defaultQuota is every login's budget;
+	// zero means unlimited.
 	logins       map[string]int32
 	usage        []loginUsage
 	lastLogin    int32
-	quota        map[string]uint64
 	defaultQuota uint64
 
 	sched *sched.Scheduler
@@ -129,7 +128,6 @@ func NewVolatile(vol *stegfs.Volume, rng *prng.PRNG) *VolatileAgent {
 		slot:     make([]int32, vol.NumBlocks()),
 		sessions: map[string]*Session{},
 		logins:   map[string]int32{},
-		quota:    map[string]uint64{},
 	}
 	a.sched = sched.New(vol, &volatileSpace{a: a})
 	return a
@@ -139,7 +137,7 @@ func NewVolatile(vol *stegfs.Volume, rng *prng.PRNG) *VolatileAgent {
 func (a *VolatileAgent) Vol() *stegfs.Volume { return a.vol }
 
 // Stats returns a snapshot of the agent's counters.
-func (a *VolatileAgent) Stats() UpdateStats { return statsFromSched(a.sched.Stats()) }
+func (a *VolatileAgent) Stats() UpdateStats { return a.sched.Stats() }
 
 // ResetStats zeroes the counters.
 func (a *VolatileAgent) ResetStats() { a.sched.ResetStats() }
@@ -344,48 +342,26 @@ func (a *VolatileAgent) usedLocked(user string) uint64 {
 	return 0
 }
 
-// quotaLocked returns the effective block budget for a login (0 =
-// unlimited); the caller holds a.mu.
-func (a *VolatileAgent) quotaLocked(user string) uint64 {
-	if q, ok := a.quota[user]; ok {
-		return q
-	}
-	return a.defaultQuota
-}
-
 // overBudgetLocked reports whether charging need more blocks to the
 // login would exceed its budget; the caller holds a.mu.
 func (a *VolatileAgent) overBudgetLocked(user string, need uint64) bool {
-	if a.defaultQuota == 0 && len(a.quota) == 0 {
+	if a.defaultQuota == 0 {
 		return false // no budget set: nothing to look up
 	}
-	q := a.quotaLocked(user)
-	return q != 0 && a.usedLocked(user)+need > q
+	return a.usedLocked(user)+need > a.defaultQuota
 }
 
-// SetDefaultQuota sets the block budget applied to logins without a
-// per-login override. Zero (the default) means unlimited. The budget
-// bounds a login's total registered footprint — real files, dummy
-// cover and in-flight allocations alike; overage surfaces as
-// stegfs.ErrVolumeFull, which round-trips the wire. The check is a
-// memory-only comparison on the allocation path, so a quota rejection
-// takes the same observable time as any other full-volume rejection.
+// SetDefaultQuota sets the block budget applied to every login. Zero
+// (the default) means unlimited. The budget bounds a login's total
+// registered footprint — real files, dummy cover and in-flight
+// allocations alike; overage surfaces as stegfs.ErrVolumeFull, which
+// round-trips the wire. The check is a memory-only comparison on the
+// allocation path, so a quota rejection takes the same observable time
+// as any other full-volume rejection.
 func (a *VolatileAgent) SetDefaultQuota(blocks uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.defaultQuota = blocks
-}
-
-// SetQuota sets a per-login block budget override; zero removes the
-// override (the default budget applies again).
-func (a *VolatileAgent) SetQuota(user string, blocks uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if blocks == 0 {
-		delete(a.quota, user)
-		return
-	}
-	a.quota[user] = blocks
 }
 
 // checkBudget pre-checks that the login can take on need more blocks,
@@ -1035,25 +1011,11 @@ func (s *Session) Open(path string) (*stegfs.File, bool) {
 
 // --- Figure 6 over disclosed blocks -----------------------------------
 
-// DummyUpdate issues one idle-time dummy update on a uniformly random
-// disclosed block.
-func (a *VolatileAgent) DummyUpdate() error {
-	a.structMu.RLock()
-	defer a.structMu.RUnlock()
-	err := a.sched.DummyUpdate()
-	if errors.Is(err, sched.ErrNoTarget) {
-		return fmt.Errorf("%w: only pending blocks visible", ErrNoDummySpace)
-	}
-	return err
-}
-
-// DummyUpdateBurst issues up to n idle-time dummy updates over the
-// disclosed blocks in one batched read-modify-write cycle (two
-// scattered device batches instead of 2n single-block calls). Each
-// target is drawn exactly as DummyUpdate draws it, so the observable
-// stream keeps the same uniform-over-disclosed distribution. It
-// returns how many updates were issued — fewer than n when few
-// non-pending targets are visible.
+// DummyUpdateBurst issues up to n idle-time dummy updates on
+// uniformly random disclosed blocks in one batched read-modify-write
+// cycle (two scattered device batches instead of 2n single-block
+// calls). It returns how many updates were issued — fewer than n when
+// few non-pending targets are visible.
 func (a *VolatileAgent) DummyUpdateBurst(n int) (int, error) {
 	a.structMu.RLock()
 	defer a.structMu.RUnlock()

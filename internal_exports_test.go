@@ -38,15 +38,12 @@ var internalWithoutCallers = map[string]string{
 	"blockdev.FaultDevice.FailWritesAfter":      "instrument: FaultDevice write fault of the fault tests",
 	"blockdev.FaultDevice.PowerCutTorn":         "instrument: FaultDevice torn power cut of the crash matrices",
 	"mempool.SetPoison":                         "instrument: poisons recycled buffers in the pool tests",
+	"obs.Registry.Snapshot":                     "instrument: registry read-out of the metrics and write-budget tests",
 	"wire.NewFaultListener":                     "instrument: FaultListener schedules of the chaos matrices",
 
 	// Paper mechanisms a roadmap item wires into the live path.
-	"oblivious.FS.DummyRead":       "paper mechanism: Fig. 8(a) dummy read, ROADMAP item 16",
-	"oblivious.Store.DummyRead":    "paper mechanism: Fig. 8(a) dummy read, ROADMAP item 16",
-	"steghide.Daemon.WithAdaptive": "paper mechanism: adaptive cover rate, ROADMAP item 14",
-
-	// Operator API a facade doc names.
-	"steghide.VolatileAgent.SetQuota": "operator API: the WithLoginQuota doc names it for per-login overrides",
+	"oblivious.FS.DummyRead":    "paper mechanism: Fig. 8(a) dummy read, ROADMAP item 16",
+	"oblivious.Store.DummyRead": "paper mechanism: Fig. 8(a) dummy read, ROADMAP item 16",
 }
 
 // lintBuilds are the builds CI compiles: a reference under any of them

@@ -114,19 +114,11 @@ func WithObliviousCache(bufferBlocks, levels int) Option {
 	}
 }
 
-// WithDaemon starts the idle-time dummy-traffic daemon (§4.1.3) on
-// the mounted agent, adaptive by default; Stack.Close stops it.
-// period <= 0 selects the default 250ms.
-func WithDaemon(period time.Duration) Option {
-	return func(c *mountConfig) error {
-		c.daemon = true
-		c.daemonPeriod = period
-		return nil
-	}
-}
-
-// WithDaemonBurst sizes the daemon's per-tick burst (one batched
-// DummyUpdateBurst). Implies WithDaemon.
+// WithDaemonBurst starts the idle-time dummy-traffic daemon (§4.1.3)
+// on the mounted agent; Stack.Close stops it. Every period in which no
+// real update flowed, the daemon issues one batched DummyUpdateBurst
+// of burst updates. period <= 0 selects the default 250ms; burst < 1
+// selects 1.
 func WithDaemonBurst(period time.Duration, burst int) Option {
 	return func(c *mountConfig) error {
 		c.daemon = true
@@ -193,8 +185,7 @@ func WithMetrics(m *Metrics) Option {
 // files, dummy cover and in-flight allocations — would exceed blocks
 // sees ErrVolumeFull, exactly as on a full volume, and the check is a
 // memory-only comparison so the rejection is timed like any other.
-// Zero is rejected (omit the option for unlimited); per-login
-// overrides go through Agent2().SetQuota.
+// Zero is rejected (omit the option for unlimited).
 func WithLoginQuota(blocks uint64) Option {
 	return func(c *mountConfig) error {
 		if blocks == 0 {
@@ -246,7 +237,7 @@ type Stack struct {
 //
 //	stack, err := steghide.Mount(dev,
 //	    steghide.WithFormat(steghide.FormatOptions{}),
-//	    steghide.WithDaemon(250*time.Millisecond))
+//	    steghide.WithDaemonBurst(250*time.Millisecond, 1))
 //	...
 //	fs, err := stack.Login("alice", "passphrase")
 //
@@ -386,10 +377,7 @@ func Mount(dev Device, opts ...Option) (*Stack, error) {
 		if s.agent1 != nil {
 			src = s.agent1
 		}
-		s.daemon = steghide.NewDaemon(src, cfg.daemonPeriod)
-		if cfg.daemonBurst > 1 {
-			s.daemon.WithBurst(cfg.daemonBurst)
-		}
+		s.daemon = steghide.NewDaemon(src, cfg.daemonPeriod, cfg.daemonBurst)
 		if cfg.metrics != nil {
 			s.daemon.EnableMetrics(cfg.metrics, s.name)
 		}
@@ -429,7 +417,8 @@ func (s *Stack) Agent1() *NonVolatileAgent { return s.agent1 }
 // Agent2 returns the Construction-2 agent, or nil for C1 stacks.
 func (s *Stack) Agent2() *VolatileAgent { return s.agent2 }
 
-// Daemon returns the dummy-traffic daemon, or nil without WithDaemon.
+// Daemon returns the dummy-traffic daemon, or nil without
+// WithDaemonBurst.
 func (s *Stack) Daemon() *DummyDaemon { return s.daemon }
 
 // ObliviousCache returns the read-hiding composition, or nil without

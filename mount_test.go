@@ -166,7 +166,7 @@ func TestMountOptionsStack(t *testing.T) {
 		stack, err := steghide.Mount(steghide.NewMemDevice(4096, 2048),
 			steghide.WithFormat(steghide.FormatOptions{FillSeed: []byte("opt")}),
 			steghide.WithJournal("admin-pass"),
-			steghide.WithDaemon(time.Millisecond),
+			steghide.WithDaemonBurst(time.Millisecond, 1),
 			steghide.WithTrace(tap),
 			steghide.WithSeed([]byte("opt-agent")))
 		if err != nil {
@@ -295,13 +295,13 @@ func TestMountOptionsStack(t *testing.T) {
 	})
 }
 
-// TestDummyDaemonFacade runs the idle-traffic daemon WithDaemon starts
+// TestDummyDaemonFacade runs the idle-traffic daemon WithDaemonBurst starts
 // on a volatile agent: once a login discloses cover it issues dummy
 // updates without errors.
 func TestDummyDaemonFacade(t *testing.T) {
 	stack, err := steghide.Mount(steghide.NewMemDevice(512, 1024),
 		steghide.WithFormat(steghide.FormatOptions{}),
-		steghide.WithDaemon(time.Millisecond))
+		steghide.WithDaemonBurst(time.Millisecond, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

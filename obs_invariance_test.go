@@ -144,33 +144,29 @@ func TestMetricsObservableInvariance(t *testing.T) {
 	// The exposition itself is an operator-facing surface: it must
 	// carry the series the run populated and none of the hidden-volume
 	// material — pathnames, passphrases, usernames, journal secrets.
-	var prom, vars strings.Builder
+	var prom strings.Builder
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteJSON(&vars); err != nil {
-		t.Fatal(err)
-	}
-	for surface, text := range map[string]string{"prometheus": prom.String(), "json": vars.String()} {
-		for _, want := range []string{
-			"steghide_sched_data_updates_total",
-			"steghide_sched_dummy_updates_total",
-			"steghide_sched_burst_seconds",
-			"steghide_journal_ring_slots",
-		} {
-			if !strings.Contains(text, want) {
-				t.Errorf("%s exposition missing %s", surface, want)
-			}
+	text := prom.String()
+	for _, want := range []string{
+		"steghide_sched_data_updates_total",
+		"steghide_sched_dummy_updates_total",
+		"steghide_sched_burst_seconds",
+		"steghide_journal_ring_slots",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %s", want)
 		}
-		for _, secret := range []string{
-			"obs-hidden-doc", "obs-cover", // pathnames (dummy and hidden alike)
-			"obs-oracle-pass",    // passphrase
-			"obs-oracle-journal", // journal passphrase
-			"carol",              // local-login identity (not wire-visible here)
-		} {
-			if strings.Contains(text, secret) {
-				t.Errorf("%s exposition leaks %q", surface, secret)
-			}
+	}
+	for _, secret := range []string{
+		"obs-hidden-doc", "obs-cover", // pathnames (dummy and hidden alike)
+		"obs-oracle-pass",    // passphrase
+		"obs-oracle-journal", // journal passphrase
+		"carol",              // local-login identity (not wire-visible here)
+	} {
+		if strings.Contains(text, secret) {
+			t.Errorf("exposition leaks %q", secret)
 		}
 	}
 }

@@ -22,8 +22,8 @@ type ServerConfig struct {
 	// free one, which Server.Addr reports).
 	Addr string
 	// HTTPAddr, when non-empty, serves the ops endpoint: /metrics
-	// (Prometheus text), /healthz (200, or 503 while draining),
-	// /debug/vars (JSON), and /debug/pprof. The endpoint is
+	// (Prometheus text), /healthz (200, or 503 while draining) and
+	// /debug/pprof. The endpoint is
 	// operator-facing and unauthenticated — bind it to localhost or a
 	// management network, never the public interface. Everything it
 	// can disclose is leakage-audited in DESIGN.md.
@@ -31,7 +31,7 @@ type ServerConfig struct {
 	// DrainTimeout bounds Shutdown's graceful drain; <= 0 selects 10s.
 	DrainTimeout time.Duration
 	// Metrics, when set, instruments the wire server and feeds
-	// /metrics and /debug/vars. Attach the same registry to the served
+	// /metrics. Attach the same registry to the served
 	// stacks (WithMetrics) for the full picture.
 	Metrics *Metrics
 	// Logger, when set, receives structured connection-lifecycle
@@ -109,14 +109,6 @@ func (s *Server) opsMux() *http.ServeMux {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.Metrics == nil {
-			http.Error(w, "no metrics registry attached", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		s.cfg.Metrics.WriteJSON(w) //nolint:errcheck // client gone
 	})
 	// pprof on the same mux.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

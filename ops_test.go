@@ -3,7 +3,6 @@ package steghide_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -53,7 +52,7 @@ func opsGet(t *testing.T, addr, path string) (int, string) {
 // TestOpsEndpointEndToEnd exercises the whole observability plane
 // the way an operator meets it: a metrics-instrumented stack served
 // by NewServer with the ops endpoint up, real client traffic
-// through the wire, then /healthz, /metrics and /debug/vars — and
+// through the wire, then /healthz and /metrics — and
 // the privacy contract checked against the actual exposition and log
 // output (hidden pathnames and passphrases must not appear).
 func TestOpsEndpointEndToEnd(t *testing.T) {
@@ -141,22 +140,14 @@ func TestOpsEndpointEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /debug/vars: valid JSON carrying the same series.
-	code, vars := opsGet(t, srv.HTTPAddr(), "/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(vars), &decoded); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := decoded["steghide_wire_connections_total"]; !ok {
-		t.Error("/debug/vars missing steghide_wire_connections_total")
+	// /metrics is the one exposition: there is no JSON twin.
+	if code, _ := opsGet(t, srv.HTTPAddr(), "/debug/vars"); code != http.StatusNotFound {
+		t.Fatalf("/debug/vars = %d, want 404", code)
 	}
 
 	// Privacy contract: nothing secret in any operator-facing surface.
 	logText := logs.String()
-	for surface, text := range map[string]string{"metrics": metrics, "vars": vars, "logs": logText} {
+	for surface, text := range map[string]string{"metrics": metrics, "logs": logText} {
 		for _, secret := range []string{"secret-plans", passphrase} {
 			if strings.Contains(text, secret) {
 				t.Errorf("%s surface leaks %q", surface, secret)
@@ -218,9 +209,6 @@ func TestOpsEndpointWithoutMetrics(t *testing.T) {
 	}
 	if code, _ := opsGet(t, srv.HTTPAddr(), "/metrics"); code != http.StatusNotFound {
 		t.Fatalf("/metrics without registry = %d, want 404", code)
-	}
-	if code, _ := opsGet(t, srv.HTTPAddr(), "/debug/vars"); code != http.StatusNotFound {
-		t.Fatalf("/debug/vars without registry = %d, want 404", code)
 	}
 }
 

@@ -39,7 +39,7 @@
 //	dev := steghide.NewMemDevice(4096, 1<<15)
 //	stack, _ := steghide.Mount(dev,
 //	    steghide.WithFormat(steghide.FormatOptions{}),
-//	    steghide.WithDaemon(250*time.Millisecond)) // idle dummy traffic
+//	    steghide.WithDaemonBurst(250*time.Millisecond, 1)) // idle dummy traffic
 //	defer stack.Close()
 //	fs, _ := stack.Login("alice", "correct horse")
 //	fs.CreateDummy(ctx, "/cover", 4096) // deniable cover + relocation targets
@@ -57,7 +57,7 @@
 // *PathError values wrapping the package sentinels, across the wire
 // too; contexts are honored at the scheduler draw loop and the wire
 // round trip. Options: WithFormat, WithConstruction1/2, WithJournal,
-// WithObliviousCache, WithDaemon, WithTrace, WithStripe, WithSeed.
+// WithObliviousCache, WithDaemonBurst, WithTrace, WithStripe, WithSeed.
 //
 // There is one way in: Mount to build a stack, DialFS (or DialClusterFS
 // for a fleet) to reach a session, NewServer to serve one. Mount wires

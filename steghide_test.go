@@ -49,7 +49,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("facade roundtrip mismatch")
 	}
-	if err := agent.DummyUpdate(); err != nil {
+	if _, err := agent.DummyUpdateBurst(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := agent.Logout(ctx, "alice"); err != nil {
