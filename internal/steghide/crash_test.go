@@ -529,11 +529,7 @@ func TestC1CrashMatrix(t *testing.T) {
 	checkIntentsPrecedePayloads(t, ref.batch, ref.vol)
 	verifyC1Crash(t, ref, false)
 
-	stride := int64(1)
-	if testing.Short() {
-		stride = 7
-	}
-	for k := int64(0); k < total; k += stride {
+	for k := int64(0); k < total; k++ {
 		rig := setupC1Crash(t)
 		rig.fd.PowerCutAfterWrites(k)
 		if err := rig.phaseB(); err == nil {
@@ -552,11 +548,7 @@ func TestC1CrashMatrixTornWrites(t *testing.T) {
 	}
 	total := ref.fd.Writes() - base
 
-	stride := int64(3)
-	if testing.Short() {
-		stride = 11
-	}
-	for k := int64(0); k < total; k += stride {
+	for k := int64(0); k < total; k += 3 {
 		rig := setupC1Crash(t)
 		rig.fd.PowerCutTorn(k, 0.55)
 		if err := rig.phaseB(); err == nil {
@@ -861,11 +853,7 @@ func TestC2CrashMatrix(t *testing.T) {
 	checkIntentsPrecedePayloads(t, ref.batch, ref.vol)
 	verifyC2Crash(t, ref, true)
 
-	stride := int64(1)
-	if testing.Short() {
-		stride = 7
-	}
-	for k := int64(0); k < total; k += stride {
+	for k := int64(0); k < total; k++ {
 		rig := setupC2Crash(t)
 		rig.fd.PowerCutAfterWrites(k)
 		if err := rig.phaseB(); err == nil {

@@ -588,9 +588,6 @@ func runReads(t *testing.T, dev *RemoteDevice, depth, total int) time.Duration {
 // time. The nominal ratio is ~8 (the in-flight bound); 3 leaves CI
 // scheduling plenty of slack.
 func TestPipelineSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
 	slow := &slowDevice{Device: blockdev.NewMem(256, 64), delay: 2 * time.Millisecond}
 	srv := NewStorageServer(listen(t), slow, nil)
 	defer srv.Close()
